@@ -194,11 +194,11 @@ pub fn explain_rewritable(
     let ast_conjs: Vec<&Expr> = stmt
         .selection
         .as_ref()
-        .map(ast_conjuncts)
+        .map(Expr::conjuncts)
         .unwrap_or_default();
     let mut arcs: Vec<(usize, usize)> = Vec::new();
     if let Some(filter) = &bound.filter {
-        for (ci, conjunct) in conjuncts(filter).into_iter().enumerate() {
+        for (ci, conjunct) in filter.conjuncts().into_iter().enumerate() {
             let span = ast_conjs
                 .get(ci)
                 .map(|e| expr_span(e))
@@ -351,27 +351,6 @@ fn from_span(stmt: &SelectStatement, i: usize) -> Span {
     stmt.from.get(i).map(|t| t.span).unwrap_or(Span::NONE)
 }
 
-/// Split an AST predicate into its top-level AND conjuncts, mirroring
-/// [`conjuncts`] over bound expressions so the two line up by index.
-fn ast_conjuncts(e: &Expr) -> Vec<&Expr> {
-    let mut out = Vec::new();
-    fn walk<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-        if let Expr::Binary {
-            left,
-            op: BinaryOp::And,
-            right,
-        } = e
-        {
-            walk(left, out);
-            walk(right, out);
-        } else {
-            out.push(e);
-        }
-    }
-    walk(e, &mut out);
-    out
-}
-
 fn push_arc(arcs: &mut Vec<(usize, usize)>, from: usize, to: usize) {
     if !arcs.contains(&(from, to)) {
         arcs.push((from, to));
@@ -396,25 +375,6 @@ fn describe_conjunct(e: &BoundExpr, bound: &BoundSelect) -> String {
         "a non-equality predicate connects relations {}",
         rels.join(", ")
     )
-}
-
-fn conjuncts(e: &BoundExpr) -> Vec<&BoundExpr> {
-    let mut out = Vec::new();
-    fn walk<'a>(e: &'a BoundExpr, out: &mut Vec<&'a BoundExpr>) {
-        if let BoundExpr::Binary {
-            left,
-            op: BinaryOp::And,
-            right,
-        } = e
-        {
-            walk(left, out);
-            walk(right, out);
-        } else {
-            out.push(e);
-        }
-    }
-    walk(e, &mut out);
-    out
 }
 
 /// If the directed graph on `n` vertices is a tree spanning all vertices,

@@ -1,10 +1,14 @@
-//! Static query analysis: span-carrying diagnostics with stable codes.
+//! Diagnostics: span-carrying findings with stable codes, and the lint
+//! passes that produce the ones the binder does not.
 //!
-//! This pass runs between parse and execution and never touches table
-//! *data* — only the catalog's schemas. It re-resolves the query the same
-//! way the binder does, but keeps going after the first problem and keeps
-//! the source [`Span`] of every offending token, producing a list of
-//! [`Diagnostic`]s instead of a single error.
+//! Analysis runs between parse and execution and never touches table
+//! *data* — only the catalog's schemas. Name resolution is the binder's:
+//! [`analyze_select`] calls `bind` once, takes over every
+//! [`Diagnostic`] the keep-going bind recorded (CQ0002–CQ0004,
+//! CQ0006–CQ0008), and then runs the lints as passes over the binder's
+//! `Scope` and [`BoundSelect`] — type checks (CQ0005, CQ1003), decided
+//! conjuncts (CQ1001, CQ1002), join-graph connectivity (CQ1004) and
+//! unused relations (CQ1005).
 //!
 //! Codes are stable: `CQ0xxx` are errors (the engine will reject or
 //! mis-execute the query), `CQ1xxx` are warnings (the query runs but
@@ -15,18 +19,17 @@
 //! Entry points: [`Database::analyze`](crate::Database::analyze) and
 //! [`Statement::check`](crate::Statement::check).
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use conquer_sql::ast::{SelectItem, Statement};
 use conquer_sql::{
-    line_col, parse_statement, render_snippet, BinaryOp, ColumnRef, Expr, Literal, SelectStatement,
-    Span, UnaryOp,
+    line_col, parse_statement, render_snippet, BinaryOp, Expr, SelectStatement, Span, UnaryOp,
 };
-use conquer_storage::{Catalog, DataType, Schema, Value};
+use conquer_storage::{Catalog, DataType, Value};
 
-use crate::binder::{bind_select, literal_value};
+use crate::binder::{bind, Binding, BoundSelect, OrderKey, Scope};
 use crate::expr::{BoundExpr, Offsets};
+use crate::planner::as_equi_edge;
 
 /// How bad a [`Diagnostic`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -165,6 +168,19 @@ impl Diagnostic {
         self
     }
 
+    /// Attach a "did you mean" help line naming the candidate closest to
+    /// `target`, if one is close enough to be a typo.
+    pub(crate) fn did_you_mean<'c>(
+        self,
+        target: &str,
+        candidates: impl Iterator<Item = &'c str>,
+    ) -> Self {
+        match suggest(target, candidates) {
+            Some(s) => self.with_help(format!("did you mean {s:?}?")),
+            None => self,
+        }
+    }
+
     /// True for error-severity diagnostics.
     pub fn is_error(&self) -> bool {
         self.severity == Severity::Error
@@ -252,646 +268,222 @@ fn check_target_table(catalog: &Catalog, name: &str) -> Vec<Diagnostic> {
     vec![unknown_table(catalog, name, Span::NONE)]
 }
 
-fn unknown_table(catalog: &Catalog, name: &str, span: Span) -> Diagnostic {
-    let d = Diagnostic::new(Code::UnknownTable, span, format!("unknown table {name:?}"));
-    match suggest(name, catalog.table_names().into_iter()) {
-        Some(s) => d.with_help(format!("did you mean {s:?}?")),
-        None => d,
-    }
+pub(crate) fn unknown_table(catalog: &Catalog, name: &str, span: Span) -> Diagnostic {
+    Diagnostic::new(Code::UnknownTable, span, format!("unknown table {name:?}"))
+        .did_you_mean(name, catalog.table_names().into_iter())
 }
 
-/// Run every lint rule over a SELECT statement.
+/// Bind a SELECT once and run every lint pass over the result.
 pub fn analyze_select(catalog: &Catalog, stmt: &SelectStatement) -> Vec<Diagnostic> {
-    let mut a = Analyzer::new(catalog, stmt);
-    a.check_from();
-    a.check_columns();
-    a.check_aggregation();
-    a.check_predicates();
-    a.check_connectivity();
-    a.check_unused();
-    a.check_order_by();
-    a.confirm_against_binder();
-    a.finish()
+    let Binding {
+        scope,
+        diagnostics: mut diags,
+        select,
+    } = bind(catalog, stmt);
+    let exprs = stmt.projection.iter().filter_map(|item| match item {
+        SelectItem::Expr { expr, .. } => Some(expr),
+        _ => None,
+    });
+    let exprs = exprs
+        .chain(&stmt.selection)
+        .chain(&stmt.group_by)
+        .chain(&stmt.having)
+        .chain(stmt.order_by.iter().map(|o| &o.expr));
+    for e in exprs {
+        check_types(&scope, e, &mut diags);
+    }
+    if let Some(select) = &select {
+        check_decided_conjuncts(stmt, select, &mut diags);
+        check_connectivity(&scope, select, &mut diags);
+        check_unused(&scope, select, &mut diags);
+    }
+    // Deterministic order: by position, then by code.
+    diags.sort_by_key(|d| (d.span.start, d.span.end, d.code));
+    diags.dedup_by(|a, b| {
+        a.code == b.code && a.message == b.message && a.span.start == b.span.start
+    });
+    diags
 }
 
-/// A FROM relation the analyzer resolved (or failed to).
-struct Rel {
-    binding: String,
-    schema: Option<Schema>,
-    span: Span,
-    used: bool,
-}
-
-struct Analyzer<'a> {
-    catalog: &'a Catalog,
-    stmt: &'a SelectStatement,
-    rels: Vec<Rel>,
-    aliases: Vec<String>,
-    diags: Vec<Diagnostic>,
-}
-
-impl<'a> Analyzer<'a> {
-    fn new(catalog: &'a Catalog, stmt: &'a SelectStatement) -> Self {
-        let aliases = stmt
-            .projection
-            .iter()
-            .filter_map(|item| match item {
-                SelectItem::Expr { alias: Some(a), .. } => Some(a.clone()),
-                _ => None,
-            })
-            .collect();
-        Analyzer {
-            catalog,
-            stmt,
-            rels: Vec::new(),
-            aliases,
-            diags: Vec::new(),
+/// CQ1001/CQ1002: a column-free WHERE/HAVING conjunct is decided before
+/// any row is read.
+fn check_decided_conjuncts(
+    stmt: &SelectStatement,
+    select: &BoundSelect,
+    diags: &mut Vec<Diagnostic>,
+) {
+    let having = select.group.as_ref().and_then(|g| g.having.as_ref());
+    for (clause, ast, bound) in [
+        ("WHERE", &stmt.selection, select.filter.as_ref()),
+        ("HAVING", &stmt.having, having),
+    ] {
+        let (Some(ast), Some(bound)) = (ast, bound) else {
+            continue;
+        };
+        let (asts, bounds) = (ast.conjuncts(), bound.conjuncts());
+        if asts.len() != bounds.len() {
+            continue; // a group key that is itself an AND collapsed into one slot
         }
-    }
-
-    fn push(&mut self, d: Diagnostic) {
-        self.diags.push(d);
-    }
-
-    fn finish(self) -> Vec<Diagnostic> {
-        let mut diags = self.diags;
-        // Deterministic order: by position, then by code.
-        diags.sort_by_key(|d| (d.span.start, d.span.end, d.code));
-        diags.dedup_by(|a, b| {
-            a.code == b.code && a.message == b.message && a.span.start == b.span.start
-        });
-        diags
-    }
-
-    // ---- FROM clause -----------------------------------------------------
-
-    fn check_from(&mut self) {
-        if self.stmt.from.is_empty() {
-            self.push(Diagnostic::new(
-                Code::BindError,
-                Span::NONE,
-                "queries require a FROM clause",
-            ));
-            return;
-        }
-        let mut seen: BTreeSet<String> = BTreeSet::new();
-        for tref in &self.stmt.from {
-            let binding = tref.binding_name().to_string();
-            if !seen.insert(binding.clone()) {
-                self.push(
-                    Diagnostic::new(
-                        Code::DuplicateBinding,
-                        tref.span,
-                        format!("duplicate relation name {binding:?} in FROM"),
-                    )
-                    .with_help("give it a distinct alias"),
-                );
+        for (conjunct, bound) in asts.into_iter().zip(bounds) {
+            // In slot space aggregates are columns too, so this skips them.
+            if !bound.columns().is_empty() {
+                continue;
             }
-            let schema = match self.catalog.table(&tref.table) {
-                Ok(t) => Some(t.schema().clone()),
-                Err(_) => {
-                    let d = unknown_table(self.catalog, &tref.table, tref.span);
-                    self.push(d);
-                    None
-                }
-            };
-            self.rels.push(Rel {
-                binding,
-                schema,
-                span: tref.span,
-                used: false,
-            });
-        }
-    }
-
-    // ---- column resolution ----------------------------------------------
-
-    /// Resolve without emitting diagnostics (used by type inference).
-    fn resolve_quiet(&self, c: &ColumnRef) -> Option<(usize, usize, DataType)> {
-        let mut hit = None;
-        for (ri, rel) in self.rels.iter().enumerate() {
-            if let Some(q) = &c.qualifier {
-                if *q != rel.binding {
+            let message = match bound.eval(&Vec::new(), &Offsets(Vec::new())) {
+                Ok(Value::Bool(true)) => {
+                    diags.push(
+                        Diagnostic::new(
+                            Code::AlwaysTrue,
+                            expr_span(conjunct),
+                            format!("{clause} conjunct `{conjunct}` is always true"),
+                        )
+                        .with_help("remove it"),
+                    );
                     continue;
                 }
-            }
-            let schema = rel.schema.as_ref()?;
-            if let Some(ci) = schema.index_of(&c.name) {
-                if hit.is_some() {
-                    return None; // ambiguous
-                }
-                hit = Some((ri, ci, schema.column_at(ci)?.data_type()));
-            }
-        }
-        hit
-    }
-
-    /// Resolve a column reference, emitting CQ0002/CQ0003/CQ0004 as
-    /// appropriate and marking the owning relation used.
-    fn resolve(&mut self, c: &ColumnRef) {
-        if let Some(q) = &c.qualifier {
-            let Some(ri) = self.rels.iter().position(|r| r.binding == *q) else {
-                let d = Diagnostic::new(
-                    Code::UnknownTable,
-                    c.span,
-                    format!("unknown relation {q:?}"),
-                );
-                let d = match suggest(q, self.rels.iter().map(|r| r.binding.as_str())) {
-                    Some(s) => d.with_help(format!("did you mean {s:?}?")),
-                    None => d,
-                };
-                self.push(d);
-                return;
+                Ok(Value::Bool(false)) => "always false",
+                Ok(Value::Null) => "always NULL, which never satisfies a predicate",
+                _ => continue, // not a boolean, or a runtime error — the executor reports it
             };
-            self.rels[ri].used = true;
-            let Some(schema) = &self.rels[ri].schema else {
-                return; // unknown table already reported
-            };
-            if schema.index_of(&c.name).is_none() {
-                let d = Diagnostic::new(
-                    Code::UnknownColumn,
-                    c.span,
-                    format!("no column {:?} in relation {q:?}", c.name),
-                );
-                let d = match suggest(&c.name, schema.names()) {
-                    Some(s) => d.with_help(format!("did you mean {s:?}?")),
-                    None => d,
-                };
-                self.push(d);
-            }
-        } else {
-            let mut hits: Vec<usize> = Vec::new();
-            for (ri, rel) in self.rels.iter().enumerate() {
-                if let Some(schema) = &rel.schema {
-                    if schema.index_of(&c.name).is_some() {
-                        hits.push(ri);
-                    }
-                }
-            }
-            match hits.len() {
-                0 => {
-                    // If some FROM table didn't resolve, the column may well
-                    // live there — don't pile a misleading unknown-column
-                    // diagnostic on top of the unknown-table one.
-                    if self.rels.iter().any(|r| r.schema.is_none()) {
-                        return;
-                    }
-                    let d = Diagnostic::new(
-                        Code::UnknownColumn,
-                        c.span,
-                        format!("unknown column {:?}", c.name),
-                    );
-                    let all: Vec<String> = self
-                        .rels
-                        .iter()
-                        .filter_map(|r| r.schema.as_ref())
-                        .flat_map(|s| s.names().map(str::to_string))
-                        .collect();
-                    let d = match suggest(&c.name, all.iter().map(|s| s.as_str())) {
-                        Some(s) => d.with_help(format!("did you mean {s:?}?")),
-                        None => d,
-                    };
-                    self.push(d);
-                }
-                1 => {
-                    self.rels[hits[0]].used = true;
-                }
-                _ => {
-                    let owners: Vec<String> = hits
-                        .iter()
-                        .map(|ri| self.rels[*ri].binding.clone())
-                        .collect();
-                    self.push(
-                        Diagnostic::new(
-                            Code::AmbiguousColumn,
-                            c.span,
-                            format!("ambiguous column reference {:?}", c.name),
-                        )
-                        .with_help(format!("qualify it with one of: {}", owners.join(", "))),
-                    );
-                }
-            }
-        }
-    }
-
-    /// Resolve every column reference in `e` (except ORDER BY aliases,
-    /// handled separately).
-    fn resolve_all_in(&mut self, e: &Expr) {
-        let mut cols = Vec::new();
-        e.visit_columns(&mut |c| cols.push(c.clone()));
-        for c in cols {
-            self.resolve(&c);
-        }
-    }
-
-    fn check_columns(&mut self) {
-        let stmt = self.stmt;
-        for item in &stmt.projection {
-            match item {
-                SelectItem::Wildcard => {
-                    for rel in &mut self.rels {
-                        rel.used = true;
-                    }
-                }
-                SelectItem::QualifiedWildcard(q) => {
-                    match self.rels.iter().position(|r| r.binding == *q) {
-                        Some(ri) => self.rels[ri].used = true,
-                        None => {
-                            let d = Diagnostic::new(
-                                Code::UnknownTable,
-                                Span::NONE,
-                                format!("unknown relation {q:?} in wildcard projection"),
-                            );
-                            self.push(d);
-                        }
-                    }
-                }
-                SelectItem::Expr { expr, .. } => self.resolve_all_in(expr),
-            }
-        }
-        if let Some(w) = &stmt.selection {
-            self.resolve_all_in(w);
-        }
-        for g in &stmt.group_by {
-            self.resolve_all_in(g);
-        }
-        if let Some(h) = &stmt.having {
-            self.resolve_all_in(h);
-        }
-    }
-
-    // ---- grouping --------------------------------------------------------
-
-    fn is_aggregate_query(&self) -> bool {
-        !self.stmt.group_by.is_empty()
-            || self
-                .stmt
-                .projection
-                .iter()
-                .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.contains_aggregate()))
-            || self
-                .stmt
-                .having
-                .as_ref()
-                .is_some_and(|h| h.contains_aggregate())
-    }
-
-    fn check_aggregation(&mut self) {
-        let stmt = self.stmt;
-        // Aggregates are illegal in WHERE and GROUP BY regardless of shape.
-        if let Some(w) = &stmt.selection {
-            if w.contains_aggregate() {
-                self.push(Diagnostic::new(
-                    Code::BindError,
-                    expr_span(w),
-                    "aggregates are not allowed in WHERE",
-                ));
-            }
-        }
-        for g in &stmt.group_by {
-            if g.contains_aggregate() {
-                self.push(Diagnostic::new(
-                    Code::BindError,
-                    expr_span(g),
-                    "aggregates are not allowed in GROUP BY",
-                ));
-            }
-        }
-        // Nested aggregates anywhere.
-        for e in self.all_exprs() {
-            find_nested_aggregate(&e, &mut self.diags);
-        }
-        if !self.is_aggregate_query() {
-            return;
-        }
-        if stmt
-            .projection
-            .iter()
-            .any(|i| !matches!(i, SelectItem::Expr { .. }))
-        {
-            self.push(
-                Diagnostic::new(
-                    Code::UngroupedColumn,
-                    Span::NONE,
-                    "wildcard projection in an aggregate query",
-                )
-                .with_help("list the GROUP BY keys and aggregates explicitly"),
-            );
-        }
-        for item in &stmt.projection {
-            if let SelectItem::Expr { expr, .. } = item {
-                self.check_grouped(expr, "SELECT list");
-            }
-        }
-        if let Some(h) = &stmt.having {
-            self.check_grouped(h, "HAVING");
-        }
-    }
-
-    /// Every bare column under `e` must be (part of) a GROUP BY key or
-    /// inside an aggregate; anything else is dropped by grouping.
-    fn check_grouped(&mut self, e: &Expr, clause: &str) {
-        if self.stmt.group_by.iter().any(|g| g == e) {
-            return; // matches a group key (spans are equality-transparent)
-        }
-        match e {
-            Expr::Column(c) => {
-                self.push(
-                    Diagnostic::new(
-                        Code::UngroupedColumn,
-                        c.span,
-                        format!(
-                            "column {c} in the {clause} is dropped by grouping: it is neither a GROUP BY key nor inside an aggregate"
-                        ),
-                    )
-                    .with_help(format!("add {c} to GROUP BY or wrap it in an aggregate")),
-                );
-            }
-            Expr::Aggregate { .. } => {} // columns inside aggregates are fine
-            Expr::Literal(_) => {}
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => {
-                self.check_grouped(expr, clause)
-            }
-            Expr::Binary { left, right, .. } => {
-                self.check_grouped(left, clause);
-                self.check_grouped(right, clause);
-            }
-            Expr::Like { expr, pattern, .. } => {
-                self.check_grouped(expr, clause);
-                self.check_grouped(pattern, clause);
-            }
-            Expr::InList { expr, list, .. } => {
-                self.check_grouped(expr, clause);
-                for i in list {
-                    self.check_grouped(i, clause);
-                }
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => {
-                self.check_grouped(expr, clause);
-                self.check_grouped(low, clause);
-                self.check_grouped(high, clause);
-            }
-            Expr::Case {
-                operand,
-                branches,
-                else_expr,
-            } => {
-                if let Some(o) = operand {
-                    self.check_grouped(o, clause);
-                }
-                for (w, t) in branches {
-                    self.check_grouped(w, clause);
-                    self.check_grouped(t, clause);
-                }
-                if let Some(el) = else_expr {
-                    self.check_grouped(el, clause);
-                }
-            }
-        }
-    }
-
-    // ---- predicates: constant folding + type checking --------------------
-
-    fn all_exprs(&self) -> Vec<Expr> {
-        let mut out: Vec<Expr> = Vec::new();
-        for item in &self.stmt.projection {
-            if let SelectItem::Expr { expr, .. } = item {
-                out.push(expr.clone());
-            }
-        }
-        out.extend(self.stmt.selection.iter().cloned());
-        out.extend(self.stmt.group_by.iter().cloned());
-        out.extend(self.stmt.having.iter().cloned());
-        out.extend(self.stmt.order_by.iter().map(|o| o.expr.clone()));
-        out
-    }
-
-    fn check_predicates(&mut self) {
-        let stmt = self.stmt;
-        for (clause, pred) in [("WHERE", &stmt.selection), ("HAVING", &stmt.having)] {
-            let Some(pred) = pred else { continue };
-            for conjunct in pred.conjuncts() {
-                self.fold_conjunct(conjunct, clause);
-            }
-        }
-        for e in self.all_exprs() {
-            self.check_types(&e);
-        }
-    }
-
-    /// Constant-fold a column-free conjunct and warn if it is decided.
-    fn fold_conjunct(&mut self, conjunct: &Expr, clause: &str) {
-        let mut has_col = false;
-        conjunct.visit_columns(&mut |_| has_col = true);
-        if has_col || conjunct.contains_aggregate() {
-            return;
-        }
-        let Some(bound) = const_bound(conjunct) else {
-            return;
-        };
-        let row = Vec::new();
-        let offsets = Offsets(Vec::new());
-        match bound.eval(&row, &offsets) {
-            Ok(Value::Bool(true)) => self.push(
-                Diagnostic::new(
-                    Code::AlwaysTrue,
-                    expr_span(conjunct),
-                    format!("{clause} conjunct `{conjunct}` is always true"),
-                )
-                .with_help("remove it"),
-            ),
-            Ok(Value::Bool(false)) => self.push(Diagnostic::new(
+            diags.push(Diagnostic::new(
                 Code::AlwaysFalse,
                 expr_span(conjunct),
-                format!("{clause} conjunct `{conjunct}` is always false: the query returns no rows"),
-            )),
-            Ok(Value::Null) => self.push(Diagnostic::new(
-                Code::AlwaysFalse,
-                expr_span(conjunct),
-                format!(
-                    "{clause} conjunct `{conjunct}` is always NULL, which never satisfies a predicate: the query returns no rows"
-                ),
-            )),
-            _ => {} // not a boolean, or a runtime error — the executor reports it
-        }
-    }
-
-    /// Walk an expression checking comparison/arithmetic operand types.
-    fn check_types(&mut self, e: &Expr) {
-        if let Expr::Binary { left, op, right } = e {
-            if op.is_comparison() {
-                self.check_comparison(left, *op, right);
-            } else if !matches!(op, BinaryOp::And | BinaryOp::Or) {
-                // Arithmetic: both sides must be numeric.
-                for side in [left, right] {
-                    if let Some(ty) = self.infer_type(side) {
-                        if !matches!(ty, DataType::Int | DataType::Float) {
-                            self.push(Diagnostic::new(
-                                Code::TypeMismatch,
-                                expr_span(side),
-                                format!(
-                                    "arithmetic `{}` on non-numeric operand `{side}` of type {}",
-                                    op.symbol(),
-                                    ty.name()
-                                ),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        for child in expr_children(e) {
-            self.check_types(child);
-        }
-    }
-
-    fn check_comparison(&mut self, left: &Expr, op: BinaryOp, right: &Expr) {
-        let (Some(lt), Some(rt)) = (self.infer_type(left), self.infer_type(right)) else {
-            return;
-        };
-        if cmp_class(lt) != cmp_class(rt) {
-            self.push(
-                Diagnostic::new(
-                    Code::TypeMismatch,
-                    expr_span(left).union(expr_span(right)),
-                    format!(
-                        "cannot compare {} with {}: `{left} {} {right}` always fails at runtime",
-                        lt.name(),
-                        rt.name(),
-                        op.symbol()
-                    ),
-                )
-                .with_help("cast one side or compare columns of the same type"),
-            );
-            return;
-        }
-        if lt == rt {
-            return;
-        }
-        // Same comparison class, different types: implicit cast.
-        let both_columns = matches!(left, Expr::Column(_)) && matches!(right, Expr::Column(_));
-        let text_vs_date = matches!((lt, rt), (DataType::Text, DataType::Date))
-            || matches!((lt, rt), (DataType::Date, DataType::Text));
-        if text_vs_date {
-            self.push(
-                Diagnostic::new(
-                    Code::ImplicitCast,
-                    expr_span(left).union(expr_span(right)),
-                    format!(
-                        "comparison of {} with {} parses the text as a date at runtime",
-                        lt.name(),
-                        rt.name()
-                    ),
-                )
-                .with_help("write the literal as DATE '...' to make the cast explicit"),
-            );
-        } else if both_columns {
-            self.push(Diagnostic::new(
-                Code::ImplicitCast,
-                expr_span(left).union(expr_span(right)),
-                format!(
-                    "join key `{left} {} {right}` compares {} with {}: the {} side is implicitly cast to {}",
-                    op.symbol(),
-                    lt.name(),
-                    rt.name(),
-                    DataType::Int.name(),
-                    DataType::Float.name(),
-                ),
+                format!("{clause} conjunct `{conjunct}` is {message}: the query returns no rows"),
             ));
         }
     }
+}
 
-    /// Best-effort static type of an expression; `None` when unknown.
-    fn infer_type(&self, e: &Expr) -> Option<DataType> {
-        match e {
-            Expr::Column(c) => self.resolve_quiet(c).map(|(_, _, ty)| ty),
-            Expr::Literal(l) => literal_value(l).data_type(),
-            Expr::Unary {
-                op: UnaryOp::Not, ..
-            } => Some(DataType::Bool),
-            Expr::Unary {
-                op: UnaryOp::Neg,
-                expr,
-            } => self.infer_type(expr),
-            Expr::Binary { left, op, right } => {
-                if op.is_comparison() || matches!(op, BinaryOp::And | BinaryOp::Or) {
-                    Some(DataType::Bool)
-                } else {
-                    match (self.infer_type(left)?, self.infer_type(right)?) {
-                        (DataType::Int, DataType::Int) => Some(DataType::Int),
-                        (DataType::Int | DataType::Float, DataType::Int | DataType::Float) => {
-                            Some(DataType::Float)
-                        }
-                        _ => None,
-                    }
-                }
-            }
-            Expr::Like { .. }
-            | Expr::InList { .. }
-            | Expr::Between { .. }
-            | Expr::IsNull { .. } => Some(DataType::Bool),
-            Expr::Aggregate { func, arg, .. } => match func {
-                conquer_sql::AggFunc::Count => Some(DataType::Int),
-                conquer_sql::AggFunc::Avg => Some(DataType::Float),
-                _ => arg.as_ref().and_then(|a| self.infer_type(a)),
-            },
-            Expr::Case {
-                branches,
-                else_expr,
-                ..
-            } => branches
-                .first()
-                .and_then(|(_, t)| self.infer_type(t))
-                .or_else(|| else_expr.as_ref().and_then(|e| self.infer_type(e))),
+/// CQ0005/CQ1003: walk an expression checking comparison, arithmetic and
+/// unary-minus operand types.
+fn check_types(scope: &Scope<'_>, e: &Expr, diags: &mut Vec<Diagnostic>) {
+    match e {
+        Expr::Binary { left, op, right } if op.is_comparison() => {
+            check_comparison(scope, left, *op, right, diags)
         }
+        Expr::Binary { left, op, right } if !matches!(op, BinaryOp::And | BinaryOp::Or) => {
+            for side in [left, right] {
+                check_numeric(
+                    scope,
+                    format_args!("arithmetic `{}`", op.symbol()),
+                    side,
+                    diags,
+                );
+            }
+        }
+        Expr::Unary {
+            op: UnaryOp::Neg,
+            expr,
+        } => check_numeric(scope, format_args!("unary minus"), expr, diags),
+        _ => {}
     }
+    e.for_each_child(&mut |child| check_types(scope, child, diags));
+}
 
-    // ---- join graph connectivity ----------------------------------------
+fn check_numeric(
+    scope: &Scope<'_>,
+    operation: fmt::Arguments<'_>,
+    operand: &Expr,
+    diags: &mut Vec<Diagnostic>,
+) {
+    match scope.infer_type(operand) {
+        None | Some(DataType::Int | DataType::Float) => {}
+        Some(ty) => diags.push(Diagnostic::new(
+            Code::TypeMismatch,
+            expr_span(operand),
+            format!(
+                "{operation} on non-numeric operand `{operand}` of type {}",
+                ty.name()
+            ),
+        )),
+    }
+}
 
-    fn check_connectivity(&mut self) {
-        let n = self.rels.len();
-        if n < 2 {
-            return;
+fn check_comparison(
+    scope: &Scope<'_>,
+    left: &Expr,
+    op: BinaryOp,
+    right: &Expr,
+    diags: &mut Vec<Diagnostic>,
+) {
+    let (Some(lt), Some(rt)) = (scope.infer_type(left), scope.infer_type(right)) else {
+        return;
+    };
+    let span = expr_span(left).union(expr_span(right));
+    if cmp_class(lt) != cmp_class(rt) {
+        diags.push(
+            Diagnostic::new(
+                Code::TypeMismatch,
+                span,
+                format!(
+                    "cannot compare {} with {}: `{left} {} {right}` always fails at runtime",
+                    lt.name(),
+                    rt.name(),
+                    op.symbol()
+                ),
+            )
+            .with_help("cast one side or compare columns of the same type"),
+        );
+        return;
+    }
+    if lt == rt {
+        return;
+    }
+    // Same comparison class, different types: implicit cast.
+    let both_columns = matches!(left, Expr::Column(_)) && matches!(right, Expr::Column(_));
+    let text_vs_date = cmp_class(lt) == cmp_class(DataType::Text);
+    if text_vs_date {
+        diags.push(
+            Diagnostic::new(
+                Code::ImplicitCast,
+                span,
+                format!(
+                    "comparison of {} with {} parses the text as a date at runtime",
+                    lt.name(),
+                    rt.name()
+                ),
+            )
+            .with_help("write the literal as DATE '...' to make the cast explicit"),
+        );
+    } else if both_columns {
+        diags.push(Diagnostic::new(
+            Code::ImplicitCast,
+            span,
+            format!(
+                "join key `{left} {} {right}` compares {} with {}: the {} side is implicitly cast to {}",
+                op.symbol(),
+                lt.name(),
+                rt.name(),
+                DataType::Int.name(),
+                DataType::Float.name(),
+            ),
+        ));
+    }
+}
+
+/// CQ1004: a FROM relation no equi-join conjunct (the planner's notion of
+/// one) links to the rest of the join graph.
+fn check_connectivity(scope: &Scope<'_>, select: &BoundSelect, diags: &mut Vec<Diagnostic>) {
+    fn find(dsu: &mut [usize], x: usize) -> usize {
+        if dsu[x] != x {
+            dsu[x] = find(dsu, dsu[x]);
         }
-        let mut dsu: Vec<usize> = (0..n).collect();
-        fn find(dsu: &mut Vec<usize>, x: usize) -> usize {
-            if dsu[x] != x {
-                let root = find(dsu, dsu[x]);
-                dsu[x] = root;
-            }
-            dsu[x]
-        }
-        let stmt = self.stmt;
-        if let Some(w) = &stmt.selection {
-            for conjunct in w.conjuncts() {
-                if let Expr::Binary {
-                    left,
-                    op: BinaryOp::Eq,
-                    right,
-                } = conjunct
-                {
-                    if let (Expr::Column(a), Expr::Column(b)) = (left.as_ref(), right.as_ref()) {
-                        if let (Some((ra, _, _)), Some((rb, _, _))) =
-                            (self.resolve_quiet(a), self.resolve_quiet(b))
-                        {
-                            if ra != rb {
-                                let (pa, pb) = (find(&mut dsu, ra), find(&mut dsu, rb));
-                                dsu[pa] = pb;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let home = find(&mut dsu, 0);
-        let mut flagged: BTreeSet<usize> = BTreeSet::new();
-        for ri in 1..n {
-            let root = find(&mut dsu, ri);
-            if root != home && flagged.insert(root) {
-                let rel = &self.rels[ri];
-                let d = Diagnostic::new(
+        dsu[x]
+    }
+    let mut dsu: Vec<usize> = (0..select.relations.len()).collect();
+    let conjuncts = select.filter.iter().flat_map(BoundExpr::conjuncts);
+    for edge in conjuncts.filter_map(as_equi_edge) {
+        let (a, b) = (find(&mut dsu, edge.rels.0), find(&mut dsu, edge.rels.1));
+        dsu[a] = b;
+    }
+    // One finding per disconnected component, at its first relation.
+    let mut flagged = Vec::new();
+    for (ri, rel) in scope.relations.iter().enumerate().skip(1) {
+        let root = find(&mut dsu, ri);
+        if root != find(&mut dsu, 0) && !flagged.contains(&root) {
+            flagged.push(root);
+            diags.push(
+                Diagnostic::new(
                     Code::CartesianProduct,
                     rel.span,
                     format!(
@@ -899,79 +491,46 @@ impl<'a> Analyzer<'a> {
                         rel.binding
                     ),
                 )
-                .with_help("add a join predicate linking it to the other FROM relations");
-                self.push(d);
-            }
-        }
-    }
-
-    fn check_unused(&mut self) {
-        if self.rels.len() < 2 {
-            return;
-        }
-        let unused: Vec<(Span, String)> = self
-            .rels
-            .iter()
-            .filter(|r| !r.used && r.schema.is_some())
-            .map(|r| (r.span, r.binding.clone()))
-            .collect();
-        for (span, binding) in unused {
-            self.push(
-                Diagnostic::new(
-                    Code::UnusedTable,
-                    span,
-                    format!("FROM relation {binding:?} is never referenced"),
-                )
-                .with_help("drop it from FROM, or reference its columns"),
+                .with_help("add a join predicate linking it to the other FROM relations"),
             );
         }
     }
+}
 
-    // ---- ORDER BY --------------------------------------------------------
-
-    fn check_order_by(&mut self) {
-        let stmt = self.stmt;
-        let width = stmt.projection.len();
-        let grouped = self.is_aggregate_query();
-        for item in &stmt.order_by {
-            match &item.expr {
-                // Positional reference: 1-based into the select list.
-                Expr::Literal(Literal::Int(n)) => {
-                    if *n < 1 || *n as usize > width {
-                        self.push(Diagnostic::new(
-                            Code::BindError,
-                            Span::NONE,
-                            format!(
-                                "ORDER BY position {n} is out of range (select list has {width} column{})",
-                                if width == 1 { "" } else { "s" }
-                            ),
-                        ));
-                    }
-                }
-                // A bare name matching a select alias refers to the output
-                // column; anything else is an ordinary expression.
-                Expr::Column(c) if c.qualifier.is_none() && self.aliases.contains(&c.name) => {}
-                e => {
-                    self.resolve_all_in(e);
-                    if grouped {
-                        self.check_grouped(e, "ORDER BY");
-                    }
-                }
-            }
+/// CQ1005: a FROM relation no relation-space expression of the bound
+/// query mentions.
+fn check_unused(scope: &Scope<'_>, select: &BoundSelect, diags: &mut Vec<Diagnostic>) {
+    if scope.relations.len() < 2 {
+        return;
+    }
+    let mut exprs: Vec<&BoundExpr> = select.filter.iter().collect();
+    match &select.group {
+        // The output, HAVING and ORDER BY of an aggregate query are in slot
+        // space; what they use of the relations is in the keys and the
+        // aggregate arguments.
+        Some(g) => {
+            exprs.extend(&g.keys);
+            exprs.extend(g.aggs.iter().filter_map(|a| a.arg.as_ref()));
+        }
+        None => {
+            exprs.extend(select.output.iter().map(|o| &o.expr));
+            exprs.extend(select.order_by.iter().filter_map(|o| match &o.key {
+                OrderKey::Expr(e) => Some(e),
+                OrderKey::Output(_) => None,
+            }));
         }
     }
-
-    // ---- binder cross-check ----------------------------------------------
-
-    /// Safety net: if the binder rejects the query for a reason none of
-    /// the rules above caught, surface it as a generic CQ0007 so that
-    /// "no error diagnostics" always implies "binds cleanly".
-    fn confirm_against_binder(&mut self) {
-        if self.diags.iter().any(|d| d.is_error()) {
-            return;
-        }
-        if let Err(e) = bind_select(self.catalog, self.stmt) {
-            self.push(Diagnostic::new(Code::BindError, Span::NONE, e.to_string()));
+    let used: Vec<usize> = exprs.into_iter().flat_map(BoundExpr::relations).collect();
+    for (ri, rel) in scope.relations.iter().enumerate() {
+        if !used.contains(&ri) {
+            diags.push(
+                Diagnostic::new(
+                    Code::UnusedTable,
+                    rel.span,
+                    format!("FROM relation {:?} is never referenced", rel.binding),
+                )
+                .with_help("drop it from FROM, or reference its columns"),
+            );
         }
     }
 }
@@ -982,127 +541,6 @@ pub fn expr_span(e: &Expr) -> Span {
     let mut span = Span::NONE;
     e.visit_columns(&mut |c| span = span.union(c.span));
     span
-}
-
-fn expr_children(e: &Expr) -> Vec<&Expr> {
-    match e {
-        Expr::Column(_) | Expr::Literal(_) => Vec::new(),
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => vec![expr],
-        Expr::Binary { left, right, .. } => vec![left, right],
-        Expr::Like { expr, pattern, .. } => vec![expr, pattern],
-        Expr::InList { expr, list, .. } => {
-            let mut v: Vec<&Expr> = vec![expr];
-            v.extend(list.iter());
-            v
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => vec![expr, low, high],
-        Expr::Aggregate { arg, .. } => arg.iter().map(|a| a.as_ref()).collect(),
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => {
-            let mut v: Vec<&Expr> = Vec::new();
-            v.extend(operand.iter().map(|o| o.as_ref()));
-            for (w, t) in branches {
-                v.push(w);
-                v.push(t);
-            }
-            v.extend(else_expr.iter().map(|e| e.as_ref()));
-            v
-        }
-    }
-}
-
-fn find_nested_aggregate(e: &Expr, diags: &mut Vec<Diagnostic>) {
-    if let Expr::Aggregate { arg: Some(a), .. } = e {
-        if a.contains_aggregate() {
-            diags.push(Diagnostic::new(
-                Code::BindError,
-                expr_span(e),
-                "nested aggregates are not allowed",
-            ));
-            return;
-        }
-    }
-    for child in expr_children(e) {
-        find_nested_aggregate(child, diags);
-    }
-}
-
-/// Bind a column-free expression for constant folding. Returns `None` for
-/// shapes that cannot be folded (aggregates).
-fn const_bound(e: &Expr) -> Option<BoundExpr> {
-    Some(match e {
-        Expr::Column(_) | Expr::Aggregate { .. } => return None,
-        Expr::Literal(l) => BoundExpr::Literal(literal_value(l)),
-        Expr::Unary {
-            op: UnaryOp::Not,
-            expr,
-        } => BoundExpr::Not(Box::new(const_bound(expr)?)),
-        Expr::Unary {
-            op: UnaryOp::Neg,
-            expr,
-        } => BoundExpr::Neg(Box::new(const_bound(expr)?)),
-        Expr::Binary { left, op, right } => BoundExpr::Binary {
-            left: Box::new(const_bound(left)?),
-            op: *op,
-            right: Box::new(const_bound(right)?),
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => BoundExpr::Like {
-            expr: Box::new(const_bound(expr)?),
-            pattern: Box::new(const_bound(pattern)?),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => BoundExpr::InList {
-            expr: Box::new(const_bound(expr)?),
-            list: list.iter().map(const_bound).collect::<Option<Vec<_>>>()?,
-            negated: *negated,
-        },
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => BoundExpr::Between {
-            expr: Box::new(const_bound(expr)?),
-            low: Box::new(const_bound(low)?),
-            high: Box::new(const_bound(high)?),
-            negated: *negated,
-        },
-        Expr::IsNull { expr, negated } => BoundExpr::IsNull {
-            expr: Box::new(const_bound(expr)?),
-            negated: *negated,
-        },
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => BoundExpr::Case {
-            operand: match operand {
-                Some(o) => Some(Box::new(const_bound(o)?)),
-                None => None,
-            },
-            branches: branches
-                .iter()
-                .map(|(w, t)| Some((const_bound(w)?, const_bound(t)?)))
-                .collect::<Option<Vec<_>>>()?,
-            else_expr: match else_expr {
-                Some(e) => Some(Box::new(const_bound(e)?)),
-                None => None,
-            },
-        },
-    })
 }
 
 /// Comparison-compatibility class; values in the same class compare at
@@ -1149,7 +587,7 @@ fn edit_distance(a: &str, b: &str) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use conquer_storage::Table;
+    use conquer_storage::{Schema, Table};
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();

@@ -1,10 +1,16 @@
-//! Name resolution and semantic analysis.
+//! Name resolution, `Expr` lowering and static typing — the only module
+//! that does any of the three.
 //!
-//! The binder turns a parsed [`SelectStatement`] into a [`BoundSelect`]:
-//! tables are resolved against the catalog, column references become
-//! [`ColumnId`]s, wildcards are expanded, aggregate queries are analyzed
-//! into group keys + aggregate calls, and `ORDER BY` items are resolved
-//! against select aliases where applicable.
+//! `bind` turns a parsed [`SelectStatement`] into a `Binding`: the FROM
+//! clause becomes a `Scope`, column references become [`ColumnId`]s,
+//! wildcards are expanded, aggregate queries are analyzed into group keys +
+//! aggregate calls, and `ORDER BY` items are resolved against select
+//! aliases where applicable. The binder *keeps going*: every problem is
+//! recorded as a span-carrying [`Diagnostic`] and binding continues with
+//! the next expression, so one pass serves both callers —
+//! [`bind_select`] turns the first diagnostic into an
+//! [`EngineError::Bind`], [`crate::analyze`] reports all of them and runs
+//! its lint passes over the same `Binding`.
 //!
 //! Two expression "spaces" exist after binding:
 //!
@@ -16,10 +22,12 @@
 //!   relation index 0 by convention.
 
 use conquer_sql::{
-    AggFunc, ColumnRef, Expr, Literal, OrderByItem, SelectItem, SelectStatement, UnaryOp,
+    AggFunc, BinaryOp, ColumnRef, Expr, Literal, OrderByItem, SelectItem, SelectStatement, Span,
+    TableRef, UnaryOp,
 };
-use conquer_storage::{Catalog, Schema, Value};
+use conquer_storage::{Catalog, DataType, Schema, Value};
 
+use crate::analyze::{expr_span, unknown_table, Code, Diagnostic};
 use crate::error::EngineError;
 use crate::expr::{BoundExpr, ColumnId};
 use crate::Result;
@@ -104,529 +112,717 @@ pub struct BoundSelect {
     pub limit: Option<u64>,
 }
 
+/// One FROM entry as the binder met it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ScopeRelation<'a> {
+    /// Table name as written.
+    pub table: &'a str,
+    /// The name expressions refer to it by (alias or table name).
+    pub binding: &'a str,
+    /// The table's schema; `None` when the catalog has no such table
+    /// (reported once, at the FROM entry).
+    pub schema: Option<&'a Schema>,
+    /// Where the FROM entry sits in the SQL text.
+    pub span: Span,
+}
+
+/// The FROM clause as a name-resolution scope: every entry in query
+/// order — including ones whose table is unknown or whose binding repeats
+/// an earlier one, so relation indices always equal FROM positions.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Scope<'a> {
+    /// The FROM entries.
+    pub relations: Vec<ScopeRelation<'a>>,
+}
+
+/// Why a column reference did not resolve. Carries the relation indices a
+/// "did you mean" / "qualify it" help line is built from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Unresolved {
+    /// The qualifier names no FROM binding.
+    Relation,
+    /// No candidate relation has such a column; `Some(rel)` when a
+    /// qualifier pinned the search to one relation.
+    Column(Option<usize>),
+    /// Several relations have it.
+    Ambiguous(Vec<usize>),
+    /// It may live in a FROM table that itself did not resolve; that was
+    /// reported at the FROM entry and is not repeated per column.
+    InUnknownTable,
+}
+
+impl<'a> Scope<'a> {
+    /// Resolve a column reference, without side effects.
+    fn lookup(&self, c: &ColumnRef) -> std::result::Result<ColumnId, Unresolved> {
+        let pinned = match &c.qualifier {
+            Some(q) => Some(
+                self.relations
+                    .iter()
+                    .position(|r| r.binding == q)
+                    .ok_or(Unresolved::Relation)?,
+            ),
+            None => None,
+        };
+        let candidates = || {
+            self.relations
+                .iter()
+                .enumerate()
+                .filter(move |(rel, _)| pinned.is_none() || pinned == Some(*rel))
+        };
+        let mut hits = candidates().filter_map(|(rel, r)| {
+            let col = r.schema?.index_of(&c.name)?;
+            Some(ColumnId { rel, col })
+        });
+        match (hits.next(), hits.next()) {
+            (Some(id), None) => Ok(id),
+            (Some(a), Some(b)) => Err(Unresolved::Ambiguous(
+                [a, b].into_iter().chain(hits).map(|id| id.rel).collect(),
+            )),
+            (None, _) if candidates().any(|(_, r)| r.schema.is_none()) => {
+                Err(Unresolved::InUnknownTable)
+            }
+            (None, _) => Err(Unresolved::Column(pinned)),
+        }
+    }
+
+    /// The diagnostic for a failed [`Scope::lookup`] of `c`.
+    fn diagnose(&self, c: &ColumnRef, why: Unresolved) -> Option<Diagnostic> {
+        let qualifier = c.qualifier.as_deref().unwrap_or_default();
+        Some(match why {
+            Unresolved::InUnknownTable => return None,
+            Unresolved::Relation => Diagnostic::new(
+                Code::UnknownTable,
+                c.span,
+                format!("unknown relation {qualifier:?}"),
+            )
+            .did_you_mean(qualifier, self.relations.iter().map(|r| r.binding)),
+            Unresolved::Column(Some(rel)) => Diagnostic::new(
+                Code::UnknownColumn,
+                c.span,
+                format!("no column {:?} in relation {qualifier:?}", c.name),
+            )
+            .did_you_mean(&c.name, self.column_names(rel..rel + 1)),
+            Unresolved::Column(None) => Diagnostic::new(
+                Code::UnknownColumn,
+                c.span,
+                format!("unknown column {:?}", c.name),
+            )
+            .did_you_mean(&c.name, self.column_names(0..self.relations.len())),
+            Unresolved::Ambiguous(owners) => {
+                let owners: Vec<&str> = owners
+                    .iter()
+                    .map(|rel| self.relations[*rel].binding)
+                    .collect();
+                Diagnostic::new(
+                    Code::AmbiguousColumn,
+                    c.span,
+                    format!("ambiguous column reference {:?}", c.name),
+                )
+                .with_help(format!("qualify it with one of: {}", owners.join(", ")))
+            }
+        })
+    }
+
+    fn column_names(&self, rels: std::ops::Range<usize>) -> impl Iterator<Item = &'a str> + '_ {
+        self.relations[rels]
+            .iter()
+            .filter_map(|r| r.schema)
+            .flat_map(Schema::names)
+    }
+
+    /// The static type of `e`, or `None` when it has none the engine can
+    /// rely on: an unresolvable column, a bare `NULL`, arithmetic or unary
+    /// minus over a non-numeric operand, a `CASE` whose arms have no common
+    /// type. Materialized views refuse key and term expressions
+    /// without a type; the CQ0005/CQ1003 lints stay silent about them.
+    pub(crate) fn infer_type(&self, e: &Expr) -> Option<DataType> {
+        let numeric = |t: DataType| matches!(t, DataType::Int | DataType::Float).then_some(t);
+        Some(match e {
+            Expr::Column(c) => {
+                let id = self.lookup(c).ok()?;
+                self.relations[id.rel]
+                    .schema?
+                    .column_at(id.col)?
+                    .data_type()
+            }
+            Expr::Literal(l) => literal_value(l).data_type()?,
+            Expr::Unary {
+                op: UnaryOp::Neg,
+                expr,
+            } => numeric(self.infer_type(expr)?)?,
+            Expr::Binary { left, op, right }
+                if !op.is_comparison() && !matches!(op, BinaryOp::And | BinaryOp::Or) =>
+            {
+                numeric(unify(self.infer_type(left)?, self.infer_type(right)?)?)?
+            }
+            Expr::Unary {
+                op: UnaryOp::Not, ..
+            }
+            | Expr::Binary { .. }
+            | Expr::Like { .. }
+            | Expr::InList { .. }
+            | Expr::Between { .. }
+            | Expr::IsNull { .. } => DataType::Bool,
+            Expr::Aggregate { func, arg, .. } => match func {
+                AggFunc::Count => DataType::Int,
+                AggFunc::Avg => DataType::Float,
+                _ => self.infer_type(arg.as_deref()?)?,
+            },
+            Expr::Case {
+                branches,
+                else_expr,
+                ..
+            } => {
+                // A NULL arm takes whatever type the others agree on.
+                let mut arms = branches
+                    .iter()
+                    .map(|(_, then)| then)
+                    .chain(else_expr.as_deref())
+                    .filter(|arm| !matches!(arm, Expr::Literal(Literal::Null)));
+                let first = self.infer_type(arms.next()?)?;
+                arms.try_fold(first, |t, arm| unify(t, self.infer_type(arm)?))?
+            }
+        })
+    }
+}
+
+/// The common type of two operands or `CASE` arms: equal types unify to
+/// themselves, INTEGER with DOUBLE to DOUBLE, nothing else.
+fn unify(a: DataType, b: DataType) -> Option<DataType> {
+    match (a, b) {
+        _ if a == b => Some(a),
+        (DataType::Int | DataType::Float, DataType::Int | DataType::Float) => Some(DataType::Float),
+        _ => None,
+    }
+}
+
+/// Everything one keep-going bind learned about a SELECT.
+#[derive(Debug, Clone)]
+pub(crate) struct Binding<'a> {
+    /// The FROM clause as resolved.
+    pub scope: Scope<'a>,
+    /// The binder's findings in the order it met them, all of error
+    /// severity. Empty ⇔ [`bind_select`] succeeds.
+    pub diagnostics: Vec<Diagnostic>,
+    /// The resolved query: `Some` whenever every FROM table and every
+    /// expression resolved — which a duplicate FROM binding (CQ0006) does
+    /// not prevent, so the lint passes still see such a query.
+    pub select: Option<BoundSelect>,
+}
+
+/// Bind `stmt` against `catalog`, collecting every diagnostic.
+pub(crate) fn bind<'a>(catalog: &'a Catalog, stmt: &'a SelectStatement) -> Binding<'a> {
+    let mut binder = Binder::default();
+    binder.bind_from(catalog, &stmt.from);
+    let select = binder.bind_query(stmt);
+    Binding {
+        scope: binder.scope,
+        diagnostics: binder.diags,
+        select,
+    }
+}
+
+/// Bind `stmt` against `catalog`; the first diagnostic, if any, is the
+/// error.
+pub fn bind_select(catalog: &Catalog, stmt: &SelectStatement) -> Result<BoundSelect> {
+    let Binding {
+        diagnostics,
+        select,
+        ..
+    } = bind(catalog, stmt);
+    first_error(diagnostics)?;
+    select.ok_or_else(|| EngineError::internal("the binder dropped a query without a diagnostic"))
+}
+
 /// Bind an aggregate-free expression against a single table (used by
 /// `DELETE`/`UPDATE`, whose scope is one relation). The relation gets
 /// index 0.
 pub fn bind_table_expr(catalog: &Catalog, table: &str, expr: &Expr) -> Result<BoundExpr> {
-    if expr.contains_aggregate() {
-        return Err(EngineError::bind("aggregates are not allowed here"));
-    }
     let t = catalog.table(table)?;
-    let binder = Binder {
-        relations: vec![BoundRelation {
-            table: t.name().to_string(),
-            binding: t.name().to_string(),
-            schema: t.schema().clone(),
-        }],
-    };
-    binder.bind_scalar(expr)
+    let mut binder = Binder::default();
+    binder.scope.relations.push(ScopeRelation {
+        table: t.name(),
+        binding: t.name(),
+        schema: Some(t.schema()),
+        span: Span::NONE,
+    });
+    binder.finish_expr(
+        expr,
+        Space::Relations {
+            no_aggregates: "aggregates are not allowed here",
+        },
+    )
 }
 
-/// Bind `stmt` against `catalog`.
-pub fn bind_select(catalog: &Catalog, stmt: &SelectStatement) -> Result<BoundSelect> {
-    let binder = Binder::new(catalog, stmt)?;
-    binder.bind(stmt)
+/// Bind a constant expression (INSERT values): no column references, no
+/// aggregates.
+pub(crate) fn bind_constant(expr: &Expr) -> Result<BoundExpr> {
+    Binder::default().finish_expr(expr, Space::Constants)
 }
 
-struct Binder {
-    relations: Vec<BoundRelation>,
-}
-
-impl Binder {
-    fn new(catalog: &Catalog, stmt: &SelectStatement) -> Result<Self> {
-        if stmt.from.is_empty() {
-            return Err(EngineError::bind("queries require a FROM clause"));
-        }
-        let mut relations = Vec::with_capacity(stmt.from.len());
-        for tref in &stmt.from {
-            let table = catalog.table(&tref.table)?;
-            let binding = tref.binding_name().to_string();
-            if relations
-                .iter()
-                .any(|r: &BoundRelation| r.binding == binding)
-            {
-                return Err(EngineError::bind(format!(
-                    "duplicate relation name {binding:?} in FROM \
-                     (alias one of the occurrences)"
-                )));
-            }
-            relations.push(BoundRelation {
-                table: tref.table.clone(),
-                binding,
-                schema: table.schema().clone(),
-            });
-        }
-        Ok(Binder { relations })
-    }
-
-    fn bind(self, stmt: &SelectStatement) -> Result<BoundSelect> {
-        // WHERE: relation space, aggregates forbidden.
-        let filter = match &stmt.selection {
-            Some(e) => {
-                if e.contains_aggregate() {
-                    return Err(EngineError::bind("aggregates are not allowed in WHERE"));
-                }
-                Some(self.bind_scalar(e)?)
-            }
-            None => None,
-        };
-
-        let is_aggregate = !stmt.group_by.is_empty()
-            || stmt.having.is_some()
-            || stmt.projection.iter().any(|item| match item {
-                SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-                _ => false,
-            })
-            || stmt.order_by.iter().any(|o| o.expr.contains_aggregate());
-
-        if is_aggregate {
-            self.bind_aggregate_query(stmt, filter)
-        } else {
-            self.bind_plain_query(stmt, filter)
-        }
-    }
-
-    // ---------- plain (non-aggregate) queries ----------
-
-    fn bind_plain_query(
-        self,
-        stmt: &SelectStatement,
-        filter: Option<BoundExpr>,
-    ) -> Result<BoundSelect> {
-        let output = self.expand_projection(&stmt.projection)?;
-        let order_by = self.bind_order_by(&stmt.order_by, &output, |e| self.bind_scalar(e))?;
-        Ok(BoundSelect {
-            relations: self.relations,
-            filter,
-            group: None,
-            output,
-            distinct: stmt.distinct,
-            order_by,
-            limit: stmt.limit,
-        })
-    }
-
-    /// Expand wildcards and bind each projection item in relation space.
-    fn expand_projection(&self, projection: &[SelectItem]) -> Result<Vec<OutputItem>> {
-        let mut out = Vec::new();
-        for item in projection {
-            match item {
-                SelectItem::Wildcard => {
-                    for (rel, r) in self.relations.iter().enumerate() {
-                        for (col, c) in r.schema.columns().iter().enumerate() {
-                            out.push(OutputItem {
-                                name: c.name().to_string(),
-                                expr: BoundExpr::Column(ColumnId { rel, col }),
-                            });
-                        }
-                    }
-                }
-                SelectItem::QualifiedWildcard(q) => {
-                    let rel = self.relation_by_binding(q)?;
-                    for (col, c) in self.relations[rel].schema.columns().iter().enumerate() {
-                        out.push(OutputItem {
-                            name: c.name().to_string(),
-                            expr: BoundExpr::Column(ColumnId { rel, col }),
-                        });
-                    }
-                }
-                SelectItem::Expr { expr, alias } => {
-                    let bound = self.bind_scalar(expr)?;
-                    out.push(OutputItem {
-                        name: output_name(expr, alias.as_deref()),
-                        expr: bound,
-                    });
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    // ---------- aggregate queries ----------
-
-    fn bind_aggregate_query(
-        self,
-        stmt: &SelectStatement,
-        filter: Option<BoundExpr>,
-    ) -> Result<BoundSelect> {
-        for item in &stmt.projection {
-            if !matches!(item, SelectItem::Expr { .. }) {
-                return Err(EngineError::bind(
-                    "wildcard projections are not allowed in aggregate queries",
-                ));
-            }
-        }
-        let keys: Vec<BoundExpr> = stmt
-            .group_by
-            .iter()
-            .map(|e| {
-                if e.contains_aggregate() {
-                    Err(EngineError::bind("aggregates are not allowed in GROUP BY"))
-                } else {
-                    self.bind_scalar(e)
-                }
-            })
-            .collect::<Result<_>>()?;
-
-        let mut slots = SlotBinder {
-            binder: &self,
-            keys,
-            aggs: Vec::new(),
-        };
-
-        let mut output = Vec::new();
-        for item in &stmt.projection {
-            let SelectItem::Expr { expr, alias } = item else {
-                unreachable!()
-            };
-            let bound = slots.rewrite(expr)?;
-            output.push(OutputItem {
-                name: output_name(expr, alias.as_deref()),
-                expr: bound,
-            });
-        }
-
-        let having = stmt.having.as_ref().map(|e| slots.rewrite(e)).transpose()?;
-
-        let order_by = self.bind_order_by(&stmt.order_by, &output, |e| {
-            slots_rewrite_shim(&mut slots, e)
-        })?;
-
-        let SlotBinder { keys, aggs, .. } = slots;
-        Ok(BoundSelect {
-            relations: self.relations,
-            filter,
-            group: Some(GroupSpec { keys, aggs, having }),
-            output,
-            distinct: stmt.distinct,
-            order_by,
-            limit: stmt.limit,
-        })
-    }
-
-    // ---------- shared helpers ----------
-
-    fn bind_order_by<F>(
-        &self,
-        items: &[OrderByItem],
-        output: &[OutputItem],
-        mut bind_expr: F,
-    ) -> Result<Vec<BoundOrderBy>>
-    where
-        F: FnMut(&Expr) -> Result<BoundExpr>,
-    {
-        let mut out = Vec::with_capacity(items.len());
-        for item in items {
-            // Positional reference: ORDER BY 2.
-            if let Expr::Literal(Literal::Int(n)) = &item.expr {
-                let idx = *n;
-                if idx < 1 || idx as usize > output.len() {
-                    return Err(EngineError::bind(format!(
-                        "ORDER BY position {idx} is out of range (1..={})",
-                        output.len()
-                    )));
-                }
-                out.push(BoundOrderBy {
-                    key: OrderKey::Output(idx as usize - 1),
-                    desc: item.desc,
-                });
-                continue;
-            }
-            // Alias reference: a bare unqualified name matching an output
-            // column that is not also an input column takes the output.
-            if let Expr::Column(ColumnRef {
-                qualifier: None,
-                name,
-                ..
-            }) = &item.expr
-            {
-                let matches_output = output.iter().position(|o| &o.name == name);
-                let matches_input = self.try_resolve_unqualified(name).is_some();
-                if let (Some(idx), false) = (matches_output, matches_input) {
-                    out.push(BoundOrderBy {
-                        key: OrderKey::Output(idx),
-                        desc: item.desc,
-                    });
-                    continue;
-                }
-            }
-            let bound = bind_expr(&item.expr)?;
-            out.push(BoundOrderBy {
-                key: OrderKey::Expr(bound),
-                desc: item.desc,
-            });
-        }
-        Ok(out)
-    }
-
-    fn relation_by_binding(&self, binding: &str) -> Result<usize> {
-        self.relations
-            .iter()
-            .position(|r| r.binding == binding)
-            .ok_or_else(|| EngineError::bind(format!("unknown relation {binding:?}")))
-    }
-
-    fn try_resolve_unqualified(&self, name: &str) -> Option<ColumnId> {
-        let mut found = None;
-        for (rel, r) in self.relations.iter().enumerate() {
-            if let Some(col) = r.schema.index_of(name) {
-                if found.is_some() {
-                    return None; // ambiguous — let resolve_column report it
-                }
-                found = Some(ColumnId { rel, col });
-            }
-        }
-        found
-    }
-
-    fn resolve_column(&self, cref: &ColumnRef) -> Result<ColumnId> {
-        match &cref.qualifier {
-            Some(q) => {
-                let rel = self.relation_by_binding(q)?;
-                let col = self.relations[rel]
-                    .schema
-                    .index_of(&cref.name)
-                    .ok_or_else(|| {
-                        EngineError::bind(format!("no column {:?} in relation {q:?}", cref.name))
-                    })?;
-                Ok(ColumnId { rel, col })
-            }
-            None => {
-                let mut found = None;
-                for (rel, r) in self.relations.iter().enumerate() {
-                    if let Some(col) = r.schema.index_of(&cref.name) {
-                        if found.is_some() {
-                            return Err(EngineError::bind(format!(
-                                "ambiguous column reference {:?} (qualify it)",
-                                cref.name
-                            )));
-                        }
-                        found = Some(ColumnId { rel, col });
-                    }
-                }
-                found.ok_or_else(|| EngineError::bind(format!("unknown column {:?}", cref.name)))
-            }
-        }
-    }
-
-    /// Bind an aggregate-free expression in relation space.
-    fn bind_scalar(&self, e: &Expr) -> Result<BoundExpr> {
-        Ok(match e {
-            Expr::Column(c) => BoundExpr::Column(self.resolve_column(c)?),
-            Expr::Literal(l) => BoundExpr::Literal(literal_value(l)),
-            Expr::Unary {
-                op: UnaryOp::Not,
-                expr,
-            } => BoundExpr::Not(Box::new(self.bind_scalar(expr)?)),
-            Expr::Unary {
-                op: UnaryOp::Neg,
-                expr,
-            } => BoundExpr::Neg(Box::new(self.bind_scalar(expr)?)),
-            Expr::Binary { left, op, right } => BoundExpr::Binary {
-                left: Box::new(self.bind_scalar(left)?),
-                op: *op,
-                right: Box::new(self.bind_scalar(right)?),
-            },
-            Expr::Like {
-                expr,
-                pattern,
-                negated,
-            } => BoundExpr::Like {
-                expr: Box::new(self.bind_scalar(expr)?),
-                pattern: Box::new(self.bind_scalar(pattern)?),
-                negated: *negated,
-            },
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => BoundExpr::InList {
-                expr: Box::new(self.bind_scalar(expr)?),
-                list: list
-                    .iter()
-                    .map(|e| self.bind_scalar(e))
-                    .collect::<Result<_>>()?,
-                negated: *negated,
-            },
-            Expr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => BoundExpr::Between {
-                expr: Box::new(self.bind_scalar(expr)?),
-                low: Box::new(self.bind_scalar(low)?),
-                high: Box::new(self.bind_scalar(high)?),
-                negated: *negated,
-            },
-            Expr::IsNull { expr, negated } => BoundExpr::IsNull {
-                expr: Box::new(self.bind_scalar(expr)?),
-                negated: *negated,
-            },
-            Expr::Case {
-                operand,
-                branches,
-                else_expr,
-            } => BoundExpr::Case {
-                operand: operand
-                    .as_ref()
-                    .map(|o| self.bind_scalar(o).map(Box::new))
-                    .transpose()?,
-                branches: branches
-                    .iter()
-                    .map(|(w, t)| Ok((self.bind_scalar(w)?, self.bind_scalar(t)?)))
-                    .collect::<Result<_>>()?,
-                else_expr: else_expr
-                    .as_ref()
-                    .map(|e| self.bind_scalar(e).map(Box::new))
-                    .transpose()?,
-            },
-            Expr::Aggregate { .. } => {
-                return Err(EngineError::bind(
-                    "aggregate used where a scalar expression is required",
-                ))
-            }
-        })
+fn first_error(diagnostics: Vec<Diagnostic>) -> Result<()> {
+    match diagnostics.into_iter().next() {
+        None => Ok(()),
+        Some(Diagnostic {
+            message,
+            help: Some(help),
+            ..
+        }) => Err(EngineError::bind(format!("{message} ({help})"))),
+        Some(d) => Err(EngineError::bind(d.message)),
     }
 }
 
-/// Rewrites expressions of an aggregate query into slot space.
-struct SlotBinder<'a> {
-    binder: &'a Binder,
-    /// Group keys (relation space); slot `i` is key `i`.
+/// What the leaves of an expression lower to.
+#[derive(Clone, Copy)]
+enum Space {
+    /// Relation space: columns resolve against the scope; an aggregate
+    /// call is the error `no_aggregates`.
+    Relations { no_aggregates: &'static str },
+    /// Slot space of an aggregate query: an aggregate call becomes its
+    /// slot, a subexpression equal to a group key becomes the key's slot,
+    /// and any other column is dropped by grouping (CQ0008, naming the
+    /// `clause` it sits in).
+    Slots { clause: &'static str },
+    /// No relations in sight: columns and aggregates are both errors.
+    Constants,
+}
+
+const SCALAR: Space = Space::Relations {
+    no_aggregates: "aggregate used where a scalar expression is required",
+};
+
+#[derive(Default)]
+struct Binder<'a> {
+    scope: Scope<'a>,
+    diags: Vec<Diagnostic>,
+    /// Group keys of an aggregate query (relation space); slot `i` is key
+    /// `i`.
     keys: Vec<BoundExpr>,
-    /// Aggregates; slot `keys.len() + j` is aggregate `j`.
+    /// Its aggregate calls; slot `keys.len() + j` is aggregate `j`.
     aggs: Vec<AggCall>,
 }
 
-fn slots_rewrite_shim(slots: &mut SlotBinder<'_>, e: &Expr) -> Result<BoundExpr> {
-    slots.rewrite(e)
-}
-
-impl SlotBinder<'_> {
-    fn slot(col: usize) -> BoundExpr {
-        BoundExpr::Column(ColumnId { rel: 0, col })
+impl<'a> Binder<'a> {
+    fn error(&mut self, code: Code, span: Span, message: impl Into<String>) {
+        self.diags.push(Diagnostic::new(code, span, message));
     }
 
-    /// Rewrite an AST expression into slot space, registering aggregate
-    /// calls as needed. Bare columns that are not part of any group key are
-    /// rejected (the SQL single-value rule).
-    fn rewrite(&mut self, e: &Expr) -> Result<BoundExpr> {
-        // An aggregate-free subexpression equal to a group key maps to the
-        // key's slot.
-        if !e.contains_aggregate() {
-            if let Ok(bound) = self.binder.bind_scalar(e) {
-                if let Some(i) = self.keys.iter().position(|k| k == &bound) {
-                    return Ok(Self::slot(i));
+    fn bind_from(&mut self, catalog: &'a Catalog, from: &'a [TableRef]) {
+        if from.is_empty() {
+            self.error(Code::BindError, Span::NONE, "queries require a FROM clause");
+        }
+        for tref in from {
+            let binding = tref.binding_name();
+            if self.scope.relations.iter().any(|r| r.binding == binding) {
+                self.diags.push(
+                    Diagnostic::new(
+                        Code::DuplicateBinding,
+                        tref.span,
+                        format!("duplicate relation name {binding:?} in FROM"),
+                    )
+                    .with_help("give it a distinct alias"),
+                );
+            }
+            let schema = match catalog.table(&tref.table) {
+                Ok(t) => Some(t.schema()),
+                Err(_) => {
+                    self.diags
+                        .push(unknown_table(catalog, &tref.table, tref.span));
+                    None
                 }
-                // Constants are fine anywhere.
+            };
+            self.scope.relations.push(ScopeRelation {
+                table: &tref.table,
+                binding,
+                schema,
+                span: tref.span,
+            });
+        }
+    }
+
+    /// The one test for "is this an aggregate query".
+    fn is_aggregate(stmt: &SelectStatement) -> bool {
+        !stmt.group_by.is_empty()
+            || stmt.having.is_some()
+            || stmt.projection.iter().any(
+                |item| matches!(item, SelectItem::Expr { expr, .. } if expr.contains_aggregate()),
+            )
+            || stmt.order_by.iter().any(|o| o.expr.contains_aggregate())
+    }
+
+    fn bind_query(&mut self, stmt: &SelectStatement) -> Option<BoundSelect> {
+        let filter = self.lower_opt(
+            stmt.selection.as_ref(),
+            Space::Relations {
+                no_aggregates: "aggregates are not allowed in WHERE",
+            },
+        );
+        let aggregate = Self::is_aggregate(stmt);
+        let mut keys_resolved = true;
+        for g in &stmt.group_by {
+            let space = Space::Relations {
+                no_aggregates: "aggregates are not allowed in GROUP BY",
+            };
+            match self.lower(g, space) {
+                Some(key) => self.keys.push(key),
+                None => keys_resolved = false,
+            }
+        }
+        let clause = |clause| {
+            if aggregate {
+                Space::Slots { clause }
+            } else {
+                SCALAR
+            }
+        };
+        let output = self.bind_projection(&stmt.projection, aggregate, clause("SELECT list"));
+        let having = self.lower_opt(stmt.having.as_ref(), clause("HAVING"));
+        let order_by = self.bind_order_by(&stmt.order_by, &output, clause("ORDER BY"));
+
+        let relations = self
+            .scope
+            .relations
+            .iter()
+            .map(|r| {
+                Some(BoundRelation {
+                    table: r.table.to_string(),
+                    binding: r.binding.to_string(),
+                    schema: r.schema?.clone(),
+                })
+            })
+            .collect::<Option<_>>()?;
+        let group = if aggregate {
+            Some(GroupSpec {
+                keys: keys_resolved.then(|| std::mem::take(&mut self.keys))?,
+                aggs: std::mem::take(&mut self.aggs),
+                having: having?,
+            })
+        } else {
+            None
+        };
+        Some(BoundSelect {
+            relations,
+            filter: filter?,
+            group,
+            output: output
+                .into_iter()
+                .map(|(name, expr)| Some(OutputItem { name, expr: expr? }))
+                .collect::<Option<_>>()?,
+            distinct: stmt.distinct,
+            order_by: order_by?,
+            limit: stmt.limit,
+        })
+    }
+
+    /// Expand wildcards and lower each projection item into
+    /// `(output name, expression)`. An item that does not resolve still
+    /// yields its name with `None`, so ORDER BY aliases find their target.
+    fn bind_projection(
+        &mut self,
+        projection: &[SelectItem],
+        aggregate: bool,
+        space: Space,
+    ) -> Vec<(String, Option<BoundExpr>)> {
+        let mut out = Vec::with_capacity(projection.len());
+        for item in projection {
+            let rels = match item {
+                SelectItem::Expr { expr, alias } => {
+                    out.push((output_name(expr, alias.as_deref()), self.lower(expr, space)));
+                    continue;
+                }
+                _ if aggregate => {
+                    self.diags.push(
+                        Diagnostic::new(
+                            Code::UngroupedColumn,
+                            Span::NONE,
+                            "wildcard projection in an aggregate query",
+                        )
+                        .with_help("list the GROUP BY keys and aggregates explicitly"),
+                    );
+                    None
+                }
+                SelectItem::Wildcard => Some(0..self.scope.relations.len()),
+                SelectItem::QualifiedWildcard(q) => {
+                    let rel = self.scope.relations.iter().position(|r| r.binding == q);
+                    if rel.is_none() {
+                        self.error(
+                            Code::UnknownTable,
+                            Span::NONE,
+                            format!("unknown relation {q:?} in wildcard projection"),
+                        );
+                    }
+                    rel.map(|rel| rel..rel + 1)
+                }
+            };
+            let Some(rels) = rels else {
+                out.push((item.to_string(), None));
+                continue;
+            };
+            for rel in rels {
+                match self.scope.relations[rel].schema {
+                    Some(schema) => {
+                        out.extend(schema.columns().iter().enumerate().map(|(col, c)| {
+                            let id = ColumnId { rel, col };
+                            (c.name().to_string(), Some(BoundExpr::Column(id)))
+                        }))
+                    }
+                    // Unknown table, reported at its FROM entry.
+                    None => out.push((item.to_string(), None)),
+                }
+            }
+        }
+        out
+    }
+
+    fn bind_order_by(
+        &mut self,
+        items: &[OrderByItem],
+        output: &[(String, Option<BoundExpr>)],
+        space: Space,
+    ) -> Option<Vec<BoundOrderBy>> {
+        let keys: Vec<Option<BoundOrderBy>> = items
+            .iter()
+            .map(|item| {
+                let key = match &item.expr {
+                    // Positional reference: ORDER BY 2.
+                    Expr::Literal(Literal::Int(n)) => {
+                        let width = output.len();
+                        let position = usize::try_from(*n).ok().filter(|p| (1..=width).contains(p));
+                        // The width is only known once every item resolved.
+                        if position.is_none() && output.iter().all(|(_, e)| e.is_some()) {
+                            self.error(
+                                Code::BindError,
+                                Span::NONE,
+                                format!(
+                                    "ORDER BY position {n} is out of range (select list has {width} column{})",
+                                    if width == 1 { "" } else { "s" }
+                                ),
+                            );
+                        }
+                        position.map(|p| OrderKey::Output(p - 1))
+                    }
+                    // Alias reference: a bare unqualified name matching an
+                    // output column that is not also an input column takes
+                    // the output.
+                    Expr::Column(c) if c.qualifier.is_none() && self.scope.lookup(c).is_err() => {
+                        match output.iter().position(|(name, _)| *name == c.name) {
+                            Some(idx) => Some(OrderKey::Output(idx)),
+                            None => self.lower(&item.expr, space).map(OrderKey::Expr),
+                        }
+                    }
+                    e => self.lower(e, space).map(OrderKey::Expr),
+                };
+                let desc = item.desc;
+                key.map(|key| BoundOrderBy { key, desc })
+            })
+            .collect();
+        keys.into_iter().collect()
+    }
+
+    /// Resolve a column reference, recording why not when it does not.
+    fn resolve(&mut self, c: &ColumnRef) -> Option<ColumnId> {
+        match self.scope.lookup(c) {
+            Ok(id) => Some(id),
+            Err(why) => {
+                self.diags.extend(self.scope.diagnose(c, why));
+                None
+            }
+        }
+    }
+
+    /// Lower a standalone expression; the first diagnostic is the error.
+    fn finish_expr(mut self, e: &Expr, space: Space) -> Result<BoundExpr> {
+        let bound = self.lower(e, space);
+        first_error(self.diags)?;
+        bound.ok_or_else(|| {
+            EngineError::internal("the binder dropped an expression without a diagnostic")
+        })
+    }
+
+    /// Lower an optional expression: `Some(None)` when absent, `None`
+    /// when it did not resolve.
+    fn lower_opt(&mut self, e: Option<&Expr>, space: Space) -> Option<Option<BoundExpr>> {
+        match e {
+            None => Some(None),
+            Some(e) => self.lower(e, space).map(Some),
+        }
+    }
+
+    fn lower_box(&mut self, e: &Expr, space: Space) -> Option<Box<BoundExpr>> {
+        self.lower(e, space).map(Box::new)
+    }
+
+    /// Lower an AST expression into `space` — the one structural map from
+    /// [`Expr`] to [`BoundExpr`]. Only the `Column` and `Aggregate` leaves
+    /// depend on the space. Every child is lowered even after a sibling
+    /// failed, so each unresolved name is reported; the node itself is
+    /// `None` if any child is.
+    fn lower(&mut self, e: &Expr, space: Space) -> Option<BoundExpr> {
+        if let (Space::Slots { .. }, false) = (space, e.contains_aggregate()) {
+            // An aggregate-free subexpression equal to a group key maps to
+            // the key's slot; constants are fine anywhere. Probe quietly:
+            // if it is neither, the leaves below report what is wrong.
+            let mark = self.diags.len();
+            let probe = self.lower(e, SCALAR);
+            self.diags.truncate(mark);
+            if let Some(bound) = probe {
+                if let Some(i) = self.keys.iter().position(|k| *k == bound) {
+                    return Some(slot(i));
+                }
                 if bound.columns().is_empty() {
-                    return Ok(bound);
+                    return Some(bound);
                 }
             }
         }
         match e {
+            Expr::Column(c) => match space {
+                Space::Relations { .. } => self.resolve(c).map(BoundExpr::Column),
+                Space::Slots { clause } => {
+                    if self.resolve(c).is_some() {
+                        self.diags.push(
+                            Diagnostic::new(
+                                Code::UngroupedColumn,
+                                c.span,
+                                format!(
+                                    "column {c} in the {clause} is dropped by grouping: it is neither a GROUP BY key nor inside an aggregate"
+                                ),
+                            )
+                            .with_help(format!("add {c} to GROUP BY or wrap it in an aggregate")),
+                        );
+                    }
+                    None
+                }
+                Space::Constants => {
+                    self.not_constant(e);
+                    None
+                }
+            },
             Expr::Aggregate {
                 func,
                 arg,
                 distinct,
-            } => {
-                let arg = match arg {
-                    None => None,
-                    Some(a) => {
-                        if a.contains_aggregate() {
-                            return Err(EngineError::bind("nested aggregates are not allowed"));
+            } => match space {
+                Space::Slots { .. } => {
+                    let nested = Space::Relations {
+                        no_aggregates: "nested aggregates are not allowed",
+                    };
+                    let call = AggCall {
+                        func: *func,
+                        arg: self.lower_opt(arg.as_deref(), nested)?,
+                        distinct: *distinct,
+                    };
+                    let j = match self.aggs.iter().position(|c| *c == call) {
+                        Some(j) => j,
+                        None => {
+                            self.aggs.push(call);
+                            self.aggs.len() - 1
                         }
-                        Some(self.binder.bind_scalar(a)?)
-                    }
-                };
-                let call = AggCall {
-                    func: *func,
-                    arg,
-                    distinct: *distinct,
-                };
-                let j = match self.aggs.iter().position(|c| c == &call) {
-                    Some(j) => j,
-                    None => {
-                        self.aggs.push(call);
-                        self.aggs.len() - 1
-                    }
-                };
-                Ok(Self::slot(self.keys.len() + j))
+                    };
+                    Some(slot(self.keys.len() + j))
+                }
+                Space::Relations { no_aggregates } => {
+                    self.error(Code::BindError, expr_span(e), no_aggregates);
+                    None
+                }
+                Space::Constants => {
+                    self.not_constant(e);
+                    None
+                }
+            },
+            Expr::Literal(l) => Some(BoundExpr::Literal(literal_value(l))),
+            Expr::Unary { op, expr } => {
+                let expr = self.lower_box(expr, space)?;
+                Some(match op {
+                    UnaryOp::Not => BoundExpr::Not(expr),
+                    UnaryOp::Neg => BoundExpr::Neg(expr),
+                })
             }
-            Expr::Column(c) => Err(EngineError::bind(format!(
-                "column {c} must appear in GROUP BY or inside an aggregate"
-            ))),
-            Expr::Literal(l) => Ok(BoundExpr::Literal(literal_value(l))),
-            Expr::Unary {
-                op: UnaryOp::Not,
-                expr,
-            } => Ok(BoundExpr::Not(Box::new(self.rewrite(expr)?))),
-            Expr::Unary {
-                op: UnaryOp::Neg,
-                expr,
-            } => Ok(BoundExpr::Neg(Box::new(self.rewrite(expr)?))),
-            Expr::Binary { left, op, right } => Ok(BoundExpr::Binary {
-                left: Box::new(self.rewrite(left)?),
-                op: *op,
-                right: Box::new(self.rewrite(right)?),
-            }),
+            Expr::Binary { left, op, right } => {
+                let (left, right) = (self.lower_box(left, space), self.lower_box(right, space));
+                Some(BoundExpr::Binary {
+                    left: left?,
+                    op: *op,
+                    right: right?,
+                })
+            }
             Expr::Like {
                 expr,
                 pattern,
                 negated,
-            } => Ok(BoundExpr::Like {
-                expr: Box::new(self.rewrite(expr)?),
-                pattern: Box::new(self.rewrite(pattern)?),
-                negated: *negated,
-            }),
+            } => {
+                let (expr, pattern) = (self.lower_box(expr, space), self.lower_box(pattern, space));
+                Some(BoundExpr::Like {
+                    expr: expr?,
+                    pattern: pattern?,
+                    negated: *negated,
+                })
+            }
             Expr::InList {
                 expr,
                 list,
                 negated,
-            } => Ok(BoundExpr::InList {
-                expr: Box::new(self.rewrite(expr)?),
-                list: list
-                    .iter()
-                    .map(|e| self.rewrite(e))
-                    .collect::<Result<_>>()?,
-                negated: *negated,
-            }),
+            } => {
+                let expr = self.lower_box(expr, space);
+                let list: Vec<_> = list.iter().map(|e| self.lower(e, space)).collect();
+                Some(BoundExpr::InList {
+                    expr: expr?,
+                    list: list.into_iter().collect::<Option<_>>()?,
+                    negated: *negated,
+                })
+            }
             Expr::Between {
                 expr,
                 low,
                 high,
                 negated,
-            } => Ok(BoundExpr::Between {
-                expr: Box::new(self.rewrite(expr)?),
-                low: Box::new(self.rewrite(low)?),
-                high: Box::new(self.rewrite(high)?),
-                negated: *negated,
-            }),
-            Expr::IsNull { expr, negated } => Ok(BoundExpr::IsNull {
-                expr: Box::new(self.rewrite(expr)?),
+            } => {
+                let expr = self.lower_box(expr, space);
+                let (low, high) = (self.lower_box(low, space), self.lower_box(high, space));
+                Some(BoundExpr::Between {
+                    expr: expr?,
+                    low: low?,
+                    high: high?,
+                    negated: *negated,
+                })
+            }
+            Expr::IsNull { expr, negated } => Some(BoundExpr::IsNull {
+                expr: self.lower_box(expr, space)?,
                 negated: *negated,
             }),
             Expr::Case {
                 operand,
                 branches,
                 else_expr,
-            } => Ok(BoundExpr::Case {
-                operand: operand
-                    .as_ref()
-                    .map(|o| self.rewrite(o).map(Box::new))
-                    .transpose()?,
-                branches: branches
+            } => {
+                let operand = self.lower_opt(operand.as_deref(), space);
+                let branches: Vec<_> = branches
                     .iter()
-                    .map(|(w, t)| Ok((self.rewrite(w)?, self.rewrite(t)?)))
-                    .collect::<Result<_>>()?,
-                else_expr: else_expr
-                    .as_ref()
-                    .map(|e| self.rewrite(e).map(Box::new))
-                    .transpose()?,
-            }),
+                    .map(|(w, t)| (self.lower(w, space), self.lower(t, space)))
+                    .collect();
+                let else_expr = self.lower_opt(else_expr.as_deref(), space);
+                Some(BoundExpr::Case {
+                    operand: operand?.map(Box::new),
+                    branches: branches
+                        .into_iter()
+                        .map(|(w, t)| Some((w?, t?)))
+                        .collect::<Option<_>>()?,
+                    else_expr: else_expr?.map(Box::new),
+                })
+            }
         }
     }
+
+    fn not_constant(&mut self, e: &Expr) {
+        self.error(
+            Code::BindError,
+            expr_span(e),
+            format!("INSERT values must be constant expressions, got: {e}"),
+        );
+    }
+}
+
+fn slot(col: usize) -> BoundExpr {
+    BoundExpr::Column(ColumnId { rel: 0, col })
 }
 
 /// Output column name: the alias if present, the column name for bare
@@ -711,6 +907,32 @@ mod tests {
         assert!(err.to_string().contains("unknown column"), "{err}");
         let err = bind("select x.id from customer c").unwrap_err();
         assert!(err.to_string().contains("unknown relation"), "{err}");
+    }
+
+    #[test]
+    fn keeps_going_and_bind_select_reports_the_first_finding() {
+        let cat = catalog();
+        let stmt = parse_select("select nmae + 1, x.id from customer c where balanse > 1").unwrap();
+        let b = super::bind(&cat, &stmt);
+        let found: Vec<_> = b
+            .diagnostics
+            .iter()
+            .map(|d| (d.code.as_str(), d.message.as_str()))
+            .collect();
+        assert_eq!(
+            found,
+            vec![
+                ("CQ0003", "unknown column \"balanse\""),
+                ("CQ0003", "unknown column \"nmae\""),
+                ("CQ0002", "unknown relation \"x\""),
+            ]
+        );
+        assert!(b.select.is_none());
+        let err = bind_select(&cat, &stmt).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "binding error: unknown column \"balanse\" (did you mean \"balance\"?)"
+        );
     }
 
     #[test]

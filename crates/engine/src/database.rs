@@ -3,12 +3,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use conquer_sql::{
-    parse_statement, parse_statements, CreateView, Delete, Expr, Insert, InsertSource, Literal,
-    Reannotate, Recluster, SelectStatement, Statement, UnaryOp, Update,
+    parse_statement, parse_statements, CreateView, Delete, Expr, Insert, InsertSource, Reannotate,
+    Recluster, SelectStatement, Statement, Update,
 };
 use conquer_storage::{Catalog, Row, Schema, Table, Value};
 
-use crate::binder::{bind_select, bind_table_expr};
+use crate::binder::{bind_constant, bind_select, bind_table_expr};
 use crate::context::{ExecContext, ExecLimits};
 use crate::error::EngineError;
 use crate::exec::execute_plan;
@@ -966,41 +966,9 @@ fn fault_point(point: &str) -> Result<()> {
     conquer_storage::fault::trigger(point).map_err(|f| EngineError::Storage(f.into()))
 }
 
-/// Evaluate a constant expression (INSERT values): literals, sign, and
-/// simple arithmetic — no column references, no aggregates.
+/// Evaluate a constant expression (INSERT values, RECLUSTER targets).
 fn eval_const(e: &Expr) -> Result<Value> {
-    use crate::expr::{BoundExpr, Offsets};
-    fn to_bound(e: &Expr) -> Result<BoundExpr> {
-        Ok(match e {
-            Expr::Literal(l) => BoundExpr::Literal(match l {
-                Literal::Null => Value::Null,
-                Literal::Bool(b) => Value::Bool(*b),
-                Literal::Int(i) => Value::Int(*i),
-                Literal::Float(x) => Value::Float(*x),
-                Literal::Str(s) => Value::Text(s.clone()),
-                Literal::Date(d) => Value::Date(*d),
-            }),
-            Expr::Unary {
-                op: UnaryOp::Neg,
-                expr,
-            } => BoundExpr::Neg(Box::new(to_bound(expr)?)),
-            Expr::Unary {
-                op: UnaryOp::Not,
-                expr,
-            } => BoundExpr::Not(Box::new(to_bound(expr)?)),
-            Expr::Binary { left, op, right } => BoundExpr::Binary {
-                left: Box::new(to_bound(left)?),
-                op: *op,
-                right: Box::new(to_bound(right)?),
-            },
-            other => {
-                return Err(EngineError::bind(format!(
-                    "INSERT values must be constant expressions, got: {other}"
-                )))
-            }
-        })
-    }
-    to_bound(e)?.eval(&Vec::new(), &Offsets(vec![]))
+    bind_constant(e)?.eval(&Vec::new(), &Offsets(vec![]))
 }
 
 #[cfg(test)]

@@ -142,6 +142,28 @@ impl BoundExpr {
         rels
     }
 
+    /// Split a predicate at its top-level `AND`s. Lowering maps `AND`
+    /// structurally, so the result lines up index by index with
+    /// [`conquer_sql::Expr::conjuncts`] of the predicate it was bound from.
+    pub fn conjuncts(&self) -> Vec<&BoundExpr> {
+        fn walk<'a>(e: &'a BoundExpr, out: &mut Vec<&'a BoundExpr>) {
+            match e {
+                BoundExpr::Binary {
+                    left,
+                    op: BinaryOp::And,
+                    right,
+                } => {
+                    walk(left, out);
+                    walk(right, out);
+                }
+                other => out.push(other),
+            }
+        }
+        let mut out = Vec::new();
+        walk(self, &mut out);
+        out
+    }
+
     fn visit<F: FnMut(ColumnId)>(&self, f: &mut F) {
         match self {
             BoundExpr::Column(c) => f(*c),

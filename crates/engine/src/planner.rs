@@ -321,7 +321,7 @@ pub(crate) struct EquiEdge {
 }
 
 /// Recognize `f(A) = g(B)` with `A ≠ B` as a hash-joinable edge.
-fn as_equi_edge(e: &BoundExpr) -> Option<EquiEdge> {
+pub(crate) fn as_equi_edge(e: &BoundExpr) -> Option<EquiEdge> {
     let BoundExpr::Binary {
         left,
         op: BinaryOp::Eq,

@@ -64,11 +64,10 @@
 
 use std::collections::BTreeMap;
 
-use conquer_sql::{
-    AggFunc, Expr, Literal, SelectItem, SelectStatement, Statement, TableRef, UnaryOp,
-};
+use conquer_sql::{AggFunc, Expr, SelectItem, SelectStatement, Statement, TableRef};
 use conquer_storage::{Catalog, DataType, Row, Schema, Table, Value};
 
+use crate::binder::bind;
 use crate::database::Database;
 use crate::error::EngineError;
 use crate::Result;
@@ -186,7 +185,7 @@ impl ViewDef {
             }
         }
         if let Some(w) = &query.selection {
-            if contains_aggregate(w) {
+            if w.contains_aggregate() {
                 return Err("aggregates in WHERE are not delta-maintainable".into());
             }
         }
@@ -228,14 +227,14 @@ impl ViewDef {
                     if term_index.is_some() {
                         return Err("the projection must contain exactly one SUM, found two".into());
                     }
-                    if contains_aggregate(arg) {
+                    if arg.contains_aggregate() {
                         return Err("nested aggregates are not allowed".into());
                     }
                     term_index = Some(i);
                     items.push((item_name, (**arg).clone()));
                 }
                 other => {
-                    if contains_aggregate(other) {
+                    if other.contains_aggregate() {
                         return Err(format!(
                             "the aggregate must be a bare SUM projection, not embedded in {other}"
                         ));
@@ -282,12 +281,24 @@ impl ViewDef {
             }
         }
 
-        // Static types for the contents/state table schemas.
-        let mut key_types = Vec::with_capacity(key_exprs.len());
-        for k in &key_exprs {
-            key_types.push(infer_type(catalog, &query.from, k)?);
+        // Static types for the contents/state table schemas. Conservative:
+        // an expression the binder cannot type makes the view
+        // non-maintainable.
+        let binding = bind(catalog, &query);
+        if let Some(d) = binding.diagnostics.first() {
+            return Err(d.message.clone());
         }
-        let term_type = infer_type(catalog, &query.from, &items[term_index].1)?;
+        let type_of = |e: &Expr| {
+            binding
+                .scope
+                .infer_type(e)
+                .ok_or_else(|| format!("cannot infer a static type for {e}"))
+        };
+        let key_types = key_exprs
+            .iter()
+            .map(|k| type_of(k))
+            .collect::<std::result::Result<Vec<_>, _>>()?;
+        let term_type = type_of(&items[term_index].1)?;
         if term_type != DataType::Float {
             return Err(format!(
                 "the SUM argument must be FLOAT-typed (a probability product), got {}",
@@ -393,149 +404,6 @@ impl ViewDef {
     fn split_row(&self, mut row: Row) -> (Vec<Value>, Value) {
         let term = row.remove(self.term_index);
         (row, term)
-    }
-}
-
-/// Does the expression contain an aggregate call anywhere?
-pub(crate) fn contains_aggregate(e: &Expr) -> bool {
-    match e {
-        Expr::Aggregate { .. } => true,
-        Expr::Column(_) | Expr::Literal(_) => false,
-        Expr::Unary { expr, .. } => contains_aggregate(expr),
-        Expr::Binary { left, right, .. } => contains_aggregate(left) || contains_aggregate(right),
-        Expr::Like { expr, pattern, .. } => contains_aggregate(expr) || contains_aggregate(pattern),
-        Expr::InList { expr, list, .. } => {
-            contains_aggregate(expr) || list.iter().any(contains_aggregate)
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => contains_aggregate(expr) || contains_aggregate(low) || contains_aggregate(high),
-        Expr::IsNull { expr, .. } => contains_aggregate(expr),
-        Expr::Case {
-            operand,
-            branches,
-            else_expr,
-        } => {
-            operand.as_deref().is_some_and(contains_aggregate)
-                || branches
-                    .iter()
-                    .any(|(w, t)| contains_aggregate(w) || contains_aggregate(t))
-                || else_expr.as_deref().is_some_and(contains_aggregate)
-        }
-    }
-}
-
-/// Statically infer the type of a scalar expression over the FROM-clause
-/// schemas. Conservative: anything this cannot type makes the view
-/// non-maintainable (the refusal names the expression).
-fn infer_type(
-    catalog: &Catalog,
-    from: &[TableRef],
-    expr: &Expr,
-) -> std::result::Result<DataType, String> {
-    let bindings: Vec<(&str, &Schema)> = from
-        .iter()
-        .map(|t| {
-            catalog
-                .table(&t.table)
-                .map(|tab| (t.binding_name(), tab.schema()))
-                .map_err(|e| e.to_string())
-        })
-        .collect::<std::result::Result<_, _>>()?;
-    infer_with(&bindings, expr)
-}
-
-fn infer_with(bindings: &[(&str, &Schema)], expr: &Expr) -> std::result::Result<DataType, String> {
-    use conquer_sql::BinaryOp::*;
-    match expr {
-        Expr::Column(c) => {
-            let mut found: Option<DataType> = None;
-            for (binding, schema) in bindings {
-                if let Some(q) = &c.qualifier {
-                    if q != binding {
-                        continue;
-                    }
-                }
-                if let Some(idx) = schema.index_of(&c.name) {
-                    if found.is_some() {
-                        return Err(format!("ambiguous column reference {c}"));
-                    }
-                    found = Some(schema.columns()[idx].data_type());
-                }
-            }
-            found.ok_or_else(|| format!("unknown column {c}"))
-        }
-        Expr::Literal(l) => match l {
-            Literal::Null => Err("cannot infer a column type from NULL".into()),
-            Literal::Bool(_) => Ok(DataType::Bool),
-            Literal::Int(_) => Ok(DataType::Int),
-            Literal::Float(_) => Ok(DataType::Float),
-            Literal::Str(_) => Ok(DataType::Text),
-            Literal::Date(_) => Ok(DataType::Date),
-        },
-        Expr::Unary {
-            op: UnaryOp::Not, ..
-        } => Ok(DataType::Bool),
-        Expr::Unary {
-            op: UnaryOp::Neg,
-            expr,
-        } => match infer_with(bindings, expr)? {
-            t @ (DataType::Int | DataType::Float) => Ok(t),
-            t => Err(format!("cannot negate a {} expression", t.name())),
-        },
-        Expr::Binary { left, op, right } => match op {
-            Or | And | Eq | NotEq | Lt | LtEq | Gt | GtEq => Ok(DataType::Bool),
-            Add | Sub | Mul | Div | Mod => {
-                let lt = infer_with(bindings, left)?;
-                let rt = infer_with(bindings, right)?;
-                match (lt, rt) {
-                    (DataType::Int, DataType::Int) => Ok(DataType::Int),
-                    (DataType::Int | DataType::Float, DataType::Int | DataType::Float) => {
-                        Ok(DataType::Float)
-                    }
-                    _ => Err(format!(
-                        "cannot type arithmetic over {} and {} in {expr}",
-                        lt.name(),
-                        rt.name()
-                    )),
-                }
-            }
-        },
-        Expr::Like { .. } | Expr::InList { .. } | Expr::Between { .. } | Expr::IsNull { .. } => {
-            Ok(DataType::Bool)
-        }
-        Expr::Aggregate { .. } => Err("aggregates cannot appear here".into()),
-        Expr::Case {
-            branches,
-            else_expr,
-            ..
-        } => {
-            let mut unified: Option<DataType> = None;
-            let arms = branches.iter().map(|(_, t)| t).chain(else_expr.as_deref());
-            for arm in arms {
-                if matches!(arm, Expr::Literal(Literal::Null)) {
-                    continue;
-                }
-                let t = infer_with(bindings, arm)?;
-                unified = Some(match unified {
-                    None => t,
-                    Some(u) if u == t => u,
-                    Some(DataType::Int | DataType::Float)
-                        if matches!(t, DataType::Int | DataType::Float) =>
-                    {
-                        DataType::Float
-                    }
-                    Some(u) => {
-                        return Err(format!(
-                            "CASE branches mix {} and {} in {expr}",
-                            u.name(),
-                            t.name()
-                        ))
-                    }
-                });
-            }
-            unified.ok_or_else(|| format!("cannot infer the type of {expr}"))
-        }
     }
 }
 

@@ -139,6 +139,23 @@ fn case_without_else_yields_null() {
 }
 
 #[test]
+fn case_with_mixed_arms_has_no_static_type_and_still_runs() {
+    // The arms mix comparison classes, so the CASE has no static type:
+    // the comparison is not a CQ0005 "always fails at runtime" — it runs,
+    // and here every row takes the INTEGER arm.
+    let db = db();
+    let sql = "SELECT name FROM emp WHERE (CASE WHEN salary > 1000 THEN 'a' ELSE 2 END) = 2";
+    assert_eq!(db.analyze(sql), vec![]);
+    assert_eq!(q(&db, sql).rows.len(), 4);
+    // Unary minus over a non-numeric operand is the opposite case: it
+    // prepares, fails on every row, and the lint says so up front.
+    let sql = "SELECT -name FROM emp";
+    let codes: Vec<_> = db.analyze(sql).iter().map(|d| d.code.as_str()).collect();
+    assert_eq!(codes, vec!["CQ0005"]);
+    assert!(db.prepare(sql).unwrap().query(&db).is_err());
+}
+
+#[test]
 fn case_inside_aggregate_tpch_q12_style() {
     // The shape TPC-H Q12 actually uses: conditional counting.
     let db = db();

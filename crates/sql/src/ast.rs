@@ -819,86 +819,60 @@ impl Expr {
         }
     }
 
-    /// True if the expression contains an aggregate call.
-    pub fn contains_aggregate(&self) -> bool {
+    /// Call `f` on every direct sub-expression, in source order. The one
+    /// place that knows each variant's children; the recursive helpers
+    /// below and the engine's lint passes are built on it.
+    pub fn for_each_child<'a, F: FnMut(&'a Expr)>(&'a self, f: &mut F) {
         match self {
-            Expr::Aggregate { .. } => true,
-            Expr::Column(_) | Expr::Literal(_) => false,
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => expr.contains_aggregate(),
+            Expr::Column(_) | Expr::Literal(_) => {}
+            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => f(expr),
             Expr::Binary { left, right, .. } => {
-                left.contains_aggregate() || right.contains_aggregate()
+                f(left);
+                f(right);
             }
             Expr::Like { expr, pattern, .. } => {
-                expr.contains_aggregate() || pattern.contains_aggregate()
+                f(expr);
+                f(pattern);
             }
             Expr::InList { expr, list, .. } => {
-                expr.contains_aggregate() || list.iter().any(Expr::contains_aggregate)
+                f(expr);
+                list.iter().for_each(f);
             }
             Expr::Between {
                 expr, low, high, ..
-            } => expr.contains_aggregate() || low.contains_aggregate() || high.contains_aggregate(),
+            } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+            Expr::Aggregate { arg, .. } => arg.iter().for_each(|a| f(a)),
             Expr::Case {
                 operand,
                 branches,
                 else_expr,
             } => {
-                operand.as_deref().is_some_and(Expr::contains_aggregate)
-                    || branches
-                        .iter()
-                        .any(|(w, t)| w.contains_aggregate() || t.contains_aggregate())
-                    || else_expr.as_deref().is_some_and(Expr::contains_aggregate)
+                operand.iter().for_each(|o| f(o));
+                for (w, t) in branches {
+                    f(w);
+                    f(t);
+                }
+                else_expr.iter().for_each(|e| f(e));
             }
         }
+    }
+
+    /// True if the expression contains an aggregate call.
+    pub fn contains_aggregate(&self) -> bool {
+        let mut found = matches!(self, Expr::Aggregate { .. });
+        self.for_each_child(&mut |e| found = found || e.contains_aggregate());
+        found
     }
 
     /// Visit every column reference in the expression.
     pub fn visit_columns<'a, F: FnMut(&'a ColumnRef)>(&'a self, f: &mut F) {
         match self {
             Expr::Column(c) => f(c),
-            Expr::Literal(_) => {}
-            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => expr.visit_columns(f),
-            Expr::Binary { left, right, .. } => {
-                left.visit_columns(f);
-                right.visit_columns(f);
-            }
-            Expr::Like { expr, pattern, .. } => {
-                expr.visit_columns(f);
-                pattern.visit_columns(f);
-            }
-            Expr::InList { expr, list, .. } => {
-                expr.visit_columns(f);
-                for e in list {
-                    e.visit_columns(f);
-                }
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => {
-                expr.visit_columns(f);
-                low.visit_columns(f);
-                high.visit_columns(f);
-            }
-            Expr::Aggregate { arg, .. } => {
-                if let Some(a) = arg {
-                    a.visit_columns(f);
-                }
-            }
-            Expr::Case {
-                operand,
-                branches,
-                else_expr,
-            } => {
-                if let Some(o) = operand {
-                    o.visit_columns(f);
-                }
-                for (w, t) in branches {
-                    w.visit_columns(f);
-                    t.visit_columns(f);
-                }
-                if let Some(e) = else_expr {
-                    e.visit_columns(f);
-                }
-            }
+            other => other.for_each_child(&mut |e| e.visit_columns(f)),
         }
     }
 
