@@ -43,6 +43,7 @@
 //! without crossing a batch boundary, so they tick the context's
 //! cancellation/deadline guards every [`SPILL_TICK_ROWS`] rows.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
@@ -53,8 +54,8 @@ use conquer_storage::{Catalog, HashIndex, Row, Table, Value};
 use crate::binder::{AggCall, GroupSpec, OrderKey, OutputItem};
 use crate::context::ExecContext;
 use crate::error::EngineError;
-use crate::expr::{BoundExpr, Offsets};
-use crate::planner::{JoinNode, Plan};
+use crate::expr::{BoundExpr, ColumnId, Offsets};
+use crate::planner::{scan_label, JoinNode, Plan};
 use crate::result::QueryResult;
 use crate::stats::{approx_row_bytes, approx_value_bytes, ExecStats, OpStats};
 use crate::Result;
@@ -161,13 +162,14 @@ pub(crate) fn assemble_stats(
     }
 }
 
-/// Compute per-relation offsets for a concatenation layout.
-pub(crate) fn offsets_for(layout: &[usize], widths: &[usize], n_rels: usize) -> Offsets {
-    let mut offs = vec![None; n_rels];
+/// Compute per-relation offsets for a concatenation layout, each relation
+/// as wide as the columns its scan carries ([`Plan::carried`]).
+pub(crate) fn offsets_for(layout: &[usize], carried: &[&[usize]]) -> Offsets {
+    let mut offs = vec![None; carried.len()];
     let mut acc = 0;
     for &rel in layout {
         offs[rel] = Some(acc);
-        acc += widths[rel];
+        acc += carried[rel].len();
     }
     Offsets(offs)
 }
@@ -178,10 +180,9 @@ pub(crate) fn offsets_for(layout: &[usize], widths: &[usize], n_rels: usize) -> 
 
 /// Assemble the full operator pipeline for `plan`.
 fn build_pipeline<'a>(catalog: &'a Catalog, plan: &'a Plan) -> Result<OpNode<'a>> {
-    let widths: Vec<usize> = plan.relations.iter().map(|r| r.schema.len()).collect();
-    let n_rels = widths.len();
-    let (node, layout, _est) = build_join(catalog, plan, &plan.join, &widths)?;
-    let offsets = offsets_for(&layout, &widths, n_rels);
+    let carried = plan.carried();
+    let (node, layout, _est) = build_join(catalog, plan, &plan.join, &carried)?;
+    let offsets = offsets_for(&layout, &carried);
     Ok(finish_pipeline(node, offsets, plan))
 }
 
@@ -291,26 +292,25 @@ pub(crate) fn build_join<'a>(
     catalog: &'a Catalog,
     plan: &'a Plan,
     node: &'a JoinNode,
-    widths: &[usize],
+    carried: &[&[usize]],
 ) -> Result<(OpNode<'a>, Vec<usize>, u64)> {
-    let n_rels = widths.len();
     match node {
-        JoinNode::Scan { rel, filter } => {
+        JoinNode::Scan { rel, filter, cols } => {
             let relation = &plan.relations[*rel];
             let table = catalog.table(&relation.table)?;
-            let layout = vec![*rel];
-            let offsets = offsets_for(&layout, widths, n_rels);
             let est = table.len() as u64;
             let op = OpNode::new(
-                format!("Scan {} [{}]", relation.table, relation.binding),
+                scan_label("Scan", relation, cols),
                 OpKind::Scan {
                     table,
                     pos: 0,
                     filter: filter.as_ref(),
-                    offsets,
+                    // The filter sees the stored row, not the emitted one.
+                    offsets: offsets_for(&[*rel], carried),
+                    cols,
                 },
             );
-            Ok((op, layout, est))
+            Ok((op, vec![*rel], est))
         }
         JoinNode::Join {
             left,
@@ -318,14 +318,14 @@ pub(crate) fn build_join<'a>(
             equi,
             filter,
         } => {
-            let (lop, llayout, lest) = build_join(catalog, plan, left, widths)?;
-            let (rop, rlayout, rest) = build_join(catalog, plan, right, widths)?;
-            let loffsets = offsets_for(&llayout, widths, n_rels);
-            let roffsets = offsets_for(&rlayout, widths, n_rels);
+            let (lop, llayout, lest) = build_join(catalog, plan, left, carried)?;
+            let (rop, rlayout, rest) = build_join(catalog, plan, right, carried)?;
+            let loffsets = offsets_for(&llayout, carried);
+            let roffsets = offsets_for(&rlayout, carried);
 
             let mut layout = llayout;
             layout.extend(rlayout);
-            let offsets = offsets_for(&layout, widths, n_rels);
+            let offsets = offsets_for(&layout, carried);
 
             let (mut op, est) = if equi.is_empty() {
                 let est = lest.saturating_mul(rest.max(1));
@@ -338,20 +338,14 @@ pub(crate) fn build_join<'a>(
                     },
                 );
                 (op, est)
-            } else if let Some((table, index, key_flat)) =
-                index_join_path(catalog, plan, right, equi, &loffsets)?
+            } else if let Some(path) =
+                index_join_path(catalog, plan, right, equi, &loffsets, carried)?
             {
                 let op = OpNode::new(
-                    format!(
-                        "IndexJoin {} [{}]",
-                        table.name(),
-                        probe_binding(plan, right)
-                    ),
+                    path.name.clone(),
                     OpKind::IndexJoin {
                         probe: Box::new(lop),
-                        table,
-                        index,
-                        key_flat,
+                        path,
                     },
                 );
                 (op, lest.max(rest))
@@ -406,10 +400,41 @@ pub(crate) fn build_join<'a>(
     }
 }
 
-pub(crate) fn probe_binding<'a>(plan: &'a Plan, node: &JoinNode) -> &'a str {
-    match node {
-        JoinNode::Scan { rel, .. } => &plan.relations[*rel].binding,
-        JoinNode::Join { .. } => "",
+/// An index nested-loop join's right side, resolved by [`index_join_path`].
+pub(crate) struct IndexPath<'a> {
+    /// Operator name for the statistics tree.
+    pub(crate) name: String,
+    pub(crate) table: &'a Table,
+    pub(crate) index: &'a HashIndex,
+    /// Flat position of the probe key in the left input row.
+    pub(crate) key_flat: usize,
+    /// Base columns of `table` to append to each match.
+    pub(crate) cols: &'a [usize],
+}
+
+impl IndexPath<'_> {
+    /// `emit` one `lrow ++ carried cells` row per stored row the index
+    /// holds under `lrow`'s key, in stored index order.
+    pub(crate) fn probe(&self, lrow: &Row, mut emit: impl FnMut(Row) -> Result<()>) -> Result<()> {
+        let key = &lrow[self.key_flat];
+        if key.is_null() {
+            return Ok(());
+        }
+        for &ri in self.index.lookup(key) {
+            let rrow = self.table.row(ri).ok_or_else(|| {
+                EngineError::internal(format!(
+                    "stored index on table {:?} references row #{ri} beyond the \
+                     table's {} rows (stale index?)",
+                    self.table.name(),
+                    self.table.len()
+                ))
+            })?;
+            let mut row = Vec::with_capacity(lrow.len() + self.cols.len());
+            row.extend(lrow.iter().cloned());
+            row.extend(self.cols.iter().map(|&c| rrow[c].clone()));
+            emit(row)?;
+        }
+        Ok(())
     }
 }
 
@@ -421,14 +446,23 @@ pub(crate) fn probe_binding<'a>(plan: &'a Plan, node: &JoinNode) -> &'a str {
 /// building a hash table. This is the analogue of the paper's "indices on
 /// the identifier" setup (Section 5.3). Returns `None` when the
 /// preconditions don't hold and the generic hash join should run.
+///
+/// Key columns are carried positions; the stored index and the declared
+/// types are looked up by the base columns behind them.
 pub(crate) fn index_join_path<'a>(
     catalog: &'a Catalog,
-    plan: &Plan,
-    right: &JoinNode,
+    plan: &'a Plan,
+    right: &'a JoinNode,
     equi: &[(BoundExpr, BoundExpr)],
     loffsets: &Offsets,
-) -> Result<Option<(&'a Table, &'a HashIndex, usize)>> {
-    let JoinNode::Scan { rel, filter: None } = right else {
+    carried: &[&[usize]],
+) -> Result<Option<IndexPath<'a>>> {
+    let JoinNode::Scan {
+        rel,
+        filter: None,
+        cols,
+    } = right
+    else {
         return Ok(None);
     };
     let [(lkey, rkey)] = equi else {
@@ -440,34 +474,37 @@ pub(crate) fn index_join_path<'a>(
     if rcol.rel != *rel {
         return Ok(None);
     }
-    let table = catalog.table(&plan.relations[*rel].table)?;
-    let rcolumn = table.schema().column_at(rcol.col).ok_or_else(|| {
-        EngineError::internal(format!(
-            "bound column #{} does not exist in table {:?}",
-            rcol.col,
-            table.name()
-        ))
-    })?;
+    let base_column = |id: &ColumnId| {
+        carried
+            .get(id.rel)
+            .and_then(|cols| cols.get(id.col))
+            .and_then(|&base| Some((base, plan.relations[id.rel].schema.column_at(base)?)))
+            .ok_or_else(|| {
+                EngineError::internal(format!(
+                    "join key column #{} is not carried by the scan of relation #{}",
+                    id.col, id.rel
+                ))
+            })
+    };
+    let relation = &plan.relations[*rel];
+    let table = catalog.table(&relation.table)?;
+    let (rbase, rcolumn) = base_column(rcol)?;
     let index = match table.existing_index(rcolumn.name()) {
-        Some(idx) if idx.column() == rcol.col => idx,
+        Some(idx) if idx.column() == rbase => idx,
         _ => return Ok(None),
     };
     // Raw-value lookup is only sound when the probe values have the same
     // declared type as the indexed column (no Int/Float normalization).
-    let ltype = plan.relations[lcol.rel]
-        .schema
-        .column_at(lcol.col)
-        .ok_or_else(|| {
-            EngineError::internal(format!(
-                "bound column #{} does not exist in relation #{} of the plan",
-                lcol.col, lcol.rel
-            ))
-        })?
-        .data_type();
-    if ltype != rcolumn.data_type() {
+    if base_column(lcol)?.1.data_type() != rcolumn.data_type() {
         return Ok(None);
     }
-    Ok(Some((table, index, loffsets.flat(*lcol)?)))
+    Ok(Some(IndexPath {
+        name: scan_label("IndexJoin", relation, cols),
+        table,
+        index,
+        key_flat: loffsets.flat(*lcol)?,
+        cols,
+    }))
 }
 
 // ---------------------------------------------------------------------------
@@ -495,12 +532,15 @@ pub(crate) struct OpNode<'a> {
 }
 
 enum OpKind<'a> {
-    /// Base-table scan with an optional pushed-down predicate.
+    /// Base-table scan with an optional pushed-down predicate, evaluated
+    /// against the stored row (`offsets`); survivors are copied out
+    /// `cols` wide.
     Scan {
         table: &'a Table,
         pos: usize,
         filter: Option<&'a BoundExpr>,
         offsets: Offsets,
+        cols: &'a [usize],
     },
     /// Row filter (residual join predicates, HAVING).
     Filter {
@@ -524,9 +564,7 @@ enum OpKind<'a> {
     /// Streaming probe of a pre-built storage-level hash index.
     IndexJoin {
         probe: Box<OpNode<'a>>,
-        table: &'a Table,
-        index: &'a HashIndex,
-        key_flat: usize,
+        path: IndexPath<'a>,
     },
     /// Cartesian product: materializes the right input, streams the left.
     CrossJoin {
@@ -827,6 +865,7 @@ fn step(kind: &mut OpKind<'_>, m: &mut Metrics, ctx: &ExecContext) -> Result<Opt
             pos,
             filter,
             offsets,
+            cols,
         } => {
             let rows = table.rows();
             let mut out = Vec::with_capacity(BATCH_SIZE.min(rows.len() - (*pos).min(rows.len())));
@@ -836,7 +875,7 @@ fn step(kind: &mut OpKind<'_>, m: &mut Metrics, ctx: &ExecContext) -> Result<Opt
                 m.rows_in += 1;
                 match filter {
                     Some(pred) if !pred.eval_predicate(row, offsets)? => {}
-                    _ => out.push(row.clone()),
+                    _ => out.push(carried_cells(row, cols)),
                 }
             }
             Ok((!out.is_empty()).then_some(out))
@@ -929,30 +968,14 @@ fn step(kind: &mut OpKind<'_>, m: &mut Metrics, ctx: &ExecContext) -> Result<Opt
             }
         }
 
-        OpKind::IndexJoin {
-            probe,
-            table,
-            index,
-            key_flat,
-        } => {
+        OpKind::IndexJoin { probe, path } => {
             while let Some(batch) = pull(probe, m, ctx)? {
                 let mut out = Vec::new();
                 for lrow in &batch {
-                    let key = &lrow[*key_flat];
-                    if key.is_null() {
-                        continue;
-                    }
-                    for &ri in index.lookup(key) {
-                        let rrow = table.row(ri).ok_or_else(|| {
-                            EngineError::internal(format!(
-                                "stored index on table {:?} references row #{ri} beyond the \
-                                 table's {} rows (stale index?)",
-                                table.name(),
-                                table.len()
-                            ))
-                        })?;
-                        out.push(concat_rows(lrow, rrow));
-                    }
+                    path.probe(lrow, |row| {
+                        out.push(row);
+                        Ok(())
+                    })?;
                 }
                 if !out.is_empty() {
                     return Ok(Some(out));
@@ -1157,6 +1180,11 @@ fn release_emitted(ctx: &ExecContext, out: &[Row], mem: &mut u64) {
     *mem -= freed;
 }
 
+/// Copy the carried cells of a stored row.
+pub(crate) fn carried_cells(row: &Row, cols: &[usize]) -> Row {
+    cols.iter().map(|&c| row[c].clone()).collect()
+}
+
 pub(crate) fn concat_rows(l: &Row, r: &Row) -> Row {
     let mut row = Vec::with_capacity(l.len() + r.len());
     row.extend(l.iter().cloned());
@@ -1173,7 +1201,7 @@ pub(crate) fn join_keys(
 ) -> Result<Option<Vec<Value>>> {
     let mut keys = Vec::with_capacity(exprs.len());
     for e in exprs {
-        let v = e.eval(row, offsets)?;
+        let v = e.eval_ref(row, offsets)?;
         if v.is_null() {
             return Ok(None);
         }
@@ -1184,12 +1212,12 @@ pub(crate) fn join_keys(
 
 /// Normalize a join key so numerically equal Int/Float values collide
 /// (exact for |i| ≤ 2⁵³) and `-0.0` meets `0.0`.
-fn normalize_key(v: Value) -> Value {
+fn normalize_key(v: Cow<'_, Value>) -> Value {
     const EXACT: i64 = 1 << 53;
-    match v {
+    match *v {
         Value::Int(i) if i.abs() <= EXACT => Value::Float(i as f64),
         Value::Float(0.0) => Value::Float(0.0),
-        other => other,
+        _ => v.into_owned(),
     }
 }
 
@@ -2216,10 +2244,11 @@ mod tests {
 
     #[test]
     fn key_normalization() {
-        assert_eq!(normalize_key(Value::Int(5)), Value::Float(5.0));
-        assert_eq!(normalize_key(Value::Float(-0.0)), Value::Float(0.0));
-        assert_eq!(normalize_key(Value::text("x")), Value::text("x"));
+        let norm = |v: Value| normalize_key(Cow::Owned(v));
+        assert_eq!(norm(Value::Int(5)), Value::Float(5.0));
+        assert_eq!(norm(Value::Float(-0.0)), Value::Float(0.0));
+        assert_eq!(norm(Value::text("x")), Value::text("x"));
         // huge ints stay exact
-        assert_eq!(normalize_key(Value::Int(i64::MAX)), Value::Int(i64::MAX));
+        assert_eq!(norm(Value::Int(i64::MAX)), Value::Int(i64::MAX));
     }
 }

@@ -10,6 +10,7 @@
 //! NULL, `AND`/`OR`/`NOT` follow Kleene logic, and WHERE keeps a row only if
 //! the predicate is *true* (not NULL).
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use conquer_storage::{Row, Value};
@@ -209,12 +210,61 @@ impl BoundExpr {
         }
     }
 
+    /// Apply `f` to every column id in the expression (the planner's
+    /// projection pushdown renumbers them in place).
+    pub(crate) fn for_each_column_mut<F: FnMut(&mut ColumnId)>(&mut self, f: &mut F) {
+        match self {
+            BoundExpr::Column(c) => f(c),
+            BoundExpr::Literal(_) => {}
+            BoundExpr::Not(e) | BoundExpr::Neg(e) | BoundExpr::IsNull { expr: e, .. } => {
+                e.for_each_column_mut(f)
+            }
+            BoundExpr::Binary { left, right, .. } => {
+                left.for_each_column_mut(f);
+                right.for_each_column_mut(f);
+            }
+            BoundExpr::Like { expr, pattern, .. } => {
+                expr.for_each_column_mut(f);
+                pattern.for_each_column_mut(f);
+            }
+            BoundExpr::InList { expr, list, .. } => {
+                expr.for_each_column_mut(f);
+                for e in list {
+                    e.for_each_column_mut(f);
+                }
+            }
+            BoundExpr::Between {
+                expr, low, high, ..
+            } => {
+                expr.for_each_column_mut(f);
+                low.for_each_column_mut(f);
+                high.for_each_column_mut(f);
+            }
+            BoundExpr::Case {
+                operand,
+                branches,
+                else_expr,
+            } => {
+                if let Some(o) = operand {
+                    o.for_each_column_mut(f);
+                }
+                for (w, t) in branches {
+                    w.for_each_column_mut(f);
+                    t.for_each_column_mut(f);
+                }
+                if let Some(e) = else_expr {
+                    e.for_each_column_mut(f);
+                }
+            }
+        }
+    }
+
     /// Evaluate against a row laid out according to `offsets`.
     pub fn eval(&self, row: &Row, offsets: &Offsets) -> Result<Value> {
-        match self {
-            BoundExpr::Column(id) => Ok(row[offsets.flat(*id)?].clone()),
-            BoundExpr::Literal(v) => Ok(v.clone()),
-            BoundExpr::Not(e) => Ok(match e.eval(row, offsets)? {
+        Ok(match self {
+            BoundExpr::Column(id) => row[offsets.flat(*id)?].clone(),
+            BoundExpr::Literal(v) => v.clone(),
+            BoundExpr::Not(e) => match &*e.eval_ref(row, offsets)? {
                 Value::Null => Value::Null,
                 Value::Bool(b) => Value::Bool(!b),
                 other => {
@@ -222,8 +272,8 @@ impl BoundExpr {
                         "NOT applied to non-boolean value {other}"
                     )))
                 }
-            }),
-            BoundExpr::Neg(e) => Ok(match e.eval(row, offsets)? {
+            },
+            BoundExpr::Neg(e) => match &*e.eval_ref(row, offsets)? {
                 Value::Null => Value::Null,
                 Value::Int(i) => Value::Int(
                     i.checked_neg()
@@ -235,26 +285,26 @@ impl BoundExpr {
                         "unary minus applied to non-numeric value {other}"
                     )))
                 }
-            }),
+            },
             BoundExpr::Binary { left, op, right } => {
-                eval_binary(left.eval(row, offsets)?, *op, right, row, offsets)
+                let l = left.eval_ref(row, offsets)?;
+                eval_binary(&l, *op, right, row, offsets)?
             }
             BoundExpr::Like {
                 expr,
                 pattern,
                 negated,
             } => {
-                let v = expr.eval(row, offsets)?;
-                let p = pattern.eval(row, offsets)?;
-                match (v, p) {
-                    (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-                    (Value::Text(s), Value::Text(p)) => {
-                        let m = like_match(&s, &p);
-                        Ok(Value::Bool(m != *negated))
+                let v = expr.eval_ref(row, offsets)?;
+                let p = pattern.eval_ref(row, offsets)?;
+                match (&*v, &*p) {
+                    (Value::Null, _) | (_, Value::Null) => Value::Null,
+                    (Value::Text(s), Value::Text(p)) => Value::Bool(like_match(s, p) != *negated),
+                    (a, b) => {
+                        return Err(EngineError::exec(format!(
+                            "LIKE requires text operands, got {a} LIKE {b}"
+                        )))
                     }
-                    (a, b) => Err(EngineError::exec(format!(
-                        "LIKE requires text operands, got {a} LIKE {b}"
-                    ))),
                 }
             }
             BoundExpr::InList {
@@ -262,22 +312,22 @@ impl BoundExpr {
                 list,
                 negated,
             } => {
-                let v = expr.eval(row, offsets)?;
+                let v = expr.eval_ref(row, offsets)?;
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
                 let mut saw_null = false;
                 for item in list {
-                    match v.sql_eq(&item.eval(row, offsets)?) {
+                    match v.sql_eq(&*item.eval_ref(row, offsets)?) {
                         Some(true) => return Ok(Value::Bool(!negated)),
                         Some(false) => {}
                         None => saw_null = true,
                     }
                 }
                 if saw_null {
-                    Ok(Value::Null)
+                    Value::Null
                 } else {
-                    Ok(Value::Bool(*negated))
+                    Value::Bool(*negated)
                 }
             }
             BoundExpr::Between {
@@ -286,34 +336,33 @@ impl BoundExpr {
                 high,
                 negated,
             } => {
-                let v = expr.eval(row, offsets)?;
-                let lo = low.eval(row, offsets)?;
-                let hi = high.eval(row, offsets)?;
+                let v = expr.eval_ref(row, offsets)?;
+                let lo = low.eval_ref(row, offsets)?;
+                let hi = high.eval_ref(row, offsets)?;
                 let ge = v.sql_cmp(&lo).map(|o| o != Ordering::Less);
                 let le = v.sql_cmp(&hi).map(|o| o != Ordering::Greater);
-                Ok(match kleene_and(ge, le) {
+                match kleene_and(ge, le) {
                     None => Value::Null,
                     Some(b) => Value::Bool(b != *negated),
-                })
+                }
             }
             BoundExpr::IsNull { expr, negated } => {
-                let v = expr.eval(row, offsets)?;
-                Ok(Value::Bool(v.is_null() != *negated))
+                Value::Bool(expr.eval_ref(row, offsets)?.is_null() != *negated)
             }
             BoundExpr::Case {
                 operand,
                 branches,
                 else_expr,
             } => {
-                let operand = operand.as_ref().map(|o| o.eval(row, offsets)).transpose()?;
+                let operand = operand
+                    .as_ref()
+                    .map(|o| o.eval_ref(row, offsets))
+                    .transpose()?;
                 for (when, then) in branches {
                     let fire = match &operand {
                         // Simple case: operand = WHEN value (NULL never
                         // matches, per SQL equality semantics).
-                        Some(op) => {
-                            let w = when.eval(row, offsets)?;
-                            op.sql_eq(&w) == Some(true)
-                        }
+                        Some(op) => op.sql_eq(&*when.eval_ref(row, offsets)?) == Some(true),
                         // Searched case: WHEN is a predicate.
                         None => when.eval_predicate(row, offsets)?,
                     };
@@ -322,18 +371,32 @@ impl BoundExpr {
                     }
                 }
                 match else_expr {
-                    Some(e) => e.eval(row, offsets),
-                    None => Ok(Value::Null),
+                    Some(e) => return e.eval(row, offsets),
+                    None => Value::Null,
                 }
             }
-        }
+        })
+    }
+
+    /// [`BoundExpr::eval`] without the copy at the leaves: a column or a
+    /// literal is borrowed from the row or the expression, and only
+    /// computed results are owned. Every operand inside `eval` is read
+    /// this way, so `p_name LIKE '%green%'` never clones the name or the
+    /// pattern, and join keys borrow until they are normalized.
+    #[inline]
+    pub fn eval_ref<'a>(&'a self, row: &'a Row, offsets: &Offsets) -> Result<Cow<'a, Value>> {
+        Ok(match self {
+            BoundExpr::Column(id) => Cow::Borrowed(&row[offsets.flat(*id)?]),
+            BoundExpr::Literal(v) => Cow::Borrowed(v),
+            computed => Cow::Owned(computed.eval(row, offsets)?),
+        })
     }
 
     /// Evaluate as a WHERE predicate: `true` only if the result is TRUE
     /// (NULL and FALSE both reject the row).
     pub fn eval_predicate(&self, row: &Row, offsets: &Offsets) -> Result<bool> {
-        match self.eval(row, offsets)? {
-            Value::Bool(b) => Ok(b),
+        match &*self.eval_ref(row, offsets)? {
+            Value::Bool(b) => Ok(*b),
             Value::Null => Ok(false),
             other => Err(EngineError::exec(format!(
                 "predicate evaluated to non-boolean value {other}"
@@ -367,7 +430,7 @@ fn to_kleene(v: &Value) -> Result<Option<bool>> {
 }
 
 fn eval_binary(
-    left: Value,
+    left: &Value,
     op: BinaryOp,
     right_expr: &BoundExpr,
     row: &Row,
@@ -376,24 +439,24 @@ fn eval_binary(
     // AND/OR get short-circuit + Kleene treatment.
     match op {
         BinaryOp::And => {
-            let l = to_kleene(&left)?;
+            let l = to_kleene(left)?;
             if l == Some(false) {
                 return Ok(Value::Bool(false));
             }
-            let r = to_kleene(&right_expr.eval(row, offsets)?)?;
+            let r = to_kleene(&*right_expr.eval_ref(row, offsets)?)?;
             return Ok(kleene_and(l, r).map(Value::Bool).unwrap_or(Value::Null));
         }
         BinaryOp::Or => {
-            let l = to_kleene(&left)?;
+            let l = to_kleene(left)?;
             if l == Some(true) {
                 return Ok(Value::Bool(true));
             }
-            let r = to_kleene(&right_expr.eval(row, offsets)?)?;
+            let r = to_kleene(&*right_expr.eval_ref(row, offsets)?)?;
             return Ok(kleene_or(l, r).map(Value::Bool).unwrap_or(Value::Null));
         }
         _ => {}
     }
-    let right = right_expr.eval(row, offsets)?;
+    let right = right_expr.eval_ref(row, offsets)?;
     if left.is_null() || right.is_null() {
         return Ok(Value::Null);
     }
@@ -412,12 +475,12 @@ fn eval_binary(
         };
         return Ok(Value::Bool(b));
     }
-    arithmetic(left, op, right)
+    arithmetic(left, op, &right)
 }
 
-fn arithmetic(left: Value, op: BinaryOp, right: Value) -> Result<Value> {
+fn arithmetic(left: &Value, op: BinaryOp, right: &Value) -> Result<Value> {
     use BinaryOp::*;
-    match (&left, &right) {
+    match (left, right) {
         (Value::Int(a), Value::Int(b)) => {
             let (a, b) = (*a, *b);
             let out = match op {

@@ -54,17 +54,17 @@ use std::time::{Duration, Instant};
 
 use conquer_sync::{rank, Condvar, Mutex, MutexGuard};
 
-use conquer_storage::{Catalog, HashIndex, Row, Table};
+use conquer_storage::{Catalog, Row, Table};
 
 use crate::context::ExecContext;
 use crate::error::EngineError;
 use crate::exec::{
-    assemble_stats, build_join, build_map_insert, concat_rows, drain_root, finish_pipeline,
-    gather_node, index_join_path, join_estimate, join_keys, offsets_for, probe_binding, Batch,
-    BuildMap, Ticker, BATCH_SIZE,
+    assemble_stats, build_join, build_map_insert, carried_cells, concat_rows, drain_root,
+    finish_pipeline, gather_node, index_join_path, join_estimate, join_keys, offsets_for, Batch,
+    BuildMap, IndexPath, Ticker, BATCH_SIZE,
 };
 use crate::expr::{BoundExpr, Offsets};
-use crate::planner::{JoinNode, Plan};
+use crate::planner::{scan_label, JoinNode, Plan};
 use crate::result::QueryResult;
 use crate::stats::{approx_row_bytes, approx_value_bytes, OpStats};
 use crate::Result;
@@ -103,12 +103,7 @@ enum StepSpec<'a> {
         build_left: bool,
     },
     /// Probe a pre-built storage-level hash index.
-    Index {
-        table: &'a Table,
-        index: &'a HashIndex,
-        key_flat: usize,
-        name: String,
-    },
+    Index(IndexPath<'a>),
     /// Residual join predicate over the combined row.
     Filter {
         pred: &'a BoundExpr,
@@ -121,7 +116,7 @@ enum StepSpec<'a> {
 struct SpineSpec<'a> {
     scan_rel: usize,
     scan_filter: Option<&'a BoundExpr>,
-    scan_offsets: Offsets,
+    scan_cols: &'a [usize],
     /// Steps in application (bottom-up) order.
     steps: Vec<StepSpec<'a>>,
     /// Offsets of the spine's output layout, for the downstream stages.
@@ -146,13 +141,12 @@ fn layout_of(node: &JoinNode, out: &mut Vec<usize>) {
 fn extract_spine<'a>(
     catalog: &'a Catalog,
     plan: &'a Plan,
-    widths: &[usize],
+    carried: &[&[usize]],
 ) -> Result<Option<SpineSpec<'a>>> {
-    let n_rels = widths.len();
     let offs = |node: &JoinNode| {
         let mut layout = Vec::new();
         layout_of(node, &mut layout);
-        offsets_for(&layout, widths, n_rels)
+        offsets_for(&layout, carried)
     };
 
     let out_offsets = offs(&plan.join);
@@ -160,12 +154,12 @@ fn extract_spine<'a>(
     let mut node = &plan.join;
     loop {
         match node {
-            JoinNode::Scan { rel, filter } => {
+            JoinNode::Scan { rel, filter, cols } => {
                 top_down.reverse();
                 return Ok(Some(SpineSpec {
                     scan_rel: *rel,
                     scan_filter: filter.as_ref(),
-                    scan_offsets: offs(node),
+                    scan_cols: cols,
                     steps: top_down,
                     out_offsets,
                 }));
@@ -186,19 +180,9 @@ fn extract_spine<'a>(
                     });
                 }
                 let loffsets = offs(left);
-                if let Some((table, index, key_flat)) =
-                    index_join_path(catalog, plan, right, equi, &loffsets)?
+                if let Some(path) = index_join_path(catalog, plan, right, equi, &loffsets, carried)?
                 {
-                    top_down.push(StepSpec::Index {
-                        table,
-                        index,
-                        key_flat,
-                        name: format!(
-                            "IndexJoin {} [{}]",
-                            table.name(),
-                            probe_binding(plan, right)
-                        ),
-                    });
+                    top_down.push(StepSpec::Index(path));
                     node = left;
                 } else {
                     let lest = join_estimate(catalog, plan, left)?;
@@ -263,11 +247,7 @@ enum PStepKind<'a> {
         probe_offsets: Offsets,
         build_left: bool,
     },
-    Index {
-        table: &'a Table,
-        index: &'a HashIndex,
-        key_flat: usize,
-    },
+    Index(IndexPath<'a>),
     Filter {
         pred: &'a BoundExpr,
         offsets: Offsets,
@@ -279,7 +259,10 @@ struct Spine<'a> {
     table: &'a Table,
     scan_rel: usize,
     scan_filter: Option<&'a BoundExpr>,
+    /// The stored-row offsets the scan filter is evaluated under.
     scan_offsets: Offsets,
+    /// Base columns copied out of each surviving stored row.
+    scan_cols: &'a [usize],
     steps: Vec<PStep<'a>>,
     out_offsets: Offsets,
 }
@@ -300,7 +283,7 @@ fn prepare_builds<'a>(
     catalog: &'a Catalog,
     plan: &'a Plan,
     spec: SpineSpec<'a>,
-    widths: &[usize],
+    carried: &[&[usize]],
     ctx: &ExecContext,
 ) -> Result<Prep<'a>> {
     let mut prepared_rev: Vec<PStep<'a>> = Vec::with_capacity(spec.steps.len());
@@ -314,18 +297,9 @@ fn prepare_builds<'a>(
                 build_mem: 0,
                 prep_time: Duration::ZERO,
             },
-            StepSpec::Index {
-                table,
-                index,
-                key_flat,
-                name,
-            } => PStep {
-                kind: PStepKind::Index {
-                    table,
-                    index,
-                    key_flat,
-                },
-                name,
+            StepSpec::Index(path) => PStep {
+                name: path.name.clone(),
+                kind: PStepKind::Index(path),
                 build_stats: None,
                 build_rows_in: 0,
                 build_mem: 0,
@@ -340,7 +314,7 @@ fn prepare_builds<'a>(
                 build_left,
             } => {
                 let start = Instant::now();
-                let (mut bnode, _layout, _est) = build_join(catalog, plan, build, widths)?;
+                let (mut bnode, _layout, _est) = build_join(catalog, plan, build, carried)?;
                 let mut map: BuildMap = HashMap::new();
                 let mut mem = 0u64;
                 let mut rows_in = 0u64;
@@ -411,7 +385,8 @@ fn prepare_builds<'a>(
         table: catalog.table(&plan.relations[spec.scan_rel].table)?,
         scan_rel: spec.scan_rel,
         scan_filter: spec.scan_filter,
-        scan_offsets: spec.scan_offsets,
+        scan_offsets: offsets_for(&[spec.scan_rel], carried),
+        scan_cols: spec.scan_cols,
         steps: prepared_rev,
         out_offsets: spec.out_offsets,
     })))
@@ -613,7 +588,8 @@ fn process_morsel(
             }
         }
         counters[0].rows_out += 1;
-        apply_steps(spine, 0, row.clone(), &mut out, counters, ctx, ticker)?;
+        let row = carried_cells(row, spine.scan_cols);
+        apply_steps(spine, 0, row, &mut out, counters, ctx, ticker)?;
     }
     Ok(out)
 }
@@ -673,35 +649,10 @@ fn apply_steps(
                 }
             }
         }
-        PStepKind::Index {
-            table,
-            index,
-            key_flat,
-        } => {
-            let key = &row[*key_flat];
-            if !key.is_null() {
-                for &ri in index.lookup(key) {
-                    let rrow = table.row(ri).ok_or_else(|| {
-                        EngineError::internal(format!(
-                            "stored index on table {:?} references row #{ri} beyond the \
-                             table's {} rows (stale index?)",
-                            table.name(),
-                            table.len()
-                        ))
-                    })?;
-                    counters[i + 1].rows_out += 1;
-                    apply_steps(
-                        spine,
-                        i + 1,
-                        concat_rows(&row, rrow),
-                        out,
-                        counters,
-                        ctx,
-                        ticker,
-                    )?;
-                }
-            }
-        }
+        PStepKind::Index(path) => path.probe(&row, |joined| {
+            counters[i + 1].rows_out += 1;
+            apply_steps(spine, i + 1, joined, out, counters, ctx, ticker)
+        })?,
     }
     Ok(())
 }
@@ -762,12 +713,12 @@ pub(crate) fn try_execute(
     if ctx.threads() <= 1 {
         return Ok(None);
     }
-    let widths: Vec<usize> = plan.relations.iter().map(|r| r.schema.len()).collect();
-    let Some(spec) = extract_spine(catalog, plan, &widths)? else {
+    let carried = plan.carried();
+    let Some(spec) = extract_spine(catalog, plan, &carried)? else {
         return Ok(None);
     };
     let start = Instant::now();
-    let spine = match prepare_builds(catalog, plan, spec, &widths, ctx)? {
+    let spine = match prepare_builds(catalog, plan, spec, &carried, ctx)? {
         Prep::Overflow => return Ok(None),
         Prep::Ready(spine) => spine,
     };
@@ -834,9 +785,8 @@ fn spine_stats(
     busy: Duration,
     n_morsels: u64,
 ) -> OpStats {
-    let relation = &plan.relations[spine.scan_rel];
     let mut node = OpStats {
-        name: format!("Scan {} [{}]", relation.table, relation.binding),
+        name: scan_label("Scan", &plan.relations[spine.scan_rel], spine.scan_cols),
         rows_in: counters[0].rows_in,
         rows_out: counters[0].rows_out,
         batches: n_morsels,

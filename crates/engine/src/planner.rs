@@ -12,6 +12,14 @@
 //!    table first); unconnected relations fall back to nested-loop cross
 //!    joins.
 //!
+//! 3. Projection pushdown: every scan is told which base columns anything
+//!    *above* it reads (join keys, residuals, group keys, aggregate
+//!    arguments, output items, `ORDER BY` expressions) and emits only
+//!    those cells; the expressions above are renumbered to match, once,
+//!    here. A relation's own pushed-down scan filter runs against the
+//!    stored row by reference and keeps base column numbers, so a column
+//!    that is only filtered on is never copied.
+//!
 //! Each [`JoinNode`] knows its *layout* — the order in which relation rows
 //! are concatenated — so bound expressions can be evaluated regardless of
 //! the chosen join order (see [`crate::expr::Offsets`]).
@@ -19,7 +27,7 @@
 use conquer_sql::BinaryOp;
 use conquer_storage::Catalog;
 
-use crate::binder::{BoundOrderBy, BoundRelation, BoundSelect, GroupSpec, OutputItem};
+use crate::binder::{BoundOrderBy, BoundRelation, BoundSelect, GroupSpec, OrderKey, OutputItem};
 use crate::error::EngineError;
 use crate::expr::BoundExpr;
 use crate::validate;
@@ -32,8 +40,13 @@ pub enum JoinNode {
     Scan {
         /// Relation index in the query.
         rel: usize,
-        /// Conjunction of pushed-down single-relation predicates.
+        /// Conjunction of pushed-down single-relation predicates, in the
+        /// relation's *base* column numbers (it sees the stored row).
         filter: Option<BoundExpr>,
+        /// The base columns the scan emits, ascending: exactly those the
+        /// plan reads above the scan. Every other expression of the plan
+        /// addresses this relation by position in this list.
+        cols: Vec<usize>,
     },
     /// Hash join (equi keys) or nested-loop cross join (no keys), with an
     /// optional residual filter applied to the joined rows.
@@ -62,6 +75,27 @@ impl JoinNode {
         }
     }
 
+    /// Per relation of an `n_rels`-relation query, the base columns its
+    /// scan under this node emits (empty for relations scanned elsewhere).
+    pub(crate) fn carried(&self, n_rels: usize) -> Vec<&[usize]> {
+        fn walk<'a>(node: &'a JoinNode, carried: &mut [&'a [usize]]) {
+            match node {
+                JoinNode::Scan { rel, cols, .. } => {
+                    if let Some(slot) = carried.get_mut(*rel) {
+                        *slot = cols;
+                    }
+                }
+                JoinNode::Join { left, right, .. } => {
+                    walk(left, carried);
+                    walk(right, carried);
+                }
+            }
+        }
+        let mut carried: Vec<&[usize]> = vec![&[]; n_rels];
+        walk(self, &mut carried);
+        carried
+    }
+
     /// Number of join operators (used by plan tests and EXPLAIN output).
     pub fn join_count(&self) -> usize {
         match self {
@@ -73,11 +107,10 @@ impl JoinNode {
     fn describe(&self, relations: &[BoundRelation], indent: usize, out: &mut String) {
         let pad = "  ".repeat(indent);
         match self {
-            JoinNode::Scan { rel, filter } => {
+            JoinNode::Scan { rel, filter, cols } => {
                 out.push_str(&format!(
-                    "{pad}Scan {} [{}]{}\n",
-                    relations[*rel].table,
-                    relations[*rel].binding,
+                    "{pad}{}{}\n",
+                    scan_label("Scan", &relations[*rel], cols),
                     if filter.is_some() { " (filtered)" } else { "" },
                 ));
             }
@@ -108,7 +141,26 @@ impl JoinNode {
     }
 }
 
+/// `"<op> <table> [<binding>] cols=k/n"`: how `EXPLAIN` and the executor's
+/// statistics name an operator that reads a base relation, `k` of its `n`
+/// columns.
+pub(crate) fn scan_label(op: &str, relation: &BoundRelation, cols: &[usize]) -> String {
+    format!(
+        "{op} {} [{}] cols={}/{}",
+        relation.table,
+        relation.binding,
+        cols.len(),
+        relation.schema.len()
+    )
+}
+
 /// A complete query plan.
+///
+/// Column ids in scan filters are base schema positions; column ids in
+/// every other relation-space expression (join keys, residual filters,
+/// group keys, aggregate arguments, and — for ungrouped queries — output
+/// items and `ORDER BY` expressions) are positions in the carried set of
+/// their relation's scan (see [`Plan::carried`]).
 #[derive(Debug, Clone)]
 pub struct Plan {
     /// The FROM relations (index = relation id used by bound expressions).
@@ -128,6 +180,12 @@ pub struct Plan {
 }
 
 impl Plan {
+    /// Per relation, the base columns its scan emits. Both executor paths
+    /// derive every operator's row width and offsets from this one list.
+    pub fn carried(&self) -> Vec<&[usize]> {
+        self.join.carried(self.relations.len())
+    }
+
     /// A human-readable plan tree (EXPLAIN-style).
     pub fn describe(&self) -> String {
         let mut out = String::new();
@@ -199,9 +257,12 @@ pub fn plan_select(catalog: &Catalog, bound: BoundSelect) -> Result<Plan> {
         .map(|r| catalog.table(&r.table).map(|t| t.len()).unwrap_or(0))
         .collect();
 
+    // Scans start out carrying every column, so column ids mean base
+    // positions until `push_down_projection` narrows both at the end.
     let make_scan = |rel: usize, scan_filters: &mut Vec<Vec<BoundExpr>>| JoinNode::Scan {
         rel,
         filter: conjunction(std::mem::take(&mut scan_filters[rel])),
+        cols: (0..relations[rel].schema.len()).collect(),
     };
 
     let mut joined: Vec<usize> = vec![0];
@@ -302,7 +363,7 @@ pub fn plan_select(catalog: &Catalog, bound: BoundSelect) -> Result<Plan> {
 
     debug_assert!(residuals.is_empty(), "all residuals must be placed");
 
-    let plan = Plan {
+    let mut plan = Plan {
         relations,
         join: node,
         group,
@@ -311,8 +372,88 @@ pub fn plan_select(catalog: &Catalog, bound: BoundSelect) -> Result<Plan> {
         order_by,
         limit,
     };
+    push_down_projection(&mut plan);
     validate::validate_plan(&plan)?;
     Ok(plan)
+}
+
+/// Apply `f` to every relation-space expression evaluated above the
+/// scans: join keys and residual filters, then group keys and aggregate
+/// arguments, or — ungrouped — output items and `ORDER BY` expressions.
+/// (A grouped query's HAVING, output and ORDER BY address aggregate
+/// slots, not relations.) Scan filters are deliberately left out.
+fn for_each_expr_above_scans(plan: &mut Plan, f: &mut impl FnMut(&mut BoundExpr)) {
+    fn walk(node: &mut JoinNode, f: &mut impl FnMut(&mut BoundExpr)) {
+        if let JoinNode::Join {
+            left,
+            right,
+            equi,
+            filter,
+        } = node
+        {
+            walk(left, f);
+            walk(right, f);
+            for (l, r) in equi {
+                f(l);
+                f(r);
+            }
+            if let Some(pred) = filter {
+                f(pred);
+            }
+        }
+    }
+    walk(&mut plan.join, f);
+    if let Some(group) = &mut plan.group {
+        group.keys.iter_mut().for_each(&mut *f);
+        group
+            .aggs
+            .iter_mut()
+            .filter_map(|a| a.arg.as_mut())
+            .for_each(&mut *f);
+    } else {
+        plan.output.iter_mut().for_each(|o| f(&mut o.expr));
+        for o in &mut plan.order_by {
+            if let OrderKey::Expr(e) = &mut o.key {
+                f(e);
+            }
+        }
+    }
+}
+
+/// Narrow every scan to the columns referenced above it and renumber
+/// those references to positions in the narrowed row. (An id naming a
+/// relation the query does not have is left alone: the validator, or
+/// `Offsets::flat` at run time, reports it.)
+fn push_down_projection(plan: &mut Plan) {
+    let mut carried: Vec<Vec<usize>> = vec![Vec::new(); plan.relations.len()];
+    for_each_expr_above_scans(plan, &mut |e| {
+        for id in e.columns() {
+            if let Some(cols) = carried.get_mut(id.rel) {
+                cols.push(id.col);
+            }
+        }
+    });
+    for cols in &mut carried {
+        cols.sort_unstable();
+        cols.dedup();
+    }
+    for_each_expr_above_scans(plan, &mut |e| {
+        e.for_each_column_mut(&mut |id| {
+            if let Some(Ok(at)) = carried.get(id.rel).map(|cols| cols.binary_search(&id.col)) {
+                id.col = at;
+            }
+        });
+    });
+    fn narrow(node: &mut JoinNode, carried: &mut [Vec<usize>]) {
+        match node {
+            JoinNode::Scan { rel, cols, .. } => *cols = std::mem::take(&mut carried[*rel]),
+            JoinNode::Join { left, right, .. } => {
+                narrow(left, carried);
+                narrow(right, carried);
+            }
+        }
+    }
+    narrow(&mut plan.join, &mut carried);
 }
 
 pub(crate) struct EquiEdge {
@@ -376,6 +517,7 @@ fn conjunction(mut preds: Vec<BoundExpr>) -> Option<BoundExpr> {
 mod tests {
     use super::*;
     use crate::binder::bind_select;
+    use crate::expr::ColumnId;
     use conquer_sql::parse_select;
     use conquer_storage::{DataType, Schema, Value};
 
@@ -408,6 +550,7 @@ mod tests {
             JoinNode::Scan {
                 rel: 0,
                 filter: Some(_),
+                ..
             } => {}
             other => panic!("expected filtered scan, got {other:?}"),
         }
@@ -493,6 +636,151 @@ mod tests {
             }
         }
         assert_eq!(count_constraints(&p.join), 3);
+    }
+
+    /// A catalog shaped like the tables rewritten Q9 reads.
+    fn q9_catalog() -> Catalog {
+        use DataType::{Float, Int, Text};
+        let mut cat = Catalog::new();
+        for (name, cols) in [
+            (
+                "part",
+                vec![("p_partkey", Int), ("p_name", Text), ("p_type", Text)],
+            ),
+            (
+                "supplier",
+                vec![("s_suppkey", Int), ("s_name", Text), ("s_nationkey", Int)],
+            ),
+            (
+                "lineitem",
+                vec![
+                    ("l_orderkey", Int),
+                    ("l_partkey", Int),
+                    ("l_suppkey", Int),
+                    ("l_quantity", Float),
+                    ("l_extendedprice", Float),
+                    ("l_discount", Float),
+                    ("l_comment", Text),
+                    ("prob", Float),
+                ],
+            ),
+            ("nation", vec![("n_nationkey", Int), ("n_name", Text)]),
+        ] {
+            cat.create_table(name, Schema::from_pairs(cols).unwrap())
+                .unwrap();
+        }
+        cat
+    }
+
+    /// Carried base columns per relation, by column name.
+    fn carried_names(p: &Plan) -> Vec<Vec<&str>> {
+        p.carried()
+            .iter()
+            .zip(&p.relations)
+            .map(|(cols, rel)| {
+                cols.iter()
+                    .map(|&c| rel.schema.column_at(c).unwrap().name())
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn q9_shape_carries_exactly_what_is_read_above_each_scan() {
+        let cat = q9_catalog();
+        let sql = "select n_name, sum(l_extendedprice * (1 - l_discount) * l.prob) \
+                   from part p, supplier s, lineitem l, nation n \
+                   where s_suppkey = l_suppkey and p_partkey = l_partkey \
+                     and s_nationkey = n_nationkey and p_name like '%green%' \
+                   group by n_name order by n_name";
+        let bound = bind_select(&cat, &parse_select(sql).unwrap()).unwrap();
+        let p = plan_select(&cat, bound).unwrap();
+        assert_eq!(
+            carried_names(&p),
+            vec![
+                // p_name is read by part's own scan filter only.
+                vec!["p_partkey"],
+                vec!["s_suppkey", "s_nationkey"],
+                vec![
+                    "l_partkey",
+                    "l_suppkey",
+                    "l_extendedprice",
+                    "l_discount",
+                    "prob"
+                ],
+                vec!["n_nationkey", "n_name"],
+            ]
+        );
+        // References above the scans are renumbered to carried positions:
+        // the group key n_name is nation's second carried cell, and the
+        // aggregate reads lineitem's cells 2, 3 and 4.
+        let group = p.group.as_ref().unwrap();
+        assert_eq!(group.keys[0].columns(), vec![ColumnId { rel: 3, col: 1 }]);
+        assert_eq!(
+            group.aggs[0].arg.as_ref().unwrap().columns(),
+            [2, 3, 4].map(|col| ColumnId { rel: 2, col })
+        );
+        let d = p.describe();
+        assert!(d.contains("Scan part [p] cols=1/3 (filtered)"), "{d}");
+        assert!(d.contains("Scan lineitem [l] cols=5/8"), "{d}");
+    }
+
+    #[test]
+    fn a_column_read_only_by_its_own_scan_filter_is_not_carried() {
+        let p = plan("select k from big where v = 1");
+        let JoinNode::Scan { filter, cols, .. } = &p.join else {
+            panic!("single-table plan is a scan");
+        };
+        assert_eq!(cols, &[0]);
+        // The filter keeps v's base position: it sees the stored row.
+        assert_eq!(
+            filter.as_ref().unwrap().columns(),
+            vec![ColumnId { rel: 0, col: 1 }]
+        );
+        // Read above the scan as well, v is carried and renumbered.
+        let p = plan("select v from big where v = 1");
+        assert_eq!(p.carried(), vec![&[1][..]]);
+        assert_eq!(
+            p.output[0].expr.columns(),
+            vec![ColumnId { rel: 0, col: 0 }]
+        );
+    }
+
+    #[test]
+    fn two_bindings_of_one_table_carry_independent_sets() {
+        let p = plan("select a.v from big a, big b where a.k = b.k and b.v > 3");
+        assert_eq!(p.carried(), vec![&[0, 1][..], &[0][..]]);
+    }
+
+    #[test]
+    fn select_star_carries_every_column() {
+        let p = plan("select * from big, small where big.k = small.k");
+        assert_eq!(p.carried(), vec![&[0, 1][..], &[0, 1][..]]);
+    }
+
+    #[test]
+    fn relations_with_nothing_read_above_the_scan_keep_their_multiplicity() {
+        let cat = catalog();
+        let run = |sql: &str| {
+            let bound = bind_select(&cat, &parse_select(sql).unwrap()).unwrap();
+            let p = plan_select(&cat, bound).unwrap();
+            let ctx = crate::context::ExecContext::default();
+            let rows = crate::exec::execute_plan(&cat, &p, &ctx).unwrap().rows;
+            (p, rows)
+        };
+        // Each side is read for its join key alone.
+        let (p, rows) = run("select count(*) from big, small where big.k = small.k");
+        assert_eq!(p.carried(), vec![&[0][..], &[0][..]]);
+        assert_eq!(rows, vec![vec![Value::Int(2)]]);
+        // Nothing at all is read above either scan of a cross join — the
+        // filter on small runs inside its scan — yet 20 x 1 rows are
+        // counted.
+        let (p, rows) = run("select count(*) from big, small where small.k = 1");
+        assert_eq!(p.carried(), vec![&[][..], &[][..]]);
+        assert_eq!(rows, vec![vec![Value::Int(20)]]);
+        let (p, rows) = run("select count(*) from mid");
+        assert_eq!(p.carried(), vec![&[][..]]);
+        assert_eq!(rows, vec![vec![Value::Int(5)]]);
     }
 
     #[test]

@@ -122,3 +122,70 @@ fn null_probe_keys_never_match() {
     let r = q(&db, "SELECT b.v FROM a, b WHERE a.k = b.k");
     assert_eq!(r.rows, vec![vec!["x".into()]], "NULL = NULL must not join");
 }
+
+/// The operators of the last run that probe a stored index.
+fn index_joins(r: &QueryResult) -> Vec<String> {
+    let mut names = Vec::new();
+    r.stats().unwrap().root.visit(&mut |_, op| {
+        if op.name.starts_with("IndexJoin ") {
+            names.push(op.name.clone());
+        }
+    });
+    names
+}
+
+#[test]
+fn pruned_right_side_finds_the_index_by_base_column() {
+    // The indexed column is the table's third, but only the second cell
+    // the probe carries: the stored index and the declared type must be
+    // looked up by base column, and matches are emitted two cells wide.
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE parent (name TEXT, note TEXT, id INTEGER);
+         CREATE TABLE child (pad TEXT, cid INTEGER, fk INTEGER);",
+    )
+    .unwrap();
+    {
+        let t = db.catalog_mut().table_mut("parent").unwrap();
+        for i in 0..50i64 {
+            t.insert(vec![
+                format!("p{}", i % 20).into(),
+                "unread".into(),
+                (i % 20).into(),
+            ])
+            .unwrap();
+        }
+        let t = db.catalog_mut().table_mut("child").unwrap();
+        for i in 0..200i64 {
+            t.insert(vec!["unread".into(), i.into(), (i % 25).into()])
+                .unwrap();
+        }
+    }
+    let without = q(&db, QUERY);
+    assert!(index_joins(&without).is_empty());
+    db.create_index("parent", "id").unwrap();
+    let with = q(&db, QUERY);
+    assert_eq!(index_joins(&with), ["IndexJoin parent [p] cols=2/3"]);
+    assert_eq!(without.rows, with.rows, "index path changed the answer");
+    assert_eq!(with.rows.len(), 400);
+    assert!(with.rows.iter().all(|row| row.len() == 2));
+
+    // Same shape, but the probe key is a DOUBLE: the declared-type check
+    // still sees the base columns and declines the raw-value lookup.
+    db.execute_script(
+        "CREATE TABLE fchild (pad TEXT, cid INTEGER, fk DOUBLE);
+         INSERT INTO fchild VALUES ('unread', 1, 3.0), ('unread', 2, 99.0);",
+    )
+    .unwrap();
+    db.create_index("parent", "id").unwrap();
+    let r = q(
+        &db,
+        "SELECT c.cid, p.name FROM fchild c, parent p WHERE c.fk = p.id",
+    );
+    assert!(index_joins(&r).is_empty(), "Int/Float keys must hash-join");
+    assert_eq!(
+        r.rows.len(),
+        3,
+        "3.0 still meets the three parents with id 3"
+    );
+}

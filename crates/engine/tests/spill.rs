@@ -6,6 +6,15 @@
 //! exhausted too), spill temp directories must not outlive the query, and
 //! cancellation must stay responsive while an operator is streaming
 //! through spill files.
+//!
+//! Budgets are derived from the peak `mem` each query charges when run
+//! unconstrained (`ExecStats::mem_charged`, quoted per test). Scans emit
+//! only the columns the plan reads, so a join's build side is as wide as
+//! the query makes it — `big`'s `grp` text never reaches a self-join on
+//! `id` — while aggregation state (keys + accumulators) and sort buffers
+//! (projected rows) do not depend on the table's width at all. Join
+//! budgets sit at ~9 % of the build side's peak, so each of the 16 grace
+//! partitions fits and the first pass must spill.
 
 use std::time::{Duration, Instant};
 
@@ -76,11 +85,12 @@ fn assert_spilled_run_matches(db: &Database, sql: &str, limits: ExecLimits) -> Q
 #[test]
 fn spilling_hash_join_matches_in_memory_answer() {
     let db = big_db(4000);
-    // Self-equijoin: the build side (4000 rows) cannot fit in 48 KiB.
+    // Self-equijoin: the build side (4000 rows of id + val, 384 000 B
+    // unconstrained) cannot fit in 36 KiB.
     let sql = "SELECT COUNT(*), SUM(a.val + b.val) \
                FROM big a, big b WHERE a.id = b.id";
     let governed =
-        assert_spilled_run_matches(&db, sql, ExecLimits::none().with_mem_bytes(48 * 1024));
+        assert_spilled_run_matches(&db, sql, ExecLimits::none().with_mem_bytes(36 * 1024));
     let stats = governed.stats().unwrap();
     let mut join_spilled = false;
     stats.root.visit(&mut |_, op| {
@@ -96,8 +106,9 @@ fn spilling_hash_join_matches_in_memory_answer() {
 #[test]
 fn spilling_aggregation_matches_in_memory_answer() {
     let db = big_db(4000);
-    // 1000 groups of hash-table state, far over 32 KiB; LIMIT keeps the
-    // (hard-charged) result buffer tiny.
+    // 1000 groups of hash-table state (243 000 B unconstrained, whatever
+    // the scan's width), far over 32 KiB; LIMIT keeps the (hard-charged)
+    // result buffer tiny.
     let sql = "SELECT grp, COUNT(*), SUM(val) FROM big \
                GROUP BY grp ORDER BY grp LIMIT 20";
     let governed =
@@ -120,7 +131,8 @@ fn spilling_aggregation_matches_in_memory_answer() {
 fn spilling_distinct_aggregates_survive_state_serialization() {
     let db = big_db(4000);
     // DISTINCT accumulators carry their value sets through the spill
-    // files; merging partitions must not double-count.
+    // files; merging partitions must not double-count. (347 000 B of
+    // group state unconstrained.)
     let sql = "SELECT grp, COUNT(DISTINCT val), MIN(val), MAX(val) FROM big \
                GROUP BY grp ORDER BY grp LIMIT 20";
     assert_spilled_run_matches(&db, sql, ExecLimits::none().with_mem_bytes(32 * 1024));
@@ -129,7 +141,8 @@ fn spilling_distinct_aggregates_survive_state_serialization() {
 #[test]
 fn external_sort_matches_in_memory_order_exactly() {
     let db = big_db(4000);
-    // ORDER BY materializes all 4000 rows; 32 KiB forces multiple runs.
+    // ORDER BY materializes all 4000 projected rows (620 000 B
+    // unconstrained; every column is read); 32 KiB forces multiple runs.
     // Order (not just multiset) must match, so compare rows verbatim.
     let sql = "SELECT id, grp, val FROM big ORDER BY val DESC, id LIMIT 50";
     let reference = db
@@ -193,7 +206,8 @@ fn external_sort_is_stable_across_runs() {
 
 #[test]
 fn explain_analyze_reports_spill_metrics() {
-    // EXPLAIN ANALYZE runs under the database default limits.
+    // EXPLAIN ANALYZE runs under the database default limits. The
+    // aggregate holds 139 000 B of group state unconstrained.
     let mut db = big_db(4000);
     db.set_limits(ExecLimits::none().with_mem_bytes(32 * 1024));
     let r = db
@@ -219,13 +233,14 @@ fn explain_analyze_reports_spill_metrics() {
 #[test]
 fn zero_disk_budget_restores_hard_abort() {
     let db = big_db(4000);
+    // Both sides carry `id` alone: a 288 000 B build side unconstrained.
     let sql = "SELECT COUNT(*) FROM big a, big b WHERE a.id = b.id";
     let err = db
         .prepare(sql)
         .unwrap()
         .with_limits(
             ExecLimits::none()
-                .with_mem_bytes(48 * 1024)
+                .with_mem_bytes(28 * 1024)
                 .with_disk_bytes(0),
         )
         .query(&db)
@@ -241,13 +256,14 @@ fn zero_disk_budget_restores_hard_abort() {
 fn exhausted_disk_budget_is_the_end_of_the_ladder() {
     let db = big_db(4000);
     let sql = "SELECT COUNT(*) FROM big a, big b WHERE a.id = b.id";
-    // 2 KiB of disk cannot absorb a 4000-row build side.
+    // 2 KiB of disk cannot absorb a 4000-row build side (288 000 B in
+    // memory, id only).
     let err = db
         .prepare(sql)
         .unwrap()
         .with_limits(
             ExecLimits::none()
-                .with_mem_bytes(48 * 1024)
+                .with_mem_bytes(28 * 1024)
                 .with_disk_bytes(2 * 1024),
         )
         .query(&db)
@@ -281,9 +297,10 @@ fn spill_directories_do_not_outlive_the_query() {
     db.set_spill_dir(&base);
     assert_eq!(db.spill_dir(), Some(base.as_path()));
     let r = db
+        // Build side `a` carries id + val: 384 000 B unconstrained.
         .prepare("SELECT COUNT(*), SUM(a.val) FROM big a, big b WHERE a.id = b.id")
         .unwrap()
-        .with_limits(ExecLimits::none().with_mem_bytes(48 * 1024))
+        .with_limits(ExecLimits::none().with_mem_bytes(36 * 1024))
         .query(&db)
         .unwrap();
     assert!(r.stats().unwrap().disk_charged > 0, "did not spill");
@@ -316,7 +333,10 @@ fn cancellation_stays_responsive_while_spilling() {
     let sql = "SELECT COUNT(*), SUM(a.val + b.val) \
                FROM big a, big b WHERE a.id = b.id";
     let stmt = db.prepare(sql).unwrap();
-    let ctx = db.exec_context(ExecLimits::none().with_mem_bytes(32 * 1024));
+    // 20 000 build rows of id + val are 1 920 000 B unconstrained; at
+    // 24 KiB even a first-pass partition (120 000 B) must be split again,
+    // so the query is still streaming spill files when the cancel fires.
+    let ctx = db.exec_context(ExecLimits::none().with_mem_bytes(24 * 1024));
     let token: CancelToken = ctx.cancel_token();
     let canceller = {
         let token = token.clone();

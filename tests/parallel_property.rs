@@ -4,6 +4,12 @@
 //! order after ORDER BY, and f64 aggregates (`SUM(val)`, `SUM(prob)`)
 //! equal down to the bit. Float addition is not associative, so any
 //! arrival-order merge in the parallel pipeline fails this immediately.
+//!
+//! Each query is also a differential for projection pushdown: a *wide*
+//! twin reads every column of every relation above the scans (forcing
+//! full-width rows through joins, gather, aggregation and sort) and is
+//! trimmed back to the original columns — the narrow plan must agree
+//! with it cell for cell, at every thread count and under a budget.
 
 use conquer_engine::{Database, ExecLimits, QueryResult};
 use conquer_storage::{Catalog, DataType, Schema, Table, Value};
@@ -81,32 +87,118 @@ fn build_db(seed: u64, fact_rows: usize, dim_rows: usize) -> Database {
     db
 }
 
-/// The SPJ/aggregate query space: scan-only and equi-join spines,
-/// filters on either side, grouped f64 sums, DISTINCT, ORDER BY + LIMIT.
-fn query_for(shape: u8, threshold: f64) -> String {
+const FACT_COLS: [&str; 5] = ["id", "key", "grp", "val", "prob"];
+const DIM_COLS: [&str; 3] = ["key", "name", "weight"];
+
+/// One query of the SPJ/aggregate space, in pieces, so its wide twin can
+/// be derived from the same text.
+struct Query {
+    distinct: bool,
+    select: &'static str,
+    /// `FROM … [WHERE …]`; a join iff `dim d` appears.
+    from: String,
+    grouped: bool,
+    /// `GROUP BY … HAVING … ORDER BY … LIMIT …`.
+    tail: &'static str,
+}
+
+/// The query space: scan-only and equi-join spines, filters on either
+/// side, grouped f64 sums, DISTINCT, ORDER BY + LIMIT.
+fn query_for(shape: u8, threshold: f64) -> Query {
+    let q = |distinct, select, from: String, grouped, tail| Query {
+        distinct,
+        select,
+        from,
+        grouped,
+        tail,
+    };
+    let join = "FROM fact f, dim d WHERE f.key = d.key";
     match shape % 6 {
-        0 => format!(
-            "SELECT grp, COUNT(*), SUM(val) FROM fact \
-             WHERE val < {threshold:.6} GROUP BY grp ORDER BY grp"
+        0 => q(
+            false,
+            "grp, COUNT(*), SUM(val)",
+            format!("FROM fact f WHERE val < {threshold:.6}"),
+            true,
+            "GROUP BY grp ORDER BY grp",
         ),
-        1 => "SELECT d.name, SUM(f.val * f.prob), COUNT(*) FROM fact f, dim d \
-              WHERE f.key = d.key GROUP BY d.name ORDER BY d.name"
-            .into(),
-        2 => format!(
-            "SELECT f.id, f.val FROM fact f, dim d \
-             WHERE f.key = d.key AND d.weight > {:.6} \
-             ORDER BY f.val, f.id LIMIT 50",
-            threshold / 1500.0
+        1 => q(
+            false,
+            "d.name, SUM(f.val * f.prob), COUNT(*)",
+            join.into(),
+            true,
+            "GROUP BY d.name ORDER BY d.name",
+        ),
+        2 => q(
+            false,
+            "f.id, f.val",
+            format!("{join} AND d.weight > {:.6}", threshold / 1500.0),
+            false,
+            "ORDER BY f.val, f.id LIMIT 50",
         ),
         // No ORDER BY: DISTINCT's first-seen emission order is itself
         // part of the determinism contract being tested.
-        3 => "SELECT DISTINCT f.grp FROM fact f, dim d WHERE f.key = d.key".into(),
-        4 => "SELECT grp, SUM(prob) FROM fact GROUP BY grp ORDER BY grp".into(),
-        _ => format!(
-            "SELECT f.grp, SUM(f.val + d.weight) FROM fact f, dim d \
-             WHERE f.key = d.key AND f.val < {threshold:.6} \
-             GROUP BY f.grp HAVING COUNT(*) > 2 ORDER BY f.grp"
+        3 => q(true, "f.grp", join.into(), false, ""),
+        4 => q(
+            false,
+            "grp, SUM(prob)",
+            "FROM fact f".into(),
+            true,
+            "GROUP BY grp ORDER BY grp",
         ),
+        _ => q(
+            false,
+            "f.grp, SUM(f.val + d.weight)",
+            format!("{join} AND f.val < {threshold:.6}"),
+            true,
+            "GROUP BY f.grp HAVING COUNT(*) > 2 ORDER BY f.grp",
+        ),
+    }
+}
+
+impl Query {
+    fn sql(&self) -> String {
+        let distinct = if self.distinct { "DISTINCT " } else { "" };
+        format!(
+            "SELECT {distinct}{} {} {}",
+            self.select, self.from, self.tail
+        )
+    }
+
+    /// The same query reading every column of every relation above the
+    /// scans: appended to the projection, or — grouped — as `MIN(col)`
+    /// aggregates, which leave group order and the sums alone. DISTINCT
+    /// is dropped (extra columns would change what is distinct) and
+    /// redone by [`Query::trim`].
+    fn wide_sql(&self) -> String {
+        let mut cols: Vec<String> = FACT_COLS.iter().map(|c| format!("f.{c}")).collect();
+        if self.from.contains("dim d") {
+            cols.extend(DIM_COLS.iter().map(|c| format!("d.{c}")));
+        }
+        if self.grouped {
+            cols = cols.iter().map(|c| format!("MIN({c})")).collect();
+        }
+        format!(
+            "SELECT {}, {} {} {}",
+            self.select,
+            cols.join(", "),
+            self.from,
+            self.tail
+        )
+    }
+
+    /// Cut a wide result back to the narrow query's columns (and, for
+    /// DISTINCT, to first occurrences in stream order).
+    fn trim(&self, wide: &QueryResult) -> Vec<Vec<String>> {
+        let keep = self.select.split(", ").count();
+        let mut rows = fingerprint(wide);
+        for row in &mut rows {
+            row.truncate(keep);
+        }
+        if self.distinct {
+            let mut seen = std::collections::HashSet::new();
+            rows.retain(|row| seen.insert(row.clone()));
+        }
+        rows
     }
 }
 
@@ -137,14 +229,12 @@ proptest! {
         threads in 2usize..9,
     ) {
         let db = build_db(seed, fact_rows, dim_rows);
-        let sql = query_for(shape, threshold);
-        let run = |t: usize| {
-            db.prepare(&sql)
-                .unwrap()
-                .with_limits(ExecLimits::none().with_threads(t))
-                .query(&db)
-                .unwrap()
+        let query = query_for(shape, threshold);
+        let (sql, wide_sql) = (query.sql(), query.wide_sql());
+        let run_with = |sql: &str, limits: ExecLimits| {
+            db.prepare(sql).unwrap().with_limits(limits).query(&db).unwrap()
         };
+        let run = |t: usize| run_with(&sql, ExecLimits::none().with_threads(t));
         let serial = run(1);
         prop_assert_eq!(serial.stats().unwrap().threads_used, 1);
         let parallel = run(threads);
@@ -158,5 +248,22 @@ proptest! {
             fingerprint(&parallel),
             "shape {} over seed {} diverged at threads = {}", shape, seed, threads
         );
+
+        // Narrow rows vs. full-width rows: same cells, bit for bit.
+        let budget = ExecLimits::none().with_mem_bytes(16 << 20);
+        for limits in [
+            ExecLimits::none().with_threads(1),
+            ExecLimits::none().with_threads(2),
+            ExecLimits::none().with_threads(8),
+            budget.with_threads(1),
+            budget.with_threads(8),
+        ] {
+            prop_assert_eq!(
+                fingerprint(&run_with(&sql, limits)),
+                query.trim(&run_with(&wide_sql, limits)),
+                "shape {} over seed {}: narrow and full-width rows disagree under {:?}",
+                shape, seed, limits
+            );
+        }
     }
 }
