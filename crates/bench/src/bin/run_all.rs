@@ -14,7 +14,6 @@ fn main() {
         conquer_bench::fig8(sf, runs),
         conquer_bench::fig9(sf, runs),
         conquer_bench::fig10(sf, runs),
-        conquer_bench::parallel_speedup(sf, runs),
         conquer_bench::ablations::naive_vs_rewritten(runs),
         conquer_bench::ablations::probability_modes(sf, runs),
         conquer_bench::ablations::join_strategies(sf, runs),

@@ -218,66 +218,6 @@ pub fn fig9(sf: f64, runs: usize) -> Report {
     report
 }
 
-/// Extension figure: morsel-parallel speedup on the join-heavy rewritten
-/// templates (Q3, Q9, Q10), serial vs a 4-worker pool. The executor
-/// promises byte-identical answers at any thread count, so the only
-/// difference the pool is allowed to make is wall-clock time.
-pub fn parallel_speedup(sf: f64, runs: usize) -> Report {
-    use conquer_engine::ExecLimits;
-
-    let mut report = Report::new(
-        "Parallel speedup: rewritten Q3/Q9/Q10, serial vs 4 worker threads",
-        &[
-            "query",
-            "answers",
-            "serial (ms)",
-            "4 threads (ms)",
-            "speedup",
-            "threads used",
-        ],
-    );
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    report.note(format!("sf = {sf}, if = 3, median of {runs} runs"));
-    report.note(
-        "answers are byte-identical at every thread count (tests/parallel_equivalence.rs); \
-         this figure measures the wall-clock side of that bargain",
-    );
-    report.note(format!(
-        "speedup needs cores to materialize: this host reports {cores} core(s); \
-         on 1 core the pool degenerates to interleaved serial work (speedup ~1.0x)"
-    ));
-
-    let db = dirty_database(config(sf, 3, ProbMode::Uniform, 7)).expect("pipeline");
-    for id in [3u8, 9, 10] {
-        let rewritten = db.rewrite(&query_sql(id, false)).expect("rewritable");
-        let run_at = |threads: usize| {
-            let stmt = db
-                .db()
-                .prepare_select(&rewritten)
-                .expect("rewritten query prepares")
-                .with_limits(ExecLimits::none().with_threads(threads));
-            let (t, res) = median_time(runs, || stmt.query(db.db()).expect("runs"));
-            let used = res.stats().map_or(1, |s| s.threads_used);
-            (t, res.len(), used)
-        };
-        let (t_serial, answers, used_serial) = run_at(1);
-        debug_assert_eq!(used_serial, 1);
-        let (t_par, _, used) = run_at(4);
-        let speedup = t_serial.as_secs_f64() / t_par.as_secs_f64().max(1e-12);
-        report.push_row(vec![
-            format!("Q{id}"),
-            answers.to_string(),
-            ms(t_serial),
-            ms(t_par),
-            format!("{speedup:.2}x"),
-            used.to_string(),
-        ]);
-    }
-    report
-}
-
 /// Figure 10: rewritten-query time over database size (the paper's 0.1, 0.5,
 /// 1, 2 GB become 0.1×, 0.5×, 1×, 2× the base scale), `if = 3`. Query 9 is
 /// omitted exactly as the paper omits it from this figure.

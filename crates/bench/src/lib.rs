@@ -12,7 +12,6 @@
 //! | `fig10` | Figure 10  | rewritten-query runtime vs database size; near-linear growth |
 //! | `table3`| Table 3    | per-tuple distance/similarity/probability on the Figure-6 relation |
 //! | `table4`| Table 4    | Cora-style cluster: top-2 near-canonical, bottom-2 anomalies |
-//! | `parallel` | extension | morsel-parallel speedup on rewritten Q3/Q9/Q10, serial vs 4 worker threads (answers byte-identical either way) |
 //! | `run_all` | all of the above | one shot; also writes CSVs under `results/` |
 //!
 //! Absolute numbers differ from the paper (their substrate was DB2 on 2005
@@ -34,7 +33,7 @@ pub mod figures;
 pub mod harness;
 pub mod tables;
 
-pub use figures::{fig10, fig7, fig8, fig9, parallel_speedup};
+pub use figures::{fig10, fig7, fig8, fig9};
 pub use harness::{median_time, print_report, write_csv, Report};
 pub use tables::{table3, table4};
 

@@ -89,12 +89,13 @@ pub(crate) type Batch = Vec<Row>;
 /// deadline, memory budget) are checked cooperatively at every batch
 /// boundary; pass [`ExecContext::default()`] for ungoverned execution.
 ///
-/// Eligible plans (every join on the spine is an equi or index join) run
-/// on the morsel-parallel driver in [`crate::parallel`]; everything else
-/// — and any plan whose build side outgrows the memory budget — runs on
-/// the serial pull pipeline. Both paths produce bit-identical results at
-/// every thread count: the dispatch decision depends only on the plan,
-/// the data, and the budget, never on scheduling.
+/// There is one operator tree. [`crate::parallel::drive`] either pulls it
+/// as is, or — when more than one worker would have work and its probe
+/// chain forks ([`OpNode::fork`]) — lets a worker pool pull forks of that
+/// chain over morsels of the driving scan and gathers them in order.
+/// Results are bit-identical at every thread count: which of the two
+/// happens depends only on the plan, the data, and the budget, never on
+/// scheduling, and a fork is the same operator code over a row range.
 pub fn execute_plan(catalog: &Catalog, plan: &Plan, ctx: &ExecContext) -> Result<QueryResult> {
     crate::validate::validate_plan(plan)?;
     let needs_expr_keys = plan
@@ -107,28 +108,24 @@ pub fn execute_plan(catalog: &Catalog, plan: &Plan, ctx: &ExecContext) -> Result
         ));
     }
 
-    if let Some(result) = crate::parallel::try_execute(catalog, plan, ctx)? {
-        return Ok(result);
-    }
-    execute_serial(catalog, plan, ctx)
-}
-
-/// The serial pull-pipeline path: used for plans the parallel driver does
-/// not cover (cross joins) and as its deterministic fallback when a
-/// build side outgrows the memory budget mid-preparation.
-pub(crate) fn execute_serial(
-    catalog: &Catalog,
-    plan: &Plan,
-    ctx: &ExecContext,
-) -> Result<QueryResult> {
     let start = Instant::now();
-    let mut root = build_pipeline(catalog, plan)?;
-    let rows = drain_root(&mut root, ctx)?;
-    let stats = assemble_stats(root.harvest(), start.elapsed(), ctx, 1);
+    let carried = plan.carried();
+    let (join, layout, _est) = build_join(catalog, plan, &plan.join, &carried)?;
+    let offsets = offsets_for(&layout, &carried);
+    let (rows, root, threads_used) = crate::parallel::drive(join, offsets, plan, ctx)?;
     Ok(QueryResult::with_stats(
         plan.output.iter().map(|o| o.name.clone()).collect(),
         rows,
-        stats,
+        ExecStats {
+            root,
+            total_time: start.elapsed(),
+            mem_budget: ctx.limits().mem_bytes,
+            mem_charged: ctx.mem_charged(),
+            disk_budget: ctx.limits().disk_bytes,
+            disk_charged: ctx.disk_charged(),
+            timeout: ctx.limits().timeout,
+            threads_used,
+        },
     ))
 }
 
@@ -143,28 +140,9 @@ pub(crate) fn drain_root(root: &mut OpNode<'_>, ctx: &ExecContext) -> Result<Vec
     Ok(rows)
 }
 
-/// Assemble the query-level statistics around a harvested operator tree.
-pub(crate) fn assemble_stats(
-    root: OpStats,
-    total_time: Duration,
-    ctx: &ExecContext,
-    threads_used: usize,
-) -> ExecStats {
-    ExecStats {
-        root,
-        total_time,
-        mem_budget: ctx.limits().mem_bytes,
-        mem_charged: ctx.mem_charged(),
-        disk_budget: ctx.limits().disk_bytes,
-        disk_charged: ctx.disk_charged(),
-        timeout: ctx.limits().timeout,
-        threads_used,
-    }
-}
-
 /// Compute per-relation offsets for a concatenation layout, each relation
 /// as wide as the columns its scan carries ([`Plan::carried`]).
-pub(crate) fn offsets_for(layout: &[usize], carried: &[&[usize]]) -> Offsets {
+fn offsets_for(layout: &[usize], carried: &[&[usize]]) -> Offsets {
     let mut offs = vec![None; carried.len()];
     let mut acc = 0;
     for &rel in layout {
@@ -177,14 +155,6 @@ pub(crate) fn offsets_for(layout: &[usize], carried: &[&[usize]]) -> Offsets {
 // ---------------------------------------------------------------------------
 // Pipeline construction
 // ---------------------------------------------------------------------------
-
-/// Assemble the full operator pipeline for `plan`.
-fn build_pipeline<'a>(catalog: &'a Catalog, plan: &'a Plan) -> Result<OpNode<'a>> {
-    let carried = plan.carried();
-    let (node, layout, _est) = build_join(catalog, plan, &plan.join, &carried)?;
-    let offsets = offsets_for(&layout, &carried);
-    Ok(finish_pipeline(node, offsets, plan))
-}
 
 /// Stack the post-join stages (aggregate, HAVING, project, distinct,
 /// sort, limit) on top of a join-tree source. The parallel driver mounts
@@ -265,30 +235,10 @@ pub(crate) fn finish_pipeline<'a>(
     node
 }
 
-/// The cardinality estimate [`build_join`] assigns to a join subtree.
-/// The parallel driver re-derives build-side choices from the same
-/// numbers so both paths pick identical physical shapes.
-pub(crate) fn join_estimate(catalog: &Catalog, plan: &Plan, node: &JoinNode) -> Result<u64> {
-    match node {
-        JoinNode::Scan { rel, .. } => Ok(catalog.table(&plan.relations[*rel].table)?.len() as u64),
-        JoinNode::Join {
-            left, right, equi, ..
-        } => {
-            let l = join_estimate(catalog, plan, left)?;
-            let r = join_estimate(catalog, plan, right)?;
-            Ok(if equi.is_empty() {
-                l.saturating_mul(r.max(1))
-            } else {
-                l.max(r)
-            })
-        }
-    }
-}
-
 /// Build the operator subtree for a join-tree node. Returns the operator,
 /// the relation layout of its output rows, and a crude cardinality estimate
 /// used to pick hash-join build sides.
-pub(crate) fn build_join<'a>(
+fn build_join<'a>(
     catalog: &'a Catalog,
     plan: &'a Plan,
     node: &'a JoinNode,
@@ -304,6 +254,7 @@ pub(crate) fn build_join<'a>(
                 OpKind::Scan {
                     table,
                     pos: 0,
+                    end: table.len(),
                     filter: filter.as_ref(),
                     // The filter sees the stored row, not the emitted one.
                     offsets: offsets_for(&[*rel], carried),
@@ -358,27 +309,24 @@ pub(crate) fn build_join<'a>(
                 } else {
                     (lop, rop, loffsets, roffsets)
                 };
-                let (pexprs, bexprs): (Vec<&BoundExpr>, Vec<&BoundExpr>) = if build_left {
-                    (
-                        equi.iter().map(|(_, r)| r).collect(),
-                        equi.iter().map(|(l, _)| l).collect(),
-                    )
+                let (lexprs, rexprs): (Vec<_>, Vec<_>) = equi.iter().map(|(l, r)| (l, r)).unzip();
+                let (probe_exprs, build_exprs) = if build_left {
+                    (rexprs, lexprs)
                 } else {
-                    (
-                        equi.iter().map(|(l, _)| l).collect(),
-                        equi.iter().map(|(_, r)| r).collect(),
-                    )
+                    (lexprs, rexprs)
                 };
                 let op = OpNode::new(
                     "HashJoin",
                     OpKind::HashJoin {
                         probe: Box::new(probe),
                         build: Box::new(build),
-                        probe_exprs: pexprs,
-                        build_exprs: bexprs,
-                        probe_offsets,
-                        build_offsets,
-                        build_left,
+                        keys: JoinKeys {
+                            probe_exprs,
+                            build_exprs,
+                            probe_offsets,
+                            build_offsets,
+                            build_left,
+                        },
                         state: JoinState::Init,
                     },
                 );
@@ -401,21 +349,22 @@ pub(crate) fn build_join<'a>(
 }
 
 /// An index nested-loop join's right side, resolved by [`index_join_path`].
-pub(crate) struct IndexPath<'a> {
+#[derive(Clone)]
+struct IndexPath<'a> {
     /// Operator name for the statistics tree.
-    pub(crate) name: String,
-    pub(crate) table: &'a Table,
-    pub(crate) index: &'a HashIndex,
+    name: String,
+    table: &'a Table,
+    index: &'a HashIndex,
     /// Flat position of the probe key in the left input row.
-    pub(crate) key_flat: usize,
+    key_flat: usize,
     /// Base columns of `table` to append to each match.
-    pub(crate) cols: &'a [usize],
+    cols: &'a [usize],
 }
 
 impl IndexPath<'_> {
     /// `emit` one `lrow ++ carried cells` row per stored row the index
     /// holds under `lrow`'s key, in stored index order.
-    pub(crate) fn probe(&self, lrow: &Row, mut emit: impl FnMut(Row) -> Result<()>) -> Result<()> {
+    fn probe(&self, lrow: &Row, mut emit: impl FnMut(Row) -> Result<()>) -> Result<()> {
         let key = &lrow[self.key_flat];
         if key.is_null() {
             return Ok(());
@@ -449,7 +398,7 @@ impl IndexPath<'_> {
 ///
 /// Key columns are carried positions; the stored index and the declared
 /// types are looked up by the base columns behind them.
-pub(crate) fn index_join_path<'a>(
+fn index_join_path<'a>(
     catalog: &'a Catalog,
     plan: &'a Plan,
     right: &'a JoinNode,
@@ -512,8 +461,8 @@ pub(crate) fn index_join_path<'a>(
 // ---------------------------------------------------------------------------
 
 /// Runtime counters for one operator node.
-#[derive(Debug, Default)]
-struct Metrics {
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Metrics {
     rows_in: u64,
     rows_out: u64,
     batches: u64,
@@ -524,6 +473,17 @@ struct Metrics {
     spill_passes: u64,
 }
 
+impl Metrics {
+    /// Add a fork's counters. Forks never materialize or spill, so only
+    /// the streaming counters can be non-zero.
+    fn add(&mut self, fork: &Metrics) {
+        self.rows_in += fork.rows_in;
+        self.rows_out += fork.rows_out;
+        self.batches += fork.batches;
+        self.time += fork.time;
+    }
+}
+
 /// One physical operator plus its instrumentation.
 pub(crate) struct OpNode<'a> {
     name: String,
@@ -532,12 +492,13 @@ pub(crate) struct OpNode<'a> {
 }
 
 enum OpKind<'a> {
-    /// Base-table scan with an optional pushed-down predicate, evaluated
-    /// against the stored row (`offsets`); survivors are copied out
-    /// `cols` wide.
+    /// Scan of stored rows `pos..end` (the whole table, or one morsel in
+    /// a fork) with an optional pushed-down predicate, evaluated against
+    /// the stored row (`offsets`); survivors are copied out `cols` wide.
     Scan {
         table: &'a Table,
         pos: usize,
+        end: usize,
         filter: Option<&'a BoundExpr>,
         offsets: Offsets,
         cols: &'a [usize],
@@ -553,13 +514,16 @@ enum OpKind<'a> {
     HashJoin {
         probe: Box<OpNode<'a>>,
         build: Box<OpNode<'a>>,
-        probe_exprs: Vec<&'a BoundExpr>,
-        build_exprs: Vec<&'a BoundExpr>,
-        probe_offsets: Offsets,
-        build_offsets: Offsets,
-        /// True when the plan's *left* input is the build side.
-        build_left: bool,
+        keys: JoinKeys<'a>,
         state: JoinState,
+    },
+    /// Fork of a [`OpKind::HashJoin`] whose build side fit in memory:
+    /// streams `probe` against the template's build table. It owns no
+    /// state, so it cannot charge the budget or spill.
+    HashProbe {
+        probe: Box<OpNode<'a>>,
+        map: &'a BuildMap,
+        keys: &'a JoinKeys<'a>,
     },
     /// Streaming probe of a pre-built storage-level hash index.
     IndexJoin {
@@ -610,7 +574,7 @@ enum OpKind<'a> {
     },
     /// Consumer end of the morsel-parallel spine: emits worker-produced
     /// rows strictly in morsel order (see [`crate::parallel`]). Its
-    /// statistics children (the spine operators) are attached by the
+    /// statistics child (the forked join tree) is attached by the
     /// parallel driver after the worker pool drains.
     Gather {
         src: crate::parallel::GatherSource<'a>,
@@ -632,11 +596,11 @@ pub(crate) fn gather_node(src: crate::parallel::GatherSource<'_>) -> OpNode<'_> 
 /// draining the map to disk in raw iteration order would make spill-file
 /// content — and therefore downstream row order and float-summation
 /// order — vary run to run. Every flush sorts by rank first.
-pub(crate) type BuildMap = HashMap<Vec<Value>, (usize, Vec<Row>)>;
+type BuildMap = HashMap<Vec<Value>, (usize, Vec<Row>)>;
 
 /// Insert one build row under `key`, assigning the next first-seen rank
 /// to new keys.
-pub(crate) fn build_map_insert(map: &mut BuildMap, key: Vec<Value>, row: Row) {
+fn build_map_insert(map: &mut BuildMap, key: Vec<Value>, row: Row) {
     let next = map.len();
     map.entry(key)
         .or_insert_with(|| (next, Vec::new()))
@@ -652,6 +616,55 @@ fn drain_in_order(map: &mut BuildMap) -> Vec<(Vec<Value>, Vec<Row>)> {
         .into_iter()
         .map(|(k, (_, rows))| (k, rows))
         .collect()
+}
+
+/// How a hash join reads its equi keys off a probe row and a build row,
+/// and which of the plan's inputs is which.
+struct JoinKeys<'a> {
+    probe_exprs: Vec<&'a BoundExpr>,
+    build_exprs: Vec<&'a BoundExpr>,
+    probe_offsets: Offsets,
+    build_offsets: Offsets,
+    /// True when the plan's *left* input is the build side.
+    build_left: bool,
+}
+
+impl JoinKeys<'_> {
+    fn probe_key(&self, row: &Row) -> Result<Option<Vec<Value>>> {
+        join_keys(row, &self.probe_exprs, &self.probe_offsets)
+    }
+
+    fn build_key(&self, row: &Row) -> Result<Option<Vec<Value>>> {
+        join_keys(row, &self.build_exprs, &self.build_offsets)
+    }
+
+    /// Append `prow`'s matches in `map` to `out` as `left ++ right` rows,
+    /// in build insertion order. Ticks the guards per emitted row: a join
+    /// can fan one probe row out into thousands, and cancellation latency
+    /// must stay bounded by emitted work, not consumed work.
+    fn probe_row(
+        &self,
+        map: &BuildMap,
+        prow: &Row,
+        out: &mut Batch,
+        ticker: &mut Ticker,
+        ctx: &ExecContext,
+    ) -> Result<()> {
+        let Some(key) = self.probe_key(prow)? else {
+            return Ok(());
+        };
+        if let Some((_, matches)) = map.get(&key) {
+            for brow in matches {
+                ticker.row(ctx)?;
+                out.push(if self.build_left {
+                    concat_rows(brow, prow)
+                } else {
+                    concat_rows(prow, brow)
+                });
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Build-side state of a hash join: in memory while the budget lasts,
@@ -722,17 +735,17 @@ struct RunCursor {
     _file: SpillFile,
 }
 
-/// Counts rows inside spill loops, ticking the context's
+/// Counts rows inside spill and probe loops, ticking the context's
 /// cancellation/deadline guards every [`SPILL_TICK_ROWS`] rows so a
 /// cancelled query aborts mid-pass instead of finishing it.
-pub(crate) struct Ticker(u32);
+struct Ticker(u32);
 
 impl Ticker {
-    pub(crate) fn new() -> Ticker {
+    fn new() -> Ticker {
         Ticker(0)
     }
 
-    pub(crate) fn row(&mut self, ctx: &ExecContext) -> Result<()> {
+    fn row(&mut self, ctx: &ExecContext) -> Result<()> {
         self.0 += 1;
         if self.0 >= SPILL_TICK_ROWS {
             self.0 = 0;
@@ -806,6 +819,16 @@ impl<'a> OpNode<'a> {
         out
     }
 
+    /// Pull to exhaustion, uncharged (the driver's result buffer is
+    /// [`drain_root`]'s business).
+    pub(crate) fn drain(&mut self, ctx: &ExecContext) -> Result<Vec<Row>> {
+        let mut rows = Vec::new();
+        while let Some(batch) = self.next_batch(ctx)? {
+            rows.extend(batch);
+        }
+        Ok(rows)
+    }
+
     /// Convert the (finished) operator tree into its statistics tree.
     pub(crate) fn harvest(self) -> OpStats {
         let children = match self.kind {
@@ -816,15 +839,14 @@ impl<'a> OpNode<'a> {
             | OpKind::Distinct { child, .. }
             | OpKind::Sort { child, .. }
             | OpKind::Limit { child, .. } => vec![child.harvest()],
-            OpKind::IndexJoin { probe, .. } => vec![probe.harvest()],
+            OpKind::IndexJoin { probe, .. } | OpKind::HashProbe { probe, .. } => {
+                vec![probe.harvest()]
+            }
             OpKind::HashJoin {
-                probe,
-                build,
-                build_left,
-                ..
+                probe, build, keys, ..
             } => {
                 // Report in plan order: left child first.
-                if build_left {
+                if keys.build_left {
                     vec![build.harvest(), probe.harvest()]
                 } else {
                     vec![probe.harvest(), build.harvest()]
@@ -845,6 +867,147 @@ impl<'a> OpNode<'a> {
             children,
         }
     }
+
+    /// Stored rows of the table behind the driving scan — the leaf of the
+    /// probe chain (the probe inputs from this join tree's root down).
+    /// `None` when a cross join sits on the chain.
+    pub(crate) fn driving_rows(&self) -> Option<usize> {
+        match &self.kind {
+            OpKind::Scan { table, .. } => Some(table.len()),
+            OpKind::Filter { child, .. } => child.driving_rows(),
+            OpKind::IndexJoin { probe, .. } | OpKind::HashJoin { probe, .. } => {
+                probe.driving_rows()
+            }
+            _ => None,
+        }
+    }
+
+    /// Consume every hash-join build side on the probe chain, top join
+    /// first, without pulling a probe batch. This is the order a pull
+    /// from the root consumes them in, so the budget meter follows the
+    /// same trajectory and pulling the tree afterwards simply carries on.
+    /// Returns the bytes the in-memory build tables hold charged, or
+    /// `None` when the chain does not [`fork`](Self::fork).
+    pub(crate) fn prepare_spine(&mut self, ctx: &ExecContext) -> Result<Option<u64>> {
+        match &mut self.kind {
+            OpKind::Scan { .. } => Ok(Some(0)),
+            OpKind::Filter { child, .. } => child.prepare_spine(ctx),
+            OpKind::IndexJoin { probe, .. } => probe.prepare_spine(ctx),
+            OpKind::HashJoin {
+                probe,
+                build,
+                keys,
+                state,
+            } => {
+                ctx.tick()?;
+                let start = Instant::now();
+                if matches!(state, JoinState::Init) {
+                    *state = hj_prepare(probe, build, keys, &mut self.m, ctx)?;
+                }
+                self.m.time += start.elapsed();
+                let JoinState::Mem { mem, .. } = state else {
+                    return Ok(None);
+                };
+                let mem = *mem;
+                Ok(probe.prepare_spine(ctx)?.map(|below| below + mem))
+            }
+            _ => Ok(None),
+        }
+    }
+
+    /// The same operators over rows `lo..hi` of the driving scan: `Scan`
+    /// takes the range, `Filter` and `IndexJoin` fork structurally, and a
+    /// `HashJoin` whose build side is in memory forks into a
+    /// [`OpKind::HashProbe`] borrowing that table. A fork holds no state
+    /// of its own, so pulling it never charges the budget or spills, and
+    /// the concatenation of forks over consecutive ranges *is* this
+    /// chain's row sequence.
+    ///
+    /// `None` — does not fork — for everything else: a cross join, a hash
+    /// join not yet prepared or gone to grace mode, any materializing
+    /// operator.
+    pub(crate) fn fork(&self, lo: usize, hi: usize) -> Option<OpNode<'_>> {
+        let kind = match &self.kind {
+            OpKind::Scan {
+                table,
+                filter,
+                offsets,
+                cols,
+                ..
+            } => OpKind::Scan {
+                table,
+                pos: lo,
+                end: hi.min(table.len()),
+                filter: *filter,
+                offsets: offsets.clone(),
+                cols,
+            },
+            OpKind::Filter {
+                child,
+                pred,
+                offsets,
+            } => OpKind::Filter {
+                child: Box::new(child.fork(lo, hi)?),
+                pred,
+                offsets: offsets.clone(),
+            },
+            OpKind::IndexJoin { probe, path } => OpKind::IndexJoin {
+                probe: Box::new(probe.fork(lo, hi)?),
+                path: path.clone(),
+            },
+            OpKind::HashJoin {
+                probe,
+                keys,
+                state: JoinState::Mem { map, .. },
+                ..
+            } => OpKind::HashProbe {
+                probe: Box::new(probe.fork(lo, hi)?),
+                map,
+                keys,
+            },
+            _ => return None,
+        };
+        // Unnamed: a fork is never harvested, only absorbed.
+        Some(OpNode::new(String::new(), kind))
+    }
+
+    /// The next operator down the probe chain.
+    fn probe_child(&mut self) -> Option<&mut OpNode<'a>> {
+        match &mut self.kind {
+            OpKind::Filter { child, .. } => Some(child),
+            OpKind::IndexJoin { probe, .. }
+            | OpKind::HashJoin { probe, .. }
+            | OpKind::HashProbe { probe, .. } => Some(probe),
+            _ => None,
+        }
+    }
+
+    /// Add this (finished) fork's counters, probe chain top-down, into
+    /// `chain`.
+    pub(crate) fn add_metrics_to(&mut self, chain: &mut Vec<Metrics>) {
+        let mut node = Some(self);
+        let mut depth = 0;
+        while let Some(n) = node {
+            if chain.len() == depth {
+                chain.push(Metrics::default());
+            }
+            chain[depth].add(&n.m);
+            depth += 1;
+            node = n.probe_child();
+        }
+    }
+
+    /// Add fork counters gathered by [`add_metrics_to`](Self::add_metrics_to)
+    /// into this chain's nodes, so that [`harvest`](Self::harvest) reports
+    /// what the forks did on the operators that did it.
+    pub(crate) fn absorb(&mut self, chain: &[Metrics]) {
+        let mut node = Some(self);
+        for m in chain {
+            let Some(n) = node else { break };
+            n.m.add(m);
+            node = n.probe_child();
+        }
+    }
 }
 
 /// Pull one batch from `child`, crediting its size to the parent's
@@ -863,13 +1026,14 @@ fn step(kind: &mut OpKind<'_>, m: &mut Metrics, ctx: &ExecContext) -> Result<Opt
         OpKind::Scan {
             table,
             pos,
+            end,
             filter,
             offsets,
             cols,
         } => {
             let rows = table.rows();
-            let mut out = Vec::with_capacity(BATCH_SIZE.min(rows.len() - (*pos).min(rows.len())));
-            while *pos < rows.len() && out.len() < BATCH_SIZE {
+            let mut out = Vec::with_capacity(BATCH_SIZE.min(end.saturating_sub(*pos)));
+            while *pos < *end && out.len() < BATCH_SIZE {
                 let row = &rows[*pos];
                 *pos += 1;
                 m.rows_in += 1;
@@ -903,70 +1067,32 @@ fn step(kind: &mut OpKind<'_>, m: &mut Metrics, ctx: &ExecContext) -> Result<Opt
         OpKind::HashJoin {
             probe,
             build,
-            probe_exprs,
-            build_exprs,
-            probe_offsets,
-            build_offsets,
-            build_left,
+            keys,
             state,
         } => {
             if matches!(state, JoinState::Init) {
-                *state = hj_prepare(
-                    probe,
-                    build,
-                    probe_exprs,
-                    build_exprs,
-                    probe_offsets,
-                    build_offsets,
-                    m,
-                    ctx,
-                )?;
+                *state = hj_prepare(probe, build, keys, m, ctx)?;
             }
             match state {
                 JoinState::Init => Err(EngineError::internal(
                     "hash join probed before its build side",
                 )),
                 JoinState::Mem { map, mem } => {
-                    while let Some(batch) = pull(probe, m, ctx)? {
-                        let mut out = Vec::new();
-                        for prow in &batch {
-                            let Some(key) = join_keys(prow, probe_exprs, probe_offsets)? else {
-                                continue;
-                            };
-                            if let Some((_, matches)) = map.get(&key) {
-                                for brow in matches {
-                                    let (lrow, rrow) = if *build_left {
-                                        (brow, prow)
-                                    } else {
-                                        (prow, brow)
-                                    };
-                                    out.push(concat_rows(lrow, rrow));
-                                }
-                            }
-                        }
-                        if !out.is_empty() {
-                            return Ok(Some(out));
-                        }
+                    let out = hj_probe_next(probe, map, keys, m, ctx)?;
+                    if out.is_none() {
+                        // Probe exhausted: the build table is dead weight
+                        // now, so hand its budget back before upstream
+                        // operators (or the result buffer) compete for it.
+                        ctx.release(std::mem::take(mem));
+                        *map = HashMap::new();
                     }
-                    // Probe exhausted: the build table is dead weight now,
-                    // so hand its budget back before upstream operators
-                    // (or the result buffer) compete for it.
-                    ctx.release(std::mem::take(mem));
-                    *map = HashMap::new();
-                    Ok(None)
+                    Ok(out)
                 }
-                JoinState::Spill(grace) => hj_spill_next(
-                    grace,
-                    probe_exprs,
-                    build_exprs,
-                    probe_offsets,
-                    build_offsets,
-                    *build_left,
-                    m,
-                    ctx,
-                ),
+                JoinState::Spill(grace) => hj_spill_next(grace, keys, m, ctx),
             }
         }
+
+        OpKind::HashProbe { probe, map, keys } => hj_probe_next(probe, map, keys, m, ctx),
 
         OpKind::IndexJoin { probe, path } => {
             while let Some(batch) = pull(probe, m, ctx)? {
@@ -1181,11 +1307,11 @@ fn release_emitted(ctx: &ExecContext, out: &[Row], mem: &mut u64) {
 }
 
 /// Copy the carried cells of a stored row.
-pub(crate) fn carried_cells(row: &Row, cols: &[usize]) -> Row {
+fn carried_cells(row: &Row, cols: &[usize]) -> Row {
     cols.iter().map(|&c| row[c].clone()).collect()
 }
 
-pub(crate) fn concat_rows(l: &Row, r: &Row) -> Row {
+fn concat_rows(l: &Row, r: &Row) -> Row {
     let mut row = Vec::with_capacity(l.len() + r.len());
     row.extend(l.iter().cloned());
     row.extend(r.iter().cloned());
@@ -1194,11 +1320,7 @@ pub(crate) fn concat_rows(l: &Row, r: &Row) -> Row {
 
 /// Evaluate and normalize the join key expressions for one row; `None`
 /// when any key is NULL (SQL equality never matches NULL).
-pub(crate) fn join_keys(
-    row: &Row,
-    exprs: &[&BoundExpr],
-    offsets: &Offsets,
-) -> Result<Option<Vec<Value>>> {
+fn join_keys(row: &Row, exprs: &[&BoundExpr], offsets: &Offsets) -> Result<Option<Vec<Value>>> {
     let mut keys = Vec::with_capacity(exprs.len());
     for e in exprs {
         let v = e.eval_ref(row, offsets)?;
@@ -1225,17 +1347,37 @@ fn normalize_key(v: Cow<'_, Value>) -> Value {
 // Grace hash join
 // ---------------------------------------------------------------------------
 
+/// Stream `probe` against an in-memory build table: the next non-empty
+/// batch of matches, `None` once the probe side is exhausted. The one
+/// probe loop — a serial [`OpKind::HashJoin`] and every forked
+/// [`OpKind::HashProbe`] run it.
+fn hj_probe_next(
+    probe: &mut OpNode<'_>,
+    map: &BuildMap,
+    keys: &JoinKeys<'_>,
+    m: &mut Metrics,
+    ctx: &ExecContext,
+) -> Result<Option<Batch>> {
+    let mut ticker = Ticker::new();
+    while let Some(batch) = pull(probe, m, ctx)? {
+        let mut out = Vec::new();
+        for prow in &batch {
+            keys.probe_row(map, prow, &mut out, &mut ticker, ctx)?;
+        }
+        if !out.is_empty() {
+            return Ok(Some(out));
+        }
+    }
+    Ok(None)
+}
+
 /// Consume the build side of a hash join. Stays in memory while the
 /// budget lasts; past it, grace-partitions *both* inputs to disk and
 /// returns the partition-pair queue instead.
-#[allow(clippy::too_many_arguments)]
 fn hj_prepare<'a>(
     probe: &mut OpNode<'a>,
     build: &mut OpNode<'a>,
-    probe_exprs: &[&BoundExpr],
-    build_exprs: &[&BoundExpr],
-    probe_offsets: &Offsets,
-    build_offsets: &Offsets,
+    keys: &JoinKeys<'_>,
     m: &mut Metrics,
     ctx: &ExecContext,
 ) -> Result<JoinState> {
@@ -1249,7 +1391,7 @@ fn hj_prepare<'a>(
             // preserving the strict-abort behavior.
             let mut batch_mem = 0u64;
             for row in batch {
-                if let Some(key) = join_keys(&row, build_exprs, build_offsets)? {
+                if let Some(key) = keys.build_key(&row)? {
                     batch_mem +=
                         approx_row_bytes(&row) + key.iter().map(approx_value_bytes).sum::<u64>();
                     build_map_insert(&mut map, key, row);
@@ -1260,7 +1402,7 @@ fn hj_prepare<'a>(
             continue;
         }
         for row in batch {
-            let Some(key) = join_keys(&row, build_exprs, build_offsets)? else {
+            let Some(key) = keys.build_key(&row)? else {
                 continue;
             };
             if let Some(ws) = &mut writers {
@@ -1302,7 +1444,7 @@ fn hj_prepare<'a>(
     while let Some(batch) = pull(probe, m, ctx)? {
         for row in batch {
             ticker.row(ctx)?;
-            let Some(key) = join_keys(&row, probe_exprs, probe_offsets)? else {
+            let Some(key) = keys.probe_key(&row)? else {
                 continue;
             };
             spill_row(ctx, m, &mut probe_ws[partition_of(&key, 0)], &row)?;
@@ -1326,14 +1468,9 @@ fn hj_prepare<'a>(
 /// Advance a grace hash join by up to one batch: stream matches out of
 /// the current partition, loading (and, when oversized, re-partitioning)
 /// queued partition pairs as needed.
-#[allow(clippy::too_many_arguments)]
 fn hj_spill_next(
     grace: &mut GraceJoin,
-    probe_exprs: &[&BoundExpr],
-    build_exprs: &[&BoundExpr],
-    probe_offsets: &Offsets,
-    build_offsets: &Offsets,
-    build_left: bool,
+    keys: &JoinKeys<'_>,
     m: &mut Metrics,
     ctx: &ExecContext,
 ) -> Result<Option<Batch>> {
@@ -1351,19 +1488,7 @@ fn hj_spill_next(
                     grace.current = None;
                     break;
                 };
-                let Some(key) = join_keys(&prow, probe_exprs, probe_offsets)? else {
-                    continue;
-                };
-                if let Some((_, matches)) = part.map.get(&key) {
-                    for brow in matches {
-                        let (lrow, rrow) = if build_left {
-                            (brow, &prow)
-                        } else {
-                            (&prow, brow)
-                        };
-                        out.push(concat_rows(lrow, rrow));
-                    }
-                }
+                keys.probe_row(&part.map, &prow, &mut out, &mut ticker, ctx)?;
             }
             if !out.is_empty() {
                 return Ok(Some(out));
@@ -1373,17 +1498,7 @@ fn hj_spill_next(
         let Some((bfile, pfile, pass)) = grace.queue.pop() else {
             return Ok(None);
         };
-        match hj_load_partition(
-            bfile,
-            pfile,
-            pass,
-            probe_exprs,
-            build_exprs,
-            probe_offsets,
-            build_offsets,
-            m,
-            ctx,
-        )? {
+        match hj_load_partition(bfile, pfile, pass, keys, m, ctx)? {
             Loaded::Table(part) => grace.current = Some(Box::new(part)),
             Loaded::Repartitioned(pairs) => grace.queue.extend(pairs),
         }
@@ -1399,15 +1514,11 @@ enum Loaded {
     Repartitioned(Vec<(SpillFile, SpillFile, u32)>),
 }
 
-#[allow(clippy::too_many_arguments)]
 fn hj_load_partition(
     bfile: SpillFile,
     pfile: SpillFile,
     pass: u32,
-    probe_exprs: &[&BoundExpr],
-    build_exprs: &[&BoundExpr],
-    probe_offsets: &Offsets,
-    build_offsets: &Offsets,
+    keys: &JoinKeys<'_>,
     m: &mut Metrics,
     ctx: &ExecContext,
 ) -> Result<Loaded> {
@@ -1417,7 +1528,7 @@ fn hj_load_partition(
     let mut reader = bfile.reader()?;
     while let Some(row) = reader.next_row()? {
         ticker.row(ctx)?;
-        let Some(key) = join_keys(&row, build_exprs, build_offsets)? else {
+        let Some(key) = keys.build_key(&row)? else {
             continue;
         };
         let bytes = approx_row_bytes(&row) + key.iter().map(approx_value_bytes).sum::<u64>();
@@ -1449,7 +1560,7 @@ fn hj_load_partition(
         spill_row(ctx, m, &mut bws[partition_of(&key, next)], &row)?;
         while let Some(r) = reader.next_row()? {
             ticker.row(ctx)?;
-            let Some(k) = join_keys(&r, build_exprs, build_offsets)? else {
+            let Some(k) = keys.build_key(&r)? else {
                 continue;
             };
             spill_row(ctx, m, &mut bws[partition_of(&k, next)], &r)?;
@@ -1458,7 +1569,7 @@ fn hj_load_partition(
         let mut preader = pfile.reader()?;
         while let Some(r) = preader.next_row()? {
             ticker.row(ctx)?;
-            let Some(k) = join_keys(&r, probe_exprs, probe_offsets)? else {
+            let Some(k) = keys.probe_key(&r)? else {
                 continue;
             };
             spill_row(ctx, m, &mut pws[partition_of(&k, next)], &r)?;
@@ -2175,6 +2286,105 @@ mod tests {
             arg: Some(BoundExpr::Literal(Value::Null)),
             distinct,
         })
+    }
+
+    /// `a` (40 rows) and `b` (10 rows): `a.k = b.k` matches every `a` row.
+    fn fork_catalog() -> Catalog {
+        use conquer_storage::{DataType, Schema};
+        let mut cat = Catalog::new();
+        for (name, rows) in [("a", 40i64), ("b", 10)] {
+            let schema = Schema::from_pairs([("k", DataType::Int), ("v", DataType::Int)]).unwrap();
+            let t = cat.create_table(name, schema).unwrap();
+            for i in 0..rows {
+                t.insert(vec![Value::Int(i % 10), Value::Int(i)]).unwrap();
+            }
+        }
+        cat
+    }
+
+    fn plan_of(cat: &Catalog, sql: &str) -> Plan {
+        let stmt = conquer_sql::parse_select(sql).unwrap();
+        let bound = crate::binder::bind_select(cat, &stmt).unwrap();
+        crate::planner::plan_select(cat, bound).unwrap()
+    }
+
+    fn join_tree<'a>(cat: &'a Catalog, plan: &'a Plan) -> OpNode<'a> {
+        build_join(cat, plan, &plan.join, &plan.carried())
+            .unwrap()
+            .0
+    }
+
+    const EQUI_SQL: &str = "select a.v, b.v from a, b where a.k = b.k";
+
+    #[test]
+    fn operators_that_charge_or_spill_do_not_fork() {
+        use crate::context::ExecLimits;
+        let cat = fork_catalog();
+        let free = ExecContext::default();
+
+        // A cross join materializes (and charges) its build side.
+        let plan = plan_of(&cat, "select a.v, b.v from a, b");
+        let mut tree = join_tree(&cat, &plan);
+        assert_eq!(tree.driving_rows(), None);
+        assert!(tree.prepare_spine(&free).unwrap().is_none());
+        assert!(tree.fork(0, 8).is_none());
+
+        // A hash join forks only once its build side sits in memory.
+        let plan = plan_of(&cat, EQUI_SQL);
+        let mut tree = join_tree(&cat, &plan);
+        assert!(tree.fork(0, 8).is_none(), "build side not consumed yet");
+        assert!(tree.prepare_spine(&free).unwrap().is_some());
+        assert!(tree.fork(0, 8).is_some());
+
+        // The same join under a budget its build side overflows: grace
+        // mode owns spill files and charges per partition.
+        let tight = ExecContext::new(ExecLimits::none().with_mem_bytes(64));
+        let mut tree = join_tree(&cat, &plan);
+        assert!(tree.prepare_spine(&tight).unwrap().is_none());
+        assert!(tight.disk_charged() > 0, "build side did not spill");
+        assert!(tree.fork(0, 8).is_none());
+
+        // Everything above the join tree holds state.
+        let tree = join_tree(&cat, &plan);
+        let root = finish_pipeline(tree, Offsets(vec![Some(0), Some(2)]), &plan);
+        assert!(root.fork(0, 8).is_none());
+    }
+
+    #[test]
+    fn forks_concatenate_to_the_serial_rows_and_never_charge() {
+        use crate::context::ExecLimits;
+        let cat = fork_catalog();
+        let plan = plan_of(&cat, EQUI_SQL);
+        let ctx = ExecContext::new(ExecLimits::none().with_mem_bytes(1 << 20));
+
+        let serial = join_tree(&cat, &plan).drain(&ctx).unwrap();
+        assert_eq!(serial.len(), 40);
+
+        let mut template = join_tree(&cat, &plan);
+        assert_eq!(template.driving_rows(), Some(40));
+        let build_mem = template.prepare_spine(&ctx).unwrap().unwrap();
+        assert!(build_mem > 0);
+        let charged = ctx.mem_charged();
+
+        let mut forked = Vec::new();
+        let mut chain = Vec::new();
+        for lo in [0, 16, 32] {
+            let mut fork = template.fork(lo, lo + 16).unwrap();
+            forked.extend(fork.drain(&ctx).unwrap());
+            fork.add_metrics_to(&mut chain);
+        }
+        assert_eq!(forked, serial);
+        assert_eq!(ctx.mem_charged(), charged, "a worker-only run charged");
+
+        template.absorb(&chain);
+        let stats = template.harvest();
+        assert_eq!((stats.rows_in, stats.rows_out), (10 + 40, 40));
+        let [scan_a, scan_b] = &stats.children[..] else {
+            panic!("{stats:?}")
+        };
+        assert!(scan_a.name.starts_with("Scan a"), "{stats:?}");
+        assert_eq!((scan_a.rows_in, scan_a.rows_out), (40, 40));
+        assert_eq!((scan_b.rows_in, scan_b.rows_out), (10, 10));
     }
 
     #[test]

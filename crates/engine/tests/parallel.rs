@@ -246,15 +246,21 @@ fn racing_queries_on_one_database_with_midflight_cancel() {
 #[test]
 fn single_threaded_limit_and_tiny_tables_stay_serial_shaped() {
     let _g = lock();
-    let db = test_db();
+    let mut db = test_db();
     // threads = 1 must still answer (and report itself as serial).
     let res = run_at(&db, "SELECT COUNT(*) FROM dim", 1);
     assert_eq!(res.rows, vec![vec![Value::Int(100)]]);
     assert_eq!(res.stats().unwrap().threads_used, 1);
-    // A sub-morsel table can't use more than one worker even at 8.
+    // A sub-morsel table can't use more than one worker even at 8, so
+    // no pool is spawned for it: the tree is pulled as is.
     let res = run_at(&db, "SELECT COUNT(*) FROM dim", 8);
     assert_eq!(res.rows, vec![vec![Value::Int(100)]]);
     assert_eq!(res.stats().unwrap().threads_used, 1);
+    db.set_limits(ExecLimits::none().with_threads(8));
+    let stmt = conquer_sql::parse_select("SELECT COUNT(*) FROM dim").unwrap();
+    let text = format!("{}", db.explain_select(&stmt, true).unwrap());
+    assert!(text.contains("Scan dim"), "{text}");
+    assert!(!text.contains("Gather"), "{text}");
     // Cross joins take the serial executor.
     let res = run_at(&db, "SELECT COUNT(*) FROM dim a, dim b", 8);
     assert_eq!(res.rows, vec![vec![Value::Int(100 * 100)]]);

@@ -104,6 +104,34 @@ fn spilling_hash_join_matches_in_memory_answer() {
 }
 
 #[test]
+fn a_build_that_overflows_under_a_worker_pool_is_pulled_on_not_rerun() {
+    // 10 000 rows are three morsels, so at threads = 2 the driver
+    // prepares the spine's build side (`a`: 960 000 B unconstrained) for
+    // a pool — and finds it in grace mode under 90 KiB. It must carry on
+    // pulling the tree it prepared: same answer, same spill volume and
+    // same budget high-water mark as threads = 1, every table scanned
+    // once.
+    let db = big_db(10_000);
+    let sql = "SELECT COUNT(*), SUM(a.val + b.val) \
+               FROM big a, big b WHERE a.id = b.id";
+    let limits = ExecLimits::none().with_mem_bytes(90 * 1024);
+    let serial = assert_spilled_run_matches(&db, sql, limits.with_threads(1));
+    let pooled = assert_spilled_run_matches(&db, sql, limits.with_threads(2));
+    assert_eq!(serial.rows, pooled.rows);
+    let (serial, pooled) = (serial.stats().unwrap(), pooled.stats().unwrap());
+    assert_eq!(pooled.threads_used, 1, "{}", pooled.render());
+    assert_eq!(serial.disk_charged, pooled.disk_charged);
+    assert_eq!(serial.mem_charged, pooled.mem_charged);
+    let mut scans = Vec::new();
+    pooled.root.visit(&mut |_, op| {
+        if op.name.starts_with("Scan big") {
+            scans.push(op.rows_in);
+        }
+    });
+    assert_eq!(scans, [10_000, 10_000], "{}", pooled.render());
+}
+
+#[test]
 fn spilling_aggregation_matches_in_memory_answer() {
     let db = big_db(4000);
     // 1000 groups of hash-table state (243 000 B unconstrained, whatever

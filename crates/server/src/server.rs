@@ -523,6 +523,9 @@ mod tests {
     fn limit_parses_and_describes() {
         let shared = SharedDatabase::new(conquer_engine::Database::new());
         let session = shared.session();
+        // `Database::new` reads CONQUER_THREADS / CONQUER_MEM_BUDGET (the CI
+        // matrix sets them); start from no limits whatever the environment.
+        session.set_limits(ExecLimits::none());
         assert_eq!(
             apply_limit(&session, "").unwrap(),
             "mem=off disk=off time_ms=off threads=auto"

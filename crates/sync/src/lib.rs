@@ -119,16 +119,10 @@ pub mod rank {
         name: "parallel_queue",
         blocking_ok: false,
     };
-    /// Per-worker step counters (`engine::parallel`).
+    /// Per-worker fork counters (`engine::parallel`).
     pub static METRICS_STEPS: Rank = Rank {
         order: 75,
         name: "metrics_steps",
-        blocking_ok: false,
-    };
-    /// Aggregate busy-time metric (`engine::parallel`).
-    pub static METRICS_BUSY: Rank = Rank {
-        order: 76,
-        name: "metrics_busy",
         blocking_ok: false,
     };
     /// VFS mount table (`storage::vfs`); maps path prefixes to simulated

@@ -7,6 +7,8 @@
 //! of the f64 (a parallel SUM merged in arrival order would fail this).
 //! The same must hold under a constraining 16 MiB memory budget, where
 //! parallel workers and spilling operators run in the same pipeline.
+//! Workers run forks of the serial operators, so the statistics under
+//! `Gather` must also be the serial join tree's, node for node.
 
 use conquer_core::DirtyDatabase;
 use conquer_datagen::{
@@ -15,7 +17,7 @@ use conquer_datagen::{
     queries::{query_sql, QUERY_IDS},
     tpch::TpchConfig,
 };
-use conquer_engine::ExecLimits;
+use conquer_engine::{ExecLimits, OpStats};
 use conquer_storage::Row;
 
 fn workload_db() -> DirtyDatabase {
@@ -37,17 +39,52 @@ fn fingerprint(rows: &[(Row, f64)]) -> Vec<(Row, u64)> {
     rows.iter().map(|(r, p)| (r.clone(), p.to_bits())).collect()
 }
 
-fn run(db: &mut DirtyDatabase, id: u8, limits: ExecLimits) -> (Vec<(Row, u64)>, usize, u64) {
+struct Run {
+    answers: Vec<(Row, u64)>,
+    threads_used: usize,
+    disk_charged: u64,
+    root: OpStats,
+}
+
+fn run(db: &mut DirtyDatabase, id: u8, limits: ExecLimits) -> Run {
     db.db_mut().set_limits(limits);
     let answers = db
         .clean_answers(&query_sql(id, false))
         .unwrap_or_else(|e| panic!("Q{id} failed: {e}"));
     let stats = answers.stats().expect("rewritten path forwards stats");
-    (
-        fingerprint(&answers.rows),
-        stats.threads_used,
-        stats.disk_charged,
-    )
+    Run {
+        answers: fingerprint(&answers.rows),
+        threads_used: stats.threads_used,
+        disk_charged: stats.disk_charged,
+        root: stats.root.clone(),
+    }
+}
+
+/// The join tree's statistics: what sits below the single-child chain of
+/// post-join stages and, when the pool ran, below `Gather`.
+fn join_subtree(root: &OpStats) -> &OpStats {
+    const ABOVE: [&str; 7] = [
+        "Limit",
+        "Sort",
+        "Distinct",
+        "Project",
+        "Filter (HAVING)",
+        "HashAggregate",
+        "Gather",
+    ];
+    let mut node = root;
+    while ABOVE.contains(&node.name.as_str()) {
+        assert_eq!(node.children.len(), 1, "{node:?}");
+        node = &node.children[0];
+    }
+    node
+}
+
+/// Operator names, child order, `rows_in` and `rows_out` of a subtree.
+fn shape(node: &OpStats) -> Vec<(usize, String, u64, u64)> {
+    let mut out = Vec::new();
+    node.visit(&mut |depth, op| out.push((depth, op.name.clone(), op.rows_in, op.rows_out)));
+    out
 }
 
 #[test]
@@ -55,17 +92,26 @@ fn thirteen_templates_bit_identical_across_thread_counts() {
     let mut db = workload_db();
     let mut engaged = Vec::new();
     for &id in QUERY_IDS.iter() {
-        let (reference, used, _) = run(&mut db, id, ExecLimits::none().with_threads(1));
-        assert_eq!(used, 1, "Q{id}: threads=1 must report serial stats");
+        let serial = run(&mut db, id, ExecLimits::none().with_threads(1));
+        assert_eq!(
+            serial.threads_used, 1,
+            "Q{id}: threads=1 must report serial stats"
+        );
         for threads in [2usize, 8] {
-            let (got, used, _) = run(&mut db, id, ExecLimits::none().with_threads(threads));
+            let got = run(&mut db, id, ExecLimits::none().with_threads(threads));
             assert_eq!(
-                reference, got,
+                serial.answers, got.answers,
                 "Q{id}: threads={threads} answers not byte-identical to serial"
             );
+            let used = got.threads_used;
             assert!(
                 used <= threads,
                 "Q{id}: threads_used {used} exceeds the configured {threads}"
+            );
+            assert_eq!(
+                shape(join_subtree(&serial.root)),
+                shape(join_subtree(&got.root)),
+                "Q{id}: threads={threads} join-tree statistics differ from serial"
             );
             if threads == 8 && used > 1 {
                 engaged.push(id);
@@ -84,18 +130,18 @@ fn templates_bit_identical_with_parallelism_and_budget_combined() {
     let mut db = workload_db();
     let budget = 16u64 << 20;
     for &id in QUERY_IDS.iter() {
-        let (reference, _, _) = run(
+        let reference = run(
             &mut db,
             id,
             ExecLimits::none().with_threads(1).with_mem_bytes(budget),
         );
-        let (got, _, _) = run(
+        let got = run(
             &mut db,
             id,
             ExecLimits::none().with_threads(8).with_mem_bytes(budget),
         );
         assert_eq!(
-            reference, got,
+            reference.answers, got.answers,
             "Q{id}: threads=8 under 16 MiB not byte-identical to threads=1 under 16 MiB"
         );
     }
@@ -110,21 +156,30 @@ fn a_single_query_can_be_parallel_and_spilling_at_once() {
     // byte for byte at every thread count.
     let mut db = workload_db();
     let budget = 1792u64 << 10;
-    let (serial, _, serial_disk) = run(
+    let serial = run(
         &mut db,
         9,
         ExecLimits::none().with_threads(1).with_mem_bytes(budget),
     );
-    let (parallel, used, disk) = run(
+    let parallel = run(
         &mut db,
         9,
         ExecLimits::none().with_threads(8).with_mem_bytes(budget),
     );
-    assert!(used > 1, "Q9 under {budget}: pool did not engage");
-    assert!(disk > 0, "Q9 under {budget}: aggregation did not spill");
-    assert_eq!(serial_disk, disk, "spill volume must not depend on threads");
+    assert!(
+        parallel.threads_used > 1,
+        "Q9 under {budget}: pool did not engage"
+    );
+    assert!(
+        parallel.disk_charged > 0,
+        "Q9 under {budget}: aggregation did not spill"
+    );
     assert_eq!(
-        serial, parallel,
+        serial.disk_charged, parallel.disk_charged,
+        "spill volume must not depend on threads"
+    );
+    assert_eq!(
+        serial.answers, parallel.answers,
         "parallel+spill diverged from serial+spill"
     );
     // (Budgeted-vs-unconstrained equivalence is deliberately NOT a
