@@ -9,7 +9,7 @@
 //! 2. **AdmissionGate acquire/release/timeout** — slot accounting is exact
 //!    (never over max_running, drains to zero) across every interleaving,
 //!    including spurious wakeups and zero-duration timeouts.
-//! 3. **Plan/result-cache epoch sweep** — a reader racing a writer's
+//! 3. **Result-cache epoch sweep** — a reader racing a writer's
 //!    publish+sweep never observes an answer whose row set contradicts the
 //!    epoch it is stamped with.
 //!
@@ -290,16 +290,16 @@ fn gate_spurious_wakeups_are_rechecked_and_mutant_is_caught() {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel 3: plan/result-cache epoch sweep
+// Kernel 3: result-cache epoch sweep
 // ---------------------------------------------------------------------------
 
 /// Cross join: ineligible for the morsel-parallel driver, so the model
 /// threads never spawn real worker threads under the virtual scheduler.
 const CACHE_SQL: &str = "SELECT COUNT(*) FROM ta, tb";
 
-/// Query through the caches and assert the answer is consistent with the
-/// epoch it is stamped with: 1x1 rows at the setup epoch, 2x1 after the
-/// concurrent INSERT published.
+/// Query through the result cache and assert the answer is consistent
+/// with the epoch it is stamped with: 1x1 rows at the setup epoch, 2x1
+/// after the concurrent INSERT published.
 fn query_consistent(shared: &SharedDatabase, e0: u64) {
     let r = shared.session().query(CACHE_SQL).unwrap();
     assert!(
@@ -342,7 +342,7 @@ fn explore_cache_sweep() -> conquer_core::sync::sched::Report {
         let db = shared.clone();
         exec.check(move || {
             assert_eq!(db.epoch(), e0 + 1);
-            // After the dust settles the caches must answer at the new
+            // After the dust settles the cache must answer at the new
             // epoch with the new row set.
             let r = db.session().query(CACHE_SQL).unwrap();
             assert_eq!(r.epoch, e0 + 1);

@@ -859,6 +859,7 @@ impl Database {
         }
         let names: Vec<String> = self.views.keys().cloned().collect();
         let mut touched = Vec::new();
+        let mut meta_touched = false;
         for name in names {
             let Some(v) = self.views.get(&name) else {
                 continue;
@@ -869,16 +870,21 @@ impl Database {
             let v = v.clone();
             fault_point("view::apply")?;
             let pairs = view::delta_pairs(self, &v, table, &old, &delta)?;
-            let mut groups = view::load_state(self.catalog.table(&v.state_table())?)?;
-            view::apply_pairs(&v, &mut groups, pairs)?;
-            let (contents, state) = view::groups_to_tables(&v, &mut groups)?;
-            self.catalog.replace_table(contents);
-            self.catalog.replace_table(state);
+            // A delta whose rows join nothing contributes nothing: the
+            // view's two tables stay as they are, and out of the commit.
+            if !pairs.is_empty() {
+                let mut groups = view::load_state(self.catalog.table(&v.state_table())?)?;
+                view::apply_pairs(&v, &mut groups, pairs)?;
+                let (contents, state) = view::groups_to_tables(&v, &mut groups)?;
+                self.catalog.replace_table(contents);
+                self.catalog.replace_table(state);
+                touched.push(v.name.clone());
+                touched.push(v.state_table());
+            }
             self.bump_view_meta(&name, 1, 0)?;
-            touched.push(v.name.clone());
-            touched.push(v.state_table());
+            meta_touched = true;
         }
-        if !touched.is_empty() {
+        if meta_touched {
             touched.push(VIEWS_META.to_string());
         }
         Ok(touched)
@@ -1256,6 +1262,23 @@ mod tests {
         execute(&mut db, "DELETE FROM orders WHERE cidfk = 'c1'").unwrap();
         let maintained = view_rows(&db);
         assert_eq!(maintained, recomputed_rows(&mut db));
+    }
+
+    #[test]
+    fn delta_that_joins_nothing_leaves_the_view_tables_alone() {
+        let mut db = sample();
+        execute(&mut db, EX6_VIEW).unwrap();
+        let before = view_rows(&db);
+        let deltas = db.view_stats()[0].deltas_applied;
+        // 'c9' is no customer: the new order contributes no join row.
+        let stmt =
+            conquer_sql::parse_statement("INSERT INTO orders VALUES ('o9', 'c9', 1, 1.0)").unwrap();
+        let (out, touched) = db.exec_parsed_tracked(&stmt).unwrap();
+        assert_eq!(out, ExecOutcome::Inserted(1));
+        assert_eq!(touched, ["orders", VIEWS_META]);
+        assert_eq!(db.view_stats()[0].deltas_applied, deltas + 1);
+        assert_eq!(view_rows(&db), before);
+        assert_eq!(view_rows(&db), recomputed_rows(&mut db));
     }
 
     #[test]

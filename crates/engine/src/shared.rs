@@ -9,17 +9,15 @@
 //! stalls behind a writer, and a writer never waits for readers. Writes
 //! serialize on a writer lock, build the *next* version copy-on-write,
 //! optionally make it durable (below), and atomically swap it in.
-//! Derived state is keyed by `(SQL, epoch)`:
 //!
-//! * a **prepared-plan cache** ([`Statement`]s, so hot queries skip
-//!   parse/bind/plan entirely), and
-//! * a **clean-answer result cache** (full [`QueryResult`]s for hot
-//!   rewritten queries — the paper's GROUP BY + SUM form makes results
-//!   small and cheap to reuse).
-//!
-//! Both caches are invalidated wholesale when the epoch bumps, so a cache
-//! hit is *proof* the answer is byte-identical to re-running the query:
-//! same SQL, same catalog snapshot, deterministic executor.
+//! The one piece of derived state is the **clean-answer result cache**:
+//! full [`QueryResult`]s keyed by `(SQL text, epoch)` — the paper's
+//! GROUP BY + SUM form makes results small and cheap to reuse. It is
+//! invalidated wholesale when the epoch bumps, so a cache hit is *proof*
+//! the answer is byte-identical to re-running the query: same SQL, same
+//! catalog snapshot, deterministic executor. A read that misses it is
+//! parsed, bound, planned and executed on its pinned version; the
+//! rewriting's cost is executing it, so nothing else is cached.
 //!
 //! Each client talks to the database through a [`Session`], which owns the
 //! per-connection state: [`ExecLimits`] budgets, the active statement's
@@ -58,7 +56,7 @@
 //! assert_eq!(again.source, QuerySource::ResultCache);
 //! assert_eq!(first.result.rows, again.result.rows);
 //!
-//! // A write bumps the epoch and evicts both caches.
+//! // A write bumps the epoch and evicts the cache.
 //! session.execute("INSERT INTO t VALUES (3)").unwrap();
 //! let fresh = session.query("SELECT a FROM t ORDER BY a").unwrap();
 //! assert_eq!(fresh.source, QuerySource::Fresh);
@@ -73,6 +71,7 @@ use std::time::Duration;
 
 use conquer_sync::{rank, Condvar, Mutex, MutexGuard, RwLock};
 
+use conquer_sql::Statement as SqlStatement;
 use conquer_storage::wal::{Wal, WalOp};
 use conquer_storage::RecoveryReport;
 
@@ -90,19 +89,14 @@ fn fault_point(point: &str) -> Result<()> {
     conquer_storage::fault::trigger(point).map_err(|f| EngineError::Storage(f.into()))
 }
 
-/// Configuration for a [`SharedDatabase`]: cache capacities and admission
-/// control. `#[non_exhaustive]` — construct with [`SharedConfig::default`]
+/// Configuration for a [`SharedDatabase`]: result-cache capacity and
+/// admission control. `#[non_exhaustive]` — construct with [`SharedConfig::default`]
 /// or [`SharedConfig::from_env`] and adjust fields.
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SharedConfig {
-    /// Prepared-plan cache capacity in entries (`0` disables the cache).
-    pub plan_cache: usize,
     /// Result cache capacity in entries (`0` disables the cache).
     pub result_cache: usize,
-    /// Largest result (in rows) the result cache will admit; bigger
-    /// results are recomputed per request instead of pinned in memory.
-    pub result_cache_max_rows: usize,
     /// Queries allowed to execute concurrently before new arrivals queue.
     pub max_running: usize,
     /// Requests allowed to wait for a slot before arrivals are shed with
@@ -118,9 +112,7 @@ pub struct SharedConfig {
 impl Default for SharedConfig {
     fn default() -> Self {
         SharedConfig {
-            plan_cache: 256,
             result_cache: 128,
-            result_cache_max_rows: 1 << 16,
             max_running: usize::MAX,
             max_queue: 0,
             wal_limit: 16 << 20,
@@ -131,7 +123,6 @@ impl Default for SharedConfig {
 impl SharedConfig {
     /// Configuration from the environment, falling back to the defaults:
     ///
-    /// * `CONQUER_PLAN_CACHE` — plan-cache entries (`0` disables)
     /// * `CONQUER_RESULT_CACHE` — result-cache entries (`0` disables)
     /// * `CONQUER_ADMIT` — concurrent-query slots (unset: unlimited)
     /// * `CONQUER_QUEUE` — admission-queue depth beyond the slots
@@ -142,9 +133,6 @@ impl SharedConfig {
             std::env::var(var).ok()?.trim().parse().ok()
         }
         let mut cfg = SharedConfig::default();
-        if let Some(n) = parse("CONQUER_PLAN_CACHE") {
-            cfg.plan_cache = n;
-        }
         if let Some(n) = parse("CONQUER_RESULT_CACHE") {
             cfg.result_cache = n;
         }
@@ -315,24 +303,29 @@ impl Drop for AdmissionPermit<'_> {
     }
 }
 
-/// A tiny LRU keyed by SQL text, with every entry stamped by the catalog
-/// epoch it was computed under. Entries from older epochs are treated as
-/// misses and swept out by [`Lru::purge_older_than`] on epoch bumps.
+/// Largest result (in rows) the result cache will admit; bigger results
+/// are recomputed per request instead of pinned in memory.
+const RESULT_CACHE_MAX_ROWS: usize = 1 << 16;
+
+/// The result cache: a tiny LRU of answers keyed by SQL text, with every
+/// entry stamped by the catalog epoch it was computed under. Entries from
+/// older epochs are treated as misses and swept out by
+/// [`Lru::purge_older_than`] on epoch bumps.
 #[derive(Debug)]
-struct Lru<V> {
+struct Lru {
     cap: usize,
     tick: u64,
-    map: HashMap<String, LruEntry<V>>,
+    map: HashMap<String, LruEntry>,
 }
 
 #[derive(Debug)]
-struct LruEntry<V> {
+struct LruEntry {
     last_used: u64,
     epoch: u64,
-    value: V,
+    value: Arc<QueryResult>,
 }
 
-impl<V: Clone> Lru<V> {
+impl Lru {
     fn new(cap: usize) -> Self {
         Lru {
             cap,
@@ -341,7 +334,7 @@ impl<V: Clone> Lru<V> {
         }
     }
 
-    fn get(&mut self, sql: &str, epoch: u64) -> Option<V> {
+    fn get(&mut self, sql: &str, epoch: u64) -> Option<Arc<QueryResult>> {
         match self.map.get_mut(sql) {
             // The `lru::ignore-epoch` seeded mutant skips the epoch check,
             // serving stale entries; the schedule explorer proves the model
@@ -349,7 +342,7 @@ impl<V: Clone> Lru<V> {
             Some(entry) if entry.epoch == epoch || conquer_sync::mutant("lru::ignore-epoch") => {
                 self.tick += 1;
                 entry.last_used = self.tick;
-                Some(entry.value.clone())
+                Some(Arc::clone(&entry.value))
             }
             Some(_) => {
                 // Stale epoch: the entry can never hit again.
@@ -362,7 +355,7 @@ impl<V: Clone> Lru<V> {
 
     /// Insert, evicting least-recently-used entries past capacity; returns
     /// how many entries were evicted.
-    fn insert(&mut self, sql: &str, epoch: u64, value: V) -> u64 {
+    fn insert(&mut self, sql: &str, epoch: u64, value: Arc<QueryResult>) -> u64 {
         if self.cap == 0 {
             return 0;
         }
@@ -417,13 +410,15 @@ pub struct CacheStats {
     pub result_misses: u64,
     /// Entries currently in the result cache.
     pub result_entries: usize,
-    /// Queries that reused a cached prepared plan.
+    /// Always 0: there is no plan cache to hit. Kept, like `plan_misses`,
+    /// because `perfbench/` reads both; the next `[benchmark]` PR drops
+    /// `shared.plan_hit_ratio` and this field with it.
     pub plan_hits: u64,
-    /// Queries that had to parse/bind/plan from scratch.
+    /// Reads that were parsed, bound and planned: every read that missed
+    /// the result cache (the name is from when a plan cache could hit).
+    /// Still the `plan_misses` line of the server's `STATS` reply.
     pub plan_misses: u64,
-    /// Entries currently in the plan cache.
-    pub plan_entries: usize,
-    /// Entries evicted from either cache (capacity or epoch bump).
+    /// Entries evicted from the result cache (capacity or epoch bump).
     pub evictions: u64,
     /// Requests admitted to execution.
     pub admitted: u64,
@@ -464,7 +459,6 @@ pub struct CacheStats {
 struct Counters {
     result_hits: AtomicU64,
     result_misses: AtomicU64,
-    plan_hits: AtomicU64,
     plan_misses: AtomicU64,
     evictions: AtomicU64,
     admitted: AtomicU64,
@@ -545,8 +539,7 @@ struct Inner {
     /// Serializes writers: copy-on-write version building, WAL appends,
     /// and checkpoints all happen under this lock.
     writer: Mutex<WriteState>,
-    plans: Mutex<Lru<Arc<Statement>>>,
-    results: Mutex<Lru<Arc<QueryResult>>>,
+    results: Mutex<Lru>,
     gate: AdmissionGate,
     counters: Counters,
     session_ids: AtomicU64,
@@ -561,7 +554,7 @@ struct Inner {
 /// An `Arc`-shareable, `Send + Sync` handle to one [`Database`].
 ///
 /// Cloning is cheap (it clones the `Arc`); all clones see the same
-/// catalog, caches, and admission gate. See the [module docs](self) for
+/// catalog, result cache, and admission gate. See the [module docs](self) for
 /// the full semantics.
 #[derive(Debug, Clone)]
 pub struct SharedDatabase {
@@ -580,7 +573,6 @@ impl SharedDatabase {
             inner: Arc::new(Inner {
                 current: RwLock::new(&rank::DB_CURRENT, Arc::new(DbVersion { db, epoch: 0 })),
                 writer: Mutex::new(&rank::SHARED_WRITER, WriteState::default()),
-                plans: Mutex::new(&rank::PLAN_CACHE, Lru::new(config.plan_cache)),
                 results: Mutex::new(&rank::RESULT_CACHE, Lru::new(config.result_cache)),
                 gate: AdmissionGate::new(config.max_running, config.max_queue),
                 counters: Counters::default(),
@@ -677,13 +669,6 @@ impl SharedDatabase {
     /// Snapshot of the cache/admission counters.
     pub fn stats(&self) -> CacheStats {
         let c = &self.inner.counters;
-        // Take the cache lengths in separate statements, in rank order.
-        // Folding these into the struct literal would keep the first guard
-        // alive (temporary-lifetime extension) while taking the second —
-        // and in results-then-plans literal order that is exactly the ABBA
-        // partner of `publish`'s plans-then-results sweep: a latent
-        // deadlock the lock-order analyzer rejects.
-        let plan_entries = lock(&self.inner.plans).len();
         let result_entries = lock(&self.inner.results).len();
         let io = conquer_storage::vfs::counters();
         let view_stats = self.current().db.view_stats();
@@ -692,9 +677,8 @@ impl SharedDatabase {
             result_hits: c.result_hits.load(Ordering::Relaxed),
             result_misses: c.result_misses.load(Ordering::Relaxed),
             result_entries,
-            plan_hits: c.plan_hits.load(Ordering::Relaxed),
+            plan_hits: 0,
             plan_misses: c.plan_misses.load(Ordering::Relaxed),
-            plan_entries,
             evictions: c.evictions.load(Ordering::Relaxed),
             admitted: c.admitted.load(Ordering::Relaxed),
             shed: c.shed.load(Ordering::Relaxed),
@@ -719,7 +703,7 @@ impl SharedDatabase {
     }
 
     /// Run `f` against a pinned snapshot of the database. Queries executed
-    /// inside `f` bypass the caches and admission gate — use a [`Session`]
+    /// inside `f` bypass the result cache and admission gate — use a [`Session`]
     /// for served traffic.
     pub fn with_db<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
         let snap = self.snapshot();
@@ -729,7 +713,7 @@ impl SharedDatabase {
     /// Apply an arbitrary mutation copy-on-write: `f` runs against a clone
     /// of the current version; on `Ok` the clone is published as the next
     /// epoch (durably, for handles opened with
-    /// [`SharedDatabase::open_durable`]) and both caches are evicted. On
+    /// [`SharedDatabase::open_durable`]) and the result cache is evicted. On
     /// `Err` — from `f` itself or from persisting — the clone is discarded
     /// and nothing changes.
     ///
@@ -738,7 +722,7 @@ impl SharedDatabase {
     /// fresh epoch directory before publishing (a full checkpoint). Every
     /// mutation that does not go through [`Session::execute`] — bulk
     /// loads, re-clustering, reloads from disk — must use this so cached
-    /// plans and answers can never survive it.
+    /// answers can never survive it.
     pub fn mutate<R>(&self, f: impl FnOnce(&mut Database) -> Result<R>) -> Result<R> {
         self.check_not_degraded()?;
         let mut ws = self.writer_guard()?;
@@ -760,8 +744,8 @@ impl SharedDatabase {
     /// Fold the current version and every WAL suffix into a fresh epoch
     /// directory, then truncate the log. Returns `Ok(None)` for in-memory
     /// handles. Does not bump the epoch — a checkpoint changes how state
-    /// is stored, not what it is, so pinned snapshots and caches stay
-    /// valid throughout.
+    /// is stored, not what it is, so pinned snapshots and cached answers
+    /// stay valid throughout.
     pub fn checkpoint(&self) -> Result<Option<CheckpointInfo>> {
         let mut ws = self.writer_guard()?;
         self.checkpoint_locked(&mut ws)
@@ -878,7 +862,7 @@ impl SharedDatabase {
         Arc::clone(&guard)
     }
 
-    /// Publish `db` as the next version (epoch + 1) and sweep both caches.
+    /// Publish `db` as the next version (epoch + 1) and sweep the cache.
     /// The `WriteState` argument proves the caller holds the writer lock —
     /// the only place versions are built, so the swap cannot race another
     /// publisher.
@@ -894,21 +878,18 @@ impl SharedDatabase {
         let epoch = guard.epoch + 1;
         *guard = Arc::new(DbVersion { db, epoch });
         drop(guard);
-        // Sweep in rank order (plans then results), one statement each so
-        // the first guard is released before the second is taken.
-        let purged_plans = lock(&self.inner.plans).purge_older_than(epoch);
-        let purged_results = lock(&self.inner.results).purge_older_than(epoch);
+        let purged = lock(&self.inner.results).purge_older_than(epoch);
         self.inner
             .counters
             .evictions
-            .fetch_add(purged_plans + purged_results, Ordering::Relaxed);
+            .fetch_add(purged, Ordering::Relaxed);
     }
 
     /// Commit one already-parsed write statement: run it on a clone of the
     /// current version, WAL-commit the affected tables (durable handles),
     /// and publish the clone. On any `Err` the clone is discarded — the
     /// statement never happened, visibly or on disk.
-    fn commit_statement(&self, stmt: &conquer_sql::Statement) -> Result<ExecOutcome> {
+    fn commit_statement(&self, stmt: &SqlStatement) -> Result<ExecOutcome> {
         if conquer_sync::mutant("shared::unserialized-publish") {
             // Seeded mutant: "forget" the writer lock — clone, execute, and
             // publish without serialization. The schedule explorer proves
@@ -980,11 +961,9 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 /// Where a [`Session::query`] answer came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuerySource {
-    /// Straight from the result cache — no planning, no execution.
+    /// Straight from the result cache — no parsing, no execution.
     ResultCache,
-    /// Executed from a cached prepared plan — no parse/bind/plan.
-    PlanCache,
-    /// Parsed, planned, and executed from scratch.
+    /// Parsed, planned, and executed on the pinned version.
     Fresh,
 }
 
@@ -993,7 +972,6 @@ impl QuerySource {
     pub fn as_str(&self) -> &'static str {
         match self {
             QuerySource::ResultCache => "result-cache",
-            QuerySource::PlanCache => "plan-cache",
             QuerySource::Fresh => "fresh",
         }
     }
@@ -1067,30 +1045,65 @@ impl Session {
         }
     }
 
-    /// Classify and run one SQL statement: queries go through
-    /// [`Session::query`] (caches and all), commands through
-    /// [`Session::execute`].
+    /// Classify and run one SQL statement: a `SELECT`/`EXPLAIN` is
+    /// answered like [`Session::query`], anything else committed like
+    /// [`Session::execute`]. The text is parsed once and the request
+    /// admitted once.
     pub fn run_sql(&self, sql: &str) -> Result<SessionOutcome> {
-        match conquer_sql::parse_statement(sql)? {
-            conquer_sql::Statement::Select(_) | conquer_sql::Statement::Explain { .. } => {
-                Ok(SessionOutcome::Rows(self.query(sql)?))
-            }
-            _ => Ok(SessionOutcome::Done(self.execute(sql)?)),
-        }
-    }
-
-    /// Execute a `SELECT` (or `EXPLAIN`) under this session's limits,
-    /// going through admission control, the result cache, and the plan
-    /// cache, in that order.
-    pub fn query(&self, sql: &str) -> Result<SessionResult> {
-        let inner = &self.db.inner;
+        let parsed = conquer_sql::parse_statement(sql)?;
         let limits = self.limits();
         let _permit = self.admit(&limits)?;
+        Ok(match parsed {
+            SqlStatement::Select(_) | SqlStatement::Explain { .. } => {
+                SessionOutcome::Rows(self.read(sql, Some(parsed), limits)?)
+            }
+            _ => SessionOutcome::Done(self.db.commit_statement(&parsed)?),
+        })
+    }
 
-        // Pin the current version: everything below runs against this one
-        // immutable snapshot, so concurrent commits can neither stall us
-        // nor change what we compute, and the result files safely under
-        // the snapshot's epoch.
+    /// Execute a `SELECT` (or `EXPLAIN`) under this session's limits:
+    /// admission control, then the result cache — looked up by the raw
+    /// text, before any parsing — then prepare and execute on the pinned
+    /// version.
+    pub fn query(&self, sql: &str) -> Result<SessionResult> {
+        let limits = self.limits();
+        let _permit = self.admit(&limits)?;
+        self.read(sql, None, limits)
+    }
+
+    /// Execute a DDL/DML command (or any statement). Commands run
+    /// copy-on-write under the writer lock: on success the new version is
+    /// WAL-committed (durable handles), published as the next epoch, and
+    /// the result cache is evicted; on failure nothing changes — not the
+    /// epoch, not the visible data, not the disk. A `SELECT` routed here
+    /// is answered like [`Session::query`] and leaves the epoch alone, but
+    /// [`ExecOutcome::Rows`] owns its rows, so a cached answer is copied:
+    /// row-returning callers should prefer `query` or [`Session::run_sql`].
+    pub fn execute(&self, sql: &str) -> Result<ExecOutcome> {
+        Ok(match self.run_sql(sql)? {
+            SessionOutcome::Rows(r) => ExecOutcome::Rows(
+                Arc::try_unwrap(r.result).unwrap_or_else(|shared| (*shared).clone()),
+            ),
+            SessionOutcome::Done(outcome) => outcome,
+        })
+    }
+
+    /// The one way a session answers a read, entered past admission: pin
+    /// the current version, look the text up in the result cache, and on a
+    /// miss prepare and execute on the pinned version and file the answer
+    /// under its epoch. `parsed` is the statement when the caller already
+    /// parsed `sql` to classify it.
+    fn read(
+        &self,
+        sql: &str,
+        parsed: Option<SqlStatement>,
+        limits: ExecLimits,
+    ) -> Result<SessionResult> {
+        let inner = &self.db.inner;
+
+        // Everything below runs against this one immutable snapshot, so
+        // concurrent commits can neither stall us nor change what we
+        // compute, and the result files safely under the snapshot's epoch.
         let snap = self.db.snapshot();
         let epoch = snap.epoch();
 
@@ -1104,7 +1117,12 @@ impl Session {
         }
         inner.counters.result_misses.fetch_add(1, Ordering::Relaxed);
 
-        let (stmt, source) = self.prepare_at(snap.db(), sql, epoch)?;
+        let parsed = match parsed {
+            Some(parsed) => parsed,
+            None => conquer_sql::parse_statement(sql)?,
+        };
+        inner.counters.plan_misses.fetch_add(1, Ordering::Relaxed);
+        let stmt = Statement::from_parsed(snap.db(), sql, parsed)?;
         if !stmt.is_query() {
             return Err(EngineError::bind(format!(
                 "statement is not a query (use Session::execute): {sql}"
@@ -1118,7 +1136,7 @@ impl Session {
         let result = Arc::new(outcome?);
 
         // EXPLAIN ANALYZE output embeds wall times — never cache it.
-        if !stmt.is_explain() && result.len() <= inner.config.result_cache_max_rows {
+        if !stmt.is_explain() && result.len() <= RESULT_CACHE_MAX_ROWS {
             let evicted = lock(&inner.results).insert(sql, epoch, Arc::clone(&result));
             inner
                 .counters
@@ -1127,68 +1145,9 @@ impl Session {
         }
         Ok(SessionResult {
             result,
-            source,
+            source: QuerySource::Fresh,
             epoch,
         })
-    }
-
-    /// Prepare `sql` against one pinned version through the plan cache.
-    /// Returns the statement and whether it was cached.
-    fn prepare_at(
-        &self,
-        db: &Database,
-        sql: &str,
-        epoch: u64,
-    ) -> Result<(Arc<Statement>, QuerySource)> {
-        let inner = &self.db.inner;
-        if let Some(stmt) = lock(&inner.plans).get(sql, epoch) {
-            inner.counters.plan_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((stmt, QuerySource::PlanCache));
-        }
-        inner.counters.plan_misses.fetch_add(1, Ordering::Relaxed);
-        let stmt = Arc::new(db.prepare(sql)?);
-        let evicted = lock(&inner.plans).insert(sql, epoch, Arc::clone(&stmt));
-        inner
-            .counters
-            .evictions
-            .fetch_add(evicted, Ordering::Relaxed);
-        Ok((stmt, QuerySource::Fresh))
-    }
-
-    /// Prepare a statement through the shared plan cache without running
-    /// it. Repeated calls for the same SQL at the same epoch return the
-    /// same `Arc` (visible as `plan_hits` in [`SharedDatabase::stats`]).
-    pub fn prepare(&self, sql: &str) -> Result<Arc<Statement>> {
-        let snap = self.db.snapshot();
-        self.prepare_at(snap.db(), sql, snap.epoch())
-            .map(|(stmt, _)| stmt)
-    }
-
-    /// Execute a DDL/DML command (or any statement). Commands run
-    /// copy-on-write under the writer lock: on success the new version is
-    /// WAL-committed (durable handles), published as the next epoch, and
-    /// both caches are evicted; on failure nothing changes — not the
-    /// epoch, not the visible data, not the disk. A plain `SELECT` routed
-    /// here runs on a pinned snapshot and leaves the epoch alone.
-    pub fn execute(&self, sql: &str) -> Result<ExecOutcome> {
-        let limits = self.limits();
-        let _permit = self.admit(&limits)?;
-        let parsed = conquer_sql::parse_statement(sql)?;
-        if matches!(
-            parsed,
-            conquer_sql::Statement::Select(_) | conquer_sql::Statement::Explain { .. }
-        ) {
-            // No mutation: run it on a snapshot (without re-entering
-            // admission).
-            let snap = self.db.snapshot();
-            let stmt = snap.db().prepare(sql)?;
-            let ctx = snap.db().exec_context(limits);
-            *lock(&self.active) = Some(ctx.cancel_token());
-            let outcome = stmt.query_with(snap.db(), &ctx);
-            *lock(&self.active) = None;
-            return Ok(ExecOutcome::Rows(outcome?));
-        }
-        self.db.commit_statement(&parsed)
     }
 
     fn admit(&self, limits: &ExecLimits) -> Result<AdmissionPermit<'_>> {
@@ -1235,18 +1194,16 @@ mod tests {
     }
 
     #[test]
-    fn epoch_bump_invalidates_both_caches() {
+    fn epoch_bump_invalidates_the_result_cache() {
         let db = shared();
         let s = db.session();
         let q = "SELECT a FROM t ORDER BY a";
         s.query(q).unwrap();
         assert_eq!(db.stats().result_entries, 1);
-        assert_eq!(db.stats().plan_entries, 1);
 
         s.execute("INSERT INTO t VALUES (4, 'z')").unwrap();
         assert_eq!(db.epoch(), 1);
         assert_eq!(db.stats().result_entries, 0, "result cache must be swept");
-        assert_eq!(db.stats().plan_entries, 0, "plan cache must be swept");
 
         let fresh = s.query(q).unwrap();
         assert_eq!(fresh.source, QuerySource::Fresh);
@@ -1364,16 +1321,6 @@ mod tests {
             s2.query("SELECT a FROM t").unwrap().source,
             QuerySource::ResultCache
         );
-    }
-
-    #[test]
-    fn prepare_reuses_the_same_plan_arc() {
-        let db = shared();
-        let s = db.session();
-        let p1 = s.prepare("SELECT a FROM t").unwrap();
-        let p2 = s.prepare("SELECT a FROM t").unwrap();
-        assert!(Arc::ptr_eq(&p1, &p2));
-        assert_eq!(db.stats().plan_hits, 1);
     }
 
     #[test]
@@ -1538,38 +1485,45 @@ mod tests {
         let q = "EXPLAIN ANALYZE SELECT a FROM t";
         s.query(q).unwrap();
         assert_eq!(db.stats().result_entries, 0);
-        assert_eq!(s.query(q).unwrap().source, QuerySource::PlanCache);
+        assert_eq!(s.query(q).unwrap().source, QuerySource::Fresh);
     }
 
     #[test]
     fn oversized_results_are_not_cached() {
-        let cfg = SharedConfig {
-            result_cache_max_rows: 2,
-            ..Default::default()
-        };
+        // 257 x 257 = 66,049 rows, just past RESULT_CACHE_MAX_ROWS.
+        let values: Vec<String> = (0..257).map(|i| format!("({i})")).collect();
         let mut db = Database::new();
-        db.execute_script("CREATE TABLE t (a INTEGER); INSERT INTO t VALUES (1), (2), (3)")
-            .unwrap();
-        let shared = SharedDatabase::with_config(db, cfg);
+        db.execute_script(&format!(
+            "CREATE TABLE t (a INTEGER); INSERT INTO t VALUES {}",
+            values.join(", ")
+        ))
+        .unwrap();
+        let shared = SharedDatabase::new(db);
         let s = shared.session();
-        s.query("SELECT a FROM t").unwrap();
+        let big = s.query("SELECT x.a FROM t x, t y").unwrap();
+        assert!(big.result.len() > RESULT_CACHE_MAX_ROWS);
         assert_eq!(shared.stats().result_entries, 0);
         // Small results still cache.
         s.query("SELECT a FROM t WHERE a = 1").unwrap();
         assert_eq!(shared.stats().result_entries, 1);
     }
 
+    fn answer(n: i64) -> Arc<QueryResult> {
+        let row = vec![conquer_storage::Value::Int(n)];
+        Arc::new(QueryResult::new(vec!["n".to_string()], vec![row]))
+    }
+
     #[test]
     fn lru_evicts_least_recently_used() {
-        let mut lru: Lru<u32> = Lru::new(2);
-        lru.insert("a", 0, 1);
-        lru.insert("b", 0, 2);
-        assert_eq!(lru.get("a", 0), Some(1)); // refresh a
-        let evicted = lru.insert("c", 0, 3);
+        let mut lru = Lru::new(2);
+        lru.insert("a", 0, answer(1));
+        lru.insert("b", 0, answer(2));
+        assert_eq!(lru.get("a", 0), Some(answer(1))); // refresh a
+        let evicted = lru.insert("c", 0, answer(3));
         assert_eq!(evicted, 1);
         assert_eq!(lru.get("b", 0), None, "b was least recently used");
-        assert_eq!(lru.get("a", 0), Some(1));
-        assert_eq!(lru.get("c", 0), Some(3));
+        assert_eq!(lru.get("a", 0), Some(answer(1)));
+        assert_eq!(lru.get("c", 0), Some(answer(3)));
     }
 
     #[test]

@@ -69,21 +69,7 @@ impl Database {
     /// statements can later be run with [`Statement::query`] — DDL/DML
     /// need [`Statement::run`] (which takes `&mut Database`).
     pub fn prepare(&self, sql: &str) -> Result<Statement> {
-        let kind = match parse_statement(sql)? {
-            SqlStatement::Select(sel) => Kind::Select {
-                plan: self.plan(&sel)?,
-            },
-            SqlStatement::Explain { analyze, query } => Kind::Explain {
-                analyze,
-                select: query,
-            },
-            other => Kind::Command(Box::new(other)),
-        };
-        Ok(Statement {
-            sql: sql.to_string(),
-            kind,
-            limits: None,
-        })
+        Statement::from_parsed(self, sql, parse_statement(sql)?)
     }
 
     /// Prepare an already-parsed `SELECT` (used by callers that build ASTs
@@ -100,6 +86,27 @@ impl Database {
 }
 
 impl Statement {
+    /// Bind and plan `parsed` — the parse of `sql` — against `db`:
+    /// [`Database::prepare`] minus the parse, for callers that already
+    /// parsed the text to classify it.
+    pub(crate) fn from_parsed(db: &Database, sql: &str, parsed: SqlStatement) -> Result<Self> {
+        let kind = match parsed {
+            SqlStatement::Select(sel) => Kind::Select {
+                plan: db.plan(&sel)?,
+            },
+            SqlStatement::Explain { analyze, query } => Kind::Explain {
+                analyze,
+                select: query,
+            },
+            other => Kind::Command(Box::new(other)),
+        };
+        Ok(Statement {
+            sql: sql.to_string(),
+            kind,
+            limits: None,
+        })
+    }
+
     /// The SQL text this statement was prepared from.
     pub fn sql(&self) -> &str {
         &self.sql

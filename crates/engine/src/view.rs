@@ -19,8 +19,8 @@
 //! * the **contents table**, named like the view — one row per group in
 //!   group-key order, columns named and ordered like the defining
 //!   projection. `SELECT … FROM view` goes through the normal
-//!   binder/planner/executor (plan cache included) and therefore *never*
-//!   re-executes the base query;
+//!   binder/planner/executor (result cache included) and therefore
+//!   *never* re-executes the base query;
 //! * the **state table** `__conquer_view_state_<name>` — one row per
 //!   *contribution* (join row): the group key plus the unaggregated term.
 //!   The per-group term multiset makes deletes exact: a group's row count

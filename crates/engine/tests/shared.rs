@@ -1,14 +1,20 @@
-//! Cache-invalidation contract of [`SharedDatabase`]: an epoch bump must
-//! evict every cached plan and result, answers served through the caches
-//! must be byte-identical to freshly prepared ones (float bits included),
-//! and the stats counters must prove when re-preparation was skipped.
+//! Read-path contract of [`SharedDatabase`]: an epoch bump must evict
+//! every cached result, answers served through the cache must be
+//! byte-identical to freshly prepared ones (float bits included), every
+//! entry point answers a read the same way, and the stats counters must
+//! prove each result-cache miss was prepared exactly once.
 
-use std::sync::Arc;
-
-use conquer_engine::{Database, ErrorKind, ExecLimits, QuerySource, SharedConfig, SharedDatabase};
+use conquer_engine::{
+    Database, ErrorKind, ExecLimits, ExecOutcome, QuerySource, SessionOutcome, SharedConfig,
+    SharedDatabase,
+};
 use conquer_storage::Value;
 
 fn sample() -> SharedDatabase {
+    sample_with(SharedConfig::default())
+}
+
+fn sample_with(config: SharedConfig) -> SharedDatabase {
     let mut db = Database::new();
     db.execute_script(
         "CREATE TABLE m (grp TEXT, w DOUBLE);
@@ -17,7 +23,7 @@ fn sample() -> SharedDatabase {
            ('b', 1e-300), ('b', 2.5), ('b', -0.0)",
     )
     .unwrap();
-    SharedDatabase::new(db)
+    SharedDatabase::with_config(db, config)
 }
 
 /// Float-summing SQL whose result depends on exact accumulation order —
@@ -45,26 +51,25 @@ fn cached_answers_are_bit_identical_to_fresh_prepare() {
     let shared = sample();
     let session = shared.session();
 
-    // Fresh → plan-cached → result-cached: all three paths, one answer.
+    // Fresh → result-cached: both sources, one answer.
     let fresh = session.query(SUM_SQL).unwrap();
     assert_eq!(fresh.source, QuerySource::Fresh);
     let hit = session.query(SUM_SQL).unwrap();
     assert_eq!(hit.source, QuerySource::ResultCache);
     assert_bit_identical(&fresh.result.rows, &hit.result.rows);
 
-    // And against a from-scratch prepare that bypasses every cache.
+    // And against a from-scratch prepare that bypasses the cache.
     let scratch = shared.with_db(|db| db.prepare(SUM_SQL).unwrap().query(db).unwrap());
     assert_bit_identical(&fresh.result.rows, &scratch.rows);
 }
 
 #[test]
-fn epoch_bump_evicts_plans_and_results() {
+fn epoch_bump_evicts_cached_results() {
     let shared = sample();
     let session = shared.session();
     session.query(SUM_SQL).unwrap();
     session.query("SELECT COUNT(*) FROM m").unwrap();
     let before = shared.stats();
-    assert_eq!(before.plan_entries, 2);
     assert_eq!(before.result_entries, 2);
     assert_eq!(before.epoch, 0);
 
@@ -72,9 +77,8 @@ fn epoch_bump_evicts_plans_and_results() {
 
     let after = shared.stats();
     assert_eq!(after.epoch, 1);
-    assert_eq!(after.plan_entries, 0, "plan cache must be empty");
     assert_eq!(after.result_entries, 0, "result cache must be empty");
-    assert_eq!(after.evictions, before.evictions + 4);
+    assert_eq!(after.evictions, before.evictions + 2);
 
     // The next query re-prepares and sees the new row.
     let fresh = session.query(SUM_SQL).unwrap();
@@ -103,30 +107,53 @@ fn re_prepared_answers_after_bump_match_fresh_prepare() {
 }
 
 #[test]
-fn plan_cache_hits_skip_re_preparation() {
-    let mut db = Database::new();
-    db.execute_script("CREATE TABLE t (a INTEGER); INSERT INTO t VALUES (1), (2)")
-        .unwrap();
-    // Result cache off: every query must execute, so repeats exercise the
-    // plan cache alone. (`SharedConfig` is non_exhaustive: start from the
-    // default and adjust fields.)
-    let mut config = SharedConfig::default();
-    config.result_cache = 0;
-    let shared = SharedDatabase::with_config(db, config);
+fn run_sql_query_and_execute_answer_from_one_read_path() {
+    let shared = sample();
     let session = shared.session();
 
-    for _ in 0..5 {
-        session.query("SELECT a FROM t ORDER BY a").unwrap();
+    let SessionOutcome::Rows(first) = session.run_sql(SUM_SQL).unwrap() else {
+        panic!("a SELECT must produce rows");
+    };
+    assert_eq!(first.source, QuerySource::Fresh);
+    let before = shared.stats();
+
+    // The answer `run_sql` filed serves `query` and `execute` alike.
+    let queried = session.query(SUM_SQL).unwrap();
+    assert_eq!(queried.source, QuerySource::ResultCache);
+    let ExecOutcome::Rows(executed) = session.execute(SUM_SQL).unwrap() else {
+        panic!("a SELECT must produce rows");
+    };
+    assert_bit_identical(&first.result.rows, &queried.result.rows);
+    assert_bit_identical(&first.result.rows, &executed.rows);
+
+    let after = shared.stats();
+    assert_eq!(after.result_hits, before.result_hits + 2);
+    assert_eq!(after.plan_misses, before.plan_misses, "nothing re-prepared");
+    assert_eq!(after.admitted, before.admitted + 2, "admitted once each");
+    assert_eq!(after.epoch, before.epoch, "reads leave the epoch alone");
+}
+
+#[test]
+fn every_result_cache_miss_prepares_exactly_once() {
+    // Result cache off: every repeat must be parsed, planned and executed.
+    // (`SharedConfig` is non_exhaustive: start from the default and adjust
+    // fields.)
+    let mut config = SharedConfig::default();
+    config.result_cache = 0;
+    let shared = sample_with(config);
+    let session = shared.session();
+
+    let reference = session.query(SUM_SQL).unwrap();
+    assert_eq!(reference.source, QuerySource::Fresh);
+    for _ in 0..4 {
+        let repeat = session.query(SUM_SQL).unwrap();
+        assert_eq!(repeat.source, QuerySource::Fresh);
+        assert_bit_identical(&reference.result.rows, &repeat.result.rows);
     }
     let stats = shared.stats();
-    assert_eq!(stats.plan_misses, 1, "prepared once");
-    assert_eq!(stats.plan_hits, 4, "four repeats reused the plan");
+    assert_eq!(stats.plan_misses, 5, "one prepare per repeat");
+    assert_eq!(stats.plan_hits, 0, "no plan is kept between requests");
     assert_eq!(stats.result_hits, 0);
-
-    // Same SQL, same epoch ⇒ the very same statement object.
-    let p1 = session.prepare("SELECT a FROM t ORDER BY a").unwrap();
-    let p2 = session.prepare("SELECT a FROM t ORDER BY a").unwrap();
-    assert!(Arc::ptr_eq(&p1, &p2));
 }
 
 #[test]

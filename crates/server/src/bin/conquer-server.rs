@@ -9,9 +9,9 @@
 //! report of anything repaired along the way), and every write served
 //! afterwards is WAL-committed before it is acknowledged — crash-safe.
 //! With `--gen` (default `--gen 0.01 3`) it serves an in-memory
-//! UIS-dirtied TPC-H-lite instance instead. Cache sizes, admission
-//! slots, WAL checkpointing, timeouts, and the listen address also come
-//! from the environment (`CONQUER_PLAN_CACHE`, `CONQUER_RESULT_CACHE`,
+//! UIS-dirtied TPC-H-lite instance instead. The result-cache size,
+//! admission slots, WAL checkpointing, timeouts, and the listen address
+//! also come from the environment (`CONQUER_RESULT_CACHE`,
 //! `CONQUER_ADMIT`, `CONQUER_QUEUE`, `CONQUER_WAL_LIMIT`,
 //! `CONQUER_ADDR`, `CONQUER_MAX_CONN`, `CONQUER_IDLE_MS`,
 //! `CONQUER_GRACE_MS`); flags win over the environment.

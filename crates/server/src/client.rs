@@ -98,7 +98,7 @@ pub struct Rows {
     /// Row values as decoded strings (the wire's canonical rendering, so
     /// comparing two `Rows` compares answers byte-for-byte).
     pub rows: Vec<Vec<String>>,
-    /// Which layer answered: `fresh`, `plan-cache`, or `result-cache`.
+    /// Which layer answered: `fresh` or `result-cache`.
     pub source: String,
     /// The catalog epoch the answer is valid for.
     pub epoch: u64,

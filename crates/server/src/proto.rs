@@ -10,7 +10,7 @@
 //! ```text
 //! SQL <statement>        auto-routed: queries read-share, commands take the write lock
 //! QUERY <select>         must be a SELECT/EXPLAIN (errors on DDL/DML)
-//! EXEC <statement>       any statement
+//! EXEC <statement>       the same as SQL
 //! LIMIT                  show this session's resource limits
 //! LIMIT mem <bytes> | disk <bytes> | time <ms> | threads <n> | off
 //! STATS                  shared cache/admission counters
@@ -31,15 +31,15 @@
 //! ```text
 //! COLS <ncols> <name>\t<name>...
 //! ROW <value>\t<value>...
-//! END <nrows> <source> <epoch>      source: fresh | plan-cache | result-cache
+//! END <nrows> <source> <epoch>      source: fresh | result-cache
 //! OK <summary>
 //! STAT <key> <value>                (STATS emits one per counter, then OK)
 //! ERR <KIND> <message>              KIND: a stable ErrorKind code or PROTO
 //! ```
 //!
 //! The `<source>` field in `END` is how clients observe cache behavior
-//! (`result-cache` answers skipped execution entirely; `plan-cache`
-//! answers skipped re-preparation); `<epoch>` identifies the catalog
+//! (`result-cache` answers skipped parsing and execution entirely;
+//! `fresh` ones were prepared and run); `<epoch>` identifies the catalog
 //! snapshot the answer is valid for. Error kinds are the
 //! [`ErrorKind::as_str`] spellings — stable, so clients dispatch on them
 //! instead of matching message text; `PROTO` (not an engine kind) marks
@@ -110,12 +110,10 @@ pub fn decode_fields(payload: &str) -> Result<Vec<String>, String> {
 /// A parsed request line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
-    /// `SQL <statement>` — auto-routed.
+    /// `SQL <statement>` or `EXEC <statement>` — auto-routed.
     Sql(String),
     /// `QUERY <select>` — read-only.
     Query(String),
-    /// `EXEC <statement>` — any statement.
-    Exec(String),
     /// `LIMIT [<what> <n> | off]` — the raw argument (possibly empty).
     Limit(String),
     /// `STATS`.
@@ -148,9 +146,8 @@ impl Request {
             }
         };
         match verb.to_ascii_uppercase().as_str() {
-            "SQL" => Ok(Request::Sql(need("SQL")?)),
+            verb @ ("SQL" | "EXEC") => Ok(Request::Sql(need(verb)?)),
             "QUERY" => Ok(Request::Query(need("QUERY")?)),
-            "EXEC" => Ok(Request::Exec(need("EXEC")?)),
             "LIMIT" => Ok(Request::Limit(arg.to_string())),
             "STATS" => Ok(Request::Stats),
             "EPOCH" => Ok(Request::Epoch),
@@ -226,6 +223,11 @@ mod tests {
             Request::parse("SQL SELECT 1 FROM t").unwrap(),
             Request::Sql("SELECT 1 FROM t".into())
         );
+        assert_eq!(
+            Request::parse("exec DROP TABLE t").unwrap(),
+            Request::Sql("DROP TABLE t".into())
+        );
+        assert!(Request::parse("EXEC").is_err());
         assert_eq!(
             Request::parse("query select a from t\r").unwrap(),
             Request::Query("select a from t".into())

@@ -336,14 +336,6 @@ fn respond(w: &mut impl Write, session: &Session, request: Request) -> std::io::
             Ok(r) => write_rows(w, &r),
             Err(e) => writeln!(w, "{}", engine_err_line(&e)),
         },
-        Request::Exec(sql) => match session.execute(&sql) {
-            Ok(ExecOutcome::Rows(r)) => {
-                let epoch = session.shared().epoch();
-                write_raw_rows(w, &r.columns, &r.rows, "fresh", epoch)
-            }
-            Ok(outcome) => writeln!(w, "OK {}", summarize(&outcome)),
-            Err(e) => writeln!(w, "{}", engine_err_line(&e)),
-        },
         Request::Limit(arg) => match apply_limit(session, &arg) {
             Ok(summary) => writeln!(w, "OK {summary}"),
             Err(msg) => writeln!(w, "{}", err_line(PROTO_CODE, &msg)),
@@ -356,9 +348,7 @@ fn respond(w: &mut impl Write, session: &Session, request: Request) -> std::io::
                 ("result_hits", stats.result_hits),
                 ("result_misses", stats.result_misses),
                 ("result_entries", stats.result_entries as u64),
-                ("plan_hits", stats.plan_hits),
                 ("plan_misses", stats.plan_misses),
-                ("plan_entries", stats.plan_entries as u64),
                 ("evictions", stats.evictions),
                 ("admitted", stats.admitted),
                 ("shed", stats.shed),
@@ -428,22 +418,7 @@ fn respond(w: &mut impl Write, session: &Session, request: Request) -> std::io::
 }
 
 fn write_rows(w: &mut impl Write, r: &SessionResult) -> std::io::Result<()> {
-    write_raw_rows(
-        w,
-        &r.result.columns,
-        &r.result.rows,
-        r.source.as_str(),
-        r.epoch,
-    )
-}
-
-fn write_raw_rows(
-    w: &mut impl Write,
-    columns: &[String],
-    rows: &[Vec<conquer_storage::Value>],
-    source: &str,
-    epoch: u64,
-) -> std::io::Result<()> {
+    let (columns, rows) = (&r.result.columns, &r.result.rows);
     let names = columns
         .iter()
         .map(|c| escape(c))
@@ -453,7 +428,7 @@ fn write_raw_rows(
     for row in rows {
         writeln!(w, "ROW {}", encode_row(row))?;
     }
-    writeln!(w, "END {} {source} {epoch}", rows.len())
+    writeln!(w, "END {} {} {}", rows.len(), r.source.as_str(), r.epoch)
 }
 
 fn summarize(outcome: &ExecOutcome) -> String {

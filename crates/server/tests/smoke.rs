@@ -104,6 +104,9 @@ fn stats_expose_cache_hits_over_the_wire() {
     client.query("SELECT a FROM t ORDER BY a").unwrap();
     let first = client.query("SELECT a FROM t ORDER BY a").unwrap();
     assert_eq!(first.source, "result-cache");
+    // EXEC of the same text is the same read: same cache, same answer.
+    let exec = client.exec("SELECT a FROM t ORDER BY a").unwrap();
+    assert_eq!(exec, Response::Rows(first));
 
     let stats = client.stats().unwrap();
     let get = |key: &str| {
@@ -113,7 +116,7 @@ fn stats_expose_cache_hits_over_the_wire() {
             .unwrap_or_else(|| panic!("STATS missing {key}: {stats:?}"))
             .1
     };
-    assert_eq!(get("result_hits"), 1);
+    assert_eq!(get("result_hits"), 2);
     assert_eq!(get("result_misses"), 1);
     assert_eq!(get("plan_misses"), 1);
     assert_eq!(get("epoch"), 0);

@@ -82,14 +82,7 @@ pub mod rank {
         name: "db_current",
         blocking_ok: false,
     };
-    /// Prepared-plan LRU cache.
-    pub static PLAN_CACHE: Rank = Rank {
-        order: 40,
-        name: "plan_cache",
-        blocking_ok: false,
-    };
-    /// Clean-answer result LRU cache. Always taken after [`PLAN_CACHE`]
-    /// when both are needed.
+    /// Clean-answer result LRU cache.
     pub static RESULT_CACHE: Rank = Rank {
         order: 41,
         name: "result_cache",

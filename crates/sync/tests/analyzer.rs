@@ -178,14 +178,14 @@ fn ascending_ranks_are_accepted() {
     // The production table must be usable in its documented order.
     let w = Mutex::new(&rank::SHARED_WRITER, ());
     let cur = RwLock::new(&rank::DB_CURRENT, 0u64);
-    let plans = Mutex::new(&rank::PLAN_CACHE, ());
     let results = Mutex::new(&rank::RESULT_CACHE, ());
+    let gate = Mutex::new(&rank::GATE, ());
     let _gw = w.lock();
     {
         let _gc = cur.write();
     }
-    let _gp = plans.lock();
     let _gr = results.lock();
+    let _gg = gate.lock();
 }
 
 #[test]

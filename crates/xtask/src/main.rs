@@ -16,7 +16,8 @@
 //!    `fault_point(..)` / `FaultWriter::new(.., ..)`). A renamed or deleted
 //!    point otherwise turns its fault-injection tests into silent no-ops.
 //! 3. **env-docs** — every `CONQUER_*` environment variable the code reads
-//!    must appear in DESIGN.md's configuration table.
+//!    must appear in DESIGN.md's configuration table, and every variable
+//!    that table documents must still be read by some source file.
 //! 4. **unwrap ban** — every library crate root carries
 //!    `#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]`,
 //!    and no `.unwrap()` / `.expect(` appears in library source outside
@@ -348,10 +349,13 @@ fn is_env_name(lit: &str) -> bool {
 }
 
 /// Every `CONQUER_*` environment variable read anywhere in library or
-/// binary source must be documented in DESIGN.md's configuration table.
+/// binary source must be documented in DESIGN.md's configuration table,
+/// and every row of that table must name a variable some source file
+/// still reads — a deleted knob may not leave a documented ghost.
 fn check_env_docs(root: &Path) -> Vec<String> {
     let design = read(&root.join("DESIGN.md"));
     let mut violations = Vec::new();
+    let mut read_names = BTreeSet::new();
     let mut scopes: Vec<PathBuf> = crate_dirs(root, &["xtask"])
         .iter()
         .map(|d| d.join("src"))
@@ -362,7 +366,11 @@ fn check_env_docs(root: &Path) -> Vec<String> {
             let text = read(&file);
             for (idx, line) in text.lines().enumerate() {
                 for lit in string_literals(line) {
-                    if is_env_name(lit) && !design.contains(lit) {
+                    if !is_env_name(lit) {
+                        continue;
+                    }
+                    read_names.insert(lit.to_string());
+                    if !design.contains(lit) {
                         violations.push(format!(
                             "{}:{}: `{lit}` is read here but missing from DESIGN.md's \
                              environment-variable table",
@@ -372,6 +380,17 @@ fn check_env_docs(root: &Path) -> Vec<String> {
                     }
                 }
             }
+        }
+    }
+    for (idx, line) in design.lines().enumerate() {
+        // A table row documents the variable in its first cell.
+        let cell = line.strip_prefix("| `").and_then(|r| r.split('`').next());
+        if let Some(name) = cell.filter(|n| is_env_name(n) && !read_names.contains(*n)) {
+            violations.push(format!(
+                "DESIGN.md:{}: `{name}` is in the environment-variable table but no \
+                 source file reads it",
+                idx + 1,
+            ));
         }
     }
     violations
@@ -600,6 +619,27 @@ mod tests {
         let v = check_env_docs(&fx.root);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("CONQUER_MYSTERY_KNOB"), "{v:?}");
+    }
+
+    #[test]
+    fn documented_but_unread_env_var_is_flagged() {
+        let fx = Fixture::new("env_ghost");
+        fx.put(
+            "DESIGN.md",
+            "| `CONQUER_THREADS` | engine | workers |\n\
+             | `CONQUER_DELETED_KNOB` | shared | a ghost |\n\
+             prose may still mention `CONQUER_HISTORY` freely\n",
+        )
+        .put(
+            "crates/engine/src/lib.rs",
+            "fn f() { var(\"CONQUER_THREADS\"); }\n",
+        );
+        let v = check_env_docs(&fx.root);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(
+            v[0].contains("DESIGN.md:2") && v[0].contains("CONQUER_DELETED_KNOB"),
+            "{v:?}"
+        );
     }
 
     #[test]
