@@ -365,6 +365,32 @@ mod tests {
             .unwrap();
         // c1 always earns >50K (120K or 80K); c2 only with Mary (0.4).
         assert_eq!(rows, vec![vec!["c1".into()]]);
+
+        // The same on clusters an external matcher supplied: identifiers
+        // arrive through `APPLY CROSSREF` (Section 2.1), then uniform
+        // probabilities per cluster. Both 'an%' tuples are in c1, so c1 is
+        // an answer in every candidate database.
+        let mut db = Database::new();
+        db.execute_script(
+            "CREATE TABLE customer (id TEXT, custkey INTEGER, name TEXT, prob DOUBLE);
+             INSERT INTO customer VALUES
+               ('', 101, 'ann', 0.0), ('', 102, 'anne', 0.0), ('', 103, 'bob', 0.0);
+             CREATE TABLE xref (orig INTEGER, cluster TEXT);
+             INSERT INTO xref VALUES (101, 'c1'), (102, 'c1'), (103, 'c2');
+             APPLY CROSSREF xref (orig, cluster) TO customer (custkey, id);
+             UPDATE customer SET prob = 0.5 WHERE id = 'c1';
+             UPDATE customer SET prob = 1.0 WHERE id = 'c2';
+             DROP TABLE xref;",
+        )
+        .unwrap();
+        let dirty = DirtyDatabase::new(db, DirtySpec::uniform(&["customer"])).unwrap();
+        let sql = "SELECT id FROM customer WHERE name LIKE 'an%'";
+        let ans = dirty.clean_answers(sql).unwrap();
+        assert!((ans.probability_of(&["c1".into()]).unwrap() - 1.0).abs() < 1e-9);
+        assert_eq!(
+            dirty.consistent_answers(sql).unwrap(),
+            vec![vec!["c1".into()]]
+        );
     }
 
     #[test]

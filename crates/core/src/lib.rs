@@ -35,7 +35,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod answers;
-pub mod crossref;
 pub mod dirty;
 pub mod error;
 pub mod expected;
@@ -52,7 +51,7 @@ pub mod spec;
 pub use conquer_sync as sync;
 
 pub use answers::CleanAnswers;
-pub use crossref::apply_crossref;
+pub use conquer_storage::apply_crossref;
 pub use dirty::{DirtyDatabase, EvalStrategy};
 pub use error::{CoreError, Def7Clause, NotRewritable, RewriteObstacle};
 pub use expected::{naive_expected, RewriteExpected};

@@ -1,10 +1,10 @@
 //! The `Database` facade: catalog + end-to-end statement execution.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use conquer_sql::{
-    parse_statement, parse_statements, CreateView, Delete, Expr, Insert, InsertSource, Reannotate,
-    Recluster, SelectStatement, Statement, Update,
+    parse_statement, parse_statements, ApplyCrossref, CreateView, Delete, Expr, Insert,
+    InsertSource, Reannotate, Recluster, SelectStatement, Statement, Update,
 };
 use conquer_storage::{Catalog, Row, Schema, Table, Value};
 
@@ -203,19 +203,25 @@ impl Database {
         &mut self,
         stmt: &Statement,
     ) -> Result<(ExecOutcome, Vec<String>)> {
+        let result = self.exec_statement(stmt);
+        // The hidden tables of view maintenance live for the length of one
+        // delta query: never in a finished statement's catalog (which is
+        // what gets published) or its `touched` list (which is what gets
+        // logged).
+        debug_assert!(view::DELTA_TABLES.iter().all(|hidden| {
+            !self.catalog.contains(hidden)
+                && !matches!(&result, Ok((_, touched)) if touched.iter().any(|t| t == hidden))
+        }));
+        result
+    }
+
+    fn exec_statement(&mut self, stmt: &Statement) -> Result<(ExecOutcome, Vec<String>)> {
         match stmt {
             Statement::CreateTable(ct) => {
                 self.guard_writable(&ct.name)?;
                 let schema = Schema::from_pairs(ct.columns.iter().map(|(n, t)| (n.clone(), *t)))?;
                 self.catalog.create_table(&ct.name, schema)?;
                 Ok((ExecOutcome::Created, vec![ct.name.clone()]))
-            }
-            Statement::Insert(ins) => {
-                self.guard_writable(&ins.table)?;
-                let (n, old, delta) = self.run_insert(ins)?;
-                let mut touched = vec![ins.table.clone()];
-                touched.extend(self.maintain(&ins.table, old, delta)?);
-                Ok((ExecOutcome::Inserted(n), touched))
             }
             Statement::DropTable(name) => {
                 self.guard_writable(name)?;
@@ -229,20 +235,6 @@ impl Database {
                 self.catalog.drop_table(name)?;
                 Ok((ExecOutcome::Dropped, vec![name.clone()]))
             }
-            Statement::Delete(del) => {
-                self.guard_writable(&del.table)?;
-                let (n, old, delta) = self.run_delete(del)?;
-                let mut touched = vec![del.table.clone()];
-                touched.extend(self.maintain(&del.table, old, delta)?);
-                Ok((ExecOutcome::Deleted(n), touched))
-            }
-            Statement::Update(upd) => {
-                self.guard_writable(&upd.table)?;
-                let (n, old, delta) = self.run_update(upd)?;
-                let mut touched = vec![upd.table.clone()];
-                touched.extend(self.maintain(&upd.table, old, delta)?);
-                Ok((ExecOutcome::Updated(n), touched))
-            }
             Statement::Select(sel) => Ok((ExecOutcome::Rows(self.run_select(sel)?), Vec::new())),
             Statement::Explain { analyze, query } => Ok((
                 ExecOutcome::Rows(self.explain_select(query, *analyze)?),
@@ -251,49 +243,44 @@ impl Database {
             Statement::CreateView(cv) => self.create_view(cv),
             Statement::DropView(name) => self.drop_view(name),
             Statement::RefreshView(name) => self.refresh_view(name),
-            Statement::Recluster(rc) => {
-                self.guard_writable(&rc.table)?;
-                let (n, old, delta) = self.run_recluster(rc)?;
-                let mut touched = vec![rc.table.clone()];
-                touched.extend(self.maintain(&rc.table, old, delta)?);
-                Ok((ExecOutcome::Reclustered(n), touched))
+            Statement::Insert(s) => {
+                self.dml(&s.table, |db| db.plan_insert(s), ExecOutcome::Inserted)
             }
-            Statement::Reannotate(ra) => {
-                self.guard_writable(&ra.table)?;
-                let (n, old, delta) = self.run_reannotate(ra)?;
-                let mut touched = vec![ra.table.clone()];
-                touched.extend(self.maintain(&ra.table, old, delta)?);
-                Ok((ExecOutcome::Reannotated(n), touched))
+            Statement::Delete(s) => {
+                self.dml(&s.table, |db| db.plan_delete(s), ExecOutcome::Deleted)
             }
-            Statement::ApplyCrossref(ax) => {
-                self.guard_writable(&ax.table)?;
-                if ax.xref_table.starts_with(HIDDEN_PREFIX)
-                    || self.views.contains_key(&ax.xref_table)
-                {
-                    return Err(EngineError::bind(format!(
-                        "{:?} cannot serve as a cross-reference table",
-                        ax.xref_table
-                    )));
-                }
-                let old = self.capture_old(&ax.table)?;
-                let clusters = conquer_storage::apply_crossref(
-                    &mut self.catalog,
-                    &ax.table,
-                    &ax.key_column,
-                    &ax.id_column,
-                    &ax.xref_table,
-                    &ax.xref_key_column,
-                    &ax.xref_id_column,
-                )?;
-                let delta = match &old {
-                    Some(o) => diff_rows(o.rows(), self.catalog.table(&ax.table)?.rows()),
-                    None => TableDelta::default(),
-                };
-                let mut touched = vec![ax.table.clone()];
-                touched.extend(self.maintain(&ax.table, old, delta)?);
-                Ok((ExecOutcome::CrossrefApplied(clusters), touched))
+            Statement::Update(s) => {
+                self.dml(&s.table, |db| db.plan_update(s), ExecOutcome::Updated)
             }
+            Statement::Recluster(s) => self.dml(
+                &s.table,
+                |db| db.plan_recluster(s),
+                ExecOutcome::Reclustered,
+            ),
+            Statement::Reannotate(s) => self.dml(
+                &s.table,
+                |db| db.plan_reannotate(s),
+                ExecOutcome::Reannotated,
+            ),
+            Statement::ApplyCrossref(s) => self.dml(
+                &s.table,
+                |db| db.plan_crossref(s),
+                ExecOutcome::CrossrefApplied,
+            ),
         }
+    }
+
+    /// One DML statement: refuse guarded tables, plan the whole change
+    /// against the unmodified table, then apply it.
+    fn dml(
+        &mut self,
+        table: &str,
+        plan: impl FnOnce(&Self) -> Result<(usize, Edit)>,
+        outcome: fn(usize) -> ExecOutcome,
+    ) -> Result<(ExecOutcome, Vec<String>)> {
+        self.guard_writable(table)?;
+        let (count, edit) = plan(self)?;
+        Ok((outcome(count), self.apply_edit(table, edit)?))
     }
 
     /// Persist the whole catalog to a directory of `.schema`/`.csv` files
@@ -396,17 +383,6 @@ impl Database {
         ))
     }
 
-    /// Pre-statement image of `table`, captured only when some view is
-    /// defined over it (the telescoping delta evaluation needs the old
-    /// bag for self-join occurrences after the delta slot).
-    fn capture_old(&self, table: &str) -> Result<Option<Table>> {
-        if self.views.values().any(|v| v.references(table)) {
-            Ok(Some(self.catalog.table(table)?.clone()))
-        } else {
-            Ok(None)
-        }
-    }
-
     /// Refuse direct writes against view contents and hidden bookkeeping
     /// tables: views change only through their bases (or `REFRESH`), and
     /// the bookkeeping tables only through maintenance itself.
@@ -425,110 +401,63 @@ impl Database {
         Ok(())
     }
 
-    fn run_delete(&mut self, del: &Delete) -> Result<(usize, Option<Table>, TableDelta)> {
-        let pred = del
-            .selection
-            .as_ref()
-            .map(|e| bind_table_expr(&self.catalog, &del.table, e))
+    /// The `WHERE` clause of a single-table statement as a row test; no
+    /// clause matches every row.
+    fn row_filter(
+        &self,
+        table: &str,
+        selection: Option<&Expr>,
+    ) -> Result<impl Fn(&Row) -> Result<bool>> {
+        let pred = selection
+            .map(|e| bind_table_expr(&self.catalog, table, e))
             .transpose()?;
         let offsets = Offsets(vec![Some(0)]);
-        let old = self.capture_old(&del.table)?;
-        let track = old.is_some();
-        let mut delta = TableDelta::default();
-        let table = self.catalog.table_mut(&del.table)?;
-        let before = table.len();
-        match pred {
-            None => {
-                if track {
-                    delta.removed = table.rows().to_vec();
-                }
-                table.retain(|_, _| false);
-            }
-            Some(p) => {
-                // Evaluate first (eval can error), then retain.
-                let keep: Vec<bool> = table
-                    .rows()
-                    .iter()
-                    .map(|row| p.eval_predicate(row, &offsets).map(|m| !m))
-                    .collect::<Result<_>>()?;
-                if track {
-                    delta.removed = table
-                        .rows()
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| !keep[*i])
-                        .map(|(_, r)| r.clone())
-                        .collect();
-                }
-                table.retain(|i, _| keep[i]);
-            }
-        }
-        let n = before - self.catalog.table(&del.table)?.len();
-        Ok((n, old, delta))
+        Ok(move |row: &Row| match &pred {
+            None => Ok(true),
+            Some(p) => p.eval_predicate(row, &offsets),
+        })
     }
 
-    fn run_update(&mut self, upd: &Update) -> Result<(usize, Option<Table>, TableDelta)> {
-        let pred = upd
-            .selection
-            .as_ref()
-            .map(|e| bind_table_expr(&self.catalog, &upd.table, e))
-            .transpose()?;
-        let assignments: Vec<(usize, BoundExpr)> = {
-            let table = self.catalog.table(&upd.table)?;
-            upd.assignments
-                .iter()
-                .map(|(col, e)| {
-                    let idx = table.column_index(col)?;
-                    Ok((idx, bind_table_expr(&self.catalog, &upd.table, e)?))
-                })
-                .collect::<Result<_>>()?
-        };
+    fn plan_delete(&self, del: &Delete) -> Result<(usize, Edit)> {
+        let matches = self.row_filter(&del.table, del.selection.as_ref())?;
+        let mut positions = Vec::new();
+        for (i, row) in self.catalog.table(&del.table)?.rows().iter().enumerate() {
+            if matches(row)? {
+                positions.push(i);
+            }
+        }
+        Ok((positions.len(), Edit::Delete(positions)))
+    }
+
+    fn plan_update(&self, upd: &Update) -> Result<(usize, Edit)> {
+        let matches = self.row_filter(&upd.table, upd.selection.as_ref())?;
+        let table = self.catalog.table(&upd.table)?;
+        let assignments: Vec<(usize, BoundExpr)> = upd
+            .assignments
+            .iter()
+            .map(|(col, e)| {
+                let idx = table.column_index(col)?;
+                Ok((idx, bind_table_expr(&self.catalog, &upd.table, e)?))
+            })
+            .collect::<Result<_>>()?;
         let offsets = Offsets(vec![Some(0)]);
-        // Evaluate all updates against the *old* rows first, then apply.
-        let updates: Vec<Option<Vec<(usize, Value)>>> = {
-            let table = self.catalog.table(&upd.table)?;
-            table
-                .rows()
-                .iter()
-                .map(|row| {
-                    if let Some(p) = &pred {
-                        if !p.eval_predicate(row, &offsets)? {
-                            return Ok(None);
-                        }
-                    }
-                    let mut row_updates = Vec::with_capacity(assignments.len());
-                    for (col, e) in &assignments {
-                        row_updates.push((*col, e.eval(row, &offsets)?));
-                    }
-                    Ok(Some(row_updates))
-                })
-                .collect::<Result<_>>()?
-        };
-        let old = self.capture_old(&upd.table)?;
-        let mut delta = TableDelta::default();
-        if old.is_some() {
-            let table = self.catalog.table(&upd.table)?;
-            for (i, row) in table.rows().iter().enumerate() {
-                if let Some(row_updates) = &updates[i] {
-                    let mut new_row = row.clone();
-                    for (col, v) in row_updates {
-                        new_row[*col] = v.clone();
-                    }
-                    if new_row != *row {
-                        delta.removed.push(row.clone());
-                        delta.added.push(new_row);
-                    }
-                }
+        // Every assignment reads the *old* row.
+        let mut rows = Vec::new();
+        for (i, row) in table.rows().iter().enumerate() {
+            if !matches(row)? {
+                continue;
             }
+            let mut new_row = row.clone();
+            for (col, e) in &assignments {
+                new_row[*col] = e.eval(row, &offsets)?;
+            }
+            rows.push((i, new_row));
         }
-        let table = self.catalog.table_mut(&upd.table)?;
-        let changed = table.transform_rows(|i, _| updates[i].clone())?;
-        Ok((changed, old, delta))
+        Ok((rows.len(), Edit::Update(rows)))
     }
 
-    fn run_insert(&mut self, ins: &Insert) -> Result<(usize, Option<Table>, TableDelta)> {
-        let table = self.catalog.table(&ins.table)?;
-        let schema = table.schema().clone();
+    fn plan_insert(&self, ins: &Insert) -> Result<(usize, Edit)> {
+        let schema = self.catalog.table(&ins.table)?.schema();
 
         // Map provided columns to schema positions.
         let positions: Vec<usize> = match &ins.columns {
@@ -579,19 +508,7 @@ impl Database {
                 }
             }
         }
-        let n = rows.len();
-        let old = self.capture_old(&ins.table)?;
-        let delta = if old.is_some() {
-            TableDelta {
-                removed: Vec::new(),
-                added: rows.clone(),
-            }
-        } else {
-            TableDelta::default()
-        };
-        let table = self.catalog.table_mut(&ins.table)?;
-        table.insert_all(rows)?;
-        Ok((n, old, delta))
+        Ok((rows.len(), Edit::Insert(rows)))
     }
 
     /// `RECLUSTER table (id, prob) TO target [WHERE …]`: move matching
@@ -599,68 +516,55 @@ impl Database {
     /// probabilities of every affected cluster (source and target) to sum
     /// to 1 — Definition 2. A cluster whose probabilities sum to zero
     /// gets the uniform distribution.
-    fn run_recluster(&mut self, rc: &Recluster) -> Result<(usize, Option<Table>, TableDelta)> {
-        let pred = rc
-            .selection
-            .as_ref()
-            .map(|e| bind_table_expr(&self.catalog, &rc.table, e))
-            .transpose()?;
+    fn plan_recluster(&self, rc: &Recluster) -> Result<(usize, Edit)> {
+        let matches = self.row_filter(&rc.table, rc.selection.as_ref())?;
         let target = eval_const(&rc.target)?;
         if target.is_null() {
             return Err(EngineError::exec("RECLUSTER target must not be NULL"));
         }
-        let offsets = Offsets(vec![Some(0)]);
-        let (id_idx, prob_idx, rows) = {
-            let t = self.catalog.table(&rc.table)?;
-            (
-                t.column_index(&rc.id_column)?,
-                t.column_index(&rc.prob_column)?,
-                t.rows().to_vec(),
-            )
-        };
-        let mut new_rows = rows.clone();
-        let mut affected: BTreeSet<Value> = BTreeSet::new();
-        let mut moved = 0usize;
+        let table = self.catalog.table(&rc.table)?;
+        let id_idx = table.column_index(&rc.id_column)?;
+        let prob_idx = table.column_index(&rc.prob_column)?;
+        let rows = table.rows();
+
+        let mut moved = vec![false; rows.len()];
+        // Probability mass and size of every affected cluster (the moved
+        // tuples' sources and the target) over the post-move membership.
+        let mut affected: BTreeMap<&Value, (f64, usize)> = BTreeMap::new();
         for (i, row) in rows.iter().enumerate() {
-            let matches = match &pred {
-                None => true,
-                Some(p) => p.eval_predicate(row, &offsets)?,
+            if matches(row)? && row[id_idx] != target {
+                moved[i] = true;
+                affected.insert(&row[id_idx], (0.0, 0));
+                affected.insert(&target, (0.0, 0));
+            }
+        }
+        let id_after = |i: usize| if moved[i] { &target } else { &rows[i][id_idx] };
+        for (i, row) in rows.iter().enumerate() {
+            if let Some((sum, members)) = affected.get_mut(id_after(i)) {
+                *sum += row[prob_idx].as_f64().unwrap_or(0.0);
+                *members += 1;
+            }
+        }
+
+        let mut updated = Vec::new();
+        for (i, row) in rows.iter().enumerate() {
+            let Some(&(sum, members)) = affected.get(id_after(i)) else {
+                continue;
             };
-            if matches && row[id_idx] != target {
-                affected.insert(row[id_idx].clone());
-                affected.insert(target.clone());
-                new_rows[i][id_idx] = target.clone();
-                moved += 1;
-            }
-        }
-        // Renormalize each affected cluster over the post-move membership.
-        for cluster in &affected {
-            let members: Vec<usize> = new_rows
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r[id_idx] == *cluster)
-                .map(|(i, _)| i)
-                .collect();
-            if members.is_empty() {
-                continue; // source cluster fully vacated
-            }
-            let sum: f64 = members
-                .iter()
-                .filter_map(|&i| new_rows[i][prob_idx].as_f64())
-                .sum();
-            if sum > 0.0 {
-                for &i in &members {
-                    let p = new_rows[i][prob_idx].as_f64().unwrap_or(0.0);
-                    new_rows[i][prob_idx] = Value::Float(p / sum);
-                }
+            let prob = Value::Float(if sum > 0.0 {
+                row[prob_idx].as_f64().unwrap_or(0.0) / sum
             } else {
-                let uniform = 1.0 / members.len() as f64;
-                for &i in &members {
-                    new_rows[i][prob_idx] = Value::Float(uniform);
-                }
+                1.0 / members as f64
+            });
+            if moved[i] || prob != row[prob_idx] {
+                let mut new_row = row.clone();
+                new_row[id_idx] = id_after(i).clone();
+                new_row[prob_idx] = prob;
+                updated.push((i, new_row));
             }
         }
-        self.write_back(&rc.table, rows, new_rows, moved)
+        let count = moved.iter().filter(|m| **m).count();
+        Ok((count, Edit::Update(updated)))
     }
 
     /// `REANNOTATE table (id, prob) SET expr [WHERE …]`: overwrite the
@@ -668,79 +572,99 @@ impl Database {
     /// row. No renormalization — the caller controls the exact values
     /// (and thereby, deliberately, can violate Definition 2; `RECLUSTER`
     /// is the normalizing mutation).
-    fn run_reannotate(&mut self, ra: &Reannotate) -> Result<(usize, Option<Table>, TableDelta)> {
-        let pred = ra
-            .selection
-            .as_ref()
-            .map(|e| bind_table_expr(&self.catalog, &ra.table, e))
-            .transpose()?;
+    fn plan_reannotate(&self, ra: &Reannotate) -> Result<(usize, Edit)> {
+        let matches = self.row_filter(&ra.table, ra.selection.as_ref())?;
         let value = bind_table_expr(&self.catalog, &ra.table, &ra.value)?;
         let offsets = Offsets(vec![Some(0)]);
-        let (prob_idx, rows) = {
-            let t = self.catalog.table(&ra.table)?;
-            // The id column names the cluster structure; require it even
-            // though the rewrite itself is per-tuple.
-            t.column_index(&ra.id_column)?;
-            (t.column_index(&ra.prob_column)?, t.rows().to_vec())
-        };
-        let mut new_rows = rows.clone();
+        let table = self.catalog.table(&ra.table)?;
+        // The id column names the cluster structure; require it even
+        // though the rewrite itself is per-tuple.
+        table.column_index(&ra.id_column)?;
+        let prob_idx = table.column_index(&ra.prob_column)?;
         let mut annotated = 0usize;
-        for (i, row) in rows.iter().enumerate() {
-            let matches = match &pred {
-                None => true,
-                Some(p) => p.eval_predicate(row, &offsets)?,
-            };
-            if !matches {
+        let mut updated = Vec::new();
+        for (i, row) in table.rows().iter().enumerate() {
+            if !matches(row)? {
                 continue;
             }
-            let v = value.eval(row, &offsets)?;
+            annotated += 1;
             // Keep the probability column uniformly FLOAT-typed so view
             // state matching stays bit-exact.
-            let v = match v {
+            let v = match value.eval(row, &offsets)? {
                 Value::Int(n) => Value::Float(n as f64),
                 other => other,
             };
-            new_rows[i][prob_idx] = v;
-            annotated += 1;
+            if v != row[prob_idx] {
+                let mut new_row = row.clone();
+                new_row[prob_idx] = v;
+                updated.push((i, new_row));
+            }
         }
-        self.write_back(&ra.table, rows, new_rows, annotated)
+        Ok((annotated, Edit::Update(updated)))
     }
 
-    /// Diff `rows` → `new_rows`, apply the changed rows to `table`, and
-    /// package the table delta (with the pre-statement image when a view
-    /// needs it).
-    fn write_back(
-        &mut self,
-        table: &str,
-        rows: Vec<Row>,
-        new_rows: Vec<Row>,
-        count: usize,
-    ) -> Result<(usize, Option<Table>, TableDelta)> {
-        let old = self.capture_old(table)?;
-        let mut delta = TableDelta::default();
-        if old.is_some() {
-            for (o, n) in rows.iter().zip(&new_rows) {
-                if o != n {
-                    delta.removed.push(o.clone());
-                    delta.added.push(n.clone());
-                }
-            }
+    /// `APPLY CROSSREF xref (key, id) TO table (key, id)`: set every row's
+    /// cluster identifier from the cross-reference mapping of its key. The
+    /// count is the number of distinct clusters assigned.
+    fn plan_crossref(&self, ax: &ApplyCrossref) -> Result<(usize, Edit)> {
+        if ax.xref_table.starts_with(HIDDEN_PREFIX) || self.views.contains_key(&ax.xref_table) {
+            return Err(EngineError::bind(format!(
+                "{:?} cannot serve as a cross-reference table",
+                ax.xref_table
+            )));
         }
-        let t = self.catalog.table_mut(table)?;
-        t.transform_rows(|i, _| {
-            if rows[i] == new_rows[i] {
-                return None;
-            }
-            Some(
-                new_rows[i]
-                    .iter()
-                    .enumerate()
-                    .filter(|(c, v)| rows[i][*c] != **v)
-                    .map(|(c, v)| (c, v.clone()))
-                    .collect(),
-            )
-        })?;
-        Ok((count, old, delta))
+        let (ids, clusters) = conquer_storage::resolve_crossref(
+            &self.catalog,
+            &ax.table,
+            &ax.key_column,
+            &ax.xref_table,
+            &ax.xref_key_column,
+            &ax.xref_id_column,
+        )?;
+        let table = self.catalog.table(&ax.table)?;
+        let id_idx = table.column_index(&ax.id_column)?;
+        let updated = table
+            .rows()
+            .iter()
+            .zip(ids)
+            .enumerate()
+            .filter(|(_, (row, id))| row[id_idx] != *id)
+            .map(|(i, (row, id))| {
+                let mut new_row = row.clone();
+                new_row[id_idx] = id;
+                (i, new_row)
+            })
+            .collect();
+        Ok((clusters, Edit::Update(updated)))
+    }
+
+    /// Pre-statement image of `table` under the hidden name
+    /// [`view::OLD_TABLE`], captured only when some view lists the table
+    /// more than once: the telescoping delta evaluation reads the old bag
+    /// at the occurrences after the delta slot.
+    fn capture_old(&self, table: &str) -> Result<Option<Table>> {
+        if self
+            .views
+            .values()
+            .any(|v| v.occurrences(table).count() > 1)
+        {
+            let old = self.catalog.table(table)?.clone();
+            Ok(Some(old.renamed(view::OLD_TABLE)))
+        } else {
+            Ok(None)
+        }
+    }
+
+    /// Apply a planned change to `table` and fold it into every view
+    /// defined over the table: the one place a DML statement mutates the
+    /// catalog. Returns the tables touched (the base first).
+    fn apply_edit(&mut self, table: &str, edit: Edit) -> Result<Vec<String>> {
+        let tracked = self.views.values().any(|v| v.references(table));
+        let old = self.capture_old(table)?;
+        let delta = edit_table(self.catalog.table_mut(table)?, edit, tracked)?;
+        let mut touched = vec![table.to_string()];
+        touched.extend(self.maintain(table, old, &delta)?);
+        Ok(touched)
     }
 
     /// `CREATE MATERIALIZED VIEW`: check maintainability (typed refusal
@@ -843,48 +767,56 @@ impl Database {
 
     /// Fold one base-table delta into every view defined over the table.
     /// Runs inside statement execution, so the WAL commit that follows
-    /// carries base and view images together — atomically. Returns the
-    /// extra tables touched.
+    /// carries base and view images together — atomically. `old` is the
+    /// pre-statement image (named [`view::OLD_TABLE`]) when a self-join
+    /// view needs one; it and the delta side [`view::delta_pairs`]
+    /// registers are hidden tables of the live catalog while the delta
+    /// queries run, and leave it on every exit. Returns the extra tables
+    /// touched.
     fn maintain(
         &mut self,
         table: &str,
         old: Option<Table>,
-        delta: TableDelta,
+        delta: &TableDelta,
     ) -> Result<Vec<String>> {
-        let Some(old) = old else {
-            return Ok(Vec::new());
-        };
         if delta.is_empty() {
             return Ok(Vec::new());
         }
-        let names: Vec<String> = self.views.keys().cloned().collect();
+        if let Some(old) = old {
+            self.catalog.add_table(old)?;
+        }
+        let touched = self.maintain_views(table, delta);
+        for hidden in view::DELTA_TABLES {
+            let _ = self.catalog.drop_table(hidden);
+        }
+        touched
+    }
+
+    fn maintain_views(&mut self, table: &str, delta: &TableDelta) -> Result<Vec<String>> {
+        let views: Vec<ViewDef> = self
+            .views
+            .values()
+            .filter(|v| v.references(table))
+            .cloned()
+            .collect();
         let mut touched = Vec::new();
-        let mut meta_touched = false;
-        for name in names {
-            let Some(v) = self.views.get(&name) else {
-                continue;
-            };
-            if !v.references(table) {
-                continue;
-            }
-            let v = v.clone();
+        for v in &views {
             fault_point("view::apply")?;
-            let pairs = view::delta_pairs(self, &v, table, &old, &delta)?;
+            let pairs = view::delta_pairs(self, v, table, delta)?;
             // A delta whose rows join nothing contributes nothing: the
             // view's two tables stay as they are, and out of the commit.
             if !pairs.is_empty() {
                 let mut groups = view::load_state(self.catalog.table(&v.state_table())?)?;
-                view::apply_pairs(&v, &mut groups, pairs)?;
-                let (contents, state) = view::groups_to_tables(&v, &mut groups)?;
+                view::apply_pairs(v, &mut groups, pairs)?;
+                let (contents, state) = view::groups_to_tables(v, &mut groups)?;
                 self.catalog.replace_table(contents);
                 self.catalog.replace_table(state);
                 touched.push(v.name.clone());
                 touched.push(v.state_table());
             }
-            self.bump_view_meta(&name, 1, 0)?;
-            meta_touched = true;
+            self.bump_view_meta(&v.name, 1, 0)?;
         }
-        if meta_touched {
+        if !views.is_empty() {
             touched.push(VIEWS_META.to_string());
         }
         Ok(touched)
@@ -951,17 +883,76 @@ impl Database {
     }
 }
 
-/// Row-wise diff of two equal-length row sets (APPLY CROSSREF rewrites
-/// rows in place, so position i corresponds).
-fn diff_rows(old: &[Row], new: &[Row]) -> TableDelta {
+/// A planned change to one table, addressed by row position in the table
+/// as it stands before the statement. A DML statement evaluates
+/// completely into one of these; [`Database::apply_edit`] performs it.
+#[derive(Debug)]
+enum Edit {
+    /// Remove the rows at these positions (ascending).
+    Delete(Vec<usize>),
+    /// Overwrite the rows at these positions (ascending) with the new rows.
+    Update(Vec<(usize, Row)>),
+    /// Append these rows.
+    Insert(Vec<Row>),
+}
+
+/// Perform `edit` on `t`. With `tracked`, also report the change as a
+/// delta of rows as *stored* (coerced to the schema) before and after —
+/// exactly what a recompute would read; rows an update leaves as they
+/// were are in neither side.
+fn edit_table(t: &mut Table, edit: Edit, tracked: bool) -> Result<TableDelta> {
     let mut delta = TableDelta::default();
-    for (o, n) in old.iter().zip(new) {
-        if o != n {
-            delta.removed.push(o.clone());
-            delta.added.push(n.clone());
+    match edit {
+        Edit::Delete(positions) => {
+            let mut positions = positions.into_iter().peekable();
+            if positions.peek().is_some() {
+                t.retain(|i, row| {
+                    if positions.next_if_eq(&i).is_none() {
+                        return true;
+                    }
+                    if tracked {
+                        delta.removed.push(row.clone());
+                    }
+                    false
+                });
+            }
+        }
+        Edit::Update(rows) => {
+            let before: Vec<(usize, Row)> = if tracked {
+                rows.iter()
+                    .map(|(i, _)| (*i, t.rows()[*i].clone()))
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            let mut rows = rows.into_iter().peekable();
+            t.transform_rows(|i, row| {
+                let (_, new_row) = rows.next_if(|(pos, _)| *pos == i)?;
+                Some(
+                    new_row
+                        .into_iter()
+                        .enumerate()
+                        .filter(|(col, v)| row[*col] != *v)
+                        .collect(),
+                )
+            })?;
+            for (i, was) in before {
+                let now = &t.rows()[i];
+                if was != *now {
+                    delta.removed.push(was);
+                    delta.added.push(now.clone());
+                }
+            }
+        }
+        Edit::Insert(rows) => {
+            let before = t.len();
+            t.insert_all(rows)?;
+            if tracked {
+                delta.added = t.rows()[before..].to_vec();
+            }
         }
     }
-    delta
+    Ok(delta)
 }
 
 /// Check a storage-layer fault point from the maintenance path, mapping
@@ -1415,19 +1406,187 @@ mod tests {
              INSERT INTO t VALUES ('a', 1, 0.5), ('a', 2, 0.5), ('b', 1, 1.0);
              CREATE MATERIALIZED VIEW sj AS \
                SELECT x.id AS xid, y.id AS yid, SUM(x.prob * y.prob) AS p \
-               FROM t x, t y WHERE x.n = y.n GROUP BY x.id, y.id",
+               FROM t x, t y WHERE x.n = y.n GROUP BY x.id, y.id;
+             CREATE MATERIALIZED VIEW sj3 AS \
+               SELECT x.id AS xid, y.id AS yid, z.id AS zid, \
+                      SUM(x.prob * y.prob * z.prob) AS p \
+               FROM t x, t y, t z WHERE x.n = y.n AND y.n = z.n \
+               GROUP BY x.id, y.id, z.id",
         )
         .unwrap();
+        // `sj3`'s middle occurrence reads (new, Δ, old): the live table
+        // before the delta slot, the pre-statement image after it.
         for stmt in [
             "INSERT INTO t VALUES ('b', 2, 0.25)",
             "UPDATE t SET prob = 0.75 WHERE id = 'a' AND n = 1",
             "DELETE FROM t WHERE id = 'b' AND n = 1",
         ] {
             execute(&mut db, stmt).unwrap();
-            let maintained = db.catalog().table("sj").unwrap().rows().to_vec();
-            execute(&mut db, "REFRESH MATERIALIZED VIEW sj").unwrap();
-            let recomputed = db.catalog().table("sj").unwrap().rows().to_vec();
-            assert_eq!(maintained, recomputed, "after {stmt}");
+            for view in ["sj", "sj3"] {
+                let maintained = db.catalog().table(view).unwrap().rows().to_vec();
+                execute(&mut db, &format!("REFRESH MATERIALIZED VIEW {view}")).unwrap();
+                let recomputed = db.catalog().table(view).unwrap().rows().to_vec();
+                assert_eq!(maintained, recomputed, "{view} after {stmt}");
+            }
+        }
+    }
+
+    fn hidden_delta_tables(db: &Database) -> Vec<String> {
+        db.catalog()
+            .table_names()
+            .into_iter()
+            .filter(|n| {
+                view::DELTA_TABLES
+                    .iter()
+                    .any(|hidden| n.starts_with(hidden))
+            })
+            .map(str::to_string)
+            .collect()
+    }
+
+    #[test]
+    fn failed_delta_query_leaves_no_hidden_table_and_fails_the_statement_whole() {
+        let mut db = Database::new();
+        db.execute_script(
+            "CREATE TABLE t (id TEXT, n INTEGER, prob DOUBLE);
+             INSERT INTO t VALUES ('a', 1, 0.5), ('a', 2, 0.5), ('b', 1, 1.0);
+             CREATE MATERIALIZED VIEW sj AS \
+               SELECT x.id AS xid, y.id AS yid, SUM(x.prob * y.prob) AS p \
+               FROM t x, t y WHERE x.n = y.n GROUP BY x.id, y.id",
+        )
+        .unwrap();
+        // Too little memory to build the delta join, and no disk to spill.
+        db.set_limits(ExecLimits::builder().mem(64).disk(0).build());
+        let shared = crate::SharedDatabase::new(db.clone());
+
+        let err = execute(&mut db, "INSERT INTO t VALUES ('b', 2, 0.25)").unwrap_err();
+        assert_eq!(err.kind(), crate::ErrorKind::ResourceExhausted, "{err}");
+        assert_eq!(hidden_delta_tables(&db), Vec::<String>::new());
+
+        // Through the shared handle the statement never happened.
+        let before = shared.with_db(|db| db.catalog().table("sj").unwrap().rows().to_vec());
+        let err = shared
+            .session()
+            .execute("INSERT INTO t VALUES ('b', 2, 0.25)")
+            .unwrap_err();
+        assert_eq!(err.kind(), crate::ErrorKind::ResourceExhausted, "{err}");
+        assert_eq!(shared.epoch(), 0);
+        shared.with_db(|db| {
+            assert_eq!(db.catalog().table("t").unwrap().len(), 3);
+            assert_eq!(db.catalog().table("sj").unwrap().rows(), before);
+            assert_eq!(hidden_delta_tables(db), Vec::<String>::new());
+        });
+    }
+
+    #[test]
+    fn views_over_an_indexed_table_stay_identical_to_refresh() {
+        // Delta queries run on the live catalog, so the planner sees the
+        // stored index on customer(id) and probes it from the delta rows.
+        let mut db = sample();
+        db.create_index("customer", "id").unwrap();
+        execute(
+            &mut db,
+            "CREATE MATERIALIZED VIEW v AS \
+             SELECT o.id AS oid, c.id AS cid, SUM(o.prob * c.prob) AS p \
+             FROM orders o, customer c WHERE o.cidfk = c.id GROUP BY o.id, c.id",
+        )
+        .unwrap();
+        for stmt in [
+            "INSERT INTO orders VALUES ('o3', 'c2', 9, 1.0)",
+            "UPDATE orders SET prob = 0.25 WHERE id = 'o2'",
+            "DELETE FROM orders WHERE id = 'o1'",
+            "INSERT INTO customer VALUES ('c2', 'Mae', 100, 0.5)",
+            "UPDATE customer SET prob = 0.125 WHERE name = 'Mary'",
+            "DELETE FROM customer WHERE name = 'John' AND balance = 20000",
+        ] {
+            execute(&mut db, stmt).unwrap();
+            let maintained = view_rows(&db);
+            assert_eq!(maintained, recomputed_rows(&mut db), "after {stmt}");
+            // A write to the indexed table drops its index; rebuild it so
+            // the next delta query finds one again.
+            db.create_index("customer", "id").unwrap();
+        }
+    }
+
+    #[test]
+    fn deltas_hold_rows_as_stored() {
+        // INTEGER 1 into a DOUBLE column: the table stores 1.0, and so
+        // must the delta the views are maintained from.
+        let schema = Schema::from_pairs([
+            ("id", conquer_storage::DataType::Text),
+            ("prob", conquer_storage::DataType::Float),
+        ])
+        .unwrap();
+        let mut t = Table::new("t", schema);
+        let row = vec![Value::text("a"), Value::Int(1)];
+        let delta = edit_table(&mut t, Edit::Insert(vec![row.clone()]), true).unwrap();
+        assert_eq!(delta.added, [vec![Value::text("a"), Value::Float(1.0)]]);
+        // Overwriting it with the same number changes nothing.
+        let delta = edit_table(&mut t, Edit::Update(vec![(0, row)]), true).unwrap();
+        assert!(delta.is_empty());
+
+        let mut db = Database::new();
+        db.execute_script(
+            "CREATE TABLE t (id TEXT, prob DOUBLE);
+             CREATE MATERIALIZED VIEW vz AS SELECT id, SUM(prob) AS p FROM t GROUP BY id;
+             INSERT INTO t (id, prob) VALUES ('a', 1);
+             UPDATE t SET prob = 1",
+        )
+        .unwrap();
+        let maintained = db.catalog().table("vz").unwrap().rows().to_vec();
+        assert_eq!(maintained, [vec![Value::text("a"), Value::Float(1.0)]]);
+        execute(&mut db, "REFRESH MATERIALIZED VIEW vz").unwrap();
+        assert_eq!(db.catalog().table("vz").unwrap().rows(), maintained);
+    }
+
+    #[test]
+    fn reported_counts_on_a_match_that_changes_nothing() {
+        // Updated / Reannotated count rows matched, Reclustered rows
+        // moved, Deleted / Inserted rows removed / added, CrossrefApplied
+        // distinct clusters — whether or not a cell changed.
+        let mut db = sample();
+        db.execute_script(
+            "CREATE TABLE xr (name TEXT, cluster TEXT);
+             INSERT INTO xr VALUES ('John', 'c1'), ('Mary', 'c2'), ('Marion', 'c2')",
+        )
+        .unwrap();
+        execute(&mut db, EX6_VIEW).unwrap();
+        let customer = db.catalog().table("customer").unwrap().rows().to_vec();
+        let view = view_rows(&db);
+        for (sql, outcome) in [
+            (
+                "UPDATE customer SET balance = balance WHERE id = 'c1'",
+                ExecOutcome::Updated(2),
+            ),
+            (
+                "REANNOTATE customer (id, prob) SET prob WHERE id = 'c2'",
+                ExecOutcome::Reannotated(2),
+            ),
+            (
+                "RECLUSTER customer (id, prob) TO 'c1' WHERE id = 'c1'",
+                ExecOutcome::Reclustered(0),
+            ),
+            (
+                "DELETE FROM customer WHERE balance < 0",
+                ExecOutcome::Deleted(0),
+            ),
+            (
+                "INSERT INTO customer SELECT id, name, balance, prob FROM customer \
+                 WHERE balance < 0",
+                ExecOutcome::Inserted(0),
+            ),
+            (
+                "APPLY CROSSREF xr (name, cluster) TO customer (name, id)",
+                ExecOutcome::CrossrefApplied(2),
+            ),
+        ] {
+            let stmt = conquer_sql::parse_statement(sql).unwrap();
+            let (out, touched) = db.exec_parsed_tracked(&stmt).unwrap();
+            assert_eq!(out, outcome, "{sql}");
+            // Nothing changed, so no view was maintained.
+            assert_eq!(touched, ["customer"], "{sql}");
+            assert_eq!(db.catalog().table("customer").unwrap().rows(), customer);
+            assert_eq!(view_rows(&db), view);
         }
     }
 

@@ -57,10 +57,16 @@
 //!
 //! — occurrence `o_k` is replaced by the delta, occurrences before it see
 //! the new `T`, occurrences after it the old `T` (self-joins included).
-//! Each summand is evaluated by running the *projection-only* view query
-//! (keys + bare SUM argument, no aggregation) over a scratch catalog
-//! through the ordinary executor; removed-side rows retract their
-//! (key, term) pairs, added-side rows insert them.
+//! Each summand is the *projection-only* view query (keys + bare SUM
+//! argument, no aggregation) run by the ordinary planner and executor on
+//! the live catalog: one side of the delta is registered as the hidden
+//! table [`DELTA_TABLE`] and occurrence `o_k` reads it; a view that lists
+//! `T` more than once also finds the pre-statement image as [`OLD_TABLE`];
+//! every other FROM entry reads its table where it is, stored indexes
+//! included. Removed-side rows retract their (key, term) pairs, added-side
+//! rows insert them. [`Database`]'s maintenance step removes both hidden
+//! tables before the statement returns, so neither reaches the WAL or a
+//! published version.
 
 use std::collections::BTreeMap;
 
@@ -70,6 +76,7 @@ use conquer_storage::{Catalog, DataType, Row, Schema, Table, Value};
 use crate::binder::bind;
 use crate::database::Database;
 use crate::error::EngineError;
+use crate::exec::execute_plan;
 use crate::Result;
 
 /// Prefix of every hidden bookkeeping table; direct DML against such
@@ -78,6 +85,18 @@ pub const HIDDEN_PREFIX: &str = "__conquer_";
 
 /// The view-registry table: `(name, sql, deltas_applied, refreshes)`.
 pub const VIEWS_META: &str = "__conquer_views";
+
+/// Hidden table holding one side of a base-table delta (its removed or
+/// its added rows) while a delta query reads it.
+pub(crate) const DELTA_TABLE: &str = "__conquer_delta";
+
+/// Hidden table holding the pre-statement image of the changed base table
+/// while the delta queries of a self-join view read it.
+pub(crate) const OLD_TABLE: &str = "__conquer_old";
+
+/// Both hidden tables of delta evaluation: what maintenance removes from
+/// the catalog before its statement returns.
+pub(crate) const DELTA_TABLES: [&str; 2] = [DELTA_TABLE, OLD_TABLE];
 
 /// Name of the per-contribution state table of view `name`.
 pub fn state_table_name(name: &str) -> String {
@@ -330,7 +349,17 @@ impl ViewDef {
 
     /// Does the view's FROM clause mention `table`?
     pub fn references(&self, table: &str) -> bool {
-        self.query.from.iter().any(|t| t.table == table)
+        self.occurrences(table).next().is_some()
+    }
+
+    /// The FROM-list positions at which the view reads `table`, ascending.
+    pub(crate) fn occurrences<'a>(&'a self, table: &'a str) -> impl Iterator<Item = usize> + 'a {
+        self.query
+            .from
+            .iter()
+            .enumerate()
+            .filter(move |(_, t)| t.table == table)
+            .map(|(j, _)| j)
     }
 
     /// Name of this view's hidden state table.
@@ -374,23 +403,20 @@ impl ViewDef {
         Ok(Schema::from_pairs(pairs)?)
     }
 
-    /// The projection-only form of the view query: keys plus the *bare*
-    /// SUM argument, no aggregation — one output row per contribution.
-    fn projection_items(&self) -> Vec<SelectItem> {
-        self.items
-            .iter()
-            .map(|(_, e)| SelectItem::Expr {
-                expr: e.clone(),
-                alias: None,
-            })
-            .collect()
-    }
-
-    /// The full projection-only query over the original FROM/WHERE.
+    /// The projection-only form of the view query over the original
+    /// FROM/WHERE: keys plus the *bare* SUM argument, no aggregation — one
+    /// output row per contribution.
     pub(crate) fn projection_query(&self) -> SelectStatement {
         SelectStatement {
             distinct: false,
-            projection: self.projection_items(),
+            projection: self
+                .items
+                .iter()
+                .map(|(_, e)| SelectItem::Expr {
+                    expr: e.clone(),
+                    alias: None,
+                })
+                .collect(),
             from: self.query.from.clone(),
             selection: self.query.selection.clone(),
             group_by: Vec::new(),
@@ -480,83 +506,53 @@ pub(crate) fn load_state(state: &Table) -> Result<Groups> {
                 state.name()
             )));
         };
-        groups.entry(key.to_vec()).or_default().push(term.clone());
+        groups.entry(key.into()).or_default().push(term.clone());
     }
     Ok(groups)
 }
 
 /// Evaluate the signed (key, term) contribution pairs of one base-table
 /// delta against one view, by the telescoping decomposition described in
-/// the module docs. `db` is the *post-statement* database, `old` the
-/// pre-statement image of `table`. The `bool` is `true` for an added
-/// contribution, `false` for a retraction.
+/// the module docs. `db` is the *post-statement* database; when the view
+/// lists `table` more than once its catalog already holds the
+/// pre-statement image as [`OLD_TABLE`]. Each delta side is registered as
+/// [`DELTA_TABLE`] and left there — the caller drops both hidden tables on
+/// every exit. The `bool` is `true` for an added contribution, `false`
+/// for a retraction.
 pub(crate) fn delta_pairs(
-    db: &Database,
+    db: &mut Database,
     view: &ViewDef,
     table: &str,
-    old: &Table,
     delta: &TableDelta,
 ) -> Result<Vec<(Vec<Value>, Value, bool)>> {
-    let occurrences: Vec<usize> = view
-        .query
-        .from
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.table == table)
-        .map(|(j, _)| j)
-        .collect();
+    let schema = db.catalog().table(table)?.schema().clone();
+    // Delta queries touch a handful of rows; running them on the
+    // morsel-parallel pool would cost more in dispatch than it saves, and
+    // maintenance must stay schedulable under the model explorer (pool
+    // workers are not virtual threads).
+    let mut limits = *db.limits();
+    limits.threads = Some(1);
     let mut pairs = Vec::new();
-    for &k in &occurrences {
+    for k in view.occurrences(table) {
+        // The telescope: the delta at slot `k`, the new `T` (the live
+        // table) before it, the old `T` after it. Aliases keep the
+        // original binding names, so the selection binds unchanged.
+        let mut query = view.projection_query();
+        for (j, tref) in query.from.iter_mut().enumerate().skip(k) {
+            if tref.table == table {
+                let hidden = if j == k { DELTA_TABLE } else { OLD_TABLE };
+                *tref = TableRef::aliased(hidden, tref.binding_name().to_string());
+            }
+        }
         for (side, add) in [(&delta.removed, false), (&delta.added, true)] {
             if side.is_empty() {
                 continue;
             }
-            let mut scratch = Catalog::new();
-            let mut from = Vec::with_capacity(view.query.from.len());
-            for (j, tref) in view.query.from.iter().enumerate() {
-                let scratch_name = format!("{HIDDEN_PREFIX}delta_{j}");
-                let (schema, rows) = if j == k {
-                    (db.catalog().table(table)?.schema().clone(), side.clone())
-                } else if tref.table == table {
-                    // Self-join occurrences: new T before the delta slot,
-                    // old T after it (the telescope).
-                    let t = if j < k {
-                        db.catalog().table(table)?
-                    } else {
-                        old
-                    };
-                    (t.schema().clone(), t.rows().to_vec())
-                } else {
-                    let t = db.catalog().table(&tref.table)?;
-                    (t.schema().clone(), t.rows().to_vec())
-                };
-                let mut t = Table::new(scratch_name.clone(), schema);
-                t.insert_all(rows)?;
-                scratch.add_table(t)?;
-                from.push(TableRef::aliased(scratch_name, tref.binding_name()));
-            }
-            let query = SelectStatement {
-                distinct: false,
-                projection: view.projection_items(),
-                from,
-                selection: view.query.selection.clone(),
-                group_by: Vec::new(),
-                having: None,
-                order_by: Vec::new(),
-                limit: None,
-            };
-            let mut sdb = Database::from_catalog(scratch);
-            // Delta queries touch a handful of rows; running them on the
-            // morsel-parallel pool would cost more in dispatch than it
-            // saves, and maintenance must stay schedulable under the
-            // model explorer (pool workers are not virtual threads).
-            let mut limits = *db.limits();
-            limits.threads = Some(1);
-            sdb.set_limits(limits);
-            if let Some(dir) = db.spill_dir() {
-                sdb.set_spill_dir(dir);
-            }
-            for row in sdb.run_select(&query)?.rows {
+            let mut side_table = Table::new(DELTA_TABLE, schema.clone());
+            side_table.insert_all(side.iter().cloned())?;
+            db.catalog_mut().replace_table(side_table);
+            let plan = db.plan(&query)?;
+            for row in execute_plan(db.catalog(), &plan, &db.exec_context(limits))?.rows {
                 let (key, term) = view.split_row(row);
                 pairs.push((key, term, add));
             }

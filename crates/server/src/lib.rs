@@ -7,8 +7,8 @@
 //! * [`server`] — a thread-per-connection TCP server over one
 //!   [`SharedDatabase`](conquer_engine::SharedDatabase): every connection
 //!   gets its own [`Session`](conquer_engine::Session), all connections
-//!   share the catalog, the prepared-plan and clean-answer result caches,
-//!   and the admission gate.
+//!   share the catalog, the clean-answer result cache and the admission
+//!   gate.
 //! * [`client`] — a blocking client used by the CLI's `--connect` mode,
 //!   the concurrency bench, and the smoke tests.
 //!

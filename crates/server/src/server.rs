@@ -3,7 +3,7 @@
 //!
 //! Every connection gets its own [`Session`] — its own resource limits
 //! and cancellation state — while all connections share the catalog,
-//! the prepared-plan and result caches, and the admission gate. A
+//! the result cache and the admission gate. A
 //! connection over the `max_conn` cap is answered with a single
 //! `ERR OVERLOADED` line and closed; query-level overload (the admission
 //! gate shedding) surfaces per request the same way, so a flooded server

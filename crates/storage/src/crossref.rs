@@ -7,12 +7,13 @@
 //! [`apply_crossref`] applies such a mapping to a dirty relation in place:
 //! every row's identifier column is set from the mapping of its original
 //! key, turning the matcher's output into the identifier-column form the
-//! rest of the system consumes.
+//! rest of the system consumes. [`resolve_crossref`] is its read-only
+//! half, which the engine's `APPLY CROSSREF` statement plans its change
+//! from.
 //!
-//! The logic lives here (rather than in `conquer-core`, which re-exports
-//! it) so the query engine can execute `APPLY CROSSREF` statements without
-//! depending on the core crate — the dependency arrow points the other
-//! way.
+//! The logic lives here (`conquer-core` re-exports it) so the query engine
+//! can execute `APPLY CROSSREF` statements without depending on the core
+//! crate — the dependency arrow points the other way.
 
 use std::collections::HashMap;
 
@@ -20,16 +21,69 @@ use crate::catalog::Catalog;
 use crate::error::StorageError;
 use crate::value::Value;
 
-/// Apply a cross-reference table to a dirty relation.
+/// Resolve a cross-reference table against a dirty relation without
+/// changing anything: the cluster identifier of every row of `table`, in
+/// row order, and the number of distinct clusters among them.
 ///
 /// * `table.key_column` — the relation's original (per-tuple) key;
-/// * `xref.key/xref.id` — the matcher's mapping `original key → cluster id`;
-/// * `table.id_column` — where the cluster identifier is written.
+/// * `xref.key/xref.id` — the matcher's mapping `original key → cluster id`.
 ///
 /// Every key of `table` must be mapped (a matcher that has seen the
 /// relation maps all of it); unmapped keys are an error naming the first
 /// offender. Duplicate mappings with conflicting ids are rejected.
-/// Returns the number of distinct clusters assigned.
+pub fn resolve_crossref(
+    catalog: &Catalog,
+    table: &str,
+    key_column: &str,
+    xref_table: &str,
+    xref_key_column: &str,
+    xref_id_column: &str,
+) -> Result<(Vec<Value>, usize), StorageError> {
+    let xref = catalog.table(xref_table)?;
+    let kcol = xref.column_index(xref_key_column)?;
+    let icol = xref.column_index(xref_id_column)?;
+    let mut mapping: HashMap<Value, Value> = HashMap::with_capacity(xref.len());
+    for (i, row) in xref.rows().iter().enumerate() {
+        let key = row[kcol].clone();
+        if key.is_null() {
+            return Err(StorageError::InvalidData(format!(
+                "cross-reference table {xref_table:?} has a NULL key in row {i}"
+            )));
+        }
+        let id = row[icol].clone();
+        if let Some(prev) = mapping.insert(key.clone(), id.clone()) {
+            if prev != id {
+                return Err(StorageError::InvalidData(format!(
+                    "cross-reference maps key {key} to both {prev} and {id}"
+                )));
+            }
+        }
+    }
+
+    let t = catalog.table(table)?;
+    let kcol = t.column_index(key_column)?;
+    let ids: Vec<Value> = t
+        .rows()
+        .iter()
+        .enumerate()
+        .map(|(i, row)| {
+            mapping.get(&row[kcol]).cloned().ok_or_else(|| {
+                StorageError::InvalidData(format!(
+                    "key {} of {table:?} (row {i}) is not in the cross-reference table",
+                    row[kcol]
+                ))
+            })
+        })
+        .collect::<Result<_, StorageError>>()?;
+    let distinct: std::collections::HashSet<&Value> = ids.iter().collect();
+    let count = distinct.len();
+    Ok((ids, count))
+}
+
+/// Apply a cross-reference table to a dirty relation in place: resolve
+/// every row's cluster identifier ([`resolve_crossref`]) and write it to
+/// `table.id_column`. Nothing is written when resolution fails. Returns
+/// the number of distinct clusters assigned.
 pub fn apply_crossref(
     catalog: &mut Catalog,
     table: &str,
@@ -39,51 +93,14 @@ pub fn apply_crossref(
     xref_key_column: &str,
     xref_id_column: &str,
 ) -> Result<usize, StorageError> {
-    // Build the mapping first (immutable borrow).
-    let mapping: HashMap<Value, Value> = {
-        let xref = catalog.table(xref_table)?;
-        let kcol = xref.column_index(xref_key_column)?;
-        let icol = xref.column_index(xref_id_column)?;
-        let mut map = HashMap::with_capacity(xref.len());
-        for (i, row) in xref.rows().iter().enumerate() {
-            let key = row[kcol].clone();
-            if key.is_null() {
-                return Err(StorageError::InvalidData(format!(
-                    "cross-reference table {xref_table:?} has a NULL key in row {i}"
-                )));
-            }
-            let id = row[icol].clone();
-            if let Some(prev) = map.insert(key.clone(), id.clone()) {
-                if prev != id {
-                    return Err(StorageError::InvalidData(format!(
-                        "cross-reference maps key {key} to both {prev} and {id}"
-                    )));
-                }
-            }
-        }
-        map
-    };
-
-    // Resolve the ids for every row before mutating.
-    let ids: Vec<Value> = {
-        let t = catalog.table(table)?;
-        let kcol = t.column_index(key_column)?;
-        t.rows()
-            .iter()
-            .enumerate()
-            .map(|(i, row)| {
-                mapping.get(&row[kcol]).cloned().ok_or_else(|| {
-                    StorageError::InvalidData(format!(
-                        "key {} of {table:?} (row {i}) is not in the cross-reference table",
-                        row[kcol]
-                    ))
-                })
-            })
-            .collect::<Result<_, StorageError>>()?
-    };
-    let distinct: std::collections::HashSet<&Value> = ids.iter().collect();
-    let count = distinct.len();
-
+    let (ids, count) = resolve_crossref(
+        catalog,
+        table,
+        key_column,
+        xref_table,
+        xref_key_column,
+        xref_id_column,
+    )?;
     catalog
         .table_mut(table)?
         .update_column(id_column, |i, _| ids[i].clone())?;
@@ -157,6 +174,20 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, StorageError::InvalidData(_)), "{err}");
         assert!(err.to_string().contains("999"), "{err}");
+    }
+
+    #[test]
+    fn duplicate_consistent_mapping_allowed() {
+        let mut cat = setup();
+        cat.table_mut("xref")
+            .unwrap()
+            .insert(vec![Value::Int(101), Value::text("c1")])
+            .unwrap();
+        let clusters = apply_crossref(
+            &mut cat, "customer", "custkey", "id", "xref", "orig", "cluster",
+        )
+        .unwrap();
+        assert_eq!(clusters, 2);
     }
 
     #[test]

@@ -40,9 +40,11 @@
 //! returns a [`RecoveryReport`] describing everything it skipped
 //! (corrupt epochs, orphaned publishes, stale temp directories).
 //!
-//! Directories written by the pre-epoch format (schema/CSV files directly
-//! in `<dir>`, no `CURRENT`) are still loadable; the first save upgrades
-//! them to the epoch layout without deleting the legacy files.
+//! A directory with neither a `CURRENT` pointer nor an epoch directory
+//! holds no snapshot: it loads as the empty catalog plus whatever the WAL
+//! replays (a freshly opened durable database). Table files directly in
+//! `<dir>` belong to no epoch and are never read;
+//! [`load_catalog_recover`] reports them.
 //!
 //! Fault-injection points (active only with the `fault` feature; see
 //! [`crate::fault`]): `persist::file` before each table file is created,
@@ -117,8 +119,8 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[must_use = "recovery may have replayed or discarded data; inspect the report"]
 pub struct RecoveryReport {
-    /// The epoch that was ultimately loaded (`None` for a legacy-layout
-    /// load).
+    /// The epoch that was ultimately loaded (`None` when the directory
+    /// holds no epoch at all).
     pub loaded_epoch: Option<String>,
     /// Committed write-ahead-log groups replayed on top of the loaded
     /// epoch (each one a write that committed after the last checkpoint).
@@ -370,8 +372,7 @@ fn gc(dir: &Path, keep: &str) {
 /// file) on any integrity violation — use [`load_catalog_recover`] to fall
 /// back to an older epoch instead.
 ///
-/// Directories in the legacy layout (schema/CSV files directly in `dir`,
-/// no `CURRENT`) load without integrity verification.
+/// A directory with no committed epoch starts from the empty catalog.
 ///
 /// Committed write-ahead-log suffixes (sequences newer than the epoch's
 /// `walseq`, see [`crate::wal`]) are replayed on top of the loaded
@@ -384,7 +385,11 @@ pub fn load_catalog(dir: &Path) -> Result<Catalog, StorageError> {
             let epoch_dir = dir.join(&epoch);
             (load_epoch(&epoch_dir)?, epoch_walseq(&epoch_dir))
         }
-        None => (load_legacy(dir)?, 0),
+        None => {
+            // No snapshot yet; a missing directory is still an error.
+            vfs::dir_entries(dir)?;
+            (Catalog::new(), 0)
+        }
     };
     if let Some(wal) = crate::wal::read_wal(dir)? {
         crate::wal::replay(&wal, &mut catalog, min_seq);
@@ -436,8 +441,18 @@ pub fn load_catalog_recover(dir: &Path) -> Result<(Catalog, RecoveryReport), Sto
     let current = read_current(dir);
     let epochs = list_epoch_dirs(dir);
     if current.is_none() && epochs.is_empty() {
-        // Legacy layout (or nothing at all): defer to the strict loader.
-        let mut catalog = load_legacy(dir)?;
+        // No snapshot was ever committed here: the log is the database.
+        // Table files outside an epoch have no manifest to verify them
+        // against, so they are reported, not loaded.
+        for entry in vfs::dir_entries(dir)? {
+            if !entry.is_dir && entry.name.ends_with(&format!(".{SCHEMA_EXT}")) {
+                report.issues.push(format!(
+                    "table file outside any epoch: {}; ignored",
+                    entry.name
+                ));
+            }
+        }
+        let mut catalog = Catalog::new();
         replay_wal_reported(dir, &mut catalog, 0, &mut report)?;
         return Ok((catalog, report));
     }
@@ -630,39 +645,10 @@ pub(crate) fn parse_schema_text(text: &str, path: &Path) -> Result<Schema, Stora
     Schema::from_pairs(pairs)
 }
 
-/// Load a legacy (pre-epoch) layout: every `<name>.schema` file directly
-/// in `dir` (with its `<name>.csv`) becomes a table. No manifest, no
-/// integrity verification — this is the hand-editable escape hatch.
-fn load_legacy(dir: &Path) -> Result<Catalog, StorageError> {
-    let mut catalog = Catalog::new();
-    let mut names: Vec<String> = Vec::new();
-    for entry in vfs::dir_entries(dir)? {
-        if let Some(stem) = entry.name.strip_suffix(&format!(".{SCHEMA_EXT}")) {
-            if !entry.is_dir {
-                names.push(stem.to_string());
-            }
-        }
-    }
-    names.sort();
-    for name in names {
-        let schema_path = dir.join(format!("{name}.{SCHEMA_EXT}"));
-        let schema_text = vfs::read_to_string(&schema_path)?;
-        let schema = parse_schema_text(&schema_text, &schema_path)?;
-        let data_path = dir.join(format!("{name}.{DATA_EXT}"));
-        let table = if vfs::exists(&data_path) {
-            let reader = BufReader::new(vfs::File::open(&data_path)?);
-            csv::read_table(&name, schema, reader)?
-        } else {
-            crate::table::Table::new(&name, schema)
-        };
-        catalog.add_table(table)?;
-    }
-    Ok(catalog)
-}
-
 /// The path of a table's data file inside the currently committed epoch
-/// (or the legacy location when no epoch is committed). Useful for
-/// external tools that want to read the CSVs directly.
+/// (directly under `dir` when no epoch is committed, where no loader
+/// reads it). Useful for external tools that want to read the CSVs
+/// directly.
 pub fn current_data_path(dir: &Path, table: &str) -> PathBuf {
     match read_current(dir) {
         Some(epoch) => dir.join(epoch).join(format!("{table}.{DATA_EXT}")),
@@ -746,21 +732,17 @@ mod tests {
 
     #[test]
     fn malformed_schema_rejected_with_schema_error_naming_the_file() {
-        let dir = tempdir("malformed");
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("bad.schema"), "no-type-here\n").unwrap();
-        let err = load_catalog(&dir).unwrap_err();
+        let path = Path::new("somewhere/bad.schema");
+        let err = parse_schema_text("no-type-here\n", path).unwrap_err();
         match &err {
             StorageError::Schema { path, .. } => assert!(path.contains("bad.schema"), "{err}"),
             other => panic!("expected Schema error, got {other:?}"),
         }
-        fs::write(dir.join("bad.schema"), "col weirdtype\n").unwrap();
-        let err = load_catalog(&dir).unwrap_err();
+        let err = parse_schema_text("col weirdtype\n", path).unwrap_err();
         assert!(
             matches!(&err, StorageError::Schema { message, .. } if message.contains("weirdtype")),
             "{err:?}"
         );
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -899,22 +881,19 @@ mod tests {
     }
 
     #[test]
-    fn legacy_layout_still_loads_and_upgrades_on_save() {
-        let dir = tempdir("legacy");
+    fn table_files_outside_an_epoch_are_reported_not_loaded() {
+        let dir = tempdir("stray");
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join("t.schema"), "a int\nb text\n").unwrap();
         fs::write(dir.join("t.csv"), "a,b\n1,x\n2,y\n").unwrap();
-        let cat = load_catalog(&dir).unwrap();
-        assert_eq!(cat.table("t").unwrap().len(), 2);
-        let (cat2, report) = load_catalog_recover(&dir).unwrap();
-        assert_eq!(cat2.table("t").unwrap().len(), 2);
+        assert!(load_catalog(&dir).unwrap().is_empty());
+        let (cat, report) = load_catalog_recover(&dir).unwrap();
+        assert!(cat.is_empty());
         assert!(report.loaded_epoch.is_none());
-        // First save upgrades to the epoch layout without touching the
-        // legacy files.
-        save_catalog(&cat, &dir).unwrap();
-        assert!(dir.join(CURRENT_FILE).exists());
-        assert!(dir.join("t.schema").exists());
-        assert_eq!(load_catalog(&dir).unwrap().table("t").unwrap().len(), 2);
+        assert!(
+            report.issues.iter().any(|i| i.contains("t.schema")),
+            "{report:?}"
+        );
         fs::remove_dir_all(&dir).ok();
     }
 

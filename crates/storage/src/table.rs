@@ -42,6 +42,13 @@ impl Table {
         &self.name
     }
 
+    /// The same table under another (lower-cased) name; rows and indexes
+    /// move, nothing is copied.
+    pub fn renamed(mut self, name: impl Into<String>) -> Self {
+        self.name = name.into().to_ascii_lowercase();
+        self
+    }
+
     /// The table's schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
