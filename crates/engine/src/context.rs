@@ -504,7 +504,7 @@ mod tests {
         let ctx = ExecContext::new(ExecLimits::none().with_mem_bytes(100));
         assert!(ctx.try_charge(80));
         assert!(!ctx.try_charge(40));
-        // The failed probe left the meter untouched, so this still fits.
+        // The failed probe left the meter as it was, so this still fits.
         assert!(ctx.try_charge(20));
         assert_eq!(ctx.mem_charged(), 100);
     }

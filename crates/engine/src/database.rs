@@ -189,39 +189,31 @@ impl Database {
             .collect()
     }
 
-    /// Shared implementation behind [`Database::execute_script`] and
-    /// [`crate::Statement::run`].
+    /// Execute a parsed statement: the shared implementation behind
+    /// [`Database::execute_script`], [`crate::Statement::run`] and a
+    /// [`SharedDatabase`](crate::SharedDatabase) commit. Which tables it
+    /// changed (bases, view contents/state, the view registry) is not
+    /// reported: the catalog answers that
+    /// ([`Catalog::changes_since`]), and the write-ahead log records
+    /// exactly that answer.
     pub(crate) fn exec_parsed(&mut self, stmt: &Statement) -> Result<ExecOutcome> {
-        self.exec_parsed_tracked(stmt).map(|(outcome, _)| outcome)
-    }
-
-    /// Execute a parsed statement and also report which catalog tables it
-    /// changed (bases, view contents/state, the view registry) — the
-    /// write-ahead log derives its whole-table-image records from this
-    /// list. Queries change nothing and report an empty list.
-    pub(crate) fn exec_parsed_tracked(
-        &mut self,
-        stmt: &Statement,
-    ) -> Result<(ExecOutcome, Vec<String>)> {
         let result = self.exec_statement(stmt);
         // The hidden tables of view maintenance live for the length of one
-        // delta query: never in a finished statement's catalog (which is
-        // what gets published) or its `touched` list (which is what gets
-        // logged).
-        debug_assert!(view::DELTA_TABLES.iter().all(|hidden| {
-            !self.catalog.contains(hidden)
-                && !matches!(&result, Ok((_, touched)) if touched.iter().any(|t| t == hidden))
-        }));
+        // delta query: never in a finished statement's catalog, which is
+        // what gets published and compared for logging.
+        debug_assert!(view::DELTA_TABLES
+            .iter()
+            .all(|hidden| !self.catalog.contains(hidden)));
         result
     }
 
-    fn exec_statement(&mut self, stmt: &Statement) -> Result<(ExecOutcome, Vec<String>)> {
+    fn exec_statement(&mut self, stmt: &Statement) -> Result<ExecOutcome> {
         match stmt {
             Statement::CreateTable(ct) => {
                 self.guard_writable(&ct.name)?;
                 let schema = Schema::from_pairs(ct.columns.iter().map(|(n, t)| (n.clone(), *t)))?;
                 self.catalog.create_table(&ct.name, schema)?;
-                Ok((ExecOutcome::Created, vec![ct.name.clone()]))
+                Ok(ExecOutcome::Created)
             }
             Statement::DropTable(name) => {
                 self.guard_writable(name)?;
@@ -233,13 +225,12 @@ impl Database {
                     )));
                 }
                 self.catalog.drop_table(name)?;
-                Ok((ExecOutcome::Dropped, vec![name.clone()]))
+                Ok(ExecOutcome::Dropped)
             }
-            Statement::Select(sel) => Ok((ExecOutcome::Rows(self.run_select(sel)?), Vec::new())),
-            Statement::Explain { analyze, query } => Ok((
-                ExecOutcome::Rows(self.explain_select(query, *analyze)?),
-                Vec::new(),
-            )),
+            Statement::Select(sel) => Ok(ExecOutcome::Rows(self.run_select(sel)?)),
+            Statement::Explain { analyze, query } => {
+                Ok(ExecOutcome::Rows(self.explain_select(query, *analyze)?))
+            }
             Statement::CreateView(cv) => self.create_view(cv),
             Statement::DropView(name) => self.drop_view(name),
             Statement::RefreshView(name) => self.refresh_view(name),
@@ -277,10 +268,11 @@ impl Database {
         table: &str,
         plan: impl FnOnce(&Self) -> Result<(usize, Edit)>,
         outcome: fn(usize) -> ExecOutcome,
-    ) -> Result<(ExecOutcome, Vec<String>)> {
+    ) -> Result<ExecOutcome> {
         self.guard_writable(table)?;
         let (count, edit) = plan(self)?;
-        Ok((outcome(count), self.apply_edit(table, edit)?))
+        self.apply_edit(table, edit)?;
+        Ok(outcome(count))
     }
 
     /// Persist the whole catalog to a directory of `.schema`/`.csv` files
@@ -657,20 +649,22 @@ impl Database {
 
     /// Apply a planned change to `table` and fold it into every view
     /// defined over the table: the one place a DML statement mutates the
-    /// catalog. Returns the tables touched (the base first).
-    fn apply_edit(&mut self, table: &str, edit: Edit) -> Result<Vec<String>> {
+    /// catalog. An edit that selects no row asks for no mutable access, so
+    /// the table stays shared with the version the statement started from.
+    fn apply_edit(&mut self, table: &str, edit: Edit) -> Result<()> {
+        if edit.is_empty() {
+            return Ok(());
+        }
         let tracked = self.views.values().any(|v| v.references(table));
         let old = self.capture_old(table)?;
         let delta = edit_table(self.catalog.table_mut(table)?, edit, tracked)?;
-        let mut touched = vec![table.to_string()];
-        touched.extend(self.maintain(table, old, &delta)?);
-        Ok(touched)
+        self.maintain(table, old, &delta)
     }
 
     /// `CREATE MATERIALIZED VIEW`: check maintainability (typed refusal
     /// otherwise), evaluate the view from scratch, and install contents +
     /// state tables plus the registry row.
-    fn create_view(&mut self, cv: &CreateView) -> Result<(ExecOutcome, Vec<String>)> {
+    fn create_view(&mut self, cv: &CreateView) -> Result<ExecOutcome> {
         if cv.name.starts_with(HIDDEN_PREFIX) {
             return Err(EngineError::bind(format!(
                 "view name {:?} collides with the hidden bookkeeping prefix",
@@ -710,40 +704,31 @@ impl Database {
             Value::Int(0),
             Value::Int(0),
         ])?;
-        let touched = vec![
-            view.name.clone(),
-            view.state_table(),
-            VIEWS_META.to_string(),
-        ];
         self.views.insert(view.name.clone(), view);
-        Ok((ExecOutcome::CreatedView(rows), touched))
+        Ok(ExecOutcome::CreatedView(rows))
     }
 
     /// `DROP MATERIALIZED VIEW`: remove contents, state, registry row,
     /// and the in-memory definition.
-    fn drop_view(&mut self, name: &str) -> Result<(ExecOutcome, Vec<String>)> {
+    fn drop_view(&mut self, name: &str) -> Result<ExecOutcome> {
         if self.views.remove(name).is_none() {
             return Err(EngineError::bind(format!(
                 "no materialized view named {name:?}"
             )));
         }
-        let state = view::state_table_name(name);
         self.catalog.drop_table(name)?;
-        self.catalog.drop_table(&state)?;
+        self.catalog.drop_table(&view::state_table_name(name))?;
         self.catalog
             .table_mut(VIEWS_META)?
             .retain(|_, row| row.first() != Some(&Value::text(name)));
-        Ok((
-            ExecOutcome::DroppedView,
-            vec![name.to_string(), state, VIEWS_META.to_string()],
-        ))
+        Ok(ExecOutcome::DroppedView)
     }
 
     /// `REFRESH MATERIALIZED VIEW`: rebuild from scratch. Byte-identical
     /// to the incrementally maintained tables (the maintenance property),
     /// so a refresh is an equivalence check made durable, not a repair of
     /// expected drift.
-    fn refresh_view(&mut self, name: &str) -> Result<(ExecOutcome, Vec<String>)> {
+    fn refresh_view(&mut self, name: &str) -> Result<ExecOutcome> {
         let Some(view) = self.views.get(name).cloned() else {
             return Err(EngineError::bind(format!(
                 "no materialized view named {name:?}"
@@ -755,51 +740,39 @@ impl Database {
         self.catalog.replace_table(contents);
         self.catalog.replace_table(state);
         self.bump_view_meta(name, 0, 1)?;
-        Ok((
-            ExecOutcome::RefreshedView(rows),
-            vec![
-                view.name.clone(),
-                view.state_table(),
-                VIEWS_META.to_string(),
-            ],
-        ))
+        Ok(ExecOutcome::RefreshedView(rows))
     }
 
     /// Fold one base-table delta into every view defined over the table.
-    /// Runs inside statement execution, so the WAL commit that follows
-    /// carries base and view images together — atomically. `old` is the
-    /// pre-statement image (named [`view::OLD_TABLE`]) when a self-join
-    /// view needs one; it and the delta side [`view::delta_pairs`]
-    /// registers are hidden tables of the live catalog while the delta
-    /// queries run, and leave it on every exit. Returns the extra tables
-    /// touched.
-    fn maintain(
-        &mut self,
-        table: &str,
-        old: Option<Table>,
-        delta: &TableDelta,
-    ) -> Result<Vec<String>> {
+    /// Runs inside statement execution, so the base table and the view
+    /// tables it replaces differ from the previous version in the same
+    /// catalog, and the WAL commit that follows carries them together —
+    /// atomically. `old` is the pre-statement image (named
+    /// [`view::OLD_TABLE`]) when a self-join view needs one; it and the
+    /// delta side [`view::delta_pairs`] registers are hidden tables of the
+    /// live catalog while the delta queries run, and leave it on every
+    /// exit.
+    fn maintain(&mut self, table: &str, old: Option<Table>, delta: &TableDelta) -> Result<()> {
         if delta.is_empty() {
-            return Ok(Vec::new());
+            return Ok(());
         }
         if let Some(old) = old {
             self.catalog.add_table(old)?;
         }
-        let touched = self.maintain_views(table, delta);
+        let result = self.maintain_views(table, delta);
         for hidden in view::DELTA_TABLES {
             let _ = self.catalog.drop_table(hidden);
         }
-        touched
+        result
     }
 
-    fn maintain_views(&mut self, table: &str, delta: &TableDelta) -> Result<Vec<String>> {
+    fn maintain_views(&mut self, table: &str, delta: &TableDelta) -> Result<()> {
         let views: Vec<ViewDef> = self
             .views
             .values()
             .filter(|v| v.references(table))
             .cloned()
             .collect();
-        let mut touched = Vec::new();
         for v in &views {
             fault_point("view::apply")?;
             let pairs = view::delta_pairs(self, v, table, delta)?;
@@ -811,15 +784,10 @@ impl Database {
                 let (contents, state) = view::groups_to_tables(v, &mut groups)?;
                 self.catalog.replace_table(contents);
                 self.catalog.replace_table(state);
-                touched.push(v.name.clone());
-                touched.push(v.state_table());
             }
             self.bump_view_meta(&v.name, 1, 0)?;
         }
-        if !views.is_empty() {
-            touched.push(VIEWS_META.to_string());
-        }
-        Ok(touched)
+        Ok(())
     }
 
     /// Add to a view's registry counters (in-table, so they are durable
@@ -894,6 +862,17 @@ enum Edit {
     Update(Vec<(usize, Row)>),
     /// Append these rows.
     Insert(Vec<Row>),
+}
+
+impl Edit {
+    /// True when the edit names no position and no row.
+    fn is_empty(&self) -> bool {
+        match self {
+            Edit::Delete(positions) => positions.is_empty(),
+            Edit::Update(rows) => rows.is_empty(),
+            Edit::Insert(rows) => rows.is_empty(),
+        }
+    }
 }
 
 /// Perform `edit` on `t`. With `tracked`, also report the change as a
@@ -971,6 +950,7 @@ fn eval_const(e: &Expr) -> Result<Value> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use conquer_storage::wal::WalOp;
 
     fn query(db: &Database, sql: &str) -> Result<QueryResult> {
         db.prepare(sql)?.query(db)
@@ -978,6 +958,28 @@ mod tests {
 
     fn execute(db: &mut Database, sql: &str) -> Result<ExecOutcome> {
         db.prepare(sql)?.run(db)
+    }
+
+    /// Run `sql` and name the tables it changed: `+name` for a table the
+    /// catalog afterwards holds anew or as another allocation (what a
+    /// durable commit logs as a put), `-name` for one it lost (a drop).
+    fn run_and_diff(db: &mut Database, sql: &str) -> (Result<ExecOutcome>, Vec<String>) {
+        let base = db.catalog().clone();
+        let out = execute(db, sql);
+        (out, change_set(db.catalog(), &base))
+    }
+
+    fn change_set(next: &Catalog, base: &Catalog) -> Vec<String> {
+        let mut names: Vec<String> = next
+            .changes_since(base)
+            .iter()
+            .map(|op| match op {
+                WalOp::Put(t) => format!("+{}", t.name()),
+                WalOp::Drop(name) => format!("-{name}"),
+            })
+            .collect();
+        names.sort();
+        names
     }
 
     fn sample() -> Database {
@@ -1262,11 +1264,10 @@ mod tests {
         let before = view_rows(&db);
         let deltas = db.view_stats()[0].deltas_applied;
         // 'c9' is no customer: the new order contributes no join row.
-        let stmt =
-            conquer_sql::parse_statement("INSERT INTO orders VALUES ('o9', 'c9', 1, 1.0)").unwrap();
-        let (out, touched) = db.exec_parsed_tracked(&stmt).unwrap();
-        assert_eq!(out, ExecOutcome::Inserted(1));
-        assert_eq!(touched, ["orders", VIEWS_META]);
+        let (out, changed) =
+            run_and_diff(&mut db, "INSERT INTO orders VALUES ('o9', 'c9', 1, 1.0)");
+        assert_eq!(out.unwrap(), ExecOutcome::Inserted(1));
+        assert_eq!(changed, ["+__conquer_views", "+orders"]);
         assert_eq!(db.view_stats()[0].deltas_applied, deltas + 1);
         assert_eq!(view_rows(&db), before);
         assert_eq!(view_rows(&db), recomputed_rows(&mut db));
@@ -1553,40 +1554,131 @@ mod tests {
         execute(&mut db, EX6_VIEW).unwrap();
         let customer = db.catalog().table("customer").unwrap().rows().to_vec();
         let view = view_rows(&db);
-        for (sql, outcome) in [
+        // Only the UPDATE plans a non-empty edit (two rows rewritten to
+        // what they were); the rest name no row at all.
+        for (sql, outcome, unshared) in [
             (
                 "UPDATE customer SET balance = balance WHERE id = 'c1'",
                 ExecOutcome::Updated(2),
+                &["+customer"][..],
             ),
             (
                 "REANNOTATE customer (id, prob) SET prob WHERE id = 'c2'",
                 ExecOutcome::Reannotated(2),
+                &[],
             ),
             (
                 "RECLUSTER customer (id, prob) TO 'c1' WHERE id = 'c1'",
                 ExecOutcome::Reclustered(0),
+                &[],
             ),
             (
                 "DELETE FROM customer WHERE balance < 0",
                 ExecOutcome::Deleted(0),
+                &[],
             ),
             (
                 "INSERT INTO customer SELECT id, name, balance, prob FROM customer \
                  WHERE balance < 0",
                 ExecOutcome::Inserted(0),
+                &[],
             ),
             (
                 "APPLY CROSSREF xr (name, cluster) TO customer (name, id)",
                 ExecOutcome::CrossrefApplied(2),
+                &[],
             ),
         ] {
-            let stmt = conquer_sql::parse_statement(sql).unwrap();
-            let (out, touched) = db.exec_parsed_tracked(&stmt).unwrap();
-            assert_eq!(out, outcome, "{sql}");
-            // Nothing changed, so no view was maintained.
-            assert_eq!(touched, ["customer"], "{sql}");
+            let (out, changed) = run_and_diff(&mut db, sql);
+            assert_eq!(out.unwrap(), outcome, "{sql}");
+            // Nothing changed, so no view was maintained; an edit that
+            // names no row does not even unshare the table.
+            assert_eq!(changed, unshared, "{sql}");
             assert_eq!(db.catalog().table("customer").unwrap().rows(), customer);
             assert_eq!(view_rows(&db), view);
+        }
+    }
+
+    #[test]
+    fn every_statement_kind_changes_exactly_the_tables_it_writes() {
+        // What a durable commit logs is the change set between the version
+        // a statement started from and the version it published.
+        let shared = crate::SharedDatabase::new(sample());
+        let session = shared.session();
+        const META: &str = "+__conquer_views";
+        const STATE: &str = "+__conquer_view_state_v";
+        for (sql, expected) in [
+            ("CREATE TABLE xr (name TEXT, cluster TEXT)", &["+xr"][..]),
+            (
+                "INSERT INTO xr VALUES ('John', 'c1'), ('Mary', 'c2'), ('Marion', 'c2')",
+                &["+xr"],
+            ),
+            (EX6_VIEW, &["+v", STATE, META]),
+            // The six DML kinds, each moving a group of the view.
+            (
+                "INSERT INTO customer VALUES ('c2', 'Mae', 20000, 0.0)",
+                &["+customer", "+v", STATE, META],
+            ),
+            (
+                "UPDATE customer SET prob = 0.25 WHERE name = 'Mary'",
+                &["+customer", "+v", STATE, META],
+            ),
+            (
+                "DELETE FROM customer WHERE name = 'Mae'",
+                &["+customer", "+v", STATE, META],
+            ),
+            (
+                "RECLUSTER customer (id, prob) TO 'c1' WHERE name = 'Mary'",
+                &["+customer", "+v", STATE, META],
+            ),
+            (
+                "REANNOTATE customer (id, prob) SET prob / 2 WHERE id = 'c1'",
+                &["+customer", "+v", STATE, META],
+            ),
+            (
+                "APPLY CROSSREF xr (name, cluster) TO customer (name, id)",
+                &["+customer", "+v", STATE, META],
+            ),
+            // A delta that joins nothing counts as applied and moves no group.
+            (
+                "INSERT INTO orders VALUES ('o9', 'c9', 1, 1.0)",
+                &["+orders", META],
+            ),
+            // A statement that selects no row still publishes its epoch.
+            ("DELETE FROM customer WHERE balance < 0", &[]),
+            ("REFRESH MATERIALIZED VIEW v", &["+v", STATE, META]),
+            (
+                "DROP MATERIALIZED VIEW v",
+                &["-v", "-__conquer_view_state_v", META],
+            ),
+            ("DROP TABLE xr", &["-xr"]),
+        ] {
+            let before = shared.snapshot();
+            session.execute(sql).unwrap();
+            let after = shared.snapshot();
+            assert_eq!(after.epoch(), before.epoch() + 1, "{sql}");
+            let mut expected = expected.to_vec();
+            expected.sort_unstable();
+            assert_eq!(
+                change_set(after.db().catalog(), before.db().catalog()),
+                expected,
+                "{sql}"
+            );
+        }
+
+        session.execute(EX6_VIEW).unwrap();
+        for sql in [
+            // Fails in the planner, in the edit's second row, in a guard.
+            "UPDATE customer SET balance = nope",
+            "INSERT INTO customer VALUES ('c3', 'Ann', 1, 1.0), ('c3', 'Bo', 'much', 0.0)",
+            "DROP TABLE customer",
+        ] {
+            let before = shared.snapshot();
+            session.execute(sql).unwrap_err();
+            let after = shared.snapshot();
+            assert_eq!(after.epoch(), before.epoch(), "{sql}");
+            let changed = change_set(after.db().catalog(), before.db().catalog());
+            assert_eq!(changed, Vec::<String>::new(), "{sql}");
         }
     }
 

@@ -312,7 +312,7 @@ pub(crate) fn drive<'a>(
     // computes, but pays queue/condvar dispatch and parks the caller on
     // waits that only pool workers (invisible to the schedule explorer's
     // virtual threads) can satisfy. So the pool size is settled first,
-    // from the table length alone, and nothing is touched for a pool of
+    // from the table length alone, and nothing is prepared for a pool of
     // one.
     let n_morsels = join.driving_rows().map_or(0, |n| n.div_ceil(MORSEL_SIZE));
     let workers = ctx.threads().min(n_morsels);

@@ -10,6 +10,14 @@
 //! serialize on a writer lock, build the *next* version copy-on-write,
 //! optionally make it durable (below), and atomically swap it in.
 //!
+//! Versions share tables. A catalog holds `Arc<Table>`, so the next
+//! version starts as a clone that copies names and bumps reference
+//! counts; a statement copies a table the first time it asks for mutable
+//! access to it, and only then (a table it replaces or drops is not copied
+//! at all). Everything else — every table the statement did not write —
+//! is the same allocation in both versions, and stays alive for as long
+//! as any pinned snapshot or the current version refers to it.
+//!
 //! The one piece of derived state is the **clean-answer result cache**:
 //! full [`QueryResult`]s keyed by `(SQL text, epoch)` — the paper's
 //! GROUP BY + SUM form makes results small and cheap to reuse. It is
@@ -30,8 +38,11 @@
 //! ## Durability
 //!
 //! A handle opened with [`SharedDatabase::open_durable`] is backed by a
-//! persistence directory: every committed write appends the affected
-//! tables to the write-ahead log ([`conquer_storage::wal`]) and fsyncs
+//! persistence directory: every committed write appends the tables the
+//! new version does not share with the one it was built from
+//! ([`conquer_storage::Catalog::changes_since`] — whole images of what the
+//! statement wrote, drop markers for what it removed) to the write-ahead
+//! log ([`conquer_storage::wal`]) and fsyncs
 //! *before* the new version becomes visible, so `Ok` from
 //! [`Session::execute`] means the write survives a crash, and `Err` means
 //! it never happened — statement-level atomicity (a failed DML leaves no
@@ -72,7 +83,7 @@ use std::time::Duration;
 use conquer_sync::{rank, Condvar, Mutex, MutexGuard, RwLock};
 
 use conquer_sql::Statement as SqlStatement;
-use conquer_storage::wal::{Wal, WalOp};
+use conquer_storage::wal::Wal;
 use conquer_storage::RecoveryReport;
 
 use crate::context::{CancelToken, ExecLimits};
@@ -471,7 +482,8 @@ struct Counters {
 
 /// One immutable published version of the database. Readers hold an
 /// `Arc<DbVersion>`; writers never touch a published version — they clone
-/// it, mutate the clone, and publish the clone as the next version.
+/// it (sharing its tables), mutate the clone (which copies the tables it
+/// writes), and publish the clone as the next version.
 #[derive(Debug)]
 struct DbVersion {
     db: Database,
@@ -717,10 +729,11 @@ impl SharedDatabase {
     /// `Err` — from `f` itself or from persisting — the clone is discarded
     /// and nothing changes.
     ///
-    /// Arbitrary mutations have no SQL statement to derive write-ahead-log
-    /// records from, so a durable `mutate` folds the whole catalog into a
-    /// fresh epoch directory before publishing (a full checkpoint). Every
-    /// mutation that does not go through [`Session::execute`] — bulk
+    /// An arbitrary mutation is typically a bulk one that rewrites most of
+    /// the catalog, so a durable `mutate` persists by checkpoint: it folds
+    /// the whole catalog into a fresh epoch directory before publishing,
+    /// instead of logging every table and folding the log afterwards.
+    /// Every mutation that does not go through [`Session::execute`] — bulk
     /// loads, re-clustering, reloads from disk — must use this so cached
     /// answers can never survive it.
     pub fn mutate<R>(&self, f: impl FnOnce(&mut Database) -> Result<R>) -> Result<R> {
@@ -886,9 +899,9 @@ impl SharedDatabase {
     }
 
     /// Commit one already-parsed write statement: run it on a clone of the
-    /// current version, WAL-commit the affected tables (durable handles),
-    /// and publish the clone. On any `Err` the clone is discarded — the
-    /// statement never happened, visibly or on disk.
+    /// current version, WAL-commit what the clone no longer shares with it
+    /// (durable handles), and publish the clone. On any `Err` the clone is
+    /// discarded — the statement never happened, visibly or on disk.
     fn commit_statement(&self, stmt: &SqlStatement) -> Result<ExecOutcome> {
         if conquer_sync::mutant("shared::unserialized-publish") {
             // Seeded mutant: "forget" the writer lock — clone, execute, and
@@ -902,10 +915,15 @@ impl SharedDatabase {
         }
         self.check_not_degraded()?;
         let mut ws = self.writer_guard()?;
-        let mut next = self.current().db.clone();
-        let (outcome, touched) = next.exec_parsed_tracked(stmt)?;
+        let cur = self.current();
+        let mut next = cur.db.clone();
+        let outcome = next.exec_parsed(stmt)?;
         if let Some(d) = ws.durable.as_mut() {
-            let ops = wal_ops(&touched, &next)?;
+            // Whole-table images of exactly the tables `next` no longer
+            // shares with `cur`: base change and view maintenance arrive
+            // in the same commit, so recovery can never observe a
+            // half-maintained view.
+            let ops = next.catalog().changes_since(cur.db.catalog());
             if !ops.is_empty() {
                 d.wal.commit(&ops)?;
                 self.inner
@@ -928,30 +946,6 @@ impl SharedDatabase {
         }
         Ok(outcome)
     }
-}
-
-/// The write-ahead-log records for one committed statement, derived from
-/// the executor's touched-tables report: a whole-table image (in `next`,
-/// the post-statement version) for every table the statement changed —
-/// base tables, view contents/state, the view registry — or a drop
-/// marker for tables it removed. Whole images make replay idempotent and
-/// order-insensitive within a commit, and because base change and view
-/// maintenance arrive in the *same* commit, recovery can never observe a
-/// half-maintained view.
-fn wal_ops<'a>(touched: &'a [String], next: &'a Database) -> Result<Vec<WalOp<'a>>> {
-    let mut seen = std::collections::BTreeSet::new();
-    let mut ops = Vec::with_capacity(touched.len());
-    for name in touched {
-        if !seen.insert(name.as_str()) {
-            continue;
-        }
-        if next.catalog().contains(name) {
-            ops.push(WalOp::Put(next.catalog().table(name)?));
-        } else {
-            ops.push(WalOp::Drop(name));
-        }
-    }
-    Ok(ops)
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
@@ -1365,16 +1359,25 @@ mod tests {
     fn pinned_snapshot_is_immutable_across_commits() {
         let db = shared();
         let s = db.session();
+        s.execute("CREATE TABLE u (a INTEGER)").unwrap();
         let snap = db.snapshot();
         let before = snap.db().catalog().table("t").unwrap().rows().to_vec();
 
         s.execute("INSERT INTO t VALUES (10, 'new')").unwrap();
+        // The new version copied the table it wrote and shares the other.
+        let next = db.snapshot();
+        let table = |snap: &Snapshot, name: &str| -> *const conquer_storage::Table {
+            snap.db().catalog().table(name).unwrap()
+        };
+        assert_ne!(table(&next, "t"), table(&snap, "t"));
+        assert_eq!(table(&next, "u"), table(&snap, "u"));
+
         s.execute("DROP TABLE t").unwrap();
-        assert_eq!(db.epoch(), 2);
+        assert_eq!(db.epoch(), 3);
 
         // The pinned snapshot still sees the original three rows; the
         // current version no longer has the table at all.
-        assert_eq!(snap.epoch(), 0);
+        assert_eq!(snap.epoch(), 1);
         assert_eq!(snap.db().catalog().table("t").unwrap().rows(), &before[..]);
         assert!(db.snapshot().db().catalog().table("t").is_err());
     }
@@ -1422,6 +1425,35 @@ mod tests {
         assert_eq!(report.wal_commits_replayed, 2);
         let r = db.session().query("SELECT COUNT(*) FROM t").unwrap();
         assert_eq!(r.result.rows, vec![vec![conquer_storage::Value::Int(2)]]);
+
+        // Statements that add and remove tables replay to the live catalog
+        // as well, whichever of them the log ends on.
+        let image = |db: &SharedDatabase| {
+            let tables: Vec<_> = db.with_db(|d| {
+                let stored = |t: &conquer_storage::Table| {
+                    (t.name().to_string(), t.schema().clone(), t.rows().to_vec())
+                };
+                d.catalog().tables().map(stored).collect()
+            });
+            (tables, db.stats().views)
+        };
+        let mut live = db;
+        for sql in [
+            "DROP TABLE t",
+            "CREATE TABLE p (id TEXT, prob DOUBLE)",
+            "CREATE MATERIALIZED VIEW v AS SELECT id, SUM(prob) AS s FROM p GROUP BY id",
+            "INSERT INTO p VALUES ('a', 0.5)",
+            "DROP MATERIALIZED VIEW v",
+        ] {
+            live.session().execute(sql).unwrap();
+            let expected = image(&live);
+            drop(live);
+            let (reopened, report) =
+                SharedDatabase::open_durable(&dir, SharedConfig::default()).unwrap();
+            assert!(report.is_clean(), "{sql}: {report:?}");
+            assert_eq!(image(&reopened), expected, "after {sql}");
+            live = reopened;
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -19,7 +19,7 @@
 //!   variable (any value but `0`), or call [`set_validation`]`(Some(true))`.
 //!
 //! The checks are pure tree walks over plan structure — no table data is
-//! touched — so even forced-on in release the cost is microseconds per
+//! read — so even forced-on in release the cost is microseconds per
 //! prepare, not per row.
 
 use std::sync::atomic::{AtomicU8, Ordering};

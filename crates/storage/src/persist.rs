@@ -392,7 +392,7 @@ pub fn load_catalog(dir: &Path) -> Result<Catalog, StorageError> {
         }
     };
     if let Some(wal) = crate::wal::read_wal(dir)? {
-        crate::wal::replay(&wal, &mut catalog, min_seq);
+        crate::wal::replay(wal, &mut catalog, min_seq);
     }
     Ok(catalog)
 }
@@ -517,7 +517,7 @@ fn replay_wal_reported(
     report: &mut RecoveryReport,
 ) -> Result<(), StorageError> {
     if let Some(wal) = crate::wal::read_wal(dir)? {
-        let (applied, torn) = crate::wal::replay(&wal, catalog, min_seq);
+        let (applied, torn) = crate::wal::replay(wal, catalog, min_seq);
         report.wal_commits_replayed = applied;
         if let Some(t) = torn {
             report.issues.push(format!(

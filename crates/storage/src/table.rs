@@ -96,10 +96,7 @@ impl Table {
         }
         let mut out = Vec::with_capacity(row.len());
         for (value, col) in row.into_iter().zip(self.schema.columns()) {
-            let got = value
-                .data_type()
-                .map(|t| t.name().to_string())
-                .unwrap_or_else(|| "NULL".to_string());
+            let got = value.data_type();
             match value.coerce_to(col.data_type()) {
                 Some(v) => out.push(v),
                 None => {
@@ -107,7 +104,7 @@ impl Table {
                         table: self.name.clone(),
                         column: col.name().to_string(),
                         expected: col.data_type(),
-                        got,
+                        got: got.map(|t| t.name().to_string()).unwrap_or("NULL".into()),
                     })
                 }
             }
@@ -325,7 +322,11 @@ mod tests {
         ));
 
         let err = t.insert(vec![Value::Int(3), Value::Int(4)]).unwrap_err();
-        assert!(matches!(err, StorageError::TypeMismatch { .. }));
+        assert!(matches!(&err, StorageError::TypeMismatch { got, .. } if got == "INTEGER"));
+        assert_eq!(
+            err.to_string(),
+            "type mismatch for people.name: expected TEXT, got INTEGER"
+        );
     }
 
     #[test]

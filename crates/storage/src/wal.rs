@@ -103,7 +103,8 @@ fn corrupt(path: &Path, detail: String) -> StorageError {
 ///
 /// `Put` carries the *complete* post-write image of a table (not a delta):
 /// replaying it is a plain [`Catalog::replace_table`], idempotent under
-/// partial re-replay.
+/// partial re-replay. The operations of one write are what
+/// [`Catalog::changes_since`] reads off the catalogs before and after it.
 #[derive(Debug)]
 pub enum WalOp<'a> {
     /// Replace (or create) a table with this image.
@@ -384,28 +385,29 @@ pub(crate) fn durable_seq(dir: &Path) -> Result<u64, StorageError> {
 }
 
 /// Replay every committed WAL group with sequence > `min_seq` into
-/// `catalog`, in commit order. Returns `(applied, torn)`.
-pub(crate) fn replay<'a>(
-    contents: &'a WalContents,
+/// `catalog`, in commit order; the decoded table images move in. Returns
+/// `(applied, torn)`.
+pub(crate) fn replay(
+    contents: WalContents,
     catalog: &mut Catalog,
     min_seq: u64,
-) -> (u64, Option<&'a str>) {
+) -> (u64, Option<String>) {
     let mut applied = 0;
-    for (seq, records) in &contents.commits {
-        if *seq <= min_seq {
+    for (seq, records) in contents.commits {
+        if seq <= min_seq {
             continue;
         }
         for rec in records {
             match rec {
-                WalRecord::Put(table) => catalog.replace_table(table.clone()),
+                WalRecord::Put(table) => catalog.replace_table(table),
                 WalRecord::Drop(name) => {
-                    let _ = catalog.drop_table(name);
+                    let _ = catalog.drop_table(&name);
                 }
             }
         }
         applied += 1;
     }
-    (applied, contents.torn.as_deref())
+    (applied, contents.torn)
 }
 
 /// Atomically replace `<dir>/wal.log` with a fresh, empty log whose header
@@ -727,9 +729,9 @@ mod tests {
         wal.commit(&[WalOp::Drop("t"), WalOp::Put(&table("u", &[9]))])
             .unwrap();
 
-        let c = read_wal(&dir).unwrap().unwrap();
+        let scan = || read_wal(&dir).unwrap().unwrap();
         let mut cat = Catalog::new();
-        let (applied, torn) = replay(&c, &mut cat, 0);
+        let (applied, torn) = replay(scan(), &mut cat, 0);
         assert_eq!((applied, torn), (3, None));
         assert!(!cat.contains("t"));
         assert_eq!(cat.table("u").unwrap().len(), 1);
@@ -737,7 +739,7 @@ mod tests {
         // Gated replay skips already-folded commits.
         let mut cat2 = Catalog::new();
         cat2.add_table(table("t", &[1, 2])).unwrap();
-        let (applied2, _) = replay(&c, &mut cat2, 2);
+        let (applied2, _) = replay(scan(), &mut cat2, 2);
         assert_eq!(applied2, 1);
         assert!(!cat2.contains("t"));
         assert!(cat2.contains("u"));
