@@ -44,7 +44,8 @@
 //! cancellation/deadline guards every [`SPILL_TICK_ROWS`] rows.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::hash::Hash;
 use std::time::{Duration, Instant};
 
 use conquer_sql::AggFunc;
@@ -55,6 +56,7 @@ use crate::binder::{AggCall, GroupSpec, OrderKey, OutputItem};
 use crate::context::ExecContext;
 use crate::error::EngineError;
 use crate::expr::{BoundExpr, ColumnId, Offsets};
+use crate::keytable::{hash_key, KeyTable};
 use crate::planner::{scan_label, JoinNode, Plan};
 use crate::result::QueryResult;
 use crate::stats::{approx_row_bytes, approx_value_bytes, ExecStats, OpStats};
@@ -193,6 +195,7 @@ pub(crate) fn finish_pipeline<'a>(
         "Project",
         OpKind::Project {
             child: Box::new(node),
+            moves: movable_cells(&plan.output, &plan.order_by, &offsets),
             output: &plan.output,
             order_by: &plan.order_by,
             offsets,
@@ -204,7 +207,7 @@ pub(crate) fn finish_pipeline<'a>(
             "Distinct",
             OpKind::Distinct {
                 child: Box::new(node),
-                seen: HashSet::new(),
+                seen: KeyTable::new(plan.output.len() + plan.order_by.len()),
                 mem: 0,
             },
         );
@@ -546,17 +549,20 @@ enum OpKind<'a> {
         state: AggState,
     },
     /// Compute output expressions, appending ORDER BY key columns for a
-    /// downstream [`OpKind::Sort`] to consume.
+    /// downstream [`OpKind::Sort`] to consume. `moves[i]` is the input
+    /// cell output item `i` takes by value instead of evaluating (see
+    /// [`movable_cells`]).
     Project {
         child: Box<OpNode<'a>>,
         output: &'a [OutputItem],
         order_by: &'a [crate::binder::BoundOrderBy],
         offsets: Offsets,
+        moves: Vec<Option<usize>>,
     },
     /// Streaming duplicate elimination over projected rows.
     Distinct {
         child: Box<OpNode<'a>>,
-        seen: HashSet<Row>,
+        seen: KeyTable,
         mem: u64,
     },
     /// Blocking sort on the trailing key columns appended by `Project`;
@@ -590,32 +596,58 @@ pub(crate) fn gather_node(src: crate::parallel::GatherSource<'_>) -> OpNode<'_> 
 // External-memory operator state
 // ---------------------------------------------------------------------------
 
-/// An in-memory hash-join build table. Each key maps to its first-seen
-/// insertion rank plus the build rows. The rank makes spill flushes
-/// deterministic: `HashMap` iteration order is seeded per process, so
-/// draining the map to disk in raw iteration order would make spill-file
-/// content — and therefore downstream row order and float-summation
-/// order — vary run to run. Every flush sorts by rank first.
-type BuildMap = HashMap<Vec<Value>, (usize, Vec<Row>)>;
-
-/// Insert one build row under `key`, assigning the next first-seen rank
-/// to new keys.
-fn build_map_insert(map: &mut BuildMap, key: Vec<Value>, row: Row) {
-    let next = map.len();
-    map.entry(key)
-        .or_insert_with(|| (next, Vec::new()))
-        .1
-        .push(row);
+/// An in-memory hash-join build table: the normalized keys in a
+/// [`KeyTable`], the build rows of entry `i` in `rows[i]`. Both are in
+/// first-seen key order, so flushing it to spill partitions writes the
+/// same bytes on every run. Forks share it read-only.
+struct BuildMap {
+    keys: KeyTable,
+    rows: Vec<Vec<Row>>,
 }
 
-/// Drain a build map in first-seen insertion order (see [`BuildMap`]).
-fn drain_in_order(map: &mut BuildMap) -> Vec<(Vec<Value>, Vec<Row>)> {
-    let mut entries: Vec<_> = map.drain().collect();
-    entries.sort_by_key(|(_, (ord, _))| *ord);
-    entries
-        .into_iter()
-        .map(|(k, (_, rows))| (k, rows))
-        .collect()
+impl BuildMap {
+    fn new(width: usize) -> BuildMap {
+        BuildMap {
+            keys: KeyTable::new(width),
+            rows: Vec::new(),
+        }
+    }
+
+    /// The build rows under a (non-NULL, normalized) key, which is copied
+    /// in if it is new.
+    fn rows_of(&mut self, key: Vec<Cow<'_, Value>>) -> Result<&mut Vec<Row>> {
+        let hash = hash_key(&key);
+        let i = match self.keys.find(hash, &key) {
+            Some(i) => i,
+            None => {
+                let i = self.keys.push(hash, key.into_iter().map(Cow::into_owned))?;
+                self.rows.push(Vec::new());
+                i
+            }
+        };
+        Ok(&mut self.rows[i])
+    }
+
+    /// Move every build row to its spill partition under `pass`'s hash,
+    /// keys in first-seen order, leaving the table empty.
+    fn flush(
+        &mut self,
+        pass: u32,
+        ws: &mut [SpillWriter],
+        m: &mut Metrics,
+        ctx: &ExecContext,
+        ticker: &mut Ticker,
+    ) -> Result<()> {
+        for (i, rows) in self.rows.drain(..).enumerate() {
+            let p = partition_of(self.keys.key(i), pass);
+            for r in rows {
+                ticker.row(ctx)?;
+                spill_row(ctx, m, &mut ws[p], &r)?;
+            }
+        }
+        self.keys.clear();
+        Ok(())
+    }
 }
 
 /// How a hash join reads its equi keys off a probe row and a build row,
@@ -630,31 +662,41 @@ struct JoinKeys<'a> {
 }
 
 impl JoinKeys<'_> {
-    fn probe_key(&self, row: &Row) -> Result<Option<Vec<Value>>> {
-        join_keys(row, &self.probe_exprs, &self.probe_offsets)
+    /// Fill `key` with `row`'s probe-side key; see [`join_keys`].
+    fn probe_key<'r>(&'r self, row: &'r Row, key: &mut Vec<Cow<'r, Value>>) -> Result<bool> {
+        join_keys(row, &self.probe_exprs, &self.probe_offsets, key)
     }
 
-    fn build_key(&self, row: &Row) -> Result<Option<Vec<Value>>> {
-        join_keys(row, &self.build_exprs, &self.build_offsets)
+    /// `row`'s build-side key, `None` when it has a NULL.
+    fn build_key<'r>(&'r self, row: &'r Row) -> Result<Option<Vec<Cow<'r, Value>>>> {
+        let mut key = Vec::with_capacity(self.build_exprs.len());
+        Ok(join_keys(row, &self.build_exprs, &self.build_offsets, &mut key)?.then_some(key))
+    }
+
+    /// What one build row charges: the row plus its own copy of the key.
+    fn build_bytes(row: &Row, key: &[Cow<'_, Value>]) -> u64 {
+        approx_row_bytes(row) + key.iter().map(owned_value_bytes).sum::<u64>()
     }
 
     /// Append `prow`'s matches in `map` to `out` as `left ++ right` rows,
-    /// in build insertion order. Ticks the guards per emitted row: a join
-    /// can fan one probe row out into thousands, and cancellation latency
-    /// must stay bounded by emitted work, not consumed work.
-    fn probe_row(
-        &self,
+    /// in build insertion order; `key` is scratch space for its key. Ticks
+    /// the guards per emitted row: a join can fan one probe row out into
+    /// thousands, and cancellation latency must stay bounded by emitted
+    /// work, not consumed work.
+    fn probe_row<'r>(
+        &'r self,
         map: &BuildMap,
-        prow: &Row,
+        prow: &'r Row,
+        key: &mut Vec<Cow<'r, Value>>,
         out: &mut Batch,
         ticker: &mut Ticker,
         ctx: &ExecContext,
     ) -> Result<()> {
-        let Some(key) = self.probe_key(prow)? else {
+        if !self.probe_key(prow, key)? {
             return Ok(());
-        };
-        if let Some((_, matches)) = map.get(&key) {
-            for brow in matches {
+        }
+        if let Some(i) = map.keys.find(hash_key(key), key) {
+            for brow in &map.rows[i] {
                 ticker.row(ctx)?;
                 out.push(if self.build_left {
                     concat_rows(brow, prow)
@@ -758,9 +800,9 @@ impl Ticker {
 /// The spill partition a key belongs to. Deterministically seeded (not
 /// `RandomState`) so a re-read row lands in the same partition, and
 /// varied per pass so an oversized partition actually splits when
-/// recursed with `pass + 1`.
-fn partition_of(key: &[Value], pass: u32) -> usize {
-    use std::hash::{Hash, Hasher};
+/// recursed with `pass + 1`. Borrowed (`Cow`) and owned cells hash alike.
+fn partition_of<K: Hash>(key: &[K], pass: u32) -> usize {
+    use std::hash::Hasher;
     let mut h = std::collections::hash_map::DefaultHasher::new();
     (0x9e37_79b9_u64.wrapping_mul(pass as u64 + 1)).hash(&mut h);
     key.hash(&mut h);
@@ -1084,7 +1126,7 @@ fn step(kind: &mut OpKind<'_>, m: &mut Metrics, ctx: &ExecContext) -> Result<Opt
                         // now, so hand its budget back before upstream
                         // operators (or the result buffer) compete for it.
                         ctx.release(std::mem::take(mem));
-                        *map = HashMap::new();
+                        *map = BuildMap::new(0);
                     }
                     Ok(out)
                 }
@@ -1201,19 +1243,24 @@ fn step(kind: &mut OpKind<'_>, m: &mut Metrics, ctx: &ExecContext) -> Result<Opt
             output,
             order_by,
             offsets,
+            moves,
         } => match pull(child, m, ctx)? {
             None => Ok(None),
             Some(batch) => {
                 let mut out = Vec::with_capacity(batch.len());
-                for row in &batch {
+                for mut row in batch {
                     let mut projected = Vec::with_capacity(output.len() + order_by.len());
-                    for item in output.iter() {
-                        projected.push(item.expr.eval(row, offsets)?);
+                    for (item, cell) in output.iter().zip(moves.iter()) {
+                        projected.push(match cell {
+                            // Nothing else reads the cell: leave a NULL.
+                            Some(i) => std::mem::replace(&mut row[*i], Value::Null),
+                            None => item.expr.eval(&row, offsets)?,
+                        });
                     }
                     for ob in order_by.iter() {
                         projected.push(match &ob.key {
                             OrderKey::Output(i) => projected[*i].clone(),
-                            OrderKey::Expr(e) => e.eval(row, offsets)?,
+                            OrderKey::Expr(e) => e.eval(&row, offsets)?,
                         });
                     }
                     out.push(projected);
@@ -1227,9 +1274,10 @@ fn step(kind: &mut OpKind<'_>, m: &mut Metrics, ctx: &ExecContext) -> Result<Opt
                 let mut out = Vec::with_capacity(batch.len());
                 let mut batch_mem = 0u64;
                 for row in batch {
-                    if !seen.contains(&row) {
+                    let hash = hash_key(&row);
+                    if seen.find(hash, &row).is_none() {
                         batch_mem += approx_row_bytes(&row);
-                        seen.insert(row.clone());
+                        seen.push(hash, row.iter().cloned())?;
                         out.push(row);
                     }
                 }
@@ -1242,7 +1290,7 @@ fn step(kind: &mut OpKind<'_>, m: &mut Metrics, ctx: &ExecContext) -> Result<Opt
             }
             // Input exhausted: the dedup table is no longer needed.
             ctx.release(std::mem::take(mem));
-            *seen = HashSet::new();
+            *seen = KeyTable::new(0);
             Ok(None)
         }
 
@@ -1306,6 +1354,36 @@ fn release_emitted(ctx: &ExecContext, out: &[Row], mem: &mut u64) {
     *mem -= freed;
 }
 
+/// For each output item, the flat input cell [`OpKind::Project`] may move
+/// into the output row instead of cloning: the item is a bare column and
+/// no other output or `ORDER BY` expression reads that cell. Above an
+/// aggregate that is every group-key column, text keys included.
+fn movable_cells(
+    output: &[OutputItem],
+    order_by: &[crate::binder::BoundOrderBy],
+    offsets: &Offsets,
+) -> Vec<Option<usize>> {
+    let order_exprs = order_by.iter().filter_map(|ob| match &ob.key {
+        OrderKey::Expr(e) => Some(e),
+        OrderKey::Output(_) => None,
+    });
+    let read: Vec<ColumnId> = output
+        .iter()
+        .map(|item| &item.expr)
+        .chain(order_exprs)
+        .flat_map(BoundExpr::columns)
+        .collect();
+    output
+        .iter()
+        .map(|item| match &item.expr {
+            BoundExpr::Column(id) if read.iter().filter(|c| *c == id).count() == 1 => {
+                offsets.flat(*id).ok()
+            }
+            _ => None,
+        })
+        .collect()
+}
+
 /// Copy the carried cells of a stored row.
 fn carried_cells(row: &Row, cols: &[usize]) -> Row {
     cols.iter().map(|&c| row[c].clone()).collect()
@@ -1318,28 +1396,46 @@ fn concat_rows(l: &Row, r: &Row) -> Row {
     row
 }
 
-/// Evaluate and normalize the join key expressions for one row; `None`
-/// when any key is NULL (SQL equality never matches NULL).
-fn join_keys(row: &Row, exprs: &[&BoundExpr], offsets: &Offsets) -> Result<Option<Vec<Value>>> {
-    let mut keys = Vec::with_capacity(exprs.len());
+/// Evaluate and normalize the join key expressions for one row into
+/// `key` (cleared first); `false` when any key is NULL (SQL equality
+/// never matches NULL).
+fn join_keys<'r>(
+    row: &'r Row,
+    exprs: &[&'r BoundExpr],
+    offsets: &Offsets,
+    key: &mut Vec<Cow<'r, Value>>,
+) -> Result<bool> {
+    key.clear();
     for e in exprs {
         let v = e.eval_ref(row, offsets)?;
         if v.is_null() {
-            return Ok(None);
+            return Ok(false);
         }
-        keys.push(normalize_key(v));
+        key.push(normalize_key(v));
     }
-    Ok(Some(keys))
+    Ok(true)
 }
 
 /// Normalize a join key so numerically equal Int/Float values collide
-/// (exact for |i| ≤ 2⁵³) and `-0.0` meets `0.0`.
-fn normalize_key(v: Cow<'_, Value>) -> Value {
+/// (exact for |i| ≤ 2⁵³) and `-0.0` meets `0.0`. Anything else — a text
+/// key above all — stays borrowed from the row.
+fn normalize_key(v: Cow<'_, Value>) -> Cow<'_, Value> {
     const EXACT: i64 = 1 << 53;
     match *v {
-        Value::Int(i) if i.abs() <= EXACT => Value::Float(i as f64),
-        Value::Float(0.0) => Value::Float(0.0),
-        _ => v.into_owned(),
+        Value::Int(i) if i.abs() <= EXACT => Cow::Owned(Value::Float(i as f64)),
+        Value::Float(0.0) => Cow::Owned(Value::Float(0.0)),
+        _ => v,
+    }
+}
+
+/// [`approx_value_bytes`] of the owned copy a key table would keep of
+/// `v`: a borrowed text cell is cloned to exactly its length, whatever
+/// capacity the row's own string carries.
+#[allow(clippy::ptr_arg)] // which `Cow` variant it is decides the answer
+fn owned_value_bytes(v: &Cow<'_, Value>) -> u64 {
+    match v {
+        Cow::Borrowed(Value::Text(s)) => (std::mem::size_of::<Value>() + s.len()) as u64,
+        _ => approx_value_bytes(v),
     }
 }
 
@@ -1360,9 +1456,10 @@ fn hj_probe_next(
 ) -> Result<Option<Batch>> {
     let mut ticker = Ticker::new();
     while let Some(batch) = pull(probe, m, ctx)? {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(batch.len());
+        let mut key = Vec::with_capacity(keys.probe_exprs.len());
         for prow in &batch {
-            keys.probe_row(map, prow, &mut out, &mut ticker, ctx)?;
+            keys.probe_row(map, prow, &mut key, &mut out, &mut ticker, ctx)?;
         }
         if !out.is_empty() {
             return Ok(Some(out));
@@ -1381,7 +1478,7 @@ fn hj_prepare<'a>(
     m: &mut Metrics,
     ctx: &ExecContext,
 ) -> Result<JoinState> {
-    let mut map: BuildMap = HashMap::new();
+    let mut map = BuildMap::new(keys.build_exprs.len());
     let mut mem = 0u64;
     let mut writers: Option<Vec<SpillWriter>> = None;
     let mut ticker = Ticker::new();
@@ -1391,11 +1488,11 @@ fn hj_prepare<'a>(
             // preserving the strict-abort behavior.
             let mut batch_mem = 0u64;
             for row in batch {
-                if let Some(key) = keys.build_key(&row)? {
-                    batch_mem +=
-                        approx_row_bytes(&row) + key.iter().map(approx_value_bytes).sum::<u64>();
-                    build_map_insert(&mut map, key, row);
-                }
+                let Some(key) = keys.build_key(&row)? else {
+                    continue;
+                };
+                batch_mem += JoinKeys::build_bytes(&row, &key);
+                map.rows_of(key)?.push(row);
             }
             ctx.charge(batch_mem)?;
             mem += batch_mem;
@@ -1410,23 +1507,17 @@ fn hj_prepare<'a>(
                 spill_row(ctx, m, &mut ws[partition_of(&key, 0)], &row)?;
                 continue;
             }
-            let bytes = approx_row_bytes(&row) + key.iter().map(approx_value_bytes).sum::<u64>();
+            let bytes = JoinKeys::build_bytes(&row, &key);
             if ctx.try_charge(bytes) {
                 mem += bytes;
-                build_map_insert(&mut map, key, row);
+                map.rows_of(key)?.push(row);
                 continue;
             }
             // Budget full: switch to grace mode — partition what we have,
             // release the memory, spill everything still to come.
             let mut ws = new_partition_writers(ctx)?;
             m.spill_passes += 1;
-            for (k, rows) in drain_in_order(&mut map) {
-                let p = partition_of(&k, 0);
-                for r in rows {
-                    ticker.row(ctx)?;
-                    spill_row(ctx, m, &mut ws[p], &r)?;
-                }
-            }
+            map.flush(0, &mut ws, m, ctx, &mut ticker)?;
             m.peak_mem = m.peak_mem.max(mem);
             ctx.release(mem);
             mem = 0;
@@ -1442,12 +1533,12 @@ fn hj_prepare<'a>(
     // match, so they are dropped here.
     let mut probe_ws = new_partition_writers(ctx)?;
     while let Some(batch) = pull(probe, m, ctx)? {
-        for row in batch {
+        let mut key = Vec::with_capacity(keys.probe_exprs.len());
+        for row in &batch {
             ticker.row(ctx)?;
-            let Some(key) = keys.probe_key(&row)? else {
-                continue;
-            };
-            spill_row(ctx, m, &mut probe_ws[partition_of(&key, 0)], &row)?;
+            if keys.probe_key(row, &mut key)? {
+                spill_row(ctx, m, &mut probe_ws[partition_of(&key, 0)], row)?;
+            }
         }
     }
     let build_files = finish_writers(build_ws)?;
@@ -1488,7 +1579,8 @@ fn hj_spill_next(
                     grace.current = None;
                     break;
                 };
-                keys.probe_row(&part.map, &prow, &mut out, &mut ticker, ctx)?;
+                let mut key = Vec::with_capacity(keys.probe_exprs.len());
+                keys.probe_row(&part.map, &prow, &mut key, &mut out, &mut ticker, ctx)?;
             }
             if !out.is_empty() {
                 return Ok(Some(out));
@@ -1499,7 +1591,7 @@ fn hj_spill_next(
             return Ok(None);
         };
         match hj_load_partition(bfile, pfile, pass, keys, m, ctx)? {
-            Loaded::Table(part) => grace.current = Some(Box::new(part)),
+            Loaded::Table(part) => grace.current = Some(part),
             Loaded::Repartitioned(pairs) => grace.queue.extend(pairs),
         }
     }
@@ -1508,7 +1600,7 @@ fn hj_spill_next(
 /// Result of loading one grace-join build partition.
 enum Loaded {
     /// Partition fits: hash table built, ready to stream its probe side.
-    Table(PartProbe),
+    Table(Box<PartProbe>),
     /// Partition was oversized and was split into sub-partition pairs
     /// with the next pass's hash.
     Repartitioned(Vec<(SpillFile, SpillFile, u32)>),
@@ -1523,7 +1615,7 @@ fn hj_load_partition(
     ctx: &ExecContext,
 ) -> Result<Loaded> {
     let mut ticker = Ticker::new();
-    let mut map: BuildMap = HashMap::new();
+    let mut map = BuildMap::new(keys.build_exprs.len());
     let mut mem = 0u64;
     let mut reader = bfile.reader()?;
     while let Some(row) = reader.next_row()? {
@@ -1531,7 +1623,7 @@ fn hj_load_partition(
         let Some(key) = keys.build_key(&row)? else {
             continue;
         };
-        let bytes = approx_row_bytes(&row) + key.iter().map(approx_value_bytes).sum::<u64>();
+        let bytes = JoinKeys::build_bytes(&row, &key);
         let fits = ctx.try_charge(bytes);
         if fits || pass + 1 >= MAX_SPILL_PASSES {
             if !fits {
@@ -1540,7 +1632,7 @@ fn hj_load_partition(
                 ctx.charge(bytes)?;
             }
             mem += bytes;
-            build_map_insert(&mut map, key, row);
+            map.rows_of(key)?.push(row);
             continue;
         }
         // Oversized partition: split build + probe with the next pass's
@@ -1548,13 +1640,7 @@ fn hj_load_partition(
         let next = pass + 1;
         m.spill_passes += 1;
         let mut bws = new_partition_writers(ctx)?;
-        for (k, rows) in drain_in_order(&mut map) {
-            let p = partition_of(&k, next);
-            for r in rows {
-                ticker.row(ctx)?;
-                spill_row(ctx, m, &mut bws[p], &r)?;
-            }
-        }
+        map.flush(next, &mut bws, m, ctx, &mut ticker)?;
         m.peak_mem = m.peak_mem.max(mem);
         ctx.release(mem);
         spill_row(ctx, m, &mut bws[partition_of(&key, next)], &row)?;
@@ -1569,10 +1655,10 @@ fn hj_load_partition(
         let mut preader = pfile.reader()?;
         while let Some(r) = preader.next_row()? {
             ticker.row(ctx)?;
-            let Some(k) = keys.probe_key(&r)? else {
-                continue;
-            };
-            spill_row(ctx, m, &mut pws[partition_of(&k, next)], &r)?;
+            let mut k = Vec::with_capacity(keys.probe_exprs.len());
+            if keys.probe_key(&r, &mut k)? {
+                spill_row(ctx, m, &mut pws[partition_of(&k, next)], &r)?;
+            }
         }
         let bfiles = finish_writers(bws)?;
         let pfiles = finish_writers(pws)?;
@@ -1588,12 +1674,12 @@ fn hj_load_partition(
     }
     m.peak_mem = m.peak_mem.max(mem);
     let probe = pfile.reader()?;
-    Ok(Loaded::Table(PartProbe {
+    Ok(Loaded::Table(Box::new(PartProbe {
         map,
         mem,
         probe,
         _probe_file: pfile,
-    }))
+    })))
 }
 
 // ---------------------------------------------------------------------------
@@ -1751,6 +1837,82 @@ fn merge_runs(
 // Aggregation
 // ---------------------------------------------------------------------------
 
+/// An aggregation table: the group keys in a [`KeyTable`], and beside
+/// them, flat, the `per` accumulators of each group — group `i` owns
+/// `accs[i * per..(i + 1) * per]`. Both are in first-seen group order, so
+/// output order, spill-file content and the finalize order of float state
+/// are the same on every run.
+struct Groups {
+    keys: KeyTable,
+    accs: Vec<Accumulator>,
+    per: usize,
+}
+
+impl Groups {
+    fn new(group: &GroupSpec) -> Groups {
+        Groups {
+            keys: KeyTable::new(group.keys.len()),
+            accs: Vec::new(),
+            per: group.aggs.len(),
+        }
+    }
+
+    /// Append a group that [`KeyTable::find`] just missed.
+    fn push(
+        &mut self,
+        hash: u64,
+        key: impl IntoIterator<Item = Value>,
+        accs: impl IntoIterator<Item = Accumulator>,
+    ) -> Result<usize> {
+        self.accs.extend(accs);
+        self.keys.push(hash, key)
+    }
+
+    fn accs_mut(&mut self, i: usize) -> &mut [Accumulator] {
+        &mut self.accs[i * self.per..(i + 1) * self.per]
+    }
+
+    /// Finalize every group into its `[keys…, agg values…]` output row,
+    /// leaving the table empty.
+    fn finalize(&mut self) -> Result<Vec<Row>> {
+        let per = self.per;
+        let mut accs = std::mem::take(&mut self.accs).into_iter();
+        let mut out = Vec::with_capacity(self.keys.len());
+        for mut row in self.keys.drain_rows(per) {
+            for acc in accs.by_ref().take(per) {
+                row.push(acc.finalize()?);
+            }
+            out.push(row);
+        }
+        Ok(out)
+    }
+
+    /// Write every group to its spill partition under `pass`'s hash as a
+    /// serialized state row, leaving the table empty.
+    fn flush(
+        &mut self,
+        pass: u32,
+        ws: &mut [SpillWriter],
+        m: &mut Metrics,
+        ctx: &ExecContext,
+        ticker: &mut Ticker,
+    ) -> Result<()> {
+        let per = self.per;
+        let mut accs = std::mem::take(&mut self.accs).into_iter();
+        for key in self.keys.drain_rows(per * Accumulator::STATE_FIXED) {
+            ticker.row(ctx)?;
+            let p = partition_of(&key, pass);
+            spill_row(
+                ctx,
+                m,
+                &mut ws[p],
+                &agg_state_row(key, accs.by_ref().take(per)),
+            )?;
+        }
+        Ok(())
+    }
+}
+
 /// Drain `child` and aggregate every row. When everything fits in the
 /// budget, returns the finished group rows in first-seen order
 /// ([`AggState::Drain`] — the classic path). Past the budget, in-memory
@@ -1763,21 +1925,19 @@ fn aggregate_input(
     m: &mut Metrics,
     ctx: &ExecContext,
 ) -> Result<AggState> {
-    // Keys live only in the map (no duplicate clone); the `usize` remembers
-    // first-seen order so output is deterministic.
-    let mut index: HashMap<Vec<Value>, (usize, Vec<Accumulator>)> = HashMap::new();
+    let mut groups = Groups::new(group);
     let mut mem = 0u64;
     let mut writers: Option<Vec<SpillWriter>> = None;
     let mut ticker = Ticker::new();
 
-    let fresh = || -> Vec<Accumulator> { group.aggs.iter().map(Accumulator::new).collect() };
-    let group_bytes = |key: &[Value]| {
-        key.iter().map(approx_value_bytes).sum::<u64>()
-            + (group.aggs.len() * std::mem::size_of::<Accumulator>()) as u64
-    };
+    let fresh = || group.aggs.iter().map(Accumulator::new);
+    let accs_bytes = (group.aggs.len() * std::mem::size_of::<Accumulator>()) as u64;
 
     if group.keys.is_empty() {
-        index.insert(Vec::new(), (0, fresh()));
+        // The one global group exists even over empty input; it is
+        // reported but never charged.
+        groups.push(hash_key::<Value>(&[]), [], fresh())?;
+        m.peak_mem = accs_bytes;
     }
 
     while let Some(batch) = pull(child, m, ctx)? {
@@ -1785,53 +1945,52 @@ fn aggregate_input(
         // they are charged per batch so a key-explosion on skewed dirty
         // data hits the budget before exhausting process memory.
         let mut batch_mem = 0u64;
+        let mut key = Vec::with_capacity(group.keys.len());
         for row in &batch {
-            let mut key = Vec::with_capacity(group.keys.len());
+            key.clear();
             for k in &group.keys {
-                key.push(k.eval(row, offsets)?);
+                key.push(k.eval_ref(row, offsets)?);
             }
-            if !index.contains_key(&key) {
-                let bytes = group_bytes(&key);
-                if !ctx.spill_enabled() {
-                    batch_mem += bytes;
-                } else if ctx.try_charge(bytes) {
-                    mem += bytes;
-                } else {
-                    // Budget full: move every in-memory group to disk as
-                    // serialized state and start over with an empty table
-                    // (partitions are re-merged afterwards).
-                    let ws = match &mut writers {
-                        Some(ws) => ws,
-                        None => {
-                            m.spill_passes += 1;
-                            writers.insert(new_partition_writers(ctx)?)
-                        }
-                    };
-                    m.peak_mem = m.peak_mem.max(mem);
-                    for (k, accs) in drain_groups_in_order(&mut index) {
-                        ticker.row(ctx)?;
-                        let p = partition_of(&k, 0);
-                        spill_row(ctx, m, &mut ws[p], &agg_state_row(k, accs))?;
-                    }
-                    ctx.release(mem);
-                    mem = 0;
-                    if ctx.try_charge(bytes) {
+            let hash = hash_key(&key);
+            let i = match groups.keys.find(hash, &key) {
+                Some(i) => i,
+                None => {
+                    let bytes = key.iter().map(owned_value_bytes).sum::<u64>() + accs_bytes;
+                    if !ctx.spill_enabled() {
+                        batch_mem += bytes;
+                    } else if ctx.try_charge(bytes) {
                         mem += bytes;
                     } else {
-                        // A single group over the whole budget.
-                        ctx.charge(bytes)?;
-                        mem += bytes;
+                        // Budget full: move every in-memory group to disk as
+                        // serialized state and start over with an empty table
+                        // (partitions are re-merged afterwards).
+                        let ws = match &mut writers {
+                            Some(ws) => ws,
+                            None => {
+                                m.spill_passes += 1;
+                                writers.insert(new_partition_writers(ctx)?)
+                            }
+                        };
+                        m.peak_mem = m.peak_mem.max(mem);
+                        groups.flush(0, ws, m, ctx, &mut ticker)?;
+                        ctx.release(mem);
+                        mem = 0;
+                        if ctx.try_charge(bytes) {
+                            mem += bytes;
+                        } else {
+                            // A single group over the whole budget.
+                            ctx.charge(bytes)?;
+                            mem += bytes;
+                        }
                     }
+                    groups.push(hash, key.drain(..).map(Cow::into_owned), fresh())?
                 }
-            }
-            let next = index.len();
-            let (_, accs) = index.entry(key).or_insert_with(|| (next, fresh()));
-            for (acc, call) in accs.iter_mut().zip(&group.aggs) {
-                let v = match &call.arg {
-                    None => Value::Null, // COUNT(*) ignores the value
-                    Some(e) => e.eval(row, offsets)?,
-                };
-                acc.update(v)?;
+            };
+            for (acc, call) in groups.accs_mut(i).iter_mut().zip(&group.aggs) {
+                match &call.arg {
+                    None => acc.update(&Value::Null)?, // COUNT(*) ignores the value
+                    Some(e) => acc.update(&*e.eval_ref(row, offsets)?)?,
+                }
             }
         }
         if !ctx.spill_enabled() {
@@ -1840,13 +1999,9 @@ fn aggregate_input(
         }
     }
 
+    m.peak_mem = m.peak_mem.max(mem);
     if let Some(mut ws) = writers {
-        m.peak_mem = m.peak_mem.max(mem);
-        for (k, accs) in drain_groups_in_order(&mut index) {
-            ticker.row(ctx)?;
-            let p = partition_of(&k, 0);
-            spill_row(ctx, m, &mut ws[p], &agg_state_row(k, accs))?;
-        }
+        groups.flush(0, &mut ws, m, ctx, &mut ticker)?;
         ctx.release(mem);
         let files = finish_writers(ws)?;
         m.spill_partitions += nonempty(&files);
@@ -1861,55 +2016,11 @@ fn aggregate_input(
         });
     }
 
-    m.peak_mem = m.peak_mem.max(
-        index
-            .iter()
-            .map(|(key, (_, accs))| {
-                key.iter().map(approx_value_bytes).sum::<u64>()
-                    + (accs.len() * std::mem::size_of::<Accumulator>()) as u64
-            })
-            .sum(),
-    );
-
-    Ok(AggState::Drain(finalize_groups(index)?.into_iter(), mem))
-}
-
-/// Finalize an in-memory group table into output rows in first-seen
-/// order.
-fn finalize_groups(index: HashMap<Vec<Value>, (usize, Vec<Accumulator>)>) -> Result<Vec<Row>> {
-    let mut groups: Vec<(Vec<Value>, usize, Vec<Accumulator>)> = index
-        .into_iter()
-        .map(|(k, (ord, accs))| (k, ord, accs))
-        .collect();
-    groups.sort_by_key(|(_, ord, _)| *ord);
-    let mut out = Vec::with_capacity(groups.len());
-    for (key, _, accs) in groups {
-        let mut row = key;
-        for acc in accs {
-            row.push(acc.finalize()?);
-        }
-        out.push(row);
-    }
-    Ok(out)
-}
-
-/// Drain an aggregation table in first-seen group order. Like
-/// [`drain_in_order`], this keeps spill-file content deterministic:
-/// flushing in raw `HashMap` iteration order would make re-merged group
-/// order (and the finalize order of float state) vary run to run.
-fn drain_groups_in_order(
-    index: &mut HashMap<Vec<Value>, (usize, Vec<Accumulator>)>,
-) -> Vec<(Vec<Value>, Vec<Accumulator>)> {
-    let mut entries: Vec<_> = index.drain().collect();
-    entries.sort_by_key(|(_, (ord, _))| *ord);
-    entries
-        .into_iter()
-        .map(|(k, (_, accs))| (k, accs))
-        .collect()
+    Ok(AggState::Drain(groups.finalize()?.into_iter(), mem))
 }
 
 /// Serialize one group (key + accumulator states) as a spill row.
-fn agg_state_row(key: Vec<Value>, accs: Vec<Accumulator>) -> Row {
+fn agg_state_row(key: Row, accs: impl IntoIterator<Item = Accumulator>) -> Row {
     let mut row = key;
     for acc in accs {
         acc.state_values(&mut row);
@@ -1973,7 +2084,7 @@ fn agg_merge_partition(
 ) -> Result<AggMerge> {
     let nk = group.keys.len();
     let mut ticker = Ticker::new();
-    let mut index: HashMap<Vec<Value>, (usize, Vec<Accumulator>)> = HashMap::new();
+    let mut groups = Groups::new(group);
     let mut mem = 0u64;
     let mut reader = file.reader()?;
     while let Some(srow) = reader.next_row()? {
@@ -1989,8 +2100,9 @@ fn agg_merge_partition(
             k.truncate(nk);
             k
         };
-        if let Some((_, existing)) = index.get_mut(&key) {
-            for (e, a) in existing.iter_mut().zip(accs) {
+        let hash = hash_key(&key);
+        if let Some(i) = groups.keys.find(hash, &key) {
+            for (e, a) in groups.accs_mut(i).iter_mut().zip(accs) {
                 e.merge(a)?;
             }
             continue;
@@ -2002,8 +2114,7 @@ fn agg_merge_partition(
                 ctx.charge(bytes)?;
             }
             mem += bytes;
-            let next = index.len();
-            index.insert(key, (next, accs));
+            groups.push(hash, key, accs)?;
             continue;
         }
         // Oversized partition: split everything (merged groups + the rest
@@ -2012,11 +2123,7 @@ fn agg_merge_partition(
         m.spill_passes += 1;
         let mut ws = new_partition_writers(ctx)?;
         m.peak_mem = m.peak_mem.max(mem);
-        for (k, a) in drain_groups_in_order(&mut index) {
-            ticker.row(ctx)?;
-            let p = partition_of(&k, nextp);
-            spill_row(ctx, m, &mut ws[p], &agg_state_row(k, a))?;
-        }
+        groups.flush(nextp, &mut ws, m, ctx, &mut ticker)?;
         ctx.release(mem);
         let p = partition_of(&key, nextp);
         spill_row(ctx, m, &mut ws[p], &agg_state_row(key, accs))?;
@@ -2041,7 +2148,7 @@ fn agg_merge_partition(
         ));
     }
     m.peak_mem = m.peak_mem.max(mem);
-    Ok(AggMerge::Done(finalize_groups(index)?, mem))
+    Ok(AggMerge::Done(groups.finalize()?, mem))
 }
 
 /// Accumulator for one aggregate call within one group.
@@ -2073,7 +2180,9 @@ impl Accumulator {
         }
     }
 
-    fn update(&mut self, v: Value) -> Result<()> {
+    /// Fold one input value in, cloning it only where it is kept (a
+    /// DISTINCT set's new member, a new MIN/MAX).
+    fn update(&mut self, v: &Value) -> Result<()> {
         if self.count_star {
             self.count += 1;
             return Ok(());
@@ -2082,14 +2191,15 @@ impl Accumulator {
             return Ok(()); // aggregates ignore NULLs
         }
         if let Some(seen) = &mut self.distinct {
-            if !seen.insert(v.clone()) {
+            if seen.contains(v) {
                 return Ok(());
             }
+            seen.insert(v.clone());
         }
         self.count += 1;
         match self.func {
             AggFunc::Count => {}
-            AggFunc::Sum | AggFunc::Avg => match v {
+            AggFunc::Sum | AggFunc::Avg => match *v {
                 Value::Int(i) => {
                     self.sum_float += i as f64;
                     if !self.saw_float {
@@ -2103,7 +2213,7 @@ impl Accumulator {
                     self.saw_float = true;
                     self.sum_float += f;
                 }
-                other => {
+                ref other => {
                     return Err(EngineError::exec(format!(
                         "{} over non-numeric value {other}",
                         self.func.name()
@@ -2111,13 +2221,13 @@ impl Accumulator {
                 }
             },
             AggFunc::Min => {
-                if self.minmax.as_ref().is_none_or(|m| v < *m) {
-                    self.minmax = Some(v);
+                if self.minmax.as_ref().is_none_or(|m| v < m) {
+                    self.minmax = Some(v.clone());
                 }
             }
             AggFunc::Max => {
-                if self.minmax.as_ref().is_none_or(|m| v > *m) {
-                    self.minmax = Some(v);
+                if self.minmax.as_ref().is_none_or(|m| v > m) {
+                    self.minmax = Some(v.clone());
                 }
             }
         }
@@ -2220,7 +2330,7 @@ impl Accumulator {
                 EngineError::internal("corrupt aggregate spill state: truncated DISTINCT set")
             })?;
             for v in seen {
-                acc.update(v.clone())?;
+                acc.update(v)?;
             }
             return Ok((acc, end));
         }
@@ -2247,7 +2357,7 @@ impl Accumulator {
         if let Some(theirs) = other.distinct {
             // Replay through `update` so cross-flush duplicates are
             // dropped by our own set.
-            for v in theirs {
+            for v in &theirs {
                 self.update(v)?;
             }
             return Ok(());
@@ -2388,12 +2498,88 @@ mod tests {
     }
 
     #[test]
+    fn group_keys_compare_as_values_and_come_out_in_first_seen_order() {
+        use conquer_storage::{DataType, Schema};
+        let mut cat = Catalog::new();
+        let schema = Schema::from_pairs([
+            ("tag", DataType::Int),
+            ("i", DataType::Int),
+            ("f", DataType::Float),
+        ])
+        .unwrap();
+        let t = cat.create_table("g", schema).unwrap();
+        let float = |f: f64| vec![Value::Int(0), Value::Null, Value::Float(f)];
+        for row in [
+            float(0.0),
+            float(-0.0),
+            vec![Value::Int(1), Value::Int(1), Value::Null],
+            float(1.0),
+            float(f64::NAN),
+            float(f64::NAN),
+            vec![Value::Int(0), Value::Null, Value::Null],
+            vec![Value::Int(0), Value::Null, Value::Null],
+        ] {
+            t.insert(row).unwrap();
+        }
+        // The key is Int(1) on one row and a float (or NULL) on the rest.
+        let plan = plan_of(
+            &cat,
+            "select case when tag = 1 then i else f end, count(*) from g \
+             group by case when tag = 1 then i else f end",
+        );
+        let rows = execute_plan(&cat, &plan, &ExecContext::default())
+            .unwrap()
+            .rows;
+        // Grouping is value identity, not numeric equality: 0.0 and -0.0
+        // are two groups, as are Int(1) and Float(1.0); NaN meets NaN and
+        // NULL meets NULL.
+        let expected = [
+            (Value::Float(0.0), 1),
+            (Value::Float(-0.0), 1),
+            (Value::Int(1), 1),
+            (Value::Float(1.0), 1),
+            (Value::Float(f64::NAN), 2),
+            (Value::Null, 2),
+        ]
+        .map(|(k, n)| vec![k, Value::Int(n)]);
+        assert_eq!(rows, expected);
+    }
+
+    #[test]
+    fn project_moves_a_cell_only_when_nothing_else_reads_it() {
+        let cat = fork_catalog();
+        let moves = |sql: &str| {
+            let plan = plan_of(&cat, sql);
+            movable_cells(&plan.output, &plan.order_by, &Offsets(vec![Some(0)]))
+        };
+        // Above an aggregate the row is [keys…, aggs…].
+        assert_eq!(
+            moves("select k, count(*) from a group by k"),
+            [Some(0), Some(1)]
+        );
+        assert_eq!(
+            moves("select k, k + 1, count(*) from a group by k"),
+            [None, None, Some(1)]
+        );
+        assert_eq!(moves("select k, k from a group by k"), [None, None]);
+        // Moved or not, the answer is the same.
+        let plan = plan_of(&cat, "select k, k, k + 1, count(*) from b group by k");
+        let rows = execute_plan(&cat, &plan, &ExecContext::default())
+            .unwrap()
+            .rows;
+        assert_eq!(
+            rows[3],
+            [Value::Int(3), Value::Int(3), Value::Int(4), Value::Int(1)]
+        );
+    }
+
+    #[test]
     fn sum_stays_int_until_float_appears() {
         let mut a = acc(AggFunc::Sum, false);
-        a.update(Value::Int(3)).unwrap();
-        a.update(Value::Int(4)).unwrap();
+        a.update(&Value::Int(3)).unwrap();
+        a.update(&Value::Int(4)).unwrap();
         assert_eq!(a.clone().finalize().unwrap(), Value::Int(7));
-        a.update(Value::Float(0.5)).unwrap();
+        a.update(&Value::Float(0.5)).unwrap();
         assert_eq!(a.finalize().unwrap(), Value::Float(7.5));
     }
 
@@ -2408,13 +2594,13 @@ mod tests {
     #[test]
     fn nulls_ignored() {
         let mut a = acc(AggFunc::Count, false);
-        a.update(Value::Null).unwrap();
-        a.update(Value::Int(1)).unwrap();
+        a.update(&Value::Null).unwrap();
+        a.update(&Value::Int(1)).unwrap();
         assert_eq!(a.finalize().unwrap(), Value::Int(1));
         let mut a = acc(AggFunc::Avg, false);
-        a.update(Value::Null).unwrap();
-        a.update(Value::Int(2)).unwrap();
-        a.update(Value::Int(4)).unwrap();
+        a.update(&Value::Null).unwrap();
+        a.update(&Value::Int(2)).unwrap();
+        a.update(&Value::Int(4)).unwrap();
         assert_eq!(a.finalize().unwrap(), Value::Float(3.0));
     }
 
@@ -2422,12 +2608,12 @@ mod tests {
     fn distinct_dedups() {
         let mut a = acc(AggFunc::Count, true);
         for v in [1i64, 1, 2, 2, 3] {
-            a.update(Value::Int(v)).unwrap();
+            a.update(&Value::Int(v)).unwrap();
         }
         assert_eq!(a.finalize().unwrap(), Value::Int(3));
         let mut a = acc(AggFunc::Sum, true);
         for v in [5i64, 5, 7] {
-            a.update(Value::Int(v)).unwrap();
+            a.update(&Value::Int(v)).unwrap();
         }
         assert_eq!(a.finalize().unwrap(), Value::Int(12));
     }
@@ -2437,8 +2623,8 @@ mod tests {
         let mut lo = acc(AggFunc::Min, false);
         let mut hi = acc(AggFunc::Max, false);
         for v in [3i64, 1, 2] {
-            lo.update(Value::Int(v)).unwrap();
-            hi.update(Value::Int(v)).unwrap();
+            lo.update(&Value::Int(v)).unwrap();
+            hi.update(&Value::Int(v)).unwrap();
         }
         assert_eq!(lo.finalize().unwrap(), Value::Int(1));
         assert_eq!(hi.finalize().unwrap(), Value::Int(3));
@@ -2447,14 +2633,14 @@ mod tests {
     #[test]
     fn sum_overflow_reported() {
         let mut a = acc(AggFunc::Sum, false);
-        a.update(Value::Int(i64::MAX)).unwrap();
-        a.update(Value::Int(1)).unwrap();
+        a.update(&Value::Int(i64::MAX)).unwrap();
+        a.update(&Value::Int(1)).unwrap();
         assert!(a.finalize().is_err());
     }
 
     #[test]
     fn key_normalization() {
-        let norm = |v: Value| normalize_key(Cow::Owned(v));
+        let norm = |v: Value| normalize_key(Cow::Owned(v)).into_owned();
         assert_eq!(norm(Value::Int(5)), Value::Float(5.0));
         assert_eq!(norm(Value::Float(-0.0)), Value::Float(0.0));
         assert_eq!(norm(Value::text("x")), Value::text("x"));

@@ -40,6 +40,7 @@ pub mod database;
 pub mod error;
 pub mod exec;
 pub mod expr;
+mod keytable;
 mod parallel;
 pub mod planner;
 pub mod result;

@@ -389,3 +389,111 @@ fn cancellation_stays_responsive_while_spilling() {
         "cancellation took {elapsed:?} while spilling"
     );
 }
+
+/// Per-operator `(name, mem, spilled, partitions, passes)` of every
+/// operator that held or spilled state, in plan order.
+fn state_counters(r: &QueryResult) -> Vec<(String, u64, u64, u64, u64)> {
+    let mut out = Vec::new();
+    r.stats().unwrap().root.visit(&mut |_, op| {
+        if op.peak_mem > 0 || op.spill_bytes > 0 {
+            let name = op.name.split_whitespace().next().unwrap().to_string();
+            out.push((
+                name,
+                op.peak_mem,
+                op.spill_bytes,
+                op.spill_partitions,
+                op.spill_passes,
+            ));
+        }
+    });
+    out
+}
+
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn spilled_aggregate_output_order_and_counters_are_pinned() {
+    // Spill files are written in first-seen group order and partitioned
+    // with a fixed hash, so a spilled aggregate's output *order* — not
+    // just its multiset — and its spill volume are a function of the
+    // input alone. The numbers below were recorded before the group
+    // table became a `KeyTable`; whatever holds the groups must
+    // reproduce them. Five accumulators make the group state (~555 KB)
+    // nine times the projected output, so 128 KiB forces four flushes and
+    // still holds the whole (hard-charged) result.
+    let db = big_db(4000);
+    let sql = "SELECT grp FROM big GROUP BY grp \
+               HAVING COUNT(*) > 0 AND SUM(val) > 0 AND MIN(val) > 0 \
+               AND MAX(val) > 0 AND AVG(val) > 0";
+    let budget = 128 * 1024;
+    let governed = assert_spilled_run_matches(&db, sql, ExecLimits::none().with_mem_bytes(budget));
+    let counters = state_counters(&governed);
+    let [(name, _, spilled, ..)] = &counters[..] else {
+        panic!("{counters:?}")
+    };
+    assert_eq!(name, "HashAggregate");
+    assert!(
+        *spilled > 2 * budget,
+        "fewer than two flushes: {counters:?}"
+    );
+    assert_eq!(
+        counters,
+        [("HashAggregate".to_string(), 130_980, 1_012_000, 16, 1)],
+        "spill counters moved"
+    );
+    let order: Vec<String> = governed.rows.iter().map(|r| r[0].to_string()).collect();
+    assert_eq!(order.len(), 1000);
+    assert_eq!(
+        order[..4],
+        ["group-00042", "group-00063", "group-00087", "group-00098"],
+        "output order moved"
+    );
+    assert_eq!(
+        fnv1a(&order.join(",")),
+        17_430_620_482_020_210_751,
+        "output order moved"
+    );
+}
+
+#[test]
+fn in_memory_state_is_charged_to_the_byte() {
+    // What a key table charges is part of its contract: budgets across
+    // this suite (and users' `\limit mem`) are sized from these numbers.
+    // Recorded before the group, build and DISTINCT tables became
+    // `KeyTable`s.
+    let db = big_db(4000);
+    let run = |sql: &str| {
+        db.prepare(sql)
+            .unwrap()
+            .with_limits(ExecLimits::none().with_threads(1))
+            .query(&db)
+            .unwrap()
+    };
+    // Text join key and text group key; 1000 build rows, 1000 groups.
+    let joined = run("SELECT a.grp, COUNT(*), SUM(b.val) FROM big a, big b \
+                      WHERE a.grp = b.grp AND b.id < 1000 GROUP BY a.grp");
+    assert_eq!(
+        state_counters(&joined),
+        [
+            ("HashAggregate".to_string(), 243_000, 0, 0, 0),
+            ("HashJoin".to_string(), 376_000, 0, 0, 0)
+        ]
+    );
+    assert_eq!(joined.stats().unwrap().mem_charged, 619_000);
+    let distinct = run("SELECT DISTINCT grp, id - id FROM big");
+    assert_eq!(
+        state_counters(&distinct),
+        [("Distinct".to_string(), 83_000, 0, 0, 0)]
+    );
+    assert_eq!(distinct.stats().unwrap().mem_charged, 166_000);
+    // A global aggregate's one group is reported but never charged.
+    let global = run("SELECT COUNT(*), SUM(val) FROM big");
+    assert_eq!(
+        state_counters(&global),
+        [("HashAggregate".to_string(), 208, 0, 0, 0)]
+    );
+}

@@ -1,6 +1,6 @@
 //! Workspace hygiene lints, run as `cargo run -p xtask -- tidy`.
 //!
-//! Five checks, all textual and std-only (no external dependencies), each
+//! Six checks, all textual and std-only (no external dependencies), each
 //! implemented as a pure function over a workspace root so the self-tests
 //! can run them against seeded fixture trees:
 //!
@@ -29,6 +29,11 @@
 //!    through `conquer_storage::vfs` so fault injection and crash-state
 //!    enumeration see every byte. `crates/sync`, `crates/bench`, and
 //!    `src/bin` entrypoints are exempt (they never touch durable state).
+//! 6. **value-keyed-map ban** — no `HashMap`/`HashSet` keyed by a row or a
+//!    `Vec<Value>` in `crates/engine/src` outside `#[cfg(test)]` modules.
+//!    The executor's grouping, join-build and DISTINCT state all live in
+//!    `keytable::KeyTable`, whose arena order is first-seen order; a std
+//!    map beside it would need its own rank-and-sort to be deterministic.
 //!
 //! `crates/xtask` itself and `vendor/` are out of scope for every check.
 
@@ -66,12 +71,13 @@ fn workspace_root() -> PathBuf {
 type Check = fn(&Path) -> Vec<String>;
 
 fn run_tidy(root: &Path) -> usize {
-    let checks: [(&str, Check); 5] = [
+    let checks: [(&str, Check); 6] = [
         ("std-sync lock ban", check_std_sync),
         ("failpoint cross-check", check_failpoints),
         ("env-var docs", check_env_docs),
         ("unwrap/expect ban", check_unwrap_ban),
         ("std-fs IO ban", check_std_fs),
+        ("value-keyed-map ban", check_value_keyed_map),
     ];
     let mut total = 0;
     for (name, check) in checks {
@@ -171,6 +177,16 @@ fn line_of(text: &str, offset: usize) -> usize {
         .filter(|&&b| b == b'\n')
         .count()
         + 1
+}
+
+/// `(line number, code)` for each line of library code: everything above
+/// the first `#[cfg(test)]` (test module convention: everything below is
+/// tests), with any `// ...` tail cut off.
+fn library_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    text.lines()
+        .take_while(|line| !line.trim_start().starts_with("#[cfg(test)]"))
+        .enumerate()
+        .map(|(idx, line)| (idx + 1, line.find("//").map_or(line, |pos| &line[..pos])))
 }
 
 /// The contents of string literals on one line (escape-naive: splits on
@@ -438,18 +454,10 @@ fn scan_unwraps(text: &str, file: &str, violations: &mut Vec<String>) {
     // the check can include its own implementation without self-flagging.
     const UNWRAP: &str = concat!(".unw", "rap()");
     const EXPECT: &str = concat!(".exp", "ect(");
-    for (idx, line) in text.lines().enumerate() {
-        if line.trim_start().starts_with("#[cfg(test)]") {
-            return; // test module convention: everything below is tests
-        }
-        let code = match line.find("//") {
-            Some(pos) => &line[..pos],
-            None => line,
-        };
+    for (line, code) in library_lines(text) {
         if code.contains(UNWRAP) || code.contains(EXPECT) {
             violations.push(format!(
-                "{file}:{}: `{}` in non-test library code — return a typed error instead",
-                idx + 1,
+                "{file}:{line}: `{}` in non-test library code — return a typed error instead",
                 if code.contains(UNWRAP) {
                     UNWRAP
                 } else {
@@ -492,14 +500,7 @@ fn check_std_fs(root: &Path) -> Vec<String> {
 
 fn scan_std_fs(text: &str, file: &str, violations: &mut Vec<String>) {
     const NEEDLE: &str = "std::fs";
-    for (idx, line) in text.lines().enumerate() {
-        if line.trim_start().starts_with("#[cfg(test)]") {
-            return; // test module convention: everything below is tests
-        }
-        let code = match line.find("//") {
-            Some(pos) => &line[..pos],
-            None => line,
-        };
+    for (line, code) in library_lines(text) {
         if let Some(pos) = code.find(NEEDLE) {
             // `std::fs` must end there as a path segment (`std::fs::read`,
             // `use std::fs;`) — an identifier continuing is a different
@@ -507,12 +508,44 @@ fn scan_std_fs(text: &str, file: &str, violations: &mut Vec<String>) {
             let after = code[pos + NEEDLE.len()..].chars().next();
             if after.is_none_or(|ch| !is_ident_char(ch)) {
                 violations.push(format!(
-                    "{file}:{}: raw `std::fs` IO in library code — route it through \
+                    "{file}:{line}: raw `std::fs` IO in library code — route it through \
                      `conquer_storage::vfs` so fault injection and crash-state \
                      enumeration see it",
-                    idx + 1,
                 ));
             }
+        }
+    }
+}
+
+// ------------------------------------------- check 6: value-keyed-map ban
+
+/// The executor keeps value-keyed state in `keytable::KeyTable` only: a
+/// std map or set keyed by a row iterates in a per-process order, so each
+/// one that held operator state had to carry ranks and sort before every
+/// drain. Test modules (below the first `#[cfg(test)]`) may use one as a
+/// reference model.
+fn check_value_keyed_map(root: &Path) -> Vec<String> {
+    let mut violations = Vec::new();
+    let src = root.join("crates/engine/src");
+    for file in rs_files(&src) {
+        scan_value_keyed_maps(&read(&file), &display(root, &file), &mut violations);
+    }
+    violations
+}
+
+fn scan_value_keyed_maps(text: &str, file: &str, violations: &mut Vec<String>) {
+    const BANNED: [&str; 4] = [
+        "HashMap<Vec<Value>",
+        "HashMap<Row",
+        "HashSet<Row>",
+        "HashSet<Vec<Value>",
+    ];
+    for (line, code) in library_lines(text) {
+        if let Some(banned) = BANNED.iter().find(|b| code.contains(**b)) {
+            violations.push(format!(
+                "{file}:{line}: `{banned}` in the executor — keep value-keyed state in \
+                 `keytable::KeyTable`, whose order is first-seen order",
+            ));
         }
     }
 }
@@ -712,6 +745,48 @@ mod tests {
         assert_eq!(check_std_fs(&fx.root), Vec::<String>::new());
     }
 
+    #[test]
+    fn value_keyed_maps_in_the_executor_are_flagged() {
+        let fx = Fixture::new("vkm_bad");
+        fx.put(
+            "crates/engine/src/exec.rs",
+            "type BuildMap = HashMap<Vec<Value>, (usize, Vec<Row>)>;\n\
+             struct D { seen: HashSet<Row>, k: HashSet<Vec<Value>> }\n\
+             fn f(m: &HashMap<Row, f64>) {}\n",
+        );
+        let v = check_value_keyed_map(&fx.root);
+        assert_eq!(v.len(), 3, "{v:?}");
+        assert!(
+            v[0].contains("exec.rs:1") && v[0].contains("HashMap<Vec<Value>"),
+            "{v:?}"
+        );
+        assert!(v[1].contains("exec.rs:2"), "{v:?}");
+        assert!(
+            v[2].contains("exec.rs:3") && v[2].contains("HashMap<Row"),
+            "{v:?}"
+        );
+    }
+
+    #[test]
+    fn value_keyed_maps_in_tests_comments_and_other_crates_are_allowed() {
+        let fx = Fixture::new("vkm_ok");
+        fx.put(
+            "crates/engine/src/keytable.rs",
+            "// replaces HashMap<Vec<Value>, _>\n\
+             struct Acc { distinct: HashSet<Value>, by_name: HashMap<String, Row> }\n\
+             #[cfg(test)]\nmod tests {\n    type Model = HashMap<Vec<Value>, usize>;\n}\n",
+        )
+        .put(
+            "crates/core/src/naive.rs",
+            "fn f(probs: HashMap<Row, f64>) {}\n",
+        )
+        .put(
+            "crates/engine/tests/spill.rs",
+            "fn f(seen: HashSet<Row>) {}\n",
+        );
+        assert_eq!(check_value_keyed_map(&fx.root), Vec::<String>::new());
+    }
+
     /// The real workspace must pass every check — this is the tidy gate's
     /// own regression test.
     #[test]
@@ -723,5 +798,6 @@ mod tests {
         assert_eq!(check_env_docs(&root), Vec::<String>::new());
         assert_eq!(check_unwrap_ban(&root), Vec::<String>::new());
         assert_eq!(check_std_fs(&root), Vec::<String>::new());
+        assert_eq!(check_value_keyed_map(&root), Vec::<String>::new());
     }
 }
