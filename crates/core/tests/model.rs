@@ -317,9 +317,7 @@ fn query_consistent(shared: &SharedDatabase, e0: u64) {
 }
 
 fn explore_cache_sweep() -> conquer_core::sync::sched::Report {
-    // One preemption keeps the space exhaustible even when `--features
-    // fault` compiles a registry-lock acquisition into every failpoint
-    // (which multiplies the sync ops per commit); the stale-answer window
+    // One preemption keeps the space small; the stale-answer window
     // (publish → preempt → read → sweep) needs only one switch to reach.
     Explorer::new().max_preemptions(1).explore(|exec| {
         let shared = SharedDatabase::new(Database::new());

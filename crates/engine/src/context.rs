@@ -353,8 +353,6 @@ impl ExecContext {
     /// would push the query past its memory limit (the charge is still
     /// recorded, so repeated calls keep failing).
     pub fn charge(&self, bytes: u64) -> Result<()> {
-        conquer_storage::fault::trigger("exec::charge")
-            .map_err(|f| EngineError::exec(format!("injected allocation fault at {}", f.point)))?;
         let now = self.mem_used.fetch_add(bytes, Ordering::Relaxed) + bytes;
         self.note_peak(now);
         if let Some(limit) = self.limits.mem_bytes {

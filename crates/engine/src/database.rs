@@ -358,8 +358,19 @@ impl Database {
     /// [`crate::stats::ExecStats`] tree is rendered instead.
     pub fn explain_select(&self, stmt: &SelectStatement, analyze: bool) -> Result<QueryResult> {
         let plan = self.plan(stmt)?;
+        self.render_explain(&plan, analyze, &self.exec_context(self.limits))
+    }
+
+    /// The `QUERY PLAN` result for `plan`: its description, or with
+    /// `analyze` its stats tree from a run under `ctx`.
+    pub(crate) fn render_explain(
+        &self,
+        plan: &Plan,
+        analyze: bool,
+        ctx: &ExecContext,
+    ) -> Result<QueryResult> {
         let text = if analyze {
-            let result = execute_plan(&self.catalog, &plan, &self.exec_context(self.limits))?;
+            let result = execute_plan(&self.catalog, plan, ctx)?;
             result
                 .stats()
                 .map(|s| s.render())
@@ -774,7 +785,6 @@ impl Database {
             .cloned()
             .collect();
         for v in &views {
-            fault_point("view::apply")?;
             let pairs = view::delta_pairs(self, v, table, delta)?;
             // A delta whose rows join nothing contributes nothing: the
             // view's two tables stay as they are, and out of the commit.
@@ -932,14 +942,6 @@ fn edit_table(t: &mut Table, edit: Edit, tracked: bool) -> Result<TableDelta> {
         }
     }
     Ok(delta)
-}
-
-/// Check a storage-layer fault point from the maintenance path, mapping
-/// the injected fault into the typed engine error (same contract as the
-/// shared layer's points: the statement aborts whole, nothing publishes).
-/// A no-op without the `fault` feature.
-fn fault_point(point: &str) -> Result<()> {
-    conquer_storage::fault::trigger(point).map_err(|f| EngineError::Storage(f.into()))
 }
 
 /// Evaluate a constant expression (INSERT values, RECLUSTER targets).

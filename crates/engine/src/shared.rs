@@ -84,7 +84,7 @@ use conquer_sync::{rank, Condvar, Mutex, MutexGuard, RwLock};
 
 use conquer_sql::Statement as SqlStatement;
 use conquer_storage::wal::Wal;
-use conquer_storage::RecoveryReport;
+use conquer_storage::{Catalog, RecoveryReport};
 
 use crate::context::{CancelToken, ExecLimits};
 use crate::database::{Database, ExecOutcome};
@@ -92,13 +92,6 @@ use crate::error::EngineError;
 use crate::result::QueryResult;
 use crate::statement::Statement;
 use crate::Result;
-
-/// Check a storage-layer fault point from engine code, mapping the
-/// injected fault into the typed engine error. A no-op without the
-/// `fault` feature.
-fn fault_point(point: &str) -> Result<()> {
-    conquer_storage::fault::trigger(point).map_err(|f| EngineError::Storage(f.into()))
-}
 
 /// Configuration for a [`SharedDatabase`]: result-cache capacity and
 /// admission control. `#[non_exhaustive]` — construct with [`SharedConfig::default`]
@@ -530,6 +523,23 @@ struct Durable {
     wal_limit: u64,
 }
 
+impl Durable {
+    /// Fold `catalog` into a fresh epoch directory, then reopen the log the
+    /// fold replaced. The fold is the commit point: a failed reopen cannot
+    /// undo it, so it is counted instead of returned, and the poisoned log
+    /// heals on the next commit.
+    fn fold(&mut self, catalog: &Catalog) -> Result<()> {
+        conquer_storage::save_catalog(catalog, &self.dir)?;
+        if let Err(e) = self.wal.reopen() {
+            conquer_storage::vfs::note_io_error(format!(
+                "WAL reopen after a checkpoint in {} failed: {e}",
+                self.dir.display()
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// What a completed [`SharedDatabase::checkpoint`] folded.
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -742,14 +752,12 @@ impl SharedDatabase {
         let mut next = self.current().db.clone();
         let out = f(&mut next)?;
         if let Some(d) = ws.durable.as_mut() {
-            conquer_storage::save_catalog(next.catalog(), &d.dir)?;
-            d.wal.reopen()?;
+            d.fold(next.catalog())?;
             self.inner
                 .counters
                 .checkpoints
                 .fetch_add(1, Ordering::Relaxed);
         }
-        fault_point("shared::swap")?;
         self.publish(next, &mut ws);
         Ok(out)
     }
@@ -851,11 +859,9 @@ impl SharedDatabase {
         let Some(d) = ws.durable.as_mut() else {
             return Ok(None);
         };
-        fault_point("shared::checkpoint")?;
         let cur = self.current();
         let wal_bytes_folded = d.wal.size_bytes();
-        conquer_storage::save_catalog(cur.db.catalog(), &d.dir)?;
-        d.wal.reopen()?;
+        d.fold(cur.db.catalog())?;
         self.inner
             .counters
             .checkpoints
@@ -932,7 +938,6 @@ impl SharedDatabase {
                     .fetch_add(1, Ordering::Relaxed);
             }
         }
-        fault_point("shared::swap")?;
         self.publish(next, &mut ws);
         // The write is already durable in the WAL; a failed automatic
         // checkpoint only leaves the log long, so it never fails the

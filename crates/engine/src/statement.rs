@@ -52,12 +52,9 @@ pub struct Statement {
 enum Kind {
     /// A planned `SELECT`.
     Select { plan: Plan },
-    /// `EXPLAIN [ANALYZE] <select>` — planned (and for ANALYZE, executed)
-    /// at query time so the report reflects the current catalog.
-    Explain {
-        analyze: bool,
-        select: SelectStatement,
-    },
+    /// `EXPLAIN [ANALYZE] <select>`, planned like a `SELECT`; ANALYZE
+    /// executes the plan under the caller's context.
+    Explain { analyze: bool, plan: Plan },
     /// Any other statement (DDL/DML), executed via [`Statement::run`].
     Command(Box<SqlStatement>),
 }
@@ -96,7 +93,7 @@ impl Statement {
             },
             SqlStatement::Explain { analyze, query } => Kind::Explain {
                 analyze,
-                select: query,
+                plan: db.plan(&query)?,
             },
             other => Kind::Command(Box::new(other)),
         };
@@ -178,7 +175,10 @@ impl Statement {
                 self.check_fresh(db, plan)?;
                 execute_plan(db.catalog(), plan, ctx)
             }
-            Kind::Explain { analyze, select } => db.explain_select(select, *analyze),
+            Kind::Explain { analyze, plan } => {
+                self.check_fresh(db, plan)?;
+                db.render_explain(plan, *analyze, ctx)
+            }
             Kind::Command(stmt) => Err(EngineError::bind(format!(
                 "statement is not a query (use Statement::run): {stmt}"
             ))),

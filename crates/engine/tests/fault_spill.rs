@@ -1,28 +1,17 @@
-//! Fault injection in the spill path (requires `--features fault`): an
-//! injected I/O failure at any spill failpoint must surface as a typed
-//! error (never a panic or a wrong answer), the spill session must clean
-//! up after itself even on the error path, and whatever a simulated kill
+//! IO faults in the spill path (requires `--features fault`): spill runs
+//! live on a mounted simulated filesystem, and a failed write or read of
+//! one at any point must surface as a typed I/O error (never a panic, a
+//! wrong answer, or a report of corruption), the spill session must clean
+//! up after itself even on the error path, and a session a killed process
 //! leaves behind must be collected — and reported — by startup recovery.
-//!
-//! The fault registry is process-global, so every test in this file takes
-//! `LOCK` first.
 #![cfg(feature = "fault")]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use conquer_sync::{rank, Mutex, MutexGuard};
-
-use conquer_engine::{Database, EngineError, ExecLimits};
+use conquer_engine::{Database, ErrorKind, ExecLimits, QueryResult};
+use conquer_storage::load_catalog_recover;
 use conquer_storage::spill::list_spill_dirs;
-use conquer_storage::{fault, load_catalog_recover};
-
-fn lock() -> MutexGuard<'static, ()> {
-    // A test that panicked while holding the lock already failed; the
-    // sync wrapper recovers the poison so it can't cascade into
-    // unrelated tests.
-    static LOCK: Mutex<()> = Mutex::new(&rank::TEST_SERIAL, ());
-    LOCK.lock()
-}
+use conquer_storage::vfs::{mount_sim, SimFs};
 
 const SPILL_SQL: &str = "SELECT COUNT(*), SUM(a.val + b.val) \
      FROM big a, big b WHERE a.id = b.id";
@@ -31,231 +20,118 @@ fn limits_32k() -> ExecLimits {
     ExecLimits::builder().mem(32 * 1024).build()
 }
 
-fn tempbase(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("conquer_fault_spill_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn big_db(rows: usize, spill_base: &PathBuf) -> Database {
+fn big_db(rows: usize, spill_base: &Path) -> Database {
     let mut db = Database::new();
     db.set_limits(ExecLimits::none());
     db.set_spill_dir(spill_base);
     db.execute_script("CREATE TABLE big (id INTEGER, grp TEXT, val DOUBLE)")
         .unwrap();
-    let mut values = Vec::new();
-    for i in 0..rows {
-        values.push(format!("({i}, 'group-{:05}', {}.25)", i % 97, i));
-        if values.len() == 500 {
-            db.execute_script(&format!("INSERT INTO big VALUES {}", values.join(", ")))
-                .unwrap();
-            values.clear();
-        }
-    }
-    if !values.is_empty() {
-        db.execute_script(&format!("INSERT INTO big VALUES {}", values.join(", ")))
+    let values: Vec<String> = (0..rows)
+        .map(|i| format!("({i}, 'group-{:05}', {}.25)", i % 97, i))
+        .collect();
+    for chunk in values.chunks(500) {
+        db.execute_script(&format!("INSERT INTO big VALUES {}", chunk.join(", ")))
             .unwrap();
     }
     db
 }
 
-/// Run the spilling query under `db`, expecting an injected-fault error.
-fn expect_fault(db: &Database) -> EngineError {
-    let err = db
-        .prepare(SPILL_SQL)
-        .unwrap()
-        .with_limits(limits_32k())
-        .query(db)
-        .unwrap_err();
-    assert!(
-        err.to_string().contains("injected fault"),
-        "expected the injected fault to surface, got: {err}"
-    );
-    err
-}
-
-#[test]
-fn kill_at_every_spill_write_leaves_no_orphans() {
-    let _g = lock();
-    let base = tempbase("write");
-    let db = big_db(3000, &base);
-
-    // Clean run: count how often the failpoint is hit (and pin down the
-    // right answer while we're at it).
-    fault::reset();
-    let reference = db
-        .prepare(SPILL_SQL)
-        .unwrap()
-        .with_limits(limits_32k())
-        .query(&db)
-        .unwrap();
-    let hits = fault::hit_count("spill::write");
-    assert!(hits > 100, "query did not spill enough to be interesting");
-    assert!(list_spill_dirs(&base).is_empty(), "clean run left orphans");
-
-    // Kill the write at the first, last, and a spread of middle hits;
-    // every failure must be typed and must leave the base directory
-    // clean once the query (and its context) is gone.
-    for nth in [1, 2, hits / 3, hits / 2, hits - 1, hits] {
-        fault::reset();
-        fault::arm("spill::write", nth);
-        expect_fault(&db);
-        assert!(
-            list_spill_dirs(&base).is_empty(),
-            "write fault at hit {nth}/{hits} orphaned a spill dir"
-        );
+/// Run `sql` under `limits`. Success or failure, no spill session may
+/// outlive the query, and a failure must be a typed I/O error.
+fn run(db: &Database, base: &Path, sql: &str, limits: ExecLimits) -> Option<QueryResult> {
+    let outcome = db.prepare(sql).unwrap().with_limits(limits).query(db);
+    assert!(list_spill_dirs(base).is_empty(), "orphaned a spill dir");
+    match outcome {
+        Ok(result) => Some(result),
+        Err(err) => {
+            assert_eq!(err.kind(), ErrorKind::Io, "{err}");
+            None
+        }
     }
-
-    // And the database still answers correctly afterwards.
-    fault::reset();
-    let again = db
-        .prepare(SPILL_SQL)
-        .unwrap()
-        .with_limits(limits_32k())
-        .query(&db)
-        .unwrap();
-    assert_eq!(reference.rows, again.rows);
-    std::fs::remove_dir_all(&base).ok();
 }
 
-#[test]
-fn kill_at_every_spill_read_leaves_no_orphans() {
-    let _g = lock();
-    let base = tempbase("read");
-    let db = big_db(3000, &base);
-    fault::reset();
-    db.prepare(SPILL_SQL)
-        .unwrap()
-        .with_limits(limits_32k())
-        .query(&db)
-        .unwrap();
-    let hits = fault::hit_count("spill::read");
-    assert!(hits > 100, "query did not read back enough spilled rows");
-    for nth in [1, hits / 2, hits] {
-        fault::reset();
-        fault::arm("spill::read", nth);
-        expect_fault(&db);
-        assert!(
-            list_spill_dirs(&base).is_empty(),
-            "read fault at hit {nth}/{hits} orphaned a spill dir"
-        );
-    }
-    fault::reset();
-    std::fs::remove_dir_all(&base).ok();
-}
-
-#[test]
-fn spill_dir_creation_failure_is_typed() {
-    let _g = lock();
-    let base = tempbase("create");
-    let db = big_db(3000, &base);
-    fault::reset();
-    fault::arm("spill::create", 1);
-    let err = db
-        .prepare(SPILL_SQL)
-        .unwrap()
-        .with_limits(limits_32k())
-        .query(&db)
-        .unwrap_err();
+/// Run `sql` cleanly, then once with each of its spill writes and reads
+/// at `picks(calls)` failed; the database answers the same afterwards.
+fn fail_spill_io(
+    fs: &SimFs,
+    db: &Database,
+    base: &Path,
+    sql: &str,
+    limits: ExecLimits,
+    picks: fn(u64) -> Vec<u64>,
+) -> QueryResult {
+    let (w0, r0) = (fs.write_calls(), fs.read_calls());
+    let reference = run(db, base, sql, limits).unwrap();
+    let (writes, reads) = (fs.write_calls() - w0, fs.read_calls() - r0);
     assert!(
-        err.to_string().contains("could not create spill directory"),
-        "{err}"
+        writes > 4 && reads > 4,
+        "spilled too little: {writes} writes, {reads} reads"
     );
-    fault::reset();
-    std::fs::remove_dir_all(&base).ok();
+    let fails = |call: &str, nth: u64| {
+        let outcome = run(db, base, sql, limits);
+        assert!(outcome.is_none(), "{call} {nth} did not fail the query");
+    };
+    for nth in picks(writes) {
+        fs.fail_write(".spill-", nth);
+        fails("write", nth);
+    }
+    for nth in picks(reads) {
+        fs.fail_read(".spill-", nth);
+        fails("read", nth);
+    }
+    let again = run(db, base, sql, limits).unwrap();
+    assert_eq!(reference.rows, again.rows, "answers changed after faults");
+    reference
+}
+
+#[test]
+fn a_failed_spill_write_or_read_anywhere_is_an_io_error_and_leaves_no_orphans() {
+    let (fs, _guard) = mount_sim("/sim/fspill_serial");
+    let base = PathBuf::from("/sim/fspill_serial/base");
+    let db = big_db(3000, &base);
+    // The first, the last, and a spread between.
+    fail_spill_io(&fs, &db, &base, SPILL_SQL, limits_32k(), |calls| {
+        vec![1, 2, calls / 3, calls / 2, calls - 1, calls]
+    });
 }
 
 #[test]
 fn spill_faults_at_four_threads_shut_the_pool_down_cleanly() {
-    let _g = lock();
-    let base = tempbase("parallel");
+    let (fs, _guard) = mount_sim("/sim/fspill_pool");
+    let base = PathBuf::from("/sim/fspill_pool/base");
     let db = big_db(20_000, &base);
-    let limits = limits_32k().with_threads(4);
     // Scan-only spine (no build side to overflow), ~20k groups: the
     // worker pool engages with all four workers AND the downstream
     // aggregation + external sort must spill under 32 KiB — faults and
     // parallelism in one pipeline. LIMIT keeps the (never-spilled)
-    // result buffer under the budget.
+    // result buffer under the budget. Workers interleave their runs, so
+    // only calls every schedule makes are failed. A typed error that
+    // surfaces once, with the pool wound down (a leaked worker would
+    // abort the process), is what `run` checks.
     let sql = "SELECT id, SUM(val), COUNT(*) FROM big GROUP BY id ORDER BY id LIMIT 5";
-    let run = |expect_err: bool| {
-        let outcome = db.prepare(sql).unwrap().with_limits(limits).query(&db);
-        match (expect_err, outcome) {
-            (false, Ok(res)) => Some(res),
-            (true, Err(err)) => {
-                let text = err.to_string();
-                assert!(
-                    text.contains("injected fault") || text.contains("could not create"),
-                    "expected a typed injected-fault error, got: {err}"
-                );
-                None
-            }
-            (false, Err(err)) => panic!("clean run failed: {err}"),
-            (true, Ok(_)) => panic!("armed fault did not fire"),
-        }
-    };
-
-    fault::reset();
-    let reference = run(false).unwrap();
-    assert_eq!(
-        reference.stats().unwrap().threads_used,
-        4,
-        "pool must engage or this test proves nothing"
-    );
-    assert!(
-        reference.stats().unwrap().disk_charged > 0,
-        "aggregation must spill or this test proves nothing"
-    );
-    let write_hits = fault::hit_count("spill::write");
-    let read_hits = fault::hit_count("spill::read");
-
-    for (point, nth) in [
-        ("spill::create", 1),
-        ("spill::write", 1),
-        ("spill::write", write_hits / 2),
-        ("spill::write", write_hits),
-        ("spill::read", 1),
-        ("spill::read", read_hits / 2),
-    ] {
-        fault::reset();
-        fault::arm(point, nth);
-        // The error surfaces exactly once (one typed Err, no panic from
-        // an orphaned worker), and the pool must actually wind down: a
-        // leaked worker would abort the process on scope exit.
-        run(true);
-        assert!(
-            list_spill_dirs(&base).is_empty(),
-            "{point} fault at hit {nth} orphaned a spill dir"
-        );
-    }
-
-    // Pool, budget meter, and spill session all survive for reuse.
-    fault::reset();
-    let again = run(false).unwrap();
-    assert_eq!(reference.rows, again.rows, "answers changed after faults");
-    std::fs::remove_dir_all(&base).ok();
+    let limits = limits_32k().with_threads(4);
+    let reference = fail_spill_io(&fs, &db, &base, sql, limits, |calls| vec![1, calls / 2]);
+    let stats = reference.stats().unwrap();
+    assert_eq!(stats.threads_used, 4, "pool must engage");
+    assert!(stats.disk_charged > 0, "aggregation must spill");
 }
 
 #[test]
-fn orphans_from_a_simulated_kill_are_collected_by_recovery() {
-    let _g = lock();
-    let base = tempbase("recover");
+fn a_spill_session_a_killed_process_leaves_is_collected_by_recovery() {
+    let (_fs, _guard) = mount_sim("/sim/fspill_orphan");
+    let base = PathBuf::from("/sim/fspill_orphan/base");
     let db = big_db(3000, &base);
     // Recovery runs over a persistence directory; make `base` one.
     db.save_to_dir(&base).unwrap();
 
-    // Fail one run-file removal so the orphan directory is non-empty,
-    // then leak the execution context — the moral equivalent of
-    // `kill -9` between a spill and the query's cleanup.
-    fault::reset();
-    fault::arm("spill::remove", 1);
+    // A leaked execution context never drops its spill session — the
+    // moral equivalent of `kill -9` between a spill and the cleanup.
     let ctx = db.exec_context(limits_32k());
-    let stmt = db.prepare(SPILL_SQL).unwrap();
-    stmt.query_with(&db, &ctx).unwrap();
+    db.prepare(SPILL_SQL)
+        .unwrap()
+        .query_with(&db, &ctx)
+        .unwrap();
     std::mem::forget(ctx);
-    fault::reset();
-
     let orphans = list_spill_dirs(&base);
     assert_eq!(
         orphans.len(),
@@ -273,10 +149,7 @@ fn orphans_from_a_simulated_kill_are_collected_by_recovery() {
         "recovery must report the orphan: {:?}",
         report.issues
     );
-    assert!(
-        list_spill_dirs(&base).is_empty(),
-        "recovery must remove the orphan"
-    );
+    assert!(list_spill_dirs(&base).is_empty(), "recovery must remove it");
 
     // A second recovery has nothing left to say about spill state.
     let (_, quiet) = load_catalog_recover(&base).unwrap();
@@ -285,5 +158,4 @@ fn orphans_from_a_simulated_kill_are_collected_by_recovery() {
         "{:?}",
         quiet.issues
     );
-    std::fs::remove_dir_all(&base).ok();
 }

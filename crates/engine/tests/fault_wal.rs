@@ -1,349 +1,387 @@
 //! End-to-end crash safety of the durable `SharedDatabase` (requires
-//! `--features fault`): kill a write and a checkpoint at every reachable
-//! WAL / persistence / swap fault point and assert that reopening the
-//! directory recovers exactly the committed boundary — acknowledged
-//! writes survive, unacknowledged ones vanish, nothing tears.
+//! `--features fault`): on the simulated filesystem, fail every write and
+//! fsync of a commit and of a checkpoint, then crash — restore the image
+//! only fsync promised — and assert that reopening recovers exactly the
+//! committed boundary: acknowledged writes survive, unacknowledged ones
+//! vanish, nothing tears. View maintenance that runs out of budget is the
+//! same kind of failed statement, reached by a real input.
 #![cfg(feature = "fault")]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use conquer_sync::{rank, Mutex, MutexGuard};
+use conquer_engine::{EngineError, ErrorKind, ExecLimits, SharedConfig, SharedDatabase};
+use conquer_storage::vfs::{self, mount_sim, MountGuard, SimFs};
+use conquer_storage::{RecoveryReport, Value};
 
-use conquer_engine::{SharedConfig, SharedDatabase};
-use conquer_storage::{fault, Value};
-
-/// The fault registry is process-global; every test must hold this lock.
-fn serialize() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(&rank::TEST_SERIAL, ());
-    LOCK.lock()
+/// A simulated filesystem holding one durably created, empty database
+/// directory.
+fn mount(tag: &str) -> (Arc<SimFs>, MountGuard, PathBuf) {
+    let root = PathBuf::from("/sim").join(tag);
+    let (fs, guard) = mount_sim(&root);
+    let dir = root.join("db");
+    vfs::create_dir_all(&dir).unwrap();
+    vfs::sync_dir(&root).unwrap();
+    (fs, guard, dir)
 }
 
-fn tempdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("conquer_efwal_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn open(dir: &std::path::Path) -> (SharedDatabase, conquer_storage::RecoveryReport) {
+fn open(dir: &Path) -> (SharedDatabase, RecoveryReport) {
     SharedDatabase::open_durable(dir, SharedConfig::default()).unwrap()
 }
 
-fn count(db: &SharedDatabase) -> i64 {
-    let r = db.session().query("SELECT COUNT(*) FROM t").unwrap();
-    match r.result.rows[0][0] {
+/// `sql`'s rows, read without a budget (the budget test gives the
+/// database's own queries 256 bytes).
+fn rows(db: &SharedDatabase, sql: &str) -> Vec<Vec<Value>> {
+    let s = db.session();
+    s.set_limits(ExecLimits::none());
+    s.query(sql).unwrap().result.rows.clone()
+}
+
+fn int(db: &SharedDatabase, sql: &str) -> i64 {
+    match rows(db, sql)[0][0] {
         Value::Int(n) => n,
         ref other => panic!("unexpected {other:?}"),
     }
 }
 
-#[test]
-fn write_killed_at_every_fault_point_recovers_the_committed_boundary() {
-    let _guard = serialize();
+fn count(db: &SharedDatabase) -> i64 {
+    int(db, "SELECT COUNT(*) FROM t")
+}
 
-    // Hits of each point during one committed single-row INSERT.
-    let hits_of = |point: &str| -> u64 {
-        let scratch = tempdir("wscratch");
-        fault::reset();
-        let (db, _) = open(&scratch);
+/// Crash now: only what fsync promised survives the reboot.
+fn crash(fs: &SimFs) {
+    fs.restore(&fs.durable_image());
+}
+
+fn assert_untorn(report: &RecoveryReport, ctx: &str) {
+    assert!(
+        !report.issues.iter().any(|s| s.contains("torn")),
+        "{ctx}: {report:?}"
+    );
+}
+
+/// One fault per run: the `nth` write for `nth` in `1..=writes`, then the
+/// `nth` fsync for `nth` in `1..=syncs`.
+fn every_io_fault(writes: u64, syncs: u64) -> impl Iterator<Item = (&'static str, u64)> {
+    let writes = (1..=writes).map(|n| ("write", n));
+    writes.chain((1..=syncs).map(|n| ("fsync", n)))
+}
+
+fn arm(fs: &SimFs, (call, nth): (&str, u64)) {
+    match call {
+        "write" => fs.fail_write("", nth),
+        _ => fs.fail_sync("", nth),
+    }
+}
+
+/// Run `op` on a database opened over `fs`'s current image and return
+/// the writes and fsyncs it made.
+fn calls_of(fs: &SimFs, dir: &Path, op: impl FnOnce(&SharedDatabase)) -> (u64, u64) {
+    let (db, _) = open(dir);
+    let (w0, s0) = (fs.write_calls(), fs.sync_calls());
+    op(&db);
+    (fs.write_calls() - w0, fs.sync_calls() - s0)
+}
+
+#[test]
+fn write_failed_at_every_write_and_fsync_recovers_the_committed_boundary() {
+    let (fs, _guard, dir) = mount("efwal_write");
+    {
+        let (db, _) = open(&dir);
         db.session().execute("CREATE TABLE t (a INTEGER)").unwrap();
-        fault::reset(); // count the INSERT only
-        db.session().execute("INSERT INTO t VALUES (0)").unwrap();
-        let hits = fault::hit_count(point);
-        std::fs::remove_dir_all(&scratch).ok();
-        hits
-    };
+        db.session().execute("INSERT INTO t VALUES (1)").unwrap();
+    }
+    let baseline = fs.durable_image();
 
-    for point in [
-        "wal::op",
-        "wal::commit",
-        "wal::io_write",
-        "wal::sync",
-        "shared::swap",
-    ] {
-        let hits = hits_of(point);
-        assert!(hits > 0, "fault point {point} never hit during a write");
-        for i in 1..=hits {
-            let dir = tempdir("wkill");
-            fault::reset();
-            let (db, _) = open(&dir);
-            let s = db.session();
-            s.execute("CREATE TABLE t (a INTEGER)").unwrap();
-            s.execute("INSERT INTO t VALUES (1)").unwrap();
+    // The WAL fsync is the commit point: a write acknowledged a moment
+    // before the crash survives it.
+    let (writes, syncs) = calls_of(&fs, &dir, |db| {
+        db.session().execute("INSERT INTO t VALUES (2)").unwrap();
+    });
+    crash(&fs);
+    assert_eq!(count(&open(&dir).0), 2);
 
-            fault::arm(point, i);
-            let err = s.execute("INSERT INTO t VALUES (2)").unwrap_err();
-            assert!(
-                err.to_string().contains("injected fault"),
-                "{point} hit {i}: {err}"
-            );
-            fault::reset();
-            drop((s, db)); // "crash": release the WAL handle, then restart
+    for fault in every_io_fault(writes, syncs) {
+        fs.restore(&baseline);
+        let (db, _) = open(&dir);
+        arm(&fs, fault);
+        let err = db
+            .session()
+            .execute("INSERT INTO t VALUES (2)")
+            .unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Io, "{fault:?}: {err}");
+        assert_eq!(count(&db), 1, "{fault:?}: a failed write published");
+        drop(db);
 
-            // The commit point is the WAL fsync. A kill before it loses
-            // only the unacknowledged write (1 row); a kill at the swap —
-            // after the fsync — keeps it (2 rows). Either way recovery
-            // lands exactly on a committed boundary, never between.
-            let expect = if point == "shared::swap" { 2 } else { 1 };
-            let (db, report) = open(&dir);
-            assert!(
-                !report.issues.iter().any(|s| s.contains("torn")),
-                "{point} hit {i}: {report:?}"
-            );
-            assert_eq!(count(&db), expect, "{point} hit {i}");
-
-            // The recovered database keeps accepting durable writes.
-            db.session().execute("INSERT INTO t VALUES (3)").unwrap();
-            assert_eq!(count(&db), expect + 1);
-            std::fs::remove_dir_all(&dir).ok();
-        }
+        crash(&fs);
+        let (db, report) = open(&dir);
+        assert_untorn(&report, &format!("{fault:?}"));
+        assert_eq!(count(&db), 1, "{fault:?}");
+        // The recovered database keeps accepting durable writes.
+        db.session().execute("INSERT INTO t VALUES (3)").unwrap();
+        drop(db);
+        crash(&fs);
+        assert_eq!(count(&open(&dir).0), 2, "{fault:?}");
     }
 }
 
 #[test]
-fn checkpoint_killed_at_every_fault_point_loses_no_committed_write() {
-    let _guard = serialize();
+fn checkpoint_failed_at_every_write_and_fsync_loses_no_committed_write() {
+    let (fs, _guard, dir) = mount("efwal_ckpt");
+    {
+        let (db, _) = open(&dir);
+        db.session().execute("CREATE TABLE t (a INTEGER)").unwrap();
+        db.session()
+            .execute("INSERT INTO t VALUES (1), (2)")
+            .unwrap();
+    }
+    let baseline = fs.durable_image();
+    let (writes, syncs) = calls_of(&fs, &dir, |db| {
+        let _ = db.checkpoint().unwrap();
+    });
 
-    // Hits of each point during one clean checkpoint.
-    let hits_of = |point: &str| -> u64 {
-        let scratch = tempdir("cscratch");
-        fault::reset();
-        let (db, _) = open(&scratch);
-        let s = db.session();
-        s.execute("CREATE TABLE t (a INTEGER)").unwrap();
-        s.execute("INSERT INTO t VALUES (1), (2)").unwrap();
-        fault::reset(); // count the checkpoint only
-        db.checkpoint().unwrap();
-        let hits = fault::hit_count(point);
-        std::fs::remove_dir_all(&scratch).ok();
-        hits
-    };
-
-    for point in [
-        "shared::checkpoint",
-        "persist::file",
-        "persist::io_write",
-        "persist::manifest",
-        "persist::publish",
-        "persist::commit",
-    ] {
-        let hits = hits_of(point);
-        assert!(
-            hits > 0,
-            "fault point {point} never hit during a checkpoint"
-        );
-        for i in 1..=hits {
-            let dir = tempdir("ckill");
-            fault::reset();
-            let (db, _) = open(&dir);
-            let s = db.session();
-            s.execute("CREATE TABLE t (a INTEGER)").unwrap();
-            s.execute("INSERT INTO t VALUES (1), (2)").unwrap();
-
-            fault::arm(point, i);
-            let err = db.checkpoint().unwrap_err();
-            assert!(
-                err.to_string().contains("injected fault"),
-                "{point} hit {i}: {err}"
-            );
-            fault::reset();
-            // The failed fold changed nothing visible, and the handle
-            // checkpoints cleanly on retry.
-            assert_eq!(count(&db), 2, "{point} hit {i}");
-            let _ = db.checkpoint().unwrap().unwrap();
-            drop((s, db));
-
-            let (db, report) = open(&dir);
-            assert_eq!(count(&db), 2, "{point} hit {i}: {report:?}");
-            std::fs::remove_dir_all(&dir).ok();
+    for fault in every_io_fault(writes, syncs) {
+        fs.restore(&baseline);
+        let (db, _) = open(&dir);
+        arm(&fs, fault);
+        // A failed fold is typed; a failure after it (gc, the truncation,
+        // reopening the log) is counted, and the checkpoint stands.
+        if let Err(err) = db.checkpoint() {
+            assert_eq!(err.kind(), ErrorKind::Io, "{fault:?}: {err}");
         }
+        assert_eq!(count(&db), 2, "{fault:?}");
+        // The handle keeps committing and checkpointing, and what it
+        // acknowledged survives a crash.
+        db.session().execute("INSERT INTO t VALUES (3)").unwrap();
+        let _ = db.checkpoint().unwrap().unwrap();
+        db.session().execute("INSERT INTO t VALUES (4)").unwrap();
+        drop(db);
+        crash(&fs);
+        let (db, report) = open(&dir);
+        assert_untorn(&report, &format!("{fault:?}"));
+        assert_eq!(count(&db), 4, "{fault:?}");
     }
 }
 
+/// A crash while a checkpoint's fsync has failed: whatever subset of its
+/// unsynced steps reached the disk — among them a staged log without its
+/// rename over wal.log — reopening finds every committed row and removes
+/// (and reports, once) any staged log left behind.
 #[test]
-fn interrupted_checkpoint_truncation_is_cleaned_on_reopen() {
-    let _guard = serialize();
-    let dir = tempdir("orphan");
-    fault::reset();
+fn every_crash_image_of_a_checkpoint_with_a_failed_fsync_reopens_clean() {
+    let (fs, _guard, dir) = mount("efwal_ckpt_crash");
+    {
+        let (db, _) = open(&dir);
+        db.session().execute("CREATE TABLE t (a INTEGER)").unwrap();
+        db.session()
+            .execute("INSERT INTO t VALUES (1), (2), (3)")
+            .unwrap();
+    }
+    let baseline = fs.durable_image();
+    let (_, syncs) = calls_of(&fs, &dir, |db| {
+        let _ = db.checkpoint().unwrap();
+    });
+
+    let mut staged = 0;
+    for nth in 1..=syncs {
+        fs.restore(&baseline);
+        let (db, _) = open(&dir);
+        fs.fail_sync("", nth);
+        let _ = db.checkpoint();
+        drop(db);
+        for state in fs.crash_states() {
+            let ctx = format!("fsync {nth}, {}", state.label);
+            let has_tmp = state.files.keys().any(|p| {
+                p.file_name()
+                    .is_some_and(|n| n.to_string_lossy().starts_with(".wal.tmp-"))
+            });
+            fs.restore(&state);
+            let (db, report) = open(&dir);
+            assert_eq!(count(&db), 3, "{ctx}");
+            drop(db);
+            if has_tmp {
+                staged += 1;
+                assert!(
+                    report
+                        .issues
+                        .iter()
+                        .any(|i| i.contains("interrupted checkpoint") && i.contains("removed")),
+                    "{ctx}: {report:?}"
+                );
+                let (_, again) = open(&dir);
+                assert!(
+                    !again.issues.iter().any(|i| i.contains("wal.tmp")),
+                    "{ctx}: {again:?}"
+                );
+            }
+        }
+    }
+    assert!(staged > 0, "no crash image kept a staged log");
+}
+
+/// A durable `mutate` commits at its fold: acknowledged, it survives a
+/// crash — even when reopening the log after the fold fails, which is
+/// counted, not reported as a failed mutation.
+#[test]
+fn durable_mutate_commits_at_the_fold() {
+    let (fs, _guard, dir) = mount("efwal_mutate");
     let (db, _) = open(&dir);
-    let s = db.session();
-    s.execute("CREATE TABLE t (a INTEGER)").unwrap();
-    s.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
+    db.session().execute("CREATE TABLE t (a INTEGER)").unwrap();
+    db.session().execute("INSERT INTO t VALUES (1)").unwrap();
+    let insert = |v: i64| {
+        db.mutate(|d| {
+            d.execute_script(&format!("INSERT INTO t VALUES ({v})"))
+                .map(|_| ())
+        })
+    };
+    insert(2).unwrap();
+    crash(&fs);
+    assert_eq!(count(&open(&dir).0), 2);
 
-    // Kill the WAL truncation between staging the fresh log and the
-    // rename. The fold itself already committed, so the checkpoint still
-    // reports success — truncation is best-effort by design.
-    fault::arm("wal::truncate_commit", 1);
-    let info = db.checkpoint().unwrap();
-    assert!(info.is_some());
-    fault::reset();
-    drop((s, db));
-
-    // Reopen: the orphaned temp file is removed and reported, the data is
-    // intact, and a second reopen is quiet.
-    let (db, report) = open(&dir);
-    assert!(
-        report
-            .issues
-            .iter()
-            .any(|i| i.contains("interrupted checkpoint") && i.contains("removed")),
-        "{report:?}"
-    );
+    let io_errors = db.stats().io_errors;
+    fs.fail_sync("wal.log", 1);
+    insert(3).unwrap();
     assert_eq!(count(&db), 3);
+    assert!(
+        db.stats().io_errors > io_errors,
+        "the failed reopen is counted"
+    );
+    db.session().execute("INSERT INTO t VALUES (4)").unwrap();
     drop(db);
-    let (db, report2) = open(&dir);
-    assert!(
-        !report2.issues.iter().any(|i| i.contains("wal.tmp")),
-        "{report2:?}"
-    );
-    assert_eq!(count(&db), 3);
-    std::fs::remove_dir_all(&dir).ok();
+    crash(&fs);
+    let (db, report) = open(&dir);
+    assert_untorn(&report, "after the mutate");
+    assert_eq!(count(&db), 4);
 }
 
+/// A checkpoint whose post-fold log reopen fails must not leave the
+/// handle appending to the log the fold replaced: the next write is
+/// acknowledged only once it is durable in the new log.
 #[test]
-fn mutate_killed_at_the_swap_changes_nothing_visible_or_durable() {
-    let _guard = serialize();
-    let dir = tempdir("mutate");
-    fault::reset();
+fn a_failed_log_reopen_after_a_checkpoint_loses_no_acknowledged_write() {
+    let (fs, _guard, dir) = mount("efwal_reopen");
     let (db, _) = open(&dir);
     let s = db.session();
     s.execute("CREATE TABLE t (a INTEGER)").unwrap();
-    s.execute("INSERT INTO t VALUES (1)").unwrap();
-
-    fault::arm("shared::swap", 1);
-    let err = db
-        .mutate(|d| d.execute_script("INSERT INTO t VALUES (2)").map(|_| ()))
-        .unwrap_err();
-    assert!(err.to_string().contains("injected fault"), "{err}");
-    fault::reset();
-
-    // A durable mutate folds before publishing, so a kill at the swap is
-    // after the durability point: the live handle shows the old state
-    // (the clone was discarded), and like any post-commit crash the
-    // reopened directory shows the fold.
-    assert_eq!(count(&db), 1);
-    assert_eq!(db.epoch(), 2);
+    for i in 0..20 {
+        s.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
+    }
+    fs.fail_sync("wal.log", 1);
+    assert!(db.checkpoint().unwrap().is_some(), "the fold committed");
+    s.execute("INSERT INTO t VALUES (20)").unwrap();
     drop((s, db));
-    let (db, _) = open(&dir);
-    assert_eq!(count(&db), 2);
-    std::fs::remove_dir_all(&dir).ok();
+    crash(&fs);
+    let (db, report) = open(&dir);
+    assert_untorn(&report, "after the checkpoint");
+    assert_eq!(count(&db), 21);
 }
 
-/// Kill a DML statement over a view-bearing database at every reachable
-/// fault point — including the view-maintenance point itself — and prove
-/// that after recovery the view is never observable half-maintained: its
-/// contents always equal a recompute over the recovered base table, and
-/// the base table itself sits exactly on a committed boundary.
-#[test]
-fn view_dml_killed_at_every_fault_point_is_never_half_maintained() {
-    let _guard = serialize();
-
-    let setup = |dir: &std::path::Path| -> SharedDatabase {
-        let (db, _) = open(dir);
-        let s = db.session();
-        s.execute("CREATE TABLE t (id TEXT, g INTEGER, prob DOUBLE)")
-            .unwrap();
-        // Dyadic probabilities: every partial sum is exact in binary, so
-        // the recompute oracle below is equality, not epsilon.
-        s.execute(
-            "INSERT INTO t VALUES ('a', 1, 0.5), ('a', 2, 0.5), \
-                                  ('b', 1, 0.25), ('b', 1, 0.75)",
-        )
-        .unwrap();
-        s.execute(
-            "CREATE MATERIALIZED VIEW v AS \
-             SELECT g, SUM(prob) AS p FROM t GROUP BY g",
-        )
-        .unwrap();
-        db
-    };
-    // Retracts ('a',1) from group 1 and adds ('a',2)/('a',3): both sides
-    // of the delta pipeline run inside one commit.
-    let dml = "UPDATE t SET g = g + 1 WHERE id = 'a'";
-
-    let hits_of = |point: &str| -> u64 {
-        let scratch = tempdir("vscratch");
-        fault::reset();
-        let db = setup(&scratch);
-        fault::reset(); // count the DML only
-        db.session().execute(dml).unwrap();
-        let hits = fault::hit_count(point);
-        std::fs::remove_dir_all(&scratch).ok();
-        hits
-    };
-
-    let oracle = |db: &SharedDatabase, ctx: &str| {
-        let s = db.session();
-        let viewed = s.query("SELECT g, p FROM v ORDER BY g").unwrap();
-        let recomputed = s
-            .query("SELECT g, SUM(prob) AS p FROM t GROUP BY g ORDER BY g")
-            .unwrap();
-        assert_eq!(
-            viewed.result.rows, recomputed.result.rows,
-            "{ctx}: view observable half-maintained after recovery"
-        );
-    };
-
-    for point in [
-        "view::apply",
-        "wal::op",
-        "wal::commit",
-        "wal::io_write",
-        "wal::sync",
-        "shared::swap",
+/// A base table `t` with a view over it and a join view over `t` and `u`.
+/// Dyadic probabilities: every partial sum is exact in binary, so the
+/// recompute oracle is equality, not epsilon.
+fn view_db(dir: &Path) -> SharedDatabase {
+    let (db, _) = open(dir);
+    for sql in [
+        "CREATE TABLE t (id TEXT, g INTEGER, prob DOUBLE)",
+        "INSERT INTO t VALUES ('a', 1, 0.5), ('a', 2, 0.5), ('b', 1, 0.25), ('b', 1, 0.75)",
+        "CREATE TABLE u (g INTEGER, w TEXT)",
+        "INSERT INTO u VALUES (1, 'x'), (2, 'y'), (3, 'y')",
+        "CREATE MATERIALIZED VIEW v AS SELECT g, SUM(prob) AS p FROM t GROUP BY g",
+        "CREATE MATERIALIZED VIEW vj AS \
+         SELECT u.w, SUM(t.prob) AS p FROM t, u WHERE t.g = u.g GROUP BY u.w",
     ] {
-        let hits = hits_of(point);
-        assert!(hits > 0, "fault point {point} never hit during view DML");
-        for i in 1..=hits {
-            let dir = tempdir("vkill");
-            fault::reset();
-            let db = setup(&dir);
-            let s = db.session();
-
-            fault::arm(point, i);
-            let err = s.execute(dml).unwrap_err();
-            assert!(
-                err.to_string().contains("injected fault"),
-                "{point} hit {i}: {err}"
-            );
-            fault::reset();
-
-            // Pre-crash: the failed statement published nothing, and the
-            // view still matches its base table.
-            oracle(&db, &format!("{point} hit {i} (pre-crash)"));
-            drop((s, db));
-
-            let (db, report) = open(&dir);
-            assert!(
-                !report.issues.iter().any(|s| s.contains("torn")),
-                "{point} hit {i}: {report:?}"
-            );
-            // Boundary check on the base table: the update either fully
-            // vanished (old: 'a' still has a g=1 row) or fully applied
-            // (new: it does not). `shared::swap` fires after the WAL
-            // fsync, so only there the write was already durable.
-            let olds = match db
-                .session()
-                .query("SELECT COUNT(*) FROM t WHERE id = 'a' AND g = 1")
-            {
-                Ok(r) => match r.result.rows[0][0] {
-                    Value::Int(n) => n,
-                    ref other => panic!("unexpected {other:?}"),
-                },
-                Err(e) => panic!("{point} hit {i}: {e}"),
-            };
-            let expect = if point == "shared::swap" { 0 } else { 1 };
-            assert_eq!(olds, expect, "{point} hit {i}: not a committed boundary");
-            oracle(&db, &format!("{point} hit {i} (post-recovery)"));
-
-            // Maintenance keeps working after recovery, durably.
-            db.session()
-                .execute("INSERT INTO t VALUES ('c', 1, 0.125)")
-                .unwrap();
-            oracle(&db, &format!("{point} hit {i} (post-recovery DML)"));
-            let stats = db.stats();
-            assert_eq!(stats.views, 1, "{point} hit {i}: registry lost the view");
-            assert!(stats.view_deltas_applied > 0, "{point} hit {i}");
-            std::fs::remove_dir_all(&dir).ok();
-        }
+        db.session().execute(sql).unwrap();
     }
+    db
+}
+
+/// Retracts ('a',1) from group 1 and adds ('a',2)/('a',3): both sides of
+/// the delta pipeline run inside one commit.
+const VIEW_DML: &str = "UPDATE t SET g = g + 1 WHERE id = 'a'";
+
+/// Both views equal a recompute over their bases, and the base table
+/// sits on one side of `VIEW_DML` (`applied` or not), never between.
+fn assert_views_on_boundary(db: &SharedDatabase, applied: bool, ctx: &str) {
+    for (view, recompute) in [
+        (
+            "SELECT g, p FROM v ORDER BY g",
+            "SELECT g, SUM(prob) AS p FROM t GROUP BY g ORDER BY g",
+        ),
+        (
+            "SELECT w, p FROM vj ORDER BY w",
+            "SELECT u.w, SUM(t.prob) AS p FROM t, u WHERE t.g = u.g GROUP BY u.w ORDER BY u.w",
+        ),
+    ] {
+        assert_eq!(
+            rows(db, view),
+            rows(db, recompute),
+            "{ctx}: view half-maintained"
+        );
+    }
+    let olds = int(db, "SELECT COUNT(*) FROM t WHERE id = 'a' AND g = 1");
+    assert_eq!(olds, i64::from(!applied), "{ctx}: not a committed boundary");
+}
+
+#[test]
+fn view_dml_failed_at_every_write_and_fsync_is_never_half_maintained() {
+    let (fs, _guard, dir) = mount("efwal_view");
+    drop(view_db(&dir));
+    let baseline = fs.durable_image();
+
+    let (writes, syncs) = calls_of(&fs, &dir, |db| {
+        db.session().execute(VIEW_DML).unwrap();
+    });
+    crash(&fs);
+    assert_views_on_boundary(&open(&dir).0, true, "acknowledged");
+
+    for fault in every_io_fault(writes, syncs) {
+        let ctx = format!("{fault:?}");
+        fs.restore(&baseline);
+        let (db, _) = open(&dir);
+        arm(&fs, fault);
+        let err = db.session().execute(VIEW_DML).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Io, "{ctx}: {err}");
+        assert_views_on_boundary(&db, false, &format!("{ctx} (pre-crash)"));
+        drop(db);
+
+        crash(&fs);
+        let (db, report) = open(&dir);
+        assert_untorn(&report, &ctx);
+        assert_views_on_boundary(&db, false, &format!("{ctx} (post-recovery)"));
+        // Maintenance keeps working after recovery, durably.
+        db.session()
+            .execute("INSERT INTO t VALUES ('c', 1, 0.125)")
+            .unwrap();
+        assert_views_on_boundary(&db, false, &format!("{ctx} (post-recovery DML)"));
+        let stats = db.stats();
+        assert_eq!(stats.views, 2, "{ctx}: registry lost a view");
+        assert!(stats.view_deltas_applied > 0, "{ctx}");
+    }
+}
+
+/// A join view's delta query runs out of a 256-byte, no-disk budget after
+/// the single-table view `v` was already maintained: the statement fails
+/// whole, with nothing logged or published.
+#[test]
+fn view_maintenance_out_of_budget_publishes_nothing() {
+    let (fs, _guard, dir) = mount("efwal_view_budget");
+    let db = view_db(&dir);
+    db.mutate(|d| {
+        d.set_limits(ExecLimits::none().with_mem_bytes(256).with_disk_bytes(0));
+        Ok(())
+    })
+    .unwrap();
+    let before = db.stats();
+    let err = db.session().execute(VIEW_DML).unwrap_err();
+    assert!(
+        matches!(err, EngineError::ResourceExhausted { .. }),
+        "{err:?}"
+    );
+    let after = db.stats();
+    assert_eq!(after.wal_commits, before.wal_commits);
+    assert_eq!(after.epoch, before.epoch);
+    assert_views_on_boundary(&db, false, "pre-crash");
+    drop(db);
+    crash(&fs);
+    assert_views_on_boundary(&open(&dir).0, false, "post-recovery");
 }

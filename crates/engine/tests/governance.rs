@@ -119,6 +119,37 @@ fn cancellation_aborts_with_typed_error_and_token_is_shareable() {
 }
 
 #[test]
+fn explain_analyze_runs_under_the_callers_context() {
+    let db = sample(2000);
+    let explain = db.prepare(&format!("EXPLAIN ANALYZE {JOIN_AGG}")).unwrap();
+    let token = CancelToken::new();
+    token.cancel();
+    let cancelled = ExecContext::with_token(ExecLimits::none(), token);
+    assert!(
+        matches!(
+            explain.query_with(&db, &cancelled),
+            Err(EngineError::Cancelled)
+        ),
+        "a cancelled EXPLAIN ANALYZE ran anyway"
+    );
+    let starved = explain.with_limits(ExecLimits::none().with_mem_bytes(1024).with_disk_bytes(0));
+    assert!(
+        matches!(
+            starved.query(&db),
+            Err(EngineError::ResourceExhausted { .. })
+        ),
+        "EXPLAIN ANALYZE escaped its statement's budget"
+    );
+}
+
+#[test]
+fn explain_of_an_unbindable_select_fails_to_prepare() {
+    let db = sample(10);
+    let err = db.prepare("EXPLAIN SELECT nope FROM fact").unwrap_err();
+    assert!(err.to_string().contains("nope"), "{err}");
+}
+
+#[test]
 fn stats_and_explain_analyze_surface_limits() {
     let mut db = sample(500);
     db.set_limits(

@@ -16,8 +16,7 @@ use conquer_storage::Value;
 /// Every test here either measures a wall-clock latency or deliberately
 /// oversubscribes the scheduler; run concurrently by libtest on a small
 /// host they starve each other into flaky latency assertions. Each test
-/// takes this lock first, serializing the binary (the pattern
-/// `fault_spill.rs` uses for its process-global registry).
+/// takes this lock first, serializing the binary.
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(&rank::TEST_SERIAL, ());
     LOCK.lock()

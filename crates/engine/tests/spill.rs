@@ -341,6 +341,45 @@ fn spill_directories_do_not_outlive_the_query() {
 }
 
 #[test]
+fn a_spill_base_beneath_a_regular_file_is_a_typed_error() {
+    let file = std::env::temp_dir().join(format!(
+        "conquer_spill_file_{}_{}",
+        std::process::id(),
+        line!()
+    ));
+    std::fs::write(&file, b"").unwrap();
+    let mut db = big_db(20_000);
+    db.set_spill_dir(file.join("spill"));
+    // The serial self-join and a GROUP BY whose scan the four-worker pool
+    // drives: either way the session fails once, as a typed error.
+    for (sql, threads) in [
+        (
+            "SELECT COUNT(*), SUM(a.val) FROM big a, big b WHERE a.id = b.id",
+            1,
+        ),
+        (
+            "SELECT id, SUM(val) FROM big GROUP BY id ORDER BY id LIMIT 5",
+            4,
+        ),
+    ] {
+        let limits = ExecLimits::none()
+            .with_mem_bytes(32 * 1024)
+            .with_threads(threads);
+        let err = db
+            .prepare(sql)
+            .unwrap()
+            .with_limits(limits)
+            .query(&db)
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("could not create spill directory"),
+            "{err}"
+        );
+    }
+    std::fs::remove_file(&file).ok();
+}
+
+#[test]
 fn load_from_dir_spills_under_the_persistence_directory() {
     let dir = std::env::temp_dir().join(format!(
         "conquer_spill_load_{}_{}",

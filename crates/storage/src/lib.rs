@@ -30,7 +30,6 @@ pub mod crossref;
 pub mod csv;
 pub mod date;
 pub mod error;
-pub mod fault;
 pub mod index;
 pub mod persist;
 pub mod schema;

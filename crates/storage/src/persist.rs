@@ -45,12 +45,6 @@
 //! replays (a freshly opened durable database). Table files directly in
 //! `<dir>` belong to no epoch and are never read;
 //! [`load_catalog_recover`] reports them.
-//!
-//! Fault-injection points (active only with the `fault` feature; see
-//! [`crate::fault`]): `persist::file` before each table file is created,
-//! `persist::io_write` on every write syscall into table files,
-//! `persist::manifest` before the manifest is written, `persist::publish`
-//! before the epoch rename, `persist::commit` before the `CURRENT` swap.
 
 use std::io::{BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -58,7 +52,6 @@ use std::path::{Path, PathBuf};
 use crate::catalog::Catalog;
 use crate::csv;
 use crate::error::StorageError;
-use crate::fault;
 use crate::schema::Schema;
 use crate::value::DataType;
 use crate::vfs;
@@ -190,7 +183,6 @@ pub fn save_catalog(catalog: &Catalog, dir: &Path) -> Result<(), StorageError> {
     }
     files.push((WALSEQ_FILE.to_string(), format!("{wal_seq}\n").into_bytes()));
     for (name, bytes) in &files {
-        fault::trigger("persist::file")?;
         write_file_sync(&tmp.join(name), bytes)?;
         manifest.push_str(&format!(
             "fnv1a64:{:016x} {} {}\n",
@@ -204,7 +196,6 @@ pub fn save_catalog(catalog: &Catalog, dir: &Path) -> Result<(), StorageError> {
     //    Nothing is published yet, so a directory-fsync failure here
     //    fails the save loudly — publishing entries that might not be
     //    durable would tear the epoch's all-or-nothing guarantee.
-    fault::trigger("persist::manifest")?;
     write_file_sync(&tmp.join(MANIFEST_FILE), manifest.as_bytes())?;
     vfs::sync_dir(&tmp)?;
 
@@ -217,7 +208,6 @@ pub fn save_catalog(catalog: &Catalog, dir: &Path) -> Result<(), StorageError> {
     //    the fallback while the new epoch's rename is not yet durable —
     //    a crash could then leave *no* loadable epoch. Aborting instead
     //    leaves the old epoch committed and the full log intact.
-    fault::trigger("persist::publish")?;
     let epoch_dir = dir.join(&epoch_name);
     if vfs::exists(&epoch_dir) {
         vfs::remove_dir_all(&epoch_dir)?;
@@ -228,7 +218,6 @@ pub fn save_catalog(catalog: &Catalog, dir: &Path) -> Result<(), StorageError> {
     // 4. Commit: atomically swap the CURRENT pointer. The directory fsync
     //    is hard for the same reason as step 3: gc must never run while
     //    the swap's durability is in doubt.
-    fault::trigger("persist::commit")?;
     let current_tmp = dir.join(format!(".{CURRENT_FILE}.tmp-{}", std::process::id()));
     write_file_sync(&current_tmp, epoch_name.as_bytes())?;
     vfs::rename(&current_tmp, &dir.join(CURRENT_FILE))?;
@@ -253,14 +242,11 @@ pub fn save_catalog(catalog: &Catalog, dir: &Path) -> Result<(), StorageError> {
     Ok(())
 }
 
-/// Write `bytes` to `path` and fsync the file. Writes go through a
-/// [`fault::FaultWriter`] so tests can inject partial writes.
+/// Write `bytes` to `path` and fsync the file.
 fn write_file_sync(path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
-    let file = vfs::File::create(path)?;
-    let mut w = fault::FaultWriter::new(file, "persist::io_write");
-    w.write_all(bytes)?;
-    w.flush()?;
-    w.into_inner().sync_all()?;
+    let mut file = vfs::File::create(path)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
     Ok(())
 }
 

@@ -31,21 +31,14 @@
 //! read; a torn write or bit flip surfaces as a typed
 //! [`StorageError::Corrupt`] naming the file, never as silently wrong
 //! query results. Spill data is scratch (a crash loses the query anyway),
-//! so writes are buffered but **not** fsynced.
-//!
-//! Fault-injection points (active only with the `fault` feature, see
-//! [`crate::fault`]): `spill::create` before a session directory is
-//! created, `spill::write` on every write into a run file, `spill::read`
-//! before every record read, `spill::remove` before a run file or session
-//! directory is deleted (a failed remove leaves an orphan for recovery to
-//! collect, exactly like a kill would).
+//! so writes are buffered but **not** fsynced. A disk error while writing
+//! or reading a run is an I/O error, not corruption.
 
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::StorageError;
-use crate::fault;
 use crate::persist::fnv1a64;
 use crate::table::Row;
 use crate::value::Value;
@@ -217,7 +210,6 @@ pub struct SpillSession {
 impl SpillSession {
     /// Create a fresh spill directory under `base` (created if missing).
     pub fn create_in(base: &Path) -> Result<SpillSession, StorageError> {
-        fault::trigger("spill::create")?;
         vfs::create_dir_all(base)?;
         let nonce = SESSION_NONCE.fetch_add(1, Ordering::Relaxed);
         let dir = base.join(format!("{SPILL_DIR_PREFIX}{}-{nonce}", std::process::id()));
@@ -268,7 +260,6 @@ impl SpillSession {
     /// automatically on drop (best-effort there); explicit callers get the
     /// error.
     pub fn cleanup(&self) -> Result<(), StorageError> {
-        fault::trigger("spill::remove")?;
         if vfs::exists(&self.dir) {
             vfs::remove_dir_all(&self.dir)?;
         }
@@ -289,7 +280,7 @@ impl Drop for SpillSession {
 /// Append-only writer for one run file.
 #[derive(Debug)]
 pub struct SpillWriter {
-    w: fault::FaultWriter<BufWriter<vfs::File>>,
+    w: BufWriter<vfs::File>,
     path: PathBuf,
     rows: u64,
     bytes: u64,
@@ -299,7 +290,7 @@ impl SpillWriter {
     fn create(path: PathBuf) -> Result<SpillWriter, StorageError> {
         let file = vfs::File::create(&path)?;
         Ok(SpillWriter {
-            w: fault::FaultWriter::new(BufWriter::new(file), "spill::write"),
+            w: BufWriter::new(file),
             path,
             rows: 0,
             bytes: 0,
@@ -369,11 +360,8 @@ impl SpillFile {
 
 impl Drop for SpillFile {
     fn drop(&mut self) {
-        // An injected remove fault leaves the file behind, simulating a
-        // crash; startup recovery collects it with the rest of the session.
-        if fault::trigger("spill::remove").is_ok() {
-            let _ = vfs::remove_file(&self.path);
-        }
+        // A file left behind is collected with the rest of its session.
+        let _ = vfs::remove_file(&self.path);
     }
 }
 
@@ -387,16 +375,16 @@ pub struct SpillReader {
 
 impl SpillReader {
     /// Read the next row, or `None` at the end of the run. Every record's
-    /// checksum is verified; corruption is a typed error.
+    /// checksum is verified; corruption is a typed error, and so is a disk
+    /// error (as I/O, not corruption).
     pub fn next_row(&mut self) -> Result<Option<Row>, StorageError> {
         if self.remaining == 0 {
             return Ok(None);
         }
-        fault::trigger("spill::read")?;
         let mut header = [0u8; RECORD_HEADER_BYTES as usize];
         self.r
             .read_exact(&mut header)
-            .map_err(|e| corrupt(&self.path, format!("truncated spill record header: {e}")))?;
+            .map_err(|e| self.read_error(e, "header"))?;
         let mut pos = 0;
         let len = u32::from_le_bytes(take_arr(&header, &mut pos, &self.path)?);
         let expected = u64::from_le_bytes(take_arr(&header, &mut pos, &self.path)?);
@@ -409,7 +397,7 @@ impl SpillReader {
         let mut payload = vec![0u8; len as usize];
         self.r
             .read_exact(&mut payload)
-            .map_err(|e| corrupt(&self.path, format!("truncated spill record payload: {e}")))?;
+            .map_err(|e| self.read_error(e, "payload"))?;
         let actual = fnv1a64(&payload);
         if actual != expected {
             return Err(corrupt(
@@ -422,6 +410,16 @@ impl SpillReader {
         }
         self.remaining -= 1;
         Ok(Some(decode_row(&payload, &self.path)?))
+    }
+
+    /// A run that ends mid-record is truncated; any other read failure
+    /// is the disk's, not the data's.
+    fn read_error(&self, e: io::Error, part: &str) -> StorageError {
+        if e.kind() == io::ErrorKind::UnexpectedEof {
+            corrupt(&self.path, format!("truncated spill record {part}: {e}"))
+        } else {
+            e.into()
+        }
     }
 }
 

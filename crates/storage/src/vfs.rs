@@ -17,7 +17,9 @@
 //! read/write, fsync failure (with the fsyncgate lie: bytes a failed
 //! fsync covered are never again promotable by a later fsync on the same
 //! data — only a rewrite through a fresh handle is), and silent
-//! bit-flips.
+//! bit-flips. This is the workspace's one fault model: an IO fault is a
+//! failed call here, process death is one of the crash images, and
+//! everything else is reached by real inputs.
 //!
 //! The module also owns the process-wide IO health counters
 //! ([`counters`]): best-effort sites that used to swallow errors
@@ -678,6 +680,8 @@ mod sim {
         image: Image,
         capacity: Option<u64>,
         rules: Vec<FaultRule>,
+        read_calls: u64,
+        write_calls: u64,
         sync_calls: u64,
         opens: u64,
     }
@@ -790,6 +794,16 @@ mod sim {
         }
 
         // -- introspection -------------------------------------------------
+
+        /// Total read attempts (whole-file + handle) so far.
+        pub fn read_calls(&self) -> u64 {
+            self.state.lock().read_calls
+        }
+
+        /// Total write attempts (whole-file + handle) so far.
+        pub fn write_calls(&self) -> u64 {
+            self.state.lock().write_calls
+        }
 
         /// Total fsync attempts (file + dir) so far.
         pub fn sync_calls(&self) -> u64 {
@@ -950,6 +964,7 @@ mod sim {
 
         pub(super) fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
             let mut s = self.state.lock();
+            s.read_calls += 1;
             if s.check_rule(&RuleKind::Read, path) {
                 return Err(io::Error::from_raw_os_error(EIO));
             }
@@ -967,6 +982,7 @@ mod sim {
 
         pub(super) fn write(&self, path: &Path, contents: &[u8]) -> io::Result<()> {
             let mut s = self.state.lock();
+            s.write_calls += 1;
             if s.check_rule(&RuleKind::Write, path) {
                 return Err(io::Error::from_raw_os_error(EIO));
             }
@@ -1170,6 +1186,7 @@ mod sim {
     impl SimHandle {
         pub(super) fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
             let mut s = self.fs.state.lock();
+            s.read_calls += 1;
             if s.check_rule(&RuleKind::Read, &self.path) {
                 return Err(io::Error::from_raw_os_error(EIO));
             }
@@ -1190,6 +1207,7 @@ mod sim {
                 return Err(io::Error::from(io::ErrorKind::PermissionDenied));
             }
             let mut s = self.fs.state.lock();
+            s.write_calls += 1;
             if s.check_rule(&RuleKind::Write, &self.path) {
                 return Err(io::Error::from_raw_os_error(EIO));
             }

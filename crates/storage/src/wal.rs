@@ -53,21 +53,12 @@
 //! tail (torn bytes *and* op frames missing their commit) before
 //! accepting new appends, so an interrupted commit can never leak into a
 //! later one.
-//!
-//! Fault-injection points (active only with the `fault` feature, see
-//! [`crate::fault`]): `wal::open` on open, `wal::op` before each op frame
-//! is staged, `wal::commit` before the commit frame is staged,
-//! `wal::io_write` on every write into the log, `wal::sync` before the
-//! commit fsync, `wal::truncate` before a truncation writes its
-//! replacement log, `wal::truncate_commit` before the replacement is
-//! renamed into place.
 
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::catalog::Catalog;
 use crate::error::StorageError;
-use crate::fault;
 use crate::persist::fnv1a64;
 use crate::spill::{decode_value, encode_value, take, take_arr};
 use crate::table::Table;
@@ -421,18 +412,14 @@ pub(crate) fn truncate_wal(dir: &Path, base_seq: u64) -> Result<(), StorageError
     // Stages, fsyncs, and renames files: only blocking-tolerant locks
     // (the engine's writer lock) may be held across this.
     let _io = conquer_sync::blocking_region("wal::truncate");
-    fault::trigger("wal::truncate")?;
     let tmp = dir.join(format!("{WAL_TMP_PREFIX}{}", std::process::id()));
     let mut buf = Vec::new();
     push_frame(&mut buf, &header_payload(base_seq));
     {
-        let file = vfs::File::create(&tmp)?;
-        let mut w = fault::FaultWriter::new(file, "wal::io_write");
-        w.write_all(&buf)?;
-        w.flush()?;
-        w.into_inner().sync_all()?;
+        let mut file = vfs::File::create(&tmp)?;
+        file.write_all(&buf)?;
+        file.sync_all()?;
     }
-    fault::trigger("wal::truncate_commit")?;
     vfs::rename(&tmp, &dir.join(WAL_FILE))?;
     // The rename only becomes durable once the directory itself is
     // fsynced. A failure here is tolerable (sequence-gated replay skips
@@ -500,7 +487,6 @@ impl Wal {
     /// a sequence an epoch already folded in.
     pub fn open(dir: &Path) -> Result<Wal, StorageError> {
         let _io = conquer_sync::blocking_region("wal::open");
-        fault::trigger("wal::open")?;
         vfs::create_dir_all(dir)?;
         let floor = durable_seq(dir)?;
         let path = dir.join(WAL_FILE);
@@ -564,37 +550,30 @@ impl Wal {
         let seq = self.next_seq;
         let mut buf = Vec::new();
         for op in ops {
-            fault::trigger("wal::op")?;
             match op {
                 WalOp::Put(table) => push_frame(&mut buf, &put_payload(table)),
                 WalOp::Drop(name) => push_frame(&mut buf, &drop_payload(name)),
             }
         }
-        fault::trigger("wal::commit")?;
         push_frame(&mut buf, &commit_payload(seq));
 
-        let written = (|| -> Result<(), StorageError> {
-            // The append + fsync is the engine's canonical
-            // hold-a-lock-while-blocking site; the writer mutex rank is
-            // marked blocking-tolerant for exactly this call.
+        // The append + fsync is the engine's canonical
+        // hold-a-lock-while-blocking site; the writer mutex rank is marked
+        // blocking-tolerant for exactly this call.
+        let written = {
             let _io = conquer_sync::blocking_region("wal::commit");
-            let mut w = fault::FaultWriter::new(&mut self.file, "wal::io_write");
-            w.write_all(&buf)?;
-            w.flush()?;
-            Ok(())
-        })();
+            self.file.write_all(&buf)
+        };
         if let Err(e) = written {
             // Err must mean "as if never called": drop the partial append.
             self.rollback();
-            return Err(e);
+            return Err(e.into());
         }
 
-        let synced = (|| -> Result<(), StorageError> {
+        let synced = {
             let _io = conquer_sync::blocking_region("wal::commit");
-            fault::trigger("wal::sync")?;
-            self.file.sync_data()?;
-            Ok(())
-        })();
+            self.file.sync_data()
+        };
         match synced {
             Ok(()) => {
                 self.len += buf.len() as u64;
@@ -615,7 +594,7 @@ impl Wal {
                 ));
                 self.rollback();
                 self.poisoned = true;
-                Err(e)
+                Err(e.into())
             }
         }
     }
@@ -662,10 +641,22 @@ impl Wal {
 
     /// Re-open the handle after something else replaced the file on disk
     /// (a checkpoint's [`truncate_wal`] renames a fresh log over it; this
-    /// handle would otherwise keep appending to the unlinked inode).
+    /// handle would otherwise keep appending to the unlinked inode). On
+    /// failure the handle is poisoned, so the next commit heals through
+    /// [`Wal::open`] instead of appending to the replaced file. (The
+    /// heal's re-truncation never fires there: a fresh log is a lone
+    /// header, no longer than the one it replaced.)
     pub fn reopen(&mut self) -> Result<(), StorageError> {
-        *self = Wal::open(&self.dir)?;
-        Ok(())
+        match Wal::open(&self.dir) {
+            Ok(wal) => {
+                *self = wal;
+                Ok(())
+            }
+            Err(e) => {
+                self.poisoned = true;
+                Err(e)
+            }
+        }
     }
 }
 

@@ -1,30 +1,18 @@
-//! Fault-injection tests for crash-safe persistence (require
-//! `--features fault`): kill a save at every reachable failure point and
-//! assert (a) the failure surfaces as a typed error, (b) the previously
-//! committed catalog is still fully loadable, (c) the very next save
-//! succeeds and commits.
+//! IO faults in a save (require `--features fault`): on the simulated
+//! filesystem, fail every write a save makes, and fill the disk, and
+//! assert (a) the failure is a typed error, (b) the previously committed
+//! catalog still loads, (c) the next save commits and collects the debris.
+//! Every fsync a save makes, with every crash image it leaves, is
+//! `crash_states.rs`.
 #![cfg(feature = "fault")]
 
 use std::path::{Path, PathBuf};
 
-use conquer_sync::{rank, Mutex, MutexGuard};
-
+use conquer_storage::vfs::{self, mount_sim};
 use conquer_storage::{
-    fault, load_catalog, load_catalog_recover, save_catalog, Catalog, DataType, Schema,
-    StorageError, Table, Value,
+    load_catalog, load_catalog_recover, save_catalog, Catalog, DataType, Schema, StorageError,
+    Table, Value,
 };
-
-/// The fault registry is process-global; every test must hold this lock.
-fn serialize() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(&rank::TEST_SERIAL, ());
-    LOCK.lock()
-}
-
-fn tempdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("conquer_fault_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// A catalog whose single table has `n` rows (so versions are
 /// distinguishable by row count).
@@ -46,98 +34,71 @@ fn loaded_rows(dir: &Path) -> usize {
     load_catalog(dir).unwrap().table("t").unwrap().len()
 }
 
-/// Count how many times `point` is hit during one clean save of `cat`.
-fn count_hits(point: &str, cat: &Catalog) -> u64 {
-    let scratch = tempdir("scratch");
-    fault::reset();
-    save_catalog(cat, &scratch).unwrap();
-    let hits = fault::hit_count(point);
-    std::fs::remove_dir_all(&scratch).ok();
-    hits
-}
-
 #[test]
-fn save_killed_at_every_failure_point_leaves_previous_catalog_loadable() {
-    let _guard = serialize();
-    let dir = tempdir("kill_everywhere");
-    let v1 = catalog_with_rows(3);
+fn save_failed_at_every_write_leaves_previous_catalog_loadable() {
+    let (fs, _guard) = mount_sim("/sim/fi_every_write");
+    let dir = PathBuf::from("/sim/fi_every_write/db");
     let v2 = catalog_with_rows(7);
-    fault::reset();
-    save_catalog(&v1, &dir).unwrap();
-    assert_eq!(loaded_rows(&dir), 3);
+    save_catalog(&catalog_with_rows(3), &dir).unwrap();
 
-    for point in [
-        "persist::file",
-        "persist::io_write",
-        "persist::manifest",
-        "persist::publish",
-        "persist::commit",
-    ] {
-        let hits = count_hits(point, &v2);
-        assert!(hits > 0, "fault point {point} never hit during a save");
-        for i in 1..=hits {
-            fault::reset();
-            fault::arm(point, i);
-            let err = save_catalog(&v2, &dir)
-                .expect_err(&format!("save survived {point} hit {i}/{hits}"));
-            assert!(
-                matches!(err, StorageError::Io(_)),
-                "unexpected error type from {point} hit {i}: {err:?}"
-            );
-            // The committed snapshot is untouched — strict load succeeds
-            // and still sees v1.
-            assert_eq!(
-                loaded_rows(&dir),
-                3,
-                "previous catalog lost after {point} hit {i}"
-            );
-        }
+    // One clean save of v2 counts the writes the loop fails in turn
+    // (`restore` zeroes the counters).
+    let baseline = fs.current_image();
+    fs.restore(&baseline);
+    save_catalog(&v2, &dir).unwrap();
+    let writes = fs.write_calls();
+    assert!(
+        writes >= 5,
+        "table files, walseq, MANIFEST, CURRENT: {writes}"
+    );
+    fs.restore(&baseline);
+
+    for nth in 1..=writes {
+        fs.fail_write("", nth);
+        let err = save_catalog(&v2, &dir).expect_err(&format!("save survived write {nth}"));
+        assert!(matches!(err, StorageError::Io(_)), "write {nth}: {err:?}");
+        // The committed snapshot is untouched: strict load still sees v1.
+        assert_eq!(loaded_rows(&dir), 3, "previous catalog lost at write {nth}");
     }
+    let used: u64 = fs
+        .current_image()
+        .files
+        .values()
+        .map(|f| f.len() as u64)
+        .sum();
+    fs.set_capacity(Some(used + 16));
+    let err = save_catalog(&v2, &dir).unwrap_err();
+    assert!(matches!(err, StorageError::NoSpace(_)), "{err:?}");
+    assert_eq!(loaded_rows(&dir), 3);
+    fs.set_capacity(None);
 
     // The database stays usable: the next clean save commits v2 and the
-    // debris from all the crashed attempts is garbage-collected.
-    fault::reset();
+    // debris of every failed attempt is garbage-collected.
     save_catalog(&v2, &dir).unwrap();
     assert_eq!(loaded_rows(&dir), 7);
-    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+    let leftovers: Vec<_> = vfs::dir_entries(&dir)
         .unwrap()
-        .filter_map(|e| e.ok())
-        .filter(|e| e.file_name().to_string_lossy().starts_with(".tmp-"))
+        .into_iter()
+        .filter(|e| e.name.starts_with(".tmp-"))
         .collect();
     assert!(
         leftovers.is_empty(),
         "stale temp dirs survived gc: {leftovers:?}"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn recovery_reports_debris_from_a_crashed_save() {
-    let _guard = serialize();
-    let dir = tempdir("debris");
-    fault::reset();
+fn recovery_reports_debris_from_a_failed_save() {
+    let (fs, _guard) = mount_sim("/sim/fi_debris");
+    let dir = PathBuf::from("/sim/fi_debris/db");
     save_catalog(&catalog_with_rows(2), &dir).unwrap();
-    // Crash mid-write: leaves a .tmp-* directory behind.
-    fault::arm("persist::manifest", 1);
+    // Fail the manifest: the table files stay behind in a .tmp-* directory.
+    fs.fail_write("MANIFEST", 1);
     assert!(save_catalog(&catalog_with_rows(5), &dir).is_err());
-    fault::reset();
     let (cat, report) = load_catalog_recover(&dir).unwrap();
     assert_eq!(cat.table("t").unwrap().len(), 2);
     assert!(
         report.issues.iter().any(|i| i.contains("interrupted save")),
         "{report:?}"
     );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn injected_fault_is_a_typed_error_not_a_panic() {
-    let _guard = serialize();
-    let dir = tempdir("typed");
-    fault::reset();
-    fault::arm("persist::io_write", 1);
-    let err = save_catalog(&catalog_with_rows(1), &dir).unwrap_err();
-    assert!(err.to_string().contains("injected fault"), "{err}");
-    fault::reset();
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,31 +1,18 @@
-//! Fault-injection tests for the write-ahead log (require
-//! `--features fault`): kill a commit, a checkpoint, and a truncation at
-//! every reachable failure point and assert that (a) the failure surfaces
-//! as a typed error, (b) reload recovers exactly the last committed
-//! state — never a torn catalog, never a lost committed write — and
-//! (c) the log keeps accepting commits afterwards.
+//! IO faults in the write-ahead log (require `--features fault`): on the
+//! simulated filesystem, fail every write and fsync of a commit and of a
+//! checkpoint, and crash a truncation midway, then assert that (a) the
+//! failure is a typed error, (b) reload recovers exactly the last
+//! committed state — never a torn catalog, never a lost committed write —
+//! and (c) the log keeps accepting commits afterwards.
 #![cfg(feature = "fault")]
 
 use std::path::{Path, PathBuf};
 
-use conquer_sync::{rank, Mutex, MutexGuard};
-
+use conquer_storage::vfs::{mount_sim, SimFs};
 use conquer_storage::{
-    fault, load_catalog, load_catalog_recover, save_catalog, DataType, Schema, Table, Value, Wal,
-    WalOp,
+    load_catalog, load_catalog_recover, save_catalog, DataType, Schema, StorageError, Table, Value,
+    Wal, WalOp,
 };
-
-/// The fault registry is process-global; every test must hold this lock.
-fn serialize() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(&rank::TEST_SERIAL, ());
-    LOCK.lock()
-}
-
-fn tempdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("conquer_fwal_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn table(rows: i64) -> Table {
     let mut t = Table::new(
@@ -43,174 +30,148 @@ fn loaded_rows(dir: &Path) -> usize {
     load_catalog(dir).unwrap().table("t").unwrap().len()
 }
 
-/// Hits of `point` during one clean two-op commit.
-fn commit_hits(point: &str) -> u64 {
-    let scratch = tempdir("scratch");
-    fault::reset();
-    let mut wal = Wal::open(&scratch).unwrap();
-    wal.commit(&[WalOp::Put(&table(2)), WalOp::Drop("ghost")])
-        .unwrap();
-    let hits = fault::hit_count(point);
-    std::fs::remove_dir_all(&scratch).ok();
-    hits
+/// One fault per run: the `nth` write for `nth` in `1..=writes`, then the
+/// `nth` fsync for `nth` in `1..=syncs`.
+fn every_io_fault(writes: u64, syncs: u64) -> impl Iterator<Item = (&'static str, u64)> {
+    let writes = (1..=writes).map(|n| ("write", n));
+    writes.chain((1..=syncs).map(|n| ("fsync", n)))
+}
+
+fn arm(fs: &SimFs, (call, nth): (&str, u64)) {
+    match call {
+        "write" => fs.fail_write("", nth),
+        _ => fs.fail_sync("", nth),
+    }
 }
 
 #[test]
-fn commit_killed_at_every_failure_point_recovers_last_committed_state() {
-    let _guard = serialize();
-    let dir = tempdir("commit_kill");
-    fault::reset();
+fn commit_failed_at_every_write_and_fsync_recovers_last_committed_state() {
+    let (fs, _guard) = mount_sim("/sim/fwal_commit");
+    let dir = PathBuf::from("/sim/fwal_commit/db");
     let mut wal = Wal::open(&dir).unwrap();
     wal.commit(&[WalOp::Put(&table(3))]).unwrap();
-    assert_eq!(loaded_rows(&dir), 3);
+    let ops = [WalOp::Put(&table(7)), WalOp::Drop("ghost")];
 
-    for point in ["wal::op", "wal::commit", "wal::io_write", "wal::sync"] {
-        let hits = commit_hits(point);
-        assert!(hits > 0, "fault point {point} never hit during a commit");
-        for i in 1..=hits {
-            fault::reset();
-            fault::arm(point, i);
-            let err = wal
-                .commit(&[WalOp::Put(&table(7)), WalOp::Drop("ghost")])
-                .unwrap_err();
-            assert!(
-                err.to_string().contains("injected fault"),
-                "{point} hit {i}: {err}"
-            );
-            // A failed commit must be as if it never happened: the last
-            // committed state reloads exactly, strict and lenient alike.
-            fault::reset();
-            assert_eq!(loaded_rows(&dir), 3, "{point} hit {i}");
-            let (cat, report) = load_catalog_recover(&dir).unwrap();
-            assert_eq!(cat.table("t").unwrap().len(), 3);
-            assert!(
-                !report.issues.iter().any(|s| s.contains("torn")),
-                "rolled-back append left a tear at {point} hit {i}: {report:?}"
-            );
-        }
+    // Calls of one clean commit, counted on a log beside this one.
+    let mut scratch = Wal::open(&dir.join("scratch")).unwrap();
+    let (w0, s0) = (fs.write_calls(), fs.sync_calls());
+    scratch.commit(&ops).unwrap();
+    let (writes, syncs) = (fs.write_calls() - w0, fs.sync_calls() - s0);
+
+    for fault in every_io_fault(writes, syncs) {
+        arm(&fs, fault);
+        let err = wal.commit(&ops).unwrap_err();
+        assert!(matches!(err, StorageError::Io(_)), "{fault:?}: {err:?}");
+        // A failed commit must be as if it never happened: the last
+        // committed state reloads exactly, strict and lenient alike.
+        assert_eq!(loaded_rows(&dir), 3, "{fault:?}");
+        let (cat, report) = load_catalog_recover(&dir).unwrap();
+        assert_eq!(cat.table("t").unwrap().len(), 3);
+        assert!(
+            !report.issues.iter().any(|s| s.contains("torn")),
+            "rolled-back append left a tear at {fault:?}: {report:?}"
+        );
     }
 
     // The log still works after every induced failure.
-    fault::reset();
     wal.commit(&[WalOp::Put(&table(9))]).unwrap();
     assert_eq!(loaded_rows(&dir), 9);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn checkpoint_killed_at_every_failure_point_loses_no_committed_write() {
-    let _guard = serialize();
-    let dir = tempdir("ckpt_kill");
-    fault::reset();
+fn checkpoint_failed_at_every_write_and_fsync_loses_no_committed_write() {
+    let (fs, _guard) = mount_sim("/sim/fwal_ckpt");
+    let dir = PathBuf::from("/sim/fwal_ckpt/db");
     let mut wal = Wal::open(&dir).unwrap();
     wal.commit(&[WalOp::Put(&table(2))]).unwrap();
     save_catalog(&load_catalog(&dir).unwrap(), &dir).unwrap();
     wal.reopen().unwrap();
     wal.commit(&[WalOp::Put(&table(5))]).unwrap();
-    assert_eq!(loaded_rows(&dir), 5);
+    let checkpoint = || save_catalog(&load_catalog(&dir).unwrap(), &dir);
 
-    // Hits of each point during one clean checkpoint of this state.
-    let count = |point: &str| -> u64 {
-        let scratch = tempdir("ckpt_scratch");
-        fault::reset();
-        let mut w = Wal::open(&scratch).unwrap();
-        w.commit(&[WalOp::Put(&table(2))]).unwrap();
-        save_catalog(&load_catalog(&scratch).unwrap(), &scratch).unwrap();
-        let hits = fault::hit_count(point);
-        std::fs::remove_dir_all(&scratch).ok();
-        hits
-    };
+    // One clean checkpoint counts the calls the loop fails in turn
+    // (`restore` zeroes the counters).
+    let baseline = fs.current_image();
+    fs.restore(&baseline);
+    checkpoint().unwrap();
+    let (writes, syncs) = (fs.write_calls(), fs.sync_calls());
 
-    for point in [
-        "persist::file",
-        "persist::io_write",
-        "persist::manifest",
-        "persist::publish",
-        "persist::commit",
-        "wal::truncate",
-        "wal::truncate_commit",
-    ] {
-        let hits = count(point);
-        assert!(
-            hits > 0,
-            "fault point {point} never hit during a checkpoint"
-        );
-        for i in 1..=hits {
-            fault::reset();
-            fault::arm(point, i);
-            let folded = load_catalog(&dir).unwrap();
-            // The epoch-save part of a checkpoint fails loudly; the WAL
-            // truncation is best-effort (the fold already committed).
-            let _ = save_catalog(&folded, &dir);
-            fault::reset();
-            // Regardless of where the kill landed, reload must see every
-            // committed write: either the old epoch + WAL replay, or the
-            // new epoch that folded it — both are exactly 5 rows.
-            assert_eq!(loaded_rows(&dir), 5, "{point} hit {i}");
-            let (cat, _) = load_catalog_recover(&dir).unwrap();
-            assert_eq!(cat.table("t").unwrap().len(), 5, "{point} hit {i}");
-        }
+    for fault in every_io_fault(writes, syncs) {
+        fs.restore(&baseline);
+        arm(&fs, fault);
+        // The epoch-save part of a checkpoint fails loudly; the WAL
+        // truncation is best-effort (the fold already committed).
+        let _ = checkpoint();
+        // Wherever the fault landed, reload sees every committed write:
+        // the old epoch + WAL replay, or the new epoch that folded it.
+        assert_eq!(loaded_rows(&dir), 5, "{fault:?}");
+        let (cat, _) = load_catalog_recover(&dir).unwrap();
+        assert_eq!(cat.table("t").unwrap().len(), 5, "{fault:?}");
     }
 
-    // After all that, a clean checkpoint still works and the WAL shrinks.
-    fault::reset();
-    save_catalog(&load_catalog(&dir).unwrap(), &dir).unwrap();
+    // After all that, a clean checkpoint still works.
+    checkpoint().unwrap();
     assert_eq!(loaded_rows(&dir), 5);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn open_failure_is_typed_and_reopen_succeeds() {
-    let _guard = serialize();
-    let dir = tempdir("open_kill");
-    fault::reset();
-    fault::arm("wal::open", 1);
+    let (fs, _guard) = mount_sim("/sim/fwal_open");
+    let dir = PathBuf::from("/sim/fwal_open/db");
+    fs.fail_write("wal.log", 1);
     let err = Wal::open(&dir).unwrap_err();
-    assert!(err.to_string().contains("injected fault"), "{err}");
-    fault::reset();
+    assert!(matches!(err, StorageError::Io(_)), "{err:?}");
     let mut wal = Wal::open(&dir).unwrap();
     wal.commit(&[WalOp::Put(&table(1))]).unwrap();
     assert_eq!(loaded_rows(&dir), 1);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn interrupted_truncation_leaves_a_cleanable_temp_file() {
-    let _guard = serialize();
-    let dir = tempdir("trunc_tmp");
-    fault::reset();
+fn crash_images_of_an_interrupted_truncation_are_cleaned_by_recovery() {
+    let (fs, _guard) = mount_sim("/sim/fwal_trunc");
+    let dir = PathBuf::from("/sim/fwal_trunc/db");
     let mut wal = Wal::open(&dir).unwrap();
     wal.commit(&[WalOp::Put(&table(4))]).unwrap();
+    let checkpoint = || save_catalog(&load_catalog(&dir).unwrap(), &dir).unwrap();
 
-    // Kill the checkpoint between staging the fresh log and the rename.
-    fault::arm("wal::truncate_commit", 1);
-    let _ = save_catalog(&load_catalog(&dir).unwrap(), &dir);
-    fault::reset();
-    let stale: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .flatten()
-        .filter(|e| {
-            e.file_name()
-                .to_str()
-                .is_some_and(|n| n.starts_with(".wal.tmp-"))
-        })
-        .collect();
-    assert!(!stale.is_empty(), "the staged log must be left behind");
+    // A checkpoint's last fsync is the truncation's directory sync.
+    // Failing it leaves both the staged log's creation and its rename
+    // over wal.log unsynced, so a crash can keep the one without the other.
+    let baseline = fs.current_image();
+    fs.restore(&baseline);
+    checkpoint();
+    let last_sync = fs.sync_calls();
+    fs.restore(&baseline);
+    fs.fail_sync("", last_sync);
+    checkpoint();
 
-    // Recovery removes it, reports it, and the state is intact.
-    let (cat, report) = load_catalog_recover(&dir).unwrap();
-    assert_eq!(cat.table("t").unwrap().len(), 4);
-    assert!(
-        report
-            .issues
-            .iter()
-            .any(|i| i.contains("interrupted checkpoint") && i.contains("removed")),
-        "{report:?}"
-    );
-    let (_, report2) = load_catalog_recover(&dir).unwrap();
-    assert!(
-        !report2.issues.iter().any(|i| i.contains("wal.tmp")),
-        "{report2:?}"
-    );
-    std::fs::remove_dir_all(&dir).ok();
+    let mut staged = 0;
+    for state in fs.crash_states() {
+        let has_tmp = state.files.keys().any(|p| {
+            p.file_name()
+                .is_some_and(|n| n.to_string_lossy().starts_with(".wal.tmp-"))
+        });
+        fs.restore(&state);
+        let (cat, report) = load_catalog_recover(&dir).unwrap();
+        assert_eq!(cat.table("t").unwrap().len(), 4, "{}", state.label);
+        if has_tmp {
+            staged += 1;
+            // Recovery removes the staged log, reports it, and says
+            // nothing more about it the next time.
+            assert!(
+                report
+                    .issues
+                    .iter()
+                    .any(|i| i.contains("interrupted checkpoint") && i.contains("removed")),
+                "{}: {report:?}",
+                state.label
+            );
+            let (_, again) = load_catalog_recover(&dir).unwrap();
+            assert!(
+                !again.issues.iter().any(|i| i.contains("wal.tmp")),
+                "{again:?}"
+            );
+        }
+    }
+    assert!(staged > 0, "no crash image kept the staged log");
 }

@@ -140,12 +140,6 @@ pub mod rank {
         name: "vfs_issues",
         blocking_ok: false,
     };
-    /// Failpoint registry (`storage::fault`); leaf lock, never holds others.
-    pub static FAULT_REGISTRY: Rank = Rank {
-        order: 90,
-        name: "fault_registry",
-        blocking_ok: true,
-    };
 }
 
 #[cfg(any(debug_assertions, feature = "analysis"))]

@@ -1,6 +1,6 @@
 //! Workspace hygiene lints, run as `cargo run -p xtask -- tidy`.
 //!
-//! Six checks, all textual and std-only (no external dependencies), each
+//! Five checks, all textual and std-only (no external dependencies), each
 //! implemented as a pure function over a workspace root so the self-tests
 //! can run them against seeded fixture trees:
 //!
@@ -11,25 +11,22 @@
 //!    `LazyLock`, `OnceLock`, `mpsc`, …) stay allowed — in particular
 //!    `std::sync::LazyLock<Mutex<..>>` is fine: the inner `Mutex` resolves
 //!    to the ranked wrapper.
-//! 2. **failpoint cross-check** — every failpoint name a test arms must be
-//!    registered somewhere in library code (`fault::trigger(..)` /
-//!    `fault_point(..)` / `FaultWriter::new(.., ..)`). A renamed or deleted
-//!    point otherwise turns its fault-injection tests into silent no-ops.
-//! 3. **env-docs** — every `CONQUER_*` environment variable the code reads
+//! 2. **env-docs** — every `CONQUER_*` environment variable the code reads
 //!    must appear in DESIGN.md's configuration table, and every variable
 //!    that table documents must still be read by some source file.
-//! 4. **unwrap ban** — every library crate root carries
+//! 3. **unwrap ban** — every library crate root carries
 //!    `#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]`,
 //!    and no `.unwrap()` / `.expect(` appears in library source outside
 //!    `#[cfg(test)]` modules. `crates/bench` (measurement scaffolding that
 //!    panics on broken setups by design) and `src/bin` entrypoints are
 //!    exempt.
-//! 5. **std-fs ban** — no raw `std::fs` IO in library source outside the
-//!    `vfs` module and `#[cfg(test)]` modules. Storage IO must flow
-//!    through `conquer_storage::vfs` so fault injection and crash-state
-//!    enumeration see every byte. `crates/sync`, `crates/bench`, and
+//! 4. **std-fs ban** — no raw `std::fs` IO in library source outside the
+//!    `vfs` module and `#[cfg(test)]` modules. This is what makes every IO
+//!    fault reachable from a test: storage IO flows through
+//!    `conquer_storage::vfs`, so a mounted `SimFs` can fail any call and
+//!    enumerate every crash image. `crates/sync`, `crates/bench`, and
 //!    `src/bin` entrypoints are exempt (they never touch durable state).
-//! 6. **value-keyed-map ban** — no `HashMap`/`HashSet` keyed by a row or a
+//! 5. **value-keyed-map ban** — no `HashMap`/`HashSet` keyed by a row or a
 //!    `Vec<Value>` in `crates/engine/src` outside `#[cfg(test)]` modules.
 //!    The executor's grouping, join-build and DISTINCT state all live in
 //!    `keytable::KeyTable`, whose arena order is first-seen order; a std
@@ -71,9 +68,8 @@ fn workspace_root() -> PathBuf {
 type Check = fn(&Path) -> Vec<String>;
 
 fn run_tidy(root: &Path) -> usize {
-    let checks: [(&str, Check); 6] = [
+    let checks: [(&str, Check); 5] = [
         ("std-sync lock ban", check_std_sync),
-        ("failpoint cross-check", check_failpoints),
         ("env-var docs", check_env_docs),
         ("unwrap/expect ban", check_unwrap_ban),
         ("std-fs IO ban", check_std_fs),
@@ -296,67 +292,7 @@ fn scan_std_sync(text: &str, file: &str, violations: &mut Vec<String>) {
     }
 }
 
-// --------------------------------------------------- check 2: failpoints
-
-/// A failpoint name: exactly two non-empty `::`-separated segments of
-/// lowercase letters, digits, and underscores.
-fn is_failpoint_name(lit: &str) -> bool {
-    let mut parts = lit.split("::");
-    let (Some(a), Some(b), None) = (parts.next(), parts.next(), parts.next()) else {
-        return false;
-    };
-    let seg_ok = |s: &str| {
-        !s.is_empty()
-            && s.chars()
-                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
-    };
-    seg_ok(a) && seg_ok(b)
-}
-
-/// Every failpoint name referenced from a test must exist in library code,
-/// otherwise the test arms a point that nothing triggers and silently
-/// stops testing anything.
-fn check_failpoints(root: &Path) -> Vec<String> {
-    const DEFINING: [&str; 3] = ["trigger(", "fault_point(", "FaultWriter::new("];
-    let mut registry = BTreeSet::new();
-    for dir in crate_dirs(root, &["xtask"]) {
-        for file in rs_files(&dir.join("src")) {
-            for line in read(&file).lines() {
-                if DEFINING.iter().any(|marker| line.contains(marker)) {
-                    for lit in string_literals(line) {
-                        if is_failpoint_name(lit) {
-                            registry.insert(lit.to_string());
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    let mut violations = Vec::new();
-    // `crates/sync` is excluded: its tests use `x::y`-shaped labels for
-    // blocking regions, which are not storage failpoints.
-    for dir in crate_dirs(root, &["sync", "xtask"]) {
-        for file in rs_files(&dir.join("tests")) {
-            let text = read(&file);
-            for (idx, line) in text.lines().enumerate() {
-                for lit in string_literals(line) {
-                    if is_failpoint_name(lit) && !registry.contains(lit) {
-                        violations.push(format!(
-                            "{}:{}: failpoint `{lit}` is not registered in any library \
-                             crate — armed tests against it are no-ops",
-                            display(root, &file),
-                            idx + 1,
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    violations
-}
-
-// ----------------------------------------------------- check 3: env docs
+// ----------------------------------------------------- check 2: env docs
 
 fn is_env_name(lit: &str) -> bool {
     lit.strip_prefix("CONQUER_").is_some_and(|rest| {
@@ -412,7 +348,7 @@ fn check_env_docs(root: &Path) -> Vec<String> {
     violations
 }
 
-// --------------------------------------------------- check 4: unwrap ban
+// --------------------------------------------------- check 3: unwrap ban
 
 const UNWRAP_DENY_ATTR: &str = "deny(clippy::unwrap_used";
 
@@ -468,12 +404,13 @@ fn scan_unwraps(text: &str, file: &str, violations: &mut Vec<String>) {
     }
 }
 
-// --------------------------------------------------- check 5: std::fs ban
+// --------------------------------------------------- check 4: std::fs ban
 
 /// Raw filesystem IO is banned in library source: it must route through
 /// `conquer_storage::vfs`, whose `RealFs` path is a zero-cost passthrough
-/// and whose `SimFs` path gives tests fault injection and crash-state
-/// enumeration. An IO call that bypasses the vfs is invisible to both.
+/// and whose `SimFs` path is the one place tests inject IO faults and
+/// enumerate crash images. An IO call that bypasses the vfs is invisible
+/// to both.
 /// The vfs module itself, test modules (below the first `#[cfg(test)]`),
 /// `crates/sync`, `crates/bench`, and `src/bin/` entrypoints are exempt.
 fn check_std_fs(root: &Path) -> Vec<String> {
@@ -517,7 +454,7 @@ fn scan_std_fs(text: &str, file: &str, violations: &mut Vec<String>) {
     }
 }
 
-// ------------------------------------------- check 6: value-keyed-map ban
+// ------------------------------------------- check 5: value-keyed-map ban
 
 /// The executor keeps value-keyed state in `keytable::KeyTable` only: a
 /// std map or set keyed by a row iterates in a per-process order, so each
@@ -616,29 +553,6 @@ mod tests {
         )
         .put("crates/sync/src/lib.rs", "pub use std::sync::Mutex;\n");
         assert_eq!(check_std_sync(&fx.root), Vec::<String>::new());
-    }
-
-    #[test]
-    fn failpoint_reference_without_registration_is_flagged() {
-        let fx = Fixture::new("fp");
-        fx.put(
-            "crates/storage/src/wal.rs",
-            "fn f() { fault::trigger(\"wal::sync\")?; }\n",
-        )
-        .put(
-            "crates/storage/tests/good.rs",
-            "fn t() { fault::arm(\"wal::sync\", 1); }\n",
-        )
-        .put(
-            "crates/storage/tests/bad.rs",
-            "const POINTS: [&str; 2] = [\"wal::sync\", \"wal::sycn\"];\n",
-        );
-        let v = check_failpoints(&fx.root);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(
-            v[0].contains("bad.rs:1") && v[0].contains("wal::sycn"),
-            "{v:?}"
-        );
     }
 
     #[test]
@@ -794,7 +708,6 @@ mod tests {
         let root = workspace_root();
         assert!(root.join("Cargo.toml").is_file(), "bad root: {root:?}");
         assert_eq!(check_std_sync(&root), Vec::<String>::new());
-        assert_eq!(check_failpoints(&root), Vec::<String>::new());
         assert_eq!(check_env_docs(&root), Vec::<String>::new());
         assert_eq!(check_unwrap_ban(&root), Vec::<String>::new());
         assert_eq!(check_std_fs(&root), Vec::<String>::new());
