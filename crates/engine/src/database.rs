@@ -700,8 +700,7 @@ impl Database {
         }
         let view = ViewDef::analyze(&self.catalog, &cv.name, cv.query.clone())
             .map_err(EngineError::NotMaintainable)?;
-        let mut groups = view::recompute_groups(self, &view)?;
-        let (contents, state) = view::groups_to_tables(&view, &mut groups)?;
+        let (contents, state) = view::recompute(self, &view)?;
         let rows = contents.len();
         self.catalog.add_table(contents)?;
         self.catalog.add_table(state)?;
@@ -745,8 +744,7 @@ impl Database {
                 "no materialized view named {name:?}"
             )));
         };
-        let mut groups = view::recompute_groups(self, &view)?;
-        let (contents, state) = view::groups_to_tables(&view, &mut groups)?;
+        let (contents, state) = view::recompute(self, &view)?;
         let rows = contents.len();
         self.catalog.replace_table(contents);
         self.catalog.replace_table(state);
@@ -789,9 +787,7 @@ impl Database {
             // A delta whose rows join nothing contributes nothing: the
             // view's two tables stay as they are, and out of the commit.
             if !pairs.is_empty() {
-                let mut groups = view::load_state(self.catalog.table(&v.state_table())?)?;
-                view::apply_pairs(v, &mut groups, pairs)?;
-                let (contents, state) = view::groups_to_tables(v, &mut groups)?;
+                let (contents, state) = view::fold(v, Some(&self.catalog), pairs)?;
                 self.catalog.replace_table(contents);
                 self.catalog.replace_table(state);
             }

@@ -1,0 +1,405 @@
+//! An exact, order-independent floating-point sum.
+//!
+//! [`ExactSum`] holds every finite term it has been given *exactly*, as one
+//! two's-complement fixed-point integer in units of 2⁻¹⁰⁷⁴ (the smallest
+//! subnormal). Every finite `f64` is an integer multiple of that unit, so
+//! adding a term is integer addition and [`ExactSum::retract`] (adding
+//! `−x`) removes `x` without a trace. The sum is rounded once, in
+//! [`ExactSum::value`], so the result depends on the multiset of terms and
+//! not on the order they arrived in.
+//!
+//! The integer is stored as a window of 64-bit limbs: only the limbs
+//! between the lowest non-zero one and the sign limb are kept, so a sum
+//! costs memory in proportion to the exponent span of its terms (a sum of
+//! probability products spans a few limbs, not the 33 a full-range
+//! accumulator would need). Non-finite terms are counted, not added: the
+//! IEEE rules for NaN and ±∞ depend only on which of them are present.
+
+use std::borrow::Cow;
+
+/// Limb width in bits.
+const LIMB: usize = 64;
+
+/// An exact sum of `f64` terms (see the module docs).
+///
+/// Equality is equality of the exact sums and term counts: the window is
+/// kept normalized (no zero low limb, no redundant sign limb), so equal
+/// sums have equal limbs and [`ExactSum::encode`] to equal bytes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ExactSum {
+    /// Terms that are not NULL (every term given to `add`).
+    nonnull: i64,
+    /// NaN terms.
+    nan: i64,
+    /// `+∞` terms.
+    pos_inf: i64,
+    /// `−∞` terms.
+    neg_inf: i64,
+    /// Index of the lowest stored limb: limb `i` weighs `2^(64·(lo+i))`
+    /// units. Zero when `limbs` is empty.
+    lo: usize,
+    /// The finite part, two's complement, least significant limb first;
+    /// the top limb carries the sign. Empty means exactly zero.
+    limbs: Vec<u64>,
+}
+
+impl ExactSum {
+    /// An empty sum: no terms, [`ExactSum::value`] is `None` (SQL NULL).
+    pub fn new() -> Self {
+        ExactSum::default()
+    }
+
+    /// Fold one term in. Exact.
+    pub fn add(&mut self, x: f64) {
+        self.apply(x, 1);
+    }
+
+    /// Remove one term that was added before. Exact: adding `x` and then
+    /// retracting it restores the previous state bit for bit.
+    pub fn retract(&mut self, x: f64) {
+        self.apply(x, -1);
+    }
+
+    /// Has no term been added (or has every added term been retracted)?
+    pub fn is_empty(&self) -> bool {
+        *self == ExactSum::default()
+    }
+
+    fn apply(&mut self, x: f64, sign: i64) {
+        self.nonnull += sign;
+        if x.is_nan() {
+            self.nan += sign;
+        } else if x == f64::INFINITY {
+            self.pos_inf += sign;
+        } else if x == f64::NEG_INFINITY {
+            self.neg_inf += sign;
+        } else {
+            let bits = x.to_bits();
+            let biased = ((bits >> 52) & 0x7ff) as usize;
+            let frac = bits & ((1 << 52) - 1);
+            // A subnormal is `frac` units; a normal is the mantissa with
+            // its implicit bit, `biased − 1` binary places up.
+            let (mantissa, shift) = match biased {
+                0 => (frac, 0),
+                _ => (frac | 1 << 52, biased - 1),
+            };
+            if mantissa != 0 {
+                let negative = (bits >> 63 == 1) != (sign < 0);
+                self.add_at(shift / LIMB, (mantissa as u128) << (shift % LIMB), negative);
+            }
+        }
+    }
+
+    /// Add (or subtract) `wide · 2^(64·k)` units to the finite part.
+    fn add_at(&mut self, k: usize, wide: u128, negative: bool) {
+        // Widen the window to cover the term's two limbs plus one limb of
+        // headroom above both the term and the old top: the result then
+        // fits, and the carry out of the top limb is the discarded
+        // two's-complement wrap.
+        let top = match self.limbs.len() {
+            0 => k + 2,
+            n => (self.lo + n).max(k + 2),
+        };
+        self.widen(k, top);
+        let i = k - self.lo;
+        let halves = [wide as u64, (wide >> 64) as u64];
+        let mut carry = false;
+        for (j, limb) in self.limbs[i..].iter_mut().enumerate() {
+            let operand = halves.get(j).copied().unwrap_or(0);
+            if j >= 2 && !carry {
+                break;
+            }
+            let (r, c1) = if negative {
+                limb.overflowing_sub(operand)
+            } else {
+                limb.overflowing_add(operand)
+            };
+            let (r, c2) = if negative {
+                r.overflowing_sub(carry as u64)
+            } else {
+                r.overflowing_add(carry as u64)
+            };
+            *limb = r;
+            carry = c1 || c2;
+        }
+        self.normalize();
+    }
+
+    /// Extend the window to cover limb indices `lo..=hi` (zeros below,
+    /// sign extension above).
+    fn widen(&mut self, lo: usize, hi: usize) {
+        if self.limbs.is_empty() {
+            self.lo = lo;
+            self.limbs = vec![0; hi - lo + 1];
+            return;
+        }
+        if lo < self.lo {
+            self.limbs
+                .splice(0..0, std::iter::repeat_n(0, self.lo - lo));
+            self.lo = lo;
+        }
+        let fill = if self.negative() { u64::MAX } else { 0 };
+        while self.lo + self.limbs.len() <= hi {
+            self.limbs.push(fill);
+        }
+    }
+
+    /// Drop zero low limbs and redundant sign limbs, so the representation
+    /// of a value is unique.
+    fn normalize(&mut self) {
+        let zeros = self.limbs.iter().take_while(|&&l| l == 0).count();
+        if zeros == self.limbs.len() {
+            self.limbs.clear();
+            self.lo = 0;
+            return;
+        }
+        if zeros > 0 {
+            self.limbs.drain(..zeros);
+            self.lo += zeros;
+        }
+        while let [.., below, top] = self.limbs[..] {
+            let redundant = (top == 0 && below >> 63 == 0) || (top == u64::MAX && below >> 63 == 1);
+            if !redundant {
+                break;
+            }
+            self.limbs.pop();
+        }
+    }
+
+    fn negative(&self) -> bool {
+        self.limbs.last().is_some_and(|top| top >> 63 == 1)
+    }
+
+    /// The sum, rounded once: `None` when no non-NULL term is present;
+    /// NaN or ±∞ by the IEEE rules when such terms are present (NaN, or
+    /// both infinities, give NaN); otherwise the exact sum of the finite
+    /// terms rounded to nearest, ties to even, overflowing to ±∞. An exact
+    /// zero is `+0.0`, as a fold that starts from `0.0` gives.
+    ///
+    /// Meaningful for any state reached by retracting only terms that were
+    /// added.
+    pub fn value(&self) -> Option<f64> {
+        if self.nonnull == 0 {
+            return None;
+        }
+        if self.nan != 0 || (self.pos_inf != 0 && self.neg_inf != 0) {
+            return Some(f64::NAN);
+        }
+        if self.pos_inf != 0 {
+            return Some(f64::INFINITY);
+        }
+        if self.neg_inf != 0 {
+            return Some(f64::NEG_INFINITY);
+        }
+        Some(self.round())
+    }
+
+    fn round(&self) -> f64 {
+        let negative = self.negative();
+        let magnitude = if negative {
+            Cow::Owned(negate(&self.limbs))
+        } else {
+            Cow::Borrowed(&self.limbs[..])
+        };
+        let Some(t) = magnitude.iter().rposition(|&l| l != 0) else {
+            return 0.0;
+        };
+        // `p` is the absolute position of the leading one bit.
+        let p = LIMB * (self.lo + t) + 63 - magnitude[t].leading_zeros() as usize;
+        let bits = if p <= 52 {
+            // Below 2^53 units every integer is an `f64` whose bit
+            // pattern is the integer itself (subnormal, or the first
+            // binade of normals).
+            magnitude[0]
+        } else {
+            // The leading 64 bits, left-justified, and whether anything
+            // below them is set.
+            let limb = |abs: usize| {
+                abs.checked_sub(self.lo)
+                    .and_then(|i| magnitude.get(i))
+                    .copied()
+                    .unwrap_or(0)
+            };
+            let (window, below) = if p < 63 {
+                (magnitude[0] << (63 - p), false)
+            } else {
+                let start = p - 63;
+                let (q, r) = (start / LIMB, start % LIMB);
+                let window = match r {
+                    0 => limb(q),
+                    _ => (limb(q) >> r) | (limb(q + 1) << (LIMB - r)),
+                };
+                let below =
+                    (self.lo..q).any(|a| limb(a) != 0) || (r != 0 && limb(q) & ((1 << r) - 1) != 0);
+                (window, below)
+            };
+            let mut mantissa = window >> 11;
+            let half = (window >> 10) & 1 == 1;
+            let sticky = below || window & 0x3ff != 0;
+            let mut p = p;
+            if half && (sticky || mantissa & 1 == 1) {
+                mantissa += 1;
+                if mantissa == 1 << 53 {
+                    mantissa >>= 1;
+                    p += 1;
+                }
+            }
+            // Leading bit at `p` units = 2^(p−1074): biased exponent p−51.
+            let biased = (p - 51) as u64;
+            if biased >= 0x7ff {
+                f64::INFINITY.to_bits()
+            } else {
+                biased << 52 | (mantissa & ((1 << 52) - 1))
+            }
+        };
+        let x = f64::from_bits(bits);
+        if negative {
+            -x
+        } else {
+            x
+        }
+    }
+
+    /// One canonical text cell: the four term counts, the window's lowest
+    /// limb index, then the limbs as fixed-width hex, most significant
+    /// first. Equal sums encode to equal bytes.
+    pub fn encode(&self) -> String {
+        let mut out = format!(
+            "{}:{}:{}:{}:{}:",
+            self.nonnull, self.nan, self.pos_inf, self.neg_inf, self.lo
+        );
+        for limb in self.limbs.iter().rev() {
+            out.push_str(&format!("{limb:016x}"));
+        }
+        out
+    }
+
+    /// Read back a cell written by [`ExactSum::encode`]. `None` unless the
+    /// text is exactly the canonical encoding of some sum (normalized
+    /// window, no sign or padding variants).
+    pub fn decode(text: &str) -> Option<ExactSum> {
+        let mut fields = text.split(':');
+        let mut count = || fields.next()?.parse::<i64>().ok();
+        let (nonnull, nan, pos_inf, neg_inf) = (count()?, count()?, count()?, count()?);
+        let lo = fields.next()?.parse::<usize>().ok()?;
+        let hex = fields.next()?;
+        if fields.next().is_some() || hex.len() % 16 != 0 || !hex.is_ascii() {
+            return None;
+        }
+        let limbs = (0..hex.len() / 16)
+            .rev()
+            .map(|i| u64::from_str_radix(&hex[16 * i..16 * i + 16], 16).ok())
+            .collect::<Option<Vec<u64>>>()?;
+        let sum = ExactSum {
+            nonnull,
+            nan,
+            pos_inf,
+            neg_inf,
+            lo,
+            limbs,
+        };
+        let mut canonical = sum.clone();
+        canonical.normalize();
+        (canonical == sum && sum.encode() == text).then_some(sum)
+    }
+}
+
+/// Two's-complement negation of a limb vector.
+fn negate(limbs: &[u64]) -> Vec<u64> {
+    let mut carry = true;
+    limbs
+        .iter()
+        .map(|&l| {
+            let (r, c) = (!l).overflowing_add(carry as u64);
+            carry = c;
+            r
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sum(terms: &[f64]) -> ExactSum {
+        let mut s = ExactSum::new();
+        for &t in terms {
+            s.add(t);
+        }
+        s
+    }
+
+    #[test]
+    fn empty_and_zero() {
+        assert_eq!(ExactSum::new().value(), None);
+        assert!(ExactSum::new().is_empty());
+        let z = sum(&[-0.0, 0.0, -0.0]);
+        assert_eq!(z.value().map(f64::to_bits), Some(0.0f64.to_bits()));
+        assert_eq!(sum(&[1.5, -1.5]).value(), Some(0.0));
+    }
+
+    #[test]
+    fn order_does_not_matter_where_a_fold_would() {
+        let a = sum(&[0.1, 0.2, 0.3, 1e-17, 0.7]);
+        let b = sum(&[0.7, 1e-17, 0.3, 0.2, 0.1]);
+        assert_eq!(a, b);
+        assert_eq!(a.encode(), b.encode());
+        // 1e16 + 1 + 1 rounds to 1e16 folded left to right; exactly it is
+        // 1e16 + 2.
+        assert_eq!(sum(&[1e16, 1.0, 1.0]).value(), Some(1e16 + 2.0));
+        assert_eq!(sum(&[1.0, 1e100, 1.0, -1e100]).value(), Some(2.0));
+    }
+
+    #[test]
+    fn rounding_edges() {
+        let min = f64::from_bits(1);
+        assert_eq!(sum(&[min, min]).value(), Some(2.0 * min));
+        assert_eq!(sum(&[-min]).value(), Some(-min));
+        assert_eq!(sum(&[f64::MAX, f64::MAX]).value(), Some(f64::INFINITY));
+        assert_eq!(
+            sum(&[-f64::MAX, -f64::MAX]).value(),
+            Some(f64::NEG_INFINITY)
+        );
+        assert_eq!(
+            sum(&[f64::MAX, f64::MAX, -f64::MAX]).value(),
+            Some(f64::MAX)
+        );
+        // 1 + 2^-53 is a tie: to even, 1.0. One more 2^-80 breaks it up.
+        let half_ulp = 2f64.powi(-53);
+        assert_eq!(sum(&[1.0, half_ulp]).value(), Some(1.0));
+        assert_eq!(
+            sum(&[1.0, half_ulp, 2f64.powi(-80)]).value(),
+            Some(1.0 + 2f64.powi(-52))
+        );
+    }
+
+    #[test]
+    fn non_finite_terms_follow_ieee() {
+        assert!(sum(&[1.0, f64::NAN]).value().unwrap().is_nan());
+        assert!(sum(&[f64::INFINITY, f64::NEG_INFINITY])
+            .value()
+            .unwrap()
+            .is_nan());
+        assert_eq!(sum(&[1.0, f64::INFINITY]).value(), Some(f64::INFINITY));
+        let mut s = sum(&[0.5, f64::NEG_INFINITY]);
+        assert_eq!(s.value(), Some(f64::NEG_INFINITY));
+        s.retract(f64::NEG_INFINITY);
+        assert_eq!(s.value(), Some(0.5));
+    }
+
+    #[test]
+    fn decode_rejects_non_canonical_text() {
+        let s = sum(&[0.25, 3.0]);
+        assert_eq!(ExactSum::decode(&s.encode()), Some(s.clone()));
+        let text = s.encode();
+        for bad in [
+            String::new(),
+            format!("{text}:"),
+            format!("{text}0000000000000000"),
+            text.replace(':', ";"),
+            "1:0:0:0:3:".to_string(),
+        ] {
+            assert_eq!(ExactSum::decode(&bad), None, "{bad}");
+        }
+    }
+}

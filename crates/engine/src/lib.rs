@@ -38,6 +38,7 @@ pub mod binder;
 pub mod context;
 pub mod database;
 pub mod error;
+pub mod exact;
 pub mod exec;
 pub mod expr;
 mod keytable;

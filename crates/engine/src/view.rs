@@ -22,10 +22,8 @@
 //!   binder/planner/executor (result cache included) and therefore
 //!   *never* re-executes the base query;
 //! * the **state table** `__conquer_view_state_<name>` — one row per
-//!   *contribution* (join row): the group key plus the unaggregated term.
-//!   The per-group term multiset makes deletes exact: a group's row count
-//!   is its contribution count, and the group is dropped when the
-//!   multiset empties (count-backed retraction);
+//!   group, in the same key order: the key, the contribution count (a group
+//!   is dropped at 0) and the [`ExactSum`] accumulator as one TEXT cell;
 //! * a row in **`__conquer_views`** holding the defining SQL and the
 //!   `deltas_applied` / `refreshes` counters.
 //!
@@ -36,14 +34,13 @@
 //!
 //! ## Bit-exactness
 //!
-//! Floating-point addition is not associative, so "the same sum" computed
-//! in two different orders can differ in the last ulp. Both the
-//! recompute path (`CREATE`/`REFRESH`) and the incremental path produce a
-//! group's SUM by sorting the term multiset with `f64::total_cmp` and
-//! folding in that order — equal multisets therefore give *byte-identical*
-//! sums, which is what the maintenance property test asserts. (An ad-hoc
-//! engine `SELECT SUM(…)` may still differ from the view by an ulp, since
-//! the executor folds in pipeline order; see DESIGN.md.)
+//! A view never folds in floating point: a group's terms go into an
+//! [`ExactSum`], which holds their sum exactly and rounds once, so equal
+//! term multisets give byte-identical contents *and* state in any order.
+//! `CREATE`/`REFRESH` (every contribution into an empty state) and
+//! maintenance (a delta's signed contributions into the stored groups) are
+//! the one [`fold`]. The ad-hoc executor's `SUM` still folds in pipeline
+//! order and may differ from a view in the last ulp (see DESIGN.md).
 //!
 //! ## Delta propagation
 //!
@@ -64,11 +61,11 @@
 //! `T` more than once also finds the pre-statement image as [`OLD_TABLE`];
 //! every other FROM entry reads its table where it is, stored indexes
 //! included. Removed-side rows retract their (key, term) pairs, added-side
-//! rows insert them. [`Database`]'s maintenance step removes both hidden
+//! rows add them. [`Database`]'s maintenance step removes both hidden
 //! tables before the statement returns, so neither reaches the WAL or a
 //! published version.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use conquer_sql::{AggFunc, Expr, SelectItem, SelectStatement, Statement, TableRef};
 use conquer_storage::{Catalog, DataType, Row, Schema, Table, Value};
@@ -76,6 +73,7 @@ use conquer_storage::{Catalog, DataType, Row, Schema, Table, Value};
 use crate::binder::bind;
 use crate::database::Database;
 use crate::error::EngineError;
+use crate::exact::ExactSum;
 use crate::exec::execute_plan;
 use crate::Result;
 
@@ -98,7 +96,13 @@ pub(crate) const OLD_TABLE: &str = "__conquer_old";
 /// the catalog before its statement returns.
 pub(crate) const DELTA_TABLES: [&str; 2] = [DELTA_TABLE, OLD_TABLE];
 
-/// Name of the per-contribution state table of view `name`.
+/// State-table column holding a group's contribution count.
+pub(crate) const COUNT_COLUMN: &str = "__conquer_count";
+
+/// State-table column holding a group's encoded [`ExactSum`].
+pub(crate) const SUM_COLUMN: &str = "__conquer_sum";
+
+/// Name of the per-group state table of view `name`.
 pub fn state_table_name(name: &str) -> String {
     format!("{HIDDEN_PREFIX}view_state_{name}")
 }
@@ -127,9 +131,9 @@ pub struct ViewStats {
     pub refreshes: u64,
 }
 
-/// Per-group term multisets, keyed by group-key vector. The canonical
-/// in-memory form of a view's state table.
-pub(crate) type Groups = BTreeMap<Vec<Value>, Vec<Value>>;
+/// One signed contribution to a view: group key, SUM term, and `true` for
+/// an added contribution, `false` for a retracted one.
+pub(crate) type Contribution = (Vec<Value>, Value, bool);
 
 /// A change to one base table: the rows a statement removed and added.
 /// An update contributes each changed row to both sides.
@@ -273,6 +277,11 @@ impl ViewDef {
             if items.iter().skip(i + 1).any(|(m, _)| m == n) {
                 return Err(format!("duplicate view column name {n:?}"));
             }
+            if n.starts_with(HIDDEN_PREFIX) {
+                return Err(format!(
+                    "view column name {n:?} collides with the hidden bookkeeping prefix"
+                ));
+            }
         }
 
         // GROUP BY must be set-equal to the non-aggregate projections.
@@ -372,35 +381,35 @@ impl ViewDef {
         self.query.to_string()
     }
 
+    /// The key columns, `(name, type)` in projection order.
+    fn key_columns(&self) -> Vec<(String, DataType)> {
+        let names = self
+            .items
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| *i != self.term_index);
+        names
+            .zip(&self.key_types)
+            .map(|((_, (n, _)), t)| (n.clone(), *t))
+            .collect()
+    }
+
     /// Schema of the contents table: projection-ordered and -named, SUM
     /// column typed FLOAT.
     pub(crate) fn contents_schema(&self) -> Result<Schema> {
-        let mut pairs = Vec::with_capacity(self.items.len());
-        let mut ki = 0usize;
-        for (i, (n, _)) in self.items.iter().enumerate() {
-            if i == self.term_index {
-                pairs.push((n.clone(), DataType::Float));
-            } else {
-                pairs.push((n.clone(), self.key_types[ki]));
-                ki += 1;
-            }
-        }
-        Ok(Schema::from_pairs(pairs)?)
+        let mut columns = self.key_columns();
+        let sum = self.items[self.term_index].0.clone();
+        columns.insert(self.term_index, (sum, DataType::Float));
+        Ok(Schema::from_pairs(columns)?)
     }
 
-    /// Schema of the state table: the keys (projection order) then the
-    /// unaggregated term.
+    /// Schema of the state table: the keys, then the contribution count and
+    /// the encoded accumulator.
     pub(crate) fn state_schema(&self) -> Result<Schema> {
-        let mut pairs = Vec::with_capacity(self.items.len());
-        let mut ki = 0usize;
-        for (i, (n, _)) in self.items.iter().enumerate() {
-            if i != self.term_index {
-                pairs.push((n.clone(), self.key_types[ki]));
-                ki += 1;
-            }
-        }
-        pairs.push((self.items[self.term_index].0.clone(), DataType::Float));
-        Ok(Schema::from_pairs(pairs)?)
+        let mut columns = self.key_columns();
+        columns.push((COUNT_COLUMN.to_string(), DataType::Int));
+        columns.push((SUM_COLUMN.to_string(), DataType::Text));
+        Ok(Schema::from_pairs(columns)?)
     }
 
     /// The projection-only form of the view query over the original
@@ -426,89 +435,118 @@ impl ViewDef {
         }
     }
 
-    /// Split one projection-only output row into (group key, term).
-    fn split_row(&self, mut row: Row) -> (Vec<Value>, Value) {
+    /// Split one projection-only output row into a signed contribution.
+    fn contribution(&self, mut row: Row, add: bool) -> Contribution {
         let term = row.remove(self.term_index);
-        (row, term)
+        (row, term, add)
     }
 }
 
-/// Fold a *sorted* term multiset into the group's SUM. Terms are sorted
-/// by `f64::total_cmp` (the [`Value`] order), so equal multisets fold in
-/// the same order and produce byte-identical sums. SQL semantics: NULL
-/// terms are skipped; a group of only-NULL terms sums to NULL.
-pub(crate) fn canonical_sum(sorted_terms: &[Value]) -> Value {
-    let mut acc = 0.0f64;
-    let mut any = false;
-    for t in sorted_terms {
-        if let Some(x) = t.as_f64() {
-            acc += x;
-            any = true;
+/// Evaluate the view from scratch: every contribution of the
+/// projection-only query, folded as an addition into an empty state. What
+/// `CREATE` and `REFRESH` install.
+pub(crate) fn recompute(db: &Database, view: &ViewDef) -> Result<(Table, Table)> {
+    let rows = db.run_select(&view.projection_query())?.rows;
+    let contributions = rows.into_iter().map(|row| view.contribution(row, true));
+    fold(view, None, contributions)
+}
+
+/// The one view fold: apply signed contributions to the view's groups as
+/// stored in `prior` (`None` for an empty view); return the new contents
+/// and state tables. A touched group's state row is decoded once; its count
+/// moves by ±1 and its accumulator adds the term or its negation. Untouched
+/// groups are copied. A group disappears at count 0; a count below 0 means
+/// the state diverged from the bases, an internal error that aborts the
+/// commit. A state table in the older per-contribution layout is refused
+/// with a typed error naming `REFRESH`, which rebuilds both tables.
+pub(crate) fn fold(
+    view: &ViewDef,
+    prior: Option<&Catalog>,
+    contributions: impl IntoIterator<Item = Contribution>,
+) -> Result<(Table, Table)> {
+    let diverged = |what: &str| EngineError::internal(format!("view {:?}: {what}", view.name));
+    let (prior_contents, prior_state) = match prior {
+        None => (&[][..], &[][..]),
+        Some(catalog) => {
+            let state = catalog.table(&view.state_table())?;
+            if *state.schema() != view.state_schema()? {
+                return Err(EngineError::NotMaintainable(format!(
+                    "view {:?} keeps its state in an older layout; run REFRESH MATERIALIZED \
+                     VIEW {} to rebuild it",
+                    view.name, view.name
+                )));
+            }
+            (catalog.table(&view.name)?.rows(), state.rows())
+        }
+    };
+    if prior_contents.len() != prior_state.len() {
+        return Err(diverged("contents and state tables differ in length"));
+    }
+    let width = view.key_types.len();
+    let mut touched: BTreeMap<Vec<Value>, (i64, ExactSum)> = BTreeMap::new();
+    for (key, term, add) in contributions {
+        if !add && conquer_sync::mutant("view::skip-retract") {
+            // Seeded mutant: "forget" to retract, so deleted base rows keep
+            // contributing. The oracle and the schedule explorer catch it.
+            continue;
+        }
+        let (count, sum) = match touched.entry(key) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let found = prior_state.binary_search_by(|row| row[..width].cmp(e.key()));
+                let group = match found.map(|i| &prior_state[i][width..]) {
+                    Err(_) => (0, ExactSum::new()),
+                    Ok([Value::Int(count), Value::Text(sum)]) if *count > 0 => {
+                        let sum = ExactSum::decode(sum)
+                            .ok_or_else(|| diverged("unreadable accumulator"))?;
+                        (*count, sum)
+                    }
+                    Ok(_) => return Err(diverged("malformed state row")),
+                };
+                e.insert(group)
+            }
+        };
+        *count += if add { 1 } else { -1 };
+        if *count < 0 {
+            return Err(diverged("a retraction drove a group's count below 0"));
+        }
+        // NULL terms count toward the group but not toward its SUM.
+        match term.as_f64() {
+            Some(x) if add => sum.add(x),
+            Some(x) => sum.retract(x),
+            None => {}
         }
     }
-    if any {
-        Value::Float(acc)
-    } else {
-        Value::Null
-    }
-}
 
-/// Run the projection-only view query on `db` and collect the per-group
-/// term multisets — the from-scratch evaluation behind `CREATE` and
-/// `REFRESH`.
-pub(crate) fn recompute_groups(db: &Database, view: &ViewDef) -> Result<Groups> {
-    let result = db.run_select(&view.projection_query())?;
-    let mut groups = Groups::new();
-    for row in result.rows {
-        let (key, term) = view.split_row(row);
-        groups.entry(key).or_default().push(term);
-    }
-    Ok(groups)
-}
-
-/// Materialize the group map into the canonical contents + state tables:
-/// groups in key order, term multisets sorted, SUMs folded canonically.
-/// Both the recompute and the incremental path end here, which is what
-/// makes their outputs byte-identical for equal multisets.
-pub(crate) fn groups_to_tables(view: &ViewDef, groups: &mut Groups) -> Result<(Table, Table)> {
+    // Merge the touched groups into the untouched ones, both in key order.
     let mut contents = Table::new(&view.name, view.contents_schema()?);
     let mut state = Table::new(view.state_table(), view.state_schema()?);
-    for (key, terms) in groups.iter_mut() {
-        terms.sort();
-        let sum = canonical_sum(terms);
-        let mut row: Row = Vec::with_capacity(key.len() + 1);
-        for pos in 0..=key.len() {
-            if pos == view.term_index {
-                row.push(sum.clone());
-            } else {
-                let ki = if pos < view.term_index { pos } else { pos - 1 };
-                row.push(key[ki].clone());
+    let mut prior = prior_contents.iter().zip(prior_state).peekable();
+    for (key, (count, sum)) in touched {
+        while let Some((c, s)) = prior.next_if(|(_, s)| s[..width] < key[..]) {
+            contents.insert(c.clone())?;
+            state.insert(s.clone())?;
+        }
+        prior.next_if(|(_, s)| s[..width] == key[..]);
+        if count == 0 {
+            if !sum.is_empty() {
+                return Err(diverged("a group with no contributions kept a sum"));
             }
+            continue;
         }
+        let mut row = key.clone();
+        let value = sum.value().map_or(Value::Null, Value::Float);
+        row.insert(view.term_index, value);
         contents.insert(row)?;
-        for t in terms.iter() {
-            let mut srow: Row = key.clone();
-            srow.push(t.clone());
-            state.insert(srow)?;
-        }
+        let mut row = key;
+        row.extend([Value::Int(count), Value::Text(sum.encode())]);
+        state.insert(row)?;
+    }
+    for (c, s) in prior {
+        contents.insert(c.clone())?;
+        state.insert(s.clone())?;
     }
     Ok((contents, state))
-}
-
-/// Load a persisted state table back into the group map (terms arrive
-/// already sorted; re-sorted at write-out anyway).
-pub(crate) fn load_state(state: &Table) -> Result<Groups> {
-    let mut groups = Groups::new();
-    for row in state.rows() {
-        let Some((term, key)) = row.split_last() else {
-            return Err(EngineError::internal(format!(
-                "empty row in view state table {:?}",
-                state.name()
-            )));
-        };
-        groups.entry(key.into()).or_default().push(term.clone());
-    }
-    Ok(groups)
 }
 
 /// Evaluate the signed (key, term) contribution pairs of one base-table
@@ -524,7 +562,7 @@ pub(crate) fn delta_pairs(
     view: &ViewDef,
     table: &str,
     delta: &TableDelta,
-) -> Result<Vec<(Vec<Value>, Value, bool)>> {
+) -> Result<Vec<Contribution>> {
     let schema = db.catalog().table(table)?.schema().clone();
     // Delta queries touch a handful of rows; running them on the
     // morsel-parallel pool would cost more in dispatch than it saves, and
@@ -552,55 +590,11 @@ pub(crate) fn delta_pairs(
             side_table.insert_all(side.iter().cloned())?;
             db.catalog_mut().replace_table(side_table);
             let plan = db.plan(&query)?;
-            for row in execute_plan(db.catalog(), &plan, &db.exec_context(limits))?.rows {
-                let (key, term) = view.split_row(row);
-                pairs.push((key, term, add));
-            }
+            let rows = execute_plan(db.catalog(), &plan, &db.exec_context(limits))?.rows;
+            pairs.extend(rows.into_iter().map(|row| view.contribution(row, add)));
         }
     }
     Ok(pairs)
-}
-
-/// Fold signed contribution pairs into the group map. Additions push
-/// into the term multiset; retractions remove one bit-identical instance
-/// and drop the group when its multiset empties. A retraction with no
-/// matching term means the state diverged from the bases — an internal
-/// invariant violation, surfaced as an error so the commit aborts whole.
-pub(crate) fn apply_pairs(
-    view: &ViewDef,
-    groups: &mut Groups,
-    pairs: Vec<(Vec<Value>, Value, bool)>,
-) -> Result<()> {
-    for (key, term, add) in pairs {
-        if add {
-            groups.entry(key).or_default().push(term);
-            continue;
-        }
-        if conquer_sync::mutant("view::skip-retract") {
-            // Seeded mutant for the concurrency-model test: "forget" to
-            // retract. The maintained view then keeps contributions of
-            // deleted base rows, which the oracle (and the schedule
-            // explorer's invariant) catches immediately.
-            continue;
-        }
-        let Some(terms) = groups.get_mut(&key) else {
-            return Err(EngineError::internal(format!(
-                "view {:?}: retraction for a group that is not in the state table",
-                view.name
-            )));
-        };
-        let Some(pos) = terms.iter().position(|t| *t == term) else {
-            return Err(EngineError::internal(format!(
-                "view {:?}: retraction found no matching term {term} in its group",
-                view.name
-            )));
-        };
-        terms.swap_remove(pos);
-        if terms.is_empty() {
-            groups.remove(&key);
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -668,6 +662,10 @@ mod tests {
             ),
             ("SELECT id, SUM(prob) AS p FROM nope GROUP BY id", "nope"),
             ("SELECT *, SUM(prob) AS p FROM t GROUP BY id", "wildcard"),
+            (
+                "SELECT id, SUM(prob) AS __conquer_sum FROM t GROUP BY id",
+                "hidden bookkeeping prefix",
+            ),
         ] {
             let err = analyze(sql).unwrap_err();
             assert!(err.contains(needle), "{sql}: {err}");
@@ -675,40 +673,62 @@ mod tests {
     }
 
     #[test]
-    fn canonical_sum_is_order_canonical() {
-        // The same multiset arriving in any order sums identically once
-        // sorted (ulp-sensitive values on purpose).
-        let a = [0.1f64, 0.2, 0.3, 1e-17, 0.7];
-        let mut terms: Vec<Value> = a.iter().map(|x| Value::Float(*x)).collect();
-        terms.sort();
-        let s1 = canonical_sum(&terms);
-        let mut rev: Vec<Value> = a.iter().rev().map(|x| Value::Float(*x)).collect();
-        rev.sort();
-        let s2 = canonical_sum(&rev);
-        assert_eq!(s1, s2);
-        assert_eq!(canonical_sum(&[Value::Null]), Value::Null);
-        assert_eq!(canonical_sum(&[]), Value::Null);
+    fn fold_is_order_independent_and_count_backed() {
+        let v = analyze("SELECT id, SUM(prob) AS p FROM t GROUP BY id").unwrap();
+        let key = |k: &str| vec![Value::text(k)];
+        let terms = [0.1, 0.2, 0.3, 1e-17, 0.7];
+        let forward = terms.iter().map(|x| (key("a"), Value::Float(*x), true));
+        let backward = terms
+            .iter()
+            .rev()
+            .map(|x| (key("a"), Value::Float(*x), true));
+        let (c1, s1) = fold(&v, None, forward).unwrap();
+        let (c2, s2) = fold(&v, None, backward).unwrap();
+        assert_eq!(c1.rows(), c2.rows());
+        assert_eq!(s1.rows(), s2.rows());
+        // One state row per group, holding the contribution count.
+        assert_eq!(s1.len(), 1);
+        assert_eq!(s1.rows()[0][1], Value::Int(5));
+        // A group of only-NULL terms sums to NULL.
+        let (c, _) = fold(&v, None, [(key("n"), Value::Null, true)]).unwrap();
+        assert_eq!(c.rows()[0][1], Value::Null);
     }
 
     #[test]
     fn retraction_without_match_is_internal_error() {
         let v = analyze("SELECT id, SUM(prob) AS p FROM t GROUP BY id").unwrap();
-        let mut groups = Groups::new();
-        groups.insert(vec![Value::text("a")], vec![Value::Float(0.5)]);
-        let err = apply_pairs(
-            &v,
-            &mut groups,
-            vec![(vec![Value::text("a")], Value::Float(0.25), false)],
-        )
-        .unwrap_err();
+        let c = |k: &str, x: f64, add: bool| (vec![Value::text(k)], Value::Float(x), add);
+        let stored = |pairs: Vec<Contribution>| {
+            let (contents, state) = fold(&v, None, pairs).unwrap();
+            let mut cat = Catalog::new();
+            cat.add_table(contents).unwrap();
+            cat.add_table(state).unwrap();
+            cat
+        };
+        let cat = stored(vec![
+            c("a", 0.5, true),
+            c("b", 0.25, true),
+            c("b", 0.5, true),
+        ]);
+        // A retraction for a group that is not in the state table.
+        let err = fold(&v, Some(&cat), [c("z", 0.5, false)]).unwrap_err();
         assert!(matches!(err, EngineError::Internal(_)), "{err}");
-        // Count-backed: retracting the last term drops the group.
-        apply_pairs(
-            &v,
-            &mut groups,
-            vec![(vec![Value::text("a")], Value::Float(0.5), false)],
-        )
-        .unwrap();
-        assert!(groups.is_empty());
+        // One more retraction than the group has contributions.
+        let err = fold(&v, Some(&cat), [c("a", 0.5, false), c("a", 0.5, false)]).unwrap_err();
+        assert!(matches!(err, EngineError::Internal(_)), "{err}");
+        // Count-backed: a group keeps its row while it has contributions
+        // and loses it with the last; untouched groups stay in key order.
+        let (contents, state) = fold(&v, Some(&cat), [c("b", 0.5, false)]).unwrap();
+        assert_eq!(
+            contents.rows(),
+            stored(vec![c("a", 0.5, true), c("b", 0.25, true)])
+                .table("v")
+                .unwrap()
+                .rows()
+        );
+        assert_eq!(state.rows()[1][1], Value::Int(1));
+        let (contents, state) = fold(&v, Some(&cat), [c("a", 0.5, false)]).unwrap();
+        assert_eq!((contents.len(), state.len()), (1, 1));
+        assert_eq!(contents.rows()[0][0], Value::text("b"));
     }
 }

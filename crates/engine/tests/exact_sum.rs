@@ -1,0 +1,270 @@
+//! Property test for `ExactSum` against an independent reference: a
+//! Shewchuk-style exact summation (the algorithm behind Python's
+//! `math.fsum`: a non-overlapping expansion of partials, then one
+//! correctly rounded collapse).
+//!
+//! Inputs are random term multisets that mix subnormals, ±0, `1e-17`
+//! next to `0.7`, magnitudes near `f64::MAX`, NaN and ±∞. For each one the
+//! test demands that every order of the terms gives identical encodings
+//! and identical `value().to_bits()`, that the value matches the reference,
+//! that adding and then retracting any subset restores the encoding byte
+//! for byte, and that `decode(encode(s)) == s`.
+
+use conquer_engine::exact::ExactSum;
+
+/// Deterministic xorshift, so a failure reproduces run to run.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn shuffle<T>(&mut self, v: &mut [T]) {
+        for i in (1..v.len()).rev() {
+            v.swap(i, self.below(i + 1));
+        }
+    }
+}
+
+/// One random term. `huge` selects the family with magnitudes near
+/// `f64::MAX` (and no subnormals, see [`reference`]).
+fn term(rng: &mut Rng, huge: bool) -> f64 {
+    let sign = if rng.next() & 1 == 0 { 1.0 } else { -1.0 };
+    let x = match rng.below(12) {
+        0 => 0.0,
+        1 => -0.0,
+        2 => 0.7,
+        3 => 1e-17,
+        4 => 0.1,
+        5 => (rng.next() >> 12) as f64 / (1u64 << 52) as f64, // a probability
+        6 if huge => f64::MAX / f64::from_bits(0x3ff0_0000_0000_0000 | (rng.next() >> 12)),
+        6 => f64::from_bits(rng.next() & ((1 << 52) - 1)), // a subnormal
+        7 if huge => f64::MAX,
+        7 => f64::MIN_POSITIVE,
+        8 => {
+            // Any normal magnitude the family allows.
+            let top: u64 = if huge { 0x7fe } else { 0x7c0 };
+            // Scaled by 2^-600, the huge family must stay normal.
+            let lowest: u64 = if huge { 0x300 } else { 1 };
+            let exp = lowest + rng.next() % (top - lowest + 1);
+            f64::from_bits(exp << 52 | (rng.next() >> 12))
+        }
+        9 => match rng.below(3) {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            _ => f64::NEG_INFINITY,
+        },
+        _ => (rng.below(1000) as f64) / 1024.0, // dyadic
+    };
+    sign * x
+}
+
+/// Correctly rounded sum of finite terms by Shewchuk's algorithm, as in
+/// CPython's `math.fsum`. Valid while no partial overflows, so terms near
+/// `f64::MAX` are summed scaled down by 2^-600 (exact for every term of
+/// that family, which has no subnormals) and scaled back up once. An exact
+/// zero is `+0.0`.
+fn reference(terms: &[f64], scaled: bool) -> f64 {
+    let scale = if scaled { 2f64.powi(-600) } else { 1.0 };
+    let mut partials: Vec<f64> = Vec::new();
+    for &t in terms {
+        let mut x = t * scale;
+        let mut i = 0;
+        for j in 0..partials.len() {
+            let mut y = partials[j];
+            if x.abs() < y.abs() {
+                std::mem::swap(&mut x, &mut y);
+            }
+            let hi = x + y;
+            let lo = y - (hi - x);
+            if lo != 0.0 {
+                partials[i] = lo;
+                i += 1;
+            }
+            x = hi;
+        }
+        partials.truncate(i);
+        partials.push(x);
+    }
+    // Collapse from the top; a half-way residue is broken by the sign of
+    // the next partial down.
+    let mut hi = 0.0;
+    if let Some(mut n) = partials.len().checked_sub(1) {
+        hi = partials[n];
+        let mut lo = 0.0;
+        while n > 0 {
+            let x = hi;
+            n -= 1;
+            let y = partials[n];
+            hi = x + y;
+            lo = y - (hi - x);
+            if lo != 0.0 {
+                break;
+            }
+        }
+        if n > 0 && ((lo < 0.0 && partials[n - 1] < 0.0) || (lo > 0.0 && partials[n - 1] > 0.0)) {
+            let y = lo * 2.0;
+            let x = hi + y;
+            if y == x - hi {
+                hi = x;
+            }
+        }
+    }
+    let hi = hi / scale;
+    if hi == 0.0 {
+        0.0
+    } else {
+        hi
+    }
+}
+
+/// The expected value: the IEEE rules for the non-finite terms, else the
+/// reference sum of the finite ones.
+fn expected(terms: &[f64], scaled: bool) -> Option<f64> {
+    if terms.is_empty() {
+        return None;
+    }
+    let nan = terms.iter().any(|t| t.is_nan());
+    let pos = terms.contains(&f64::INFINITY);
+    let neg = terms.contains(&f64::NEG_INFINITY);
+    Some(match (nan, pos, neg) {
+        (true, _, _) | (_, true, true) => f64::NAN,
+        (_, true, false) => f64::INFINITY,
+        (_, false, true) => f64::NEG_INFINITY,
+        _ => reference(terms, scaled),
+    })
+}
+
+fn sum(terms: &[f64]) -> ExactSum {
+    let mut s = ExactSum::new();
+    for &t in terms {
+        s.add(t);
+    }
+    s
+}
+
+fn bits(v: Option<f64>) -> Option<u64> {
+    // Every NaN is the same answer.
+    v.map(|x| {
+        if x.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            x.to_bits()
+        }
+    })
+}
+
+/// Every permutation of `terms` (Heap's algorithm), for small multisets.
+fn permutations(terms: &[f64]) -> Vec<Vec<f64>> {
+    fn heap(k: usize, a: &mut Vec<f64>, out: &mut Vec<Vec<f64>>) {
+        if k <= 1 {
+            out.push(a.clone());
+            return;
+        }
+        for i in 0..k {
+            heap(k - 1, a, out);
+            let j = if k.is_multiple_of(2) { i } else { 0 };
+            a.swap(j, k - 1);
+        }
+    }
+    let mut out = Vec::new();
+    heap(terms.len(), &mut terms.to_vec(), &mut out);
+    out
+}
+
+#[test]
+fn exact_sum_matches_the_reference_in_every_order() {
+    let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+    for case in 0..3000 {
+        let huge = case % 3 == 0;
+        let len = rng.below(if case % 2 == 0 { 7 } else { 40 });
+        let terms: Vec<f64> = (0..len).map(|_| term(&mut rng, huge)).collect();
+        let base = sum(&terms);
+        let ctx = format!("case {case}: {terms:?}");
+
+        assert_eq!(bits(base.value()), bits(expected(&terms, huge)), "{ctx}");
+        assert_eq!(
+            ExactSum::decode(&base.encode()),
+            Some(base.clone()),
+            "{ctx}"
+        );
+
+        let orders = if terms.len() <= 6 {
+            permutations(&terms)
+        } else {
+            (0..24)
+                .map(|_| {
+                    let mut t = terms.clone();
+                    rng.shuffle(&mut t);
+                    t
+                })
+                .collect()
+        };
+        for order in orders {
+            let s = sum(&order);
+            assert_eq!(s.encode(), base.encode(), "{ctx} reordered {order:?}");
+            assert_eq!(
+                bits(s.value()),
+                bits(base.value()),
+                "{ctx} reordered {order:?}"
+            );
+        }
+
+        // Add then retract a random subset (in a different order): the
+        // prior encoding comes back byte for byte.
+        let extra: Vec<f64> = (0..rng.below(8)).map(|_| term(&mut rng, huge)).collect();
+        let mut s = base.clone();
+        for &t in &extra {
+            s.add(t);
+        }
+        let mut back = extra.clone();
+        rng.shuffle(&mut back);
+        for &t in &back {
+            s.retract(t);
+        }
+        assert_eq!(s.encode(), base.encode(), "{ctx} after +/- {extra:?}");
+
+        // Retracting a subset of the original terms equals summing the rest.
+        let keep = rng.next();
+        let mut s = base.clone();
+        let mut rest = Vec::new();
+        for (i, &t) in terms.iter().enumerate() {
+            if keep >> (i % 64) & 1 == 0 {
+                s.retract(t);
+            } else {
+                rest.push(t);
+            }
+        }
+        assert_eq!(s.encode(), sum(&rest).encode(), "{ctx} minus a subset");
+    }
+}
+
+#[test]
+fn long_probability_sums_round_once() {
+    // 10 000 products of probabilities: the fold order of a plain `+=`
+    // changes the last bits, the exact sum's does not.
+    let mut rng = Rng(42);
+    let terms: Vec<f64> = (0..10_000)
+        .map(|_| {
+            let p = |r: &mut Rng| (r.below(1 << 20) as f64 + 1.0) / (1u64 << 20) as f64;
+            p(&mut rng) * p(&mut rng) * 0.1
+        })
+        .collect();
+    let forward = sum(&terms);
+    let mut shuffled = terms.clone();
+    rng.shuffle(&mut shuffled);
+    assert_eq!(sum(&shuffled).encode(), forward.encode());
+    assert_eq!(
+        bits(forward.value()),
+        bits(Some(reference(&terms, false))),
+        "exact sum differs from the reference"
+    );
+}

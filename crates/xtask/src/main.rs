@@ -1,6 +1,6 @@
 //! Workspace hygiene lints, run as `cargo run -p xtask -- tidy`.
 //!
-//! Five checks, all textual and std-only (no external dependencies), each
+//! Six checks, all textual and std-only (no external dependencies), each
 //! implemented as a pure function over a workspace root so the self-tests
 //! can run them against seeded fixture trees:
 //!
@@ -31,6 +31,10 @@
 //!    The executor's grouping, join-build and DISTINCT state all live in
 //!    `keytable::KeyTable`, whose arena order is first-seen order; a std
 //!    map beside it would need its own rank-and-sort to be deterministic.
+//! 6. **diet rule** — a symbol ROADMAP.md records as deleted
+//!    ([`DELETED_SYMBOLS`]) may not reappear anywhere in `crates/*/src`,
+//!    comments and test modules included: the ROADMAP counts a deletion
+//!    only while `grep -rn` for it comes back empty.
 //!
 //! `crates/xtask` itself and `vendor/` are out of scope for every check.
 
@@ -68,12 +72,13 @@ fn workspace_root() -> PathBuf {
 type Check = fn(&Path) -> Vec<String>;
 
 fn run_tidy(root: &Path) -> usize {
-    let checks: [(&str, Check); 5] = [
+    let checks: [(&str, Check); 6] = [
         ("std-sync lock ban", check_std_sync),
         ("env-var docs", check_env_docs),
         ("unwrap/expect ban", check_unwrap_ban),
         ("std-fs IO ban", check_std_fs),
         ("value-keyed-map ban", check_value_keyed_map),
+        ("diet rule", check_deleted_symbols),
     ];
     let mut total = 0;
     for (name, check) in checks {
@@ -487,6 +492,39 @@ fn scan_value_keyed_maps(text: &str, file: &str, violations: &mut Vec<String>) {
     }
 }
 
+// ------------------------------------------------------ check 6: diet rule
+
+/// Symbols ROADMAP.md's diet rule records as deleted. Extend the list when
+/// a PR makes another one grep-empty.
+const DELETED_SYMBOLS: [&str; 5] = [
+    "canonical_sum",
+    "load_state",
+    "storage::fault",
+    "FaultInjected",
+    "fault_point",
+];
+
+/// A deleted symbol may not come back: plain substring search over every
+/// source file of every crate but this one, the way `grep -rn` sees it.
+fn check_deleted_symbols(root: &Path) -> Vec<String> {
+    let mut violations = Vec::new();
+    for dir in crate_dirs(root, &["xtask"]) {
+        for file in rs_files(&dir.join("src")) {
+            let text = read(&file);
+            for (idx, line) in text.lines().enumerate() {
+                for symbol in DELETED_SYMBOLS.iter().filter(|s| line.contains(**s)) {
+                    violations.push(format!(
+                        "{}:{}: `{symbol}` is recorded as deleted in ROADMAP.md's diet rule",
+                        display(root, &file),
+                        idx + 1,
+                    ));
+                }
+            }
+        }
+    }
+    violations
+}
+
 // ------------------------------------------------------------------ tests
 
 #[cfg(test)]
@@ -701,6 +739,47 @@ mod tests {
         assert_eq!(check_value_keyed_map(&fx.root), Vec::<String>::new());
     }
 
+    #[test]
+    fn deleted_symbols_are_flagged_anywhere_in_crate_sources() {
+        let fx = Fixture::new("diet_bad");
+        fx.put(
+            "crates/engine/src/view.rs",
+            "fn f() {}\n// was canonical_sum\n#[cfg(test)]\nmod tests { fn load_state() {} }\n",
+        )
+        .put(
+            "crates/storage/src/wal.rs",
+            "use conquer_storage::fault::FaultInjected;\n",
+        );
+        let v = check_deleted_symbols(&fx.root);
+        assert_eq!(v.len(), 4, "{v:?}");
+        assert!(
+            v[0].contains("view.rs:2") && v[0].contains("canonical_sum"),
+            "{v:?}"
+        );
+        assert!(
+            v[1].contains("view.rs:4") && v[1].contains("load_state"),
+            "{v:?}"
+        );
+        assert!(
+            v[2].contains("wal.rs:1") && v[2].contains("storage::fault"),
+            "{v:?}"
+        );
+        assert!(v[3].contains("FaultInjected"), "{v:?}");
+    }
+
+    #[test]
+    fn deleted_symbols_outside_crate_sources_are_allowed() {
+        let fx = Fixture::new("diet_ok");
+        fx.put("crates/engine/src/view.rs", "fn fold() {}\n")
+            .put("crates/engine/tests/view.rs", "// canonical_sum is gone\n")
+            .put("ROADMAP.md", "`canonical_sum`, `fault_point`\n")
+            .put(
+                "crates/xtask/src/main.rs",
+                "const X: &str = \"load_state\";\n",
+            );
+        assert_eq!(check_deleted_symbols(&fx.root), Vec::<String>::new());
+    }
+
     /// The real workspace must pass every check — this is the tidy gate's
     /// own regression test.
     #[test]
@@ -712,5 +791,6 @@ mod tests {
         assert_eq!(check_unwrap_ban(&root), Vec::<String>::new());
         assert_eq!(check_std_fs(&root), Vec::<String>::new());
         assert_eq!(check_value_keyed_map(&root), Vec::<String>::new());
+        assert_eq!(check_deleted_symbols(&root), Vec::<String>::new());
     }
 }

@@ -7,9 +7,10 @@
 //! mutates the base tables, and after **every** committed statement each
 //! view's contents *and* hidden accumulator state are compared
 //! bit-for-bit (`f64::to_bits`, not epsilon) against a recompute-from-
-//! scratch on a cloned database. Both paths end in the same canonical
-//! sorted fold, so any divergence is a real maintenance bug, not float
-//! noise.
+//! scratch on a cloned database. Both paths are the same exact,
+//! order-independent fold, so any divergence is a real maintenance bug,
+//! not float noise. The state table must also stay one row per group:
+//! the same row count and key columns as the contents table.
 //!
 //! Case counts are tunable via `CONQUER_PROPTEST_CASES` (see DESIGN.md).
 
@@ -56,6 +57,28 @@ fn exec(db: &mut Database, sql: &str) {
 
 fn rows_of(db: &Database, table: &str) -> Vec<Vec<Value>> {
     db.catalog().table(table).unwrap().rows().to_vec()
+}
+
+/// The state table holds one row per group: the contents table's keys, in
+/// the same order, and nothing per contribution.
+fn assert_state_is_per_group(db: &Database, v: &str, ctx: &str) {
+    let contents = db.catalog().table(v).unwrap();
+    let state = db.catalog().table(&view::state_table_name(v)).unwrap();
+    assert_eq!(
+        state.len(),
+        contents.len(),
+        "{ctx}: {v} holds {} state rows for {} groups",
+        state.len(),
+        contents.len()
+    );
+    let columns = state.schema().columns();
+    let keys = &columns[..columns.len() - 2];
+    for (k, col) in keys.iter().enumerate() {
+        let c = contents.column_index(col.name()).unwrap();
+        for (srow, crow) in state.rows().iter().zip(contents.rows()) {
+            assert_eq!(srow[k], crow[c], "{ctx}: {v} key column {:?}", col.name());
+        }
+    }
 }
 
 /// Render a row set with floats spelled as raw bit patterns, so equality
@@ -215,6 +238,9 @@ fn run_sequence(db: &mut Database, views: &[String], ops: &[RawOp], check_every:
         };
         exec(db, &sql);
         applied += 1;
+        for v in views {
+            assert_state_is_per_group(db, v, &format!("step {i} ({sql})"));
+        }
         if applied.is_multiple_of(check_every) {
             assert_views_match_recompute(db, views, &format!("step {i} ({sql})"));
         }
