@@ -9,9 +9,10 @@
 //! 2. **AdmissionGate acquire/release/timeout** — slot accounting is exact
 //!    (never over max_running, drains to zero) across every interleaving,
 //!    including spurious wakeups and zero-duration timeouts.
-//! 3. **Result-cache epoch sweep** — a reader racing a writer's
-//!    publish+sweep never observes an answer whose row set contradicts the
-//!    epoch it is stamped with.
+//! 3. **Result-cache read sets** — a reader racing a writer's publish
+//!    never observes an answer whose row set contradicts the epoch it
+//!    reports, whether the write touched a table the cached query read or
+//!    one it did not.
 //!
 //! Each kernel also proves its own teeth: re-running the exploration with a
 //! seeded mutant armed (`conquer_sync::arm_mutant`) must find a failing
@@ -290,7 +291,7 @@ fn gate_spurious_wakeups_are_rechecked_and_mutant_is_caught() {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel 3: result-cache epoch sweep
+// Kernel 3: result-cache read sets
 // ---------------------------------------------------------------------------
 
 /// Cross join: ineligible for the morsel-parallel driver, so the model
@@ -298,16 +299,16 @@ fn gate_spurious_wakeups_are_rechecked_and_mutant_is_caught() {
 const CACHE_SQL: &str = "SELECT COUNT(*) FROM ta, tb";
 
 /// Query through the result cache and assert the answer is consistent
-/// with the epoch it is stamped with: 1x1 rows at the setup epoch, 2x1
-/// after the concurrent INSERT published.
-fn query_consistent(shared: &SharedDatabase, e0: u64) {
+/// with the epoch it reports: `before` rows at the setup epoch, `after`
+/// once the concurrent INSERT published.
+fn query_consistent(shared: &SharedDatabase, e0: u64, before: i64, after: i64) {
     let r = shared.session().query(CACHE_SQL).unwrap();
     assert!(
         r.epoch == e0 || r.epoch == e0 + 1,
         "unexpected epoch {}",
         r.epoch
     );
-    let expect = if r.epoch == e0 { 1 } else { 2 };
+    let expect = if r.epoch == e0 { before } else { after };
     assert_eq!(
         scalar(&r.result),
         expect,
@@ -316,26 +317,36 @@ fn query_consistent(shared: &SharedDatabase, e0: u64) {
     );
 }
 
-fn explore_cache_sweep() -> conquer_core::sync::sched::Report {
-    // One preemption keeps the space small; the stale-answer window
-    // (publish → preempt → read → sweep) needs only one switch to reach.
-    Explorer::new().max_preemptions(1).explore(|exec| {
+/// Two readers race one writer that inserts into `target`. The writer never
+/// touches the cache; whether an entry is valid is decided by the reader
+/// alone, against the one snapshot it pinned, so there is no window between
+/// the writer's publish and anything else for a reader to fall into.
+fn explore_cache_reads(target: &'static str) -> conquer_core::sync::sched::Report {
+    // `tc` is not read by `CACHE_SQL`: inserting into it keeps the count.
+    let after = if target == "tc" { 1 } else { 2 };
+    Explorer::new().max_preemptions(1).explore(move |exec| {
         let shared = SharedDatabase::new(Database::new());
         let setup = shared.session();
-        setup.execute("CREATE TABLE ta (id INTEGER)").unwrap();
-        setup.execute("CREATE TABLE tb (id INTEGER)").unwrap();
-        setup.execute("INSERT INTO ta VALUES (1)").unwrap();
-        setup.execute("INSERT INTO tb VALUES (1)").unwrap();
+        for table in ["ta", "tb", "tc"] {
+            setup
+                .execute(&format!("CREATE TABLE {table} (id INTEGER)"))
+                .unwrap();
+            setup
+                .execute(&format!("INSERT INTO {table} VALUES (1)"))
+                .unwrap();
+        }
         let e0 = shared.epoch();
 
         let db = shared.clone();
-        exec.spawn("reader-a", move || query_consistent(&db, e0));
+        exec.spawn("reader-a", move || query_consistent(&db, e0, 1, after));
         let db = shared.clone();
         exec.spawn("writer", move || {
-            db.session().execute("INSERT INTO ta VALUES (2)").unwrap();
+            db.session()
+                .execute(&format!("INSERT INTO {target} VALUES (2)"))
+                .unwrap();
         });
         let db = shared.clone();
-        exec.spawn("reader-b", move || query_consistent(&db, e0));
+        exec.spawn("reader-b", move || query_consistent(&db, e0, 1, after));
 
         let db = shared.clone();
         exec.check(move || {
@@ -344,30 +355,40 @@ fn explore_cache_sweep() -> conquer_core::sync::sched::Report {
             // epoch with the new row set.
             let r = db.session().query(CACHE_SQL).unwrap();
             assert_eq!(r.epoch, e0 + 1);
-            assert_eq!(scalar(&r.result), 2);
+            assert_eq!(scalar(&r.result), after);
         });
     })
 }
 
 #[test]
-fn cache_sweep_never_serves_stale_answers_and_mutant_is_caught() {
+fn cache_read_sets_never_serve_stale_answers_and_mutant_is_caught() {
     let _s = serialize();
-    explore_cache_sweep().assert_passed();
+    explore_cache_reads("ta").assert_passed();
 
-    // Seeded mutant: the LRU ignores the epoch stamp on lookup. In the
-    // window between the writer's version swap and its cache sweep (two
-    // separate lock acquisitions), a reader looking up at the new epoch
-    // finds the old entry and serves a stale row count for a fresh epoch.
-    arm_mutant("lru::ignore-epoch");
-    let report = explore_cache_sweep();
+    // Seeded mutant: the LRU skips the read-set identity check on lookup.
+    // Once a reader filed the count at `e0`, any reader that pins `e0 + 1`
+    // is served the old count for the new epoch.
+    arm_mutant("lru::ignore-read-set");
+    let report = explore_cache_reads("ta");
     clear_mutants();
     let failure = report
         .failure
-        .expect("the ignore-epoch mutant must be caught");
+        .expect("the ignore-read-set mutant must be caught");
     assert!(
         failure.contains("stale answer"),
         "unexpected failure: {failure}"
     );
+}
+
+#[test]
+fn a_write_to_an_unread_table_keeps_cached_answers_correct() {
+    let _s = serialize();
+    // The writer inserts into `tc`, which `CACHE_SQL` does not read: a
+    // reader at `e0 + 1` may be served the entry filed at `e0`, and the
+    // count it reports must still be right for its epoch.
+    let report = explore_cache_reads("tc");
+    report.assert_passed();
+    assert!(report.schedules > 1, "three racing threads must interleave");
 }
 
 // ---------------------------------------------------------------------------

@@ -19,13 +19,14 @@
 //! as any pinned snapshot or the current version refers to it.
 //!
 //! The one piece of derived state is the **clean-answer result cache**:
-//! full [`QueryResult`]s keyed by `(SQL text, epoch)` — the paper's
-//! GROUP BY + SUM form makes results small and cheap to reuse. It is
-//! invalidated wholesale when the epoch bumps, so a cache hit is *proof*
-//! the answer is byte-identical to re-running the query: same SQL, same
-//! catalog snapshot, deterministic executor. A read that misses it is
-//! parsed, bound, planned and executed on its pinned version; the
-//! rewriting's cost is executing it, so nothing else is cached.
+//! full [`QueryResult`]s keyed by SQL text — the paper's GROUP BY + SUM
+//! form makes results small and cheap to reuse. An entry hits for a
+//! pinned snapshot only while every table it read is still the allocation
+//! that snapshot holds, so a hit is *proof* the answer is byte-identical
+//! to re-running the query there, and a write misses just the answers
+//! that read what it wrote. A read that misses it is parsed, bound,
+//! planned and executed on its pinned version; the rewriting's cost is
+//! executing it, so nothing else is cached.
 //!
 //! Each client talks to the database through a [`Session`], which owns the
 //! per-connection state: [`ExecLimits`] budgets, the active statement's
@@ -67,7 +68,7 @@
 //! assert_eq!(again.source, QuerySource::ResultCache);
 //! assert_eq!(first.result.rows, again.result.rows);
 //!
-//! // A write bumps the epoch and evicts the cache.
+//! // A write to `t` bumps the epoch and misses the answer that read `t`.
 //! session.execute("INSERT INTO t VALUES (3)").unwrap();
 //! let fresh = session.query("SELECT a FROM t ORDER BY a").unwrap();
 //! assert_eq!(fresh.source, QuerySource::Fresh);
@@ -77,14 +78,14 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use conquer_sync::{rank, Condvar, Mutex, MutexGuard, RwLock};
 
 use conquer_sql::Statement as SqlStatement;
 use conquer_storage::wal::Wal;
-use conquer_storage::{Catalog, RecoveryReport};
+use conquer_storage::{Catalog, RecoveryReport, Table};
 
 use crate::context::{CancelToken, ExecLimits};
 use crate::database::{Database, ExecOutcome};
@@ -311,10 +312,12 @@ impl Drop for AdmissionPermit<'_> {
 /// are recomputed per request instead of pinned in memory.
 const RESULT_CACHE_MAX_ROWS: usize = 1 << 16;
 
-/// The result cache: a tiny LRU of answers keyed by SQL text, with every
-/// entry stamped by the catalog epoch it was computed under. Entries from
-/// older epochs are treated as misses and swept out by
-/// [`Lru::purge_older_than`] on epoch bumps.
+/// The result cache: a tiny LRU of answers keyed by SQL text, and the only
+/// code that knows when a cached answer is valid — while every table in
+/// its **read set** is still the allocation the pinned catalog holds.
+/// `Weak`, not `Arc`: an entry pins no replaced table's rows and forces no
+/// copy on a writer's `make_mut`, and the weak count keeps the allocation
+/// reserved, so no later table can reuse its address.
 #[derive(Debug)]
 struct Lru {
     cap: usize,
@@ -322,10 +325,13 @@ struct Lru {
     map: HashMap<String, LruEntry>,
 }
 
+/// Each table an answer read, by name and by the allocation it read.
+type ReadSet = Vec<(String, Weak<Table>)>;
+
 #[derive(Debug)]
 struct LruEntry {
     last_used: u64,
-    epoch: u64,
+    reads: ReadSet,
     value: Arc<QueryResult>,
 }
 
@@ -338,28 +344,28 @@ impl Lru {
         }
     }
 
-    fn get(&mut self, sql: &str, epoch: u64) -> Option<Arc<QueryResult>> {
-        match self.map.get_mut(sql) {
-            // The `lru::ignore-epoch` seeded mutant skips the epoch check,
-            // serving stale entries; the schedule explorer proves the model
-            // tests would catch that.
-            Some(entry) if entry.epoch == epoch || conquer_sync::mutant("lru::ignore-epoch") => {
-                self.tick += 1;
-                entry.last_used = self.tick;
-                Some(Arc::clone(&entry.value))
-            }
-            Some(_) => {
-                // Stale epoch: the entry can never hit again.
-                self.map.remove(sql);
-                None
-            }
-            None => None,
+    /// The answer filed for `sql`, if every table it read is still the
+    /// allocation `catalog` holds; the insert after a miss replaces it.
+    fn get(&mut self, sql: &str, catalog: &Catalog) -> Option<Arc<QueryResult>> {
+        let entry = self.map.get_mut(sql)?;
+        let unchanged = |(name, read): &(String, Weak<Table>)| {
+            catalog
+                .shared(name)
+                .is_ok_and(|table| std::ptr::eq(read.as_ptr(), Arc::as_ptr(table)))
+        };
+        // The `lru::ignore-read-set` seeded mutant skips the identity check,
+        // serving stale entries; the model tests must catch it.
+        if !entry.reads.iter().all(unchanged) && !conquer_sync::mutant("lru::ignore-read-set") {
+            return None;
         }
+        self.tick += 1;
+        entry.last_used = self.tick;
+        Some(Arc::clone(&entry.value))
     }
 
     /// Insert, evicting least-recently-used entries past capacity; returns
     /// how many entries were evicted.
-    fn insert(&mut self, sql: &str, epoch: u64, value: Arc<QueryResult>) -> u64 {
+    fn insert(&mut self, sql: &str, reads: ReadSet, value: Arc<QueryResult>) -> u64 {
         if self.cap == 0 {
             return 0;
         }
@@ -368,31 +374,19 @@ impl Lru {
             sql.to_string(),
             LruEntry {
                 last_used: self.tick,
-                epoch,
+                reads,
                 value,
             },
         );
-        let mut evicted = 0;
-        while self.map.len() > self.cap {
-            if let Some(oldest) = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                self.map.remove(&oldest);
-                evicted += 1;
-            } else {
-                break;
-            }
+        // One insert adds one entry, so at most one falls out.
+        if self.map.len() <= self.cap {
+            return 0;
         }
-        evicted
-    }
-
-    fn purge_older_than(&mut self, epoch: u64) -> u64 {
-        let before = self.map.len();
-        self.map.retain(|_, e| e.epoch >= epoch);
-        (before - self.map.len()) as u64
+        let oldest = self.map.iter().min_by_key(|(_, e)| e.last_used);
+        if let Some(key) = oldest.map(|(k, _)| k.clone()) {
+            self.map.remove(&key);
+        }
+        1
     }
 
     fn len(&self) -> usize {
@@ -422,7 +416,8 @@ pub struct CacheStats {
     /// the result cache (the name is from when a plan cache could hit).
     /// Still the `plan_misses` line of the server's `STATS` reply.
     pub plan_misses: u64,
-    /// Entries evicted from the result cache (capacity or epoch bump).
+    /// Entries evicted from the result cache for capacity (an entry a write
+    /// invalidated is replaced by the next miss on its SQL, not evicted).
     pub evictions: u64,
     /// Requests admitted to execution.
     pub admitted: u64,
@@ -735,17 +730,16 @@ impl SharedDatabase {
     /// Apply an arbitrary mutation copy-on-write: `f` runs against a clone
     /// of the current version; on `Ok` the clone is published as the next
     /// epoch (durably, for handles opened with
-    /// [`SharedDatabase::open_durable`]) and the result cache is evicted. On
-    /// `Err` — from `f` itself or from persisting — the clone is discarded
-    /// and nothing changes.
+    /// [`SharedDatabase::open_durable`]). On `Err` — from `f` itself or
+    /// from persisting — the clone is discarded and nothing changes.
     ///
     /// An arbitrary mutation is typically a bulk one that rewrites most of
     /// the catalog, so a durable `mutate` persists by checkpoint: it folds
     /// the whole catalog into a fresh epoch directory before publishing,
     /// instead of logging every table and folding the log afterwards.
     /// Every mutation that does not go through [`Session::execute`] — bulk
-    /// loads, re-clustering, reloads from disk — must use this so cached
-    /// answers can never survive it.
+    /// loads, re-clustering, reloads from disk — uses this; like any write,
+    /// it misses just the cached answers that read a table `f` wrote.
     pub fn mutate<R>(&self, f: impl FnOnce(&mut Database) -> Result<R>) -> Result<R> {
         self.check_not_degraded()?;
         let mut ws = self.writer_guard()?;
@@ -881,27 +875,21 @@ impl SharedDatabase {
         Arc::clone(&guard)
     }
 
-    /// Publish `db` as the next version (epoch + 1) and sweep the cache.
-    /// The `WriteState` argument proves the caller holds the writer lock —
-    /// the only place versions are built, so the swap cannot race another
-    /// publisher.
+    /// Publish `db` as the next version (epoch + 1). The `WriteState`
+    /// argument proves the caller holds the writer lock — the only place
+    /// versions are built, so the swap cannot race another publisher.
     fn publish(&self, db: Database, _ws: &mut WriteState) {
         self.publish_version(db);
     }
 
-    /// The raw swap + cache sweep. Callers other than the seeded
-    /// `shared::unserialized-publish` mutant path must hold the writer lock
-    /// (go through [`SharedDatabase::publish`]).
+    /// The raw swap, and all a publish does: the result cache judges each
+    /// entry against the version a reader pins. Callers other than the
+    /// seeded `shared::unserialized-publish` mutant path must hold the
+    /// writer lock (go through [`SharedDatabase::publish`]).
     fn publish_version(&self, db: Database) {
         let mut guard = self.inner.current.write();
         let epoch = guard.epoch + 1;
         *guard = Arc::new(DbVersion { db, epoch });
-        drop(guard);
-        let purged = lock(&self.inner.results).purge_older_than(epoch);
-        self.inner
-            .counters
-            .evictions
-            .fetch_add(purged, Ordering::Relaxed);
     }
 
     /// Commit one already-parsed write statement: run it on a clone of the
@@ -985,7 +973,8 @@ pub struct SessionResult {
     pub result: Arc<QueryResult>,
     /// Which layer produced the answer.
     pub source: QuerySource,
-    /// The catalog epoch the answer is valid for.
+    /// The catalog epoch of the snapshot the read pinned. A cached answer
+    /// read only tables unchanged since, so it is the answer at this epoch.
     pub epoch: u64,
 }
 
@@ -1072,12 +1061,13 @@ impl Session {
 
     /// Execute a DDL/DML command (or any statement). Commands run
     /// copy-on-write under the writer lock: on success the new version is
-    /// WAL-committed (durable handles), published as the next epoch, and
-    /// the result cache is evicted; on failure nothing changes — not the
-    /// epoch, not the visible data, not the disk. A `SELECT` routed here
-    /// is answered like [`Session::query`] and leaves the epoch alone, but
-    /// [`ExecOutcome::Rows`] owns its rows, so a cached answer is copied:
-    /// row-returning callers should prefer `query` or [`Session::run_sql`].
+    /// WAL-committed (durable handles) and published as the next epoch,
+    /// which invalidates the cached answers that read a table it wrote; on
+    /// failure nothing changes — not the epoch, not the visible data, not
+    /// the disk. A `SELECT` routed here is answered like [`Session::query`]
+    /// and leaves the epoch alone, but [`ExecOutcome::Rows`] owns its
+    /// rows, so a cached answer is copied: row-returning callers should
+    /// prefer `query` or [`Session::run_sql`].
     pub fn execute(&self, sql: &str) -> Result<ExecOutcome> {
         Ok(match self.run_sql(sql)? {
             SessionOutcome::Rows(r) => ExecOutcome::Rows(
@@ -1088,10 +1078,11 @@ impl Session {
     }
 
     /// The one way a session answers a read, entered past admission: pin
-    /// the current version, look the text up in the result cache, and on a
-    /// miss prepare and execute on the pinned version and file the answer
-    /// under its epoch. `parsed` is the statement when the caller already
-    /// parsed `sql` to classify it.
+    /// the current version, look the text up in the result cache against
+    /// the pinned catalog, and on a miss prepare and execute on the pinned
+    /// version and file the answer with the tables its plan read. `parsed`
+    /// is the statement when the caller already parsed `sql` to classify
+    /// it.
     fn read(
         &self,
         sql: &str,
@@ -1102,11 +1093,13 @@ impl Session {
 
         // Everything below runs against this one immutable snapshot, so
         // concurrent commits can neither stall us nor change what we
-        // compute, and the result files safely under the snapshot's epoch.
+        // compute. A hit is an answer whose tables are the snapshot's own,
+        // so it is the answer at the snapshot's epoch, bit for bit.
         let snap = self.db.snapshot();
         let epoch = snap.epoch();
+        let catalog = snap.db().catalog();
 
-        if let Some(result) = lock(&inner.results).get(sql, epoch) {
+        if let Some(result) = lock(&inner.results).get(sql, catalog) {
             inner.counters.result_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(SessionResult {
                 result,
@@ -1136,7 +1129,11 @@ impl Session {
 
         // EXPLAIN ANALYZE output embeds wall times — never cache it.
         if !stmt.is_explain() && result.len() <= RESULT_CACHE_MAX_ROWS {
-            let evicted = lock(&inner.results).insert(sql, epoch, Arc::clone(&result));
+            let reads = stmt
+                .tables()
+                .map(|name| Ok((name.to_string(), Arc::downgrade(catalog.shared(name)?))))
+                .collect::<Result<_>>()?;
+            let evicted = lock(&inner.results).insert(sql, reads, Arc::clone(&result));
             inner
                 .counters
                 .evictions
@@ -1193,7 +1190,7 @@ mod tests {
     }
 
     #[test]
-    fn epoch_bump_invalidates_the_result_cache() {
+    fn a_write_to_a_read_table_misses_the_cached_answer() {
         let db = shared();
         let s = db.session();
         let q = "SELECT a FROM t ORDER BY a";
@@ -1202,12 +1199,14 @@ mod tests {
 
         s.execute("INSERT INTO t VALUES (4, 'z')").unwrap();
         assert_eq!(db.epoch(), 1);
-        assert_eq!(db.stats().result_entries, 0, "result cache must be swept");
+        assert_eq!(db.stats().result_entries, 1, "the writer never sweeps");
 
         let fresh = s.query(q).unwrap();
         assert_eq!(fresh.source, QuerySource::Fresh);
         assert_eq!(fresh.result.len(), 4);
         assert_eq!(fresh.epoch, 1);
+        assert_eq!(db.stats().result_entries, 1, "the miss replaced the entry");
+        assert_eq!(db.stats().evictions, 0);
     }
 
     #[test]
@@ -1326,15 +1325,23 @@ mod tests {
     fn mutate_invalidates_like_execute() {
         let db = shared();
         let s = db.session();
-        s.query("SELECT a FROM t").unwrap();
+        let q = "SELECT COUNT(*) FROM t";
+        s.query(q).unwrap();
         db.mutate(|d| {
             d.execute_script("INSERT INTO t VALUES (9, 'q')")
                 .map(|_| ())
         })
         .unwrap();
         assert_eq!(db.epoch(), 1);
-        let r = s.query("SELECT COUNT(*) FROM t").unwrap();
+        let r = s.query(q).unwrap();
+        assert_eq!(r.source, QuerySource::Fresh);
         assert_eq!(r.result.rows, vec![vec![conquer_storage::Value::Int(4)]]);
+
+        // A mutation that leaves `t` alone leaves its answers valid.
+        db.mutate(|d| d.execute_script("CREATE TABLE u (a INTEGER)").map(|_| ()))
+            .unwrap();
+        let r = s.query(q).unwrap();
+        assert_eq!((r.source, r.epoch), (QuerySource::ResultCache, 2));
     }
 
     #[test]
@@ -1553,14 +1560,37 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut lru = Lru::new(2);
-        lru.insert("a", 0, answer(1));
-        lru.insert("b", 0, answer(2));
-        assert_eq!(lru.get("a", 0), Some(answer(1))); // refresh a
-        let evicted = lru.insert("c", 0, answer(3));
+        let cat = Catalog::new();
+        lru.insert("a", Vec::new(), answer(1));
+        lru.insert("b", Vec::new(), answer(2));
+        assert_eq!(lru.get("a", &cat), Some(answer(1))); // refresh a
+        let evicted = lru.insert("c", Vec::new(), answer(3));
         assert_eq!(evicted, 1);
-        assert_eq!(lru.get("b", 0), None, "b was least recently used");
-        assert_eq!(lru.get("a", 0), Some(answer(1)));
-        assert_eq!(lru.get("c", 0), Some(answer(3)));
+        assert_eq!(lru.get("b", &cat), None, "b was least recently used");
+        assert_eq!(lru.get("a", &cat), Some(answer(1)));
+        assert_eq!(lru.get("c", &cat), Some(answer(3)));
+    }
+
+    #[test]
+    fn lru_hits_only_while_every_read_table_is_the_same_allocation() {
+        let db = shared();
+        let before = db.snapshot();
+        let reads = |snap: &Snapshot| -> ReadSet {
+            let t = snap.db().catalog().shared("T").unwrap();
+            vec![("T".to_string(), Arc::downgrade(t))]
+        };
+        let mut lru = Lru::new(4);
+        lru.insert("q", reads(&before), answer(1));
+        assert_eq!(lru.get("q", before.db().catalog()), Some(answer(1)));
+
+        db.session().execute("CREATE TABLE u (a INTEGER)").unwrap();
+        assert_eq!(lru.get("q", db.snapshot().db().catalog()), Some(answer(1)));
+        db.session().execute("DELETE FROM t WHERE a = 1").unwrap();
+        assert_eq!(lru.get("q", db.snapshot().db().catalog()), None);
+        // The pinned catalog still holds the allocation the answer read.
+        assert_eq!(lru.get("q", before.db().catalog()), Some(answer(1)));
+        db.session().execute("DROP TABLE t").unwrap();
+        assert_eq!(lru.get("q", db.snapshot().db().catalog()), None);
     }
 
     #[test]

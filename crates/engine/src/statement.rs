@@ -133,6 +133,17 @@ impl Statement {
         matches!(self.kind, Kind::Explain { .. })
     }
 
+    /// The tables a query's plan reads, by name as written (none for a
+    /// command). The dialect has no subqueries, so an answer depends on
+    /// these tables and nothing else in the catalog.
+    pub(crate) fn tables(&self) -> impl Iterator<Item = &str> {
+        let relations = match &self.kind {
+            Kind::Select { plan } | Kind::Explain { plan, .. } => &plan.relations[..],
+            Kind::Command(_) => &[],
+        };
+        relations.iter().map(|rel| rel.table.as_str())
+    }
+
     /// Override the resource limits this statement runs under, instead of
     /// the database's defaults. Pass `None` to fall back to the defaults.
     pub fn set_limits(&mut self, limits: Option<ExecLimits>) {

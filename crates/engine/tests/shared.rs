@@ -1,8 +1,12 @@
-//! Read-path contract of [`SharedDatabase`]: an epoch bump must evict
-//! every cached result, answers served through the cache must be
-//! byte-identical to freshly prepared ones (float bits included), every
-//! entry point answers a read the same way, and the stats counters must
-//! prove each result-cache miss was prepared exactly once.
+//! Read-path contract of [`SharedDatabase`]: a cached result is served
+//! exactly while every table it read is unchanged — a write misses the
+//! answers that read what it wrote and keeps the rest — answers served
+//! through the cache must be byte-identical to freshly prepared ones
+//! (float bits included), every entry point answers a read the same way,
+//! and the stats counters must prove each result-cache miss was prepared
+//! exactly once.
+
+use std::sync::Arc;
 
 use conquer_engine::{
     Database, ErrorKind, ExecLimits, ExecOutcome, QuerySource, SessionOutcome, SharedConfig,
@@ -63,28 +67,145 @@ fn cached_answers_are_bit_identical_to_fresh_prepare() {
     assert_bit_identical(&fresh.result.rows, &scratch.rows);
 }
 
+/// A second table no query over `m` reads.
+const OTHER_SQL: &str = "SELECT COUNT(*) FROM other";
+
+fn with_other_table(shared: &SharedDatabase) {
+    let session = shared.session();
+    session.execute("CREATE TABLE other (x INTEGER)").unwrap();
+    session.execute("INSERT INTO other VALUES (1)").unwrap();
+}
+
+/// The same SQL run on the current version, bypassing the cache.
+fn scratch(shared: &SharedDatabase, sql: &str) -> Vec<Vec<Value>> {
+    shared.with_db(|db| db.prepare(sql).unwrap().query(db).unwrap().rows)
+}
+
 #[test]
-fn epoch_bump_evicts_cached_results() {
+fn a_write_misses_only_the_answers_that_read_its_table() {
     let shared = sample();
+    with_other_table(&shared);
     let session = shared.session();
     session.query(SUM_SQL).unwrap();
-    session.query("SELECT COUNT(*) FROM m").unwrap();
+    session.query(OTHER_SQL).unwrap();
     let before = shared.stats();
     assert_eq!(before.result_entries, 2);
-    assert_eq!(before.epoch, 0);
 
     session.execute("INSERT INTO m VALUES ('c', 7.5)").unwrap();
 
     let after = shared.stats();
-    assert_eq!(after.epoch, 1);
-    assert_eq!(after.result_entries, 0, "result cache must be empty");
-    assert_eq!(after.evictions, before.evictions + 2);
+    assert_eq!(after.epoch, before.epoch + 1);
+    assert_eq!(after.result_entries, 2, "the writer never sweeps the cache");
+    assert_eq!(after.evictions, before.evictions);
 
-    // The next query re-prepares and sees the new row.
+    // The answer over `m` re-prepares and sees the new row ...
     let fresh = session.query(SUM_SQL).unwrap();
     assert_eq!(fresh.source, QuerySource::Fresh);
-    assert_eq!(fresh.epoch, 1);
+    assert_eq!(fresh.epoch, after.epoch);
     assert_eq!(fresh.result.len(), 3);
+    // ... and the one over `other` is still served.
+    let kept = session.query(OTHER_SQL).unwrap();
+    assert_eq!(
+        (kept.source, kept.epoch),
+        (QuerySource::ResultCache, after.epoch)
+    );
+}
+
+#[test]
+fn a_write_to_an_unrelated_table_keeps_the_entry_bit_identical() {
+    let shared = sample();
+    let session = shared.session();
+    session.query(SUM_SQL).unwrap();
+
+    with_other_table(&shared);
+    let hit = session.query(SUM_SQL).unwrap();
+    assert_eq!(hit.source, QuerySource::ResultCache);
+    assert_eq!(hit.epoch, 2, "a hit reports the epoch the read pinned");
+    assert_bit_identical(&hit.result.rows, &scratch(&shared, SUM_SQL));
+}
+
+#[test]
+fn a_dropped_and_recreated_table_misses_even_with_the_same_rows() {
+    let shared = sample();
+    with_other_table(&shared);
+    let session = shared.session();
+    let sql = "SELECT COUNT(*) FROM m";
+    let first = session.query(sql).unwrap();
+    session.query(OTHER_SQL).unwrap();
+
+    session.execute("DROP TABLE m").unwrap();
+    session
+        .execute("CREATE TABLE m (grp TEXT, w DOUBLE)")
+        .unwrap();
+    session
+        .execute(
+            "INSERT INTO m VALUES ('a', 0.1), ('a', 0.2), ('a', 0.30000000000000004), \
+             ('b', 1e-300), ('b', 2.5), ('b', -0.0)",
+        )
+        .unwrap();
+
+    let again = session.query(sql).unwrap();
+    assert_eq!(
+        again.source,
+        QuerySource::Fresh,
+        "a new table is a new allocation"
+    );
+    assert_eq!(again.result.rows, first.result.rows);
+    assert_eq!(
+        session.query(OTHER_SQL).unwrap().source,
+        QuerySource::ResultCache
+    );
+}
+
+#[test]
+fn a_maintained_view_misses_only_when_its_delta_changes_it() {
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE r (k INTEGER, w DOUBLE);
+         CREATE TABLE s (k INTEGER, w DOUBLE);
+         INSERT INTO r VALUES (1, 0.5), (2, 0.25);
+         INSERT INTO s VALUES (1, 0.5), (2, 0.5);
+         CREATE MATERIALIZED VIEW v AS
+           SELECT r.k, SUM(r.w * s.w) AS p FROM r, s WHERE r.k = s.k GROUP BY r.k",
+    )
+    .unwrap();
+    let shared = SharedDatabase::new(db);
+    let session = shared.session();
+    let sql = "SELECT k, p FROM v ORDER BY k";
+    session.query(sql).unwrap();
+
+    // A base row that joins: the view's table is rewritten, the read misses.
+    session.execute("INSERT INTO r VALUES (2, 0.5)").unwrap();
+    let changed = session.query(sql).unwrap();
+    assert_eq!(changed.source, QuerySource::Fresh);
+    assert_bit_identical(&changed.result.rows, &scratch(&shared, sql));
+
+    // A base row that joins nothing leaves the view's table as it was.
+    session.execute("INSERT INTO r VALUES (9, 0.5)").unwrap();
+    let kept = session.query(sql).unwrap();
+    assert_eq!(kept.source, QuerySource::ResultCache);
+    assert_eq!(kept.epoch, shared.epoch());
+    assert_bit_identical(&kept.result.rows, &scratch(&shared, sql));
+}
+
+#[test]
+fn the_cache_does_not_pin_tables_a_write_replaced() {
+    let shared = sample();
+    let session = shared.session();
+    session.query(SUM_SQL).unwrap();
+    let old = shared.with_db(|db| Arc::downgrade(db.catalog().shared("m").unwrap()));
+
+    session.execute("INSERT INTO m VALUES ('c', 7.5)").unwrap();
+
+    assert_eq!(
+        shared.stats().result_entries,
+        1,
+        "the entry that read m is kept"
+    );
+    assert!(
+        old.upgrade().is_none(),
+        "the pre-write table must die with the last snapshot that held it"
+    );
 }
 
 #[test]

@@ -99,11 +99,10 @@ pub fn encode_row(row: &[Value]) -> String {
         .join("\t")
 }
 
-/// Split an escaped tab-separated payload back into fields.
+/// Split an escaped tab-separated payload back into fields. A payload has
+/// at least one field — an empty one is a single empty string, as a
+/// one-column row holding `''` encodes — since every result has a column.
 pub fn decode_fields(payload: &str) -> Result<Vec<String>, String> {
-    if payload.is_empty() {
-        return Ok(Vec::new());
-    }
     payload.split('\t').map(unescape).collect()
 }
 
@@ -215,6 +214,9 @@ mod tests {
         assert_eq!(fields[2], "a\tb");
         // Shortest round-trip float rendering: parsing back is bit-exact.
         assert_eq!(fields[1].parse::<f64>().unwrap(), 0.1 + 0.2);
+        // A one-column row holding '' is one empty field, not no fields.
+        let empty = encode_row(&[Value::text("")]);
+        assert_eq!(decode_fields(&empty).unwrap(), vec![String::new()]);
     }
 
     #[test]

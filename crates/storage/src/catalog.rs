@@ -66,11 +66,13 @@ impl Catalog {
 
     /// Fetch a table by (case-insensitive) name.
     pub fn table(&self, name: &str) -> Result<&Table, StorageError> {
+        self.shared(name).map(Arc::as_ref)
+    }
+
+    /// The shared allocation behind a table name: same allocation, same rows.
+    pub fn shared(&self, name: &str) -> Result<&Arc<Table>, StorageError> {
         let key = name.to_ascii_lowercase();
-        self.tables
-            .get(&key)
-            .map(Arc::as_ref)
-            .ok_or(StorageError::NoSuchTable(key))
+        self.tables.get(&key).ok_or(StorageError::NoSuchTable(key))
     }
 
     /// Mutable access to a table by name. A table another catalog still
