@@ -25,10 +25,10 @@ use conquer_sql::ast::{SelectItem, Statement};
 use conquer_sql::{
     line_col, parse_statement, render_snippet, BinaryOp, Expr, SelectStatement, Span, UnaryOp,
 };
-use conquer_storage::{Catalog, DataType, Value};
+use conquer_storage::{Catalog, DataType, Row, Value};
 
 use crate::binder::{bind, Binding, BoundSelect, OrderKey, Scope};
-use crate::expr::{BoundExpr, Offsets};
+use crate::expr::BoundExpr;
 use crate::planner::as_equi_edge;
 
 /// How bad a [`Diagnostic`] is.
@@ -329,7 +329,7 @@ fn check_decided_conjuncts(
             if !bound.columns().is_empty() {
                 continue;
             }
-            let message = match bound.eval(&Vec::new(), &Offsets(Vec::new())) {
+            let message = match bound.eval(&Row::new()) {
                 Ok(Value::Bool(true)) => {
                     diags.push(
                         Diagnostic::new(

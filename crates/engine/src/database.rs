@@ -12,7 +12,7 @@ use crate::binder::{bind_constant, bind_select, bind_table_expr};
 use crate::context::{ExecContext, ExecLimits};
 use crate::error::EngineError;
 use crate::exec::execute_plan;
-use crate::expr::{BoundExpr, Offsets};
+use crate::expr::BoundExpr;
 use crate::planner::{plan_select, Plan};
 use crate::result::QueryResult;
 use crate::view::{self, TableDelta, ViewDef, ViewStats, HIDDEN_PREFIX, VIEWS_META};
@@ -414,10 +414,9 @@ impl Database {
         let pred = selection
             .map(|e| bind_table_expr(&self.catalog, table, e))
             .transpose()?;
-        let offsets = Offsets(vec![Some(0)]);
         Ok(move |row: &Row| match &pred {
             None => Ok(true),
-            Some(p) => p.eval_predicate(row, &offsets),
+            Some(p) => p.eval_predicate(row),
         })
     }
 
@@ -443,7 +442,6 @@ impl Database {
                 Ok((idx, bind_table_expr(&self.catalog, &upd.table, e)?))
             })
             .collect::<Result<_>>()?;
-        let offsets = Offsets(vec![Some(0)]);
         // Every assignment reads the *old* row.
         let mut rows = Vec::new();
         for (i, row) in table.rows().iter().enumerate() {
@@ -452,7 +450,7 @@ impl Database {
             }
             let mut new_row = row.clone();
             for (col, e) in &assignments {
-                new_row[*col] = e.eval(row, &offsets)?;
+                new_row[*col] = e.eval(row)?;
             }
             rows.push((i, new_row));
         }
@@ -578,7 +576,6 @@ impl Database {
     fn plan_reannotate(&self, ra: &Reannotate) -> Result<(usize, Edit)> {
         let matches = self.row_filter(&ra.table, ra.selection.as_ref())?;
         let value = bind_table_expr(&self.catalog, &ra.table, &ra.value)?;
-        let offsets = Offsets(vec![Some(0)]);
         let table = self.catalog.table(&ra.table)?;
         // The id column names the cluster structure; require it even
         // though the rewrite itself is per-tuple.
@@ -593,7 +590,7 @@ impl Database {
             annotated += 1;
             // Keep the probability column uniformly FLOAT-typed so view
             // state matching stays bit-exact.
-            let v = match value.eval(row, &offsets)? {
+            let v = match value.eval(row)? {
                 Value::Int(n) => Value::Float(n as f64),
                 other => other,
             };
@@ -942,7 +939,7 @@ fn edit_table(t: &mut Table, edit: Edit, tracked: bool) -> Result<TableDelta> {
 
 /// Evaluate a constant expression (INSERT values, RECLUSTER targets).
 fn eval_const(e: &Expr) -> Result<Value> {
-    bind_constant(e)?.eval(&Vec::new(), &Offsets(vec![]))
+    bind_constant(e)?.eval(&Row::new())
 }
 
 #[cfg(test)]

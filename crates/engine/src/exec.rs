@@ -1,11 +1,22 @@
 //! Physical execution of query plans.
 //!
 //! Plans run as a pull-based pipeline of physical operators exchanging
-//! *batches* of rows (`Vec<Row>`, up to [`BATCH_SIZE`] each): scan →
-//! filter → join → aggregate → project → distinct → sort → limit. Blocking
-//! operators (hash-join build sides, aggregation, sort) materialize only
-//! their own state; everything else streams, so `LIMIT` without `ORDER BY`
-//! stops reading its input early instead of materializing the whole query.
+//! batches of up to [`BATCH_SIZE`] tuples: scan → filter → join →
+//! aggregate → project → distinct → sort → limit. Blocking operators
+//! (hash-join build sides, aggregation, sort) materialize only their own
+//! state; everything else streams, so `LIMIT` without `ORDER BY` stops
+//! reading its input early instead of materializing the whole query.
+//!
+//! **Joins carry positions, not rows.** A query runs against tables its
+//! catalog pins for as long as it runs, so below the first operator that
+//! owns values a row is named by its position: a [`Tuples`] batch holds,
+//! per tuple, one `u32` row position for each relation of the operator's
+//! [`Layout`]. A scan emits the positions that pass its filter; a join
+//! appends the two sides' positions; an expression reads a cell in place
+//! through a [`Tuple`]. Cells are copied into owned values in two places
+//! only: the aggregate's key table (once per new group) and, for an
+//! ungrouped query, `Project` (once per output cell). From there up,
+//! batches are materialized rows (`Vec<Row>`).
 //!
 //! Every operator is instrumented: rows in/out, batches, inclusive wall
 //! time and peak materialized bytes are recorded per node and harvested
@@ -23,8 +34,8 @@
 //! *external-memory* algorithms instead of aborting (the budget → spill →
 //! `ResourceExhausted` escalation ladder):
 //!
-//! * **hash join** becomes a grace hash join — both inputs are
-//!   hash-partitioned into checksummed spill files
+//! * **hash join** becomes a grace hash join — both inputs' position
+//!   tuples are hash-partitioned into checksummed spill files
 //!   ([`conquer_storage::spill`]) and each partition pair is joined in
 //!   memory, recursing with a different hash on partitions that still
 //!   don't fit;
@@ -52,10 +63,10 @@ use conquer_sql::AggFunc;
 use conquer_storage::spill::{SpillFile, SpillReader, SpillWriter};
 use conquer_storage::{Catalog, HashIndex, Row, Table, Value};
 
-use crate::binder::{AggCall, GroupSpec, OrderKey, OutputItem};
+use crate::binder::{AggCall, BoundOrderBy, GroupSpec, OrderKey, OutputItem};
 use crate::context::ExecContext;
 use crate::error::EngineError;
-use crate::expr::{BoundExpr, ColumnId, Offsets};
+use crate::expr::{absent, BoundExpr, Cells, ColumnId};
 use crate::keytable::{hash_key, KeyTable};
 use crate::planner::{scan_label, JoinNode, Plan};
 use crate::result::QueryResult;
@@ -84,6 +95,8 @@ const MAX_SPILL_PASSES: u32 = 5;
 /// crossing a batch boundary. Bounds cancellation latency while spilling.
 const SPILL_TICK_ROWS: u32 = 128;
 
+/// Materialized rows: what the aggregate and every operator above it
+/// exchange.
 pub(crate) type Batch = Vec<Row>;
 
 /// Execute a plan against the catalog under the given execution context,
@@ -93,7 +106,7 @@ pub(crate) type Batch = Vec<Row>;
 ///
 /// There is one operator tree. [`crate::parallel::drive`] either pulls it
 /// as is, or — when more than one worker would have work and its probe
-/// chain forks ([`OpNode::fork`]) — lets a worker pool pull forks of that
+/// chain forks ([`TupleOp::fork`]) — lets a worker pool pull forks of that
 /// chain over morsels of the driving scan and gathers them in order.
 /// Results are bit-identical at every thread count: which of the two
 /// happens depends only on the plan, the data, and the budget, never on
@@ -111,10 +124,8 @@ pub fn execute_plan(catalog: &Catalog, plan: &Plan, ctx: &ExecContext) -> Result
     }
 
     let start = Instant::now();
-    let carried = plan.carried();
-    let (join, layout, _est) = build_join(catalog, plan, &plan.join, &carried)?;
-    let offsets = offsets_for(&layout, &carried);
-    let (rows, root, threads_used) = crate::parallel::drive(join, offsets, plan, ctx)?;
+    let (join, layout, _est) = build_join(catalog, plan, &plan.join)?;
+    let (rows, root, threads_used) = crate::parallel::drive(join, layout, plan, ctx)?;
     Ok(QueryResult::with_stats(
         plan.output.iter().map(|o| o.name.clone()).collect(),
         rows,
@@ -142,16 +153,154 @@ pub(crate) fn drain_root(root: &mut OpNode<'_>, ctx: &ExecContext) -> Result<Vec
     Ok(rows)
 }
 
-/// Compute per-relation offsets for a concatenation layout, each relation
-/// as wide as the columns its scan carries ([`Plan::carried`]).
-fn offsets_for(layout: &[usize], carried: &[&[usize]]) -> Offsets {
-    let mut offs = vec![None; carried.len()];
-    let mut acc = 0;
-    for &rel in layout {
-        offs[rel] = Some(acc);
-        acc += carried[rel].len();
+// ---------------------------------------------------------------------------
+// Position tuples
+// ---------------------------------------------------------------------------
+
+/// A batch of position tuples: `width` row positions per tuple, flat. The
+/// width is the operator's [`Layout`] width, so it is never zero for a
+/// batch an operator emits; [`Tuples::default`] is the empty batch that
+/// takes the width of whatever is [appended](Tuples::append) to it first.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Tuples {
+    width: usize,
+    pos: Vec<u32>,
+}
+
+impl Tuples {
+    fn with_capacity(width: usize, tuples: usize) -> Tuples {
+        Tuples {
+            width,
+            pos: Vec::with_capacity(width * tuples),
+        }
     }
-    Offsets(offs)
+
+    pub(crate) fn len(&self) -> usize {
+        self.pos.len().checked_div(self.width).unwrap_or(0)
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.pos.is_empty()
+    }
+
+    /// Tuple `i`.
+    fn get(&self, i: usize) -> &[u32] {
+        &self.pos[i * self.width..(i + 1) * self.width]
+    }
+
+    fn iter(&self) -> std::slice::ChunksExact<'_, u32> {
+        self.pos.chunks_exact(self.width.max(1))
+    }
+
+    fn push(&mut self, t: &[u32]) {
+        self.pos.extend_from_slice(t);
+    }
+
+    /// Append the tuple `a ++ b`.
+    fn push_pair(&mut self, a: &[u32], b: &[u32]) {
+        self.pos.extend_from_slice(a);
+        self.pos.extend_from_slice(b);
+    }
+
+    /// Append every tuple of `other`.
+    pub(crate) fn append(&mut self, other: Tuples) {
+        if self.pos.is_empty() {
+            *self = other;
+        } else {
+            self.pos.extend_from_slice(&other.pos);
+        }
+    }
+
+    /// Tuples `from..to` as a batch of their own.
+    pub(crate) fn slice(&self, from: usize, to: usize) -> Tuples {
+        Tuples {
+            width: self.width,
+            pos: self.pos[from * self.width..to * self.width].to_vec(),
+        }
+    }
+
+    /// What holding these tuples charges: four bytes per position.
+    fn bytes(&self) -> u64 {
+        4 * self.pos.len() as u64
+    }
+}
+
+/// What the positions of an operator's tuples name: per relation of the
+/// query, the tuple slot holding its row position and the stored rows of
+/// its pinned table (`None` for relations outside the operator's input).
+#[derive(Debug, Clone)]
+pub(crate) struct Layout<'a> {
+    width: usize,
+    rels: Vec<Option<(usize, &'a [Row])>>,
+}
+
+impl<'a> Layout<'a> {
+    /// A scan's layout: relation `rel` of `n_rels`, in slot 0.
+    fn scan(n_rels: usize, rel: usize, rows: &'a [Row]) -> Layout<'a> {
+        let mut rels = vec![None; n_rels];
+        rels[rel] = Some((0, rows));
+        Layout { width: 1, rels }
+    }
+
+    /// The layout of `left ++ right` tuples.
+    fn concat(left: &Layout<'a>, right: &Layout<'a>) -> Layout<'a> {
+        let rels = left
+            .rels
+            .iter()
+            .zip(&right.rels)
+            .map(|(l, r)| l.or(r.map(|(slot, rows)| (left.width + slot, rows))))
+            .collect();
+        Layout {
+            width: left.width + right.width,
+            rels,
+        }
+    }
+
+    /// Read tuple `pos` through this layout.
+    fn tuple<'t>(&'t self, pos: &'t [u32]) -> Tuple<'t, 'a> {
+        Tuple { layout: self, pos }
+    }
+}
+
+/// One position tuple read through its [`Layout`]: a column leaf is
+/// `rows[pos[slot]][col]`, borrowed from the pinned table.
+#[derive(Clone, Copy)]
+pub(crate) struct Tuple<'t, 'a> {
+    layout: &'t Layout<'a>,
+    pos: &'t [u32],
+}
+
+impl<'x, 'a: 'x> Cells<'x> for Tuple<'_, 'a> {
+    #[inline]
+    fn cell(self, id: ColumnId) -> Result<&'x Value> {
+        let cell = match self.layout.rels.get(id.rel) {
+            Some(&Some((slot, rows))) => self
+                .pos
+                .get(slot)
+                .and_then(|&p| rows.get(p as usize))
+                .and_then(|row| row.get(id.col)),
+            _ => None,
+        };
+        cell.ok_or_else(|| absent(id))
+    }
+}
+
+/// A stored row of relation `rel`: what a scan's own filter reads, before
+/// the row has a tuple.
+#[derive(Clone, Copy)]
+struct Stored<'a> {
+    rel: usize,
+    row: &'a Row,
+}
+
+impl<'x, 'a: 'x> Cells<'x> for Stored<'a> {
+    #[inline]
+    fn cell(self, id: ColumnId) -> Result<&'x Value> {
+        match self.row.get(id.col) {
+            Some(v) if id.rel == self.rel => Ok(v),
+            _ => Err(absent(id)),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -159,46 +308,52 @@ fn offsets_for(layout: &[usize], carried: &[&[usize]]) -> Offsets {
 // ---------------------------------------------------------------------------
 
 /// Stack the post-join stages (aggregate, HAVING, project, distinct,
-/// sort, limit) on top of a join-tree source. The parallel driver mounts
-/// the same stages over its [`OpKind::Gather`] source, so everything
-/// stateful downstream of the join runs identical code on both paths.
+/// sort, limit) on top of a join-tree source whose tuples `layout`
+/// describes. The parallel driver mounts the same stages over its
+/// [`TupleKind::Gather`] source, so everything stateful downstream of the
+/// join runs identical code on both paths.
 pub(crate) fn finish_pipeline<'a>(
-    mut node: OpNode<'a>,
-    mut offsets: Offsets,
+    join: TupleOp<'a>,
+    layout: Layout<'a>,
     plan: &'a Plan,
 ) -> OpNode<'a> {
-    if let Some(group) = &plan.group {
-        node = OpNode::new(
-            "HashAggregate",
-            OpKind::HashAggregate {
-                child: Box::new(node),
-                group,
-                offsets: offsets.clone(),
-                state: AggState::Init,
-            },
-        );
-        // Aggregate output is a single slot row: [keys…, agg values…].
-        offsets = Offsets(vec![Some(0)]);
-        if let Some(having) = &group.having {
-            node = OpNode::new(
-                "Filter (HAVING)",
-                OpKind::Filter {
-                    child: Box::new(node),
-                    pred: having,
-                    offsets: offsets.clone(),
+    let input = match &plan.group {
+        Some(group) => {
+            let mut node = OpNode::new(
+                "HashAggregate",
+                OpKind::HashAggregate {
+                    child: Box::new(join),
+                    layout,
+                    group,
+                    state: AggState::Init,
                 },
             );
+            if let Some(having) = &group.having {
+                node = OpNode::new(
+                    "Filter (HAVING)",
+                    OpKind::Filter {
+                        child: Box::new(node),
+                        pred: having,
+                    },
+                );
+            }
+            ProjectInput::Slots {
+                child: Box::new(node),
+                moves: movable_cells(&plan.output, &plan.order_by),
+            }
         }
-    }
+        None => ProjectInput::Tuples {
+            child: Box::new(join),
+            layout,
+        },
+    };
 
-    node = OpNode::new(
+    let mut node = OpNode::new(
         "Project",
         OpKind::Project {
-            child: Box::new(node),
-            moves: movable_cells(&plan.output, &plan.order_by, &offsets),
+            input,
             output: &plan.output,
             order_by: &plan.order_by,
-            offsets,
         },
     );
 
@@ -239,32 +394,35 @@ pub(crate) fn finish_pipeline<'a>(
 }
 
 /// Build the operator subtree for a join-tree node. Returns the operator,
-/// the relation layout of its output rows, and a crude cardinality estimate
-/// used to pick hash-join build sides.
+/// the layout of its output tuples, and a crude cardinality estimate used
+/// to pick hash-join build sides.
 fn build_join<'a>(
     catalog: &'a Catalog,
     plan: &'a Plan,
     node: &'a JoinNode,
-    carried: &[&[usize]],
-) -> Result<(OpNode<'a>, Vec<usize>, u64)> {
+) -> Result<(TupleOp<'a>, Layout<'a>, u64)> {
     match node {
-        JoinNode::Scan { rel, filter, cols } => {
+        JoinNode::Scan { rel, filter } => {
             let relation = &plan.relations[*rel];
             let table = catalog.table(&relation.table)?;
-            let est = table.len() as u64;
-            let op = OpNode::new(
-                scan_label("Scan", relation, cols),
-                OpKind::Scan {
-                    table,
+            if u32::try_from(table.len()).is_err() {
+                return Err(EngineError::exec(format!(
+                    "table {:?} has more rows than a u32 position can name",
+                    relation.table
+                )));
+            }
+            let layout = Layout::scan(plan.relations.len(), *rel, table.rows());
+            let op = TupleOp::new(
+                scan_label("Scan", relation),
+                TupleKind::Scan {
+                    rel: *rel,
+                    rows: table.rows(),
                     pos: 0,
                     end: table.len(),
                     filter: filter.as_ref(),
-                    // The filter sees the stored row, not the emitted one.
-                    offsets: offsets_for(&[*rel], carried),
-                    cols,
                 },
             );
-            Ok((op, vec![*rel], est))
+            Ok((op, layout, table.len() as u64))
         }
         JoinNode::Join {
             left,
@@ -272,32 +430,25 @@ fn build_join<'a>(
             equi,
             filter,
         } => {
-            let (lop, llayout, lest) = build_join(catalog, plan, left, carried)?;
-            let (rop, rlayout, rest) = build_join(catalog, plan, right, carried)?;
-            let loffsets = offsets_for(&llayout, carried);
-            let roffsets = offsets_for(&rlayout, carried);
-
-            let mut layout = llayout;
-            layout.extend(rlayout);
-            let offsets = offsets_for(&layout, carried);
+            let (lop, llayout, lest) = build_join(catalog, plan, left)?;
+            let (rop, rlayout, rest) = build_join(catalog, plan, right)?;
+            let layout = Layout::concat(&llayout, &rlayout);
 
             let (mut op, est) = if equi.is_empty() {
                 let est = lest.saturating_mul(rest.max(1));
-                let op = OpNode::new(
+                let op = TupleOp::new(
                     "NestedLoopJoin",
-                    OpKind::CrossJoin {
+                    TupleKind::CrossJoin {
                         probe: Box::new(lop),
                         build: Box::new(rop),
-                        build_rows: None,
+                        build_tuples: None,
                     },
                 );
                 (op, est)
-            } else if let Some(path) =
-                index_join_path(catalog, plan, right, equi, &loffsets, carried)?
-            {
-                let op = OpNode::new(
+            } else if let Some(path) = index_join_path(catalog, plan, right, equi, &llayout)? {
+                let op = TupleOp::new(
                     path.name.clone(),
-                    OpKind::IndexJoin {
+                    TupleKind::IndexJoin {
                         probe: Box::new(lop),
                         path,
                     },
@@ -307,29 +458,32 @@ fn build_join<'a>(
                 // Build the hash table on the (estimated) smaller side and
                 // stream the other; output stays `left ++ right` either way.
                 let build_left = lest <= rest;
-                let (probe, build, probe_offsets, build_offsets) = if build_left {
-                    (rop, lop, roffsets, loffsets)
-                } else {
-                    (lop, rop, loffsets, roffsets)
-                };
                 let (lexprs, rexprs): (Vec<_>, Vec<_>) = equi.iter().map(|(l, r)| (l, r)).unzip();
-                let (probe_exprs, build_exprs) = if build_left {
-                    (rexprs, lexprs)
+                let (probe, build, keys) = if build_left {
+                    let keys = JoinKeys {
+                        probe_exprs: rexprs,
+                        build_exprs: lexprs,
+                        probe_layout: rlayout,
+                        build_layout: llayout,
+                        build_left,
+                    };
+                    (rop, lop, keys)
                 } else {
-                    (lexprs, rexprs)
+                    let keys = JoinKeys {
+                        probe_exprs: lexprs,
+                        build_exprs: rexprs,
+                        probe_layout: llayout,
+                        build_layout: rlayout,
+                        build_left,
+                    };
+                    (lop, rop, keys)
                 };
-                let op = OpNode::new(
+                let op = TupleOp::new(
                     "HashJoin",
-                    OpKind::HashJoin {
+                    TupleKind::HashJoin {
                         probe: Box::new(probe),
                         build: Box::new(build),
-                        keys: JoinKeys {
-                            probe_exprs,
-                            build_exprs,
-                            probe_offsets,
-                            build_offsets,
-                            build_left,
-                        },
+                        keys,
                         state: JoinState::Init,
                     },
                 );
@@ -337,12 +491,12 @@ fn build_join<'a>(
             };
 
             if let Some(pred) = filter {
-                op = OpNode::new(
+                op = TupleOp::new(
                     "Filter",
-                    OpKind::Filter {
+                    TupleKind::Filter {
                         child: Box::new(op),
                         pred,
-                        offsets,
+                        layout: layout.clone(),
                     },
                 );
             }
@@ -353,38 +507,38 @@ fn build_join<'a>(
 
 /// An index nested-loop join's right side, resolved by [`index_join_path`].
 #[derive(Clone)]
-struct IndexPath<'a> {
+pub(crate) struct IndexPath<'a> {
     /// Operator name for the statistics tree.
     name: String,
     table: &'a Table,
     index: &'a HashIndex,
-    /// Flat position of the probe key in the left input row.
-    key_flat: usize,
-    /// Base columns of `table` to append to each match.
-    cols: &'a [usize],
+    /// The probe key: a column of the left input.
+    key: ColumnId,
+    /// The left input's layout.
+    probe_layout: Layout<'a>,
 }
 
 impl IndexPath<'_> {
-    /// `emit` one `lrow ++ carried cells` row per stored row the index
-    /// holds under `lrow`'s key, in stored index order.
-    fn probe(&self, lrow: &Row, mut emit: impl FnMut(Row) -> Result<()>) -> Result<()> {
-        let key = &lrow[self.key_flat];
+    /// Append `p ++ [row]` to `out` for every stored row the index holds
+    /// under `p`'s key, in stored index order.
+    fn probe(&self, p: &[u32], out: &mut Tuples) -> Result<()> {
+        let key = self.probe_layout.tuple(p).cell(self.key)?;
         if key.is_null() {
             return Ok(());
         }
         for &ri in self.index.lookup(key) {
-            let rrow = self.table.row(ri).ok_or_else(|| {
-                EngineError::internal(format!(
-                    "stored index on table {:?} references row #{ri} beyond the \
-                     table's {} rows (stale index?)",
-                    self.table.name(),
-                    self.table.len()
-                ))
-            })?;
-            let mut row = Vec::with_capacity(lrow.len() + self.cols.len());
-            row.extend(lrow.iter().cloned());
-            row.extend(self.cols.iter().map(|&c| rrow[c].clone()));
-            emit(row)?;
+            let row = u32::try_from(ri)
+                .ok()
+                .filter(|_| ri < self.table.len())
+                .ok_or_else(|| {
+                    EngineError::internal(format!(
+                        "stored index on table {:?} references row #{ri} beyond the \
+                         table's {} rows (stale index?)",
+                        self.table.name(),
+                        self.table.len()
+                    ))
+                })?;
+            out.push_pair(p, &[row]);
         }
         Ok(())
     }
@@ -398,23 +552,14 @@ impl IndexPath<'_> {
 /// building a hash table. This is the analogue of the paper's "indices on
 /// the identifier" setup (Section 5.3). Returns `None` when the
 /// preconditions don't hold and the generic hash join should run.
-///
-/// Key columns are carried positions; the stored index and the declared
-/// types are looked up by the base columns behind them.
 fn index_join_path<'a>(
     catalog: &'a Catalog,
     plan: &'a Plan,
     right: &'a JoinNode,
     equi: &[(BoundExpr, BoundExpr)],
-    loffsets: &Offsets,
-    carried: &[&[usize]],
+    probe_layout: &Layout<'a>,
 ) -> Result<Option<IndexPath<'a>>> {
-    let JoinNode::Scan {
-        rel,
-        filter: None,
-        cols,
-    } = right
-    else {
+    let JoinNode::Scan { rel, filter: None } = right else {
         return Ok(None);
     };
     let [(lkey, rkey)] = equi else {
@@ -426,36 +571,30 @@ fn index_join_path<'a>(
     if rcol.rel != *rel {
         return Ok(None);
     }
-    let base_column = |id: &ColumnId| {
-        carried
+    let column = |id: &ColumnId| {
+        plan.relations
             .get(id.rel)
-            .and_then(|cols| cols.get(id.col))
-            .and_then(|&base| Some((base, plan.relations[id.rel].schema.column_at(base)?)))
-            .ok_or_else(|| {
-                EngineError::internal(format!(
-                    "join key column #{} is not carried by the scan of relation #{}",
-                    id.col, id.rel
-                ))
-            })
+            .and_then(|r| r.schema.column_at(id.col))
+            .ok_or_else(|| absent(*id))
     };
     let relation = &plan.relations[*rel];
     let table = catalog.table(&relation.table)?;
-    let (rbase, rcolumn) = base_column(rcol)?;
+    let rcolumn = column(rcol)?;
     let index = match table.existing_index(rcolumn.name()) {
-        Some(idx) if idx.column() == rbase => idx,
+        Some(idx) if idx.column() == rcol.col => idx,
         _ => return Ok(None),
     };
     // Raw-value lookup is only sound when the probe values have the same
     // declared type as the indexed column (no Int/Float normalization).
-    if base_column(lcol)?.1.data_type() != rcolumn.data_type() {
+    if column(lcol)?.data_type() != rcolumn.data_type() {
         return Ok(None);
     }
     Ok(Some(IndexPath {
-        name: scan_label("IndexJoin", relation, cols),
+        name: scan_label("IndexJoin", relation),
         table,
         index,
-        key_flat: loffsets.flat(*lcol)?,
-        cols,
+        key: *lcol,
+        probe_layout: probe_layout.clone(),
     }))
 }
 
@@ -487,77 +626,108 @@ impl Metrics {
     }
 }
 
-/// One physical operator plus its instrumentation.
-pub(crate) struct OpNode<'a> {
+/// An operator kind: how it advances by one batch, and its statistics
+/// children.
+pub(crate) trait Step {
+    /// What it emits: [`Tuples`] or a [`Batch`] of rows.
+    type Out;
+    /// Advance by one batch; `None` means exhausted.
+    fn step(&mut self, m: &mut Metrics, ctx: &ExecContext) -> Result<Option<Self::Out>>;
+    /// Tuples or rows in `out`, for the counters.
+    fn count(out: &Self::Out) -> usize;
+    /// The children's statistics, in plan order.
+    fn harvest_children(self) -> Vec<OpStats>;
+}
+
+/// One physical operator plus its instrumentation. The join tree's
+/// operators ([`TupleOp`]) emit position tuples; the aggregate and every
+/// operator above it ([`OpNode`]) emit rows.
+pub(crate) struct Node<K> {
     name: String,
-    kind: OpKind<'a>,
+    kind: K,
     m: Metrics,
 }
 
-enum OpKind<'a> {
+/// An operator of the join tree (or its parallel stand-in, `Gather`).
+pub(crate) type TupleOp<'a> = Node<TupleKind<'a>>;
+
+/// An operator from the first one that owns values up.
+pub(crate) type OpNode<'a> = Node<OpKind<'a>>;
+
+pub(crate) enum TupleKind<'a> {
     /// Scan of stored rows `pos..end` (the whole table, or one morsel in
-    /// a fork) with an optional pushed-down predicate, evaluated against
-    /// the stored row (`offsets`); survivors are copied out `cols` wide.
+    /// a fork) with an optional pushed-down predicate; emits the
+    /// positions of the rows it keeps.
     Scan {
-        table: &'a Table,
+        rel: usize,
+        rows: &'a [Row],
         pos: usize,
         end: usize,
         filter: Option<&'a BoundExpr>,
-        offsets: Offsets,
-        cols: &'a [usize],
     },
-    /// Row filter (residual join predicates, HAVING).
+    /// Residual join predicate.
     Filter {
-        child: Box<OpNode<'a>>,
+        child: Box<TupleOp<'a>>,
         pred: &'a BoundExpr,
-        offsets: Offsets,
+        layout: Layout<'a>,
     },
     /// Equi hash join: drains `build` into a hash table on first pull, then
-    /// streams `probe`. Output rows are always `left ++ right`.
+    /// streams `probe`. Output tuples are always `left ++ right`.
     HashJoin {
-        probe: Box<OpNode<'a>>,
-        build: Box<OpNode<'a>>,
+        probe: Box<TupleOp<'a>>,
+        build: Box<TupleOp<'a>>,
         keys: JoinKeys<'a>,
         state: JoinState,
     },
-    /// Fork of a [`OpKind::HashJoin`] whose build side fit in memory:
+    /// Fork of a [`TupleKind::HashJoin`] whose build side fit in memory:
     /// streams `probe` against the template's build table. It owns no
     /// state, so it cannot charge the budget or spill.
     HashProbe {
-        probe: Box<OpNode<'a>>,
+        probe: Box<TupleOp<'a>>,
         map: &'a BuildMap,
         keys: &'a JoinKeys<'a>,
     },
     /// Streaming probe of a pre-built storage-level hash index.
     IndexJoin {
-        probe: Box<OpNode<'a>>,
+        probe: Box<TupleOp<'a>>,
         path: IndexPath<'a>,
     },
     /// Cartesian product: materializes the right input, streams the left.
     CrossJoin {
-        probe: Box<OpNode<'a>>,
-        build: Box<OpNode<'a>>,
-        build_rows: Option<Vec<Row>>,
+        probe: Box<TupleOp<'a>>,
+        build: Box<TupleOp<'a>>,
+        build_tuples: Option<Tuples>,
     },
+    /// Consumer end of the morsel-parallel spine: emits worker-produced
+    /// tuples strictly in morsel order (see [`crate::parallel`]). Its
+    /// statistics child (the forked join tree) is attached by the
+    /// parallel driver after the worker pool drains.
+    Gather {
+        src: crate::parallel::GatherSource<'a>,
+    },
+}
+
+pub(crate) enum OpKind<'a> {
     /// Hash aggregation; blocking. Produces `[keys…, agg values…]` rows in
     /// first-seen group order (one row even for empty input when there are
     /// no GROUP BY keys — `COUNT(*)` of an empty table is 0).
     HashAggregate {
-        child: Box<OpNode<'a>>,
+        child: Box<TupleOp<'a>>,
+        layout: Layout<'a>,
         group: &'a GroupSpec,
-        offsets: Offsets,
         state: AggState,
     },
-    /// Compute output expressions, appending ORDER BY key columns for a
-    /// downstream [`OpKind::Sort`] to consume. `moves[i]` is the input
-    /// cell output item `i` takes by value instead of evaluating (see
-    /// [`movable_cells`]).
-    Project {
+    /// HAVING, over the aggregate's slot rows.
+    Filter {
         child: Box<OpNode<'a>>,
+        pred: &'a BoundExpr,
+    },
+    /// Compute output expressions, appending ORDER BY key columns for a
+    /// downstream [`OpKind::Sort`] to consume.
+    Project {
+        input: ProjectInput<'a>,
         output: &'a [OutputItem],
-        order_by: &'a [crate::binder::BoundOrderBy],
-        offsets: Offsets,
-        moves: Vec<Option<usize>>,
+        order_by: &'a [BoundOrderBy],
     },
     /// Streaming duplicate elimination over projected rows.
     Distinct {
@@ -578,57 +748,101 @@ enum OpKind<'a> {
         child: Box<OpNode<'a>>,
         remaining: u64,
     },
-    /// Consumer end of the morsel-parallel spine: emits worker-produced
-    /// rows strictly in morsel order (see [`crate::parallel`]). Its
-    /// statistics child (the forked join tree) is attached by the
-    /// parallel driver after the worker pool drains.
-    Gather {
-        src: crate::parallel::GatherSource<'a>,
+}
+
+/// What a `Project` reads.
+pub(crate) enum ProjectInput<'a> {
+    /// An aggregate's slot rows. `moves[i]` is the slot output item `i`
+    /// takes by value instead of evaluating (see [`movable_cells`]).
+    Slots {
+        child: Box<OpNode<'a>>,
+        moves: Vec<Option<usize>>,
+    },
+    /// The join tree's tuples, whose cells it copies out of the pinned
+    /// tables.
+    Tuples {
+        child: Box<TupleOp<'a>>,
+        layout: Layout<'a>,
     },
 }
 
 /// Mount a [`crate::parallel::GatherSource`] as a pipeline source node.
-pub(crate) fn gather_node(src: crate::parallel::GatherSource<'_>) -> OpNode<'_> {
-    OpNode::new("Gather", OpKind::Gather { src })
+pub(crate) fn gather_node(src: crate::parallel::GatherSource<'_>) -> TupleOp<'_> {
+    TupleOp::new("Gather", TupleKind::Gather { src })
 }
 
 // ---------------------------------------------------------------------------
 // External-memory operator state
 // ---------------------------------------------------------------------------
 
+/// End of a [`BuildMap`] chain.
+const CHAIN_END: u32 = u32::MAX;
+
 /// An in-memory hash-join build table: the normalized keys in a
-/// [`KeyTable`], the build rows of entry `i` in `rows[i]`. Both are in
-/// first-seen key order, so flushing it to spill partitions writes the
-/// same bytes on every run. Forks share it read-only.
-struct BuildMap {
+/// [`KeyTable`], the build tuples flat in arrival order, and per key entry
+/// `i` a chain from `head[i]` through `next` over its tuples in arrival
+/// order. Keys and chains are in first-seen order, so flushing it to spill
+/// partitions writes the same bytes on every run. Forks share it
+/// read-only.
+pub(crate) struct BuildMap {
     keys: KeyTable,
-    rows: Vec<Vec<Row>>,
+    tuples: Tuples,
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    next: Vec<u32>,
 }
 
 impl BuildMap {
-    fn new(width: usize) -> BuildMap {
+    fn new(key_width: usize) -> BuildMap {
         BuildMap {
-            keys: KeyTable::new(width),
-            rows: Vec::new(),
+            keys: KeyTable::new(key_width),
+            tuples: Tuples::default(),
+            head: Vec::new(),
+            tail: Vec::new(),
+            next: Vec::new(),
         }
     }
 
-    /// The build rows under a (non-NULL, normalized) key, which is copied
-    /// in if it is new.
-    fn rows_of(&mut self, key: Vec<Cow<'_, Value>>) -> Result<&mut Vec<Row>> {
-        let hash = hash_key(&key);
-        let i = match self.keys.find(hash, &key) {
-            Some(i) => i,
-            None => {
-                let i = self.keys.push(hash, key.into_iter().map(Cow::into_owned))?;
-                self.rows.push(Vec::new());
-                i
+    /// Add build tuple `t` under its (non-NULL, normalized) key, which is
+    /// copied in if it is new.
+    fn insert(&mut self, key: &[Cow<'_, Value>], t: &[u32]) -> Result<()> {
+        let n = u32::try_from(self.next.len())
+            .ok()
+            .filter(|&n| n != CHAIN_END)
+            .ok_or_else(|| EngineError::exec("too many build rows in one hash table"))?;
+        let hash = hash_key(key);
+        match self.keys.find(hash, key) {
+            Some(i) => {
+                self.next[self.tail[i] as usize] = n;
+                self.tail[i] = n;
             }
-        };
-        Ok(&mut self.rows[i])
+            None => {
+                self.keys.push(hash, key.iter().map(|c| Value::clone(c)))?;
+                self.head.push(n);
+                self.tail.push(n);
+            }
+        }
+        self.next.push(CHAIN_END);
+        if self.tuples.is_empty() {
+            self.tuples.width = t.len();
+        }
+        self.tuples.push(t);
+        Ok(())
     }
 
-    /// Move every build row to its spill partition under `pass`'s hash,
+    /// The build tuples of key entry `i`, in arrival order.
+    fn chain(&self, i: usize) -> impl Iterator<Item = &[u32]> {
+        let mut at = self.head[i];
+        std::iter::from_fn(move || {
+            (at != CHAIN_END).then(|| {
+                let t = self.tuples.get(at as usize);
+                at = self.next[at as usize];
+                t
+            })
+        })
+    }
+
+    /// Move every build tuple to its spill partition under `pass`'s hash,
     /// keys in first-seen order, leaving the table empty.
     fn flush(
         &mut self,
@@ -638,71 +852,76 @@ impl BuildMap {
         ctx: &ExecContext,
         ticker: &mut Ticker,
     ) -> Result<()> {
-        for (i, rows) in self.rows.drain(..).enumerate() {
+        for i in 0..self.keys.len() {
             let p = partition_of(self.keys.key(i), pass);
-            for r in rows {
+            for t in self.chain(i) {
                 ticker.row(ctx)?;
-                spill_row(ctx, m, &mut ws[p], &r)?;
+                spill_tuple(ctx, m, &mut ws[p], t)?;
             }
         }
-        self.keys.clear();
+        *self = BuildMap::new(0);
         Ok(())
     }
 }
 
-/// How a hash join reads its equi keys off a probe row and a build row,
-/// and which of the plan's inputs is which.
-struct JoinKeys<'a> {
+/// How a hash join reads its equi keys off a probe tuple and a build
+/// tuple, and which of the plan's inputs is which.
+pub(crate) struct JoinKeys<'a> {
     probe_exprs: Vec<&'a BoundExpr>,
     build_exprs: Vec<&'a BoundExpr>,
-    probe_offsets: Offsets,
-    build_offsets: Offsets,
+    probe_layout: Layout<'a>,
+    build_layout: Layout<'a>,
     /// True when the plan's *left* input is the build side.
     build_left: bool,
 }
 
-impl JoinKeys<'_> {
-    /// Fill `key` with `row`'s probe-side key; see [`join_keys`].
-    fn probe_key<'r>(&'r self, row: &'r Row, key: &mut Vec<Cow<'r, Value>>) -> Result<bool> {
-        join_keys(row, &self.probe_exprs, &self.probe_offsets, key)
+impl<'a> JoinKeys<'a> {
+    /// Fill `key` with tuple `p`'s probe-side key; see [`join_keys`].
+    fn probe_key(&self, p: &[u32], key: &mut Vec<Cow<'a, Value>>) -> Result<bool> {
+        join_keys(self.probe_layout.tuple(p), &self.probe_exprs, key)
     }
 
-    /// `row`'s build-side key, `None` when it has a NULL.
-    fn build_key<'r>(&'r self, row: &'r Row) -> Result<Option<Vec<Cow<'r, Value>>>> {
-        let mut key = Vec::with_capacity(self.build_exprs.len());
-        Ok(join_keys(row, &self.build_exprs, &self.build_offsets, &mut key)?.then_some(key))
+    /// Fill `key` with tuple `b`'s build-side key; see [`join_keys`].
+    fn build_key(&self, b: &[u32], key: &mut Vec<Cow<'a, Value>>) -> Result<bool> {
+        join_keys(self.build_layout.tuple(b), &self.build_exprs, key)
     }
 
-    /// What one build row charges: the row plus its own copy of the key.
-    fn build_bytes(row: &Row, key: &[Cow<'_, Value>]) -> u64 {
-        approx_row_bytes(row) + key.iter().map(owned_value_bytes).sum::<u64>()
+    /// What one build tuple charges: its positions plus its own copy of
+    /// the key.
+    fn build_bytes(&self, key: &[Cow<'_, Value>]) -> u64 {
+        4 * self.build_layout.width as u64 + key.iter().map(owned_value_bytes).sum::<u64>()
     }
 
-    /// Append `prow`'s matches in `map` to `out` as `left ++ right` rows,
-    /// in build insertion order; `key` is scratch space for its key. Ticks
-    /// the guards per emitted row: a join can fan one probe row out into
-    /// thousands, and cancellation latency must stay bounded by emitted
-    /// work, not consumed work.
-    fn probe_row<'r>(
-        &'r self,
+    /// An empty batch of this join's output tuples.
+    fn out(&self, tuples: usize) -> Tuples {
+        Tuples::with_capacity(self.probe_layout.width + self.build_layout.width, tuples)
+    }
+
+    /// Append `p`'s matches in `map` to `out` as `left ++ right` tuples,
+    /// in build arrival order; `key` is scratch space for its key. Ticks
+    /// the guards per emitted tuple: a join can fan one probe tuple out
+    /// into thousands, and cancellation latency must stay bounded by
+    /// emitted work, not consumed work.
+    fn probe_tuple(
+        &self,
         map: &BuildMap,
-        prow: &'r Row,
-        key: &mut Vec<Cow<'r, Value>>,
-        out: &mut Batch,
+        p: &[u32],
+        key: &mut Vec<Cow<'a, Value>>,
+        out: &mut Tuples,
         ticker: &mut Ticker,
         ctx: &ExecContext,
     ) -> Result<()> {
-        if !self.probe_key(prow, key)? {
+        if !self.probe_key(p, key)? {
             return Ok(());
         }
         if let Some(i) = map.keys.find(hash_key(key), key) {
-            for brow in &map.rows[i] {
+            for b in map.chain(i) {
                 ticker.row(ctx)?;
-                out.push(if self.build_left {
-                    concat_rows(brow, prow)
+                if self.build_left {
+                    out.push_pair(b, p);
                 } else {
-                    concat_rows(prow, brow)
-                });
+                    out.push_pair(p, b);
+                }
             }
         }
         Ok(())
@@ -711,18 +930,18 @@ impl JoinKeys<'_> {
 
 /// Build-side state of a hash join: in memory while the budget lasts,
 /// grace-partitioned on disk afterwards.
-enum JoinState {
+pub(crate) enum JoinState {
     /// Build side not yet consumed.
     Init,
     /// Classic in-memory hash join. `mem` is the bytes charged for the
     /// build table, released once the probe side is exhausted.
-    Mem { map: BuildMap, mem: u64 },
+    Mem { map: Box<BuildMap>, mem: u64 },
     /// Grace hash join over spilled partition pairs.
     Spill(GraceJoin),
 }
 
 /// Pending and in-flight partition pairs of a grace hash join.
-struct GraceJoin {
+pub(crate) struct GraceJoin {
     /// `(build partition, probe partition, pass)` still to process.
     queue: Vec<(SpillFile, SpillFile, u32)>,
     /// The partition currently being probed (boxed: it carries a hash
@@ -742,7 +961,7 @@ struct PartProbe {
 }
 
 /// Materialization state of a hash aggregation.
-enum AggState {
+pub(crate) enum AggState {
     /// Input not yet consumed.
     Init,
     /// All groups fit in memory; draining the finalized rows. The `u64`
@@ -759,7 +978,7 @@ enum AggState {
 }
 
 /// Materialization state of a sort.
-enum SortState {
+pub(crate) enum SortState {
     /// Input not yet consumed.
     Fill,
     /// In-memory sort; draining. The `u64` is the still-charged bytes,
@@ -770,7 +989,7 @@ enum SortState {
 }
 
 /// One sorted run being merged, with its next row buffered.
-struct RunCursor {
+pub(crate) struct RunCursor {
     head: Option<Row>,
     reader: SpillReader,
     /// Keeps the run file alive while it is read (deleted on drop).
@@ -833,13 +1052,39 @@ fn spill_row(ctx: &ExecContext, m: &mut Metrics, w: &mut SpillWriter, row: &[Val
     Ok(())
 }
 
+/// Write one position tuple to a spill file, as a row of its positions.
+fn spill_tuple(ctx: &ExecContext, m: &mut Metrics, w: &mut SpillWriter, t: &[u32]) -> Result<()> {
+    let row: Row = t.iter().map(|&p| Value::Int(i64::from(p))).collect();
+    spill_row(ctx, m, w, &row)
+}
+
+/// Read the next position tuple [`spill_tuple`] wrote into `t`; `false`
+/// at the end of the run.
+fn read_tuple(reader: &mut SpillReader, t: &mut Vec<u32>) -> Result<bool> {
+    let Some(row) = reader.next_row()? else {
+        return Ok(false);
+    };
+    t.clear();
+    for v in &row {
+        match v {
+            Value::Int(p) if u32::try_from(*p).is_ok() => t.push(*p as u32),
+            other => {
+                return Err(EngineError::internal(format!(
+                    "spilled join tuple holds {other:?}, not a row position"
+                )))
+            }
+        }
+    }
+    Ok(true)
+}
+
 fn nonempty(files: &[SpillFile]) -> u64 {
     files.iter().filter(|f| f.rows() > 0).count() as u64
 }
 
-impl<'a> OpNode<'a> {
-    fn new(name: impl Into<String>, kind: OpKind<'a>) -> Self {
-        OpNode {
+impl<K: Step> Node<K> {
+    fn new(name: impl Into<String>, kind: K) -> Self {
+        Node {
             name: name.into(),
             kind,
             m: Metrics::default(),
@@ -849,53 +1094,20 @@ impl<'a> OpNode<'a> {
     /// Pull the next batch, recording rows/batches/inclusive wall time.
     /// Checks the context's cancellation/deadline guards first, so every
     /// batch boundary in the pipeline is a cancellation point.
-    pub(crate) fn next_batch(&mut self, ctx: &ExecContext) -> Result<Option<Batch>> {
+    pub(crate) fn next_batch(&mut self, ctx: &ExecContext) -> Result<Option<K::Out>> {
         ctx.tick()?;
         let start = Instant::now();
-        let out = step(&mut self.kind, &mut self.m, ctx);
+        let out = self.kind.step(&mut self.m, ctx);
         self.m.time += start.elapsed();
         if let Ok(Some(batch)) = &out {
-            self.m.rows_out += batch.len() as u64;
+            self.m.rows_out += K::count(batch) as u64;
             self.m.batches += 1;
         }
         out
     }
 
-    /// Pull to exhaustion, uncharged (the driver's result buffer is
-    /// [`drain_root`]'s business).
-    pub(crate) fn drain(&mut self, ctx: &ExecContext) -> Result<Vec<Row>> {
-        let mut rows = Vec::new();
-        while let Some(batch) = self.next_batch(ctx)? {
-            rows.extend(batch);
-        }
-        Ok(rows)
-    }
-
     /// Convert the (finished) operator tree into its statistics tree.
     pub(crate) fn harvest(self) -> OpStats {
-        let children = match self.kind {
-            OpKind::Scan { .. } | OpKind::Gather { .. } => vec![],
-            OpKind::Filter { child, .. }
-            | OpKind::HashAggregate { child, .. }
-            | OpKind::Project { child, .. }
-            | OpKind::Distinct { child, .. }
-            | OpKind::Sort { child, .. }
-            | OpKind::Limit { child, .. } => vec![child.harvest()],
-            OpKind::IndexJoin { probe, .. } | OpKind::HashProbe { probe, .. } => {
-                vec![probe.harvest()]
-            }
-            OpKind::HashJoin {
-                probe, build, keys, ..
-            } => {
-                // Report in plan order: left child first.
-                if keys.build_left {
-                    vec![build.harvest(), probe.harvest()]
-                } else {
-                    vec![probe.harvest(), build.harvest()]
-                }
-            }
-            OpKind::CrossJoin { probe, build, .. } => vec![probe.harvest(), build.harvest()],
-        };
         OpStats {
             name: self.name,
             rows_in: self.m.rows_in,
@@ -906,8 +1118,20 @@ impl<'a> OpNode<'a> {
             spill_bytes: self.m.spill_bytes,
             spill_partitions: self.m.spill_partitions,
             spill_passes: self.m.spill_passes,
-            children,
+            children: self.kind.harvest_children(),
         }
+    }
+}
+
+impl<'a> TupleOp<'a> {
+    /// Pull to exhaustion, uncharged: the tuples of every batch, in
+    /// order.
+    pub(crate) fn drain(&mut self, ctx: &ExecContext) -> Result<Tuples> {
+        let mut all = Tuples::default();
+        while let Some(batch) = self.next_batch(ctx)? {
+            all.append(batch);
+        }
+        Ok(all)
     }
 
     /// Stored rows of the table behind the driving scan — the leaf of the
@@ -915,9 +1139,9 @@ impl<'a> OpNode<'a> {
     /// `None` when a cross join sits on the chain.
     pub(crate) fn driving_rows(&self) -> Option<usize> {
         match &self.kind {
-            OpKind::Scan { table, .. } => Some(table.len()),
-            OpKind::Filter { child, .. } => child.driving_rows(),
-            OpKind::IndexJoin { probe, .. } | OpKind::HashJoin { probe, .. } => {
+            TupleKind::Scan { rows, .. } => Some(rows.len()),
+            TupleKind::Filter { child, .. } => child.driving_rows(),
+            TupleKind::IndexJoin { probe, .. } | TupleKind::HashJoin { probe, .. } => {
                 probe.driving_rows()
             }
             _ => None,
@@ -932,10 +1156,10 @@ impl<'a> OpNode<'a> {
     /// `None` when the chain does not [`fork`](Self::fork).
     pub(crate) fn prepare_spine(&mut self, ctx: &ExecContext) -> Result<Option<u64>> {
         match &mut self.kind {
-            OpKind::Scan { .. } => Ok(Some(0)),
-            OpKind::Filter { child, .. } => child.prepare_spine(ctx),
-            OpKind::IndexJoin { probe, .. } => probe.prepare_spine(ctx),
-            OpKind::HashJoin {
+            TupleKind::Scan { .. } => Ok(Some(0)),
+            TupleKind::Filter { child, .. } => child.prepare_spine(ctx),
+            TupleKind::IndexJoin { probe, .. } => probe.prepare_spine(ctx),
+            TupleKind::HashJoin {
                 probe,
                 build,
                 keys,
@@ -960,49 +1184,43 @@ impl<'a> OpNode<'a> {
     /// The same operators over rows `lo..hi` of the driving scan: `Scan`
     /// takes the range, `Filter` and `IndexJoin` fork structurally, and a
     /// `HashJoin` whose build side is in memory forks into a
-    /// [`OpKind::HashProbe`] borrowing that table. A fork holds no state
-    /// of its own, so pulling it never charges the budget or spills, and
-    /// the concatenation of forks over consecutive ranges *is* this
-    /// chain's row sequence.
+    /// [`TupleKind::HashProbe`] borrowing that table. A fork holds no
+    /// state of its own, so pulling it never charges the budget or spills,
+    /// and the concatenation of forks over consecutive ranges *is* this
+    /// chain's tuple sequence.
     ///
     /// `None` — does not fork — for everything else: a cross join, a hash
-    /// join not yet prepared or gone to grace mode, any materializing
-    /// operator.
-    pub(crate) fn fork(&self, lo: usize, hi: usize) -> Option<OpNode<'_>> {
+    /// join not yet prepared or gone to grace mode.
+    pub(crate) fn fork(&self, lo: usize, hi: usize) -> Option<TupleOp<'_>> {
         let kind = match &self.kind {
-            OpKind::Scan {
-                table,
-                filter,
-                offsets,
-                cols,
-                ..
-            } => OpKind::Scan {
-                table,
+            TupleKind::Scan {
+                rel, rows, filter, ..
+            } => TupleKind::Scan {
+                rel: *rel,
+                rows,
                 pos: lo,
-                end: hi.min(table.len()),
+                end: hi.min(rows.len()),
                 filter: *filter,
-                offsets: offsets.clone(),
-                cols,
             },
-            OpKind::Filter {
+            TupleKind::Filter {
                 child,
                 pred,
-                offsets,
-            } => OpKind::Filter {
+                layout,
+            } => TupleKind::Filter {
                 child: Box::new(child.fork(lo, hi)?),
                 pred,
-                offsets: offsets.clone(),
+                layout: layout.clone(),
             },
-            OpKind::IndexJoin { probe, path } => OpKind::IndexJoin {
+            TupleKind::IndexJoin { probe, path } => TupleKind::IndexJoin {
                 probe: Box::new(probe.fork(lo, hi)?),
                 path: path.clone(),
             },
-            OpKind::HashJoin {
+            TupleKind::HashJoin {
                 probe,
                 keys,
                 state: JoinState::Mem { map, .. },
                 ..
-            } => OpKind::HashProbe {
+            } => TupleKind::HashProbe {
                 probe: Box::new(probe.fork(lo, hi)?),
                 map,
                 keys,
@@ -1010,16 +1228,16 @@ impl<'a> OpNode<'a> {
             _ => return None,
         };
         // Unnamed: a fork is never harvested, only absorbed.
-        Some(OpNode::new(String::new(), kind))
+        Some(TupleOp::new(String::new(), kind))
     }
 
     /// The next operator down the probe chain.
-    fn probe_child(&mut self) -> Option<&mut OpNode<'a>> {
+    fn probe_child(&mut self) -> Option<&mut TupleOp<'a>> {
         match &mut self.kind {
-            OpKind::Filter { child, .. } => Some(child),
-            OpKind::IndexJoin { probe, .. }
-            | OpKind::HashJoin { probe, .. }
-            | OpKind::HashProbe { probe, .. } => Some(probe),
+            TupleKind::Filter { child, .. } => Some(child),
+            TupleKind::IndexJoin { probe, .. }
+            | TupleKind::HashJoin { probe, .. }
+            | TupleKind::HashProbe { probe, .. } => Some(probe),
             _ => None,
         }
     }
@@ -1054,294 +1272,401 @@ impl<'a> OpNode<'a> {
 
 /// Pull one batch from `child`, crediting its size to the parent's
 /// `rows_in` counter.
-fn pull(child: &mut OpNode<'_>, m: &mut Metrics, ctx: &ExecContext) -> Result<Option<Batch>> {
+fn pull<K: Step>(
+    child: &mut Node<K>,
+    m: &mut Metrics,
+    ctx: &ExecContext,
+) -> Result<Option<K::Out>> {
     let batch = child.next_batch(ctx)?;
     if let Some(b) = &batch {
-        m.rows_in += b.len() as u64;
+        m.rows_in += K::count(b) as u64;
     }
     Ok(batch)
 }
 
-/// Advance one operator by one batch. `None` means exhausted.
-fn step(kind: &mut OpKind<'_>, m: &mut Metrics, ctx: &ExecContext) -> Result<Option<Batch>> {
-    match kind {
-        OpKind::Scan {
-            table,
-            pos,
-            end,
-            filter,
-            offsets,
-            cols,
-        } => {
-            let rows = table.rows();
-            let mut out = Vec::with_capacity(BATCH_SIZE.min(end.saturating_sub(*pos)));
-            while *pos < *end && out.len() < BATCH_SIZE {
-                let row = &rows[*pos];
-                *pos += 1;
-                m.rows_in += 1;
-                match filter {
-                    Some(pred) if !pred.eval_predicate(row, offsets)? => {}
-                    _ => out.push(carried_cells(row, cols)),
-                }
-            }
-            Ok((!out.is_empty()).then_some(out))
-        }
+impl<'a> Step for TupleKind<'a> {
+    type Out = Tuples;
 
-        OpKind::Filter {
-            child,
-            pred,
-            offsets,
-        } => {
-            while let Some(batch) = pull(child, m, ctx)? {
-                let mut out = Vec::with_capacity(batch.len());
-                for row in batch {
-                    if pred.eval_predicate(&row, offsets)? {
-                        out.push(row);
+    fn count(out: &Tuples) -> usize {
+        out.len()
+    }
+
+    fn step(&mut self, m: &mut Metrics, ctx: &ExecContext) -> Result<Option<Tuples>> {
+        match self {
+            TupleKind::Scan {
+                rel,
+                rows,
+                pos,
+                end,
+                filter,
+            } => {
+                let mut out = Tuples::with_capacity(1, BATCH_SIZE.min(end.saturating_sub(*pos)));
+                while *pos < *end && out.pos.len() < BATCH_SIZE {
+                    let row = &rows[*pos];
+                    // In range: the table was checked against `u32` when
+                    // the scan was built.
+                    let p = *pos as u32;
+                    *pos += 1;
+                    m.rows_in += 1;
+                    match filter {
+                        Some(pred) if !pred.eval_predicate(Stored { rel: *rel, row })? => {}
+                        _ => out.pos.push(p),
                     }
                 }
-                if !out.is_empty() {
-                    return Ok(Some(out));
-                }
+                Ok((!out.is_empty()).then_some(out))
             }
-            Ok(None)
-        }
 
-        OpKind::HashJoin {
-            probe,
-            build,
-            keys,
-            state,
-        } => {
-            if matches!(state, JoinState::Init) {
-                *state = hj_prepare(probe, build, keys, m, ctx)?;
-            }
-            match state {
-                JoinState::Init => Err(EngineError::internal(
-                    "hash join probed before its build side",
-                )),
-                JoinState::Mem { map, mem } => {
-                    let out = hj_probe_next(probe, map, keys, m, ctx)?;
-                    if out.is_none() {
-                        // Probe exhausted: the build table is dead weight
-                        // now, so hand its budget back before upstream
-                        // operators (or the result buffer) compete for it.
-                        ctx.release(std::mem::take(mem));
-                        *map = BuildMap::new(0);
+            TupleKind::Filter {
+                child,
+                pred,
+                layout,
+            } => {
+                while let Some(batch) = pull(child, m, ctx)? {
+                    let mut out = Tuples::with_capacity(batch.width, batch.len());
+                    for t in batch.iter() {
+                        if pred.eval_predicate(layout.tuple(t))? {
+                            out.push(t);
+                        }
                     }
-                    Ok(out)
-                }
-                JoinState::Spill(grace) => hj_spill_next(grace, keys, m, ctx),
-            }
-        }
-
-        OpKind::HashProbe { probe, map, keys } => hj_probe_next(probe, map, keys, m, ctx),
-
-        OpKind::IndexJoin { probe, path } => {
-            while let Some(batch) = pull(probe, m, ctx)? {
-                let mut out = Vec::new();
-                for lrow in &batch {
-                    path.probe(lrow, |row| {
-                        out.push(row);
-                        Ok(())
-                    })?;
-                }
-                if !out.is_empty() {
-                    return Ok(Some(out));
-                }
-            }
-            Ok(None)
-        }
-
-        OpKind::CrossJoin {
-            probe,
-            build,
-            build_rows,
-        } => {
-            if build_rows.is_none() {
-                let mut rows = Vec::new();
-                while let Some(batch) = pull(build, m, ctx)? {
-                    ctx.charge(batch.iter().map(approx_row_bytes).sum())?;
-                    rows.extend(batch);
-                }
-                m.peak_mem = rows.iter().map(approx_row_bytes).sum();
-                *build_rows = Some(rows);
-            }
-            let rrows = build_rows.as_ref().ok_or_else(|| {
-                EngineError::internal("cross join probed before materializing its build side")
-            })?;
-            if rrows.is_empty() {
-                return Ok(None);
-            }
-            while let Some(batch) = pull(probe, m, ctx)? {
-                let mut out = Vec::with_capacity(batch.len().saturating_mul(rrows.len()));
-                for lrow in &batch {
-                    for rrow in rrows {
-                        out.push(concat_rows(lrow, rrow));
+                    if !out.is_empty() {
+                        return Ok(Some(out));
                     }
                 }
-                if !out.is_empty() {
-                    return Ok(Some(out));
-                }
+                Ok(None)
             }
-            // Probe exhausted: release the materialized build side.
-            let freed: u64 = rrows.iter().map(approx_row_bytes).sum();
-            ctx.release(freed);
-            *build_rows = Some(Vec::new());
-            Ok(None)
-        }
 
-        OpKind::HashAggregate {
-            child,
-            group,
-            offsets,
-            state,
-        } => {
-            if matches!(state, AggState::Init) {
-                *state = aggregate_input(child, group, offsets, m, ctx)?;
-            }
-            loop {
+            TupleKind::HashJoin {
+                probe,
+                build,
+                keys,
+                state,
+            } => {
+                if matches!(state, JoinState::Init) {
+                    *state = hj_prepare(probe, build, keys, m, ctx)?;
+                }
                 match state {
-                    AggState::Init => {
-                        return Err(EngineError::internal(
-                            "aggregate drained before aggregating",
-                        ))
+                    JoinState::Init => Err(EngineError::internal(
+                        "hash join probed before its build side",
+                    )),
+                    JoinState::Mem { map, mem } => {
+                        let out = hj_probe_next(probe, map, keys, m, ctx)?;
+                        if out.is_none() {
+                            // Probe exhausted: the build table is dead weight
+                            // now, so hand its budget back before upstream
+                            // operators (or the result buffer) compete for it.
+                            ctx.release(std::mem::take(mem));
+                            **map = BuildMap::new(0);
+                        }
+                        Ok(out)
                     }
-                    AggState::Drain(iter, mem) => {
+                    JoinState::Spill(grace) => hj_spill_next(grace, keys, m, ctx),
+                }
+            }
+
+            TupleKind::HashProbe { probe, map, keys } => hj_probe_next(probe, map, keys, m, ctx),
+
+            TupleKind::IndexJoin { probe, path } => {
+                while let Some(batch) = pull(probe, m, ctx)? {
+                    let mut out = Tuples::with_capacity(batch.width + 1, batch.len());
+                    for p in batch.iter() {
+                        path.probe(p, &mut out)?;
+                    }
+                    if !out.is_empty() {
+                        return Ok(Some(out));
+                    }
+                }
+                Ok(None)
+            }
+
+            TupleKind::CrossJoin {
+                probe,
+                build,
+                build_tuples,
+            } => {
+                if build_tuples.is_none() {
+                    let mut all = Tuples::default();
+                    while let Some(batch) = pull(build, m, ctx)? {
+                        ctx.charge(batch.bytes())?;
+                        all.append(batch);
+                    }
+                    m.peak_mem = all.bytes();
+                    *build_tuples = Some(all);
+                }
+                let right = build_tuples.as_ref().ok_or_else(|| {
+                    EngineError::internal("cross join probed before materializing its build side")
+                })?;
+                if right.is_empty() {
+                    return Ok(None);
+                }
+                while let Some(batch) = pull(probe, m, ctx)? {
+                    let mut out = Tuples::with_capacity(
+                        batch.width + right.width,
+                        batch.len().saturating_mul(right.len()),
+                    );
+                    for l in batch.iter() {
+                        for r in right.iter() {
+                            out.push_pair(l, r);
+                        }
+                    }
+                    if !out.is_empty() {
+                        return Ok(Some(out));
+                    }
+                }
+                // Probe exhausted: release the materialized build side.
+                ctx.release(right.bytes());
+                *build_tuples = Some(Tuples::default());
+                Ok(None)
+            }
+
+            TupleKind::Gather { src } => {
+                let out = src.next_batch(ctx)?;
+                if let Some(b) = &out {
+                    m.rows_in += b.len() as u64;
+                }
+                Ok(out)
+            }
+        }
+    }
+
+    fn harvest_children(self) -> Vec<OpStats> {
+        match self {
+            TupleKind::Scan { .. } | TupleKind::Gather { .. } => vec![],
+            TupleKind::Filter { child, .. } => vec![child.harvest()],
+            TupleKind::IndexJoin { probe, .. } | TupleKind::HashProbe { probe, .. } => {
+                vec![probe.harvest()]
+            }
+            TupleKind::HashJoin {
+                probe, build, keys, ..
+            } => {
+                // Report in plan order: left child first.
+                if keys.build_left {
+                    vec![build.harvest(), probe.harvest()]
+                } else {
+                    vec![probe.harvest(), build.harvest()]
+                }
+            }
+            TupleKind::CrossJoin { probe, build, .. } => vec![probe.harvest(), build.harvest()],
+        }
+    }
+}
+
+impl<'a> Step for OpKind<'a> {
+    type Out = Batch;
+
+    fn count(out: &Batch) -> usize {
+        out.len()
+    }
+
+    fn step(&mut self, m: &mut Metrics, ctx: &ExecContext) -> Result<Option<Batch>> {
+        match self {
+            OpKind::HashAggregate {
+                child,
+                layout,
+                group,
+                state,
+            } => {
+                if matches!(state, AggState::Init) {
+                    *state = aggregate_input(child, layout, group, m, ctx)?;
+                }
+                loop {
+                    match state {
+                        AggState::Init => {
+                            return Err(EngineError::internal(
+                                "aggregate drained before aggregating",
+                            ))
+                        }
+                        AggState::Drain(iter, mem) => {
+                            let out: Batch = iter.take(BATCH_SIZE).collect();
+                            if out.is_empty() {
+                                ctx.release(std::mem::take(mem));
+                                return Ok(None);
+                            }
+                            release_emitted(ctx, &out, mem);
+                            return Ok(Some(out));
+                        }
+                        AggState::Spill { queue, current } => {
+                            if let Some((iter, mem)) = current {
+                                let out: Batch = iter.take(BATCH_SIZE).collect();
+                                if out.is_empty() {
+                                    ctx.release(*mem);
+                                    *current = None;
+                                    continue;
+                                }
+                                release_emitted(ctx, &out, mem);
+                                return Ok(Some(out));
+                            }
+                            let Some((file, pass)) = queue.pop() else {
+                                return Ok(None);
+                            };
+                            match agg_merge_partition(file, pass, group, m, ctx)? {
+                                AggMerge::Done(rows, mem) => {
+                                    *current = Some((rows.into_iter(), mem))
+                                }
+                                AggMerge::Repartitioned(files) => queue.extend(files),
+                            }
+                        }
+                    }
+                }
+            }
+
+            OpKind::Filter { child, pred } => {
+                while let Some(batch) = pull(child, m, ctx)? {
+                    let mut out = Vec::with_capacity(batch.len());
+                    for row in batch {
+                        if pred.eval_predicate(&row)? {
+                            out.push(row);
+                        }
+                    }
+                    if !out.is_empty() {
+                        return Ok(Some(out));
+                    }
+                }
+                Ok(None)
+            }
+
+            OpKind::Project {
+                input,
+                output,
+                order_by,
+            } => {
+                let width = output.len() + order_by.len();
+                let out = match input {
+                    ProjectInput::Slots { child, moves } => {
+                        let Some(batch) = pull(child, m, ctx)? else {
+                            return Ok(None);
+                        };
+                        let mut out = Vec::with_capacity(batch.len());
+                        for mut row in batch {
+                            let mut projected = Vec::with_capacity(width);
+                            for (item, cell) in output.iter().zip(moves.iter()) {
+                                projected.push(match cell {
+                                    // Nothing else reads the cell: leave a NULL.
+                                    Some(i) => std::mem::replace(&mut row[*i], Value::Null),
+                                    None => item.expr.eval(&row)?,
+                                });
+                            }
+                            push_order_keys(&mut projected, order_by, &row)?;
+                            out.push(projected);
+                        }
+                        out
+                    }
+                    ProjectInput::Tuples { child, layout } => {
+                        let Some(batch) = pull(child, m, ctx)? else {
+                            return Ok(None);
+                        };
+                        let mut out = Vec::with_capacity(batch.len());
+                        for t in batch.iter() {
+                            let t = layout.tuple(t);
+                            let mut projected = Vec::with_capacity(width);
+                            for item in output.iter() {
+                                projected.push(item.expr.eval(t)?);
+                            }
+                            push_order_keys(&mut projected, order_by, t)?;
+                            out.push(projected);
+                        }
+                        out
+                    }
+                };
+                Ok(Some(out))
+            }
+
+            OpKind::Distinct { child, seen, mem } => {
+                while let Some(batch) = pull(child, m, ctx)? {
+                    let mut out = Vec::with_capacity(batch.len());
+                    let mut batch_mem = 0u64;
+                    for row in batch {
+                        let hash = hash_key(&row);
+                        if seen.find(hash, &row).is_none() {
+                            batch_mem += approx_row_bytes(&row);
+                            seen.push(hash, row.iter().cloned())?;
+                            out.push(row);
+                        }
+                    }
+                    ctx.charge(batch_mem)?;
+                    *mem += batch_mem;
+                    m.peak_mem = *mem;
+                    if !out.is_empty() {
+                        return Ok(Some(out));
+                    }
+                }
+                // Input exhausted: the dedup table is no longer needed.
+                ctx.release(std::mem::take(mem));
+                *seen = KeyTable::new(0);
+                Ok(None)
+            }
+
+            OpKind::Sort {
+                child,
+                descs,
+                n_out,
+                state,
+            } => {
+                if matches!(state, SortState::Fill) {
+                    *state = sort_input(child, descs, *n_out, m, ctx)?;
+                }
+                match state {
+                    SortState::Fill => Err(EngineError::internal("sort drained before sorting")),
+                    SortState::Drain(iter, mem) => {
                         let out: Batch = iter.take(BATCH_SIZE).collect();
                         if out.is_empty() {
                             ctx.release(std::mem::take(mem));
                             return Ok(None);
                         }
                         release_emitted(ctx, &out, mem);
-                        return Ok(Some(out));
+                        Ok(Some(out))
                     }
-                    AggState::Spill { queue, current } => {
-                        if let Some((iter, mem)) = current {
-                            let out: Batch = iter.take(BATCH_SIZE).collect();
-                            if out.is_empty() {
-                                ctx.release(*mem);
-                                *current = None;
-                                continue;
-                            }
-                            release_emitted(ctx, &out, mem);
-                            return Ok(Some(out));
-                        }
-                        let Some((file, pass)) = queue.pop() else {
-                            return Ok(None);
-                        };
-                        match agg_merge_partition(file, pass, group, m, ctx)? {
-                            AggMerge::Done(rows, mem) => *current = Some((rows.into_iter(), mem)),
-                            AggMerge::Repartitioned(files) => queue.extend(files),
-                        }
-                    }
+                    SortState::Merge(cursors) => merge_runs(cursors, descs, *n_out, ctx),
                 }
             }
-        }
 
-        OpKind::Project {
-            child,
-            output,
-            order_by,
-            offsets,
-            moves,
-        } => match pull(child, m, ctx)? {
-            None => Ok(None),
-            Some(batch) => {
-                let mut out = Vec::with_capacity(batch.len());
-                for mut row in batch {
-                    let mut projected = Vec::with_capacity(output.len() + order_by.len());
-                    for (item, cell) in output.iter().zip(moves.iter()) {
-                        projected.push(match cell {
-                            // Nothing else reads the cell: leave a NULL.
-                            Some(i) => std::mem::replace(&mut row[*i], Value::Null),
-                            None => item.expr.eval(&row, offsets)?,
-                        });
-                    }
-                    for ob in order_by.iter() {
-                        projected.push(match &ob.key {
-                            OrderKey::Output(i) => projected[*i].clone(),
-                            OrderKey::Expr(e) => e.eval(&row, offsets)?,
-                        });
-                    }
-                    out.push(projected);
+            OpKind::Limit { child, remaining } => {
+                if *remaining == 0 {
+                    return Ok(None);
                 }
-                Ok(Some(out))
-            }
-        },
-
-        OpKind::Distinct { child, seen, mem } => {
-            while let Some(batch) = pull(child, m, ctx)? {
-                let mut out = Vec::with_capacity(batch.len());
-                let mut batch_mem = 0u64;
-                for row in batch {
-                    let hash = hash_key(&row);
-                    if seen.find(hash, &row).is_none() {
-                        batch_mem += approx_row_bytes(&row);
-                        seen.push(hash, row.iter().cloned())?;
-                        out.push(row);
+                while let Some(mut batch) = pull(child, m, ctx)? {
+                    if batch.len() as u64 > *remaining {
+                        batch.truncate(*remaining as usize);
+                    }
+                    *remaining -= batch.len() as u64;
+                    if !batch.is_empty() {
+                        return Ok(Some(batch));
                     }
                 }
-                ctx.charge(batch_mem)?;
-                *mem += batch_mem;
-                m.peak_mem = *mem;
-                if !out.is_empty() {
-                    return Ok(Some(out));
-                }
+                Ok(None)
             }
-            // Input exhausted: the dedup table is no longer needed.
-            ctx.release(std::mem::take(mem));
-            *seen = KeyTable::new(0);
-            Ok(None)
-        }
-
-        OpKind::Sort {
-            child,
-            descs,
-            n_out,
-            state,
-        } => {
-            if matches!(state, SortState::Fill) {
-                *state = sort_input(child, descs, *n_out, m, ctx)?;
-            }
-            match state {
-                SortState::Fill => Err(EngineError::internal("sort drained before sorting")),
-                SortState::Drain(iter, mem) => {
-                    let out: Batch = iter.take(BATCH_SIZE).collect();
-                    if out.is_empty() {
-                        ctx.release(std::mem::take(mem));
-                        return Ok(None);
-                    }
-                    release_emitted(ctx, &out, mem);
-                    Ok(Some(out))
-                }
-                SortState::Merge(cursors) => merge_runs(cursors, descs, *n_out, ctx),
-            }
-        }
-
-        OpKind::Limit { child, remaining } => {
-            if *remaining == 0 {
-                return Ok(None);
-            }
-            while let Some(mut batch) = pull(child, m, ctx)? {
-                if batch.len() as u64 > *remaining {
-                    batch.truncate(*remaining as usize);
-                }
-                *remaining -= batch.len() as u64;
-                if !batch.is_empty() {
-                    return Ok(Some(batch));
-                }
-            }
-            Ok(None)
-        }
-
-        OpKind::Gather { src } => {
-            let out = src.next_batch(ctx)?;
-            if let Some(b) = &out {
-                m.rows_in += b.len() as u64;
-            }
-            Ok(out)
         }
     }
+
+    fn harvest_children(self) -> Vec<OpStats> {
+        match self {
+            OpKind::HashAggregate { child, .. } => vec![child.harvest()],
+            OpKind::Project { input, .. } => match input {
+                ProjectInput::Slots { child, .. } => vec![child.harvest()],
+                ProjectInput::Tuples { child, .. } => vec![child.harvest()],
+            },
+            OpKind::Filter { child, .. }
+            | OpKind::Distinct { child, .. }
+            | OpKind::Sort { child, .. }
+            | OpKind::Limit { child, .. } => vec![child.harvest()],
+        }
+    }
+}
+
+/// Append a projected row's `ORDER BY` key columns: a copy of an output
+/// column, or an expression over the row's input `cells`.
+fn push_order_keys<'x>(
+    projected: &mut Row,
+    order_by: &'x [BoundOrderBy],
+    cells: impl Cells<'x>,
+) -> Result<()> {
+    for ob in order_by {
+        let key = match &ob.key {
+            OrderKey::Output(i) => projected[*i].clone(),
+            OrderKey::Expr(e) => e.eval(cells)?,
+        };
+        projected.push(key);
+    }
+    Ok(())
 }
 
 /// Release the budget held for rows that just left a blocking operator,
@@ -1354,15 +1679,12 @@ fn release_emitted(ctx: &ExecContext, out: &[Row], mem: &mut u64) {
     *mem -= freed;
 }
 
-/// For each output item, the flat input cell [`OpKind::Project`] may move
-/// into the output row instead of cloning: the item is a bare column and
-/// no other output or `ORDER BY` expression reads that cell. Above an
-/// aggregate that is every group-key column, text keys included.
-fn movable_cells(
-    output: &[OutputItem],
-    order_by: &[crate::binder::BoundOrderBy],
-    offsets: &Offsets,
-) -> Vec<Option<usize>> {
+/// For each output item, the aggregate slot [`OpKind::Project`] may move
+/// into the output row instead of cloning: the item is a bare slot and no
+/// other output or `ORDER BY` expression reads it. That is every group
+/// key and aggregate output of a plain `SELECT k…, agg…`, text keys
+/// included.
+fn movable_cells(output: &[OutputItem], order_by: &[BoundOrderBy]) -> Vec<Option<usize>> {
     let order_exprs = order_by.iter().filter_map(|ob| match &ob.key {
         OrderKey::Expr(e) => Some(e),
         OrderKey::Output(_) => None,
@@ -1377,37 +1699,24 @@ fn movable_cells(
         .iter()
         .map(|item| match &item.expr {
             BoundExpr::Column(id) if read.iter().filter(|c| *c == id).count() == 1 => {
-                offsets.flat(*id).ok()
+                (id.rel == 0).then_some(id.col)
             }
             _ => None,
         })
         .collect()
 }
 
-/// Copy the carried cells of a stored row.
-fn carried_cells(row: &Row, cols: &[usize]) -> Row {
-    cols.iter().map(|&c| row[c].clone()).collect()
-}
-
-fn concat_rows(l: &Row, r: &Row) -> Row {
-    let mut row = Vec::with_capacity(l.len() + r.len());
-    row.extend(l.iter().cloned());
-    row.extend(r.iter().cloned());
-    row
-}
-
-/// Evaluate and normalize the join key expressions for one row into
+/// Evaluate and normalize the join key expressions over `cells` into
 /// `key` (cleared first); `false` when any key is NULL (SQL equality
 /// never matches NULL).
-fn join_keys<'r>(
-    row: &'r Row,
-    exprs: &[&'r BoundExpr],
-    offsets: &Offsets,
-    key: &mut Vec<Cow<'r, Value>>,
+fn join_keys<'x>(
+    cells: impl Cells<'x>,
+    exprs: &[&'x BoundExpr],
+    key: &mut Vec<Cow<'x, Value>>,
 ) -> Result<bool> {
     key.clear();
     for e in exprs {
-        let v = e.eval_ref(row, offsets)?;
+        let v = e.eval_ref(cells)?;
         if v.is_null() {
             return Ok(false);
         }
@@ -1445,21 +1754,21 @@ fn owned_value_bytes(v: &Cow<'_, Value>) -> u64 {
 
 /// Stream `probe` against an in-memory build table: the next non-empty
 /// batch of matches, `None` once the probe side is exhausted. The one
-/// probe loop — a serial [`OpKind::HashJoin`] and every forked
-/// [`OpKind::HashProbe`] run it.
-fn hj_probe_next(
-    probe: &mut OpNode<'_>,
+/// probe loop — a serial [`TupleKind::HashJoin`] and every forked
+/// [`TupleKind::HashProbe`] run it.
+fn hj_probe_next<'a>(
+    probe: &mut TupleOp<'_>,
     map: &BuildMap,
-    keys: &JoinKeys<'_>,
+    keys: &JoinKeys<'a>,
     m: &mut Metrics,
     ctx: &ExecContext,
-) -> Result<Option<Batch>> {
+) -> Result<Option<Tuples>> {
     let mut ticker = Ticker::new();
+    let mut key = Vec::with_capacity(keys.probe_exprs.len());
     while let Some(batch) = pull(probe, m, ctx)? {
-        let mut out = Vec::with_capacity(batch.len());
-        let mut key = Vec::with_capacity(keys.probe_exprs.len());
-        for prow in &batch {
-            keys.probe_row(map, prow, &mut key, &mut out, &mut ticker, ctx)?;
+        let mut out = keys.out(batch.len());
+        for p in batch.iter() {
+            keys.probe_tuple(map, p, &mut key, &mut out, &mut ticker, ctx)?;
         }
         if !out.is_empty() {
             return Ok(Some(out));
@@ -1472,9 +1781,9 @@ fn hj_probe_next(
 /// budget lasts; past it, grace-partitions *both* inputs to disk and
 /// returns the partition-pair queue instead.
 fn hj_prepare<'a>(
-    probe: &mut OpNode<'a>,
-    build: &mut OpNode<'a>,
-    keys: &JoinKeys<'_>,
+    probe: &mut TupleOp<'_>,
+    build: &mut TupleOp<'_>,
+    keys: &JoinKeys<'a>,
     m: &mut Metrics,
     ctx: &ExecContext,
 ) -> Result<JoinState> {
@@ -1482,35 +1791,35 @@ fn hj_prepare<'a>(
     let mut mem = 0u64;
     let mut writers: Option<Vec<SpillWriter>> = None;
     let mut ticker = Ticker::new();
+    let mut key = Vec::with_capacity(keys.build_exprs.len());
     while let Some(batch) = pull(build, m, ctx)? {
         if writers.is_none() && !ctx.spill_enabled() {
             // No spill fallback configured: charge the whole batch hard,
             // preserving the strict-abort behavior.
             let mut batch_mem = 0u64;
-            for row in batch {
-                let Some(key) = keys.build_key(&row)? else {
-                    continue;
-                };
-                batch_mem += JoinKeys::build_bytes(&row, &key);
-                map.rows_of(key)?.push(row);
+            for b in batch.iter() {
+                if keys.build_key(b, &mut key)? {
+                    batch_mem += keys.build_bytes(&key);
+                    map.insert(&key, b)?;
+                }
             }
             ctx.charge(batch_mem)?;
             mem += batch_mem;
             continue;
         }
-        for row in batch {
-            let Some(key) = keys.build_key(&row)? else {
-                continue;
-            };
-            if let Some(ws) = &mut writers {
-                ticker.row(ctx)?;
-                spill_row(ctx, m, &mut ws[partition_of(&key, 0)], &row)?;
+        for b in batch.iter() {
+            if !keys.build_key(b, &mut key)? {
                 continue;
             }
-            let bytes = JoinKeys::build_bytes(&row, &key);
+            if let Some(ws) = &mut writers {
+                ticker.row(ctx)?;
+                spill_tuple(ctx, m, &mut ws[partition_of(&key, 0)], b)?;
+                continue;
+            }
+            let bytes = keys.build_bytes(&key);
             if ctx.try_charge(bytes) {
                 mem += bytes;
-                map.rows_of(key)?.push(row);
+                map.insert(&key, b)?;
                 continue;
             }
             // Budget full: switch to grace mode — partition what we have,
@@ -1521,23 +1830,25 @@ fn hj_prepare<'a>(
             m.peak_mem = m.peak_mem.max(mem);
             ctx.release(mem);
             mem = 0;
-            spill_row(ctx, m, &mut ws[partition_of(&key, 0)], &row)?;
+            spill_tuple(ctx, m, &mut ws[partition_of(&key, 0)], b)?;
             writers = Some(ws);
         }
     }
     m.peak_mem = m.peak_mem.max(mem);
     let Some(build_ws) = writers else {
-        return Ok(JoinState::Mem { map, mem });
+        return Ok(JoinState::Mem {
+            map: Box::new(map),
+            mem,
+        });
     };
     // Partition the probe side with the same hash. NULL keys can never
     // match, so they are dropped here.
     let mut probe_ws = new_partition_writers(ctx)?;
     while let Some(batch) = pull(probe, m, ctx)? {
-        let mut key = Vec::with_capacity(keys.probe_exprs.len());
-        for row in &batch {
+        for p in batch.iter() {
             ticker.row(ctx)?;
-            if keys.probe_key(row, &mut key)? {
-                spill_row(ctx, m, &mut probe_ws[partition_of(&key, 0)], row)?;
+            if keys.probe_key(p, &mut key)? {
+                spill_tuple(ctx, m, &mut probe_ws[partition_of(&key, 0)], p)?;
             }
         }
     }
@@ -1564,23 +1875,24 @@ fn hj_spill_next(
     keys: &JoinKeys<'_>,
     m: &mut Metrics,
     ctx: &ExecContext,
-) -> Result<Option<Batch>> {
+) -> Result<Option<Tuples>> {
     let mut ticker = Ticker::new();
+    let mut key = Vec::with_capacity(keys.probe_exprs.len());
+    let mut p = Vec::new();
     loop {
         if let Some(part) = &mut grace.current {
-            let mut out = Vec::new();
+            let mut out = keys.out(BATCH_SIZE);
             loop {
                 if out.len() >= BATCH_SIZE {
                     return Ok(Some(out));
                 }
                 ticker.row(ctx)?;
-                let Some(prow) = part.probe.next_row()? else {
+                if !read_tuple(&mut part.probe, &mut p)? {
                     ctx.release(part.mem);
                     grace.current = None;
                     break;
-                };
-                let mut key = Vec::with_capacity(keys.probe_exprs.len());
-                keys.probe_row(&part.map, &prow, &mut key, &mut out, &mut ticker, ctx)?;
+                }
+                keys.probe_tuple(&part.map, &p, &mut key, &mut out, &mut ticker, ctx)?;
             }
             if !out.is_empty() {
                 return Ok(Some(out));
@@ -1618,12 +1930,14 @@ fn hj_load_partition(
     let mut map = BuildMap::new(keys.build_exprs.len());
     let mut mem = 0u64;
     let mut reader = bfile.reader()?;
-    while let Some(row) = reader.next_row()? {
+    let mut key = Vec::with_capacity(keys.build_exprs.len());
+    let mut b = Vec::new();
+    while read_tuple(&mut reader, &mut b)? {
         ticker.row(ctx)?;
-        let Some(key) = keys.build_key(&row)? else {
+        if !keys.build_key(&b, &mut key)? {
             continue;
-        };
-        let bytes = JoinKeys::build_bytes(&row, &key);
+        }
+        let bytes = keys.build_bytes(&key);
         let fits = ctx.try_charge(bytes);
         if fits || pass + 1 >= MAX_SPILL_PASSES {
             if !fits {
@@ -1632,7 +1946,7 @@ fn hj_load_partition(
                 ctx.charge(bytes)?;
             }
             mem += bytes;
-            map.rows_of(key)?.push(row);
+            map.insert(&key, &b)?;
             continue;
         }
         // Oversized partition: split build + probe with the next pass's
@@ -1643,21 +1957,19 @@ fn hj_load_partition(
         map.flush(next, &mut bws, m, ctx, &mut ticker)?;
         m.peak_mem = m.peak_mem.max(mem);
         ctx.release(mem);
-        spill_row(ctx, m, &mut bws[partition_of(&key, next)], &row)?;
-        while let Some(r) = reader.next_row()? {
+        spill_tuple(ctx, m, &mut bws[partition_of(&key, next)], &b)?;
+        while read_tuple(&mut reader, &mut b)? {
             ticker.row(ctx)?;
-            let Some(k) = keys.build_key(&r)? else {
-                continue;
-            };
-            spill_row(ctx, m, &mut bws[partition_of(&k, next)], &r)?;
+            if keys.build_key(&b, &mut key)? {
+                spill_tuple(ctx, m, &mut bws[partition_of(&key, next)], &b)?;
+            }
         }
         let mut pws = new_partition_writers(ctx)?;
         let mut preader = pfile.reader()?;
-        while let Some(r) = preader.next_row()? {
+        while read_tuple(&mut preader, &mut b)? {
             ticker.row(ctx)?;
-            let mut k = Vec::with_capacity(keys.probe_exprs.len());
-            if keys.probe_key(&r, &mut k)? {
-                spill_row(ctx, m, &mut pws[partition_of(&k, next)], &r)?;
+            if keys.probe_key(&b, &mut key)? {
+                spill_tuple(ctx, m, &mut pws[partition_of(&key, next)], &b)?;
             }
         }
         let bfiles = finish_writers(bws)?;
@@ -1919,9 +2231,9 @@ impl Groups {
 /// group state is serialized to hash partitions on disk and the returned
 /// [`AggState::Spill`] re-aggregates them one partition at a time.
 fn aggregate_input(
-    child: &mut OpNode<'_>,
+    child: &mut TupleOp<'_>,
+    layout: &Layout<'_>,
     group: &GroupSpec,
-    offsets: &Offsets,
     m: &mut Metrics,
     ctx: &ExecContext,
 ) -> Result<AggState> {
@@ -1946,10 +2258,11 @@ fn aggregate_input(
         // data hits the budget before exhausting process memory.
         let mut batch_mem = 0u64;
         let mut key = Vec::with_capacity(group.keys.len());
-        for row in &batch {
+        for t in batch.iter() {
+            let t = layout.tuple(t);
             key.clear();
             for k in &group.keys {
-                key.push(k.eval_ref(row, offsets)?);
+                key.push(k.eval_ref(t)?);
             }
             let hash = hash_key(&key);
             let i = match groups.keys.find(hash, &key) {
@@ -1989,7 +2302,7 @@ fn aggregate_input(
             for (acc, call) in groups.accs_mut(i).iter_mut().zip(&group.aggs) {
                 match &call.arg {
                     None => acc.update(&Value::Null)?, // COUNT(*) ignores the value
-                    Some(e) => acc.update(&*e.eval_ref(row, offsets)?)?,
+                    Some(e) => acc.update(&*e.eval_ref(t)?)?,
                 }
             }
         }
@@ -2418,10 +2731,8 @@ mod tests {
         crate::planner::plan_select(cat, bound).unwrap()
     }
 
-    fn join_tree<'a>(cat: &'a Catalog, plan: &'a Plan) -> OpNode<'a> {
-        build_join(cat, plan, &plan.join, &plan.carried())
-            .unwrap()
-            .0
+    fn join_tree<'a>(cat: &'a Catalog, plan: &'a Plan) -> TupleOp<'a> {
+        build_join(cat, plan, &plan.join).unwrap().0
     }
 
     const EQUI_SQL: &str = "select a.v, b.v from a, b where a.k = b.k";
@@ -2453,11 +2764,6 @@ mod tests {
         assert!(tree.prepare_spine(&tight).unwrap().is_none());
         assert!(tight.disk_charged() > 0, "build side did not spill");
         assert!(tree.fork(0, 8).is_none());
-
-        // Everything above the join tree holds state.
-        let tree = join_tree(&cat, &plan);
-        let root = finish_pipeline(tree, Offsets(vec![Some(0), Some(2)]), &plan);
-        assert!(root.fork(0, 8).is_none());
     }
 
     #[test]
@@ -2476,11 +2782,11 @@ mod tests {
         assert!(build_mem > 0);
         let charged = ctx.mem_charged();
 
-        let mut forked = Vec::new();
+        let mut forked = Tuples::default();
         let mut chain = Vec::new();
         for lo in [0, 16, 32] {
             let mut fork = template.fork(lo, lo + 16).unwrap();
-            forked.extend(fork.drain(&ctx).unwrap());
+            forked.append(fork.drain(&ctx).unwrap());
             fork.add_metrics_to(&mut chain);
         }
         assert_eq!(forked, serial);
@@ -2550,7 +2856,7 @@ mod tests {
         let cat = fork_catalog();
         let moves = |sql: &str| {
             let plan = plan_of(&cat, sql);
-            movable_cells(&plan.output, &plan.order_by, &Offsets(vec![Some(0)]))
+            movable_cells(&plan.output, &plan.order_by)
         };
         // Above an aggregate the row is [keys…, aggs…].
         assert_eq!(

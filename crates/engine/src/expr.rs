@@ -1,10 +1,12 @@
 //! Bound (name-resolved) expressions and their evaluator.
 //!
 //! The binder turns AST column references into [`ColumnId`]s — a `(relation,
-//! column)` pair. Operators know the *layout* of their input rows (which
-//! relations are concatenated, in what order) and pass per-relation offsets
-//! to the evaluator, so the same bound expression works regardless of join
-//! order.
+//! column)` pair, `col` counting the relation's base schema. The evaluator
+//! reads a column leaf through a [`Cells`] accessor, so the same bound
+//! expression runs over a join's position tuple (the executor's `Tuple`:
+//! the cell is read in place in the pinned table) and over a plain row (an
+//! aggregate's slot row, or a stored row a DML statement evaluates),
+//! regardless of join order.
 //!
 //! Evaluation implements SQL three-valued logic: comparisons with NULL yield
 //! NULL, `AND`/`OR`/`NOT` follow Kleene logic, and WHERE keeps a row only if
@@ -29,26 +31,32 @@ pub struct ColumnId {
     pub col: usize,
 }
 
-/// Per-relation start offsets into a concatenated row. `offsets[rel] = None`
-/// means the relation is not present in this operator's input (its columns
-/// must not be referenced — guaranteed by the planner).
-#[derive(Debug, Clone, Default)]
-pub struct Offsets(pub Vec<Option<usize>>);
+/// Where an expression's column leaves read their cells, borrowed for
+/// `'a`. The planner only routes expressions to operators whose input
+/// holds their columns, so a miss is a malformed plan: it surfaces as a
+/// typed [`EngineError::Internal`] rather than a panic.
+pub trait Cells<'a>: Copy {
+    /// The cell `id` names.
+    fn cell(self, id: ColumnId) -> Result<&'a Value>;
+}
 
-impl Offsets {
-    /// Flat index of a column id. The planner only routes expressions to
-    /// operators that carry their relations, so a miss is a malformed plan:
-    /// it surfaces as a typed [`EngineError::Internal`] rather than a panic.
+/// A plain row is relation 0.
+impl<'a, 'r: 'a> Cells<'a> for &'r Row {
     #[inline]
-    pub fn flat(&self, id: ColumnId) -> Result<usize> {
-        match self.0.get(id.rel).copied().flatten() {
-            Some(base) => Ok(base + id.col),
-            None => Err(EngineError::internal(format!(
-                "expression references relation {} absent from the operator's input layout",
-                id.rel
-            ))),
+    fn cell(self, id: ColumnId) -> Result<&'a Value> {
+        match self.get(id.col) {
+            Some(v) if id.rel == 0 => Ok(v),
+            _ => Err(absent(id)),
         }
     }
+}
+
+/// The error for a column id an accessor does not hold.
+pub(crate) fn absent(id: ColumnId) -> EngineError {
+    EngineError::internal(format!(
+        "expression references column {} of relation {}, absent from the operator's input",
+        id.col, id.rel
+    ))
 }
 
 /// Binary operators on bound expressions (same set as the AST's, minus
@@ -210,61 +218,12 @@ impl BoundExpr {
         }
     }
 
-    /// Apply `f` to every column id in the expression (the planner's
-    /// projection pushdown renumbers them in place).
-    pub(crate) fn for_each_column_mut<F: FnMut(&mut ColumnId)>(&mut self, f: &mut F) {
-        match self {
-            BoundExpr::Column(c) => f(c),
-            BoundExpr::Literal(_) => {}
-            BoundExpr::Not(e) | BoundExpr::Neg(e) | BoundExpr::IsNull { expr: e, .. } => {
-                e.for_each_column_mut(f)
-            }
-            BoundExpr::Binary { left, right, .. } => {
-                left.for_each_column_mut(f);
-                right.for_each_column_mut(f);
-            }
-            BoundExpr::Like { expr, pattern, .. } => {
-                expr.for_each_column_mut(f);
-                pattern.for_each_column_mut(f);
-            }
-            BoundExpr::InList { expr, list, .. } => {
-                expr.for_each_column_mut(f);
-                for e in list {
-                    e.for_each_column_mut(f);
-                }
-            }
-            BoundExpr::Between {
-                expr, low, high, ..
-            } => {
-                expr.for_each_column_mut(f);
-                low.for_each_column_mut(f);
-                high.for_each_column_mut(f);
-            }
-            BoundExpr::Case {
-                operand,
-                branches,
-                else_expr,
-            } => {
-                if let Some(o) = operand {
-                    o.for_each_column_mut(f);
-                }
-                for (w, t) in branches {
-                    w.for_each_column_mut(f);
-                    t.for_each_column_mut(f);
-                }
-                if let Some(e) = else_expr {
-                    e.for_each_column_mut(f);
-                }
-            }
-        }
-    }
-
-    /// Evaluate against a row laid out according to `offsets`.
-    pub fn eval(&self, row: &Row, offsets: &Offsets) -> Result<Value> {
+    /// Evaluate against the cells `cells` reads.
+    pub fn eval<'a, C: Cells<'a>>(&'a self, cells: C) -> Result<Value> {
         Ok(match self {
-            BoundExpr::Column(id) => row[offsets.flat(*id)?].clone(),
+            BoundExpr::Column(id) => cells.cell(*id)?.clone(),
             BoundExpr::Literal(v) => v.clone(),
-            BoundExpr::Not(e) => match &*e.eval_ref(row, offsets)? {
+            BoundExpr::Not(e) => match &*e.eval_ref(cells)? {
                 Value::Null => Value::Null,
                 Value::Bool(b) => Value::Bool(!b),
                 other => {
@@ -273,7 +232,7 @@ impl BoundExpr {
                     )))
                 }
             },
-            BoundExpr::Neg(e) => match &*e.eval_ref(row, offsets)? {
+            BoundExpr::Neg(e) => match &*e.eval_ref(cells)? {
                 Value::Null => Value::Null,
                 Value::Int(i) => Value::Int(
                     i.checked_neg()
@@ -287,16 +246,16 @@ impl BoundExpr {
                 }
             },
             BoundExpr::Binary { left, op, right } => {
-                let l = left.eval_ref(row, offsets)?;
-                eval_binary(&l, *op, right, row, offsets)?
+                let l = left.eval_ref(cells)?;
+                eval_binary(&l, *op, right, cells)?
             }
             BoundExpr::Like {
                 expr,
                 pattern,
                 negated,
             } => {
-                let v = expr.eval_ref(row, offsets)?;
-                let p = pattern.eval_ref(row, offsets)?;
+                let v = expr.eval_ref(cells)?;
+                let p = pattern.eval_ref(cells)?;
                 match (&*v, &*p) {
                     (Value::Null, _) | (_, Value::Null) => Value::Null,
                     (Value::Text(s), Value::Text(p)) => Value::Bool(like_match(s, p) != *negated),
@@ -312,13 +271,13 @@ impl BoundExpr {
                 list,
                 negated,
             } => {
-                let v = expr.eval_ref(row, offsets)?;
+                let v = expr.eval_ref(cells)?;
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
                 let mut saw_null = false;
                 for item in list {
-                    match v.sql_eq(&*item.eval_ref(row, offsets)?) {
+                    match v.sql_eq(&*item.eval_ref(cells)?) {
                         Some(true) => return Ok(Value::Bool(!negated)),
                         Some(false) => {}
                         None => saw_null = true,
@@ -336,9 +295,9 @@ impl BoundExpr {
                 high,
                 negated,
             } => {
-                let v = expr.eval_ref(row, offsets)?;
-                let lo = low.eval_ref(row, offsets)?;
-                let hi = high.eval_ref(row, offsets)?;
+                let v = expr.eval_ref(cells)?;
+                let lo = low.eval_ref(cells)?;
+                let hi = high.eval_ref(cells)?;
                 let ge = v.sql_cmp(&lo).map(|o| o != Ordering::Less);
                 let le = v.sql_cmp(&hi).map(|o| o != Ordering::Greater);
                 match kleene_and(ge, le) {
@@ -347,31 +306,28 @@ impl BoundExpr {
                 }
             }
             BoundExpr::IsNull { expr, negated } => {
-                Value::Bool(expr.eval_ref(row, offsets)?.is_null() != *negated)
+                Value::Bool(expr.eval_ref(cells)?.is_null() != *negated)
             }
             BoundExpr::Case {
                 operand,
                 branches,
                 else_expr,
             } => {
-                let operand = operand
-                    .as_ref()
-                    .map(|o| o.eval_ref(row, offsets))
-                    .transpose()?;
+                let operand = operand.as_ref().map(|o| o.eval_ref(cells)).transpose()?;
                 for (when, then) in branches {
                     let fire = match &operand {
                         // Simple case: operand = WHEN value (NULL never
                         // matches, per SQL equality semantics).
-                        Some(op) => op.sql_eq(&*when.eval_ref(row, offsets)?) == Some(true),
+                        Some(op) => op.sql_eq(&*when.eval_ref(cells)?) == Some(true),
                         // Searched case: WHEN is a predicate.
-                        None => when.eval_predicate(row, offsets)?,
+                        None => when.eval_predicate(cells)?,
                     };
                     if fire {
-                        return then.eval(row, offsets);
+                        return then.eval(cells);
                     }
                 }
                 match else_expr {
-                    Some(e) => return e.eval(row, offsets),
+                    Some(e) => return e.eval(cells),
                     None => Value::Null,
                 }
             }
@@ -384,18 +340,18 @@ impl BoundExpr {
     /// this way, so `p_name LIKE '%green%'` never clones the name or the
     /// pattern, and join keys borrow until they are normalized.
     #[inline]
-    pub fn eval_ref<'a>(&'a self, row: &'a Row, offsets: &Offsets) -> Result<Cow<'a, Value>> {
+    pub fn eval_ref<'a, C: Cells<'a>>(&'a self, cells: C) -> Result<Cow<'a, Value>> {
         Ok(match self {
-            BoundExpr::Column(id) => Cow::Borrowed(&row[offsets.flat(*id)?]),
+            BoundExpr::Column(id) => Cow::Borrowed(cells.cell(*id)?),
             BoundExpr::Literal(v) => Cow::Borrowed(v),
-            computed => Cow::Owned(computed.eval(row, offsets)?),
+            computed => Cow::Owned(computed.eval(cells)?),
         })
     }
 
     /// Evaluate as a WHERE predicate: `true` only if the result is TRUE
     /// (NULL and FALSE both reject the row).
-    pub fn eval_predicate(&self, row: &Row, offsets: &Offsets) -> Result<bool> {
-        match &*self.eval_ref(row, offsets)? {
+    pub fn eval_predicate<'a, C: Cells<'a>>(&'a self, cells: C) -> Result<bool> {
+        match &*self.eval_ref(cells)? {
             Value::Bool(b) => Ok(*b),
             Value::Null => Ok(false),
             other => Err(EngineError::exec(format!(
@@ -429,12 +385,11 @@ fn to_kleene(v: &Value) -> Result<Option<bool>> {
     }
 }
 
-fn eval_binary(
+fn eval_binary<'a, C: Cells<'a>>(
     left: &Value,
     op: BinaryOp,
-    right_expr: &BoundExpr,
-    row: &Row,
-    offsets: &Offsets,
+    right_expr: &'a BoundExpr,
+    cells: C,
 ) -> Result<Value> {
     // AND/OR get short-circuit + Kleene treatment.
     match op {
@@ -443,7 +398,7 @@ fn eval_binary(
             if l == Some(false) {
                 return Ok(Value::Bool(false));
             }
-            let r = to_kleene(&*right_expr.eval_ref(row, offsets)?)?;
+            let r = to_kleene(&*right_expr.eval_ref(cells)?)?;
             return Ok(kleene_and(l, r).map(Value::Bool).unwrap_or(Value::Null));
         }
         BinaryOp::Or => {
@@ -451,12 +406,12 @@ fn eval_binary(
             if l == Some(true) {
                 return Ok(Value::Bool(true));
             }
-            let r = to_kleene(&*right_expr.eval_ref(row, offsets)?)?;
+            let r = to_kleene(&*right_expr.eval_ref(cells)?)?;
             return Ok(kleene_or(l, r).map(Value::Bool).unwrap_or(Value::Null));
         }
         _ => {}
     }
-    let right = right_expr.eval_ref(row, offsets)?;
+    let right = right_expr.eval_ref(cells)?;
     if left.is_null() || right.is_null() {
         return Ok(Value::Null);
     }
@@ -572,11 +527,6 @@ pub fn like_match(s: &str, pattern: &str) -> bool {
 mod tests {
     use super::*;
 
-    fn off1(n: usize) -> Offsets {
-        let _ = n;
-        Offsets(vec![Some(0)])
-    }
-
     fn col(i: usize) -> BoundExpr {
         BoundExpr::Column(ColumnId { rel: 0, col: i })
     }
@@ -597,27 +547,27 @@ mod tests {
     fn arithmetic_int_and_float() {
         let row = vec![Value::Int(7), Value::Float(2.0)];
         let e = bin(col(0), BinaryOp::Add, col(1));
-        assert_eq!(e.eval(&row, &off1(2)).unwrap(), Value::Float(9.0));
+        assert_eq!(e.eval(&row).unwrap(), Value::Float(9.0));
         let e = bin(col(0), BinaryOp::Div, lit(2i64));
-        assert_eq!(e.eval(&row, &off1(2)).unwrap(), Value::Int(3)); // truncating
+        assert_eq!(e.eval(&row).unwrap(), Value::Int(3)); // truncating
         let e = bin(col(0), BinaryOp::Mod, lit(4i64));
-        assert_eq!(e.eval(&row, &off1(2)).unwrap(), Value::Int(3));
+        assert_eq!(e.eval(&row).unwrap(), Value::Int(3));
     }
 
     #[test]
     fn division_by_zero_is_error() {
         let row = vec![Value::Int(1)];
         let e = bin(col(0), BinaryOp::Div, lit(0i64));
-        assert!(e.eval(&row, &off1(1)).is_err());
+        assert!(e.eval(&row).is_err());
         let e = bin(lit(1.0), BinaryOp::Div, lit(0.0));
-        assert!(e.eval(&row, &off1(1)).is_err());
+        assert!(e.eval(&row).is_err());
     }
 
     #[test]
     fn overflow_is_error() {
         let row = vec![Value::Int(i64::MAX)];
         let e = bin(col(0), BinaryOp::Add, lit(1i64));
-        assert!(e.eval(&row, &off1(1)).is_err());
+        assert!(e.eval(&row).is_err());
     }
 
     #[test]
@@ -625,7 +575,7 @@ mod tests {
         let row = vec![Value::Null];
         for op in [BinaryOp::Add, BinaryOp::Eq, BinaryOp::Lt] {
             let e = bin(col(0), op, lit(1i64));
-            assert_eq!(e.eval(&row, &off1(1)).unwrap(), Value::Null);
+            assert_eq!(e.eval(&row).unwrap(), Value::Null);
         }
     }
 
@@ -635,36 +585,35 @@ mod tests {
         let null = BoundExpr::Literal(Value::Null);
         let t = lit(true);
         let f = lit(false);
-        let o = Offsets(vec![]);
         // FALSE AND NULL = FALSE
         assert_eq!(
             bin(f.clone(), BinaryOp::And, null.clone())
-                .eval(&row, &o)
+                .eval(&row)
                 .unwrap(),
             Value::Bool(false)
         );
         // TRUE AND NULL = NULL
         assert_eq!(
             bin(t.clone(), BinaryOp::And, null.clone())
-                .eval(&row, &o)
+                .eval(&row)
                 .unwrap(),
             Value::Null
         );
         // TRUE OR NULL = TRUE
         assert_eq!(
             bin(t.clone(), BinaryOp::Or, null.clone())
-                .eval(&row, &o)
+                .eval(&row)
                 .unwrap(),
             Value::Bool(true)
         );
         // FALSE OR NULL = NULL
         assert_eq!(
-            bin(f, BinaryOp::Or, null.clone()).eval(&row, &o).unwrap(),
+            bin(f, BinaryOp::Or, null.clone()).eval(&row).unwrap(),
             Value::Null
         );
         // NOT NULL = NULL
         assert_eq!(
-            BoundExpr::Not(Box::new(null)).eval(&row, &o).unwrap(),
+            BoundExpr::Not(Box::new(null)).eval(&row).unwrap(),
             Value::Null
         );
     }
@@ -673,7 +622,7 @@ mod tests {
     fn predicate_rejects_null() {
         let row = vec![Value::Null];
         let e = bin(col(0), BinaryOp::Gt, lit(10i64));
-        assert!(!e.eval_predicate(&row, &off1(1)).unwrap());
+        assert!(!e.eval_predicate(&row).unwrap());
     }
 
     #[test]
@@ -684,19 +633,19 @@ mod tests {
             list: vec![lit(1i64), lit(5i64)],
             negated: false,
         };
-        assert_eq!(e.eval(&row, &off1(1)).unwrap(), Value::Bool(true));
+        assert_eq!(e.eval(&row).unwrap(), Value::Bool(true));
         let e = BoundExpr::InList {
             expr: Box::new(col(0)),
             list: vec![lit(1i64), BoundExpr::Literal(Value::Null)],
             negated: false,
         };
-        assert_eq!(e.eval(&row, &off1(1)).unwrap(), Value::Null);
+        assert_eq!(e.eval(&row).unwrap(), Value::Null);
         let e = BoundExpr::InList {
             expr: Box::new(col(0)),
             list: vec![lit(1i64), lit(2i64)],
             negated: true,
         };
-        assert_eq!(e.eval(&row, &off1(1)).unwrap(), Value::Bool(true));
+        assert_eq!(e.eval(&row).unwrap(), Value::Bool(true));
     }
 
     #[test]
@@ -708,14 +657,14 @@ mod tests {
             high: Box::new(lit(7i64)),
             negated: false,
         };
-        assert_eq!(e.eval(&row, &off1(1)).unwrap(), Value::Bool(true));
+        assert_eq!(e.eval(&row).unwrap(), Value::Bool(true));
         let e = BoundExpr::Between {
             expr: Box::new(col(0)),
             low: Box::new(lit(6i64)),
             high: Box::new(lit(7i64)),
             negated: true,
         };
-        assert_eq!(e.eval(&row, &off1(1)).unwrap(), Value::Bool(true));
+        assert_eq!(e.eval(&row).unwrap(), Value::Bool(true));
     }
 
     #[test]
@@ -725,12 +674,12 @@ mod tests {
             expr: Box::new(col(0)),
             negated: false,
         };
-        assert_eq!(e.eval(&row, &off1(2)).unwrap(), Value::Bool(true));
+        assert_eq!(e.eval(&row).unwrap(), Value::Bool(true));
         let e = BoundExpr::IsNull {
             expr: Box::new(col(1)),
             negated: true,
         };
-        assert_eq!(e.eval(&row, &off1(2)).unwrap(), Value::Bool(true));
+        assert_eq!(e.eval(&row).unwrap(), Value::Bool(true));
     }
 
     #[test]
@@ -753,14 +702,14 @@ mod tests {
     }
 
     #[test]
-    fn offsets_map_relations() {
-        // Row = concat of rel1 (2 cols) then rel0 (1 col).
-        let offsets = Offsets(vec![Some(2), Some(0)]);
-        let row = vec![Value::Int(10), Value::Int(11), Value::Int(99)];
-        let e = BoundExpr::Column(ColumnId { rel: 0, col: 0 });
-        assert_eq!(e.eval(&row, &offsets).unwrap(), Value::Int(99));
-        let e = BoundExpr::Column(ColumnId { rel: 1, col: 1 });
-        assert_eq!(e.eval(&row, &offsets).unwrap(), Value::Int(11));
+    fn a_plain_row_is_relation_zero_and_misses_are_typed_errors() {
+        let row = vec![Value::Int(10), Value::Int(11)];
+        let e = BoundExpr::Column(ColumnId { rel: 0, col: 1 });
+        assert_eq!(e.eval(&row).unwrap(), Value::Int(11));
+        for id in [ColumnId { rel: 1, col: 0 }, ColumnId { rel: 0, col: 2 }] {
+            let err = BoundExpr::Column(id).eval(&row).unwrap_err();
+            assert!(matches!(err, EngineError::Internal(_)), "{err:?}");
+        }
     }
 
     #[test]

@@ -12,10 +12,12 @@
 //!
 //! There is no second executor here. [`drive`] receives the ordinary
 //! operator tree `exec.rs` built, and a worker runs a **fork** of that
-//! tree's probe chain over its morsel ([`OpNode::fork`]): the same
+//! tree's probe chain over its morsel ([`TupleOp::fork`]): the same
 //! `Scan`, `Filter`, `IndexJoin` and hash-probe code, bounded to a row
-//! range. This module owns only the threading — the morsel queue, the
-//! in-order reorder buffer, the [`GatherSource`].
+//! range. A worker's output is position tuples into the query's pinned
+//! tables — no cell is copied on a worker. This module owns only the
+//! threading — the morsel queue, the in-order reorder buffer of `Tuples`
+//! morsels, the [`GatherSource`].
 //!
 //! ## The deterministic-merge rule
 //!
@@ -56,8 +58,9 @@
 //!
 //! Memory for in-flight worker output is bounded structurally instead of
 //! via the budget meter: the reorder buffer holds at most a few morsels
-//! per worker ahead of the consumer, and producers block (with
-//! cancellation-aware timed waits) until the consumer catches up.
+//! of position tuples per worker ahead of the consumer, and producers
+//! block (with cancellation-aware timed waits) until the consumer catches
+//! up.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -69,8 +72,9 @@ use conquer_storage::Row;
 
 use crate::context::ExecContext;
 use crate::error::EngineError;
-use crate::exec::{drain_root, finish_pipeline, gather_node, Batch, Metrics, OpNode, BATCH_SIZE};
-use crate::expr::Offsets;
+use crate::exec::{
+    drain_root, finish_pipeline, gather_node, Layout, Metrics, TupleOp, Tuples, BATCH_SIZE,
+};
 use crate::planner::Plan;
 use crate::stats::OpStats;
 use crate::Result;
@@ -97,7 +101,7 @@ const WAIT_SLICE: Duration = Duration::from_millis(20);
 
 struct QueueInner {
     next_consume: usize,
-    ready: BTreeMap<usize, Result<Vec<Row>>>,
+    ready: BTreeMap<usize, Result<Tuples>>,
     workers_alive: usize,
 }
 
@@ -162,7 +166,7 @@ impl SharedQueue {
 
     /// Deliver one morsel's result, blocking while the reorder buffer is
     /// more than `cap` morsels ahead of the consumer.
-    fn push(&self, idx: usize, result: Result<Vec<Row>>) {
+    fn push(&self, idx: usize, result: Result<Tuples>) {
         let mut inner = self.lock();
         while !self.abort.load(Ordering::Relaxed) && idx >= inner.next_consume + self.cap {
             let (g, _) = self.space_cv.wait_timeout(inner, WAIT_SLICE);
@@ -178,7 +182,7 @@ impl SharedQueue {
     /// The next in-order morsel result; `Ok(None)` once every morsel was
     /// consumed. Checks the context's cancellation/deadline guards while
     /// waiting so a blocked consumer still aborts promptly.
-    fn pop_next(&self, ctx: &ExecContext) -> Result<Option<Vec<Row>>> {
+    fn pop_next(&self, ctx: &ExecContext) -> Result<Option<Tuples>> {
         let mut inner = self.lock();
         loop {
             let idx = inner.next_consume;
@@ -228,7 +232,7 @@ impl Drop for AliveGuard<'_> {
 /// `metrics` on exit (commutative `u64` and `Duration` addition, so merge
 /// order cannot matter).
 fn worker_loop(
-    template: &OpNode<'_>,
+    template: &TupleOp<'_>,
     shared: &SharedQueue,
     ctx: &ExecContext,
     metrics: &Mutex<Vec<Vec<Metrics>>>,
@@ -261,11 +265,13 @@ fn worker_loop(
 // ---------------------------------------------------------------------------
 
 /// Pipeline source that re-emits worker output strictly in morsel order,
-/// re-batched to [`BATCH_SIZE`]. Mounted under the ordinary serial
+/// re-batched to [`BATCH_SIZE`] tuples. Mounted under the ordinary serial
 /// stages by [`drive`].
 pub(crate) struct GatherSource<'a> {
     shared: &'a SharedQueue,
-    pending: std::vec::IntoIter<Row>,
+    /// The morsel being re-emitted, and how many of its tuples were.
+    pending: Tuples,
+    emitted: usize,
     /// Build-table bytes still charged to the budget; handed back the
     /// moment the stream ends (the serial hash join releases its build
     /// map when the probe side is exhausted — before downstream merge
@@ -276,18 +282,20 @@ pub(crate) struct GatherSource<'a> {
 }
 
 impl GatherSource<'_> {
-    pub(crate) fn next_batch(&mut self, ctx: &ExecContext) -> Result<Option<Batch>> {
+    pub(crate) fn next_batch(&mut self, ctx: &ExecContext) -> Result<Option<Tuples>> {
         loop {
-            let chunk: Batch = self.pending.by_ref().take(BATCH_SIZE).collect();
-            if !chunk.is_empty() {
-                return Ok(Some(chunk));
+            let n = self.pending.len();
+            if self.emitted < n {
+                let from = self.emitted;
+                self.emitted = n.min(from + BATCH_SIZE);
+                return Ok(Some(self.pending.slice(from, self.emitted)));
             }
             match self.shared.pop_next(ctx)? {
                 None => {
                     ctx.release(self.build_mem.swap(0, Ordering::Relaxed));
                     return Ok(None);
                 }
-                Some(rows) => self.pending = rows.into_iter(),
+                Some(tuples) => (self.pending, self.emitted) = (tuples, 0),
             }
         }
     }
@@ -298,13 +306,13 @@ impl GatherSource<'_> {
 // ---------------------------------------------------------------------------
 
 /// Run the post-join stages of `plan` over `join`, the operator tree of
-/// its join (producing rows laid out by `offsets`): by pulling `join`
+/// its join (producing tuples `layout` describes): by pulling `join`
 /// directly, or by pulling a gather of worker threads that pull forks of
 /// it. Returns the result rows, the statistics tree, and the number of
 /// threads that pulled the spine.
 pub(crate) fn drive<'a>(
-    mut join: OpNode<'a>,
-    offsets: Offsets,
+    mut join: TupleOp<'a>,
+    layout: Layout<'a>,
     plan: &'a Plan,
     ctx: &ExecContext,
 ) -> Result<(Vec<Row>, OpStats, usize)> {
@@ -322,7 +330,7 @@ pub(crate) fn drive<'a>(
     };
     let Some(build_mem) = build_mem else {
         // Keep pulling: whatever `prepare_spine` consumed stays consumed.
-        let mut root = finish_pipeline(join, offsets, plan);
+        let mut root = finish_pipeline(join, layout, plan);
         let rows = drain_root(&mut root, ctx)?;
         return Ok((rows, root.harvest(), 1));
     };
@@ -332,10 +340,11 @@ pub(crate) fn drive<'a>(
     let metrics = Mutex::new(&rank::METRICS_STEPS, Vec::new());
     let src = GatherSource {
         shared: &shared,
-        pending: Vec::new().into_iter(),
+        pending: Tuples::default(),
+        emitted: 0,
         build_mem: &build_mem,
     };
-    let mut root = finish_pipeline(gather_node(src), offsets, plan);
+    let mut root = finish_pipeline(gather_node(src), layout, plan);
 
     let pulled = std::thread::scope(|s| {
         for _ in 0..workers {

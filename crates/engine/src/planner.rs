@@ -12,22 +12,16 @@
 //!    table first); unconnected relations fall back to nested-loop cross
 //!    joins.
 //!
-//! 3. Projection pushdown: every scan is told which base columns anything
-//!    *above* it reads (join keys, residuals, group keys, aggregate
-//!    arguments, output items, `ORDER BY` expressions) and emits only
-//!    those cells; the expressions above are renumbered to match, once,
-//!    here. A relation's own pushed-down scan filter runs against the
-//!    stored row by reference and keeps base column numbers, so a column
-//!    that is only filtered on is never copied.
-//!
-//! Each [`JoinNode`] knows its *layout* — the order in which relation rows
-//! are concatenated — so bound expressions can be evaluated regardless of
-//! the chosen join order (see [`crate::expr::Offsets`]).
+//! Each [`JoinNode`] knows its *layout* — the order of the relations whose
+//! row positions its output tuples hold. Every column id, everywhere in a
+//! plan, is a base-schema position: the executor reads a tuple's cells in
+//! place in the pinned tables, so nothing is renumbered and bound
+//! expressions evaluate regardless of the chosen join order.
 
 use conquer_sql::BinaryOp;
 use conquer_storage::Catalog;
 
-use crate::binder::{BoundOrderBy, BoundRelation, BoundSelect, GroupSpec, OrderKey, OutputItem};
+use crate::binder::{BoundOrderBy, BoundRelation, BoundSelect, GroupSpec, OutputItem};
 use crate::error::EngineError;
 use crate::expr::BoundExpr;
 use crate::validate;
@@ -40,13 +34,8 @@ pub enum JoinNode {
     Scan {
         /// Relation index in the query.
         rel: usize,
-        /// Conjunction of pushed-down single-relation predicates, in the
-        /// relation's *base* column numbers (it sees the stored row).
+        /// Conjunction of pushed-down single-relation predicates.
         filter: Option<BoundExpr>,
-        /// The base columns the scan emits, ascending: exactly those the
-        /// plan reads above the scan. Every other expression of the plan
-        /// addresses this relation by position in this list.
-        cols: Vec<usize>,
     },
     /// Hash join (equi keys) or nested-loop cross join (no keys), with an
     /// optional residual filter applied to the joined rows.
@@ -75,27 +64,6 @@ impl JoinNode {
         }
     }
 
-    /// Per relation of an `n_rels`-relation query, the base columns its
-    /// scan under this node emits (empty for relations scanned elsewhere).
-    pub(crate) fn carried(&self, n_rels: usize) -> Vec<&[usize]> {
-        fn walk<'a>(node: &'a JoinNode, carried: &mut [&'a [usize]]) {
-            match node {
-                JoinNode::Scan { rel, cols, .. } => {
-                    if let Some(slot) = carried.get_mut(*rel) {
-                        *slot = cols;
-                    }
-                }
-                JoinNode::Join { left, right, .. } => {
-                    walk(left, carried);
-                    walk(right, carried);
-                }
-            }
-        }
-        let mut carried: Vec<&[usize]> = vec![&[]; n_rels];
-        walk(self, &mut carried);
-        carried
-    }
-
     /// Number of join operators (used by plan tests and EXPLAIN output).
     pub fn join_count(&self) -> usize {
         match self {
@@ -107,10 +75,10 @@ impl JoinNode {
     fn describe(&self, relations: &[BoundRelation], indent: usize, out: &mut String) {
         let pad = "  ".repeat(indent);
         match self {
-            JoinNode::Scan { rel, filter, cols } => {
+            JoinNode::Scan { rel, filter } => {
                 out.push_str(&format!(
                     "{pad}{}{}\n",
-                    scan_label("Scan", &relations[*rel], cols),
+                    scan_label("Scan", &relations[*rel]),
                     if filter.is_some() { " (filtered)" } else { "" },
                 ));
             }
@@ -141,26 +109,19 @@ impl JoinNode {
     }
 }
 
-/// `"<op> <table> [<binding>] cols=k/n"`: how `EXPLAIN` and the executor's
-/// statistics name an operator that reads a base relation, `k` of its `n`
-/// columns.
-pub(crate) fn scan_label(op: &str, relation: &BoundRelation, cols: &[usize]) -> String {
-    format!(
-        "{op} {} [{}] cols={}/{}",
-        relation.table,
-        relation.binding,
-        cols.len(),
-        relation.schema.len()
-    )
+/// `"<op> <table> [<binding>]"`: how `EXPLAIN` and the executor's
+/// statistics name an operator that reads a base relation.
+pub(crate) fn scan_label(op: &str, relation: &BoundRelation) -> String {
+    format!("{op} {} [{}]", relation.table, relation.binding)
 }
 
 /// A complete query plan.
 ///
-/// Column ids in scan filters are base schema positions; column ids in
-/// every other relation-space expression (join keys, residual filters,
-/// group keys, aggregate arguments, and — for ungrouped queries — output
-/// items and `ORDER BY` expressions) are positions in the carried set of
-/// their relation's scan (see [`Plan::carried`]).
+/// Column ids in relation-space expressions (scan filters, join keys,
+/// residual filters, group keys, aggregate arguments, and — for ungrouped
+/// queries — output items and `ORDER BY` expressions) are base schema
+/// positions; a grouped query's HAVING, output and `ORDER BY` address the
+/// aggregate's slots.
 #[derive(Debug, Clone)]
 pub struct Plan {
     /// The FROM relations (index = relation id used by bound expressions).
@@ -180,12 +141,6 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Per relation, the base columns its scan emits. Both executor paths
-    /// derive every operator's row width and offsets from this one list.
-    pub fn carried(&self) -> Vec<&[usize]> {
-        self.join.carried(self.relations.len())
-    }
-
     /// A human-readable plan tree (EXPLAIN-style).
     pub fn describe(&self) -> String {
         let mut out = String::new();
@@ -257,12 +212,9 @@ pub fn plan_select(catalog: &Catalog, bound: BoundSelect) -> Result<Plan> {
         .map(|r| catalog.table(&r.table).map(|t| t.len()).unwrap_or(0))
         .collect();
 
-    // Scans start out carrying every column, so column ids mean base
-    // positions until `push_down_projection` narrows both at the end.
     let make_scan = |rel: usize, scan_filters: &mut Vec<Vec<BoundExpr>>| JoinNode::Scan {
         rel,
         filter: conjunction(std::mem::take(&mut scan_filters[rel])),
-        cols: (0..relations[rel].schema.len()).collect(),
     };
 
     let mut joined: Vec<usize> = vec![0];
@@ -363,7 +315,7 @@ pub fn plan_select(catalog: &Catalog, bound: BoundSelect) -> Result<Plan> {
 
     debug_assert!(residuals.is_empty(), "all residuals must be placed");
 
-    let mut plan = Plan {
+    let plan = Plan {
         relations,
         join: node,
         group,
@@ -372,88 +324,8 @@ pub fn plan_select(catalog: &Catalog, bound: BoundSelect) -> Result<Plan> {
         order_by,
         limit,
     };
-    push_down_projection(&mut plan);
     validate::validate_plan(&plan)?;
     Ok(plan)
-}
-
-/// Apply `f` to every relation-space expression evaluated above the
-/// scans: join keys and residual filters, then group keys and aggregate
-/// arguments, or — ungrouped — output items and `ORDER BY` expressions.
-/// (A grouped query's HAVING, output and ORDER BY address aggregate
-/// slots, not relations.) Scan filters are deliberately left out.
-fn for_each_expr_above_scans(plan: &mut Plan, f: &mut impl FnMut(&mut BoundExpr)) {
-    fn walk(node: &mut JoinNode, f: &mut impl FnMut(&mut BoundExpr)) {
-        if let JoinNode::Join {
-            left,
-            right,
-            equi,
-            filter,
-        } = node
-        {
-            walk(left, f);
-            walk(right, f);
-            for (l, r) in equi {
-                f(l);
-                f(r);
-            }
-            if let Some(pred) = filter {
-                f(pred);
-            }
-        }
-    }
-    walk(&mut plan.join, f);
-    if let Some(group) = &mut plan.group {
-        group.keys.iter_mut().for_each(&mut *f);
-        group
-            .aggs
-            .iter_mut()
-            .filter_map(|a| a.arg.as_mut())
-            .for_each(&mut *f);
-    } else {
-        plan.output.iter_mut().for_each(|o| f(&mut o.expr));
-        for o in &mut plan.order_by {
-            if let OrderKey::Expr(e) = &mut o.key {
-                f(e);
-            }
-        }
-    }
-}
-
-/// Narrow every scan to the columns referenced above it and renumber
-/// those references to positions in the narrowed row. (An id naming a
-/// relation the query does not have is left alone: the validator, or
-/// `Offsets::flat` at run time, reports it.)
-fn push_down_projection(plan: &mut Plan) {
-    let mut carried: Vec<Vec<usize>> = vec![Vec::new(); plan.relations.len()];
-    for_each_expr_above_scans(plan, &mut |e| {
-        for id in e.columns() {
-            if let Some(cols) = carried.get_mut(id.rel) {
-                cols.push(id.col);
-            }
-        }
-    });
-    for cols in &mut carried {
-        cols.sort_unstable();
-        cols.dedup();
-    }
-    for_each_expr_above_scans(plan, &mut |e| {
-        e.for_each_column_mut(&mut |id| {
-            if let Some(Ok(at)) = carried.get(id.rel).map(|cols| cols.binary_search(&id.col)) {
-                id.col = at;
-            }
-        });
-    });
-    fn narrow(node: &mut JoinNode, carried: &mut [Vec<usize>]) {
-        match node {
-            JoinNode::Scan { rel, cols, .. } => *cols = std::mem::take(&mut carried[*rel]),
-            JoinNode::Join { left, right, .. } => {
-                narrow(left, carried);
-                narrow(right, carried);
-            }
-        }
-    }
-    narrow(&mut plan.join, &mut carried);
 }
 
 pub(crate) struct EquiEdge {
@@ -672,21 +544,8 @@ mod tests {
         cat
     }
 
-    /// Carried base columns per relation, by column name.
-    fn carried_names(p: &Plan) -> Vec<Vec<&str>> {
-        p.carried()
-            .iter()
-            .zip(&p.relations)
-            .map(|(cols, rel)| {
-                cols.iter()
-                    .map(|&c| rel.schema.column_at(c).unwrap().name())
-                    .collect()
-            })
-            .collect()
-    }
-
     #[test]
-    fn q9_shape_carries_exactly_what_is_read_above_each_scan() {
+    fn q9_shape_keeps_base_column_ids_above_the_scans() {
         let cat = q9_catalog();
         let sql = "select n_name, sum(l_extendedprice * (1 - l_discount) * l.prob) \
                    from part p, supplier s, lineitem l, nation n \
@@ -695,67 +554,28 @@ mod tests {
                    group by n_name order by n_name";
         let bound = bind_select(&cat, &parse_select(sql).unwrap()).unwrap();
         let p = plan_select(&cat, bound).unwrap();
-        assert_eq!(
-            carried_names(&p),
-            vec![
-                // p_name is read by part's own scan filter only.
-                vec!["p_partkey"],
-                vec!["s_suppkey", "s_nationkey"],
-                vec![
-                    "l_partkey",
-                    "l_suppkey",
-                    "l_extendedprice",
-                    "l_discount",
-                    "prob"
-                ],
-                vec!["n_nationkey", "n_name"],
-            ]
-        );
-        // References above the scans are renumbered to carried positions:
-        // the group key n_name is nation's second carried cell, and the
-        // aggregate reads lineitem's cells 2, 3 and 4.
+        // The group key is n_name, nation's base column 1; the aggregate
+        // reads lineitem's base columns 4, 5 and 7.
         let group = p.group.as_ref().unwrap();
         assert_eq!(group.keys[0].columns(), vec![ColumnId { rel: 3, col: 1 }]);
         assert_eq!(
             group.aggs[0].arg.as_ref().unwrap().columns(),
-            [2, 3, 4].map(|col| ColumnId { rel: 2, col })
+            [4, 5, 7].map(|col| ColumnId { rel: 2, col })
         );
         let d = p.describe();
-        assert!(d.contains("Scan part [p] cols=1/3 (filtered)"), "{d}");
-        assert!(d.contains("Scan lineitem [l] cols=5/8"), "{d}");
+        assert!(d.contains("Scan part [p] (filtered)"), "{d}");
+        assert!(d.contains("Scan lineitem [l]\n"), "{d}");
     }
 
     #[test]
-    fn a_column_read_only_by_its_own_scan_filter_is_not_carried() {
-        let p = plan("select k from big where v = 1");
-        let JoinNode::Scan { filter, cols, .. } = &p.join else {
+    fn a_scan_filter_and_the_expressions_above_it_share_base_column_ids() {
+        let p = plan("select v from big where v = 1");
+        let JoinNode::Scan { filter, .. } = &p.join else {
             panic!("single-table plan is a scan");
         };
-        assert_eq!(cols, &[0]);
-        // The filter keeps v's base position: it sees the stored row.
-        assert_eq!(
-            filter.as_ref().unwrap().columns(),
-            vec![ColumnId { rel: 0, col: 1 }]
-        );
-        // Read above the scan as well, v is carried and renumbered.
-        let p = plan("select v from big where v = 1");
-        assert_eq!(p.carried(), vec![&[1][..]]);
-        assert_eq!(
-            p.output[0].expr.columns(),
-            vec![ColumnId { rel: 0, col: 0 }]
-        );
-    }
-
-    #[test]
-    fn two_bindings_of_one_table_carry_independent_sets() {
-        let p = plan("select a.v from big a, big b where a.k = b.k and b.v > 3");
-        assert_eq!(p.carried(), vec![&[0, 1][..], &[0][..]]);
-    }
-
-    #[test]
-    fn select_star_carries_every_column() {
-        let p = plan("select * from big, small where big.k = small.k");
-        assert_eq!(p.carried(), vec![&[0, 1][..], &[0, 1][..]]);
+        let v = vec![ColumnId { rel: 0, col: 1 }];
+        assert_eq!(filter.as_ref().unwrap().columns(), v);
+        assert_eq!(p.output[0].expr.columns(), v);
     }
 
     #[test]
@@ -765,21 +585,17 @@ mod tests {
             let bound = bind_select(&cat, &parse_select(sql).unwrap()).unwrap();
             let p = plan_select(&cat, bound).unwrap();
             let ctx = crate::context::ExecContext::default();
-            let rows = crate::exec::execute_plan(&cat, &p, &ctx).unwrap().rows;
-            (p, rows)
+            crate::exec::execute_plan(&cat, &p, &ctx).unwrap().rows
         };
         // Each side is read for its join key alone.
-        let (p, rows) = run("select count(*) from big, small where big.k = small.k");
-        assert_eq!(p.carried(), vec![&[0][..], &[0][..]]);
+        let rows = run("select count(*) from big, small where big.k = small.k");
         assert_eq!(rows, vec![vec![Value::Int(2)]]);
         // Nothing at all is read above either scan of a cross join — the
-        // filter on small runs inside its scan — yet 20 x 1 rows are
-        // counted.
-        let (p, rows) = run("select count(*) from big, small where small.k = 1");
-        assert_eq!(p.carried(), vec![&[][..], &[][..]]);
+        // filter on small runs inside its scan — yet 20 x 1 tuples are
+        // counted: a tuple holds a position for every relation.
+        let rows = run("select count(*) from big, small where small.k = 1");
         assert_eq!(rows, vec![vec![Value::Int(20)]]);
-        let (p, rows) = run("select count(*) from mid");
-        assert_eq!(p.carried(), vec![&[][..]]);
+        let rows = run("select count(*) from mid");
         assert_eq!(rows, vec![vec![Value::Int(5)]]);
     }
 

@@ -5,8 +5,7 @@
 //! executor silently relies on — every column reference resolves in its
 //! operator's input, join keys come from the correct side and have
 //! comparable types, slot-space expressions fit the aggregate arity,
-//! operator layouts partition the FROM relations, every column read above
-//! a scan is one that scan emits — and fails with a typed
+//! operator layouts partition the FROM relations — and fails with a typed
 //! [`EngineError::Internal`] *naming the violated invariant* instead of
 //! letting a malformed plan panic (or worse, return wrong answers) deep
 //! inside execution.
@@ -29,7 +28,7 @@ use conquer_storage::DataType;
 
 use crate::binder::{BoundRelation, BoundSelect, GroupSpec};
 use crate::error::EngineError;
-use crate::expr::{BoundExpr, ColumnId};
+use crate::expr::BoundExpr;
 use crate::planner::{JoinNode, Plan};
 use crate::Result;
 
@@ -76,36 +75,12 @@ fn slot_width(group: &GroupSpec) -> usize {
     group.keys.len() + group.aggs.len()
 }
 
-/// What the `col` of a relation-space column id counts.
-#[derive(Clone, Copy)]
-enum Space<'a> {
-    /// Positions in the relation's base schema: bound queries, and a
-    /// plan's scan filters (they see the stored row).
-    Base,
-    /// Positions in the columns the relation's scan carries (per
-    /// relation, ascending base columns): everything a plan evaluates
-    /// above its scans.
-    Carried(&'a [&'a [usize]]),
-}
-
-impl Space<'_> {
-    /// The base column behind `id`, if it resolves.
-    fn base_col(self, id: ColumnId) -> Option<usize> {
-        match self {
-            Space::Base => Some(id.col),
-            Space::Carried(carried) => carried.get(id.rel)?.get(id.col).copied(),
-        }
-    }
-}
-
 /// Invariant `column-resolves`: every column id in a relation-space
-/// expression names an existing relation and an existing column of it.
-/// Invariant `projection-covers-references`: above a plan's scans, the
-/// column is one the relation's scan carries.
+/// expression names an existing relation and an existing column of its
+/// base schema.
 fn check_rel_space(
     e: &BoundExpr,
     relations: &[BoundRelation],
-    space: Space<'_>,
     stage: &str,
     what: &str,
 ) -> Result<()> {
@@ -121,31 +96,17 @@ fn check_rel_space(
                 ),
             ));
         };
-        match space {
-            Space::Base if id.col >= rel.schema.len() => {
-                return Err(violation(
-                    "column-resolves",
-                    stage,
-                    format!(
-                        "{what} references column {} of relation {:?}, whose schema has {} columns",
-                        id.col,
-                        rel.binding,
-                        rel.schema.len()
-                    ),
-                ));
-            }
-            Space::Carried(_) if space.base_col(id).is_none() => {
-                return Err(violation(
-                    "projection-covers-references",
-                    stage,
-                    format!(
-                        "{what} references carried column {} of relation {:?}, which its scan \
-                         does not emit",
-                        id.col, rel.binding
-                    ),
-                ));
-            }
-            _ => {}
+        if id.col >= rel.schema.len() {
+            return Err(violation(
+                "column-resolves",
+                stage,
+                format!(
+                    "{what} references column {} of relation {:?}, whose schema has {} columns",
+                    id.col,
+                    rel.binding,
+                    rel.schema.len()
+                ),
+            ));
         }
     }
     Ok(())
@@ -178,25 +139,22 @@ fn check_slot_space(e: &BoundExpr, width: usize, stage: &str, what: &str) -> Res
 
 /// Static type of a bound expression given the relation schemas (`None`
 /// when it cannot be determined, e.g. a NULL literal).
-fn bound_type(e: &BoundExpr, relations: &[BoundRelation], space: Space<'_>) -> Option<DataType> {
+fn bound_type(e: &BoundExpr, relations: &[BoundRelation]) -> Option<DataType> {
     use conquer_sql::BinaryOp;
     match e {
         BoundExpr::Column(id) => relations
             .get(id.rel)?
             .schema
-            .column_at(space.base_col(*id)?)
+            .column_at(id.col)
             .map(|c| c.data_type()),
         BoundExpr::Literal(v) => v.data_type(),
         BoundExpr::Not(_) => Some(DataType::Bool),
-        BoundExpr::Neg(e) => bound_type(e, relations, space),
+        BoundExpr::Neg(e) => bound_type(e, relations),
         BoundExpr::Binary { left, op, right } => {
             if op.is_comparison() || matches!(op, BinaryOp::And | BinaryOp::Or) {
                 Some(DataType::Bool)
             } else {
-                match (
-                    bound_type(left, relations, space)?,
-                    bound_type(right, relations, space)?,
-                ) {
+                match (bound_type(left, relations)?, bound_type(right, relations)?) {
                     (DataType::Int, DataType::Int) => Some(DataType::Int),
                     (DataType::Int | DataType::Float, DataType::Int | DataType::Float) => {
                         Some(DataType::Float)
@@ -215,12 +173,8 @@ fn bound_type(e: &BoundExpr, relations: &[BoundRelation], space: Space<'_>) -> O
             ..
         } => branches
             .first()
-            .and_then(|(_, t)| bound_type(t, relations, space))
-            .or_else(|| {
-                else_expr
-                    .as_ref()
-                    .and_then(|e| bound_type(e, relations, space))
-            }),
+            .and_then(|(_, t)| bound_type(t, relations))
+            .or_else(|| else_expr.as_ref().and_then(|e| bound_type(e, relations))),
     }
 }
 
@@ -248,7 +202,7 @@ pub(crate) fn check_classified(
     let stage = "conjunct classification";
     for (rel, filters) in scan_filters.iter().enumerate() {
         for f in filters {
-            check_rel_space(f, relations, Space::Base, stage, "pushed-down filter")?;
+            check_rel_space(f, relations, stage, "pushed-down filter")?;
             if f.relations().iter().any(|r| *r != rel) {
                 return Err(violation(
                     "scan-filter-local",
@@ -262,20 +216,8 @@ pub(crate) fn check_classified(
         }
     }
     for (i, edge) in edges.iter().enumerate() {
-        check_rel_space(
-            &edge.exprs.0,
-            relations,
-            Space::Base,
-            stage,
-            "equi-edge side",
-        )?;
-        check_rel_space(
-            &edge.exprs.1,
-            relations,
-            Space::Base,
-            stage,
-            "equi-edge side",
-        )?;
+        check_rel_space(&edge.exprs.0, relations, stage, "equi-edge side")?;
+        check_rel_space(&edge.exprs.1, relations, stage, "equi-edge side")?;
         if edge.exprs.0.relations() != vec![edge.rels.0]
             || edge.exprs.1.relations() != vec![edge.rels.1]
         {
@@ -292,33 +234,22 @@ pub(crate) fn check_classified(
         }
     }
     for r in residuals {
-        check_rel_space(r, relations, Space::Base, stage, "residual predicate")?;
+        check_rel_space(r, relations, stage, "residual predicate")?;
     }
     Ok(())
 }
 
-/// Validate a join (sub)tree: layouts partition their relations, scans
-/// carry existing columns, scan filters are local and in base space, join
-/// keys resolve on their own side inside the carried sets with agreeing
+/// Validate a join (sub)tree: layouts partition their relations, scan
+/// filters are local, join keys resolve on their own side with agreeing
 /// types, residual filters stay inside the joined layout.
 pub(crate) fn check_join_node(
     node: &JoinNode,
     relations: &[BoundRelation],
     stage: &str,
 ) -> Result<()> {
-    let carried = node.carried(relations.len());
-    check_join_subtree(node, relations, Space::Carried(&carried), stage)
-}
-
-fn check_join_subtree(
-    node: &JoinNode,
-    relations: &[BoundRelation],
-    space: Space<'_>,
-    stage: &str,
-) -> Result<()> {
     match node {
-        JoinNode::Scan { rel, filter, cols } => {
-            let Some(relation) = relations.get(*rel) else {
+        JoinNode::Scan { rel, filter } => {
+            if relations.get(*rel).is_none() {
                 return Err(violation(
                     "scan-relation",
                     stage,
@@ -327,22 +258,9 @@ fn check_join_subtree(
                         relations.len()
                     ),
                 ));
-            };
-            let ascending = cols.windows(2).all(|w| w[0] < w[1]);
-            if !ascending || cols.last().is_some_and(|&c| c >= relation.schema.len()) {
-                return Err(violation(
-                    "projection-covers-references",
-                    stage,
-                    format!(
-                        "scan of relation {:?} carries columns {cols:?}, which are not ascending \
-                         positions in its {}-column schema",
-                        relation.binding,
-                        relation.schema.len()
-                    ),
-                ));
             }
             if let Some(f) = filter {
-                check_rel_space(f, relations, Space::Base, stage, "scan filter")?;
+                check_rel_space(f, relations, stage, "scan filter")?;
                 if f.relations().iter().any(|r| r != rel) {
                     return Err(violation(
                         "scan-filter-local",
@@ -362,8 +280,8 @@ fn check_join_subtree(
             equi,
             filter,
         } => {
-            check_join_subtree(left, relations, space, stage)?;
-            check_join_subtree(right, relations, space, stage)?;
+            check_join_node(left, relations, stage)?;
+            check_join_node(right, relations, stage)?;
             let lhs = left.layout();
             let rhs = right.layout();
             if lhs.iter().any(|r| rhs.contains(r)) {
@@ -374,8 +292,8 @@ fn check_join_subtree(
                 ));
             }
             for (i, (le, re)) in equi.iter().enumerate() {
-                check_rel_space(le, relations, space, stage, "join key (left)")?;
-                check_rel_space(re, relations, space, stage, "join key (right)")?;
+                check_rel_space(le, relations, stage, "join key (left)")?;
+                check_rel_space(re, relations, stage, "join key (right)")?;
                 if !le.relations().iter().all(|r| lhs.contains(r)) {
                     return Err(violation(
                         "join-key-sides",
@@ -396,10 +314,8 @@ fn check_join_subtree(
                         ),
                     ));
                 }
-                if let (Some(lt), Some(rt)) = (
-                    bound_type(le, relations, space),
-                    bound_type(re, relations, space),
-                ) {
+                if let (Some(lt), Some(rt)) = (bound_type(le, relations), bound_type(re, relations))
+                {
                     if cmp_class(lt) != cmp_class(rt) {
                         return Err(violation(
                             "join-key-types",
@@ -410,7 +326,7 @@ fn check_join_subtree(
                 }
             }
             if let Some(f) = filter {
-                check_rel_space(f, relations, space, stage, "residual filter")?;
+                check_rel_space(f, relations, stage, "residual filter")?;
                 let all: Vec<usize> = lhs.iter().chain(rhs.iter()).copied().collect();
                 if !f.relations().iter().all(|r| all.contains(r)) {
                     return Err(violation(
@@ -432,7 +348,6 @@ fn check_join_subtree(
 /// by) — identical between a [`BoundSelect`] and a [`Plan`].
 fn check_shape(
     relations: &[BoundRelation],
-    space: Space<'_>,
     group: &Option<GroupSpec>,
     output: &[crate::binder::OutputItem],
     order_by: &[crate::binder::BoundOrderBy],
@@ -454,12 +369,12 @@ fn check_shape(
     }
     if let Some(g) = group {
         for (i, k) in g.keys.iter().enumerate() {
-            check_rel_space(k, relations, space, stage, &format!("group key {i}"))?;
+            check_rel_space(k, relations, stage, &format!("group key {i}"))?;
         }
         for (i, a) in g.aggs.iter().enumerate() {
             if let Some(arg) = &a.arg {
                 let what = format!("aggregate argument {i}");
-                check_rel_space(arg, relations, space, stage, &what)?;
+                check_rel_space(arg, relations, stage, &what)?;
             }
         }
         let width = slot_width(g);
@@ -477,11 +392,11 @@ fn check_shape(
     } else {
         for (i, item) in output.iter().enumerate() {
             let what = format!("output column {i}");
-            check_rel_space(&item.expr, relations, space, stage, &what)?;
+            check_rel_space(&item.expr, relations, stage, &what)?;
         }
         for (i, o) in order_by.iter().enumerate() {
             if let crate::binder::OrderKey::Expr(e) = &o.key {
-                check_rel_space(e, relations, space, stage, &format!("ORDER BY key {i}"))?;
+                check_rel_space(e, relations, stage, &format!("ORDER BY key {i}"))?;
             }
         }
     }
@@ -510,11 +425,10 @@ pub fn validate_bound(bound: &BoundSelect) -> Result<()> {
     }
     let stage = "binding";
     if let Some(f) = &bound.filter {
-        check_rel_space(f, &bound.relations, Space::Base, stage, "WHERE predicate")?;
+        check_rel_space(f, &bound.relations, stage, "WHERE predicate")?;
     }
     check_shape(
         &bound.relations,
-        Space::Base,
         &bound.group,
         &bound.output,
         &bound.order_by,
@@ -546,7 +460,6 @@ pub fn validate_plan(plan: &Plan) -> Result<()> {
     check_join_node(&plan.join, &plan.relations, stage)?;
     check_shape(
         &plan.relations,
-        Space::Carried(&plan.carried()),
         &plan.group,
         &plan.output,
         &plan.order_by,
@@ -558,6 +471,7 @@ pub fn validate_plan(plan: &Plan) -> Result<()> {
 mod tests {
     use super::*;
     use crate::binder::bind_select;
+    use crate::expr::ColumnId;
     use crate::planner::plan_select;
     use conquer_sql::parse_select;
     use conquer_storage::{Catalog, Schema, Value};
@@ -607,46 +521,30 @@ mod tests {
         p.output[0].expr = BoundExpr::Column(ColumnId { rel: 0, col: 99 });
         let err = validate_plan(&p).expect_err("corrupt plan must be rejected");
         let msg = err.to_string();
-        assert!(msg.contains("projection-covers-references"), "{msg}");
+        assert!(msg.contains("column-resolves"), "{msg}");
         assert!(matches!(err, EngineError::Internal(_)), "{err:?}");
     }
 
     #[test]
-    fn dropped_carried_column_is_a_typed_error_not_a_wrong_cell() {
+    fn a_join_key_beyond_the_schema_is_a_typed_error_not_a_wrong_cell() {
         let mut p = plan("select u.w from t, u where t.k = u.k");
-        fn scan_cols(n: &mut JoinNode, of: usize) -> Option<&mut Vec<usize>> {
-            match n {
-                JoinNode::Scan { rel, cols, .. } => (*rel == of).then_some(cols),
-                JoinNode::Join { left, right, .. } => {
-                    scan_cols(left, of).or_else(|| scan_cols(right, of))
-                }
-            }
-        }
-        // `u` carries k (join key) and w (output); stop emitting k, so w
-        // slides into the join key's position — a comparable type, so
-        // only the coverage invariant can notice.
-        let cols = scan_cols(&mut p.join, 1).expect("u is scanned");
-        assert_eq!(cols, &[0, 1]);
-        cols.remove(0);
+        let JoinNode::Join { equi, .. } = &mut p.join else {
+            panic!("two-table plan is a join");
+        };
+        equi[0].1 = BoundExpr::Column(ColumnId { rel: 1, col: 2 });
         let err = validate_plan(&p).expect_err("corrupt plan must be rejected");
-        assert!(
-            err.to_string().contains("projection-covers-references"),
-            "{err}"
-        );
+        assert!(err.to_string().contains("column-resolves"), "{err}");
         let err = crate::exec::execute_plan(&catalog(), &p, &Default::default())
             .expect_err("the executor validates before it reads a cell");
         assert!(matches!(err, EngineError::Internal(_)), "{err:?}");
     }
 
     #[test]
-    fn scan_filter_stays_in_base_space() {
-        // v is read by the filter only: the scan does not carry it, and
-        // the filter still addresses it by base position.
+    fn scan_filter_is_checked_against_the_base_schema() {
         let mut p = plan("select k from t where v = 'x'");
-        let JoinNode::Scan { filter, cols, .. } = &mut p.join else {
+        let JoinNode::Scan { filter, .. } = &mut p.join else {
             panic!("single-table plan is a scan");
         };
-        assert_eq!(cols, &[0]);
         assert_eq!(
             filter.as_ref().expect("pushed down").columns(),
             vec![ColumnId { rel: 0, col: 1 }]

@@ -30,7 +30,7 @@ fn open(dir: &Path) -> (SharedDatabase, RecoveryReport) {
 }
 
 /// `sql`'s rows, read without a budget (the budget test gives the
-/// database's own queries 256 bytes).
+/// database's own queries 176 bytes).
 fn rows(db: &SharedDatabase, sql: &str) -> Vec<Vec<Value>> {
     let s = db.session();
     s.set_limits(ExecLimits::none());
@@ -359,15 +359,17 @@ fn view_dml_failed_at_every_write_and_fsync_is_never_half_maintained() {
     }
 }
 
-/// A join view's delta query runs out of a 256-byte, no-disk budget after
+/// A join view's delta query runs out of a 176-byte, no-disk budget after
 /// the single-table view `v` was already maintained: the statement fails
-/// whole, with nothing logged or published.
+/// whole, with nothing logged or published. Measured peaks of `VIEW_DML`'s
+/// maintenance: `v` alone needs 144 B, `vj` 202 B (its build side charges
+/// a 4-byte position plus a key copy per tuple).
 #[test]
 fn view_maintenance_out_of_budget_publishes_nothing() {
     let (fs, _guard, dir) = mount("efwal_view_budget");
     let db = view_db(&dir);
     db.mutate(|d| {
-        d.set_limits(ExecLimits::none().with_mem_bytes(256).with_disk_bytes(0));
+        d.set_limits(ExecLimits::none().with_mem_bytes(176).with_disk_bytes(0));
         Ok(())
     })
     .unwrap();

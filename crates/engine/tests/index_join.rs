@@ -135,10 +135,10 @@ fn index_joins(r: &QueryResult) -> Vec<String> {
 }
 
 #[test]
-fn pruned_right_side_finds_the_index_by_base_column() {
-    // The indexed column is the table's third, but only the second cell
-    // the probe carries: the stored index and the declared type must be
-    // looked up by base column, and matches are emitted two cells wide.
+fn index_join_finds_the_index_by_base_column() {
+    // The indexed column is the table's third and the query reads two of
+    // its columns: the stored index and the declared type are looked up
+    // by base column, and the answer rows are two cells wide.
     let mut db = Database::new();
     db.execute_script(
         "CREATE TABLE parent (name TEXT, note TEXT, id INTEGER);
@@ -165,7 +165,7 @@ fn pruned_right_side_finds_the_index_by_base_column() {
     assert!(index_joins(&without).is_empty());
     db.create_index("parent", "id").unwrap();
     let with = q(&db, QUERY);
-    assert_eq!(index_joins(&with), ["IndexJoin parent [p] cols=2/3"]);
+    assert_eq!(index_joins(&with), ["IndexJoin parent [p]"]);
     assert_eq!(without.rows, with.rows, "index path changed the answer");
     assert_eq!(with.rows.len(), 400);
     assert!(with.rows.iter().all(|row| row.len() == 2));

@@ -8,13 +8,15 @@
 //! through spill files.
 //!
 //! Budgets are derived from the peak `mem` each query charges when run
-//! unconstrained (`ExecStats::mem_charged`, quoted per test). Scans emit
-//! only the columns the plan reads, so a join's build side is as wide as
-//! the query makes it — `big`'s `grp` text never reaches a self-join on
-//! `id` — while aggregation state (keys + accumulators) and sort buffers
-//! (projected rows) do not depend on the table's width at all. Join
-//! budgets sit at ~9 % of the build side's peak, so each of the 16 grace
-//! partitions fits and the first pass must spill.
+//! unconstrained (`ExecStats::mem_charged`, quoted per test). A join's
+//! build side holds row positions, not rows: each build tuple charges 4
+//! bytes per relation it spans plus its own copy of the key — 28 B for
+//! one `big` row under a normalized numeric `id` key (4 + a 24-byte
+//! `Value`), whatever the table's width. Aggregation state (keys +
+//! accumulators) and sort buffers (projected rows) do not depend on the
+//! table's width either. Join budgets sit at ~9 % of the build side's
+//! peak, so each of the 16 grace partitions fits and the first pass must
+//! spill.
 
 use std::time::{Duration, Instant};
 
@@ -85,12 +87,12 @@ fn assert_spilled_run_matches(db: &Database, sql: &str, limits: ExecLimits) -> Q
 #[test]
 fn spilling_hash_join_matches_in_memory_answer() {
     let db = big_db(4000);
-    // Self-equijoin: the build side (4000 rows of id + val, 384 000 B
-    // unconstrained) cannot fit in 36 KiB.
+    // Self-equijoin: the build side (4000 tuples × 28 B = 112 000 B
+    // unconstrained) cannot fit in 10 KiB; a 7 000 B partition can.
     let sql = "SELECT COUNT(*), SUM(a.val + b.val) \
                FROM big a, big b WHERE a.id = b.id";
     let governed =
-        assert_spilled_run_matches(&db, sql, ExecLimits::none().with_mem_bytes(36 * 1024));
+        assert_spilled_run_matches(&db, sql, ExecLimits::none().with_mem_bytes(10 * 1024));
     let stats = governed.stats().unwrap();
     let mut join_spilled = false;
     stats.root.visit(&mut |_, op| {
@@ -106,15 +108,15 @@ fn spilling_hash_join_matches_in_memory_answer() {
 #[test]
 fn a_build_that_overflows_under_a_worker_pool_is_pulled_on_not_rerun() {
     // 10 000 rows are three morsels, so at threads = 2 the driver
-    // prepares the spine's build side (`a`: 960 000 B unconstrained) for
-    // a pool — and finds it in grace mode under 90 KiB. It must carry on
+    // prepares the spine's build side (`a`: 280 000 B unconstrained) for
+    // a pool — and finds it in grace mode under 24 KiB. It must carry on
     // pulling the tree it prepared: same answer, same spill volume and
     // same budget high-water mark as threads = 1, every table scanned
     // once.
     let db = big_db(10_000);
     let sql = "SELECT COUNT(*), SUM(a.val + b.val) \
                FROM big a, big b WHERE a.id = b.id";
-    let limits = ExecLimits::none().with_mem_bytes(90 * 1024);
+    let limits = ExecLimits::none().with_mem_bytes(24 * 1024);
     let serial = assert_spilled_run_matches(&db, sql, limits.with_threads(1));
     let pooled = assert_spilled_run_matches(&db, sql, limits.with_threads(2));
     assert_eq!(serial.rows, pooled.rows);
@@ -261,14 +263,14 @@ fn explain_analyze_reports_spill_metrics() {
 #[test]
 fn zero_disk_budget_restores_hard_abort() {
     let db = big_db(4000);
-    // Both sides carry `id` alone: a 288 000 B build side unconstrained.
+    // A 112 000 B build side unconstrained.
     let sql = "SELECT COUNT(*) FROM big a, big b WHERE a.id = b.id";
     let err = db
         .prepare(sql)
         .unwrap()
         .with_limits(
             ExecLimits::none()
-                .with_mem_bytes(28 * 1024)
+                .with_mem_bytes(10 * 1024)
                 .with_disk_bytes(0),
         )
         .query(&db)
@@ -284,14 +286,14 @@ fn zero_disk_budget_restores_hard_abort() {
 fn exhausted_disk_budget_is_the_end_of_the_ladder() {
     let db = big_db(4000);
     let sql = "SELECT COUNT(*) FROM big a, big b WHERE a.id = b.id";
-    // 2 KiB of disk cannot absorb a 4000-row build side (288 000 B in
-    // memory, id only).
+    // 2 KiB of disk cannot absorb a 4000-tuple build side (112 000 B in
+    // memory, 200 000 B spilled).
     let err = db
         .prepare(sql)
         .unwrap()
         .with_limits(
             ExecLimits::none()
-                .with_mem_bytes(28 * 1024)
+                .with_mem_bytes(10 * 1024)
                 .with_disk_bytes(2 * 1024),
         )
         .query(&db)
@@ -325,10 +327,10 @@ fn spill_directories_do_not_outlive_the_query() {
     db.set_spill_dir(&base);
     assert_eq!(db.spill_dir(), Some(base.as_path()));
     let r = db
-        // Build side `a` carries id + val: 384 000 B unconstrained.
+        // Build side `a`: 112 000 B unconstrained.
         .prepare("SELECT COUNT(*), SUM(a.val) FROM big a, big b WHERE a.id = b.id")
         .unwrap()
-        .with_limits(ExecLimits::none().with_mem_bytes(36 * 1024))
+        .with_limits(ExecLimits::none().with_mem_bytes(10 * 1024))
         .query(&db)
         .unwrap();
     assert!(r.stats().unwrap().disk_charged > 0, "did not spill");
@@ -400,10 +402,10 @@ fn cancellation_stays_responsive_while_spilling() {
     let sql = "SELECT COUNT(*), SUM(a.val + b.val) \
                FROM big a, big b WHERE a.id = b.id";
     let stmt = db.prepare(sql).unwrap();
-    // 20 000 build rows of id + val are 1 920 000 B unconstrained; at
-    // 24 KiB even a first-pass partition (120 000 B) must be split again,
-    // so the query is still streaming spill files when the cancel fires.
-    let ctx = db.exec_context(ExecLimits::none().with_mem_bytes(24 * 1024));
+    // 20 000 build tuples are 560 000 B unconstrained; at 8 KiB even a
+    // first-pass partition (35 000 B) must be split again, so the query
+    // is still streaming spill files when the cancel fires.
+    let ctx = db.exec_context(ExecLimits::none().with_mem_bytes(8 * 1024));
     let token: CancelToken = ctx.cancel_token();
     let canceller = {
         let token = token.clone();
@@ -502,8 +504,8 @@ fn spilled_aggregate_output_order_and_counters_are_pinned() {
 fn in_memory_state_is_charged_to_the_byte() {
     // What a key table charges is part of its contract: budgets across
     // this suite (and users' `\limit mem`) are sized from these numbers.
-    // Recorded before the group, build and DISTINCT tables became
-    // `KeyTable`s.
+    // The group and DISTINCT figures were recorded before those tables
+    // became `KeyTable`s.
     let db = big_db(4000);
     let run = |sql: &str| {
         db.prepare(sql)
@@ -512,17 +514,22 @@ fn in_memory_state_is_charged_to_the_byte() {
             .query(&db)
             .unwrap()
     };
-    // Text join key and text group key; 1000 build rows, 1000 groups.
+    // Text join key and text group key; 1000 groups. The estimates tie
+    // (both scans are of 4000-row `big`), so the left input `a` is the
+    // build side: 4000 build tuples, each charging one 4-byte position
+    // plus its own copy of an 11-character text key (24 + 11 B) — 39 B,
+    // 156 000 B in all. It is held until the probe side is exhausted, so
+    // the peak is both tables at once.
     let joined = run("SELECT a.grp, COUNT(*), SUM(b.val) FROM big a, big b \
                       WHERE a.grp = b.grp AND b.id < 1000 GROUP BY a.grp");
     assert_eq!(
         state_counters(&joined),
         [
             ("HashAggregate".to_string(), 243_000, 0, 0, 0),
-            ("HashJoin".to_string(), 376_000, 0, 0, 0)
+            ("HashJoin".to_string(), 156_000, 0, 0, 0)
         ]
     );
-    assert_eq!(joined.stats().unwrap().mem_charged, 619_000);
+    assert_eq!(joined.stats().unwrap().mem_charged, 399_000);
     let distinct = run("SELECT DISTINCT grp, id - id FROM big");
     assert_eq!(
         state_counters(&distinct),

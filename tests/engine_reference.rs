@@ -71,7 +71,22 @@ fn data_strategy() -> impl Strategy<Value = Data> {
 /// no pushdown, no equi-edge extraction, no hash joins, no build-side swap.
 fn reference(db: &Database, sql: &str) -> Vec<Row> {
     use conquer_engine::binder::{bind_select, OrderKey};
-    use conquer_engine::expr::Offsets;
+    use conquer_engine::expr::{Cells, ColumnId};
+    use conquer_engine::EngineError;
+
+    /// A row of the FROM relations' rows concatenated, relation `rel`
+    /// starting at `offsets[rel]`.
+    #[derive(Clone, Copy)]
+    struct Concat<'r> {
+        row: &'r Row,
+        offsets: &'r [usize],
+    }
+    impl<'r> Cells<'r> for Concat<'r> {
+        fn cell(self, id: ColumnId) -> Result<&'r Value, EngineError> {
+            Ok(&self.row[self.offsets[id.rel] + id.col])
+        }
+    }
+
     let stmt = conquer_sql::parse_select(sql).unwrap();
     let bound = bind_select(db.catalog(), &stmt).unwrap();
     assert!(bound.group.is_none(), "reference covers SPJ only");
@@ -81,7 +96,7 @@ fn reference(db: &Database, sql: &str) -> Vec<Row> {
     let mut offsets = Vec::new();
     let mut width = 0;
     for rel in &bound.relations {
-        offsets.push(Some(width));
+        offsets.push(width);
         width += rel.schema.len();
         let table = db.catalog().table(&rel.table).unwrap();
         let mut next = Vec::new();
@@ -94,18 +109,20 @@ fn reference(db: &Database, sql: &str) -> Vec<Row> {
         }
         rows = next;
     }
-    let offsets = Offsets(offsets);
-
     let mut out = Vec::new();
-    for row in rows {
+    for row in &rows {
+        let cells = Concat {
+            row,
+            offsets: &offsets,
+        };
         if let Some(f) = &bound.filter {
-            if !f.eval_predicate(&row, &offsets).unwrap() {
+            if !f.eval_predicate(cells).unwrap() {
                 continue;
             }
         }
         let mut proj = Vec::new();
         for item in &bound.output {
-            proj.push(item.expr.eval(&row, &offsets).unwrap());
+            proj.push(item.expr.eval(cells).unwrap());
         }
         out.push(proj);
     }

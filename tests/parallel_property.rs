@@ -5,11 +5,12 @@
 //! equal down to the bit. Float addition is not associative, so any
 //! arrival-order merge in the parallel pipeline fails this immediately.
 //!
-//! Each query is also a differential for projection pushdown: a *wide*
-//! twin reads every column of every relation above the scans (forcing
-//! full-width rows through joins, gather, aggregation and sort) and is
-//! trimmed back to the original columns — the narrow plan must agree
-//! with it cell for cell, at every thread count and under a budget.
+//! Each query is also a differential for how joined tuples are read: a
+//! *wide* twin reads every column of every relation above the scans
+//! (every cell of every position tuple, through joins, gather,
+//! aggregation and sort) and is trimmed back to the original columns —
+//! the narrow plan must agree with it cell for cell, at every thread
+//! count and under a budget.
 
 use conquer_engine::{Database, ExecLimits, QueryResult};
 use conquer_storage::{Catalog, DataType, Schema, Table, Value};

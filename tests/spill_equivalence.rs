@@ -11,13 +11,13 @@
 //! real constraint, small enough to keep the suite fast.
 //!
 //! Every budget here is derived from the peak `mem` the unconstrained
-//! run charges (`ExecStats::mem_charged`, with scans emitting only the
-//! columns each rewritten template reads). At this scale Q1 peaks at
-//! 4 601 436 B (all aggregate state, which does not depend on row width)
-//! and Q18 at 4 595 115 B (a 3 418 441 B join build side + 1 176 674 B of
-//! groups); Q9 is third at 2 626 759 B. 4 MiB = 4 194 304 B is under the
-//! first two, and cannot go lower: Q1's result buffer, which is never
-//! spilled, already fails at 3 MiB.
+//! run charges (`ExecStats::mem_charged`; a join's build side holds 4-byte
+//! row positions plus a copy of its key, not rows). At this scale Q1
+//! peaks at 4 601 436 B (all aggregate state), Q9 at 2 192 678 B
+//! (2 059 678 B of groups) and Q18 at 1 607 746 B (1 176 674 B of groups
+//! over a 431 072 B build side). 4 MiB = 4 194 304 B is under Q1's peak,
+//! and cannot go lower: Q1's result buffer, which is never spilled,
+//! already fails at 3 MiB.
 
 use conquer_core::DirtyDatabase;
 use conquer_datagen::{
@@ -111,29 +111,30 @@ fn join_heavy_templates_report_spill_metrics() {
     // the unconstrained answers. (The paper's workload has no Q5; Q3 and
     // Q10 are its join-heavy stand-ins next to Q9.)
     //
-    // Which operator spills is a property of the query's shape: Q3 and
-    // Q10 aggregate into a few hundred groups — state far below any
-    // budget that still fits their result — so the multi-way *join* is
-    // what overflows; Q9 joins small build sides (part, supplier,
-    // nation) but aggregates into ~10k groups, so its *aggregation*
-    // overflows. Per-query budgets sit above the result-buffer floor
-    // (results are never spilled) and below the operator's working set,
-    // both read off unconstrained and stepped-budget runs:
+    // Which operator spills is a property of the query's shape and of
+    // what a build side costs. Build sides hold 4-byte row positions
+    // plus a key copy per build tuple, and they are charged before the
+    // aggregate above them starts. Per-query budgets sit above the
+    // result-buffer floor (results are never spilled) and below the
+    // operator's working set, both read off unconstrained and
+    // stepped-budget runs:
     //
-    // * Q3 peaks at 229 240 B, 197 208 B of it the top join's build
-    //   side (orders ⋈ customer, 5 + 2 cells a row); it runs down to
-    //   64 KiB. 128 KiB ≈ 0.57 × peak.
-    // * Q9 peaks at 2 626 759 B: 2 059 678 B of groups over 567 081 B
-    //   of build sides. Its 9 942-row result needs ~1.4 MiB (1280 KiB
-    //   fails, 1536 KiB runs), so 1792 KiB leaves the joins in memory
-    //   and about half the groups without room.
-    // * Q10 peaks at 359 870 B with 206 305 B + 145 351 B in its two
-    //   largest build sides, and needs ~150 KiB for its wide result
-    //   (128 KiB fails, 160 KiB runs). 192 KiB ≈ 0.55 × peak.
+    // * Q3 peaks at 61 248 B: 32 032 B of groups over a 29 216 B top
+    //   build side (orders ⋈ customer). It runs down to 24 KiB (16 KiB
+    //   fails), and there the join must go to grace mode. 24 KiB ≈ 0.40 ×
+    //   peak.
+    // * Q9 peaks at 2 192 678 B: 2 059 678 B of groups over 133 000 B of
+    //   build sides. Its 9 942-row result needs ~1.4 MiB (1280 KiB fails,
+    //   1536 KiB runs), so 1792 KiB leaves the joins in memory and about
+    //   half the groups without room.
+    // * Q10 peaks at 171 781 B: 153 565 B of groups over 18 216 B +
+    //   13 856 B of build sides. Its wide result needs ~100 KiB (96 KiB
+    //   fails, 128 KiB runs), which no build side reaches, so it is the
+    //   aggregation that overflows. 128 KiB ≈ 0.76 × peak.
     let cases: [(u8, u64, &str); 3] = [
-        (3, 128 << 10, "HashJoin"),
+        (3, 24 << 10, "HashJoin"),
         (9, 1792 << 10, "HashAggregate"),
-        (10, 192 << 10, "HashJoin"),
+        (10, 128 << 10, "HashAggregate"),
     ];
 
     let mut db = workload_db();
