@@ -294,8 +294,8 @@ fn gate_spurious_wakeups_are_rechecked_and_mutant_is_caught() {
 // Kernel 3: result-cache read sets
 // ---------------------------------------------------------------------------
 
-/// Cross join: ineligible for the morsel-parallel driver, so the model
-/// threads never spawn real worker threads under the virtual scheduler.
+/// Reads `ta` and `tb` but not `tc`, so a write to `tc` leaves its read
+/// set intact.
 const CACHE_SQL: &str = "SELECT COUNT(*) FROM ta, tb";
 
 /// Query through the result cache and assert the answer is consistent
@@ -397,9 +397,9 @@ fn a_write_to_an_unread_table_keeps_cached_answers_correct() {
 
 /// Within one `Database` (a pinned snapshot or the current version), the
 /// maintained view must equal a from-scratch recompute of its base table.
-/// The recompute is a plain in-test fold (no engine execution, so no
-/// worker-pool threads the explorer cannot schedule); the fixture uses
-/// dyadic probabilities so the comparison is exact equality.
+/// The recompute is a plain in-test fold, independent of the engine code
+/// that maintains the view; the fixture uses dyadic probabilities so the
+/// comparison is exact equality.
 fn view_consistent(db: &Database, ctx: &str) -> Vec<(i64, f64)> {
     let cell = |v: &Value| match v {
         Value::Int(n) => *n as f64,

@@ -86,12 +86,6 @@ pub struct ExecLimits {
     pub disk_bytes: Option<u64>,
     /// Maximum wall-clock time a single query may run. `None` = unlimited.
     pub timeout: Option<Duration>,
-    /// Worker threads for morsel-parallel query fragments. `None` = one
-    /// worker per available core; `Some(1)` forces single-worker
-    /// execution. Results are bit-identical at every setting — the
-    /// executor runs the same morsel-ordered algorithm regardless of
-    /// thread count (see the engine's `parallel` module).
-    pub threads: Option<usize>,
 }
 
 /// Builder for [`ExecLimits`] — the forward-compatible way to construct
@@ -120,13 +114,6 @@ impl ExecLimitsBuilder {
     /// Set the wall-clock deadline.
     pub fn deadline(mut self, timeout: Duration) -> Self {
         self.limits.timeout = Some(timeout);
-        self
-    }
-
-    /// Set the worker-thread count for parallel fragments (`0` is clamped
-    /// to `1`).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.limits.threads = Some(threads.max(1));
         self
     }
 
@@ -167,14 +154,6 @@ impl ExecLimits {
         self
     }
 
-    /// This limit set with a worker-thread count for parallel query
-    /// fragments (`0` is treated as `1`). Thread count never changes
-    /// query results, only how many cores compute them.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
-    }
-
     /// True when no memory budget, disk budget, or timeout is set.
     pub fn is_unlimited(&self) -> bool {
         self.mem_bytes.is_none() && self.disk_bytes.is_none() && self.timeout.is_none()
@@ -187,9 +166,6 @@ impl ExecLimits {
     /// * `CONQUER_DISK_BUDGET` — spill-disk budget in bytes (`0` disables
     ///   spilling)
     /// * `CONQUER_TIMEOUT_MS` — wall-clock timeout in milliseconds
-    /// * `CONQUER_THREADS` — worker threads for parallel query fragments
-    ///   (CI runs the suite at `1` and `4` to prove thread count never
-    ///   changes results)
     ///
     /// Unset or unparsable variables leave the corresponding limit
     /// unlimited.
@@ -201,7 +177,6 @@ impl ExecLimits {
             mem_bytes: parse("CONQUER_MEM_BUDGET"),
             disk_bytes: parse("CONQUER_DISK_BUDGET"),
             timeout: parse("CONQUER_TIMEOUT_MS").map(Duration::from_millis),
-            threads: parse("CONQUER_THREADS").map(|n| (n as usize).max(1)),
         }
     }
 }
@@ -296,20 +271,6 @@ impl ExecContext {
         &self.limits
     }
 
-    /// The worker-thread count this context resolves to: the configured
-    /// [`ExecLimits::threads`], or one worker per available core when
-    /// unset. Always at least 1.
-    pub fn threads(&self) -> usize {
-        self.limits
-            .threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-            .max(1)
-    }
-
     /// A clone of this context's cancellation token, for handing to
     /// another thread.
     pub fn cancel_token(&self) -> CancelToken {
@@ -319,6 +280,11 @@ impl ExecContext {
     /// High-water mark of materialized operator state charged so far.
     pub fn mem_charged(&self) -> u64 {
         self.mem_peak.load(Ordering::Relaxed)
+    }
+
+    /// Bytes of operator state charged and not yet released.
+    pub(crate) fn mem_in_use(&self) -> u64 {
+        self.mem_used.load(Ordering::Relaxed)
     }
 
     /// Total bytes of spill-file state written to disk so far.
@@ -459,13 +425,11 @@ mod tests {
             .mem(1 << 20)
             .disk(1 << 22)
             .deadline(Duration::from_secs(3))
-            .threads(0)
             .build();
         let chained = ExecLimits::none()
             .with_mem_bytes(1 << 20)
             .with_disk_bytes(1 << 22)
-            .with_timeout(Duration::from_secs(3))
-            .with_threads(1);
+            .with_timeout(Duration::from_secs(3));
         assert_eq!(built, chained);
         assert_eq!(ExecLimits::builder().build(), ExecLimits::none());
     }
@@ -544,19 +508,6 @@ mod tests {
         // No memory budget at all -> nothing to spill for either.
         let ctx = ExecContext::new(ExecLimits::none().with_disk_bytes(1 << 20));
         assert!(!ctx.spill_enabled());
-    }
-
-    #[test]
-    fn threads_resolve_to_at_least_one() {
-        // Default: one worker per available core, never zero.
-        assert!(ExecContext::default().threads() >= 1);
-        // Explicit settings resolve as given; 0 is clamped to 1.
-        let ctx = ExecContext::new(ExecLimits::none().with_threads(6));
-        assert_eq!(ctx.threads(), 6);
-        let ctx = ExecContext::new(ExecLimits::none().with_threads(0));
-        assert_eq!(ctx.threads(), 1);
-        // A thread setting alone is not a resource limit.
-        assert!(ExecLimits::none().with_threads(4).is_unlimited());
     }
 
     #[test]

@@ -104,13 +104,9 @@ pub(crate) type Batch = Vec<Row>;
 /// deadline, memory budget) are checked cooperatively at every batch
 /// boundary; pass [`ExecContext::default()`] for ungoverned execution.
 ///
-/// There is one operator tree. [`crate::parallel::drive`] either pulls it
-/// as is, or — when more than one worker would have work and its probe
-/// chain forks ([`TupleOp::fork`]) — lets a worker pool pull forks of that
-/// chain over morsels of the driving scan and gathers them in order.
-/// Results are bit-identical at every thread count: which of the two
-/// happens depends only on the plan, the data, and the budget, never on
-/// scheduling, and a fork is the same operator code over a row range.
+/// A query runs on the calling thread: one operator tree, pulled from its
+/// root. Concurrency comes from running several queries at once (the
+/// server's connections), not from splitting one.
 pub fn execute_plan(catalog: &Catalog, plan: &Plan, ctx: &ExecContext) -> Result<QueryResult> {
     crate::validate::validate_plan(plan)?;
     let needs_expr_keys = plan
@@ -125,32 +121,44 @@ pub fn execute_plan(catalog: &Catalog, plan: &Plan, ctx: &ExecContext) -> Result
 
     let start = Instant::now();
     let (join, layout, _est) = build_join(catalog, plan, &plan.join)?;
-    let (rows, root, threads_used) = crate::parallel::drive(join, layout, plan, ctx)?;
+    let held = ctx.mem_in_use();
+    let mut root = finish_pipeline(join, layout, plan);
+    let drained = drain_root(&mut root, ctx);
+    // The operator tree dies with this call. Whatever its operators still
+    // hold charged — a `LIMIT` can stop them before they drain — is handed
+    // back, so the meter keeps only the result rows.
+    let kept = drained.as_ref().map_or(0, |(_, bytes)| *bytes);
+    ctx.release(ctx.mem_in_use().saturating_sub(held + kept));
+    let (rows, _) = drained?;
     Ok(QueryResult::with_stats(
         plan.output.iter().map(|o| o.name.clone()).collect(),
         rows,
         ExecStats {
-            root,
+            root: root.harvest(),
             total_time: start.elapsed(),
             mem_budget: ctx.limits().mem_bytes,
             mem_charged: ctx.mem_charged(),
             disk_budget: ctx.limits().disk_bytes,
             disk_charged: ctx.disk_charged(),
             timeout: ctx.limits().timeout,
-            threads_used,
+            threads_used: 1,
         },
     ))
 }
 
 /// Drain the pipeline root into the result buffer, charging it against
-/// the memory budget like any other materialized state.
-pub(crate) fn drain_root(root: &mut OpNode<'_>, ctx: &ExecContext) -> Result<Vec<Row>> {
+/// the memory budget like any other materialized state. Returns the rows
+/// and the bytes they charged.
+fn drain_root(root: &mut OpNode<'_>, ctx: &ExecContext) -> Result<(Vec<Row>, u64)> {
     let mut rows = Vec::new();
+    let mut bytes = 0;
     while let Some(batch) = root.next_batch(ctx)? {
-        ctx.charge(batch.iter().map(approx_row_bytes).sum())?;
+        let batch_bytes = batch.iter().map(approx_row_bytes).sum();
+        ctx.charge(batch_bytes)?;
+        bytes += batch_bytes;
         rows.extend(batch);
     }
-    Ok(rows)
+    Ok((rows, bytes))
 }
 
 // ---------------------------------------------------------------------------
@@ -161,7 +169,7 @@ pub(crate) fn drain_root(root: &mut OpNode<'_>, ctx: &ExecContext) -> Result<Vec
 /// width is the operator's [`Layout`] width, so it is never zero for a
 /// batch an operator emits; [`Tuples::default`] is the empty batch that
 /// takes the width of whatever is [appended](Tuples::append) to it first.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default)]
 pub(crate) struct Tuples {
     width: usize,
     pos: Vec<u32>,
@@ -175,11 +183,11 @@ impl Tuples {
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.pos.len().checked_div(self.width).unwrap_or(0)
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.pos.is_empty()
     }
 
@@ -203,19 +211,11 @@ impl Tuples {
     }
 
     /// Append every tuple of `other`.
-    pub(crate) fn append(&mut self, other: Tuples) {
+    fn append(&mut self, other: Tuples) {
         if self.pos.is_empty() {
             *self = other;
         } else {
             self.pos.extend_from_slice(&other.pos);
-        }
-    }
-
-    /// Tuples `from..to` as a batch of their own.
-    pub(crate) fn slice(&self, from: usize, to: usize) -> Tuples {
-        Tuples {
-            width: self.width,
-            pos: self.pos[from * self.width..to * self.width].to_vec(),
         }
     }
 
@@ -308,15 +308,8 @@ impl<'x, 'a: 'x> Cells<'x> for Stored<'a> {
 // ---------------------------------------------------------------------------
 
 /// Stack the post-join stages (aggregate, HAVING, project, distinct,
-/// sort, limit) on top of a join-tree source whose tuples `layout`
-/// describes. The parallel driver mounts the same stages over its
-/// [`TupleKind::Gather`] source, so everything stateful downstream of the
-/// join runs identical code on both paths.
-pub(crate) fn finish_pipeline<'a>(
-    join: TupleOp<'a>,
-    layout: Layout<'a>,
-    plan: &'a Plan,
-) -> OpNode<'a> {
+/// sort, limit) on top of a join tree whose tuples `layout` describes.
+fn finish_pipeline<'a>(join: TupleOp<'a>, layout: Layout<'a>, plan: &'a Plan) -> OpNode<'a> {
     let input = match &plan.group {
         Some(group) => {
             let mut node = OpNode::new(
@@ -418,7 +411,6 @@ fn build_join<'a>(
                     rel: *rel,
                     rows: table.rows(),
                     pos: 0,
-                    end: table.len(),
                     filter: filter.as_ref(),
                 },
             );
@@ -506,7 +498,6 @@ fn build_join<'a>(
 }
 
 /// An index nested-loop join's right side, resolved by [`index_join_path`].
-#[derive(Clone)]
 pub(crate) struct IndexPath<'a> {
     /// Operator name for the statistics tree.
     name: String,
@@ -603,7 +594,7 @@ fn index_join_path<'a>(
 // ---------------------------------------------------------------------------
 
 /// Runtime counters for one operator node.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default)]
 pub(crate) struct Metrics {
     rows_in: u64,
     rows_out: u64,
@@ -613,17 +604,6 @@ pub(crate) struct Metrics {
     spill_bytes: u64,
     spill_partitions: u64,
     spill_passes: u64,
-}
-
-impl Metrics {
-    /// Add a fork's counters. Forks never materialize or spill, so only
-    /// the streaming counters can be non-zero.
-    fn add(&mut self, fork: &Metrics) {
-        self.rows_in += fork.rows_in;
-        self.rows_out += fork.rows_out;
-        self.batches += fork.batches;
-        self.time += fork.time;
-    }
 }
 
 /// An operator kind: how it advances by one batch, and its statistics
@@ -648,21 +628,19 @@ pub(crate) struct Node<K> {
     m: Metrics,
 }
 
-/// An operator of the join tree (or its parallel stand-in, `Gather`).
+/// An operator of the join tree.
 pub(crate) type TupleOp<'a> = Node<TupleKind<'a>>;
 
 /// An operator from the first one that owns values up.
 pub(crate) type OpNode<'a> = Node<OpKind<'a>>;
 
 pub(crate) enum TupleKind<'a> {
-    /// Scan of stored rows `pos..end` (the whole table, or one morsel in
-    /// a fork) with an optional pushed-down predicate; emits the
-    /// positions of the rows it keeps.
+    /// Scan of the stored rows from `pos` on with an optional pushed-down
+    /// predicate; emits the positions of the rows it keeps.
     Scan {
         rel: usize,
         rows: &'a [Row],
         pos: usize,
-        end: usize,
         filter: Option<&'a BoundExpr>,
     },
     /// Residual join predicate.
@@ -679,14 +657,6 @@ pub(crate) enum TupleKind<'a> {
         keys: JoinKeys<'a>,
         state: JoinState,
     },
-    /// Fork of a [`TupleKind::HashJoin`] whose build side fit in memory:
-    /// streams `probe` against the template's build table. It owns no
-    /// state, so it cannot charge the budget or spill.
-    HashProbe {
-        probe: Box<TupleOp<'a>>,
-        map: &'a BuildMap,
-        keys: &'a JoinKeys<'a>,
-    },
     /// Streaming probe of a pre-built storage-level hash index.
     IndexJoin {
         probe: Box<TupleOp<'a>>,
@@ -697,13 +667,6 @@ pub(crate) enum TupleKind<'a> {
         probe: Box<TupleOp<'a>>,
         build: Box<TupleOp<'a>>,
         build_tuples: Option<Tuples>,
-    },
-    /// Consumer end of the morsel-parallel spine: emits worker-produced
-    /// tuples strictly in morsel order (see [`crate::parallel`]). Its
-    /// statistics child (the forked join tree) is attached by the
-    /// parallel driver after the worker pool drains.
-    Gather {
-        src: crate::parallel::GatherSource<'a>,
     },
 }
 
@@ -766,11 +729,6 @@ pub(crate) enum ProjectInput<'a> {
     },
 }
 
-/// Mount a [`crate::parallel::GatherSource`] as a pipeline source node.
-pub(crate) fn gather_node(src: crate::parallel::GatherSource<'_>) -> TupleOp<'_> {
-    TupleOp::new("Gather", TupleKind::Gather { src })
-}
-
 // ---------------------------------------------------------------------------
 // External-memory operator state
 // ---------------------------------------------------------------------------
@@ -782,8 +740,7 @@ const CHAIN_END: u32 = u32::MAX;
 /// [`KeyTable`], the build tuples flat in arrival order, and per key entry
 /// `i` a chain from `head[i]` through `next` over its tuples in arrival
 /// order. Keys and chains are in first-seen order, so flushing it to spill
-/// partitions writes the same bytes on every run. Forks share it
-/// read-only.
+/// partitions writes the same bytes on every run.
 pub(crate) struct BuildMap {
     keys: KeyTable,
     tuples: Tuples,
@@ -1123,153 +1080,6 @@ impl<K: Step> Node<K> {
     }
 }
 
-impl<'a> TupleOp<'a> {
-    /// Pull to exhaustion, uncharged: the tuples of every batch, in
-    /// order.
-    pub(crate) fn drain(&mut self, ctx: &ExecContext) -> Result<Tuples> {
-        let mut all = Tuples::default();
-        while let Some(batch) = self.next_batch(ctx)? {
-            all.append(batch);
-        }
-        Ok(all)
-    }
-
-    /// Stored rows of the table behind the driving scan — the leaf of the
-    /// probe chain (the probe inputs from this join tree's root down).
-    /// `None` when a cross join sits on the chain.
-    pub(crate) fn driving_rows(&self) -> Option<usize> {
-        match &self.kind {
-            TupleKind::Scan { rows, .. } => Some(rows.len()),
-            TupleKind::Filter { child, .. } => child.driving_rows(),
-            TupleKind::IndexJoin { probe, .. } | TupleKind::HashJoin { probe, .. } => {
-                probe.driving_rows()
-            }
-            _ => None,
-        }
-    }
-
-    /// Consume every hash-join build side on the probe chain, top join
-    /// first, without pulling a probe batch. This is the order a pull
-    /// from the root consumes them in, so the budget meter follows the
-    /// same trajectory and pulling the tree afterwards simply carries on.
-    /// Returns the bytes the in-memory build tables hold charged, or
-    /// `None` when the chain does not [`fork`](Self::fork).
-    pub(crate) fn prepare_spine(&mut self, ctx: &ExecContext) -> Result<Option<u64>> {
-        match &mut self.kind {
-            TupleKind::Scan { .. } => Ok(Some(0)),
-            TupleKind::Filter { child, .. } => child.prepare_spine(ctx),
-            TupleKind::IndexJoin { probe, .. } => probe.prepare_spine(ctx),
-            TupleKind::HashJoin {
-                probe,
-                build,
-                keys,
-                state,
-            } => {
-                ctx.tick()?;
-                let start = Instant::now();
-                if matches!(state, JoinState::Init) {
-                    *state = hj_prepare(probe, build, keys, &mut self.m, ctx)?;
-                }
-                self.m.time += start.elapsed();
-                let JoinState::Mem { mem, .. } = state else {
-                    return Ok(None);
-                };
-                let mem = *mem;
-                Ok(probe.prepare_spine(ctx)?.map(|below| below + mem))
-            }
-            _ => Ok(None),
-        }
-    }
-
-    /// The same operators over rows `lo..hi` of the driving scan: `Scan`
-    /// takes the range, `Filter` and `IndexJoin` fork structurally, and a
-    /// `HashJoin` whose build side is in memory forks into a
-    /// [`TupleKind::HashProbe`] borrowing that table. A fork holds no
-    /// state of its own, so pulling it never charges the budget or spills,
-    /// and the concatenation of forks over consecutive ranges *is* this
-    /// chain's tuple sequence.
-    ///
-    /// `None` — does not fork — for everything else: a cross join, a hash
-    /// join not yet prepared or gone to grace mode.
-    pub(crate) fn fork(&self, lo: usize, hi: usize) -> Option<TupleOp<'_>> {
-        let kind = match &self.kind {
-            TupleKind::Scan {
-                rel, rows, filter, ..
-            } => TupleKind::Scan {
-                rel: *rel,
-                rows,
-                pos: lo,
-                end: hi.min(rows.len()),
-                filter: *filter,
-            },
-            TupleKind::Filter {
-                child,
-                pred,
-                layout,
-            } => TupleKind::Filter {
-                child: Box::new(child.fork(lo, hi)?),
-                pred,
-                layout: layout.clone(),
-            },
-            TupleKind::IndexJoin { probe, path } => TupleKind::IndexJoin {
-                probe: Box::new(probe.fork(lo, hi)?),
-                path: path.clone(),
-            },
-            TupleKind::HashJoin {
-                probe,
-                keys,
-                state: JoinState::Mem { map, .. },
-                ..
-            } => TupleKind::HashProbe {
-                probe: Box::new(probe.fork(lo, hi)?),
-                map,
-                keys,
-            },
-            _ => return None,
-        };
-        // Unnamed: a fork is never harvested, only absorbed.
-        Some(TupleOp::new(String::new(), kind))
-    }
-
-    /// The next operator down the probe chain.
-    fn probe_child(&mut self) -> Option<&mut TupleOp<'a>> {
-        match &mut self.kind {
-            TupleKind::Filter { child, .. } => Some(child),
-            TupleKind::IndexJoin { probe, .. }
-            | TupleKind::HashJoin { probe, .. }
-            | TupleKind::HashProbe { probe, .. } => Some(probe),
-            _ => None,
-        }
-    }
-
-    /// Add this (finished) fork's counters, probe chain top-down, into
-    /// `chain`.
-    pub(crate) fn add_metrics_to(&mut self, chain: &mut Vec<Metrics>) {
-        let mut node = Some(self);
-        let mut depth = 0;
-        while let Some(n) = node {
-            if chain.len() == depth {
-                chain.push(Metrics::default());
-            }
-            chain[depth].add(&n.m);
-            depth += 1;
-            node = n.probe_child();
-        }
-    }
-
-    /// Add fork counters gathered by [`add_metrics_to`](Self::add_metrics_to)
-    /// into this chain's nodes, so that [`harvest`](Self::harvest) reports
-    /// what the forks did on the operators that did it.
-    pub(crate) fn absorb(&mut self, chain: &[Metrics]) {
-        let mut node = Some(self);
-        for m in chain {
-            let Some(n) = node else { break };
-            n.m.add(m);
-            node = n.probe_child();
-        }
-    }
-}
-
 /// Pull one batch from `child`, crediting its size to the parent's
 /// `rows_in` counter.
 fn pull<K: Step>(
@@ -1297,11 +1107,11 @@ impl<'a> Step for TupleKind<'a> {
                 rel,
                 rows,
                 pos,
-                end,
                 filter,
             } => {
-                let mut out = Tuples::with_capacity(1, BATCH_SIZE.min(end.saturating_sub(*pos)));
-                while *pos < *end && out.pos.len() < BATCH_SIZE {
+                let mut out =
+                    Tuples::with_capacity(1, BATCH_SIZE.min(rows.len().saturating_sub(*pos)));
+                while *pos < rows.len() && out.pos.len() < BATCH_SIZE {
                     let row = &rows[*pos];
                     // In range: the table was checked against `u32` when
                     // the scan was built.
@@ -1363,8 +1173,6 @@ impl<'a> Step for TupleKind<'a> {
                 }
             }
 
-            TupleKind::HashProbe { probe, map, keys } => hj_probe_next(probe, map, keys, m, ctx),
-
             TupleKind::IndexJoin { probe, path } => {
                 while let Some(batch) = pull(probe, m, ctx)? {
                     let mut out = Tuples::with_capacity(batch.width + 1, batch.len());
@@ -1417,24 +1225,14 @@ impl<'a> Step for TupleKind<'a> {
                 *build_tuples = Some(Tuples::default());
                 Ok(None)
             }
-
-            TupleKind::Gather { src } => {
-                let out = src.next_batch(ctx)?;
-                if let Some(b) = &out {
-                    m.rows_in += b.len() as u64;
-                }
-                Ok(out)
-            }
         }
     }
 
     fn harvest_children(self) -> Vec<OpStats> {
         match self {
-            TupleKind::Scan { .. } | TupleKind::Gather { .. } => vec![],
+            TupleKind::Scan { .. } => vec![],
             TupleKind::Filter { child, .. } => vec![child.harvest()],
-            TupleKind::IndexJoin { probe, .. } | TupleKind::HashProbe { probe, .. } => {
-                vec![probe.harvest()]
-            }
+            TupleKind::IndexJoin { probe, .. } => vec![probe.harvest()],
             TupleKind::HashJoin {
                 probe, build, keys, ..
             } => {
@@ -1753,9 +1551,7 @@ fn owned_value_bytes(v: &Cow<'_, Value>) -> u64 {
 // ---------------------------------------------------------------------------
 
 /// Stream `probe` against an in-memory build table: the next non-empty
-/// batch of matches, `None` once the probe side is exhausted. The one
-/// probe loop — a serial [`TupleKind::HashJoin`] and every forked
-/// [`TupleKind::HashProbe`] run it.
+/// batch of matches, `None` once the probe side is exhausted.
 fn hj_probe_next<'a>(
     probe: &mut TupleOp<'_>,
     map: &BuildMap,
@@ -2712,7 +2508,7 @@ mod tests {
     }
 
     /// `a` (40 rows) and `b` (10 rows): `a.k = b.k` matches every `a` row.
-    fn fork_catalog() -> Catalog {
+    fn ab_catalog() -> Catalog {
         use conquer_storage::{DataType, Schema};
         let mut cat = Catalog::new();
         for (name, rows) in [("a", 40i64), ("b", 10)] {
@@ -2729,78 +2525,6 @@ mod tests {
         let stmt = conquer_sql::parse_select(sql).unwrap();
         let bound = crate::binder::bind_select(cat, &stmt).unwrap();
         crate::planner::plan_select(cat, bound).unwrap()
-    }
-
-    fn join_tree<'a>(cat: &'a Catalog, plan: &'a Plan) -> TupleOp<'a> {
-        build_join(cat, plan, &plan.join).unwrap().0
-    }
-
-    const EQUI_SQL: &str = "select a.v, b.v from a, b where a.k = b.k";
-
-    #[test]
-    fn operators_that_charge_or_spill_do_not_fork() {
-        use crate::context::ExecLimits;
-        let cat = fork_catalog();
-        let free = ExecContext::default();
-
-        // A cross join materializes (and charges) its build side.
-        let plan = plan_of(&cat, "select a.v, b.v from a, b");
-        let mut tree = join_tree(&cat, &plan);
-        assert_eq!(tree.driving_rows(), None);
-        assert!(tree.prepare_spine(&free).unwrap().is_none());
-        assert!(tree.fork(0, 8).is_none());
-
-        // A hash join forks only once its build side sits in memory.
-        let plan = plan_of(&cat, EQUI_SQL);
-        let mut tree = join_tree(&cat, &plan);
-        assert!(tree.fork(0, 8).is_none(), "build side not consumed yet");
-        assert!(tree.prepare_spine(&free).unwrap().is_some());
-        assert!(tree.fork(0, 8).is_some());
-
-        // The same join under a budget its build side overflows: grace
-        // mode owns spill files and charges per partition.
-        let tight = ExecContext::new(ExecLimits::none().with_mem_bytes(64));
-        let mut tree = join_tree(&cat, &plan);
-        assert!(tree.prepare_spine(&tight).unwrap().is_none());
-        assert!(tight.disk_charged() > 0, "build side did not spill");
-        assert!(tree.fork(0, 8).is_none());
-    }
-
-    #[test]
-    fn forks_concatenate_to_the_serial_rows_and_never_charge() {
-        use crate::context::ExecLimits;
-        let cat = fork_catalog();
-        let plan = plan_of(&cat, EQUI_SQL);
-        let ctx = ExecContext::new(ExecLimits::none().with_mem_bytes(1 << 20));
-
-        let serial = join_tree(&cat, &plan).drain(&ctx).unwrap();
-        assert_eq!(serial.len(), 40);
-
-        let mut template = join_tree(&cat, &plan);
-        assert_eq!(template.driving_rows(), Some(40));
-        let build_mem = template.prepare_spine(&ctx).unwrap().unwrap();
-        assert!(build_mem > 0);
-        let charged = ctx.mem_charged();
-
-        let mut forked = Tuples::default();
-        let mut chain = Vec::new();
-        for lo in [0, 16, 32] {
-            let mut fork = template.fork(lo, lo + 16).unwrap();
-            forked.append(fork.drain(&ctx).unwrap());
-            fork.add_metrics_to(&mut chain);
-        }
-        assert_eq!(forked, serial);
-        assert_eq!(ctx.mem_charged(), charged, "a worker-only run charged");
-
-        template.absorb(&chain);
-        let stats = template.harvest();
-        assert_eq!((stats.rows_in, stats.rows_out), (10 + 40, 40));
-        let [scan_a, scan_b] = &stats.children[..] else {
-            panic!("{stats:?}")
-        };
-        assert!(scan_a.name.starts_with("Scan a"), "{stats:?}");
-        assert_eq!((scan_a.rows_in, scan_a.rows_out), (40, 40));
-        assert_eq!((scan_b.rows_in, scan_b.rows_out), (10, 10));
     }
 
     #[test]
@@ -2853,7 +2577,7 @@ mod tests {
 
     #[test]
     fn project_moves_a_cell_only_when_nothing_else_reads_it() {
-        let cat = fork_catalog();
+        let cat = ab_catalog();
         let moves = |sql: &str| {
             let plan = plan_of(&cat, sql);
             movable_cells(&plan.output, &plan.order_by)

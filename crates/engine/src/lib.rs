@@ -42,7 +42,6 @@ pub mod exact;
 pub mod exec;
 pub mod expr;
 mod keytable;
-mod parallel;
 pub mod planner;
 pub mod result;
 pub mod shared;

@@ -126,10 +126,8 @@ pub struct ExecStats {
     pub disk_charged: u64,
     /// The wall-clock limit the query ran under, if one was configured.
     pub timeout: Option<Duration>,
-    /// Worker threads that actually executed parallel query fragments:
-    /// `1` for serial plans (cross joins, or a configured single worker),
-    /// more when the morsel-parallel driver engaged. Thread count never
-    /// changes results, only this counter and the wall time.
+    /// Threads that executed the query: always `1`, since a query runs
+    /// on the thread that calls it.
     pub threads_used: usize,
 }
 
@@ -154,10 +152,9 @@ impl ExecStats {
         let mut out = String::new();
         self.root.render_into(&mut out, 0);
         out.push_str(&format!(
-            "Execution time: {} (peak operator memory: {}, threads: {})\n",
+            "Execution time: {} (peak operator memory: {})\n",
             fmt_duration(self.total_time),
             fmt_bytes(self.root.total_mem()),
-            self.threads_used
         ));
         if self.mem_budget.is_some() || self.disk_budget.is_some() || self.timeout.is_some() {
             let mem = match self.mem_budget {
@@ -256,7 +253,7 @@ mod tests {
         assert!(text.contains("\n  Scan t [t] (rows=10"), "{text}");
         assert!(text.contains("1.50ms"), "{text}");
         assert!(text.contains("2.0KiB"), "{text}");
-        assert!(text.contains("threads: 1"), "{text}");
+        assert!(text.contains("(peak operator memory: 2.0KiB)\n"), "{text}");
         assert!(!text.contains("Resource limits"), "{text}");
         assert_eq!(stats.root.self_time(), Duration::from_micros(600));
     }

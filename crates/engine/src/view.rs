@@ -564,12 +564,6 @@ pub(crate) fn delta_pairs(
     delta: &TableDelta,
 ) -> Result<Vec<Contribution>> {
     let schema = db.catalog().table(table)?.schema().clone();
-    // Delta queries touch a handful of rows; running them on the
-    // morsel-parallel pool would cost more in dispatch than it saves, and
-    // maintenance must stay schedulable under the model explorer (pool
-    // workers are not virtual threads).
-    let mut limits = *db.limits();
-    limits.threads = Some(1);
     let mut pairs = Vec::new();
     for k in view.occurrences(table) {
         // The telescope: the delta at slot `k`, the new `T` (the live
@@ -590,7 +584,7 @@ pub(crate) fn delta_pairs(
             side_table.insert_all(side.iter().cloned())?;
             db.catalog_mut().replace_table(side_table);
             let plan = db.plan(&query)?;
-            let rows = execute_plan(db.catalog(), &plan, &db.exec_context(limits))?.rows;
+            let rows = execute_plan(db.catalog(), &plan, &db.exec_context(*db.limits()))?.rows;
             pairs.extend(rows.into_iter().map(|row| view.contribution(row, add)));
         }
     }

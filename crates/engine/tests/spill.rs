@@ -106,34 +106,6 @@ fn spilling_hash_join_matches_in_memory_answer() {
 }
 
 #[test]
-fn a_build_that_overflows_under_a_worker_pool_is_pulled_on_not_rerun() {
-    // 10 000 rows are three morsels, so at threads = 2 the driver
-    // prepares the spine's build side (`a`: 280 000 B unconstrained) for
-    // a pool — and finds it in grace mode under 24 KiB. It must carry on
-    // pulling the tree it prepared: same answer, same spill volume and
-    // same budget high-water mark as threads = 1, every table scanned
-    // once.
-    let db = big_db(10_000);
-    let sql = "SELECT COUNT(*), SUM(a.val + b.val) \
-               FROM big a, big b WHERE a.id = b.id";
-    let limits = ExecLimits::none().with_mem_bytes(24 * 1024);
-    let serial = assert_spilled_run_matches(&db, sql, limits.with_threads(1));
-    let pooled = assert_spilled_run_matches(&db, sql, limits.with_threads(2));
-    assert_eq!(serial.rows, pooled.rows);
-    let (serial, pooled) = (serial.stats().unwrap(), pooled.stats().unwrap());
-    assert_eq!(pooled.threads_used, 1, "{}", pooled.render());
-    assert_eq!(serial.disk_charged, pooled.disk_charged);
-    assert_eq!(serial.mem_charged, pooled.mem_charged);
-    let mut scans = Vec::new();
-    pooled.root.visit(&mut |_, op| {
-        if op.name.starts_with("Scan big") {
-            scans.push(op.rows_in);
-        }
-    });
-    assert_eq!(scans, [10_000, 10_000], "{}", pooled.render());
-}
-
-#[test]
 fn spilling_aggregation_matches_in_memory_answer() {
     let db = big_db(4000);
     // 1000 groups of hash-table state (243 000 B unconstrained, whatever
@@ -352,25 +324,16 @@ fn a_spill_base_beneath_a_regular_file_is_a_typed_error() {
     std::fs::write(&file, b"").unwrap();
     let mut db = big_db(20_000);
     db.set_spill_dir(file.join("spill"));
-    // The serial self-join and a GROUP BY whose scan the four-worker pool
-    // drives: either way the session fails once, as a typed error.
-    for (sql, threads) in [
-        (
-            "SELECT COUNT(*), SUM(a.val) FROM big a, big b WHERE a.id = b.id",
-            1,
-        ),
-        (
-            "SELECT id, SUM(val) FROM big GROUP BY id ORDER BY id LIMIT 5",
-            4,
-        ),
+    // A spilling join and a spilling GROUP BY: either way the session
+    // fails once, as a typed error.
+    for sql in [
+        "SELECT COUNT(*), SUM(a.val) FROM big a, big b WHERE a.id = b.id",
+        "SELECT id, SUM(val) FROM big GROUP BY id ORDER BY id LIMIT 5",
     ] {
-        let limits = ExecLimits::none()
-            .with_mem_bytes(32 * 1024)
-            .with_threads(threads);
         let err = db
             .prepare(sql)
             .unwrap()
-            .with_limits(limits)
+            .with_limits(ExecLimits::none().with_mem_bytes(32 * 1024))
             .query(&db)
             .unwrap_err();
         assert!(
@@ -507,13 +470,7 @@ fn in_memory_state_is_charged_to_the_byte() {
     // The group and DISTINCT figures were recorded before those tables
     // became `KeyTable`s.
     let db = big_db(4000);
-    let run = |sql: &str| {
-        db.prepare(sql)
-            .unwrap()
-            .with_limits(ExecLimits::none().with_threads(1))
-            .query(&db)
-            .unwrap()
-    };
+    let run = |sql: &str| db.prepare(sql).unwrap().query(&db).unwrap();
     // Text join key and text group key; 1000 groups. The estimates tie
     // (both scans are of 4000-row `big`), so the left input `a` is the
     // build side: 4000 build tuples, each charging one 4-byte position

@@ -12,7 +12,7 @@
 //! QUERY <select>         must be a SELECT/EXPLAIN (errors on DDL/DML)
 //! EXEC <statement>       the same as SQL
 //! LIMIT                  show this session's resource limits
-//! LIMIT mem <bytes> | disk <bytes> | time <ms> | threads <n> | off
+//! LIMIT mem <bytes> | disk <bytes> | time <ms> | off
 //! STATS                  shared cache/admission counters
 //! EPOCH                  current catalog epoch
 //! CHECKPOINT             fold the WAL into a fresh epoch directory (durable servers)

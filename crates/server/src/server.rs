@@ -448,9 +448,12 @@ fn summarize(outcome: &ExecOutcome) -> String {
     }
 }
 
+/// The limits a `LIMIT` request can set, as its error messages name them.
+const LIMIT_TARGETS: &str = "mem <bytes> | disk <bytes> | time <ms> | off";
+
 /// Apply a `LIMIT` request to the session. Empty argument = show current
-/// limits; `off` clears them; `mem|disk <bytes>`, `time <ms>`,
-/// `threads <n>` set one budget.
+/// limits; `off` clears them; `mem|disk <bytes>` or `time <ms>` set one
+/// budget.
 fn apply_limit(session: &Session, arg: &str) -> Result<String, String> {
     let arg = arg.trim();
     if arg.is_empty() {
@@ -462,7 +465,7 @@ fn apply_limit(session: &Session, arg: &str) -> Result<String, String> {
     }
     let (what, value) = arg
         .split_once(' ')
-        .ok_or_else(|| format!("LIMIT expects `<what> <n>` or `off`, got {arg:?}"))?;
+        .ok_or_else(|| format!("LIMIT expects {LIMIT_TARGETS}, got {arg:?}"))?;
     let n: u64 = value
         .trim()
         .parse()
@@ -472,8 +475,11 @@ fn apply_limit(session: &Session, arg: &str) -> Result<String, String> {
         "mem" => limits.mem_bytes = Some(n),
         "disk" => limits.disk_bytes = Some(n),
         "time" => limits.timeout = Some(Duration::from_millis(n)),
-        "threads" => limits.threads = Some((n as usize).max(1)),
-        other => return Err(format!("unknown LIMIT target {other:?}")),
+        other => {
+            return Err(format!(
+                "unknown LIMIT target {other:?}; valid limits: {LIMIT_TARGETS}"
+            ))
+        }
     }
     session.set_limits(limits);
     Ok(describe_limits(&limits))
@@ -482,11 +488,10 @@ fn apply_limit(session: &Session, arg: &str) -> Result<String, String> {
 fn describe_limits(limits: &ExecLimits) -> String {
     let opt = |v: Option<u64>| v.map_or("off".to_string(), |n| n.to_string());
     format!(
-        "mem={} disk={} time_ms={} threads={}",
+        "mem={} disk={} time_ms={}",
         opt(limits.mem_bytes),
         opt(limits.disk_bytes),
         opt(limits.timeout.map(|t| t.as_millis() as u64)),
-        limits.threads.map_or("auto".to_string(), |n| n.to_string()),
     )
 }
 
@@ -498,22 +503,29 @@ mod tests {
     fn limit_parses_and_describes() {
         let shared = SharedDatabase::new(conquer_engine::Database::new());
         let session = shared.session();
-        // `Database::new` reads CONQUER_THREADS / CONQUER_MEM_BUDGET (the CI
-        // matrix sets them); start from no limits whatever the environment.
+        // `Database::new` reads CONQUER_MEM_BUDGET (a CI job sets it);
+        // start from no limits whatever the environment.
         session.set_limits(ExecLimits::none());
         assert_eq!(
             apply_limit(&session, "").unwrap(),
-            "mem=off disk=off time_ms=off threads=auto"
+            "mem=off disk=off time_ms=off"
         );
         apply_limit(&session, "mem 1024").unwrap();
         apply_limit(&session, "time 250").unwrap();
         let shown = apply_limit(&session, "").unwrap();
-        assert_eq!(shown, "mem=1024 disk=off time_ms=250 threads=auto");
+        assert_eq!(shown, "mem=1024 disk=off time_ms=250");
         assert_eq!(session.limits().timeout, Some(Duration::from_millis(250)));
         apply_limit(&session, "off").unwrap();
         assert!(session.limits().is_unlimited());
         assert!(apply_limit(&session, "mem lots").is_err());
         assert!(apply_limit(&session, "bogus 1").is_err());
+        // The per-query thread count is gone; an old client is told so.
+        let err = apply_limit(&session, "threads 4").unwrap_err();
+        assert!(
+            err.contains("mem <bytes> | disk <bytes> | time <ms> | off"),
+            "{err}"
+        );
+        assert_eq!(session.limits(), ExecLimits::none());
     }
 
     #[test]

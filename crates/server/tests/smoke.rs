@@ -211,6 +211,20 @@ fn malformed_requests_get_proto_errors_not_disconnects() {
     }
     assert_eq!(err.kind(), None, "PROTO is not an engine error kind");
 
+    // There is no per-query thread count to set: the old target is refused
+    // with the list of limits that exist.
+    match client.request("LIMIT threads 4").unwrap_err() {
+        ClientError::Server(e) => {
+            assert_eq!(e.code, "PROTO", "{e:?}");
+            assert!(
+                e.message
+                    .contains("mem <bytes> | disk <bytes> | time <ms> | off"),
+                "{e:?}"
+            );
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+
     // A bad SQL statement maps to a stable engine kind.
     let err = client.query("SELEC a FROM t").unwrap_err();
     assert_eq!(err.kind(), Some(ErrorKind::Parse), "{err}");

@@ -226,34 +226,10 @@ impl SpillSession {
     }
 
     /// Open a fresh run file for writing. The file counter is atomic, so
-    /// writers may be opened from several threads of one query at once
-    /// (e.g. per-worker runs under the morsel-parallel executor) without
-    /// name collisions.
+    /// a shared session never hands out one name twice.
     pub fn writer(&self) -> Result<SpillWriter, StorageError> {
         let n = self.next_file.fetch_add(1, Ordering::Relaxed);
         SpillWriter::create(self.dir.join(format!("run-{n:06}.spill")))
-    }
-
-    /// Like [`SpillSession::writer`], but tags the file name with an
-    /// owner label (a worker index, an operator name) so the runs of
-    /// concurrent producers can be told apart on disk when debugging a
-    /// crash or an orphaned session. Labels are sanitized to
-    /// `[A-Za-z0-9_-]`; the atomic counter still guarantees uniqueness
-    /// even when two producers pass the same label.
-    pub fn writer_labeled(&self, label: &str) -> Result<SpillWriter, StorageError> {
-        let tag: String = label
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .take(32)
-            .collect();
-        let n = self.next_file.fetch_add(1, Ordering::Relaxed);
-        SpillWriter::create(self.dir.join(format!("run-{n:06}-{tag}.spill")))
     }
 
     /// Remove the session directory and everything in it. Called
@@ -506,10 +482,10 @@ mod tests {
 
     #[test]
     #[cfg_attr(miri, ignore)] // real file I/O
-    fn concurrent_labeled_writers_share_one_session_safely() {
-        // The morsel-parallel executor hands one SpillSession to several
-        // worker threads; run files must never collide and every run must
-        // read back intact regardless of interleaving.
+    fn concurrent_writers_share_one_session_safely() {
+        // A session is `Sync`: writers opened from several threads must
+        // never collide, and every run must read back intact regardless
+        // of interleaving.
         let base = tempbase("concurrent");
         let session = SpillSession::create_in(&base).unwrap();
         const WORKERS: usize = 8;
@@ -519,7 +495,7 @@ mod tests {
                 .map(|w| {
                     let session = &session;
                     s.spawn(move || {
-                        let mut writer = session.writer_labeled(&format!("worker-{w}")).unwrap();
+                        let mut writer = session.writer().unwrap();
                         for i in 0..ROWS {
                             writer
                                 .write_row(&[Value::Int(w as i64), Value::Int(i as i64)])
@@ -557,10 +533,10 @@ mod tests {
 
     #[test]
     #[cfg_attr(miri, ignore)] // real file I/O
-    fn labels_are_sanitized_for_the_filesystem() {
-        let base = tempbase("label");
+    fn runs_are_numbered_files_in_the_session_dir() {
+        let base = tempbase("names");
         let session = SpillSession::create_in(&base).unwrap();
-        let mut w = session.writer_labeled("agg/merge pass #2").unwrap();
+        let mut w = session.writer().unwrap();
         w.write_row(&[Value::Int(1)]).unwrap();
         let file = w.finish().unwrap();
         let name = fs::read_dir(session.dir())
@@ -570,7 +546,7 @@ mod tests {
             .unwrap()
             .file_name();
         let name = name.to_string_lossy().into_owned();
-        assert_eq!(name, "run-000000-agg_merge_pass__2.spill", "{name}");
+        assert_eq!(name, "run-000000.spill", "{name}");
         assert_eq!(file.reader().unwrap().next_row().unwrap().unwrap().len(), 1);
         drop(file);
         drop(session);

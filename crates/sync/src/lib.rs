@@ -106,18 +106,6 @@ pub mod rank {
         name: "session_active",
         blocking_ok: false,
     };
-    /// Morsel scheduler shared queue (`engine::parallel`).
-    pub static PARALLEL_QUEUE: Rank = Rank {
-        order: 70,
-        name: "parallel_queue",
-        blocking_ok: false,
-    };
-    /// Per-worker fork counters (`engine::parallel`).
-    pub static METRICS_STEPS: Rank = Rank {
-        order: 75,
-        name: "metrics_steps",
-        blocking_ok: false,
-    };
     /// VFS mount table (`storage::vfs`); maps path prefixes to simulated
     /// filesystems under `--features fault`. Held only for the routing
     /// lookup, never across IO.

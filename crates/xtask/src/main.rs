@@ -496,7 +496,7 @@ fn scan_value_keyed_maps(text: &str, file: &str, violations: &mut Vec<String>) {
 
 /// Symbols ROADMAP.md's diet rule records as deleted. Extend the list when
 /// a PR makes another one grep-empty.
-const DELETED_SYMBOLS: [&str; 10] = [
+const DELETED_SYMBOLS: [&str; 17] = [
     "canonical_sum",
     "load_state",
     "storage::fault",
@@ -507,6 +507,13 @@ const DELETED_SYMBOLS: [&str; 10] = [
     "concat_rows",
     "carried_cells",
     "push_down_projection",
+    "GatherSource",
+    "prepare_spine",
+    "HashProbe",
+    "MORSEL_SIZE",
+    "with_threads",
+    "CONQUER_THREADS",
+    "writer_labeled",
 ];
 
 /// A deleted symbol may not come back: plain substring search over every
@@ -601,10 +608,10 @@ mod tests {
     #[test]
     fn undocumented_env_var_is_flagged() {
         let fx = Fixture::new("env");
-        fx.put("DESIGN.md", "| `CONQUER_THREADS` | documented |\n")
+        fx.put("DESIGN.md", "| `CONQUER_TIMEOUT_MS` | documented |\n")
             .put(
                 "crates/engine/src/lib.rs",
-                "fn f() { var(\"CONQUER_THREADS\"); var(\"CONQUER_MYSTERY_KNOB\"); }\n",
+                "fn f() { var(\"CONQUER_TIMEOUT_MS\"); var(\"CONQUER_MYSTERY_KNOB\"); }\n",
             );
         let v = check_env_docs(&fx.root);
         assert_eq!(v.len(), 1, "{v:?}");
@@ -616,13 +623,13 @@ mod tests {
         let fx = Fixture::new("env_ghost");
         fx.put(
             "DESIGN.md",
-            "| `CONQUER_THREADS` | engine | workers |\n\
+            "| `CONQUER_TIMEOUT_MS` | engine | deadline |\n\
              | `CONQUER_DELETED_KNOB` | shared | a ghost |\n\
              prose may still mention `CONQUER_HISTORY` freely\n",
         )
         .put(
             "crates/engine/src/lib.rs",
-            "fn f() { var(\"CONQUER_THREADS\"); }\n",
+            "fn f() { var(\"CONQUER_TIMEOUT_MS\"); }\n",
         );
         let v = check_env_docs(&fx.root);
         assert_eq!(v.len(), 1, "{v:?}");

@@ -15,7 +15,7 @@
 //! \gen <sf> <if>                                 load a dirtied TPC-H-lite database
 //! \save <dir> / \load <dir>                      persist / restore the catalog (crash-safe; \load reports recovery issues)
 //! \scrub <dir>                                   checksum-sweep a persisted catalog without loading it
-//! \limit [mem <bytes> | disk <bytes> | time <ms> | threads <n> | off]  per-query resource limits (no args: show)
+//! \limit [mem <bytes> | disk <bytes> | time <ms> | off]  per-query resource limits (no args: show)
 //! \topk <k> <select …>                           k most probable clean answers
 //! \why <v1,v2,…> <select …>                      explain one answer's probability
 //! \stats                                         dirty-data statistics per table
@@ -150,7 +150,7 @@ impl Shell {
                 "SQL statements run directly; \\dirty <t> [id [prob]], \\clean <sql>, \
                  \\expected <sql>, \\rewrite <sql>, \\check <sql>, \\explain <sql>, \
                  \\gen <sf> <if>, \\save <dir>, \\load <dir>, \\scrub <dir>, \
-                 \\limit [mem <bytes> | disk <bytes> | time <ms> | threads <n> | off], \
+                 \\limit [mem <bytes> | disk <bytes> | time <ms> | off], \
                  \\topk <k> <sql>, \\why <tuple> <sql>, \\stats, \\tables, \\validate, \\quit"
             ),
             "tables" => {
@@ -380,7 +380,7 @@ impl Shell {
                     (None, _) => {
                         let l = self.db.limits();
                         println!(
-                            "memory: {}, disk: {}, timeout: {}, threads: {}",
+                            "memory: {}, disk: {}, timeout: {}",
                             l.mem_bytes
                                 .map_or("unlimited".into(), |b| format!("{b} bytes")),
                             match l.disk_bytes {
@@ -389,7 +389,6 @@ impl Shell {
                                 None => "unlimited".to_string(),
                             },
                             l.timeout.map_or("unlimited".into(), |t| format!("{t:?}")),
-                            l.threads.map_or("all cores".into(), |n| format!("{n}")),
                         );
                     }
                     (Some("off"), _) => {
@@ -414,15 +413,6 @@ impl Shell {
                             println!("spill-disk budget: {bytes} bytes per query.");
                         }
                     }
-                    (Some("threads"), Some(n)) => {
-                        let n: usize = n.parse().map_err(|_| "usage: \\limit threads <n>")?;
-                        self.db.set_limits(self.db.limits().with_threads(n));
-                        println!(
-                            "worker threads: {} per query (results are identical at any \
-                             thread count).",
-                            n.max(1)
-                        );
-                    }
                     (Some("time"), Some(ms)) => {
                         let ms: u64 = ms.parse().map_err(|_| "usage: \\limit time <ms>")?;
                         self.db.set_limits(
@@ -433,9 +423,9 @@ impl Shell {
                         println!("query timeout: {ms} ms.");
                     }
                     _ => {
-                        return Err("usage: \\limit [mem <bytes> | disk <bytes> | time <ms> \
-                             | threads <n> | off]"
-                            .into())
+                        return Err(
+                            "usage: \\limit [mem <bytes> | disk <bytes> | time <ms> | off]".into(),
+                        )
                     }
                 }
             }
@@ -486,7 +476,7 @@ impl RemoteShell {
             }
             "help" | "h" => println!(
                 "connected mode: SQL statements run on the server; \
-                 \\limit [mem <bytes> | disk <bytes> | time <ms> | threads <n> | off], \
+                 \\limit [mem <bytes> | disk <bytes> | time <ms> | off], \
                  \\stats (server cache/admission counters), \\checkpoint (fold the \
                  server's WAL), \\scrub (checksum-sweep the server's storage), \
                  \\epoch, \\ping, \\quit. \
