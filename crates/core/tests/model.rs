@@ -513,3 +513,51 @@ fn view_delta_publish_is_atomic_and_skip_retract_mutant_is_caught() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A `stats()` reader racing a view-maintaining UPDATE: one reply's epoch
+/// and view counters must come from one version, before or after the
+/// publish, never one of each.
+fn explore_stats_under_view_publish() -> conquer_core::sync::sched::Report {
+    Explorer::new().explore(|exec| {
+        let shared = SharedDatabase::new(Database::new());
+        let setup = shared.session();
+        setup
+            .execute("CREATE TABLE t (id TEXT, g INTEGER, prob DOUBLE)")
+            .unwrap();
+        setup
+            .execute("INSERT INTO t VALUES ('a', 1, 0.5), ('b', 1, 0.5)")
+            .unwrap();
+        setup
+            .execute("CREATE MATERIALIZED VIEW v AS SELECT g, SUM(prob) AS p FROM t GROUP BY g")
+            .unwrap();
+        let before = shared.stats();
+        let (e0, d0) = (before.epoch, before.view_deltas_applied);
+
+        let db = shared.clone();
+        exec.spawn("view-writer", move || {
+            db.session()
+                .execute("UPDATE t SET g = 2 WHERE id = 'a'")
+                .unwrap();
+        });
+        let db = shared.clone();
+        exec.spawn("stats", move || {
+            let stats = db.stats();
+            let seen = (stats.epoch, stats.view_deltas_applied);
+            assert!(
+                seen == (e0, d0) || seen == (e0 + 1, d0 + 1),
+                "stats mixed two versions: (epoch, view_deltas_applied) = {seen:?}, \
+                 expected ({e0}, {d0}) or ({}, {})",
+                e0 + 1,
+                d0 + 1
+            );
+        });
+    })
+}
+
+#[test]
+fn stats_read_one_version_under_a_view_publish() {
+    let _s = serialize();
+    let report = explore_stats_under_view_publish();
+    report.assert_passed();
+    assert!(report.schedules > 1, "two racing threads must interleave");
+}

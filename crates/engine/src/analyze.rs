@@ -16,8 +16,7 @@
 //! snippets via [`Diagnostic::render`]; `--deny-warnings` promotes
 //! warnings to failures.
 //!
-//! Entry points: [`Database::analyze`](crate::Database::analyze) and
-//! [`Statement::check`](crate::Statement::check).
+//! Entry point: [`Database::analyze`](crate::Database::analyze).
 
 use std::fmt;
 

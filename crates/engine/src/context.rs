@@ -34,11 +34,10 @@
 //! released when their state moves to disk ([`ExecContext::release`]);
 //! [`ExecContext::mem_charged`] reports the high-water mark.
 //!
-//! Limits are configured per [`Database`](crate::Database)
-//! ([`Database::set_limits`](crate::Database::set_limits)) and overridden
-//! per [`Statement`](crate::Statement)
-//! ([`Statement::set_limits`](crate::Statement::set_limits)); a fully
-//! custom context (e.g. with a shared [`CancelToken`]) goes through
+//! Limits live in two places: the [`Database`](crate::Database) defaults
+//! ([`Database::set_limits`](crate::Database::set_limits)) and each
+//! [`Session`](crate::Session)'s own; any other context (other limits, a
+//! shared [`CancelToken`]) goes through
 //! [`Statement::query_with`](crate::Statement::query_with). Process-wide
 //! defaults can come from the environment via [`ExecLimits::from_env`].
 

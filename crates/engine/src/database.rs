@@ -3,15 +3,14 @@
 use std::collections::BTreeMap;
 
 use conquer_sql::{
-    parse_statement, parse_statements, ApplyCrossref, CreateView, Delete, Expr, Insert,
-    InsertSource, Reannotate, Recluster, SelectStatement, Statement, Update,
+    parse_statements, ApplyCrossref, CreateView, Delete, Expr, Insert, InsertSource, Reannotate,
+    Recluster, SelectStatement, Statement, Update,
 };
 use conquer_storage::{Catalog, Row, Schema, Table, Value};
 
 use crate::binder::{bind_constant, bind_select, bind_table_expr};
 use crate::context::{ExecContext, ExecLimits};
 use crate::error::EngineError;
-use crate::exec::execute_plan;
 use crate::expr::BoundExpr;
 use crate::planner::{plan_select, Plan};
 use crate::result::QueryResult;
@@ -54,8 +53,8 @@ pub enum ExecOutcome {
 /// Queries run under the database's default [`ExecLimits`] (taken from the
 /// environment via [`ExecLimits::from_env`], so unlimited unless the
 /// `CONQUER_*` budget variables are set or the limits are tightened with
-/// [`Database::set_limits`]); individual prepared statements can override
-/// them (see [`Statement::set_limits`](crate::Statement::set_limits)).
+/// [`Database::set_limits`]); a [`Session`](crate::Session) runs them
+/// under its own.
 /// Queries that exceed their memory budget spill to checksummed temp files
 /// under [`Database::spill_dir`] (the OS temp directory by default).
 #[derive(Debug, Clone)]
@@ -131,8 +130,7 @@ impl Database {
     }
 
     /// Set the default resource limits (memory budget, timeout) every
-    /// query on this database runs under. Prepared statements can
-    /// override them per statement.
+    /// query on this database runs under outside a session.
     pub fn set_limits(&mut self, limits: ExecLimits) {
         self.limits = limits;
     }
@@ -144,8 +142,8 @@ impl Database {
 
     /// Set the directory under which queries create their per-query spill
     /// directories when they exceed the memory budget. Defaults to the OS
-    /// temp directory; [`Database::load_from_dir`] points it at the
-    /// persistence directory so startup recovery
+    /// temp directory; [`SharedDatabase::open_durable`](crate::SharedDatabase::open_durable)
+    /// points it at the persistence directory so startup recovery
     /// ([`conquer_storage::load_catalog_recover`]) can collect spill
     /// directories orphaned by a crash.
     pub fn set_spill_dir(&mut self, dir: impl Into<std::path::PathBuf>) {
@@ -227,9 +225,9 @@ impl Database {
                 self.catalog.drop_table(name)?;
                 Ok(ExecOutcome::Dropped)
             }
-            Statement::Select(sel) => Ok(ExecOutcome::Rows(self.run_select(sel)?)),
-            Statement::Explain { analyze, query } => {
-                Ok(ExecOutcome::Rows(self.explain_select(query, *analyze)?))
+            Statement::Select(_) | Statement::Explain { .. } => {
+                let query = crate::Statement::from_parsed(self, &stmt.to_string(), stmt.clone())?;
+                Ok(ExecOutcome::Rows(query.query(self)?))
             }
             Statement::CreateView(cv) => self.create_view(cv),
             Statement::DropView(name) => self.drop_view(name),
@@ -275,22 +273,6 @@ impl Database {
         Ok(outcome(count))
     }
 
-    /// Persist the whole catalog to a directory of `.schema`/`.csv` files
-    /// (see [`conquer_storage::persist`]).
-    pub fn save_to_dir(&self, dir: &std::path::Path) -> Result<()> {
-        conquer_storage::save_catalog(&self.catalog, dir)?;
-        Ok(())
-    }
-
-    /// Load a database previously saved with [`Database::save_to_dir`].
-    /// The directory also becomes the database's spill base (see
-    /// [`Database::set_spill_dir`]).
-    pub fn load_from_dir(dir: &std::path::Path) -> Result<Self> {
-        let mut db = Database::from_catalog(conquer_storage::load_catalog(dir)?);
-        db.set_spill_dir(dir);
-        Ok(db)
-    }
-
     /// Pre-build a hash index on `table.column`. Joins whose build side is
     /// an unfiltered scan of `table` keyed on that column will probe the
     /// stored index instead of hashing at query time (the paper's
@@ -299,13 +281,6 @@ impl Database {
     pub fn create_index(&mut self, table: &str, column: &str) -> Result<()> {
         self.catalog.table_mut(table)?.index_on(column)?;
         Ok(())
-    }
-
-    /// Plan + execute an already-parsed `SELECT` (the internal path behind
-    /// the prepared-statement API).
-    pub(crate) fn run_select(&self, stmt: &SelectStatement) -> Result<QueryResult> {
-        let plan = self.plan(stmt)?;
-        execute_plan(&self.catalog, &plan, &self.exec_context(self.limits))
     }
 
     /// Produce (but do not run) the plan for a `SELECT`.
@@ -326,64 +301,6 @@ impl Database {
     /// cleanly.
     pub fn analyze(&self, sql: &str) -> Vec<crate::analyze::Diagnostic> {
         crate::analyze::analyze_sql(&self.catalog, sql)
-    }
-
-    /// EXPLAIN-style plan description for a `SELECT` given as SQL text.
-    pub fn explain(&self, sql: &str) -> Result<String> {
-        let stmt = parse_statement(sql)?;
-        match stmt {
-            Statement::Select(sel) => Ok(self.plan(&sel)?.describe()),
-            Statement::Explain { analyze, query } => {
-                let result = self.explain_select(&query, analyze)?;
-                Ok(result
-                    .rows
-                    .iter()
-                    .filter_map(|r| r.first())
-                    .map(|v| match v {
-                        Value::Text(s) => s.clone(),
-                        other => other.to_string(),
-                    })
-                    .collect::<Vec<_>>()
-                    .join("\n"))
-            }
-            other => Err(EngineError::bind(format!("cannot explain: {other}"))),
-        }
-    }
-
-    /// Run `EXPLAIN [ANALYZE]` over a `SELECT`, producing a one-column
-    /// `QUERY PLAN` result (one row per line, Postgres-style).
-    ///
-    /// With `analyze = false` the plan is described without running it;
-    /// with `analyze = true` the query is executed and the per-operator
-    /// [`crate::stats::ExecStats`] tree is rendered instead.
-    pub fn explain_select(&self, stmt: &SelectStatement, analyze: bool) -> Result<QueryResult> {
-        let plan = self.plan(stmt)?;
-        self.render_explain(&plan, analyze, &self.exec_context(self.limits))
-    }
-
-    /// The `QUERY PLAN` result for `plan`: its description, or with
-    /// `analyze` its stats tree from a run under `ctx`.
-    pub(crate) fn render_explain(
-        &self,
-        plan: &Plan,
-        analyze: bool,
-        ctx: &ExecContext,
-    ) -> Result<QueryResult> {
-        let text = if analyze {
-            let result = execute_plan(&self.catalog, plan, ctx)?;
-            result
-                .stats()
-                .map(|s| s.render())
-                .unwrap_or_else(|| plan.describe())
-        } else {
-            plan.describe()
-        };
-        Ok(QueryResult::new(
-            vec!["QUERY PLAN".to_string()],
-            text.lines()
-                .map(|l| vec![Value::Text(l.to_string())])
-                .collect(),
-        ))
     }
 
     /// Refuse direct writes against view contents and hidden bookkeeping
@@ -492,7 +409,7 @@ impl Database {
                 }
             }
             InsertSource::Query(q) => {
-                let result = self.run_select(q)?;
+                let result = self.prepare_select(q)?.query(self)?;
                 if result.columns.len() != positions.len() {
                     return Err(EngineError::bind(format!(
                         "INSERT source query produces {} columns but {} were specified",
@@ -1133,12 +1050,20 @@ mod tests {
         assert!(query(&db, "CREATE TABLE x (a INTEGER)").is_err());
     }
 
+    /// The `QUERY PLAN` rows of an `EXPLAIN [ANALYZE]`, one line each.
+    fn explain(db: &Database, sql: &str) -> String {
+        let plan = query(db, sql).unwrap();
+        let lines: Vec<String> = plan.rows.iter().map(|row| row[0].to_string()).collect();
+        lines.join("\n")
+    }
+
     #[test]
     fn explain_produces_tree() {
         let db = sample();
-        let text = db
-            .explain("SELECT o.id FROM orders o, customer c WHERE o.cidfk = c.id")
-            .unwrap();
+        let text = explain(
+            &db,
+            "EXPLAIN SELECT o.id FROM orders o, customer c WHERE o.cidfk = c.id",
+        );
         assert!(text.contains("HashJoin"), "{text}");
         assert!(text.contains("Scan"), "{text}");
     }
@@ -1171,12 +1096,11 @@ mod tests {
     #[test]
     fn explain_analyze_executes_and_reports() {
         let db = sample();
-        let text = db
-            .explain(
-                "EXPLAIN ANALYZE SELECT o.id, SUM(o.prob * c.prob) FROM orders o, customer c \
-                 WHERE o.cidfk = c.id GROUP BY o.id",
-            )
-            .unwrap();
+        let text = explain(
+            &db,
+            "EXPLAIN ANALYZE SELECT o.id, SUM(o.prob * c.prob) FROM orders o, customer c \
+             WHERE o.cidfk = c.id GROUP BY o.id",
+        );
         assert!(text.contains("HashAggregate"), "{text}");
         assert!(text.contains("HashJoin"), "{text}");
         assert!(text.contains("rows="), "{text}");
@@ -1357,8 +1281,8 @@ mod tests {
         execute(&mut db, EX6_VIEW).unwrap();
         execute(&mut db, "INSERT INTO orders VALUES ('o3', 'c2', 9, 1.0)").unwrap();
         let before = view_rows(&db);
-        db.save_to_dir(&dir).unwrap();
-        let mut reloaded = Database::load_from_dir(&dir).unwrap();
+        conquer_storage::save_catalog(db.catalog(), &dir).unwrap();
+        let mut reloaded = Database::from_catalog(conquer_storage::load_catalog(&dir).unwrap());
         assert!(reloaded.is_view("v"));
         assert_eq!(view_rows(&reloaded), before);
         // Maintenance keeps working after rehydration.
@@ -1460,18 +1384,18 @@ mod tests {
         assert_eq!(hidden_delta_tables(&db), Vec::<String>::new());
 
         // Through the shared handle the statement never happened.
-        let before = shared.with_db(|db| db.catalog().table("sj").unwrap().rows().to_vec());
+        let before = shared.snapshot();
         let err = shared
             .session()
             .execute("INSERT INTO t VALUES ('b', 2, 0.25)")
             .unwrap_err();
         assert_eq!(err.kind(), crate::ErrorKind::ResourceExhausted, "{err}");
         assert_eq!(shared.epoch(), 0);
-        shared.with_db(|db| {
-            assert_eq!(db.catalog().table("t").unwrap().len(), 3);
-            assert_eq!(db.catalog().table("sj").unwrap().rows(), before);
-            assert_eq!(hidden_delta_tables(db), Vec::<String>::new());
-        });
+        let snap = shared.snapshot();
+        assert_eq!(snap.db().catalog().table("t").unwrap().len(), 3);
+        let sj = |snap: &crate::Snapshot| snap.db().catalog().table("sj").unwrap().rows().to_vec();
+        assert_eq!(sj(&snap), sj(&before));
+        assert_eq!(hidden_delta_tables(snap.db()), Vec::<String>::new());
     }
 
     #[test]

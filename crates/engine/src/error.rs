@@ -136,7 +136,7 @@ impl From<StorageError> for EngineError {
 /// The enum is `#[non_exhaustive]`: new kinds may appear in later versions,
 /// so downstream `match`es need a `_` arm. The [`ErrorKind::as_str`] names
 /// are a stable wire-format commitment (SCREAMING_SNAKE_CASE, round-trips
-/// through [`ErrorKind::from_str`]).
+/// through `ErrorKind::from_str`).
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ErrorKind {

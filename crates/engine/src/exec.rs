@@ -9,11 +9,11 @@
 //!
 //! **Joins carry positions, not rows.** A query runs against tables its
 //! catalog pins for as long as it runs, so below the first operator that
-//! owns values a row is named by its position: a [`Tuples`] batch holds,
+//! owns values a row is named by its position: a `Tuples` batch holds,
 //! per tuple, one `u32` row position for each relation of the operator's
-//! [`Layout`]. A scan emits the positions that pass its filter; a join
+//! `Layout`. A scan emits the positions that pass its filter; a join
 //! appends the two sides' positions; an expression reads a cell in place
-//! through a [`Tuple`]. Cells are copied into owned values in two places
+//! through a `Tuple`. Cells are copied into owned values in two places
 //! only: the aggregate's key table (once per new group) and, for an
 //! ungrouped query, `Project` (once per output cell). From there up,
 //! batches are materialized rows (`Vec<Row>`).
@@ -52,7 +52,7 @@
 //! external strategy (cross join, DISTINCT, the result buffer) still
 //! charge the memory budget hard. Spill loops run for a long time
 //! without crossing a batch boundary, so they tick the context's
-//! cancellation/deadline guards every [`SPILL_TICK_ROWS`] rows.
+//! cancellation/deadline guards every `SPILL_TICK_ROWS` rows.
 
 use std::borrow::Cow;
 use std::collections::HashSet;

@@ -2,57 +2,51 @@
 //! the network server is built on.
 //!
 //! [`SharedDatabase`] is an `Arc`-shareable, `Send + Sync` handle over a
-//! sequence of immutable [`Database`] versions. Reads pin the current
-//! version (an `Arc` [`Snapshot`] tagged with the **catalog epoch**, a
-//! monotonic counter identifying one immutable snapshot of the catalog's
-//! contents) and execute entirely without locks — a long scan never
-//! stalls behind a writer, and a writer never waits for readers. Writes
-//! serialize on a writer lock, build the *next* version copy-on-write,
-//! optionally make it durable (below), and atomically swap it in.
+//! sequence of immutable versions. The published version *is* a
+//! [`Snapshot`]: an `Arc`'d [`Database`] tagged with its **catalog epoch**,
+//! a counter that goes up by one per committed write. A reader clones the
+//! current snapshot and runs without locks — a long scan never stalls
+//! behind a writer, and a writer never waits for readers.
 //!
-//! Versions share tables. A catalog holds `Arc<Table>`, so the next
-//! version starts as a clone that copies names and bumps reference
-//! counts; a statement copies a table the first time it asks for mutable
-//! access to it, and only then (a table it replaces or drops is not copied
-//! at all). Everything else — every table the statement did not write —
-//! is the same allocation in both versions, and stays alive for as long
-//! as any pinned snapshot or the current version refers to it.
+//! **One read path.** A [`Session`] read passes the [`AdmissionGate`] (at
+//! most `max_running` queries execute, at most `max_queue` wait, the rest
+//! are shed with the typed [`EngineError::Overloaded`]), pins the current
+//! snapshot and looks its SQL text up in the result cache. On a miss it
+//! prepares the statement on the pinned version, runs it through
+//! [`Statement::query_with`] and files the answer with the tables its plan
+//! read. An answer is served for a pinned snapshot only while every table
+//! it read is still the allocation that snapshot holds, so a hit is the
+//! answer at that epoch, bit for bit, and a write misses just the answers
+//! that read what it wrote.
 //!
-//! The one piece of derived state is the **clean-answer result cache**:
-//! full [`QueryResult`]s keyed by SQL text — the paper's GROUP BY + SUM
-//! form makes results small and cheap to reuse. An entry hits for a
-//! pinned snapshot only while every table it read is still the allocation
-//! that snapshot holds, so a hit is *proof* the answer is byte-identical
-//! to re-running the query there, and a write misses just the answers
-//! that read what it wrote. A read that misses it is parsed, bound,
-//! planned and executed on its pinned version; the rewriting's cost is
-//! executing it, so nothing else is cached.
+//! **One write body.** Every write — a statement through
+//! [`Session::execute`] or an arbitrary [`SharedDatabase::mutate`] — runs
+//! under the writer lock on a clone of the current version. The clone
+//! shares every table (a catalog holds `Arc<Table>`) and copies one only
+//! when the write first asks to change it, so consecutive versions share
+//! everything a write left alone. On `Ok` the clone is made durable and
+//! published as the next epoch; on `Err` it is dropped and nothing
+//! changed — not the epoch, not the visible data, not the disk.
 //!
-//! Each client talks to the database through a [`Session`], which owns the
-//! per-connection state: [`ExecLimits`] budgets, the active statement's
-//! [`CancelToken`], and a session id. Before touching the database every
-//! request passes the [`AdmissionGate`]: at most `max_running` queries
-//! execute at once, at most `max_queue` wait, and anything beyond that is
-//! shed immediately with the typed [`EngineError::Overloaded`] — load
-//! never turns into an unbounded pile-up or a panic.
+//! **Two limit holders.** The [`Database`] holds the default
+//! [`ExecLimits`]; each [`Session`] holds its own (initialized from the
+//! defaults), beside the active statement's [`CancelToken`] and an id.
 //!
 //! ## Durability
 //!
 //! A handle opened with [`SharedDatabase::open_durable`] is backed by a
-//! persistence directory: every committed write appends the tables the
-//! new version does not share with the one it was built from
+//! persistence directory. A statement appends the tables the new version
+//! does not share with the one it was built from
 //! ([`conquer_storage::Catalog::changes_since`] — whole images of what the
 //! statement wrote, drop markers for what it removed) to the write-ahead
-//! log ([`conquer_storage::wal`]) and fsyncs
-//! *before* the new version becomes visible, so `Ok` from
-//! [`Session::execute`] means the write survives a crash, and `Err` means
-//! it never happened — statement-level atomicity (a failed DML leaves no
-//! partial effects; the copy-on-write working version is simply
-//! discarded). [`SharedDatabase::checkpoint`] (or the automatic policy at
-//! `wal_limit` bytes) folds the log into a fresh epoch directory via
-//! [`conquer_storage::save_catalog`] and truncates it. Startup replays
-//! committed WAL suffixes and reports anything unusual in a
-//! [`RecoveryReport`].
+//! log ([`conquer_storage::wal`]) and fsyncs *before* the version becomes
+//! visible, so `Ok` from [`Session::execute`] means the write survives a
+//! crash. A mutation, typically a bulk rewrite, folds the whole new
+//! catalog into a fresh epoch directory instead — the same fold
+//! [`SharedDatabase::checkpoint`] (or the automatic policy at `wal_limit`
+//! bytes) applies to the log via [`conquer_storage::save_catalog`].
+//! Startup replays committed WAL suffixes and reports anything unusual in
+//! a [`RecoveryReport`].
 //!
 //! ```
 //! use conquer_engine::{Database, SharedDatabase, QuerySource};
@@ -201,15 +195,6 @@ impl AdmissionGate {
         }
     }
 
-    /// A gate that always admits (unlimited slots).
-    pub fn unlimited() -> Self {
-        AdmissionGate::new(usize::MAX, 0)
-    }
-
-    fn lock(&self) -> MutexGuard<'_, GateState> {
-        self.state.lock()
-    }
-
     /// Make the next `n` condvar waits inside [`AdmissionGate::admit`]
     /// return as spurious wakeups (no slot was actually freed). Tests use
     /// this to prove the wait loop re-checks its predicate and deadline
@@ -224,7 +209,7 @@ impl AdmissionGate {
     /// [`EngineError::Overloaded`] immediately when the queue is full and
     /// [`EngineError::Timeout`] when `wait` elapses first.
     pub fn admit(&self, wait: Option<Duration>) -> Result<AdmissionPermit<'_>> {
-        let mut state = self.lock();
+        let mut state = self.state.lock();
         if state.running < self.max_running {
             state.running += 1;
             return Ok(AdmissionPermit { gate: self });
@@ -271,37 +256,20 @@ impl AdmissionGate {
         Ok(AdmissionPermit { gate: self })
     }
 
-    /// Take a slot without ever waiting: admitted or [`Overloaded`], right
-    /// now.
-    ///
-    /// [`Overloaded`]: EngineError::Overloaded
-    pub fn try_admit(&self) -> Result<AdmissionPermit<'_>> {
-        let mut state = self.lock();
-        if state.running < self.max_running {
-            state.running += 1;
-            return Ok(AdmissionPermit { gate: self });
-        }
-        Err(EngineError::Overloaded {
-            running: state.running,
-            queued: state.queued,
-            max_queue: self.max_queue,
-        })
-    }
-
     /// Queries currently holding an execution slot.
     pub fn running(&self) -> usize {
-        self.lock().running
+        self.state.lock().running
     }
 
     /// Requests currently waiting in the queue.
     pub fn queued(&self) -> usize {
-        self.lock().queued
+        self.state.lock().queued
     }
 }
 
 impl Drop for AdmissionPermit<'_> {
     fn drop(&mut self) {
-        let mut state = self.gate.lock();
+        let mut state = self.gate.state.lock();
         state.running = state.running.saturating_sub(1);
         drop(state);
         self.gate.freed.notify_one();
@@ -468,17 +436,9 @@ struct Counters {
     corrupt_frames: AtomicU64,
 }
 
-/// One immutable published version of the database. Readers hold an
-/// `Arc<DbVersion>`; writers never touch a published version — they clone
-/// it (sharing its tables), mutate the clone (which copies the tables it
-/// writes), and publish the clone as the next version.
-#[derive(Debug)]
-struct DbVersion {
-    db: Database,
-    epoch: u64,
-}
-
-/// A pinned, immutable view of the database at one catalog epoch.
+/// A pinned, immutable version of the database at one catalog epoch, and
+/// the thing a [`SharedDatabase`] publishes: a write builds the next
+/// [`Database`] and publishes it as the next snapshot.
 ///
 /// Obtained from [`SharedDatabase::snapshot`]; cheap to clone (it clones
 /// an `Arc`). A snapshot stays byte-identical for as long as it is held,
@@ -487,26 +447,20 @@ struct DbVersion {
 #[derive(Debug, Clone)]
 #[must_use = "a snapshot pins a version only while it is held"]
 pub struct Snapshot {
-    v: Arc<DbVersion>,
+    db: Arc<Database>,
+    epoch: u64,
 }
 
 impl Snapshot {
     /// The database contents this snapshot pins.
     pub fn db(&self) -> &Database {
-        &self.v.db
+        &self.db
     }
 
     /// The catalog epoch this snapshot was taken at.
     pub fn epoch(&self) -> u64 {
-        self.v.epoch
+        self.epoch
     }
-}
-
-/// Writer-side state, serialized by the writer mutex: present only for
-/// durable handles.
-#[derive(Debug, Default)]
-struct WriteState {
-    durable: Option<Durable>,
 }
 
 /// The persistence attachment of a durable handle: the open WAL plus the
@@ -550,12 +504,13 @@ pub struct CheckpointInfo {
 #[derive(Debug)]
 struct Inner {
     /// The currently published version. The `RwLock` is held only for the
-    /// instants of pinning (read) and swapping (write) an `Arc` — never
+    /// instants of pinning (read) and swapping (write) a snapshot — never
     /// across query execution or I/O.
-    current: RwLock<Arc<DbVersion>>,
+    current: RwLock<Snapshot>,
     /// Serializes writers: copy-on-write version building, WAL appends,
-    /// and checkpoints all happen under this lock.
-    writer: Mutex<WriteState>,
+    /// and checkpoints all happen under this lock. `Some` for a durable
+    /// handle.
+    writer: Mutex<Option<Durable>>,
     results: Mutex<Lru>,
     gate: AdmissionGate,
     counters: Counters,
@@ -588,8 +543,14 @@ impl SharedDatabase {
     pub fn with_config(db: Database, config: SharedConfig) -> Self {
         SharedDatabase {
             inner: Arc::new(Inner {
-                current: RwLock::new(&rank::DB_CURRENT, Arc::new(DbVersion { db, epoch: 0 })),
-                writer: Mutex::new(&rank::SHARED_WRITER, WriteState::default()),
+                current: RwLock::new(
+                    &rank::DB_CURRENT,
+                    Snapshot {
+                        db: Arc::new(db),
+                        epoch: 0,
+                    },
+                ),
+                writer: Mutex::new(&rank::SHARED_WRITER, None),
                 results: Mutex::new(&rank::RESULT_CACHE, Lru::new(config.result_cache)),
                 gate: AdmissionGate::new(config.max_running, config.max_queue),
                 counters: Counters::default(),
@@ -624,7 +585,7 @@ impl SharedDatabase {
         db.set_spill_dir(dir);
         let wal = Wal::open(dir)?;
         let shared = SharedDatabase::with_config(db, config);
-        lock(&shared.inner.writer).durable = Some(Durable {
+        *shared.inner.writer.lock() = Some(Durable {
             dir: dir.to_path_buf(),
             wal,
             wal_limit: config.wal_limit,
@@ -632,26 +593,11 @@ impl SharedDatabase {
         Ok((shared, report))
     }
 
-    /// Whether this handle persists writes (was opened with
-    /// [`SharedDatabase::open_durable`]).
-    pub fn is_durable(&self) -> bool {
-        lock(&self.inner.writer).durable.is_some()
-    }
-
-    /// The persistence directory of a durable handle, `None` for an
-    /// in-memory one.
-    pub fn persist_dir(&self) -> Option<PathBuf> {
-        lock(&self.inner.writer)
-            .durable
-            .as_ref()
-            .map(|d| d.dir.clone())
-    }
-
     /// Open a new session. Sessions are independent: each carries its own
     /// limits (initialized from the database defaults) and cancellation
     /// state.
     pub fn session(&self) -> Session {
-        let limits = *self.current().db.limits();
+        let limits = *self.snapshot().db().limits();
         Session {
             db: self.clone(),
             id: self.inner.session_ids.fetch_add(1, Ordering::Relaxed) + 1,
@@ -664,13 +610,13 @@ impl SharedDatabase {
     /// stays valid and byte-identical however many writes commit after it
     /// was taken; holding it blocks nothing.
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot { v: self.current() }
+        self.inner.current.read().clone()
     }
 
     /// The current catalog epoch. Two queries answered at the same epoch
     /// ran against byte-identical catalog contents.
     pub fn epoch(&self) -> u64 {
-        self.current().epoch
+        self.snapshot().epoch
     }
 
     /// The admission gate every request passes through.
@@ -683,14 +629,16 @@ impl SharedDatabase {
         &self.inner.config
     }
 
-    /// Snapshot of the cache/admission counters.
+    /// Snapshot of the cache/admission counters. The epoch and the view
+    /// counters come from one pinned version.
     pub fn stats(&self) -> CacheStats {
         let c = &self.inner.counters;
-        let result_entries = lock(&self.inner.results).len();
+        let result_entries = self.inner.results.lock().len();
         let io = conquer_storage::vfs::counters();
-        let view_stats = self.current().db.view_stats();
+        let snap = self.snapshot();
+        let view_stats = snap.db().view_stats();
         CacheStats {
-            epoch: self.epoch(),
+            epoch: snap.epoch,
             result_hits: c.result_hits.load(Ordering::Relaxed),
             result_misses: c.result_misses.load(Ordering::Relaxed),
             result_entries,
@@ -713,25 +661,10 @@ impl SharedDatabase {
         }
     }
 
-    /// Per-view maintenance statistics of the current version, in name
-    /// order (the server's `STATS` verb emits one line per counter).
-    pub fn view_stats(&self) -> Vec<crate::view::ViewStats> {
-        self.current().db.view_stats()
-    }
-
-    /// Run `f` against a pinned snapshot of the database. Queries executed
-    /// inside `f` bypass the result cache and admission gate — use a [`Session`]
-    /// for served traffic.
-    pub fn with_db<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
-        let snap = self.snapshot();
-        f(snap.db())
-    }
-
     /// Apply an arbitrary mutation copy-on-write: `f` runs against a clone
     /// of the current version; on `Ok` the clone is published as the next
-    /// epoch (durably, for handles opened with
-    /// [`SharedDatabase::open_durable`]). On `Err` — from `f` itself or
-    /// from persisting — the clone is discarded and nothing changes.
+    /// epoch. On `Err` — from `f` itself or from persisting — the clone is
+    /// discarded and nothing changes.
     ///
     /// An arbitrary mutation is typically a bulk one that rewrites most of
     /// the catalog, so a durable `mutate` persists by checkpoint: it folds
@@ -741,19 +674,7 @@ impl SharedDatabase {
     /// loads, re-clustering, reloads from disk — uses this; like any write,
     /// it misses just the cached answers that read a table `f` wrote.
     pub fn mutate<R>(&self, f: impl FnOnce(&mut Database) -> Result<R>) -> Result<R> {
-        self.check_not_degraded()?;
-        let mut ws = self.writer_guard()?;
-        let mut next = self.current().db.clone();
-        let out = f(&mut next)?;
-        if let Some(d) = ws.durable.as_mut() {
-            d.fold(next.catalog())?;
-            self.inner
-                .counters
-                .checkpoints
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        self.publish(next, &mut ws);
-        Ok(out)
+        self.write(true, f)
     }
 
     /// Fold the current version and every WAL suffix into a fresh epoch
@@ -762,8 +683,11 @@ impl SharedDatabase {
     /// is stored, not what it is, so pinned snapshots and cached answers
     /// stay valid throughout.
     pub fn checkpoint(&self) -> Result<Option<CheckpointInfo>> {
-        let mut ws = self.writer_guard()?;
-        self.checkpoint_locked(&mut ws)
+        let mut durable = self.writer_guard()?;
+        durable
+            .as_mut()
+            .map(|d| self.checkpoint_locked(d))
+            .transpose()
     }
 
     /// Whether the handle is degraded: a scrub found corruption, so writes
@@ -784,8 +708,8 @@ impl SharedDatabase {
     /// Returns `Ok(None)` for in-memory handles (nothing on disk to
     /// scrub).
     pub fn scrub(&self) -> Result<Option<conquer_storage::ScrubReport>> {
-        let ws = self.writer_guard()?;
-        let Some(d) = ws.durable.as_ref() else {
+        let durable = self.writer_guard()?;
+        let Some(d) = durable.as_ref() else {
             return Ok(None);
         };
         let report = conquer_storage::scrub(&d.dir)?;
@@ -834,11 +758,11 @@ impl SharedDatabase {
     /// run. Writes after that proceed normally: the interrupted commit
     /// never published, so the in-memory version chain is still exactly the
     /// last committed state.
-    fn writer_guard(&self) -> Result<MutexGuard<'_, WriteState>> {
-        let mut ws = self.inner.writer.lock();
+    fn writer_guard(&self) -> Result<MutexGuard<'_, Option<Durable>>> {
+        let mut durable = self.inner.writer.lock();
         if self.inner.writer.is_poisoned() {
             self.inner.writer.clear_poison();
-            if let Some(d) = ws.durable.as_mut() {
+            if let Some(d) = durable.as_mut() {
                 d.wal.reopen()?;
             }
             return Err(EngineError::internal(
@@ -846,14 +770,11 @@ impl SharedDatabase {
                  recovered to the last committed state — retry the statement",
             ));
         }
-        Ok(ws)
+        Ok(durable)
     }
 
-    fn checkpoint_locked(&self, ws: &mut WriteState) -> Result<Option<CheckpointInfo>> {
-        let Some(d) = ws.durable.as_mut() else {
-            return Ok(None);
-        };
-        let cur = self.current();
+    fn checkpoint_locked(&self, d: &mut Durable) -> Result<CheckpointInfo> {
+        let cur = self.snapshot();
         let wal_bytes_folded = d.wal.size_bytes();
         d.fold(cur.db.catalog())?;
         self.inner
@@ -864,85 +785,74 @@ impl SharedDatabase {
         // epoch from known-good in-memory state: whatever corruption a
         // scrub saw is no longer reachable, so the handle is repaired.
         self.inner.degraded.store(false, Ordering::Relaxed);
-        Ok(Some(CheckpointInfo {
+        Ok(CheckpointInfo {
             epoch: cur.epoch,
             wal_bytes_folded,
-        }))
+        })
     }
 
-    fn current(&self) -> Arc<DbVersion> {
-        let guard = self.inner.current.read();
-        Arc::clone(&guard)
+    /// Publish `db` as the next version (epoch + 1). Only the writer body
+    /// calls this, under the writer lock (bar its seeded mutant), so the
+    /// swap cannot race another publisher.
+    fn publish(&self, db: Database) {
+        let mut current = self.inner.current.write();
+        *current = Snapshot {
+            db: Arc::new(db),
+            epoch: current.epoch + 1,
+        };
     }
 
-    /// Publish `db` as the next version (epoch + 1). The `WriteState`
-    /// argument proves the caller holds the writer lock — the only place
-    /// versions are built, so the swap cannot race another publisher.
-    fn publish(&self, db: Database, _ws: &mut WriteState) {
-        self.publish_version(db);
-    }
-
-    /// The raw swap, and all a publish does: the result cache judges each
-    /// entry against the version a reader pins. Callers other than the
-    /// seeded `shared::unserialized-publish` mutant path must hold the
-    /// writer lock (go through [`SharedDatabase::publish`]).
-    fn publish_version(&self, db: Database) {
-        let mut guard = self.inner.current.write();
-        let epoch = guard.epoch + 1;
-        *guard = Arc::new(DbVersion { db, epoch });
-    }
-
-    /// Commit one already-parsed write statement: run it on a clone of the
-    /// current version, WAL-commit what the clone no longer shares with it
-    /// (durable handles), and publish the clone. On any `Err` the clone is
-    /// discarded — the statement never happened, visibly or on disk.
-    fn commit_statement(&self, stmt: &SqlStatement) -> Result<ExecOutcome> {
+    /// The one writer body: run `f` on a clone of the current version,
+    /// make the clone durable (durable handles) and publish it. A durable
+    /// write either folds the whole clone into a fresh epoch directory
+    /// (`fold`, a [`SharedDatabase::mutate`]) or WAL-commits what the
+    /// clone no longer shares with the current version (a statement). On
+    /// any `Err` the clone is discarded — the write never happened,
+    /// visibly or on disk.
+    fn write<R>(&self, fold: bool, f: impl FnOnce(&mut Database) -> Result<R>) -> Result<R> {
         if conquer_sync::mutant("shared::unserialized-publish") {
             // Seeded mutant: "forget" the writer lock — clone, execute, and
             // publish without serialization. The schedule explorer proves
             // two concurrent writers then both build on the same base
             // version and one commit (and its epoch bump) is lost.
-            let mut next = self.current().db.clone();
-            let outcome = next.exec_parsed(stmt)?;
-            self.publish_version(next);
-            return Ok(outcome);
+            let mut next = self.snapshot().db().clone();
+            let out = f(&mut next)?;
+            self.publish(next);
+            return Ok(out);
         }
         self.check_not_degraded()?;
-        let mut ws = self.writer_guard()?;
-        let cur = self.current();
-        let mut next = cur.db.clone();
-        let outcome = next.exec_parsed(stmt)?;
-        if let Some(d) = ws.durable.as_mut() {
-            // Whole-table images of exactly the tables `next` no longer
-            // shares with `cur`: base change and view maintenance arrive
-            // in the same commit, so recovery can never observe a
-            // half-maintained view.
-            let ops = next.catalog().changes_since(cur.db.catalog());
-            if !ops.is_empty() {
-                d.wal.commit(&ops)?;
-                self.inner
-                    .counters
-                    .wal_commits
-                    .fetch_add(1, Ordering::Relaxed);
-            }
+        let mut durable = self.writer_guard()?;
+        let cur = self.snapshot();
+        let mut next = cur.db().clone();
+        let out = f(&mut next)?;
+        let Some(d) = durable.as_mut() else {
+            self.publish(next);
+            return Ok(out);
+        };
+        let counters = &self.inner.counters;
+        if fold {
+            d.fold(next.catalog())?;
+            counters.checkpoints.fetch_add(1, Ordering::Relaxed);
+            self.publish(next);
+            return Ok(out);
         }
-        self.publish(next, &mut ws);
+        // Whole-table images of exactly the tables `next` no longer shares
+        // with `cur`: base change and view maintenance arrive in the same
+        // commit, so recovery can never observe a half-maintained view.
+        let ops = next.catalog().changes_since(cur.db().catalog());
+        if !ops.is_empty() {
+            d.wal.commit(&ops)?;
+            counters.wal_commits.fetch_add(1, Ordering::Relaxed);
+        }
+        self.publish(next);
         // The write is already durable in the WAL; a failed automatic
         // checkpoint only leaves the log long, so it never fails the
         // statement — the next write or an explicit checkpoint retries.
-        let due = ws
-            .durable
-            .as_ref()
-            .is_some_and(|d| d.wal_limit > 0 && d.wal.size_bytes() >= d.wal_limit);
-        if due {
-            let _ = self.checkpoint_locked(&mut ws);
+        if d.wal_limit > 0 && d.wal.size_bytes() >= d.wal_limit {
+            let _ = self.checkpoint_locked(d);
         }
-        Ok(outcome)
+        Ok(out)
     }
-}
-
-fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    m.lock()
 }
 
 /// Where a [`Session::query`] answer came from.
@@ -978,7 +888,7 @@ pub struct SessionResult {
     pub epoch: u64,
 }
 
-/// The outcome of [`Session::run_sql`]: rows for queries, a summary for
+/// The outcome of [`Session::execute`]: rows for queries, a summary for
 /// commands.
 #[derive(Debug, Clone)]
 pub enum SessionOutcome {
@@ -1016,37 +926,21 @@ impl Session {
 
     /// The session's current resource limits.
     pub fn limits(&self) -> ExecLimits {
-        *lock(&self.limits)
+        *self.limits.lock()
     }
 
     /// Replace the session's resource limits (applies to subsequent
     /// statements).
     pub fn set_limits(&self, limits: ExecLimits) {
-        *lock(&self.limits) = limits;
+        *self.limits.lock() = limits;
     }
 
     /// Cancel the statement currently executing in this session, if any.
     /// Idempotent; a no-op when the session is idle.
     pub fn cancel(&self) {
-        if let Some(token) = lock(&self.active).as_ref() {
+        if let Some(token) = self.active.lock().as_ref() {
             token.cancel();
         }
-    }
-
-    /// Classify and run one SQL statement: a `SELECT`/`EXPLAIN` is
-    /// answered like [`Session::query`], anything else committed like
-    /// [`Session::execute`]. The text is parsed once and the request
-    /// admitted once.
-    pub fn run_sql(&self, sql: &str) -> Result<SessionOutcome> {
-        let parsed = conquer_sql::parse_statement(sql)?;
-        let limits = self.limits();
-        let _permit = self.admit(&limits)?;
-        Ok(match parsed {
-            SqlStatement::Select(_) | SqlStatement::Explain { .. } => {
-                SessionOutcome::Rows(self.read(sql, Some(parsed), limits)?)
-            }
-            _ => SessionOutcome::Done(self.db.commit_statement(&parsed)?),
-        })
     }
 
     /// Execute a `SELECT` (or `EXPLAIN`) under this session's limits:
@@ -1059,21 +953,23 @@ impl Session {
         self.read(sql, None, limits)
     }
 
-    /// Execute a DDL/DML command (or any statement). Commands run
-    /// copy-on-write under the writer lock: on success the new version is
-    /// WAL-committed (durable handles) and published as the next epoch,
-    /// which invalidates the cached answers that read a table it wrote; on
-    /// failure nothing changes — not the epoch, not the visible data, not
-    /// the disk. A `SELECT` routed here is answered like [`Session::query`]
-    /// and leaves the epoch alone, but [`ExecOutcome::Rows`] owns its
-    /// rows, so a cached answer is copied: row-returning callers should
-    /// prefer `query` or [`Session::run_sql`].
-    pub fn execute(&self, sql: &str) -> Result<ExecOutcome> {
-        Ok(match self.run_sql(sql)? {
-            SessionOutcome::Rows(r) => ExecOutcome::Rows(
-                Arc::try_unwrap(r.result).unwrap_or_else(|shared| (*shared).clone()),
-            ),
-            SessionOutcome::Done(outcome) => outcome,
+    /// Classify and run one SQL statement of any kind, parsed once and
+    /// admitted once. A `SELECT`/`EXPLAIN` is answered like
+    /// [`Session::query`] — a cached answer is handed back as the cached
+    /// `Arc` — and leaves the epoch alone. Anything else is committed by
+    /// the writer body: on success the new version is WAL-committed
+    /// (durable handles) and published as the next epoch, which misses the
+    /// cached answers that read a table it wrote; on failure nothing
+    /// changes — not the epoch, not the visible data, not the disk.
+    pub fn execute(&self, sql: &str) -> Result<SessionOutcome> {
+        let parsed = conquer_sql::parse_statement(sql)?;
+        let limits = self.limits();
+        let _permit = self.admit(&limits)?;
+        Ok(match parsed {
+            SqlStatement::Select(_) | SqlStatement::Explain { .. } => {
+                SessionOutcome::Rows(self.read(sql, Some(parsed), limits)?)
+            }
+            _ => SessionOutcome::Done(self.db.write(false, |db| db.exec_parsed(&parsed))?),
         })
     }
 
@@ -1099,7 +995,7 @@ impl Session {
         let epoch = snap.epoch();
         let catalog = snap.db().catalog();
 
-        if let Some(result) = lock(&inner.results).get(sql, catalog) {
+        if let Some(result) = inner.results.lock().get(sql, catalog) {
             inner.counters.result_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(SessionResult {
                 result,
@@ -1122,9 +1018,9 @@ impl Session {
         }
 
         let ctx = snap.db().exec_context(limits);
-        *lock(&self.active) = Some(ctx.cancel_token());
+        *self.active.lock() = Some(ctx.cancel_token());
         let outcome = stmt.query_with(snap.db(), &ctx);
-        *lock(&self.active) = None;
+        *self.active.lock() = None;
         let result = Arc::new(outcome?);
 
         // EXPLAIN ANALYZE output embeds wall times — never cache it.
@@ -1133,7 +1029,7 @@ impl Session {
                 .tables()
                 .map(|name| Ok((name.to_string(), Arc::downgrade(catalog.shared(name)?))))
                 .collect::<Result<_>>()?;
-            let evicted = lock(&inner.results).insert(sql, reads, Arc::clone(&result));
+            let evicted = inner.results.lock().insert(sql, reads, Arc::clone(&result));
             inner
                 .counters
                 .evictions
@@ -1214,22 +1110,22 @@ mod tests {
         let db = shared();
         let s = db.session();
         match s.execute("SELECT a FROM t").unwrap() {
-            ExecOutcome::Rows(r) => assert_eq!(r.len(), 3),
+            SessionOutcome::Rows(r) => assert_eq!(r.result.len(), 3),
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(db.epoch(), 0);
     }
 
     #[test]
-    fn run_sql_routes_queries_and_commands() {
+    fn execute_routes_queries_and_commands() {
         let db = shared();
         let s = db.session();
-        match s.run_sql("DELETE FROM t WHERE a = 1").unwrap() {
+        match s.execute("DELETE FROM t WHERE a = 1").unwrap() {
             SessionOutcome::Done(ExecOutcome::Deleted(1)) => {}
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(db.epoch(), 1);
-        match s.run_sql("SELECT COUNT(*) FROM t").unwrap() {
+        match s.execute("SELECT COUNT(*) FROM t").unwrap() {
             SessionOutcome::Rows(r) => {
                 assert_eq!(r.result.rows, vec![vec![conquer_storage::Value::Int(2)]])
             }
@@ -1248,7 +1144,7 @@ mod tests {
     fn gate_sheds_past_the_queue_with_typed_error() {
         let gate = AdmissionGate::new(1, 0);
         let held = gate.admit(None).unwrap();
-        let err = gate.try_admit().unwrap_err();
+        let err = gate.admit(None).unwrap_err();
         assert_eq!(err.kind(), crate::ErrorKind::Overloaded);
         match err {
             EngineError::Overloaded {
@@ -1261,7 +1157,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         drop(held);
-        let _ok = gate.try_admit().unwrap();
+        let _ok = gate.admit(None).unwrap();
     }
 
     #[test]
@@ -1424,8 +1320,6 @@ mod tests {
         {
             let (db, report) = SharedDatabase::open_durable(&dir, SharedConfig::default()).unwrap();
             assert!(report.is_clean(), "{report:?}");
-            assert!(db.is_durable());
-            assert_eq!(db.persist_dir().as_deref(), Some(dir.as_path()));
             let s = db.session();
             s.execute("CREATE TABLE t (a INTEGER)").unwrap();
             s.execute("INSERT INTO t VALUES (1), (2)").unwrap();
@@ -1441,12 +1335,10 @@ mod tests {
         // Statements that add and remove tables replay to the live catalog
         // as well, whichever of them the log ends on.
         let image = |db: &SharedDatabase| {
-            let tables: Vec<_> = db.with_db(|d| {
-                let stored = |t: &conquer_storage::Table| {
-                    (t.name().to_string(), t.schema().clone(), t.rows().to_vec())
-                };
-                d.catalog().tables().map(stored).collect()
-            });
+            let stored = |t: &conquer_storage::Table| {
+                (t.name().to_string(), t.schema().clone(), t.rows().to_vec())
+            };
+            let tables: Vec<_> = db.snapshot().db().catalog().tables().map(stored).collect();
             (tables, db.stats().views)
         };
         let mut live = db;
@@ -1517,8 +1409,6 @@ mod tests {
     #[test]
     fn checkpoint_on_memory_handle_is_a_noop() {
         let db = shared();
-        assert!(!db.is_durable());
-        assert_eq!(db.persist_dir(), None);
         assert_eq!(db.checkpoint().unwrap(), None);
     }
 

@@ -4,7 +4,16 @@
 //! resolution, join ordering) into a reusable [`Statement`]. Running the
 //! statement afterwards only pays for execution, which is what the paper's
 //! experiments time. The same object also carries non-`SELECT` commands so
-//! callers can funnel arbitrary SQL through one entry point:
+//! callers can funnel arbitrary SQL through one entry point.
+//!
+//! [`Statement::query_with`] is the one code path that runs a prepared
+//! plan, for a `SELECT` and for `EXPLAIN [ANALYZE]` alike: a
+//! [`Session`](crate::Session) read, a `SELECT` in a script, the source of
+//! an `INSERT … SELECT` and a view recompute all prepare and come here.
+//! The context it runs under carries the resource limits, which live in
+//! two places only: the database's defaults ([`Statement::query`]) and
+//! the session's. A caller that wants other limits builds its own context
+//! with [`Database::exec_context`].
 //!
 //! ```
 //! use conquer_engine::Database;
@@ -23,7 +32,9 @@
 
 use conquer_sql::{parse_statement, SelectStatement, Statement as SqlStatement};
 
-use crate::context::{ExecContext, ExecLimits};
+use conquer_storage::Value;
+
+use crate::context::ExecContext;
 use crate::database::{Database, ExecOutcome};
 use crate::error::EngineError;
 use crate::exec::execute_plan;
@@ -43,9 +54,6 @@ use crate::Result;
 pub struct Statement {
     sql: String,
     kind: Kind,
-    /// Per-statement resource limits; when `None`, the database's default
-    /// limits apply.
-    limits: Option<ExecLimits>,
 }
 
 #[derive(Debug, Clone)]
@@ -77,7 +85,6 @@ impl Database {
             kind: Kind::Select {
                 plan: self.plan(stmt)?,
             },
-            limits: None,
         })
     }
 }
@@ -100,25 +107,12 @@ impl Statement {
         Ok(Statement {
             sql: sql.to_string(),
             kind,
-            limits: None,
         })
     }
 
     /// The SQL text this statement was prepared from.
     pub fn sql(&self) -> &str {
         &self.sql
-    }
-
-    /// Re-run static analysis of this statement's SQL against the current
-    /// catalog, returning every lint finding (see
-    /// [`Database::analyze`](crate::Database::analyze)).
-    ///
-    /// A prepared statement is necessarily free of *error*-severity
-    /// diagnostics (it bound and planned), but warnings — suspicious
-    /// predicates, cartesian products, implicit casts — are still worth
-    /// surfacing, and the catalog may have changed since `prepare`.
-    pub fn check(&self, db: &Database) -> Vec<crate::analyze::Diagnostic> {
-        db.analyze(&self.sql)
     }
 
     /// True when [`Statement::query`] can run this statement (a `SELECT`
@@ -144,32 +138,14 @@ impl Statement {
         relations.iter().map(|rel| rel.table.as_str())
     }
 
-    /// Override the resource limits this statement runs under, instead of
-    /// the database's defaults. Pass `None` to fall back to the defaults.
-    pub fn set_limits(&mut self, limits: Option<ExecLimits>) {
-        self.limits = limits;
-    }
-
-    /// Builder-style form of [`Statement::set_limits`].
-    pub fn with_limits(mut self, limits: ExecLimits) -> Self {
-        self.limits = Some(limits);
-        self
-    }
-
-    /// The resource limits this statement will run under against `db`
-    /// (its own override, or the database's defaults).
-    pub fn effective_limits(&self, db: &Database) -> ExecLimits {
-        self.limits.unwrap_or(*db.limits())
-    }
-
-    /// Execute a prepared `SELECT` (or `EXPLAIN`) and return its rows.
+    /// Execute a prepared `SELECT` (or `EXPLAIN`) under the database's
+    /// default limits and return its rows.
     ///
-    /// Runs under this statement's limits (or the database's defaults —
-    /// see [`Statement::set_limits`]). Fails if the statement is a DDL/DML
-    /// command (use [`Statement::run`]) or if a referenced table was
-    /// dropped or altered since `prepare`.
+    /// Fails if the statement is a DDL/DML command (use
+    /// [`Statement::run`]) or if a referenced table was dropped or altered
+    /// since `prepare`.
     pub fn query(&self, db: &Database) -> Result<QueryResult> {
-        self.query_with(db, &db.exec_context(self.effective_limits(db)))
+        self.query_with(db, &db.exec_context(*db.limits()))
     }
 
     /// Execute a prepared `SELECT` (or `EXPLAIN`) under a caller-supplied
@@ -188,7 +164,7 @@ impl Statement {
             }
             Kind::Explain { analyze, plan } => {
                 self.check_fresh(db, plan)?;
-                db.render_explain(plan, *analyze, ctx)
+                render_explain(db, plan, *analyze, ctx)
             }
             Kind::Command(stmt) => Err(EngineError::bind(format!(
                 "statement is not a query (use Statement::run): {stmt}"
@@ -226,10 +202,35 @@ impl Statement {
     }
 }
 
+/// The `QUERY PLAN` result of `EXPLAIN [ANALYZE]`, one row per line
+/// (Postgres-style): the plan's description, or with `analyze` the
+/// per-operator stats tree of a run under `ctx`.
+fn render_explain(
+    db: &Database,
+    plan: &Plan,
+    analyze: bool,
+    ctx: &ExecContext,
+) -> Result<QueryResult> {
+    let text = if analyze {
+        let result = execute_plan(db.catalog(), plan, ctx)?;
+        result
+            .stats()
+            .map(|s| s.render())
+            .unwrap_or_else(|| plan.describe())
+    } else {
+        plan.describe()
+    };
+    Ok(QueryResult::new(
+        vec!["QUERY PLAN".to_string()],
+        text.lines()
+            .map(|l| vec![Value::Text(l.to_string())])
+            .collect(),
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use conquer_storage::Value;
 
     fn sample() -> Database {
         let mut db = Database::new();

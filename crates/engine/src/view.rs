@@ -39,7 +39,7 @@
 //! term multisets give byte-identical contents *and* state in any order.
 //! `CREATE`/`REFRESH` (every contribution into an empty state) and
 //! maintenance (a delta's signed contributions into the stored groups) are
-//! the one [`fold`]. The ad-hoc executor's `SUM` still folds in pipeline
+//! the one `fold`. The ad-hoc executor's `SUM` still folds in pipeline
 //! order and may differ from a view in the last ulp (see DESIGN.md).
 //!
 //! ## Delta propagation
@@ -57,8 +57,8 @@
 //! Each summand is the *projection-only* view query (keys + bare SUM
 //! argument, no aggregation) run by the ordinary planner and executor on
 //! the live catalog: one side of the delta is registered as the hidden
-//! table [`DELTA_TABLE`] and occurrence `o_k` reads it; a view that lists
-//! `T` more than once also finds the pre-statement image as [`OLD_TABLE`];
+//! table `DELTA_TABLE` and occurrence `o_k` reads it; a view that lists
+//! `T` more than once also finds the pre-statement image as `OLD_TABLE`;
 //! every other FROM entry reads its table where it is, stored indexes
 //! included. Removed-side rows retract their (key, term) pairs, added-side
 //! rows add them. [`Database`]'s maintenance step removes both hidden
@@ -446,7 +446,7 @@ impl ViewDef {
 /// projection-only query, folded as an addition into an empty state. What
 /// `CREATE` and `REFRESH` install.
 pub(crate) fn recompute(db: &Database, view: &ViewDef) -> Result<(Table, Table)> {
-    let rows = db.run_select(&view.projection_query())?.rows;
+    let rows = db.prepare_select(&view.projection_query())?.query(db)?.rows;
     let contributions = rows.into_iter().map(|row| view.contribution(row, true));
     fold(view, None, contributions)
 }

@@ -39,7 +39,10 @@ fn big_db(rows: usize, spill_base: &Path) -> Database {
 /// Run `sql` under `limits`. Success or failure, no spill session may
 /// outlive the query, and a failure must be a typed I/O error.
 fn run(db: &Database, base: &Path, sql: &str, limits: ExecLimits) -> Option<QueryResult> {
-    let outcome = db.prepare(sql).unwrap().with_limits(limits).query(db);
+    let outcome = db
+        .prepare(sql)
+        .unwrap()
+        .query_with(db, &db.exec_context(limits));
     assert!(list_spill_dirs(base).is_empty(), "orphaned a spill dir");
     match outcome {
         Ok(result) => Some(result),
@@ -106,7 +109,7 @@ fn a_spill_session_a_killed_process_leaves_is_collected_by_recovery() {
     let base = PathBuf::from("/sim/fspill_orphan/base");
     let db = big_db(3000, &base);
     // Recovery runs over a persistence directory; make `base` one.
-    db.save_to_dir(&base).unwrap();
+    conquer_storage::save_catalog(db.catalog(), &base).unwrap();
 
     // A leaked execution context never drops its spill session — the
     // moral equivalent of `kill -9` between a spill and the cleanup.

@@ -1,6 +1,6 @@
 //! Resource-governance tests: memory budgets, deadlines and cooperative
 //! cancellation must abort queries with *typed* errors (never a panic or
-//! an OOM), limits must compose (statement override beats database
+//! an OOM), limits must compose (a caller's context beats the database
 //! default), and the numbers must show up in `EXPLAIN ANALYZE` output and
 //! [`ExecStats`]. Cancellation lands promptly mid-join, a `LIMIT` that
 //! stops early hands its build table back, and queries racing on one
@@ -39,11 +39,9 @@ const JOIN_AGG: &str = "SELECT d.label, COUNT(*), SUM(f.val) \
 #[test]
 fn memory_budget_aborts_with_typed_error() {
     let db = sample(2000);
-    let stmt = db
-        .prepare(JOIN_AGG)
-        .unwrap()
-        .with_limits(ExecLimits::none().with_mem_bytes(4 * 1024));
-    match stmt.query(&db) {
+    let stmt = db.prepare(JOIN_AGG).unwrap();
+    let tight = db.exec_context(ExecLimits::none().with_mem_bytes(4 * 1024));
+    match stmt.query_with(&db, &tight) {
         Err(EngineError::ResourceExhausted {
             limit_bytes,
             attempted_bytes,
@@ -54,21 +52,16 @@ fn memory_budget_aborts_with_typed_error() {
         other => panic!("expected ResourceExhausted, got {other:?}"),
     }
     // Generous budget: same statement, same database, runs fine.
-    let ok = db
-        .prepare(JOIN_AGG)
-        .unwrap()
-        .with_limits(ExecLimits::none().with_mem_bytes(64 * 1024 * 1024));
-    assert_eq!(ok.query(&db).unwrap().len(), 97);
+    let ok = db.exec_context(ExecLimits::none().with_mem_bytes(64 * 1024 * 1024));
+    assert_eq!(stmt.query_with(&db, &ok).unwrap().len(), 97);
 }
 
 #[test]
 fn deadline_aborts_with_typed_error() {
     let db = sample(2000);
-    let stmt = db
-        .prepare(JOIN_AGG)
-        .unwrap()
-        .with_limits(ExecLimits::none().with_timeout(Duration::ZERO));
-    match stmt.query(&db) {
+    let stmt = db.prepare(JOIN_AGG).unwrap();
+    let expired = db.exec_context(ExecLimits::none().with_timeout(Duration::ZERO));
+    match stmt.query_with(&db, &expired) {
         Err(EngineError::Timeout { limit }) => assert_eq!(limit, Duration::ZERO),
         other => panic!("expected Timeout, got {other:?}"),
     }
@@ -92,15 +85,12 @@ fn database_default_limits_govern_plain_queries() {
 fn statement_limits_override_database_defaults() {
     let mut db = sample(2000);
     db.set_limits(ExecLimits::none().with_mem_bytes(1024));
-    // The statement's own (unlimited) limits win over the strict default.
-    let stmt = db
-        .prepare(JOIN_AGG)
-        .unwrap()
-        .with_limits(ExecLimits::none());
-    assert_eq!(stmt.query(&db).unwrap().len(), 97);
-    // And clearing the override falls back to the database default.
-    let mut stmt = stmt;
-    stmt.set_limits(None);
+    // A context with the caller's own (unlimited) limits wins over the
+    // strict default.
+    let stmt = db.prepare(JOIN_AGG).unwrap();
+    let unlimited = db.exec_context(ExecLimits::none());
+    assert_eq!(stmt.query_with(&db, &unlimited).unwrap().len(), 97);
+    // And plain `query` falls back to the database default.
     assert!(stmt.query(&db).is_err());
 }
 
@@ -136,13 +126,13 @@ fn explain_analyze_runs_under_the_callers_context() {
         ),
         "a cancelled EXPLAIN ANALYZE ran anyway"
     );
-    let starved = explain.with_limits(ExecLimits::none().with_mem_bytes(1024).with_disk_bytes(0));
+    let starved = db.exec_context(ExecLimits::none().with_mem_bytes(1024).with_disk_bytes(0));
     assert!(
         matches!(
-            starved.query(&db),
+            explain.query_with(&db, &starved),
             Err(EngineError::ResourceExhausted { .. })
         ),
-        "EXPLAIN ANALYZE escaped its statement's budget"
+        "EXPLAIN ANALYZE escaped its caller's budget"
     );
 }
 

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use conquer_engine::{
-    Database, ErrorKind, ExecLimits, ExecOutcome, QuerySource, SessionOutcome, SharedConfig,
+    Database, ErrorKind, ExecLimits, QuerySource, SessionOutcome, SessionResult, SharedConfig,
     SharedDatabase,
 };
 use conquer_storage::Value;
@@ -63,8 +63,7 @@ fn cached_answers_are_bit_identical_to_fresh_prepare() {
     assert_bit_identical(&fresh.result.rows, &hit.result.rows);
 
     // And against a from-scratch prepare that bypasses the cache.
-    let scratch = shared.with_db(|db| db.prepare(SUM_SQL).unwrap().query(db).unwrap());
-    assert_bit_identical(&fresh.result.rows, &scratch.rows);
+    assert_bit_identical(&fresh.result.rows, &scratch(&shared, SUM_SQL));
 }
 
 /// A second table no query over `m` reads.
@@ -78,7 +77,9 @@ fn with_other_table(shared: &SharedDatabase) {
 
 /// The same SQL run on the current version, bypassing the cache.
 fn scratch(shared: &SharedDatabase, sql: &str) -> Vec<Vec<Value>> {
-    shared.with_db(|db| db.prepare(sql).unwrap().query(db).unwrap().rows)
+    let snap = shared.snapshot();
+    let db = snap.db();
+    db.prepare(sql).unwrap().query(db).unwrap().rows
 }
 
 #[test]
@@ -193,7 +194,7 @@ fn the_cache_does_not_pin_tables_a_write_replaced() {
     let shared = sample();
     let session = shared.session();
     session.query(SUM_SQL).unwrap();
-    let old = shared.with_db(|db| Arc::downgrade(db.catalog().shared("m").unwrap()));
+    let old = Arc::downgrade(shared.snapshot().db().catalog().shared("m").unwrap());
 
     session.execute("INSERT INTO m VALUES ('c', 7.5)").unwrap();
 
@@ -217,8 +218,7 @@ fn re_prepared_answers_after_bump_match_fresh_prepare() {
 
     // Served answer at the new epoch vs a cache-bypassing fresh prepare.
     let served = session.query(SUM_SQL).unwrap();
-    let scratch = shared.with_db(|db| db.prepare(SUM_SQL).unwrap().query(db).unwrap());
-    assert_bit_identical(&served.result.rows, &scratch.rows);
+    assert_bit_identical(&served.result.rows, &scratch(&shared, SUM_SQL));
 
     // And the served answer is now cacheable again at the new epoch.
     let hit = session.query(SUM_SQL).unwrap();
@@ -227,31 +227,48 @@ fn re_prepared_answers_after_bump_match_fresh_prepare() {
     assert_bit_identical(&served.result.rows, &hit.result.rows);
 }
 
+/// The rows `Session::execute` answered a `SELECT` with.
+fn executed_rows(session: &conquer_engine::Session, sql: &str) -> SessionResult {
+    match session.execute(sql).unwrap() {
+        SessionOutcome::Rows(r) => r,
+        other => panic!("a SELECT must produce rows, got {other:?}"),
+    }
+}
+
 #[test]
-fn run_sql_query_and_execute_answer_from_one_read_path() {
+fn execute_and_query_answer_from_one_read_path() {
     let shared = sample();
     let session = shared.session();
 
-    let SessionOutcome::Rows(first) = session.run_sql(SUM_SQL).unwrap() else {
-        panic!("a SELECT must produce rows");
-    };
+    let first = executed_rows(&session, SUM_SQL);
     assert_eq!(first.source, QuerySource::Fresh);
     let before = shared.stats();
 
-    // The answer `run_sql` filed serves `query` and `execute` alike.
+    // The answer `execute` filed serves `query` and `execute` alike.
     let queried = session.query(SUM_SQL).unwrap();
     assert_eq!(queried.source, QuerySource::ResultCache);
-    let ExecOutcome::Rows(executed) = session.execute(SUM_SQL).unwrap() else {
-        panic!("a SELECT must produce rows");
-    };
+    let executed = executed_rows(&session, SUM_SQL);
     assert_bit_identical(&first.result.rows, &queried.result.rows);
-    assert_bit_identical(&first.result.rows, &executed.rows);
+    assert_bit_identical(&first.result.rows, &executed.result.rows);
 
     let after = shared.stats();
     assert_eq!(after.result_hits, before.result_hits + 2);
     assert_eq!(after.plan_misses, before.plan_misses, "nothing re-prepared");
     assert_eq!(after.admitted, before.admitted + 2, "admitted once each");
     assert_eq!(after.epoch, before.epoch, "reads leave the epoch alone");
+}
+
+#[test]
+fn execute_hands_back_the_cached_answer_without_a_copy() {
+    let shared = sample();
+    let session = shared.session();
+    let first = executed_rows(&session, SUM_SQL);
+    let again = executed_rows(&session, SUM_SQL);
+    assert_eq!(again.source, QuerySource::ResultCache);
+    assert!(
+        Arc::ptr_eq(&first.result, &again.result),
+        "a cached answer must be handed back, not copied"
+    );
 }
 
 #[test]

@@ -20,7 +20,9 @@
 
 use std::time::{Duration, Instant};
 
-use conquer_engine::{CancelToken, Database, EngineError, ExecLimits, QueryResult};
+use conquer_engine::{
+    CancelToken, Database, EngineError, ExecLimits, QueryResult, SharedConfig, SharedDatabase,
+};
 use conquer_storage::Row;
 
 /// One wide-ish table whose hash/sort state dwarfs a tens-of-KiB budget.
@@ -60,14 +62,12 @@ fn assert_spilled_run_matches(db: &Database, sql: &str, limits: ExecLimits) -> Q
     let reference = db
         .prepare(sql)
         .unwrap()
-        .with_limits(ExecLimits::none())
-        .query(db)
+        .query_with(db, &db.exec_context(ExecLimits::none()))
         .unwrap();
     let governed = db
         .prepare(sql)
         .unwrap()
-        .with_limits(limits)
-        .query(db)
+        .query_with(db, &db.exec_context(limits))
         .unwrap();
     assert_eq!(
         sorted_rows(&reference),
@@ -150,14 +150,15 @@ fn external_sort_matches_in_memory_order_exactly() {
     let reference = db
         .prepare(sql)
         .unwrap()
-        .with_limits(ExecLimits::none())
-        .query(&db)
+        .query_with(&db, &db.exec_context(ExecLimits::none()))
         .unwrap();
     let governed = db
         .prepare(sql)
         .unwrap()
-        .with_limits(ExecLimits::none().with_mem_bytes(32 * 1024))
-        .query(&db)
+        .query_with(
+            &db,
+            &db.exec_context(ExecLimits::none().with_mem_bytes(32 * 1024)),
+        )
         .unwrap();
     assert_eq!(reference.rows, governed.rows);
     let stats = governed.stats().unwrap();
@@ -196,8 +197,10 @@ fn external_sort_is_stable_across_runs() {
     let governed = db
         .prepare(sql)
         .unwrap()
-        .with_limits(ExecLimits::none().with_mem_bytes(240_000))
-        .query(&db)
+        .query_with(
+            &db,
+            &db.exec_context(ExecLimits::none().with_mem_bytes(240_000)),
+        )
         .unwrap();
     assert!(governed.stats().unwrap().disk_charged > 0, "did not spill");
     assert_eq!(
@@ -240,12 +243,14 @@ fn zero_disk_budget_restores_hard_abort() {
     let err = db
         .prepare(sql)
         .unwrap()
-        .with_limits(
-            ExecLimits::none()
-                .with_mem_bytes(10 * 1024)
-                .with_disk_bytes(0),
+        .query_with(
+            &db,
+            &db.exec_context(
+                ExecLimits::none()
+                    .with_mem_bytes(10 * 1024)
+                    .with_disk_bytes(0),
+            ),
         )
-        .query(&db)
         .unwrap_err();
     assert!(
         matches!(err, EngineError::ResourceExhausted { .. }),
@@ -263,12 +268,14 @@ fn exhausted_disk_budget_is_the_end_of_the_ladder() {
     let err = db
         .prepare(sql)
         .unwrap()
-        .with_limits(
-            ExecLimits::none()
-                .with_mem_bytes(10 * 1024)
-                .with_disk_bytes(2 * 1024),
+        .query_with(
+            &db,
+            &db.exec_context(
+                ExecLimits::none()
+                    .with_mem_bytes(10 * 1024)
+                    .with_disk_bytes(2 * 1024),
+            ),
         )
-        .query(&db)
         .unwrap_err();
     match err {
         EngineError::ResourceExhausted { limit_bytes, .. } => {
@@ -302,8 +309,10 @@ fn spill_directories_do_not_outlive_the_query() {
         // Build side `a`: 112 000 B unconstrained.
         .prepare("SELECT COUNT(*), SUM(a.val) FROM big a, big b WHERE a.id = b.id")
         .unwrap()
-        .with_limits(ExecLimits::none().with_mem_bytes(10 * 1024))
-        .query(&db)
+        .query_with(
+            &db,
+            &db.exec_context(ExecLimits::none().with_mem_bytes(10 * 1024)),
+        )
         .unwrap();
     assert!(r.stats().unwrap().disk_charged > 0, "did not spill");
     let leftovers: Vec<_> = std::fs::read_dir(&base)
@@ -333,8 +342,10 @@ fn a_spill_base_beneath_a_regular_file_is_a_typed_error() {
         let err = db
             .prepare(sql)
             .unwrap()
-            .with_limits(ExecLimits::none().with_mem_bytes(32 * 1024))
-            .query(&db)
+            .query_with(
+                &db,
+                &db.exec_context(ExecLimits::none().with_mem_bytes(32 * 1024)),
+            )
             .unwrap_err();
         assert!(
             err.to_string().contains("could not create spill directory"),
@@ -345,7 +356,7 @@ fn a_spill_base_beneath_a_regular_file_is_a_typed_error() {
 }
 
 #[test]
-fn load_from_dir_spills_under_the_persistence_directory() {
+fn open_durable_spills_under_the_persistence_directory() {
     let dir = std::env::temp_dir().join(format!(
         "conquer_spill_load_{}_{}",
         std::process::id(),
@@ -353,9 +364,9 @@ fn load_from_dir_spills_under_the_persistence_directory() {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     let db = big_db(1000);
-    db.save_to_dir(&dir).unwrap();
-    let loaded = Database::load_from_dir(&dir).unwrap();
-    assert_eq!(loaded.spill_dir(), Some(dir.as_path()));
+    conquer_storage::save_catalog(db.catalog(), &dir).unwrap();
+    let (loaded, _) = SharedDatabase::open_durable(&dir, SharedConfig::default()).unwrap();
+    assert_eq!(loaded.snapshot().db().spill_dir(), Some(dir.as_path()));
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -20,7 +20,7 @@ fn tempdir(tag: &str) -> PathBuf {
 }
 
 fn rows(db: &SharedDatabase) -> usize {
-    db.with_db(|d| d.catalog().table("t").unwrap().len())
+    db.snapshot().db().catalog().table("t").unwrap().len()
 }
 
 /// A panic inside `mutate` poisons the writer mutex. The next write must

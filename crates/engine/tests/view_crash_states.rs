@@ -142,7 +142,7 @@ fn view_creation_crash_states_never_leave_a_partial_view() {
         fs.restore(state);
         let db = open(&dir);
         let ctx = format!("crash state {:?}", state.label);
-        let has_view = db.with_db(|d| d.is_view("v"));
+        let has_view = db.snapshot().db().is_view("v");
         if has_view {
             // Fully created: contents, hidden state and registry all
             // present and consistent with the base table.

@@ -36,7 +36,7 @@ fn a_per_contribution_state_table_is_refused_until_refresh() {
         old.insert(vec![Value::Int(g), Value::Float(p)]).unwrap();
     }
     db.catalog_mut().replace_table(old);
-    db.save_to_dir(&dir).unwrap();
+    conquer_storage::save_catalog(db.catalog(), &dir).unwrap();
 
     let (shared, _) = SharedDatabase::open_durable(&dir, SharedConfig::default()).unwrap();
     let session = shared.session();

@@ -327,7 +327,7 @@ fn serve_connection(
 /// Execute one parsed request and write its full response.
 fn respond(w: &mut impl Write, session: &Session, request: Request) -> std::io::Result<()> {
     match request {
-        Request::Sql(sql) => match session.run_sql(&sql) {
+        Request::Sql(sql) => match session.execute(&sql) {
             Ok(SessionOutcome::Rows(r)) => write_rows(w, &r),
             Ok(SessionOutcome::Done(outcome)) => writeln!(w, "OK {}", summarize(&outcome)),
             Err(e) => writeln!(w, "{}", engine_err_line(&e)),
@@ -368,7 +368,7 @@ fn respond(w: &mut impl Write, session: &Session, request: Request) -> std::io::
             ] {
                 writeln!(w, "STAT {key} {value}")?;
             }
-            for v in session.shared().view_stats() {
+            for v in session.shared().snapshot().db().view_stats() {
                 writeln!(w, "STAT view.{}.rows {}", v.name, v.rows)?;
                 writeln!(
                     w,

@@ -7,7 +7,7 @@
 //! passthrough, asserted below to add zero bytes — so the release binary
 //! pays nothing for the abstraction.
 //!
-//! With `--features fault`, a test can [`mount_sim`] a [`SimFs`] under a
+//! With `--features fault`, a test can `mount_sim` a `SimFs` under a
 //! path prefix: a deterministic in-memory filesystem that journals every
 //! mutation, tracks which bytes fsync has actually promised (per-file
 //! content syncs, per-directory namespace syncs), and can therefore
@@ -94,7 +94,7 @@ pub fn drain_issues() -> Vec<String> {
 /// The operations storage needs from a filesystem. [`RealFs`] implements
 /// it over `std::fs`; the free functions below are the static-dispatch
 /// fast path production code actually calls (routing to a mounted
-/// [`SimFs`] only when the `fault` feature is on *and* a mount exists).
+/// `SimFs` only when the `fault` feature is on *and* a mount exists).
 pub trait Vfs {
     /// Read a whole file.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
@@ -283,7 +283,7 @@ pub fn exists(path: &Path) -> bool {
 /// An open file. Without the `fault` feature this is a transparent
 /// wrapper over `std::fs::File` (single enum variant, no discriminant —
 /// see the size assertion below); with it, a handle may instead point
-/// into a mounted [`SimFs`].
+/// into a mounted `SimFs`.
 #[derive(Debug)]
 pub struct File(FileInner);
 

@@ -640,7 +640,7 @@ impl Wal {
     }
 
     /// Re-open the handle after something else replaced the file on disk
-    /// (a checkpoint's [`truncate_wal`] renames a fresh log over it; this
+    /// (a checkpoint's `truncate_wal` renames a fresh log over it; this
     /// handle would otherwise keep appending to the unlinked inode). On
     /// failure the handle is poisoned, so the next commit heals through
     /// [`Wal::open`] instead of appending to the replaced file. (The

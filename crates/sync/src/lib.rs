@@ -76,7 +76,7 @@ pub mod rank {
         name: "shared_writer",
         blocking_ok: true,
     };
-    /// Pointer-swap `RwLock` publishing the current `Arc<DbVersion>`.
+    /// Pointer-swap `RwLock` publishing the current `Snapshot`.
     pub static DB_CURRENT: Rank = Rank {
         order: 30,
         name: "db_current",

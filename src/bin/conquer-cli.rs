@@ -243,7 +243,13 @@ impl Shell {
                     ));
                 }
             }
-            "explain" => println!("{}", self.db.explain(arg).map_err(|e| e.to_string())?),
+            "explain" => {
+                let sql = format!("EXPLAIN {arg}");
+                let plan = self.db.prepare(&sql).and_then(|stmt| stmt.query(&self.db));
+                for line in &plan.map_err(|e| e.to_string())?.rows {
+                    println!("{}", line[0]);
+                }
+            }
             "gen" => {
                 let mut parts = arg.split_whitespace();
                 let sf: f64 = parts

@@ -33,8 +33,8 @@ fn dirty_database_survives_persistence() {
     let dir = std::env::temp_dir().join(format!("conquer_e2e_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    dirty.db().save_to_dir(&dir).unwrap();
-    let restored = Database::load_from_dir(&dir).unwrap();
+    conquer_storage::save_catalog(dirty.db().catalog(), &dir).unwrap();
+    let restored = Database::from_catalog(conquer_storage::load_catalog(&dir).unwrap());
     let restored = conquer_core::DirtyDatabase::new(restored, dirty.spec().clone()).unwrap();
 
     let sql = query_sql(3, false);

@@ -227,7 +227,10 @@ proptest! {
         let query = query_for(shape, threshold);
         let (sql, wide_sql) = (query.sql(), query.wide_sql());
         let run_with = |sql: &str, limits: ExecLimits| {
-            db.prepare(sql).unwrap().with_limits(limits).query(&db).unwrap()
+            db.prepare(sql)
+                .unwrap()
+                .query_with(&db, &db.exec_context(limits))
+                .unwrap()
         };
 
         // Narrow rows vs. full-width rows: same cells, bit for bit.

@@ -334,10 +334,11 @@ fn shared_handle_serves_maintained_views_across_epochs() {
 
     let t = DIRTIED_TABLES[5]; // lineitem
     let id_col = identifier_column(t);
-    let id_lit = shared.with_db(|db| {
-        let t = db.catalog().table(t).unwrap();
+    let id_lit = {
+        let snap = shared.snapshot();
+        let t = snap.db().catalog().table(t).unwrap();
         literal(&t.rows()[0][t.column_index(id_col).unwrap()])
-    });
+    };
     session
         .execute(&format!("DELETE FROM {t} WHERE {id_col} = {id_lit}"))
         .unwrap();
