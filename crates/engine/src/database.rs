@@ -11,6 +11,7 @@ use conquer_storage::{Catalog, Row, Schema, Table, Value};
 use crate::binder::{bind_constant, bind_select, bind_table_expr};
 use crate::context::{ExecContext, ExecLimits};
 use crate::error::EngineError;
+use crate::exact::ExactSum;
 use crate::expr::BoundExpr;
 use crate::planner::{plan_select, Plan};
 use crate::result::QueryResult;
@@ -448,31 +449,31 @@ impl Database {
         let mut moved = vec![false; rows.len()];
         // Probability mass and size of every affected cluster (the moved
         // tuples' sources and the target) over the post-move membership.
-        let mut affected: BTreeMap<&Value, (f64, usize)> = BTreeMap::new();
+        let mut affected: BTreeMap<&Value, (ExactSum, usize)> = BTreeMap::new();
         for (i, row) in rows.iter().enumerate() {
             if matches(row)? && row[id_idx] != target {
                 moved[i] = true;
-                affected.insert(&row[id_idx], (0.0, 0));
-                affected.insert(&target, (0.0, 0));
+                affected.insert(&row[id_idx], Default::default());
+                affected.insert(&target, Default::default());
             }
         }
         let id_after = |i: usize| if moved[i] { &target } else { &rows[i][id_idx] };
         for (i, row) in rows.iter().enumerate() {
             if let Some((sum, members)) = affected.get_mut(id_after(i)) {
-                *sum += row[prob_idx].as_f64().unwrap_or(0.0);
+                sum.add(row[prob_idx].as_f64().unwrap_or(0.0));
                 *members += 1;
             }
         }
 
         let mut updated = Vec::new();
         for (i, row) in rows.iter().enumerate() {
-            let Some(&(sum, members)) = affected.get(id_after(i)) else {
+            let Some((sum, members)) = affected.get(id_after(i)) else {
                 continue;
             };
-            let prob = Value::Float(if sum > 0.0 {
-                row[prob_idx].as_f64().unwrap_or(0.0) / sum
-            } else {
-                1.0 / members as f64
+            // The cluster's mass is rounded once: the same in any row order.
+            let prob = Value::Float(match sum.value() {
+                Some(mass) if mass > 0.0 => row[prob_idx].as_f64().unwrap_or(0.0) / mass,
+                _ => 1.0 / *members as f64,
             });
             if moved[i] || prob != row[prob_idx] {
                 let mut new_row = row.clone();
@@ -1215,6 +1216,28 @@ mod tests {
             assert!((s - 1.0).abs() < 1e-12, "{cluster} sums to {s}");
         }
         assert_eq!(view_rows(&db), recomputed_rows(&mut db));
+    }
+
+    #[test]
+    fn recluster_normalizes_the_same_in_any_row_order() {
+        // Cluster 'k' ends up as {1.0, 1e-16, 1e-16}. Folded in row order
+        // its mass is 1.0 one way round and 1.0000000000000002 the other.
+        let reclustered = |rows: &str| {
+            let mut db = Database::new();
+            execute(&mut db, "CREATE TABLE t (id TEXT, tag TEXT, prob DOUBLE)").unwrap();
+            execute(&mut db, &format!("INSERT INTO t VALUES {rows}")).unwrap();
+            execute(&mut db, "RECLUSTER t (id, prob) TO 'k' WHERE tag = 'z'").unwrap();
+            let r = query(&db, "SELECT tag, prob FROM t ORDER BY tag").unwrap();
+            let bits = |row: &Row| match row[..] {
+                [Value::Text(ref tag), Value::Float(p)] => (tag.clone(), p.to_bits()),
+                ref other => panic!("{other:?}"),
+            };
+            r.rows.iter().map(bits).collect::<Vec<_>>()
+        };
+        let forward = reclustered("('k', 'x', 1.0), ('k', 'y', 1e-16), ('m', 'z', 1e-16)");
+        let backward = reclustered("('m', 'z', 1e-16), ('k', 'y', 1e-16), ('k', 'x', 1.0)");
+        assert_eq!(forward, backward);
+        assert_eq!(forward[0].1, (1.0 / (1.0 + 2e-16f64)).to_bits());
     }
 
     #[test]

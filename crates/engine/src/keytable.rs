@@ -1,11 +1,12 @@
 //! The executor's one value-keyed hash table.
 //!
-//! `HashAggregate`, the hash-join build side and `DISTINCT` all need the
-//! same thing: map a fixed-width tuple of [`Value`]s to a dense index,
-//! remember the order keys first appeared in, and never iterate in an
-//! order that depends on a per-process hash seed. [`KeyTable`] is that and
-//! nothing more — callers keep their payload (accumulators, build rows) in
-//! their own vectors indexed by the entry number it hands out.
+//! `HashAggregate`, the hash-join build side, `DISTINCT` and the seen set
+//! of an aggregate's `DISTINCT` all need the same thing: map a fixed-width
+//! tuple of [`Value`]s to a dense index, remember the order keys first
+//! appeared in, and never iterate in an order that depends on a
+//! per-process hash seed. [`KeyTable`] is that and nothing more — callers
+//! keep their payload (accumulators, build rows) in their own vectors
+//! indexed by the entry number it hands out.
 //!
 //! Layout: an open-addressing `slots` array of entry numbers over a dense
 //! arena — one `u64` hash and `width` key cells per entry, the cells of
@@ -33,6 +34,7 @@ const EMPTY: u32 = u32::MAX;
 const MIN_SLOTS: usize = 16;
 
 /// A first-seen-order table of `width`-cell keys. See the module docs.
+#[derive(Debug, Clone)]
 pub(crate) struct KeyTable {
     width: usize,
     /// Entry number per slot, or [`EMPTY`]. Length is zero or a power of
@@ -66,6 +68,11 @@ impl KeyTable {
     /// The cells of entry `i`.
     pub(crate) fn key(&self, i: usize) -> &[Value] {
         &self.keys[i * self.width..(i + 1) * self.width]
+    }
+
+    /// Every entry's cells, flat, in first-seen order.
+    pub(crate) fn cells(&self) -> &[Value] {
+        &self.keys
     }
 
     /// The entry holding `key`, whose [`hash_key`] is `hash`.

@@ -39,8 +39,8 @@
 //! term multisets give byte-identical contents *and* state in any order.
 //! `CREATE`/`REFRESH` (every contribution into an empty state) and
 //! maintenance (a delta's signed contributions into the stored groups) are
-//! the one `fold`. The ad-hoc executor's `SUM` still folds in pipeline
-//! order and may differ from a view in the last ulp (see DESIGN.md).
+//! the one `fold`. The ad-hoc executor's `SUM` and `AVG` sum in the same
+//! [`ExactSum`], so a view reads what the query over its bases reads.
 //!
 //! ## Delta propagation
 //!

@@ -9,8 +9,15 @@
 //! and identical `value().to_bits()`, that the value matches the reference,
 //! that adding and then retracting any subset restores the encoding byte
 //! for byte, and that `decode(encode(s)) == s`.
+//!
+//! The executor is one more input: over the finite families, an ad-hoc
+//! `SUM` in memory, a `GROUP BY` forced to spill, a maintained view and
+//! `AVG` (the rounded sum over the count) must each give the reference's
+//! bits.
 
 use conquer_engine::exact::ExactSum;
+use conquer_engine::{Database, ExecLimits, QueryResult};
+use conquer_storage::Value;
 
 /// Deterministic xorshift, so a failure reproduces run to run.
 struct Rng(u64);
@@ -267,4 +274,112 @@ fn long_probability_sums_round_once() {
         bits(Some(reference(&terms, false))),
         "exact sum differs from the reference"
     );
+}
+
+/// A run of `sql` under `limits`.
+fn run(db: &Database, sql: &str, limits: ExecLimits) -> QueryResult {
+    db.prepare(sql)
+        .unwrap()
+        .query_with(db, &db.exec_context(limits))
+        .unwrap()
+}
+
+/// `(group, bits of each float after it)` per row.
+fn float_bits(r: &QueryResult) -> Vec<(i64, Vec<u64>)> {
+    let cell = |v: &Value| match v {
+        Value::Float(x) => x.to_bits(),
+        other => panic!("expected a float, got {other:?}"),
+    };
+    r.rows
+        .iter()
+        .map(|row| match &row[..] {
+            [Value::Int(g), rest @ ..] => (*g, rest.iter().map(cell).collect()),
+            other => panic!("unexpected row {other:?}"),
+        })
+        .collect()
+}
+
+/// Group 0 is ten `0.1`s, whose sum folded left to right is
+/// `0.9999999999999999`; groups `1..` are random finite families. Each
+/// group's terms are split between `t` and `staging`, and the rows of
+/// all groups are interleaved, so a spilled aggregate sees every group
+/// in several flushes.
+fn executor_cases() -> (Database, Vec<Vec<f64>>) {
+    let mut rng = Rng(0x2545_f491_4f6c_dd1d);
+    let mut cases = vec![vec![0.1; 10]];
+    for case in 1..400 {
+        let huge = case % 3 == 0;
+        let len = 1 + rng.below(if case % 2 == 0 { 7 } else { 40 });
+        let finite = |rng: &mut Rng| loop {
+            let t = term(rng, huge);
+            if t.is_finite() {
+                break t;
+            }
+        };
+        cases.push((0..len).map(|_| finite(&mut rng)).collect());
+    }
+    let mut db = Database::new();
+    db.set_limits(ExecLimits::none());
+    db.execute_script(
+        "CREATE TABLE t (g INTEGER, x DOUBLE); CREATE TABLE staging (g INTEGER, x DOUBLE)",
+    )
+    .unwrap();
+    let longest = cases.iter().map(Vec::len).max().unwrap();
+    for i in 0..longest {
+        for (g, terms) in cases.iter().enumerate() {
+            if let Some(&x) = terms.get(i) {
+                let table = if i < terms.len() / 2 { "t" } else { "staging" };
+                let row = vec![Value::Int(g as i64), Value::Float(x)];
+                db.catalog_mut()
+                    .table_mut(table)
+                    .unwrap()
+                    .insert(row)
+                    .unwrap();
+            }
+        }
+    }
+    (db, cases)
+}
+
+#[test]
+fn every_execution_path_sums_to_the_reference() {
+    let (mut db, cases) = executor_cases();
+    // The view is created over half of each group and maintained through
+    // the other half.
+    db.execute_script(
+        "CREATE MATERIALIZED VIEW v AS SELECT g, SUM(x) AS s FROM t GROUP BY g; \
+         INSERT INTO t SELECT g, x FROM staging",
+    )
+    .unwrap();
+    let want: Vec<(i64, Vec<u64>)> = cases
+        .iter()
+        .enumerate()
+        .map(|(g, terms)| {
+            let sum = expected(terms, g % 3 == 0 && g > 0).unwrap();
+            let avg = sum / terms.len() as f64;
+            (g as i64, vec![sum.to_bits(), avg.to_bits()])
+        })
+        .collect();
+    let sql = "SELECT g, SUM(x), AVG(x) FROM t GROUP BY g ORDER BY g";
+    let in_memory = run(&db, sql, ExecLimits::none());
+    assert_eq!(float_bits(&in_memory), want, "in memory");
+
+    let spilled = run(&db, sql, ExecLimits::none().with_mem_bytes(64 * 1024));
+    assert!(spilled.stats().unwrap().disk_charged > 0, "did not spill");
+    assert_eq!(float_bits(&spilled), want, "spilled");
+
+    let view = run(&db, "SELECT g, s FROM v ORDER BY g", ExecLimits::none());
+    let sums: Vec<(i64, Vec<u64>)> = want.iter().map(|(g, b)| (*g, b[..1].to_vec())).collect();
+    assert_eq!(float_bits(&view), sums, "maintained view");
+
+    for g in [0, 1, 2, 3] {
+        let global = run(
+            &db,
+            &format!("SELECT {g}, SUM(x), AVG(x) FROM t WHERE g = {g}"),
+            ExecLimits::none(),
+        );
+        assert_eq!(float_bits(&global), want[g..=g], "global SUM of group {g}");
+    }
+    // Ten 0.1s are exactly 1.0 on every path.
+    assert_eq!(want[0].1[0], 1.0f64.to_bits());
 }
