@@ -77,22 +77,6 @@ impl ExactSum {
         (self.limbs.capacity() * std::mem::size_of::<u64>()) as u64
     }
 
-    /// Fold in every term of `other`. Exact: the state is the one that
-    /// adding `other`'s terms here one by one would have reached.
-    pub fn merge(&mut self, other: &ExactSum) {
-        self.nonnull += other.nonnull;
-        self.nan += other.nan;
-        self.pos_inf += other.pos_inf;
-        self.neg_inf += other.neg_inf;
-        if let Some((&top, rest)) = other.limbs.split_last() {
-            for (j, &limb) in rest.iter().enumerate() {
-                self.add_at(other.lo + j, limb.into(), false);
-            }
-            let top = top as i64; // the sign limb
-            self.add_at(other.lo + rest.len(), top.unsigned_abs().into(), top < 0);
-        }
-    }
-
     fn apply(&mut self, x: f64, sign: i64) {
         self.nonnull += sign;
         if x.is_nan() {
@@ -376,27 +360,6 @@ mod tests {
         // 1e16 + 2.
         assert_eq!(sum(&[1e16, 1.0, 1.0]).value(), Some(1e16 + 2.0));
         assert_eq!(sum(&[1.0, 1e100, 1.0, -1e100]).value(), Some(2.0));
-    }
-
-    #[test]
-    fn merge_equals_adding_the_terms() {
-        let terms = [0.1, -1e300, 3.0, -0.7, 1e-310, 1e300, f64::INFINITY, 2e-17];
-        let whole = sum(&terms);
-        for split in 0..=terms.len() {
-            let (left, right) = terms.split_at(split);
-            let mut merged = sum(left);
-            merged.merge(&sum(right));
-            assert_eq!(merged, whole, "split at {split}");
-            let mut minus = sum(left);
-            let mut negated = ExactSum::new();
-            for &t in right {
-                negated.retract(t);
-            }
-            minus.merge(&negated);
-            let mut retracted = sum(left);
-            right.iter().for_each(|&t| retracted.retract(t));
-            assert_eq!(minus, retracted, "split at {split}, negated");
-        }
     }
 
     #[test]

@@ -39,9 +39,11 @@
 //!   ([`conquer_storage::spill`]) and each partition pair is joined in
 //!   memory, recursing with a different hash on partitions that still
 //!   don't fit;
-//! * **hash aggregation** spills serialized group state (keys +
-//!   mergeable accumulator states) to partitions and re-aggregates them
-//!   one partition at a time;
+//! * **hash aggregation** becomes a hybrid hash aggregation — the groups
+//!   already in memory keep absorbing their tuples, a tuple with a new
+//!   key is hash-partitioned to a spill file like a join's, and each
+//!   partition is aggregated in memory afterwards, recursing the same
+//!   way, so every group is finished in exactly one pass;
 //! * **sort** becomes an external merge sort: sorted runs on disk, one
 //!   k-way merge pass.
 //!
@@ -50,9 +52,10 @@
 //! configured memory budget (spilling can be disabled with a zero disk
 //! budget, restoring the strict-abort behavior). Operators without an
 //! external strategy (cross join, DISTINCT, the result buffer) still
-//! charge the memory budget hard. Spill loops run for a long time
-//! without crossing a batch boundary, so they tick the context's
-//! cancellation/deadline guards every `SPILL_TICK_ROWS` rows.
+//! charge the memory budget hard. A spill partition is read back in
+//! batches, each a cancellation point; loops that stream rows without
+//! crossing a batch boundary tick the context's cancellation/deadline
+//! guards every `SPILL_TICK_ROWS` rows.
 
 use std::borrow::Cow;
 use std::hash::Hash;
@@ -78,8 +81,8 @@ use crate::Result;
 /// target, not an invariant.
 pub const BATCH_SIZE: usize = 1024;
 
-/// Fan-out of one spill partitioning pass (grace hash join, partitioned
-/// re-aggregation).
+/// Fan-out of one spill partitioning pass (grace hash join, hybrid hash
+/// aggregation).
 const SPILL_PARTITIONS: usize = 16;
 
 /// Maximum partitioning passes over one operator's data before the
@@ -90,9 +93,10 @@ const SPILL_PARTITIONS: usize = 16;
 /// giant duplicate group) that re-partitioning cannot split.
 const MAX_SPILL_PASSES: u32 = 5;
 
-/// Rows between cooperative cancellation/deadline checks inside spill
-/// partition and merge loops, which stream arbitrarily many rows without
-/// crossing a batch boundary. Bounds cancellation latency while spilling.
+/// Rows between cooperative cancellation/deadline checks inside loops
+/// that stream arbitrarily many rows without crossing a batch boundary
+/// (a build-table flush, a probe's fan-out, a sort's runs and merge).
+/// Bounds cancellation latency while spilling.
 const SPILL_TICK_ROWS: u32 = 128;
 
 /// Materialized rows: what the aggregate and every operator above it
@@ -885,52 +889,33 @@ impl<'a> JoinKeys<'a> {
     }
 }
 
-/// Build-side state of a hash join: in memory while the budget lasts,
-/// grace-partitioned on disk afterwards.
+/// Where a hash join is. Each pass builds a table from its build input
+/// and probes it with its probe input; a pass whose build side outgrows
+/// the budget partitions both inputs instead (see [`hj_build`]).
 pub(crate) enum JoinState {
-    /// Build side not yet consumed.
+    /// Build side not yet read.
     Init,
-    /// Classic in-memory hash join. `mem` is the bytes charged for the
-    /// build table, released once the probe side is exhausted.
-    Mem { map: Box<BuildMap>, mem: u64 },
-    /// Grace hash join over spilled partition pairs.
-    Spill(GraceJoin),
+    /// Joining. `table` is the build table being probed, the bytes it
+    /// holds charged and its probe run (`None`: the probe child); there is
+    /// none between partitions. `queue` holds the partition pairs still to
+    /// join, each with the pass that reads it.
+    Join {
+        table: Option<Box<(BuildMap, u64, Option<Run>)>>,
+        queue: Vec<(SpillFile, SpillFile, u32)>,
+    },
 }
 
-/// Pending and in-flight partition pairs of a grace hash join.
-pub(crate) struct GraceJoin {
-    /// `(build partition, probe partition, pass)` still to process.
-    queue: Vec<(SpillFile, SpillFile, u32)>,
-    /// The partition currently being probed (boxed: it carries a hash
-    /// table and two file handles, far bigger than the idle states).
-    current: Option<Box<PartProbe>>,
-}
-
-/// One grace-join partition's in-memory build table plus its streaming
-/// probe reader.
-struct PartProbe {
-    map: BuildMap,
-    /// Bytes charged for `map`, released when the partition is done.
-    mem: u64,
-    probe: SpillReader,
-    /// Keeps the probe run alive while it is read (deleted on drop).
-    _probe_file: SpillFile,
-}
-
-/// Materialization state of a hash aggregation.
+/// Where a hash aggregation is.
 pub(crate) enum AggState {
     /// Input not yet consumed.
     Init,
-    /// All groups fit in memory; draining the finalized rows. The `u64`
-    /// is the still-charged bytes, released as rows are emitted.
-    Drain(std::vec::IntoIter<Row>, u64),
-    /// Partitioned re-aggregation over spilled group state.
-    Spill {
-        /// `(state-row partition, pass)` still to re-aggregate.
+    /// Emitting the finished groups of one pass; `mem` is the bytes they
+    /// still hold charged, released as rows are emitted. `queue` holds the
+    /// partitions still to aggregate, each with the pass that reads it.
+    Drain {
+        rows: std::vec::IntoIter<Row>,
+        mem: u64,
         queue: Vec<(SpillFile, u32)>,
-        /// Finalized rows of the partition being drained, plus the bytes
-        /// to release once it is exhausted.
-        current: Option<(std::vec::IntoIter<Row>, u64)>,
     },
 }
 
@@ -1015,24 +1000,71 @@ fn spill_tuple(ctx: &ExecContext, m: &mut Metrics, w: &mut SpillWriter, t: &[u32
     spill_row(ctx, m, w, &row)
 }
 
-/// Read the next position tuple [`spill_tuple`] wrote into `t`; `false`
-/// at the end of the run.
-fn read_tuple(reader: &mut SpillReader, t: &mut Vec<u32>) -> Result<bool> {
-    let Some(row) = reader.next_row()? else {
-        return Ok(false);
-    };
-    t.clear();
-    for v in &row {
-        match v {
-            Value::Int(p) if u32::try_from(*p).is_ok() => t.push(*p as u32),
-            other => {
+/// A spill partition of `width`-position tuples, read back by
+/// [`Input::Run`].
+pub(crate) struct Run {
+    reader: SpillReader,
+    width: usize,
+    /// Keeps the file alive while it is read (deleted on drop).
+    _file: SpillFile,
+}
+
+impl Run {
+    fn open(file: SpillFile, width: usize) -> Result<Run> {
+        Ok(Run {
+            reader: file.reader()?,
+            width,
+            _file: file,
+        })
+    }
+
+    /// The next batch of up to [`BATCH_SIZE`] tuples [`spill_tuple`]
+    /// wrote; `None` at the end of the run.
+    fn next_batch(&mut self, ctx: &ExecContext) -> Result<Option<Tuples>> {
+        ctx.tick()?;
+        let mut out = Tuples::with_capacity(self.width, BATCH_SIZE);
+        while out.len() < BATCH_SIZE {
+            let Some(row) = self.reader.next_row()? else {
+                break;
+            };
+            let start = out.pos.len();
+            for v in &row {
+                match v {
+                    Value::Int(p) if u32::try_from(*p).is_ok() => out.pos.push(*p as u32),
+                    _ => break,
+                }
+            }
+            if row.len() != self.width || out.pos.len() != start + self.width {
                 return Err(EngineError::internal(format!(
-                    "spilled join tuple holds {other:?}, not a row position"
-                )))
+                    "spilled position tuple {row:?} is not {} row positions",
+                    self.width
+                )));
             }
         }
+        Ok((!out.is_empty()).then_some(out))
     }
-    Ok(true)
+}
+
+/// Where one pass of a hash operator reads its position tuples: the
+/// child operator on the first pass, a spill partition on every later one.
+enum Input<'o, 'a> {
+    Child(&'o mut TupleOp<'a>),
+    Run(&'o mut Run),
+}
+
+impl Input<'_, '_> {
+    fn next_batch(&mut self, m: &mut Metrics, ctx: &ExecContext) -> Result<Option<Tuples>> {
+        match self {
+            Input::Child(child) => pull(child, m, ctx),
+            Input::Run(run) => run.next_batch(ctx),
+        }
+    }
+}
+
+/// What a blocking operator that can spill may hold: half the memory
+/// budget, so an operator below it that spills too keeps room to run.
+fn spill_cap(ctx: &ExecContext) -> u64 {
+    ctx.limits().mem_bytes.map_or(u64::MAX, |b| b / 2)
 }
 
 fn nonempty(files: &[SpillFile]) -> u64 {
@@ -1152,24 +1184,41 @@ impl<'a> Step for TupleKind<'a> {
                 state,
             } => {
                 if matches!(state, JoinState::Init) {
-                    *state = hj_prepare(probe, build, keys, m, ctx)?;
+                    let mut queue = Vec::new();
+                    let probe = &mut Input::Child(probe);
+                    let map = hj_build(Input::Child(build), probe, 0, keys, &mut queue, m, ctx)?;
+                    let table = map.map(|(map, mem)| Box::new((map, mem, None)));
+                    *state = JoinState::Join { table, queue };
                 }
-                match state {
-                    JoinState::Init => Err(EngineError::internal(
+                let JoinState::Join { table, queue } = state else {
+                    return Err(EngineError::internal(
                         "hash join probed before its build side",
-                    )),
-                    JoinState::Mem { map, mem } => {
-                        let out = hj_probe_next(probe, map, keys, m, ctx)?;
-                        if out.is_none() {
-                            // Probe exhausted: the build table is dead weight
-                            // now, so hand its budget back before upstream
-                            // operators (or the result buffer) compete for it.
-                            ctx.release(std::mem::take(mem));
-                            **map = BuildMap::new(0);
+                    ));
+                };
+                loop {
+                    if let Some(t) = table {
+                        let (map, mem, run) = &mut **t;
+                        let mut input = match run {
+                            Some(run) => Input::Run(run),
+                            None => Input::Child(probe),
+                        };
+                        if let Some(out) = hj_probe(&mut input, map, keys, m, ctx)? {
+                            return Ok(Some(out));
                         }
-                        Ok(out)
+                        // Probe exhausted: the build table is dead weight
+                        // now, so hand its budget back before the next pass
+                        // or upstream operators compete for it.
+                        ctx.release(*mem);
+                        *table = None;
                     }
-                    JoinState::Spill(grace) => hj_spill_next(grace, keys, m, ctx),
+                    let Some((bfile, pfile, pass)) = queue.pop() else {
+                        return Ok(None);
+                    };
+                    let mut brun = Run::open(bfile, keys.build_layout.width)?;
+                    let mut prun = Run::open(pfile, keys.probe_layout.width)?;
+                    let probe = &mut Input::Run(&mut prun);
+                    let map = hj_build(Input::Run(&mut brun), probe, pass, keys, queue, m, ctx)?;
+                    *table = map.map(|(map, mem)| Box::new((map, mem, Some(prun))));
                 }
             }
 
@@ -1264,46 +1313,35 @@ impl<'a> Step for OpKind<'a> {
                 state,
             } => {
                 if matches!(state, AggState::Init) {
-                    *state = aggregate_input(child, layout, group, m, ctx)?;
+                    let mut queue = Vec::new();
+                    let input = Input::Child(child);
+                    let (rows, mem) = aggregate_input(input, 0, layout, group, &mut queue, m, ctx)?;
+                    *state = AggState::Drain {
+                        rows: rows.into_iter(),
+                        mem,
+                        queue,
+                    };
                 }
+                let AggState::Drain { rows, mem, queue } = state else {
+                    return Err(EngineError::internal(
+                        "aggregate drained before aggregating",
+                    ));
+                };
                 loop {
-                    match state {
-                        AggState::Init => {
-                            return Err(EngineError::internal(
-                                "aggregate drained before aggregating",
-                            ))
-                        }
-                        AggState::Drain(iter, mem) => {
-                            let out: Batch = iter.take(BATCH_SIZE).collect();
-                            if out.is_empty() {
-                                ctx.release(std::mem::take(mem));
-                                return Ok(None);
-                            }
-                            release_emitted(ctx, &out, mem);
-                            return Ok(Some(out));
-                        }
-                        AggState::Spill { queue, current } => {
-                            if let Some((iter, mem)) = current {
-                                let out: Batch = iter.take(BATCH_SIZE).collect();
-                                if out.is_empty() {
-                                    ctx.release(*mem);
-                                    *current = None;
-                                    continue;
-                                }
-                                release_emitted(ctx, &out, mem);
-                                return Ok(Some(out));
-                            }
-                            let Some((file, pass)) = queue.pop() else {
-                                return Ok(None);
-                            };
-                            match agg_merge_partition(file, pass, group, m, ctx)? {
-                                AggMerge::Done(rows, mem) => {
-                                    *current = Some((rows.into_iter(), mem))
-                                }
-                                AggMerge::Repartitioned(files) => queue.extend(files),
-                            }
-                        }
+                    let out: Batch = rows.take(BATCH_SIZE).collect();
+                    if !out.is_empty() {
+                        release_emitted(ctx, &out, mem);
+                        return Ok(Some(out));
                     }
+                    ctx.release(std::mem::take(mem));
+                    let Some((file, pass)) = queue.pop() else {
+                        return Ok(None);
+                    };
+                    let mut run = Run::open(file, layout.width)?;
+                    let input = Input::Run(&mut run);
+                    let (next, bytes) = aggregate_input(input, pass, layout, group, queue, m, ctx)?;
+                    *rows = next.into_iter();
+                    *mem = bytes;
                 }
             }
 
@@ -1550,18 +1588,18 @@ fn owned_value_bytes(v: &Cow<'_, Value>) -> u64 {
 // Grace hash join
 // ---------------------------------------------------------------------------
 
-/// Stream `probe` against an in-memory build table: the next non-empty
-/// batch of matches, `None` once the probe side is exhausted.
-fn hj_probe_next<'a>(
-    probe: &mut TupleOp<'_>,
+/// Stream `input` against a build table: the next non-empty batch of
+/// matches, `None` once `input` is exhausted.
+fn hj_probe(
+    input: &mut Input<'_, '_>,
     map: &BuildMap,
-    keys: &JoinKeys<'a>,
+    keys: &JoinKeys<'_>,
     m: &mut Metrics,
     ctx: &ExecContext,
 ) -> Result<Option<Tuples>> {
     let mut ticker = Ticker::new();
     let mut key = Vec::with_capacity(keys.probe_exprs.len());
-    while let Some(batch) = pull(probe, m, ctx)? {
+    while let Some(batch) = input.next_batch(m, ctx)? {
         let mut out = keys.out(batch.len());
         for p in batch.iter() {
             keys.probe_tuple(map, p, &mut key, &mut out, &mut ticker, ctx)?;
@@ -1573,23 +1611,28 @@ fn hj_probe_next<'a>(
     Ok(None)
 }
 
-/// Consume the build side of a hash join. Stays in memory while the
-/// budget lasts; past it, grace-partitions *both* inputs to disk and
-/// returns the partition-pair queue instead.
-fn hj_prepare<'a>(
-    probe: &mut TupleOp<'_>,
-    build: &mut TupleOp<'_>,
-    keys: &JoinKeys<'a>,
+/// Build one pass of a hash join: load `build` into a table while the
+/// budget lasts and return it with the bytes it charged. Past the budget
+/// the table and the rest of `build` go to partitions under `pass`'s
+/// hash, `probe` follows them under the same hash, the partition pairs
+/// are queued for `pass + 1`, and there is no table. The last pass
+/// charges hard.
+fn hj_build(
+    mut build: Input<'_, '_>,
+    probe: &mut Input<'_, '_>,
+    pass: u32,
+    keys: &JoinKeys<'_>,
+    queue: &mut Vec<(SpillFile, SpillFile, u32)>,
     m: &mut Metrics,
     ctx: &ExecContext,
-) -> Result<JoinState> {
+) -> Result<Option<(BuildMap, u64)>> {
     let mut map = BuildMap::new(keys.build_exprs.len());
     let mut mem = 0u64;
     let mut writers: Option<Vec<SpillWriter>> = None;
     let mut ticker = Ticker::new();
     let mut key = Vec::with_capacity(keys.build_exprs.len());
-    while let Some(batch) = pull(build, m, ctx)? {
-        if writers.is_none() && !ctx.spill_enabled() {
+    while let Some(batch) = build.next_batch(m, ctx)? {
+        if !ctx.spill_enabled() {
             // No spill fallback configured: charge the whole batch hard,
             // preserving the strict-abort behavior.
             let mut batch_mem = 0u64;
@@ -1608,186 +1651,56 @@ fn hj_prepare<'a>(
                 continue;
             }
             if let Some(ws) = &mut writers {
-                ticker.row(ctx)?;
-                spill_tuple(ctx, m, &mut ws[partition_of(&key, 0)], b)?;
+                spill_tuple(ctx, m, &mut ws[partition_of(&key, pass)], b)?;
                 continue;
             }
             let bytes = keys.build_bytes(&key);
-            if ctx.try_charge(bytes) {
-                mem += bytes;
-                map.insert(&key, b)?;
-                continue;
+            if !ctx.try_charge(bytes) {
+                if pass < MAX_SPILL_PASSES {
+                    // Budget full: partition what we have, release the
+                    // memory, spill everything still to come.
+                    let mut ws = new_partition_writers(ctx)?;
+                    m.spill_passes += 1;
+                    map.flush(pass, &mut ws, m, ctx, &mut ticker)?;
+                    m.peak_mem = m.peak_mem.max(mem);
+                    ctx.release(mem);
+                    mem = 0;
+                    spill_tuple(ctx, m, &mut ws[partition_of(&key, pass)], b)?;
+                    writers = Some(ws);
+                    continue;
+                }
+                // End of the ladder: charge hard, which either fits (the
+                // budget freed up) or aborts with ResourceExhausted.
+                ctx.charge(bytes)?;
             }
-            // Budget full: switch to grace mode — partition what we have,
-            // release the memory, spill everything still to come.
-            let mut ws = new_partition_writers(ctx)?;
-            m.spill_passes += 1;
-            map.flush(0, &mut ws, m, ctx, &mut ticker)?;
-            m.peak_mem = m.peak_mem.max(mem);
-            ctx.release(mem);
-            mem = 0;
-            spill_tuple(ctx, m, &mut ws[partition_of(&key, 0)], b)?;
-            writers = Some(ws);
+            mem += bytes;
+            map.insert(&key, b)?;
         }
     }
     m.peak_mem = m.peak_mem.max(mem);
     let Some(build_ws) = writers else {
-        return Ok(JoinState::Mem {
-            map: Box::new(map),
-            mem,
-        });
+        return Ok(Some((map, mem)));
     };
-    // Partition the probe side with the same hash. NULL keys can never
-    // match, so they are dropped here.
+    // NULL keys can never match, so they are dropped here.
     let mut probe_ws = new_partition_writers(ctx)?;
-    while let Some(batch) = pull(probe, m, ctx)? {
+    while let Some(batch) = probe.next_batch(m, ctx)? {
         for p in batch.iter() {
-            ticker.row(ctx)?;
             if keys.probe_key(p, &mut key)? {
-                spill_tuple(ctx, m, &mut probe_ws[partition_of(&key, 0)], p)?;
+                spill_tuple(ctx, m, &mut probe_ws[partition_of(&key, pass)], p)?;
             }
         }
     }
     let build_files = finish_writers(build_ws)?;
     let probe_files = finish_writers(probe_ws)?;
     m.spill_partitions += nonempty(&build_files);
-    let queue = build_files
-        .into_iter()
-        .zip(probe_files)
-        .filter(|(b, p)| b.rows() > 0 && p.rows() > 0)
-        .map(|(b, p)| (b, p, 0))
-        .collect();
-    Ok(JoinState::Spill(GraceJoin {
-        queue,
-        current: None,
-    }))
-}
-
-/// Advance a grace hash join by up to one batch: stream matches out of
-/// the current partition, loading (and, when oversized, re-partitioning)
-/// queued partition pairs as needed.
-fn hj_spill_next(
-    grace: &mut GraceJoin,
-    keys: &JoinKeys<'_>,
-    m: &mut Metrics,
-    ctx: &ExecContext,
-) -> Result<Option<Tuples>> {
-    let mut ticker = Ticker::new();
-    let mut key = Vec::with_capacity(keys.probe_exprs.len());
-    let mut p = Vec::new();
-    loop {
-        if let Some(part) = &mut grace.current {
-            let mut out = keys.out(BATCH_SIZE);
-            loop {
-                if out.len() >= BATCH_SIZE {
-                    return Ok(Some(out));
-                }
-                ticker.row(ctx)?;
-                if !read_tuple(&mut part.probe, &mut p)? {
-                    ctx.release(part.mem);
-                    grace.current = None;
-                    break;
-                }
-                keys.probe_tuple(&part.map, &p, &mut key, &mut out, &mut ticker, ctx)?;
-            }
-            if !out.is_empty() {
-                return Ok(Some(out));
-            }
-            continue;
-        }
-        let Some((bfile, pfile, pass)) = grace.queue.pop() else {
-            return Ok(None);
-        };
-        match hj_load_partition(bfile, pfile, pass, keys, m, ctx)? {
-            Loaded::Table(part) => grace.current = Some(part),
-            Loaded::Repartitioned(pairs) => grace.queue.extend(pairs),
-        }
-    }
-}
-
-/// Result of loading one grace-join build partition.
-enum Loaded {
-    /// Partition fits: hash table built, ready to stream its probe side.
-    Table(Box<PartProbe>),
-    /// Partition was oversized and was split into sub-partition pairs
-    /// with the next pass's hash.
-    Repartitioned(Vec<(SpillFile, SpillFile, u32)>),
-}
-
-fn hj_load_partition(
-    bfile: SpillFile,
-    pfile: SpillFile,
-    pass: u32,
-    keys: &JoinKeys<'_>,
-    m: &mut Metrics,
-    ctx: &ExecContext,
-) -> Result<Loaded> {
-    let mut ticker = Ticker::new();
-    let mut map = BuildMap::new(keys.build_exprs.len());
-    let mut mem = 0u64;
-    let mut reader = bfile.reader()?;
-    let mut key = Vec::with_capacity(keys.build_exprs.len());
-    let mut b = Vec::new();
-    while read_tuple(&mut reader, &mut b)? {
-        ticker.row(ctx)?;
-        if !keys.build_key(&b, &mut key)? {
-            continue;
-        }
-        let bytes = keys.build_bytes(&key);
-        let fits = ctx.try_charge(bytes);
-        if fits || pass + 1 >= MAX_SPILL_PASSES {
-            if !fits {
-                // End of the ladder: charge hard, which either fits (the
-                // budget freed up) or aborts with ResourceExhausted.
-                ctx.charge(bytes)?;
-            }
-            mem += bytes;
-            map.insert(&key, &b)?;
-            continue;
-        }
-        // Oversized partition: split build + probe with the next pass's
-        // hash and queue the sub-pairs.
-        let next = pass + 1;
-        m.spill_passes += 1;
-        let mut bws = new_partition_writers(ctx)?;
-        map.flush(next, &mut bws, m, ctx, &mut ticker)?;
-        m.peak_mem = m.peak_mem.max(mem);
-        ctx.release(mem);
-        spill_tuple(ctx, m, &mut bws[partition_of(&key, next)], &b)?;
-        while read_tuple(&mut reader, &mut b)? {
-            ticker.row(ctx)?;
-            if keys.build_key(&b, &mut key)? {
-                spill_tuple(ctx, m, &mut bws[partition_of(&key, next)], &b)?;
-            }
-        }
-        let mut pws = new_partition_writers(ctx)?;
-        let mut preader = pfile.reader()?;
-        while read_tuple(&mut preader, &mut b)? {
-            ticker.row(ctx)?;
-            if keys.probe_key(&b, &mut key)? {
-                spill_tuple(ctx, m, &mut pws[partition_of(&key, next)], &b)?;
-            }
-        }
-        let bfiles = finish_writers(bws)?;
-        let pfiles = finish_writers(pws)?;
-        m.spill_partitions += nonempty(&bfiles);
-        return Ok(Loaded::Repartitioned(
-            bfiles
-                .into_iter()
-                .zip(pfiles)
-                .filter(|(b, p)| b.rows() > 0 && p.rows() > 0)
-                .map(|(b, p)| (b, p, next))
-                .collect(),
-        ));
-    }
-    m.peak_mem = m.peak_mem.max(mem);
-    let probe = pfile.reader()?;
-    Ok(Loaded::Table(Box::new(PartProbe {
-        map,
-        mem,
-        probe,
-        _probe_file: pfile,
-    })))
+    queue.extend(
+        build_files
+            .into_iter()
+            .zip(probe_files)
+            .filter(|(b, p)| b.rows() > 0 && p.rows() > 0)
+            .map(|(b, p)| (b, p, pass + 1)),
+    );
+    Ok(None)
 }
 
 // ---------------------------------------------------------------------------
@@ -1819,8 +1732,7 @@ fn sort_input(
     let mut mem = 0u64;
     let mut runs: Vec<SpillFile> = Vec::new();
     let mut ticker = Ticker::new();
-    // Half the budget stays free for operators below that merge spills.
-    let cap = ctx.limits().mem_bytes.map_or(u64::MAX, |b| b / 2);
+    let cap = spill_cap(ctx);
     while let Some(batch) = pull(child, m, ctx)? {
         if !ctx.spill_enabled() {
             let bytes: u64 = batch.iter().map(approx_row_bytes).sum();
@@ -1950,7 +1862,7 @@ fn merge_runs(
 /// An aggregation table: the group keys in a [`KeyTable`], and beside
 /// them, flat, the `per` accumulators of each group — group `i` owns
 /// `accs[i * per..(i + 1) * per]`. Both are in first-seen group order, so
-/// output order and spill-file content are the same on every run.
+/// output order is the same on every run.
 struct Groups {
     keys: KeyTable,
     accs: Vec<Accumulator>,
@@ -1995,49 +1907,29 @@ impl Groups {
         }
         Ok(out)
     }
-
-    /// Write every group to its spill partition under `pass`'s hash as a
-    /// serialized state row, leaving the table empty.
-    fn flush(
-        &mut self,
-        pass: u32,
-        ws: &mut [SpillWriter],
-        m: &mut Metrics,
-        ctx: &ExecContext,
-        ticker: &mut Ticker,
-    ) -> Result<()> {
-        let per = self.per;
-        let mut accs = std::mem::take(&mut self.accs).into_iter();
-        for key in self.keys.drain_rows(per * Accumulator::STATE_FIXED) {
-            ticker.row(ctx)?;
-            let p = partition_of(&key, pass);
-            spill_row(
-                ctx,
-                m,
-                &mut ws[p],
-                &agg_state_row(key, accs.by_ref().take(per)),
-            )?;
-        }
-        Ok(())
-    }
 }
 
-/// Drain `child` and aggregate every row. When everything fits in the
-/// budget, returns the finished group rows in first-seen order
-/// ([`AggState::Drain`] — the classic path). Past the budget, in-memory
-/// group state is serialized to hash partitions on disk and the returned
-/// [`AggState::Spill`] re-aggregates them one partition at a time.
+/// Aggregate one pass of `input`. Groups are made in memory while they fit
+/// in [`spill_cap`]. Past it, the groups already in memory keep absorbing
+/// their tuples, and a tuple whose key is new goes to a partition under
+/// `pass`'s hash instead; the partitions are queued for `pass + 1`. So
+/// every group lives in memory or in exactly one partition, and no group
+/// state is ever written out. Returns this pass's finished rows in
+/// first-seen group order and the bytes they hold charged. The last pass
+/// charges hard.
 fn aggregate_input(
-    child: &mut TupleOp<'_>,
+    mut input: Input<'_, '_>,
+    pass: u32,
     layout: &Layout<'_>,
     group: &GroupSpec,
+    queue: &mut Vec<(SpillFile, u32)>,
     m: &mut Metrics,
     ctx: &ExecContext,
-) -> Result<AggState> {
+) -> Result<(Vec<Row>, u64)> {
     let mut groups = Groups::new(group);
     let mut mem = 0u64;
     let mut writers: Option<Vec<SpillWriter>> = None;
-    let mut ticker = Ticker::new();
+    let cap = spill_cap(ctx);
 
     let fresh = || group.aggs.iter().map(Accumulator::new);
     let accs_bytes = fresh().map(|a| a.bytes()).sum::<u64>();
@@ -2049,14 +1941,14 @@ fn aggregate_input(
         m.peak_mem = accs_bytes;
     }
 
-    while let Some(batch) = pull(child, m, ctx)? {
+    while let Some(batch) = input.next_batch(m, ctx)? {
         // Bytes of groups created by this batch; without a spill fallback
         // they are charged per batch so a key-explosion on skewed dirty
         // data hits the budget before exhausting process memory.
         let mut batch_mem = 0u64;
         let mut key = Vec::with_capacity(group.keys.len());
-        for t in batch.iter() {
-            let t = layout.tuple(t);
+        for p in batch.iter() {
+            let t = layout.tuple(p);
             key.clear();
             for k in &group.keys {
                 key.push(k.eval_ref(t)?);
@@ -2068,12 +1960,12 @@ fn aggregate_input(
                     let bytes = key.iter().map(owned_value_bytes).sum::<u64>() + accs_bytes;
                     if !ctx.spill_enabled() {
                         batch_mem += bytes;
-                    } else if ctx.try_charge(bytes) {
+                    } else if writers.is_none() && mem + bytes <= cap && ctx.try_charge(bytes) {
                         mem += bytes;
-                    } else {
-                        // Budget full: move every in-memory group to disk as
-                        // serialized state and start over with an empty table
-                        // (partitions are re-merged afterwards).
+                    } else if pass < MAX_SPILL_PASSES {
+                        // Once one key has gone to disk, every new one
+                        // does: a group made in memory now might already
+                        // have tuples in a partition.
                         let ws = match &mut writers {
                             Some(ws) => ws,
                             None => {
@@ -2081,17 +1973,12 @@ fn aggregate_input(
                                 writers.insert(new_partition_writers(ctx)?)
                             }
                         };
-                        m.peak_mem = m.peak_mem.max(mem);
-                        groups.flush(0, ws, m, ctx, &mut ticker)?;
-                        ctx.release(mem);
-                        mem = 0;
-                        if ctx.try_charge(bytes) {
-                            mem += bytes;
-                        } else {
-                            // A single group over the whole budget.
-                            ctx.charge(bytes)?;
-                            mem += bytes;
-                        }
+                        spill_tuple(ctx, m, &mut ws[partition_of(&key, pass)], p)?;
+                        continue;
+                    } else {
+                        // End of the ladder: charge hard.
+                        ctx.charge(bytes)?;
+                        mem += bytes;
                     }
                     groups.push(hash, key.drain(..).map(Cow::into_owned), fresh())?
                 }
@@ -2110,143 +1997,17 @@ fn aggregate_input(
     }
 
     m.peak_mem = m.peak_mem.max(mem);
-    if let Some(mut ws) = writers {
-        groups.flush(0, &mut ws, m, ctx, &mut ticker)?;
-        ctx.release(mem);
+    if let Some(ws) = writers {
         let files = finish_writers(ws)?;
         m.spill_partitions += nonempty(&files);
-        let queue = files
-            .into_iter()
-            .filter(|f| f.rows() > 0)
-            .map(|f| (f, 0))
-            .collect();
-        return Ok(AggState::Spill {
-            queue,
-            current: None,
-        });
-    }
-
-    Ok(AggState::Drain(groups.finalize()?.into_iter(), mem))
-}
-
-/// Serialize one group (key + accumulator states) as a spill row.
-fn agg_state_row(key: Row, accs: impl IntoIterator<Item = Accumulator>) -> Row {
-    let mut row = key;
-    for acc in accs {
-        acc.state_values(&mut row);
-    }
-    row
-}
-
-/// Decode the serialized accumulator states that follow the `calls.len()`
-/// key values in a spilled group-state row.
-fn decode_acc_states(vals: &[Value], calls: &[AggCall]) -> Result<Vec<Accumulator>> {
-    let mut out = Vec::with_capacity(calls.len());
-    let mut pos = 0;
-    for call in calls {
-        let rest = vals
-            .get(pos..)
-            .ok_or_else(|| EngineError::internal("spilled aggregate state row is too short"))?;
-        let (acc, used) = Accumulator::from_state(call, rest)?;
-        pos += used;
-        out.push(acc);
-    }
-    if pos != vals.len() {
-        return Err(EngineError::internal(
-            "trailing values in spilled aggregate state row",
-        ));
-    }
-    Ok(out)
-}
-
-/// Result of re-aggregating one spilled partition.
-enum AggMerge {
-    /// Groups fit: finalized output rows, plus the bytes to release once
-    /// they are drained.
-    Done(Vec<Row>, u64),
-    /// Partition was oversized and was split with the next pass's hash.
-    Repartitioned(Vec<(SpillFile, u32)>),
-}
-
-/// Re-aggregate one partition of spilled group state: state rows for the
-/// same key (from different flushes) are merged, then finalized. An
-/// oversized partition is re-partitioned with the next pass's hash
-/// instead.
-fn agg_merge_partition(
-    file: SpillFile,
-    pass: u32,
-    group: &GroupSpec,
-    m: &mut Metrics,
-    ctx: &ExecContext,
-) -> Result<AggMerge> {
-    let nk = group.keys.len();
-    let mut ticker = Ticker::new();
-    let mut groups = Groups::new(group);
-    let mut mem = 0u64;
-    let mut reader = file.reader()?;
-    while let Some(srow) = reader.next_row()? {
-        ticker.row(ctx)?;
-        if srow.len() < nk {
-            return Err(EngineError::internal(
-                "spilled aggregate state row is too short",
-            ));
-        }
-        let accs = decode_acc_states(&srow[nk..], &group.aggs)?;
-        let key = {
-            let mut k = srow;
-            k.truncate(nk);
-            k
-        };
-        let hash = hash_key(&key);
-        if let Some(i) = groups.keys.find(hash, &key) {
-            for (e, a) in groups.accs_mut(i).iter_mut().zip(accs) {
-                e.merge(a)?;
-            }
-            continue;
-        }
-        let accs_bytes: u64 = accs.iter().map(Accumulator::bytes).sum();
-        let bytes = key.iter().map(approx_value_bytes).sum::<u64>() + accs_bytes;
-        let fits = ctx.try_charge(bytes);
-        if fits || pass + 1 >= MAX_SPILL_PASSES {
-            if !fits {
-                ctx.charge(bytes)?;
-            }
-            mem += bytes;
-            groups.push(hash, key, accs)?;
-            continue;
-        }
-        // Oversized partition: split everything (merged groups + the rest
-        // of the file) with the next pass's hash.
-        let nextp = pass + 1;
-        m.spill_passes += 1;
-        let mut ws = new_partition_writers(ctx)?;
-        m.peak_mem = m.peak_mem.max(mem);
-        groups.flush(nextp, &mut ws, m, ctx, &mut ticker)?;
-        ctx.release(mem);
-        let p = partition_of(&key, nextp);
-        spill_row(ctx, m, &mut ws[p], &agg_state_row(key, accs))?;
-        while let Some(r) = reader.next_row()? {
-            ticker.row(ctx)?;
-            if r.len() < nk {
-                return Err(EngineError::internal(
-                    "spilled aggregate state row is too short",
-                ));
-            }
-            let p = partition_of(&r[..nk], nextp);
-            spill_row(ctx, m, &mut ws[p], &r)?;
-        }
-        let files = finish_writers(ws)?;
-        m.spill_partitions += nonempty(&files);
-        return Ok(AggMerge::Repartitioned(
+        queue.extend(
             files
                 .into_iter()
                 .filter(|f| f.rows() > 0)
-                .map(|f| (f, nextp))
-                .collect(),
-        ));
+                .map(|f| (f, pass + 1)),
+        );
     }
-    m.peak_mem = m.peak_mem.max(mem);
-    Ok(AggMerge::Done(groups.finalize()?, mem))
+    Ok((groups.finalize()?, mem))
 }
 
 /// Accumulator for one aggregate call within one group.
@@ -2285,9 +2046,8 @@ impl Accumulator {
     }
 
     /// Bytes this accumulator holds: itself, its sum's limbs and its
-    /// DISTINCT set. A group is charged this when it is created and when
-    /// its spilled state is read back, not as a DISTINCT set or a sum
-    /// wider than its four reserved limbs grows in between.
+    /// DISTINCT set. A group is charged this when it is created, not as a
+    /// DISTINCT set or a sum wider than its four reserved limbs grows.
     fn bytes(&self) -> u64 {
         let seen = self.distinct.as_ref().map_or(0, |s| {
             std::mem::size_of::<KeyTable>() as u64
@@ -2369,119 +2129,6 @@ impl Accumulator {
             },
             AggFunc::Min | AggFunc::Max => self.minmax.unwrap_or(Value::Null),
         })
-    }
-
-    /// Number of fixed values in the serialized state layout, before any
-    /// DISTINCT values (see [`Accumulator::from_state`]).
-    const STATE_FIXED: usize = 7;
-
-    /// Append this accumulator's mergeable state to `out`. Layout:
-    /// `[count, sum_int, sum, saw_float, overflowed, minmax-or-NULL,
-    /// n_distinct, distinct values…]`, where `sum` is the
-    /// [`ExactSum::encode`] text cell and `n_distinct = -1` marks a
-    /// non-DISTINCT call. `minmax` can use NULL as its "absent" marker
-    /// because [`Accumulator::update`] skips NULLs, so a present minmax is
-    /// never NULL.
-    fn state_values(self, out: &mut Vec<Value>) {
-        out.push(Value::Int(self.count));
-        out.push(Value::Int(self.sum_int));
-        out.push(Value::Text(self.sum.encode()));
-        out.push(Value::Bool(self.saw_float));
-        out.push(Value::Bool(self.overflowed));
-        out.push(self.minmax.unwrap_or(Value::Null));
-        match self.distinct {
-            None => out.push(Value::Int(-1)),
-            Some(seen) => {
-                out.push(Value::Int(seen.len() as i64));
-                out.extend_from_slice(seen.cells());
-            }
-        }
-    }
-
-    /// Rebuild an accumulator from state written by
-    /// [`Accumulator::state_values`]. Returns the accumulator and how many
-    /// values it consumed. DISTINCT state is rebuilt by replaying the set
-    /// through [`Accumulator::update`], which reconstructs the counts and
-    /// sums derived from it.
-    fn from_state(call: &AggCall, vals: &[Value]) -> Result<(Accumulator, usize)> {
-        fn int(v: Option<&Value>) -> Result<i64> {
-            match v {
-                Some(Value::Int(i)) => Ok(*i),
-                other => Err(EngineError::internal(format!(
-                    "corrupt aggregate spill state: expected Int, got {other:?}"
-                ))),
-            }
-        }
-        fn boolean(v: Option<&Value>) -> Result<bool> {
-            match v {
-                Some(Value::Bool(b)) => Ok(*b),
-                other => Err(EngineError::internal(format!(
-                    "corrupt aggregate spill state: expected Bool, got {other:?}"
-                ))),
-            }
-        }
-
-        let mut acc = Accumulator::new(call);
-        let n_distinct = int(vals.get(Self::STATE_FIXED - 1))?;
-        if n_distinct >= 0 {
-            let end = Self::STATE_FIXED + n_distinct as usize;
-            let seen = vals.get(Self::STATE_FIXED..end).ok_or_else(|| {
-                EngineError::internal("corrupt aggregate spill state: truncated DISTINCT set")
-            })?;
-            for v in seen {
-                acc.update(v)?;
-            }
-            return Ok((acc, end));
-        }
-        acc.count = int(vals.first())?;
-        acc.sum_int = int(vals.get(1))?;
-        let sum = vals.get(2).and_then(|v| ExactSum::decode(v.as_str()?));
-        acc.sum = sum.ok_or_else(|| EngineError::internal("corrupt aggregate spill state: sum"))?;
-        acc.saw_float = boolean(vals.get(3))?;
-        acc.overflowed = boolean(vals.get(4))?;
-        acc.minmax = match vals.get(5) {
-            Some(Value::Null) => None,
-            Some(v) => Some(v.clone()),
-            None => {
-                return Err(EngineError::internal(
-                    "corrupt aggregate spill state: missing minmax",
-                ))
-            }
-        };
-        Ok((acc, Self::STATE_FIXED))
-    }
-
-    /// Fold another accumulator (same call, same group, different spill
-    /// flush) into this one.
-    fn merge(&mut self, other: Accumulator) -> Result<()> {
-        if let Some(theirs) = other.distinct {
-            // Replay through `update` so cross-flush duplicates are
-            // dropped by our own set.
-            for v in theirs.cells() {
-                self.update(v)?;
-            }
-            return Ok(());
-        }
-        self.count += other.count;
-        match self.sum_int.checked_add(other.sum_int) {
-            Some(s) => self.sum_int = s,
-            None => self.overflowed = true,
-        }
-        self.sum.merge(&other.sum);
-        self.saw_float |= other.saw_float;
-        self.overflowed |= other.overflowed;
-        if let Some(v) = other.minmax {
-            let keep = match (&self.minmax, self.func) {
-                (None, _) => true,
-                (Some(cur), AggFunc::Min) => v < *cur,
-                (Some(cur), AggFunc::Max) => v > *cur,
-                (Some(_), _) => false,
-            };
-            if keep {
-                self.minmax = Some(v);
-            }
-        }
-        Ok(())
     }
 }
 

@@ -302,8 +302,9 @@ fn float_bits(r: &QueryResult) -> Vec<(i64, Vec<u64>)> {
 /// Group 0 is ten `0.1`s, whose sum folded left to right is
 /// `0.9999999999999999`; groups `1..` are random finite families. Each
 /// group's terms are split between `t` and `staging`, and the rows of
-/// all groups are interleaved, so a spilled aggregate sees every group
-/// in several flushes.
+/// all groups are interleaved, so a spilled aggregate adds terms to the
+/// groups it keeps in memory all through its input, between the tuples
+/// it writes to partitions for the others.
 fn executor_cases() -> (Database, Vec<Vec<f64>>) {
     let mut rng = Rng(0x2545_f491_4f6c_dd1d);
     let mut cases = vec![vec![0.1; 10]];

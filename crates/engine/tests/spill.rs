@@ -111,9 +111,9 @@ fn spilling_aggregation_matches_in_memory_answer() {
     // 1000 groups of hash-table state (307 000 B unconstrained, whatever
     // the scan's width), far over 32–64 KiB; LIMIT keeps the
     // (hard-charged) result buffer tiny. The sort buffers the aggregate's
-    // output while the aggregate still merges spilled partitions: a sort
-    // that took the whole budget left those merges no room, and they
-    // failed on their last pass at most of these budgets.
+    // output while the aggregate still aggregates its spilled partitions,
+    // so each keeps to half the budget: one that took the whole of it
+    // would leave the other no room.
     let sql = "SELECT grp, COUNT(*), SUM(val) FROM big \
                GROUP BY grp ORDER BY grp LIMIT 20";
     for kib in (32..=64).step_by(4) {
@@ -137,9 +137,9 @@ fn spilling_aggregation_matches_in_memory_answer() {
 #[test]
 fn spilling_distinct_aggregates_survive_state_serialization() {
     let db = big_db(4000);
-    // DISTINCT accumulators carry their value sets through the spill
-    // files; merging partitions must not double-count. (483 000 B of
-    // group state unconstrained.)
+    // A group's DISTINCT set is built in one pass only — in memory, or
+    // from the one partition that holds all of the group's tuples — so no
+    // value is counted twice. (483 000 B of group state unconstrained.)
     let sql = "SELECT grp, COUNT(DISTINCT val), MIN(val), MAX(val) FROM big \
                GROUP BY grp ORDER BY grp LIMIT 20";
     for kib in (32..=64).step_by(4) {
@@ -439,45 +439,51 @@ fn fnv1a(text: &str) -> u64 {
 
 #[test]
 fn spilled_aggregate_output_order_and_counters_are_pinned() {
-    // Spill files are written in first-seen group order and partitioned
-    // with a fixed hash, so a spilled aggregate's output *order* — not
-    // just its multiset — and its spill volume are a function of the
-    // input alone. The spill volume counts each accumulator's exact sum
-    // as its encoded text cell. Five accumulators make the group state
-    // (~699 KB) eleven times the projected output, so 128 KiB forces
-    // several flushes and still holds the whole (hard-charged) result.
+    // A spilled aggregate emits the groups it kept in memory in first-seen
+    // order, then each partition's groups, and partitions with a fixed
+    // hash, so its output *order* — not just its multiset — and its spill
+    // volume are a function of the input alone. Five accumulators make
+    // the group state (~699 KB) eleven times the projected output, so at
+    // 128 KiB the aggregate keeps what fits in half of it and spills the
+    // position tuples of every later group, and the whole (hard-charged)
+    // result still fits. A disk budget of 256 KiB holds those tuples.
     let db = big_db(4000);
     let sql = "SELECT grp FROM big GROUP BY grp \
                HAVING COUNT(*) > 0 AND SUM(val) > 0 AND MIN(val) > 0 \
                AND MAX(val) > 0 AND AVG(val) > 0";
-    let budget = 128 * 1024;
-    let governed = assert_spilled_run_matches(&db, sql, ExecLimits::none().with_mem_bytes(budget));
-    let counters = state_counters(&governed);
-    let [(name, _, spilled, ..)] = &counters[..] else {
-        panic!("{counters:?}")
-    };
-    assert_eq!(name, "HashAggregate");
-    assert!(
-        *spilled > 2 * budget,
-        "fewer than two flushes: {counters:?}"
-    );
-    assert_eq!(
-        counters,
-        [("HashAggregate".to_string(), 130_713, 1_268_128, 16, 1)],
-        "spill counters moved"
-    );
-    let order: Vec<String> = governed.rows.iter().map(|r| r[0].to_string()).collect();
-    assert_eq!(order.len(), 1000);
-    assert_eq!(
-        order[..4],
-        ["group-00042", "group-00063", "group-00087", "group-00098"],
-        "output order moved"
-    );
-    assert_eq!(
-        fnv1a(&order.join(",")),
-        17_430_620_482_020_210_751,
-        "output order moved"
-    );
+    let mem = ExecLimits::none().with_mem_bytes(128 * 1024);
+    for limits in [mem, mem.with_disk_bytes(256 * 1024)] {
+        let governed = assert_spilled_run_matches(&db, sql, limits);
+        let counters = state_counters(&governed);
+        let [(name, _, spilled, ..)] = &counters[..] else {
+            panic!("{counters:?}")
+        };
+        assert_eq!(name, "HashAggregate");
+        // A spilled tuple is one record holding one `Int` position: a
+        // 12-byte header, a 4-byte count, a tag and 8 bytes.
+        let every_tuple = 4000 * (12 + 4 + 1 + 8);
+        assert!(
+            *spilled > 0 && *spilled < every_tuple,
+            "the in-memory or the spilled half did not run: {counters:?}"
+        );
+        assert_eq!(
+            counters,
+            [("HashAggregate".to_string(), 65_007, 90_700, 16, 1)],
+            "spill counters moved"
+        );
+        let order: Vec<String> = governed.rows.iter().map(|r| r[0].to_string()).collect();
+        assert_eq!(order.len(), 1000);
+        assert_eq!(
+            order[..4],
+            ["group-00000", "group-00001", "group-00002", "group-00003"],
+            "output order moved"
+        );
+        assert_eq!(
+            fnv1a(&order.join(",")),
+            110_420_686_968_606_819,
+            "output order moved"
+        );
+    }
 }
 
 #[test]

@@ -2,9 +2,9 @@
 //! a query runs (spilling joins, aggregations, and sorts to disk) but
 //! never *what* it answers. Every one of the paper's thirteen TPC-H
 //! templates is evaluated unconstrained, under 16 MiB, and under 4 MiB;
-//! the clean answers must be identical (probabilities within float
-//! tolerance), and the tight budgets must actually force some query to
-//! spill or the matrix proves nothing.
+//! the clean answers must be identical (probabilities bit for bit: every
+//! group's sum is one `ExactSum`, spilled or not), and the tight budgets
+//! must actually force some query to spill or the matrix proves nothing.
 //!
 //! The scale factor is chosen so the largest templates (Q1, Q9, Q18)
 //! hold multi-megabyte intermediate state: big enough that 4 MiB is a
@@ -61,8 +61,9 @@ fn assert_same_answers(id: u8, budget: &str, reference: &[(Row, f64)], got: &[(R
             ref_row, got_row,
             "Q{id} under {budget}: answer tuple changed"
         );
-        assert!(
-            (ref_p - got_p).abs() < 1e-9,
+        assert_eq!(
+            ref_p.to_bits(),
+            got_p.to_bits(),
             "Q{id} under {budget}: probability drifted for {ref_row:?}: {ref_p} vs {got_p}"
         );
     }
