@@ -53,25 +53,22 @@ use crate::Result;
 
 /// Resource limits applied to a single query execution.
 ///
-/// The default is unlimited; construct tightened limits with
-/// [`ExecLimits::builder`] (or adjust an existing value with the `with_*`
-/// methods):
+/// The default is unlimited; tighten it with the `with_*` methods:
 ///
 /// ```
 /// use std::time::Duration;
 /// use conquer_engine::ExecLimits;
 ///
-/// let limits = ExecLimits::builder()
-///     .mem(64 << 20)
-///     .disk(1 << 30)
-///     .deadline(Duration::from_secs(5))
-///     .build();
+/// let limits = ExecLimits::none()
+///     .with_mem_bytes(64 << 20)
+///     .with_disk_bytes(1 << 30)
+///     .with_timeout(Duration::from_secs(5));
 /// assert!(!limits.is_unlimited());
 /// ```
 ///
 /// The struct is `#[non_exhaustive]`: new budget fields (admission queue
 /// slots, per-session row caps, …) can be added without breaking callers,
-/// who construct limits through the builder rather than struct literals.
+/// who construct limits through those methods rather than struct literals.
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecLimits {
@@ -87,51 +84,10 @@ pub struct ExecLimits {
     pub timeout: Option<Duration>,
 }
 
-/// Builder for [`ExecLimits`] — the forward-compatible way to construct
-/// limits now that the struct is `#[non_exhaustive]`.
-///
-/// Obtain one with [`ExecLimits::builder`]; every setter is optional and
-/// unset budgets stay unlimited.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExecLimitsBuilder {
-    limits: ExecLimits,
-}
-
-impl ExecLimitsBuilder {
-    /// Set the memory budget in bytes.
-    pub fn mem(mut self, bytes: u64) -> Self {
-        self.limits.mem_bytes = Some(bytes);
-        self
-    }
-
-    /// Set the spill-disk budget in bytes (`0` disables spilling).
-    pub fn disk(mut self, bytes: u64) -> Self {
-        self.limits.disk_bytes = Some(bytes);
-        self
-    }
-
-    /// Set the wall-clock deadline.
-    pub fn deadline(mut self, timeout: Duration) -> Self {
-        self.limits.timeout = Some(timeout);
-        self
-    }
-
-    /// Finish building.
-    pub fn build(self) -> ExecLimits {
-        self.limits
-    }
-}
-
 impl ExecLimits {
     /// No limits (the default).
     pub fn none() -> Self {
         ExecLimits::default()
-    }
-
-    /// A builder starting from unlimited defaults; see
-    /// [`ExecLimitsBuilder`].
-    pub fn builder() -> ExecLimitsBuilder {
-        ExecLimitsBuilder::default()
     }
 
     /// This limit set with a memory budget of `bytes`.
@@ -417,21 +373,6 @@ impl ExecContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn builder_matches_with_methods() {
-        let built = ExecLimits::builder()
-            .mem(1 << 20)
-            .disk(1 << 22)
-            .deadline(Duration::from_secs(3))
-            .build();
-        let chained = ExecLimits::none()
-            .with_mem_bytes(1 << 20)
-            .with_disk_bytes(1 << 22)
-            .with_timeout(Duration::from_secs(3));
-        assert_eq!(built, chained);
-        assert_eq!(ExecLimits::builder().build(), ExecLimits::none());
-    }
 
     #[test]
     fn unlimited_context_never_trips() {

@@ -1399,7 +1399,7 @@ mod tests {
         )
         .unwrap();
         // Too little memory to build the delta join, and no disk to spill.
-        db.set_limits(ExecLimits::builder().mem(64).disk(0).build());
+        db.set_limits(ExecLimits::none().with_mem_bytes(64).with_disk_bytes(0));
         let shared = crate::SharedDatabase::new(db.clone());
 
         let err = execute(&mut db, "INSERT INTO t VALUES ('b', 2, 0.25)").unwrap_err();

@@ -51,7 +51,7 @@ pub mod validate;
 pub mod view;
 
 pub use analyze::{Code, Diagnostic, Severity};
-pub use context::{CancelToken, ExecContext, ExecLimits, ExecLimitsBuilder};
+pub use context::{CancelToken, ExecContext, ExecLimits};
 pub use database::{Database, ExecOutcome};
 pub use error::{EngineError, ErrorKind};
 pub use expr::{BoundExpr, ColumnId};

@@ -4,7 +4,7 @@
 //! fresh verified epoch (or a clean scrub) clears it.
 
 use conquer_engine::{ErrorKind, SharedConfig, SharedDatabase};
-use conquer_storage::persist::current_data_path;
+use conquer_storage::persist::current_table_path;
 use conquer_storage::Value;
 use std::path::PathBuf;
 
@@ -30,10 +30,10 @@ fn scrub_finding_corruption_degrades_writes_until_checkpoint_repairs() {
     assert!(!db.is_degraded());
     assert_eq!(db.stats().scrub_runs, 1);
 
-    // Rot one byte of the committed epoch's data file behind the
+    // Rot one byte of the committed epoch's table file behind the
     // engine's back. Reads still serve the in-memory snapshot; only a
     // scrub notices the disk can no longer be trusted.
-    let data = current_data_path(&dir, "t");
+    let data = current_table_path(&dir, "t");
     let mut bytes = std::fs::read(&data).unwrap();
     bytes[0] ^= 0x01;
     std::fs::write(&data, &bytes).unwrap();
@@ -78,7 +78,7 @@ fn clean_scrub_alone_clears_a_degraded_handle() {
     s.execute("CREATE TABLE t (a INTEGER)").unwrap();
     let _ = db.checkpoint().unwrap().expect("durable handle");
 
-    let data = current_data_path(&dir, "t");
+    let data = current_table_path(&dir, "t");
     let original = std::fs::read(&data).unwrap();
     let mut rotted = original.clone();
     rotted[0] ^= 0x01;

@@ -17,7 +17,7 @@ const SPILL_SQL: &str = "SELECT COUNT(*), SUM(a.val + b.val) \
      FROM big a, big b WHERE a.id = b.id";
 
 fn limits_32k() -> ExecLimits {
-    ExecLimits::builder().mem(32 * 1024).build()
+    ExecLimits::none().with_mem_bytes(32 * 1024)
 }
 
 fn big_db(rows: usize, spill_base: &Path) -> Database {

@@ -323,11 +323,7 @@ fn session_limits_flow_into_execution() {
         .unwrap();
     let shared = SharedDatabase::new(db);
     let session = shared.session();
-    session.set_limits(
-        ExecLimits::builder()
-            .deadline(std::time::Duration::ZERO)
-            .build(),
-    );
+    session.set_limits(ExecLimits::none().with_timeout(std::time::Duration::ZERO));
     let err = session.query("SELECT a FROM t").unwrap_err();
     assert_eq!(err.kind(), ErrorKind::Timeout, "{err}");
 }

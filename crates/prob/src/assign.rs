@@ -21,11 +21,13 @@ impl Clustering {
         let mut seen = vec![false; n];
         for c in &clusters {
             if c.is_empty() {
-                return Err(StorageError::Csv("empty cluster in clustering".into()));
+                return Err(StorageError::InvalidData(
+                    "empty cluster in clustering".into(),
+                ));
             }
             for &r in c {
                 if r >= n || seen[r] {
-                    return Err(StorageError::Csv(format!(
+                    return Err(StorageError::InvalidData(format!(
                         "clustering is not a partition: row {r} out of range or repeated"
                     )));
                 }
@@ -33,7 +35,7 @@ impl Clustering {
             }
         }
         if !seen.iter().all(|s| *s) {
-            return Err(StorageError::Csv(
+            return Err(StorageError::InvalidData(
                 "clustering does not cover every row".into(),
             ));
         }
@@ -326,19 +328,16 @@ mod tests {
     #[test]
     fn clustering_validation() {
         assert!(Clustering::new(vec![vec![0], vec![1]], 2).is_ok());
-        assert!(
-            Clustering::new(vec![vec![0]], 2).is_err(),
-            "must cover all rows"
-        );
-        assert!(
-            Clustering::new(vec![vec![0], vec![0, 1]], 2).is_err(),
-            "no overlap"
-        );
-        assert!(Clustering::new(vec![vec![2]], 2).is_err(), "in range");
-        assert!(
-            Clustering::new(vec![vec![], vec![0, 1]], 2).is_err(),
-            "no empty clusters"
-        );
+        let invalid = |clusters: Vec<Vec<usize>>| {
+            matches!(
+                Clustering::new(clusters, 2),
+                Err(StorageError::InvalidData(_))
+            )
+        };
+        assert!(invalid(vec![vec![0]]), "must cover all rows");
+        assert!(invalid(vec![vec![0], vec![0, 1]]), "no overlap");
+        assert!(invalid(vec![vec![2]]), "in range");
+        assert!(invalid(vec![vec![], vec![0, 1]]), "no empty clusters");
         assert_eq!(Clustering::singletons(3).len(), 3);
     }
 

@@ -37,7 +37,7 @@ impl CategoricalMatrix {
     /// NULLs intern as a distinct per-attribute value.
     pub fn from_table(table: &Table, attributes: &[&str]) -> Result<Self> {
         if attributes.is_empty() {
-            return Err(StorageError::Csv(
+            return Err(StorageError::InvalidData(
                 "categorical matrix needs at least one attribute".into(),
             ));
         }
@@ -224,6 +224,9 @@ mod tests {
     #[test]
     fn missing_attribute_rejected() {
         assert!(CategoricalMatrix::from_table(&figure6(), &["nope"]).is_err());
-        assert!(CategoricalMatrix::from_table(&figure6(), &[]).is_err());
+        assert!(matches!(
+            CategoricalMatrix::from_table(&figure6(), &[]),
+            Err(StorageError::InvalidData(_))
+        ));
     }
 }

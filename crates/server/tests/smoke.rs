@@ -429,7 +429,7 @@ fn scrub_round_trips_over_the_wire() {
     // next SCRUB must report corruption and degrade writes with the
     // typed wire kind, while reads keep answering.
     let epoch = std::fs::read_to_string(dir.join("CURRENT")).unwrap();
-    let data = dir.join(epoch.trim()).join("t.csv");
+    let data = dir.join(epoch.trim()).join("t.tbl");
     let mut bytes = std::fs::read(&data).unwrap();
     bytes[0] ^= 0x01;
     std::fs::write(&data, &bytes).unwrap();

@@ -1,6 +1,7 @@
 //! Storage-layer errors.
 
 use std::fmt;
+use std::path::Path;
 
 use crate::value::DataType;
 
@@ -40,11 +41,9 @@ pub enum StorageError {
         /// The provided value's type (or "NULL").
         got: String,
     },
-    /// CSV input could not be parsed.
-    Csv(String),
-    /// A persisted schema file could not be parsed.
+    /// The schema text of a persisted table image could not be parsed.
     Schema {
-        /// The schema file that failed to parse.
+        /// The file whose schema text failed to parse.
         path: String,
         /// What was wrong with it.
         message: String,
@@ -67,12 +66,20 @@ pub enum StorageError {
     /// The durable handle refuses the operation until it is repaired
     /// (e.g. a scrub found corruption, or a poisoned WAL was not healed).
     Degraded(String),
-    /// Underlying I/O failure (CSV import/export, persistence).
+    /// Underlying I/O failure (persistence, spilling).
     Io(String),
     /// The data itself violates an operation's contract (e.g. a
     /// cross-reference table with NULL or conflicting keys, a dirty
     /// relation with unmapped keys). The schema is fine; the rows are not.
     InvalidData(String),
+}
+
+/// A [`StorageError::Corrupt`] naming the file at `path`.
+pub(crate) fn corrupt(path: &Path, detail: String) -> StorageError {
+    StorageError::Corrupt {
+        path: path.display().to_string(),
+        detail,
+    }
 }
 
 impl fmt::Display for StorageError {
@@ -103,7 +110,6 @@ impl fmt::Display for StorageError {
                 f,
                 "type mismatch for {table}.{column}: expected {expected}, got {got}"
             ),
-            StorageError::Csv(msg) => write!(f, "CSV error: {msg}"),
             StorageError::Schema { path, message } => {
                 write!(f, "schema error in {path}: {message}")
             }

@@ -1,0 +1,181 @@
+//! The table image: the one encoding in which a table reaches disk.
+//!
+//! A write-ahead-log put frame ([`crate::wal`]) is a tag byte followed by
+//! an image, and an epoch ([`crate::persist`]) stores each table as one
+//! `<table>.tbl` file holding exactly an image — the bytes the WAL logs.
+//! A checkpoint therefore reloads every value a WAL replay of the same
+//! commits would: NULL and `''` stay apart, and floats keep their bits
+//! (NaN payloads and `-0.0` included).
+//!
+//! ```text
+//! [u32 LE name length][name, UTF-8]
+//! [u32 LE schema length][schema text: one "<column> <type>\n" per column]
+//! [u32 LE row count]
+//! per row: [u32 LE value count][values in the spill value codec]
+//! ```
+//!
+//! The integrity checks live in the containers (the WAL's per-frame
+//! checksum, the epoch's manifest); decoding only has to refuse bytes
+//! that do not parse, and it refuses them with a typed
+//! [`StorageError::Corrupt`] or [`StorageError::Schema`] naming the file.
+
+use std::path::Path;
+
+use crate::error::{corrupt, StorageError};
+use crate::schema::Schema;
+use crate::spill::{decode_value, encode_value, take, take_arr};
+use crate::table::Table;
+use crate::value::DataType;
+
+fn type_name(t: DataType) -> &'static str {
+    match t {
+        DataType::Bool => "bool",
+        DataType::Int => "int",
+        DataType::Float => "float",
+        DataType::Text => "text",
+        DataType::Date => "date",
+    }
+}
+
+fn parse_type(s: &str, path: &Path) -> Result<DataType, StorageError> {
+    Ok(match s {
+        "bool" => DataType::Bool,
+        "int" => DataType::Int,
+        "float" => DataType::Float,
+        "text" => DataType::Text,
+        "date" => DataType::Date,
+        other => {
+            return Err(StorageError::Schema {
+                path: path.display().to_string(),
+                message: format!("unknown column type {other:?}"),
+            })
+        }
+    })
+}
+
+/// Parse the line-oriented `<column> <type>` schema text.
+fn parse_schema_text(text: &str, path: &Path) -> Result<Schema, StorageError> {
+    let mut pairs = Vec::new();
+    for line in text.lines() {
+        let line = line.trim();
+        if line.is_empty() {
+            continue;
+        }
+        let (col, ty) = line.split_once(' ').ok_or_else(|| StorageError::Schema {
+            path: path.display().to_string(),
+            message: format!("malformed schema line {line:?} (expected \"<column> <type>\")"),
+        })?;
+        pairs.push((col.to_string(), parse_type(ty.trim(), path)?));
+    }
+    Schema::from_pairs(pairs)
+}
+
+pub(crate) fn push_str(out: &mut Vec<u8>, s: &str) {
+    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    out.extend_from_slice(s.as_bytes());
+}
+
+pub(crate) fn take_u32(buf: &[u8], pos: &mut usize, path: &Path) -> Result<u32, StorageError> {
+    Ok(u32::from_le_bytes(take_arr(buf, pos, path)?))
+}
+
+pub(crate) fn take_str(buf: &[u8], pos: &mut usize, path: &Path) -> Result<String, StorageError> {
+    let len = take_u32(buf, pos, path)? as usize;
+    let bytes = take(buf, pos, len, path)?;
+    std::str::from_utf8(bytes)
+        .map(str::to_string)
+        .map_err(|_| corrupt(path, "string is not valid UTF-8".into()))
+}
+
+/// Append the image of `table` to `out`.
+pub(crate) fn encode_table(table: &Table, out: &mut Vec<u8>) {
+    let mut schema_text = String::new();
+    for c in table.schema().columns() {
+        schema_text.push_str(&format!("{} {}\n", c.name(), type_name(c.data_type())));
+    }
+    push_str(out, table.name());
+    push_str(out, &schema_text);
+    out.extend_from_slice(&(table.len() as u32).to_le_bytes());
+    for row in table.rows() {
+        out.extend_from_slice(&(row.len() as u32).to_le_bytes());
+        for v in row {
+            encode_value(v, out);
+        }
+    }
+}
+
+/// Decode one image that spans all of `buf`; `path` names the file the
+/// bytes came from in any error.
+pub(crate) fn decode_table(buf: &[u8], path: &Path) -> Result<Table, StorageError> {
+    let mut pos = 0;
+    let name = take_str(buf, &mut pos, path)?;
+    let schema = parse_schema_text(&take_str(buf, &mut pos, path)?, path)?;
+    let nrows = take_u32(buf, &mut pos, path)? as usize;
+    let mut table = Table::new(&name, schema);
+    for _ in 0..nrows {
+        let nvals = take_u32(buf, &mut pos, path)? as usize;
+        // Cap the pre-allocation: the count is corruption-controlled.
+        let mut row = Vec::with_capacity(nvals.min(1024));
+        for _ in 0..nvals {
+            row.push(decode_value(buf, &mut pos, path)?);
+        }
+        table.insert(row)?;
+    }
+    if pos != buf.len() {
+        return Err(corrupt(
+            path,
+            format!(
+                "table image for {name:?} has {} trailing bytes",
+                buf.len() - pos
+            ),
+        ));
+    }
+    Ok(table)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::value::Value;
+
+    #[test]
+    fn malformed_schema_rejected_with_schema_error_naming_the_file() {
+        let path = Path::new("somewhere/bad.tbl");
+        let err = parse_schema_text("no-type-here\n", path).unwrap_err();
+        match &err {
+            StorageError::Schema { path, .. } => assert!(path.contains("bad.tbl"), "{err}"),
+            other => panic!("expected Schema error, got {other:?}"),
+        }
+        let err = parse_schema_text("col weirdtype\n", path).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Schema { message, .. } if message.contains("weirdtype")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn every_value_shape_roundtrips_and_every_cut_is_refused() {
+        let mut t = Table::new(
+            "v",
+            Schema::from_pairs([("s", DataType::Text), ("f", DataType::Float)]).unwrap(),
+        );
+        for row in [
+            vec![Value::Null, Value::Float(-f64::NAN)],
+            vec![Value::text(""), Value::Float(-0.0)],
+            vec![Value::text("a,\"b\"\n"), Value::Null],
+        ] {
+            t.insert(row).unwrap();
+        }
+        let mut bytes = Vec::new();
+        encode_table(&t, &mut bytes);
+        let path = Path::new("v.tbl");
+        let back = decode_table(&bytes, path).unwrap();
+        assert_eq!((back.name(), back.schema()), (t.name(), t.schema()));
+        assert_eq!(back.rows(), t.rows(), "Value equality compares float bits");
+        for cut in 0..bytes.len() {
+            assert!(decode_table(&bytes[..cut], path).is_err(), "cut at {cut}");
+        }
+        bytes.push(0);
+        assert!(decode_table(&bytes, path).is_err(), "trailing byte");
+    }
+}

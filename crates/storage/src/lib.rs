@@ -4,7 +4,9 @@
 //!
 //! This crate provides the typed value model ([`Value`], [`DataType`],
 //! [`Date`]), row/schema/table abstractions ([`Row`], [`Schema`], [`Table`]),
-//! a named-table [`Catalog`], equi [`HashIndex`]es, and CSV import/export.
+//! a named-table [`Catalog`], equi [`HashIndex`]es, and crash-safe
+//! persistence: a write-ahead log ([`wal`]) and checkpointed epochs
+//! ([`persist`]) that both store a table as one exact [`image`].
 //!
 //! The storage layer is deliberately simple: tables are materialized
 //! `Vec<Row>`s and all access is single-process. The paper's experiments ran
@@ -27,9 +29,9 @@
 
 pub mod catalog;
 pub mod crossref;
-pub mod csv;
 pub mod date;
 pub mod error;
+pub mod image;
 pub mod index;
 pub mod persist;
 pub mod schema;

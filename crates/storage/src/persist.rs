@@ -1,9 +1,10 @@
 //! Crash-safe catalog persistence.
 //!
-//! A catalog is saved as a directory of `<table>.schema` + `<table>.csv`
-//! files — deliberately boring line-oriented schemas and RFC-4180 CSV, so
-//! persisted databases stay diffable and loadable by external tools. What
-//! changed from the naive format is *how* those files reach disk:
+//! A catalog is saved as a directory holding one `<table>.tbl` file per
+//! table: one exact [table image](crate::image), the bytes the WAL logs
+//! for the same table. Every value reloads as it was saved, whether it
+//! comes back through a checkpoint or a WAL replay. The files reach disk
+//! through an epoch protocol:
 //!
 //! ```text
 //! <dir>/
@@ -11,8 +12,7 @@
 //!   v000007/           # one complete, immutable snapshot
 //!     MANIFEST         # "fnv1a64:<hex> <size> <file>" per file
 //!     walseq           # last WAL sequence folded into this epoch
-//!     customer.schema
-//!     customer.csv
+//!     customer.tbl     # table image
 //!   wal.log            # committed writes newer than the epoch (crate::wal)
 //!   .tmp-v000008-1234/ # in-flight save (ignored by loads, gc'd later)
 //! ```
@@ -44,22 +44,24 @@
 //! holds no snapshot: it loads as the empty catalog plus whatever the WAL
 //! replays (a freshly opened durable database). Table files directly in
 //! `<dir>` belong to no epoch and are never read;
-//! [`load_catalog_recover`] reports them.
+//! [`load_catalog_recover`] reports the pre-epoch flat layout's `.schema`
+//! files.
+//!
+//! An epoch may hold only the files [`save_catalog`] writes: a manifest
+//! entry for any other file (such as the `.schema` + `.csv` pair of an
+//! older layout) fails the load as [`StorageError::Corrupt`] rather than
+//! being skipped into a silently emptier catalog.
 
-use std::io::{BufReader, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::catalog::Catalog;
-use crate::csv;
-use crate::error::StorageError;
-use crate::schema::Schema;
-use crate::value::DataType;
+use crate::error::{corrupt, StorageError};
+use crate::image::{decode_table, encode_table};
 use crate::vfs;
 
-/// File extension of schema files.
-pub const SCHEMA_EXT: &str = "schema";
-/// File extension of data files.
-pub const DATA_EXT: &str = "csv";
+/// File extension of an epoch's table files (one table image each).
+pub const TABLE_EXT: &str = "tbl";
 /// Name of the committed-epoch pointer file.
 pub const CURRENT_FILE: &str = "CURRENT";
 /// Name of the per-epoch checksum manifest.
@@ -69,32 +71,6 @@ pub const MANIFEST_FILE: &str = "MANIFEST";
 pub const WALSEQ_FILE: &str = "walseq";
 /// First line of a valid manifest.
 pub(crate) const MANIFEST_HEADER: &str = "conquer-manifest v1";
-
-pub(crate) fn type_name(t: DataType) -> &'static str {
-    match t {
-        DataType::Bool => "bool",
-        DataType::Int => "int",
-        DataType::Float => "float",
-        DataType::Text => "text",
-        DataType::Date => "date",
-    }
-}
-
-fn parse_type(s: &str, path: &Path) -> Result<DataType, StorageError> {
-    Ok(match s {
-        "bool" => DataType::Bool,
-        "int" => DataType::Int,
-        "float" => DataType::Float,
-        "text" => DataType::Text,
-        "date" => DataType::Date,
-        other => {
-            return Err(StorageError::Schema {
-                path: path.display().to_string(),
-                message: format!("unknown column type {other:?}"),
-            })
-        }
-    })
-}
 
 /// FNV-1a 64-bit checksum — small, dependency-free, and plenty to detect
 /// torn writes and bit rot (this is an integrity check, not a security
@@ -169,17 +145,9 @@ pub fn save_catalog(catalog: &Catalog, dir: &Path) -> Result<(), StorageError> {
     manifest.push('\n');
     let mut files: Vec<(String, Vec<u8>)> = Vec::new();
     for table in catalog.tables() {
-        let mut schema_text = String::new();
-        for c in table.schema().columns() {
-            schema_text.push_str(&format!("{} {}\n", c.name(), type_name(c.data_type())));
-        }
-        files.push((
-            format!("{}.{SCHEMA_EXT}", table.name()),
-            schema_text.into_bytes(),
-        ));
-        let mut data = Vec::new();
-        csv::write_table(table, &mut data)?;
-        files.push((format!("{}.{DATA_EXT}", table.name()), data));
+        let mut image = Vec::new();
+        encode_table(table, &mut image);
+        files.push((format!("{}.{TABLE_EXT}", table.name()), image));
     }
     files.push((WALSEQ_FILE.to_string(), format!("{wal_seq}\n").into_bytes()));
     for (name, bytes) in &files {
@@ -428,10 +396,10 @@ pub fn load_catalog_recover(dir: &Path) -> Result<(Catalog, RecoveryReport), Sto
     let epochs = list_epoch_dirs(dir);
     if current.is_none() && epochs.is_empty() {
         // No snapshot was ever committed here: the log is the database.
-        // Table files outside an epoch have no manifest to verify them
-        // against, so they are reported, not loaded.
+        // The pre-epoch flat layout's table files have no manifest to
+        // verify them against, so they are reported, not loaded.
         for entry in vfs::dir_entries(dir)? {
-            if !entry.is_dir && entry.name.ends_with(&format!(".{SCHEMA_EXT}")) {
+            if !entry.is_dir && entry.name.ends_with(".schema") {
                 report.issues.push(format!(
                     "table file outside any epoch: {}; ignored",
                     entry.name
@@ -488,10 +456,7 @@ pub fn load_catalog_recover(dir: &Path) -> Result<(Catalog, RecoveryReport), Sto
             }
         }
     }
-    Err(first_err.unwrap_or_else(|| StorageError::Corrupt {
-        path: dir.display().to_string(),
-        detail: "no loadable epoch found".into(),
-    }))
+    Err(first_err.unwrap_or_else(|| corrupt(dir, "no loadable epoch found".into())))
 }
 
 /// Replay the WAL into `catalog` (commits with sequence > `min_seq`),
@@ -518,10 +483,6 @@ fn replay_wal_reported(
 /// Load and verify one epoch directory against its manifest.
 fn load_epoch(epoch_dir: &Path) -> Result<Catalog, StorageError> {
     let manifest_path = epoch_dir.join(MANIFEST_FILE);
-    let corrupt = |path: &Path, detail: String| StorageError::Corrupt {
-        path: path.display().to_string(),
-        detail,
-    };
     let manifest_text = vfs::read_to_string(&manifest_path)
         .map_err(|e| corrupt(&manifest_path, format!("cannot read manifest: {e}")))?;
     let mut lines = manifest_text.lines();
@@ -532,8 +493,8 @@ fn load_epoch(epoch_dir: &Path) -> Result<Catalog, StorageError> {
         ));
     }
 
-    // Verify every manifest entry and collect the verified bytes.
-    let mut verified: Vec<(String, Vec<u8>)> = Vec::new();
+    // Verify every manifest entry; decode each table file as it verifies.
+    let mut catalog = Catalog::new();
     for line in lines {
         let line = line.trim();
         if line.is_empty() {
@@ -557,6 +518,12 @@ fn load_epoch(epoch_dir: &Path) -> Result<Catalog, StorageError> {
             .parse()
             .map_err(|_| corrupt(&manifest_path, format!("bad size field {size:?}")))?;
         let file_path = epoch_dir.join(name);
+        if name != WALSEQ_FILE && !name.ends_with(&format!(".{TABLE_EXT}")) {
+            return Err(corrupt(
+                &file_path,
+                "not a file this version writes into an epoch (an older layout?)".into(),
+            ));
+        }
         let bytes = vfs::read(&file_path).map_err(|e| {
             corrupt(
                 &file_path,
@@ -583,70 +550,30 @@ fn load_epoch(epoch_dir: &Path) -> Result<Catalog, StorageError> {
                 ),
             ));
         }
-        verified.push((name.to_string(), bytes));
+        if name != WALSEQ_FILE {
+            catalog.add_table(decode_table(&bytes, &file_path)?)?;
+        }
     }
 
-    // Assemble tables from the verified bytes: schemas first, then data.
-    let mut catalog = Catalog::new();
-    let mut names: Vec<String> = verified
-        .iter()
-        .filter_map(|(n, _)| n.strip_suffix(&format!(".{SCHEMA_EXT}")))
-        .map(str::to_string)
-        .collect();
-    names.sort();
-    let find = |file: &str| verified.iter().find(|(n, _)| n == file).map(|(_, b)| b);
-    for name in names {
-        let schema_file = format!("{name}.{SCHEMA_EXT}");
-        let schema_bytes = find(&schema_file)
-            .ok_or_else(|| corrupt(&epoch_dir.join(&schema_file), "schema file vanished".into()))?;
-        let schema_path = epoch_dir.join(&schema_file);
-        let schema_text = std::str::from_utf8(schema_bytes).map_err(|_| StorageError::Schema {
-            path: schema_path.display().to_string(),
-            message: "schema file is not valid UTF-8".into(),
-        })?;
-        let schema = parse_schema_text(schema_text, &schema_path)?;
-        let table = match find(&format!("{name}.{DATA_EXT}")) {
-            Some(data) => csv::read_table(&name, schema, BufReader::new(&data[..]))?,
-            None => crate::table::Table::new(&name, schema),
-        };
-        catalog.add_table(table)?;
-    }
     Ok(catalog)
 }
 
-/// Parse the line-oriented `<column> <type>` schema format.
-pub(crate) fn parse_schema_text(text: &str, path: &Path) -> Result<Schema, StorageError> {
-    let mut pairs = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (col, ty) = line.split_once(' ').ok_or_else(|| StorageError::Schema {
-            path: path.display().to_string(),
-            message: format!("malformed schema line {line:?} (expected \"<column> <type>\")"),
-        })?;
-        pairs.push((col.to_string(), parse_type(ty.trim(), path)?));
-    }
-    Schema::from_pairs(pairs)
-}
-
-/// The path of a table's data file inside the currently committed epoch
+/// The path of a table's image file inside the currently committed epoch
 /// (directly under `dir` when no epoch is committed, where no loader
-/// reads it). Useful for external tools that want to read the CSVs
-/// directly.
-pub fn current_data_path(dir: &Path, table: &str) -> PathBuf {
+/// reads it).
+pub fn current_table_path(dir: &Path, table: &str) -> PathBuf {
     match read_current(dir) {
-        Some(epoch) => dir.join(epoch).join(format!("{table}.{DATA_EXT}")),
-        None => dir.join(format!("{table}.{DATA_EXT}")),
+        Some(epoch) => dir.join(epoch).join(format!("{table}.{TABLE_EXT}")),
+        None => dir.join(format!("{table}.{TABLE_EXT}")),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::Schema;
     use crate::table::Table;
-    use crate::value::Value;
+    use crate::value::{DataType, Value};
     use std::fs;
 
     fn tempdir(tag: &str) -> std::path::PathBuf {
@@ -703,9 +630,7 @@ mod tests {
             back.table("customer").unwrap(),
         );
         assert_eq!(a.schema(), b.schema());
-        // NULL text round-trips as empty → NULL; all other values exact.
-        assert_eq!(a.rows()[0], b.rows()[0]);
-        assert!(b.rows()[1][0].is_null());
+        assert_eq!(a.rows(), b.rows());
         assert_eq!(back.table("empty").unwrap().len(), 0);
         fs::remove_dir_all(&dir).ok();
     }
@@ -714,21 +639,6 @@ mod tests {
     fn load_missing_dir_errors() {
         let dir = tempdir("missing");
         assert!(load_catalog(&dir).is_err());
-    }
-
-    #[test]
-    fn malformed_schema_rejected_with_schema_error_naming_the_file() {
-        let path = Path::new("somewhere/bad.schema");
-        let err = parse_schema_text("no-type-here\n", path).unwrap_err();
-        match &err {
-            StorageError::Schema { path, .. } => assert!(path.contains("bad.schema"), "{err}"),
-            other => panic!("expected Schema error, got {other:?}"),
-        }
-        let err = parse_schema_text("col weirdtype\n", path).unwrap_err();
-        assert!(
-            matches!(&err, StorageError::Schema { message, .. } if message.contains("weirdtype")),
-            "{err:?}"
-        );
     }
 
     #[test]
@@ -750,7 +660,7 @@ mod tests {
         let dir = tempdir("corrupt");
         save_catalog(&sample(), &dir).unwrap();
         let epoch = read_current(&dir).unwrap();
-        let victim = dir.join(&epoch).join("customer.csv");
+        let victim = dir.join(&epoch).join("customer.tbl");
         let mut bytes = fs::read(&victim).unwrap();
         let last = bytes.len() - 2;
         bytes[last] ^= 0xff; // flip a bit
@@ -758,7 +668,7 @@ mod tests {
         let err = load_catalog(&dir).unwrap_err();
         assert!(
             matches!(&err, StorageError::Corrupt { path, detail }
-                if path.contains("customer.csv") && detail.contains("checksum")),
+                if path.contains("customer.tbl") && detail.contains("checksum")),
             "{err:?}"
         );
         // recovery has nothing older to fall back to → also fails, but
@@ -773,7 +683,7 @@ mod tests {
         let dir = tempdir("truncated");
         save_catalog(&sample(), &dir).unwrap();
         let epoch = read_current(&dir).unwrap();
-        let victim = dir.join(&epoch).join("customer.csv");
+        let victim = dir.join(&epoch).join("customer.tbl");
         let bytes = fs::read(&victim).unwrap();
         fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
         let err = load_catalog(&dir).unwrap_err();
@@ -880,6 +790,38 @@ mod tests {
             report.issues.iter().any(|i| i.contains("t.schema")),
             "{report:?}"
         );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_epoch_in_the_csv_layout_is_refused_not_loaded_empty() {
+        // The layout older versions wrote: a checksummed epoch holding
+        // `<table>.schema` + `<table>.csv`. This version has no reader for
+        // it, and skipping the files would load an empty catalog.
+        let dir = tempdir("csv_layout");
+        let epoch = dir.join("v000001");
+        fs::create_dir_all(&epoch).unwrap();
+        let mut manifest = format!("{MANIFEST_HEADER}\n");
+        for (name, bytes) in [
+            ("t.schema", &b"a int\nb text\n"[..]),
+            ("t.csv", &b"a,b\n1,x\n2,y\n"[..]),
+            (WALSEQ_FILE, &b"0\n"[..]),
+        ] {
+            fs::write(epoch.join(name), bytes).unwrap();
+            let sum = fnv1a64(bytes);
+            manifest.push_str(&format!("fnv1a64:{sum:016x} {} {name}\n", bytes.len()));
+        }
+        fs::write(epoch.join(MANIFEST_FILE), manifest).unwrap();
+        fs::write(dir.join(CURRENT_FILE), "v000001").unwrap();
+
+        let err = load_catalog(&dir).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Corrupt { path, .. }
+                if path.ends_with("t.schema") || path.ends_with("t.csv")),
+            "{err:?}"
+        );
+        let recovered = load_catalog_recover(&dir);
+        assert!(recovered.is_err(), "{recovered:?}");
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -38,7 +38,7 @@ use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::error::StorageError;
+use crate::error::{corrupt, StorageError};
 use crate::persist::fnv1a64;
 use crate::table::Row;
 use crate::value::Value;
@@ -55,13 +55,6 @@ const RECORD_HEADER_BYTES: u64 = 12;
 /// Upper bound on one record's payload; anything larger in a length
 /// prefix means the file is corrupt (a single row never approaches this).
 const MAX_PAYLOAD_BYTES: u32 = 1 << 30;
-
-fn corrupt(path: &Path, detail: String) -> StorageError {
-    StorageError::Corrupt {
-        path: path.display().to_string(),
-        detail,
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Row codec

@@ -13,8 +13,7 @@
 //!   v000007/
 //!     MANIFEST
 //!     walseq         # last WAL sequence folded into this epoch
-//!     customer.schema
-//!     customer.csv
+//!     customer.tbl   # table image (crate::image), the bytes a put frame logs
 //!   wal.log          # committed writes newer than v000007
 //! ```
 //!
@@ -31,10 +30,10 @@
 //! * `0` **header** — magic `"conquer-wal v1"` + the `u64 LE` base
 //!   sequence (the `walseq` of the epoch current when the log was created
 //!   or last truncated). Always the first frame.
-//! * `1` **put** — a complete table image: name, schema text (the
-//!   `.schema` format), row count, then rows in the spill value codec.
-//!   Whole-table images make replay idempotent and order-insensitive
-//!   within a commit.
+//! * `1` **put** — a complete [table image](crate::image): name, schema
+//!   text, row count, then rows in the spill value codec — the same bytes
+//!   an epoch's `<table>.tbl` file holds. Whole-table images make replay
+//!   idempotent and order-insensitive within a commit.
 //! * `2` **drop** — a table name.
 //! * `3` **commit** — the `u64 LE` sequence number sealing every put/drop
 //!   frame since the previous commit. A write is durable iff its commit
@@ -58,9 +57,10 @@ use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::catalog::Catalog;
-use crate::error::StorageError;
+use crate::error::{corrupt, StorageError};
+use crate::image::{decode_table, encode_table, push_str, take_str, take_u32};
 use crate::persist::fnv1a64;
-use crate::spill::{decode_value, encode_value, take, take_arr};
+use crate::spill::{take, take_arr};
 use crate::table::Table;
 use crate::vfs;
 
@@ -82,13 +82,6 @@ const TAG_HEADER: u8 = 0;
 const TAG_PUT: u8 = 1;
 const TAG_DROP: u8 = 2;
 const TAG_COMMIT: u8 = 3;
-
-fn corrupt(path: &Path, detail: String) -> StorageError {
-    StorageError::Corrupt {
-        path: path.display().to_string(),
-        detail,
-    }
-}
 
 /// One logical operation inside a WAL commit.
 ///
@@ -153,35 +146,14 @@ fn commit_payload(seq: u64) -> Vec<u8> {
 }
 
 fn put_payload(table: &Table) -> Vec<u8> {
-    let mut schema_text = String::new();
-    for c in table.schema().columns() {
-        schema_text.push_str(&format!(
-            "{} {}\n",
-            c.name(),
-            crate::persist::type_name(c.data_type())
-        ));
-    }
-    let mut p = Vec::new();
-    p.push(TAG_PUT);
-    p.extend_from_slice(&(table.name().len() as u32).to_le_bytes());
-    p.extend_from_slice(table.name().as_bytes());
-    p.extend_from_slice(&(schema_text.len() as u32).to_le_bytes());
-    p.extend_from_slice(schema_text.as_bytes());
-    p.extend_from_slice(&(table.len() as u32).to_le_bytes());
-    for row in table.rows() {
-        p.extend_from_slice(&(row.len() as u32).to_le_bytes());
-        for v in row {
-            encode_value(v, &mut p);
-        }
-    }
+    let mut p = vec![TAG_PUT];
+    encode_table(table, &mut p);
     p
 }
 
 fn drop_payload(name: &str) -> Vec<u8> {
-    let mut p = Vec::with_capacity(5 + name.len());
-    p.push(TAG_DROP);
-    p.extend_from_slice(&(name.len() as u32).to_le_bytes());
-    p.extend_from_slice(name.as_bytes());
+    let mut p = vec![TAG_DROP];
+    push_str(&mut p, name);
     p
 }
 
@@ -189,48 +161,8 @@ fn drop_payload(name: &str) -> Vec<u8> {
 // Decoding
 // ---------------------------------------------------------------------------
 
-fn take_u32(buf: &[u8], pos: &mut usize, path: &Path) -> Result<u32, StorageError> {
-    Ok(u32::from_le_bytes(take_arr(buf, pos, path)?))
-}
-
 fn take_u64(buf: &[u8], pos: &mut usize, path: &Path) -> Result<u64, StorageError> {
     Ok(u64::from_le_bytes(take_arr(buf, pos, path)?))
-}
-
-fn take_str(buf: &[u8], pos: &mut usize, path: &Path) -> Result<String, StorageError> {
-    let len = take_u32(buf, pos, path)? as usize;
-    let bytes = take(buf, pos, len, path)?;
-    std::str::from_utf8(bytes)
-        .map(str::to_string)
-        .map_err(|_| corrupt(path, "WAL string is not valid UTF-8".into()))
-}
-
-fn decode_put(payload: &[u8], path: &Path) -> Result<Table, StorageError> {
-    let mut pos = 1; // past the tag
-    let name = take_str(payload, &mut pos, path)?;
-    let schema_text = take_str(payload, &mut pos, path)?;
-    let schema = crate::persist::parse_schema_text(&schema_text, path)?;
-    let nrows = take_u32(payload, &mut pos, path)? as usize;
-    let mut table = Table::new(&name, schema);
-    for _ in 0..nrows {
-        let nvals = take_u32(payload, &mut pos, path)? as usize;
-        // Cap the pre-allocation: the count is corruption-controlled.
-        let mut row = Vec::with_capacity(nvals.min(1024));
-        for _ in 0..nvals {
-            row.push(decode_value(payload, &mut pos, path)?);
-        }
-        table.insert(row)?;
-    }
-    if pos != payload.len() {
-        return Err(corrupt(
-            path,
-            format!(
-                "WAL put frame for {name:?} has {} trailing bytes",
-                payload.len() - pos
-            ),
-        ));
-    }
-    Ok(table)
 }
 
 /// Parse one frame starting at `*pos`. `Ok(None)` means a clean
@@ -315,7 +247,7 @@ pub(crate) fn read_wal(dir: &Path) -> Result<Option<WalContents>, StorageError> 
             }
             Ok(Some(payload)) => {
                 let decoded = match payload[0] {
-                    TAG_PUT => decode_put(payload, &path).map(WalRecord::Put),
+                    TAG_PUT => decode_table(&payload[1..], &path).map(WalRecord::Put),
                     TAG_DROP => {
                         let mut p = 1;
                         take_str(payload, &mut p, &path).map(WalRecord::Drop)

@@ -109,11 +109,11 @@ fn eio_on_read_makes_the_scrub_count_the_file_corrupt() {
     save_catalog(&catalog(&[1, 2]), &dir).unwrap();
 
     assert!(scrub(&dir).unwrap().is_clean());
-    fs.fail_read("t.csv", 1);
+    fs.fail_read("t.tbl", 1);
     let report = scrub(&dir).unwrap();
     assert!(report.corrupt >= 1, "{report:?}");
     assert!(
-        report.issues.iter().any(|i| i.contains("t.csv")),
+        report.issues.iter().any(|i| i.contains("t.tbl")),
         "{report:?}"
     );
     // The injected fault fires once; the next sweep is clean again.
@@ -230,9 +230,9 @@ fn epoch_bit_rot_is_caught_by_scrub_and_recovery_falls_back() {
     let dir = PathBuf::from("/sim/flt_epochrot/db");
     save_catalog(&catalog(&[1, 2]), &dir).unwrap();
 
-    // Find the committed epoch's data file and rot one byte.
+    // Find the committed epoch's table file and rot one byte.
     let epoch = vfs::read_to_string(&dir.join("CURRENT")).unwrap();
-    let data = dir.join(epoch.trim()).join("t.csv");
+    let data = dir.join(epoch.trim()).join("t.tbl");
     fs.flip_byte(&data, 3);
 
     let report = scrub(&dir).unwrap();
@@ -242,7 +242,7 @@ fn epoch_bit_rot_is_caught_by_scrub_and_recovery_falls_back() {
         "rot is in the epoch, not the log"
     );
     assert!(
-        report.issues.iter().any(|i| i.contains("t.csv")),
+        report.issues.iter().any(|i| i.contains("t.tbl")),
         "{report:?}"
     );
 

@@ -67,8 +67,12 @@ fn checkpoint_folds_the_wal_and_gates_stale_replay() {
     cat.add_table(table("t", &[1])).unwrap();
     save_catalog(&cat, &dir).unwrap();
 
+    // The committed table holds a NULL row, which the checkpoint must
+    // keep as a row of its own.
+    let mut committed = table("t", &[1, 2]);
+    committed.insert(vec![Value::Null]).unwrap();
     let mut wal = Wal::open(&dir).unwrap();
-    wal.commit(&[WalOp::Put(&table("t", &[1, 2]))]).unwrap();
+    wal.commit(&[WalOp::Put(&committed)]).unwrap();
 
     // Checkpoint: fold epoch + WAL into a fresh epoch.
     let folded = load_catalog(&dir).unwrap();
@@ -81,7 +85,18 @@ fn checkpoint_folds_the_wal_and_gates_stale_replay() {
         wal_before.len(),
         wal_after.len()
     );
-    assert_eq!(rows_of(&load_catalog(&dir).unwrap(), "t"), vec![1, 2]);
+    // The checkpoint loads exactly what the WAL replay loaded.
+    let checkpointed = load_catalog(&dir).unwrap();
+    assert_eq!(checkpointed.table_names(), folded.table_names());
+    for name in folded.table_names() {
+        let (replayed, loaded) = (
+            folded.table(name).unwrap(),
+            checkpointed.table(name).unwrap(),
+        );
+        assert_eq!(loaded.schema(), replayed.schema(), "table {name}");
+        assert_eq!(loaded.rows(), replayed.rows(), "table {name}");
+    }
+    assert_eq!(checkpointed.table("t").unwrap().rows(), committed.rows());
 
     // Even if the truncation had been lost (simulate the crash window by
     // restoring the pre-checkpoint log), replay is gated on the epoch's

@@ -24,7 +24,7 @@ use conquer_storage::StorageError;
 pub enum ConquerError {
     /// SQL text failed to parse.
     Parse(ParseError),
-    /// Storage-layer failure (missing table, type mismatch, I/O, CSV).
+    /// Storage-layer failure (missing table, type mismatch, I/O, corruption).
     Storage(StorageError),
     /// Query engine failure (binding, planning, execution).
     Engine(EngineError),
