@@ -63,17 +63,6 @@ fn bench_joins(c: &mut Criterion) {
         b.iter(|| black_box(nested.query(&small).expect("runs").len()))
     });
 
-    // Ablation: the paper pre-built indexes on identifier columns; with a
-    // stored index on parent.id the engine probes it instead of hashing.
-    let mut indexed = setup(2000);
-    indexed.create_index("parent", "id").expect("column exists");
-    let index_join = indexed
-        .prepare("SELECT c.id FROM child c, parent p WHERE c.fk = p.id")
-        .unwrap();
-    group.bench_function("index_join_8k_x_2k", |b| {
-        b.iter(|| black_box(index_join.query(&indexed).expect("runs").len()))
-    });
-
     let agg = db
         .prepare(
             "SELECT p.grp, COUNT(*), SUM(c.v * p.prob) \

@@ -1,16 +1,10 @@
 //! Extension ablations (beyond the paper's figures): naive-vs-rewritten
-//! latency by candidate count, probability-assignment mode costs, and hash
-//! vs identifier-index joins.
-
-use std::time::Instant;
+//! latency by candidate count and probability-assignment mode costs.
 
 use conquer_core::{naive::NaiveOptions, DirtyDatabase, DirtySpec, EvalStrategy};
 use conquer_datagen::{
-    dirty::{
-        compute_probabilities, generate_unpropagated, propagate_identifiers, ProbMode, UisConfig,
-    },
+    dirty::{compute_probabilities, generate_unpropagated, ProbMode, UisConfig},
     perturb::PerturbOptions,
-    queries::query_sql,
     tpch::TpchConfig,
 };
 use conquer_engine::Database;
@@ -115,54 +109,5 @@ pub fn probability_modes(sf: f64, runs: usize) -> Report {
             format!("{:.2}", t.as_secs_f64() * 1e3),
         ]);
     }
-    report
-}
-
-/// Hash join vs the pre-built identifier-index join on the Q3 join.
-pub fn join_strategies(sf: f64, runs: usize) -> Report {
-    let mut report = Report::new(
-        "Ablation: hash join vs identifier-index join (Q3 join)",
-        &["strategy", "time (ms)", "rows"],
-    );
-    report.note(format!(
-        "sf = {sf}, if = 3; the paper pre-built identifier indexes"
-    ));
-    let mut dirty = generate_unpropagated(UisConfig {
-        tpch: TpchConfig { sf, seed: 7 },
-        if_factor: 3,
-        prob_mode: ProbMode::Uniform,
-        perturb: PerturbOptions::default(),
-    })
-    .expect("generator");
-    propagate_identifiers(&mut dirty.catalog).expect("generated data");
-    for t in ["customer", "orders", "lineitem"] {
-        compute_probabilities(&mut dirty.catalog, t, ProbMode::Uniform, 7).expect("tables exist");
-    }
-    let mut db = Database::from_catalog(dirty.catalog);
-    let sql = query_sql(3, false);
-
-    let stmt = db.prepare(&sql).expect("q3 prepares");
-    let t0 = Instant::now();
-    let baseline_rows = stmt.query(&db).expect("q3 runs").len();
-    let _ = t0.elapsed();
-    let (t_hash, _) = median_time(runs, || stmt.query(&db).expect("q3 runs").len());
-
-    db.create_index("orders", "o_orderkey")
-        .expect("column exists");
-    db.create_index("customer", "c_custkey")
-        .expect("column exists");
-    let (t_index, rows) = median_time(runs, || stmt.query(&db).expect("q3 runs").len());
-    assert_eq!(rows, baseline_rows, "index path must not change results");
-
-    report.push_row(vec![
-        "hash join".into(),
-        format!("{:.2}", t_hash.as_secs_f64() * 1e3),
-        baseline_rows.to_string(),
-    ]);
-    report.push_row(vec![
-        "identifier-index join".into(),
-        format!("{:.2}", t_index.as_secs_f64() * 1e3),
-        rows.to_string(),
-    ]);
     report
 }

@@ -4,5 +4,4 @@ fn main() {
     let runs = conquer_bench::runs();
     conquer_bench::print_report(&conquer_bench::ablations::naive_vs_rewritten(runs));
     conquer_bench::print_report(&conquer_bench::ablations::probability_modes(sf, runs));
-    conquer_bench::print_report(&conquer_bench::ablations::join_strategies(sf, runs));
 }

@@ -16,7 +16,6 @@ fn main() {
         conquer_bench::fig10(sf, runs),
         conquer_bench::ablations::naive_vs_rewritten(runs),
         conquer_bench::ablations::probability_modes(sf, runs),
-        conquer_bench::ablations::join_strategies(sf, runs),
     ];
     for report in &reports {
         conquer_bench::print_report(report);

@@ -3,8 +3,8 @@
 use conquer_core::DirtyDatabase;
 use conquer_datagen::{
     dirty::{
-        compute_probabilities, compute_probabilities_parallel, dirty_database,
-        generate_unpropagated, propagate_identifiers, ProbMode, UisConfig,
+        compute_probabilities, dirty_database, generate_unpropagated, propagate_identifiers,
+        ProbMode, UisConfig,
     },
     perturb::PerturbOptions,
     queries::{query_sql, QUERY_IDS},
@@ -33,7 +33,6 @@ pub fn fig7(sf: f64, runs: usize) -> Report {
             "lineitem rows",
             "propagation (ms)",
             "probability calc (ms)",
-            "probability calc 8t (ms)",
             "linear scan (ms)",
         ],
     );
@@ -41,12 +40,6 @@ pub fn fig7(sf: f64, runs: usize) -> Report {
         "sf = {sf} (scaled; see DESIGN.md), median of {runs} runs"
     ));
     report.note("paper: probability time grows with if; propagation is if-insensitive");
-    report.note(format!(
-        "the 8-thread column needs cores to help: this host reports {} core(s)",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    ));
 
     for if_factor in [1u32, 5, 25] {
         let dirty =
@@ -75,17 +68,6 @@ pub fn fig7(sf: f64, runs: usize) -> Report {
             },
         );
 
-        // Extension: the same pass parallelized over 8 scoped threads.
-        let (t_prob_par, _) = median_time_with_setup(
-            runs,
-            || dirty.catalog.clone(),
-            |mut cat| {
-                compute_probabilities_parallel(&mut cat, "lineitem", 8)
-                    .expect("lineitem has categorical attributes");
-                cat.table("lineitem").expect("present").len()
-            },
-        );
-
         // Baseline: one linear scan over the relation.
         let (t_scan, _) = median_time(runs, || {
             let table = dirty.catalog.table("lineitem").expect("present");
@@ -101,7 +83,6 @@ pub fn fig7(sf: f64, runs: usize) -> Report {
             rows.to_string(),
             ms(t_prop),
             ms(t_prob),
-            ms(t_prob_par),
             ms(t_scan),
         ]);
     }

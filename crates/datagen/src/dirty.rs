@@ -21,10 +21,7 @@ use std::collections::HashMap;
 
 use conquer_core::{propagate_in_place, DirtyDatabase, DirtySpec, DirtyTableMeta};
 use conquer_engine::{Database, EngineError};
-use conquer_prob::{
-    assign_probabilities, assign_probabilities_parallel, uniform_probabilities, Clustering,
-    InfoLossDistance,
-};
+use conquer_prob::{assign_probabilities, uniform_probabilities, Clustering, InfoLossDistance};
 use conquer_storage::{Catalog, Table, Value};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -284,29 +281,6 @@ fn provenance_probabilities(clustering: &Clustering, n: usize) -> Vec<f64> {
     probs
 }
 
-/// Parallel information-loss probability computation (extension beyond the
-/// paper's single-threaded offline pass; Figure 7's harness reports both).
-/// Falls back to the uniform assignment for tables with no categorical
-/// attributes, like the sequential path.
-pub fn compute_probabilities_parallel(
-    catalog: &mut Catalog,
-    table: &str,
-    threads: usize,
-) -> Result<()> {
-    let id_col = identifier_column(table);
-    let t = catalog.table_mut(table)?;
-    let clustering = Clustering::from_id_column(t, id_col)?;
-    let attrs = categorical_attributes(table);
-    let probs = if attrs.is_empty() {
-        uniform_probabilities(&clustering, t.len())
-    } else {
-        let matrix = conquer_prob::CategoricalMatrix::from_table(t, &attrs)?;
-        assign_probabilities_parallel(&matrix, &clustering, &InfoLossDistance, threads)
-    };
-    t.update_column("prob", |i, _| Value::Float(probs[i]))?;
-    Ok(())
-}
-
 fn random_probabilities(clustering: &Clustering, n: usize, seed: u64) -> Vec<f64> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut probs = vec![0.0; n];
@@ -441,19 +415,6 @@ mod tests {
         // With ≥3 duplicates and 35% field perturbation, at least one name
         // variant differs with overwhelming probability for this seed.
         assert!(names.len() >= 2, "{names:?}");
-    }
-
-    #[test]
-    fn parallel_probability_pass_matches_sequential() {
-        let d = generate_unpropagated(small(3, ProbMode::InfoLoss)).unwrap();
-        let mut seq = d.catalog.clone();
-        compute_probabilities(&mut seq, "customer", ProbMode::InfoLoss, 0).unwrap();
-        let mut par = d.catalog.clone();
-        compute_probabilities_parallel(&mut par, "customer", 4).unwrap();
-        assert_eq!(
-            seq.table("customer").unwrap().rows(),
-            par.table("customer").unwrap().rows()
-        );
     }
 
     #[test]

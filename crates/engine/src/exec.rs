@@ -63,7 +63,7 @@ use std::time::{Duration, Instant};
 
 use conquer_sql::AggFunc;
 use conquer_storage::spill::{SpillFile, SpillReader, SpillWriter};
-use conquer_storage::{Catalog, HashIndex, Row, Table, Value};
+use conquer_storage::{Catalog, Row, Value};
 
 use crate::binder::{AggCall, BoundOrderBy, GroupSpec, OrderKey, OutputItem};
 use crate::context::ExecContext;
@@ -441,15 +441,6 @@ fn build_join<'a>(
                     },
                 );
                 (op, est)
-            } else if let Some(path) = index_join_path(catalog, plan, right, equi, &llayout)? {
-                let op = TupleOp::new(
-                    path.name.clone(),
-                    TupleKind::IndexJoin {
-                        probe: Box::new(lop),
-                        path,
-                    },
-                );
-                (op, lest.max(rest))
             } else {
                 // Build the hash table on the (estimated) smaller side and
                 // stream the other; output stays `left ++ right` either way.
@@ -499,98 +490,6 @@ fn build_join<'a>(
             Ok((op, layout, est))
         }
     }
-}
-
-/// An index nested-loop join's right side, resolved by [`index_join_path`].
-pub(crate) struct IndexPath<'a> {
-    /// Operator name for the statistics tree.
-    name: String,
-    table: &'a Table,
-    index: &'a HashIndex,
-    /// The probe key: a column of the left input.
-    key: ColumnId,
-    /// The left input's layout.
-    probe_layout: Layout<'a>,
-}
-
-impl IndexPath<'_> {
-    /// Append `p ++ [row]` to `out` for every stored row the index holds
-    /// under `p`'s key, in stored index order.
-    fn probe(&self, p: &[u32], out: &mut Tuples) -> Result<()> {
-        let key = self.probe_layout.tuple(p).cell(self.key)?;
-        if key.is_null() {
-            return Ok(());
-        }
-        for &ri in self.index.lookup(key) {
-            let row = u32::try_from(ri)
-                .ok()
-                .filter(|_| ri < self.table.len())
-                .ok_or_else(|| {
-                    EngineError::internal(format!(
-                        "stored index on table {:?} references row #{ri} beyond the \
-                         table's {} rows (stale index?)",
-                        self.table.name(),
-                        self.table.len()
-                    ))
-                })?;
-            out.push_pair(p, &[row]);
-        }
-        Ok(())
-    }
-}
-
-/// Index nested-loop join fast path: when the right input is an unfiltered
-/// base-table scan, the single equi key is a bare column on both sides with
-/// the same declared type, and the table has a pre-built
-/// [`conquer_storage::HashIndex`] on that column (see
-/// [`crate::Database::create_index`]), probe the stored index instead of
-/// building a hash table. This is the analogue of the paper's "indices on
-/// the identifier" setup (Section 5.3). Returns `None` when the
-/// preconditions don't hold and the generic hash join should run.
-fn index_join_path<'a>(
-    catalog: &'a Catalog,
-    plan: &'a Plan,
-    right: &'a JoinNode,
-    equi: &[(BoundExpr, BoundExpr)],
-    probe_layout: &Layout<'a>,
-) -> Result<Option<IndexPath<'a>>> {
-    let JoinNode::Scan { rel, filter: None } = right else {
-        return Ok(None);
-    };
-    let [(lkey, rkey)] = equi else {
-        return Ok(None);
-    };
-    let (BoundExpr::Column(lcol), BoundExpr::Column(rcol)) = (lkey, rkey) else {
-        return Ok(None);
-    };
-    if rcol.rel != *rel {
-        return Ok(None);
-    }
-    let column = |id: &ColumnId| {
-        plan.relations
-            .get(id.rel)
-            .and_then(|r| r.schema.column_at(id.col))
-            .ok_or_else(|| absent(*id))
-    };
-    let relation = &plan.relations[*rel];
-    let table = catalog.table(&relation.table)?;
-    let rcolumn = column(rcol)?;
-    let index = match table.existing_index(rcolumn.name()) {
-        Some(idx) if idx.column() == rcol.col => idx,
-        _ => return Ok(None),
-    };
-    // Raw-value lookup is only sound when the probe values have the same
-    // declared type as the indexed column (no Int/Float normalization).
-    if column(lcol)?.data_type() != rcolumn.data_type() {
-        return Ok(None);
-    }
-    Ok(Some(IndexPath {
-        name: scan_label("IndexJoin", relation),
-        table,
-        index,
-        key: *lcol,
-        probe_layout: probe_layout.clone(),
-    }))
 }
 
 // ---------------------------------------------------------------------------
@@ -660,11 +559,6 @@ pub(crate) enum TupleKind<'a> {
         build: Box<TupleOp<'a>>,
         keys: JoinKeys<'a>,
         state: JoinState,
-    },
-    /// Streaming probe of a pre-built storage-level hash index.
-    IndexJoin {
-        probe: Box<TupleOp<'a>>,
-        path: IndexPath<'a>,
     },
     /// Cartesian product: materializes the right input, streams the left.
     CrossJoin {
@@ -1222,19 +1116,6 @@ impl<'a> Step for TupleKind<'a> {
                 }
             }
 
-            TupleKind::IndexJoin { probe, path } => {
-                while let Some(batch) = pull(probe, m, ctx)? {
-                    let mut out = Tuples::with_capacity(batch.width + 1, batch.len());
-                    for p in batch.iter() {
-                        path.probe(p, &mut out)?;
-                    }
-                    if !out.is_empty() {
-                        return Ok(Some(out));
-                    }
-                }
-                Ok(None)
-            }
-
             TupleKind::CrossJoin {
                 probe,
                 build,
@@ -1281,7 +1162,6 @@ impl<'a> Step for TupleKind<'a> {
         match self {
             TupleKind::Scan { .. } => vec![],
             TupleKind::Filter { child, .. } => vec![child.harvest()],
-            TupleKind::IndexJoin { probe, .. } => vec![probe.harvest()],
             TupleKind::HashJoin {
                 probe, build, keys, ..
             } => {

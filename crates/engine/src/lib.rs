@@ -62,7 +62,7 @@ pub use shared::{
 };
 pub use statement::Statement;
 pub use stats::{ExecStats, OpStats};
-pub use validate::{set_validation, validate_bound, validate_plan, validation_enabled};
+pub use validate::{validate_bound, validate_plan};
 pub use view::{ViewDef, ViewStats};
 
 /// Convenience result alias for engine operations.

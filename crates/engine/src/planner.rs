@@ -202,9 +202,7 @@ pub fn plan_select(catalog: &Catalog, bound: BoundSelect) -> Result<Plan> {
         }
     }
 
-    if validate::validation_enabled() {
-        validate::check_classified(&scan_filters, &equi_edges, &residuals, &relations)?;
-    }
+    validate::check_classified(&scan_filters, &equi_edges, &residuals, &relations)?;
 
     // Greedy join ordering.
     let sizes: Vec<usize> = relations
@@ -308,9 +306,7 @@ pub fn plan_select(catalog: &Catalog, bound: BoundSelect) -> Result<Plan> {
             equi: keys,
             filter: conjunction(covered),
         };
-        if validate::validation_enabled() {
-            validate::check_join_node(&node, &relations, "join ordering")?;
-        }
+        validate::check_join_node(&node, &relations, "join ordering")?;
     }
 
     debug_assert!(residuals.is_empty(), "all residuals must be placed");

@@ -12,17 +12,9 @@
 //!
 //! # When it runs
 //!
-//! * Always under `debug_assertions` (so: the whole test suite and any
-//!   dev build).
-//! * In release builds, opt-in: set the `CONQUER_VALIDATE` environment
-//!   variable (any value but `0`), or call [`set_validation`]`(Some(true))`.
-//!
-//! The checks are pure tree walks over plan structure — no table data is
-//! read — so even forced-on in release the cost is microseconds per
+//! Always, in every build. The checks are pure tree walks over plan
+//! structure — no table data is read — so the cost is microseconds per
 //! prepare, not per row.
-
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 use conquer_storage::DataType;
 
@@ -31,38 +23,6 @@ use crate::error::EngineError;
 use crate::expr::BoundExpr;
 use crate::planner::{JoinNode, Plan};
 use crate::Result;
-
-/// Programmatic override: 0 = unset (use default), 1 = forced off,
-/// 2 = forced on.
-static OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-fn env_opt_in() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| std::env::var_os("CONQUER_VALIDATE").is_some_and(|v| v != "0"))
-}
-
-/// Force validation on or off (`Some(..)`), or restore the default
-/// (`None`): on under `debug_assertions` or when `CONQUER_VALIDATE` is
-/// set, off otherwise.
-pub fn set_validation(on: Option<bool>) {
-    OVERRIDE.store(
-        match on {
-            None => 0,
-            Some(false) => 1,
-            Some(true) => 2,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// Is the validator active for this process?
-pub fn validation_enabled() -> bool {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => cfg!(debug_assertions) || env_opt_in(),
-    }
-}
 
 fn violation(invariant: &str, stage: &str, detail: impl std::fmt::Display) -> EngineError {
     EngineError::internal(format!(
@@ -417,12 +377,8 @@ fn check_shape(
     Ok(())
 }
 
-/// Validate a bound query (run right after binding). No-op unless
-/// [`validation_enabled`].
+/// Validate a bound query (run right after binding).
 pub fn validate_bound(bound: &BoundSelect) -> Result<()> {
-    if !validation_enabled() {
-        return Ok(());
-    }
     let stage = "binding";
     if let Some(f) = &bound.filter {
         check_rel_space(f, &bound.relations, stage, "WHERE predicate")?;
@@ -437,12 +393,8 @@ pub fn validate_bound(bound: &BoundSelect) -> Result<()> {
 }
 
 /// Validate a complete physical plan (run after the final planner stage,
-/// and from tests against deliberately corrupted plans). No-op unless
-/// [`validation_enabled`].
+/// and from tests against deliberately corrupted plans).
 pub fn validate_plan(plan: &Plan) -> Result<()> {
-    if !validation_enabled() {
-        return Ok(());
-    }
     let stage = "planning";
     let mut layout = plan.join.layout();
     layout.sort_unstable();
@@ -638,20 +590,5 @@ mod tests {
             .to_string();
         assert!(msg.contains("column-resolves"), "{msg}");
         assert!(msg.contains("after binding"), "{msg}");
-    }
-
-    #[test]
-    fn override_forces_off_and_on() {
-        let p = {
-            let mut p = plan("select k from t");
-            p.output[0].expr = BoundExpr::Column(ColumnId { rel: 0, col: 99 });
-            p
-        };
-        set_validation(Some(false));
-        assert!(validate_plan(&p).is_ok(), "forced off: corrupt plan passes");
-        set_validation(Some(true));
-        assert!(validate_plan(&p).is_err(), "forced on: corrupt plan fails");
-        set_validation(None);
-        assert!(validation_enabled(), "tests run with debug_assertions");
     }
 }

@@ -59,11 +59,10 @@
 //! the live catalog: one side of the delta is registered as the hidden
 //! table `DELTA_TABLE` and occurrence `o_k` reads it; a view that lists
 //! `T` more than once also finds the pre-statement image as `OLD_TABLE`;
-//! every other FROM entry reads its table where it is, stored indexes
-//! included. Removed-side rows retract their (key, term) pairs, added-side
-//! rows add them. [`Database`]'s maintenance step removes both hidden
-//! tables before the statement returns, so neither reaches the WAL or a
-//! published version.
+//! every other FROM entry reads its table where it is. Removed-side rows
+//! retract their (key, term) pairs, added-side rows add them.
+//! [`Database`]'s maintenance step removes both hidden tables before the
+//! statement returns, so neither reaches the WAL or a published version.
 
 use std::collections::btree_map::{BTreeMap, Entry};
 

@@ -150,69 +150,6 @@ pub fn assign_probabilities_into<M: DistanceMeasure>(
     Ok(probs)
 }
 
-/// Parallel variant of [`assign_probabilities`]: clusters are independent,
-/// so they are distributed over `threads` scoped worker threads. Produces
-/// bit-identical results to the sequential version (per-cluster arithmetic
-/// is unchanged). Useful for the Figure-7 offline pass on large relations.
-pub fn assign_probabilities_parallel<M: DistanceMeasure + Sync>(
-    matrix: &CategoricalMatrix,
-    clustering: &Clustering,
-    measure: &M,
-    threads: usize,
-) -> Vec<f64> {
-    let threads = threads.max(1);
-    if threads == 1 || clustering.len() < 2 * threads {
-        return assign_probabilities(matrix, clustering, measure);
-    }
-    let clusters = clustering.clusters();
-    let chunk = clusters.len().div_ceil(threads);
-    let results: Vec<Vec<(usize, f64)>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for part in clusters.chunks(chunk) {
-            handles.push(scope.spawn(move || {
-                let mut local = Vec::new();
-                for cluster in part {
-                    if cluster.len() == 1 {
-                        local.push((cluster[0], 1.0));
-                        continue;
-                    }
-                    let rep = measure.representative(matrix, cluster);
-                    let distances: Vec<f64> = cluster
-                        .iter()
-                        .map(|&t| measure.distance(matrix, t, &rep, matrix.n()))
-                        .collect();
-                    let s: f64 = distances.iter().sum();
-                    let k = cluster.len() as f64;
-                    if s <= f64::EPSILON {
-                        for &t in cluster {
-                            local.push((t, 1.0 / k));
-                        }
-                    } else {
-                        for (&t, d) in cluster.iter().zip(&distances) {
-                            local.push((t, (1.0 - d / s) / (k - 1.0)));
-                        }
-                    }
-                }
-                local
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(part) => part,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-    let mut probs = vec![0.0; matrix.n()];
-    for part in results {
-        for (t, p) in part {
-            probs[t] = p;
-        }
-    }
-    probs
-}
-
 /// Uniform probabilities (`1/|cᵢ|` per member): the baseline used when no
 /// distance information is wanted.
 pub fn uniform_probabilities(clustering: &Clustering, n: usize) -> Vec<f64> {
@@ -371,23 +308,6 @@ mod tests {
         assert_eq!(t.value(2, 2), &Value::Float(1.0));
         let sum = t.value(0, 2).as_f64().unwrap() + t.value(1, 2).as_f64().unwrap();
         assert!((sum - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let (t, clustering) = figure6();
-        let matrix =
-            CategoricalMatrix::from_table(&t, &["name", "mktsegmt", "nation", "address"]).unwrap();
-        let seq = assign_probabilities(&matrix, &clustering, &InfoLossDistance);
-        for threads in [1, 2, 4, 16] {
-            let par = crate::assign::assign_probabilities_parallel(
-                &matrix,
-                &clustering,
-                &InfoLossDistance,
-                threads,
-            );
-            assert_eq!(seq, par, "threads = {threads}");
-        }
     }
 
     #[test]

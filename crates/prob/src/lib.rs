@@ -32,8 +32,7 @@ pub mod matrix;
 pub mod text;
 
 pub use assign::{
-    assign_probabilities, assign_probabilities_into, assign_probabilities_parallel,
-    uniform_probabilities, Clustering,
+    assign_probabilities, assign_probabilities_into, uniform_probabilities, Clustering,
 };
 pub use cluster::{
     limbo_sequential, multi_pass_sorted_neighborhood, pairwise_quality, sorted_neighborhood,

@@ -4,9 +4,9 @@
 //!
 //! This crate provides the typed value model ([`Value`], [`DataType`],
 //! [`Date`]), row/schema/table abstractions ([`Row`], [`Schema`], [`Table`]),
-//! a named-table [`Catalog`], equi [`HashIndex`]es, and crash-safe
-//! persistence: a write-ahead log ([`wal`]) and checkpointed epochs
-//! ([`persist`]) that both store a table as one exact [`image`].
+//! a named-table [`Catalog`], and crash-safe persistence: a write-ahead
+//! log ([`wal`]) and checkpointed epochs ([`persist`]) that both store a
+//! table as one exact [`image`].
 //!
 //! The storage layer is deliberately simple: tables are materialized
 //! `Vec<Row>`s and all access is single-process. The paper's experiments ran
@@ -32,7 +32,6 @@ pub mod crossref;
 pub mod date;
 pub mod error;
 pub mod image;
-pub mod index;
 pub mod persist;
 pub mod schema;
 pub mod scrub;
@@ -46,7 +45,6 @@ pub use catalog::Catalog;
 pub use crossref::{apply_crossref, resolve_crossref};
 pub use date::Date;
 pub use error::StorageError;
-pub use index::HashIndex;
 pub use persist::{load_catalog, load_catalog_recover, save_catalog, RecoveryReport};
 pub use schema::{Column, Schema};
 pub use scrub::{scrub, ScrubReport};

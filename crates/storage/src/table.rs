@@ -1,10 +1,8 @@
 //! Materialized tables.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::error::StorageError;
-use crate::index::HashIndex;
 use crate::schema::{Column, Schema};
 use crate::value::Value;
 
@@ -15,15 +13,11 @@ pub type Row = Vec<Value>;
 ///
 /// Rows are validated (arity + type conformance, with implicit `Int`→`Float`
 /// coercion) on insertion, so downstream code can assume well-typed data.
-/// Tables can carry per-column [`HashIndex`]es, which are built lazily and
-/// invalidated by mutation.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
     rows: Vec<Row>,
-    /// Lazily built equi indexes, keyed by column position.
-    indexes: HashMap<usize, HashIndex>,
 }
 
 impl Table {
@@ -33,7 +27,6 @@ impl Table {
             name: name.into().to_ascii_lowercase(),
             schema,
             rows: Vec::new(),
-            indexes: HashMap::new(),
         }
     }
 
@@ -42,8 +35,8 @@ impl Table {
         &self.name
     }
 
-    /// The same table under another (lower-cased) name; rows and indexes
-    /// move, nothing is copied.
+    /// The same table under another (lower-cased) name; the rows move,
+    /// nothing is copied.
     pub fn renamed(mut self, name: impl Into<String>) -> Self {
         self.name = name.into().to_ascii_lowercase();
         self
@@ -110,7 +103,6 @@ impl Table {
             }
         }
         self.rows.push(out);
-        self.indexes.clear();
         Ok(())
     }
 
@@ -126,21 +118,6 @@ impl Table {
     /// callers hold validated positions).
     pub fn value(&self, row_idx: usize, col: usize) -> &Value {
         &self.rows[row_idx][col]
-    }
-
-    /// Ensure an equi hash index exists on `column`, returning it.
-    pub fn index_on(&mut self, column: &str) -> Result<&HashIndex, StorageError> {
-        let col = self.column_index(column)?;
-        self.indexes
-            .entry(col)
-            .or_insert_with(|| HashIndex::build(col, &self.rows));
-        Ok(&self.indexes[&col])
-    }
-
-    /// An already-built index on `column`, if any.
-    pub fn existing_index(&self, column: &str) -> Option<&HashIndex> {
-        let col = self.schema.index_of(column)?;
-        self.indexes.get(&col)
     }
 
     /// Append a new column with the given per-row values (offline schema
@@ -177,7 +154,6 @@ impl Table {
         for (row, v) in self.rows.iter_mut().zip(coerced) {
             row.push(v);
         }
-        self.indexes.clear();
         Ok(idx)
     }
 
@@ -209,7 +185,6 @@ impl Table {
                 }
             }
         }
-        self.indexes.clear();
         Ok(())
     }
 
@@ -259,9 +234,6 @@ impl Table {
             }
             changed += 1;
         }
-        if changed > 0 {
-            self.indexes.clear();
-        }
         Ok(changed)
     }
 
@@ -273,7 +245,6 @@ impl Table {
             i += 1;
             keep
         });
-        self.indexes.clear();
     }
 
     /// Total number of cells (rows × columns); used for scan-cost baselines.
@@ -347,21 +318,6 @@ mod tests {
     #[test]
     fn name_lowercased() {
         assert_eq!(people().name(), "people");
-    }
-
-    #[test]
-    fn index_is_rebuilt_after_mutation() {
-        let mut t = people();
-        t.insert(vec!["ann".into(), 31.into()]).unwrap();
-        t.index_on("name").unwrap();
-        assert!(t.existing_index("name").is_some());
-        t.insert(vec!["bob".into(), 40.into()]).unwrap();
-        assert!(
-            t.existing_index("name").is_none(),
-            "mutation must invalidate"
-        );
-        let idx = t.index_on("name").unwrap();
-        assert_eq!(idx.lookup(&"bob".into()), &[1]);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!   reported if and only if `prepare` fails with `ErrorKind::Bind` — the
 //!   analyzer's binding diagnostics are the binder's own;
 //! * a query reported free of error-severity diagnostics binds, plans and
-//!   executes — with the plan validator forced on, so every planner stage
-//!   is checked on every generated query.
+//!   executes — and the plan validator, always on, checks every planner
+//!   stage on every generated query.
 
 use conquer::prelude::*;
 use proptest::prelude::*;
@@ -131,7 +131,6 @@ proptest! {
 
     #[test]
     fn check_clean_queries_execute_without_internal_errors(sql in query()) {
-        conquer::engine::set_validation(Some(true));
         let db = fixture();
         let diags = db.analyze(&sql);
         let prepared = db.prepare(&sql);
@@ -180,7 +179,7 @@ proptest! {
         };
         // Re-analyzing the prepared statement's SQL must agree.
         prop_assert!(db.analyze(stmt.sql()).iter().all(|d| !d.is_error()));
-        // Execution (validator on) must never trip a plan invariant — and,
+        // Execution must never trip a plan invariant — and,
         // the generator dividing by nothing, has no other way to fail.
         if let Err(e) = stmt.query(&db) {
             panic!("analyze-clean query failed at runtime: {e}\nquery: {sql}");

@@ -157,7 +157,7 @@ fn multiset(mut rows: Vec<Row>) -> Vec<Row> {
 }
 
 /// Query templates; `{}` is replaced by a small constant.
-const TEMPLATES: [&str; 10] = [
+const TEMPLATES: [&str; 12] = [
     "select a, b from t1 where b >= {}",
     "select t1.a, t2.s from t1, t2 where t1.a = t2.a",
     "select t1.a, t2.s from t1, t2 where t1.a = t2.a and t2.k > {}",
@@ -168,10 +168,15 @@ const TEMPLATES: [&str; 10] = [
     "select t1.a from t1, t2 where t1.a < t2.k",
     "select t2.s from t2 where t2.s like 'a%' and t2.a in (1, 2, {})",
     "select t1.a, t3.x from t1, t3 where t1.b = t3.k and t1.a between 1 and {}",
+    // INTEGER = DOUBLE keys with a nullable probe side: the hash join must
+    // match 1 with 1.0 and never match a NULL.
+    "select t1.a, t3.x from t1, t3 where t1.b = t3.x and t1.a >= {}",
+    // Nullable self-join: NULL = NULL never joins.
+    "select x.a, y.a from t1 x, t1 y where x.b = y.b and x.a >= {}",
 ];
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(160))]
+    #![proptest_config(ProptestConfig::with_cases(192))]
 
     #[test]
     fn engine_matches_reference(
@@ -202,4 +207,32 @@ proptest! {
             prop_assert!(ord != std::cmp::Ordering::Greater, "a out of order");
         }
     }
+}
+
+#[test]
+fn join_keys_match_numerically_and_never_on_null() {
+    let data = Data {
+        t1: vec![(1, Some(1)), (2, None), (3, None), (4, Some(3))],
+        t2: vec![],
+        t3: vec![(0, 1.0), (0, 2.5), (0, 3.0)],
+    };
+    let db = data.build();
+    let sql = "select t1.a, t3.x from t1, t3 where t1.b = t3.x";
+    assert_eq!(
+        multiset(q(&db, sql).rows),
+        [
+            vec![Value::Int(1), Value::Float(1.0)],
+            vec![Value::Int(4), Value::Float(3.0)]
+        ],
+        "INTEGER keys meet equal DOUBLE keys"
+    );
+    let sql = "select x.a, y.a from t1 x, t1 y where x.b = y.b";
+    assert_eq!(
+        multiset(q(&db, sql).rows),
+        [
+            vec![Value::Int(1), Value::Int(1)],
+            vec![Value::Int(4), Value::Int(4)]
+        ],
+        "NULL = NULL must not join"
+    );
 }
