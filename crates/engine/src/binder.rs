@@ -52,6 +52,38 @@ pub struct AggCall {
     pub arg: Option<BoundExpr>,
     /// `DISTINCT` inside the call?
     pub distinct: bool,
+    /// A product-sum's factors, in product order: set for a
+    /// non-`DISTINCT` `SUM` whose argument is a left-deep product
+    /// `((c1 * c2) * …) * cm` of m ≥ 2 bare columns the schema declares
+    /// `DOUBLE` (RewriteClean's `SUM(R1.prob * … * Rm.prob)`), empty for
+    /// every other call. The executor multiplies these cells as `f64`s
+    /// instead of evaluating `arg`, which computes the same bits.
+    pub factors: Vec<ColumnId>,
+}
+
+/// The columns of a left-deep product `((c1 * c2) * …) * cm` of m ≥ 2
+/// bare columns, in product order; `None` for any other expression.
+pub(crate) fn product_columns(e: &BoundExpr) -> Option<Vec<ColumnId>> {
+    let mut columns = Vec::new();
+    let mut e = e;
+    while let BoundExpr::Binary {
+        left,
+        op: BinaryOp::Mul,
+        right,
+    } = e
+    {
+        let BoundExpr::Column(id) = **right else {
+            return None;
+        };
+        columns.push(id);
+        e = left;
+    }
+    let BoundExpr::Column(first) = *e else {
+        return None;
+    };
+    columns.push(first);
+    columns.reverse();
+    (columns.len() >= 2).then_some(columns)
 }
 
 /// Group-by analysis of an aggregate query.
@@ -619,6 +651,20 @@ impl<'a> Binder<'a> {
         keys.into_iter().collect()
     }
 
+    /// [`product_columns`] of `e` when every one is a `DOUBLE` column, so
+    /// each cell is `Value::Float` or NULL; empty otherwise.
+    fn double_product(&self, e: &BoundExpr) -> Vec<ColumnId> {
+        let double = |id: &ColumnId| {
+            let relation = self.scope.relations.get(id.rel);
+            relation
+                .and_then(|r| r.schema?.column_at(id.col))
+                .is_some_and(|c| c.data_type() == DataType::Float)
+        };
+        product_columns(e)
+            .filter(|columns| columns.iter().all(double))
+            .unwrap_or_default()
+    }
+
     /// Resolve a column reference, recording why not when it does not.
     fn resolve(&mut self, c: &ColumnRef) -> Option<ColumnId> {
         match self.scope.lookup(c) {
@@ -706,10 +752,18 @@ impl<'a> Binder<'a> {
                     let nested = Space::Relations {
                         no_aggregates: "nested aggregates are not allowed",
                     };
+                    let arg = self.lower_opt(arg.as_deref(), nested)?;
+                    let factors = match &arg {
+                        Some(arg) if *func == AggFunc::Sum && !*distinct => {
+                            self.double_product(arg)
+                        }
+                        _ => Vec::new(),
+                    };
                     let call = AggCall {
                         func: *func,
-                        arg: self.lower_opt(arg.as_deref(), nested)?,
+                        arg,
                         distinct: *distinct,
+                        factors,
                     };
                     let j = match self.aggs.iter().position(|c| *c == call) {
                         Some(j) => j,

@@ -1057,6 +1057,24 @@ mod tests {
         );
         assert!(text.contains("HashJoin"), "{text}");
         assert!(text.contains("Scan"), "{text}");
+        // A product-sum is named, so a reader sees which path runs; any
+        // other aggregate is a bare `HashAggregate`.
+        let sum = |agg: &str| {
+            explain(
+                &db,
+                &format!(
+                    "EXPLAIN SELECT o.id, {agg} FROM orders o, customer c \
+                     WHERE o.cidfk = c.id GROUP BY o.id"
+                ),
+            )
+        };
+        let text = sum("SUM(o.prob * c.prob)");
+        assert!(
+            text.starts_with("Project\nHashAggregate (SUM of 2 DOUBLE factors)\n"),
+            "{text}"
+        );
+        let text = sum("SUM(o.quantity * c.prob)");
+        assert!(text.starts_with("Project\nHashAggregate\n"), "{text}");
     }
 
     #[test]
@@ -1092,7 +1110,10 @@ mod tests {
             "EXPLAIN ANALYZE SELECT o.id, SUM(o.prob * c.prob) FROM orders o, customer c \
              WHERE o.cidfk = c.id GROUP BY o.id",
         );
-        assert!(text.contains("HashAggregate"), "{text}");
+        assert!(
+            text.contains("HashAggregate (SUM of 2 DOUBLE factors) (rows="),
+            "{text}"
+        );
         assert!(text.contains("HashJoin"), "{text}");
         assert!(text.contains("rows="), "{text}");
         assert!(text.contains("Execution time"), "{text}");

@@ -12,13 +12,97 @@
 //! between the lowest non-zero one and the sign limb are kept, so a sum
 //! costs memory in proportion to the exponent span of its terms (a sum of
 //! probability products spans a few limbs, not the 33 a full-range
-//! accumulator would need). Non-finite terms are counted, not added: the
-//! IEEE rules for NaN and ±∞ depend only on which of them are present.
+//! accumulator would need). The first four limbs live inside the sum
+//! itself; a window wider than that moves to the heap. Non-finite terms
+//! are counted, not added: the IEEE rules for NaN and ±∞ depend only on
+//! which of them are present.
 
 use std::borrow::Cow;
+use std::ops::{Deref, DerefMut};
 
 /// Limb width in bits.
 const LIMB: usize = 64;
+
+/// Limbs a sum holds without a heap block: enough for terms within ~2^64
+/// of each other.
+const INLINE_LIMBS: usize = 4;
+
+/// The window's limbs, least significant first: inline while they fit in
+/// [`INLINE_LIMBS`], on the heap from the first limb past them. Compares
+/// as its slice, wherever it is stored.
+#[derive(Clone)]
+enum Limbs {
+    Inline { len: u8, buf: [u64; INLINE_LIMBS] },
+    Heap(Vec<u64>),
+}
+
+impl Limbs {
+    fn push(&mut self, limb: u64) {
+        match self {
+            Limbs::Inline { len, buf } if usize::from(*len) < INLINE_LIMBS => {
+                buf[usize::from(*len)] = limb;
+                *len += 1;
+            }
+            Limbs::Inline { buf, .. } => {
+                let mut heap = Vec::with_capacity(2 * INLINE_LIMBS);
+                heap.extend_from_slice(buf);
+                heap.push(limb);
+                *self = Limbs::Heap(heap);
+            }
+            Limbs::Heap(heap) => heap.push(limb),
+        }
+    }
+
+    fn truncate(&mut self, n: usize) {
+        match self {
+            Limbs::Inline { len, .. } => *len = usize::from(*len).min(n) as u8,
+            Limbs::Heap(heap) => heap.truncate(n),
+        }
+    }
+}
+
+impl Default for Limbs {
+    fn default() -> Self {
+        Limbs::Inline {
+            len: 0,
+            buf: [0; INLINE_LIMBS],
+        }
+    }
+}
+
+impl Deref for Limbs {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        match self {
+            Limbs::Inline { len, buf } => &buf[..usize::from(*len)],
+            Limbs::Heap(heap) => heap,
+        }
+    }
+}
+
+impl DerefMut for Limbs {
+    fn deref_mut(&mut self) -> &mut [u64] {
+        match self {
+            Limbs::Inline { len, buf } => &mut buf[..usize::from(*len)],
+            Limbs::Heap(heap) => heap,
+        }
+    }
+}
+
+impl PartialEq for Limbs {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Limbs {}
+
+impl std::fmt::Debug for Limbs {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
 
 /// An exact sum of `f64` terms (see the module docs).
 ///
@@ -40,7 +124,7 @@ pub struct ExactSum {
     lo: usize,
     /// The finite part, two's complement, least significant limb first;
     /// the top limb carries the sign. Empty means exactly zero.
-    limbs: Vec<u64>,
+    limbs: Limbs,
 }
 
 impl ExactSum {
@@ -65,16 +149,13 @@ impl ExactSum {
         *self == ExactSum::default()
     }
 
-    /// An empty sum with room for `n` limbs before it reallocates.
-    pub fn with_limbs(n: usize) -> Self {
-        let mut sum = ExactSum::new();
-        sum.limbs.reserve_exact(n);
-        sum
-    }
-
-    /// Bytes the sum holds on the heap: the allocated limbs.
+    /// Bytes the sum holds on the heap: none while its window fits in
+    /// its four inline limbs, the allocated limbs once it has outgrown them.
     pub fn heap_bytes(&self) -> u64 {
-        (self.limbs.capacity() * std::mem::size_of::<u64>()) as u64
+        match &self.limbs {
+            Limbs::Inline { .. } => 0,
+            Limbs::Heap(heap) => (heap.capacity() * std::mem::size_of::<u64>()) as u64,
+        }
     }
 
     fn apply(&mut self, x: f64, sign: i64) {
@@ -142,12 +223,19 @@ impl ExactSum {
     fn widen(&mut self, lo: usize, hi: usize) {
         if self.limbs.is_empty() {
             self.lo = lo;
-            self.limbs.resize(hi - lo + 1, 0);
+            for _ in lo..=hi {
+                self.limbs.push(0);
+            }
             return;
         }
         if lo < self.lo {
-            self.limbs
-                .splice(0..0, std::iter::repeat_n(0, self.lo - lo));
+            // Push the new zero limbs on top, then rotate them to the
+            // bottom.
+            let below = self.lo - lo;
+            for _ in 0..below {
+                self.limbs.push(0);
+            }
+            self.limbs.rotate_right(below);
             self.lo = lo;
         }
         let fill = if self.negative() { u64::MAX } else { 0 };
@@ -160,13 +248,15 @@ impl ExactSum {
     /// of a value is unique.
     fn normalize(&mut self) {
         let zeros = self.limbs.iter().take_while(|&&l| l == 0).count();
-        if zeros == self.limbs.len() {
-            self.limbs.clear();
+        let len = self.limbs.len();
+        if zeros == len {
+            self.limbs.truncate(0);
             self.lo = 0;
             return;
         }
         if zeros > 0 {
-            self.limbs.drain(..zeros);
+            self.limbs.rotate_left(zeros);
+            self.limbs.truncate(len - zeros);
             self.lo += zeros;
         }
         while let [.., below, top] = self.limbs[..] {
@@ -174,7 +264,7 @@ impl ExactSum {
             if !redundant {
                 break;
             }
-            self.limbs.pop();
+            self.limbs.truncate(self.limbs.len() - 1);
         }
     }
 
@@ -298,10 +388,10 @@ impl ExactSum {
         if fields.next().is_some() || hex.len() % 16 != 0 || !hex.is_ascii() {
             return None;
         }
-        let limbs = (0..hex.len() / 16)
-            .rev()
-            .map(|i| u64::from_str_radix(&hex[16 * i..16 * i + 16], 16).ok())
-            .collect::<Option<Vec<u64>>>()?;
+        let mut limbs = Limbs::default();
+        for i in (0..hex.len() / 16).rev() {
+            limbs.push(u64::from_str_radix(&hex[16 * i..16 * i + 16], 16).ok()?);
+        }
         let sum = ExactSum {
             nonnull,
             nan,
@@ -364,13 +454,23 @@ mod tests {
 
     #[test]
     fn four_limbs_hold_terms_within_two_to_the_sixty_of_each_other() {
-        let mut s = ExactSum::with_limbs(4);
-        assert_eq!(s.heap_bytes(), 32);
+        let mut s = ExactSum::new();
+        assert_eq!(s.heap_bytes(), 0);
         for i in 0..=60 {
             s.add(0.7 * 2f64.powi(-i));
             s.add(-0.3 * 2f64.powi(-i));
+            assert_eq!(s.heap_bytes(), 0, "{i}");
         }
-        assert_eq!(s.heap_bytes(), 32);
+        let inline = s.clone();
+        // A term 2^300 above the others needs a wider window: it moves to
+        // the heap, and the sum still compares and encodes as its value.
+        s.add(1e90);
+        assert!(s.heap_bytes() >= 8 * INLINE_LIMBS as u64 + 8);
+        s.retract(1e90);
+        assert!(s.heap_bytes() > 0);
+        assert_eq!(s, inline);
+        assert_eq!(s.encode(), inline.encode());
+        assert_eq!(ExactSum::decode(&s.encode()), Some(inline));
     }
 
     #[test]

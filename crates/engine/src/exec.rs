@@ -71,7 +71,7 @@ use crate::error::EngineError;
 use crate::exact::ExactSum;
 use crate::expr::{absent, BoundExpr, Cells, ColumnId};
 use crate::keytable::{hash_key, KeyTable};
-use crate::planner::{scan_label, JoinNode, Plan};
+use crate::planner::{aggregate_label, scan_label, JoinNode, Plan};
 use crate::result::QueryResult;
 use crate::stats::{approx_row_bytes, approx_value_bytes, ExecStats, OpStats};
 use crate::Result;
@@ -317,7 +317,7 @@ fn finish_pipeline<'a>(join: TupleOp<'a>, layout: Layout<'a>, plan: &'a Plan) ->
     let input = match &plan.group {
         Some(group) => {
             let mut node = OpNode::new(
-                "HashAggregate",
+                aggregate_label(group),
                 OpKind::HashAggregate {
                     child: Box::new(join),
                     layout,
@@ -1865,6 +1865,11 @@ fn aggregate_input(
             };
             for (acc, call) in groups.accs_mut(i).iter_mut().zip(&group.aggs) {
                 match &call.arg {
+                    _ if !call.factors.is_empty() => {
+                        if let Some(term) = product(t, &call.factors)? {
+                            acc.add_term(term);
+                        }
+                    }
                     None => acc.update(&Value::Null)?, // COUNT(*) ignores the value
                     Some(e) => acc.update(&*e.eval_ref(t)?)?,
                 }
@@ -1888,6 +1893,27 @@ fn aggregate_input(
         );
     }
     Ok((groups.finalize()?, mem))
+}
+
+/// A product-sum's term for one tuple: its `DOUBLE` factors read in place
+/// and multiplied left to right, the bits `((p1 * p2) * …) * pm` evaluates
+/// to (`1.0 · p1` is `p1` exactly). `None` when a factor is NULL, as the
+/// NULL product is.
+fn product(t: Tuple<'_, '_>, factors: &[ColumnId]) -> Result<Option<f64>> {
+    let mut term = 1.0;
+    for &id in factors {
+        match t.cell(id)? {
+            Value::Float(x) => term *= x,
+            Value::Null => return Ok(None),
+            other => {
+                return Err(EngineError::internal(format!(
+                    "product-sum factor {} of relation {} holds {other}, not a DOUBLE",
+                    id.col, id.rel
+                )))
+            }
+        }
+    }
+    Ok(Some(term))
 }
 
 /// Accumulator for one aggregate call within one group.
@@ -1914,20 +1940,17 @@ impl Accumulator {
             distinct: call.distinct.then(|| Box::new(KeyTable::new(1))),
             count: 0,
             sum_int: 0,
-            // Four limbs hold a sum of terms within ~2^64 of each other.
-            sum: ExactSum::with_limbs(match call.func {
-                AggFunc::Sum | AggFunc::Avg => 4,
-                _ => 0,
-            }),
+            sum: ExactSum::new(),
             saw_float: false,
             overflowed: false,
             minmax: None,
         }
     }
 
-    /// Bytes this accumulator holds: itself, its sum's limbs and its
-    /// DISTINCT set. A group is charged this when it is created, not as a
-    /// DISTINCT set or a sum wider than its four reserved limbs grows.
+    /// Bytes this accumulator holds: itself (its sum's first four limbs
+    /// included), its sum's heap limbs and its DISTINCT set. A group is
+    /// charged this when it is created, not as a DISTINCT set or a sum
+    /// wider than its inline limbs grows.
     fn bytes(&self) -> u64 {
         let seen = self.distinct.as_ref().map_or(0, |s| {
             std::mem::size_of::<KeyTable>() as u64
@@ -1992,6 +2015,14 @@ impl Accumulator {
         Ok(())
     }
 
+    /// Fold in one product-sum term: what [`Accumulator::update`] does
+    /// with `Value::Float(term)` for a non-`DISTINCT` `SUM`.
+    fn add_term(&mut self, term: f64) {
+        self.count += 1;
+        self.saw_float = true;
+        self.sum.add(term);
+    }
+
     fn finalize(self) -> Result<Value> {
         Ok(match self.func {
             AggFunc::Count => Value::Int(self.count),
@@ -2022,6 +2053,7 @@ mod tests {
             func,
             arg: Some(BoundExpr::Literal(Value::Null)),
             distinct,
+            factors: Vec::new(),
         })
     }
 

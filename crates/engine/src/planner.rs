@@ -115,6 +115,23 @@ pub(crate) fn scan_label(op: &str, relation: &BoundRelation) -> String {
     format!("{op} {} [{}]", relation.table, relation.binding)
 }
 
+/// `"HashAggregate"`, followed by `(SUM of m DOUBLE factors)` for each
+/// product-sum it folds: how `EXPLAIN` and the executor's statistics name
+/// the aggregate, so a reader sees which path ran.
+pub(crate) fn aggregate_label(group: &GroupSpec) -> String {
+    let products: Vec<String> = group
+        .aggs
+        .iter()
+        .filter(|a| !a.factors.is_empty())
+        .map(|a| format!("SUM of {} DOUBLE factors", a.factors.len()))
+        .collect();
+    if products.is_empty() {
+        "HashAggregate".to_string()
+    } else {
+        format!("HashAggregate ({})", products.join(", "))
+    }
+}
+
 /// A complete query plan.
 ///
 /// Column ids in relation-space expressions (scan filters, join keys,
@@ -154,8 +171,9 @@ impl Plan {
             out.push_str("Distinct\n");
         }
         out.push_str("Project\n");
-        if self.group.is_some() {
-            out.push_str("HashAggregate\n");
+        if let Some(group) = &self.group {
+            out.push_str(&aggregate_label(group));
+            out.push('\n');
         }
         self.join.describe(&self.relations, 1, &mut out);
         out

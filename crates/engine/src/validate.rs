@@ -5,7 +5,8 @@
 //! executor silently relies on — every column reference resolves in its
 //! operator's input, join keys come from the correct side and have
 //! comparable types, slot-space expressions fit the aggregate arity,
-//! operator layouts partition the FROM relations — and fails with a typed
+//! operator layouts partition the FROM relations, a product-sum's factors
+//! are the `DOUBLE` columns its argument multiplies — and fails with a typed
 //! [`EngineError::Internal`] *naming the violated invariant* instead of
 //! letting a malformed plan panic (or worse, return wrong answers) deep
 //! inside execution.
@@ -18,7 +19,7 @@
 
 use conquer_storage::DataType;
 
-use crate::binder::{BoundRelation, BoundSelect, GroupSpec};
+use crate::binder::{product_columns, AggCall, BoundRelation, BoundSelect, GroupSpec};
 use crate::error::EngineError;
 use crate::expr::BoundExpr;
 use crate::planner::{JoinNode, Plan};
@@ -93,6 +94,56 @@ fn check_slot_space(e: &BoundExpr, width: usize, stage: &str, what: &str) -> Res
                 ),
             ));
         }
+    }
+    Ok(())
+}
+
+/// Invariant `product-sum`: a call the executor folds as a product-sum
+/// is a non-`DISTINCT` `SUM` of at least two factors, each a `DOUBLE`
+/// column of a query relation (so every cell is `Value::Float` or NULL),
+/// and its argument is exactly their left-deep product.
+fn check_product_sum(
+    a: &AggCall,
+    relations: &[BoundRelation],
+    stage: &str,
+    i: usize,
+) -> Result<()> {
+    let fail = |detail: String| {
+        Err(violation(
+            "product-sum",
+            stage,
+            format!("aggregate {i} {detail}"),
+        ))
+    };
+    if a.func != conquer_sql::AggFunc::Sum || a.distinct {
+        return fail(format!(
+            "is a {}{} with product-sum factors",
+            if a.distinct { "DISTINCT " } else { "" },
+            a.func.name()
+        ));
+    }
+    if a.factors.len() < 2 {
+        return fail(format!(
+            "has {} product-sum factor(s), not at least 2",
+            a.factors.len()
+        ));
+    }
+    for id in &a.factors {
+        let column = relations
+            .get(id.rel)
+            .and_then(|r| r.schema.column_at(id.col));
+        if column.map(|c| c.data_type()) != Some(DataType::Float) {
+            return fail(format!(
+                "has factor column {} of relation {}, which is not a DOUBLE column of the query",
+                id.col, id.rel
+            ));
+        }
+    }
+    if a.arg.as_ref().and_then(product_columns).as_ref() != Some(&a.factors) {
+        return fail(format!(
+            "multiplies factors {:?} but its argument is not their left-deep product",
+            a.factors
+        ));
     }
     Ok(())
 }
@@ -336,6 +387,9 @@ fn check_shape(
                 let what = format!("aggregate argument {i}");
                 check_rel_space(arg, relations, stage, &what)?;
             }
+            if !a.factors.is_empty() {
+                check_product_sum(a, relations, stage, i)?;
+            }
         }
         let width = slot_width(g);
         if let Some(h) = &g.having {
@@ -562,6 +616,38 @@ mod tests {
             .expect_err("corrupt plan must be rejected")
             .to_string();
         assert!(msg.contains("aggregate-arity"), "{msg}");
+    }
+
+    #[test]
+    fn a_product_sum_whose_factors_are_not_its_double_columns_is_rejected() {
+        let mut p = plan("select u.k, sum(u.w * u.w) from u group by u.k");
+        let w = ColumnId { rel: 0, col: 1 };
+        assert_eq!(p.group.as_ref().expect("grouped").aggs[0].factors, [w, w]);
+        type Mutation = fn(&mut crate::binder::AggCall);
+        let mutations: [(Mutation, &str); 5] = [
+            (|a| a.factors.truncate(1), "not at least 2"),
+            // u.k is an INTEGER column: its cells may be `Value::Int`.
+            (|a| a.factors[0].col = 0, "not a DOUBLE column"),
+            (|a| a.factors[1].rel = 4, "not a DOUBLE column"),
+            (
+                |a| a.factors.push(a.factors[0]),
+                "not their left-deep product",
+            ),
+            (|a| a.distinct = true, "is a DISTINCT SUM"),
+        ];
+        for (mutate, reason) in mutations {
+            let mut bad = p.clone();
+            mutate(&mut bad.group.as_mut().expect("grouped").aggs[0]);
+            let err = validate_plan(&bad).expect_err("corrupt plan must be rejected");
+            let msg = err.to_string();
+            assert!(msg.contains("product-sum") && msg.contains(reason), "{msg}");
+            assert!(matches!(err, EngineError::Internal(_)), "{err:?}");
+        }
+        // The executor refuses the plan before it multiplies a cell.
+        p.group.as_mut().expect("grouped").aggs[0].factors[0].col = 0;
+        let err = crate::exec::execute_plan(&catalog(), &p, &Default::default())
+            .expect_err("the executor validates first");
+        assert!(matches!(err, EngineError::Internal(_)), "{err:?}");
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Joins carry positions, not rows: below the aggregate a joined tuple is
 //! one row position per relation into the tables the query pinned, so
 //! running a join allocates per batch and per group, never per scanned
-//! row or per joined tuple.
+//! row or per joined tuple. A group's `SUM` holds its exact sum inline, so
+//! a group of a `SUM` allocates no more than a group of a `COUNT(*)`.
 //!
 //! This binary holds exactly one test and installs a counting global
 //! allocator, so the count is what `execute_plan` allocates and nothing
 //! else. Run it in release as well (`cargo test --release -p
-//! conquer-engine --test alloc`): debug builds also run the plan
-//! validator, whose allocations are per plan, not per row.
+//! conquer-engine --test alloc`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -62,7 +62,7 @@ const GROUPS: i64 = 40;
 fn database() -> Database {
     let mut db = Database::new();
     db.execute_script(
-        "CREATE TABLE fact (k INTEGER, grp TEXT, prob DOUBLE);
+        "CREATE TABLE fact (k INTEGER, grp TEXT, prob DOUBLE, id INTEGER);
          CREATE TABLE dim_a (k INTEGER, note TEXT, prob DOUBLE);
          CREATE TABLE dim_b (k INTEGER, name TEXT, prob DOUBLE);",
     )
@@ -74,6 +74,7 @@ fn database() -> Database {
             Value::Int(i % KEYS),
             Value::text(format!("group-{:02}", i % GROUPS)),
             Value::Float(0.5),
+            Value::Int(i),
         ];
         fact.insert(row).unwrap();
     }
@@ -118,5 +119,23 @@ fn a_fan_out_join_allocates_per_batch_not_per_tuple() {
     assert!(
         allocations < joined as usize / 16,
         "{allocations} allocations for {joined} joined tuples"
+    );
+
+    // RewriteClean's shape with one group per fact row: each group copies
+    // its text key and makes an output row whatever it aggregates, and a
+    // SUM's exact sum adds nothing to that.
+    let by_row = |agg: &str| format!("SELECT f.id, f.grp, {agg} {from} GROUP BY f.id, f.grp");
+    let (sums, sum_allocations) = run(&db, &by_row("SUM(f.prob * a.prob * b.prob)"));
+    let (counts, count_allocations) = run(&db, &by_row("COUNT(*)"));
+    assert_eq!(sums.rows.len(), FACTS as usize);
+    assert_eq!(counts.rows.len(), FACTS as usize);
+    let term = 0.5 * 0.25 * 0.25;
+    let sum = (DUPLICATES * DUPLICATES) as f64 * term;
+    assert!(sums.rows.iter().all(|row| row[2] == Value::Float(sum)));
+    let groups = FACTS as usize;
+    assert!(
+        sum_allocations < count_allocations + groups / 16,
+        "{sum_allocations} allocations with a SUM per group, \
+         {count_allocations} with a COUNT(*), over {groups} groups"
     );
 }

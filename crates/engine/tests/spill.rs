@@ -443,7 +443,7 @@ fn spilled_aggregate_output_order_and_counters_are_pinned() {
     // order, then each partition's groups, and partitions with a fixed
     // hash, so its output *order* — not just its multiset — and its spill
     // volume are a function of the input alone. Five accumulators make
-    // the group state (~699 KB) eleven times the projected output, so at
+    // the group state (~715 KB) eleven times the projected output, so at
     // 128 KiB the aggregate keeps what fits in half of it and spills the
     // position tuples of every later group, and the whole (hard-charged)
     // result still fits. A disk budget of 256 KiB holds those tuples.
@@ -468,7 +468,7 @@ fn spilled_aggregate_output_order_and_counters_are_pinned() {
         );
         assert_eq!(
             counters,
-            [("HashAggregate".to_string(), 65_007, 90_700, 16, 1)],
+            [("HashAggregate".to_string(), 65_065, 90_900, 16, 1)],
             "spill counters moved"
         );
         let order: Vec<String> = governed.rows.iter().map(|r| r[0].to_string()).collect();
@@ -480,7 +480,7 @@ fn spilled_aggregate_output_order_and_counters_are_pinned() {
         );
         assert_eq!(
             fnv1a(&order.join(",")),
-            110_420_686_968_606_819,
+            4_793_454_773_807_629_143,
             "output order moved"
         );
     }
@@ -495,8 +495,8 @@ fn in_memory_state_is_charged_to_the_byte() {
     let db = big_db(4000);
     let run = |sql: &str| db.prepare(sql).unwrap().query(&db).unwrap();
     // Text join key and text group key; 1000 groups, each charging its
-    // 35-byte key, two accumulators and the four limbs the SUM reserves
-    // (35 + 2 · 120 + 32 B). The estimates tie
+    // 35-byte key and two accumulators, each with its sum's four limbs
+    // inline (35 + 2 · 136 B). The estimates tie
     // (both scans are of 4000-row `big`), so the left input `a` is the
     // build side: 4000 build tuples, each charging one 4-byte position
     // plus its own copy of an 11-character text key (24 + 11 B) — 39 B,
