@@ -64,6 +64,12 @@ impl RewriteClean {
             let meta = spec.require(&tref.table)?;
             prob_factors.push(Expr::qualified(tref.binding_name(), &meta.prob_column));
         }
+        if prob_factors.len() >= 2 && conquer_sync::mutant("rewrite::drop-factor") {
+            // Seeded mutant: forget one relation's probability, so every
+            // join answer is weighted by too few factors. The clean-answer
+            // oracle catches it.
+            prob_factors.pop();
+        }
         let sum = Expr::Aggregate {
             func: AggFunc::Sum,
             arg: Some(Box::new(Expr::product(prob_factors))),

@@ -73,7 +73,6 @@ use crate::binder::bind;
 use crate::database::Database;
 use crate::error::EngineError;
 use crate::exact::ExactSum;
-use crate::exec::execute_plan;
 use crate::Result;
 
 /// Prefix of every hidden bookkeeping table; direct DML against such
@@ -582,8 +581,7 @@ pub(crate) fn delta_pairs(
             let mut side_table = Table::new(DELTA_TABLE, schema.clone());
             side_table.insert_all(side.iter().cloned())?;
             db.catalog_mut().replace_table(side_table);
-            let plan = db.plan(&query)?;
-            let rows = execute_plan(db.catalog(), &plan, &db.exec_context(*db.limits()))?.rows;
+            let rows = db.prepare_select(&query)?.query(db)?.rows;
             pairs.extend(rows.into_iter().map(|row| view.contribution(row, add)));
         }
     }

@@ -1,108 +1,43 @@
-//! Low-memory equivalence matrix: tight memory budgets may change *how*
-//! a query runs (spilling joins, aggregations, and sorts to disk) but
-//! never *what* it answers. Every one of the paper's thirteen TPC-H
-//! templates is evaluated unconstrained, under 16 MiB, and under 4 MiB;
-//! the clean answers must be identical (probabilities bit for bit: every
-//! group's sum is one `ExactSum`, spilled or not), and the tight budgets
-//! must actually force some query to spill or the matrix proves nothing.
-//!
-//! The scale factor is chosen so the largest templates (Q1, Q9, Q18)
-//! hold multi-megabyte intermediate state: big enough that 4 MiB is a
-//! real constraint, small enough to keep the suite fast.
+//! Spill metrics of the join-heavy templates: a budget below a query's
+//! working set makes the operator that overflows report nonzero spill
+//! bytes and partitions, the context's disk charge agrees with the
+//! operator tree, and the answers stay the unconstrained ones (bit for
+//! bit). That every template answers identically under 16 and 4 MiB is
+//! the budget path of `tests/clean_answer_oracle.rs`.
 //!
 //! Every budget here is derived from the peak `mem` the unconstrained
 //! run charges (`ExecStats::mem_charged`; a join's build side holds 4-byte
-//! row positions plus a copy of its key, not rows). At this scale Q1
-//! peaks at 4 601 436 B (all aggregate state), Q9 at 2 192 678 B
-//! (2 059 678 B of groups) and Q18 at 1 607 746 B (1 176 674 B of groups
-//! over a 431 072 B build side). 4 MiB = 4 194 304 B is under Q1's peak,
-//! and cannot go lower: Q1's result buffer, which is never spilled,
-//! already fails at 3 MiB.
+//! row positions plus a copy of its key, not rows).
 
 use conquer_core::DirtyDatabase;
 use conquer_datagen::{
-    dirty::{dirty_database, ProbMode, UisConfig},
-    perturb::PerturbOptions,
-    queries::{query_sql, QUERY_IDS},
+    dirty::{dirty_database, UisConfig},
+    queries::query_sql,
     tpch::TpchConfig,
 };
 use conquer_engine::ExecLimits;
 use conquer_storage::Row;
 
 fn workload_db() -> DirtyDatabase {
-    dirty_database(UisConfig {
-        tpch: TpchConfig {
+    let mut config = UisConfig::default();
+    (config.tpch, config.if_factor) = (
+        TpchConfig {
             sf: 0.1,
             seed: 2024,
         },
-        if_factor: 3,
-        prob_mode: ProbMode::Uniform,
-        perturb: PerturbOptions::default(),
-    })
-    .unwrap()
-}
-
-/// Clean answers in a budget-independent order. A spilling aggregation
-/// re-emits groups partition by partition, so first-seen group order is
-/// not preserved across budgets — row *content* is what must match.
-fn sorted_answers(mut rows: Vec<(Row, f64)>) -> Vec<(Row, f64)> {
-    rows.sort_by(|a, b| a.0.cmp(&b.0));
-    rows
-}
-
-fn assert_same_answers(id: u8, budget: &str, reference: &[(Row, f64)], got: &[(Row, f64)]) {
-    assert_eq!(
-        reference.len(),
-        got.len(),
-        "Q{id} under {budget}: cardinality changed"
+        3,
     );
-    for ((ref_row, ref_p), (got_row, got_p)) in reference.iter().zip(got) {
-        assert_eq!(
-            ref_row, got_row,
-            "Q{id} under {budget}: answer tuple changed"
-        );
-        assert_eq!(
-            ref_p.to_bits(),
-            got_p.to_bits(),
-            "Q{id} under {budget}: probability drifted for {ref_row:?}: {ref_p} vs {got_p}"
-        );
-    }
+    dirty_database(config).unwrap()
 }
 
-#[test]
-fn thirteen_templates_identical_under_tight_budgets() {
-    let mut db = workload_db();
-
-    db.db_mut().set_limits(ExecLimits::none());
-    let reference: Vec<(u8, Vec<(Row, f64)>)> = QUERY_IDS
-        .iter()
-        .map(|&id| {
-            let answers = db.clean_answers(&query_sql(id, false)).unwrap();
-            (id, sorted_answers(answers.rows))
-        })
-        .collect();
-
-    for budget in [16u64 << 20, 4 << 20] {
-        let label = format!("{} MiB", budget >> 20);
-        db.db_mut()
-            .set_limits(ExecLimits::none().with_mem_bytes(budget));
-        let mut spilled_anywhere = false;
-        for (id, ref_rows) in &reference {
-            let answers = db
-                .clean_answers(&query_sql(*id, false))
-                .unwrap_or_else(|e| panic!("Q{id} failed under {label}: {e}"));
-            let stats = answers.stats().expect("rewritten path forwards stats");
-            spilled_anywhere |= stats.disk_charged > 0;
-            assert_same_answers(*id, &label, ref_rows, &sorted_answers(answers.rows));
-        }
-        if budget == 4 << 20 {
-            assert!(
-                spilled_anywhere,
-                "no template spilled under {label}; the equivalence matrix is vacuous \
-                 (did the workload shrink?)"
-            );
-        }
-    }
+/// Clean answers in a budget-independent order, probabilities as bits. A
+/// spilling aggregation re-emits groups partition by partition, so
+/// first-seen group order is not preserved across budgets — row *content*
+/// is what must match.
+fn answer_bits(rows: Vec<(Row, f64)>) -> Vec<(Row, u64)> {
+    let mut bits: Vec<(Row, u64)> = rows.into_iter().map(|(r, p)| (r, p.to_bits())).collect();
+    bits.sort();
+    bits
 }
 
 #[test]
@@ -141,7 +76,7 @@ fn join_heavy_templates_report_spill_metrics() {
     let mut db = workload_db();
     for (id, budget, spilling_op) in cases {
         db.db_mut().set_limits(ExecLimits::none());
-        let reference = sorted_answers(db.clean_answers(&query_sql(id, false)).unwrap().rows);
+        let reference = answer_bits(db.clean_answers(&query_sql(id, false)).unwrap().rows);
 
         db.db_mut()
             .set_limits(ExecLimits::none().with_mem_bytes(budget));
@@ -168,11 +103,12 @@ fn join_heavy_templates_report_spill_metrics() {
             "Q{id}: context disk accounting disagrees with the operator tree"
         );
 
-        assert_same_answers(
-            id,
-            &format!("{} KiB", budget >> 10),
-            &reference,
-            &sorted_answers(answers.rows),
+        let got = answer_bits(answers.rows);
+        assert_eq!(
+            got,
+            reference,
+            "Q{id} under {} KiB changed its answers",
+            budget >> 10
         );
     }
 }
