@@ -1120,6 +1120,52 @@ mod tests {
     }
 
     #[test]
+    fn explain_names_the_run_key_and_analyze_reports_runs() {
+        // `orders` (3 rows) builds and `customer` (4) probes, so the join
+        // keeps `customer`'s scan order: grouped by `c.id`, the aggregate
+        // works in runs of it.
+        let mut db = sample();
+        let sql = "SELECT c.id, SUM(o.prob * c.prob) FROM orders o, customer c \
+                   WHERE o.cidfk = c.id GROUP BY c.id";
+        let text = explain(&db, &format!("EXPLAIN {sql}"));
+        assert!(
+            text.starts_with("Project\nHashAggregate (runs of id; SUM of 2 DOUBLE factors)\n"),
+            "{text}"
+        );
+        // `Plan::describe` has no table sizes, so it names no run key.
+        let plan = db.plan(&conquer_sql::parse_select(sql).unwrap()).unwrap();
+        assert!(plan
+            .describe()
+            .contains("HashAggregate (SUM of 2 DOUBLE factors)\n"));
+        let text = explain(&db, &format!("EXPLAIN ANALYZE {sql}"));
+        assert!(
+            text.contains("HashAggregate (runs of id; SUM of 2 DOUBLE factors) (rows=2 ")
+                && text.contains(" runs=2)\n"),
+            "{text}"
+        );
+        // A `c1` tuple after the `c2` run: joined tuples 1–4 are `c1`'s,
+        // 5–6 `c2`'s, and tuple 7 reopens `c1`, so the aggregate hashes
+        // from there on. The answers are the same either way.
+        let before = query(&db, sql).unwrap();
+        execute(
+            &mut db,
+            "INSERT INTO customer VALUES ('c1', 'Jon', 10, 0.0)",
+        )
+        .unwrap();
+        let text = explain(&db, &format!("EXPLAIN ANALYZE {sql}"));
+        assert!(text.contains(" runs=2 hashed_at=7)\n"), "{text}");
+        assert_eq!(query(&db, sql).unwrap().rows, before.rows);
+        // Grouped by a column of the build side there is no run key.
+        let by_build = "SELECT o.id, SUM(o.prob * c.prob) FROM orders o, customer c \
+                        WHERE o.cidfk = c.id GROUP BY o.id";
+        let text = explain(&db, &format!("EXPLAIN {by_build}"));
+        assert!(
+            text.contains("HashAggregate (SUM of 2 DOUBLE factors)\n"),
+            "{text}"
+        );
+    }
+
+    #[test]
     fn like_and_in_filters() {
         let db = sample();
         let r = query(&db, "SELECT name FROM customer WHERE name LIKE 'Mar%'").unwrap();

@@ -18,6 +18,17 @@
 //! ungrouped query, `Project` (once per output cell). From there up,
 //! batches are materialized rows (`Vec<Row>`).
 //!
+//! **Above the join, the spine's order is used, not rebuilt.** The
+//! *spine* is the scan reached from the join tree's root by always
+//! following the probe side; the join's output keeps its row order. A
+//! `GROUP BY` with a bare spine column aggregates in runs of it and falls
+//! back to hashing at the first tuple that breaks run order (see
+//! `aggregate_input`); a group key that reads only the spine is
+//! evaluated once per spine row. `Project` passes an aggregate's rows
+//! through when the output is exactly them, `ORDER BY` keys the output
+//! computes are compared where they are, and `Sort` orders
+//! `(prefix, index)` pairs (see `sort_rows`) and moves each row once.
+//!
 //! Every operator is instrumented: rows in/out, batches, inclusive wall
 //! time and peak materialized bytes are recorded per node and harvested
 //! into an [`ExecStats`] tree attached to the [`QueryResult`] (surfaced by
@@ -58,6 +69,7 @@
 //! guards every `SPILL_TICK_ROWS` rows.
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::hash::Hash;
 use std::time::{Duration, Instant};
 
@@ -71,7 +83,7 @@ use crate::error::EngineError;
 use crate::exact::ExactSum;
 use crate::expr::{absent, BoundExpr, Cells, ColumnId};
 use crate::keytable::{hash_key, KeyTable};
-use crate::planner::{aggregate_label, scan_label, JoinNode, Plan};
+use crate::planner::{aggregate_label, join_shape, run_key, scan_label, JoinNode, Plan, Shape};
 use crate::result::QueryResult;
 use crate::stats::{approx_row_bytes, approx_value_bytes, ExecStats, OpStats};
 use crate::Result;
@@ -124,9 +136,9 @@ pub fn execute_plan(catalog: &Catalog, plan: &Plan, ctx: &ExecContext) -> Result
     }
 
     let start = Instant::now();
-    let (join, layout, _est) = build_join(catalog, plan, &plan.join)?;
+    let (join, layout, shape) = build_join(catalog, plan, &plan.join)?;
     let held = ctx.mem_in_use();
-    let mut root = finish_pipeline(join, layout, plan);
+    let mut root = finish_pipeline(join, layout, shape.spine, plan);
     let drained = drain_root(&mut root, ctx);
     // The operator tree dies with this call. Whatever its operators still
     // hold charged — a `LIMIT` can stop them before they drain — is handed
@@ -312,16 +324,25 @@ impl<'x, 'a: 'x> Cells<'x> for Stored<'a> {
 // ---------------------------------------------------------------------------
 
 /// Stack the post-join stages (aggregate, HAVING, project, distinct,
-/// sort, limit) on top of a join tree whose tuples `layout` describes.
-fn finish_pipeline<'a>(join: TupleOp<'a>, layout: Layout<'a>, plan: &'a Plan) -> OpNode<'a> {
+/// sort, limit) on top of a join tree whose tuples `layout` describes and
+/// whose output follows relation `spine`'s scan order.
+fn finish_pipeline<'a>(
+    join: TupleOp<'a>,
+    layout: Layout<'a>,
+    spine: usize,
+    plan: &'a Plan,
+) -> OpNode<'a> {
+    let (sort_keys, appended) = sort_keys(&plan.output, &plan.order_by);
+    let width = plan.output.len() + appended.len();
     let input = match &plan.group {
         Some(group) => {
+            let agg = AggSpec::new(group, layout, spine);
+            let run = agg.run.map(|(_, id)| plan.column_name(id));
             let mut node = OpNode::new(
-                aggregate_label(group),
+                aggregate_label(group, run),
                 OpKind::HashAggregate {
                     child: Box::new(join),
-                    layout,
-                    group,
+                    agg,
                     state: AggState::Init,
                 },
             );
@@ -334,9 +355,15 @@ fn finish_pipeline<'a>(join: TupleOp<'a>, layout: Layout<'a>, plan: &'a Plan) ->
                     },
                 );
             }
+            let moves = movable_cells(&plan.output, &appended);
+            // RewriteClean's shape: the output is the slot row itself.
+            let whole = appended.is_empty()
+                && moves.len() == group.keys.len() + group.aggs.len()
+                && moves.iter().enumerate().all(|(i, m)| *m == Some(i));
             ProjectInput::Slots {
                 child: Box::new(node),
-                moves: movable_cells(&plan.output, &plan.order_by),
+                moves,
+                whole,
             }
         }
         None => ProjectInput::Tuples {
@@ -350,7 +377,7 @@ fn finish_pipeline<'a>(join: TupleOp<'a>, layout: Layout<'a>, plan: &'a Plan) ->
         OpKind::Project {
             input,
             output: &plan.output,
-            order_by: &plan.order_by,
+            appended,
         },
     );
 
@@ -359,7 +386,7 @@ fn finish_pipeline<'a>(join: TupleOp<'a>, layout: Layout<'a>, plan: &'a Plan) ->
             "Distinct",
             OpKind::Distinct {
                 child: Box::new(node),
-                seen: KeyTable::new(plan.output.len() + plan.order_by.len()),
+                seen: KeyTable::new(width),
                 mem: 0,
             },
         );
@@ -370,7 +397,7 @@ fn finish_pipeline<'a>(join: TupleOp<'a>, layout: Layout<'a>, plan: &'a Plan) ->
             "Sort",
             OpKind::Sort {
                 child: Box::new(node),
-                descs: plan.order_by.iter().map(|o| o.desc).collect(),
+                keys: sort_keys,
                 n_out: plan.output.len(),
                 state: SortState::Fill,
             },
@@ -391,13 +418,14 @@ fn finish_pipeline<'a>(join: TupleOp<'a>, layout: Layout<'a>, plan: &'a Plan) ->
 }
 
 /// Build the operator subtree for a join-tree node. Returns the operator,
-/// the layout of its output tuples, and a crude cardinality estimate used
-/// to pick hash-join build sides.
+/// the layout of its output tuples, and its [`Shape`]: a crude
+/// cardinality estimate, used to pick hash-join build sides, and the
+/// relation whose scan order the output follows.
 fn build_join<'a>(
     catalog: &'a Catalog,
     plan: &'a Plan,
     node: &'a JoinNode,
-) -> Result<(TupleOp<'a>, Layout<'a>, u64)> {
+) -> Result<(TupleOp<'a>, Layout<'a>, Shape)> {
     match node {
         JoinNode::Scan { rel, filter } => {
             let relation = &plan.relations[*rel];
@@ -418,7 +446,11 @@ fn build_join<'a>(
                     filter: filter.as_ref(),
                 },
             );
-            Ok((op, layout, table.len() as u64))
+            let shape = Shape {
+                spine: *rel,
+                rows: table.len() as u64,
+            };
+            Ok((op, layout, shape))
         }
         JoinNode::Join {
             left,
@@ -426,25 +458,23 @@ fn build_join<'a>(
             equi,
             filter,
         } => {
-            let (lop, llayout, lest) = build_join(catalog, plan, left)?;
-            let (rop, rlayout, rest) = build_join(catalog, plan, right)?;
+            let (lop, llayout, lshape) = build_join(catalog, plan, left)?;
+            let (rop, rlayout, rshape) = build_join(catalog, plan, right)?;
             let layout = Layout::concat(&llayout, &rlayout);
+            let (shape, build_left) = join_shape(!equi.is_empty(), lshape, rshape);
 
-            let (mut op, est) = if equi.is_empty() {
-                let est = lest.saturating_mul(rest.max(1));
-                let op = TupleOp::new(
+            let mut op = if equi.is_empty() {
+                TupleOp::new(
                     "NestedLoopJoin",
                     TupleKind::CrossJoin {
                         probe: Box::new(lop),
                         build: Box::new(rop),
                         build_tuples: None,
                     },
-                );
-                (op, est)
+                )
             } else {
                 // Build the hash table on the (estimated) smaller side and
                 // stream the other; output stays `left ++ right` either way.
-                let build_left = lest <= rest;
                 let (lexprs, rexprs): (Vec<_>, Vec<_>) = equi.iter().map(|(l, r)| (l, r)).unzip();
                 let (probe, build, keys) = if build_left {
                     let keys = JoinKeys {
@@ -465,7 +495,7 @@ fn build_join<'a>(
                     };
                     (lop, rop, keys)
                 };
-                let op = TupleOp::new(
+                TupleOp::new(
                     "HashJoin",
                     TupleKind::HashJoin {
                         probe: Box::new(probe),
@@ -473,8 +503,7 @@ fn build_join<'a>(
                         keys,
                         state: JoinState::Init,
                     },
-                );
-                (op, lest.max(rest))
+                )
             };
 
             if let Some(pred) = filter {
@@ -487,7 +516,7 @@ fn build_join<'a>(
                     },
                 );
             }
-            Ok((op, layout, est))
+            Ok((op, layout, shape))
         }
     }
 }
@@ -507,6 +536,11 @@ pub(crate) struct Metrics {
     spill_bytes: u64,
     spill_partitions: u64,
     spill_passes: u64,
+    /// Runs a run-mode aggregate opened.
+    runs: u64,
+    /// The tuple of its pass at which a run-mode aggregate first switched
+    /// to hashing.
+    hashed_at: Option<u64>,
 }
 
 /// An operator kind: how it advances by one batch, and its statistics
@@ -569,13 +603,13 @@ pub(crate) enum TupleKind<'a> {
 }
 
 pub(crate) enum OpKind<'a> {
-    /// Hash aggregation; blocking. Produces `[keys…, agg values…]` rows in
-    /// first-seen group order (one row even for empty input when there are
-    /// no GROUP BY keys — `COUNT(*)` of an empty table is 0).
+    /// Hash aggregation, in runs while its input arrives in runs (see
+    /// [`aggregate_input`]); blocking. Produces `[keys…, agg values…]` rows
+    /// in first-seen group order (one row even for empty input when there
+    /// are no GROUP BY keys — `COUNT(*)` of an empty table is 0).
     HashAggregate {
         child: Box<TupleOp<'a>>,
-        layout: Layout<'a>,
-        group: &'a GroupSpec,
+        agg: AggSpec<'a>,
         state: AggState,
     },
     /// HAVING, over the aggregate's slot rows.
@@ -583,12 +617,13 @@ pub(crate) enum OpKind<'a> {
         child: Box<OpNode<'a>>,
         pred: &'a BoundExpr,
     },
-    /// Compute output expressions, appending ORDER BY key columns for a
-    /// downstream [`OpKind::Sort`] to consume.
+    /// Compute output expressions, appending the `ORDER BY` expressions
+    /// the output does not compute for a downstream [`OpKind::Sort`] to
+    /// consume (see [`sort_keys`]).
     Project {
         input: ProjectInput<'a>,
         output: &'a [OutputItem],
-        order_by: &'a [BoundOrderBy],
+        appended: Vec<&'a BoundExpr>,
     },
     /// Streaming duplicate elimination over projected rows.
     Distinct {
@@ -596,11 +631,12 @@ pub(crate) enum OpKind<'a> {
         seen: KeyTable,
         mem: u64,
     },
-    /// Blocking sort on the trailing key columns appended by `Project`;
-    /// strips them from the output.
+    /// Blocking sort on `keys`, columns of the projected rows: output
+    /// columns read in place and the expressions `Project` appended past
+    /// `n_out`, which it strips from the output.
     Sort {
         child: Box<OpNode<'a>>,
-        descs: Vec<bool>,
+        keys: Vec<SortKey>,
         n_out: usize,
         state: SortState,
     },
@@ -614,10 +650,13 @@ pub(crate) enum OpKind<'a> {
 /// What a `Project` reads.
 pub(crate) enum ProjectInput<'a> {
     /// An aggregate's slot rows. `moves[i]` is the slot output item `i`
-    /// takes by value instead of evaluating (see [`movable_cells`]).
+    /// takes by value instead of evaluating (see [`movable_cells`]);
+    /// `whole` when the output is the slot row as it is, which then
+    /// passes through untouched.
     Slots {
         child: Box<OpNode<'a>>,
         moves: Vec<Option<usize>>,
+        whole: bool,
     },
     /// The join tree's tuples, whose cells it copies out of the pinned
     /// tables.
@@ -1001,6 +1040,8 @@ impl<K: Step> Node<K> {
             spill_bytes: self.m.spill_bytes,
             spill_partitions: self.m.spill_partitions,
             spill_passes: self.m.spill_passes,
+            runs: self.m.runs,
+            hashed_at: self.m.hashed_at,
             children: self.kind.harvest_children(),
         }
     }
@@ -1186,16 +1227,11 @@ impl<'a> Step for OpKind<'a> {
 
     fn step(&mut self, m: &mut Metrics, ctx: &ExecContext) -> Result<Option<Batch>> {
         match self {
-            OpKind::HashAggregate {
-                child,
-                layout,
-                group,
-                state,
-            } => {
+            OpKind::HashAggregate { child, agg, state } => {
                 if matches!(state, AggState::Init) {
                     let mut queue = Vec::new();
                     let input = Input::Child(child);
-                    let (rows, mem) = aggregate_input(input, 0, layout, group, &mut queue, m, ctx)?;
+                    let (rows, mem) = aggregate_input(input, 0, agg, &mut queue, m, ctx)?;
                     *state = AggState::Drain {
                         rows: rows.into_iter(),
                         mem,
@@ -1217,9 +1253,9 @@ impl<'a> Step for OpKind<'a> {
                     let Some((file, pass)) = queue.pop() else {
                         return Ok(None);
                     };
-                    let mut run = Run::open(file, layout.width)?;
+                    let mut run = Run::open(file, agg.layout.width)?;
                     let input = Input::Run(&mut run);
-                    let (next, bytes) = aggregate_input(input, pass, layout, group, queue, m, ctx)?;
+                    let (next, bytes) = aggregate_input(input, pass, agg, queue, m, ctx)?;
                     *rows = next.into_iter();
                     *mem = bytes;
                 }
@@ -1243,14 +1279,21 @@ impl<'a> Step for OpKind<'a> {
             OpKind::Project {
                 input,
                 output,
-                order_by,
+                appended,
             } => {
-                let width = output.len() + order_by.len();
+                let width = output.len() + appended.len();
                 let out = match input {
-                    ProjectInput::Slots { child, moves } => {
+                    ProjectInput::Slots {
+                        child,
+                        moves,
+                        whole,
+                    } => {
                         let Some(batch) = pull(child, m, ctx)? else {
                             return Ok(None);
                         };
+                        if *whole {
+                            return Ok(Some(batch));
+                        }
                         let mut out = Vec::with_capacity(batch.len());
                         for mut row in batch {
                             let mut projected = Vec::with_capacity(width);
@@ -1261,7 +1304,9 @@ impl<'a> Step for OpKind<'a> {
                                     None => item.expr.eval(&row)?,
                                 });
                             }
-                            push_order_keys(&mut projected, order_by, &row)?;
+                            for e in appended.iter() {
+                                projected.push(e.eval(&row)?);
+                            }
                             out.push(projected);
                         }
                         out
@@ -1277,7 +1322,9 @@ impl<'a> Step for OpKind<'a> {
                             for item in output.iter() {
                                 projected.push(item.expr.eval(t)?);
                             }
-                            push_order_keys(&mut projected, order_by, t)?;
+                            for e in appended.iter() {
+                                projected.push(e.eval(t)?);
+                            }
                             out.push(projected);
                         }
                         out
@@ -1313,12 +1360,12 @@ impl<'a> Step for OpKind<'a> {
 
             OpKind::Sort {
                 child,
-                descs,
+                keys,
                 n_out,
                 state,
             } => {
                 if matches!(state, SortState::Fill) {
-                    *state = sort_input(child, descs, *n_out, m, ctx)?;
+                    *state = sort_input(child, keys, *n_out, m, ctx)?;
                 }
                 match state {
                     SortState::Fill => Err(EngineError::internal("sort drained before sorting")),
@@ -1331,7 +1378,7 @@ impl<'a> Step for OpKind<'a> {
                         release_emitted(ctx, &out, mem);
                         Ok(Some(out))
                     }
-                    SortState::Merge(cursors) => merge_runs(cursors, descs, *n_out, ctx),
+                    SortState::Merge(cursors) => merge_runs(cursors, keys, *n_out, ctx),
                 }
             }
 
@@ -1368,21 +1415,32 @@ impl<'a> Step for OpKind<'a> {
     }
 }
 
-/// Append a projected row's `ORDER BY` key columns: a copy of an output
-/// column, or an expression over the row's input `cells`.
-fn push_order_keys<'x>(
-    projected: &mut Row,
-    order_by: &'x [BoundOrderBy],
-    cells: impl Cells<'x>,
-) -> Result<()> {
-    for ob in order_by {
-        let key = match &ob.key {
-            OrderKey::Output(i) => projected[*i].clone(),
-            OrderKey::Expr(e) => e.eval(cells)?,
-        };
-        projected.push(key);
-    }
-    Ok(())
+/// Where `Sort` finds each `ORDER BY` key of a query with `output`, and
+/// the expressions `Project` appends for it. A key the output computes —
+/// an output column, or an expression equal to an output item — is read
+/// in place; any other expression is appended past the output columns.
+fn sort_keys<'a>(
+    output: &[OutputItem],
+    order_by: &'a [BoundOrderBy],
+) -> (Vec<SortKey>, Vec<&'a BoundExpr>) {
+    let mut appended = Vec::new();
+    let keys = order_by
+        .iter()
+        .map(|ob| {
+            let col = match &ob.key {
+                OrderKey::Output(i) => *i,
+                OrderKey::Expr(e) => match output.iter().position(|o| o.expr == *e) {
+                    Some(i) => i,
+                    None => {
+                        appended.push(e);
+                        output.len() + appended.len() - 1
+                    }
+                },
+            };
+            SortKey { col, desc: ob.desc }
+        })
+        .collect();
+    (keys, appended)
 }
 
 /// Release the budget held for rows that just left a blocking operator,
@@ -1400,15 +1458,11 @@ fn release_emitted(ctx: &ExecContext, out: &[Row], mem: &mut u64) {
 /// other output or `ORDER BY` expression reads it. That is every group
 /// key and aggregate output of a plain `SELECT k…, agg…`, text keys
 /// included.
-fn movable_cells(output: &[OutputItem], order_by: &[BoundOrderBy]) -> Vec<Option<usize>> {
-    let order_exprs = order_by.iter().filter_map(|ob| match &ob.key {
-        OrderKey::Expr(e) => Some(e),
-        OrderKey::Output(_) => None,
-    });
+fn movable_cells(output: &[OutputItem], appended: &[&BoundExpr]) -> Vec<Option<usize>> {
     let read: Vec<ColumnId> = output
         .iter()
         .map(|item| &item.expr)
-        .chain(order_exprs)
+        .chain(appended.iter().copied())
         .flat_map(BoundExpr::columns)
         .collect();
     output
@@ -1587,23 +1641,148 @@ fn hj_build(
 // External merge sort
 // ---------------------------------------------------------------------------
 
-/// Compare two rows on the trailing sort-key columns (`row[n_out..]`).
-fn cmp_sort_keys(a: &Row, b: &Row, n_out: usize, descs: &[bool]) -> std::cmp::Ordering {
-    for ((x, y), desc) in a[n_out..].iter().zip(&b[n_out..]).zip(descs.iter()) {
-        let ord = x.cmp(y);
-        let ord = if *desc { ord.reverse() } else { ord };
-        if ord != std::cmp::Ordering::Equal {
+/// One `ORDER BY` key: a column of the projected row, and its direction.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SortKey {
+    col: usize,
+    desc: bool,
+}
+
+/// Compare two rows on `keys`.
+fn cmp_sort_keys(a: &Row, b: &Row, keys: &[SortKey]) -> Ordering {
+    for k in keys {
+        let ord = a[k.col].cmp(&b[k.col]);
+        let ord = if k.desc { ord.reverse() } else { ord };
+        if ord != Ordering::Equal {
             return ord;
         }
     }
-    std::cmp::Ordering::Equal
+    Ordering::Equal
+}
+
+/// Stable-sort `rows` on `keys`. What is sorted is a `(prefix, index)`
+/// pair per row, [`sort_prefix`] first: a full [`cmp_sort_keys`] runs only
+/// where two prefixes tie and neither holds its whole key, and the index
+/// breaks full ties, so the order is a stable sort's. Then each row moves
+/// once, into its place.
+fn sort_rows(mut rows: Vec<Row>, keys: &[SortKey]) -> Vec<Row> {
+    let mut order: Vec<(u128, usize)> = rows
+        .iter()
+        .enumerate()
+        .map(|(i, row)| (sort_prefix(row, keys), i))
+        .collect();
+    order.sort_unstable_by(|(pa, a), (pb, b)| {
+        pa.cmp(pb)
+            .then_with(|| match pa & u128::from(TRUNCATED) {
+                0 => Ordering::Equal,
+                _ => cmp_sort_keys(&rows[*a], &rows[*b], keys),
+            })
+            .then(a.cmp(b))
+    });
+    order
+        .into_iter()
+        .map(|(_, i)| std::mem::take(&mut rows[i]))
+        .collect()
+}
+
+/// Bytes of a [`sort_prefix`]: the encoding's first fifteen, then a flag.
+const PREFIX_BYTES: usize = 16;
+
+/// A [`sort_prefix`]'s last byte when the encoding did not fit.
+const TRUNCATED: u8 = 1;
+
+/// `row`'s sort key as an order-preserving byte string, read as a
+/// big-endian integer: its first fifteen bytes, zero-padded, then
+/// [`TRUNCATED`] if the encoding was longer. A smaller prefix means an
+/// earlier row. Equal prefixes without the flag mean equal keys; with it
+/// (both have it then), nothing.
+///
+/// Each key encodes exactly and prefix-free, so concatenated keys compare
+/// as the key tuples do, and a truncated encoding never contradicts the
+/// full one. A type-rank byte comes first (NULL < BOOLEAN < numbers <
+/// TEXT < DATE, as `Value::cmp`). A number is its `f64` image in
+/// `total_cmp` order, then `0` for an `INTEGER` with its distance from the
+/// image in two bytes (past 2⁵³ the image rounds, by at most 2¹⁰) or `1`
+/// for a `DOUBLE`: `Value::cmp`'s numeric order. Text is its bytes with
+/// `0x00` escaped as `00 FF`, ended by `00 01`. A `DESC` key's bytes are
+/// inverted.
+fn sort_prefix(row: &Row, keys: &[SortKey]) -> u128 {
+    let mut out = PrefixWriter {
+        bytes: [0; PREFIX_BYTES],
+        len: 0,
+        flip: 0,
+    };
+    for k in keys {
+        out.flip = if k.desc { 0xff } else { 0 };
+        if !out.value(&row[k.col]) {
+            out.bytes[PREFIX_BYTES - 1] = TRUNCATED;
+            break;
+        }
+    }
+    u128::from_be_bytes(out.bytes)
+}
+
+/// A [`sort_prefix`] being written; `flip` inverts the current key.
+struct PrefixWriter {
+    bytes: [u8; PREFIX_BYTES],
+    len: usize,
+    flip: u8,
+}
+
+impl PrefixWriter {
+    /// Append `bytes`; `false` if they did not all fit.
+    fn put(&mut self, bytes: &[u8]) -> bool {
+        for b in bytes {
+            if self.len == PREFIX_BYTES - 1 {
+                return false;
+            }
+            self.bytes[self.len] = b ^ self.flip;
+            self.len += 1;
+        }
+        true
+    }
+
+    /// Append one key's encoding; `false` if it did not all fit.
+    fn value(&mut self, v: &Value) -> bool {
+        /// `total_cmp`'s order as unsigned big-endian bytes.
+        fn float(f: f64) -> [u8; 8] {
+            let bits = f.to_bits();
+            let mask = if bits >> 63 == 1 { u64::MAX } else { 1 << 63 };
+            (bits ^ mask).to_be_bytes()
+        }
+        match v {
+            Value::Null => self.put(&[0]),
+            Value::Bool(b) => self.put(&[1, u8::from(*b)]),
+            Value::Int(i) => {
+                let image = *i as f64;
+                // |i - image| ≤ 2¹⁰: half an ulp at 2⁶³.
+                let off = (i128::from(*i) - image as i128) as i16;
+                self.put(&[2])
+                    && self.put(&float(image))
+                    && self.put(&[0])
+                    && self.put(&((off as u16) ^ 0x8000).to_be_bytes())
+            }
+            Value::Float(f) => self.put(&[2]) && self.put(&float(*f)) && self.put(&[1]),
+            Value::Text(s) => {
+                self.put(&[3])
+                    && s.as_bytes().iter().all(|&b| match b {
+                        0 => self.put(&[0, 0xff]),
+                        b => self.put(&[b]),
+                    })
+                    && self.put(&[0, 1])
+            }
+            Value::Date(d) => {
+                self.put(&[4]) && self.put(&((d.days() as u32) ^ (1 << 31)).to_be_bytes())
+            }
+        }
+    }
 }
 
 /// Consume the sort's input. In memory while the budget lasts; past it,
 /// flushes sorted runs to disk and returns a k-way merge state.
 fn sort_input(
     child: &mut OpNode<'_>,
-    descs: &[bool],
+    keys: &[SortKey],
     n_out: usize,
     m: &mut Metrics,
     ctx: &ExecContext,
@@ -1629,7 +1808,7 @@ fn sort_input(
                 // single row bigger than the whole budget still charges
                 // hard.
                 if !buf.is_empty() {
-                    runs.push(flush_run(&mut buf, descs, n_out, m, ctx, &mut ticker)?);
+                    runs.push(flush_run(&mut buf, keys, m, ctx, &mut ticker)?);
                     ctx.release(mem);
                     mem = 0;
                 }
@@ -1643,16 +1822,14 @@ fn sort_input(
         }
     }
     if runs.is_empty() {
-        // Stable sort on the trailing key columns, so ties keep input
-        // order.
-        buf.sort_by(|a, b| cmp_sort_keys(a, b, n_out, descs));
-        for row in &mut buf {
+        let mut sorted = sort_rows(buf, keys);
+        for row in &mut sorted {
             row.truncate(n_out);
         }
-        return Ok(SortState::Drain(buf.into_iter(), mem));
+        return Ok(SortState::Drain(sorted.into_iter(), mem));
     }
     if !buf.is_empty() {
-        runs.push(flush_run(&mut buf, descs, n_out, m, ctx, &mut ticker)?);
+        runs.push(flush_run(&mut buf, keys, m, ctx, &mut ticker)?);
     }
     ctx.release(mem);
     m.spill_partitions = runs.len() as u64;
@@ -1670,19 +1847,17 @@ fn sort_input(
     Ok(SortState::Merge(cursors))
 }
 
-/// Stable-sort `buf` and write it out as one run. Rows keep their
-/// trailing key columns; the merge strips them.
+/// Stable-sort `buf` and write it out as one run, leaving it empty. Rows
+/// keep their appended key columns; the merge strips them.
 fn flush_run(
     buf: &mut Vec<Row>,
-    descs: &[bool],
-    n_out: usize,
+    keys: &[SortKey],
     m: &mut Metrics,
     ctx: &ExecContext,
     ticker: &mut Ticker,
 ) -> Result<SpillFile> {
-    buf.sort_by(|a, b| cmp_sort_keys(a, b, n_out, descs));
     let mut w = ctx.spill()?.writer()?;
-    for row in buf.drain(..) {
+    for row in sort_rows(std::mem::take(buf), keys) {
         ticker.row(ctx)?;
         spill_row(ctx, m, &mut w, &row)?;
     }
@@ -1694,7 +1869,7 @@ fn flush_run(
 /// is as stable as the in-memory sort.
 fn merge_runs(
     cursors: &mut [RunCursor],
-    descs: &[bool],
+    keys: &[SortKey],
     n_out: usize,
     ctx: &ExecContext,
 ) -> Result<Option<Batch>> {
@@ -1714,7 +1889,7 @@ fn merge_runs(
                         .head
                         .as_ref()
                         .ok_or_else(|| EngineError::internal("sort merge lost a run head"))?;
-                    if cmp_sort_keys(head, cur, n_out, descs) == std::cmp::Ordering::Less {
+                    if cmp_sort_keys(head, cur, keys) == Ordering::Less {
                         Some(i)
                     } else {
                         Some(b)
@@ -1758,15 +1933,19 @@ impl Groups {
         }
     }
 
-    /// Append a group that [`KeyTable::find`] just missed.
+    /// Append a new group: indexed under `hash`, or with `None`
+    /// unindexed (see [`KeyTable::push_unindexed`]).
     fn push(
         &mut self,
-        hash: u64,
+        hash: Option<u64>,
         key: impl IntoIterator<Item = Value>,
         accs: impl IntoIterator<Item = Accumulator>,
     ) -> Result<usize> {
         self.accs.extend(accs);
-        self.keys.push(hash, key)
+        match hash {
+            Some(hash) => self.keys.push(hash, key),
+            None => self.keys.push_unindexed(key),
+        }
     }
 
     fn accs_mut(&mut self, i: usize) -> &mut [Accumulator] {
@@ -1789,6 +1968,115 @@ impl Groups {
     }
 }
 
+/// What a `HashAggregate` reads its tuples through: the join tree's
+/// layout, the `GROUP BY`, and what the spine — the relation whose scan
+/// order the tuples follow — lets it skip.
+pub(crate) struct AggSpec<'a> {
+    layout: Layout<'a>,
+    group: &'a GroupSpec,
+    /// The tuple slot of the spine's row position.
+    spine: usize,
+    /// Per group key: it reads no relation but the spine, so it is
+    /// evaluated once per spine row, not once per tuple.
+    spine_keys: Vec<bool>,
+    /// The key the aggregate runs on ([`run_key`]): its index in the
+    /// group key, and its column.
+    run: Option<(usize, ColumnId)>,
+}
+
+impl<'a> AggSpec<'a> {
+    fn new(group: &'a GroupSpec, layout: Layout<'a>, spine: usize) -> AggSpec<'a> {
+        // The root layout holds every relation; without a slot there is
+        // nothing to follow.
+        let slot = layout
+            .rels
+            .get(spine)
+            .copied()
+            .flatten()
+            .map(|(slot, _)| slot);
+        let spine_keys = group
+            .keys
+            .iter()
+            .map(|k| slot.is_some() && k.columns().iter().all(|c| c.rel == spine))
+            .collect();
+        AggSpec {
+            layout,
+            group,
+            spine: slot.unwrap_or(0),
+            spine_keys,
+            run: slot.and_then(|_| run_key(group, spine)),
+        }
+    }
+}
+
+/// Groups a run may make before its pass stops aggregating in runs.
+const RUN_GROUPS: usize = 8;
+
+/// A pass aggregating in runs of one run-key value: while no value
+/// reappears after its run ends, a tuple's group is one of the open run's
+/// few groups or a new one, found by a linear scan. Only each run's value
+/// is hashed, into the set of closed runs, to catch one reappearing.
+struct Runs {
+    /// The run key's index in the group key.
+    col: usize,
+    /// The open run's first group and its value's hash; `None` before
+    /// the first tuple.
+    open: Option<(usize, u64)>,
+    /// The values of the closed runs.
+    closed: KeyTable,
+}
+
+/// Where a pass in runs puts a tuple.
+enum RunSlot {
+    /// Into this group of the open run.
+    Group(usize),
+    /// Into a new group, the next one made.
+    New,
+    /// Nowhere: its run key reappeared, or its run outgrew
+    /// [`RUN_GROUPS`]. The pass hashes from here on.
+    Broken,
+}
+
+impl Runs {
+    fn new(col: usize) -> Runs {
+        Runs {
+            col,
+            open: None,
+            closed: KeyTable::new(1),
+        }
+    }
+
+    /// Place a tuple whose group key is `key`. A new run-key value closes
+    /// the open run and opens one that starts at the next group.
+    fn place(&mut self, groups: &KeyTable, key: &[Cow<'_, Value>], m: &mut Metrics) -> RunSlot {
+        let value = std::slice::from_ref(&key[self.col]);
+        if let Some((first, _)) = self.open {
+            if groups.key(first)[self.col] == *value[0] {
+                let group = (first..groups.len())
+                    .find(|&i| groups.key(i).iter().zip(key).all(|(a, b)| a == &**b));
+                return match group {
+                    Some(i) => RunSlot::Group(i),
+                    None if groups.len() - first < RUN_GROUPS => RunSlot::New,
+                    None => RunSlot::Broken,
+                };
+            }
+        }
+        let hash = hash_key(value);
+        if self.closed.find(hash, value).is_some() {
+            return RunSlot::Broken;
+        }
+        if let Some((first, closing)) = self.open {
+            let cell = groups.key(first)[self.col].clone();
+            if self.closed.push(closing, [cell]).is_err() {
+                return RunSlot::Broken;
+            }
+        }
+        self.open = Some((groups.len(), hash));
+        m.runs += 1;
+        RunSlot::New
+    }
+}
+
 /// Aggregate one pass of `input`. Groups are made in memory while they fit
 /// in [`spill_cap`]. Past it, the groups already in memory keep absorbing
 /// their tuples, and a tuple whose key is new goes to a partition under
@@ -1797,15 +2085,22 @@ impl Groups {
 /// state is ever written out. Returns this pass's finished rows in
 /// first-seen group order and the bytes they hold charged. The last pass
 /// charges hard.
+///
+/// With a run key the pass starts in [`Runs`], which makes the groups the
+/// hash lookup would, in the same order, without hashing them. The first
+/// tuple that breaks run order — its run key reappears, its run outgrows
+/// [`RUN_GROUPS`], or its new group's charge fails — indexes every group
+/// made so far, and the rest of the pass hashes. Either way each group is
+/// charged as it is made, so spilling does not depend on the mode.
 fn aggregate_input(
     mut input: Input<'_, '_>,
     pass: u32,
-    layout: &Layout<'_>,
-    group: &GroupSpec,
+    agg: &AggSpec<'_>,
     queue: &mut Vec<(SpillFile, u32)>,
     m: &mut Metrics,
     ctx: &ExecContext,
 ) -> Result<(Vec<Row>, u64)> {
+    let group = agg.group;
     let mut groups = Groups::new(group);
     let mut mem = 0u64;
     let mut writers: Option<Vec<SpillWriter>> = None;
@@ -1817,24 +2112,50 @@ fn aggregate_input(
     if group.keys.is_empty() {
         // The one global group exists even over empty input; it is
         // reported but never charged.
-        groups.push(hash_key::<Value>(&[]), [], fresh())?;
+        groups.push(Some(hash_key::<Value>(&[])), [], fresh())?;
         m.peak_mem = accs_bytes;
     }
+
+    let mut runs = agg.run.map(|(col, _)| Runs::new(col));
+    // The current tuple's group key. Its spine keys are kept while
+    // consecutive tuples share the spine row `at`.
+    let mut key = vec![Cow::Owned(Value::Null); group.keys.len()];
+    let mut at = None;
+    let mut tuples = 0u64;
+    // End the pass's run mode: index the groups, hash from here on.
+    let stop_runs = |runs: &mut Option<Runs>, groups: &mut Groups, m: &mut Metrics, at: u64| {
+        if runs.take().is_some() {
+            groups.keys.index();
+            m.hashed_at.get_or_insert(at);
+        }
+    };
 
     while let Some(batch) = input.next_batch(m, ctx)? {
         // Bytes of groups created by this batch; without a spill fallback
         // they are charged per batch so a key-explosion on skewed dirty
         // data hits the budget before exhausting process memory.
         let mut batch_mem = 0u64;
-        let mut key = Vec::with_capacity(group.keys.len());
         for p in batch.iter() {
-            let t = layout.tuple(p);
-            key.clear();
-            for k in &group.keys {
-                key.push(k.eval_ref(t)?);
+            let t = agg.layout.tuple(p);
+            tuples += 1;
+            let same_row = at == Some(p[agg.spine]);
+            at = Some(p[agg.spine]);
+            for ((cell, k), spine_key) in key.iter_mut().zip(&group.keys).zip(&agg.spine_keys) {
+                if !(same_row && *spine_key) {
+                    *cell = k.eval_ref(t)?;
+                }
             }
-            let hash = hash_key(&key);
-            let i = match groups.keys.find(hash, &key) {
+            let mut hash = None;
+            let found = match runs.as_mut().map(|r| r.place(&groups.keys, &key, m)) {
+                Some(RunSlot::Group(i)) => Some(i),
+                Some(RunSlot::New) => None,
+                Some(RunSlot::Broken) | None => {
+                    stop_runs(&mut runs, &mut groups, m, tuples);
+                    let h = *hash.insert(hash_key(&key));
+                    groups.keys.find(h, &key)
+                }
+            };
+            let i = match found {
                 Some(i) => i,
                 None => {
                     let bytes = key.iter().map(owned_value_bytes).sum::<u64>() + accs_bytes;
@@ -1846,6 +2167,7 @@ fn aggregate_input(
                         // Once one key has gone to disk, every new one
                         // does: a group made in memory now might already
                         // have tuples in a partition.
+                        stop_runs(&mut runs, &mut groups, m, tuples);
                         let ws = match &mut writers {
                             Some(ws) => ws,
                             None => {
@@ -1860,7 +2182,8 @@ fn aggregate_input(
                         ctx.charge(bytes)?;
                         mem += bytes;
                     }
-                    groups.push(hash, key.drain(..).map(Cow::into_owned), fresh())?
+                    let cells = key.iter().map(|c| Value::clone(c));
+                    groups.push(hash, cells, fresh())?
                 }
             };
             for (acc, call) in groups.accs_mut(i).iter_mut().zip(&group.aggs) {
@@ -2130,7 +2453,7 @@ mod tests {
         let cat = ab_catalog();
         let moves = |sql: &str| {
             let plan = plan_of(&cat, sql);
-            movable_cells(&plan.output, &plan.order_by)
+            movable_cells(&plan.output, &sort_keys(&plan.output, &plan.order_by).1)
         };
         // Above an aggregate the row is [keys…, aggs…].
         assert_eq!(

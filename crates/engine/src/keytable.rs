@@ -125,6 +125,37 @@ impl KeyTable {
         Ok(entry)
     }
 
+    /// Append `key` as the next entry without indexing it: [`find`]
+    /// misses it until [`index`](Self::index) runs. For a caller that
+    /// finds its recent entries another way (a run-mode aggregate scans
+    /// its open run) and hashes nothing until it has to.
+    ///
+    /// [`find`]: Self::find
+    pub(crate) fn push_unindexed(&mut self, key: impl IntoIterator<Item = Value>) -> Result<usize> {
+        let entry = self.hashes.len();
+        if u32::try_from(entry).map_or(true, |e| e == EMPTY) {
+            return Err(EngineError::exec(
+                "too many distinct keys in one hash table",
+            ));
+        }
+        self.keys.extend(key);
+        debug_assert_eq!(self.keys.len(), (entry + 1) * self.width);
+        self.hashes.push(0);
+        Ok(entry)
+    }
+
+    /// Hash and index every entry, those [`push_unindexed`] added
+    /// included, so [`find`] sees them all.
+    ///
+    /// [`push_unindexed`]: Self::push_unindexed
+    /// [`find`]: Self::find
+    pub(crate) fn index(&mut self) {
+        for entry in 0..self.hashes.len() {
+            self.hashes[entry] = hash_key(self.key(entry));
+        }
+        self.reslot((2 * self.hashes.len()).next_power_of_two().max(MIN_SLOTS));
+    }
+
     /// Forget every key, keeping the slot array for the next fill.
     pub(crate) fn clear(&mut self) {
         self.slots.fill(EMPTY);
@@ -156,10 +187,14 @@ impl KeyTable {
         self.slots[at] = entry;
     }
 
-    /// Double the slot array and re-place every entry from its stored
-    /// hash; keys are not touched.
+    /// Double the slot array.
     fn grow(&mut self) {
-        let n = (self.slots.len() * 2).max(MIN_SLOTS);
+        self.reslot((self.slots.len() * 2).max(MIN_SLOTS));
+    }
+
+    /// Make the slot array `n` (a power of two) long and re-place every
+    /// entry from its stored hash; keys are not touched.
+    fn reslot(&mut self, n: usize) {
         self.slots = vec![EMPTY; n];
         self.shift = 64 - n.trailing_zeros();
         for entry in 0..self.hashes.len() {
@@ -341,6 +376,27 @@ mod tests {
             });
         }
         assert_eq!(entries, [0, 1, 2, 3, 4, 4, 5, 5]);
+    }
+
+    #[test]
+    fn unindexed_entries_are_found_once_indexed() {
+        let key = |i: i64| [Value::Int(i), Value::text(format!("k{i}"))];
+        let mut table = KeyTable::new(2);
+        for i in 0..40 {
+            assert_eq!(table.push_unindexed(key(i)).unwrap(), i as usize);
+        }
+        assert_eq!(table.find(hash_key(&key(3)), &key(3)), None);
+        table.index();
+        // Indexed pushes continue past them, growing the slots as usual.
+        for i in 40..100 {
+            let k = key(i);
+            assert_eq!(table.push(hash_key(&k), k).unwrap(), i as usize);
+        }
+        for i in 0..100 {
+            let k = key(i);
+            assert_eq!(table.find(hash_key(&k), &k), Some(i as usize));
+            assert_eq!(table.key(i as usize), k);
+        }
     }
 
     #[test]

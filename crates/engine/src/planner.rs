@@ -23,7 +23,7 @@ use conquer_storage::Catalog;
 
 use crate::binder::{BoundOrderBy, BoundRelation, BoundSelect, GroupSpec, OutputItem};
 use crate::error::EngineError;
-use crate::expr::BoundExpr;
+use crate::expr::{BoundExpr, ColumnId};
 use crate::validate;
 use crate::Result;
 
@@ -72,6 +72,19 @@ impl JoinNode {
         }
     }
 
+    /// This tree's [`Shape`] when relation `rel` holds `rows(rel)` rows.
+    pub(crate) fn shape(&self, rows: &impl Fn(usize) -> u64) -> Shape {
+        match self {
+            JoinNode::Scan { rel, .. } => Shape {
+                spine: *rel,
+                rows: rows(*rel),
+            },
+            JoinNode::Join {
+                left, right, equi, ..
+            } => join_shape(!equi.is_empty(), left.shape(rows), right.shape(rows)).0,
+        }
+    }
+
     fn describe(&self, relations: &[BoundRelation], indent: usize, out: &mut String) {
         let pad = "  ".repeat(indent);
         match self {
@@ -115,21 +128,65 @@ pub(crate) fn scan_label(op: &str, relation: &BoundRelation) -> String {
     format!("{op} {} [{}]", relation.table, relation.binding)
 }
 
-/// `"HashAggregate"`, followed by `(SUM of m DOUBLE factors)` for each
-/// product-sum it folds: how `EXPLAIN` and the executor's statistics name
-/// the aggregate, so a reader sees which path ran.
-pub(crate) fn aggregate_label(group: &GroupSpec) -> String {
+/// `"HashAggregate"`, followed in parentheses by `runs of <column>` when
+/// it aggregates in runs of its [`run_key`] and by `SUM of m DOUBLE
+/// factors` for each product-sum it folds: how `EXPLAIN` and the
+/// executor's statistics name the aggregate, so a reader sees which path
+/// ran.
+pub(crate) fn aggregate_label(group: &GroupSpec, run_key: Option<&str>) -> String {
     let products: Vec<String> = group
         .aggs
         .iter()
         .filter(|a| !a.factors.is_empty())
         .map(|a| format!("SUM of {} DOUBLE factors", a.factors.len()))
         .collect();
-    if products.is_empty() {
+    let mut parts: Vec<String> = run_key
+        .map(|col| format!("runs of {col}"))
+        .into_iter()
+        .collect();
+    if !products.is_empty() {
+        parts.push(products.join(", "));
+    }
+    if parts.is_empty() {
         "HashAggregate".to_string()
     } else {
-        format!("HashAggregate ({})", products.join(", "))
+        format!("HashAggregate ({})", parts.join("; "))
     }
+}
+
+/// A join tree's estimated output rows and its *spine*: the relation
+/// whose scan order its output follows.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Shape {
+    pub(crate) spine: usize,
+    pub(crate) rows: u64,
+}
+
+/// How a join over inputs shaped `left` and `right` runs: its output's
+/// shape and, for a hash join (`hash`), whether it builds its table on
+/// the left input — the smaller estimate, the left on a tie. A hash join
+/// streams its probe side and a cross join its left input, so the output
+/// follows that input's spine. The one rule the executor and `EXPLAIN`
+/// both use.
+pub(crate) fn join_shape(hash: bool, left: Shape, right: Shape) -> (Shape, bool) {
+    if !hash {
+        let rows = left.rows.saturating_mul(right.rows.max(1));
+        return (Shape { rows, ..left }, false);
+    }
+    let build_left = left.rows <= right.rows;
+    let probe = if build_left { right } else { left };
+    let rows = left.rows.max(right.rows);
+    (Shape { rows, ..probe }, build_left)
+}
+
+/// The `GROUP BY` key an aggregate over a join tree with spine `spine`
+/// aggregates in runs of: the first key that is a bare column of the
+/// spine relation. Its index in `group.keys` and the column.
+pub(crate) fn run_key(group: &GroupSpec, spine: usize) -> Option<(usize, ColumnId)> {
+    group.keys.iter().enumerate().find_map(|(i, k)| match k {
+        BoundExpr::Column(id) if id.rel == spine => Some((i, *id)),
+        _ => None,
+    })
 }
 
 /// A complete query plan.
@@ -158,8 +215,24 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// A human-readable plan tree (EXPLAIN-style).
+    /// A human-readable plan tree (EXPLAIN-style). Which key a `GROUP BY`
+    /// runs on depends on table sizes, so only [`Plan::explain`] shows it.
     pub fn describe(&self) -> String {
+        self.render(None)
+    }
+
+    /// The `EXPLAIN` text of this plan against `catalog`: [`Plan::describe`]
+    /// plus the aggregate's run key, found from `catalog`'s table sizes as
+    /// the executor finds it.
+    pub fn explain(&self, catalog: &Catalog) -> String {
+        let rows = |rel: usize| {
+            let table = catalog.table(&self.relations[rel].table);
+            table.map_or(0, |t| t.len() as u64)
+        };
+        self.render(Some(self.join.shape(&rows).spine))
+    }
+
+    fn render(&self, spine: Option<usize>) -> String {
         let mut out = String::new();
         if self.limit.is_some() {
             out.push_str("Limit\n");
@@ -172,11 +245,20 @@ impl Plan {
         }
         out.push_str("Project\n");
         if let Some(group) = &self.group {
-            out.push_str(&aggregate_label(group));
+            let run = spine.and_then(|s| run_key(group, s));
+            out.push_str(&aggregate_label(
+                group,
+                run.map(|(_, id)| self.column_name(id)),
+            ));
             out.push('\n');
         }
         self.join.describe(&self.relations, 1, &mut out);
         out
+    }
+
+    /// The schema name of column `id`.
+    pub(crate) fn column_name(&self, id: ColumnId) -> &str {
+        self.relations[id.rel].schema.columns()[id.col].name()
     }
 }
 
@@ -403,7 +485,6 @@ fn conjunction(mut preds: Vec<BoundExpr>) -> Option<BoundExpr> {
 mod tests {
     use super::*;
     use crate::binder::bind_select;
-    use crate::expr::ColumnId;
     use conquer_sql::parse_select;
     use conquer_storage::{DataType, Schema, Value};
 

@@ -216,9 +216,9 @@ fn render_explain(
         result
             .stats()
             .map(|s| s.render())
-            .unwrap_or_else(|| plan.describe())
+            .unwrap_or_else(|| plan.explain(db.catalog()))
     } else {
-        plan.describe()
+        plan.explain(db.catalog())
     };
     Ok(QueryResult::new(
         vec!["QUERY PLAN".to_string()],

@@ -36,6 +36,12 @@ pub struct OpStats {
     /// Partitioning/merge passes over spilled data (>1 means an oversized
     /// partition forced recursion).
     pub spill_passes: u64,
+    /// Runs of its run key a `HashAggregate` aggregated in (0 when it
+    /// had no run key).
+    pub runs: u64,
+    /// The tuple of its pass at which a `HashAggregate` aggregating in
+    /// runs first switched to hashing, if it did.
+    pub hashed_at: Option<u64>,
     /// Child operators, build/outer side first.
     pub children: Vec<OpStats>,
 }
@@ -86,6 +92,12 @@ impl OpStats {
                 self.spill_partitions,
                 self.spill_passes
             ));
+        }
+        if self.runs > 0 {
+            out.push_str(&format!(" runs={}", self.runs));
+        }
+        if let Some(at) = self.hashed_at {
+            out.push_str(&format!(" hashed_at={at}"));
         }
         out.push_str(")\n");
         for child in &self.children {

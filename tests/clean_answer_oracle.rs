@@ -17,6 +17,10 @@ fn family_c_two_hundred_commits_under_thirteen_views() {
     assert_eq!(cov.commits, 200, "{cov:?}");
     assert!(cov.reopens > 0 && cov.cache_hits > 0, "{cov:?}");
     assert!(cov.naive_refused > 0, "{cov:?}");
+    // Rewritten answers aggregate in runs of the root identifier, and the
+    // commits (a duplicated tuple, a RECLUSTER) break run order at least
+    // once, which switches that pass to hashing.
+    assert!(cov.in_runs > 0 && cov.runs_hashed > 0, "{cov:?}");
 }
 
 #[test]

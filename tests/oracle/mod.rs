@@ -369,6 +369,22 @@ pub struct Coverage {
     pub cache_hits: usize,
     pub reopens: usize,
     pub spilled_at_4_mib: usize,
+    /// Unconstrained rewritten answers whose aggregate ran in runs of
+    /// its spine's identifier, and those of them that switched to hashing
+    /// part-way (a run key reappeared, or a run outgrew its bound).
+    pub in_runs: usize,
+    pub runs_hashed: usize,
+}
+
+impl Coverage {
+    fn note_runs(&mut self, result: &QueryResult) {
+        if let Some(stats) = result.stats() {
+            stats.root.visit(&mut |_, op| {
+                self.in_runs += usize::from(op.runs > 0);
+                self.runs_hashed += usize::from(op.runs > 0 && op.hashed_at.is_some());
+            });
+        }
+    }
 }
 
 /// One query as written (the naive path's input), RewriteClean's output
@@ -446,7 +462,9 @@ impl Run<'_> {
         let mut base = None;
         let mut flats = Vec::new();
         for q in 0..self.queries.len() {
-            let flat = self.flat(db, q);
+            let result = self.rewritten(db, q, ExecLimits::none());
+            self.cov.note_runs(&result);
+            let flat = sorted(result.rows);
             // Naive first: a wrong rewriting shows as naive vs flat, not
             // as a disagreement among rewritten paths.
             let from = self.queries[q].0.from.iter();
