@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use conquer_engine::EngineError;
+use conquer_engine::{EngineError, ErrorKind};
 use conquer_sql::{render_snippet, Span};
 
 /// Which clause of the rewritable class (Definition 7), or which of its
@@ -213,6 +213,21 @@ impl std::error::Error for CoreError {
             CoreError::Engine(e) => Some(e),
             CoreError::NotRewritable(r) => Some(r),
             _ => None,
+        }
+    }
+}
+
+impl CoreError {
+    /// The stable [`ErrorKind`] of this error, whichever layer produced
+    /// it. This is the supported way for servers and clients to map
+    /// errors to wire codes or retry policies — never match on `Display`
+    /// strings.
+    pub fn kind(&self) -> ErrorKind {
+        match self {
+            CoreError::Engine(e) => e.kind(),
+            CoreError::NotRewritable(_) => ErrorKind::NotRewritable,
+            CoreError::InvalidDirty(_) => ErrorKind::InvalidDirty,
+            CoreError::TooManyCandidates { .. } => ErrorKind::ResourceExhausted,
         }
     }
 }

@@ -545,7 +545,7 @@ pub fn expr_span(e: &Expr) -> Span {
 /// Comparison-compatibility class; values in the same class compare at
 /// runtime (possibly via an implicit cast), values across classes are a
 /// guaranteed runtime error. Mirrors `Value::sql_cmp`.
-fn cmp_class(ty: DataType) -> u8 {
+pub(crate) fn cmp_class(ty: DataType) -> u8 {
     match ty {
         DataType::Int | DataType::Float => 0,
         DataType::Text | DataType::Date => 1, // text parses as date

@@ -510,6 +510,19 @@ impl<'a> Binder<'a> {
         let output = self.bind_projection(&stmt.projection, aggregate, clause("SELECT list"));
         let having = self.lower_opt(stmt.having.as_ref(), clause("HAVING"));
         let order_by = self.bind_order_by(&stmt.order_by, &output, clause("ORDER BY"));
+        // DISTINCT compares output rows, so a sort key that is not one of
+        // their columns has no single value per row.
+        let projected = |e: &BoundExpr| output.iter().any(|(_, o)| o.as_ref() == Some(e));
+        let mut keys = order_by.iter().flatten().zip(&stmt.order_by);
+        if let Some((_, item)) = keys
+            .find(|(o, _)| stmt.distinct && matches!(&o.key, OrderKey::Expr(e) if !projected(e)))
+        {
+            self.error(
+                Code::BindError,
+                expr_span(&item.expr),
+                "DISTINCT with ORDER BY on non-projected expressions is not supported",
+            );
+        }
 
         let relations = self
             .scope

@@ -1070,11 +1070,11 @@ mod tests {
         };
         let text = sum("SUM(o.prob * c.prob)");
         assert!(
-            text.starts_with("Project\nHashAggregate (SUM of 2 DOUBLE factors)\n"),
+            text.starts_with("Project\n  HashAggregate (SUM of 2 DOUBLE factors)\n"),
             "{text}"
         );
         let text = sum("SUM(o.quantity * c.prob)");
-        assert!(text.starts_with("Project\nHashAggregate\n"), "{text}");
+        assert!(text.starts_with("Project\n  HashAggregate\n"), "{text}");
     }
 
     #[test]
@@ -1129,14 +1129,15 @@ mod tests {
                    WHERE o.cidfk = c.id GROUP BY c.id";
         let text = explain(&db, &format!("EXPLAIN {sql}"));
         assert!(
-            text.starts_with("Project\nHashAggregate (runs of id; SUM of 2 DOUBLE factors)\n"),
+            text.starts_with(
+                "Project\n  HashAggregate (runs of id; SUM of 2 DOUBLE factors)\n    \
+                 HashJoin on 1 key(s)\n      Scan customer [c]\n      Scan orders [o]"
+            ),
             "{text}"
         );
-        // `Plan::describe` has no table sizes, so it names no run key.
+        // The plan fixes the spine the run key is found on.
         let plan = db.plan(&conquer_sql::parse_select(sql).unwrap()).unwrap();
-        assert!(plan
-            .describe()
-            .contains("HashAggregate (SUM of 2 DOUBLE factors)\n"));
+        assert_eq!(plan.relations[plan.join.spine()].binding, "c");
         let text = explain(&db, &format!("EXPLAIN ANALYZE {sql}"));
         assert!(
             text.contains("HashAggregate (runs of id; SUM of 2 DOUBLE factors) (rows=2 ")
@@ -1203,10 +1204,7 @@ mod tests {
         let r = query(&db, "SELECT oid, cid, p FROM v").unwrap();
         assert_eq!(r.len(), 3);
         assert_eq!(r.value(0, "p"), Some(&Value::Float(1.0)));
-        let plan = db
-            .plan(&conquer_sql::parse_select("SELECT oid, cid, p FROM v").unwrap())
-            .unwrap()
-            .describe();
+        let plan = explain(&db, "EXPLAIN SELECT oid, cid, p FROM v");
         assert!(plan.contains("Scan"), "{plan}");
         assert!(
             !plan.contains("Join"),

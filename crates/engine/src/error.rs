@@ -246,9 +246,8 @@ impl std::str::FromStr for ErrorKind {
     }
 }
 
-/// The [`ErrorKind`] of a storage error (shared by the engine and facade
-/// `kind()` implementations).
-pub fn storage_error_kind(e: &StorageError) -> ErrorKind {
+/// The [`ErrorKind`] of a storage error.
+fn storage_error_kind(e: &StorageError) -> ErrorKind {
     match e {
         StorageError::Corrupt { .. } => ErrorKind::Corrupt,
         StorageError::Degraded(_) => ErrorKind::Degraded,

@@ -19,8 +19,9 @@
 //! batches are materialized rows (`Vec<Row>`).
 //!
 //! **Above the join, the spine's order is used, not rebuilt.** The
-//! *spine* is the scan reached from the join tree's root by always
-//! following the probe side; the join's output keeps its row order. A
+//! executor builds the join tree the planner fixed, in which every join
+//! streams its `left` input, so the *spine* is the plan's leftmost scan
+//! ([`JoinNode::spine`]) and the join's output keeps its row order. A
 //! `GROUP BY` with a bare spine column aggregates in runs of it and falls
 //! back to hashing at the first tuple that breaks run order (see
 //! `aggregate_input`); a group key that reads only the spine is
@@ -83,7 +84,7 @@ use crate::error::EngineError;
 use crate::exact::ExactSum;
 use crate::expr::{absent, BoundExpr, Cells, ColumnId};
 use crate::keytable::{hash_key, KeyTable};
-use crate::planner::{aggregate_label, join_shape, run_key, scan_label, JoinNode, Plan, Shape};
+use crate::planner::{JoinNode, Plan};
 use crate::result::QueryResult;
 use crate::stats::{approx_row_bytes, approx_value_bytes, ExecStats, OpStats};
 use crate::Result;
@@ -124,21 +125,9 @@ pub(crate) type Batch = Vec<Row>;
 /// root. Concurrency comes from running several queries at once (the
 /// server's connections), not from splitting one.
 pub fn execute_plan(catalog: &Catalog, plan: &Plan, ctx: &ExecContext) -> Result<QueryResult> {
-    crate::validate::validate_plan(plan)?;
-    let needs_expr_keys = plan
-        .order_by
-        .iter()
-        .any(|o| matches!(o.key, OrderKey::Expr(_)));
-    if plan.distinct && needs_expr_keys {
-        return Err(EngineError::bind(
-            "DISTINCT with ORDER BY on non-projected expressions is not supported",
-        ));
-    }
-
     let start = Instant::now();
-    let (join, layout, shape) = build_join(catalog, plan, &plan.join)?;
+    let mut root = build_pipeline(catalog, plan)?;
     let held = ctx.mem_in_use();
-    let mut root = finish_pipeline(join, layout, shape.spine, plan);
     let drained = drain_root(&mut root, ctx);
     // The operator tree dies with this call. Whatever its operators still
     // hold charged — a `LIMIT` can stop them before they drain — is handed
@@ -160,6 +149,22 @@ pub fn execute_plan(catalog: &Catalog, plan: &Plan, ctx: &ExecContext) -> Result
             threads_used: 1,
         },
     ))
+}
+
+/// Plain `EXPLAIN`'s text for `plan`: the operator tree [`execute_plan`]
+/// runs, built and never pulled, one operator name per line, children
+/// indented under their parent in the order `EXPLAIN ANALYZE` lists
+/// them (a hash join's probe input first).
+pub fn explain_plan(catalog: &Catalog, plan: &Plan) -> Result<String> {
+    let mut out = String::new();
+    build_pipeline(catalog, plan)?
+        .harvest()
+        .visit(&mut |depth, op| {
+            out.push_str(&"  ".repeat(depth));
+            out.push_str(&op.name);
+            out.push('\n');
+        });
+    Ok(out)
 }
 
 /// Drain the pipeline root into the result buffer, charging it against
@@ -323,20 +328,22 @@ impl<'x, 'a: 'x> Cells<'x> for Stored<'a> {
 // Pipeline construction
 // ---------------------------------------------------------------------------
 
+/// The whole operator tree of `plan`: its join tree, with the post-join
+/// stages on top.
+fn build_pipeline<'a>(catalog: &'a Catalog, plan: &'a Plan) -> Result<OpNode<'a>> {
+    crate::validate::validate_plan(plan)?;
+    let (join, layout) = build_join(catalog, plan, &plan.join)?;
+    Ok(finish_pipeline(join, layout, plan))
+}
+
 /// Stack the post-join stages (aggregate, HAVING, project, distinct,
-/// sort, limit) on top of a join tree whose tuples `layout` describes and
-/// whose output follows relation `spine`'s scan order.
-fn finish_pipeline<'a>(
-    join: TupleOp<'a>,
-    layout: Layout<'a>,
-    spine: usize,
-    plan: &'a Plan,
-) -> OpNode<'a> {
+/// sort, limit) on top of a join tree whose tuples `layout` describes.
+fn finish_pipeline<'a>(join: TupleOp<'a>, layout: Layout<'a>, plan: &'a Plan) -> OpNode<'a> {
     let (sort_keys, appended) = sort_keys(&plan.output, &plan.order_by);
     let width = plan.output.len() + appended.len();
     let input = match &plan.group {
         Some(group) => {
-            let agg = AggSpec::new(group, layout, spine);
+            let agg = AggSpec::new(group, layout, plan.join.spine());
             let run = agg.run.map(|(_, id)| plan.column_name(id));
             let mut node = OpNode::new(
                 aggregate_label(group, run),
@@ -417,15 +424,14 @@ fn finish_pipeline<'a>(
     node
 }
 
-/// Build the operator subtree for a join-tree node. Returns the operator,
-/// the layout of its output tuples, and its [`Shape`]: a crude
-/// cardinality estimate, used to pick hash-join build sides, and the
-/// relation whose scan order the output follows.
+/// Build the operator subtree for a join-tree node, as the plan oriented
+/// it: each join streams its `left` input and holds its `right` one.
+/// Returns the operator and the layout of its output tuples.
 fn build_join<'a>(
     catalog: &'a Catalog,
     plan: &'a Plan,
     node: &'a JoinNode,
-) -> Result<(TupleOp<'a>, Layout<'a>, Shape)> {
+) -> Result<(TupleOp<'a>, Layout<'a>)> {
     match node {
         JoinNode::Scan { rel, filter } => {
             let relation = &plan.relations[*rel];
@@ -437,8 +443,9 @@ fn build_join<'a>(
                 )));
             }
             let layout = Layout::scan(plan.relations.len(), *rel, table.rows());
+            let filtered = if filter.is_some() { " (filtered)" } else { "" };
             let op = TupleOp::new(
-                scan_label("Scan", relation),
+                format!("Scan {} [{}]{filtered}", relation.table, relation.binding),
                 TupleKind::Scan {
                     rel: *rel,
                     rows: table.rows(),
@@ -446,11 +453,7 @@ fn build_join<'a>(
                     filter: filter.as_ref(),
                 },
             );
-            let shape = Shape {
-                spine: *rel,
-                rows: table.len() as u64,
-            };
-            Ok((op, layout, shape))
+            Ok((op, layout))
         }
         JoinNode::Join {
             left,
@@ -458,10 +461,9 @@ fn build_join<'a>(
             equi,
             filter,
         } => {
-            let (lop, llayout, lshape) = build_join(catalog, plan, left)?;
-            let (rop, rlayout, rshape) = build_join(catalog, plan, right)?;
+            let (lop, llayout) = build_join(catalog, plan, left)?;
+            let (rop, rlayout) = build_join(catalog, plan, right)?;
             let layout = Layout::concat(&llayout, &rlayout);
-            let (shape, build_left) = join_shape(!equi.is_empty(), lshape, rshape);
 
             let mut op = if equi.is_empty() {
                 TupleOp::new(
@@ -473,34 +475,18 @@ fn build_join<'a>(
                     },
                 )
             } else {
-                // Build the hash table on the (estimated) smaller side and
-                // stream the other; output stays `left ++ right` either way.
-                let (lexprs, rexprs): (Vec<_>, Vec<_>) = equi.iter().map(|(l, r)| (l, r)).unzip();
-                let (probe, build, keys) = if build_left {
-                    let keys = JoinKeys {
-                        probe_exprs: rexprs,
-                        build_exprs: lexprs,
-                        probe_layout: rlayout,
-                        build_layout: llayout,
-                        build_left,
-                    };
-                    (rop, lop, keys)
-                } else {
-                    let keys = JoinKeys {
-                        probe_exprs: lexprs,
-                        build_exprs: rexprs,
-                        probe_layout: llayout,
-                        build_layout: rlayout,
-                        build_left,
-                    };
-                    (lop, rop, keys)
-                };
+                let (probe_exprs, build_exprs) = equi.iter().map(|(l, r)| (l, r)).unzip();
                 TupleOp::new(
-                    "HashJoin",
+                    format!("HashJoin on {} key(s)", equi.len()),
                     TupleKind::HashJoin {
-                        probe: Box::new(probe),
-                        build: Box::new(build),
-                        keys,
+                        probe: Box::new(lop),
+                        build: Box::new(rop),
+                        keys: JoinKeys {
+                            probe_exprs,
+                            build_exprs,
+                            probe_layout: llayout,
+                            build_layout: rlayout,
+                        },
                         state: JoinState::Init,
                     },
                 )
@@ -516,7 +502,7 @@ fn build_join<'a>(
                     },
                 );
             }
-            Ok((op, layout, shape))
+            Ok((op, layout))
         }
     }
 }
@@ -587,7 +573,7 @@ pub(crate) enum TupleKind<'a> {
         layout: Layout<'a>,
     },
     /// Equi hash join: drains `build` into a hash table on first pull, then
-    /// streams `probe`. Output tuples are always `left ++ right`.
+    /// streams `probe`. Output tuples are `probe ++ build`.
     HashJoin {
         probe: Box<TupleOp<'a>>,
         build: Box<TupleOp<'a>>,
@@ -759,14 +745,12 @@ impl BuildMap {
 }
 
 /// How a hash join reads its equi keys off a probe tuple and a build
-/// tuple, and which of the plan's inputs is which.
+/// tuple.
 pub(crate) struct JoinKeys<'a> {
     probe_exprs: Vec<&'a BoundExpr>,
     build_exprs: Vec<&'a BoundExpr>,
     probe_layout: Layout<'a>,
     build_layout: Layout<'a>,
-    /// True when the plan's *left* input is the build side.
-    build_left: bool,
 }
 
 impl<'a> JoinKeys<'a> {
@@ -791,7 +775,7 @@ impl<'a> JoinKeys<'a> {
         Tuples::with_capacity(self.probe_layout.width + self.build_layout.width, tuples)
     }
 
-    /// Append `p`'s matches in `map` to `out` as `left ++ right` tuples,
+    /// Append `p`'s matches in `map` to `out` as `p ++ build` tuples,
     /// in build arrival order; `key` is scratch space for its key. Ticks
     /// the guards per emitted tuple: a join can fan one probe tuple out
     /// into thousands, and cancellation latency must stay bounded by
@@ -811,11 +795,7 @@ impl<'a> JoinKeys<'a> {
         if let Some(i) = map.keys.find(hash_key(key), key) {
             for b in map.chain(i) {
                 ticker.row(ctx)?;
-                if self.build_left {
-                    out.push_pair(b, p);
-                } else {
-                    out.push_pair(p, b);
-                }
+                out.push_pair(p, b);
             }
         }
         Ok(())
@@ -1203,17 +1183,10 @@ impl<'a> Step for TupleKind<'a> {
         match self {
             TupleKind::Scan { .. } => vec![],
             TupleKind::Filter { child, .. } => vec![child.harvest()],
-            TupleKind::HashJoin {
-                probe, build, keys, ..
-            } => {
-                // Report in plan order: left child first.
-                if keys.build_left {
-                    vec![build.harvest(), probe.harvest()]
-                } else {
-                    vec![probe.harvest(), build.harvest()]
-                }
+            TupleKind::HashJoin { probe, build, .. }
+            | TupleKind::CrossJoin { probe, build, .. } => {
+                vec![probe.harvest(), build.harvest()]
             }
-            TupleKind::CrossJoin { probe, build, .. } => vec![probe.harvest(), build.harvest()],
         }
     }
 }
@@ -1966,6 +1939,41 @@ impl Groups {
         }
         Ok(out)
     }
+}
+
+/// `"HashAggregate"`, followed in parentheses by `runs of <column>` when
+/// it aggregates in runs of its [`run_key`] and by `SUM of m DOUBLE
+/// factors` for each product-sum it folds: the aggregate's name in the
+/// statistics and in `EXPLAIN`, so a reader sees which path runs.
+fn aggregate_label(group: &GroupSpec, run_key: Option<&str>) -> String {
+    let products: Vec<String> = group
+        .aggs
+        .iter()
+        .filter(|a| !a.factors.is_empty())
+        .map(|a| format!("SUM of {} DOUBLE factors", a.factors.len()))
+        .collect();
+    let mut parts: Vec<String> = run_key
+        .map(|col| format!("runs of {col}"))
+        .into_iter()
+        .collect();
+    if !products.is_empty() {
+        parts.push(products.join(", "));
+    }
+    if parts.is_empty() {
+        "HashAggregate".to_string()
+    } else {
+        format!("HashAggregate ({})", parts.join("; "))
+    }
+}
+
+/// The `GROUP BY` key an aggregate over a join tree with spine `spine`
+/// aggregates in runs of: the first key that is a bare column of the
+/// spine relation. Its index in `group.keys` and the column.
+fn run_key(group: &GroupSpec, spine: usize) -> Option<(usize, ColumnId)> {
+    group.keys.iter().enumerate().find_map(|(i, k)| match k {
+        BoundExpr::Column(id) if id.rel == spine => Some((i, *id)),
+        _ => None,
+    })
 }
 
 /// What a `HashAggregate` reads its tuples through: the join tree's

@@ -11,6 +11,14 @@
 //!    always preferring a relation connected by an equi edge (smallest base
 //!    table first); unconnected relations fall back to nested-loop cross
 //!    joins.
+//! 3. Every join is oriented as it is built: `left` is the input it
+//!    streams (a hash join's probe side), `right` the one it holds (the
+//!    build side). A hash join builds on the smaller estimate, the joined
+//!    side on a tie; a scan's estimate is its table's row count, a hash
+//!    join's the larger of its inputs', a cross join's their product. So
+//!    the plan fixes the physical tree: the executor builds exactly it,
+//!    `EXPLAIN` prints it, and its *spine* — the leftmost scan, whose
+//!    order the output follows — is [`JoinNode::spine`].
 //!
 //! Each [`JoinNode`] knows its *layout* — the order of the relations whose
 //! row positions its output tuples hold. Every column id, everywhere in a
@@ -40,9 +48,10 @@ pub enum JoinNode {
     /// Hash join (equi keys) or nested-loop cross join (no keys), with an
     /// optional residual filter applied to the joined rows.
     Join {
-        /// Left input (already-joined set).
+        /// The streamed input: a hash join's probe side.
         left: Box<JoinNode>,
-        /// Right input (the newly added relation).
+        /// The held input: a hash join's build side, a cross join's
+        /// materialized one.
         right: Box<JoinNode>,
         /// Equi key pairs `(left expr, right expr)`.
         equi: Vec<(BoundExpr, BoundExpr)>,
@@ -64,7 +73,7 @@ impl JoinNode {
         }
     }
 
-    /// Number of join operators (used by plan tests and EXPLAIN output).
+    /// Number of join operators.
     pub fn join_count(&self) -> usize {
         match self {
             JoinNode::Scan { .. } => 0,
@@ -72,121 +81,15 @@ impl JoinNode {
         }
     }
 
-    /// This tree's [`Shape`] when relation `rel` holds `rows(rel)` rows.
-    pub(crate) fn shape(&self, rows: &impl Fn(usize) -> u64) -> Shape {
+    /// The relation whose scan order this tree's output follows: its
+    /// leftmost scan. A hash join streams its `left` (probe) input and
+    /// a cross join its `left` input, so the output keeps that order.
+    pub fn spine(&self) -> usize {
         match self {
-            JoinNode::Scan { rel, .. } => Shape {
-                spine: *rel,
-                rows: rows(*rel),
-            },
-            JoinNode::Join {
-                left, right, equi, ..
-            } => join_shape(!equi.is_empty(), left.shape(rows), right.shape(rows)).0,
+            JoinNode::Scan { rel, .. } => *rel,
+            JoinNode::Join { left, .. } => left.spine(),
         }
     }
-
-    fn describe(&self, relations: &[BoundRelation], indent: usize, out: &mut String) {
-        let pad = "  ".repeat(indent);
-        match self {
-            JoinNode::Scan { rel, filter } => {
-                out.push_str(&format!(
-                    "{pad}{}{}\n",
-                    scan_label("Scan", &relations[*rel]),
-                    if filter.is_some() { " (filtered)" } else { "" },
-                ));
-            }
-            JoinNode::Join {
-                left,
-                right,
-                equi,
-                filter,
-            } => {
-                let kind = if equi.is_empty() {
-                    "NestedLoopJoin"
-                } else {
-                    "HashJoin"
-                };
-                out.push_str(&format!(
-                    "{pad}{kind} on {} key(s){}\n",
-                    equi.len(),
-                    if filter.is_some() {
-                        " (residual filter)"
-                    } else {
-                        ""
-                    },
-                ));
-                left.describe(relations, indent + 1, out);
-                right.describe(relations, indent + 1, out);
-            }
-        }
-    }
-}
-
-/// `"<op> <table> [<binding>]"`: how `EXPLAIN` and the executor's
-/// statistics name an operator that reads a base relation.
-pub(crate) fn scan_label(op: &str, relation: &BoundRelation) -> String {
-    format!("{op} {} [{}]", relation.table, relation.binding)
-}
-
-/// `"HashAggregate"`, followed in parentheses by `runs of <column>` when
-/// it aggregates in runs of its [`run_key`] and by `SUM of m DOUBLE
-/// factors` for each product-sum it folds: how `EXPLAIN` and the
-/// executor's statistics name the aggregate, so a reader sees which path
-/// ran.
-pub(crate) fn aggregate_label(group: &GroupSpec, run_key: Option<&str>) -> String {
-    let products: Vec<String> = group
-        .aggs
-        .iter()
-        .filter(|a| !a.factors.is_empty())
-        .map(|a| format!("SUM of {} DOUBLE factors", a.factors.len()))
-        .collect();
-    let mut parts: Vec<String> = run_key
-        .map(|col| format!("runs of {col}"))
-        .into_iter()
-        .collect();
-    if !products.is_empty() {
-        parts.push(products.join(", "));
-    }
-    if parts.is_empty() {
-        "HashAggregate".to_string()
-    } else {
-        format!("HashAggregate ({})", parts.join("; "))
-    }
-}
-
-/// A join tree's estimated output rows and its *spine*: the relation
-/// whose scan order its output follows.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Shape {
-    pub(crate) spine: usize,
-    pub(crate) rows: u64,
-}
-
-/// How a join over inputs shaped `left` and `right` runs: its output's
-/// shape and, for a hash join (`hash`), whether it builds its table on
-/// the left input — the smaller estimate, the left on a tie. A hash join
-/// streams its probe side and a cross join its left input, so the output
-/// follows that input's spine. The one rule the executor and `EXPLAIN`
-/// both use.
-pub(crate) fn join_shape(hash: bool, left: Shape, right: Shape) -> (Shape, bool) {
-    if !hash {
-        let rows = left.rows.saturating_mul(right.rows.max(1));
-        return (Shape { rows, ..left }, false);
-    }
-    let build_left = left.rows <= right.rows;
-    let probe = if build_left { right } else { left };
-    let rows = left.rows.max(right.rows);
-    (Shape { rows, ..probe }, build_left)
-}
-
-/// The `GROUP BY` key an aggregate over a join tree with spine `spine`
-/// aggregates in runs of: the first key that is a bare column of the
-/// spine relation. Its index in `group.keys` and the column.
-pub(crate) fn run_key(group: &GroupSpec, spine: usize) -> Option<(usize, ColumnId)> {
-    group.keys.iter().enumerate().find_map(|(i, k)| match k {
-        BoundExpr::Column(id) if id.rel == spine => Some((i, *id)),
-        _ => None,
-    })
 }
 
 /// A complete query plan.
@@ -215,47 +118,6 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// A human-readable plan tree (EXPLAIN-style). Which key a `GROUP BY`
-    /// runs on depends on table sizes, so only [`Plan::explain`] shows it.
-    pub fn describe(&self) -> String {
-        self.render(None)
-    }
-
-    /// The `EXPLAIN` text of this plan against `catalog`: [`Plan::describe`]
-    /// plus the aggregate's run key, found from `catalog`'s table sizes as
-    /// the executor finds it.
-    pub fn explain(&self, catalog: &Catalog) -> String {
-        let rows = |rel: usize| {
-            let table = catalog.table(&self.relations[rel].table);
-            table.map_or(0, |t| t.len() as u64)
-        };
-        self.render(Some(self.join.shape(&rows).spine))
-    }
-
-    fn render(&self, spine: Option<usize>) -> String {
-        let mut out = String::new();
-        if self.limit.is_some() {
-            out.push_str("Limit\n");
-        }
-        if !self.order_by.is_empty() {
-            out.push_str("Sort\n");
-        }
-        if self.distinct {
-            out.push_str("Distinct\n");
-        }
-        out.push_str("Project\n");
-        if let Some(group) = &self.group {
-            let run = spine.and_then(|s| run_key(group, s));
-            out.push_str(&aggregate_label(
-                group,
-                run.map(|(_, id)| self.column_name(id)),
-            ));
-            out.push('\n');
-        }
-        self.join.describe(&self.relations, 1, &mut out);
-        out
-    }
-
     /// The schema name of column `id`.
     pub(crate) fn column_name(&self, id: ColumnId) -> &str {
         self.relations[id.rel].schema.columns()[id.col].name()
@@ -263,7 +125,8 @@ impl Plan {
 }
 
 /// Build a plan for a bound query. `catalog` supplies base-table sizes for
-/// the greedy join-order heuristic.
+/// the greedy join order and the joins' build sides; a plan keeps both
+/// whatever its tables hold when it runs.
 pub fn plan_select(catalog: &Catalog, bound: BoundSelect) -> Result<Plan> {
     let BoundSelect {
         relations,
@@ -317,6 +180,7 @@ pub fn plan_select(catalog: &Catalog, bound: BoundSelect) -> Result<Plan> {
 
     let mut joined: Vec<usize> = vec![0];
     let mut node = make_scan(0, &mut scan_filters);
+    let mut rows = sizes[0] as u64;
     let mut used_edge = vec![false; equi_edges.len()];
 
     while joined.len() < n {
@@ -372,7 +236,24 @@ pub fn plan_select(catalog: &Catalog, bound: BoundSelect) -> Result<Plan> {
         }
 
         joined.push(next);
-        let right = make_scan(next, &mut scan_filters);
+        let scan = make_scan(next, &mut scan_filters);
+        let scan_rows = sizes[next] as u64;
+        let hash = !keys.is_empty();
+        // The joined side builds when it is no larger than `next`.
+        let build_joined = hash && rows <= scan_rows;
+        rows = if hash {
+            rows.max(scan_rows)
+        } else {
+            rows.saturating_mul(scan_rows.max(1))
+        };
+        let (left, right) = if build_joined {
+            for (l, r) in &mut keys {
+                std::mem::swap(l, r);
+            }
+            (scan, node)
+        } else {
+            (node, scan)
+        };
 
         // Residuals now fully covered by the joined set.
         let mut covered = Vec::new();
@@ -401,7 +282,7 @@ pub fn plan_select(catalog: &Catalog, bound: BoundSelect) -> Result<Plan> {
         }
 
         node = JoinNode::Join {
-            left: Box::new(node),
+            left: Box::new(left),
             right: Box::new(right),
             equi: keys,
             filter: conjunction(covered),
@@ -657,7 +538,7 @@ mod tests {
             group.aggs[0].arg.as_ref().unwrap().columns(),
             [4, 5, 7].map(|col| ColumnId { rel: 2, col })
         );
-        let d = p.describe();
+        let d = crate::exec::explain_plan(&cat, &p).unwrap();
         assert!(d.contains("Scan part [p] (filtered)"), "{d}");
         assert!(d.contains("Scan lineitem [l]\n"), "{d}");
     }
@@ -700,10 +581,48 @@ mod tests {
             "select big.k, count(*) from big, small where big.k = small.k \
              group by big.k order by big.k limit 5",
         );
-        let d = p.describe();
-        assert!(d.contains("HashAggregate"), "{d}");
-        assert!(d.contains("HashJoin"), "{d}");
-        assert!(d.contains("Sort"), "{d}");
-        assert!(d.contains("Limit"), "{d}");
+        let d = crate::exec::explain_plan(&catalog(), &p).unwrap();
+        assert_eq!(
+            d,
+            "Limit\n  Sort\n    Project\n      HashAggregate (runs of k)\n        \
+             HashJoin on 1 key(s)\n          Scan big [big]\n          Scan small [small]\n"
+        );
+    }
+
+    #[test]
+    fn joins_build_on_the_smaller_estimate_and_the_joined_side_on_a_tie() {
+        let build_side = |sql: &str| {
+            let p = plan(sql);
+            let JoinNode::Join { left, right, .. } = &p.join else {
+                panic!("{sql} plans a join");
+            };
+            assert_eq!(p.join.spine(), left.spine());
+            (left.layout(), right.layout())
+        };
+        // `small` (2 rows) builds whichever side of FROM it is on.
+        assert_eq!(
+            build_side("select big.k from small, big where big.k = small.k"),
+            (vec![1], vec![0])
+        );
+        assert_eq!(
+            build_side("select big.k from big, small where big.k = small.k"),
+            (vec![0], vec![1])
+        );
+        // Two scans of `mid` tie: the joined side, `a`, builds.
+        assert_eq!(
+            build_side("select a.k from mid a, mid b where a.k = b.k"),
+            (vec![1], vec![0])
+        );
+        // A cross join streams the joined side whatever the sizes.
+        assert_eq!(
+            build_side("select big.k from small, big where big.k < small.k"),
+            (vec![0], vec![1])
+        );
+        // A hash join's estimate is its larger input's: `mid ⋈ small`
+        // estimates 5, below `big`'s 20, so the pair builds and `big`
+        // becomes the spine.
+        let p = plan("select mid.k from mid, small, big where mid.k = small.k and mid.k = big.k");
+        assert_eq!(p.join.layout(), vec![2, 0, 1]);
+        assert_eq!(p.join.spine(), 2);
     }
 }

@@ -37,7 +37,7 @@ use conquer_storage::Value;
 use crate::context::ExecContext;
 use crate::database::{Database, ExecOutcome};
 use crate::error::EngineError;
-use crate::exec::execute_plan;
+use crate::exec::{execute_plan, explain_plan};
 use crate::planner::Plan;
 use crate::result::QueryResult;
 use crate::Result;
@@ -45,8 +45,9 @@ use crate::Result;
 /// A statement prepared against a [`Database`].
 ///
 /// For `SELECT`s the physical [`Plan`] is built at prepare time and reused
-/// by every [`Statement::query`] call. Join order is therefore chosen from
-/// the table statistics visible at prepare time; a statement stays valid
+/// by every [`Statement::query`] call. Join order and every hash join's
+/// build side are therefore chosen from the table sizes visible at
+/// prepare time, and kept however the tables grow; a statement stays valid
 /// across row inserts/deletes, but schema changes (or dropping a referenced
 /// table) make it *stale* and further queries fail with a descriptive error
 /// — re-`prepare` after DDL.
@@ -203,8 +204,8 @@ impl Statement {
 }
 
 /// The `QUERY PLAN` result of `EXPLAIN [ANALYZE]`, one row per line
-/// (Postgres-style): the plan's description, or with `analyze` the
-/// per-operator stats tree of a run under `ctx`.
+/// (Postgres-style): the operator tree the plan runs as, or with
+/// `analyze` the per-operator stats tree of a run under `ctx`.
 fn render_explain(
     db: &Database,
     plan: &Plan,
@@ -213,12 +214,9 @@ fn render_explain(
 ) -> Result<QueryResult> {
     let text = if analyze {
         let result = execute_plan(db.catalog(), plan, ctx)?;
-        result
-            .stats()
-            .map(|s| s.render())
-            .unwrap_or_else(|| plan.explain(db.catalog()))
+        result.stats().map(|s| s.render()).unwrap_or_default()
     } else {
-        plan.explain(db.catalog())
+        explain_plan(db.catalog(), plan)?
     };
     Ok(QueryResult::new(
         vec!["QUERY PLAN".to_string()],

@@ -15,7 +15,7 @@ use conquer_storage::{Row, Value};
 /// Statistics for one operator node.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OpStats {
-    /// Operator name, e.g. `HashJoin` or `Scan customer [c]`.
+    /// Operator name, e.g. `HashJoin on 1 key(s)` or `Scan customer [c]`.
     pub name: String,
     /// Rows pulled from children (for `Scan`: rows read from the table,
     /// before the pushed-down filter).
@@ -42,7 +42,7 @@ pub struct OpStats {
     /// The tuple of its pass at which a `HashAggregate` aggregating in
     /// runs first switched to hashing, if it did.
     pub hashed_at: Option<u64>,
-    /// Child operators, build/outer side first.
+    /// Child operators; a join's probe (streamed) input first.
     pub children: Vec<OpStats>,
 }
 

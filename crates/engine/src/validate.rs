@@ -19,6 +19,7 @@
 
 use conquer_storage::DataType;
 
+use crate::analyze::cmp_class;
 use crate::binder::{product_columns, AggCall, BoundRelation, BoundSelect, GroupSpec};
 use crate::error::EngineError;
 use crate::expr::BoundExpr;
@@ -186,17 +187,6 @@ fn bound_type(e: &BoundExpr, relations: &[BoundRelation]) -> Option<DataType> {
             .first()
             .and_then(|(_, t)| bound_type(t, relations))
             .or_else(|| else_expr.as_ref().and_then(|e| bound_type(e, relations))),
-    }
-}
-
-/// Runtime-comparability class, mirroring `Value::sql_cmp`: numeric types
-/// inter-compare, text and dates inter-compare, booleans only with
-/// themselves.
-fn cmp_class(ty: DataType) -> u8 {
-    match ty {
-        DataType::Int | DataType::Float => 0,
-        DataType::Text | DataType::Date => 1,
-        DataType::Bool => 2,
     }
 }
 

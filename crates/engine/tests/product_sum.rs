@@ -161,7 +161,8 @@ fn factors(db: &Database, sql: &str) -> (Vec<ColumnId>, String) {
     let plan = db.plan(&conquer_sql::parse_select(sql).unwrap()).unwrap();
     let group = plan.group.as_ref().expect("an aggregate query");
     assert_eq!(group.aggs.len(), 1, "{sql}");
-    (group.aggs[0].factors.clone(), plan.describe())
+    let explain = conquer_engine::exec::explain_plan(db.catalog(), &plan).unwrap();
+    (group.aggs[0].factors.clone(), explain)
 }
 
 /// Per group, the exact sum of the terms `term` gives (NULL terms are
@@ -213,12 +214,12 @@ fn a_product_sum_is_bit_identical_to_the_evaluator() {
     let (ids, explain) = factors(&db, fast);
     assert_eq!(ids, [2, 3, 4].map(|col| ColumnId { rel: 0, col }));
     assert!(
-        explain.contains("HashAggregate (SUM of 3 DOUBLE factors)"),
+        explain.contains("HashAggregate (runs of g; SUM of 3 DOUBLE factors)"),
         "{explain}"
     );
     let (ids, explain) = factors(&db, slow);
     assert!(ids.is_empty());
-    assert!(explain.contains("HashAggregate\n"), "{explain}");
+    assert!(explain.contains("HashAggregate (runs of g)\n"), "{explain}");
     let want = reference(&t_rows, |r| r[0].unwrap() as i64, |r| product(&r[2..]));
     assert_eq!(every_path(&db, fast), want, "product-sum");
     assert_eq!(every_path(&db, slow), want, "evaluator");
@@ -299,7 +300,7 @@ fn other_sums_keep_the_evaluator() {
         let sql = format!("SELECT g, {call} FROM t GROUP BY g ORDER BY g");
         let (ids, explain) = factors(&db, &sql);
         assert!(ids.is_empty(), "{call} was recognised");
-        assert!(explain.contains("HashAggregate\n"), "{explain}");
+        assert!(explain.contains("HashAggregate (runs of g)\n"), "{explain}");
         assert_eq!(every_path(&db, &sql), reference(&t_rows, g, term), "{call}");
     }
     // All-INTEGER factors sum to an INTEGER.

@@ -497,8 +497,8 @@ fn in_memory_state_is_charged_to_the_byte() {
     // Text join key and text group key; 1000 groups, each charging its
     // 35-byte key and two accumulators, each with its sum's four limbs
     // inline (35 + 2 · 136 B). The estimates tie
-    // (both scans are of 4000-row `big`), so the left input `a` is the
-    // build side: 4000 build tuples, each charging one 4-byte position
+    // (both scans are of 4000-row `big`), so the planner builds on the
+    // joined side, `a`: 4000 build tuples, each charging one 4-byte position
     // plus its own copy of an 11-character text key (24 + 11 B) — 39 B,
     // 156 000 B in all. It is held until the probe side is exhausted, so
     // the peak is both tables at once.

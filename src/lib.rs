@@ -56,7 +56,7 @@ pub use conquer_sql as sql;
 pub use conquer_storage as storage;
 
 pub use conquer_engine::ErrorKind;
-pub use error::{ConquerError, Result};
+pub use error::Result;
 
 /// Number of cases property-based test suites should run.
 ///
@@ -72,11 +72,11 @@ pub fn proptest_cases(default: u32) -> u32 {
 
 /// Commonly used items in one import.
 pub mod prelude {
-    pub use crate::error::{ConquerError, Result};
+    pub use crate::error::Result;
     pub use conquer_core::{
-        apply_crossref, explain_answer, CleanAnswers, Def7Clause, DirtyDatabase, DirtySpec,
-        DirtyTableMeta, EvalStrategy, JoinGraph, NotRewritable, RewriteClean, RewriteExpected,
-        RewriteObstacle,
+        apply_crossref, explain_answer, CleanAnswers, CoreError, Def7Clause, DirtyDatabase,
+        DirtySpec, DirtyTableMeta, EvalStrategy, JoinGraph, NotRewritable, RewriteClean,
+        RewriteExpected, RewriteObstacle,
     };
     pub use conquer_engine::{
         CancelToken, Code, Database, Diagnostic, ErrorKind, ExecContext, ExecLimits, ExecStats,

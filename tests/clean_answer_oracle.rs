@@ -6,6 +6,7 @@
 mod oracle;
 
 use conquer_datagen::queries::QUERY_IDS;
+use conquer_engine::exec::explain_plan;
 use conquer_engine::{QuerySource, SharedDatabase};
 use conquer_sql::parse_select;
 use oracle::{family_a, family_c, family_d, literal, open, run_instance, Coverage};
@@ -46,7 +47,9 @@ fn view_lookup_is_a_cached_scan_not_a_join() {
     let shared = views_fixture();
     for q in 0..QUERY_IDS.len() {
         let lookup = parse_select(&format!("SELECT * FROM oracle_v{q}")).unwrap();
-        let plan = shared.snapshot().db().plan(&lookup).unwrap().describe();
+        let snapshot = shared.snapshot();
+        let db = snapshot.db();
+        let plan = explain_plan(db.catalog(), &db.plan(&lookup).unwrap()).unwrap();
         assert!(!plan.contains("Join"), "view {q} re-joins: {plan}");
     }
     let session = shared.session();
