@@ -180,7 +180,9 @@ impl Database {
     }
 
     /// Execute a `;`-separated script, returning the outcome of each
-    /// statement.
+    /// statement. A failed statement leaves the database as it was before
+    /// that statement and ends the script; the statements before it stay
+    /// applied.
     pub fn execute_script(&mut self, sql: &str) -> Result<Vec<ExecOutcome>> {
         parse_statements(sql)?
             .iter()
@@ -190,23 +192,12 @@ impl Database {
 
     /// Execute a parsed statement: the shared implementation behind
     /// [`Database::execute_script`], [`crate::Statement::run`] and a
-    /// [`SharedDatabase`](crate::SharedDatabase) commit. Which tables it
-    /// changed (bases, view contents/state, the view registry) is not
-    /// reported: the catalog answers that
-    /// ([`Catalog::changes_since`]), and the write-ahead log records
-    /// exactly that answer.
+    /// [`SharedDatabase`](crate::SharedDatabase) commit. A statement that
+    /// fails leaves the database unchanged. Which tables it changed
+    /// (bases, view contents/state, the view registry) is not reported:
+    /// the catalog answers that ([`Catalog::changes_since`]), and the
+    /// write-ahead log records exactly that answer.
     pub(crate) fn exec_parsed(&mut self, stmt: &Statement) -> Result<ExecOutcome> {
-        let result = self.exec_statement(stmt);
-        // The hidden tables of view maintenance live for the length of one
-        // delta query: never in a finished statement's catalog, which is
-        // what gets published and compared for logging.
-        debug_assert!(view::DELTA_TABLES
-            .iter()
-            .all(|hidden| !self.catalog.contains(hidden)));
-        result
-    }
-
-    fn exec_statement(&mut self, stmt: &Statement) -> Result<ExecOutcome> {
         match stmt {
             Statement::CreateTable(ct) => {
                 self.guard_writable(&ct.name)?;
@@ -546,35 +537,53 @@ impl Database {
         Ok((clusters, Edit::Update(updated)))
     }
 
-    /// Pre-statement image of `table` under the hidden name
-    /// [`view::OLD_TABLE`], captured only when some view lists the table
-    /// more than once: the telescoping delta evaluation reads the old bag
-    /// at the occurrences after the delta slot.
-    fn capture_old(&self, table: &str) -> Result<Option<Table>> {
-        if self
-            .views
-            .values()
-            .any(|v| v.occurrences(table).count() > 1)
-        {
-            let old = self.catalog.table(table)?.clone();
-            Ok(Some(old.renamed(view::OLD_TABLE)))
-        } else {
-            Ok(None)
-        }
-    }
-
     /// Apply a planned change to `table` and fold it into every view
     /// defined over the table: the one place a DML statement mutates the
-    /// catalog. An edit that selects no row asks for no mutable access, so
-    /// the table stays shared with the version the statement started from.
+    /// catalog. The edit, each view's fold and its registry bump go into
+    /// `next`, a clone sharing every table with `self.catalog`, which
+    /// becomes the catalog only when all of them succeed: base change and
+    /// view maintenance land together or not at all. Until then
+    /// `self.catalog` is the pre-statement image the delta queries read. An
+    /// edit that selects no row asks for no mutable access, so the table
+    /// stays shared with the version the statement started from.
     fn apply_edit(&mut self, table: &str, edit: Edit) -> Result<()> {
         if edit.is_empty() {
             return Ok(());
         }
-        let tracked = self.views.values().any(|v| v.references(table));
-        let old = self.capture_old(table)?;
-        let delta = edit_table(self.catalog.table_mut(table)?, edit, tracked)?;
-        self.maintain(table, old, &delta)
+        let views: Vec<&ViewDef> = self
+            .views
+            .values()
+            .filter(|v| v.references(table))
+            .collect();
+        let mut next = self.catalog.clone();
+        let delta = edit_table(next.table_mut(table)?, edit, !views.is_empty())?;
+        if !delta.is_empty() {
+            for v in views {
+                let pairs = view::delta_pairs(self, &next, v, table, &delta)?;
+                // A delta whose rows join nothing contributes nothing: the
+                // view's two tables stay as they are, and out of the commit.
+                if !pairs.is_empty() {
+                    let (contents, state) = view::fold(v, Some(&next), pairs)?;
+                    next.replace_table(contents);
+                    next.replace_table(state);
+                }
+                bump_view_meta(&mut next, &v.name, 1, 0)?;
+            }
+        }
+        self.catalog = next;
+        Ok(())
+    }
+
+    /// A database over `catalog` with this one's limits and spill
+    /// directory and no views: what a query over a query-local catalog
+    /// runs on.
+    pub(crate) fn with_catalog(&self, catalog: Catalog) -> Database {
+        Database {
+            catalog,
+            limits: self.limits,
+            spill_dir: self.spill_dir.clone(),
+            views: BTreeMap::new(),
+        }
     }
 
     /// `CREATE MATERIALIZED VIEW`: check maintainability (typed refusal
@@ -653,69 +662,8 @@ impl Database {
         let rows = contents.len();
         self.catalog.replace_table(contents);
         self.catalog.replace_table(state);
-        self.bump_view_meta(name, 0, 1)?;
+        bump_view_meta(&mut self.catalog, name, 0, 1)?;
         Ok(ExecOutcome::RefreshedView(rows))
-    }
-
-    /// Fold one base-table delta into every view defined over the table.
-    /// Runs inside statement execution, so the base table and the view
-    /// tables it replaces differ from the previous version in the same
-    /// catalog, and the WAL commit that follows carries them together —
-    /// atomically. `old` is the pre-statement image (named
-    /// [`view::OLD_TABLE`]) when a self-join view needs one; it and the
-    /// delta side [`view::delta_pairs`] registers are hidden tables of the
-    /// live catalog while the delta queries run, and leave it on every
-    /// exit.
-    fn maintain(&mut self, table: &str, old: Option<Table>, delta: &TableDelta) -> Result<()> {
-        if delta.is_empty() {
-            return Ok(());
-        }
-        if let Some(old) = old {
-            self.catalog.add_table(old)?;
-        }
-        let result = self.maintain_views(table, delta);
-        for hidden in view::DELTA_TABLES {
-            let _ = self.catalog.drop_table(hidden);
-        }
-        result
-    }
-
-    fn maintain_views(&mut self, table: &str, delta: &TableDelta) -> Result<()> {
-        let views: Vec<ViewDef> = self
-            .views
-            .values()
-            .filter(|v| v.references(table))
-            .cloned()
-            .collect();
-        for v in &views {
-            let pairs = view::delta_pairs(self, v, table, delta)?;
-            // A delta whose rows join nothing contributes nothing: the
-            // view's two tables stay as they are, and out of the commit.
-            if !pairs.is_empty() {
-                let (contents, state) = view::fold(v, Some(&self.catalog), pairs)?;
-                self.catalog.replace_table(contents);
-                self.catalog.replace_table(state);
-            }
-            self.bump_view_meta(&v.name, 1, 0)?;
-        }
-        Ok(())
-    }
-
-    /// Add to a view's registry counters (in-table, so they are durable
-    /// and replay-idempotent along with everything else).
-    fn bump_view_meta(&mut self, name: &str, deltas: i64, refreshes: i64) -> Result<()> {
-        let meta = self.catalog.table_mut(VIEWS_META)?;
-        let d_idx = meta.column_index("deltas_applied")?;
-        let r_idx = meta.column_index("refreshes")?;
-        meta.transform_rows(|_, row| {
-            if row.first() != Some(&Value::text(name)) {
-                return None;
-            }
-            let d = row[d_idx].as_i64().unwrap_or(0) + deltas;
-            let r = row[r_idx].as_i64().unwrap_or(0) + refreshes;
-            Some(vec![(d_idx, Value::Int(d)), (r_idx, Value::Int(r))])
-        })?;
-        Ok(())
     }
 
     /// Is `name` a materialized view?
@@ -843,6 +791,23 @@ fn edit_table(t: &mut Table, edit: Edit, tracked: bool) -> Result<TableDelta> {
         }
     }
     Ok(delta)
+}
+
+/// Add to a view's registry counters (in-table, so they are durable and
+/// replay-idempotent along with everything else).
+fn bump_view_meta(catalog: &mut Catalog, name: &str, deltas: i64, refreshes: i64) -> Result<()> {
+    let meta = catalog.table_mut(VIEWS_META)?;
+    let d_idx = meta.column_index("deltas_applied")?;
+    let r_idx = meta.column_index("refreshes")?;
+    meta.transform_rows(|_, row| {
+        if row.first() != Some(&Value::text(name)) {
+            return None;
+        }
+        let d = row[d_idx].as_i64().unwrap_or(0) + deltas;
+        let r = row[r_idx].as_i64().unwrap_or(0) + refreshes;
+        Some(vec![(d_idx, Value::Int(d)), (r_idx, Value::Int(r))])
+    })?;
+    Ok(())
 }
 
 /// Evaluate a constant expression (INSERT values, RECLUSTER targets).
@@ -1429,19 +1394,6 @@ mod tests {
         }
     }
 
-    fn hidden_delta_tables(db: &Database) -> Vec<String> {
-        db.catalog()
-            .table_names()
-            .into_iter()
-            .filter(|n| {
-                view::DELTA_TABLES
-                    .iter()
-                    .any(|hidden| n.starts_with(hidden))
-            })
-            .map(str::to_string)
-            .collect()
-    }
-
     #[test]
     fn failed_delta_query_leaves_no_hidden_table_and_fails_the_statement_whole() {
         let mut db = Database::new();
@@ -1457,9 +1409,13 @@ mod tests {
         db.set_limits(ExecLimits::none().with_mem_bytes(64).with_disk_bytes(0));
         let shared = crate::SharedDatabase::new(db.clone());
 
+        // On the standalone database the statement never happened either:
+        // not the base row, not a view fold, not a hidden table.
+        let before = db.catalog().clone();
         let err = execute(&mut db, "INSERT INTO t VALUES ('b', 2, 0.25)").unwrap_err();
         assert_eq!(err.kind(), crate::ErrorKind::ResourceExhausted, "{err}");
-        assert_eq!(hidden_delta_tables(&db), Vec::<String>::new());
+        assert_eq!(change_set(db.catalog(), &before), Vec::<String>::new());
+        assert_eq!(db.catalog().table("t").unwrap().len(), 3);
 
         // Through the shared handle the statement never happened.
         let before = shared.snapshot();
@@ -1473,7 +1429,20 @@ mod tests {
         assert_eq!(snap.db().catalog().table("t").unwrap().len(), 3);
         let sj = |snap: &crate::Snapshot| snap.db().catalog().table("sj").unwrap().rows().to_vec();
         assert_eq!(sj(&snap), sj(&before));
-        assert_eq!(hidden_delta_tables(snap.db()), Vec::<String>::new());
+
+        // With the limit lifted the same statement, and a delete of its
+        // row, maintain `sj` to exactly what REFRESH computes.
+        db.set_limits(ExecLimits::none());
+        for stmt in [
+            "INSERT INTO t VALUES ('b', 2, 0.25)",
+            "DELETE FROM t WHERE id = 'b' AND n = 2",
+        ] {
+            execute(&mut db, stmt).unwrap();
+            let maintained = db.catalog().table("sj").unwrap().rows().to_vec();
+            execute(&mut db, "REFRESH MATERIALIZED VIEW sj").unwrap();
+            let recomputed = db.catalog().table("sj").unwrap().rows().to_vec();
+            assert_eq!(maintained, recomputed, "sj after {stmt}");
+        }
     }
 
     #[test]
@@ -1658,6 +1627,9 @@ mod tests {
         }
 
         session.execute(EX6_VIEW).unwrap();
+        // A failed statement changes nothing, through the shared handle
+        // and on a standalone database alike.
+        let mut db = shared.snapshot().db().clone();
         for sql in [
             // Fails in the planner, in the edit's second row, in a guard.
             "UPDATE customer SET balance = nope",
@@ -1670,6 +1642,9 @@ mod tests {
             assert_eq!(after.epoch(), before.epoch(), "{sql}");
             let changed = change_set(after.db().catalog(), before.db().catalog());
             assert_eq!(changed, Vec::<String>::new(), "{sql}");
+            let (out, changed) = run_and_diff(&mut db, sql);
+            out.unwrap_err();
+            assert_eq!(changed, Vec::<String>::new(), "standalone: {sql}");
         }
     }
 

@@ -173,7 +173,8 @@ impl Statement {
         }
     }
 
-    /// Execute any prepared statement, mutating the database if needed.
+    /// Execute any prepared statement, mutating the database if needed. A
+    /// statement that fails leaves the database unchanged.
     pub fn run(&self, db: &mut Database) -> Result<ExecOutcome> {
         match &self.kind {
             Kind::Command(stmt) => db.exec_parsed(stmt),

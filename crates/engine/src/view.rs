@@ -55,14 +55,14 @@
 //! — occurrence `o_k` is replaced by the delta, occurrences before it see
 //! the new `T`, occurrences after it the old `T` (self-joins included).
 //! Each summand is the *projection-only* view query (keys + bare SUM
-//! argument, no aggregation) run by the ordinary planner and executor on
-//! the live catalog: one side of the delta is registered as the hidden
-//! table `DELTA_TABLE` and occurrence `o_k` reads it; a view that lists
-//! `T` more than once also finds the pre-statement image as `OLD_TABLE`;
-//! every other FROM entry reads its table where it is. Removed-side rows
-//! retract their (key, term) pairs, added-side rows add them.
-//! [`Database`]'s maintenance step removes both hidden tables before the
-//! statement returns, so neither reaches the WAL or a published version.
+//! argument, no aggregation) run by the ordinary planner and executor
+//! over a query-local catalog: the statement's new catalog plus one side
+//! of the delta as `DELTA_TABLE`, which occurrence `o_k` reads, and, for
+//! a view that lists `T` more than once, the pre-statement image as
+//! `OLD_TABLE`. Every other FROM entry reads its table as the statement
+//! left it. Removed-side rows retract their (key, term) pairs, added-side
+//! rows add them. Neither name ever enters the database's own catalog,
+//! and a statement whose edit, delta query or fold fails changes nothing.
 
 use std::collections::btree_map::{BTreeMap, Entry};
 
@@ -82,17 +82,13 @@ pub const HIDDEN_PREFIX: &str = "__conquer_";
 /// The view-registry table: `(name, sql, deltas_applied, refreshes)`.
 pub const VIEWS_META: &str = "__conquer_views";
 
-/// Hidden table holding one side of a base-table delta (its removed or
-/// its added rows) while a delta query reads it.
-pub(crate) const DELTA_TABLE: &str = "__conquer_delta";
+/// Query-local name of one side of a base-table delta (its removed or its
+/// added rows) while a delta query reads it.
+const DELTA_TABLE: &str = "__conquer_delta";
 
-/// Hidden table holding the pre-statement image of the changed base table
+/// Query-local name of the pre-statement image of the changed base table
 /// while the delta queries of a self-join view read it.
-pub(crate) const OLD_TABLE: &str = "__conquer_old";
-
-/// Both hidden tables of delta evaluation: what maintenance removes from
-/// the catalog before its statement returns.
-pub(crate) const DELTA_TABLES: [&str; 2] = [DELTA_TABLE, OLD_TABLE];
+const OLD_TABLE: &str = "__conquer_old";
 
 /// State-table column holding a group's contribution count.
 pub(crate) const COUNT_COLUMN: &str = "__conquer_count";
@@ -549,40 +545,51 @@ pub(crate) fn fold(
 
 /// Evaluate the signed (key, term) contribution pairs of one base-table
 /// delta against one view, by the telescoping decomposition described in
-/// the module docs. `db` is the *post-statement* database; when the view
-/// lists `table` more than once its catalog already holds the
-/// pre-statement image as [`OLD_TABLE`]. Each delta side is registered as
-/// [`DELTA_TABLE`] and left there — the caller drops both hidden tables on
-/// every exit. The `bool` is `true` for an added contribution, `false`
-/// for a retraction.
+/// the module docs. `db` is the database as it was before the statement,
+/// and `next` the catalog the statement is building, with `table` already
+/// edited. Each query runs on a throwaway database over a query-local
+/// catalog, with `db`'s limits and spill directory. The `bool` is `true`
+/// for an added contribution, `false` for a retraction.
 pub(crate) fn delta_pairs(
-    db: &mut Database,
+    db: &Database,
+    next: &Catalog,
     view: &ViewDef,
     table: &str,
     delta: &TableDelta,
 ) -> Result<Vec<Contribution>> {
-    let schema = db.catalog().table(table)?.schema().clone();
+    let old = db.catalog().table(table)?;
+    let relation = |name: &str, rows: &[Row]| -> Result<Table> {
+        let mut t = Table::new(name, old.schema().clone());
+        t.insert_all(rows.iter().cloned())?;
+        Ok(t)
+    };
+    let mut base = next.clone();
+    if view.occurrences(table).nth(1).is_some() {
+        base.add_table(relation(OLD_TABLE, old.rows())?)?;
+    }
+    let mut sides = Vec::new();
+    for (rows, add) in [(&delta.removed, false), (&delta.added, true)] {
+        if !rows.is_empty() {
+            let mut catalog = base.clone();
+            catalog.add_table(relation(DELTA_TABLE, rows)?)?;
+            sides.push((db.with_catalog(catalog), add));
+        }
+    }
     let mut pairs = Vec::new();
     for k in view.occurrences(table) {
-        // The telescope: the delta at slot `k`, the new `T` (the live
-        // table) before it, the old `T` after it. Aliases keep the
-        // original binding names, so the selection binds unchanged.
+        // The telescope: the delta at slot `k`, the new `T` before it, the
+        // old `T` after it. Aliases keep the original binding names, so the
+        // selection binds unchanged.
         let mut query = view.projection_query();
         for (j, tref) in query.from.iter_mut().enumerate().skip(k) {
             if tref.table == table {
-                let hidden = if j == k { DELTA_TABLE } else { OLD_TABLE };
-                *tref = TableRef::aliased(hidden, tref.binding_name().to_string());
+                let name = if j == k { DELTA_TABLE } else { OLD_TABLE };
+                *tref = TableRef::aliased(name, tref.binding_name().to_string());
             }
         }
-        for (side, add) in [(&delta.removed, false), (&delta.added, true)] {
-            if side.is_empty() {
-                continue;
-            }
-            let mut side_table = Table::new(DELTA_TABLE, schema.clone());
-            side_table.insert_all(side.iter().cloned())?;
-            db.catalog_mut().replace_table(side_table);
-            let rows = db.prepare_select(&query)?.query(db)?.rows;
-            pairs.extend(rows.into_iter().map(|row| view.contribution(row, add)));
+        for (local, add) in &sides {
+            let rows = local.prepare_select(&query)?.query(local)?.rows;
+            pairs.extend(rows.into_iter().map(|row| view.contribution(row, *add)));
         }
     }
     Ok(pairs)

@@ -35,13 +35,6 @@ impl Table {
         &self.name
     }
 
-    /// The same table under another (lower-cased) name; the rows move,
-    /// nothing is copied.
-    pub fn renamed(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into().to_ascii_lowercase();
-        self
-    }
-
     /// The table's schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
