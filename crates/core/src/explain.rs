@@ -7,6 +7,7 @@
 //! one answer tuple, so a user inspecting a surprising probability can see
 //! which duplicate representations support it and by how much.
 
+use conquer_engine::exact::ExactSum;
 use conquer_sql::{Expr, SelectItem, SelectStatement};
 use conquer_storage::{Row, Value};
 
@@ -30,7 +31,8 @@ pub struct Support {
 pub struct Explanation {
     /// The answer tuple explained.
     pub answer: Row,
-    /// Its clean-answer probability (sum of the supports).
+    /// Its clean-answer probability: the sum of the supports, rounded once
+    /// as the rewritten query's `SUM` rounds it.
     pub probability: f64,
     /// The supporting combinations, most probable first.
     pub supports: Vec<Support>,
@@ -111,7 +113,7 @@ pub fn explain_answer(db: &DirtyDatabase, sql: &str, answer: &[Value]) -> Result
 
     let result = db.db().prepare_select(&probe)?.query(db.db())?;
     let mut supports = Vec::new();
-    let mut total = 0.0;
+    let mut total = ExactSum::new();
     for row in &result.rows {
         if &row[..n_answer] != answer {
             continue;
@@ -124,7 +126,7 @@ pub fn explain_answer(db: &DirtyDatabase, sql: &str, answer: &[Value]) -> Result
             probability *= p;
             tuples.push((binding.clone(), id, p));
         }
-        total += probability;
+        total.add(probability);
         supports.push(Support {
             probability,
             tuples,
@@ -133,7 +135,7 @@ pub fn explain_answer(db: &DirtyDatabase, sql: &str, answer: &[Value]) -> Result
     supports.sort_by(|a, b| b.probability.total_cmp(&a.probability));
     Ok(Explanation {
         answer: answer.to_vec(),
-        probability: total,
+        probability: total.value().unwrap_or(0.0),
         supports,
     })
 }
@@ -201,17 +203,36 @@ mod tests {
 
     #[test]
     fn explanation_total_matches_clean_answer() {
-        let dirty = figure2();
-        let sql = "select o.id, c.id from orders o, customer c \
-                   where o.cidfk = c.id and c.balance > 10000";
-        let answers = dirty.clean_answers(sql).unwrap();
-        for (row, p) in &answers.rows {
-            let exp = explain_answer(&dirty, sql, row).unwrap();
-            assert!(
-                (exp.probability - p).abs() < 1e-12,
-                "explanation of {row:?} totals {} but the answer says {p}",
-                exp.probability
-            );
+        let figure2 = figure2();
+        // A cluster whose probabilities sum to 0.9999999999999999 when
+        // added left to right in f64, and to 1.0 when rounded once.
+        let mut db = Database::new();
+        db.execute_script(
+            "CREATE TABLE c (id TEXT, v INTEGER, prob DOUBLE);
+             INSERT INTO c VALUES ('c1', 1, 0.2), ('c1', 2, 0.7), ('c1', 3, 0.1);",
+        )
+        .unwrap();
+        let cluster = DirtyDatabase::new(db, DirtySpec::uniform(&["c"])).unwrap();
+        let cases = [
+            (
+                &figure2,
+                "select o.id, c.id from orders o, customer c \
+                 where o.cidfk = c.id and c.balance > 10000",
+            ),
+            (&cluster, "select id from c where v > 0"),
+        ];
+        for (dirty, sql) in cases {
+            let answers = dirty.clean_answers(sql).unwrap();
+            assert!(!answers.rows.is_empty(), "{sql}");
+            for (row, p) in &answers.rows {
+                let exp = explain_answer(dirty, sql, row).unwrap();
+                assert_eq!(
+                    exp.probability.to_bits(),
+                    p.to_bits(),
+                    "explanation of {row:?} totals {} but the answer says {p}",
+                    exp.probability
+                );
+            }
         }
     }
 

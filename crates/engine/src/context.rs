@@ -15,16 +15,19 @@
 //!   too small for their working set.
 //!
 //! The escalation ladder under memory pressure is *budget → spill →
-//! [`EngineError::ResourceExhausted`]*: hash join, hash aggregation, and
-//! sort first try to stay in memory ([`ExecContext::try_charge`]), fall
-//! back to checksummed spill files on disk when the budget is hit (see
-//! [`conquer_storage::spill`]), and only error once the disk budget is
-//! exhausted too. Operators without an external-memory strategy (cross
-//! join, DISTINCT, the result buffer) still charge the memory budget
-//! hard. Exceeding any guard aborts the query with a *typed* error
-//! ([`EngineError::ResourceExhausted`] / [`EngineError::Timeout`] /
-//! [`EngineError::Cancelled`]) instead of OOM-killing or hanging the
-//! process; the database stays fully usable afterwards.
+//! [`EngineError::ResourceExhausted`]*: every charge hash join, hash
+//! aggregation and sort make first tries to stay in memory
+//! ([`ExecContext::try_charge`]); when that fails it falls back to
+//! checksummed spill files on disk (see [`conquer_storage::spill`])
+//! unless the disk budget is zero or the passes are used up; otherwise it
+//! charges hard ([`ExecContext::charge`]), which aborts past the memory
+//! budget. Writing past the disk budget aborts too. Operators without an
+//! external-memory strategy (cross join, DISTINCT, the result buffer)
+//! always charge the memory budget hard. Exceeding any guard aborts the
+//! query with a *typed* error ([`EngineError::ResourceExhausted`] /
+//! [`EngineError::Timeout`] / [`EngineError::Cancelled`]) instead of
+//! OOM-killing or hanging the process; the database stays fully usable
+//! afterwards.
 //!
 //! Checks are cooperative and batched: the executor calls
 //! [`ExecContext::tick`] once per operator batch (≤1024 rows) *and* every
@@ -41,9 +44,10 @@
 //! [`Statement::query_with`](crate::Statement::query_with). Process-wide
 //! defaults can come from the environment via [`ExecLimits::from_env`].
 
+use std::cell::{Cell, OnceCell};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use conquer_storage::spill::SpillSession;
@@ -142,7 +146,9 @@ impl ExecLimits {
 /// via [`ExecContext::with_token`]), hand it to another thread, and call
 /// [`CancelToken::cancel`]; the executor notices at its next batch
 /// boundary (or within a few hundred rows of a spill loop) and aborts
-/// with [`EngineError::Cancelled`].
+/// with [`EngineError::Cancelled`]. The token is the one part of a
+/// query's governance another thread touches: it is `Send + Sync`, while
+/// the context itself is not `Sync`.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
 
@@ -171,17 +177,22 @@ impl CancelToken {
 /// meters start at zero. The spill session (temp directory) is created
 /// lazily by the first operator that spills and removed when the context
 /// drops.
+///
+/// A query runs on the thread that calls it, so its context, meters and
+/// spill session are that thread's alone: the context is `Send` (build it
+/// on one thread, run the query on another) but not `Sync`. The one
+/// handle another thread touches is the [`CancelToken`].
 #[non_exhaustive]
 #[derive(Debug)]
 pub struct ExecContext {
     limits: ExecLimits,
     deadline: Option<Instant>,
     cancel: CancelToken,
-    mem_used: AtomicU64,
-    mem_peak: AtomicU64,
-    disk_used: AtomicU64,
+    mem_used: Cell<u64>,
+    mem_peak: Cell<u64>,
+    disk_used: Cell<u64>,
     spill_base: Option<PathBuf>,
-    spill: OnceLock<std::result::Result<SpillSession, String>>,
+    spill: OnceCell<std::result::Result<SpillSession, String>>,
 }
 
 impl Default for ExecContext {
@@ -204,11 +215,11 @@ impl ExecContext {
             deadline: limits.timeout.map(|t| Instant::now() + t),
             limits,
             cancel,
-            mem_used: AtomicU64::new(0),
-            mem_peak: AtomicU64::new(0),
-            disk_used: AtomicU64::new(0),
+            mem_used: Cell::new(0),
+            mem_peak: Cell::new(0),
+            disk_used: Cell::new(0),
             spill_base: None,
-            spill: OnceLock::new(),
+            spill: OnceCell::new(),
         }
     }
 
@@ -234,17 +245,17 @@ impl ExecContext {
 
     /// High-water mark of materialized operator state charged so far.
     pub fn mem_charged(&self) -> u64 {
-        self.mem_peak.load(Ordering::Relaxed)
+        self.mem_peak.get()
     }
 
     /// Bytes of operator state charged and not yet released.
     pub(crate) fn mem_in_use(&self) -> u64 {
-        self.mem_used.load(Ordering::Relaxed)
+        self.mem_used.get()
     }
 
     /// Total bytes of spill-file state written to disk so far.
     pub fn disk_charged(&self) -> u64 {
-        self.disk_used.load(Ordering::Relaxed)
+        self.disk_used.get()
     }
 
     /// Cooperative cancellation/deadline check; called by the executor at
@@ -265,8 +276,10 @@ impl ExecContext {
         Ok(())
     }
 
-    fn note_peak(&self, now: u64) {
-        self.mem_peak.fetch_max(now, Ordering::Relaxed);
+    /// Set the memory meter to `now`, raising the high-water mark.
+    fn set_mem(&self, now: u64) {
+        self.mem_used.set(now);
+        self.mem_peak.set(self.mem_peak.get().max(now));
     }
 
     /// Charge `bytes` of newly materialized operator state against the
@@ -274,17 +287,15 @@ impl ExecContext {
     /// would push the query past its memory limit (the charge is still
     /// recorded, so repeated calls keep failing).
     pub fn charge(&self, bytes: u64) -> Result<()> {
-        let now = self.mem_used.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.note_peak(now);
-        if let Some(limit) = self.limits.mem_bytes {
-            if now > limit {
-                return Err(EngineError::ResourceExhausted {
-                    limit_bytes: limit,
-                    attempted_bytes: now,
-                });
-            }
+        let now = self.mem_used.get().saturating_add(bytes);
+        self.set_mem(now);
+        match self.limits.mem_bytes {
+            Some(limit) if now > limit => Err(EngineError::ResourceExhausted {
+                limit_bytes: limit,
+                attempted_bytes: now,
+            }),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Try to charge `bytes` against the memory budget. Unlike
@@ -292,66 +303,33 @@ impl ExecContext {
     /// spilling operator can probe the budget, take the disk path instead,
     /// and leave the meter accurate.
     pub fn try_charge(&self, bytes: u64) -> bool {
-        let limit = match self.limits.mem_bytes {
-            None => {
-                let now = self.mem_used.fetch_add(bytes, Ordering::Relaxed) + bytes;
-                self.note_peak(now);
-                return true;
-            }
-            Some(limit) => limit,
-        };
-        let mut cur = self.mem_used.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_add(bytes);
-            if next > limit {
-                return false;
-            }
-            match self.mem_used.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    self.note_peak(next);
-                    return true;
-                }
-                Err(actual) => cur = actual,
-            }
+        let now = self.mem_used.get().saturating_add(bytes);
+        if self.limits.mem_bytes.is_some_and(|limit| now > limit) {
+            return false;
         }
+        self.set_mem(now);
+        true
     }
 
     /// Credit back `bytes` of operator state that moved to disk or was
     /// dropped by a spilling operator. Saturates at zero.
     pub fn release(&self, bytes: u64) {
-        let _ = self
-            .mem_used
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                Some(cur.saturating_sub(bytes))
-            });
+        self.mem_used.set(self.mem_used.get().saturating_sub(bytes));
     }
 
     /// Charge `bytes` written to spill files against the disk budget.
     /// Returns [`EngineError::ResourceExhausted`] when even the disk
     /// budget is exhausted — the end of the escalation ladder.
     pub fn charge_disk(&self, bytes: u64) -> Result<()> {
-        let now = self.disk_used.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        if let Some(limit) = self.limits.disk_bytes {
-            if now > limit {
-                return Err(EngineError::ResourceExhausted {
-                    limit_bytes: limit,
-                    attempted_bytes: now,
-                });
-            }
+        let now = self.disk_used.get().saturating_add(bytes);
+        self.disk_used.set(now);
+        match self.limits.disk_bytes {
+            Some(limit) if now > limit => Err(EngineError::ResourceExhausted {
+                limit_bytes: limit,
+                attempted_bytes: now,
+            }),
+            _ => Ok(()),
         }
-        Ok(())
-    }
-
-    /// True when operators should fall back to disk instead of aborting on
-    /// memory-budget overflow: a memory budget is set and spilling was not
-    /// disabled with `disk_bytes = Some(0)`.
-    pub fn spill_enabled(&self) -> bool {
-        self.limits.mem_bytes.is_some() && self.limits.disk_bytes != Some(0)
     }
 
     /// The context's spill session, created on first use under the
@@ -381,6 +359,8 @@ mod tests {
         ctx.charge(u64::MAX / 2).unwrap();
         ctx.tick().unwrap();
         assert_eq!(ctx.mem_charged(), u64::MAX / 2);
+        // Without a memory budget no probe fails, so no operator spills.
+        assert!(ctx.try_charge(u64::MAX / 2));
     }
 
     #[test]
@@ -425,7 +405,6 @@ mod tests {
     #[test]
     fn disk_budget_trips_with_typed_error() {
         let ctx = ExecContext::new(ExecLimits::none().with_mem_bytes(100).with_disk_bytes(1000));
-        assert!(ctx.spill_enabled());
         ctx.charge_disk(800).unwrap();
         let err = ctx.charge_disk(800).unwrap_err();
         assert!(
@@ -439,15 +418,6 @@ mod tests {
             "{err:?}"
         );
         assert_eq!(ctx.disk_charged(), 1600);
-    }
-
-    #[test]
-    fn zero_disk_budget_disables_spilling() {
-        let ctx = ExecContext::new(ExecLimits::none().with_mem_bytes(100).with_disk_bytes(0));
-        assert!(!ctx.spill_enabled());
-        // No memory budget at all -> nothing to spill for either.
-        let ctx = ExecContext::new(ExecLimits::none().with_disk_bytes(1 << 20));
-        assert!(!ctx.spill_enabled());
     }
 
     #[test]

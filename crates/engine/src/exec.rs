@@ -59,15 +59,17 @@
 //! * **sort** becomes an external merge sort: sorted runs on disk, one
 //!   k-way merge pass.
 //!
-//! Spilling engages only when [`ExecContext::try_charge`] fails — under
-//! the budget, plans and performance are unchanged — and requires a
-//! configured memory budget (spilling can be disabled with a zero disk
-//! budget, restoring the strict-abort behavior). Operators without an
-//! external strategy (cross join, DISTINCT, the result buffer) still
-//! charge the memory budget hard. A spill partition is read back in
-//! batches, each a cancellation point; loops that stream rows without
-//! crossing a batch boundary tick the context's cancellation/deadline
-//! guards every `SPILL_TICK_ROWS` rows.
+//! Each of the three climbs one ladder for every charge: try it
+//! ([`ExecContext::try_charge`]); if that fails, spill, unless the disk
+//! budget is zero or the passes are used up; otherwise charge hard, which
+//! aborts past the memory budget. Without a memory budget no charge fails
+//! and nothing spills; under it, plans and performance are unchanged; a
+//! zero disk budget aborts at the memory budget and writes nothing.
+//! Operators without an external strategy (cross join, DISTINCT, the
+//! result buffer) charge the memory budget hard. A spill partition is
+//! read back in batches, each a cancellation point; loops that stream
+//! rows without crossing a batch boundary tick the context's
+//! cancellation/deadline guards every `SPILL_TICK_ROWS` rows.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -108,8 +110,8 @@ const MAX_SPILL_PASSES: u32 = 5;
 
 /// Rows between cooperative cancellation/deadline checks inside loops
 /// that stream arbitrarily many rows without crossing a batch boundary
-/// (a build-table flush, a probe's fan-out, a sort's runs and merge).
-/// Bounds cancellation latency while spilling.
+/// (a build-table flush, a probe's fan-out, the aggregate over a join's
+/// fan-out, a sort's runs and merge). Bounds cancellation latency.
 const SPILL_TICK_ROWS: u32 = 128;
 
 /// Materialized rows: what the aggregate and every operator above it
@@ -1539,20 +1541,6 @@ fn hj_build(
     let mut ticker = Ticker::new();
     let mut key = Vec::with_capacity(keys.build_exprs.len());
     while let Some(batch) = build.next_batch(m, ctx)? {
-        if !ctx.spill_enabled() {
-            // No spill fallback configured: charge the whole batch hard,
-            // preserving the strict-abort behavior.
-            let mut batch_mem = 0u64;
-            for b in batch.iter() {
-                if keys.build_key(b, &mut key)? {
-                    batch_mem += keys.build_bytes(&key);
-                    map.insert(&key, b)?;
-                }
-            }
-            ctx.charge(batch_mem)?;
-            mem += batch_mem;
-            continue;
-        }
         for b in batch.iter() {
             if !keys.build_key(b, &mut key)? {
                 continue;
@@ -1563,7 +1551,7 @@ fn hj_build(
             }
             let bytes = keys.build_bytes(&key);
             if !ctx.try_charge(bytes) {
-                if pass < MAX_SPILL_PASSES {
+                if pass < MAX_SPILL_PASSES && ctx.limits().disk_bytes != Some(0) {
                     // Budget full: partition what we have, release the
                     // memory, spill everything still to come.
                     let mut ws = new_partition_writers(ctx)?;
@@ -1766,21 +1754,13 @@ fn sort_input(
     let mut ticker = Ticker::new();
     let cap = spill_cap(ctx);
     while let Some(batch) = pull(child, m, ctx)? {
-        if !ctx.spill_enabled() {
-            let bytes: u64 = batch.iter().map(approx_row_bytes).sum();
-            ctx.charge(bytes)?;
-            mem += bytes;
-            m.peak_mem = m.peak_mem.max(mem);
-            buf.extend(batch);
-            continue;
-        }
         for row in batch {
             let bytes = approx_row_bytes(&row);
             if mem + bytes > cap || !ctx.try_charge(bytes) {
                 // Flush the buffer as one sorted run, then retry; a
-                // single row bigger than the whole budget still charges
-                // hard.
-                if !buf.is_empty() {
+                // single row bigger than the whole budget, or any row
+                // when spilling is off, still charges hard.
+                if !buf.is_empty() && ctx.limits().disk_bytes != Some(0) {
                     runs.push(flush_run(&mut buf, keys, m, ctx, &mut ticker)?);
                     ctx.release(mem);
                     mem = 0;
@@ -2130,6 +2110,8 @@ fn aggregate_input(
     let mut key = vec![Cow::Owned(Value::Null); group.keys.len()];
     let mut at = None;
     let mut tuples = 0u64;
+    // A join's batch can hold far more than `BATCH_SIZE` tuples.
+    let mut ticker = Ticker::new();
     // End the pass's run mode: index the groups, hash from here on.
     let stop_runs = |runs: &mut Option<Runs>, groups: &mut Groups, m: &mut Metrics, at: u64| {
         if runs.take().is_some() {
@@ -2139,11 +2121,8 @@ fn aggregate_input(
     };
 
     while let Some(batch) = input.next_batch(m, ctx)? {
-        // Bytes of groups created by this batch; without a spill fallback
-        // they are charged per batch so a key-explosion on skewed dirty
-        // data hits the budget before exhausting process memory.
-        let mut batch_mem = 0u64;
         for p in batch.iter() {
+            ticker.row(ctx)?;
             let t = agg.layout.tuple(p);
             tuples += 1;
             let same_row = at == Some(p[agg.spine]);
@@ -2167,11 +2146,9 @@ fn aggregate_input(
                 Some(i) => i,
                 None => {
                     let bytes = key.iter().map(owned_value_bytes).sum::<u64>() + accs_bytes;
-                    if !ctx.spill_enabled() {
-                        batch_mem += bytes;
-                    } else if writers.is_none() && mem + bytes <= cap && ctx.try_charge(bytes) {
+                    if writers.is_none() && mem + bytes <= cap && ctx.try_charge(bytes) {
                         mem += bytes;
-                    } else if pass < MAX_SPILL_PASSES {
+                    } else if pass < MAX_SPILL_PASSES && ctx.limits().disk_bytes != Some(0) {
                         // Once one key has gone to disk, every new one
                         // does: a group made in memory now might already
                         // have tuples in a partition.
@@ -2205,10 +2182,6 @@ fn aggregate_input(
                     Some(e) => acc.update(&*e.eval_ref(t)?)?,
                 }
             }
-        }
-        if !ctx.spill_enabled() {
-            ctx.charge(batch_mem)?;
-            mem += batch_mem;
         }
     }
 

@@ -131,11 +131,6 @@ pub enum BoundExpr {
 }
 
 impl BoundExpr {
-    /// Constant TRUE.
-    pub fn true_() -> Self {
-        BoundExpr::Literal(Value::Bool(true))
-    }
-
     /// Collect every referenced column id.
     pub fn columns(&self) -> Vec<ColumnId> {
         let mut out = Vec::new();

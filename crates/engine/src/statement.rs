@@ -155,8 +155,10 @@ impl Statement {
     /// to another thread before calling, and trip it to abort the query
     /// with [`EngineError::Cancelled`].
     ///
-    /// The context is per-execution state (deadline clock, memory meter);
-    /// create a fresh one per call.
+    /// The context is per-execution state (deadline clock, memory and disk
+    /// meters, spill session); create a fresh one per call. It is `Send`
+    /// but not `Sync`: the query runs on the thread that calls this, and
+    /// the token is the only handle other threads share.
     pub fn query_with(&self, db: &Database, ctx: &ExecContext) -> Result<QueryResult> {
         match &self.kind {
             Kind::Select { plan } => {

@@ -451,8 +451,7 @@ pub(crate) fn recompute(db: &Database, view: &ViewDef) -> Result<(Table, Table)>
 /// moves by ±1 and its accumulator adds the term or its negation. Untouched
 /// groups are copied. A group disappears at count 0; a count below 0 means
 /// the state diverged from the bases, an internal error that aborts the
-/// commit. A state table in the older per-contribution layout is refused
-/// with a typed error naming `REFRESH`, which rebuilds both tables.
+/// commit.
 pub(crate) fn fold(
     view: &ViewDef,
     prior: Option<&Catalog>,
@@ -461,17 +460,10 @@ pub(crate) fn fold(
     let diverged = |what: &str| EngineError::internal(format!("view {:?}: {what}", view.name));
     let (prior_contents, prior_state) = match prior {
         None => (&[][..], &[][..]),
-        Some(catalog) => {
-            let state = catalog.table(&view.state_table())?;
-            if *state.schema() != view.state_schema()? {
-                return Err(EngineError::NotMaintainable(format!(
-                    "view {:?} keeps its state in an older layout; run REFRESH MATERIALIZED \
-                     VIEW {} to rebuild it",
-                    view.name, view.name
-                )));
-            }
-            (catalog.table(&view.name)?.rows(), state.rows())
-        }
+        Some(catalog) => (
+            catalog.table(&view.name)?.rows(),
+            catalog.table(&view.state_table())?.rows(),
+        ),
     };
     if prior_contents.len() != prior_state.len() {
         return Err(diverged("contents and state tables differ in length"));

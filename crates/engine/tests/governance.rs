@@ -325,11 +325,12 @@ fn cancellation_mid_join_returns_promptly() {
     let db = big_db();
     let ctx = db.exec_context(ExecLimits::none());
     let token = ctx.cancel_token();
+    let db = &db;
     std::thread::scope(|s| {
-        let handle = s.spawn(|| {
+        let handle = s.spawn(move || {
             let stmt = db.prepare(SELF_JOIN_SQL).unwrap();
             let started = Instant::now();
-            let err = stmt.query_with(&db, &ctx).unwrap_err();
+            let err = stmt.query_with(db, &ctx).unwrap_err();
             (err, started.elapsed())
         });
         std::thread::sleep(Duration::from_millis(40));

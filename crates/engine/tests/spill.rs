@@ -247,23 +247,21 @@ fn zero_disk_budget_restores_hard_abort() {
     let db = big_db(4000);
     // A 112 000 B build side unconstrained.
     let sql = "SELECT COUNT(*) FROM big a, big b WHERE a.id = b.id";
-    let err = db
-        .prepare(sql)
-        .unwrap()
-        .query_with(
-            &db,
-            &db.exec_context(
-                ExecLimits::none()
-                    .with_mem_bytes(10 * 1024)
-                    .with_disk_bytes(0),
-            ),
-        )
-        .unwrap_err();
-    assert!(
-        matches!(err, EngineError::ResourceExhausted { .. }),
-        "{err:?}"
+    let ctx = db.exec_context(
+        ExecLimits::none()
+            .with_mem_bytes(10 * 1024)
+            .with_disk_bytes(0),
     );
+    let err = db.prepare(sql).unwrap().query_with(&db, &ctx).unwrap_err();
+    // The abort is the memory budget's, and nothing was written to disk.
+    match &err {
+        EngineError::ResourceExhausted { limit_bytes, .. } => {
+            assert_eq!(*limit_bytes, 10 * 1024)
+        }
+        other => panic!("expected ResourceExhausted, got {other:?}"),
+    }
     assert!(err.is_governance());
+    assert_eq!(ctx.disk_charged(), 0);
 }
 
 #[test]

@@ -54,11 +54,6 @@ impl Dcf {
         self.dist.iter().map(|(&v, &p)| (v, p))
     }
 
-    /// Number of values with non-zero probability.
-    pub fn support_size(&self) -> usize {
-        self.dist.len()
-    }
-
     /// Merge two summaries per the paper's recursive DCF formula.
     pub fn merge(&self, other: &Dcf) -> Dcf {
         let weight = self.weight + other.weight;

@@ -239,11 +239,6 @@ impl Table {
             keep
         });
     }
-
-    /// Total number of cells (rows × columns); used for scan-cost baselines.
-    pub fn cell_count(&self) -> usize {
-        self.rows.len() * self.schema.len()
-    }
 }
 
 impl fmt::Display for Table {

@@ -88,35 +88,8 @@ pub fn drain_issues() -> Vec<String> {
 }
 
 // ---------------------------------------------------------------------------
-// Vfs trait + free functions
+// Free functions
 // ---------------------------------------------------------------------------
-
-/// The operations storage needs from a filesystem. [`RealFs`] implements
-/// it over `std::fs`; the free functions below are the static-dispatch
-/// fast path production code actually calls (routing to a mounted
-/// `SimFs` only when the `fault` feature is on *and* a mount exists).
-pub trait Vfs {
-    /// Read a whole file.
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
-    /// Write a whole file (no fsync).
-    fn write(&self, path: &Path, contents: &[u8]) -> io::Result<()>;
-    /// Read a whole file as UTF-8.
-    fn read_to_string(&self, path: &Path) -> io::Result<String>;
-    /// Create a directory and all missing parents.
-    fn create_dir_all(&self, path: &Path) -> io::Result<()>;
-    /// Remove a directory tree.
-    fn remove_dir_all(&self, path: &Path) -> io::Result<()>;
-    /// Remove a file.
-    fn remove_file(&self, path: &Path) -> io::Result<()>;
-    /// Atomically rename `from` to `to` (same filesystem).
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
-    /// fsync the directory itself so renames/creates within it are durable.
-    fn sync_dir(&self, path: &Path) -> io::Result<()>;
-    /// List a directory's immediate entries.
-    fn dir_entries(&self, path: &Path) -> io::Result<Vec<DirEntry>>;
-    /// Whether a path exists.
-    fn exists(&self, path: &Path) -> bool;
-}
 
 /// One directory-listing entry (name + kind), fs-implementation agnostic.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,52 +100,8 @@ pub struct DirEntry {
     pub is_dir: bool,
 }
 
-/// The zero-cost production filesystem: direct `std::fs`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RealFs;
-
-impl Vfs for RealFs {
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        std::fs::read(path)
-    }
-    fn write(&self, path: &Path, contents: &[u8]) -> io::Result<()> {
-        std::fs::write(path, contents)
-    }
-    fn read_to_string(&self, path: &Path) -> io::Result<String> {
-        std::fs::read_to_string(path)
-    }
-    fn create_dir_all(&self, path: &Path) -> io::Result<()> {
-        std::fs::create_dir_all(path)
-    }
-    fn remove_dir_all(&self, path: &Path) -> io::Result<()> {
-        std::fs::remove_dir_all(path)
-    }
-    fn remove_file(&self, path: &Path) -> io::Result<()> {
-        std::fs::remove_file(path)
-    }
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        std::fs::rename(from, to)
-    }
-    fn sync_dir(&self, path: &Path) -> io::Result<()> {
-        std::fs::File::open(path)?.sync_all()
-    }
-    fn dir_entries(&self, path: &Path) -> io::Result<Vec<DirEntry>> {
-        let mut out = Vec::new();
-        for entry in std::fs::read_dir(path)? {
-            let entry = entry?;
-            let Some(name) = entry.file_name().to_str().map(str::to_string) else {
-                continue;
-            };
-            let is_dir = entry.file_type().is_ok_and(|t| t.is_dir());
-            out.push(DirEntry { name, is_dir });
-        }
-        Ok(out)
-    }
-    fn exists(&self, path: &Path) -> bool {
-        path.exists()
-    }
-}
-
+/// Route a call to a mounted `SimFs` when the `fault` feature is on *and*
+/// `$path` lies under a mount; otherwise run the direct `std::fs` call.
 macro_rules! routed {
     ($path:expr, $sim_call:expr, $real:expr) => {{
         #[cfg(feature = "fault")]
@@ -187,7 +116,7 @@ macro_rules! routed {
 /// Read a whole file.
 #[inline]
 pub fn read(path: &Path) -> io::Result<Vec<u8>> {
-    routed!(path, |s: SimMount| s.read(path), RealFs.read(path))
+    routed!(path, |s: SimMount| s.read(path), std::fs::read(path))
 }
 
 /// Write a whole file (no fsync — callers needing durability sync).
@@ -196,7 +125,7 @@ pub fn write(path: &Path, contents: &[u8]) -> io::Result<()> {
     routed!(
         path,
         |s: SimMount| s.write(path, contents),
-        RealFs.write(path, contents)
+        std::fs::write(path, contents)
     )
 }
 
@@ -206,7 +135,7 @@ pub fn read_to_string(path: &Path) -> io::Result<String> {
     routed!(
         path,
         |s: SimMount| s.read_to_string(path),
-        RealFs.read_to_string(path)
+        std::fs::read_to_string(path)
     )
 }
 
@@ -216,7 +145,7 @@ pub fn create_dir_all(path: &Path) -> io::Result<()> {
     routed!(
         path,
         |s: SimMount| s.create_dir_all(path),
-        RealFs.create_dir_all(path)
+        std::fs::create_dir_all(path)
     )
 }
 
@@ -226,7 +155,7 @@ pub fn remove_dir_all(path: &Path) -> io::Result<()> {
     routed!(
         path,
         |s: SimMount| s.remove_dir_all(path),
-        RealFs.remove_dir_all(path)
+        std::fs::remove_dir_all(path)
     )
 }
 
@@ -236,7 +165,7 @@ pub fn remove_file(path: &Path) -> io::Result<()> {
     routed!(
         path,
         |s: SimMount| s.remove_file(path),
-        RealFs.remove_file(path)
+        std::fs::remove_file(path)
     )
 }
 
@@ -246,24 +175,35 @@ pub fn rename(from: &Path, to: &Path) -> io::Result<()> {
     routed!(
         from,
         |s: SimMount| s.rename(from, to),
-        RealFs.rename(from, to)
+        std::fs::rename(from, to)
     )
 }
 
 /// fsync a directory so the renames/creates within it are durable.
 #[inline]
 pub fn sync_dir(path: &Path) -> io::Result<()> {
-    routed!(path, |s: SimMount| s.sync_dir(path), RealFs.sync_dir(path))
+    routed!(
+        path,
+        |s: SimMount| s.sync_dir(path),
+        std::fs::File::open(path)?.sync_all()
+    )
 }
 
 /// List a directory's immediate entries (names + kind).
 #[inline]
 pub fn dir_entries(path: &Path) -> io::Result<Vec<DirEntry>> {
-    routed!(
-        path,
-        |s: SimMount| s.dir_entries(path),
-        RealFs.dir_entries(path)
-    )
+    routed!(path, |s: SimMount| s.dir_entries(path), {
+        let mut out = Vec::new();
+        for entry in std::fs::read_dir(path)? {
+            let entry = entry?;
+            let Some(name) = entry.file_name().to_str().map(str::to_string) else {
+                continue;
+            };
+            let is_dir = entry.file_type().is_ok_and(|t| t.is_dir());
+            out.push(DirEntry { name, is_dir });
+        }
+        Ok(out)
+    })
 }
 
 /// Whether a path exists.
@@ -273,7 +213,7 @@ pub fn exists(path: &Path) -> bool {
     if let Some(simfs) = sim::route(path) {
         return simfs.exists(path);
     }
-    RealFs.exists(path)
+    path.exists()
 }
 
 // ---------------------------------------------------------------------------
