@@ -198,6 +198,8 @@ impl ClientBuilder {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
+    /// Every response line is read into this one buffer.
+    line: String,
     /// Address to reconnect to on retry; only builder-made clients have
     /// one (plain [`Client::connect`] takes `impl ToSocketAddrs`, which
     /// cannot be stored).
@@ -210,10 +212,11 @@ impl Client {
     /// Connect to `addr` with no automatic retries (see
     /// [`Client::builder`] for the retrying variant).
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
-        let stream = TcpStream::connect(addr)?;
+        let (reader, writer) = open(addr, None)?;
         Ok(Client {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: BufWriter::new(stream),
+            reader,
+            writer,
+            line: String::new(),
             reconnect_addr: None,
             retry: None,
             read_timeout: None,
@@ -270,10 +273,7 @@ impl Client {
         let addr = self.reconnect_addr.as_deref().ok_or_else(|| {
             ClientError::Proto("cannot reconnect: client was not built with an address".into())
         })?;
-        let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(self.read_timeout)?;
-        self.reader = BufReader::new(stream.try_clone()?);
-        self.writer = BufWriter::new(stream);
+        (self.reader, self.writer) = open(addr, self.read_timeout)?;
         Ok(())
     }
 
@@ -337,21 +337,11 @@ impl Client {
         self.request("QUIT").map(|_| ())
     }
 
-    fn read_line(&mut self) -> Result<String, ClientError> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(ClientError::Proto(
-                "server closed the connection mid-response".to_string(),
-            ));
-        }
-        Ok(line.trim_end_matches(['\n', '\r']).to_string())
-    }
-
     fn read_response(&mut self) -> Result<Response, ClientError> {
         let mut stats = Vec::new();
         loop {
-            let line = self.read_line()?;
-            let (tag, rest) = line.split_once(' ').unwrap_or((line.as_str(), ""));
+            let line = next_line(&mut self.reader, &mut self.line)?;
+            let (tag, rest) = line.split_once(' ').unwrap_or((line, ""));
             match tag {
                 "OK" => {
                     return Ok(if stats.is_empty() {
@@ -370,7 +360,10 @@ impl Client {
                         .map_err(|_| ClientError::Proto(format!("bad STAT value: {line:?}")))?;
                     stats.push((key.to_string(), value));
                 }
-                "COLS" => return self.read_rows(rest),
+                "COLS" => {
+                    let columns = decode_cols(rest)?;
+                    return self.read_rows(columns);
+                }
                 other => {
                     return Err(ClientError::Proto(format!(
                         "unexpected response line tag {other:?}"
@@ -380,22 +373,11 @@ impl Client {
         }
     }
 
-    fn read_rows(&mut self, cols_payload: &str) -> Result<Response, ClientError> {
-        let (ncols, names) = cols_payload.split_once(' ').unwrap_or((cols_payload, ""));
-        let ncols: usize = ncols
-            .parse()
-            .map_err(|_| ClientError::Proto(format!("bad COLS count: {cols_payload:?}")))?;
-        let columns = decode_fields(names).map_err(ClientError::Proto)?;
-        if columns.len() != ncols {
-            return Err(ClientError::Proto(format!(
-                "COLS announced {ncols} columns but named {}",
-                columns.len()
-            )));
-        }
+    fn read_rows(&mut self, columns: Vec<String>) -> Result<Response, ClientError> {
         let mut rows = Vec::new();
         loop {
-            let line = self.read_line()?;
-            let (tag, rest) = line.split_once(' ').unwrap_or((line.as_str(), ""));
+            let line = next_line(&mut self.reader, &mut self.line)?;
+            let (tag, rest) = line.split_once(' ').unwrap_or((line, ""));
             match tag {
                 "ROW" => rows.push(decode_fields(rest).map_err(ClientError::Proto)?),
                 "END" => {
@@ -434,6 +416,49 @@ impl Client {
             }
         }
     }
+}
+
+/// Connect with no Nagle delay, so a request leaves as soon as it is
+/// flushed, and with `read_timeout` on reads.
+fn open(
+    addr: impl ToSocketAddrs,
+    read_timeout: Option<Duration>,
+) -> std::io::Result<(BufReader<TcpStream>, BufWriter<TcpStream>)> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(read_timeout)?;
+    Ok((BufReader::new(stream.try_clone()?), BufWriter::new(stream)))
+}
+
+/// Read one response line into `buf`, reused across lines, and return it
+/// without its line terminator.
+fn next_line<'a>(
+    reader: &mut BufReader<TcpStream>,
+    buf: &'a mut String,
+) -> Result<&'a str, ClientError> {
+    buf.clear();
+    if reader.read_line(buf)? == 0 {
+        return Err(ClientError::Proto(
+            "server closed the connection mid-response".to_string(),
+        ));
+    }
+    Ok(buf.trim_end_matches(['\n', '\r']))
+}
+
+/// Decode a `COLS` payload (`<ncols> <names>`) into its column names.
+fn decode_cols(payload: &str) -> Result<Vec<String>, ClientError> {
+    let (ncols, names) = payload.split_once(' ').unwrap_or((payload, ""));
+    let ncols: usize = ncols
+        .parse()
+        .map_err(|_| ClientError::Proto(format!("bad COLS count: {payload:?}")))?;
+    let columns = decode_fields(names).map_err(ClientError::Proto)?;
+    if columns.len() != ncols {
+        return Err(ClientError::Proto(format!(
+            "COLS announced {ncols} columns but named {}",
+            columns.len()
+        )));
+    }
+    Ok(columns)
 }
 
 /// Requests are single lines; fold any embedded newlines in user SQL into
@@ -481,6 +506,24 @@ mod tests {
         }
         assert_eq!(err.kind(), Some(ErrorKind::Overloaded));
         assert_eq!(parse_err("PROTO bad verb").kind(), None);
+    }
+
+    #[test]
+    fn connected_and_reconnected_sockets_have_no_delay() {
+        // The kernel completes a connect into the listener's backlog, so
+        // nothing needs to accept.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let no_delay = |c: &Client| {
+            c.reader.get_ref().nodelay().unwrap() && c.writer.get_ref().nodelay().unwrap()
+        };
+        assert!(no_delay(&Client::connect(addr).unwrap()));
+
+        let mut client = Client::builder(addr.to_string()).connect().unwrap();
+        let first = client.writer.get_ref().local_addr().unwrap();
+        client.reconnect().unwrap();
+        assert_ne!(client.writer.get_ref().local_addr().unwrap(), first);
+        assert!(no_delay(&client));
     }
 
     #[test]

@@ -45,6 +45,8 @@
 //! instead of matching message text; `PROTO` (not an engine kind) marks
 //! malformed requests.
 
+use std::fmt::{self, Write as _};
+
 use conquer_engine::ErrorKind;
 use conquer_storage::Value;
 
@@ -56,20 +58,65 @@ pub const PROTO_CODE: &str = "PROTO";
 /// `\t`, LF → `\n`, CR → `\r`.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            other => out.push(other),
-        }
-    }
+    push_escaped(&mut out, s);
     out
 }
 
-/// Invert [`escape`]. Errors on a dangling or unknown escape sequence.
+/// Append `s` to `out` [escaped](escape): a text with nothing to escape
+/// in one `push_str`, otherwise the runs between its escapes.
+pub(crate) fn push_escaped(out: &mut String, s: &str) {
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escaped = match b {
+            b'\\' => "\\\\",
+            b'\t' => "\\t",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            _ => continue,
+        };
+        // The four escaped bytes are ASCII, so `i` is a char boundary.
+        out.push_str(&s[start..i]);
+        out.push_str(escaped);
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
+}
+
+/// A [`fmt::Write`] that [escapes](escape) what is written through it into
+/// a `String`, so a `Display` renders straight into a wire line.
+struct Escaping<'a>(&'a mut String);
+
+impl fmt::Write for Escaping<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        push_escaped(self.0, s);
+        Ok(())
+    }
+}
+
+/// Append one result row to `out` as the `ROW` payload [`encode_row`]
+/// returns, with no `String` per cell.
+pub(crate) fn push_row(out: &mut String, row: &[Value]) {
+    for (i, value) in row.iter().enumerate() {
+        if i > 0 {
+            out.push('\t');
+        }
+        match value {
+            // A text's `Display` is the text itself.
+            Value::Text(s) => push_escaped(out, s),
+            // Writing into a `String` never fails.
+            other => {
+                let _ = write!(Escaping(out), "{other}");
+            }
+        }
+    }
+}
+
+/// Invert [`escape`]. Errors on a dangling or unknown escape sequence. A
+/// field with no `\` is copied once, without the escape loop.
 pub fn unescape(s: &str) -> Result<String, String> {
+    if !s.contains('\\') {
+        return Ok(s.to_string());
+    }
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -89,14 +136,15 @@ pub fn unescape(s: &str) -> Result<String, String> {
     Ok(out)
 }
 
-/// Render one result row as the tab-separated, escaped `ROW` payload.
+/// Render one result row as the tab-separated, escaped `ROW` payload: each
+/// cell's `Value` `Display` rendering, [escaped](escape), joined by TABs.
 /// `Value` rendering is deterministic (floats print in shortest
 /// round-trip form), so identical rows always encode to identical bytes.
+/// The server appends the same bytes to one reused line buffer per reply.
 pub fn encode_row(row: &[Value]) -> String {
-    row.iter()
-        .map(|v| escape(&v.to_string()))
-        .collect::<Vec<_>>()
-        .join("\t")
+    let mut out = String::new();
+    push_row(&mut out, row);
+    out
 }
 
 /// Split an escaped tab-separated payload back into fields. A payload has

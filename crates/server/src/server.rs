@@ -16,6 +16,7 @@
 //! connection) is answered with the typed `ERR SHUTDOWN` line, never a
 //! silently dropped socket.
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -26,7 +27,9 @@ use conquer_engine::{
     EngineError, ExecLimits, ExecOutcome, Session, SessionOutcome, SessionResult, SharedDatabase,
 };
 
-use crate::proto::{encode_row, engine_err_line, err_line, escape, Request, PROTO_CODE};
+use crate::proto::{
+    engine_err_line, err_line, escape, push_escaped, push_row, Request, PROTO_CODE,
+};
 
 /// Server configuration. `#[non_exhaustive]` — start from
 /// [`ServerConfig::default`] or [`ServerConfig::from_env`] and adjust
@@ -215,10 +218,7 @@ impl Server {
                 );
                 continue;
             }
-            // Timeouts cover both directions so neither a silent client
-            // nor a stalled write can pin this connection's thread.
-            let _ = stream.set_read_timeout(self.idle_timeout);
-            let _ = stream.set_write_timeout(self.idle_timeout);
+            configure(&stream, self.idle_timeout);
             conns.fetch_add(1, Ordering::AcqRel);
             let session = self.shared.session();
             let conns = Arc::clone(&conns);
@@ -245,6 +245,18 @@ impl Server {
             thread: Some(thread),
         })
     }
+}
+
+/// Set up an accepted connection before serving it.
+fn configure(stream: &TcpStream, idle_timeout: Option<Duration>) {
+    // Timeouts cover both directions so neither a silent client nor a
+    // stalled write can pin this connection's thread.
+    let _ = stream.set_read_timeout(idle_timeout);
+    let _ = stream.set_write_timeout(idle_timeout);
+    // A reply larger than the `BufWriter` leaves in several writes and is
+    // flushed once; under Nagle's algorithm its last segment would wait
+    // for the ACK of the one before, which the client delays (~40 ms).
+    let _ = stream.set_nodelay(true);
 }
 
 /// Answer a connection the server will not serve (over the cap, or
@@ -417,16 +429,27 @@ fn respond(w: &mut impl Write, session: &Session, request: Request) -> std::io::
     }
 }
 
+/// Write a row set, each line built in one buffer reused for the whole
+/// reply and handed to the writer whole.
 fn write_rows(w: &mut impl Write, r: &SessionResult) -> std::io::Result<()> {
     let (columns, rows) = (&r.result.columns, &r.result.rows);
-    let names = columns
-        .iter()
-        .map(|c| escape(c))
-        .collect::<Vec<_>>()
-        .join("\t");
-    writeln!(w, "COLS {} {names}", columns.len())?;
+    let mut line = String::new();
+    // Writing into a `String` never fails.
+    let _ = write!(line, "COLS {} ", columns.len());
+    for (i, name) in columns.iter().enumerate() {
+        if i > 0 {
+            line.push('\t');
+        }
+        push_escaped(&mut line, name);
+    }
+    line.push('\n');
+    w.write_all(line.as_bytes())?;
     for row in rows {
-        writeln!(w, "ROW {}", encode_row(row))?;
+        line.clear();
+        line.push_str("ROW ");
+        push_row(&mut line, row);
+        line.push('\n');
+        w.write_all(line.as_bytes())?;
     }
     writeln!(w, "END {} {} {}", rows.len(), r.source.as_str(), r.epoch)
 }
@@ -526,6 +549,18 @@ mod tests {
             "{err}"
         );
         assert_eq!(session.limits(), ExecLimits::none());
+    }
+
+    #[test]
+    fn accepted_sockets_have_no_delay_and_carry_the_idle_timeout() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let idle = Some(Duration::from_secs(7));
+        configure(&stream, idle);
+        assert!(stream.nodelay().unwrap());
+        assert_eq!(stream.read_timeout().unwrap(), idle);
+        assert_eq!(stream.write_timeout().unwrap(), idle);
     }
 
     #[test]

@@ -14,8 +14,8 @@ use conquer_datagen::{
 };
 use conquer_engine::{Database, ErrorKind, SharedConfig, SharedDatabase};
 use conquer_server::{
-    client::wire_form, Client, ClientError, Response, RetryPolicy, Server, ServerConfig,
-    ServerHandle,
+    client::wire_form, proto::escape, Client, ClientError, Response, RetryPolicy, Server,
+    ServerConfig, ServerHandle,
 };
 
 fn spawn_server(shared: SharedDatabase, max_conn: usize) -> ServerHandle {
@@ -68,6 +68,30 @@ fn concurrent_clients_get_byte_identical_answers_on_the_paper_workload() {
         .iter()
         .map(|sql| wire_form(&single.query(sql).unwrap()))
         .collect();
+
+    // The single client's answers are the engine's: each equals the
+    // in-process answer rendered by the reference row encoding (each
+    // cell's `Display`, escaped, joined by TABs).
+    let snapshot = shared.snapshot();
+    let db = snapshot.db();
+    for (sql, served) in workload.iter().zip(&reference) {
+        let result = db.prepare(sql).and_then(|p| p.query(db)).unwrap();
+        let rendered: Vec<String> = result
+            .rows
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|v| escape(&v.to_string()))
+                    .collect::<Vec<_>>()
+                    .join("\t")
+            })
+            .collect();
+        assert_eq!(
+            served, &rendered,
+            "served answer differs from the engine's for {sql}"
+        );
+        assert_eq!(single.query(sql).unwrap().columns, result.columns, "{sql}");
+    }
 
     // 8 concurrent clients over the same workload.
     std::thread::scope(|scope| {
