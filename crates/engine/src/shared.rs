@@ -44,7 +44,8 @@
 //! crash. A mutation, typically a bulk rewrite, folds the whole new
 //! catalog into a fresh epoch directory instead — the same fold
 //! [`SharedDatabase::checkpoint`] (or the automatic policy at `wal_limit`
-//! bytes) applies to the log via [`conquer_storage::save_catalog`].
+//! bytes) applies to the log via [`Wal::checkpoint`], stamped with the
+//! open log's last acknowledged sequence.
 //! Startup replays committed WAL suffixes and reports anything unusual in
 //! a [`RecoveryReport`].
 //!
@@ -70,7 +71,7 @@
 //! ```
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
@@ -463,30 +464,13 @@ impl Snapshot {
     }
 }
 
-/// The persistence attachment of a durable handle: the open WAL plus the
-/// directory checkpoints fold into.
+/// The persistence attachment of a durable handle: the open WAL, which
+/// also owns the directory its checkpoints fold into
+/// ([`Wal::checkpoint`]).
 #[derive(Debug)]
 struct Durable {
-    dir: PathBuf,
     wal: Wal,
     wal_limit: u64,
-}
-
-impl Durable {
-    /// Fold `catalog` into a fresh epoch directory, then reopen the log the
-    /// fold replaced. The fold is the commit point: a failed reopen cannot
-    /// undo it, so it is counted instead of returned, and the poisoned log
-    /// heals on the next commit.
-    fn fold(&mut self, catalog: &Catalog) -> Result<()> {
-        conquer_storage::save_catalog(catalog, &self.dir)?;
-        if let Err(e) = self.wal.reopen() {
-            conquer_storage::vfs::note_io_error(format!(
-                "WAL reopen after a checkpoint in {} failed: {e}",
-                self.dir.display()
-            ));
-        }
-        Ok(())
-    }
 }
 
 /// What a completed [`SharedDatabase::checkpoint`] folded.
@@ -586,7 +570,6 @@ impl SharedDatabase {
         let wal = Wal::open(dir)?;
         let shared = SharedDatabase::with_config(db, config);
         *shared.inner.writer.lock() = Some(Durable {
-            dir: dir.to_path_buf(),
             wal,
             wal_limit: config.wal_limit,
         });
@@ -712,7 +695,7 @@ impl SharedDatabase {
         let Some(d) = durable.as_ref() else {
             return Ok(None);
         };
-        let report = conquer_storage::scrub(&d.dir)?;
+        let report = conquer_storage::scrub(d.wal.dir())?;
         self.inner
             .counters
             .scrub_runs
@@ -776,7 +759,7 @@ impl SharedDatabase {
     fn checkpoint_locked(&self, d: &mut Durable) -> Result<CheckpointInfo> {
         let cur = self.snapshot();
         let wal_bytes_folded = d.wal.size_bytes();
-        d.fold(cur.db.catalog())?;
+        d.wal.checkpoint(cur.db.catalog())?;
         self.inner
             .counters
             .checkpoints
@@ -805,8 +788,9 @@ impl SharedDatabase {
     /// The one writer body: run `f` on a clone of the current version,
     /// make the clone durable (durable handles) and publish it. A durable
     /// write either folds the whole clone into a fresh epoch directory
-    /// (`fold`, a [`SharedDatabase::mutate`]) or WAL-commits what the
-    /// clone no longer shares with the current version (a statement). On
+    /// (`fold`, a [`SharedDatabase::mutate`], through [`Wal::checkpoint`])
+    /// or WAL-commits what the clone no longer shares with the current
+    /// version (a statement). On
     /// any `Err` the clone is discarded — the write never happened,
     /// visibly or on disk.
     fn write<R>(&self, fold: bool, f: impl FnOnce(&mut Database) -> Result<R>) -> Result<R> {
@@ -831,7 +815,7 @@ impl SharedDatabase {
         };
         let counters = &self.inner.counters;
         if fold {
-            d.fold(next.catalog())?;
+            d.wal.checkpoint(next.catalog())?;
             counters.checkpoints.fetch_add(1, Ordering::Relaxed);
             self.publish(next);
             return Ok(out);

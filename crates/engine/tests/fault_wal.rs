@@ -276,6 +276,73 @@ fn a_failed_log_reopen_after_a_checkpoint_loses_no_acknowledged_write() {
     assert_eq!(count(&db), 21);
 }
 
+/// A commit whose fsync failed was reported failed, so the checkpoint
+/// after it must not fold it: every crash image of that checkpoint
+/// reopens untorn to exactly the acknowledged rows, and the next
+/// acknowledged insert survives a crash.
+#[test]
+fn a_commit_failed_at_its_fsync_never_surfaces_after_a_checkpoint() {
+    let (fs, _guard, dir) = mount("efwal_ckpt_poisoned");
+    let all = "SELECT a FROM t ORDER BY a";
+    let ints = |v: &[i64]| -> Vec<Vec<Value>> { v.iter().map(|&a| vec![Value::Int(a)]).collect() };
+    {
+        let (db, _) = open(&dir);
+        db.session().execute("CREATE TABLE t (a INTEGER)").unwrap();
+        db.session()
+            .execute("INSERT INTO t VALUES (1), (2)")
+            .unwrap();
+        fs.fail_sync("wal.log", 1);
+        let err = db
+            .session()
+            .execute("INSERT INTO t VALUES (3)")
+            .unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Io, "{err}");
+        let _ = db.checkpoint().unwrap().unwrap();
+        assert_eq!(rows(&db, all), ints(&[1, 2]));
+    }
+    for state in fs.crash_states() {
+        let ctx = state.label.clone();
+        fs.restore(&state);
+        let (db, report) = open(&dir);
+        assert_untorn(&report, &ctx);
+        assert_eq!(rows(&db, all), ints(&[1, 2]), "{ctx}");
+        db.session().execute("INSERT INTO t VALUES (4)").unwrap();
+        drop(db);
+        crash(&fs);
+        let (db, report) = open(&dir);
+        assert_untorn(&report, &ctx);
+        assert_eq!(rows(&db, all), ints(&[1, 2, 4]), "{ctx}");
+    }
+}
+
+/// A checkpoint reads none of the log it folds: the bytes it reads are
+/// the same behind a 1-commit log and a 40-commit log. The table and ten
+/// commits are folded into an epoch first, so both stamps (11 and 50)
+/// have two digits and every file the checkpoint reads is the same size.
+#[test]
+fn a_checkpoint_reads_the_same_bytes_whatever_the_log_holds() {
+    let checkpoint_reads = |commits: usize| -> u64 {
+        let (fs, _guard, dir) = mount(&format!("efwal_ckpt_reads_{commits}"));
+        let (db, _) = open(&dir);
+        let s = db.session();
+        s.execute("CREATE TABLE t (a INTEGER, b TEXT)").unwrap();
+        for i in 0..9 {
+            s.execute(&format!("INSERT INTO t VALUES ({i}, 'row {i}')"))
+                .unwrap();
+        }
+        let _ = db.checkpoint().unwrap().unwrap();
+        for i in 0..commits {
+            s.execute(&format!("INSERT INTO t VALUES ({i}, 'row {i}')"))
+                .unwrap();
+        }
+        assert_eq!(db.stats().wal_commits, 10 + commits as u64);
+        let before = fs.read_bytes();
+        let _ = db.checkpoint().unwrap().unwrap();
+        fs.read_bytes() - before
+    };
+    assert_eq!(checkpoint_reads(1), checkpoint_reads(40));
+}
+
 /// A base table `t` with a view over it and a join view over `t` and `u`,
 /// at least three terms per group on both sides of [`VIEW_DML`].
 fn view_db(dir: &Path) -> SharedDatabase {

@@ -19,11 +19,14 @@
 //!
 //! Individual writes do not rewrite epochs: they append to the
 //! [write-ahead log](crate::wal) and are replayed by both loaders on top
-//! of the epoch snapshot, gated on the epoch's `walseq`. [`save_catalog`]
-//! doubles as the checkpoint: it folds the current catalog (epoch + WAL)
-//! into a fresh epoch and truncates the log.
+//! of the epoch snapshot, gated on the epoch's `walseq`. A checkpoint
+//! belongs to the open log: [`Wal::checkpoint`](crate::Wal::checkpoint)
+//! folds the current catalog (epoch + WAL) into a fresh epoch stamped
+//! with the handle's last acknowledged sequence, then truncates the log.
+//! [`save_catalog`] writes the same epoch for a caller holding no open
+//! log, and reads the sequence to stamp from the disk instead.
 //!
-//! [`save_catalog`] never touches the committed snapshot: it writes every
+//! An epoch write never touches the committed snapshot: it writes every
 //! file into a fresh temp directory (fsyncing each), writes a checksum
 //! `MANIFEST`, atomically renames the temp directory to the next epoch,
 //! and finally swaps the `CURRENT` pointer with an atomic rename. A crash
@@ -118,20 +121,31 @@ impl RecoveryReport {
 /// previously committed snapshot untouched and loadable. Unrelated files
 /// in `dir` are left alone.
 ///
-/// This is also the **checkpoint** primitive for the write-ahead log
-/// ([`crate::wal`]): the new epoch records the last committed WAL
-/// sequence in its `walseq` file, and after the commit the log is
-/// truncated to a fresh header. `catalog` must therefore already contain
-/// every committed WAL write (it does for any catalog obtained from
+/// A save folds any write-ahead log in `dir` ([`crate::wal`]): the new
+/// epoch records the last committed WAL sequence found on disk in its
+/// `walseq` file, and after the commit the log is truncated to a fresh
+/// header. `catalog` must therefore already contain every committed WAL
+/// write (it does for any catalog obtained from
 /// [`load_catalog`]/[`load_catalog_recover`], which replay the log). A
 /// crash between the `CURRENT` swap and the truncation is harmless:
-/// replay skips every sequence ≤ `walseq`.
+/// replay skips every sequence ≤ `walseq`. A writer holding the log open
+/// checkpoints through [`Wal::checkpoint`](crate::Wal::checkpoint)
+/// instead, which knows that sequence without reading the log.
 pub fn save_catalog(catalog: &Catalog, dir: &Path) -> Result<(), StorageError> {
+    let wal_seq = crate::wal::durable_seq(dir)?;
+    save_epoch(catalog, dir, wal_seq)
+}
+
+/// Write `catalog` into `dir` as the next epoch stamped with `wal_seq`,
+/// then truncate the log to a fresh header based at `wal_seq`: the body
+/// of both [`save_catalog`] and [`Wal::checkpoint`](crate::Wal::checkpoint).
+/// `wal_seq` must be the last committed sequence, so that every sequence
+/// the log holds at or below it is in `catalog`.
+pub(crate) fn save_epoch(catalog: &Catalog, dir: &Path, wal_seq: u64) -> Result<(), StorageError> {
     // Writes and fsyncs every table file: only blocking-tolerant locks
     // (the engine's writer lock during a checkpoint) may be held here.
-    let _io = conquer_sync::blocking_region("persist::save_catalog");
+    let _io = conquer_sync::blocking_region("persist::save_epoch");
     vfs::create_dir_all(dir)?;
-    let wal_seq = crate::wal::durable_seq(dir)?;
     let epoch_num = next_epoch_number(dir);
     let epoch_name = format!("v{epoch_num:06}");
     let tmp = dir.join(format!(".tmp-{epoch_name}-{}", std::process::id()));

@@ -621,6 +621,7 @@ mod sim {
         capacity: Option<u64>,
         rules: Vec<FaultRule>,
         read_calls: u64,
+        read_bytes: u64,
         write_calls: u64,
         sync_calls: u64,
         opens: u64,
@@ -738,6 +739,13 @@ mod sim {
         /// Total read attempts (whole-file + handle) so far.
         pub fn read_calls(&self) -> u64 {
             self.state.lock().read_calls
+        }
+
+        /// Total bytes returned by reads (whole-file + handle) so far: a
+        /// deterministic measure of what an operation reads, where
+        /// [`SimFs::read_calls`] counts a whole-file read of any size as one.
+        pub fn read_bytes(&self) -> u64 {
+            self.state.lock().read_bytes
         }
 
         /// Total write attempts (whole-file + handle) so far.
@@ -908,11 +916,14 @@ mod sim {
             if s.check_rule(&RuleKind::Read, path) {
                 return Err(io::Error::from_raw_os_error(EIO));
             }
-            s.image
+            let data = s
+                .image
                 .files
                 .get(path)
                 .cloned()
-                .ok_or_else(|| io::Error::from(io::ErrorKind::NotFound))
+                .ok_or_else(|| io::Error::from(io::ErrorKind::NotFound))?;
+            s.read_bytes += data.len() as u64;
+            Ok(data)
         }
 
         pub(super) fn read_to_string(&self, path: &Path) -> io::Result<String> {
@@ -1138,6 +1149,7 @@ mod sim {
             let start = (self.pos as usize).min(data.len());
             let n = (data.len() - start).min(buf.len());
             buf[..n].copy_from_slice(&data[start..start + n]);
+            s.read_bytes += n as u64;
             self.pos += n as u64;
             Ok(n)
         }

@@ -4,8 +4,17 @@
 //! rewrites the whole epoch directory. The WAL makes individual writes
 //! cheap and durable: a committed write appends the affected tables to
 //! `<dir>/wal.log` and fsyncs once; the full epoch rewrite happens only at
-//! **checkpoint** time, when [`save_catalog`](crate::persist::save_catalog)
-//! folds the log into a fresh epoch and truncates it.
+//! **checkpoint** time, when [`Wal::checkpoint`] folds the log into a
+//! fresh epoch and truncates it.
+//!
+//! The checkpoint belongs to the open log. The handle knows the last
+//! sequence it acknowledged, so it stamps the new epoch's `walseq` with
+//! that number and reads none of the log it folds: a checkpoint costs
+//! what it writes, however long the log has grown. A poisoned handle
+//! heals first, so the stamp is never a sequence whose commit was
+//! reported failed. [`save_catalog`](crate::persist::save_catalog) writes
+//! the same epoch for a caller with no open log and scans `wal.log` for
+//! the sequence instead.
 //!
 //! ```text
 //! <dir>/
@@ -299,8 +308,9 @@ pub(crate) fn read_wal(dir: &Path) -> Result<Option<WalContents>, StorageError> 
 
 /// The last committed sequence recorded anywhere under `dir`: the maximum
 /// of the WAL's last commit and the committed epoch's `walseq`. This is
-/// what a checkpoint stamps into the new epoch, and the floor a fresh log
-/// starts its sequences above.
+/// what a standalone [`save_catalog`](crate::persist::save_catalog)
+/// stamps into the new epoch. It scans and decodes the whole log; an open
+/// [`Wal`] holds the same number as [`Wal::last_seq`].
 pub(crate) fn durable_seq(dir: &Path) -> Result<u64, StorageError> {
     let from_epoch = crate::persist::current_walseq(dir);
     let from_wal = read_wal(dir)?.map_or(0, |c| c.last_seq);
@@ -334,10 +344,9 @@ pub(crate) fn replay(
 }
 
 /// Atomically replace `<dir>/wal.log` with a fresh, empty log whose header
-/// carries `base_seq`. Called by
-/// [`save_catalog`](crate::persist::save_catalog) after a checkpoint
-/// commits: every sequence ≤ `base_seq` is folded into the new epoch, so
-/// the old frames are dead weight. The replacement is staged in a temp
+/// carries `base_seq`. Called by every epoch save after it commits:
+/// every sequence ≤ `base_seq` is folded into the new epoch, so the old
+/// frames are dead weight. The replacement is staged in a temp
 /// file and renamed into place — a crash anywhere leaves either the old
 /// log (harmless: replay is sequence-gated) or the new one.
 pub(crate) fn truncate_wal(dir: &Path, base_seq: u64) -> Result<(), StorageError> {
@@ -407,7 +416,8 @@ pub struct Wal {
     /// failed (fsyncgate: after a failed fsync the kernel may have
     /// dropped the dirty flags, so retrying fsync can report success
     /// without durability), or a failed append could not be rolled back.
-    /// The next commit heals by reopen + re-truncate, never fsync retry.
+    /// The next commit or checkpoint heals by reopen + re-truncate, never
+    /// fsync retry.
     poisoned: bool,
 }
 
@@ -420,12 +430,15 @@ impl Wal {
     pub fn open(dir: &Path) -> Result<Wal, StorageError> {
         let _io = conquer_sync::blocking_region("wal::open");
         vfs::create_dir_all(dir)?;
-        let floor = durable_seq(dir)?;
-        let path = dir.join(WAL_FILE);
+        // The floor is what `durable_seq` computes, taken from this scan
+        // so the log is read once.
         let contents = read_wal(dir)?;
+        let floor =
+            crate::persist::current_walseq(dir).max(contents.as_ref().map_or(0, |c| c.last_seq));
+        let path = dir.join(WAL_FILE);
         let mut file = vfs::File::open_rw(&path)?;
         let (last_seq, committed_len) = match &contents {
-            Some(c) if c.committed_len > 0 => (c.last_seq.max(floor), c.committed_len),
+            Some(c) if c.committed_len > 0 => (floor, c.committed_len),
             // Missing, empty, or header-corrupt log: start a fresh one
             // whose base is everything already durable in the epochs.
             _ => {
@@ -567,6 +580,32 @@ impl Wal {
             }
             self.len = acked_len;
             self.next_seq = acked_next;
+        }
+        Ok(())
+    }
+
+    /// Fold `catalog` into a fresh epoch and move this handle onto the
+    /// truncated log. `catalog` must hold every write this handle
+    /// acknowledged; the epoch is stamped with [`Wal::last_seq`], so the
+    /// log is never read to learn it.
+    ///
+    /// A poisoned handle heals first, as [`Wal::commit`] does: the heal
+    /// truncates the file to the last acknowledged commit, so a commit
+    /// reported failed can never be stamped as folded. An `Err` from the heal or the
+    /// epoch write leaves the committed epoch and the log as they were.
+    /// The epoch's `CURRENT` swap is the commit point: a failed reopen of
+    /// the fresh log after it cannot undo the fold, so it poisons the
+    /// handle (the next commit heals) and is counted, not returned.
+    pub fn checkpoint(&mut self, catalog: &Catalog) -> Result<(), StorageError> {
+        if self.poisoned {
+            self.heal()?;
+        }
+        crate::persist::save_epoch(catalog, &self.dir, self.last_seq())?;
+        if let Err(e) = self.reopen() {
+            vfs::note_io_error(format!(
+                "WAL reopen after a checkpoint in {} failed: {e}",
+                self.dir.display()
+            ));
         }
         Ok(())
     }
@@ -745,6 +784,115 @@ mod tests {
         let seq = wal.commit(&[WalOp::Drop("t")]).unwrap();
         assert_eq!(seq, 3, "sequences must continue past the truncation base");
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Commit `versions` successive images of `t` (1 row, 2 rows, …) and
+    /// return the catalog they leave.
+    fn commit_versions(wal: &mut Wal, versions: i64) -> Catalog {
+        let mut cat = Catalog::new();
+        for v in 1..=versions {
+            let t = table("t", &(0..v).collect::<Vec<_>>());
+            wal.commit(&[WalOp::Put(&t)]).unwrap();
+            cat.replace_table(t);
+        }
+        cat
+    }
+
+    fn assert_same_catalog(got: &Catalog, want: &Catalog) {
+        assert_eq!(got.table_names(), want.table_names());
+        for name in want.table_names() {
+            let (g, w) = (got.table(name).unwrap(), want.table(name).unwrap());
+            assert_eq!(g.schema(), w.schema(), "{name}");
+            assert_eq!(g.rows(), w.rows(), "{name}");
+        }
+    }
+
+    /// `dir` holds a fresh epoch stamped `seq` and a lone log header based
+    /// at `seq`, and `wal` sits on that log.
+    fn assert_checkpointed_at(dir: &Path, wal: &Wal, seq: u64) {
+        assert_eq!(crate::persist::current_walseq(dir), seq, "epoch stamp");
+        let c = read_wal(dir).unwrap().unwrap();
+        assert_eq!(
+            (c.base_seq, c.last_seq, c.commits.len(), c.torn),
+            (seq, seq, 0, None),
+            "wal.log must be a lone header based at the stamp"
+        );
+        assert_eq!(c.committed_len, wal.size_bytes());
+        assert_eq!(wal.last_seq(), seq);
+        assert!(!wal.is_poisoned());
+    }
+
+    /// Fold, then commit once more: the stamp is the handle's sequence,
+    /// the next commit continues right above it, and recovery returns
+    /// exactly the folded catalog plus that commit.
+    fn checkpoint_then_commit(dir: &Path, wal: &mut Wal, mut folded: Catalog, acked: u64) {
+        assert_eq!(wal.last_seq(), acked);
+        wal.checkpoint(&folded).unwrap();
+        assert_checkpointed_at(dir, wal, acked);
+        let u = table("u", &[9]);
+        assert_eq!(wal.commit(&[WalOp::Put(&u)]).unwrap(), acked + 1);
+        folded.replace_table(u);
+        let (cat, report) = crate::persist::load_catalog_recover(dir).unwrap();
+        assert_eq!(report.wal_commits_replayed, 1, "{report:?}");
+        assert!(report.is_clean(), "{report:?}");
+        assert_same_catalog(&cat, &folded);
+    }
+
+    #[test]
+    fn checkpoint_stamps_the_open_logs_sequence() {
+        let dir = tempdir("stamp");
+        let mut wal = Wal::open(&dir).unwrap();
+        let folded = commit_versions(&mut wal, 6);
+        checkpoint_then_commit(&dir, &mut wal, folded, 6);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A commit whose fsync failed poisons the handle and was reported
+    /// failed: the checkpoint heals first and stamps the last
+    /// *acknowledged* sequence, never the failed one.
+    #[cfg(feature = "fault")]
+    #[test]
+    fn checkpoint_of_a_poisoned_log_stamps_the_acknowledged_sequence() {
+        let (fs, _guard) = vfs::mount_sim("/sim/wal_stamp_poisoned");
+        let dir = PathBuf::from("/sim/wal_stamp_poisoned/db");
+        let mut wal = Wal::open(&dir).unwrap();
+        let folded = commit_versions(&mut wal, 3);
+        fs.fail_sync(WAL_FILE, 1);
+        let lost = table("t", &[99]);
+        assert!(wal.commit(&[WalOp::Put(&lost)]).is_err());
+        assert!(wal.is_poisoned());
+        checkpoint_then_commit(&dir, &mut wal, folded, 3);
+    }
+
+    /// Opening a log scans it once: the bytes `Wal::open` reads are the
+    /// log's plus the committed epoch's `CURRENT` and `walseq`.
+    #[cfg(feature = "fault")]
+    #[test]
+    fn open_reads_the_log_once() {
+        use crate::persist::{CURRENT_FILE, WALSEQ_FILE};
+        let (fs, _guard) = vfs::mount_sim("/sim/wal_open_once");
+        let dir = PathBuf::from("/sim/wal_open_once/db");
+        let mut wal = Wal::open(&dir).unwrap();
+        let folded = commit_versions(&mut wal, 2);
+        wal.checkpoint(&folded).unwrap();
+        for v in 0..3 {
+            wal.commit(&[WalOp::Put(&table("u", &[v]))]).unwrap();
+        }
+        drop(wal);
+        let epoch = crate::persist::read_current(&dir).unwrap();
+        let expected: u64 = [
+            dir.join(WAL_FILE),
+            dir.join(CURRENT_FILE),
+            dir.join(epoch).join(WALSEQ_FILE),
+        ]
+        .iter()
+        .map(|p| vfs::read(p).unwrap().len() as u64)
+        .sum();
+
+        let before = fs.read_bytes();
+        let wal = Wal::open(&dir).unwrap();
+        assert_eq!(fs.read_bytes() - before, expected);
+        assert_eq!(wal.last_seq(), 5);
     }
 
     #[test]
