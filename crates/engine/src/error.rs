@@ -148,8 +148,8 @@ pub enum ErrorKind {
     Exec,
     /// Schema-level storage failure (missing table/column, type mismatch).
     Schema,
-    /// Persisted state failed integrity verification (checksums,
-    /// truncation, missing manifests).
+    /// Persisted state failed integrity verification (checksums, a log
+    /// base cut short, a directory in an older layout).
     Corrupt,
     /// Underlying I/O failure.
     Io,

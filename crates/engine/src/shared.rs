@@ -42,12 +42,13 @@
 //! log ([`conquer_storage::wal`]) and fsyncs *before* the version becomes
 //! visible, so `Ok` from [`Session::execute`] means the write survives a
 //! crash. A mutation, typically a bulk rewrite, folds the whole new
-//! catalog into a fresh epoch directory instead — the same fold
+//! catalog into a compacted log instead — the same fold
 //! [`SharedDatabase::checkpoint`] (or the automatic policy at `wal_limit`
-//! bytes) applies to the log via [`Wal::checkpoint`], stamped with the
-//! open log's last acknowledged sequence.
-//! Startup replays committed WAL suffixes and reports anything unusual in
-//! a [`RecoveryReport`].
+//! bytes) applies via [`Wal::checkpoint`]: the catalog becomes the log's
+//! base, sealed at the open log's last acknowledged sequence, and the log
+//! file is replaced whole. Startup scans the one log once, replays its
+//! commits on top of its base, and reports anything unusual in a
+//! [`RecoveryReport`].
 //!
 //! ```
 //! use conquer_engine::{Database, SharedDatabase, QuerySource};
@@ -394,15 +395,16 @@ pub struct CacheStats {
     pub shed: u64,
     /// Writes durably committed to the write-ahead log.
     pub wal_commits: u64,
-    /// Checkpoints folded into a fresh epoch directory (explicit or
-    /// automatic).
+    /// Checkpoints that compacted the log (explicit or automatic, and
+    /// durable mutations).
     pub checkpoints: u64,
     /// Best-effort IO operations that failed process-wide (directory
-    /// fsyncs, post-checkpoint WAL truncations); mirrors
+    /// fsyncs); mirrors
     /// `conquer_storage::vfs::counters`.
     pub io_errors: u64,
     /// fsync calls that failed process-wide. Each one poisoned its WAL
-    /// handle (healed by reopen + re-truncate, never by retrying fsync).
+    /// handle (healed onto a fresh copy of the acknowledged log, never by
+    /// retrying fsync).
     pub fsync_failures: u64,
     /// Checksum scrubs run through [`SharedDatabase::scrub`].
     pub scrub_runs: u64,
@@ -465,7 +467,7 @@ impl Snapshot {
 }
 
 /// The persistence attachment of a durable handle: the open WAL, which
-/// also owns the directory its checkpoints fold into
+/// also owns its directory and compacts itself there
 /// ([`Wal::checkpoint`]).
 #[derive(Debug)]
 struct Durable {
@@ -480,8 +482,8 @@ struct Durable {
 pub struct CheckpointInfo {
     /// The catalog epoch the checkpoint captured.
     pub epoch: u64,
-    /// WAL bytes folded into the new epoch directory (the log size before
-    /// truncation).
+    /// WAL bytes folded into the new base: the commits the log held past
+    /// its old base, plus its header.
     pub wal_bytes_folded: u64,
 }
 
@@ -547,13 +549,16 @@ impl SharedDatabase {
 
     /// Open (or create) a durable database rooted at `dir`.
     ///
-    /// Recovery runs first: the newest loadable epoch directory is loaded
-    /// and every committed write-ahead-log suffix is replayed on top, so
-    /// the returned handle holds exactly the last committed state. The
-    /// accompanying [`RecoveryReport`] lists anything unusual found along
-    /// the way (torn WAL tails, stale checkpoint temp files, epoch
-    /// fallback); [`RecoveryReport::is_clean`] distinguishes a routine
-    /// startup from one that healed damage.
+    /// Recovery runs first, reading `wal.log` once ([`Wal::recover`]): the
+    /// log's base is loaded and every committed group after it replayed on
+    /// top, so the returned handle holds exactly the last committed state.
+    /// A log whose header or base does not verify, or a directory in the
+    /// epoch layout of older versions, is refused with a typed corruption
+    /// error and left as it is. The accompanying [`RecoveryReport`] lists
+    /// anything unusual found along the way (torn WAL tails, staged logs
+    /// of interrupted checkpoints, spill directories);
+    /// [`RecoveryReport::is_clean`] distinguishes a routine startup from
+    /// one that healed damage.
     ///
     /// Every subsequent write through the handle is WAL-committed before
     /// it becomes visible; see the [module docs](self#durability).
@@ -562,12 +567,9 @@ impl SharedDatabase {
         config: SharedConfig,
     ) -> Result<(SharedDatabase, RecoveryReport)> {
         let dir = dir.as_ref();
-        conquer_storage::vfs::create_dir_all(dir)
-            .map_err(|e| EngineError::Storage(conquer_storage::StorageError::from(e)))?;
-        let (catalog, report) = conquer_storage::load_catalog_recover(dir)?;
+        let (wal, catalog, report) = Wal::recover(dir)?;
         let mut db = Database::from_catalog(catalog);
         db.set_spill_dir(dir);
-        let wal = Wal::open(dir)?;
         let shared = SharedDatabase::with_config(db, config);
         *shared.inner.writer.lock() = Some(Durable {
             wal,
@@ -650,9 +652,12 @@ impl SharedDatabase {
     /// discarded and nothing changes.
     ///
     /// An arbitrary mutation is typically a bulk one that rewrites most of
-    /// the catalog, so a durable `mutate` persists by checkpoint: it folds
-    /// the whole catalog into a fresh epoch directory before publishing,
-    /// instead of logging every table and folding the log afterwards.
+    /// the catalog, so a durable `mutate` persists by checkpoint: it writes
+    /// the whole catalog as the base of a compacted log before publishing,
+    /// instead of logging every table and folding the log afterwards. A
+    /// fold that fails leaves the old log or the new one on disk and
+    /// publishes nothing; the next write heals the log back to what was
+    /// acknowledged before it.
     /// Every mutation that does not go through [`Session::execute`] — bulk
     /// loads, re-clustering, reloads from disk — uses this; like any write,
     /// it misses just the cached answers that read a table `f` wrote.
@@ -660,11 +665,11 @@ impl SharedDatabase {
         self.write(true, f)
     }
 
-    /// Fold the current version and every WAL suffix into a fresh epoch
-    /// directory, then truncate the log. Returns `Ok(None)` for in-memory
-    /// handles. Does not bump the epoch — a checkpoint changes how state
-    /// is stored, not what it is, so pinned snapshots and cached answers
-    /// stay valid throughout.
+    /// Compact the log: write the current version as the base of a fresh
+    /// log, sealed at the last acknowledged sequence, and rename it over
+    /// `wal.log`. Returns `Ok(None)` for in-memory handles. Does not bump
+    /// the epoch — a checkpoint changes how state is stored, not what it
+    /// is, so pinned snapshots and cached answers stay valid throughout.
     pub fn checkpoint(&self) -> Result<Option<CheckpointInfo>> {
         let mut durable = self.writer_guard()?;
         durable
@@ -674,16 +679,16 @@ impl SharedDatabase {
     }
 
     /// Whether the handle is degraded: a scrub found corruption, so writes
-    /// are refused (reads keep working) until a checkpoint rewrites a
-    /// verified epoch or a clean scrub clears the flag.
+    /// are refused (reads keep working) until a checkpoint rewrites the
+    /// log or a clean scrub clears the flag.
     pub fn is_degraded(&self) -> bool {
         self.inner.degraded.load(Ordering::Relaxed)
     }
 
-    /// Checksum-sweep the persistence directory: every committed epoch
-    /// file is re-read and verified against its manifest, the write-ahead
-    /// log is re-scanned frame by frame, and leftovers (orphaned epochs,
-    /// stale temps, spill directories) are counted as quarantined.
+    /// Checksum-sweep the persistence directory: the write-ahead log is
+    /// re-scanned frame by frame — header, base and commits — and
+    /// leftovers (staged logs of interrupted checkpoints, spill
+    /// directories) are counted as quarantined.
     ///
     /// Runs under the writer lock so no checkpoint renames files
     /// mid-sweep; readers are unaffected. A scrub that finds corruption
@@ -712,15 +717,14 @@ impl SharedDatabase {
         Ok(Some(report))
     }
 
-    /// Refuse a write while degraded. Checkpoints stay allowed — folding
-    /// the in-memory state into a fresh, fully-verified epoch directory is
-    /// exactly the repair path.
+    /// Refuse a write while degraded. Checkpoints stay allowed — writing
+    /// the in-memory state as a fresh log is exactly the repair path.
     fn check_not_degraded(&self) -> Result<()> {
         if self.is_degraded() {
             return Err(EngineError::Storage(
                 conquer_storage::StorageError::Degraded(
                     "a scrub found on-disk corruption; reads still work, writes are \
-                     refused until a checkpoint rewrites the epoch (or a clean scrub \
+                     refused until a checkpoint rewrites the log (or a clean scrub \
                      clears the flag)"
                         .to_string(),
                 ),
@@ -734,9 +738,10 @@ impl SharedDatabase {
     /// A writer that panics mid-commit poisons the writer mutex. Instead of
     /// bricking all future DML (the pre-policy behavior: every later
     /// `lock()` propagates the poison panic), the *next* writer heals the
-    /// handle — clears the poison flag and re-truncates the write-ahead log
-    /// to its last committed boundary, discarding any partial append the
-    /// panicking writer left behind — and fails with a typed
+    /// handle — clears the poison flag and heals the write-ahead log onto
+    /// its last committed boundary ([`Wal::heal`], as a poisoned commit
+    /// does), discarding any partial append the panicking writer left
+    /// behind — and fails with a typed
     /// [`EngineError::Internal`] so the caller knows its statement did not
     /// run. Writes after that proceed normally: the interrupted commit
     /// never published, so the in-memory version chain is still exactly the
@@ -746,7 +751,7 @@ impl SharedDatabase {
         if self.inner.writer.is_poisoned() {
             self.inner.writer.clear_poison();
             if let Some(d) = durable.as_mut() {
-                d.wal.reopen()?;
+                d.wal.heal()?;
             }
             return Err(EngineError::internal(
                 "writer mutex was poisoned by a panic mid-commit; the handle has been \
@@ -764,9 +769,9 @@ impl SharedDatabase {
             .counters
             .checkpoints
             .fetch_add(1, Ordering::Relaxed);
-        // The checkpoint just rewrote (and fsynced) every file of a fresh
-        // epoch from known-good in-memory state: whatever corruption a
-        // scrub saw is no longer reachable, so the handle is repaired.
+        // The checkpoint just rewrote (and fsynced) the whole log from
+        // known-good in-memory state: whatever corruption a scrub saw is
+        // no longer reachable, so the handle is repaired.
         self.inner.degraded.store(false, Ordering::Relaxed);
         Ok(CheckpointInfo {
             epoch: cur.epoch,
@@ -787,9 +792,9 @@ impl SharedDatabase {
 
     /// The one writer body: run `f` on a clone of the current version,
     /// make the clone durable (durable handles) and publish it. A durable
-    /// write either folds the whole clone into a fresh epoch directory
-    /// (`fold`, a [`SharedDatabase::mutate`], through [`Wal::checkpoint`])
-    /// or WAL-commits what the clone no longer shares with the current
+    /// write either folds the whole clone into a compacted log (`fold`, a
+    /// [`SharedDatabase::mutate`], through [`Wal::checkpoint`]) or
+    /// WAL-commits what the clone no longer shares with the current
     /// version (a statement). On
     /// any `Err` the clone is discarded — the write never happened,
     /// visibly or on disk.

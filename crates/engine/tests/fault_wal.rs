@@ -12,7 +12,8 @@ use std::sync::Arc;
 
 use conquer_engine::{EngineError, ErrorKind, ExecLimits, SharedConfig, SharedDatabase};
 use conquer_storage::vfs::{self, mount_sim, MountGuard, SimFs};
-use conquer_storage::{RecoveryReport, Value};
+use conquer_storage::wal::WAL_FILE;
+use conquer_storage::{RecoveryReport, StorageError, Value, Wal};
 
 /// A simulated filesystem holding one durably created, empty database
 /// directory.
@@ -220,60 +221,77 @@ fn every_crash_image_of_a_checkpoint_with_a_failed_fsync_reopens_clean() {
 }
 
 /// A durable `mutate` commits at its fold: acknowledged, it survives a
-/// crash — even when reopening the log after the fold fails, which is
-/// counted, not reported as a failed mutation.
+/// crash. A fold failed at either of its fsyncs — the staged log's, or
+/// the directory's after the rename — fails the mutation whole and
+/// publishes nothing, and the next statement heals the log back to what
+/// was acknowledged: every crash image holds that statement and never
+/// the failed mutation, even where the failed fold's log had already
+/// been renamed into place.
 #[test]
 fn durable_mutate_commits_at_the_fold() {
     let (fs, _guard, dir) = mount("efwal_mutate");
-    let (db, _) = open(&dir);
-    db.session().execute("CREATE TABLE t (a INTEGER)").unwrap();
-    db.session().execute("INSERT INTO t VALUES (1)").unwrap();
-    let insert = |v: i64| {
+    let insert = |db: &SharedDatabase, v: i64| {
         db.mutate(|d| {
             d.execute_script(&format!("INSERT INTO t VALUES ({v})"))
                 .map(|_| ())
         })
     };
-    insert(2).unwrap();
+    {
+        let (db, _) = open(&dir);
+        db.session().execute("CREATE TABLE t (a INTEGER)").unwrap();
+        db.session().execute("INSERT INTO t VALUES (1)").unwrap();
+        insert(&db, 2).unwrap();
+    }
     crash(&fs);
     assert_eq!(count(&open(&dir).0), 2);
+    let baseline = fs.durable_image();
+    let all = "SELECT a FROM t ORDER BY a";
+    let ints = |v: &[i64]| -> Vec<Vec<Value>> { v.iter().map(|&a| vec![Value::Int(a)]).collect() };
 
-    let io_errors = db.stats().io_errors;
-    fs.fail_sync("wal.log", 1);
-    insert(3).unwrap();
-    assert_eq!(count(&db), 3);
-    assert!(
-        db.stats().io_errors > io_errors,
-        "the failed reopen is counted"
-    );
-    db.session().execute("INSERT INTO t VALUES (4)").unwrap();
-    drop(db);
-    crash(&fs);
-    let (db, report) = open(&dir);
-    assert_untorn(&report, "after the mutate");
-    assert_eq!(count(&db), 4);
+    for nth in 1..=2 {
+        fs.restore(&baseline);
+        let (db, _) = open(&dir);
+        fs.fail_sync("", nth);
+        let err = insert(&db, 3).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Io, "fsync {nth}: {err}");
+        assert_eq!(rows(&db, all), ints(&[1, 2]), "fsync {nth}: published");
+        db.session().execute("INSERT INTO t VALUES (4)").unwrap();
+        drop(db);
+        for state in fs.crash_states() {
+            let ctx = format!("fsync {nth}, {}", state.label);
+            fs.restore(&state);
+            let (db, report) = open(&dir);
+            assert_untorn(&report, &ctx);
+            assert_eq!(rows(&db, all), ints(&[1, 2, 4]), "{ctx}");
+        }
+    }
 }
 
-/// A checkpoint whose post-fold log reopen fails must not leave the
-/// handle appending to the log the fold replaced: the next write is
-/// acknowledged only once it is durable in the new log.
+/// A checkpoint whose directory fsync fails after its rename cannot
+/// promise the new log's name: it is reported failed, and the handle,
+/// which still holds the log it acknowledged, must not append to a file
+/// a crash may take away. The next write is acknowledged only once it is
+/// durable.
 #[test]
-fn a_failed_log_reopen_after_a_checkpoint_loses_no_acknowledged_write() {
-    let (fs, _guard, dir) = mount("efwal_reopen");
+fn a_checkpoint_whose_rename_is_not_durable_loses_no_acknowledged_write() {
+    let (fs, _guard, dir) = mount("efwal_rename");
     let (db, _) = open(&dir);
     let s = db.session();
     s.execute("CREATE TABLE t (a INTEGER)").unwrap();
     for i in 0..20 {
         s.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
     }
-    fs.fail_sync("wal.log", 1);
-    assert!(db.checkpoint().unwrap().is_some(), "the fold committed");
+    fs.fail_sync("", 2);
+    let err = db.checkpoint().unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::Io, "{err}");
     s.execute("INSERT INTO t VALUES (20)").unwrap();
     drop((s, db));
-    crash(&fs);
-    let (db, report) = open(&dir);
-    assert_untorn(&report, "after the checkpoint");
-    assert_eq!(count(&db), 21);
+    for state in fs.crash_states() {
+        fs.restore(&state);
+        let (db, report) = open(&dir);
+        assert_untorn(&report, &state.label);
+        assert_eq!(count(&db), 21, "{}", state.label);
+    }
 }
 
 /// A commit whose fsync failed was reported failed, so the checkpoint
@@ -316,9 +334,7 @@ fn a_commit_failed_at_its_fsync_never_surfaces_after_a_checkpoint() {
 }
 
 /// A checkpoint reads none of the log it folds: the bytes it reads are
-/// the same behind a 1-commit log and a 40-commit log. The table and ten
-/// commits are folded into an epoch first, so both stamps (11 and 50)
-/// have two digits and every file the checkpoint reads is the same size.
+/// the same behind a 1-commit log and a 40-commit log.
 #[test]
 fn a_checkpoint_reads_the_same_bytes_whatever_the_log_holds() {
     let checkpoint_reads = |commits: usize| -> u64 {
@@ -341,6 +357,100 @@ fn a_checkpoint_reads_the_same_bytes_whatever_the_log_holds() {
         fs.read_bytes() - before
     };
     assert_eq!(checkpoint_reads(1), checkpoint_reads(40));
+}
+
+/// Opening a durable database reads `wal.log` once and nothing else, and
+/// decodes from it only the images the catalog keeps.
+#[test]
+fn open_durable_reads_the_log_once() {
+    let (fs, _guard, dir) = mount("efwal_read_once");
+    {
+        let (db, _) = open(&dir);
+        let s = db.session();
+        s.execute("CREATE TABLE t (a INTEGER, b TEXT)").unwrap();
+        s.execute("CREATE TABLE u (a INTEGER)").unwrap();
+        let _ = db.checkpoint().unwrap().unwrap();
+        for i in 0..3 {
+            s.execute(&format!("INSERT INTO t VALUES ({i}, 'row {i}')"))
+                .unwrap();
+        }
+    }
+    let log = vfs::read(&dir.join(WAL_FILE)).unwrap().len() as u64;
+    let before = fs.read_bytes();
+    let (db, report) = open(&dir);
+    assert_eq!(fs.read_bytes() - before, log);
+    assert!(report.is_clean(), "{report:?}");
+    assert_eq!(report.wal_commits_replayed, 3);
+    assert_eq!(count(&db), 3);
+}
+
+/// FNV-1a 64, the log's frame checksum.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A directory the epoch layout wrote (a `CURRENT` pointer, a
+/// `v000001/` epoch with its `MANIFEST`, `walseq` and table file, and a
+/// `conquer-wal v1` log beside it), built by hand. Every entry point
+/// refuses it with a typed corruption naming the layout, and no byte of
+/// the directory changes — not even the leftovers recovery would clear.
+/// A lone v1 log is refused the same way.
+#[test]
+fn a_directory_in_the_epoch_layout_is_refused_and_left_as_it_is() {
+    let (fs, _guard, dir) = mount("efwal_old_layout");
+    let frame = |payload: &[u8]| {
+        let mut f = (payload.len() as u32).to_le_bytes().to_vec();
+        f.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        f.extend_from_slice(payload);
+        f
+    };
+    let mut header = vec![0u8];
+    header.extend_from_slice(b"conquer-wal v1");
+    header.extend_from_slice(&7u64.to_le_bytes());
+    let epoch = dir.join("v000001");
+    vfs::create_dir_all(&epoch).unwrap();
+    let mut manifest = "conquer-manifest v1\n".to_string();
+    for (name, bytes) in [("t.tbl", &b"an image"[..]), ("walseq", &b"7\n"[..])] {
+        vfs::write(&epoch.join(name), bytes).unwrap();
+        let sum = fnv1a64(bytes);
+        manifest.push_str(&format!("fnv1a64:{sum:016x} {} {name}\n", bytes.len()));
+    }
+    vfs::write(&epoch.join("MANIFEST"), manifest.as_bytes()).unwrap();
+    vfs::write(&dir.join("CURRENT"), b"v000001").unwrap();
+    vfs::write(&dir.join(WAL_FILE), &frame(&header)).unwrap();
+    vfs::write(&dir.join(".wal.tmp-1"), b"staged").unwrap();
+
+    let assert_refused = |layout: &str| {
+        let before = fs.current_image();
+        let storage = [
+            conquer_storage::load_catalog(&dir).map(drop),
+            conquer_storage::load_catalog_recover(&dir).map(drop),
+            Wal::open(&dir).map(drop),
+        ];
+        let engine = SharedDatabase::open_durable(&dir, SharedConfig::default()).map(drop);
+        let engine = engine.map_err(|e| match e {
+            EngineError::Storage(e) => e,
+            other => panic!("{layout}: not a storage error: {other:?}"),
+        });
+        for refused in storage.into_iter().chain([engine]) {
+            assert!(
+                matches!(&refused, Err(StorageError::Corrupt { detail, .. }) if detail.contains(layout)),
+                "{layout}: {refused:?}"
+            );
+        }
+        let after = fs.current_image();
+        assert_eq!(
+            (after.files, after.dirs),
+            (before.files, before.dirs),
+            "{layout}"
+        );
+    };
+    assert_refused("epoch-directory layout");
+    vfs::remove_file(&dir.join("CURRENT")).unwrap();
+    vfs::remove_dir_all(&epoch).unwrap();
+    assert_refused("conquer-wal v1");
 }
 
 /// A base table `t` with a view over it and a join view over `t` and `u`,

@@ -75,15 +75,12 @@ fn run() -> Result<(), String> {
             let (shared, report) =
                 SharedDatabase::open_durable(std::path::Path::new(dir), SharedConfig::from_env())
                     .map_err(|e| format!("opening {dir}: {e}"))?;
-            match &report.loaded_epoch {
-                Some(epoch) => eprintln!(
-                    "recovered epoch {epoch} + {} WAL commit(s)",
+            match report.base_seq {
+                Some(seq) => eprintln!(
+                    "recovered the log's base (sealed at {seq}) + {} WAL commit(s)",
                     report.wal_commits_replayed
                 ),
-                None => eprintln!(
-                    "no epoch directory; recovered {} WAL commit(s)",
-                    report.wal_commits_replayed
-                ),
+                None => eprintln!("no write-ahead log; starting an empty database"),
             }
             for issue in &report.issues {
                 eprintln!("recovery: {issue}");

@@ -15,7 +15,7 @@
 //! LIMIT mem <bytes> | disk <bytes> | time <ms> | off
 //! STATS                  shared cache/admission counters
 //! EPOCH                  current catalog epoch
-//! CHECKPOINT             fold the WAL into a fresh epoch directory (durable servers)
+//! CHECKPOINT             compact the WAL into a fresh base (durable servers)
 //! SCRUB                  checksum-sweep the persistence directory (durable servers)
 //! PING                   liveness check
 //! QUIT                   close the connection

@@ -449,13 +449,13 @@ fn scrub_round_trips_over_the_wire() {
     assert!(get("clean") > 0, "{stats:?}");
     assert_eq!(get("corrupt"), 0, "{stats:?}");
 
-    // Rot a byte of the committed epoch behind the server's back: the
-    // next SCRUB must report corruption and degrade writes with the
-    // typed wire kind, while reads keep answering.
-    let epoch = std::fs::read_to_string(dir.join("CURRENT")).unwrap();
-    let data = dir.join(epoch.trim()).join("t.tbl");
+    // Rot a byte of the log's base behind the server's back (past the
+    // 35-byte header, inside t's put frame): the next SCRUB must report
+    // corruption and degrade writes with the typed wire kind, while
+    // reads keep answering.
+    let data = dir.join(conquer_storage::wal::WAL_FILE);
     let mut bytes = std::fs::read(&data).unwrap();
-    bytes[0] ^= 0x01;
+    bytes[35 + 12 + 4] ^= 0x01;
     std::fs::write(&data, &bytes).unwrap();
     let stats = match client.request("SCRUB").unwrap() {
         Response::Stats(stats) => stats,

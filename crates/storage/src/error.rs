@@ -48,8 +48,8 @@ pub enum StorageError {
         /// What was wrong with it.
         message: String,
     },
-    /// A persisted catalog failed integrity verification (checksum or size
-    /// mismatch against the manifest, truncated file, missing manifest).
+    /// A persisted catalog failed integrity verification (a frame whose
+    /// checksum fails, a base cut short, a directory in an older layout).
     Corrupt {
         /// The offending file or directory.
         path: String,

@@ -1,11 +1,10 @@
 //! The table image: the one encoding in which a table reaches disk.
 //!
 //! A write-ahead-log put frame ([`crate::wal`]) is a tag byte followed by
-//! an image, and an epoch ([`crate::persist`]) stores each table as one
-//! `<table>.tbl` file holding exactly an image — the bytes the WAL logs.
-//! A checkpoint therefore reloads every value a WAL replay of the same
-//! commits would: NULL and `''` stay apart, and floats keep their bits
-//! (NaN payloads and `-0.0` included).
+//! an image, in the log's base and in its commits alike. A checkpoint
+//! therefore reloads every value a replay of the same commits would: NULL
+//! and `''` stay apart, and floats keep their bits (NaN payloads and
+//! `-0.0` included).
 //!
 //! ```text
 //! [u32 LE name length][name, UTF-8]
@@ -14,10 +13,10 @@
 //! per row: [u32 LE value count][values in the spill value codec]
 //! ```
 //!
-//! The integrity checks live in the containers (the WAL's per-frame
-//! checksum, the epoch's manifest); decoding only has to refuse bytes
-//! that do not parse, and it refuses them with a typed
-//! [`StorageError::Corrupt`] or [`StorageError::Schema`] naming the file.
+//! The integrity check lives in the container (the WAL's per-frame
+//! checksum); decoding only has to refuse bytes that do not parse, and it
+//! refuses them with a typed [`StorageError::Corrupt`] or
+//! [`StorageError::Schema`] naming the file.
 
 use std::path::Path;
 

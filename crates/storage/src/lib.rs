@@ -4,9 +4,9 @@
 //!
 //! This crate provides the typed value model ([`Value`], [`DataType`],
 //! [`Date`]), row/schema/table abstractions ([`Row`], [`Schema`], [`Table`]),
-//! a named-table [`Catalog`], and crash-safe persistence: a write-ahead
-//! log ([`wal`]) and checkpointed epochs ([`persist`]) that both store a
-//! table as one exact [`image`].
+//! a named-table [`Catalog`], and crash-safe persistence: one
+//! write-ahead log per directory ([`wal`]), whose base and commits both
+//! store a table as one exact [`image`], saved and loaded by [`persist`].
 //!
 //! The storage layer is deliberately simple: tables are materialized
 //! `Vec<Row>`s and all access is single-process. The paper's experiments ran

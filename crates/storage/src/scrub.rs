@@ -1,14 +1,13 @@
 //! On-demand checksum scrubbing.
 //!
-//! [`scrub`] sweeps a durable directory without mutating it: every file of
-//! the committed epoch is re-read and verified against the manifest
-//! (size + FNV-1a checksum), the write-ahead log is re-scanned frame by
-//! frame, and leftover state that recovery would set aside — orphaned
-//! epochs, stale temp directories, spill directories — is counted as
-//! quarantined. The result is a typed [`ScrubReport`]; nothing panics on
-//! corruption, and nothing is deleted (live queries may own spill
-//! directories, and a corrupt file is evidence worth keeping until a
-//! checkpoint rewrites it).
+//! [`scrub`] sweeps a durable directory without mutating it: the
+//! write-ahead log is re-scanned frame by frame — the header, every table
+//! of the base, and every commit group after it — and the leftovers that
+//! recovery would clear away, the staged logs of interrupted checkpoints
+//! and spill directories, are counted as quarantined. The result is a
+//! typed [`ScrubReport`]; nothing panics on corruption, and nothing is
+//! deleted (live queries may own spill directories, and a corrupt log is
+//! evidence worth keeping until a checkpoint rewrites it).
 //!
 //! The engine surfaces this through `SharedDatabase::scrub()`, the `SCRUB`
 //! wire verb, and the CLI's `\scrub`; a scrub that finds corruption flips
@@ -18,20 +17,21 @@
 use std::path::Path;
 
 use crate::error::StorageError;
-use crate::persist::{self, CURRENT_FILE, MANIFEST_FILE};
 use crate::vfs;
-use crate::wal;
+use crate::wal::{self, WAL_FILE};
 
 /// What a [`scrub`] sweep found.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[must_use = "a scrub that found corruption needs acting on"]
 pub struct ScrubReport {
-    /// Files and WAL frame groups that verified clean.
+    /// Log frames that verified clean: the header, each base table, and
+    /// each commit group.
     pub clean: u64,
-    /// Files or WAL frames whose checksum/size verification failed.
+    /// Log frames whose verification failed, or a log that could not be
+    /// read.
     pub corrupt: u64,
-    /// Suspect state set aside rather than trusted or deleted: orphaned
-    /// epochs, stale temp directories/files, spill directories (which may
+    /// Suspect state set aside rather than trusted or deleted: staged
+    /// logs of interrupted checkpoints and spill directories (which may
     /// belong to a live query or a dead one — the scrub cannot tell).
     pub quarantined: u64,
     /// The subset of `corrupt` found in the write-ahead log.
@@ -52,53 +52,30 @@ impl ScrubReport {
 /// Checksum-sweep the durable directory `dir`. Read-only: corruption is
 /// reported, never "repaired" in place, and leftovers are counted, never
 /// deleted. Callers must hold whatever lock serializes writers (a
-/// concurrent checkpoint would rename files mid-sweep).
+/// concurrent checkpoint would rename the log mid-sweep).
 pub fn scrub(dir: &Path) -> Result<ScrubReport, StorageError> {
     let _io = conquer_sync::blocking_region("storage::scrub");
     let mut report = ScrubReport::default();
 
-    // 1. The committed epoch: verify every manifest entry byte-for-byte.
-    let current = persist::read_current(dir);
-    if let Some(epoch) = &current {
-        verify_epoch(&dir.join(epoch), &mut report);
-    } else if vfs::exists(&dir.join(CURRENT_FILE)) {
+    // 1. The write-ahead log, frame by frame. A bad header or base fails
+    //    the scan; a tear after the seal ends it. Both are corruption
+    //    here: scrubs run on quiesced directories, where `Wal::open` has
+    //    already truncated any crash-torn tail.
+    let problem = match wal::scan(dir) {
+        Ok(None) => None,
+        Ok(Some(scan)) => {
+            report.clean += 1 + scan.base_tables() as u64 + scan.commits.len() as u64;
+            scan.torn
+        }
+        Err(e) => Some(e.to_string()),
+    };
+    if let Some(problem) = problem {
         report.corrupt += 1;
-        report
-            .issues
-            .push("CURRENT exists but names no epoch".to_string());
+        report.wal_corrupt_frames += 1;
+        report.issues.push(format!("{WAL_FILE}: {problem}"));
     }
 
-    // 2. The write-ahead log, frame by frame. A tear here is corruption:
-    //    scrubs run on quiesced directories, where `Wal::open` has already
-    //    truncated any crash-torn tail.
-    match wal::read_wal(dir)? {
-        None => {}
-        Some(contents) => {
-            report.clean += contents.commits.len() as u64 + 1;
-            if let Some(torn) = &contents.torn {
-                report.corrupt += 1;
-                report.wal_corrupt_frames += 1;
-                report.issues.push(format!("wal.log: {torn}"));
-            }
-        }
-    }
-
-    // 3. Leftovers recovery would set aside: orphaned (uncommitted)
-    //    epochs, stale save/truncation temps, spill directories.
-    for name in persist::list_epoch_dirs(dir) {
-        if Some(&name) != current.as_ref() {
-            report.quarantined += 1;
-            report
-                .issues
-                .push(format!("orphaned epoch (not committed): {name}"));
-        }
-    }
-    for name in persist::list_tmp_dirs(dir) {
-        report.quarantined += 1;
-        report.issues.push(format!(
-            "stale temp directory from an interrupted save: {name}"
-        ));
-    }
+    // 2. Leftovers recovery would clear away.
     for name in wal::list_wal_tmp_files(dir) {
         report.quarantined += 1;
         report.issues.push(format!(
@@ -112,90 +89,10 @@ pub fn scrub(dir: &Path) -> Result<ScrubReport, StorageError> {
         ));
     }
 
-    // 4. Fold in any accumulated best-effort IO failure notes so they
+    // 3. Fold in any accumulated best-effort IO failure notes so they
     //    surface somewhere visible.
     for note in vfs::drain_issues() {
         report.issues.push(format!("io: {note}"));
     }
     Ok(report)
-}
-
-/// Verify one epoch directory against its manifest, counting per-file
-/// results into `report`.
-fn verify_epoch(epoch_dir: &Path, report: &mut ScrubReport) {
-    let manifest_path = epoch_dir.join(MANIFEST_FILE);
-    let text = match vfs::read_to_string(&manifest_path) {
-        Ok(t) => t,
-        Err(e) => {
-            report.corrupt += 1;
-            report.issues.push(format!(
-                "{}: cannot read manifest: {e}",
-                manifest_path.display()
-            ));
-            return;
-        }
-    };
-    let mut lines = text.lines();
-    if lines.next() != Some(persist::MANIFEST_HEADER) {
-        report.corrupt += 1;
-        report
-            .issues
-            .push(format!("{}: bad manifest header", manifest_path.display()));
-        return;
-    }
-    for line in lines {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut parts = line.splitn(3, ' ');
-        let (Some(sum), Some(size), Some(name)) = (parts.next(), parts.next(), parts.next()) else {
-            report.corrupt += 1;
-            report.issues.push(format!(
-                "{}: malformed manifest line {line:?}",
-                manifest_path.display()
-            ));
-            continue;
-        };
-        let expected_sum = sum
-            .strip_prefix("fnv1a64:")
-            .and_then(|h| u64::from_str_radix(h, 16).ok());
-        let expected_size: Option<u64> = size.parse().ok();
-        let (Some(expected_sum), Some(expected_size)) = (expected_sum, expected_size) else {
-            report.corrupt += 1;
-            report.issues.push(format!(
-                "{}: malformed manifest line {line:?}",
-                manifest_path.display()
-            ));
-            continue;
-        };
-        let file_path = epoch_dir.join(name);
-        let bytes = match vfs::read(&file_path) {
-            Ok(b) => b,
-            Err(e) => {
-                report.corrupt += 1;
-                report.issues.push(format!(
-                    "{}: listed in manifest but unreadable: {e}",
-                    file_path.display()
-                ));
-                continue;
-            }
-        };
-        if bytes.len() as u64 != expected_size {
-            report.corrupt += 1;
-            report.issues.push(format!(
-                "{}: size mismatch (manifest {expected_size}, file {})",
-                file_path.display(),
-                bytes.len()
-            ));
-        } else if persist::fnv1a64(&bytes) != expected_sum {
-            report.corrupt += 1;
-            report.issues.push(format!(
-                "{}: checksum mismatch against manifest",
-                file_path.display()
-            ));
-        } else {
-            report.clean += 1;
-        }
-    }
 }

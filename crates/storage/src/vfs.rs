@@ -241,7 +241,7 @@ const _: () = assert!(
 );
 
 impl File {
-    /// Create (truncating) a file for writing.
+    /// Create (truncating) a file for writing and reading back.
     #[inline]
     pub fn create(path: &Path) -> io::Result<File> {
         #[cfg(feature = "fault")]
@@ -250,7 +250,14 @@ impl File {
                 simfs.open(path, sim::OpenMode::Create)?,
             )));
         }
-        Ok(File(FileInner::Real(std::fs::File::create(path)?)))
+        Ok(File(FileInner::Real(
+            std::fs::OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create(true)
+                .truncate(true)
+                .open(path)?,
+        )))
     }
 
     /// Open an existing file read-only.
@@ -625,6 +632,20 @@ mod sim {
         write_calls: u64,
         sync_calls: u64,
         opens: u64,
+        /// What each open handle refers to, by handle id.
+        handles: BTreeMap<u64, Target>,
+        next_handle: u64,
+    }
+
+    /// The file an open handle refers to. A handle follows its file
+    /// through renames, as a descriptor follows its inode; once the file
+    /// loses its name (removed, or replaced by a rename) the handle keeps
+    /// the contents it had, private, and nothing it writes is ever
+    /// durable.
+    #[derive(Debug)]
+    enum Target {
+        Named(PathBuf),
+        Unlinked(Vec<u8>),
     }
 
     impl State {
@@ -646,6 +667,19 @@ mod sim {
                 }
             }
             Ok(())
+        }
+
+        /// Unlink every handle on a file at or below `path`: it keeps the
+        /// contents it sees now.
+        fn unlink_handles(&mut self, path: &Path) {
+            for target in self.handles.values_mut() {
+                if let Target::Named(p) = target {
+                    if p.starts_with(path) {
+                        let data = self.image.files.get(p).cloned().unwrap_or_default();
+                        *target = Target::Unlinked(data);
+                    }
+                }
+            }
         }
 
         /// Fire-and-remove the first matching one-shot fault rule.
@@ -905,6 +939,8 @@ mod sim {
                 });
             }
             st.capacity = s.capacity;
+            st.handles = std::mem::take(&mut s.handles);
+            st.next_handle = s.next_handle;
             *s = st;
         }
 
@@ -973,6 +1009,7 @@ mod sim {
             if !s.image.dirs.contains(path) {
                 return Err(io::Error::from(io::ErrorKind::NotFound));
             }
+            s.unlink_handles(path);
             s.push(
                 Op::RemoveDir {
                     path: path.to_path_buf(),
@@ -987,6 +1024,7 @@ mod sim {
             if !s.image.files.contains_key(path) {
                 return Err(io::Error::from(io::ErrorKind::NotFound));
             }
+            s.unlink_handles(path);
             s.push(
                 Op::RemoveFile {
                     path: path.to_path_buf(),
@@ -1000,6 +1038,16 @@ mod sim {
             let mut s = self.state.lock();
             if !s.image.files.contains_key(from) && !s.image.dirs.contains(from) {
                 return Err(io::Error::from(io::ErrorKind::NotFound));
+            }
+            if from != to {
+                s.unlink_handles(to);
+                for target in s.handles.values_mut() {
+                    if let Target::Named(p) = target {
+                        if let Ok(rel) = p.strip_prefix(from) {
+                            *p = to.join(rel);
+                        }
+                    }
+                }
             }
             s.push(
                 Op::Rename {
@@ -1097,10 +1145,13 @@ mod sim {
                 }
             }
             let writable = !matches!(mode, OpenMode::Read);
+            let id = s.next_handle;
+            s.next_handle += 1;
+            s.handles.insert(id, Target::Named(path.to_path_buf()));
             drop(s);
             Ok(SimHandle {
                 fs: Arc::clone(self),
-                path: path.to_path_buf(),
+                id,
                 pos: 0,
                 writable,
             })
@@ -1129,26 +1180,61 @@ mod sim {
     #[derive(Debug)]
     pub(super) struct SimHandle {
         fs: Arc<SimFs>,
-        path: PathBuf,
+        id: u64,
         pos: u64,
         writable: bool,
     }
 
+    impl Drop for SimHandle {
+        fn drop(&mut self) {
+            self.fs.state.lock().handles.remove(&self.id);
+        }
+    }
+
     impl SimHandle {
+        /// The path of the handle's file, `None` once it is unlinked.
+        fn path(&self, s: &State) -> Option<PathBuf> {
+            match s.handles.get(&self.id) {
+                Some(Target::Named(p)) => Some(p.clone()),
+                _ => None,
+            }
+        }
+
+        /// The contents of an unlinked file.
+        fn unlinked<'s>(&self, s: &'s mut State) -> io::Result<&'s mut Vec<u8>> {
+            match s.handles.get_mut(&self.id) {
+                Some(Target::Unlinked(data)) => Ok(data),
+                _ => Err(io::Error::from(io::ErrorKind::NotFound)),
+            }
+        }
+
+        fn len(&self, s: &State) -> u64 {
+            match s.handles.get(&self.id) {
+                Some(Target::Named(p)) => s.image.files.get(p).map_or(0, Vec::len) as u64,
+                Some(Target::Unlinked(data)) => data.len() as u64,
+                None => 0,
+            }
+        }
+
         pub(super) fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
             let mut s = self.fs.state.lock();
             s.read_calls += 1;
-            if s.check_rule(&RuleKind::Read, &self.path) {
-                return Err(io::Error::from_raw_os_error(EIO));
+            let path = self.path(&s);
+            if let Some(path) = &path {
+                if s.check_rule(&RuleKind::Read, path) {
+                    return Err(io::Error::from_raw_os_error(EIO));
+                }
             }
-            let data = s
-                .image
-                .files
-                .get(&self.path)
-                .ok_or(io::ErrorKind::NotFound)?;
-            let start = (self.pos as usize).min(data.len());
-            let n = (data.len() - start).min(buf.len());
-            buf[..n].copy_from_slice(&data[start..start + n]);
+            let n = {
+                let data = match &path {
+                    Some(path) => s.image.files.get(path).ok_or(io::ErrorKind::NotFound)?,
+                    None => self.unlinked(&mut s)?,
+                };
+                let start = (self.pos as usize).min(data.len());
+                let n = (data.len() - start).min(buf.len());
+                buf[..n].copy_from_slice(&data[start..start + n]);
+                n
+            };
             s.read_bytes += n as u64;
             self.pos += n as u64;
             Ok(n)
@@ -1160,17 +1246,24 @@ mod sim {
             }
             let mut s = self.fs.state.lock();
             s.write_calls += 1;
-            if s.check_rule(&RuleKind::Write, &self.path) {
+            let Some(path) = self.path(&s) else {
+                let data = self.unlinked(&mut s)?;
+                let end = self.pos as usize + buf.len();
+                if data.len() < end {
+                    data.resize(end, 0);
+                }
+                data[self.pos as usize..end].copy_from_slice(buf);
+                self.pos += buf.len() as u64;
+                return Ok(buf.len());
+            };
+            if s.check_rule(&RuleKind::Write, &path) {
                 return Err(io::Error::from_raw_os_error(EIO));
             }
-            let grow = {
-                let len = s.image.files.get(&self.path).map_or(0, Vec::len) as u64;
-                (self.pos + buf.len() as u64).saturating_sub(len)
-            };
+            let grow = (self.pos + buf.len() as u64).saturating_sub(self.len(&s));
             s.charge(grow)?;
             s.push(
                 Op::Write {
-                    path: self.path.clone(),
+                    path,
                     offset: self.pos,
                     bytes: buf.to_vec(),
                 },
@@ -1181,10 +1274,7 @@ mod sim {
         }
 
         pub(super) fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
-            let len = {
-                let s = self.fs.state.lock();
-                s.image.files.get(&self.path).map_or(0, Vec::len) as i64
-            };
+            let len = self.len(&self.fs.state.lock()) as i64;
             let new = match pos {
                 SeekFrom::Start(n) => n as i64,
                 SeekFrom::End(delta) => len + delta,
@@ -1202,28 +1292,26 @@ mod sim {
                 return Err(io::Error::from(io::ErrorKind::PermissionDenied));
             }
             let mut s = self.fs.state.lock();
-            let grow = {
-                let cur = s.image.files.get(&self.path).map_or(0, Vec::len) as u64;
-                len.saturating_sub(cur)
+            let Some(path) = self.path(&s) else {
+                self.unlinked(&mut s)?.resize(len as usize, 0);
+                return Ok(());
             };
+            let grow = len.saturating_sub(self.len(&s));
             s.charge(grow)?;
-            s.push(
-                Op::SetLen {
-                    path: self.path.clone(),
-                    len,
-                },
-                false,
-            );
+            s.push(Op::SetLen { path, len }, false);
             Ok(())
         }
 
         /// fsync: promote this file's pending content ops — except any a
-        /// previously *failed* fsync covered (the fsyncgate lie).
+        /// previously *failed* fsync covered (the fsyncgate lie). An
+        /// unlinked file has nothing a crash could keep.
         pub(super) fn sync(&self) -> io::Result<()> {
             let mut s = self.fs.state.lock();
             s.sync_calls += 1;
-            if s.check_rule(&RuleKind::Sync, &self.path) {
-                let path = self.path.clone();
+            let Some(path) = self.path(&s) else {
+                return Ok(());
+            };
+            if s.check_rule(&RuleKind::Sync, &path) {
                 for e in &mut s.journal {
                     if !e.durable && e.op.content_path() == Some(&path) {
                         e.lied = true;
@@ -1231,7 +1319,6 @@ mod sim {
                 }
                 return Err(io::Error::from_raw_os_error(EIO));
             }
-            let path = self.path.clone();
             for e in &mut s.journal {
                 if !e.durable && !e.lied && e.op.content_path() == Some(&path) {
                     e.durable = true;

@@ -1,29 +1,22 @@
-//! Write-ahead logging: crash-safe catalog writes without rewriting epochs.
+//! The write-ahead log: the one durable file of a database directory.
 //!
-//! [`crate::persist::save_catalog`] is atomic but O(catalog): every save
-//! rewrites the whole epoch directory. The WAL makes individual writes
-//! cheap and durable: a committed write appends the affected tables to
-//! `<dir>/wal.log` and fsyncs once; the full epoch rewrite happens only at
-//! **checkpoint** time, when [`Wal::checkpoint`] folds the log into a
-//! fresh epoch and truncates it.
-//!
-//! The checkpoint belongs to the open log. The handle knows the last
-//! sequence it acknowledged, so it stamps the new epoch's `walseq` with
-//! that number and reads none of the log it folds: a checkpoint costs
-//! what it writes, however long the log has grown. A poisoned handle
-//! heals first, so the stamp is never a sequence whose commit was
-//! reported failed. [`save_catalog`](crate::persist::save_catalog) writes
-//! the same epoch for a caller with no open log and scans `wal.log` for
-//! the sequence instead.
+//! `<dir>/wal.log` holds the whole database. It opens with a **base** —
+//! one put frame per table, sealed at a sequence S — and continues with
+//! the commit groups S+1, S+2, … appended after it. A committed write
+//! appends the tables it changed and fsyncs once ([`Wal::commit`]). A
+//! **checkpoint** compacts the log: [`Wal::checkpoint`] writes the catalog
+//! as a fresh base sealed at the handle's last acknowledged sequence to a
+//! temp file, fsyncs it once, renames it over `wal.log` and fsyncs the
+//! directory. The handle keeps the file it just wrote as its log, so a
+//! checkpoint reads nothing and costs what it writes, however long the
+//! log has grown. [`save_catalog`](crate::save_catalog) writes the same
+//! log for a caller with no open handle and scans `wal.log` for the
+//! sequence instead.
 //!
 //! ```text
 //! <dir>/
-//!   CURRENT          # committed epoch pointer (see persist)
-//!   v000007/
-//!     MANIFEST
-//!     walseq         # last WAL sequence folded into this epoch
-//!     customer.tbl   # table image (crate::image), the bytes a put frame logs
-//!   wal.log          # committed writes newer than v000007
+//!   wal.log          # header, base (put frames + seal), commit groups
+//!   .wal.tmp-1234    # a checkpoint interrupted before its rename
 //! ```
 //!
 //! ## File format
@@ -36,39 +29,51 @@
 //!
 //! The payload's first byte is a tag:
 //!
-//! * `0` **header** — magic `"conquer-wal v1"` + the `u64 LE` base
-//!   sequence (the `walseq` of the epoch current when the log was created
-//!   or last truncated). Always the first frame.
-//! * `1` **put** — a complete [table image](crate::image): name, schema
-//!   text, row count, then rows in the spill value codec — the same bytes
-//!   an epoch's `<table>.tbl` file holds. Whole-table images make replay
-//!   idempotent and order-insensitive within a commit.
+//! * `0` **header** — magic `"conquer-wal v2"` + the `u64 LE` base
+//!   sequence S. Always the first frame.
+//! * `1` **put** — a complete [table image](crate::image). In the base,
+//!   one per table; after the seal, the post-write image of a table a
+//!   commit changed. Whole-table images make replay idempotent and
+//!   order-insensitive within a commit.
 //! * `2` **drop** — a table name.
-//! * `3` **commit** — the `u64 LE` sequence number sealing every put/drop
-//!   frame since the previous commit. A write is durable iff its commit
-//!   frame is fully on disk ([`Wal::commit`] fsyncs before returning).
+//! * `3` **commit** — the `u64 LE` sequence sealing every put/drop frame
+//!   since the previous commit or the seal. A write is durable iff its
+//!   commit frame is fully on disk ([`Wal::commit`] fsyncs before
+//!   returning).
+//! * `4` **seal** — S again: the end of the base.
 //!
-//! ## Recovery semantics
+//! A fresh or empty database is a header and a seal at 0.
 //!
-//! Replay ([`crate::load_catalog`] / [`crate::load_catalog_recover`])
-//! applies committed frames **in order**, skipping commits whose sequence
-//! is ≤ the loaded epoch's `walseq` (they are already folded in — this
-//! gating is what makes a crash *between* an epoch commit and the WAL
-//! truncation harmless). Parsing stops at the first incomplete or
-//! checksum-failing frame: that is the torn tail a crash mid-append
-//! leaves behind, and everything before it is still recovered. The torn
-//! tail is reported, never a load failure. [`Wal::open`] truncates the
-//! tail (torn bytes *and* op frames missing their commit) before
-//! accepting new appends, so an interrupted commit can never leak into a
-//! later one.
+//! ## Recovery
+//!
+//! Recovery is one frame scan of one file. The scan checksums every frame
+//! and decodes none; the catalog is the base with every commit applied
+//! in order, and only the last put of each table is decoded. The header
+//! and every frame up to the seal must verify: a base is written whole
+//! and renamed into place, so a bad one is corruption — a typed
+//! [`StorageError::Corrupt`] from both loaders and [`Wal::open`], with
+//! nothing truncated or rewritten. After the seal, parsing stops at the
+//! first incomplete or checksum-failing frame: that is the torn tail a
+//! crash mid-append leaves, and everything before it is still recovered.
+//! The torn tail is reported, never a load failure; [`Wal::open`]
+//! truncates it (torn bytes *and* op frames missing their commit) before
+//! accepting appends, so an interrupted commit can never leak into a
+//! later one. Only a file shorter than an empty log — a crash while
+//! [`Wal::open`] created it — starts fresh.
+//!
+//! A directory in the layout older versions wrote (`CURRENT` and
+//! `vNNNNNN/` epoch directories beside a `conquer-wal v1` log) is refused
+//! the same way, naming the layout, and nothing in it changes.
 
-use std::io::{Seek, SeekFrom, Write};
+use std::collections::BTreeMap;
+use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use crate::catalog::Catalog;
 use crate::error::{corrupt, StorageError};
 use crate::image::{decode_table, encode_table, push_str, take_str, take_u32};
-use crate::persist::fnv1a64;
+use crate::persist::{fnv1a64, RecoveryReport};
 use crate::spill::{take, take_arr};
 use crate::table::Table;
 use crate::vfs;
@@ -77,9 +82,12 @@ use crate::vfs;
 pub const WAL_FILE: &str = "wal.log";
 
 /// Magic string opening every log (in the header frame).
-const WAL_MAGIC: &[u8] = b"conquer-wal v1";
+const WAL_MAGIC: &[u8] = b"conquer-wal v2";
 
-/// Prefix of the temp file a truncation stages its replacement log under.
+/// Magic of the log beside the epoch directories older versions wrote.
+const V1_MAGIC: &[u8] = b"conquer-wal v1";
+
+/// Prefix of the temp file a checkpoint stages its log under.
 pub(crate) const WAL_TMP_PREFIX: &str = ".wal.tmp-";
 
 /// Upper bound on one frame's payload; a larger length prefix means the
@@ -87,10 +95,19 @@ pub(crate) const WAL_TMP_PREFIX: &str = ".wal.tmp-";
 /// many times over anyway).
 const MAX_PAYLOAD_BYTES: u32 = 1 << 30;
 
+/// Bytes in front of every payload: its length and its checksum.
+const FRAME_HEAD: usize = 4 + 8;
+
 const TAG_HEADER: u8 = 0;
 const TAG_PUT: u8 = 1;
 const TAG_DROP: u8 = 2;
 const TAG_COMMIT: u8 = 3;
+const TAG_SEAL: u8 = 4;
+
+/// Bytes of the header frame.
+const HEADER_LEN: u64 = (FRAME_HEAD + 1 + WAL_MAGIC.len() + 8) as u64;
+/// Bytes of an empty log: the header and a seal.
+const EMPTY_LOG_LEN: u64 = HEADER_LEN + (FRAME_HEAD + 1 + 8) as u64;
 
 /// One logical operation inside a WAL commit.
 ///
@@ -106,82 +123,60 @@ pub enum WalOp<'a> {
     Drop(&'a str),
 }
 
-/// An owned, decoded WAL operation (the replay-side twin of [`WalOp`]).
-#[derive(Debug)]
-pub(crate) enum WalRecord {
-    Put(Table),
-    Drop(String),
-}
-
-/// Everything a scan of `wal.log` found.
-#[derive(Debug, Default)]
-pub(crate) struct WalContents {
-    /// The header's base sequence.
-    pub base_seq: u64,
-    /// The last committed sequence (`base_seq` when no commit exists).
-    pub last_seq: u64,
-    /// Committed operation groups, in commit order.
-    pub commits: Vec<(u64, Vec<WalRecord>)>,
-    /// Byte offset just past the last fully-committed frame — the point a
-    /// writer truncates to before appending.
-    pub committed_len: u64,
-    /// Description of the torn/uncommitted tail, when one exists.
-    pub torn: Option<String>,
-}
-
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn push_frame(buf: &mut Vec<u8>, payload: &[u8]) {
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
+/// Append one frame whose payload `fill` writes in place.
+fn push_frame(buf: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; FRAME_HEAD]);
+    fill(buf);
+    let payload = &buf[start + FRAME_HEAD..];
+    let (len, sum) = (payload.len() as u32, fnv1a64(payload));
+    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    buf[start + 4..start + FRAME_HEAD].copy_from_slice(&sum.to_le_bytes());
 }
 
-fn header_payload(base_seq: u64) -> Vec<u8> {
-    let mut p = Vec::with_capacity(1 + WAL_MAGIC.len() + 8);
-    p.push(TAG_HEADER);
-    p.extend_from_slice(WAL_MAGIC);
-    p.extend_from_slice(&base_seq.to_le_bytes());
-    p
+/// A header (`magic` = [`WAL_MAGIC`]), seal or commit frame.
+fn push_seq_frame(buf: &mut Vec<u8>, tag: u8, magic: &[u8], seq: u64) {
+    push_frame(buf, |p| {
+        p.push(tag);
+        p.extend_from_slice(magic);
+        p.extend_from_slice(&seq.to_le_bytes());
+    });
 }
 
-fn commit_payload(seq: u64) -> Vec<u8> {
-    let mut p = Vec::with_capacity(9);
-    p.push(TAG_COMMIT);
-    p.extend_from_slice(&seq.to_le_bytes());
-    p
-}
-
-fn put_payload(table: &Table) -> Vec<u8> {
-    let mut p = vec![TAG_PUT];
-    encode_table(table, &mut p);
-    p
-}
-
-fn drop_payload(name: &str) -> Vec<u8> {
-    let mut p = vec![TAG_DROP];
-    push_str(&mut p, name);
-    p
+/// A whole log holding `catalog` as its base, sealed at `seq`.
+pub(crate) fn base_log(catalog: &Catalog, seq: u64) -> Vec<u8> {
+    let mut buf = Vec::new();
+    push_seq_frame(&mut buf, TAG_HEADER, WAL_MAGIC, seq);
+    for table in catalog.tables() {
+        push_frame(&mut buf, |p| {
+            p.push(TAG_PUT);
+            encode_table(table, p);
+        });
+    }
+    push_seq_frame(&mut buf, TAG_SEAL, &[], seq);
+    buf
 }
 
 // ---------------------------------------------------------------------------
-// Decoding
+// The scan
 // ---------------------------------------------------------------------------
 
 fn take_u64(buf: &[u8], pos: &mut usize, path: &Path) -> Result<u64, StorageError> {
     Ok(u64::from_le_bytes(take_arr(buf, pos, path)?))
 }
 
-/// Parse one frame starting at `*pos`. `Ok(None)` means a clean
-/// end-of-file; a torn or corrupt frame is an `Err` (the *caller* decides
-/// that means "stop here", not "fail the load").
-fn next_frame<'a>(
-    buf: &'a [u8],
+/// Check the frame starting at `*pos` and return its payload's range.
+/// `Ok(None)` means a clean end-of-file; a torn or corrupt frame is an
+/// `Err` (the *caller* decides whether that ends a tail or fails a base).
+fn next_frame(
+    buf: &[u8],
     pos: &mut usize,
     path: &Path,
-) -> Result<Option<&'a [u8]>, StorageError> {
+) -> Result<Option<Range<usize>>, StorageError> {
     if *pos == buf.len() {
         return Ok(None);
     }
@@ -194,6 +189,7 @@ fn next_frame<'a>(
         ));
     }
     let sum = take_u64(buf, pos, path)?;
+    let start = *pos;
     let payload = take(buf, pos, len as usize, path)?;
     let actual = fnv1a64(payload);
     if actual != sum {
@@ -208,175 +204,249 @@ fn next_frame<'a>(
     if payload.is_empty() {
         return Err(corrupt(path, format!("empty frame at offset {at}")));
     }
-    Ok(Some(payload))
+    Ok(Some(start..*pos))
 }
 
-/// Scan `<dir>/wal.log`. Returns `Ok(None)` when the file does not exist.
-/// Torn tails never fail the scan — they end it, with everything before
-/// them intact and `torn` describing what was dropped. Only filesystem
-/// errors (not corruption) surface as `Err`.
-pub(crate) fn read_wal(dir: &Path) -> Result<Option<WalContents>, StorageError> {
+/// The sequence a header (after its magic), seal or commit payload carries.
+fn seq_of(payload: &[u8], magic: &[u8], path: &Path) -> Result<u64, StorageError> {
+    let mut p = 1 + magic.len();
+    let seq = take_u64(payload, &mut p, path)?;
+    if p != payload.len() {
+        return Err(corrupt(path, "a sequence frame has trailing bytes".into()));
+    }
+    Ok(seq)
+}
+
+/// What one frame scan of `wal.log` found. Every frame up to the end of
+/// the committed log is checksummed; no table image is decoded.
+#[derive(Debug)]
+pub(crate) struct Scan {
+    path: PathBuf,
+    buf: Vec<u8>,
+    /// The sequence the base is sealed at.
+    pub base_seq: u64,
+    /// Payload ranges of the base's put frames.
+    base: Vec<Range<usize>>,
+    /// Bytes of the base and its seal.
+    base_len: u64,
+    /// Committed groups after the seal: each commit's sequence and the
+    /// payload ranges of its put and drop frames.
+    pub commits: Vec<(u64, Vec<Range<usize>>)>,
+    /// The last committed sequence (`base_seq` when no commit follows).
+    pub last_seq: u64,
+    /// Offset just past the last committed frame: what a writer truncates
+    /// to before appending (0 for a log to start afresh).
+    committed_len: u64,
+    /// The torn or uncommitted tail, when one exists.
+    pub torn: Option<String>,
+}
+
+/// Refuse a directory in the layout older versions wrote, before
+/// anything in it is read or changed.
+fn refuse_old_layout(dir: &Path) -> Result<(), StorageError> {
+    for entry in vfs::dir_entries(dir)? {
+        let epoch = entry.is_dir
+            && entry
+                .name
+                .strip_prefix('v')
+                .is_some_and(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()));
+        if epoch || (!entry.is_dir && entry.name == "CURRENT") {
+            return Err(corrupt(
+                &dir.join(&entry.name),
+                "the epoch-directory layout (CURRENT + vNNNNNN/) of an older version; \
+                 this version reads only a single wal.log and leaves the directory as it is"
+                    .into(),
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Scan `<dir>/wal.log`. `Ok(None)` when the file does not exist; a torn
+/// tail ends the scan with everything before it intact and `torn`
+/// describing what was dropped; a bad header or base is `Corrupt`.
+pub(crate) fn scan(dir: &Path) -> Result<Option<Scan>, StorageError> {
+    refuse_old_layout(dir)?;
     let path = dir.join(WAL_FILE);
     let buf = match vfs::read(&path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
-    let mut out = WalContents::default();
-    let mut pos = 0usize;
+    let mut pos = 0;
+    let header = next_frame(&buf, &mut pos, &path).ok().flatten();
+    let header_with = |magic: &[u8]| {
+        header
+            .clone()
+            .filter(|r| buf[r.start] == TAG_HEADER && buf[r.start + 1..r.end].starts_with(magic))
+    };
+    if header_with(V1_MAGIC).is_some() {
+        return Err(corrupt(
+            &path,
+            "a conquer-wal v1 log, from the epoch-directory layout of an older version; \
+             this version reads only conquer-wal v2 and leaves it as it is"
+                .into(),
+        ));
+    }
+    let mut scan = Scan {
+        path,
+        buf: Vec::new(),
+        base_seq: 0,
+        base: Vec::new(),
+        base_len: 0,
+        commits: Vec::new(),
+        last_seq: 0,
+        committed_len: 0,
+        torn: None,
+    };
+    if (buf.len() as u64) < EMPTY_LOG_LEN {
+        // Too short to hold a seal, so nothing was ever acknowledged here.
+        scan.torn = Some("write-ahead log is shorter than an empty one".into());
+        return Ok(Some(scan));
+    }
+    let header = header_with(WAL_MAGIC).ok_or_else(|| {
+        corrupt(
+            &scan.path,
+            "write-ahead log header is missing or corrupt".into(),
+        )
+    })?;
+    scan.base_seq = seq_of(&buf[header], WAL_MAGIC, &scan.path)?;
 
-    // Header frame first; a log whose very header is unreadable recovers
-    // as "no commits" (committed_len 0 tells the writer to start over).
-    match next_frame(&buf, &mut pos, &path) {
-        Ok(Some(payload)) if payload[0] == TAG_HEADER && payload[1..].starts_with(WAL_MAGIC) => {
-            let mut p = 1 + WAL_MAGIC.len();
-            out.base_seq = take_u64(payload, &mut p, &path)?;
-            out.last_seq = out.base_seq;
-            out.committed_len = pos as u64;
-        }
-        Ok(None) => {
-            out.torn = Some("write-ahead log is empty (no header)".into());
-            return Ok(Some(out));
-        }
-        Ok(Some(_)) | Err(_) => {
-            out.torn = Some("write-ahead log header is missing or corrupt".into());
-            return Ok(Some(out));
+    // The base: put frames up to a seal carrying the header's sequence.
+    loop {
+        let at = pos;
+        let frame = next_frame(&buf, &mut pos, &scan.path)?
+            .ok_or_else(|| corrupt(&scan.path, "the base ends before its seal".into()))?;
+        match buf[frame.start] {
+            TAG_PUT => scan.base.push(frame),
+            TAG_SEAL if seq_of(&buf[frame.clone()], &[], &scan.path)? == scan.base_seq => break,
+            tag => {
+                return Err(corrupt(
+                    &scan.path,
+                    format!("frame at offset {at} (tag {tag}) does not belong in the base"),
+                ))
+            }
         }
     }
+    scan.base_len = pos as u64 - HEADER_LEN;
+    scan.last_seq = scan.base_seq;
+    scan.committed_len = pos as u64;
 
-    // Frames until EOF or the first tear.
-    let mut pending: Vec<WalRecord> = Vec::new();
+    // Commit groups until EOF or the first tear.
+    let mut pending = Vec::new();
     loop {
-        let frame_start = pos;
-        match next_frame(&buf, &mut pos, &path) {
+        let at = pos;
+        let frame = match next_frame(&buf, &mut pos, &scan.path) {
             Ok(None) => break,
+            Ok(Some(frame)) => frame,
             Err(e) => {
-                out.torn = Some(format!("torn tail: {e}"));
+                scan.torn = Some(format!("torn tail: {e}"));
                 break;
             }
-            Ok(Some(payload)) => {
-                let decoded = match payload[0] {
-                    TAG_PUT => decode_table(&payload[1..], &path).map(WalRecord::Put),
-                    TAG_DROP => {
-                        let mut p = 1;
-                        take_str(payload, &mut p, &path).map(WalRecord::Drop)
-                    }
-                    TAG_COMMIT => {
-                        let mut p = 1;
-                        let seq = take_u64(payload, &mut p, &path)?;
-                        if seq <= out.last_seq {
-                            out.torn = Some(format!(
-                                "commit sequence went backwards at offset {frame_start} \
-                                 ({seq} after {})",
-                                out.last_seq
-                            ));
-                            break;
-                        }
-                        out.last_seq = seq;
-                        out.commits.push((seq, std::mem::take(&mut pending)));
-                        out.committed_len = pos as u64;
-                        continue;
-                    }
-                    TAG_HEADER => {
-                        out.torn = Some(format!("unexpected header frame at offset {frame_start}"));
-                        break;
-                    }
-                    other => {
-                        out.torn =
-                            Some(format!("unknown frame tag {other} at offset {frame_start}"));
-                        break;
-                    }
-                };
-                match decoded {
-                    Ok(rec) => pending.push(rec),
-                    Err(e) => {
-                        out.torn = Some(format!("torn tail: {e}"));
-                        break;
-                    }
+        };
+        let payload = &buf[frame.clone()];
+        match payload[0] {
+            TAG_PUT | TAG_DROP => match take_str(payload, &mut 1, &scan.path) {
+                Ok(_) => pending.push(frame),
+                Err(e) => {
+                    scan.torn = Some(format!("torn tail: {e}"));
+                    break;
                 }
+            },
+            TAG_COMMIT => {
+                let seq = seq_of(payload, &[], &scan.path)?;
+                if seq <= scan.last_seq {
+                    scan.torn = Some(format!(
+                        "commit sequence went backwards at offset {at} ({seq} after {})",
+                        scan.last_seq
+                    ));
+                    break;
+                }
+                scan.last_seq = seq;
+                scan.commits.push((seq, std::mem::take(&mut pending)));
+                scan.committed_len = pos as u64;
+            }
+            tag => {
+                scan.torn = Some(format!("unexpected frame tag {tag} at offset {at}"));
+                break;
             }
         }
     }
-    if out.torn.is_none() && !pending.is_empty() {
-        out.torn = Some(format!(
+    if scan.torn.is_none() && !pending.is_empty() {
+        scan.torn = Some(format!(
             "interrupted commit: {} operation frame(s) with no commit marker",
             pending.len()
         ));
     }
-    Ok(Some(out))
+    scan.buf = buf;
+    Ok(Some(scan))
 }
 
-/// The last committed sequence recorded anywhere under `dir`: the maximum
-/// of the WAL's last commit and the committed epoch's `walseq`. This is
-/// what a standalone [`save_catalog`](crate::persist::save_catalog)
-/// stamps into the new epoch. It scans and decodes the whole log; an open
-/// [`Wal`] holds the same number as [`Wal::last_seq`].
+impl Scan {
+    /// Number of tables in the base.
+    pub(crate) fn base_tables(&self) -> usize {
+        self.base.len()
+    }
+
+    /// The catalog the log holds: the base with every commit applied in
+    /// order. Only the last put of each table is decoded.
+    pub(crate) fn catalog(&self) -> Result<Catalog, StorageError> {
+        let mut last: BTreeMap<String, Option<&[u8]>> = BTreeMap::new();
+        for frame in self
+            .base
+            .iter()
+            .chain(self.commits.iter().flat_map(|(_, ops)| ops))
+        {
+            let payload = &self.buf[frame.clone()];
+            let name = take_str(payload, &mut 1, &self.path)?;
+            match payload[0] {
+                TAG_PUT => last.insert(name, Some(&payload[1..])),
+                _ => last.insert(name.to_ascii_lowercase(), None),
+            };
+        }
+        let mut catalog = Catalog::new();
+        for image in last.into_values().flatten() {
+            catalog.replace_table(decode_table(image, &self.path)?);
+        }
+        Ok(catalog)
+    }
+}
+
+/// The last committed sequence in `<dir>/wal.log` (0 without a log): what
+/// a standalone [`save_catalog`](crate::save_catalog) seals its base at.
+/// It scans the log and decodes nothing; an open [`Wal`] holds the same
+/// number as [`Wal::last_seq`].
 pub(crate) fn durable_seq(dir: &Path) -> Result<u64, StorageError> {
-    let from_epoch = crate::persist::current_walseq(dir);
-    let from_wal = read_wal(dir)?.map_or(0, |c| c.last_seq);
-    Ok(from_epoch.max(from_wal))
+    Ok(scan(dir)?.map_or(0, |s| s.last_seq))
 }
 
-/// Replay every committed WAL group with sequence > `min_seq` into
-/// `catalog`, in commit order; the decoded table images move in. Returns
-/// `(applied, torn)`.
-pub(crate) fn replay(
-    contents: WalContents,
-    catalog: &mut Catalog,
-    min_seq: u64,
-) -> (u64, Option<String>) {
-    let mut applied = 0;
-    for (seq, records) in contents.commits {
-        if seq <= min_seq {
-            continue;
-        }
-        for rec in records {
-            match rec {
-                WalRecord::Put(table) => catalog.replace_table(table),
-                WalRecord::Drop(name) => {
-                    let _ = catalog.drop_table(&name);
-                }
-            }
-        }
-        applied += 1;
-    }
-    (applied, contents.torn)
-}
-
-/// Atomically replace `<dir>/wal.log` with a fresh, empty log whose header
-/// carries `base_seq`. Called by every epoch save after it commits:
-/// every sequence ≤ `base_seq` is folded into the new epoch, so the old
-/// frames are dead weight. The replacement is staged in a temp
-/// file and renamed into place — a crash anywhere leaves either the old
-/// log (harmless: replay is sequence-gated) or the new one.
-pub(crate) fn truncate_wal(dir: &Path, base_seq: u64) -> Result<(), StorageError> {
-    // Stages, fsyncs, and renames files: only blocking-tolerant locks
-    // (the engine's writer lock) may be held across this.
-    let _io = conquer_sync::blocking_region("wal::truncate");
+/// Make `bytes` the whole of `<dir>/wal.log`: stage them in a temp file,
+/// fsync it once, rename it over the log and fsync the directory. Returns
+/// the staged file, which now is the log, positioned at its end. A
+/// failure before the rename removes the temp file and leaves the log as
+/// it was; after a failed directory fsync the log is the old or the new
+/// one.
+pub(crate) fn replace_log(dir: &Path, bytes: &[u8]) -> Result<vfs::File, StorageError> {
+    // Writes, fsyncs and renames: only blocking-tolerant locks (the
+    // engine's writer lock) may be held across this.
+    let _io = conquer_sync::blocking_region("wal::replace_log");
     let tmp = dir.join(format!("{WAL_TMP_PREFIX}{}", std::process::id()));
-    let mut buf = Vec::new();
-    push_frame(&mut buf, &header_payload(base_seq));
-    {
+    let staged = (|| -> Result<vfs::File, StorageError> {
         let mut file = vfs::File::create(&tmp)?;
-        file.write_all(&buf)?;
+        file.write_all(bytes)?;
         file.sync_all()?;
-    }
-    vfs::rename(&tmp, &dir.join(WAL_FILE))?;
-    // The rename only becomes durable once the directory itself is
-    // fsynced. A failure here is tolerable (sequence-gated replay skips
-    // stale frames either way) but must not vanish: count it and leave a
-    // note for the recovery path.
-    if let Err(e) = vfs::sync_dir(dir) {
-        vfs::note_io_error(format!(
-            "directory fsync after WAL truncation in {} failed: {e}",
-            dir.display()
-        ));
-    }
-    Ok(())
+        vfs::rename(&tmp, &dir.join(WAL_FILE))?;
+        Ok(file)
+    })();
+    let file = staged.inspect_err(|_| {
+        let _ = vfs::remove_file(&tmp);
+    })?;
+    vfs::sync_dir(dir)?;
+    Ok(file)
 }
 
 /// Names of stale `.wal.tmp-*` files directly under `dir` (left by a
-/// truncation interrupted between staging and rename).
+/// checkpoint interrupted between staging and rename).
 pub(crate) fn list_wal_tmp_files(dir: &Path) -> Vec<String> {
     let mut out = Vec::new();
     if let Ok(entries) = vfs::dir_entries(dir) {
@@ -410,58 +480,75 @@ pub struct Wal {
     file: vfs::File,
     /// Sequence the next commit will be stamped with.
     next_seq: u64,
-    /// Bytes of committed log (= current file length).
+    /// Bytes of acknowledged log (= current file length).
     len: u64,
+    /// Bytes of the base and its seal, which [`Wal::size_bytes`] leaves out.
+    base_len: u64,
     /// Set when this descriptor can no longer be trusted: a commit fsync
     /// failed (fsyncgate: after a failed fsync the kernel may have
     /// dropped the dirty flags, so retrying fsync can report success
-    /// without durability), or a failed append could not be rolled back.
-    /// The next commit or checkpoint heals by reopen + re-truncate, never
-    /// fsync retry.
+    /// without durability), a failed append could not be rolled back, or
+    /// a checkpoint failed, maybe after renaming its log over this one.
+    /// The next commit heals ([`Wal::heal`]), never by fsync retry.
     poisoned: bool,
 }
 
 impl Wal {
     /// Open (creating if necessary) the log in `dir`, truncating any
     /// torn or uncommitted tail so new appends start at a clean commit
-    /// boundary. Sequences continue above both the log's last commit and
-    /// the committed epoch's `walseq`, so a recreated log can never reuse
-    /// a sequence an epoch already folded in.
+    /// boundary. A log whose header or base fails to verify, or a
+    /// directory in an older layout, is [`StorageError::Corrupt`] and is
+    /// left as it is.
     pub fn open(dir: &Path) -> Result<Wal, StorageError> {
         let _io = conquer_sync::blocking_region("wal::open");
         vfs::create_dir_all(dir)?;
-        // The floor is what `durable_seq` computes, taken from this scan
-        // so the log is read once.
-        let contents = read_wal(dir)?;
-        let floor =
-            crate::persist::current_walseq(dir).max(contents.as_ref().map_or(0, |c| c.last_seq));
-        let path = dir.join(WAL_FILE);
-        let mut file = vfs::File::open_rw(&path)?;
-        let (last_seq, committed_len) = match &contents {
-            Some(c) if c.committed_len > 0 => (floor, c.committed_len),
-            // Missing, empty, or header-corrupt log: start a fresh one
-            // whose base is everything already durable in the epochs.
+        let scan = scan(dir)?;
+        Wal::from_scan(dir, scan.as_ref())
+    }
+
+    /// Recover `dir` and open its log, reading `wal.log` once: the catalog
+    /// and report [`load_catalog_recover`](crate::load_catalog_recover)
+    /// returns, and the handle [`Wal::open`] returns.
+    pub fn recover(dir: &Path) -> Result<(Wal, Catalog, RecoveryReport), StorageError> {
+        let _io = conquer_sync::blocking_region("wal::open");
+        vfs::create_dir_all(dir)?;
+        let scan = scan(dir)?;
+        let (catalog, report) = crate::persist::recover(dir, scan.as_ref())?;
+        Ok((Wal::from_scan(dir, scan.as_ref())?, catalog, report))
+    }
+
+    fn from_scan(dir: &Path, scan: Option<&Scan>) -> Result<Wal, StorageError> {
+        let mut file = vfs::File::open_rw(&dir.join(WAL_FILE))?;
+        let (seq, len, base_len) = match scan {
+            Some(s) if s.committed_len > 0 => {
+                // Drop a torn tail, and make durable everything this scan
+                // recovered before anything builds on it.
+                if s.committed_len < s.buf.len() as u64 {
+                    file.set_len(s.committed_len)?;
+                }
+                file.sync_all()?;
+                (s.last_seq, s.committed_len, s.base_len)
+            }
+            // Missing, or shorter than an empty log: start an empty one.
             _ => {
-                let mut buf = Vec::new();
-                push_frame(&mut buf, &header_payload(floor));
+                let log = base_log(&Catalog::new(), 0);
                 file.set_len(0)?;
-                file.write_all(&buf)?;
+                file.write_all(&log)?;
                 file.sync_all()?;
                 // The log's own directory entry must be durable too, or a
                 // crash could lose the whole (fsynced) file and with it
                 // every commit it ever acknowledges.
                 vfs::sync_dir(dir)?;
-                (floor, buf.len() as u64)
+                (0, EMPTY_LOG_LEN, EMPTY_LOG_LEN - HEADER_LEN)
             }
         };
-        file.set_len(committed_len)?;
         file.seek(SeekFrom::End(0))?;
-        file.sync_all()?;
         Ok(Wal {
             dir: dir.to_path_buf(),
             file,
-            next_seq: last_seq + 1,
-            len: committed_len,
+            next_seq: seq + 1,
+            len,
+            base_len,
             poisoned: false,
         })
     }
@@ -471,13 +558,14 @@ impl Wal {
         &self.dir
     }
 
-    /// Bytes of committed log on disk (checkpoint policies watch this).
+    /// Bytes the log holds past its base, plus its header: what a
+    /// checkpoint folds (checkpoint policies watch this).
     pub fn size_bytes(&self) -> u64 {
-        self.len
+        self.len - self.base_len
     }
 
-    /// The sequence of the most recent commit (0 when the log has never
-    /// committed anything and no epoch has a `walseq`).
+    /// The sequence of the most recent commit (the base's sequence when
+    /// nothing was committed after it).
     pub fn last_seq(&self) -> u64 {
         self.next_seq - 1
     }
@@ -488,19 +576,24 @@ impl Wal {
     pub fn commit(&mut self, ops: &[WalOp<'_>]) -> Result<u64, StorageError> {
         if self.poisoned {
             // fsyncgate rule: a poisoned descriptor is never fsynced
-            // again. Heal by reopening and re-truncating to the last
-            // acknowledged boundary, then proceed on the fresh handle.
+            // again. Heal onto a fresh file first.
             self.heal()?;
         }
         let seq = self.next_seq;
         let mut buf = Vec::new();
         for op in ops {
             match op {
-                WalOp::Put(table) => push_frame(&mut buf, &put_payload(table)),
-                WalOp::Drop(name) => push_frame(&mut buf, &drop_payload(name)),
+                WalOp::Put(table) => push_frame(&mut buf, |p| {
+                    p.push(TAG_PUT);
+                    encode_table(table, p);
+                }),
+                WalOp::Drop(name) => push_frame(&mut buf, |p| {
+                    p.push(TAG_DROP);
+                    push_str(p, name);
+                }),
             }
         }
-        push_frame(&mut buf, &commit_payload(seq));
+        push_seq_frame(&mut buf, TAG_COMMIT, &[], seq);
 
         // The append + fsync is the engine's canonical
         // hold-a-lock-while-blocking site; the writer mutex rank is marked
@@ -528,11 +621,11 @@ impl Wal {
             Err(e) => {
                 // A failed fsync leaves the kernel's dirty-page state
                 // undefined, so this descriptor can never prove
-                // durability again: poison it (the next commit heals by
-                // reopen + re-truncate + replay, never fsync retry) and
-                // roll the append back best-effort so readers of the file
-                // see the old boundary immediately. The commit is
-                // reported failed; nothing is acknowledged.
+                // durability again: poison it (the next commit heals,
+                // never by fsync retry) and roll the append back
+                // best-effort so readers of the file see the old boundary
+                // immediately. The commit is reported failed; nothing is
+                // acknowledged.
                 vfs::note_fsync_failure(format!(
                     "WAL commit fsync in {} failed: {e}",
                     self.dir.display()
@@ -559,68 +652,49 @@ impl Wal {
         }
     }
 
-    /// Recover a poisoned handle: open a fresh descriptor, re-scan, and
-    /// truncate any frames past the last *acknowledged* commit — bytes a
-    /// failed fsync covered may have reached the disk after all, and a
-    /// commit that was reported failed must never surface as durable.
-    fn heal(&mut self) -> Result<(), StorageError> {
-        let acked_len = self.len;
-        let acked_next = self.next_seq;
-        *self = Wal::open(&self.dir)?;
-        if self.len > acked_len {
-            let truncated = (|| -> Result<(), StorageError> {
-                self.file.set_len(acked_len)?;
-                self.file.seek(SeekFrom::End(0))?;
-                self.file.sync_all()?;
-                Ok(())
-            })();
-            if let Err(e) = truncated {
-                self.poisoned = true;
-                return Err(e);
-            }
-            self.len = acked_len;
-            self.next_seq = acked_next;
+    /// Move the handle onto a fresh copy of the log it acknowledged: read
+    /// the acknowledged bytes back through this descriptor and make them
+    /// the whole log the way a checkpoint does. Bytes a failed fsync
+    /// covered never reach the copy, so a commit that was reported failed
+    /// can never surface as durable; and the copy replaces whatever a
+    /// failed checkpoint may have renamed over this descriptor's file.
+    /// On `Err` the handle stays poisoned.
+    pub fn heal(&mut self) -> Result<(), StorageError> {
+        let mut acked = vec![0; self.len as usize];
+        let read = self
+            .file
+            .seek(SeekFrom::Start(0))
+            .and_then(|_| self.file.read_exact(&mut acked));
+        if let Err(e) = read {
+            self.poisoned = true;
+            return Err(e.into());
         }
-        Ok(())
+        self.install(&acked, self.base_len)
     }
 
-    /// Fold `catalog` into a fresh epoch and move this handle onto the
-    /// truncated log. `catalog` must hold every write this handle
-    /// acknowledged; the epoch is stamped with [`Wal::last_seq`], so the
-    /// log is never read to learn it.
+    /// Fold `catalog` into a compacted log and move this handle onto it.
+    /// `catalog` must hold exactly the writes this handle acknowledged:
+    /// the base is sealed at [`Wal::last_seq`], so the log is never read
+    /// to learn it. A poisoned handle needs no heal first — the fresh log
+    /// replaces the file a failed fsync left in doubt.
     ///
-    /// A poisoned handle heals first, as [`Wal::commit`] does: the heal
-    /// truncates the file to the last acknowledged commit, so a commit
-    /// reported failed can never be stamped as folded. An `Err` from the heal or the
-    /// epoch write leaves the committed epoch and the log as they were.
-    /// The epoch's `CURRENT` swap is the commit point: a failed reopen of
-    /// the fresh log after it cannot undo the fold, so it poisons the
-    /// handle (the next commit heals) and is counted, not returned.
+    /// On `Err` the log on disk is the old one or the new one, and the
+    /// handle is poisoned: it keeps its old descriptor, and the next
+    /// commit heals from it.
     pub fn checkpoint(&mut self, catalog: &Catalog) -> Result<(), StorageError> {
-        if self.poisoned {
-            self.heal()?;
-        }
-        crate::persist::save_epoch(catalog, &self.dir, self.last_seq())?;
-        if let Err(e) = self.reopen() {
-            vfs::note_io_error(format!(
-                "WAL reopen after a checkpoint in {} failed: {e}",
-                self.dir.display()
-            ));
-        }
-        Ok(())
+        let log = base_log(catalog, self.last_seq());
+        self.install(&log, log.len() as u64 - HEADER_LEN)
     }
 
-    /// Re-open the handle after something else replaced the file on disk
-    /// (a checkpoint's `truncate_wal` renames a fresh log over it; this
-    /// handle would otherwise keep appending to the unlinked inode). On
-    /// failure the handle is poisoned, so the next commit heals through
-    /// [`Wal::open`] instead of appending to the replaced file. (The
-    /// heal's re-truncation never fires there: a fresh log is a lone
-    /// header, no longer than the one it replaced.)
-    pub fn reopen(&mut self) -> Result<(), StorageError> {
-        match Wal::open(&self.dir) {
-            Ok(wal) => {
-                *self = wal;
+    /// Make `log` (whose base and seal take `base_len` bytes) the whole
+    /// log and this handle's file.
+    fn install(&mut self, log: &[u8], base_len: u64) -> Result<(), StorageError> {
+        match replace_log(&self.dir, log) {
+            Ok(file) => {
+                self.file = file;
+                self.len = log.len() as u64;
+                self.base_len = base_len;
+                self.poisoned = false;
                 Ok(())
             }
             Err(e) => {
@@ -656,23 +730,46 @@ mod tests {
         t
     }
 
+    fn scanned(dir: &Path) -> Scan {
+        scan(dir).unwrap().unwrap()
+    }
+
+    /// The tables one commit of `scan` puts, decoded.
+    fn puts_of(scan: &Scan, commit: usize) -> Vec<Table> {
+        scan.commits[commit]
+            .1
+            .iter()
+            .filter(|r| scan.buf[r.start] == TAG_PUT)
+            .map(|r| decode_table(&scan.buf[r.start + 1..r.end], &scan.path).unwrap())
+            .collect()
+    }
+
     #[test]
     fn commit_and_scan_roundtrip() {
         let dir = tempdir("roundtrip");
         let mut wal = Wal::open(&dir).unwrap();
+        assert_eq!(
+            fs::read(dir.join(WAL_FILE)).unwrap().len() as u64,
+            EMPTY_LOG_LEN
+        );
+        assert_eq!(
+            wal.size_bytes(),
+            HEADER_LEN,
+            "an empty log folds only its header"
+        );
         let t = table("t", &[1, 2]);
         let s1 = wal.commit(&[WalOp::Put(&t)]).unwrap();
         let s2 = wal.commit(&[WalOp::Drop("gone"), WalOp::Put(&t)]).unwrap();
         assert_eq!((s1, s2), (1, 2));
         assert_eq!(wal.last_seq(), 2);
 
-        let c = read_wal(&dir).unwrap().unwrap();
-        assert_eq!(c.last_seq, 2);
+        let c = scanned(&dir);
+        assert_eq!((c.base_seq, c.last_seq, c.base_tables()), (0, 2, 0));
         assert_eq!(c.commits.len(), 2);
         assert!(c.torn.is_none());
-        assert_eq!(c.committed_len, wal.size_bytes());
-        match &c.commits[0].1[..] {
-            [WalRecord::Put(t2)] => {
+        assert_eq!(c.committed_len - c.base_len, wal.size_bytes());
+        match &puts_of(&c, 0)[..] {
+            [t2] => {
                 assert_eq!(t2.name(), "t");
                 assert_eq!(t2.rows(), t.rows());
                 assert_eq!(t2.schema(), t.schema());
@@ -683,28 +780,42 @@ mod tests {
     }
 
     #[test]
-    fn replay_applies_puts_and_drops_above_min_seq() {
+    fn the_catalog_applies_puts_and_drops_in_commit_order() {
         let dir = tempdir("replay");
         let mut wal = Wal::open(&dir).unwrap();
         wal.commit(&[WalOp::Put(&table("t", &[1]))]).unwrap();
         wal.commit(&[WalOp::Put(&table("t", &[1, 2]))]).unwrap();
         wal.commit(&[WalOp::Drop("t"), WalOp::Put(&table("u", &[9]))])
             .unwrap();
-
-        let scan = || read_wal(&dir).unwrap().unwrap();
-        let mut cat = Catalog::new();
-        let (applied, torn) = replay(scan(), &mut cat, 0);
-        assert_eq!((applied, torn), (3, None));
-        assert!(!cat.contains("t"));
+        wal.commit(&[WalOp::Put(&table("w", &[3]))]).unwrap();
+        let cat = scanned(&dir).catalog().unwrap();
+        assert_eq!(cat.table_names(), vec!["u", "w"]);
         assert_eq!(cat.table("u").unwrap().len(), 1);
+        fs::remove_dir_all(&dir).ok();
+    }
 
-        // Gated replay skips already-folded commits.
-        let mut cat2 = Catalog::new();
-        cat2.add_table(table("t", &[1, 2])).unwrap();
-        let (applied2, _) = replay(scan(), &mut cat2, 2);
-        assert_eq!(applied2, 1);
-        assert!(!cat2.contains("t"));
-        assert!(cat2.contains("u"));
+    /// A put another put supersedes is never decoded: an image that
+    /// passes its checksum but does not parse loads fine once a later
+    /// commit replaces the table.
+    #[test]
+    fn only_the_last_put_of_a_table_is_decoded() {
+        let dir = tempdir("decode_once");
+        drop(Wal::open(&dir).unwrap());
+        let mut log = fs::read(dir.join(WAL_FILE)).unwrap();
+        push_frame(&mut log, |p| {
+            p.push(TAG_PUT);
+            push_str(p, "t");
+            p.extend_from_slice(b"not a table image");
+        });
+        push_seq_frame(&mut log, TAG_COMMIT, &[], 1);
+        fs::write(dir.join(WAL_FILE), &log).unwrap();
+        let err = scanned(&dir).catalog().unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt { .. }), "{err:?}");
+
+        let mut wal = Wal::open(&dir).unwrap();
+        wal.commit(&[WalOp::Put(&table("t", &[5]))]).unwrap();
+        let cat = scanned(&dir).catalog().unwrap();
+        assert_eq!(cat.table("t").unwrap().len(), 1);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -719,14 +830,14 @@ mod tests {
 
         for cut in 0..full.len() {
             fs::write(dir.join(WAL_FILE), &full[..cut]).unwrap();
-            let c = read_wal(&dir).unwrap().unwrap();
+            let c = scanned(&dir);
             // Whatever the cut, the scan yields some prefix of the three
             // commits, each intact, and flags the tail iff bytes remain
             // past the last whole commit.
-            for (i, (seq, recs)) in c.commits.iter().enumerate() {
+            for (i, (seq, _)) in c.commits.iter().enumerate() {
                 assert_eq!(*seq, i as u64 + 1);
-                match &recs[..] {
-                    [WalRecord::Put(t)] => assert_eq!(t.rows()[0][0], Value::Int(i as i64)),
+                match &puts_of(&c, i)[..] {
+                    [t] => assert_eq!(t.rows()[0][0], Value::Int(i as i64)),
                     other => panic!("unexpected {other:?}"),
                 }
             }
@@ -743,7 +854,7 @@ mod tests {
             let before = c.commits.len() as u64;
             let mut w = Wal::open(&dir).unwrap();
             w.commit(&[WalOp::Put(&table("t", &[42]))]).unwrap();
-            let c2 = read_wal(&dir).unwrap().unwrap();
+            let c2 = scanned(&dir);
             assert!(c2.torn.is_none());
             assert_eq!(c2.commits.len() as u64, before + 1);
         }
@@ -763,26 +874,28 @@ mod tests {
         bytes[victim] ^= 0xff;
         fs::write(dir.join(WAL_FILE), bytes).unwrap();
 
-        let c = read_wal(&dir).unwrap().unwrap();
+        let c = scanned(&dir);
         assert_eq!(c.commits.len(), 1, "replay must stop at the corruption");
         assert!(c.torn.as_deref().is_some_and(|t| t.contains("checksum")));
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn truncation_resets_the_log_and_preserves_the_sequence_floor() {
+    fn a_save_resets_the_log_and_preserves_the_sequence_floor() {
         let dir = tempdir("trunc");
         let mut wal = Wal::open(&dir).unwrap();
         wal.commit(&[WalOp::Put(&table("t", &[1]))]).unwrap();
         wal.commit(&[WalOp::Put(&table("t", &[2]))]).unwrap();
-        truncate_wal(&dir, 2).unwrap();
+        drop(wal);
+        let folded = scanned(&dir).catalog().unwrap();
+        crate::persist::save_catalog(&folded, &dir).unwrap();
 
-        let c = read_wal(&dir).unwrap().unwrap();
+        let c = scanned(&dir);
         assert_eq!((c.base_seq, c.last_seq, c.commits.len()), (2, 2, 0));
 
-        wal.reopen().unwrap();
+        let mut wal = Wal::open(&dir).unwrap();
         let seq = wal.commit(&[WalOp::Drop("t")]).unwrap();
-        assert_eq!(seq, 3, "sequences must continue past the truncation base");
+        assert_eq!(seq, 3, "sequences must continue past the base");
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -807,17 +920,17 @@ mod tests {
         }
     }
 
-    /// `dir` holds a fresh epoch stamped `seq` and a lone log header based
-    /// at `seq`, and `wal` sits on that log.
+    /// `dir` holds a base sealed at `seq` and nothing after it, and `wal`
+    /// sits on that log.
     fn assert_checkpointed_at(dir: &Path, wal: &Wal, seq: u64) {
-        assert_eq!(crate::persist::current_walseq(dir), seq, "epoch stamp");
-        let c = read_wal(dir).unwrap().unwrap();
+        let c = scanned(dir);
         assert_eq!(
-            (c.base_seq, c.last_seq, c.commits.len(), c.torn),
+            (c.base_seq, c.last_seq, c.commits.len(), c.torn.clone()),
             (seq, seq, 0, None),
-            "wal.log must be a lone header based at the stamp"
+            "wal.log must be a lone base sealed at the stamp"
         );
-        assert_eq!(c.committed_len, wal.size_bytes());
+        assert_eq!(c.committed_len, c.buf.len() as u64);
+        assert_eq!(wal.size_bytes(), HEADER_LEN);
         assert_eq!(wal.last_seq(), seq);
         assert!(!wal.is_poisoned());
     }
@@ -834,6 +947,7 @@ mod tests {
         folded.replace_table(u);
         let (cat, report) = crate::persist::load_catalog_recover(dir).unwrap();
         assert_eq!(report.wal_commits_replayed, 1, "{report:?}");
+        assert_eq!(report.base_seq, Some(acked), "{report:?}");
         assert!(report.is_clean(), "{report:?}");
         assert_same_catalog(&cat, &folded);
     }
@@ -848,8 +962,8 @@ mod tests {
     }
 
     /// A commit whose fsync failed poisons the handle and was reported
-    /// failed: the checkpoint heals first and stamps the last
-    /// *acknowledged* sequence, never the failed one.
+    /// failed: the checkpoint stamps the last *acknowledged* sequence,
+    /// never the failed one.
     #[cfg(feature = "fault")]
     #[test]
     fn checkpoint_of_a_poisoned_log_stamps_the_acknowledged_sequence() {
@@ -864,34 +978,26 @@ mod tests {
         checkpoint_then_commit(&dir, &mut wal, folded, 3);
     }
 
-    /// Opening a log scans it once: the bytes `Wal::open` reads are the
-    /// log's plus the committed epoch's `CURRENT` and `walseq`.
+    /// Opening a log reads it once and nothing else, however many commits
+    /// and tables it holds.
     #[cfg(feature = "fault")]
     #[test]
     fn open_reads_the_log_once() {
-        use crate::persist::{CURRENT_FILE, WALSEQ_FILE};
         let (fs, _guard) = vfs::mount_sim("/sim/wal_open_once");
         let dir = PathBuf::from("/sim/wal_open_once/db");
         let mut wal = Wal::open(&dir).unwrap();
-        let folded = commit_versions(&mut wal, 2);
+        let mut folded = commit_versions(&mut wal, 2);
+        folded.replace_table(table("w", &[7, 8]));
         wal.checkpoint(&folded).unwrap();
         for v in 0..3 {
             wal.commit(&[WalOp::Put(&table("u", &[v]))]).unwrap();
         }
         drop(wal);
-        let epoch = crate::persist::read_current(&dir).unwrap();
-        let expected: u64 = [
-            dir.join(WAL_FILE),
-            dir.join(CURRENT_FILE),
-            dir.join(epoch).join(WALSEQ_FILE),
-        ]
-        .iter()
-        .map(|p| vfs::read(p).unwrap().len() as u64)
-        .sum();
+        let log = vfs::read(&dir.join(WAL_FILE)).unwrap().len() as u64;
 
         let before = fs.read_bytes();
         let wal = Wal::open(&dir).unwrap();
-        assert_eq!(fs.read_bytes() - before, expected);
+        assert_eq!(fs.read_bytes() - before, log);
         assert_eq!(wal.last_seq(), 5);
     }
 
@@ -927,9 +1033,8 @@ mod tests {
         .unwrap();
         let mut wal = Wal::open(&dir).unwrap();
         wal.commit(&[WalOp::Put(&t)]).unwrap();
-        let c = read_wal(&dir).unwrap().unwrap();
-        match &c.commits[0].1[..] {
-            [WalRecord::Put(t2)] => {
+        match &puts_of(&scanned(&dir), 0)[..] {
+            [t2] => {
                 assert_eq!(t2.schema(), t.schema());
                 assert_eq!(t2.rows()[0], t.rows()[0]);
                 match (&t2.rows()[1][2], &t.rows()[1][2]) {

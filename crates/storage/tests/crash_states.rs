@@ -5,8 +5,9 @@
 //! never a partial state, never an unrecoverable directory.
 //!
 //! Covered paths: a WAL commit whose fsync fails, every fsync of a full
-//! checkpoint (`save_catalog`), and spill writes (which are scratch and
-//! must never affect recovery).
+//! checkpoint (`save_catalog`, and `Wal::checkpoint` on an open log
+//! followed by an acknowledged commit), and spill writes (which are
+//! scratch and must never affect recovery).
 
 #![cfg(feature = "fault")]
 
@@ -56,7 +57,7 @@ fn every_crash_state_of_a_failed_wal_commit_recovers_to_a_boundary() {
     let (fs, _guard) = mount_sim("/sim/crash_wal");
     let dir = PathBuf::from("/sim/crash_wal/db");
 
-    // Committed boundary A: an epoch with two rows, everything durable.
+    // Committed boundary A: a base with two rows, everything durable.
     save_catalog(&catalog(&[1, 2]), &dir).unwrap();
     fs.restore(&fs.current_image());
 
@@ -94,7 +95,7 @@ fn every_crash_state_of_every_checkpoint_fsync_failure_recovers() {
     let (fs, _guard) = mount_sim("/sim/crash_ckpt");
     let dir = PathBuf::from("/sim/crash_ckpt/db");
 
-    // Committed boundary: epoch v000001 with the old rows.
+    // Committed boundary: a base with the old rows.
     save_catalog(&catalog(&[1, 2]), &dir).unwrap();
     let baseline = fs.current_image();
 
@@ -103,9 +104,9 @@ fn every_crash_state_of_every_checkpoint_fsync_failure_recovers() {
     fs.restore(&baseline);
     save_catalog(&catalog(&[1, 2, 3]), &dir).unwrap();
     let total_syncs = fs.sync_calls();
-    assert!(
-        total_syncs >= 8,
-        "expected a multi-fsync save: {total_syncs}"
+    assert_eq!(
+        total_syncs, 2,
+        "a save fsyncs its staged log, then the directory after the rename"
     );
 
     for nth in 1..=total_syncs {
@@ -117,7 +118,7 @@ fn every_crash_state_of_every_checkpoint_fsync_failure_recovers() {
             let rows = recovered_rows(&fs, state, &dir);
             match &saved {
                 // A save that reported success has committed the new
-                // epoch durably; no crash may roll it back.
+                // log durably; no crash may roll it back.
                 Ok(()) => assert_eq!(
                     rows,
                     vec![1, 2, 3],
@@ -132,6 +133,41 @@ fn every_crash_state_of_every_checkpoint_fsync_failure_recovers() {
                     state.label
                 ),
             }
+        }
+    }
+
+    // The same through `Wal::checkpoint` on an open log, which keeps the
+    // file it renamed into place as its log. Fail each of its fsyncs in
+    // turn, then acknowledge one commit: every crash image must hold every
+    // acknowledged commit, whatever became of the checkpoint.
+    fs.restore(&baseline);
+    let mut wal = Wal::open(&dir).unwrap();
+    wal.commit(&[WalOp::Put(&table("t", &[1, 2, 3]))]).unwrap();
+    let before = fs.sync_calls();
+    wal.checkpoint(&catalog(&[1, 2, 3])).unwrap();
+    let checkpoint_syncs = fs.sync_calls() - before;
+    drop(wal);
+    assert_eq!(checkpoint_syncs, 2, "the staged log, then the directory");
+
+    for nth in 1..=checkpoint_syncs {
+        fs.restore(&baseline);
+        let mut wal = Wal::open(&dir).unwrap();
+        wal.commit(&[WalOp::Put(&table("t", &[1, 2, 3]))]).unwrap();
+        fs.fail_sync("", nth);
+        assert!(
+            wal.checkpoint(&catalog(&[1, 2, 3])).is_err(),
+            "fsync #{nth}"
+        );
+        assert!(wal.is_poisoned(), "fsync #{nth}");
+        wal.commit(&[WalOp::Put(&table("t", &[1, 2, 3, 4]))])
+            .unwrap_or_else(|e| panic!("fsync #{nth}: the commit after the checkpoint: {e}"));
+        for state in &fs.crash_states() {
+            assert_eq!(
+                recovered_rows(&fs, state, &dir),
+                vec![1, 2, 3, 4],
+                "fsync #{nth} failed, crash state {:?} lost an acknowledged commit",
+                state.label
+            );
         }
     }
 }

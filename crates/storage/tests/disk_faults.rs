@@ -1,7 +1,8 @@
 //! Typed disk faults against the simulated filesystem: ENOSPC mid-commit
-//! and mid-spill, EIO on read, silent bit-rot in committed WAL frames,
-//! and the fsyncgate rule — a failed WAL fsync is never acknowledged and
-//! the handle heals by reopen + re-truncate + replay, never fsync retry.
+//! and mid-spill, EIO on read, silent bit-rot in the log's header, base
+//! and committed frames, and the fsyncgate rule — a failed WAL fsync is
+//! never acknowledged and the handle heals onto a fresh copy of the
+//! acknowledged log, never by fsync retry.
 
 #![cfg(feature = "fault")]
 
@@ -109,11 +110,11 @@ fn eio_on_read_makes_the_scrub_count_the_file_corrupt() {
     save_catalog(&catalog(&[1, 2]), &dir).unwrap();
 
     assert!(scrub(&dir).unwrap().is_clean());
-    fs.fail_read("t.tbl", 1);
+    fs.fail_read(WAL_FILE, 1);
     let report = scrub(&dir).unwrap();
     assert!(report.corrupt >= 1, "{report:?}");
     assert!(
-        report.issues.iter().any(|i| i.contains("t.tbl")),
+        report.issues.iter().any(|i| i.contains(WAL_FILE)),
         "{report:?}"
     );
     // The injected fault fires once; the next sweep is clean again.
@@ -121,20 +122,21 @@ fn eio_on_read_makes_the_scrub_count_the_file_corrupt() {
 }
 
 #[test]
-fn bit_rot_in_a_committed_frame_stops_replay_at_the_epoch_boundary() {
+fn bit_rot_in_a_committed_frame_stops_replay_at_the_base() {
     let (fs, _guard) = mount_sim("/sim/flt_bitrot");
     let dir = PathBuf::from("/sim/flt_bitrot/db");
     save_catalog(&catalog(&[1]), &dir).unwrap();
+    let base_end = vfs::read(&dir.join(WAL_FILE)).unwrap().len() as u64;
 
     let mut wal = Wal::open(&dir).unwrap();
     wal.commit(&[WalOp::Put(&table("t", &[1, 2]))]).unwrap();
     wal.commit(&[WalOp::Put(&table("t", &[1, 2, 3]))]).unwrap();
 
     // Flip one bit inside the *first* commit's put frame (past the
-    // 35-byte header frame). Replay must stop there: the second commit
-    // is intact on disk but unreachable behind the rot, and trusting it
+    // base and its seal). Replay must stop there: the second commit is
+    // intact on disk but unreachable behind the rot, and trusting it
     // would reorder history.
-    fs.flip_byte(&dir.join(WAL_FILE), 40);
+    fs.flip_byte(&dir.join(WAL_FILE), base_end + 5);
     let (cat, report) = load_catalog_recover(&dir).unwrap();
     assert_eq!(rows_of(&cat), vec![1], "replay must stop at the flip");
     assert_eq!(report.wal_commits_replayed, 0);
@@ -224,37 +226,82 @@ fn failed_fsync_is_never_acked_and_heals_by_reopen_not_retry() {
     assert_eq!(reopened.last_seq(), seq);
 }
 
+/// A save followed by three acknowledged commits, then one bit flipped
+/// in the log's header frame (offset 20 lies in its magic). Nothing in
+/// the file may be trusted, and nothing in it may be thrown away: both
+/// loaders and `Wal::open` refuse it as corrupt and leave every byte as
+/// it was — starting an empty log over it would lose the three commits.
 #[test]
-fn epoch_bit_rot_is_caught_by_scrub_and_recovery_falls_back() {
-    let (fs, _guard) = mount_sim("/sim/flt_epochrot");
-    let dir = PathBuf::from("/sim/flt_epochrot/db");
+fn a_rotten_log_header_is_refused_and_left_as_it_is() {
+    let (fs, _guard) = mount_sim("/sim/flt_header_rot");
+    let dir = PathBuf::from("/sim/flt_header_rot/db");
+    save_catalog(&catalog(&[1]), &dir).unwrap();
+    let mut wal = Wal::open(&dir).unwrap();
+    for rows in [&[1, 2][..], &[1, 2, 3], &[1, 2, 3, 4]] {
+        wal.commit(&[WalOp::Put(&table("t", rows))]).unwrap();
+    }
+    drop(wal);
+    fs.flip_byte(&dir.join(WAL_FILE), 20);
+    let rotten = fs.current_image();
+
+    let refusals = [
+        conquer_storage::load_catalog(&dir).map(drop),
+        load_catalog_recover(&dir).map(drop),
+        Wal::open(&dir).map(drop),
+    ];
+    for refused in refusals {
+        assert!(
+            matches!(&refused, Err(StorageError::Corrupt { path, detail })
+                if path.ends_with(WAL_FILE) && detail.contains("header")),
+            "{refused:?}"
+        );
+    }
+    assert_eq!(
+        fs.current_image().files,
+        rotten.files,
+        "the log was changed"
+    );
+    let scrubbed = scrub(&dir).unwrap();
+    assert!(scrubbed.wal_corrupt_frames >= 1, "{scrubbed:?}");
+}
+
+/// Rot inside the base is the same: the base is written whole and
+/// renamed into place, so a frame of it that fails its checksum is
+/// corruption, never a torn tail to cut away. Both loaders and
+/// `Wal::open` refuse, the scrub counts it, and a checkpoint from a
+/// handle still holding the catalog in memory repairs the directory.
+#[test]
+fn base_rot_is_refused_until_a_checkpoint_from_memory_repairs_it() {
+    let (fs, _guard) = mount_sim("/sim/flt_base_rot");
+    let dir = PathBuf::from("/sim/flt_base_rot/db");
     save_catalog(&catalog(&[1, 2]), &dir).unwrap();
+    let mut wal = Wal::open(&dir).unwrap();
+    wal.commit(&[WalOp::Put(&table("u", &[7]))]).unwrap();
+    let mut memory = catalog(&[1, 2]);
+    memory.replace_table(table("u", &[7]));
 
-    // Find the committed epoch's table file and rot one byte.
-    let epoch = vfs::read_to_string(&dir.join("CURRENT")).unwrap();
-    let data = dir.join(epoch.trim()).join("t.tbl");
-    fs.flip_byte(&data, 3);
-
+    // Past the 35-byte header: inside t's put frame.
+    fs.flip_byte(&dir.join(WAL_FILE), 35 + 12 + 4);
+    let rotten = fs.current_image();
     let report = scrub(&dir).unwrap();
     assert!(report.corrupt >= 1, "{report:?}");
-    assert_eq!(
-        report.wal_corrupt_frames, 0,
-        "rot is in the epoch, not the log"
-    );
     assert!(
-        report.issues.iter().any(|i| i.contains("t.tbl")),
+        report.issues.iter().any(|i| i.contains("checksum")),
         "{report:?}"
     );
-
-    // Strict load refuses; with no older epoch the lenient loader fails
-    // too — silently inventing data would be worse.
     assert!(conquer_storage::load_catalog(&dir).is_err());
     assert!(load_catalog_recover(&dir).is_err());
+    assert!(matches!(Wal::open(&dir), Err(StorageError::Corrupt { .. })));
+    assert_eq!(
+        fs.current_image().files,
+        rotten.files,
+        "the log was changed"
+    );
 
-    // With a newer clean epoch committed on top, recovery works again
-    // and the scrub quarantines nothing it cannot attribute.
-    save_catalog(&catalog(&[9]), &dir).unwrap();
-    let (cat, _) = load_catalog_recover(&dir).unwrap();
-    assert_eq!(rows_of(&cat), vec![9]);
+    wal.checkpoint(&memory).unwrap();
     assert!(scrub(&dir).unwrap().is_clean());
+    let (cat, report) = load_catalog_recover(&dir).unwrap();
+    assert!(report.is_clean(), "{report:?}");
+    assert_eq!(rows_of(&cat), vec![1, 2]);
+    assert_eq!(cat.table("u").unwrap().len(), 1);
 }

@@ -1,7 +1,8 @@
 //! IO faults in a save (require `--features fault`): on the simulated
 //! filesystem, fail every write a save makes, and fill the disk, and
 //! assert (a) the failure is a typed error, (b) the previously committed
-//! catalog still loads, (c) the next save commits and collects the debris.
+//! catalog still loads, (c) the next save commits and no failed one leaves
+//! its staged log behind.
 //! Every fsync a save makes, with every crash image it leaves, is
 //! `crash_states.rs`.
 #![cfg(feature = "fault")]
@@ -47,10 +48,7 @@ fn save_failed_at_every_write_leaves_previous_catalog_loadable() {
     fs.restore(&baseline);
     save_catalog(&v2, &dir).unwrap();
     let writes = fs.write_calls();
-    assert!(
-        writes >= 4,
-        "table file, walseq, MANIFEST, CURRENT: {writes}"
-    );
+    assert_eq!(writes, 1, "the staged log, in one write");
     fs.restore(&baseline);
 
     for nth in 1..=writes {
@@ -72,19 +70,16 @@ fn save_failed_at_every_write_leaves_previous_catalog_loadable() {
     assert_eq!(loaded_rows(&dir), 3);
     fs.set_capacity(None);
 
-    // The database stays usable: the next clean save commits v2 and the
-    // debris of every failed attempt is garbage-collected.
+    // The database stays usable: the next clean save commits v2, and no
+    // failed attempt left its staged log behind.
     save_catalog(&v2, &dir).unwrap();
     assert_eq!(loaded_rows(&dir), 7);
     let leftovers: Vec<_> = vfs::dir_entries(&dir)
         .unwrap()
         .into_iter()
-        .filter(|e| e.name.starts_with(".tmp-"))
+        .filter(|e| e.name.starts_with(".wal.tmp-"))
         .collect();
-    assert!(
-        leftovers.is_empty(),
-        "stale temp dirs survived gc: {leftovers:?}"
-    );
+    assert!(leftovers.is_empty(), "staged logs survived: {leftovers:?}");
 }
 
 #[test]
@@ -92,13 +87,29 @@ fn recovery_reports_debris_from_a_failed_save() {
     let (fs, _guard) = mount_sim("/sim/fi_debris");
     let dir = PathBuf::from("/sim/fi_debris/db");
     save_catalog(&catalog_with_rows(2), &dir).unwrap();
-    // Fail the manifest: the table files stay behind in a .tmp-* directory.
-    fs.fail_write("MANIFEST", 1);
+    fs.restore(&fs.current_image());
+    // Fail the staged log's fsync: the save removes it again, but neither
+    // its creation nor its removal is durable, so a crash can keep it.
+    fs.fail_sync(".wal.tmp-", 1);
     assert!(save_catalog(&catalog_with_rows(5), &dir).is_err());
+    let debris = fs
+        .crash_states()
+        .into_iter()
+        .find(|state| {
+            state
+                .files
+                .keys()
+                .any(|p| p.to_string_lossy().contains(".wal.tmp-"))
+        })
+        .expect("a crash image that keeps the staged log");
+    fs.restore(&debris);
     let (cat, report) = load_catalog_recover(&dir).unwrap();
     assert_eq!(cat.table("t").unwrap().len(), 2);
     assert!(
-        report.issues.iter().any(|i| i.contains("interrupted save")),
+        report
+            .issues
+            .iter()
+            .any(|i| i.contains("interrupted checkpoint")),
         "{report:?}"
     );
 }

@@ -1,6 +1,6 @@
 //! IO faults in the write-ahead log (require `--features fault`): on the
 //! simulated filesystem, fail every write and fsync of a commit and of a
-//! checkpoint, and crash a truncation midway, then assert that (a) the
+//! checkpoint, and crash a checkpoint midway, then assert that (a) the
 //! failure is a typed error, (b) reload recovers exactly the last
 //! committed state — never a torn catalog, never a lost committed write —
 //! and (c) the log keeps accepting commits afterwards.
@@ -84,8 +84,7 @@ fn checkpoint_failed_at_every_write_and_fsync_loses_no_committed_write() {
     let dir = PathBuf::from("/sim/fwal_ckpt/db");
     let mut wal = Wal::open(&dir).unwrap();
     wal.commit(&[WalOp::Put(&table(2))]).unwrap();
-    save_catalog(&load_catalog(&dir).unwrap(), &dir).unwrap();
-    wal.reopen().unwrap();
+    wal.checkpoint(&load_catalog(&dir).unwrap()).unwrap();
     wal.commit(&[WalOp::Put(&table(5))]).unwrap();
     let checkpoint = || save_catalog(&load_catalog(&dir).unwrap(), &dir);
 
@@ -99,11 +98,11 @@ fn checkpoint_failed_at_every_write_and_fsync_loses_no_committed_write() {
     for fault in every_io_fault(writes, syncs) {
         fs.restore(&baseline);
         arm(&fs, fault);
-        // The epoch-save part of a checkpoint fails loudly; the WAL
-        // truncation is best-effort (the fold already committed).
+        // A failed checkpoint is an error; the log on disk is then the
+        // old one or the compacted one.
         let _ = checkpoint();
         // Wherever the fault landed, reload sees every committed write:
-        // the old epoch + WAL replay, or the new epoch that folded it.
+        // the old base + its commits, or the new base that folded them.
         assert_eq!(loaded_rows(&dir), 5, "{fault:?}");
         let (cat, _) = load_catalog_recover(&dir).unwrap();
         assert_eq!(cat.table("t").unwrap().len(), 5, "{fault:?}");
@@ -127,23 +126,23 @@ fn open_failure_is_typed_and_reopen_succeeds() {
 }
 
 #[test]
-fn crash_images_of_an_interrupted_truncation_are_cleaned_by_recovery() {
+fn crash_images_of_an_interrupted_checkpoint_are_cleaned_by_recovery() {
     let (fs, _guard) = mount_sim("/sim/fwal_trunc");
     let dir = PathBuf::from("/sim/fwal_trunc/db");
     let mut wal = Wal::open(&dir).unwrap();
     wal.commit(&[WalOp::Put(&table(4))]).unwrap();
-    let checkpoint = || save_catalog(&load_catalog(&dir).unwrap(), &dir).unwrap();
+    let checkpoint = || save_catalog(&load_catalog(&dir).unwrap(), &dir);
 
-    // A checkpoint's last fsync is the truncation's directory sync.
+    // A checkpoint's last fsync is the directory sync after its rename.
     // Failing it leaves both the staged log's creation and its rename
     // over wal.log unsynced, so a crash can keep the one without the other.
     let baseline = fs.current_image();
     fs.restore(&baseline);
-    checkpoint();
+    checkpoint().unwrap();
     let last_sync = fs.sync_calls();
     fs.restore(&baseline);
     fs.fail_sync("", last_sync);
-    checkpoint();
+    assert!(checkpoint().is_err(), "the rename is not known durable");
 
     let mut staged = 0;
     for state in fs.crash_states() {

@@ -1,9 +1,9 @@
-//! Integration tests for WAL-backed recovery: epoch snapshots plus
-//! committed log suffixes must reload to exactly the last committed
-//! state, across checkpoints, torn tails, and epoch fallback.
+//! Integration tests for WAL-backed recovery: a log's base plus the
+//! commits after it must reload to exactly the last committed state,
+//! across checkpoints and torn tails.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use conquer_storage::wal::WAL_FILE;
 use conquer_storage::{
@@ -38,7 +38,7 @@ fn rows_of(cat: &Catalog, name: &str) -> Vec<i64> {
 }
 
 #[test]
-fn wal_suffix_replays_on_top_of_the_epoch() {
+fn wal_suffix_replays_on_top_of_the_base() {
     let dir = tempdir("suffix");
     let mut cat = Catalog::new();
     cat.add_table(table("t", &[1, 2])).unwrap();
@@ -61,7 +61,7 @@ fn wal_suffix_replays_on_top_of_the_epoch() {
 }
 
 #[test]
-fn checkpoint_folds_the_wal_and_gates_stale_replay() {
+fn checkpoint_folds_the_wal_and_a_lost_rename_loses_nothing() {
     let dir = tempdir("fold");
     let mut cat = Catalog::new();
     cat.add_table(table("t", &[1])).unwrap();
@@ -74,7 +74,7 @@ fn checkpoint_folds_the_wal_and_gates_stale_replay() {
     let mut wal = Wal::open(&dir).unwrap();
     wal.commit(&[WalOp::Put(&committed)]).unwrap();
 
-    // Checkpoint: fold epoch + WAL into a fresh epoch.
+    // Checkpoint: fold base + commits into a fresh base.
     let folded = load_catalog(&dir).unwrap();
     let wal_before = fs::read(dir.join(WAL_FILE)).unwrap();
     save_catalog(&folded, &dir).unwrap();
@@ -98,17 +98,22 @@ fn checkpoint_folds_the_wal_and_gates_stale_replay() {
     }
     assert_eq!(checkpointed.table("t").unwrap().rows(), committed.rows());
 
-    // Even if the truncation had been lost (simulate the crash window by
-    // restoring the pre-checkpoint log), replay is gated on the epoch's
-    // walseq: the stale commit must NOT re-apply over newer state.
+    // Even if the checkpoint's rename had been lost (simulate the crash
+    // window by restoring the pre-checkpoint log), the old log holds the
+    // same catalog, and a writer opening it continues from its commits.
+    drop(wal);
     fs::write(dir.join(WAL_FILE), &wal_before).unwrap();
-    wal.reopen().unwrap();
+    assert_eq!(
+        load_catalog(&dir).unwrap().table("t").unwrap().rows(),
+        committed.rows()
+    );
+    let mut wal = Wal::open(&dir).unwrap();
     wal.commit(&[WalOp::Put(&table("t", &[1, 2, 7]))]).unwrap();
     let (cat2, report) = load_catalog_recover(&dir).unwrap();
     assert_eq!(rows_of(&cat2, "t"), vec![1, 2, 7]);
     assert_eq!(
-        report.wal_commits_replayed, 1,
-        "the pre-checkpoint commit must be skipped: {report:?}"
+        report.wal_commits_replayed, 2,
+        "the pre-checkpoint commit and the new one: {report:?}"
     );
     fs::remove_dir_all(&dir).ok();
 }
@@ -150,63 +155,7 @@ fn wal_alone_recovers_an_empty_directory() {
 
     let (cat, report) = load_catalog_recover(&dir).unwrap();
     assert_eq!(rows_of(&cat, "t"), vec![4, 5]);
-    assert_eq!(report.loaded_epoch, None);
+    assert_eq!(report.base_seq, Some(0), "a fresh log's empty base");
     assert_eq!(report.wal_commits_replayed, 1);
     fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn epoch_fallback_replays_more_of_the_log() {
-    let dir = tempdir("fallback");
-    let mut cat = Catalog::new();
-    cat.add_table(table("t", &[1])).unwrap();
-    save_catalog(&cat, &dir).unwrap();
-    let epoch1 = current_epoch(&dir);
-    let backup = tempdir("fallback_backup");
-    copy_dir(&dir.join(&epoch1), &backup.join(&epoch1));
-
-    // Commit to the WAL, checkpoint (epoch2 folds seq 1), then corrupt
-    // epoch2 and restore epoch1 — but keep the post-checkpoint WAL commit.
-    let mut wal = Wal::open(&dir).unwrap();
-    wal.commit(&[WalOp::Put(&table("t", &[1, 2]))]).unwrap();
-    save_catalog(&load_catalog(&dir).unwrap(), &dir).unwrap();
-    wal.reopen().unwrap();
-    wal.commit(&[WalOp::Put(&table("u", &[8]))]).unwrap();
-    let epoch2 = current_epoch(&dir);
-    assert_ne!(epoch1, epoch2);
-    copy_dir(&backup.join(&epoch1), &dir.join(&epoch1));
-    fs::write(
-        dir.join(&epoch2)
-            .join(conquer_storage::persist::MANIFEST_FILE),
-        "garbage",
-    )
-    .unwrap();
-
-    // epoch2 is unloadable; recovery falls back to epoch1, whose lower
-    // walseq lets the (truncated) WAL bring it as far forward as it can:
-    // the post-checkpoint commit still applies.
-    let (rec, report) = load_catalog_recover(&dir).unwrap();
-    assert_eq!(report.loaded_epoch, Some(epoch1));
-    assert_eq!(rows_of(&rec, "u"), vec![8]);
-    assert!(
-        report.issues.iter().any(|i| i.contains(&epoch2)),
-        "{report:?}"
-    );
-    fs::remove_dir_all(&dir).ok();
-    fs::remove_dir_all(&backup).ok();
-}
-
-fn current_epoch(dir: &Path) -> String {
-    fs::read_to_string(dir.join("CURRENT"))
-        .unwrap()
-        .trim()
-        .to_string()
-}
-
-fn copy_dir(from: &Path, to: &Path) {
-    fs::create_dir_all(to).unwrap();
-    for entry in fs::read_dir(from).unwrap() {
-        let entry = entry.unwrap();
-        fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
-    }
 }

@@ -13,7 +13,7 @@
 //! \check <select …>                              static analysis: lints + rewritability verdict
 //! \explain <select …>                            show the physical plan
 //! \gen <sf> <if>                                 load a dirtied TPC-H-lite database
-//! \save <dir> / \load <dir>                      persist / restore the catalog (crash-safe; \load reports recovery issues)
+//! \save <dir> / \load <dir>                      persist the catalog as <dir>/wal.log / restore it (crash-safe; \load reports recovery issues)
 //! \scrub <dir>                                   checksum-sweep a persisted catalog without loading it
 //! \limit [mem <bytes> | disk <bytes> | time <ms> | off]  per-query resource limits (no args: show)
 //! \topk <k> <select …>                           k most probable clean answers
@@ -32,8 +32,8 @@
 //! `conquer-server` instead of the embedded engine: SQL statements travel
 //! over the wire protocol, `\limit` adjusts the *server* session's
 //! budgets, `\stats` shows the server's shared cache and admission
-//! counters, `\checkpoint` folds a durable server's write-ahead log
-//! into a fresh epoch directory, and `\scrub` checksum-sweeps the
+//! counters, `\checkpoint` compacts a durable server's write-ahead log
+//! into a fresh base, and `\scrub` checksum-sweeps the
 //! server's persistence directory. Engine-side commands (`\clean`,
 //! `\gen`, …) are local-only.
 //!
@@ -332,7 +332,11 @@ impl Shell {
                 }
                 conquer_storage::save_catalog(self.db.catalog(), std::path::Path::new(arg))
                     .map_err(|e| e.to_string())?;
-                println!("saved {} tables to {arg}.", self.db.catalog().len());
+                println!(
+                    "saved {} tables to {arg}/{}.",
+                    self.db.catalog().len(),
+                    conquer_storage::wal::WAL_FILE
+                );
             }
             "scrub" => {
                 if arg.is_empty() {
@@ -483,7 +487,7 @@ impl RemoteShell {
             "help" | "h" => println!(
                 "connected mode: SQL statements run on the server; \
                  \\limit [mem <bytes> | disk <bytes> | time <ms> | off], \
-                 \\stats (server cache/admission counters), \\checkpoint (fold the \
+                 \\stats (server cache/admission counters), \\checkpoint (compact the \
                  server's WAL), \\scrub (checksum-sweep the server's storage), \
                  \\epoch, \\ping, \\quit. \
                  Engine commands (\\clean, \\gen, …) need a local shell."
