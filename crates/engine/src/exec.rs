@@ -453,6 +453,7 @@ fn build_join<'a>(
                     rows: table.rows(),
                     pos: 0,
                     filter: filter.as_ref(),
+                    range: None,
                 },
             );
             Ok((op, layout))
@@ -529,6 +530,9 @@ pub(crate) struct Metrics {
     /// The tuple of its pass at which a run-mode aggregate first switched
     /// to hashing.
     hashed_at: Option<u64>,
+    /// Rows a scan skipped because their key lay outside its join's build
+    /// key range.
+    pruned: u64,
 }
 
 /// An operator kind: how it advances by one batch, and its statistics
@@ -561,12 +565,18 @@ pub(crate) type OpNode<'a> = Node<OpKind<'a>>;
 
 pub(crate) enum TupleKind<'a> {
     /// Scan of the stored rows from `pos` on with an optional pushed-down
-    /// predicate; emits the positions of the rows it keeps.
+    /// predicate; emits the positions of the rows it keeps. A scan that is
+    /// a hash join's probe input may be handed the join's build key
+    /// `range` before it starts (see [`JoinKeys::prune_probe`]): it then
+    /// skips, before its filter, every row whose key cell, normalized as
+    /// the build table's keys are, is NULL or outside the range. Such a
+    /// row cannot match, and the rows it keeps keep their order.
     Scan {
         rel: usize,
         rows: &'a [Row],
         pos: usize,
         filter: Option<&'a BoundExpr>,
+        range: Option<KeyRange>,
     },
     /// Residual join predicate.
     Filter {
@@ -575,7 +585,10 @@ pub(crate) enum TupleKind<'a> {
         layout: Layout<'a>,
     },
     /// Equi hash join: drains `build` into a hash table on first pull, then
-    /// streams `probe`. Output tuples are `probe ++ build`.
+    /// streams `probe`. Output tuples are `probe ++ build`. A build that
+    /// finished in memory empty ends the join without pulling `probe`; a
+    /// non-empty one hands an unstarted probe scan the range of its first
+    /// key (see [`JoinKeys::prune_probe`]). A spilled build does neither.
     HashJoin {
         probe: Box<TupleOp<'a>>,
         build: Box<TupleOp<'a>>,
@@ -746,6 +759,55 @@ impl BuildMap {
     }
 }
 
+/// The least and the greatest normalized first key of a hash join's
+/// build table, and the column of its probe scan that key reads.
+#[derive(Debug)]
+pub(crate) struct KeyRange {
+    col: usize,
+    min: Value,
+    max: Value,
+    /// `min` and `max` when both are non-NaN floats, as numeric keys
+    /// normalize: then a numeric cell is checked with two float
+    /// comparisons instead of two walks of `Value`'s order.
+    floats: Option<(f64, f64)>,
+}
+
+impl KeyRange {
+    fn new(col: usize, min: &Value, max: &Value) -> KeyRange {
+        let floats = match (min, max) {
+            (Value::Float(lo), Value::Float(hi)) if !lo.is_nan() && !hi.is_nan() => {
+                Some((*lo, *hi))
+            }
+            _ => None,
+        };
+        KeyRange {
+            col,
+            min: min.clone(),
+            max: max.clone(),
+            floats,
+        }
+    }
+
+    /// Can `cell`, normalized as a join key, equal a build key? Against
+    /// non-NaN bounds that are themselves normalized (never `-0.0`), IEEE
+    /// comparison orders a numeric key as `Value`'s order orders its
+    /// normalized form: `-0.0` falls where `0.0` does and a NaN outside.
+    fn admits(&self, cell: &Value) -> bool {
+        if let Some((lo, hi)) = self.floats {
+            let x = match *cell {
+                Value::Float(x) => Some(x),
+                Value::Int(i) if i.unsigned_abs() <= EXACT_INT => Some(i as f64),
+                _ => None,
+            };
+            if let Some(x) = x {
+                return lo <= x && x <= hi;
+            }
+        }
+        let key = normalize_key(Cow::Borrowed(cell));
+        !key.is_null() && self.min <= *key && *key <= self.max
+    }
+}
+
 /// How a hash join reads its equi keys off a probe tuple and a build
 /// tuple.
 pub(crate) struct JoinKeys<'a> {
@@ -775,6 +837,31 @@ impl<'a> JoinKeys<'a> {
     /// An empty batch of this join's output tuples.
     fn out(&self, tuples: usize) -> Tuples {
         Tuples::with_capacity(self.probe_layout.width + self.build_layout.width, tuples)
+    }
+
+    /// Hand `probe` the range of `map`'s first key column when `probe` is
+    /// a scan that has not started and the first probe key is a bare
+    /// column of its relation. A key that equals a build key lies between
+    /// the least and the greatest of them, because `Value`'s order agrees
+    /// with its equality, so the scan skips only rows that cannot match.
+    fn prune_probe(&self, map: &BuildMap, probe: &mut TupleOp<'_>) {
+        let (
+            TupleKind::Scan {
+                rel, pos: 0, range, ..
+            },
+            Some(BoundExpr::Column(id)),
+        ) = (&mut probe.kind, self.probe_exprs.first())
+        else {
+            return;
+        };
+        if id.rel != *rel {
+            return;
+        }
+        let mut keys = (0..map.keys.len()).map(|i| &map.keys.key(i)[0]);
+        if let Some(first) = keys.next() {
+            let (min, max) = keys.fold((first, first), |(lo, hi), k| (lo.min(k), hi.max(k)));
+            *range = Some(KeyRange::new(id.col, min, max));
+        }
     }
 
     /// Append `p`'s matches in `map` to `out` as `p ++ build` tuples,
@@ -1024,6 +1111,7 @@ impl<K: Step> Node<K> {
             spill_passes: self.m.spill_passes,
             runs: self.m.runs,
             hashed_at: self.m.hashed_at,
+            pruned: self.m.pruned,
             children: self.kind.harvest_children(),
         }
     }
@@ -1057,6 +1145,7 @@ impl<'a> Step for TupleKind<'a> {
                 rows,
                 pos,
                 filter,
+                range,
             } => {
                 let mut out =
                     Tuples::with_capacity(1, BATCH_SIZE.min(rows.len().saturating_sub(*pos)));
@@ -1067,6 +1156,16 @@ impl<'a> Step for TupleKind<'a> {
                     let p = *pos as u32;
                     *pos += 1;
                     m.rows_in += 1;
+                    if let Some(range) = range {
+                        let id = ColumnId {
+                            rel: *rel,
+                            col: range.col,
+                        };
+                        if !range.admits(row.get(id.col).ok_or_else(|| absent(id))?) {
+                            m.pruned += 1;
+                            continue;
+                        }
+                    }
                     match filter {
                         Some(pred) if !pred.eval_predicate(Stored { rel: *rel, row })? => {}
                         _ => out.pos.push(p),
@@ -1102,9 +1201,20 @@ impl<'a> Step for TupleKind<'a> {
             } => {
                 if matches!(state, JoinState::Init) {
                     let mut queue = Vec::new();
-                    let probe = &mut Input::Child(probe);
-                    let map = hj_build(Input::Child(build), probe, 0, keys, &mut queue, m, ctx)?;
-                    let table = map.map(|(map, mem)| Box::new((map, mem, None)));
+                    let input = &mut Input::Child(probe);
+                    let map = hj_build(Input::Child(build), input, 0, keys, &mut queue, m, ctx)?;
+                    let table = match map {
+                        // Nothing to match: the probe input is never read.
+                        Some((map, mem)) if map.tuples.is_empty() => {
+                            ctx.release(mem);
+                            None
+                        }
+                        Some((map, mem)) => {
+                            keys.prune_probe(&map, probe);
+                            Some(Box::new((map, mem, None)))
+                        }
+                        None => None,
+                    };
                     *state = JoinState::Join { table, queue };
                 }
                 let JoinState::Join { table, queue } = state else {
@@ -1470,13 +1580,16 @@ fn join_keys<'x>(
     Ok(true)
 }
 
+/// The largest integer magnitude a join key compares as the float it
+/// equals: every integer up to 2⁵³ is exactly a float.
+const EXACT_INT: u64 = 1 << 53;
+
 /// Normalize a join key so numerically equal Int/Float values collide
 /// (exact for |i| ≤ 2⁵³) and `-0.0` meets `0.0`. Anything else — a text
 /// key above all — stays borrowed from the row.
 fn normalize_key(v: Cow<'_, Value>) -> Cow<'_, Value> {
-    const EXACT: i64 = 1 << 53;
     match *v {
-        Value::Int(i) if i.abs() <= EXACT => Cow::Owned(Value::Float(i as f64)),
+        Value::Int(i) if i.unsigned_abs() <= EXACT_INT => Cow::Owned(Value::Float(i as f64)),
         Value::Float(0.0) => Cow::Owned(Value::Float(0.0)),
         _ => v,
     }

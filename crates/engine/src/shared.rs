@@ -81,7 +81,7 @@ use conquer_sync::{rank, Condvar, Mutex, MutexGuard, RwLock};
 
 use conquer_sql::Statement as SqlStatement;
 use conquer_storage::wal::Wal;
-use conquer_storage::{Catalog, RecoveryReport, Table};
+use conquer_storage::{vfs, Catalog, RecoveryReport, Table};
 
 use crate::context::{CancelToken, ExecLimits};
 use crate::database::{Database, ExecOutcome};
@@ -619,7 +619,7 @@ impl SharedDatabase {
     pub fn stats(&self) -> CacheStats {
         let c = &self.inner.counters;
         let result_entries = self.inner.results.lock().len();
-        let io = conquer_storage::vfs::counters();
+        let io = vfs::counters();
         let snap = self.snapshot();
         let view_stats = snap.db().view_stats();
         CacheStats {
@@ -836,9 +836,13 @@ impl SharedDatabase {
         self.publish(next);
         // The write is already durable in the WAL; a failed automatic
         // checkpoint only leaves the log long, so it never fails the
-        // statement — the next write or an explicit checkpoint retries.
+        // statement — it is counted and noted, and the next write or an
+        // explicit checkpoint retries.
         if d.wal_limit > 0 && d.wal.size_bytes() >= d.wal_limit {
-            let _ = self.checkpoint_locked(d);
+            if let Err(e) = self.checkpoint_locked(d) {
+                let dir = d.wal.dir().display();
+                vfs::note_io_error(format!("automatic checkpoint of {dir} failed: {e}"));
+            }
         }
         Ok(out)
     }

@@ -18,7 +18,7 @@ pub struct OpStats {
     /// Operator name, e.g. `HashJoin on 1 key(s)` or `Scan customer [c]`.
     pub name: String,
     /// Rows pulled from children (for `Scan`: rows read from the table,
-    /// before the pushed-down filter).
+    /// of which the `pruned` ones never reach the pushed-down filter).
     pub rows_in: u64,
     /// Rows emitted to the parent.
     pub rows_out: u64,
@@ -42,6 +42,9 @@ pub struct OpStats {
     /// The tuple of its pass at which a `HashAggregate` aggregating in
     /// runs first switched to hashing, if it did.
     pub hashed_at: Option<u64>,
+    /// Rows a `Scan` read and skipped, before its filter, because their
+    /// key lay outside the build key range of the join it feeds.
+    pub pruned: u64,
     /// Child operators; a join's probe (streamed) input first.
     pub children: Vec<OpStats>,
 }
@@ -98,6 +101,9 @@ impl OpStats {
         }
         if let Some(at) = self.hashed_at {
             out.push_str(&format!(" hashed_at={at}"));
+        }
+        if self.pruned > 0 {
+            out.push_str(&format!(" pruned={}", self.pruned));
         }
         out.push_str(")\n");
         for child in &self.children {

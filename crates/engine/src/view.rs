@@ -63,6 +63,19 @@
 //! left it. Removed-side rows retract their (key, term) pairs, added-side
 //! rows add them. Neither name ever enters the database's own catalog,
 //! and a statement whose edit, delta query or fold fails changes nothing.
+//!
+//! Each summand lists the delta first in its FROM list. The planner's
+//! greedy join order starts at FROM's first relation, so the delta, a few
+//! rows, is the first build side: the first base table it joins is
+//! streamed past it instead of being hashed, its scan skips the rows
+//! outside the delta's key range, and an empty delta side (all its rows
+//! fail the view's filter) ends that join before the table is read (see
+//! the executor's hash-join rules). FROM order decides only the order in
+//! which a summand's rows arrive, never which rows it returns: the aliases
+//! are unchanged, so the selection and the projection bind to the same
+//! columns, and the fold adds each group's terms to an [`ExactSum`] and
+//! counts them, and both are independent of order. So the contents and
+//! state tables are bit-identical whatever order the planner picks.
 
 use std::collections::btree_map::{BTreeMap, Entry};
 
@@ -73,6 +86,7 @@ use crate::binder::bind;
 use crate::database::Database;
 use crate::error::EngineError;
 use crate::exact::ExactSum;
+use crate::result::QueryResult;
 use crate::Result;
 
 /// Prefix of every hidden bookkeeping table; direct DML against such
@@ -539,9 +553,8 @@ pub(crate) fn fold(
 /// delta against one view, by the telescoping decomposition described in
 /// the module docs. `db` is the database as it was before the statement,
 /// and `next` the catalog the statement is building, with `table` already
-/// edited. Each query runs on a throwaway database over a query-local
-/// catalog, with `db`'s limits and spill directory. The `bool` is `true`
-/// for an added contribution, `false` for a retraction.
+/// edited. The `bool` is `true` for an added contribution, `false` for a
+/// retraction.
 pub(crate) fn delta_pairs(
     db: &Database,
     next: &Catalog,
@@ -549,6 +562,30 @@ pub(crate) fn delta_pairs(
     table: &str,
     delta: &TableDelta,
 ) -> Result<Vec<Contribution>> {
+    let mut pairs = Vec::new();
+    for (result, add) in delta_queries(db, next, view, table, delta)? {
+        pairs.extend(
+            result
+                .rows
+                .into_iter()
+                .map(|row| view.contribution(row, add)),
+        );
+    }
+    Ok(pairs)
+}
+
+/// Run the delta queries behind [`delta_pairs`]: one per occurrence of
+/// `table` in the view's FROM list and non-empty side of `delta`, each on
+/// a throwaway database over a query-local catalog, with `db`'s limits
+/// and spill directory. Each result is the projection-only view query's
+/// rows, with its statistics, and whether they are added contributions.
+fn delta_queries(
+    db: &Database,
+    next: &Catalog,
+    view: &ViewDef,
+    table: &str,
+    delta: &TableDelta,
+) -> Result<Vec<(QueryResult, bool)>> {
     let old = db.catalog().table(table)?;
     let relation = |name: &str, rows: &[Row]| -> Result<Table> {
         let mut t = Table::new(name, old.schema().clone());
@@ -567,11 +604,12 @@ pub(crate) fn delta_pairs(
             sides.push((db.with_catalog(catalog), add));
         }
     }
-    let mut pairs = Vec::new();
+    let mut results = Vec::new();
     for k in view.occurrences(table) {
         // The telescope: the delta at slot `k`, the new `T` before it, the
         // old `T` after it. Aliases keep the original binding names, so the
-        // selection binds unchanged.
+        // selection binds unchanged. The delta then moves to the front of
+        // FROM, where the planner starts its join order.
         let mut query = view.projection_query();
         for (j, tref) in query.from.iter_mut().enumerate().skip(k) {
             if tref.table == table {
@@ -579,12 +617,12 @@ pub(crate) fn delta_pairs(
                 *tref = TableRef::aliased(name, tref.binding_name().to_string());
             }
         }
+        query.from[..=k].rotate_right(1);
         for (local, add) in &sides {
-            let rows = local.prepare_select(&query)?.query(local)?.rows;
-            pairs.extend(rows.into_iter().map(|row| view.contribution(row, *add)));
+            results.push((local.prepare_select(&query)?.query(local)?, *add));
         }
     }
-    Ok(pairs)
+    Ok(results)
 }
 
 #[cfg(test)]
@@ -720,5 +758,174 @@ mod tests {
         let (contents, state) = fold(&v, Some(&cat), [c("a", 0.5, false)]).unwrap();
         assert_eq!((contents.len(), state.len()), (1, 1));
         assert_eq!(contents.rows()[0][0], Value::text("b"));
+    }
+
+    /// A database of 6 customers, 4 orders (order 1 is a two-tuple
+    /// cluster) and 5 lineitems per order, each 8th one a `'MAIL'` one,
+    /// with two clean-answer views: `q12` joins lineitem to orders, `q3`
+    /// lists customer, orders and lineitem in that order and keeps one
+    /// market segment.
+    fn shipping_db() -> Database {
+        let mut sql = String::from(
+            "CREATE TABLE customer (c_id TEXT, c_custkey INTEGER, c_segment TEXT, prob DOUBLE);
+             CREATE TABLE orders (o_id TEXT, o_orderkey INTEGER, o_custkey INTEGER, \
+                                  o_prio TEXT, prob DOUBLE);
+             CREATE TABLE lineitem (l_id TEXT, l_orderkey INTEGER, l_shipmode TEXT, prob DOUBLE);
+             INSERT INTO customer VALUES ('c1', 1, 'AUTO', 1.0), ('c2', 2, 'HOME', 1.0), \
+                 ('c3', 3, 'AUTO', 1.0), ('c4', 4, 'HOME', 1.0), ('c5', 5, 'AUTO', 1.0), \
+                 ('c6', 6, 'HOME', 1.0);
+             INSERT INTO orders VALUES ('o1', 1, 1, 'URGENT', 0.5), ('o1', 1, 2, 'LOW', 0.5), \
+                 ('o2', 2, 2, 'URGENT', 1.0), ('o3', 3, 3, 'LOW', 1.0);
+             INSERT INTO lineitem VALUES ",
+        );
+        let lines: Vec<String> = (0..20)
+            .map(|i| {
+                let mode = if i % 8 == 0 { "MAIL" } else { "SHIP" };
+                format!("('l{i}', {}, '{mode}', 0.25)", 1 + i % 4)
+            })
+            .collect();
+        sql.push_str(&lines.join(", "));
+        sql.push_str(
+            ";
+             CREATE MATERIALIZED VIEW q12 AS SELECT o_prio, SUM(l.prob * o.prob) AS p \
+                 FROM lineitem l, orders o \
+                 WHERE l.l_orderkey = o.o_orderkey AND o_prio = 'URGENT' \
+                 GROUP BY o_prio;
+             CREATE MATERIALIZED VIEW q3 AS SELECT o_id, SUM(c.prob * o.prob * l.prob) AS p \
+                 FROM customer c, orders o, lineitem l \
+                 WHERE c.c_custkey = o.o_custkey AND l.l_orderkey = o.o_orderkey \
+                   AND c_segment = 'AUTO' AND l_shipmode = 'MAIL' \
+                 GROUP BY o_id",
+        );
+        let mut db = Database::new();
+        db.execute_script(&sql).unwrap();
+        db
+    }
+
+    /// Per scan of `scanned` in the delta queries that maintain `view`
+    /// when `next` replaces `table` by way of `delta`: the rows it read
+    /// and the rows it passed to its filter.
+    fn scans_of(
+        db: &Database,
+        next: &Catalog,
+        view: &str,
+        (table, delta): (&str, &TableDelta),
+        scanned: &str,
+    ) -> Vec<(u64, u64)> {
+        let view = db.views().find(|v| v.name == view).unwrap();
+        let results = delta_queries(db, next, view, table, delta).unwrap();
+        assert!(!results.is_empty());
+        let mut scans = Vec::new();
+        for (result, _) in &results {
+            result.stats().unwrap().root.visit(&mut |_, op| {
+                if op.name.starts_with(&format!("Scan {scanned} ")) {
+                    scans.push((op.rows_in, op.rows_in - op.pruned));
+                }
+            });
+        }
+        scans
+    }
+
+    /// `db`'s catalog with `rows` appended to `table`, and that delta.
+    fn inserted(db: &Database, table: &str, rows: Vec<Row>) -> (Catalog, TableDelta) {
+        let mut next = db.catalog().clone();
+        next.table_mut(table)
+            .unwrap()
+            .insert_all(rows.clone())
+            .unwrap();
+        let delta = TableDelta {
+            removed: Vec::new(),
+            added: rows,
+        };
+        (next, delta)
+    }
+
+    #[test]
+    fn a_delta_that_fails_the_views_filter_reads_no_other_table() {
+        let db = shipping_db();
+        // A `'LOW'` order fails q12's filter.
+        let order = vec![
+            Value::text("o4"),
+            Value::Int(4),
+            Value::Int(4),
+            Value::text("LOW"),
+            Value::Float(1.0),
+        ];
+        let (next, delta) = inserted(&db, "orders", vec![order]);
+        assert_eq!(
+            scans_of(&db, &next, "q12", ("orders", &delta), "lineitem"),
+            [(0, 0)]
+        );
+        // A `'SHIP'` lineitem fails q3's filter. q3 lists lineitem last,
+        // so its delta query starts there and reads neither orders nor
+        // customer.
+        let line = vec![
+            Value::text("l20"),
+            Value::Int(1),
+            Value::text("SHIP"),
+            Value::Float(1.0),
+        ];
+        let (next, delta) = inserted(&db, "lineitem", vec![line]);
+        for scanned in ["orders", "customer"] {
+            let scans = scans_of(&db, &next, "q3", ("lineitem", &delta), scanned);
+            assert_eq!(scans, [(0, 0)], "{scanned}");
+        }
+        let view = db.views().find(|v| v.name == "q3").unwrap();
+        let pairs = delta_pairs(&db, &next, view, "lineitem", &delta).unwrap();
+        assert!(pairs.is_empty());
+    }
+
+    #[test]
+    fn a_small_delta_filters_only_the_rows_its_keys_reach() {
+        let db = shipping_db();
+        // Re-weigh cluster o1: both of its tuples leave and come back.
+        let orders = db.catalog().table("orders").unwrap();
+        let removed: Vec<Row> = orders.rows()[..2].to_vec();
+        let mut added = removed.clone();
+        (added[0][4], added[1][4]) = (Value::Float(0.25), Value::Float(0.75));
+        let mut reweighed = Table::new("orders", orders.schema().clone());
+        reweighed
+            .insert_all(added.iter().chain(&orders.rows()[2..]).cloned())
+            .unwrap();
+        let mut next = db.catalog().clone();
+        next.replace_table(reweighed);
+        let delta = TableDelta { removed, added };
+        let cluster_lines = db
+            .catalog()
+            .table("lineitem")
+            .unwrap()
+            .rows()
+            .iter()
+            .filter(|l| l[1] == Value::Int(1))
+            .count() as u64;
+        assert_eq!(cluster_lines, 5);
+        // One delta query per side; each reads lineitem once and filters
+        // at most the cluster's lines.
+        let scans = scans_of(&db, &next, "q12", ("orders", &delta), "lineitem");
+        assert_eq!(scans.len(), 2);
+        for (read, filtered) in scans {
+            assert_eq!(read, 20);
+            assert!(filtered <= cluster_lines, "{filtered} of {read}");
+        }
+        // The pairs retract the old weights and add the new ones.
+        let view = db.views().find(|v| v.name == "q12").unwrap();
+        let pairs = delta_pairs(&db, &next, view, "orders", &delta).unwrap();
+        let added = pairs.iter().filter(|(_, _, add)| *add).count();
+        assert_eq!((pairs.len(), added), (2 * cluster_lines as usize, 5));
+
+        // A `'MAIL'` line of order 1 reaches q3's orders through its
+        // order key (cluster o1, 2 tuples) and its customers through
+        // theirs (1 and 2): each scan filters only those.
+        let line = vec![
+            Value::text("l20"),
+            Value::Int(1),
+            Value::text("MAIL"),
+            Value::Float(1.0),
+        ];
+        let (next, delta) = inserted(&db, "lineitem", vec![line]);
+        for (scanned, rows) in [("orders", 4), ("customer", 6)] {
+            let scans = scans_of(&db, &next, "q3", ("lineitem", &delta), scanned);
+            assert_eq!(scans, [(rows, 2)], "{scanned}");
+        }
     }
 }

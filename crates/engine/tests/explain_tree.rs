@@ -133,9 +133,14 @@ fn a_hash_join_lists_its_probe_input_first() {
     );
     let result = db.prepare(JOIN).unwrap().query(&db).unwrap();
     let join = &result.stats().unwrap().root.children[0];
-    // The probe child streams all of `big`; the build child all of `small`.
-    assert_eq!(join.children[0].rows_out, 5);
-    assert_eq!(join.children[1].rows_out, 2);
+    // The build child streams all of `small`, whose keys span [1, 2]. The
+    // probe scan reads all 5 rows of `big` and emits the 3 in that range:
+    // its 2 others are pruned, as `EXPLAIN ANALYZE` shows.
+    let (probe, build) = (&join.children[0], &join.children[1]);
+    assert_eq!(build.rows_out, 2);
+    assert_eq!((probe.rows_in, probe.pruned, probe.rows_out), (5, 2, 3));
+    let analyzed = query_plan(&db, "EXPLAIN ANALYZE", JOIN);
+    assert!(analyzed[2].contains(" pruned=2)"), "{analyzed:?}");
     // The output follows the probe side's order.
     let b: Vec<&Value> = result.rows.iter().map(|r| &r[2]).collect();
     assert_eq!(b, [&Value::Int(1), &Value::Int(2), &Value::Int(3)]);

@@ -66,7 +66,7 @@
 //! the same way, naming the layout, and nothing in it changes.
 
 use std::collections::BTreeMap;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
@@ -438,8 +438,12 @@ pub(crate) fn replace_log(dir: &Path, bytes: &[u8]) -> Result<vfs::File, Storage
         vfs::rename(&tmp, &dir.join(WAL_FILE))?;
         Ok(file)
     })();
-    let file = staged.inspect_err(|_| {
-        let _ = vfs::remove_file(&tmp);
+    let file = staged.inspect_err(|_| match vfs::remove_file(&tmp) {
+        Err(e) if e.kind() != io::ErrorKind::NotFound => {
+            let dir = dir.display();
+            vfs::note_io_error(format!("removing the staged log in {dir} failed: {e}"));
+        }
+        _ => {}
     })?;
     vfs::sync_dir(dir)?;
     Ok(file)
