@@ -6,7 +6,7 @@ use conquer_sql::{
     parse_statements, ApplyCrossref, CreateView, Delete, Expr, Insert, InsertSource, Reannotate,
     Recluster, SelectStatement, Statement, Update,
 };
-use conquer_storage::{Catalog, Row, Schema, Table, Value};
+use conquer_storage::{Catalog, Edit, Row, Schema, Value};
 
 use crate::binder::{bind_constant, bind_select, bind_table_expr};
 use crate::context::{ExecContext, ExecLimits};
@@ -327,7 +327,11 @@ impl Database {
                 positions.push(i);
             }
         }
-        Ok((positions.len(), Edit::Delete(positions)))
+        let count = positions.len();
+        Ok((
+            count,
+            changes(positions.into_iter().map(|i| (i, None)).collect()),
+        ))
     }
 
     fn plan_update(&self, upd: &Update) -> Result<(usize, Edit)> {
@@ -351,13 +355,14 @@ impl Database {
             for (col, e) in &assignments {
                 new_row[*col] = e.eval(row)?;
             }
-            rows.push((i, new_row));
+            rows.push((i, Some(new_row)));
         }
-        Ok((rows.len(), Edit::Update(rows)))
+        Ok((rows.len(), changes(rows)))
     }
 
     fn plan_insert(&self, ins: &Insert) -> Result<(usize, Edit)> {
-        let schema = self.catalog.table(&ins.table)?.schema();
+        let table = self.catalog.table(&ins.table)?;
+        let schema = table.schema();
 
         // Map provided columns to schema positions.
         let positions: Vec<usize> = match &ins.columns {
@@ -408,7 +413,15 @@ impl Database {
                 }
             }
         }
-        Ok((rows.len(), Edit::Insert(rows)))
+        let count = rows.len();
+        let inserted = rows.into_iter().map(|row| (table.len(), row)).collect();
+        Ok((
+            count,
+            Edit {
+                inserted,
+                ..Edit::default()
+            },
+        ))
     }
 
     /// `RECLUSTER table (id, prob) TO target [WHERE …]`: move matching
@@ -460,11 +473,11 @@ impl Database {
                 let mut new_row = row.clone();
                 new_row[id_idx] = id_after(i).clone();
                 new_row[prob_idx] = prob;
-                updated.push((i, new_row));
+                updated.push((i, Some(new_row)));
             }
         }
         let count = moved.iter().filter(|m| **m).count();
-        Ok((count, Edit::Update(updated)))
+        Ok((count, changes(updated)))
     }
 
     /// `REANNOTATE table (id, prob) SET expr [WHERE …]`: overwrite the
@@ -496,10 +509,10 @@ impl Database {
             if v != row[prob_idx] {
                 let mut new_row = row.clone();
                 new_row[prob_idx] = v;
-                updated.push((i, new_row));
+                updated.push((i, Some(new_row)));
             }
         }
-        Ok((annotated, Edit::Update(updated)))
+        Ok((annotated, changes(updated)))
     }
 
     /// `APPLY CROSSREF xref (key, id) TO table (key, id)`: set every row's
@@ -531,10 +544,10 @@ impl Database {
             .map(|(i, (row, id))| {
                 let mut new_row = row.clone();
                 new_row[id_idx] = id;
-                (i, new_row)
+                (i, Some(new_row))
             })
             .collect();
-        Ok((clusters, Edit::Update(updated)))
+        Ok((clusters, changes(updated)))
     }
 
     /// Apply a planned change to `table` and fold it into every view
@@ -545,7 +558,9 @@ impl Database {
     /// view maintenance land together or not at all. Until then
     /// `self.catalog` is the pre-statement image the delta queries read. An
     /// edit that selects no row asks for no mutable access, so the table
-    /// stays shared with the version the statement started from.
+    /// stays shared with the version the statement started from. Every
+    /// change goes through [`Catalog::apply`], so a durable commit logs
+    /// the edited rows, not the tables around them.
     fn apply_edit(&mut self, table: &str, edit: Edit) -> Result<()> {
         if edit.is_empty() {
             return Ok(());
@@ -556,7 +571,12 @@ impl Database {
             .filter(|v| v.references(table))
             .collect();
         let mut next = self.catalog.clone();
-        let delta = edit_table(next.table_mut(table)?, edit, !views.is_empty())?;
+        let applied = next.apply(table, edit)?;
+        if views.is_empty() {
+            self.catalog = next;
+            return Ok(());
+        }
+        let delta = TableDelta::of(self.catalog.table(table)?, applied);
         if !delta.is_empty() {
             for v in views {
                 let pairs = view::delta_pairs(self, &next, v, table, &delta)?;
@@ -564,8 +584,8 @@ impl Database {
                 // view's two tables stay as they are, and out of the commit.
                 if !pairs.is_empty() {
                     let (contents, state) = view::fold(v, Some(&next), pairs)?;
-                    next.replace_table(contents);
-                    next.replace_table(state);
+                    next.apply(&v.name, contents)?;
+                    next.apply(&v.state_table(), state)?;
                 }
                 bump_view_meta(&mut next, &v.name, 1, 0)?;
             }
@@ -710,103 +730,31 @@ impl Database {
     }
 }
 
-/// A planned change to one table, addressed by row position in the table
-/// as it stands before the statement. A DML statement evaluates
-/// completely into one of these; [`Database::apply_edit`] performs it.
-#[derive(Debug)]
-enum Edit {
-    /// Remove the rows at these positions (ascending).
-    Delete(Vec<usize>),
-    /// Overwrite the rows at these positions (ascending) with the new rows.
-    Update(Vec<(usize, Row)>),
-    /// Append these rows.
-    Insert(Vec<Row>),
-}
-
-impl Edit {
-    /// True when the edit names no position and no row.
-    fn is_empty(&self) -> bool {
-        match self {
-            Edit::Delete(positions) => positions.is_empty(),
-            Edit::Update(rows) => rows.is_empty(),
-            Edit::Insert(rows) => rows.is_empty(),
-        }
+/// An edit that removes or replaces the rows at these ascending positions.
+fn changes(changed: Vec<(usize, Option<Row>)>) -> Edit {
+    Edit {
+        changed,
+        ..Edit::default()
     }
 }
 
-/// Perform `edit` on `t`. With `tracked`, also report the change as a
-/// delta of rows as *stored* (coerced to the schema) before and after —
-/// exactly what a recompute would read; rows an update leaves as they
-/// were are in neither side.
-fn edit_table(t: &mut Table, edit: Edit, tracked: bool) -> Result<TableDelta> {
-    let mut delta = TableDelta::default();
-    match edit {
-        Edit::Delete(positions) => {
-            let mut positions = positions.into_iter().peekable();
-            if positions.peek().is_some() {
-                t.retain(|i, row| {
-                    if positions.next_if_eq(&i).is_none() {
-                        return true;
-                    }
-                    if tracked {
-                        delta.removed.push(row.clone());
-                    }
-                    false
-                });
-            }
-        }
-        Edit::Update(rows) => {
-            let before: Vec<(usize, Row)> = if tracked {
-                rows.iter()
-                    .map(|(i, _)| (*i, t.rows()[*i].clone()))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let mut rows = rows.into_iter().peekable();
-            t.transform_rows(|i, row| {
-                let (_, new_row) = rows.next_if(|(pos, _)| *pos == i)?;
-                Some(
-                    new_row
-                        .into_iter()
-                        .enumerate()
-                        .filter(|(col, v)| row[*col] != *v)
-                        .collect(),
-                )
-            })?;
-            for (i, was) in before {
-                let now = &t.rows()[i];
-                if was != *now {
-                    delta.removed.push(was);
-                    delta.added.push(now.clone());
-                }
-            }
-        }
-        Edit::Insert(rows) => {
-            let before = t.len();
-            t.insert_all(rows)?;
-            if tracked {
-                delta.added = t.rows()[before..].to_vec();
-            }
-        }
-    }
-    Ok(delta)
-}
-
-/// Add to a view's registry counters (in-table, so they are durable and
-/// replay-idempotent along with everything else).
+/// Add to a view's registry counters (in-table, so they are durable along
+/// with everything else): a one-row edit of the registry.
 fn bump_view_meta(catalog: &mut Catalog, name: &str, deltas: i64, refreshes: i64) -> Result<()> {
-    let meta = catalog.table_mut(VIEWS_META)?;
+    let meta = catalog.table(VIEWS_META)?;
     let d_idx = meta.column_index("deltas_applied")?;
     let r_idx = meta.column_index("refreshes")?;
-    meta.transform_rows(|_, row| {
-        if row.first() != Some(&Value::text(name)) {
-            return None;
-        }
-        let d = row[d_idx].as_i64().unwrap_or(0) + deltas;
-        let r = row[r_idx].as_i64().unwrap_or(0) + refreshes;
-        Some(vec![(d_idx, Value::Int(d)), (r_idx, Value::Int(r))])
-    })?;
+    let Some(pos) = meta
+        .rows()
+        .iter()
+        .position(|row| row.first() == Some(&Value::text(name)))
+    else {
+        return Ok(());
+    };
+    let mut row = meta.rows()[pos].clone();
+    row[d_idx] = Value::Int(row[d_idx].as_i64().unwrap_or(0) + deltas);
+    row[r_idx] = Value::Int(row[r_idx].as_i64().unwrap_or(0) + refreshes);
+    catalog.apply(VIEWS_META, changes(vec![(pos, Some(row))]))?;
     Ok(())
 }
 
@@ -828,9 +776,10 @@ mod tests {
         db.prepare(sql)?.run(db)
     }
 
-    /// Run `sql` and name the tables it changed: `+name` for a table the
-    /// catalog afterwards holds anew or as another allocation (what a
-    /// durable commit logs as a put), `-name` for one it lost (a drop).
+    /// Run `sql` and name the tables it changed: `~name` for a table it
+    /// changed only by edits (what a durable commit logs as an edit
+    /// frame), `+name` for one the catalog afterwards holds anew or
+    /// rebuilt (a put), `-name` for one it lost (a drop).
     fn run_and_diff(db: &mut Database, sql: &str) -> (Result<ExecOutcome>, Vec<String>) {
         let base = db.catalog().clone();
         let out = execute(db, sql);
@@ -843,6 +792,7 @@ mod tests {
             .iter()
             .map(|op| match op {
                 WalOp::Put(t) => format!("+{}", t.name()),
+                WalOp::Edit(name, _) => format!("~{name}"),
                 WalOp::Drop(name) => format!("-{name}"),
             })
             .collect();
@@ -1207,7 +1157,7 @@ mod tests {
         let (out, changed) =
             run_and_diff(&mut db, "INSERT INTO orders VALUES ('o9', 'c9', 1, 1.0)");
         assert_eq!(out.unwrap(), ExecOutcome::Inserted(1));
-        assert_eq!(changed, ["+__conquer_views", "+orders"]);
+        assert_eq!(changed, ["~__conquer_views", "~orders"]);
         assert_eq!(db.view_stats()[0].deltas_applied, deltas + 1);
         assert_eq!(view_rows(&db), before);
         assert_eq!(view_rows(&db), recomputed_rows(&mut db));
@@ -1478,13 +1428,21 @@ mod tests {
             ("prob", conquer_storage::DataType::Float),
         ])
         .unwrap();
-        let mut t = Table::new("t", schema);
+        let mut catalog = Catalog::new();
+        catalog.create_table("t", schema).unwrap();
         let row = vec![Value::text("a"), Value::Int(1)];
-        let delta = edit_table(&mut t, Edit::Insert(vec![row.clone()]), true).unwrap();
+        let old = catalog.clone();
+        let insert = Edit {
+            inserted: vec![(0, row.clone())],
+            ..Edit::default()
+        };
+        let applied = catalog.apply("t", insert).unwrap();
+        let delta = TableDelta::of(old.table("t").unwrap(), applied);
         assert_eq!(delta.added, [vec![Value::text("a"), Value::Float(1.0)]]);
         // Overwriting it with the same number changes nothing.
-        let delta = edit_table(&mut t, Edit::Update(vec![(0, row)]), true).unwrap();
-        assert!(delta.is_empty());
+        let old = catalog.clone();
+        let applied = catalog.apply("t", changes(vec![(0, Some(row))])).unwrap();
+        assert!(TableDelta::of(old.table("t").unwrap(), applied).is_empty());
 
         let mut db = Database::new();
         db.execute_script(
@@ -1520,7 +1478,7 @@ mod tests {
             (
                 "UPDATE customer SET balance = balance WHERE id = 'c1'",
                 ExecOutcome::Updated(2),
-                &["+customer"][..],
+                &["~customer"][..],
             ),
             (
                 "REANNOTATE customer (id, prob) SET prob WHERE id = 'c2'",
@@ -1565,48 +1523,50 @@ mod tests {
         // a statement started from and the version it published.
         let shared = crate::SharedDatabase::new(sample());
         let session = shared.session();
+        // A table a statement creates or rebuilds is logged whole (`+`),
+        // rows it edits as edits (`~`).
         const META: &str = "+__conquer_views";
+        const META_EDIT: &str = "~__conquer_views";
         const STATE: &str = "+__conquer_view_state_v";
+        const STATE_EDIT: &str = "~__conquer_view_state_v";
+        const MAINTAINED: &[&str] = &["~customer", "~v", STATE_EDIT, META_EDIT];
         for (sql, expected) in [
             ("CREATE TABLE xr (name TEXT, cluster TEXT)", &["+xr"][..]),
             (
                 "INSERT INTO xr VALUES ('John', 'c1'), ('Mary', 'c2'), ('Marion', 'c2')",
-                &["+xr"],
+                &["~xr"],
             ),
             (EX6_VIEW, &["+v", STATE, META]),
             // The six DML kinds, each moving a group of the view.
             (
                 "INSERT INTO customer VALUES ('c2', 'Mae', 20000, 0.0)",
-                &["+customer", "+v", STATE, META],
+                MAINTAINED,
             ),
             (
                 "UPDATE customer SET prob = 0.25 WHERE name = 'Mary'",
-                &["+customer", "+v", STATE, META],
+                MAINTAINED,
             ),
-            (
-                "DELETE FROM customer WHERE name = 'Mae'",
-                &["+customer", "+v", STATE, META],
-            ),
+            ("DELETE FROM customer WHERE name = 'Mae'", MAINTAINED),
             (
                 "RECLUSTER customer (id, prob) TO 'c1' WHERE name = 'Mary'",
-                &["+customer", "+v", STATE, META],
+                MAINTAINED,
             ),
             (
                 "REANNOTATE customer (id, prob) SET prob / 2 WHERE id = 'c1'",
-                &["+customer", "+v", STATE, META],
+                MAINTAINED,
             ),
             (
                 "APPLY CROSSREF xr (name, cluster) TO customer (name, id)",
-                &["+customer", "+v", STATE, META],
+                MAINTAINED,
             ),
             // A delta that joins nothing counts as applied and moves no group.
             (
                 "INSERT INTO orders VALUES ('o9', 'c9', 1, 1.0)",
-                &["+orders", META],
+                &["~orders", META_EDIT],
             ),
             // A statement that selects no row still publishes its epoch.
             ("DELETE FROM customer WHERE balance < 0", &[]),
-            ("REFRESH MATERIALIZED VIEW v", &["+v", STATE, META]),
+            ("REFRESH MATERIALIZED VIEW v", &["+v", STATE, META_EDIT]),
             (
                 "DROP MATERIALIZED VIEW v",
                 &["-v", "-__conquer_view_state_v", META],

@@ -76,9 +76,9 @@ use std::cmp::Ordering;
 use std::hash::Hash;
 use std::time::{Duration, Instant};
 
-use conquer_sql::AggFunc;
+use conquer_sql::{AggFunc, BinaryOp};
 use conquer_storage::spill::{SpillFile, SpillReader, SpillWriter};
-use conquer_storage::{Catalog, Row, Value};
+use conquer_storage::{Catalog, DataType, Row, Value};
 
 use crate::binder::{AggCall, BoundOrderBy, GroupSpec, OrderKey, OutputItem};
 use crate::context::ExecContext;
@@ -479,6 +479,14 @@ fn build_join<'a>(
                 )
             } else {
                 let (probe_exprs, build_exprs) = equi.iter().map(|(l, r)| (l, r)).unzip();
+                let lossy = equi
+                    .iter()
+                    .map(|(l, r)| {
+                        let types = (key_type(catalog, plan, l), key_type(catalog, plan, r));
+                        let (int, float) = (Some(DataType::Int), Some(DataType::Float));
+                        types == (int, float) || types == (float, int)
+                    })
+                    .collect();
                 TupleOp::new(
                     format!("HashJoin on {} key(s)", equi.len()),
                     TupleKind::HashJoin {
@@ -487,6 +495,7 @@ fn build_join<'a>(
                         keys: JoinKeys {
                             probe_exprs,
                             build_exprs,
+                            lossy,
                             probe_layout: llayout,
                             build_layout: rlayout,
                         },
@@ -766,6 +775,9 @@ pub(crate) struct KeyRange {
     col: usize,
     min: Value,
     max: Value,
+    /// The first key pair compares an `INTEGER` with a `DOUBLE`, so an
+    /// integer cell is read as the nearest float, as the key normalizes.
+    lossy: bool,
     /// `min` and `max` when both are non-NaN floats, as numeric keys
     /// normalize: then a numeric cell is checked with two float
     /// comparisons instead of two walks of `Value`'s order.
@@ -773,7 +785,7 @@ pub(crate) struct KeyRange {
 }
 
 impl KeyRange {
-    fn new(col: usize, min: &Value, max: &Value) -> KeyRange {
+    fn new(col: usize, min: &Value, max: &Value, lossy: bool) -> KeyRange {
         let floats = match (min, max) {
             (Value::Float(lo), Value::Float(hi)) if !lo.is_nan() && !hi.is_nan() => {
                 Some((*lo, *hi))
@@ -784,6 +796,7 @@ impl KeyRange {
             col,
             min: min.clone(),
             max: max.clone(),
+            lossy,
             floats,
         }
     }
@@ -796,15 +809,46 @@ impl KeyRange {
         if let Some((lo, hi)) = self.floats {
             let x = match *cell {
                 Value::Float(x) => Some(x),
-                Value::Int(i) if i.unsigned_abs() <= EXACT_INT => Some(i as f64),
+                Value::Int(i) if self.lossy || i.unsigned_abs() <= EXACT_INT => Some(i as f64),
                 _ => None,
             };
             if let Some(x) = x {
                 return lo <= x && x <= hi;
             }
         }
-        let key = normalize_key(Cow::Borrowed(cell));
+        let key = normalize_key(Cow::Borrowed(cell), self.lossy);
         !key.is_null() && self.min <= *key && *key <= self.max
+    }
+}
+
+/// The static type of a join key where the plan fixes it: a column's
+/// declared type, a literal's, and arithmetic over those (`INTEGER` when
+/// both operands are, `DOUBLE` when either is). `None` for anything else.
+fn key_type(catalog: &Catalog, plan: &Plan, e: &BoundExpr) -> Option<DataType> {
+    match e {
+        BoundExpr::Column(id) => {
+            let table = catalog.table(&plan.relations.get(id.rel)?.table).ok()?;
+            Some(table.schema().column_at(id.col)?.data_type())
+        }
+        BoundExpr::Literal(v) => v.data_type(),
+        BoundExpr::Neg(e) => key_type(catalog, plan, e),
+        BoundExpr::Binary { left, op, right } => {
+            use BinaryOp::*;
+            if !matches!(op, Add | Sub | Mul | Div | Mod) {
+                return None;
+            }
+            match (
+                key_type(catalog, plan, left)?,
+                key_type(catalog, plan, right)?,
+            ) {
+                (DataType::Int, DataType::Int) => Some(DataType::Int),
+                (DataType::Int | DataType::Float, DataType::Int | DataType::Float) => {
+                    Some(DataType::Float)
+                }
+                _ => None,
+            }
+        }
+        _ => None,
     }
 }
 
@@ -813,6 +857,10 @@ impl KeyRange {
 pub(crate) struct JoinKeys<'a> {
     probe_exprs: Vec<&'a BoundExpr>,
     build_exprs: Vec<&'a BoundExpr>,
+    /// Per key pair: one side is `INTEGER` and the other `DOUBLE`, so both
+    /// normalize an integer as the float nearest to it, exactly as SQL
+    /// equality compares them; see [`normalize_key`].
+    lossy: Vec<bool>,
     probe_layout: Layout<'a>,
     build_layout: Layout<'a>,
 }
@@ -820,12 +868,22 @@ pub(crate) struct JoinKeys<'a> {
 impl<'a> JoinKeys<'a> {
     /// Fill `key` with tuple `p`'s probe-side key; see [`join_keys`].
     fn probe_key(&self, p: &[u32], key: &mut Vec<Cow<'a, Value>>) -> Result<bool> {
-        join_keys(self.probe_layout.tuple(p), &self.probe_exprs, key)
+        join_keys(
+            self.probe_layout.tuple(p),
+            &self.probe_exprs,
+            &self.lossy,
+            key,
+        )
     }
 
     /// Fill `key` with tuple `b`'s build-side key; see [`join_keys`].
     fn build_key(&self, b: &[u32], key: &mut Vec<Cow<'a, Value>>) -> Result<bool> {
-        join_keys(self.build_layout.tuple(b), &self.build_exprs, key)
+        join_keys(
+            self.build_layout.tuple(b),
+            &self.build_exprs,
+            &self.lossy,
+            key,
+        )
     }
 
     /// What one build tuple charges: its positions plus its own copy of
@@ -860,7 +918,7 @@ impl<'a> JoinKeys<'a> {
         let mut keys = (0..map.keys.len()).map(|i| &map.keys.key(i)[0]);
         if let Some(first) = keys.next() {
             let (min, max) = keys.fold((first, first), |(lo, hi), k| (lo.min(k), hi.max(k)));
-            *range = Some(KeyRange::new(id.col, min, max));
+            *range = Some(KeyRange::new(id.col, min, max, self.lossy[0]));
         }
     }
 
@@ -1562,20 +1620,21 @@ fn movable_cells(output: &[OutputItem], appended: &[&BoundExpr]) -> Vec<Option<u
 }
 
 /// Evaluate and normalize the join key expressions over `cells` into
-/// `key` (cleared first); `false` when any key is NULL (SQL equality
-/// never matches NULL).
+/// `key` (cleared first), each as its pair's `lossy` flag says; `false`
+/// when any key is NULL (SQL equality never matches NULL).
 fn join_keys<'x>(
     cells: impl Cells<'x>,
     exprs: &[&'x BoundExpr],
+    lossy: &[bool],
     key: &mut Vec<Cow<'x, Value>>,
 ) -> Result<bool> {
     key.clear();
-    for e in exprs {
+    for (e, lossy) in exprs.iter().zip(lossy) {
         let v = e.eval_ref(cells)?;
         if v.is_null() {
             return Ok(false);
         }
-        key.push(normalize_key(v));
+        key.push(normalize_key(v, *lossy));
     }
     Ok(true)
 }
@@ -1584,12 +1643,17 @@ fn join_keys<'x>(
 /// equals: every integer up to 2⁵³ is exactly a float.
 const EXACT_INT: u64 = 1 << 53;
 
-/// Normalize a join key so numerically equal Int/Float values collide
-/// (exact for |i| ≤ 2⁵³) and `-0.0` meets `0.0`. Anything else — a text
-/// key above all — stays borrowed from the row.
-fn normalize_key(v: Cow<'_, Value>) -> Cow<'_, Value> {
+/// Normalize a join key so numerically equal Int/Float values collide and
+/// `-0.0` meets `0.0`. An integer is read as the float nearest to it when
+/// `lossy` (its pair compares an `INTEGER` with a `DOUBLE`, as SQL
+/// equality does: `i as f64`) or when that float is exact (|i| ≤ 2⁵³);
+/// past 2⁵³ an `INTEGER = INTEGER` key stays exact. Anything else — a
+/// text key above all — stays borrowed from the row.
+fn normalize_key(v: Cow<'_, Value>, lossy: bool) -> Cow<'_, Value> {
     match *v {
-        Value::Int(i) if i.unsigned_abs() <= EXACT_INT => Cow::Owned(Value::Float(i as f64)),
+        Value::Int(i) if lossy || i.unsigned_abs() <= EXACT_INT => {
+            Cow::Owned(Value::Float(i as f64))
+        }
         Value::Float(0.0) => Cow::Owned(Value::Float(0.0)),
         _ => v,
     }
@@ -2637,11 +2701,15 @@ mod tests {
 
     #[test]
     fn key_normalization() {
-        let norm = |v: Value| normalize_key(Cow::Owned(v)).into_owned();
+        let norm = |v: Value| normalize_key(Cow::Owned(v), false).into_owned();
         assert_eq!(norm(Value::Int(5)), Value::Float(5.0));
         assert_eq!(norm(Value::Float(-0.0)), Value::Float(0.0));
         assert_eq!(norm(Value::text("x")), Value::text("x"));
-        // huge ints stay exact
+        // huge ints stay exact against an integer key
         assert_eq!(norm(Value::Int(i64::MAX)), Value::Int(i64::MAX));
+        // and meet the float they round to against a float key
+        let lossy = |v: Value| normalize_key(Cow::Owned(v), true).into_owned();
+        let past = (1i64 << 53) + 1;
+        assert_eq!(lossy(Value::Int(past)), Value::Float((1u64 << 53) as f64));
     }
 }

@@ -37,11 +37,14 @@
 //! A handle opened with [`SharedDatabase::open_durable`] is backed by a
 //! persistence directory. A statement appends the tables the new version
 //! does not share with the one it was built from
-//! ([`conquer_storage::Catalog::changes_since`] — whole images of what the
-//! statement wrote, drop markers for what it removed) to the write-ahead
-//! log ([`conquer_storage::wal`]) and fsyncs *before* the version becomes
+//! ([`conquer_storage::Catalog::changes_since`]) to the write-ahead log
+//! ([`conquer_storage::wal`]) and fsyncs *before* the version becomes
 //! visible, so `Ok` from [`Session::execute`] means the write survives a
-//! crash. A mutation, typically a bulk rewrite, folds the whole new
+//! crash. A table the statement changed by row edits — a DML edit, a
+//! view fold's splice of its touched groups, a registry bump — is logged
+//! as those edits, which recovery replays exactly once, in order, with
+//! the function that applied them; one it created or rebuilt is logged
+//! as a whole image, and one it removed as a drop marker. A mutation, typically a bulk rewrite, folds the whole new
 //! catalog into a compacted log instead — the same fold
 //! [`SharedDatabase::checkpoint`] (or the automatic policy at `wal_limit`
 //! bytes) applies via [`Wal::checkpoint`]: the catalog becomes the log's
@@ -825,9 +828,10 @@ impl SharedDatabase {
             self.publish(next);
             return Ok(out);
         }
-        // Whole-table images of exactly the tables `next` no longer shares
-        // with `cur`: base change and view maintenance arrive in the same
-        // commit, so recovery can never observe a half-maintained view.
+        // Exactly the tables `next` no longer shares with `cur`, as their
+        // edits or their images: base change and view maintenance arrive
+        // in the same commit, so recovery can never observe a
+        // half-maintained view.
         let ops = next.catalog().changes_since(cur.db().catalog());
         if !ops.is_empty() {
             d.wal.commit(&ops)?;

@@ -27,10 +27,13 @@
 //! * a row in **`__conquer_views`** holding the defining SQL and the
 //!   `deltas_applied` / `refreshes` counters.
 //!
-//! Because all three are plain tables they ride the existing WAL
-//! (whole-table images per commit) and checkpoint machinery unchanged:
-//! base-table change and view maintenance are one atomic commit, so a
-//! crash can never expose a half-maintained view.
+//! Because all three are plain tables they ride the existing WAL and
+//! checkpoint machinery unchanged. A fold changes only the touched groups'
+//! rows, as one [`Edit`] of each table at the groups' positions, and a
+//! registry bump is a one-row edit, so a maintained commit logs those rows
+//! as edit frames beside the base table's: base-table change and view
+//! maintenance are one atomic commit, so a crash can never expose a
+//! half-maintained view.
 //!
 //! ## Bit-exactness
 //!
@@ -80,7 +83,7 @@
 use std::collections::btree_map::{BTreeMap, Entry};
 
 use conquer_sql::{AggFunc, Expr, SelectItem, SelectStatement, Statement, TableRef};
-use conquer_storage::{Catalog, DataType, Row, Schema, Table, Value};
+use conquer_storage::{Catalog, DataType, Edit, Row, Schema, Table, Value};
 
 use crate::binder::bind;
 use crate::database::Database;
@@ -154,6 +157,28 @@ pub(crate) struct TableDelta {
 }
 
 impl TableDelta {
+    /// The rows `edit` removes from `old` and adds to it, as stored (the
+    /// edit as applied, conformed to the schema): exactly what a recompute
+    /// would read. A row an edit replaces by an equal one is in neither
+    /// side.
+    pub(crate) fn of(old: &Table, edit: &Edit) -> TableDelta {
+        let mut delta = TableDelta::default();
+        for (pos, now) in &edit.changed {
+            let was = &old.rows()[*pos];
+            match now {
+                Some(now) if now == was => {}
+                Some(now) => {
+                    delta.removed.push(was.clone());
+                    delta.added.push(now.clone());
+                }
+                None => delta.removed.push(was.clone()),
+            }
+        }
+        let inserted = edit.inserted.iter().map(|(_, row)| row.clone());
+        delta.added.extend(inserted);
+        delta
+    }
+
     pub(crate) fn is_empty(&self) -> bool {
         self.removed.is_empty() && self.added.is_empty()
     }
@@ -456,50 +481,71 @@ impl ViewDef {
 pub(crate) fn recompute(db: &Database, view: &ViewDef) -> Result<(Table, Table)> {
     let rows = db.prepare_select(&view.projection_query())?.query(db)?.rows;
     let contributions = rows.into_iter().map(|row| view.contribution(row, true));
-    fold(view, None, contributions)
+    build(view, contributions)
+}
+
+/// The contents and state tables of `view` holding exactly
+/// `contributions`: [`fold`] into an empty view, whose splice inserts
+/// every group.
+fn build(
+    view: &ViewDef,
+    contributions: impl IntoIterator<Item = Contribution>,
+) -> Result<(Table, Table)> {
+    let (contents_edit, state_edit) = fold(view, None, contributions)?;
+    let mut contents = Table::new(&view.name, view.contents_schema()?);
+    let mut state = Table::new(view.state_table(), view.state_schema()?);
+    contents.insert_all(contents_edit.inserted.into_iter().map(|(_, row)| row))?;
+    state.insert_all(state_edit.inserted.into_iter().map(|(_, row)| row))?;
+    Ok((contents, state))
 }
 
 /// The one view fold: apply signed contributions to the view's groups as
-/// stored in `prior` (`None` for an empty view); return the new contents
-/// and state tables. A touched group's state row is decoded once; its count
-/// moves by ±1 and its accumulator adds the term or its negation. Untouched
-/// groups are copied. A group disappears at count 0; a count below 0 means
-/// the state diverged from the bases, an internal error that aborts the
+/// stored in `prior` (`None` for an empty view) and return the splice of
+/// the touched groups, as one edit of the contents table and one of the
+/// state table at the same positions. A touched group's state row is
+/// found by binary search and decoded once; its count moves by ±1 and its
+/// accumulator adds the term or its negation. Its rows are then replaced,
+/// removed at count 0, or inserted at the key's position when the group
+/// is new. Untouched groups are not read. A count below 0 means the
+/// state diverged from the bases, an internal error that aborts the
 /// commit.
 pub(crate) fn fold(
     view: &ViewDef,
     prior: Option<&Catalog>,
     contributions: impl IntoIterator<Item = Contribution>,
-) -> Result<(Table, Table)> {
+) -> Result<(Edit, Edit)> {
     let diverged = |what: &str| EngineError::internal(format!("view {:?}: {what}", view.name));
-    let (prior_contents, prior_state) = match prior {
-        None => (&[][..], &[][..]),
-        Some(catalog) => (
-            catalog.table(&view.name)?.rows(),
-            catalog.table(&view.state_table())?.rows(),
-        ),
+    let prior_state = match prior {
+        None => &[][..],
+        Some(catalog) => {
+            let state = catalog.table(&view.state_table())?;
+            if catalog.table(&view.name)?.len() != state.len() {
+                return Err(diverged("contents and state tables differ in length"));
+            }
+            state.rows()
+        }
     };
-    if prior_contents.len() != prior_state.len() {
-        return Err(diverged("contents and state tables differ in length"));
-    }
     let width = view.key_types.len();
-    let mut touched: BTreeMap<Vec<Value>, (i64, ExactSum)> = BTreeMap::new();
+    // Per touched group: where its key stands in the prior state (`Err`:
+    // where it would be inserted), its count and its accumulator.
+    type Group = (std::result::Result<usize, usize>, i64, ExactSum);
+    let mut touched: BTreeMap<Vec<Value>, Group> = BTreeMap::new();
     for (key, term, add) in contributions {
         if !add && conquer_sync::mutant("view::skip-retract") {
             // Seeded mutant: "forget" to retract, so deleted base rows keep
             // contributing. The oracle and the schedule explorer catch it.
             continue;
         }
-        let (count, sum) = match touched.entry(key) {
+        let (_, count, sum) = match touched.entry(key) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => {
                 let found = prior_state.binary_search_by(|row| row[..width].cmp(e.key()));
                 let group = match found.map(|i| &prior_state[i][width..]) {
-                    Err(_) => (0, ExactSum::new()),
+                    Err(_) => (found, 0, ExactSum::new()),
                     Ok([Value::Int(count), Value::Text(sum)]) if *count > 0 => {
                         let sum = ExactSum::decode(sum)
                             .ok_or_else(|| diverged("unreadable accumulator"))?;
-                        (*count, sum)
+                        (found, *count, sum)
                     }
                     Ok(_) => return Err(diverged("malformed state row")),
                 };
@@ -518,33 +564,34 @@ pub(crate) fn fold(
         }
     }
 
-    // Merge the touched groups into the untouched ones, both in key order.
-    let mut contents = Table::new(&view.name, view.contents_schema()?);
-    let mut state = Table::new(view.state_table(), view.state_schema()?);
-    let mut prior = prior_contents.iter().zip(prior_state).peekable();
-    for (key, (count, sum)) in touched {
-        while let Some((c, s)) = prior.next_if(|(_, s)| s[..width] < key[..]) {
-            contents.insert(c.clone())?;
-            state.insert(s.clone())?;
-        }
-        prior.next_if(|(_, s)| s[..width] == key[..]);
+    // The splice, in key order: ascending positions in both edits.
+    let (mut contents, mut state) = (Edit::default(), Edit::default());
+    for (key, (found, count, sum)) in touched {
         if count == 0 {
             if !sum.is_empty() {
                 return Err(diverged("a group with no contributions kept a sum"));
             }
+            if let Ok(pos) = found {
+                contents.changed.push((pos, None));
+                state.changed.push((pos, None));
+            }
             continue;
         }
-        let mut row = key.clone();
+        let mut contents_row = key.clone();
         let value = sum.value().map_or(Value::Null, Value::Float);
-        row.insert(view.term_index, value);
-        contents.insert(row)?;
-        let mut row = key;
-        row.extend([Value::Int(count), Value::Text(sum.encode())]);
-        state.insert(row)?;
-    }
-    for (c, s) in prior {
-        contents.insert(c.clone())?;
-        state.insert(s.clone())?;
+        contents_row.insert(view.term_index, value);
+        let mut state_row = key;
+        state_row.extend([Value::Int(count), Value::Text(sum.encode())]);
+        match found {
+            Ok(pos) => {
+                contents.changed.push((pos, Some(contents_row)));
+                state.changed.push((pos, Some(state_row)));
+            }
+            Err(pos) => {
+                contents.inserted.push((pos, contents_row));
+                state.inserted.push((pos, state_row));
+            }
+        }
     }
     Ok((contents, state))
 }
@@ -710,15 +757,15 @@ mod tests {
             .iter()
             .rev()
             .map(|x| (key("a"), Value::Float(*x), true));
-        let (c1, s1) = fold(&v, None, forward).unwrap();
-        let (c2, s2) = fold(&v, None, backward).unwrap();
+        let (c1, s1) = build(&v, forward).unwrap();
+        let (c2, s2) = build(&v, backward).unwrap();
         assert_eq!(c1.rows(), c2.rows());
         assert_eq!(s1.rows(), s2.rows());
         // One state row per group, holding the contribution count.
         assert_eq!(s1.len(), 1);
         assert_eq!(s1.rows()[0][1], Value::Int(5));
         // A group of only-NULL terms sums to NULL.
-        let (c, _) = fold(&v, None, [(key("n"), Value::Null, true)]).unwrap();
+        let (c, _) = build(&v, [(key("n"), Value::Null, true)]).unwrap();
         assert_eq!(c.rows()[0][1], Value::Null);
     }
 
@@ -727,11 +774,20 @@ mod tests {
         let v = analyze("SELECT id, SUM(prob) AS p FROM t GROUP BY id").unwrap();
         let c = |k: &str, x: f64, add: bool| (vec![Value::text(k)], Value::Float(x), add);
         let stored = |pairs: Vec<Contribution>| {
-            let (contents, state) = fold(&v, None, pairs).unwrap();
+            let (contents, state) = build(&v, pairs).unwrap();
             let mut cat = Catalog::new();
             cat.add_table(contents).unwrap();
             cat.add_table(state).unwrap();
             cat
+        };
+        // The view's tables once `pairs` are folded into `cat`'s.
+        let folded = |cat: &Catalog, pairs: Vec<Contribution>| -> Result<(Table, Table)> {
+            let (contents, state) = fold(&v, Some(cat), pairs)?;
+            let mut cat = cat.clone();
+            cat.apply("v", contents)?;
+            cat.apply(&v.state_table(), state)?;
+            let table = |name: &str| cat.table(name).cloned();
+            Ok((table("v")?, table(&v.state_table())?))
         };
         let cat = stored(vec![
             c("a", 0.5, true),
@@ -739,14 +795,14 @@ mod tests {
             c("b", 0.5, true),
         ]);
         // A retraction for a group that is not in the state table.
-        let err = fold(&v, Some(&cat), [c("z", 0.5, false)]).unwrap_err();
+        let err = folded(&cat, vec![c("z", 0.5, false)]).unwrap_err();
         assert!(matches!(err, EngineError::Internal(_)), "{err}");
         // One more retraction than the group has contributions.
-        let err = fold(&v, Some(&cat), [c("a", 0.5, false), c("a", 0.5, false)]).unwrap_err();
+        let err = folded(&cat, vec![c("a", 0.5, false), c("a", 0.5, false)]).unwrap_err();
         assert!(matches!(err, EngineError::Internal(_)), "{err}");
         // Count-backed: a group keeps its row while it has contributions
         // and loses it with the last; untouched groups stay in key order.
-        let (contents, state) = fold(&v, Some(&cat), [c("b", 0.5, false)]).unwrap();
+        let (contents, state) = folded(&cat, vec![c("b", 0.5, false)]).unwrap();
         assert_eq!(
             contents.rows(),
             stored(vec![c("a", 0.5, true), c("b", 0.25, true)])
@@ -755,9 +811,18 @@ mod tests {
                 .rows()
         );
         assert_eq!(state.rows()[1][1], Value::Int(1));
-        let (contents, state) = fold(&v, Some(&cat), [c("a", 0.5, false)]).unwrap();
+        let (contents, state) = folded(&cat, vec![c("a", 0.5, false)]).unwrap();
         assert_eq!((contents.len(), state.len()), (1, 1));
         assert_eq!(contents.rows()[0][0], Value::text("b"));
+        // New groups land at their keys' positions, before, between and
+        // after the stored ones, in one splice with a replacement.
+        let pairs = ["0", "a", "ab", "z"].map(|k| c(k, 0.125, true));
+        let mut pairs = pairs.to_vec();
+        pairs.push(c("a", 0.5, false));
+        let (contents, _) = folded(&cat, pairs).unwrap();
+        let keys: Vec<&Value> = contents.rows().iter().map(|r| &r[0]).collect();
+        let text = ["0", "a", "ab", "b", "z"].map(Value::text);
+        assert_eq!(keys, text.iter().collect::<Vec<_>>());
     }
 
     /// A database of 6 customers, 4 orders (order 1 is a two-tuple

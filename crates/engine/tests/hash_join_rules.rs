@@ -9,10 +9,11 @@ use conquer_engine::{Database, OpStats, QueryResult};
 use conquer_storage::{Catalog, DataType, Schema, Table, Value};
 use proptest::prelude::*;
 
-/// Key cells the random tables draw from, per column type. Integers
-/// beyond 2⁵³ (and `i64::MIN`) are not normalized to `FLOAT` and meet no
-/// float, `-0.0` meets `0.0`, a NaN meets a NaN (the hash table compares
-/// floats by their total order), and `NULL` meets nothing.
+/// Key cells the random tables draw from, per column type. Against a
+/// `DOUBLE` key an integer meets the float nearest to it, as SQL equality
+/// compares them (so 2⁵³ + 1 meets 2⁵³), and a NaN meets nothing; two
+/// `INTEGER` keys beyond 2⁵³ (and `i64::MIN`) compare exactly; `-0.0`
+/// meets `0.0`, and `NULL` meets nothing.
 const EXACT: i64 = 1 << 53;
 
 fn int_pool() -> Vec<Value> {
@@ -73,10 +74,15 @@ fn database(case: usize, picks: [&[usize]; 2]) -> Database {
     Database::from_catalog(catalog)
 }
 
-/// Join-key equality: both cells non-NULL and equal once an integer of
-/// magnitude at most 2⁵³ is read as the float it equals and `-0.0` as
-/// `0.0`.
-fn keys_meet(a: &Value, b: &Value) -> bool {
+/// Join-key equality of a key pair of `case`'s types. A mixed
+/// `INTEGER = DOUBLE` pair meets exactly when the evaluator's SQL
+/// equality holds. Otherwise both cells are non-NULL and equal once an
+/// integer of magnitude at most 2⁵³ is read as the float it equals and
+/// `-0.0` as `0.0`.
+fn keys_meet(case: usize, a: &Value, b: &Value) -> bool {
+    if case < 2 {
+        return a.sql_eq(b) == Some(true);
+    }
     let norm = |v: &Value| match *v {
         Value::Int(i) if i.unsigned_abs() <= EXACT as u64 => Value::Float(i as f64),
         Value::Float(0.0) => Value::Float(0.0),
@@ -131,7 +137,7 @@ proptest! {
         let mut expected = Vec::new();
         for (p, pk) in probe {
             for (q, qk) in build {
-                if keys_meet(pk, qk) {
+                if keys_meet(case, pk, qk) {
                     let (ai, bi) = if probe_is_a { (*p, *q) } else { (*q, *p) };
                     expected.push(vec![Value::Int(ai), Value::Int(bi)]);
                 }
@@ -225,4 +231,39 @@ fn text_keys_prune_by_their_order() {
     // 'a', NULL and 'd' lie outside ['b', 'c']; 'bz' lies inside and is
     // probed, matching nothing.
     assert_eq!((probe.rows_in, probe.pruned, probe.rows_out), (6, 3, 3));
+}
+
+/// An `INTEGER` key past 2⁵³ meets the `DOUBLE` it rounds to, in the hash
+/// join as in the evaluator (and its nested loop): `sql_eq` reads the
+/// integer as `i as f64`. The hash join's probe range reads it the same
+/// way, so it is not pruned either; two `INTEGER` keys stay exact.
+#[test]
+fn an_integer_past_two_to_the_53_meets_the_double_it_rounds_to() {
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE a (i INTEGER, k INTEGER);
+         CREATE TABLE b (j INTEGER, k DOUBLE);
+         CREATE TABLE c (m INTEGER, k INTEGER);
+         INSERT INTO a VALUES (1, 9007199254740993), (2, 5);
+         INSERT INTO b VALUES (10, 9007199254740992.0);
+         INSERT INTO c VALUES (20, 9007199254740992)",
+    )
+    .unwrap();
+    let hashed = run(&db, "SELECT a.i, b.j FROM a, b WHERE a.k = b.k");
+    let looped = run(&db, "SELECT a.i, b.j FROM a, b WHERE a.k = b.k OR 1 = 0");
+    assert_eq!(hashed.rows, [vec![Value::Int(1), Value::Int(10)]]);
+    assert_eq!(hashed.rows, looped.rows);
+    find(&hashed, "HashJoin");
+    find(&looped, "NestedLoopJoin");
+    let probe = find(&hashed, "Scan a ");
+    assert_eq!(
+        (probe.rows_in, probe.pruned),
+        (2, 1),
+        "only 5 is out of range"
+    );
+
+    let exact = run(&db, "SELECT a.i, c.m FROM a, c WHERE a.k = c.k");
+    assert!(exact.rows.is_empty(), "{:?}", exact.rows);
+    let looped = run(&db, "SELECT a.i, c.m FROM a, c WHERE a.k = c.k OR 1 = 0");
+    assert_eq!(exact.rows, looped.rows);
 }

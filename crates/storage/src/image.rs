@@ -13,6 +13,16 @@
 //! per row: [u32 LE value count][values in the spill value codec]
 //! ```
 //!
+//! An [`Edit`] — the payload of the log's edit frame — reuses the row
+//! encoding, with positions as `u32 LE` like the image's row count:
+//!
+//! ```text
+//! [u32 LE changed count]
+//! per changed row: [u32 LE position][u8: 0 removes, 1 replaces][row, if replaced]
+//! [u32 LE inserted count]
+//! per inserted row: [u32 LE position][row]
+//! ```
+//!
 //! The integrity check lives in the container (the WAL's per-frame
 //! checksum); decoding only has to refuse bytes that do not parse, and it
 //! refuses them with a typed [`StorageError::Corrupt`] or
@@ -23,7 +33,7 @@ use std::path::Path;
 use crate::error::{corrupt, StorageError};
 use crate::schema::Schema;
 use crate::spill::{decode_value, encode_value, take, take_arr};
-use crate::table::Table;
+use crate::table::{Edit, Row, Table};
 use crate::value::DataType;
 
 fn type_name(t: DataType) -> &'static str {
@@ -96,11 +106,69 @@ pub(crate) fn encode_table(table: &Table, out: &mut Vec<u8>) {
     push_str(out, &schema_text);
     out.extend_from_slice(&(table.len() as u32).to_le_bytes());
     for row in table.rows() {
-        out.extend_from_slice(&(row.len() as u32).to_le_bytes());
-        for v in row {
-            encode_value(v, out);
+        encode_row(row, out);
+    }
+}
+
+fn encode_row(row: &Row, out: &mut Vec<u8>) {
+    out.extend_from_slice(&(row.len() as u32).to_le_bytes());
+    for v in row {
+        encode_value(v, out);
+    }
+}
+
+fn decode_row(buf: &[u8], pos: &mut usize, path: &Path) -> Result<Row, StorageError> {
+    let nvals = take_u32(buf, pos, path)? as usize;
+    // Cap the pre-allocation: the count is corruption-controlled.
+    let mut row = Vec::with_capacity(nvals.min(1024));
+    for _ in 0..nvals {
+        row.push(decode_value(buf, pos, path)?);
+    }
+    Ok(row)
+}
+
+/// Append the encoding of `edit` to `out`.
+pub(crate) fn encode_edit(edit: &Edit, out: &mut Vec<u8>) {
+    out.extend_from_slice(&(edit.changed.len() as u32).to_le_bytes());
+    for (pos, row) in &edit.changed {
+        out.extend_from_slice(&(*pos as u32).to_le_bytes());
+        match row {
+            None => out.push(0),
+            Some(row) => {
+                out.push(1);
+                encode_row(row, out);
+            }
         }
     }
+    out.extend_from_slice(&(edit.inserted.len() as u32).to_le_bytes());
+    for (pos, row) in &edit.inserted {
+        out.extend_from_slice(&(*pos as u32).to_le_bytes());
+        encode_row(row, out);
+    }
+}
+
+/// Decode one edit starting at `*pos`.
+pub(crate) fn decode_edit(buf: &[u8], pos: &mut usize, path: &Path) -> Result<Edit, StorageError> {
+    let mut edit = Edit::default();
+    for _ in 0..take_u32(buf, pos, path)? {
+        let at = take_u32(buf, pos, path)? as usize;
+        let row = match take_arr::<1>(buf, pos, path)? {
+            [0] => None,
+            [1] => Some(decode_row(buf, pos, path)?),
+            [kind] => {
+                return Err(corrupt(
+                    path,
+                    format!("edit row kind {kind} is neither 0 nor 1"),
+                ))
+            }
+        };
+        edit.changed.push((at, row));
+    }
+    for _ in 0..take_u32(buf, pos, path)? {
+        let at = take_u32(buf, pos, path)? as usize;
+        edit.inserted.push((at, decode_row(buf, pos, path)?));
+    }
+    Ok(edit)
 }
 
 /// Decode one image that spans all of `buf`; `path` names the file the
@@ -112,13 +180,7 @@ pub(crate) fn decode_table(buf: &[u8], path: &Path) -> Result<Table, StorageErro
     let nrows = take_u32(buf, &mut pos, path)? as usize;
     let mut table = Table::new(&name, schema);
     for _ in 0..nrows {
-        let nvals = take_u32(buf, &mut pos, path)? as usize;
-        // Cap the pre-allocation: the count is corruption-controlled.
-        let mut row = Vec::with_capacity(nvals.min(1024));
-        for _ in 0..nvals {
-            row.push(decode_value(buf, &mut pos, path)?);
-        }
-        table.insert(row)?;
+        table.insert(decode_row(buf, &mut pos, path)?)?;
     }
     if pos != buf.len() {
         return Err(corrupt(

@@ -49,7 +49,7 @@ pub use persist::{load_catalog, load_catalog_recover, save_catalog, RecoveryRepo
 pub use schema::{Column, Schema};
 pub use scrub::{scrub, ScrubReport};
 pub use spill::{SpillFile, SpillReader, SpillSession, SpillWriter};
-pub use table::{Row, Table};
+pub use table::{Edit, Row, Table};
 pub use value::{DataType, Value};
 pub use wal::{Wal, WalOp};
 

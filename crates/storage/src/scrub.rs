@@ -2,7 +2,8 @@
 //!
 //! [`scrub`] sweeps a durable directory without mutating it: the
 //! write-ahead log is re-scanned frame by frame — the header, every table
-//! of the base, and every commit group after it — and the leftovers that
+//! of the base, and every commit group after it — and replayed as a load
+//! replays it, and the leftovers that
 //! recovery would clear away, the staged logs of interrupted checkpoints
 //! and spill directories, are counted as quarantined. The result is a
 //! typed [`ScrubReport`]; nothing panics on corruption, and nothing is
@@ -60,13 +61,18 @@ pub fn scrub(dir: &Path) -> Result<ScrubReport, StorageError> {
     // 1. The write-ahead log, frame by frame. A bad header or base fails
     //    the scan; a tear after the seal ends it. Both are corruption
     //    here: scrubs run on quiesced directories, where `Wal::open` has
-    //    already truncated any crash-torn tail.
+    //    already truncated any crash-torn tail. Then the log is replayed
+    //    as a load would, so an image that does not decode or an edit
+    //    that does not apply is corruption too, though its frame verified.
     let problem = match wal::scan(dir) {
         Ok(None) => None,
-        Ok(Some(scan)) => {
-            report.clean += 1 + scan.base_tables() as u64 + scan.commits.len() as u64;
-            scan.torn
-        }
+        Ok(Some(scan)) => match scan.catalog() {
+            Ok(_) => {
+                report.clean += 1 + scan.base_tables() as u64 + scan.commits.len() as u64;
+                scan.torn
+            }
+            Err(e) => Some(e.to_string()),
+        },
         Err(e) => Some(e.to_string()),
     };
     if let Some(problem) = problem {

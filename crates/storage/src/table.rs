@@ -4,10 +4,34 @@ use std::fmt;
 
 use crate::error::StorageError;
 use crate::schema::{Column, Schema};
-use crate::value::Value;
+use crate::value::{DataType, Value};
 
 /// A row is an ordered list of values matching the table's schema.
 pub type Row = Vec<Value>;
+
+/// A change to one table's rows, addressed by position in the table as it
+/// stood before the change: rows removed or replaced where they are, rows
+/// inserted where they belong. [`Table::apply`] performs it. A DML
+/// statement evaluates into one against the unmodified table, a view fold
+/// splices its touched groups with one, and the write-ahead log carries
+/// the same value as an edit frame that recovery applies again.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Edit {
+    /// Rows removed or replaced, by strictly ascending position: `Some`
+    /// replaces the row at the position, `None` removes it.
+    pub changed: Vec<(usize, Option<Row>)>,
+    /// Rows inserted, by ascending position: a row lands just before the
+    /// row that stood at its position (at the table's length it is
+    /// appended), rows for one position in the order listed.
+    pub inserted: Vec<(usize, Row)>,
+}
+
+impl Edit {
+    /// True when the edit names no position and no row.
+    pub fn is_empty(&self) -> bool {
+        self.changed.is_empty() && self.inserted.is_empty()
+    }
+}
 
 /// A named, materialized, typed table.
 ///
@@ -72,7 +96,15 @@ impl Table {
 
     /// Validate and insert a row. `Int` values are silently widened to
     /// `Float` where the column requires it.
-    pub fn insert(&mut self, row: Row) -> Result<(), StorageError> {
+    pub fn insert(&mut self, mut row: Row) -> Result<(), StorageError> {
+        self.conform(&mut row)?;
+        self.rows.push(row);
+        Ok(())
+    }
+
+    /// Check `row` against the schema (arity and types) and widen its
+    /// `Int` cells in `Float` columns, in place.
+    fn conform(&self, row: &mut Row) -> Result<(), StorageError> {
         if row.len() != self.schema.len() {
             return Err(StorageError::ArityMismatch {
                 table: self.name.clone(),
@@ -80,22 +112,91 @@ impl Table {
                 got: row.len(),
             });
         }
-        let mut out = Vec::with_capacity(row.len());
-        for (value, col) in row.into_iter().zip(self.schema.columns()) {
-            let got = value.data_type();
-            match value.coerce_to(col.data_type()) {
-                Some(v) => out.push(v),
-                None => {
+        for (value, col) in row.iter_mut().zip(self.schema.columns()) {
+            match (&*value, col.data_type()) {
+                (Value::Int(i), DataType::Float) => *value = Value::Float(*i as f64),
+                (Value::Null, _) => {}
+                (v, ty) if v.data_type() == Some(ty) => {}
+                (v, ty) => {
                     return Err(StorageError::TypeMismatch {
                         table: self.name.clone(),
                         column: col.name().to_string(),
-                        expected: col.data_type(),
-                        got: got.map(|t| t.name().to_string()).unwrap_or("NULL".into()),
+                        expected: ty,
+                        got: v.data_type().map_or("NULL", DataType::name).to_string(),
                     })
                 }
             }
         }
-        self.rows.push(out);
+        Ok(())
+    }
+
+    /// Perform `edit`: the one way rows change by position, in a live
+    /// write and in a replay of the write-ahead log alike. The edit's rows
+    /// are conformed to the schema in place first (so the caller keeps the
+    /// edit as stored), and its positions are checked against the table as
+    /// it stands; any violation is an error that leaves the table as it
+    /// was. The work is proportional to the rows from the first position
+    /// the edit names to the end, and to the edit alone when it only
+    /// replaces rows.
+    pub fn apply(&mut self, edit: &mut Edit) -> Result<(), StorageError> {
+        let len = self.rows.len();
+        let bad = |what: String| {
+            Err(StorageError::InvalidData(format!(
+                "edit of table {:?} ({len} rows): {what}",
+                self.name
+            )))
+        };
+        let mut floor = None;
+        for (pos, _) in &edit.changed {
+            if *pos >= len || floor.is_some_and(|f| *pos <= f) {
+                return bad(format!(
+                    "changed position {pos} is out of range or out of order"
+                ));
+            }
+            floor = Some(*pos);
+        }
+        let mut floor = 0;
+        for (pos, _) in &edit.inserted {
+            if *pos > len || *pos < floor {
+                return bad(format!(
+                    "insert position {pos} is out of range or out of order"
+                ));
+            }
+            floor = *pos;
+        }
+        let replaced = edit.changed.iter_mut().filter_map(|(_, row)| row.as_mut());
+        for row in replaced.chain(edit.inserted.iter_mut().map(|(_, row)| row)) {
+            self.conform(row)?;
+        }
+
+        if edit.inserted.is_empty() && edit.changed.iter().all(|(_, row)| row.is_some()) {
+            // Replacements alone: overwrite in place.
+            for (pos, row) in &edit.changed {
+                if let Some(row) = row {
+                    self.rows[*pos].clone_from(row);
+                }
+            }
+            return Ok(());
+        }
+        let firsts = [
+            edit.changed.first().map(|c| c.0),
+            edit.inserted.first().map(|i| i.0),
+        ];
+        let first = firsts.into_iter().flatten().min().unwrap_or(len);
+        let tail = self.rows.split_off(first);
+        let mut changed = edit.changed.iter().peekable();
+        let mut inserted = edit.inserted.iter().peekable();
+        for (pos, row) in (first..).zip(tail) {
+            while let Some((_, new)) = inserted.next_if(|(p, _)| *p == pos) {
+                self.rows.push(new.clone());
+            }
+            match changed.next_if(|(p, _)| *p == pos) {
+                Some((_, Some(new))) => self.rows.push(new.clone()),
+                Some((_, None)) => {}
+                None => self.rows.push(row),
+            }
+        }
+        self.rows.extend(inserted.map(|(_, new)| new.clone()));
         Ok(())
     }
 
@@ -179,55 +280,6 @@ impl Table {
             }
         }
         Ok(())
-    }
-
-    /// Apply in-place cell updates: `f` returns `(column, new value)`
-    /// pairs for each row it wants to change (or `None` to leave the row).
-    /// New values are validated against the schema (with `Int`→`Float`
-    /// coercion). Returns the number of rows changed.
-    pub fn transform_rows<F>(&mut self, mut f: F) -> Result<usize, StorageError>
-    where
-        F: FnMut(usize, &Row) -> Option<Vec<(usize, Value)>>,
-    {
-        let mut changed = 0;
-        for i in 0..self.rows.len() {
-            let Some(updates) = f(i, &self.rows[i]) else {
-                continue;
-            };
-            if updates.is_empty() {
-                continue;
-            }
-            // Validate (and coerce) all updates before applying any, so the
-            // row stays consistent on error.
-            let mut coerced = Vec::with_capacity(updates.len());
-            for (col, v) in updates {
-                let column =
-                    self.schema
-                        .column_at(col)
-                        .ok_or_else(|| StorageError::NoSuchColumn {
-                            table: self.name.clone(),
-                            column: format!("#{col}"),
-                        })?;
-                let ty = column.data_type();
-                let got = v.data_type();
-                match v.coerce_to(ty) {
-                    Some(cv) => coerced.push((col, cv)),
-                    None => {
-                        return Err(StorageError::TypeMismatch {
-                            table: self.name.clone(),
-                            column: column.name().to_string(),
-                            expected: ty,
-                            got: got.map(|t| t.name().to_string()).unwrap_or("NULL".into()),
-                        })
-                    }
-                }
-            }
-            for (col, v) in coerced {
-                self.rows[i][col] = v;
-            }
-            changed += 1;
-        }
-        Ok(changed)
     }
 
     /// Retain only rows matching the predicate (row index, row).
@@ -345,5 +397,94 @@ mod tests {
         t.retain(|_, r| r[1].as_i64().unwrap() > 35);
         assert_eq!(t.len(), 1);
         assert_eq!(t.value(0, 0), &Value::text("bob"));
+    }
+
+    fn ints(t: &Table) -> Vec<i64> {
+        t.rows().iter().map(|r| r[0].as_i64().unwrap()).collect()
+    }
+
+    fn numbers(values: &[i64]) -> Table {
+        let mut t = Table::new("n", Schema::from_pairs([("v", DataType::Int)]).unwrap());
+        t.insert_all(values.iter().map(|v| vec![Value::Int(*v)]))
+            .unwrap();
+        t
+    }
+
+    #[test]
+    fn apply_splices_by_position_in_the_table_as_it_stood() {
+        let mut t = numbers(&[0, 10, 20, 30, 40]);
+        let mut edit = Edit {
+            changed: vec![(1, None), (2, Some(vec![Value::Int(21)])), (4, None)],
+            inserted: vec![
+                (0, vec![Value::Int(-1)]),
+                (2, vec![Value::Int(15)]),
+                (2, vec![Value::Int(16)]),
+                (5, vec![Value::Int(50)]),
+            ],
+        };
+        t.apply(&mut edit).unwrap();
+        assert_eq!(ints(&t), [-1, 0, 15, 16, 21, 30, 50]);
+        // Replacements alone overwrite in place; appends alone push.
+        t.apply(&mut Edit {
+            changed: vec![(0, Some(vec![Value::Int(-2)]))],
+            ..Edit::default()
+        })
+        .unwrap();
+        t.apply(&mut Edit {
+            inserted: vec![(7, vec![Value::Int(60)])],
+            ..Edit::default()
+        })
+        .unwrap();
+        assert_eq!(ints(&t), [-2, 0, 15, 16, 21, 30, 50, 60]);
+    }
+
+    #[test]
+    fn apply_conforms_the_edit_and_refuses_a_bad_one_whole() {
+        let schema = Schema::from_pairs([("p", DataType::Float)]).unwrap();
+        let mut t = Table::new("p", schema);
+        let mut edit = Edit {
+            inserted: vec![(0, vec![Value::Int(1)])],
+            ..Edit::default()
+        };
+        t.apply(&mut edit).unwrap();
+        // The caller keeps the edit as stored: INTEGER 1 became 1.0.
+        assert_eq!(edit.inserted[0].1, [Value::Float(1.0)]);
+        assert_eq!(t.rows(), [vec![Value::Float(1.0)]]);
+
+        let mut t = numbers(&[0, 10]);
+        for bad in [
+            Edit {
+                changed: vec![(2, None)],
+                ..Edit::default()
+            },
+            Edit {
+                changed: vec![(1, None), (0, None)],
+                ..Edit::default()
+            },
+            Edit {
+                changed: vec![(1, None), (1, None)],
+                ..Edit::default()
+            },
+            Edit {
+                inserted: vec![(3, vec![Value::Int(1)])],
+                ..Edit::default()
+            },
+            Edit {
+                inserted: vec![(1, vec![Value::Int(1)]), (0, vec![Value::Int(2)])],
+                ..Edit::default()
+            },
+            Edit {
+                changed: vec![(0, None)],
+                inserted: vec![(1, vec![Value::text("x")])],
+            },
+            Edit {
+                changed: vec![(0, Some(vec![]))],
+                ..Edit::default()
+            },
+        ] {
+            let mut bad = bad;
+            assert!(t.apply(&mut bad).is_err(), "{bad:?}");
+            assert_eq!(ints(&t), [0, 10], "{bad:?} changed the table");
+        }
     }
 }

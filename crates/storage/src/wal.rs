@@ -3,15 +3,16 @@
 //! `<dir>/wal.log` holds the whole database. It opens with a **base** —
 //! one put frame per table, sealed at a sequence S — and continues with
 //! the commit groups S+1, S+2, … appended after it. A committed write
-//! appends the tables it changed and fsyncs once ([`Wal::commit`]). A
-//! **checkpoint** compacts the log: [`Wal::checkpoint`] writes the catalog
-//! as a fresh base sealed at the handle's last acknowledged sequence to a
-//! temp file, fsyncs it once, renames it over `wal.log` and fsyncs the
-//! directory. The handle keeps the file it just wrote as its log, so a
-//! checkpoint reads nothing and costs what it writes, however long the
-//! log has grown. [`save_catalog`](crate::save_catalog) writes the same
-//! log for a caller with no open handle and scans `wal.log` for the
-//! sequence instead.
+//! appends what it changed and fsyncs once ([`Wal::commit`]): the rows a
+//! statement edited as edit frames, a table it created or rebuilt as a
+//! put frame. A **checkpoint** compacts the log: [`Wal::checkpoint`]
+//! writes the catalog as a fresh base sealed at the handle's last
+//! acknowledged sequence to a temp file, fsyncs it once, renames it over
+//! `wal.log` and fsyncs the directory. The handle keeps the file it just
+//! wrote as its log, so a checkpoint reads nothing and costs what it
+//! writes, however long the log has grown.
+//! [`save_catalog`](crate::save_catalog) writes the same log for a caller
+//! with no open handle and scans `wal.log` for the sequence instead.
 //!
 //! ```text
 //! <dir>/
@@ -29,18 +30,21 @@
 //!
 //! The payload's first byte is a tag:
 //!
-//! * `0` **header** — magic `"conquer-wal v2"` + the `u64 LE` base
+//! * `0` **header** — magic `"conquer-wal v3"` + the `u64 LE` base
 //!   sequence S. Always the first frame.
 //! * `1` **put** — a complete [table image](crate::image). In the base,
 //!   one per table; after the seal, the post-write image of a table a
-//!   commit changed. Whole-table images make replay idempotent and
-//!   order-insensitive within a commit.
+//!   commit created or rebuilt.
 //! * `2` **drop** — a table name.
-//! * `3` **commit** — the `u64 LE` sequence sealing every put/drop frame
-//!   since the previous commit or the seal. A write is durable iff its
-//!   commit frame is fully on disk ([`Wal::commit`] fsyncs before
+//! * `3` **commit** — the `u64 LE` sequence sealing every put, edit and
+//!   drop frame since the previous commit or the seal. A write is durable
+//!   iff its commit frame is fully on disk ([`Wal::commit`] fsyncs before
 //!   returning).
 //! * `4` **seal** — S again: the end of the base.
+//! * `5` **edit** — a table name, a `u32 LE` count and that many
+//!   [`Edit`]s ([encoded](crate::image) like an image's rows), each
+//!   addressed by position in the table as the previous one left it. Only
+//!   after the seal, and only for a table an earlier put holds.
 //!
 //! A fresh or empty database is a header and a seal at 0.
 //!
@@ -48,8 +52,14 @@
 //!
 //! Recovery is one frame scan of one file. The scan checksums every frame
 //! and decodes none; the catalog is the base with every commit applied
-//! in order, and only the last put of each table is decoded. The header
-//! and every frame up to the seal must verify: a base is written whole
+//! in order. For each table only the last put is decoded, and the edit
+//! frames after it are replayed exactly once, in order, by the same
+//! [`Table::apply`] the writer performed them with. An edit is not
+//! idempotent, so it must never be applied twice: the commit frames fix
+//! which edits exist, and an edit that passes its checksum but does not
+//! apply (a position out of range, a table no earlier put holds) is
+//! corruption, never a torn tail. The header and every frame up to the
+//! seal must verify: a base is written whole
 //! and renamed into place, so a bad one is corruption — a typed
 //! [`StorageError::Corrupt`] from both loaders and [`Wal::open`], with
 //! nothing truncated or rewritten. After the seal, parsing stops at the
@@ -61,9 +71,16 @@
 //! later one. Only a file shorter than an empty log — a crash while
 //! [`Wal::open`] created it — starts fresh.
 //!
-//! A directory in the layout older versions wrote (`CURRENT` and
-//! `vNNNNNN/` epoch directories beside a `conquer-wal v1` log) is refused
-//! the same way, naming the layout, and nothing in it changes.
+//! ## Versions
+//!
+//! A `conquer-wal v2` log (the same frames without the edit frame) is
+//! read as it is, and compacted into a `conquer-wal v3` log before the
+//! first commit is appended to it. A version older than the v3 format
+//! refuses a v3 log the way this one refuses an unknown header: as
+//! corrupt, leaving the file as it is. A directory in the layout older
+//! versions wrote (`CURRENT` and `vNNNNNN/` epoch directories beside a
+//! `conquer-wal v1` log) is refused the same way, naming the layout, and
+//! nothing in it changes.
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -72,17 +89,22 @@ use std::path::{Path, PathBuf};
 
 use crate::catalog::Catalog;
 use crate::error::{corrupt, StorageError};
-use crate::image::{decode_table, encode_table, push_str, take_str, take_u32};
+use crate::image::{
+    decode_edit, decode_table, encode_edit, encode_table, push_str, take_str, take_u32,
+};
 use crate::persist::{fnv1a64, RecoveryReport};
 use crate::spill::{take, take_arr};
-use crate::table::Table;
+use crate::table::{Edit, Table};
 use crate::vfs;
 
 /// Name of the write-ahead log file inside a persistence directory.
 pub const WAL_FILE: &str = "wal.log";
 
 /// Magic string opening every log (in the header frame).
-const WAL_MAGIC: &[u8] = b"conquer-wal v2";
+const WAL_MAGIC: &[u8] = b"conquer-wal v3";
+
+/// Magic of the log format before the edit frame, read and then compacted.
+const V2_MAGIC: &[u8] = b"conquer-wal v2";
 
 /// Magic of the log beside the epoch directories older versions wrote.
 const V1_MAGIC: &[u8] = b"conquer-wal v1";
@@ -103,22 +125,22 @@ const TAG_PUT: u8 = 1;
 const TAG_DROP: u8 = 2;
 const TAG_COMMIT: u8 = 3;
 const TAG_SEAL: u8 = 4;
+const TAG_EDIT: u8 = 5;
 
 /// Bytes of the header frame.
 const HEADER_LEN: u64 = (FRAME_HEAD + 1 + WAL_MAGIC.len() + 8) as u64;
 /// Bytes of an empty log: the header and a seal.
 const EMPTY_LOG_LEN: u64 = HEADER_LEN + (FRAME_HEAD + 1 + 8) as u64;
 
-/// One logical operation inside a WAL commit.
-///
-/// `Put` carries the *complete* post-write image of a table (not a delta):
-/// replaying it is a plain [`Catalog::replace_table`], idempotent under
-/// partial re-replay. The operations of one write are what
-/// [`Catalog::changes_since`] reads off the catalogs before and after it.
+/// One logical operation inside a WAL commit. The operations of one
+/// write are what [`Catalog::changes_since`] reads off the catalogs
+/// before and after it.
 #[derive(Debug)]
 pub enum WalOp<'a> {
     /// Replace (or create) a table with this image.
     Put(&'a Table),
+    /// Apply these edits, in order, to the named table.
+    Edit(&'a str, &'a [Edit]),
     /// Drop the named table (a no-op on replay if it is already gone).
     Drop(&'a str),
 }
@@ -239,6 +261,9 @@ pub(crate) struct Scan {
     committed_len: u64,
     /// The torn or uncommitted tail, when one exists.
     pub torn: Option<String>,
+    /// The header carries the v2 magic: a writer compacts the log before
+    /// its first append.
+    v2: bool,
 }
 
 /// Refuse a directory in the layout older versions wrote, before
@@ -273,6 +298,11 @@ pub(crate) fn scan(dir: &Path) -> Result<Option<Scan>, StorageError> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
+    parse(path, buf).map(Some)
+}
+
+/// Scan the log bytes `buf`, read from `path`.
+fn parse(path: PathBuf, buf: Vec<u8>) -> Result<Scan, StorageError> {
     let mut pos = 0;
     let header = next_frame(&buf, &mut pos, &path).ok().flatten();
     let header_with = |magic: &[u8]| {
@@ -284,7 +314,7 @@ pub(crate) fn scan(dir: &Path) -> Result<Option<Scan>, StorageError> {
         return Err(corrupt(
             &path,
             "a conquer-wal v1 log, from the epoch-directory layout of an older version; \
-             this version reads only conquer-wal v2 and leaves it as it is"
+             this version reads only conquer-wal v2 and v3 and leaves it as it is"
                 .into(),
         ));
     }
@@ -298,19 +328,25 @@ pub(crate) fn scan(dir: &Path) -> Result<Option<Scan>, StorageError> {
         last_seq: 0,
         committed_len: 0,
         torn: None,
+        v2: false,
     };
     if (buf.len() as u64) < EMPTY_LOG_LEN {
         // Too short to hold a seal, so nothing was ever acknowledged here.
         scan.torn = Some("write-ahead log is shorter than an empty one".into());
-        return Ok(Some(scan));
+        return Ok(scan);
     }
-    let header = header_with(WAL_MAGIC).ok_or_else(|| {
-        corrupt(
-            &scan.path,
-            "write-ahead log header is missing or corrupt".into(),
-        )
-    })?;
-    scan.base_seq = seq_of(&buf[header], WAL_MAGIC, &scan.path)?;
+    let (header, magic) = match (header_with(WAL_MAGIC), header_with(V2_MAGIC)) {
+        (Some(header), _) => (header, WAL_MAGIC),
+        (None, Some(header)) => (header, V2_MAGIC),
+        (None, None) => {
+            return Err(corrupt(
+                &scan.path,
+                "write-ahead log header is missing or corrupt".into(),
+            ))
+        }
+    };
+    scan.v2 = magic == V2_MAGIC;
+    scan.base_seq = seq_of(&buf[header], magic, &scan.path)?;
 
     // The base: put frames up to a seal carrying the header's sequence.
     loop {
@@ -346,7 +382,7 @@ pub(crate) fn scan(dir: &Path) -> Result<Option<Scan>, StorageError> {
         };
         let payload = &buf[frame.clone()];
         match payload[0] {
-            TAG_PUT | TAG_DROP => match take_str(payload, &mut 1, &scan.path) {
+            TAG_PUT | TAG_DROP | TAG_EDIT => match take_str(payload, &mut 1, &scan.path) {
                 Ok(_) => pending.push(frame),
                 Err(e) => {
                     scan.torn = Some(format!("torn tail: {e}"));
@@ -379,7 +415,7 @@ pub(crate) fn scan(dir: &Path) -> Result<Option<Scan>, StorageError> {
         ));
     }
     scan.buf = buf;
-    Ok(Some(scan))
+    Ok(scan)
 }
 
 impl Scan {
@@ -389,24 +425,57 @@ impl Scan {
     }
 
     /// The catalog the log holds: the base with every commit applied in
-    /// order. Only the last put of each table is decoded.
+    /// order. For each table only the last put is decoded, and then the
+    /// edits after it are applied in commit order. An edit that does not
+    /// apply is [`StorageError::Corrupt`].
     pub(crate) fn catalog(&self) -> Result<Catalog, StorageError> {
-        let mut last: BTreeMap<String, Option<&[u8]>> = BTreeMap::new();
+        let corrupt_edit = |name: &str, what: String| {
+            corrupt(
+                &self.path,
+                format!("an edit frame of table {name:?} {what}"),
+            )
+        };
+        // Per table: its last put's image and the edit payloads after it
+        // (`None` once dropped).
+        type Replay<'b> = Option<(&'b [u8], Vec<&'b [u8]>)>;
+        let mut last: BTreeMap<String, Replay<'_>> = BTreeMap::new();
         for frame in self
             .base
             .iter()
             .chain(self.commits.iter().flat_map(|(_, ops)| ops))
         {
             let payload = &self.buf[frame.clone()];
-            let name = take_str(payload, &mut 1, &self.path)?;
+            let mut pos = 1;
+            let name = take_str(payload, &mut pos, &self.path)?;
             match payload[0] {
-                TAG_PUT => last.insert(name, Some(&payload[1..])),
-                _ => last.insert(name.to_ascii_lowercase(), None),
-            };
+                TAG_PUT => {
+                    last.insert(name, Some((&payload[1..], Vec::new())));
+                }
+                TAG_EDIT => match last.get_mut(&name) {
+                    Some(Some((_, edits))) => edits.push(&payload[pos..]),
+                    _ => return Err(corrupt_edit(&name, "follows no put of the table".into())),
+                },
+                _ => {
+                    last.insert(name.to_ascii_lowercase(), None);
+                }
+            }
         }
         let mut catalog = Catalog::new();
-        for image in last.into_values().flatten() {
-            catalog.replace_table(decode_table(image, &self.path)?);
+        for (name, (image, edits)) in last.into_iter().filter_map(|(n, t)| Some((n, t?))) {
+            let mut table = decode_table(image, &self.path)?;
+            for payload in edits {
+                let mut pos = 0;
+                for _ in 0..take_u32(payload, &mut pos, &self.path)? {
+                    let mut edit = decode_edit(payload, &mut pos, &self.path)?;
+                    table
+                        .apply(&mut edit)
+                        .map_err(|e| corrupt_edit(&name, format!("does not apply: {e}")))?;
+                }
+                if pos != payload.len() {
+                    return Err(corrupt_edit(&name, "has trailing bytes".into()));
+                }
+            }
+            catalog.replace_table(table);
         }
         Ok(catalog)
     }
@@ -495,6 +564,9 @@ pub struct Wal {
     /// a checkpoint failed, maybe after renaming its log over this one.
     /// The next commit heals ([`Wal::heal`]), never by fsync retry.
     poisoned: bool,
+    /// The log is in the v2 format: the next commit heals it first, which
+    /// compacts it into a v3 log.
+    v2: bool,
 }
 
 impl Wal {
@@ -523,7 +595,7 @@ impl Wal {
 
     fn from_scan(dir: &Path, scan: Option<&Scan>) -> Result<Wal, StorageError> {
         let mut file = vfs::File::open_rw(&dir.join(WAL_FILE))?;
-        let (seq, len, base_len) = match scan {
+        let (seq, len, base_len, v2) = match scan {
             Some(s) if s.committed_len > 0 => {
                 // Drop a torn tail, and make durable everything this scan
                 // recovered before anything builds on it.
@@ -531,7 +603,7 @@ impl Wal {
                     file.set_len(s.committed_len)?;
                 }
                 file.sync_all()?;
-                (s.last_seq, s.committed_len, s.base_len)
+                (s.last_seq, s.committed_len, s.base_len, s.v2)
             }
             // Missing, or shorter than an empty log: start an empty one.
             _ => {
@@ -543,7 +615,7 @@ impl Wal {
                 // crash could lose the whole (fsynced) file and with it
                 // every commit it ever acknowledges.
                 vfs::sync_dir(dir)?;
-                (0, EMPTY_LOG_LEN, EMPTY_LOG_LEN - HEADER_LEN)
+                (0, EMPTY_LOG_LEN, EMPTY_LOG_LEN - HEADER_LEN, false)
             }
         };
         file.seek(SeekFrom::End(0))?;
@@ -554,6 +626,7 @@ impl Wal {
             len,
             base_len,
             poisoned: false,
+            v2,
         })
     }
 
@@ -578,9 +651,10 @@ impl Wal {
     /// group is fsynced and will be replayed by any future load; on `Err`
     /// the log is unchanged (the partial append is truncated away).
     pub fn commit(&mut self, ops: &[WalOp<'_>]) -> Result<u64, StorageError> {
-        if self.poisoned {
+        if self.poisoned || self.v2 {
             // fsyncgate rule: a poisoned descriptor is never fsynced
-            // again. Heal onto a fresh file first.
+            // again. Heal onto a fresh file first; that also compacts a
+            // v2 log, which must not receive a v3 edit frame.
             self.heal()?;
         }
         let seq = self.next_seq;
@@ -590,6 +664,14 @@ impl Wal {
                 WalOp::Put(table) => push_frame(&mut buf, |p| {
                     p.push(TAG_PUT);
                     encode_table(table, p);
+                }),
+                WalOp::Edit(name, edits) => push_frame(&mut buf, |p| {
+                    p.push(TAG_EDIT);
+                    push_str(p, name);
+                    p.extend_from_slice(&(edits.len() as u32).to_le_bytes());
+                    for edit in *edits {
+                        encode_edit(edit, p);
+                    }
                 }),
                 WalOp::Drop(name) => push_frame(&mut buf, |p| {
                     p.push(TAG_DROP);
@@ -661,7 +743,9 @@ impl Wal {
     /// the whole log the way a checkpoint does. Bytes a failed fsync
     /// covered never reach the copy, so a commit that was reported failed
     /// can never surface as durable; and the copy replaces whatever a
-    /// failed checkpoint may have renamed over this descriptor's file.
+    /// failed checkpoint may have renamed over this descriptor's file. A
+    /// v2 log is compacted into a v3 log on the way: its catalog becomes
+    /// the base, sealed at [`Wal::last_seq`].
     /// On `Err` the handle stays poisoned.
     pub fn heal(&mut self) -> Result<(), StorageError> {
         let mut acked = vec![0; self.len as usize];
@@ -672,6 +756,10 @@ impl Wal {
         if let Err(e) = read {
             self.poisoned = true;
             return Err(e.into());
+        }
+        if self.v2 {
+            let catalog = parse(self.dir.join(WAL_FILE), acked)?.catalog()?;
+            return self.checkpoint(&catalog);
         }
         self.install(&acked, self.base_len)
     }
@@ -699,6 +787,7 @@ impl Wal {
                 self.len = log.len() as u64;
                 self.base_len = base_len;
                 self.poisoned = false;
+                self.v2 = false;
                 Ok(())
             }
             Err(e) => {
@@ -1050,6 +1139,159 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An edit appending `rows` to a table of `len` rows.
+    fn appended(len: usize, rows: &[i64]) -> Edit {
+        let row = |r: &i64| vec![Value::Int(*r), Value::Text(format!("r{r}"))];
+        Edit {
+            inserted: rows.iter().map(|r| (len, row(r))).collect(),
+            ..Edit::default()
+        }
+    }
+
+    fn a_column(cat: &Catalog, name: &str) -> Vec<i64> {
+        let rows = cat.table(name).unwrap().rows();
+        rows.iter().map(|r| r[0].as_i64().unwrap()).collect()
+    }
+
+    #[test]
+    fn edit_frames_replay_on_the_last_put_in_commit_order() {
+        let dir = tempdir("edits");
+        let mut wal = Wal::open(&dir).unwrap();
+        wal.commit(&[WalOp::Put(&table("t", &[1, 2, 3]))]).unwrap();
+        let remove_first = Edit {
+            changed: vec![(0, None)],
+            ..Edit::default()
+        };
+        let edits = [appended(3, &[4]), remove_first];
+        wal.commit(&[WalOp::Edit("t", &edits), WalOp::Put(&table("u", &[7]))])
+            .unwrap();
+        wal.commit(&[WalOp::Edit("t", &[appended(3, &[5, 6])])])
+            .unwrap();
+        let (cat, report) = crate::persist::load_catalog_recover(&dir).unwrap();
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(a_column(&cat, "t"), [2, 3, 4, 5, 6]);
+        assert_eq!(a_column(&cat, "u"), [7]);
+        // A put supersedes the edits before it; edits after it apply to it.
+        wal.commit(&[WalOp::Put(&table("t", &[9]))]).unwrap();
+        wal.commit(&[WalOp::Edit("t", &[appended(1, &[10])])])
+            .unwrap();
+        let cat = scanned(&dir).catalog().unwrap();
+        assert_eq!(a_column(&cat, "t"), [9, 10]);
+        // A checkpoint folds the edits into the base.
+        wal.checkpoint(&cat).unwrap();
+        assert_eq!(a_column(&scanned(&dir).catalog().unwrap(), "t"), [9, 10]);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An edit frame that passes its checksum but does not apply is
+    /// corruption from both loaders and the scrub, never a torn tail
+    /// that a writer would truncate away.
+    #[test]
+    fn an_edit_that_does_not_apply_is_corrupt_not_torn() {
+        let out_of_range = Edit {
+            changed: vec![(5, None)],
+            ..Edit::default()
+        };
+        let cases: [(&str, &[WalOp<'_>]); 3] = [
+            (
+                "out of range",
+                &[WalOp::Edit("t", std::slice::from_ref(&out_of_range))],
+            ),
+            ("no put", &[WalOp::Edit("ghost", &[])]),
+            ("dropped", &[WalOp::Drop("t"), WalOp::Edit("t", &[])]),
+        ];
+        for (what, ops) in cases {
+            let dir = tempdir("bad_edit");
+            let mut wal = Wal::open(&dir).unwrap();
+            wal.commit(&[WalOp::Put(&table("t", &[1, 2]))]).unwrap();
+            wal.commit(ops).unwrap();
+            drop(wal);
+            let log = fs::read(dir.join(WAL_FILE)).unwrap();
+            let corrupt = |r: Result<Catalog, StorageError>| {
+                let err = r.unwrap_err();
+                let StorageError::Corrupt { detail, .. } = &err else {
+                    panic!("{what}: {err:?}")
+                };
+                assert!(detail.contains("edit frame"), "{what}: {detail}");
+            };
+            corrupt(crate::persist::load_catalog(&dir));
+            corrupt(crate::persist::load_catalog_recover(&dir).map(|(c, _)| c));
+            corrupt(Wal::recover(&dir).map(|(_, c, _)| c));
+            let report = crate::scrub(&dir).unwrap();
+            assert_eq!(report.wal_corrupt_frames, 1, "{what}: {report:?}");
+            assert!(scanned(&dir).torn.is_none(), "{what}");
+            // Opening the log for appends truncates nothing.
+            drop(Wal::open(&dir).unwrap());
+            assert_eq!(fs::read(dir.join(WAL_FILE)).unwrap(), log, "{what}");
+            fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// A log in the v2 format (no edit frames) loads as it is, and the
+    /// first append compacts it into a v3 log: the catalog as the base,
+    /// sealed at the last v2 commit, then the new commit.
+    #[test]
+    fn a_v2_log_loads_and_its_first_append_compacts_it_to_v3() {
+        let dir = tempdir("v2");
+        fs::create_dir_all(&dir).unwrap();
+        let mut log = Vec::new();
+        push_seq_frame(&mut log, TAG_HEADER, V2_MAGIC, 4);
+        push_frame(&mut log, |p| {
+            p.push(TAG_PUT);
+            encode_table(&table("t", &[1]), p);
+        });
+        push_seq_frame(&mut log, TAG_SEAL, &[], 4);
+        push_frame(&mut log, |p| {
+            p.push(TAG_PUT);
+            encode_table(&table("t", &[1, 2]), p);
+        });
+        push_seq_frame(&mut log, TAG_COMMIT, &[], 5);
+        fs::write(dir.join(WAL_FILE), &log).unwrap();
+
+        let cat = crate::persist::load_catalog(&dir).unwrap();
+        assert_eq!(a_column(&cat, "t"), [1, 2]);
+        let (mut wal, recovered, report) = Wal::recover(&dir).unwrap();
+        assert!(report.is_clean(), "{report:?}");
+        assert_eq!(a_column(&recovered, "t"), [1, 2]);
+        assert_eq!(
+            fs::read(dir.join(WAL_FILE)).unwrap(),
+            log,
+            "opening rewrites nothing"
+        );
+
+        let seq = wal
+            .commit(&[WalOp::Edit("t", &[appended(2, &[3])])])
+            .unwrap();
+        assert_eq!(seq, 6);
+        let c = scanned(&dir);
+        assert!(!c.v2);
+        assert_eq!((c.base_seq, c.last_seq, c.base_tables()), (5, 6, 1));
+        assert_eq!(&c.buf[FRAME_HEAD + 1..][..WAL_MAGIC.len()], WAL_MAGIC);
+        assert_eq!(a_column(&c.catalog().unwrap(), "t"), [1, 2, 3]);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A log of a format this version does not know is refused as corrupt
+    /// and left as it is: what a version older than the edit frame does
+    /// with a v3 log.
+    #[test]
+    fn a_log_of_a_later_format_is_refused_and_left_as_it_is() {
+        let dir = tempdir("later");
+        fs::create_dir_all(&dir).unwrap();
+        let mut log = Vec::new();
+        push_seq_frame(&mut log, TAG_HEADER, b"conquer-wal v4", 0);
+        push_seq_frame(&mut log, TAG_SEAL, &[], 0);
+        fs::write(dir.join(WAL_FILE), &log).unwrap();
+        for err in [
+            crate::persist::load_catalog(&dir).unwrap_err(),
+            Wal::open(&dir).unwrap_err(),
+        ] {
+            assert!(matches!(err, StorageError::Corrupt { .. }), "{err:?}");
+        }
+        assert_eq!(fs::read(dir.join(WAL_FILE)).unwrap(), log);
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -4,7 +4,8 @@
 //! torn mid-buffer), and prove each one recovers to a committed boundary —
 //! never a partial state, never an unrecoverable directory.
 //!
-//! Covered paths: a WAL commit whose fsync fails, every fsync of a full
+//! Covered paths: a WAL commit whose fsync fails (one put frame, and two
+//! edit frames torn at every byte, their boundary included), every fsync of a full
 //! checkpoint (`save_catalog`, and `Wal::checkpoint` on an open log
 //! followed by an acknowledged commit), and spill writes (which are
 //! scratch and must never affect recovery).
@@ -15,7 +16,8 @@ use std::path::{Path, PathBuf};
 
 use conquer_storage::vfs::{self, mount_sim};
 use conquer_storage::{
-    load_catalog_recover, save_catalog, scrub, Catalog, DataType, Schema, Table, Value, Wal, WalOp,
+    load_catalog_recover, save_catalog, scrub, Catalog, DataType, Edit, Schema, Table, Value, Wal,
+    WalOp,
 };
 
 fn table(name: &str, rows: &[i64]) -> Table {
@@ -87,6 +89,82 @@ fn every_crash_state_of_a_failed_wal_commit_recovers_to_a_boundary() {
     // The enumeration must actually exercise both sides of the boundary:
     // the old state (append lost or torn) and the complete-but-unacked
     // commit (append fully reached the platter).
+    assert_eq!(outcomes.len(), 2, "both boundaries must be reachable");
+}
+
+/// The rows of `t` and of `u`.
+fn both_rows(cat: &Catalog) -> (Vec<i64>, Vec<i64>) {
+    let ints = |name: &str| -> Vec<i64> {
+        let table = cat.table(name).expect("both tables survive every crash");
+        table
+            .rows()
+            .iter()
+            .map(|r| r[0].as_i64().unwrap())
+            .collect()
+    };
+    (ints("t"), ints("u"))
+}
+
+#[test]
+fn every_crash_state_of_a_commit_of_two_edit_frames_recovers_to_a_boundary() {
+    let (fs, _guard) = mount_sim("/sim/crash_edits");
+    let dir = PathBuf::from("/sim/crash_edits/db");
+    let mut base = catalog(&[1, 2]);
+    base.add_table(table("u", &[5])).unwrap();
+    save_catalog(&base, &dir).unwrap();
+    let baseline = fs.current_image();
+
+    // One commit, two edit frames: `t` replaces its first row, `u` gains
+    // a row.
+    let t_edit = [Edit {
+        changed: vec![(0, Some(vec![Value::Int(10)]))],
+        ..Edit::default()
+    }];
+    let u_edit = [Edit {
+        inserted: vec![(1, vec![Value::Int(6)])],
+        ..Edit::default()
+    }];
+    let ops = [WalOp::Edit("t", &t_edit), WalOp::Edit("u", &u_edit)];
+
+    // Where the first frame ends inside the append: the same commit,
+    // acknowledged, read back.
+    fs.restore(&baseline);
+    let before = vfs::read(&dir.join("wal.log")).unwrap().len();
+    Wal::open(&dir).unwrap().commit(&ops).unwrap();
+    let log = vfs::read(&dir.join("wal.log")).unwrap();
+    let len = u32::from_le_bytes(log[before..before + 4].try_into().unwrap()) as usize;
+    let boundary = 4 + 8 + len;
+    assert!(
+        log.len() - before <= 128,
+        "every byte of the append is a tear point"
+    );
+
+    fs.restore(&baseline);
+    let mut wal = Wal::open(&dir).unwrap();
+    fs.fail_sync("wal.log", 1);
+    assert!(
+        wal.commit(&ops).is_err(),
+        "a failed fsync must fail the commit"
+    );
+    let states = fs.crash_states();
+    let between = format!(" at {boundary} ");
+    assert!(
+        states.iter().any(|s| s.label.contains(&between)),
+        "no crash state tears the append between its two edit frames"
+    );
+    let mut outcomes = std::collections::BTreeSet::new();
+    for state in &states {
+        fs.restore(state);
+        let (cat, _report) = load_catalog_recover(&dir)
+            .unwrap_or_else(|e| panic!("crash state {:?} failed to recover: {e}", state.label));
+        let rows = both_rows(&cat);
+        assert!(
+            rows == (vec![1, 2], vec![5]) || rows == (vec![10, 2], vec![5, 6]),
+            "crash state {:?} recovered to a non-boundary state {rows:?}",
+            state.label
+        );
+        outcomes.insert(rows);
+    }
     assert_eq!(outcomes.len(), 2, "both boundaries must be reachable");
 }
 
