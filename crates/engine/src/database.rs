@@ -15,7 +15,7 @@ use crate::exact::ExactSum;
 use crate::expr::BoundExpr;
 use crate::planner::{plan_select, Plan};
 use crate::result::QueryResult;
-use crate::view::{self, TableDelta, ViewDef, ViewStats, HIDDEN_PREFIX, VIEWS_META};
+use crate::view::{self, TableDelta, ViewDef, ViewStats, HIDDEN_PREFIX};
 use crate::Result;
 
 /// What a non-query statement did.
@@ -63,9 +63,10 @@ pub struct Database {
     catalog: Catalog,
     limits: ExecLimits,
     spill_dir: Option<std::path::PathBuf>,
-    /// Materialized views by name, rehydrated from [`VIEWS_META`] on
-    /// load. The catalog tables are the durable truth; this map is the
-    /// parsed cache of their definitions.
+    /// Materialized views by name, rehydrated on load from the definitions
+    /// their state tables carry. The catalog tables are the durable truth;
+    /// this map is the parsed cache of their definitions, and holds each
+    /// view's maintenance counters for this version.
     views: BTreeMap<String, ViewDef>,
 }
 
@@ -87,46 +88,15 @@ impl Database {
     }
 
     /// Wrap an existing catalog (e.g. one produced by the data generator).
-    /// Materialized-view definitions persisted in the catalog (the
-    /// `__conquer_views` registry) are rehydrated.
+    /// Materialized views are rehydrated from the definitions their state
+    /// tables carry, with their counters at 0.
     pub fn from_catalog(catalog: Catalog) -> Self {
-        let mut db = Database {
+        let views = view::rehydrate(&catalog);
+        Database {
             catalog,
             limits: ExecLimits::from_env(),
             spill_dir: None,
-            views: BTreeMap::new(),
-        };
-        db.rehydrate_views();
-        db
-    }
-
-    /// Re-parse the view registry into the in-memory definition map. An
-    /// entry whose stored SQL no longer analyzes is dropped from the map
-    /// (its contents table still serves stale reads; `DROP MATERIALIZED
-    /// VIEW` still removes it) — with the WAL writing registry and bases
-    /// atomically this indicates corruption, so debug builds assert.
-    fn rehydrate_views(&mut self) {
-        self.views.clear();
-        let Ok(meta) = self.catalog.table(VIEWS_META) else {
-            return;
-        };
-        let entries: Vec<(String, String)> = meta
-            .rows()
-            .iter()
-            .filter_map(|r| match (r.first(), r.get(1)) {
-                (Some(Value::Text(n)), Some(Value::Text(s))) => Some((n.clone(), s.clone())),
-                _ => None,
-            })
-            .collect();
-        for (name, sql) in entries {
-            match ViewDef::from_sql(&self.catalog, &name, &sql) {
-                Ok(v) => {
-                    self.views.insert(name, v);
-                }
-                Err(reason) => {
-                    debug_assert!(false, "view {name:?} failed to rehydrate: {reason}");
-                }
-            }
+            views,
         }
     }
 
@@ -194,7 +164,7 @@ impl Database {
     /// [`Database::execute_script`], [`crate::Statement::run`] and a
     /// [`SharedDatabase`](crate::SharedDatabase) commit. A statement that
     /// fails leaves the database unchanged. Which tables it changed
-    /// (bases, view contents/state, the view registry) is not reported:
+    /// (bases, view contents and state) is not reported:
     /// the catalog answers that ([`Catalog::changes_since`]), and the
     /// write-ahead log records exactly that answer.
     pub(crate) fn exec_parsed(&mut self, stmt: &Statement) -> Result<ExecOutcome> {
@@ -552,15 +522,15 @@ impl Database {
 
     /// Apply a planned change to `table` and fold it into every view
     /// defined over the table: the one place a DML statement mutates the
-    /// catalog. The edit, each view's fold and its registry bump go into
-    /// `next`, a clone sharing every table with `self.catalog`, which
-    /// becomes the catalog only when all of them succeed: base change and
-    /// view maintenance land together or not at all. Until then
-    /// `self.catalog` is the pre-statement image the delta queries read. An
-    /// edit that selects no row asks for no mutable access, so the table
-    /// stays shared with the version the statement started from. Every
-    /// change goes through [`Catalog::apply`], so a durable commit logs
-    /// the edited rows, not the tables around them.
+    /// catalog. The edit and each view's fold go into `next`, a clone
+    /// sharing every table with `self.catalog`, which becomes the catalog
+    /// only when all of them succeed: base change and view maintenance
+    /// land together or not at all, and so do the views' counters. Until
+    /// then `self.catalog` is the pre-statement image the delta queries
+    /// read. An edit that selects no row asks for no mutable access, so
+    /// the table stays shared with the version the statement started
+    /// from. Every change goes through [`Catalog::apply`], so a durable
+    /// commit logs the edited rows, not the tables around them.
     fn apply_edit(&mut self, table: &str, edit: Edit) -> Result<()> {
         if edit.is_empty() {
             return Ok(());
@@ -572,25 +542,29 @@ impl Database {
             .collect();
         let mut next = self.catalog.clone();
         let applied = next.apply(table, edit)?;
-        if views.is_empty() {
+        let delta = if views.is_empty() {
+            TableDelta::default()
+        } else {
+            TableDelta::of(self.catalog.table(table)?, applied)
+        };
+        if delta.is_empty() {
             self.catalog = next;
             return Ok(());
         }
-        let delta = TableDelta::of(self.catalog.table(table)?, applied);
-        if !delta.is_empty() {
-            for v in views {
-                let pairs = view::delta_pairs(self, &next, v, table, &delta)?;
-                // A delta whose rows join nothing contributes nothing: the
-                // view's two tables stay as they are, and out of the commit.
-                if !pairs.is_empty() {
-                    let (contents, state) = view::fold(v, Some(&next), pairs)?;
-                    next.apply(&v.name, contents)?;
-                    next.apply(&v.state_table(), state)?;
-                }
-                bump_view_meta(&mut next, &v.name, 1, 0)?;
+        for v in views {
+            let pairs = view::delta_pairs(self, &next, v, table, &delta)?;
+            // A delta whose rows join nothing contributes nothing: the
+            // view's two tables stay as they are, and out of the commit.
+            if !pairs.is_empty() {
+                let (contents, state) = view::fold(v, Some(&next), pairs)?;
+                next.apply(&v.name, contents)?;
+                next.apply(&v.state_table(), state)?;
             }
         }
         self.catalog = next;
+        for v in self.views.values_mut().filter(|v| v.references(table)) {
+            v.deltas_applied += 1;
+        }
         Ok(())
     }
 
@@ -607,8 +581,8 @@ impl Database {
     }
 
     /// `CREATE MATERIALIZED VIEW`: check maintainability (typed refusal
-    /// otherwise), evaluate the view from scratch, and install contents +
-    /// state tables plus the registry row.
+    /// otherwise), evaluate the view from scratch, and install its contents
+    /// and state tables (the latter carrying the definition).
     fn create_view(&mut self, cv: &CreateView) -> Result<ExecOutcome> {
         if cv.name.starts_with(HIDDEN_PREFIX) {
             return Err(EngineError::bind(format!(
@@ -638,22 +612,12 @@ impl Database {
         let rows = contents.len();
         self.catalog.add_table(contents)?;
         self.catalog.add_table(state)?;
-        if !self.catalog.contains(VIEWS_META) {
-            self.catalog
-                .create_table(VIEWS_META, view::meta_schema()?)?;
-        }
-        self.catalog.table_mut(VIEWS_META)?.insert(vec![
-            Value::text(&view.name),
-            Value::text(view.sql()),
-            Value::Int(0),
-            Value::Int(0),
-        ])?;
         self.views.insert(view.name.clone(), view);
         Ok(ExecOutcome::CreatedView(rows))
     }
 
-    /// `DROP MATERIALIZED VIEW`: remove contents, state, registry row,
-    /// and the in-memory definition.
+    /// `DROP MATERIALIZED VIEW`: remove contents and state (and with it
+    /// the stored definition), and the in-memory definition.
     fn drop_view(&mut self, name: &str) -> Result<ExecOutcome> {
         if self.views.remove(name).is_none() {
             return Err(EngineError::bind(format!(
@@ -662,9 +626,6 @@ impl Database {
         }
         self.catalog.drop_table(name)?;
         self.catalog.drop_table(&view::state_table_name(name))?;
-        self.catalog
-            .table_mut(VIEWS_META)?
-            .retain(|_, row| row.first() != Some(&Value::text(name)));
         Ok(ExecOutcome::DroppedView)
     }
 
@@ -673,7 +634,7 @@ impl Database {
     /// so a refresh is an equivalence check made durable, not a repair of
     /// expected drift.
     fn refresh_view(&mut self, name: &str) -> Result<ExecOutcome> {
-        let Some(view) = self.views.get(name).cloned() else {
+        let Some(mut view) = self.views.get(name).cloned() else {
             return Err(EngineError::bind(format!(
                 "no materialized view named {name:?}"
             )));
@@ -682,7 +643,8 @@ impl Database {
         let rows = contents.len();
         self.catalog.replace_table(contents);
         self.catalog.replace_table(state);
-        bump_view_meta(&mut self.catalog, name, 0, 1)?;
+        view.refreshes += 1;
+        self.views.insert(view.name.clone(), view);
         Ok(ExecOutcome::RefreshedView(rows))
     }
 
@@ -696,35 +658,16 @@ impl Database {
         self.views.values()
     }
 
-    /// Maintenance statistics of every view (registry counters + current
-    /// group counts), in name order.
+    /// Maintenance statistics of every view (counters since this handle
+    /// opened + current group counts), in name order.
     pub fn view_stats(&self) -> Vec<ViewStats> {
         self.views
             .values()
-            .map(|v| {
-                let rows = self.catalog.table(&v.name).map(|t| t.len()).unwrap_or(0);
-                let (deltas_applied, refreshes) = self
-                    .catalog
-                    .table(VIEWS_META)
-                    .ok()
-                    .and_then(|meta| {
-                        meta.rows()
-                            .iter()
-                            .find(|r| r.first() == Some(&Value::text(&v.name)))
-                            .map(|r| {
-                                (
-                                    r.get(2).and_then(Value::as_i64).unwrap_or(0) as u64,
-                                    r.get(3).and_then(Value::as_i64).unwrap_or(0) as u64,
-                                )
-                            })
-                    })
-                    .unwrap_or((0, 0));
-                ViewStats {
-                    name: v.name.clone(),
-                    rows,
-                    deltas_applied,
-                    refreshes,
-                }
+            .map(|v| ViewStats {
+                name: v.name.clone(),
+                rows: self.catalog.table(&v.name).map_or(0, |t| t.len()),
+                deltas_applied: v.deltas_applied,
+                refreshes: v.refreshes,
             })
             .collect()
     }
@@ -736,26 +679,6 @@ fn changes(changed: Vec<(usize, Option<Row>)>) -> Edit {
         changed,
         ..Edit::default()
     }
-}
-
-/// Add to a view's registry counters (in-table, so they are durable along
-/// with everything else): a one-row edit of the registry.
-fn bump_view_meta(catalog: &mut Catalog, name: &str, deltas: i64, refreshes: i64) -> Result<()> {
-    let meta = catalog.table(VIEWS_META)?;
-    let d_idx = meta.column_index("deltas_applied")?;
-    let r_idx = meta.column_index("refreshes")?;
-    let Some(pos) = meta
-        .rows()
-        .iter()
-        .position(|row| row.first() == Some(&Value::text(name)))
-    else {
-        return Ok(());
-    };
-    let mut row = meta.rows()[pos].clone();
-    row[d_idx] = Value::Int(row[d_idx].as_i64().unwrap_or(0) + deltas);
-    row[r_idx] = Value::Int(row[r_idx].as_i64().unwrap_or(0) + refreshes);
-    catalog.apply(VIEWS_META, changes(vec![(pos, Some(row))]))?;
-    Ok(())
 }
 
 /// Evaluate a constant expression (INSERT values, RECLUSTER targets).
@@ -1157,7 +1080,7 @@ mod tests {
         let (out, changed) =
             run_and_diff(&mut db, "INSERT INTO orders VALUES ('o9', 'c9', 1, 1.0)");
         assert_eq!(out.unwrap(), ExecOutcome::Inserted(1));
-        assert_eq!(changed, ["~__conquer_views", "~orders"]);
+        assert_eq!(changed, ["~orders"]);
         assert_eq!(db.view_stats()[0].deltas_applied, deltas + 1);
         assert_eq!(view_rows(&db), before);
         assert_eq!(view_rows(&db), recomputed_rows(&mut db));
@@ -1237,7 +1160,7 @@ mod tests {
         assert_eq!(err.kind(), crate::ErrorKind::NotRewritable);
         // Nothing was half-created.
         assert!(!db.catalog().contains("v"));
-        assert!(!db.catalog().contains(VIEWS_META));
+        assert!(!db.catalog().contains(&view::state_table_name("v")));
     }
 
     #[test]
@@ -1249,7 +1172,7 @@ mod tests {
             "DELETE FROM v",
             "UPDATE v SET p = 0.0",
             "DROP TABLE v",
-            "DELETE FROM __conquer_views",
+            "DELETE FROM __conquer_view_state_v",
             "DROP TABLE customer",
             "CREATE MATERIALIZED VIEW w AS SELECT oid, SUM(p) AS q FROM v GROUP BY oid",
         ] {
@@ -1283,6 +1206,83 @@ mod tests {
         let maintained = view_rows(&reloaded);
         assert_eq!(maintained, recomputed_rows(&mut reloaded));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A `conquer-wal v3` log kept each view's definition and counters in
+    /// the `__conquer_views` registry. A durable handle opens one with the
+    /// view rehydrated and its counters at 0, leaves a v4 log without the
+    /// registry on disk, and keeps maintaining the view.
+    #[test]
+    fn a_v3_log_with_a_view_opens_migrated_and_keeps_maintaining_it() {
+        let dir = std::env::temp_dir().join(format!("conquer_view_v3_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut db = sample();
+        execute(&mut db, EX6_VIEW).unwrap();
+        execute(&mut db, "INSERT INTO orders VALUES ('o3', 'c2', 9, 1.0)").unwrap();
+        let sql = db.views().next().unwrap().sql();
+        // The catalog as v3 wrote it: a bare state table, and the
+        // definition with nonzero counters in the registry.
+        let mut catalog = db.catalog().clone();
+        let stored = catalog.table("__conquer_view_state_v").unwrap();
+        let mut state = conquer_storage::Table::new(stored.name(), stored.schema().clone());
+        state.insert_all(stored.rows().to_vec()).unwrap();
+        catalog.replace_table(state);
+        let (text, int) = (
+            conquer_storage::DataType::Text,
+            conquer_storage::DataType::Int,
+        );
+        let columns = [
+            ("name", text),
+            ("sql", text),
+            ("deltas_applied", int),
+            ("refreshes", int),
+        ];
+        let registry = Schema::from_pairs(columns).unwrap();
+        let row = vec![
+            Value::text("v"),
+            Value::text(&sql),
+            Value::Int(4),
+            Value::Int(2),
+        ];
+        catalog
+            .create_table("__conquer_views", registry)
+            .unwrap()
+            .insert(row)
+            .unwrap();
+        conquer_storage::save_catalog(&catalog, &dir).unwrap();
+        // Only the header frame's magic, and so its checksum, tell a v3
+        // log from a v4 one: `[u32 len][u64 fnv1a64][0, magic, u64 seq]`.
+        let log = dir.join(conquer_storage::wal::WAL_FILE);
+        let mut bytes = std::fs::read(&log).unwrap();
+        bytes[13..27].copy_from_slice(b"conquer-wal v3");
+        let sum = bytes[12..35]
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h: u64, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        bytes[4..12].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&log, &bytes).unwrap();
+
+        let config = crate::SharedConfig::default();
+        let (shared, report) = crate::SharedDatabase::open_durable(&dir, config).unwrap();
+        assert!(report.is_clean(), "{report:?}");
+        let stats = shared.snapshot().db().view_stats();
+        assert_eq!(stats.len(), 1);
+        assert_eq!((stats[0].deltas_applied, stats[0].refreshes), (0, 0));
+        shared
+            .session()
+            .execute("DELETE FROM orders WHERE id = 'o3'")
+            .unwrap();
+        let mut db = shared.snapshot().db().clone();
+        assert_eq!(db.view_stats()[0].deltas_applied, 1);
+        let maintained = view_rows(&db);
+        assert_eq!(maintained, recomputed_rows(&mut db));
+        drop(shared);
+        let bytes = std::fs::read(&log).unwrap();
+        assert_eq!(&bytes[13..27], b"conquer-wal v4");
+        let registry = b"__conquer_views";
+        assert!(!bytes.windows(registry.len()).any(|w| w == registry));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1525,18 +1525,16 @@ mod tests {
         let session = shared.session();
         // A table a statement creates or rebuilds is logged whole (`+`),
         // rows it edits as edits (`~`).
-        const META: &str = "+__conquer_views";
-        const META_EDIT: &str = "~__conquer_views";
         const STATE: &str = "+__conquer_view_state_v";
         const STATE_EDIT: &str = "~__conquer_view_state_v";
-        const MAINTAINED: &[&str] = &["~customer", "~v", STATE_EDIT, META_EDIT];
+        const MAINTAINED: &[&str] = &["~customer", "~v", STATE_EDIT];
         for (sql, expected) in [
             ("CREATE TABLE xr (name TEXT, cluster TEXT)", &["+xr"][..]),
             (
                 "INSERT INTO xr VALUES ('John', 'c1'), ('Mary', 'c2'), ('Marion', 'c2')",
                 &["~xr"],
             ),
-            (EX6_VIEW, &["+v", STATE, META]),
+            (EX6_VIEW, &["+v", STATE]),
             // The six DML kinds, each moving a group of the view.
             (
                 "INSERT INTO customer VALUES ('c2', 'Mae', 20000, 0.0)",
@@ -1562,14 +1560,14 @@ mod tests {
             // A delta that joins nothing counts as applied and moves no group.
             (
                 "INSERT INTO orders VALUES ('o9', 'c9', 1, 1.0)",
-                &["~orders", META_EDIT],
+                &["~orders"],
             ),
             // A statement that selects no row still publishes its epoch.
             ("DELETE FROM customer WHERE balance < 0", &[]),
-            ("REFRESH MATERIALIZED VIEW v", &["+v", STATE, META_EDIT]),
+            ("REFRESH MATERIALIZED VIEW v", &["+v", STATE]),
             (
                 "DROP MATERIALIZED VIEW v",
-                &["-v", "-__conquer_view_state_v", META],
+                &["-v", "-__conquer_view_state_v"],
             ),
             ("DROP TABLE xr", &["-xr"]),
         ] {

@@ -41,11 +41,11 @@
 //! ([`conquer_storage::wal`]) and fsyncs *before* the version becomes
 //! visible, so `Ok` from [`Session::execute`] means the write survives a
 //! crash. A table the statement changed by row edits — a DML edit, a
-//! view fold's splice of its touched groups, a registry bump — is logged
-//! as those edits, which recovery replays exactly once, in order, with
-//! the function that applied them; one it created or rebuilt is logged
-//! as a whole image, and one it removed as a drop marker. A mutation, typically a bulk rewrite, folds the whole new
-//! catalog into a compacted log instead — the same fold
+//! view fold's splice of its touched groups — is logged as those edits,
+//! which recovery replays exactly once, in order, with the function that
+//! applied them; one it created or rebuilt is logged as a whole image,
+//! and one it removed as a drop marker. A mutation, typically a bulk
+//! rewrite, folds the whole new catalog into a compacted log instead — the same fold
 //! [`SharedDatabase::checkpoint`] (or the automatic policy at `wal_limit`
 //! bytes) applies via [`Wal::checkpoint`]: the catalog becomes the log's
 //! base, sealed at the open log's last acknowledged sequence, and the log
@@ -421,10 +421,10 @@ pub struct CacheStats {
     pub views: usize,
     /// Total groups currently materialized across all views.
     pub view_rows: usize,
-    /// DML commits incrementally folded into views (summed over views;
-    /// durable in the view registry, so it survives restarts).
+    /// DML commits incrementally folded into views since this handle
+    /// opened (summed over views; kept with each version, not durable).
     pub view_deltas_applied: u64,
-    /// `REFRESH MATERIALIZED VIEW` rebuilds (summed over views; durable).
+    /// `REFRESH MATERIALIZED VIEW` rebuilds since this handle opened.
     pub view_refreshes: u64,
 }
 

@@ -14,7 +14,7 @@
 //!
 //! ## Representation
 //!
-//! A view is two ordinary catalog tables plus a bookkeeping row:
+//! A view is two ordinary catalog tables:
 //!
 //! * the **contents table**, named like the view — one row per group in
 //!   group-key order, columns named and ordered like the defining
@@ -23,17 +23,18 @@
 //!   *never* re-executes the base query;
 //! * the **state table** `__conquer_view_state_<name>` — one row per
 //!   group, in the same key order: the key, the contribution count (a group
-//!   is dropped at 0) and the [`ExactSum`] accumulator as one TEXT cell;
-//! * a row in **`__conquer_views`** holding the defining SQL and the
-//!   `deltas_applied` / `refreshes` counters.
+//!   is dropped at 0) and the [`ExactSum`] accumulator as one TEXT cell.
+//!   Its `view` table property holds the defining SQL.
 //!
-//! Because all three are plain tables they ride the existing WAL and
-//! checkpoint machinery unchanged. A fold changes only the touched groups'
-//! rows, as one [`Edit`] of each table at the groups' positions, and a
-//! registry bump is a one-row edit, so a maintained commit logs those rows
-//! as edit frames beside the base table's: base-table change and view
+//! Because both are plain tables they ride the existing WAL and checkpoint
+//! machinery unchanged, the definition with the state table's image. A
+//! fold changes only the touched groups' rows, as one [`Edit`] of each
+//! table at the groups' positions, so a maintained commit logs those rows
+//! as edit frames beside the base table's, and never the definition:
+//! base-table change and view
 //! maintenance are one atomic commit, so a crash can never expose a
-//! half-maintained view.
+//! half-maintained view. The `deltas_applied` / `refreshes` counters live
+//! on each version's [`ViewDef`], in memory.
 //!
 //! ## Bit-exactness
 //!
@@ -96,8 +97,10 @@ use crate::Result;
 /// tables is refused.
 pub const HIDDEN_PREFIX: &str = "__conquer_";
 
-/// The view-registry table: `(name, sql, deltas_applied, refreshes)`.
-pub const VIEWS_META: &str = "__conquer_views";
+/// Prefix of a view's state table, followed by the view's name.
+const STATE_PREFIX: &str = "__conquer_view_state_";
+/// The state-table property holding a view's defining SQL.
+const DEFINITION: &str = "view";
 
 /// Query-local name of one side of a base-table delta (its removed or its
 /// added rows) while a delta query reads it.
@@ -115,21 +118,34 @@ pub(crate) const SUM_COLUMN: &str = "__conquer_sum";
 
 /// Name of the per-group state table of view `name`.
 pub fn state_table_name(name: &str) -> String {
-    format!("{HIDDEN_PREFIX}view_state_{name}")
+    format!("{STATE_PREFIX}{name}")
 }
 
-/// Schema of the [`VIEWS_META`] registry table.
-pub(crate) fn meta_schema() -> Result<Schema> {
-    Ok(Schema::from_pairs([
-        ("name", DataType::Text),
-        ("sql", DataType::Text),
-        ("deltas_applied", DataType::Int),
-        ("refreshes", DataType::Int),
-    ])?)
+/// The views whose definitions the state tables of `catalog` carry, by
+/// name, counters at 0. A definition that no longer analyzes (corruption:
+/// it was written with the tables it reads) is left out; debug builds assert.
+pub(crate) fn rehydrate(catalog: &Catalog) -> BTreeMap<String, ViewDef> {
+    let mut views = BTreeMap::new();
+    for table in catalog.tables() {
+        let name = table.name().strip_prefix(STATE_PREFIX);
+        let (Some(name), Some(sql)) = (name, table.property(DEFINITION)) else {
+            continue;
+        };
+        let view = match conquer_sql::parse_statement(sql) {
+            Ok(Statement::Select(q)) => ViewDef::analyze(catalog, name, q),
+            other => Err(format!("stored view definition is not a SELECT: {other:?}")),
+        };
+        debug_assert!(view.is_ok(), "view {name:?}: {:?}", view.as_ref().err());
+        if let Ok(v) = view {
+            views.insert(name.to_string(), v);
+        }
+    }
+    views
 }
 
 /// Maintenance counters of one materialized view (served by the server's
-/// `STATS` verb).
+/// `STATS` verb). Its counters count since this handle opened: they are
+/// kept with each version of the database, in memory.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ViewStats {
     /// View name.
@@ -198,6 +214,10 @@ pub struct ViewDef {
     term_index: usize,
     /// Inferred types of the non-aggregate (key) items, in key order.
     key_types: Vec<DataType>,
+    /// DML commits folded in since the handle opened ([`ViewStats`]).
+    pub(crate) deltas_applied: u64,
+    /// `REFRESH`es since the handle opened ([`ViewStats`]).
+    pub(crate) refreshes: u64,
 }
 
 impl ViewDef {
@@ -373,20 +393,9 @@ impl ViewDef {
             items,
             term_index,
             key_types,
+            deltas_applied: 0,
+            refreshes: 0,
         })
-    }
-
-    /// Re-analyze a stored definition (rehydration after restart).
-    pub(crate) fn from_sql(
-        catalog: &Catalog,
-        name: &str,
-        sql: &str,
-    ) -> std::result::Result<ViewDef, String> {
-        match conquer_sql::parse_statement(sql) {
-            Ok(Statement::Select(q)) => ViewDef::analyze(catalog, name, q),
-            Ok(other) => Err(format!("stored view definition is not a SELECT: {other}")),
-            Err(e) => Err(format!("stored view definition does not parse: {e}")),
-        }
     }
 
     /// Does the view's FROM clause mention `table`?
@@ -409,7 +418,7 @@ impl ViewDef {
         state_table_name(&self.name)
     }
 
-    /// The defining SQL as stored in the registry.
+    /// The defining SQL, as its state table's `view` property stores it.
     pub fn sql(&self) -> String {
         self.query.to_string()
     }
@@ -486,7 +495,7 @@ pub(crate) fn recompute(db: &Database, view: &ViewDef) -> Result<(Table, Table)>
 
 /// The contents and state tables of `view` holding exactly
 /// `contributions`: [`fold`] into an empty view, whose splice inserts
-/// every group.
+/// every group. The state table carries the view's definition.
 fn build(
     view: &ViewDef,
     contributions: impl IntoIterator<Item = Contribution>,
@@ -494,6 +503,7 @@ fn build(
     let (contents_edit, state_edit) = fold(view, None, contributions)?;
     let mut contents = Table::new(&view.name, view.contents_schema()?);
     let mut state = Table::new(view.state_table(), view.state_schema()?);
+    state.set_property(DEFINITION, view.sql())?;
     contents.insert_all(contents_edit.inserted.into_iter().map(|(_, row)| row))?;
     state.insert_all(state_edit.inserted.into_iter().map(|(_, row)| row))?;
     Ok((contents, state))

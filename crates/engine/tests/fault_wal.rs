@@ -396,7 +396,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// `conquer-wal v1` log beside it), built by hand. Every entry point
 /// refuses it with a typed corruption naming the layout, and no byte of
 /// the directory changes — not even the leftovers recovery would clear.
-/// A lone v1 log is refused the same way.
+/// A lone v1 log, and a v2 log, are refused the same way.
 #[test]
 fn a_directory_in_the_epoch_layout_is_refused_and_left_as_it_is() {
     let (fs, _guard, dir) = mount("efwal_old_layout");
@@ -451,6 +451,15 @@ fn a_directory_in_the_epoch_layout_is_refused_and_left_as_it_is() {
     vfs::remove_file(&dir.join("CURRENT")).unwrap();
     vfs::remove_dir_all(&epoch).unwrap();
     assert_refused("conquer-wal v1");
+    // A v2 log, an empty base sealed at 7, is refused the same way.
+    let mut log = header.clone();
+    log[1..15].copy_from_slice(b"conquer-wal v2");
+    let mut log = frame(&log);
+    let mut seal = vec![4u8];
+    seal.extend_from_slice(&7u64.to_le_bytes());
+    log.extend_from_slice(&frame(&seal));
+    vfs::write(&dir.join(WAL_FILE), &log).unwrap();
+    assert_refused("conquer-wal v2");
 }
 
 /// A base table `t` with a view over it and a join view over `t` and `u`,

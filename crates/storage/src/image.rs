@@ -8,10 +8,15 @@
 //!
 //! ```text
 //! [u32 LE name length][name, UTF-8]
-//! [u32 LE schema length][schema text: one "<column> <type>\n" per column]
+//! [u32 LE schema length][schema text: one "<column> <type>\n" per column,
+//!                        then one "@<key> <value>\n" per table property]
 //! [u32 LE row count]
 //! per row: [u32 LE value count][values in the spill value codec]
 //! ```
+//!
+//! A property value escapes `\` as `\\` and a newline as `\n`. No column
+//! name starts with `@` (no SQL identifier can), and a table without
+//! properties keeps the image it had before properties existed.
 //!
 //! An [`Edit`] — the payload of the log's edit frame — reuses the row
 //! encoding, with positions as `u32 LE` like the image's row count:
@@ -33,7 +38,7 @@ use std::path::Path;
 use crate::error::{corrupt, StorageError};
 use crate::schema::Schema;
 use crate::spill::{decode_value, encode_value, take, take_arr};
-use crate::table::{Edit, Row, Table};
+use crate::table::{Edit, Properties, Row, Table, PROPERTY_KEYS};
 use crate::value::DataType;
 
 fn type_name(t: DataType) -> &'static str {
@@ -62,10 +67,22 @@ fn parse_type(s: &str, path: &Path) -> Result<DataType, StorageError> {
     })
 }
 
-/// Parse the line-oriented `<column> <type>` schema text.
-fn parse_schema_text(text: &str, path: &Path) -> Result<Schema, StorageError> {
+/// Parse the line-oriented schema text: its `<column> <type>` lines and
+/// its `@<key> <value>` property lines.
+fn parse_schema_text(text: &str, path: &Path) -> Result<(Schema, Properties), StorageError> {
     let mut pairs = Vec::new();
-    for line in text.lines() {
+    let mut properties = Properties::new();
+    for line in text.split('\n') {
+        if let Some(property) = line.strip_prefix('@') {
+            let (key, value) = property.split_once(' ').unwrap_or((property, ""));
+            let Some(key) = PROPERTY_KEYS.into_iter().find(|k| *k == key) else {
+                let message = format!("unknown table property key {key:?}");
+                let path = path.display().to_string();
+                return Err(StorageError::Schema { path, message });
+            };
+            properties.insert(key, unescape(value));
+            continue;
+        }
         let line = line.trim();
         if line.is_empty() {
             continue;
@@ -76,7 +93,14 @@ fn parse_schema_text(text: &str, path: &Path) -> Result<Schema, StorageError> {
         })?;
         pairs.push((col.to_string(), parse_type(ty.trim(), path)?));
     }
-    Schema::from_pairs(pairs)
+    Ok((Schema::from_pairs(pairs)?, properties))
+}
+
+/// A property value as written: every `\\` pair is one `\`, and `\n`
+/// outside those pairs a newline.
+fn unescape(line: &str) -> String {
+    let pieces: Vec<String> = line.split("\\\\").map(|p| p.replace("\\n", "\n")).collect();
+    pieces.join("\\")
 }
 
 pub(crate) fn push_str(out: &mut Vec<u8>, s: &str) {
@@ -101,6 +125,10 @@ pub(crate) fn encode_table(table: &Table, out: &mut Vec<u8>) {
     let mut schema_text = String::new();
     for c in table.schema().columns() {
         schema_text.push_str(&format!("{} {}\n", c.name(), type_name(c.data_type())));
+    }
+    for (key, value) in &table.properties {
+        let value = value.replace('\\', "\\\\").replace('\n', "\\n");
+        schema_text.push_str(&format!("@{key} {value}\n"));
     }
     push_str(out, table.name());
     push_str(out, &schema_text);
@@ -176,9 +204,10 @@ pub(crate) fn decode_edit(buf: &[u8], pos: &mut usize, path: &Path) -> Result<Ed
 pub(crate) fn decode_table(buf: &[u8], path: &Path) -> Result<Table, StorageError> {
     let mut pos = 0;
     let name = take_str(buf, &mut pos, path)?;
-    let schema = parse_schema_text(&take_str(buf, &mut pos, path)?, path)?;
+    let (schema, properties) = parse_schema_text(&take_str(buf, &mut pos, path)?, path)?;
     let nrows = take_u32(buf, &mut pos, path)? as usize;
     let mut table = Table::new(&name, schema);
+    table.properties = properties;
     for _ in 0..nrows {
         table.insert(decode_row(buf, &mut pos, path)?)?;
     }
@@ -198,6 +227,63 @@ pub(crate) fn decode_table(buf: &[u8], path: &Path) -> Result<Table, StorageErro
 mod tests {
     use super::*;
     use crate::value::Value;
+    use proptest::prelude::*;
+
+    fn pair() -> Table {
+        let schema = Schema::from_pairs([("a", DataType::Int), ("b", DataType::Text)]).unwrap();
+        let mut t = Table::new("t", schema);
+        t.insert(vec![Value::Int(7), Value::text("x")]).unwrap();
+        t.insert(vec![Value::Null, Value::text("")]).unwrap();
+        t
+    }
+
+    /// A table without properties keeps the image it had before
+    /// properties existed, byte for byte.
+    #[test]
+    fn a_property_less_image_is_unchanged() {
+        let mut bytes = Vec::new();
+        encode_table(&pair(), &mut bytes);
+        let mut want = vec![1, 0, 0, 0, b't', 13, 0, 0, 0];
+        want.extend_from_slice(b"a int\nb text\n");
+        want.extend_from_slice(&[2, 0, 0, 0]);
+        want.extend_from_slice(&[2, 0, 0, 0, 2, 7, 0, 0, 0, 0, 0, 0, 0, 4, 1, 0, 0, 0, b'x']);
+        want.extend_from_slice(&[2, 0, 0, 0, 0, 4, 0, 0, 0, 0]);
+        assert_eq!(bytes, want);
+    }
+
+    #[test]
+    fn an_unknown_property_key_is_refused_naming_it() {
+        let path = Path::new("somewhere/props.tbl");
+        let err = parse_schema_text("a int\n@colour blue\n", path).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::Schema { message, .. } if message.contains("\"colour\"")),
+            "{err:?}"
+        );
+        let err = pair().set_property("colour", "blue".into()).unwrap_err();
+        assert!(matches!(&err, StorageError::Schema { message, .. } if message.contains("colour")));
+    }
+
+    proptest! {
+        /// Any UTF-8 value survives the image: newlines, backslashes, a
+        /// leading `@` and the empty string included.
+        #[test]
+        fn a_property_value_roundtrips(
+            chars in proptest::collection::vec(
+                prop_oneof![Just('\n'), Just('\\'), Just('n'), Just('@'), Just('\r'), any::<char>()],
+                0..16,
+            )
+        ) {
+            let value: String = chars.into_iter().collect();
+            let mut t = pair();
+            t.set_property("view", value.clone()).unwrap();
+            let mut bytes = Vec::new();
+            encode_table(&t, &mut bytes);
+            let back = decode_table(&bytes, Path::new("p.tbl")).unwrap();
+            prop_assert_eq!(back.property("view"), Some(value.as_str()));
+            prop_assert_eq!(back.schema(), t.schema());
+            prop_assert_eq!(back.rows(), t.rows());
+        }
+    }
 
     #[test]
     fn malformed_schema_rejected_with_schema_error_naming_the_file() {

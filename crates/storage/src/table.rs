@@ -1,5 +1,6 @@
 //! Materialized tables.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::error::StorageError;
@@ -33,15 +34,24 @@ impl Edit {
     }
 }
 
+/// The keys a table property may have; `view` holds the definition of the
+/// materialized view whose state the table is.
+pub const PROPERTY_KEYS: [&str; 1] = ["view"];
+
+/// A table's properties by key, in key order.
+pub(crate) type Properties = BTreeMap<&'static str, String>;
+
 /// A named, materialized, typed table.
 ///
 /// Rows are validated (arity + type conformance, with implicit `Int`→`Float`
 /// coercion) on insertion, so downstream code can assume well-typed data.
+/// Named text properties travel with the table like its schema.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
     rows: Vec<Row>,
+    pub(crate) properties: Properties,
 }
 
 impl Table {
@@ -51,7 +61,26 @@ impl Table {
             name: name.into().to_ascii_lowercase(),
             schema,
             rows: Vec::new(),
+            properties: Properties::new(),
         }
+    }
+
+    /// The value of property `key`, if the table carries it.
+    pub fn property(&self, key: &str) -> Option<&str> {
+        self.properties.get(key).map(String::as_str)
+    }
+
+    /// Set property `key` to `value`. A key outside [`PROPERTY_KEYS`] is
+    /// refused as [`StorageError::Schema`] naming it.
+    pub fn set_property(&mut self, key: &str, value: String) -> Result<(), StorageError> {
+        let Some(key) = PROPERTY_KEYS.into_iter().find(|k| *k == key) else {
+            return Err(StorageError::Schema {
+                path: self.name.clone(),
+                message: format!("unknown table property key {key:?}"),
+            });
+        };
+        self.properties.insert(key, value);
+        Ok(())
     }
 
     /// The (lower-cased) table name.
@@ -281,16 +310,6 @@ impl Table {
         }
         Ok(())
     }
-
-    /// Retain only rows matching the predicate (row index, row).
-    pub fn retain<F: FnMut(usize, &Row) -> bool>(&mut self, mut f: F) {
-        let mut i = 0;
-        self.rows.retain(|r| {
-            let keep = f(i, r);
-            i += 1;
-            keep
-        });
-    }
 }
 
 impl fmt::Display for Table {
@@ -387,16 +406,6 @@ mod tests {
         t.update_column("age", |_, v| Value::Int(v.as_i64().unwrap() + 1))
             .unwrap();
         assert_eq!(t.value(0, 1), &Value::Int(32));
-    }
-
-    #[test]
-    fn retain_filters_rows() {
-        let mut t = people();
-        t.insert(vec!["ann".into(), 31.into()]).unwrap();
-        t.insert(vec!["bob".into(), 40.into()]).unwrap();
-        t.retain(|_, r| r[1].as_i64().unwrap() > 35);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.value(0, 0), &Value::text("bob"));
     }
 
     fn ints(t: &Table) -> Vec<i64> {

@@ -30,11 +30,11 @@
 //!
 //! The payload's first byte is a tag:
 //!
-//! * `0` **header** — magic `"conquer-wal v3"` + the `u64 LE` base
+//! * `0` **header** — magic `"conquer-wal v4"` + the `u64 LE` base
 //!   sequence S. Always the first frame.
-//! * `1` **put** — a complete [table image](crate::image). In the base,
-//!   one per table; after the seal, the post-write image of a table a
-//!   commit created or rebuilt.
+//! * `1` **put** — a complete [table image](crate::image), its properties
+//!   included. In the base, one per table; after the seal, the post-write
+//!   image of a table a commit created or rebuilt.
 //! * `2` **drop** — a table name.
 //! * `3` **commit** — the `u64 LE` sequence sealing every put, edit and
 //!   drop frame since the previous commit or the seal. A write is durable
@@ -73,14 +73,14 @@
 //!
 //! ## Versions
 //!
-//! A `conquer-wal v2` log (the same frames without the edit frame) is
-//! read as it is, and compacted into a `conquer-wal v3` log before the
-//! first commit is appended to it. A version older than the v3 format
-//! refuses a v3 log the way this one refuses an unknown header: as
-//! corrupt, leaving the file as it is. A directory in the layout older
-//! versions wrote (`CURRENT` and `vNNNNNN/` epoch directories beside a
-//! `conquer-wal v1` log) is refused the same way, naming the layout, and
-//! nothing in it changes.
+//! A `conquer-wal v3` log, whose views keep their definitions in a
+//! registry table, is read by the same scan and migrated as it is decoded
+//! ([`migrate_v3_views`]); a writer that opens one compacts it into a v4
+//! log before anything is appended. Any other version (a v2 or v1 log
+//! here, a v4 log in a version older than table properties) is refused as
+//! corrupt, naming it, and left as it is. So is a directory in the layout
+//! older versions wrote (`CURRENT` and `vNNNNNN/` epoch directories beside
+//! a `conquer-wal v1` log), naming the layout.
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -95,19 +95,17 @@ use crate::image::{
 use crate::persist::{fnv1a64, RecoveryReport};
 use crate::spill::{take, take_arr};
 use crate::table::{Edit, Table};
+use crate::value::Value;
 use crate::vfs;
 
 /// Name of the write-ahead log file inside a persistence directory.
 pub const WAL_FILE: &str = "wal.log";
 
 /// Magic string opening every log (in the header frame).
-const WAL_MAGIC: &[u8] = b"conquer-wal v3";
+const WAL_MAGIC: &[u8] = b"conquer-wal v4";
 
-/// Magic of the log format before the edit frame, read and then compacted.
-const V2_MAGIC: &[u8] = b"conquer-wal v2";
-
-/// Magic of the log beside the epoch directories older versions wrote.
-const V1_MAGIC: &[u8] = b"conquer-wal v1";
+/// Magic of the format that kept view definitions in a registry table.
+const V3_MAGIC: &[u8] = b"conquer-wal v3";
 
 /// Prefix of the temp file a checkpoint stages its log under.
 pub(crate) const WAL_TMP_PREFIX: &str = ".wal.tmp-";
@@ -261,9 +259,8 @@ pub(crate) struct Scan {
     committed_len: u64,
     /// The torn or uncommitted tail, when one exists.
     pub torn: Option<String>,
-    /// The header carries the v2 magic: a writer compacts the log before
-    /// its first append.
-    v2: bool,
+    /// A v3 header: the catalog is migrated, and a writer compacts the log.
+    v3: bool,
 }
 
 /// Refuse a directory in the layout older versions wrote, before
@@ -304,19 +301,20 @@ pub(crate) fn scan(dir: &Path) -> Result<Option<Scan>, StorageError> {
 /// Scan the log bytes `buf`, read from `path`.
 fn parse(path: PathBuf, buf: Vec<u8>) -> Result<Scan, StorageError> {
     let mut pos = 0;
-    let header = next_frame(&buf, &mut pos, &path).ok().flatten();
-    let header_with = |magic: &[u8]| {
-        header
-            .clone()
-            .filter(|r| buf[r.start] == TAG_HEADER && buf[r.start + 1..r.end].starts_with(magic))
-    };
-    if header_with(V1_MAGIC).is_some() {
-        return Err(corrupt(
-            &path,
-            "a conquer-wal v1 log, from the epoch-directory layout of an older version; \
-             this version reads only conquer-wal v2 and v3 and leaves it as it is"
-                .into(),
-        ));
+    let header = next_frame(&buf, &mut pos, &path)
+        .ok()
+        .flatten()
+        .filter(|r| buf[r.start] == TAG_HEADER && r.len() >= 9);
+    // The magic sits between the tag and the sequence.
+    let magic = header.clone().map(|r| &buf[r.start + 1..r.end - 8]);
+    let known = magic.filter(|m| [WAL_MAGIC, V3_MAGIC].contains(m));
+    if let Some(other) = magic.filter(|m| known.is_none() && m.starts_with(b"conquer-wal v")) {
+        let detail = format!(
+            "a {} log, of another version; this version reads only conquer-wal v3 and v4 \
+             and leaves it as it is",
+            String::from_utf8_lossy(other)
+        );
+        return Err(corrupt(&path, detail));
     }
     let mut scan = Scan {
         path,
@@ -328,24 +326,20 @@ fn parse(path: PathBuf, buf: Vec<u8>) -> Result<Scan, StorageError> {
         last_seq: 0,
         committed_len: 0,
         torn: None,
-        v2: false,
+        v3: false,
     };
     if (buf.len() as u64) < EMPTY_LOG_LEN {
         // Too short to hold a seal, so nothing was ever acknowledged here.
         scan.torn = Some("write-ahead log is shorter than an empty one".into());
         return Ok(scan);
     }
-    let (header, magic) = match (header_with(WAL_MAGIC), header_with(V2_MAGIC)) {
-        (Some(header), _) => (header, WAL_MAGIC),
-        (None, Some(header)) => (header, V2_MAGIC),
-        (None, None) => {
-            return Err(corrupt(
-                &scan.path,
-                "write-ahead log header is missing or corrupt".into(),
-            ))
-        }
+    let (Some(header), Some(magic)) = (header, known) else {
+        return Err(corrupt(
+            &scan.path,
+            "write-ahead log header is missing or corrupt".into(),
+        ));
     };
-    scan.v2 = magic == V2_MAGIC;
+    scan.v3 = magic == V3_MAGIC;
     scan.base_seq = seq_of(&buf[header], magic, &scan.path)?;
 
     // The base: put frames up to a seal carrying the header's sequence.
@@ -427,7 +421,8 @@ impl Scan {
     /// The catalog the log holds: the base with every commit applied in
     /// order. For each table only the last put is decoded, and then the
     /// edits after it are applied in commit order. An edit that does not
-    /// apply is [`StorageError::Corrupt`].
+    /// apply is [`StorageError::Corrupt`]. A v3 log's catalog is migrated
+    /// ([`migrate_v3_views`]).
     pub(crate) fn catalog(&self) -> Result<Catalog, StorageError> {
         let corrupt_edit = |name: &str, what: String| {
             corrupt(
@@ -477,8 +472,37 @@ impl Scan {
             }
             catalog.replace_table(table);
         }
+        if self.v3 {
+            migrate_v3_views(&mut catalog, &self.path)?;
+        }
         Ok(catalog)
     }
+}
+
+/// The one reader of the v3 view registry. A `conquer-wal v3` log keeps
+/// each materialized view's definition as a `(name, sql, deltas_applied,
+/// refreshes)` row of the hidden table `__conquer_views`; this makes each
+/// `sql` the `view` property of the view's state table
+/// `__conquer_view_state_<name>` and drops the registry, counters and all.
+fn migrate_v3_views(catalog: &mut Catalog, path: &Path) -> Result<(), StorageError> {
+    let Ok(registry) = catalog.table("__conquer_views") else {
+        return Ok(());
+    };
+    let bad = |what: String| corrupt(path, format!("the v3 view registry {what}"));
+    let mut definitions = Vec::new();
+    for row in registry.rows() {
+        let [Value::Text(name), Value::Text(sql), ..] = &row[..] else {
+            return Err(bad("has a row without (name, sql)".into()));
+        };
+        definitions.push((format!("__conquer_view_state_{name}"), sql.clone()));
+    }
+    catalog.drop_table("__conquer_views")?;
+    for (state, sql) in definitions {
+        let missing = |_| bad(format!("names no table {state:?}"));
+        let table = catalog.table_mut(&state).map_err(missing)?;
+        table.set_property("view", sql)?;
+    }
+    Ok(())
 }
 
 /// The last committed sequence in `<dir>/wal.log` (0 without a log): what
@@ -564,17 +588,15 @@ pub struct Wal {
     /// a checkpoint failed, maybe after renaming its log over this one.
     /// The next commit heals ([`Wal::heal`]), never by fsync retry.
     poisoned: bool,
-    /// The log is in the v2 format: the next commit heals it first, which
-    /// compacts it into a v3 log.
-    v2: bool,
 }
 
 impl Wal {
     /// Open (creating if necessary) the log in `dir`, truncating any
     /// torn or uncommitted tail so new appends start at a clean commit
-    /// boundary. A log whose header or base fails to verify, or a
-    /// directory in an older layout, is [`StorageError::Corrupt`] and is
-    /// left as it is.
+    /// boundary, and compacting a v3 log into a v4 one. A log whose header
+    /// or base fails to verify, a log of another version, or a directory
+    /// in an older layout, is [`StorageError::Corrupt`] and is left as it
+    /// is.
     pub fn open(dir: &Path) -> Result<Wal, StorageError> {
         let _io = conquer_sync::blocking_region("wal::open");
         vfs::create_dir_all(dir)?;
@@ -595,7 +617,7 @@ impl Wal {
 
     fn from_scan(dir: &Path, scan: Option<&Scan>) -> Result<Wal, StorageError> {
         let mut file = vfs::File::open_rw(&dir.join(WAL_FILE))?;
-        let (seq, len, base_len, v2) = match scan {
+        let (seq, len, base_len) = match scan {
             Some(s) if s.committed_len > 0 => {
                 // Drop a torn tail, and make durable everything this scan
                 // recovered before anything builds on it.
@@ -603,7 +625,7 @@ impl Wal {
                     file.set_len(s.committed_len)?;
                 }
                 file.sync_all()?;
-                (s.last_seq, s.committed_len, s.base_len, s.v2)
+                (s.last_seq, s.committed_len, s.base_len)
             }
             // Missing, or shorter than an empty log: start an empty one.
             _ => {
@@ -615,19 +637,24 @@ impl Wal {
                 // crash could lose the whole (fsynced) file and with it
                 // every commit it ever acknowledges.
                 vfs::sync_dir(dir)?;
-                (0, EMPTY_LOG_LEN, EMPTY_LOG_LEN - HEADER_LEN, false)
+                (0, EMPTY_LOG_LEN, EMPTY_LOG_LEN - HEADER_LEN)
             }
         };
         file.seek(SeekFrom::End(0))?;
-        Ok(Wal {
+        let mut wal = Wal {
             dir: dir.to_path_buf(),
             file,
             next_seq: seq + 1,
             len,
             base_len,
             poisoned: false,
-            v2,
-        })
+        };
+        if let Some(s) = scan.filter(|s| s.v3) {
+            // Nothing is appended to a v3 log: its migrated catalog becomes
+            // a v4 base, sealed at its last commit.
+            wal.checkpoint(&s.catalog()?)?;
+        }
+        Ok(wal)
     }
 
     /// The directory this log lives in.
@@ -651,10 +678,9 @@ impl Wal {
     /// group is fsynced and will be replayed by any future load; on `Err`
     /// the log is unchanged (the partial append is truncated away).
     pub fn commit(&mut self, ops: &[WalOp<'_>]) -> Result<u64, StorageError> {
-        if self.poisoned || self.v2 {
+        if self.poisoned {
             // fsyncgate rule: a poisoned descriptor is never fsynced
-            // again. Heal onto a fresh file first; that also compacts a
-            // v2 log, which must not receive a v3 edit frame.
+            // again. Heal onto a fresh file first.
             self.heal()?;
         }
         let seq = self.next_seq;
@@ -743,9 +769,7 @@ impl Wal {
     /// the whole log the way a checkpoint does. Bytes a failed fsync
     /// covered never reach the copy, so a commit that was reported failed
     /// can never surface as durable; and the copy replaces whatever a
-    /// failed checkpoint may have renamed over this descriptor's file. A
-    /// v2 log is compacted into a v3 log on the way: its catalog becomes
-    /// the base, sealed at [`Wal::last_seq`].
+    /// failed checkpoint may have renamed over this descriptor's file.
     /// On `Err` the handle stays poisoned.
     pub fn heal(&mut self) -> Result<(), StorageError> {
         let mut acked = vec![0; self.len as usize];
@@ -756,10 +780,6 @@ impl Wal {
         if let Err(e) = read {
             self.poisoned = true;
             return Err(e.into());
-        }
-        if self.v2 {
-            let catalog = parse(self.dir.join(WAL_FILE), acked)?.catalog()?;
-            return self.checkpoint(&catalog);
         }
         self.install(&acked, self.base_len)
     }
@@ -787,7 +807,6 @@ impl Wal {
                 self.len = log.len() as u64;
                 self.base_len = base_len;
                 self.poisoned = false;
-                self.v2 = false;
                 Ok(())
             }
             Err(e) => {
@@ -1230,19 +1249,38 @@ mod tests {
         }
     }
 
-    /// A log in the v2 format (no edit frames) loads as it is, and the
-    /// first append compacts it into a v3 log: the catalog as the base,
-    /// sealed at the last v2 commit, then the new commit.
+    /// A log in the v3 format, whose views kept their definitions in the
+    /// `__conquer_views` registry, loads with each definition moved onto
+    /// its view's state table and the registry gone. Loading rewrites
+    /// nothing; opening it for appends compacts it into a v4 log first,
+    /// sealed at its last commit.
     #[test]
-    fn a_v2_log_loads_and_its_first_append_compacts_it_to_v3() {
-        let dir = tempdir("v2");
+    fn a_v3_log_loads_migrated_and_opening_it_compacts_it_to_v4() {
+        let dir = tempdir("v3");
         fs::create_dir_all(&dir).unwrap();
+        let sql = "SELECT a, SUM(x) AS p FROM t GROUP BY a";
+        let text = DataType::Text;
+        let schema = [
+            ("name", text),
+            ("sql", text),
+            ("deltas_applied", DataType::Int),
+        ];
+        let mut registry = Table::new("__conquer_views", Schema::from_pairs(schema).unwrap());
+        registry
+            .insert(vec![Value::text("v"), Value::text(sql), Value::Int(3)])
+            .unwrap();
         let mut log = Vec::new();
-        push_seq_frame(&mut log, TAG_HEADER, V2_MAGIC, 4);
-        push_frame(&mut log, |p| {
-            p.push(TAG_PUT);
-            encode_table(&table("t", &[1]), p);
-        });
+        push_seq_frame(&mut log, TAG_HEADER, V3_MAGIC, 4);
+        for t in [
+            table("t", &[1]),
+            table("__conquer_view_state_v", &[1]),
+            registry,
+        ] {
+            push_frame(&mut log, |p| {
+                p.push(TAG_PUT);
+                encode_table(&t, p);
+            });
+        }
         push_seq_frame(&mut log, TAG_SEAL, &[], 4);
         push_frame(&mut log, |p| {
             p.push(TAG_PUT);
@@ -1251,45 +1289,55 @@ mod tests {
         push_seq_frame(&mut log, TAG_COMMIT, &[], 5);
         fs::write(dir.join(WAL_FILE), &log).unwrap();
 
-        let cat = crate::persist::load_catalog(&dir).unwrap();
-        assert_eq!(a_column(&cat, "t"), [1, 2]);
-        let (mut wal, recovered, report) = Wal::recover(&dir).unwrap();
-        assert!(report.is_clean(), "{report:?}");
-        assert_eq!(a_column(&recovered, "t"), [1, 2]);
+        let migrated = |cat: &Catalog| {
+            assert_eq!(cat.table_names(), ["__conquer_view_state_v", "t"]);
+            let state = cat.table("__conquer_view_state_v").unwrap();
+            assert_eq!(state.property("view"), Some(sql));
+            assert_eq!(a_column(cat, "t"), [1, 2]);
+        };
+        migrated(&crate::persist::load_catalog(&dir).unwrap());
         assert_eq!(
             fs::read(dir.join(WAL_FILE)).unwrap(),
             log,
-            "opening rewrites nothing"
+            "loading rewrites nothing"
         );
+
+        let (mut wal, recovered, report) = Wal::recover(&dir).unwrap();
+        assert!(report.is_clean(), "{report:?}");
+        migrated(&recovered);
+        let c = scanned(&dir);
+        assert!(!c.v3);
+        assert_eq!((c.base_seq, c.last_seq, c.base_tables()), (5, 5, 2));
+        assert_eq!(&c.buf[FRAME_HEAD + 1..][..WAL_MAGIC.len()], WAL_MAGIC);
+        migrated(&c.catalog().unwrap());
 
         let seq = wal
             .commit(&[WalOp::Edit("t", &[appended(2, &[3])])])
             .unwrap();
         assert_eq!(seq, 6);
-        let c = scanned(&dir);
-        assert!(!c.v2);
-        assert_eq!((c.base_seq, c.last_seq, c.base_tables()), (5, 6, 1));
-        assert_eq!(&c.buf[FRAME_HEAD + 1..][..WAL_MAGIC.len()], WAL_MAGIC);
-        assert_eq!(a_column(&c.catalog().unwrap(), "t"), [1, 2, 3]);
+        assert_eq!(a_column(&scanned(&dir).catalog().unwrap(), "t"), [1, 2, 3]);
         fs::remove_dir_all(&dir).ok();
     }
 
-    /// A log of a format this version does not know is refused as corrupt
-    /// and left as it is: what a version older than the edit frame does
-    /// with a v3 log.
+    /// A log of a format this version does not know is refused as corrupt,
+    /// naming its version, and left as it is: what a version older than
+    /// table properties does with a v4 log.
     #[test]
     fn a_log_of_a_later_format_is_refused_and_left_as_it_is() {
         let dir = tempdir("later");
         fs::create_dir_all(&dir).unwrap();
         let mut log = Vec::new();
-        push_seq_frame(&mut log, TAG_HEADER, b"conquer-wal v4", 0);
+        push_seq_frame(&mut log, TAG_HEADER, b"conquer-wal v5", 0);
         push_seq_frame(&mut log, TAG_SEAL, &[], 0);
         fs::write(dir.join(WAL_FILE), &log).unwrap();
         for err in [
             crate::persist::load_catalog(&dir).unwrap_err(),
             Wal::open(&dir).unwrap_err(),
         ] {
-            assert!(matches!(err, StorageError::Corrupt { .. }), "{err:?}");
+            let StorageError::Corrupt { detail, .. } = &err else {
+                panic!("{err:?}")
+            };
+            assert!(detail.contains("conquer-wal v5"), "{detail}");
         }
         assert_eq!(fs::read(dir.join(WAL_FILE)).unwrap(), log);
         fs::remove_dir_all(&dir).ok();

@@ -401,11 +401,14 @@ fn rows_of(db: &Database, table: &str) -> Vec<Row> {
     db.catalog().table(table).unwrap().rows().to_vec()
 }
 
-/// The database without its view registry: naive enumeration copies the
-/// catalog per candidate, and would rebuild every view with each copy.
+/// The database without its views' tables: naive enumeration copies the
+/// catalog per candidate, and would rehydrate every view with each copy.
 fn without_views(dirty: &DirtyDatabase) -> DirtyDatabase {
     let mut catalog = dirty.db().catalog().clone();
-    catalog.drop_table(view::VIEWS_META).ok();
+    for v in dirty.db().views() {
+        catalog.drop_table(&v.name).unwrap();
+        catalog.drop_table(&v.state_table()).unwrap();
+    }
     DirtyDatabase::new_unvalidated(Database::from_catalog(catalog), dirty.spec().clone())
 }
 
