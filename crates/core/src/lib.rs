@@ -51,7 +51,6 @@ pub mod spec;
 pub use conquer_sync as sync;
 
 pub use answers::CleanAnswers;
-pub use conquer_storage::apply_crossref;
 pub use dirty::{DirtyDatabase, EvalStrategy};
 pub use error::{CoreError, Def7Clause, NotRewritable, RewriteObstacle};
 pub use expected::{naive_expected, RewriteExpected};

@@ -8,14 +8,14 @@ use conquer_sql::{
 };
 use conquer_storage::{Catalog, Edit, Row, Schema, Value};
 
-use crate::binder::{bind_constant, bind_select, bind_table_expr};
+use crate::binder::{bind_constant, bind_table_expr};
 use crate::context::{ExecContext, ExecLimits};
 use crate::error::EngineError;
 use crate::exact::ExactSum;
 use crate::expr::BoundExpr;
-use crate::planner::{plan_select, Plan};
+use crate::planner::{plan_query, Plan};
 use crate::result::QueryResult;
-use crate::view::{self, TableDelta, ViewDef, ViewStats, HIDDEN_PREFIX};
+use crate::view::{self, ViewDef, ViewStats, HIDDEN_PREFIX};
 use crate::Result;
 
 /// What a non-query statement did.
@@ -172,6 +172,11 @@ impl Database {
             Statement::CreateTable(ct) => {
                 self.guard_writable(&ct.name)?;
                 let schema = Schema::from_pairs(ct.columns.iter().map(|(n, t)| (n.clone(), *t)))?;
+                if let Some(c) = schema.names().find(|c| c.starts_with(HIDDEN_PREFIX)) {
+                    return Err(EngineError::bind(format!(
+                        "column name {c:?} is reserved for materialized-view bookkeeping"
+                    )));
+                }
                 self.catalog.create_table(&ct.name, schema)?;
                 Ok(ExecOutcome::Created)
             }
@@ -237,9 +242,7 @@ impl Database {
 
     /// Produce (but do not run) the plan for a `SELECT`.
     pub fn plan(&self, stmt: &SelectStatement) -> Result<Plan> {
-        let bound = bind_select(&self.catalog, stmt)?;
-        crate::validate::validate_bound(&bound)?;
-        plan_select(&self.catalog, bound)
+        plan_query(&self.catalog, stmt)
     }
 
     /// Statically analyze `sql` against the current catalog without
@@ -522,15 +525,18 @@ impl Database {
 
     /// Apply a planned change to `table` and fold it into every view
     /// defined over the table: the one place a DML statement mutates the
-    /// catalog. The edit and each view's fold go into `next`, a clone
-    /// sharing every table with `self.catalog`, which becomes the catalog
-    /// only when all of them succeed: base change and view maintenance
-    /// land together or not at all, and so do the views' counters. Until
-    /// then `self.catalog` is the pre-statement image the delta queries
-    /// read. An edit that selects no row asks for no mutable access, so
-    /// the table stays shared with the version the statement started
-    /// from. Every change goes through [`Catalog::apply`], so a durable
-    /// commit logs the edited rows, not the tables around them.
+    /// catalog. A table no view reads is edited in place; a refused edit
+    /// changes nothing. Otherwise the edit and each view's fold go into
+    /// `next`, a clone sharing every table with `self.catalog`, which
+    /// becomes the catalog only when all of them succeed: base change and
+    /// view maintenance land together or not at all, and so do the views'
+    /// counters. Every view's delta queries read one query-local catalog,
+    /// [`view::delta_catalog`], built from `next` after the base edit; no
+    /// view reads a view, so no fold changes what they read. An edit that
+    /// selects no row asks for no mutable access, so the table stays
+    /// shared with the version the statement started from. Every change
+    /// goes through [`Catalog::apply`], so a durable commit logs the
+    /// edited rows, not the tables around them.
     fn apply_edit(&mut self, table: &str, edit: Edit) -> Result<()> {
         if edit.is_empty() {
             return Ok(());
@@ -540,19 +546,24 @@ impl Database {
             .values()
             .filter(|v| v.references(table))
             .collect();
+        if views.is_empty() {
+            self.catalog.apply(table, edit)?;
+            return Ok(());
+        }
         let mut next = self.catalog.clone();
-        let applied = next.apply(table, edit)?;
-        let delta = if views.is_empty() {
-            TableDelta::default()
-        } else {
-            TableDelta::of(self.catalog.table(table)?, applied)
-        };
+        let old = self.catalog.table(table)?;
+        let delta = view::delta_table(old, next.apply(table, edit)?)?;
         if delta.is_empty() {
             self.catalog = next;
             return Ok(());
         }
+        let self_join = views.iter().any(|v| v.occurrences(table).nth(1).is_some());
+        let local = view::delta_catalog(&next, delta, self_join.then_some(old))?;
         for v in views {
-            let pairs = view::delta_pairs(self, &next, v, table, &delta)?;
+            let rows = view::delta_queries(self, &local, v, table)?
+                .into_iter()
+                .flat_map(|result| result.rows);
+            let pairs: Vec<_> = rows.map(|row| v.contribution(row)).collect();
             // A delta whose rows join nothing contributes nothing: the
             // view's two tables stay as they are, and out of the commit.
             if !pairs.is_empty() {
@@ -566,18 +577,6 @@ impl Database {
             v.deltas_applied += 1;
         }
         Ok(())
-    }
-
-    /// A database over `catalog` with this one's limits and spill
-    /// directory and no views: what a query over a query-local catalog
-    /// runs on.
-    pub(crate) fn with_catalog(&self, catalog: Catalog) -> Database {
-        Database {
-            catalog,
-            limits: self.limits,
-            spill_dir: self.spill_dir.clone(),
-            views: BTreeMap::new(),
-        }
     }
 
     /// `CREATE MATERIALIZED VIEW`: check maintainability (typed refusal
@@ -1189,6 +1188,44 @@ mod tests {
     }
 
     #[test]
+    fn create_table_refuses_hidden_column_names() {
+        let mut db = Database::new();
+        for sql in [
+            "CREATE TABLE w (id TEXT, __conquer_added BOOLEAN)",
+            "CREATE TABLE w (__CONQUER_count INTEGER)",
+        ] {
+            let err = execute(&mut db, sql).unwrap_err();
+            assert!(matches!(err, EngineError::Bind(_)), "{sql}: {err}");
+            assert!(!db.catalog().contains("w"), "{sql}");
+        }
+    }
+
+    #[test]
+    fn a_write_no_view_reads_edits_its_table_in_place() {
+        let rows: Vec<String> = (0..10_000).map(|i| format!("({i}, 0.5)")).collect();
+        let mut db = Database::new();
+        db.execute_script(&format!(
+            "CREATE TABLE t (n INTEGER, prob DOUBLE);
+             INSERT INTO t VALUES {};
+             CREATE TABLE u (n INTEGER, prob DOUBLE);
+             CREATE MATERIALIZED VIEW v AS SELECT n, SUM(prob) AS p FROM u GROUP BY n",
+            rows.join(", ")
+        ))
+        .unwrap();
+        let at = |db: &Database| std::sync::Arc::as_ptr(db.catalog().shared("t").unwrap());
+        let before = at(&db);
+        execute(&mut db, "INSERT INTO t VALUES (10000, 0.25)").unwrap();
+        assert_eq!(at(&db), before, "a one-row INSERT copied the table");
+        assert_eq!(db.catalog().table("t").unwrap().len(), 10_001);
+        // A statement that fails in its second row copies nothing either,
+        // though the catalog it is diffed against shares the table.
+        let (out, changed) = run_and_diff(&mut db, "INSERT INTO t VALUES (1, 0.5), ('x', 0.5)");
+        out.unwrap_err();
+        assert_eq!(changed, Vec::<String>::new());
+        assert_eq!(at(&db), before);
+    }
+
+    #[test]
     fn views_survive_save_and_load() {
         let dir = std::env::temp_dir().join(format!("conquer_view_persist_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1437,12 +1474,14 @@ mod tests {
             ..Edit::default()
         };
         let applied = catalog.apply("t", insert).unwrap();
-        let delta = TableDelta::of(old.table("t").unwrap(), applied);
-        assert_eq!(delta.added, [vec![Value::text("a"), Value::Float(1.0)]]);
+        let delta = view::delta_table(old.table("t").unwrap(), applied).unwrap();
+        let added = vec![Value::text("a"), Value::Float(1.0), Value::Bool(true)];
+        assert_eq!(delta.rows(), [added]);
         // Overwriting it with the same number changes nothing.
         let old = catalog.clone();
         let applied = catalog.apply("t", changes(vec![(0, Some(row))])).unwrap();
-        assert!(TableDelta::of(old.table("t").unwrap(), applied).is_empty());
+        let delta = view::delta_table(old.table("t").unwrap(), applied).unwrap();
+        assert!(delta.is_empty());
 
         let mut db = Database::new();
         db.execute_script(

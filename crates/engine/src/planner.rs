@@ -26,10 +26,10 @@
 //! place in the pinned tables, so nothing is renumbered and bound
 //! expressions evaluate regardless of the chosen join order.
 
-use conquer_sql::BinaryOp;
+use conquer_sql::{BinaryOp, SelectStatement};
 use conquer_storage::Catalog;
 
-use crate::binder::{BoundOrderBy, BoundRelation, BoundSelect, GroupSpec, OutputItem};
+use crate::binder::{bind_select, BoundOrderBy, BoundRelation, BoundSelect, GroupSpec, OutputItem};
 use crate::error::EngineError;
 use crate::expr::{BoundExpr, ColumnId};
 use crate::validate;
@@ -122,6 +122,14 @@ impl Plan {
     pub(crate) fn column_name(&self, id: ColumnId) -> &str {
         self.relations[id.rel].schema.columns()[id.col].name()
     }
+}
+
+/// Bind, validate and plan `stmt` against `catalog`: what every prepared
+/// `SELECT` and every view delta query runs.
+pub(crate) fn plan_query(catalog: &Catalog, stmt: &SelectStatement) -> Result<Plan> {
+    let bound = bind_select(catalog, stmt)?;
+    validate::validate_bound(&bound)?;
+    plan_select(catalog, bound)
 }
 
 /// Build a plan for a bound query. `catalog` supplies base-table sizes for

@@ -48,9 +48,12 @@
 //!
 //! ## Delta propagation
 //!
-//! A DML statement changes exactly one base table `T`, captured as a
-//! delta (removed rows, added rows). For a view whose FROM list mentions
-//! `T` at occurrences `o1 < o2 < …` the change to the view telescopes:
+//! A DML statement changes exactly one base table `T`, captured as one
+//! *signed delta*: a table with `T`'s columns plus the hidden `BOOL` column
+//! `__conquer_added`, false for a row the statement removed and true for
+//! one it added (an update contributes its old row and its new one). For a
+//! view whose FROM list mentions `T` at occurrences `o1 < o2 < …` the
+//! change to the view telescopes:
 //!
 //! ```text
 //! Q(new) − Q(old) = Σ_k Q(new, …, Δ at o_k, …, old)
@@ -58,23 +61,32 @@
 //!
 //! — occurrence `o_k` is replaced by the delta, occurrences before it see
 //! the new `T`, occurrences after it the old `T` (self-joins included).
-//! Each summand is the *projection-only* view query (keys + bare SUM
-//! argument, no aggregation) run by the ordinary planner and executor
-//! over a query-local catalog: the statement's new catalog plus one side
-//! of the delta as `DELTA_TABLE`, which occurrence `o_k` reads, and, for
-//! a view that lists `T` more than once, the pre-statement image as
+//! Each summand is one query, whatever the sides of the change: the
+//! *projection-only* view query (keys + bare SUM argument, no
+//! aggregation) plus the sign of the delta row it read, run by the
+//! ordinary planner and executor. Every delta query of a write, for every
+//! view, reads one query-local catalog: the statement's new catalog plus
+//! the delta as `DELTA_TABLE`, which occurrence `o_k` reads, and, when
+//! some view lists `T` more than once, the pre-statement image as
 //! `OLD_TABLE`. Every other FROM entry reads its table as the statement
-//! left it. Removed-side rows retract their (key, term) pairs, added-side
-//! rows add them. Neither name ever enters the database's own catalog,
+//! left it; no view reads another view, so no fold changes what a delta
+//! query reads. A row with a false sign retracts its (key, term) pair, a
+//! true one adds it. Neither name ever enters the database's own catalog,
 //! and a statement whose edit, delta query or fold fails changes nothing.
+//!
+//! The signs are a bag's signed multiplicities, so the order of the rows
+//! within a summand does not matter: the summands are folded in FROM
+//! order, the state after summands `< k` is `Q` over the new `T` before
+//! `o_k` and the old one from it on, and each retraction of summand `k`
+//! removes a contribution of that state. No group's count drops below 0.
 //!
 //! Each summand lists the delta first in its FROM list. The planner's
 //! greedy join order starts at FROM's first relation, so the delta, a few
 //! rows, is the first build side: the first base table it joins is
 //! streamed past it instead of being hashed, its scan skips the rows
-//! outside the delta's key range, and an empty delta side (all its rows
-//! fail the view's filter) ends that join before the table is read (see
-//! the executor's hash-join rules). FROM order decides only the order in
+//! outside the delta's key range, and a delta whose rows all fail the
+//! view's filter ends that join before the table is read (see the
+//! executor's hash-join rules). FROM order decides only the order in
 //! which a summand's rows arrive, never which rows it returns: the aliases
 //! are unchanged, so the selection and the projection bind to the same
 //! columns, and the fold adds each group's terms to an [`ExactSum`] and
@@ -83,13 +95,15 @@
 
 use std::collections::btree_map::{BTreeMap, Entry};
 
-use conquer_sql::{AggFunc, Expr, SelectItem, SelectStatement, Statement, TableRef};
-use conquer_storage::{Catalog, DataType, Edit, Row, Schema, Table, Value};
+use conquer_sql::{AggFunc, Expr, Literal, SelectItem, SelectStatement, Statement, TableRef};
+use conquer_storage::{Catalog, Column, DataType, Edit, Row, Schema, Table, Value};
 
 use crate::binder::bind;
 use crate::database::Database;
 use crate::error::EngineError;
 use crate::exact::ExactSum;
+use crate::exec::execute_plan;
+use crate::planner::plan_query;
 use crate::result::QueryResult;
 use crate::Result;
 
@@ -102,9 +116,11 @@ const STATE_PREFIX: &str = "__conquer_view_state_";
 /// The state-table property holding a view's defining SQL.
 const DEFINITION: &str = "view";
 
-/// Query-local name of one side of a base-table delta (its removed or its
-/// added rows) while a delta query reads it.
+/// Query-local name of a base-table delta while the delta queries read it.
 const DELTA_TABLE: &str = "__conquer_delta";
+
+/// The delta's sign column: false for a removed row, true for an added one.
+const SIGN_COLUMN: &str = "__conquer_added";
 
 /// Query-local name of the pre-statement image of the changed base table
 /// while the delta queries of a self-join view read it.
@@ -162,42 +178,48 @@ pub struct ViewStats {
 /// an added contribution, `false` for a retracted one.
 pub(crate) type Contribution = (Vec<Value>, Value, bool);
 
-/// A change to one base table: the rows a statement removed and added.
-/// An update contributes each changed row to both sides.
-#[derive(Debug, Default)]
-pub(crate) struct TableDelta {
-    /// Rows present before the statement and absent after.
-    pub removed: Vec<Row>,
-    /// Rows absent before the statement and present after.
-    pub added: Vec<Row>,
-}
-
-impl TableDelta {
-    /// The rows `edit` removes from `old` and adds to it, as stored (the
-    /// edit as applied, conformed to the schema): exactly what a recompute
-    /// would read. A row an edit replaces by an equal one is in neither
-    /// side.
-    pub(crate) fn of(old: &Table, edit: &Edit) -> TableDelta {
-        let mut delta = TableDelta::default();
-        for (pos, now) in &edit.changed {
-            let was = &old.rows()[*pos];
-            match now {
-                Some(now) if now == was => {}
-                Some(now) => {
-                    delta.removed.push(was.clone());
-                    delta.added.push(now.clone());
-                }
-                None => delta.removed.push(was.clone()),
+/// The signed delta of `edit` on `old`: every row the edit removes or
+/// adds, as stored (the edit as applied, conformed to the schema), so
+/// exactly what a recompute would stop or start reading. Each is copied
+/// once, with its sign in the appended `__conquer_added` column. A row an
+/// edit replaces by an equal one is not in it.
+pub(crate) fn delta_table(old: &Table, edit: &Edit) -> Result<Table> {
+    let mut schema = old.schema().clone();
+    schema.push_column(Column::new(SIGN_COLUMN, DataType::Bool))?;
+    let mut delta = Table::new(DELTA_TABLE, schema);
+    let mut push = |row: &Row, added: bool| {
+        let mut signed = Vec::with_capacity(row.len() + 1);
+        signed.extend_from_slice(row);
+        signed.push(Value::Bool(added));
+        delta.insert(signed)
+    };
+    for (pos, now) in &edit.changed {
+        let was = &old.rows()[*pos];
+        if now.as_ref() != Some(was) {
+            push(was, false)?;
+            if let Some(now) = now {
+                push(now, true)?;
             }
         }
-        let inserted = edit.inserted.iter().map(|(_, row)| row.clone());
-        delta.added.extend(inserted);
-        delta
     }
+    for (_, row) in &edit.inserted {
+        push(row, true)?;
+    }
+    Ok(delta)
+}
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.removed.is_empty() && self.added.is_empty()
+/// The query-local catalog every delta query of one write reads: `next`,
+/// the catalog the statement is building, plus `delta` and, when some
+/// view lists the changed table twice, its pre-statement image `old`.
+pub(crate) fn delta_catalog(next: &Catalog, delta: Table, old: Option<&Table>) -> Result<Catalog> {
+    let mut local = next.clone();
+    local.add_table(delta)?;
+    if let Some(old) = old {
+        let mut image = Table::new(OLD_TABLE, old.schema().clone());
+        image.insert_all(old.rows().iter().cloned())?;
+        local.add_table(image)?;
     }
+    Ok(local)
 }
 
 /// An analyzed, maintainable view definition.
@@ -455,18 +477,15 @@ impl ViewDef {
     }
 
     /// The projection-only form of the view query over the original
-    /// FROM/WHERE: keys plus the *bare* SUM argument, no aggregation — one
-    /// output row per contribution.
-    pub(crate) fn projection_query(&self) -> SelectStatement {
+    /// FROM/WHERE: keys plus the *bare* SUM argument, then `sign`, no
+    /// aggregation — one output row per signed contribution.
+    fn projection_query(&self, sign: Expr) -> SelectStatement {
+        let items = self.items.iter().map(|(_, e)| e.clone());
         SelectStatement {
             distinct: false,
-            projection: self
-                .items
-                .iter()
-                .map(|(_, e)| SelectItem::Expr {
-                    expr: e.clone(),
-                    alias: None,
-                })
+            projection: items
+                .chain([sign])
+                .map(|expr| SelectItem::Expr { expr, alias: None })
                 .collect(),
             from: self.query.from.clone(),
             selection: self.query.selection.clone(),
@@ -478,18 +497,20 @@ impl ViewDef {
     }
 
     /// Split one projection-only output row into a signed contribution.
-    fn contribution(&self, mut row: Row, add: bool) -> Contribution {
+    pub(crate) fn contribution(&self, mut row: Row) -> Contribution {
+        let add = row.pop() == Some(Value::Bool(true));
         let term = row.remove(self.term_index);
         (row, term, add)
     }
 }
 
 /// Evaluate the view from scratch: every contribution of the
-/// projection-only query, folded as an addition into an empty state. What
-/// `CREATE` and `REFRESH` install.
+/// projection-only query, signed `TRUE`, folded as an addition into an
+/// empty state. What `CREATE` and `REFRESH` install.
 pub(crate) fn recompute(db: &Database, view: &ViewDef) -> Result<(Table, Table)> {
-    let rows = db.prepare_select(&view.projection_query())?.query(db)?.rows;
-    let contributions = rows.into_iter().map(|row| view.contribution(row, true));
+    let query = view.projection_query(Expr::Literal(Literal::Bool(true)));
+    let rows = db.prepare_select(&query)?.query(db)?.rows;
+    let contributions = rows.into_iter().map(|row| view.contribution(row));
     build(view, contributions)
 }
 
@@ -606,68 +627,25 @@ pub(crate) fn fold(
     Ok((contents, state))
 }
 
-/// Evaluate the signed (key, term) contribution pairs of one base-table
-/// delta against one view, by the telescoping decomposition described in
-/// the module docs. `db` is the database as it was before the statement,
-/// and `next` the catalog the statement is building, with `table` already
-/// edited. The `bool` is `true` for an added contribution, `false` for a
-/// retraction.
-pub(crate) fn delta_pairs(
+/// Run the delta queries of one write against `view`, by the telescoping
+/// decomposition described in the module docs: one per occurrence of
+/// `table` in the view's FROM list, planned and executed on `local`, the
+/// write's [`delta_catalog`], under `db`'s limits and spill directory.
+/// Each result's rows are signed contributions ([`ViewDef::contribution`]).
+pub(crate) fn delta_queries(
     db: &Database,
-    next: &Catalog,
+    local: &Catalog,
     view: &ViewDef,
     table: &str,
-    delta: &TableDelta,
-) -> Result<Vec<Contribution>> {
-    let mut pairs = Vec::new();
-    for (result, add) in delta_queries(db, next, view, table, delta)? {
-        pairs.extend(
-            result
-                .rows
-                .into_iter()
-                .map(|row| view.contribution(row, add)),
-        );
-    }
-    Ok(pairs)
-}
-
-/// Run the delta queries behind [`delta_pairs`]: one per occurrence of
-/// `table` in the view's FROM list and non-empty side of `delta`, each on
-/// a throwaway database over a query-local catalog, with `db`'s limits
-/// and spill directory. Each result is the projection-only view query's
-/// rows, with its statistics, and whether they are added contributions.
-fn delta_queries(
-    db: &Database,
-    next: &Catalog,
-    view: &ViewDef,
-    table: &str,
-    delta: &TableDelta,
-) -> Result<Vec<(QueryResult, bool)>> {
-    let old = db.catalog().table(table)?;
-    let relation = |name: &str, rows: &[Row]| -> Result<Table> {
-        let mut t = Table::new(name, old.schema().clone());
-        t.insert_all(rows.iter().cloned())?;
-        Ok(t)
-    };
-    let mut base = next.clone();
-    if view.occurrences(table).nth(1).is_some() {
-        base.add_table(relation(OLD_TABLE, old.rows())?)?;
-    }
-    let mut sides = Vec::new();
-    for (rows, add) in [(&delta.removed, false), (&delta.added, true)] {
-        if !rows.is_empty() {
-            let mut catalog = base.clone();
-            catalog.add_table(relation(DELTA_TABLE, rows)?)?;
-            sides.push((db.with_catalog(catalog), add));
-        }
-    }
+) -> Result<Vec<QueryResult>> {
     let mut results = Vec::new();
     for k in view.occurrences(table) {
         // The telescope: the delta at slot `k`, the new `T` before it, the
         // old `T` after it. Aliases keep the original binding names, so the
         // selection binds unchanged. The delta then moves to the front of
         // FROM, where the planner starts its join order.
-        let mut query = view.projection_query();
+        let sign = Expr::qualified(view.query.from[k].binding_name(), SIGN_COLUMN);
+        let mut query = view.projection_query(sign);
         for (j, tref) in query.from.iter_mut().enumerate().skip(k) {
             if tref.table == table {
                 let name = if j == k { DELTA_TABLE } else { OLD_TABLE };
@@ -675,9 +653,8 @@ fn delta_queries(
             }
         }
         query.from[..=k].rotate_right(1);
-        for (local, add) in &sides {
-            results.push((local.prepare_select(&query)?.query(local)?, *add));
-        }
+        let plan = plan_query(local, &query)?;
+        results.push(execute_plan(local, &plan, &db.exec_context(*db.limits()))?);
     }
     Ok(results)
 }
@@ -878,20 +855,20 @@ mod tests {
     }
 
     /// Per scan of `scanned` in the delta queries that maintain `view`
-    /// when `next` replaces `table` by way of `delta`: the rows it read
+    /// over `local`, a write's delta catalog for `table`: the rows it read
     /// and the rows it passed to its filter.
     fn scans_of(
         db: &Database,
-        next: &Catalog,
+        local: &Catalog,
         view: &str,
-        (table, delta): (&str, &TableDelta),
+        table: &str,
         scanned: &str,
     ) -> Vec<(u64, u64)> {
         let view = db.views().find(|v| v.name == view).unwrap();
-        let results = delta_queries(db, next, view, table, delta).unwrap();
+        let results = delta_queries(db, local, view, table).unwrap();
         assert!(!results.is_empty());
         let mut scans = Vec::new();
-        for (result, _) in &results {
+        for result in &results {
             result.stats().unwrap().root.visit(&mut |_, op| {
                 if op.name.starts_with(&format!("Scan {scanned} ")) {
                     scans.push((op.rows_in, op.rows_in - op.pruned));
@@ -901,18 +878,31 @@ mod tests {
         scans
     }
 
-    /// `db`'s catalog with `rows` appended to `table`, and that delta.
-    fn inserted(db: &Database, table: &str, rows: Vec<Row>) -> (Catalog, TableDelta) {
+    /// The signed contributions of the delta queries behind [`scans_of`].
+    fn pairs_of(db: &Database, local: &Catalog, view: &str, table: &str) -> Vec<Contribution> {
+        let view = db.views().find(|v| v.name == view).unwrap();
+        let results = delta_queries(db, local, view, table).unwrap();
+        let rows = results.into_iter().flat_map(|result| result.rows);
+        rows.map(|row| view.contribution(row)).collect()
+    }
+
+    /// The delta catalog of `edit` on `db`'s `table`, as a write builds it.
+    fn edited(db: &Database, table: &str, edit: Edit) -> Catalog {
         let mut next = db.catalog().clone();
-        next.table_mut(table)
-            .unwrap()
-            .insert_all(rows.clone())
-            .unwrap();
-        let delta = TableDelta {
-            removed: Vec::new(),
-            added: rows,
+        let old = db.catalog().table(table).unwrap();
+        let delta = delta_table(old, next.apply(table, edit).unwrap()).unwrap();
+        delta_catalog(&next, delta, None).unwrap()
+    }
+
+    /// The delta catalog of appending `rows` to `table`.
+    fn inserted(db: &Database, table: &str, rows: Vec<Row>) -> Catalog {
+        let len = db.catalog().table(table).unwrap().len();
+        let inserted = rows.into_iter().map(|row| (len, row)).collect();
+        let edit = Edit {
+            inserted,
+            ..Edit::default()
         };
-        (next, delta)
+        edited(db, table, edit)
     }
 
     #[test]
@@ -926,11 +916,8 @@ mod tests {
             Value::text("LOW"),
             Value::Float(1.0),
         ];
-        let (next, delta) = inserted(&db, "orders", vec![order]);
-        assert_eq!(
-            scans_of(&db, &next, "q12", ("orders", &delta), "lineitem"),
-            [(0, 0)]
-        );
+        let local = inserted(&db, "orders", vec![order]);
+        assert_eq!(scans_of(&db, &local, "q12", "orders", "lineitem"), [(0, 0)]);
         // A `'SHIP'` lineitem fails q3's filter. q3 lists lineitem last,
         // so its delta query starts there and reads neither orders nor
         // customer.
@@ -940,14 +927,12 @@ mod tests {
             Value::text("SHIP"),
             Value::Float(1.0),
         ];
-        let (next, delta) = inserted(&db, "lineitem", vec![line]);
+        let local = inserted(&db, "lineitem", vec![line]);
         for scanned in ["orders", "customer"] {
-            let scans = scans_of(&db, &next, "q3", ("lineitem", &delta), scanned);
+            let scans = scans_of(&db, &local, "q3", "lineitem", scanned);
             assert_eq!(scans, [(0, 0)], "{scanned}");
         }
-        let view = db.views().find(|v| v.name == "q3").unwrap();
-        let pairs = delta_pairs(&db, &next, view, "lineitem", &delta).unwrap();
-        assert!(pairs.is_empty());
+        assert!(pairs_of(&db, &local, "q3", "lineitem").is_empty());
     }
 
     #[test]
@@ -955,16 +940,14 @@ mod tests {
         let db = shipping_db();
         // Re-weigh cluster o1: both of its tuples leave and come back.
         let orders = db.catalog().table("orders").unwrap();
-        let removed: Vec<Row> = orders.rows()[..2].to_vec();
-        let mut added = removed.clone();
-        (added[0][4], added[1][4]) = (Value::Float(0.25), Value::Float(0.75));
-        let mut reweighed = Table::new("orders", orders.schema().clone());
-        reweighed
-            .insert_all(added.iter().chain(&orders.rows()[2..]).cloned())
-            .unwrap();
-        let mut next = db.catalog().clone();
-        next.replace_table(reweighed);
-        let delta = TableDelta { removed, added };
+        let mut reweighed = orders.rows()[..2].to_vec();
+        (reweighed[0][4], reweighed[1][4]) = (Value::Float(0.25), Value::Float(0.75));
+        let changed = reweighed.into_iter().enumerate();
+        let edit = Edit {
+            changed: changed.map(|(pos, row)| (pos, Some(row))).collect(),
+            ..Edit::default()
+        };
+        let local = edited(&db, "orders", edit);
         let cluster_lines = db
             .catalog()
             .table("lineitem")
@@ -974,17 +957,16 @@ mod tests {
             .filter(|l| l[1] == Value::Int(1))
             .count() as u64;
         assert_eq!(cluster_lines, 5);
-        // One delta query per side; each reads lineitem once and filters
-        // at most the cluster's lines.
-        let scans = scans_of(&db, &next, "q12", ("orders", &delta), "lineitem");
-        assert_eq!(scans.len(), 2);
+        // One delta query for both sides of the change; it reads lineitem
+        // once and filters at most the cluster's lines.
+        let scans = scans_of(&db, &local, "q12", "orders", "lineitem");
+        assert_eq!(scans.len(), 1);
         for (read, filtered) in scans {
             assert_eq!(read, 20);
             assert!(filtered <= cluster_lines, "{filtered} of {read}");
         }
         // The pairs retract the old weights and add the new ones.
-        let view = db.views().find(|v| v.name == "q12").unwrap();
-        let pairs = delta_pairs(&db, &next, view, "orders", &delta).unwrap();
+        let pairs = pairs_of(&db, &local, "q12", "orders");
         let added = pairs.iter().filter(|(_, _, add)| *add).count();
         assert_eq!((pairs.len(), added), (2 * cluster_lines as usize, 5));
 
@@ -997,9 +979,9 @@ mod tests {
             Value::text("MAIL"),
             Value::Float(1.0),
         ];
-        let (next, delta) = inserted(&db, "lineitem", vec![line]);
+        let local = inserted(&db, "lineitem", vec![line]);
         for (scanned, rows) in [("orders", 4), ("customer", 6)] {
-            let scans = scans_of(&db, &next, "q3", ("lineitem", &delta), scanned);
+            let scans = scans_of(&db, &local, "q3", "lineitem", scanned);
             assert_eq!(scans, [(rows, 2)], "{scanned}");
         }
     }

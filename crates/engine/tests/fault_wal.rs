@@ -31,7 +31,7 @@ fn open(dir: &Path) -> (SharedDatabase, RecoveryReport) {
 }
 
 /// `sql`'s rows, read without a budget (the budget test gives the
-/// database's own queries 320 bytes).
+/// database's own queries 800 bytes).
 fn rows(db: &SharedDatabase, sql: &str) -> Vec<Vec<Value>> {
     let s = db.session();
     s.set_limits(ExecLimits::none());
@@ -547,17 +547,18 @@ fn view_dml_failed_at_every_write_and_fsync_is_never_half_maintained() {
     }
 }
 
-/// A join view's delta query runs out of a 320-byte, no-disk budget after
+/// A join view's delta query runs out of an 800-byte, no-disk budget after
 /// the single-table view `v` was already maintained: the statement fails
 /// whole, with nothing logged or published. Measured peaks of `VIEW_DML`'s
-/// maintenance: `v` alone needs 288 B, `vj` 404 B (its build side charges
+/// maintenance, one query per view over the 8 signed delta rows of its 4
+/// updated rows: `v` alone needs 768 B, `vj` 888 B (its build side charges
 /// a 4-byte position plus a key copy per tuple).
 #[test]
 fn view_maintenance_out_of_budget_publishes_nothing() {
     let (fs, _guard, dir) = mount("efwal_view_budget");
     let db = view_db(&dir);
     db.mutate(|d| {
-        d.set_limits(ExecLimits::none().with_mem_bytes(320).with_disk_bytes(0));
+        d.set_limits(ExecLimits::none().with_mem_bytes(800).with_disk_bytes(0));
         Ok(())
     })
     .unwrap();

@@ -138,9 +138,11 @@ impl Catalog {
     /// when another catalog still shares it) and record it, so that
     /// [`Catalog::changes_since`] can name the change as its edits. Returns
     /// the edit as applied, its rows conformed to the schema. On `Err` the
-    /// table holds the rows it had.
+    /// edit was checked and refused before anything was copied or
+    /// recorded: the entry is as it was.
     pub fn apply(&mut self, name: &str, mut edit: Edit) -> Result<&Edit, StorageError> {
         let entry = self.entry_mut(name)?;
+        entry.table.check(&mut edit)?;
         // The first edit since this catalog was cloned starts the edits at
         // the allocation the other catalog keeps. Once no catalog holds
         // the origin, none can be diffed against it: keep only this edit,
@@ -161,7 +163,7 @@ impl Catalog {
                 edits: Vec::new(),
             }));
         }
-        Arc::make_mut(&mut entry.table).apply(&mut edit)?;
+        Arc::make_mut(&mut entry.table).splice(&edit);
         let journal = Arc::make_mut(entry.journal.get_or_insert_with(Default::default));
         journal.edits.push(edit);
         Ok(&journal.edits[journal.edits.len() - 1])

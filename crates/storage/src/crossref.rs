@@ -4,16 +4,16 @@
 //! External duplicate-detection tools (the paper names WebSphere
 //! QualityStage) emit *cross-reference tables* mapping each tuple's
 //! original key to the identifier of the duplicate cluster it belongs to.
-//! [`apply_crossref`] applies such a mapping to a dirty relation in place:
-//! every row's identifier column is set from the mapping of its original
-//! key, turning the matcher's output into the identifier-column form the
-//! rest of the system consumes. [`resolve_crossref`] is its read-only
-//! half, which the engine's `APPLY CROSSREF` statement plans its change
-//! from.
+//! [`resolve_crossref`] reads such a mapping against a dirty relation: the
+//! cluster identifier of every row, from the mapping of its original key.
+//! The engine's `APPLY CROSSREF` statement plans its change from it and
+//! writes the identifier column like any other DML, so the maintained
+//! views and the write-ahead log see it, turning the matcher's output
+//! into the identifier-column form the rest of the system consumes.
 //!
-//! The logic lives here (`conquer-core` re-exports it) so the query engine
-//! can execute `APPLY CROSSREF` statements without depending on the core
-//! crate — the dependency arrow points the other way.
+//! The logic lives here so the query engine can resolve the mapping
+//! without depending on the core crate — the dependency arrow points the
+//! other way.
 
 use std::collections::HashMap;
 
@@ -80,33 +80,6 @@ pub fn resolve_crossref(
     Ok((ids, count))
 }
 
-/// Apply a cross-reference table to a dirty relation in place: resolve
-/// every row's cluster identifier ([`resolve_crossref`]) and write it to
-/// `table.id_column`. Nothing is written when resolution fails. Returns
-/// the number of distinct clusters assigned.
-pub fn apply_crossref(
-    catalog: &mut Catalog,
-    table: &str,
-    key_column: &str,
-    id_column: &str,
-    xref_table: &str,
-    xref_key_column: &str,
-    xref_id_column: &str,
-) -> Result<usize, StorageError> {
-    let (ids, count) = resolve_crossref(
-        catalog,
-        table,
-        key_column,
-        xref_table,
-        xref_key_column,
-        xref_id_column,
-    )?;
-    catalog
-        .table_mut(table)?
-        .update_column(id_column, |i, _| ids[i].clone())?;
-    Ok(count)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,21 +116,16 @@ mod tests {
         cat
     }
 
+    /// The cluster identifiers `resolve_crossref` assigns to `customer`.
+    fn resolve(cat: &Catalog) -> Result<(Vec<Value>, usize), StorageError> {
+        resolve_crossref(cat, "customer", "custkey", "xref", "orig", "cluster")
+    }
+
     #[test]
     fn assigns_cluster_identifiers() {
-        let mut cat = setup();
-        let clusters = apply_crossref(
-            &mut cat, "customer", "custkey", "id", "xref", "orig", "cluster",
-        )
-        .unwrap();
+        let (ids, clusters) = resolve(&setup()).unwrap();
         assert_eq!(clusters, 2);
-        let ids: Vec<String> = cat
-            .table("customer")
-            .unwrap()
-            .rows()
-            .iter()
-            .map(|r| r[0].to_string())
-            .collect();
+        let ids: Vec<String> = ids.iter().map(Value::to_string).collect();
         assert_eq!(ids, vec!["c1", "c1", "c2"]);
     }
 
@@ -168,10 +136,7 @@ mod tests {
             .unwrap()
             .insert(vec![Value::text(""), Value::Int(999), Value::text("zed")])
             .unwrap();
-        let err = apply_crossref(
-            &mut cat, "customer", "custkey", "id", "xref", "orig", "cluster",
-        )
-        .unwrap_err();
+        let err = resolve(&cat).unwrap_err();
         assert!(matches!(err, StorageError::InvalidData(_)), "{err}");
         assert!(err.to_string().contains("999"), "{err}");
     }
@@ -183,11 +148,7 @@ mod tests {
             .unwrap()
             .insert(vec![Value::Int(101), Value::text("c1")])
             .unwrap();
-        let clusters = apply_crossref(
-            &mut cat, "customer", "custkey", "id", "xref", "orig", "cluster",
-        )
-        .unwrap();
-        assert_eq!(clusters, 2);
+        assert_eq!(resolve(&cat).unwrap().1, 2);
     }
 
     #[test]
@@ -197,10 +158,7 @@ mod tests {
             .unwrap()
             .insert(vec![Value::Int(101), Value::text("c9")])
             .unwrap();
-        let err = apply_crossref(
-            &mut cat, "customer", "custkey", "id", "xref", "orig", "cluster",
-        )
-        .unwrap_err();
+        let err = resolve(&cat).unwrap_err();
         assert!(err.to_string().contains("both"), "{err}");
     }
 }

@@ -42,7 +42,7 @@ pub mod vfs;
 pub mod wal;
 
 pub use catalog::Catalog;
-pub use crossref::{apply_crossref, resolve_crossref};
+pub use crossref::resolve_crossref;
 pub use date::Date;
 pub use error::StorageError;
 pub use persist::{load_catalog, load_catalog_recover, save_catalog, RecoveryReport};

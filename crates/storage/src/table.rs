@@ -168,6 +168,15 @@ impl Table {
     /// the edit names to the end, and to the edit alone when it only
     /// replaces rows.
     pub fn apply(&mut self, edit: &mut Edit) -> Result<(), StorageError> {
+        self.check(edit)?;
+        self.splice(edit);
+        Ok(())
+    }
+
+    /// The checks of [`Table::apply`], which read the table and not write
+    /// it: the positions against the table, the rows against the schema
+    /// (conforming them in place).
+    pub(crate) fn check(&self, edit: &mut Edit) -> Result<(), StorageError> {
         let len = self.rows.len();
         let bad = |what: String| {
             Err(StorageError::InvalidData(format!(
@@ -197,7 +206,12 @@ impl Table {
         for row in replaced.chain(edit.inserted.iter_mut().map(|(_, row)| row)) {
             self.conform(row)?;
         }
+        Ok(())
+    }
 
+    /// The mutation of [`Table::apply`], on an edit [`Table::check`] passed.
+    pub(crate) fn splice(&mut self, edit: &Edit) {
+        let len = self.rows.len();
         if edit.inserted.is_empty() && edit.changed.iter().all(|(_, row)| row.is_some()) {
             // Replacements alone: overwrite in place.
             for (pos, row) in &edit.changed {
@@ -205,7 +219,7 @@ impl Table {
                     self.rows[*pos].clone_from(row);
                 }
             }
-            return Ok(());
+            return;
         }
         let firsts = [
             edit.changed.first().map(|c| c.0),
@@ -226,7 +240,6 @@ impl Table {
             }
         }
         self.rows.extend(inserted.map(|(_, new)| new.clone()));
-        Ok(())
     }
 
     /// Insert many rows, stopping at the first error.

@@ -601,21 +601,29 @@ impl Wal {
         let _io = conquer_sync::blocking_region("wal::open");
         vfs::create_dir_all(dir)?;
         let scan = scan(dir)?;
-        Wal::from_scan(dir, scan.as_ref())
+        Wal::from_scan(dir, scan.as_ref(), None)
     }
 
-    /// Recover `dir` and open its log, reading `wal.log` once: the catalog
-    /// and report [`load_catalog_recover`](crate::load_catalog_recover)
-    /// returns, and the handle [`Wal::open`] returns.
+    /// Recover `dir` and open its log, reading and decoding `wal.log` once:
+    /// the catalog and report
+    /// [`load_catalog_recover`](crate::load_catalog_recover) returns, and
+    /// the handle [`Wal::open`] returns.
     pub fn recover(dir: &Path) -> Result<(Wal, Catalog, RecoveryReport), StorageError> {
         let _io = conquer_sync::blocking_region("wal::open");
         vfs::create_dir_all(dir)?;
         let scan = scan(dir)?;
         let (catalog, report) = crate::persist::recover(dir, scan.as_ref())?;
-        Ok((Wal::from_scan(dir, scan.as_ref())?, catalog, report))
+        let wal = Wal::from_scan(dir, scan.as_ref(), Some(&catalog))?;
+        Ok((wal, catalog, report))
     }
 
-    fn from_scan(dir: &Path, scan: Option<&Scan>) -> Result<Wal, StorageError> {
+    /// The handle over the log `scan` read; `catalog`, when given, is the
+    /// scan's catalog already decoded.
+    fn from_scan(
+        dir: &Path,
+        scan: Option<&Scan>,
+        catalog: Option<&Catalog>,
+    ) -> Result<Wal, StorageError> {
         let mut file = vfs::File::open_rw(&dir.join(WAL_FILE))?;
         let (seq, len, base_len) = match scan {
             Some(s) if s.committed_len > 0 => {
@@ -652,7 +660,10 @@ impl Wal {
         if let Some(s) = scan.filter(|s| s.v3) {
             // Nothing is appended to a v3 log: its migrated catalog becomes
             // a v4 base, sealed at its last commit.
-            wal.checkpoint(&s.catalog()?)?;
+            match catalog {
+                Some(catalog) => wal.checkpoint(catalog)?,
+                None => wal.checkpoint(&s.catalog()?)?,
+            };
         }
         Ok(wal)
     }

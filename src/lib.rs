@@ -74,9 +74,9 @@ pub fn proptest_cases(default: u32) -> u32 {
 pub mod prelude {
     pub use crate::error::Result;
     pub use conquer_core::{
-        apply_crossref, explain_answer, CleanAnswers, CoreError, Def7Clause, DirtyDatabase,
-        DirtySpec, DirtyTableMeta, EvalStrategy, JoinGraph, NotRewritable, RewriteClean,
-        RewriteExpected, RewriteObstacle,
+        explain_answer, CleanAnswers, CoreError, Def7Clause, DirtyDatabase, DirtySpec,
+        DirtyTableMeta, EvalStrategy, JoinGraph, NotRewritable, RewriteClean, RewriteExpected,
+        RewriteObstacle,
     };
     pub use conquer_engine::{
         CancelToken, Code, Database, Diagnostic, ErrorKind, ExecContext, ExecLimits, ExecStats,
