@@ -117,11 +117,11 @@ fn every_crash_state_of_a_commit_of_two_edit_frames_recovers_to_a_boundary() {
     // One commit, two edit frames: `t` replaces its first row, `u` gains
     // a row.
     let t_edit = [Edit {
-        changed: vec![(0, Some(vec![Value::Int(10)]))],
+        changed: vec![(0, Some(vec![Value::Int(10)].into()))],
         ..Edit::default()
     }];
     let u_edit = [Edit {
-        inserted: vec![(1, vec![Value::Int(6)])],
+        inserted: vec![(1, vec![Value::Int(6)].into())],
         ..Edit::default()
     }];
     let ops = [WalOp::Edit("t", &t_edit), WalOp::Edit("u", &u_edit)];
