@@ -72,7 +72,7 @@ pub fn fig7(sf: f64, runs: usize) -> Report {
         let (t_scan, _) = median_time(runs, || {
             let table = dirty.catalog.table("lineitem").expect("present");
             let mut cells = 0usize;
-            for row in table.rows() {
+            for row in table.shared_rows() {
                 cells += row.len();
             }
             cells

@@ -121,7 +121,7 @@ pub fn table4() -> Report {
     let mut ranked: Vec<usize> = (0..t.len()).collect();
     ranked.sort_by(|&a, &b| probs[b].partial_cmp(&probs[a]).expect("finite"));
     let show = |rank: &str, i: usize, report: &mut Report| {
-        let r = &t.rows()[i];
+        let r = &t.shared_rows()[i];
         let note = if i == misclustered {
             "different publication (mis-clustered)"
         } else if i == odd {

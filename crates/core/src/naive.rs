@@ -53,7 +53,7 @@ pub fn clusters_of(table: &Table, spec: &DirtySpec) -> Result<Vec<Cluster>> {
     let meta = spec.require(table.name())?;
     let id_col = table.column_index(&meta.id_column)?;
     let mut by_id: HashMap<Value, Vec<usize>> = HashMap::new();
-    for (i, row) in table.rows().iter().enumerate() {
+    for (i, row) in table.shared_rows().iter().enumerate() {
         by_id.entry(row[id_col].clone()).or_default().push(i);
     }
     let mut out: Vec<Cluster> = by_id
@@ -144,7 +144,7 @@ impl CandidateDatabases {
                 }
                 let cluster = &part.clusters[*ci];
                 let row_idx = cluster.rows[self.odometer[digit]];
-                let row = base_table.row(row_idx)?.clone();
+                let row = base_table.shared_rows().get(row_idx)?.clone();
                 probability *= row[part.prob_col].as_f64().unwrap_or(0.0);
                 table.insert(row).ok()?;
             }

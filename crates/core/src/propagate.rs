@@ -32,7 +32,7 @@ fn key_to_id_map(
     let key_col = table.column_index(parent_key)?;
     let id_col = table.column_index(parent_id)?;
     let mut map = HashMap::with_capacity(table.len());
-    for row in table.rows() {
+    for row in table.shared_rows() {
         let key = row[key_col].clone();
         let id = row[id_col].clone();
         if key.is_null() {
@@ -82,7 +82,7 @@ pub fn propagate_new_column(
     let fk_col = child_table.column_index(child_fk)?;
     let mut unmatched = 0usize;
     let values: Vec<Value> = child_table
-        .rows()
+        .shared_rows()
         .iter()
         .map(|row| match map.get(&row[fk_col]) {
             Some(id) => id.clone(),

@@ -141,7 +141,7 @@ impl DirtySpec {
                 )));
             }
             let mut sums: BTreeMap<String, f64> = BTreeMap::new();
-            for (i, row) in table.rows().iter().enumerate() {
+            for (i, row) in table.shared_rows().iter().enumerate() {
                 let p = row[prob_col].as_f64().ok_or_else(|| {
                     CoreError::InvalidDirty(format!(
                         "{name}.{} is NULL or non-numeric in row {i}",

@@ -18,6 +18,7 @@
 //! [`DirtyDatabase`] ready for clean-answer queries.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use conquer_core::{propagate_in_place, DirtyDatabase, DirtySpec, DirtyTableMeta};
 use conquer_engine::{Database, EngineError};
@@ -191,7 +192,7 @@ fn dirty_table(
     let mut keys: HashMap<i64, Vec<i64>> = HashMap::with_capacity(clean.len());
     let mut next_src: i64 = 0;
 
-    for row in clean.rows() {
+    for row in clean.shared_rows() {
         let cluster_id = row[id_col].as_i64().ok_or_else(|| {
             EngineError::internal(format!("identifier column of {name} must hold integers"))
         })?;
@@ -207,17 +208,19 @@ fn dirty_table(
             } else {
                 perturb_row(rng, row, &keep, &config.perturb)
             };
-            r[src_col] = Value::Int(next_src);
+            // Copies the clean row once; a perturbed one is written in place.
+            let cells = Arc::make_mut(&mut r);
+            cells[src_col] = Value::Int(next_src);
             members.push(next_src);
             next_src += 1;
             // Point FKs at a random source key of the referenced parent
             // cluster (different sources cite different representations).
             for (fk, parent) in &fk_cols {
-                let parent_cluster = r[*fk].as_i64().ok_or_else(|| {
+                let parent_cluster = cells[*fk].as_i64().ok_or_else(|| {
                     EngineError::internal(format!("foreign keys of {name} must hold integers"))
                 })?;
                 let srcs = &parent_srcs[*parent][&parent_cluster];
-                r[*fk] = Value::Int(srcs[rng.random_range(0..srcs.len())]);
+                cells[*fk] = Value::Int(srcs[rng.random_range(0..srcs.len())]);
             }
             out.insert(r)?;
         }

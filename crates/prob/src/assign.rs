@@ -55,7 +55,7 @@ impl Clustering {
     pub fn from_id_column(table: &Table, id_column: &str) -> Result<Self> {
         let col = table.column_index(id_column)?;
         let mut by_id: HashMap<Value, Vec<usize>> = HashMap::new();
-        for (i, row) in table.rows().iter().enumerate() {
+        for (i, row) in table.shared_rows().iter().enumerate() {
             by_id.entry(row[col].clone()).or_default().push(i);
         }
         let mut pairs: Vec<(Value, Vec<usize>)> = by_id.into_iter().collect();

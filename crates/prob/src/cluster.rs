@@ -137,7 +137,7 @@ pub fn sorted_neighborhood(table: &Table, config: &SortedNeighborhoodConfig) -> 
     let n = table.len();
     // Render the compared fields once.
     let rendered: Vec<Vec<String>> = table
-        .rows()
+        .shared_rows()
         .iter()
         .map(|row| {
             cols.iter()

@@ -48,7 +48,7 @@ impl CategoricalMatrix {
         let mut interner: HashMap<(usize, String), u32> = HashMap::new();
         let mut value_names: Vec<(usize, String)> = Vec::new();
         let mut tuple_values = Vec::with_capacity(table.len());
-        for row in table.rows() {
+        for row in table.shared_rows() {
             let mut vals = Vec::with_capacity(cols.len());
             for (ai, &c) in cols.iter().enumerate() {
                 let text = row[c].to_string();

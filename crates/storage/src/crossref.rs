@@ -43,7 +43,7 @@ pub fn resolve_crossref(
     let kcol = xref.column_index(xref_key_column)?;
     let icol = xref.column_index(xref_id_column)?;
     let mut mapping: HashMap<Value, Value> = HashMap::with_capacity(xref.len());
-    for (i, row) in xref.rows().iter().enumerate() {
+    for (i, row) in xref.shared_rows().iter().enumerate() {
         let key = row[kcol].clone();
         if key.is_null() {
             return Err(StorageError::InvalidData(format!(
@@ -63,7 +63,7 @@ pub fn resolve_crossref(
     let t = catalog.table(table)?;
     let kcol = t.column_index(key_column)?;
     let ids: Vec<Value> = t
-        .rows()
+        .shared_rows()
         .iter()
         .enumerate()
         .map(|(i, row)| {
