@@ -59,6 +59,11 @@ pub struct AggCall {
     /// every other call. The executor multiplies these cells as `f64`s
     /// instead of evaluating `arg`, which computes the same bits.
     pub factors: Vec<ColumnId>,
+    /// Set on a `SUM` only by the view module, on the plans it builds; SQL
+    /// text cannot ask for it. The call then finalizes to its exact sum's
+    /// [`ExactSum::encode`](crate::exact::ExactSum::encode) text instead
+    /// of the rounded value, so a view merges exact partial sums.
+    pub(crate) exact: bool,
 }
 
 /// The columns of a left-deep product `((c1 * c2) * …) * cm` of m ≥ 2
@@ -777,6 +782,7 @@ impl<'a> Binder<'a> {
                         arg,
                         distinct: *distinct,
                         factors,
+                        exact: false,
                     };
                     let j = match self.aggs.iter().position(|c| *c == call) {
                         Some(j) => j,

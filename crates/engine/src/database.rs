@@ -573,14 +573,14 @@ impl Database {
         let local = view::delta_catalog(&next, delta, self_join.then_some(old))?;
         for v in views {
             let mut fold = view::Fold::new(v, Some(&next))?;
-            let mut rows = 0usize;
-            view::delta_queries(self, &local, v, table, |row| {
-                rows += 1;
-                fold.add(v.contribution(row))
+            let mut partials = 0usize;
+            view::delta_queries(self, &local, v, table, |partial| {
+                partials += 1;
+                fold.push(partial)
             })?;
             // A delta whose rows join nothing contributes nothing: the
             // view's two tables stay as they are, and out of the commit.
-            if rows > 0 {
+            if partials > 0 {
                 let (contents, state) = fold.splice()?;
                 next.apply(&v.name, contents)?;
                 next.apply(&v.state_table(), state)?;

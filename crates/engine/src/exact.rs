@@ -4,7 +4,10 @@
 //! two's-complement fixed-point integer in units of 2⁻¹⁰⁷⁴ (the smallest
 //! subnormal). Every finite `f64` is an integer multiple of that unit, so
 //! adding a term is integer addition and [`ExactSum::retract`] (adding
-//! `−x`) removes `x` without a trace. The sum is rounded once, in
+//! `−x`) removes `x` without a trace. Two sums merge the same way, limb by
+//! limb ([`ExactSum::add_sum`], [`ExactSum::retract_sum`]), so a multiset
+//! summed in parts and merged is the multiset summed whole. The sum is
+//! rounded once, in
 //! [`ExactSum::value`], so the result depends on the multiset of terms and
 //! not on the order they arrived in.
 //!
@@ -144,6 +147,18 @@ impl ExactSum {
         self.apply(x, -1);
     }
 
+    /// Fold in every term of `other`: the sum of both multisets, as if
+    /// each of `other`'s terms had been [`add`](ExactSum::add)ed. Exact.
+    pub fn add_sum(&mut self, other: &ExactSum) {
+        self.merge(other, 1);
+    }
+
+    /// Remove every term of `other`, each of which was added before: what
+    /// [`retract`](ExactSum::retract)ing them one by one leaves. Exact.
+    pub fn retract_sum(&mut self, other: &ExactSum) {
+        self.merge(other, -1);
+    }
+
     /// Has no term been added (or has every added term been retracted)?
     pub fn is_empty(&self) -> bool {
         *self == ExactSum::default()
@@ -218,6 +233,44 @@ impl ExactSum {
         self.normalize();
     }
 
+    /// Add (`sign` 1) or subtract (`sign` −1) `other`'s counts and its
+    /// finite part, limb by limb.
+    fn merge(&mut self, other: &ExactSum, sign: i64) {
+        self.nonnull += sign * other.nonnull;
+        self.nan += sign * other.nan;
+        self.pos_inf += sign * other.pos_inf;
+        self.neg_inf += sign * other.neg_inf;
+        if other.limbs.is_empty() {
+            return;
+        }
+        // One limb of headroom above both tops, as in `add_at`; `other`
+        // is sign-extended over the rest of the window.
+        let other_top = other.lo + other.limbs.len();
+        let top = match self.limbs.len() {
+            0 => other_top,
+            n => (self.lo + n).max(other_top),
+        };
+        self.widen(other.lo, top);
+        let fill = if other.negative() { u64::MAX } else { 0 };
+        let mut carry = false;
+        for (j, limb) in self.limbs[other.lo - self.lo..].iter_mut().enumerate() {
+            let operand = other.limbs.get(j).copied().unwrap_or(fill);
+            let (r, c1) = if sign < 0 {
+                limb.overflowing_sub(operand)
+            } else {
+                limb.overflowing_add(operand)
+            };
+            let (r, c2) = if sign < 0 {
+                r.overflowing_sub(carry as u64)
+            } else {
+                r.overflowing_add(carry as u64)
+            };
+            *limb = r;
+            carry = c1 || c2;
+        }
+        self.normalize();
+    }
+
     /// Extend the window to cover limb indices `lo..=hi` (zeros below,
     /// sign extension above).
     fn widen(&mut self, lo: usize, hi: usize) {
@@ -260,11 +313,20 @@ impl ExactSum {
             self.lo += zeros;
         }
         while let [.., below, top] = self.limbs[..] {
-            let redundant = (top == 0 && below >> 63 == 0) || (top == u64::MAX && below >> 63 == 1);
-            if !redundant {
+            if !redundant(below, top) {
                 break;
             }
             self.limbs.truncate(self.limbs.len() - 1);
+        }
+    }
+
+    /// Is the window as [`normalize`](ExactSum::normalize) leaves it?
+    fn is_normalized(&self) -> bool {
+        match self.limbs[..] {
+            [] => self.lo == 0,
+            [0, ..] => false,
+            [.., below, top] => !redundant(below, top),
+            [_] => true,
         }
     }
 
@@ -366,31 +428,58 @@ impl ExactSum {
     /// limb index, then the limbs as fixed-width hex, most significant
     /// first. Equal sums encode to equal bytes.
     pub fn encode(&self) -> String {
-        let mut out = format!(
-            "{}:{}:{}:{}:{}:",
-            self.nonnull, self.nan, self.pos_inf, self.neg_inf, self.lo
-        );
+        let mut out = String::with_capacity(5 * 4 + 4 + 16 * self.limbs.len());
+        for count in [self.nonnull, self.nan, self.pos_inf, self.neg_inf] {
+            if count < 0 {
+                out.push('-');
+            }
+            push_decimal(&mut out, count.unsigned_abs());
+            out.push(':');
+        }
+        push_decimal(&mut out, self.lo as u64);
+        out.push(':');
         for limb in self.limbs.iter().rev() {
-            out.push_str(&format!("{limb:016x}"));
+            for shift in (0..LIMB).step_by(4).rev() {
+                out.push(char::from(HEX_DIGITS[(limb >> shift) as usize & 0xf]));
+            }
         }
         out
     }
 
     /// Read back a cell written by [`ExactSum::encode`]. `None` unless the
-    /// text is exactly the canonical encoding of some sum (normalized
-    /// window, no sign or padding variants).
+    /// text is exactly the canonical encoding of some sum: counts without
+    /// a `+`, leading zeros or `-0`, lowercase hex and a normalized window.
     pub fn decode(text: &str) -> Option<ExactSum> {
         let mut fields = text.split(':');
-        let mut count = || fields.next()?.parse::<i64>().ok();
+        let mut count = || {
+            let field = fields.next()?;
+            let digits = field.strip_prefix('-').unwrap_or(field);
+            // A zero count is written `0`, never `-0`.
+            let negative_zero = digits == "0" && digits.len() < field.len();
+            if !canonical_decimal(digits) || negative_zero {
+                return None;
+            }
+            field.parse::<i64>().ok()
+        };
         let (nonnull, nan, pos_inf, neg_inf) = (count()?, count()?, count()?, count()?);
-        let lo = fields.next()?.parse::<usize>().ok()?;
+        let lo = fields.next().filter(|f| canonical_decimal(f))?;
+        let lo = lo.parse::<usize>().ok()?;
         let hex = fields.next()?;
-        if fields.next().is_some() || hex.len() % 16 != 0 || !hex.is_ascii() {
+        if fields.next().is_some() || hex.len() % 16 != 0 {
             return None;
         }
         let mut limbs = Limbs::default();
-        for i in (0..hex.len() / 16).rev() {
-            limbs.push(u64::from_str_radix(&hex[16 * i..16 * i + 16], 16).ok()?);
+        for chunk in hex.as_bytes().chunks_exact(16).rev() {
+            let mut limb = 0u64;
+            for &digit in chunk {
+                let nibble = match digit {
+                    b'0'..=b'9' => digit - b'0',
+                    b'a'..=b'f' => digit - b'a' + 10,
+                    _ => return None,
+                };
+                limb = limb << 4 | u64::from(nibble);
+            }
+            limbs.push(limb);
         }
         let sum = ExactSum {
             nonnull,
@@ -400,10 +489,40 @@ impl ExactSum {
             lo,
             limbs,
         };
-        let mut canonical = sum.clone();
-        canonical.normalize();
-        (canonical == sum && sum.encode() == text).then_some(sum)
+        sum.is_normalized().then_some(sum)
     }
+}
+
+/// Lowercase hex digits, by value.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Is the top limb `top` only the sign extension of the limb below it?
+fn redundant(below: u64, top: u64) -> bool {
+    (top == 0 && below >> 63 == 0) || (top == u64::MAX && below >> 63 == 1)
+}
+
+/// Append `n` in decimal.
+fn push_decimal(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+}
+
+/// Is `field` a decimal natural number as [`push_decimal`] writes it:
+/// digits only, and no leading zero but in `0` itself?
+fn canonical_decimal(field: &str) -> bool {
+    let bytes = field.as_bytes();
+    !bytes.is_empty()
+        && bytes.iter().all(u8::is_ascii_digit)
+        && (bytes[0] != b'0' || bytes.len() == 1)
 }
 
 /// Two's-complement negation of a limb vector.
@@ -508,6 +627,66 @@ mod tests {
         assert_eq!(s.value(), Some(f64::NEG_INFINITY));
         s.retract(f64::NEG_INFINITY);
         assert_eq!(s.value(), Some(0.5));
+    }
+
+    #[test]
+    fn merged_parts_equal_the_whole() {
+        let (a, b) = ([0.1, 1e-300, -0.0, f64::NAN], [0.2, 1e300, f64::INFINITY]);
+        let mut merged = sum(&a);
+        merged.add_sum(&sum(&b));
+        assert_eq!(merged, sum(&[a.as_slice(), &b].concat()));
+        merged.retract_sum(&sum(&a));
+        assert_eq!(merged, sum(&b));
+        merged.retract_sum(&sum(&b));
+        assert!(merged.is_empty());
+        // A negative part is sign-extended across a wider window.
+        let mut s = sum(&[1e100, 3.0]);
+        s.add_sum(&sum(&[-1e-100]));
+        s.retract_sum(&sum(&[1e100]));
+        assert_eq!(s, sum(&[3.0, -1e-100]));
+    }
+
+    /// The encoder as first written, one `format!` per field and limb:
+    /// the byte-for-byte reference of [`ExactSum::encode`].
+    fn formatted(s: &ExactSum) -> String {
+        let mut out = format!(
+            "{}:{}:{}:{}:{}:",
+            s.nonnull, s.nan, s.pos_inf, s.neg_inf, s.lo
+        );
+        for limb in s.limbs.iter().rev() {
+            out.push_str(&format!("{limb:016x}"));
+        }
+        out
+    }
+
+    use proptest::prelude::*;
+
+    /// A finite or non-finite term: any bit pattern, so subnormals and
+    /// terms far apart (windows on the heap) are common.
+    fn any_term() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            any::<u64>().prop_map(f64::from_bits),
+            0.0..1.0f64,
+            Just(-0.0),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_codec_matches_the_formatted_reference(
+            added in prop::collection::vec(any_term(), 0..24),
+            retracted in prop::collection::vec(any_term(), 0..8),
+        ) {
+            let mut s = sum(&added);
+            for &x in &retracted {
+                s.retract(x);
+            }
+            let text = s.encode();
+            prop_assert_eq!(&text, &formatted(&s));
+            prop_assert_eq!(ExactSum::decode(&text), Some(s));
+        }
     }
 
     #[test]

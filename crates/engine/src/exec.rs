@@ -2425,6 +2425,8 @@ struct Accumulator {
     saw_float: bool,
     overflowed: bool,
     minmax: Option<Value>,
+    /// A `SUM` that finalizes to its exact text ([`AggCall::exact`]).
+    exact: bool,
 }
 
 impl Accumulator {
@@ -2439,6 +2441,7 @@ impl Accumulator {
             saw_float: false,
             overflowed: false,
             minmax: None,
+            exact: call.exact,
         }
     }
 
@@ -2521,6 +2524,7 @@ impl Accumulator {
     fn finalize(self) -> Result<Value> {
         Ok(match self.func {
             AggFunc::Count => Value::Int(self.count),
+            AggFunc::Sum if self.exact => Value::Text(self.sum.encode()),
             AggFunc::Sum => match self.sum.value() {
                 None => Value::Null,
                 Some(sum) if self.saw_float => Value::Float(sum),
@@ -2549,6 +2553,7 @@ mod tests {
             arg: Some(BoundExpr::Literal(Value::Null)),
             distinct,
             factors: Vec::new(),
+            exact: false,
         })
     }
 

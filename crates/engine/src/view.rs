@@ -41,10 +41,16 @@
 //! A view never folds in floating point: a group's terms go into an
 //! [`ExactSum`], which holds their sum exactly and rounds once, so equal
 //! term multisets give byte-identical contents *and* state in any order.
-//! `CREATE`/`REFRESH` (every contribution into an empty state) and
-//! maintenance (a delta's signed contributions into the stored groups) are
-//! the one `fold`. The ad-hoc executor's `SUM` and `AVG` sum in the same
-//! [`ExactSum`], so a view reads what the query over its bases reads.
+//! The executor's `SUM` adds the terms; the view's plans set one internal
+//! mode on it ([`AggCall::exact`](crate::binder::AggCall)) that hands over
+//! the exact sum as its [`ExactSum::encode`] text, the state table's own
+//! cell, instead of the rounded value. `CREATE`/`REFRESH` (every group
+//! into an empty state) and maintenance (a delta's signed groups into the
+//! stored ones) are the one `fold`, which merges each exact partial into
+//! its group limb by limb ([`ExactSum::add_sum`],
+//! [`ExactSum::retract_sum`]). An exact sum does not depend on how its
+//! multiset was split, so a view reads what the query over its bases
+//! reads.
 //!
 //! ## Delta propagation
 //!
@@ -62,23 +68,27 @@
 //! — occurrence `o_k` is replaced by the delta, occurrences before it see
 //! the new `T`, occurrences after it the old `T` (self-joins included).
 //! Each summand is one query, whatever the sides of the change: the
-//! *projection-only* view query (keys + bare SUM argument, no
-//! aggregation) plus the sign of the delta row it read, run by the
-//! ordinary planner and executor. Every delta query of a write, for every
-//! view, reads one query-local catalog: the statement's new catalog plus
-//! the delta as `DELTA_TABLE`, which occurrence `o_k` reads, and, when
-//! some view lists `T` more than once, the pre-statement image as
-//! `OLD_TABLE`. Every other FROM entry reads its table as the statement
-//! left it; no view reads another view, so no fold changes what a delta
-//! query reads. A row with a false sign retracts its (key, term) pair, a
-//! true one adds it. Neither name ever enters the database's own catalog,
-//! and a statement whose edit, delta query or fold fails changes nothing.
+//! view's own query, grouped by its keys *and* by the sign of the delta
+//! row each joined tuple read, selecting the keys, the sign, `COUNT(*)`
+//! and the exact `SUM` of the terms. It is run by the ordinary planner and
+//! executor, whose aggregate (runs or hashing, the product-sum factors,
+//! spilling) is the only place a view's terms are added up: a delta that
+//! joins N tuples into G groups reaches the fold as at most 2G partials,
+//! not N rows. Every delta query of a write, for every view, reads one
+//! query-local catalog: the statement's new catalog plus the delta as
+//! `DELTA_TABLE`, which occurrence `o_k` reads, and, when some view lists
+//! `T` more than once, the pre-statement image as `OLD_TABLE`. Every other
+//! FROM entry reads its table as the statement left it; no view reads
+//! another view, so no fold changes what a delta query reads. A partial
+//! with a false sign retracts its count and sum from its group, a true one
+//! adds them. Neither name ever enters the database's own catalog, and a
+//! statement whose edit, delta query or fold fails changes nothing.
 //!
-//! The signs are a bag's signed multiplicities, so the order of the rows
-//! within a summand does not matter: the summands are folded in FROM
-//! order, the state after summands `< k` is `Q` over the new `T` before
-//! `o_k` and the old one from it on, and each retraction of summand `k`
-//! removes a contribution of that state. No group's count drops below 0.
+//! The signs are a bag's signed multiplicities, so how a summand's tuples
+//! are split into partials does not matter: the summands are folded in
+//! FROM order, the state after summands `< k` is `Q` over the new `T`
+//! before `o_k` and the old one from it on, and each retracted partial
+//! removes contributions of that state. No group's count drops below 0.
 //!
 //! Each summand lists the delta first in its FROM list. The planner's
 //! greedy join order starts at FROM's first relation, so the delta, a few
@@ -87,15 +97,15 @@
 //! outside the delta's key range, and a delta whose rows all fail the
 //! view's filter ends that join before the table is read (see the
 //! executor's hash-join rules). FROM order decides only the order in
-//! which a summand's rows arrive, never which rows it returns: the aliases
-//! are unchanged, so the selection and the projection bind to the same
-//! columns, and the fold adds each group's terms to an [`ExactSum`] and
-//! counts them, and both are independent of order. So the contents and
-//! state tables are bit-identical whatever order the planner picks.
+//! which a summand's tuples arrive, never which tuples it joins: the
+//! aliases are unchanged, so the selection, the keys and the term bind to
+//! the same columns, and a group's count and exact sum are independent
+//! of order. So the contents and state tables are bit-identical whatever
+//! order the planner picks.
 
-use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::BTreeMap;
 
-use conquer_sql::{AggFunc, Expr, Literal, SelectItem, SelectStatement, Statement, TableRef};
+use conquer_sql::{AggFunc, Expr, SelectItem, SelectStatement, Statement, TableRef};
 use conquer_storage::{Catalog, Column, DataType, Edit, Row, Schema, SharedRow, Table, Value};
 
 use crate::binder::bind;
@@ -103,7 +113,7 @@ use crate::database::Database;
 use crate::error::EngineError;
 use crate::exact::ExactSum;
 use crate::exec::run_plan;
-use crate::planner::{plan_query, Plan};
+use crate::planner::plan_query;
 use crate::stats::{approx_row_bytes, ExecStats};
 use crate::Result;
 
@@ -174,9 +184,17 @@ pub struct ViewStats {
     pub refreshes: u64,
 }
 
-/// One signed contribution to a view: group key, SUM term, and `true` for
-/// an added contribution, `false` for a retracted one.
-pub(crate) type Contribution = (Vec<Value>, Value, bool);
+/// One row of a view query: a group's key, the sign of the delta rows its
+/// tuples read (`true` in a recompute), how many tuples it counts and the
+/// exact sum of their terms. NULL terms count but add nothing.
+pub(crate) struct Partial {
+    key: Vec<Value>,
+    added: bool,
+    count: i64,
+    sum: ExactSum,
+    /// `sum` as the query handed it over: its canonical encoding.
+    text: String,
+}
 
 /// The signed delta of `edit` on `old`: every row the edit removes or
 /// adds, as stored (the edit as applied, conformed to the schema), so
@@ -473,44 +491,67 @@ impl ViewDef {
         Ok(Schema::from_pairs(columns)?)
     }
 
-    /// The projection-only form of the view query over the original
-    /// FROM/WHERE: keys plus the *bare* SUM argument, then `sign`, no
-    /// aggregation — one output row per signed contribution.
-    fn projection_query(&self, sign: Expr) -> SelectStatement {
-        let items = self.items.iter().map(|(_, e)| e.clone());
+    /// The view query as maintenance runs it: the keys in projection
+    /// order, then `sign` if given, then `COUNT(*)` and the view's SUM,
+    /// grouped by the view's keys and `sign`.
+    fn grouped_query(&self, sign: Option<Expr>) -> SelectStatement {
+        let keys = self.items.iter().enumerate();
+        let keys = keys.filter(|(i, _)| *i != self.term_index);
+        let aggregate = |func, arg: Option<&Expr>| Expr::Aggregate {
+            func,
+            arg: arg.map(|e| Box::new(e.clone())),
+            distinct: false,
+        };
+        let count = aggregate(AggFunc::Count, None);
+        let sum = aggregate(AggFunc::Sum, Some(&self.items[self.term_index].1));
         SelectStatement {
             distinct: false,
-            projection: items
-                .chain([sign])
+            projection: keys
+                .map(|(_, (_, e))| e.clone())
+                .chain(sign.clone())
+                .chain([count, sum])
                 .map(|expr| SelectItem::Expr { expr, alias: None })
                 .collect(),
             from: self.query.from.clone(),
             selection: self.query.selection.clone(),
-            group_by: Vec::new(),
+            group_by: self.query.group_by.iter().cloned().chain(sign).collect(),
             having: None,
             order_by: Vec::new(),
             limit: None,
         }
     }
 
-    /// Split one projection-only output row into a signed contribution.
-    pub(crate) fn contribution(&self, mut row: Row) -> Contribution {
-        let add = row.pop() == Some(Value::Bool(true));
-        let term = row.remove(self.term_index);
-        (row, term, add)
+    /// One output row of a [`ViewDef::grouped_query`], signed when the
+    /// query selects a sign.
+    fn partial(&self, mut row: Row, signed: bool) -> Result<Partial> {
+        let (sum, text) = match row.pop() {
+            Some(Value::Text(text)) => (ExactSum::decode(&text), text),
+            _ => (None, String::new()),
+        };
+        let count = row.pop().and_then(|c| c.as_i64());
+        let added = !signed || row.pop() == Some(Value::Bool(true));
+        match (sum, count) {
+            (Some(sum), Some(count)) if count > 0 && row.len() == self.key_types.len() => {
+                Ok(Partial {
+                    key: row,
+                    added,
+                    count,
+                    sum,
+                    text,
+                })
+            }
+            _ => Err(diverged(self, "a view query returned a malformed group")),
+        }
     }
 }
 
-/// Evaluate the view from scratch: every contribution of the
-/// projection-only query, signed `TRUE`, folded as an addition into an
-/// empty state. What `CREATE` and `REFRESH` install.
+/// Evaluate the view from scratch: every group of the view query, folded
+/// as an addition into an empty state. What `CREATE` and `REFRESH`
+/// install.
 pub(crate) fn recompute(db: &Database, view: &ViewDef) -> Result<(Table, Table)> {
-    let query = view.projection_query(Expr::Literal(Literal::Bool(true)));
-    let plan = plan_query(db.catalog(), &query)?;
     let mut fold = Fold::new(view, None)?;
-    stream(db, db.catalog(), &plan, &mut |row| {
-        fold.add(view.contribution(row))
-    })?;
+    let query = view.grouped_query(None);
+    run(db, db.catalog(), view, &query, false, |p| fold.push(p))?;
     build(view, fold.splice()?)
 }
 
@@ -531,24 +572,22 @@ fn diverged(view: &ViewDef, what: &str) -> EngineError {
     EngineError::internal(format!("view {:?}: {what}", view.name))
 }
 
-/// Per touched group: where its key stands in the prior state (`Err`:
-/// where it would be inserted), its count and its accumulator.
-type Group = (std::result::Result<usize, usize>, i64, ExactSum);
-
-/// The one view fold: signed contributions applied to the view's groups
-/// as stored in a prior catalog (none for an empty view), fed one at a
-/// time as a query emits them, and spliced as one edit of the contents
-/// table and one of the state table at the same positions. A touched group's
-/// state row is found by binary search and decoded once; its count moves
-/// by ±1 and its accumulator adds the term or its negation. Its rows are
-/// then replaced, removed at count 0, or inserted at the key's position
-/// when the group is new. Untouched groups are not read. A count below 0
-/// means the state diverged from the bases, an internal error that
-/// aborts the commit.
+/// The one view fold: signed partials merged into the view's groups as
+/// stored in a prior catalog (none for an empty view), fed one at a time
+/// as a query emits them, and spliced as one edit of the contents table
+/// and one of the state table at the same positions. The partials are
+/// kept until the splice, which orders them by key (a group's partials
+/// in arrival order) and walks each touched group once:
+/// its state row is found by binary search and decoded, its count moves
+/// by each partial's ± count and its accumulator merges or retracts each
+/// partial's exact sum. Its rows are then replaced, removed at count 0,
+/// or inserted at the key's position when the group is new. Untouched
+/// groups are not read. A count below 0 means the state diverged from
+/// the bases, an internal error that aborts the commit.
 pub(crate) struct Fold<'a> {
     view: &'a ViewDef,
     prior_state: &'a [SharedRow],
-    touched: BTreeMap<Vec<Value>, Group>,
+    partials: Vec<Partial>,
 }
 
 impl<'a> Fold<'a> {
@@ -558,7 +597,7 @@ impl<'a> Fold<'a> {
         let mut fold = Fold {
             view,
             prior_state: &[],
-            touched: BTreeMap::new(),
+            partials: Vec::new(),
         };
         if let Some(catalog) = prior {
             let state = catalog.table(&view.state_table())?;
@@ -570,55 +609,60 @@ impl<'a> Fold<'a> {
         Ok(fold)
     }
 
-    /// Fold one signed contribution into its group.
-    pub(crate) fn add(&mut self, (key, term, add): Contribution) -> Result<()> {
-        if !add && conquer_sync::mutant("view::skip-retract") {
+    /// Take one signed partial.
+    pub(crate) fn push(&mut self, partial: Partial) -> Result<()> {
+        if !partial.added && conquer_sync::mutant("view::skip-retract") {
             // Seeded mutant: "forget" to retract, so deleted base rows keep
             // contributing. The oracle and the schedule explorer catch it.
             return Ok(());
         }
-        let (view, prior_state) = (self.view, self.prior_state);
-        let width = view.key_types.len();
-        let (_, count, sum) = match self.touched.entry(key) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                let found = prior_state.binary_search_by(|row| row[..width].cmp(e.key()));
-                let group = match found.map(|i| &prior_state[i][width..]) {
-                    Err(_) => (found, 0, ExactSum::new()),
-                    Ok([Value::Int(count), Value::Text(sum)]) if *count > 0 => {
-                        let sum = ExactSum::decode(sum)
-                            .ok_or_else(|| diverged(view, "unreadable accumulator"))?;
-                        (found, *count, sum)
-                    }
-                    Ok(_) => return Err(diverged(view, "malformed state row")),
-                };
-                e.insert(group)
-            }
-        };
-        *count += if add { 1 } else { -1 };
-        if *count < 0 {
-            return Err(diverged(view, "a retraction drove a group's count below 0"));
-        }
-        // NULL terms count toward the group but not toward its SUM.
-        match term.as_f64() {
-            Some(x) if add => sum.add(x),
-            Some(x) => sum.retract(x),
-            None => {}
-        }
+        self.partials.push(partial);
         Ok(())
     }
 
     /// The splice of the touched groups, in key order: ascending
     /// positions in both edits.
-    pub(crate) fn splice(self) -> Result<(Edit, Edit)> {
+    pub(crate) fn splice(mut self) -> Result<(Edit, Edit)> {
+        let (view, prior_state) = (self.view, self.prior_state);
+        let width = view.key_types.len();
+        // The partials in key order, each group's in arrival order.
+        let partials = &mut self.partials;
+        let mut order: Vec<usize> = (0..partials.len()).collect();
+        order.sort_unstable_by(|&a, &b| partials[a].key.cmp(&partials[b].key).then(a.cmp(&b)));
         let (mut contents, mut state) = (Edit::default(), Edit::default());
-        for (key, (found, count, sum)) in self.touched {
+        let mut order = order.into_iter().peekable();
+        while let Some(first) = order.next() {
+            let key = std::mem::take(&mut partials[first].key);
+            let found = prior_state.binary_search_by(|row| row[..width].cmp(&key));
+            let (mut count, mut sum) = match found.map(|i| &prior_state[i][width..]) {
+                Err(_) => (0, ExactSum::new()),
+                Ok([Value::Int(count), Value::Text(sum)]) if *count > 0 => {
+                    let sum = ExactSum::decode(sum)
+                        .ok_or_else(|| diverged(view, "unreadable accumulator"))?;
+                    (*count, sum)
+                }
+                Ok(_) => return Err(diverged(view, "malformed state row")),
+            };
+            let mut next = Some(first);
+            let mut merged = 0;
+            while let Some(i) = next {
+                merged += 1;
+                let partial = &partials[i];
+                if partial.added {
+                    count += partial.count;
+                    sum.add_sum(&partial.sum);
+                } else {
+                    count -= partial.count;
+                    sum.retract_sum(&partial.sum);
+                }
+                if count < 0 {
+                    return Err(diverged(view, "a retraction drove a group's count below 0"));
+                }
+                next = order.next_if(|&j| partials[j].key == key);
+            }
             if count == 0 {
                 if !sum.is_empty() {
-                    return Err(diverged(
-                        self.view,
-                        "a group with no contributions kept a sum",
-                    ));
+                    return Err(diverged(view, "a group with no contributions kept a sum"));
                 }
                 if let Ok(pos) = found {
                     contents.changed.push((pos, None));
@@ -627,16 +671,23 @@ impl<'a> Fold<'a> {
                 continue;
             }
             let value = sum.value().map_or(Value::Null, Value::Float);
-            let (before, after) = key.split_at(self.view.term_index);
+            let (before, after) = key.split_at(view.term_index);
             let contents_row: SharedRow = before
                 .iter()
                 .chain([&value])
                 .chain(after)
                 .cloned()
                 .collect();
+            // A new group made by one added partial holds exactly that
+            // partial's sum, so its cell is the text the query handed over.
+            let text = match (found, merged, partials[first].added) {
+                (Err(_), 1, true) => std::mem::take(&mut partials[first].text),
+                _ => sum.encode(),
+            };
+            debug_assert_eq!(text, sum.encode());
             let state_row: SharedRow = key
                 .into_iter()
-                .chain([Value::Int(count), Value::Text(sum.encode())])
+                .chain([Value::Int(count), Value::Text(text)])
                 .collect();
             match found {
                 Ok(pos) => {
@@ -657,16 +708,14 @@ impl<'a> Fold<'a> {
 /// decomposition described in the module docs: one per occurrence of
 /// `table` in the view's FROM list, planned and executed on `local`, the
 /// write's [`delta_catalog`], under `db`'s limits and spill directory.
-/// Each result row is a signed contribution
-/// ([`ViewDef::contribution`]), handed to `each` as it leaves the query
-/// ([`stream`]), so a write folds its delta as it comes. Returns each
-/// query's statistics.
+/// Each result row is one signed partial, handed to `each` as it leaves
+/// the query ([`run`]). Returns each query's statistics.
 pub(crate) fn delta_queries(
     db: &Database,
     local: &Catalog,
     view: &ViewDef,
     table: &str,
-    mut each: impl FnMut(Row) -> Result<()>,
+    mut each: impl FnMut(Partial) -> Result<()>,
 ) -> Result<Vec<ExecStats>> {
     let mut stats = Vec::new();
     for k in view.occurrences(table) {
@@ -675,7 +724,7 @@ pub(crate) fn delta_queries(
         // selection binds unchanged. The delta then moves to the front of
         // FROM, where the planner starts its join order.
         let sign = Expr::qualified(view.query.from[k].binding_name(), SIGN_COLUMN);
-        let mut query = view.projection_query(sign);
+        let mut query = view.grouped_query(Some(sign));
         for (j, tref) in query.from.iter_mut().enumerate().skip(k) {
             if tref.table == table {
                 let name = if j == k { DELTA_TABLE } else { OLD_TABLE };
@@ -683,27 +732,36 @@ pub(crate) fn delta_queries(
             }
         }
         query.from[..=k].rotate_right(1);
-        let plan = plan_query(local, &query)?;
-        stats.push(stream(db, local, &plan, &mut each)?);
+        stats.push(run(db, local, view, &query, true, &mut each)?);
     }
     Ok(stats)
 }
 
-/// Run `plan` on `catalog` under `db`'s limits and spill directory,
-/// handing each result row to `each` as its batch leaves the query
-/// instead of collecting the rows. A batch stays charged against the
-/// limits while it is handed over.
-fn stream(
+/// Plan `query`, a [`ViewDef::grouped_query`] of `view` (with a sign
+/// when `signed`), on `catalog` with its SUM handing over the exact sum,
+/// and run it under `db`'s limits and spill directory. Each result row
+/// goes to `each` as a [`Partial`] as its batch leaves the query, instead
+/// of being collected; a batch stays charged against the limits while it
+/// is handed over.
+fn run(
     db: &Database,
     catalog: &Catalog,
-    plan: &Plan,
-    each: &mut impl FnMut(Row) -> Result<()>,
+    view: &ViewDef,
+    query: &SelectStatement,
+    signed: bool,
+    mut each: impl FnMut(Partial) -> Result<()>,
 ) -> Result<ExecStats> {
+    let mut plan = plan_query(catalog, query)?;
+    for call in plan.group.iter_mut().flat_map(|g| &mut g.aggs) {
+        call.exact = call.func == AggFunc::Sum;
+    }
     let ctx = db.exec_context(*db.limits());
-    run_plan(catalog, plan, &ctx, |batch| {
+    run_plan(catalog, &plan, &ctx, |batch| {
         let bytes = batch.iter().map(approx_row_bytes).sum();
         ctx.charge(bytes)?;
-        batch.into_iter().try_for_each(&mut *each)?;
+        for row in batch {
+            each(view.partial(row, signed)?)?;
+        }
         ctx.release(bytes);
         Ok(0)
     })
@@ -784,15 +842,30 @@ mod tests {
         }
     }
 
-    /// The splice of `contributions` folded into `prior`'s view tables.
+    /// The splice of `partials` folded into `prior`'s view tables.
     fn fold(
         view: &ViewDef,
         prior: Option<&Catalog>,
-        contributions: impl IntoIterator<Item = Contribution>,
+        partials: impl IntoIterator<Item = Partial>,
     ) -> Result<(Edit, Edit)> {
         let mut fold = Fold::new(view, prior)?;
-        contributions.into_iter().try_for_each(|c| fold.add(c))?;
+        partials.into_iter().try_for_each(|p| fold.push(p))?;
         fold.splice()
+    }
+
+    /// The partial of one tuple of group `key` with term `term`.
+    fn one(key: Vec<Value>, term: Value, added: bool) -> Partial {
+        let mut sum = ExactSum::new();
+        if let Some(x) = term.as_f64() {
+            sum.add(x);
+        }
+        Partial {
+            key,
+            added,
+            count: 1,
+            text: sum.encode(),
+            sum,
+        }
     }
 
     #[test]
@@ -800,11 +873,11 @@ mod tests {
         let v = analyze("SELECT id, SUM(prob) AS p FROM t GROUP BY id").unwrap();
         let key = |k: &str| vec![Value::text(k)];
         let terms = [0.1, 0.2, 0.3, 1e-17, 0.7];
-        let forward = terms.iter().map(|x| (key("a"), Value::Float(*x), true));
+        let forward = terms.iter().map(|x| one(key("a"), Value::Float(*x), true));
         let backward = terms
             .iter()
             .rev()
-            .map(|x| (key("a"), Value::Float(*x), true));
+            .map(|x| one(key("a"), Value::Float(*x), true));
         let (c1, s1) = build(&v, fold(&v, None, forward).unwrap()).unwrap();
         let (c2, s2) = build(&v, fold(&v, None, backward).unwrap()).unwrap();
         assert_eq!(c1.rows(), c2.rows());
@@ -813,7 +886,7 @@ mod tests {
         assert_eq!(s1.len(), 1);
         assert_eq!(s1.rows()[0][1], Value::Int(5));
         // A group of only-NULL terms sums to NULL.
-        let nulls = [(key("n"), Value::Null, true)];
+        let nulls = [one(key("n"), Value::Null, true)];
         let (c, _) = build(&v, fold(&v, None, nulls).unwrap()).unwrap();
         assert_eq!(c.rows()[0][1], Value::Null);
     }
@@ -821,8 +894,8 @@ mod tests {
     #[test]
     fn retraction_without_match_is_internal_error() {
         let v = analyze("SELECT id, SUM(prob) AS p FROM t GROUP BY id").unwrap();
-        let c = |k: &str, x: f64, add: bool| (vec![Value::text(k)], Value::Float(x), add);
-        let stored = |pairs: Vec<Contribution>| {
+        let c = |k: &str, x: f64, add: bool| one(vec![Value::text(k)], Value::Float(x), add);
+        let stored = |pairs: Vec<Partial>| {
             let (contents, state) = build(&v, fold(&v, None, pairs).unwrap()).unwrap();
             let mut cat = Catalog::new();
             cat.add_table(contents).unwrap();
@@ -830,7 +903,7 @@ mod tests {
             cat
         };
         // The view's tables once `pairs` are folded into `cat`'s.
-        let folded = |cat: &Catalog, pairs: Vec<Contribution>| -> Result<(Table, Table)> {
+        let folded = |cat: &Catalog, pairs: Vec<Partial>| -> Result<(Table, Table)> {
             let (contents, state) = fold(&v, Some(cat), pairs)?;
             let mut cat = cat.clone();
             cat.apply("v", contents)?;
@@ -866,7 +939,7 @@ mod tests {
         // New groups land at their keys' positions, before, between and
         // after the stored ones, in one splice with a replacement.
         let pairs = ["0", "a", "ab", "z"].map(|k| c(k, 0.125, true));
-        let mut pairs = pairs.to_vec();
+        let mut pairs = Vec::from(pairs);
         pairs.push(c("a", 0.5, false));
         let (contents, _) = folded(&cat, pairs).unwrap();
         let keys: Vec<&Value> = contents.rows().iter().map(|r| &r[0]).collect();
@@ -940,12 +1013,12 @@ mod tests {
         scans
     }
 
-    /// The signed contributions of the delta queries behind [`scans_of`].
-    fn pairs_of(db: &Database, local: &Catalog, view: &str, table: &str) -> Vec<Contribution> {
+    /// The signed partials of the delta queries behind [`scans_of`].
+    fn pairs_of(db: &Database, local: &Catalog, view: &str, table: &str) -> Vec<Partial> {
         let view = db.views().find(|v| v.name == view).unwrap();
         let mut pairs = Vec::new();
-        delta_queries(db, local, view, table, |row| {
-            pairs.push(view.contribution(row));
+        delta_queries(db, local, view, table, |partial| {
+            pairs.push(partial);
             Ok(())
         })
         .unwrap();
@@ -1047,8 +1120,13 @@ mod tests {
         }
         // The pairs retract the old weights and add the new ones.
         let pairs = pairs_of(&db, &local, "q12", "orders");
-        let added = pairs.iter().filter(|(_, _, add)| *add).count();
-        assert_eq!((pairs.len(), added), (2 * cluster_lines as usize, 5));
+        let tuples = pairs.iter().map(|p| p.count).sum::<i64>();
+        let added = pairs
+            .iter()
+            .filter(|p| p.added)
+            .map(|p| p.count)
+            .sum::<i64>();
+        assert_eq!((tuples, added), (2 * cluster_lines as i64, 5));
 
         // A `'MAIL'` line of order 1 reaches q3's orders through its
         // order key (cluster o1, 2 tuples) and its customers through
@@ -1064,5 +1142,90 @@ mod tests {
             let scans = scans_of(&db, &local, "q3", "lineitem", scanned);
             assert_eq!(scans, [(rows, 2)], "{scanned}");
         }
+    }
+
+    #[test]
+    fn partials_keep_keys_apart_as_the_folds_order_does() {
+        let mut db = Database::new();
+        db.execute_script(
+            "CREATE TABLE g (tag INTEGER, i INTEGER, f DOUBLE, prob DOUBLE);
+             CREATE MATERIALIZED VIEW v AS \
+                 SELECT CASE WHEN tag = 1 THEN i ELSE f END AS k, SUM(prob) AS p FROM g \
+                 GROUP BY CASE WHEN tag = 1 THEN i ELSE f END",
+        )
+        .unwrap();
+        let row =
+            |tag: i64, f: f64| vec![Value::Int(tag), Value::Int(1), Value::Float(f), 0.5.into()];
+        let rows = [(1, 0.0), (0, 1.0), (0, 0.0), (0, -0.0)].map(|(tag, f)| row(tag, f));
+        let local = inserted(&db, "g", [rows.clone(), rows].concat());
+        // The integer 1 and the float 1.0, and 0.0 and -0.0, are four
+        // groups of the executor's aggregate, each of both rows.
+        let mut keys: Vec<(Vec<Value>, i64)> = pairs_of(&db, &local, "v", "g")
+            .into_iter()
+            .map(|p| (p.key, p.count))
+            .collect();
+        keys.sort();
+        let want = [
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Int(1),
+            Value::Float(1.0),
+        ];
+        assert_eq!(keys, want.map(|k| (vec![k], 2)));
+    }
+
+    #[test]
+    fn a_delta_reaches_the_fold_as_one_partial_per_group_and_sign() {
+        // Order 1 is a two-tuple cluster with 300 lines over 6 ship modes.
+        let (lines, modes) = (300, 6);
+        let values: Vec<String> = (0..lines)
+            .map(|i| format!("('l{i}', 1, 'm{}', 0.5)", i % modes))
+            .collect();
+        let mut db = Database::new();
+        db.execute_script(&format!(
+            "CREATE TABLE orders (o_id TEXT, o_orderkey INTEGER, prob DOUBLE);
+             CREATE TABLE lineitem (l_id TEXT, l_orderkey INTEGER, l_shipmode TEXT, prob DOUBLE);
+             INSERT INTO orders VALUES ('o1', 1, 0.5), ('o1', 1, 0.5), ('o2', 2, 1.0);
+             INSERT INTO lineitem VALUES {};
+             CREATE MATERIALIZED VIEW modes AS SELECT l_shipmode, SUM(l.prob * o.prob) AS p \
+                 FROM lineitem l, orders o WHERE l.l_orderkey = o.o_orderkey \
+                 GROUP BY l_shipmode",
+            values.join(", ")
+        ))
+        .unwrap();
+        // Re-weigh cluster o1: its two tuples leave and come back, so the
+        // delta's 4 rows join N = 4 · 300 tuples into G = 6 groups per sign.
+        let orders = db.catalog().table("orders").unwrap();
+        let mut reweighed = orders.rows()[..2].to_vec();
+        (reweighed[0][2], reweighed[1][2]) = (Value::Float(0.25), Value::Float(0.75));
+        let changed = reweighed.into_iter().enumerate();
+        let edit = Edit {
+            changed: changed.map(|(pos, row)| (pos, Some(row.into()))).collect(),
+            ..Edit::default()
+        };
+        let local = edited(&db, "orders", edit);
+        let view = db.views().find(|v| v.name == "modes").unwrap();
+        let mut partials = Vec::new();
+        let stats = delta_queries(&db, &local, view, "orders", |partial| {
+            partials.push(partial);
+            Ok(())
+        })
+        .unwrap();
+        let (n, g) = (4 * lines as u64, modes as u64);
+        let [stats] = &stats[..] else {
+            panic!("{} delta queries", stats.len())
+        };
+        // The root emits one row per (group, sign), not one per tuple ...
+        assert!(stats.root.rows_out <= 2 * g, "{}", stats.root.rows_out);
+        // ... because the query's aggregate reads all N tuples.
+        let mut aggregated = Vec::new();
+        stats.root.visit(&mut |_, op| {
+            if op.name.starts_with("HashAggregate") {
+                aggregated.push(op.rows_in);
+            }
+        });
+        assert_eq!(aggregated, [n]);
+        assert_eq!(partials.len() as u64, 2 * g);
+        assert_eq!(partials.iter().map(|p| p.count).sum::<i64>(), n as i64);
     }
 }
