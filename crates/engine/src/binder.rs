@@ -880,6 +880,7 @@ impl<'a> Binder<'a> {
                         .map(|(w, t)| Some((w?, t?)))
                         .collect::<Option<_>>()?,
                     else_expr: else_expr?.map(Box::new),
+                    float: self.scope.infer_type(e) == Some(DataType::Float),
                 })
             }
         }

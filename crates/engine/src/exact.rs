@@ -4,9 +4,9 @@
 //! two's-complement fixed-point integer in units of 2⁻¹⁰⁷⁴ (the smallest
 //! subnormal). Every finite `f64` is an integer multiple of that unit, so
 //! adding a term is integer addition and [`ExactSum::retract`] (adding
-//! `−x`) removes `x` without a trace. Two sums merge the same way, limb by
-//! limb ([`ExactSum::add_sum`], [`ExactSum::retract_sum`]), so a multiset
-//! summed in parts and merged is the multiset summed whole. The sum is
+//! `−x`) removes `x` without a trace. Two sums merge (or one is retracted
+//! from the other) the same way, limb by limb, so a multiset summed in
+//! parts and merged is the multiset summed whole. The sum is
 //! rounded once, in
 //! [`ExactSum::value`], so the result depends on the multiset of terms and
 //! not on the order they arrived in.
@@ -147,30 +147,14 @@ impl ExactSum {
         self.apply(x, -1);
     }
 
-    /// Fold in every term of `other`: the sum of both multisets, as if
-    /// each of `other`'s terms had been [`add`](ExactSum::add)ed. Exact.
-    pub fn add_sum(&mut self, other: &ExactSum) {
-        self.merge(other, 1);
-    }
-
-    /// Remove every term of `other`, each of which was added before: what
-    /// [`retract`](ExactSum::retract)ing them one by one leaves. Exact.
-    pub fn retract_sum(&mut self, other: &ExactSum) {
-        self.merge(other, -1);
+    /// Non-NULL terms held: added, less retracted.
+    pub fn count(&self) -> i64 {
+        self.nonnull
     }
 
     /// Has no term been added (or has every added term been retracted)?
     pub fn is_empty(&self) -> bool {
         *self == ExactSum::default()
-    }
-
-    /// Bytes the sum holds on the heap: none while its window fits in
-    /// its four inline limbs, the allocated limbs once it has outgrown them.
-    pub fn heap_bytes(&self) -> u64 {
-        match &self.limbs {
-            Limbs::Inline { .. } => 0,
-            Limbs::Heap(heap) => (heap.capacity() * std::mem::size_of::<u64>()) as u64,
-        }
     }
 
     fn apply(&mut self, x: f64, sign: i64) {
@@ -193,74 +177,55 @@ impl ExactSum {
             };
             if mantissa != 0 {
                 let negative = (bits >> 63 == 1) != (sign < 0);
-                self.add_at(shift / LIMB, (mantissa as u128) << (shift % LIMB), negative);
+                let wide = (mantissa as u128) << (shift % LIMB);
+                let halves = [wide as u64, (wide >> 64) as u64];
+                self.add_limbs(shift / LIMB, &halves, 0, negative);
             }
         }
     }
 
-    /// Add (or subtract) `wide · 2^(64·k)` units to the finite part.
-    fn add_at(&mut self, k: usize, wide: u128, negative: bool) {
-        // Widen the window to cover the term's two limbs plus one limb of
-        // headroom above both the term and the old top: the result then
-        // fits, and the carry out of the top limb is the discarded
-        // two's-complement wrap.
+    /// Fold in every term of `other` (`sign` 1), as if each had been
+    /// [`add`](ExactSum::add)ed, or remove them (`sign` −1), each of which
+    /// was added before, as [`retract`](ExactSum::retract)ing them one by
+    /// one would. Exact: counts and finite part move limb by limb.
+    pub(crate) fn merge(&mut self, other: &ExactSum, sign: i64) {
+        self.nonnull += sign * other.nonnull;
+        self.nan += sign * other.nan;
+        self.pos_inf += sign * other.pos_inf;
+        self.neg_inf += sign * other.neg_inf;
+        if !other.limbs.is_empty() {
+            let fill = if other.negative() { u64::MAX } else { 0 };
+            self.add_limbs(other.lo, &other.limbs, fill, sign < 0);
+        }
+    }
+
+    /// Add (or subtract) `operand · 2^(64·at)` units to the finite part:
+    /// `operand`'s limbs least significant first, and above them `fill`,
+    /// its sign extension.
+    #[inline(always)]
+    fn add_limbs(&mut self, at: usize, operand: &[u64], fill: u64, negative: bool) {
+        // Widen the window to cover the operand plus one limb of headroom
+        // above both its top and the old top: the result then fits, and
+        // the carry out of the top limb is the discarded two's-complement
+        // wrap.
+        let top = at + operand.len();
         let top = match self.limbs.len() {
-            0 => k + 2,
-            n => (self.lo + n).max(k + 2),
+            0 => top,
+            n => (self.lo + n).max(top),
         };
-        self.widen(k, top);
-        let i = k - self.lo;
-        let halves = [wide as u64, (wide >> 64) as u64];
+        self.widen(at, top);
         let mut carry = false;
-        for (j, limb) in self.limbs[i..].iter_mut().enumerate() {
-            let operand = halves.get(j).copied().unwrap_or(0);
-            if j >= 2 && !carry {
+        for (j, limb) in self.limbs[at - self.lo..].iter_mut().enumerate() {
+            if j >= operand.len() && fill == 0 && !carry {
                 break;
             }
+            let operand = operand.get(j).copied().unwrap_or(fill);
             let (r, c1) = if negative {
                 limb.overflowing_sub(operand)
             } else {
                 limb.overflowing_add(operand)
             };
             let (r, c2) = if negative {
-                r.overflowing_sub(carry as u64)
-            } else {
-                r.overflowing_add(carry as u64)
-            };
-            *limb = r;
-            carry = c1 || c2;
-        }
-        self.normalize();
-    }
-
-    /// Add (`sign` 1) or subtract (`sign` −1) `other`'s counts and its
-    /// finite part, limb by limb.
-    fn merge(&mut self, other: &ExactSum, sign: i64) {
-        self.nonnull += sign * other.nonnull;
-        self.nan += sign * other.nan;
-        self.pos_inf += sign * other.pos_inf;
-        self.neg_inf += sign * other.neg_inf;
-        if other.limbs.is_empty() {
-            return;
-        }
-        // One limb of headroom above both tops, as in `add_at`; `other`
-        // is sign-extended over the rest of the window.
-        let other_top = other.lo + other.limbs.len();
-        let top = match self.limbs.len() {
-            0 => other_top,
-            n => (self.lo + n).max(other_top),
-        };
-        self.widen(other.lo, top);
-        let fill = if other.negative() { u64::MAX } else { 0 };
-        let mut carry = false;
-        for (j, limb) in self.limbs[other.lo - self.lo..].iter_mut().enumerate() {
-            let operand = other.limbs.get(j).copied().unwrap_or(fill);
-            let (r, c1) = if sign < 0 {
-                limb.overflowing_sub(operand)
-            } else {
-                limb.overflowing_add(operand)
-            };
-            let (r, c2) = if sign < 0 {
                 r.overflowing_sub(carry as u64)
             } else {
                 r.overflowing_add(carry as u64)
@@ -571,22 +536,31 @@ mod tests {
         assert_eq!(sum(&[1.0, 1e100, 1.0, -1e100]).value(), Some(2.0));
     }
 
+    /// Bytes `s` holds on the heap: none while its window fits in its
+    /// four inline limbs, the allocated limbs once it has outgrown them.
+    fn heap_bytes(s: &ExactSum) -> u64 {
+        match &s.limbs {
+            Limbs::Inline { .. } => 0,
+            Limbs::Heap(heap) => (heap.capacity() * std::mem::size_of::<u64>()) as u64,
+        }
+    }
+
     #[test]
     fn four_limbs_hold_terms_within_two_to_the_sixty_of_each_other() {
         let mut s = ExactSum::new();
-        assert_eq!(s.heap_bytes(), 0);
+        assert_eq!(heap_bytes(&s), 0);
         for i in 0..=60 {
             s.add(0.7 * 2f64.powi(-i));
             s.add(-0.3 * 2f64.powi(-i));
-            assert_eq!(s.heap_bytes(), 0, "{i}");
+            assert_eq!(heap_bytes(&s), 0, "{i}");
         }
         let inline = s.clone();
         // A term 2^300 above the others needs a wider window: it moves to
         // the heap, and the sum still compares and encodes as its value.
         s.add(1e90);
-        assert!(s.heap_bytes() >= 8 * INLINE_LIMBS as u64 + 8);
+        assert!(heap_bytes(&s) >= 8 * INLINE_LIMBS as u64 + 8);
         s.retract(1e90);
-        assert!(s.heap_bytes() > 0);
+        assert!(heap_bytes(&s) > 0);
         assert_eq!(s, inline);
         assert_eq!(s.encode(), inline.encode());
         assert_eq!(ExactSum::decode(&s.encode()), Some(inline));
@@ -633,16 +607,16 @@ mod tests {
     fn merged_parts_equal_the_whole() {
         let (a, b) = ([0.1, 1e-300, -0.0, f64::NAN], [0.2, 1e300, f64::INFINITY]);
         let mut merged = sum(&a);
-        merged.add_sum(&sum(&b));
+        merged.merge(&sum(&b), 1);
         assert_eq!(merged, sum(&[a.as_slice(), &b].concat()));
-        merged.retract_sum(&sum(&a));
+        merged.merge(&sum(&a), -1);
         assert_eq!(merged, sum(&b));
-        merged.retract_sum(&sum(&b));
+        merged.merge(&sum(&b), -1);
         assert!(merged.is_empty());
         // A negative part is sign-extended across a wider window.
         let mut s = sum(&[1e100, 3.0]);
-        s.add_sum(&sum(&[-1e-100]));
-        s.retract_sum(&sum(&[1e100]));
+        s.merge(&sum(&[-1e-100]), 1);
+        s.merge(&sum(&[1e100]), -1);
         assert_eq!(s, sum(&[3.0, -1e-100]));
     }
 

@@ -2058,60 +2058,6 @@ fn merge_runs(
 // Aggregation
 // ---------------------------------------------------------------------------
 
-/// An aggregation table: the group keys in a [`KeyTable`], and beside
-/// them, flat, the `per` accumulators of each group — group `i` owns
-/// `accs[i * per..(i + 1) * per]`. Both are in first-seen group order, so
-/// output order is the same on every run.
-struct Groups {
-    keys: KeyTable,
-    accs: Vec<Accumulator>,
-    per: usize,
-}
-
-impl Groups {
-    fn new(group: &GroupSpec) -> Groups {
-        Groups {
-            keys: KeyTable::new(group.keys.len()),
-            accs: Vec::new(),
-            per: group.aggs.len(),
-        }
-    }
-
-    /// Append a new group: indexed under `hash`, or with `None`
-    /// unindexed (see [`KeyTable::push_unindexed`]).
-    fn push(
-        &mut self,
-        hash: Option<u64>,
-        key: impl IntoIterator<Item = Value>,
-        accs: impl IntoIterator<Item = Accumulator>,
-    ) -> Result<usize> {
-        self.accs.extend(accs);
-        match hash {
-            Some(hash) => self.keys.push(hash, key),
-            None => self.keys.push_unindexed(key),
-        }
-    }
-
-    fn accs_mut(&mut self, i: usize) -> &mut [Accumulator] {
-        &mut self.accs[i * self.per..(i + 1) * self.per]
-    }
-
-    /// Finalize every group into its `[keys…, agg values…]` output row,
-    /// leaving the table empty.
-    fn finalize(&mut self) -> Result<Vec<Row>> {
-        let per = self.per;
-        let mut accs = std::mem::take(&mut self.accs).into_iter();
-        let mut out = Vec::with_capacity(self.keys.len());
-        for mut row in self.keys.drain_rows(per) {
-            for acc in accs.by_ref().take(per) {
-                row.push(acc.finalize()?);
-            }
-            out.push(row);
-        }
-        Ok(out)
-    }
-}
-
 /// `"HashAggregate"`, followed in parentheses by `runs of <column>` when
 /// it aggregates in runs of its [`run_key`] and by `SUM of m DOUBLE
 /// factors` for each product-sum it folds: the aggregate's name in the
@@ -2280,19 +2226,22 @@ fn aggregate_input(
     ctx: &ExecContext,
 ) -> Result<(Vec<Row>, u64)> {
     let group = agg.group;
-    let mut groups = Groups::new(group);
+    // The groups' keys, and beside them one state column per aggregate
+    // call, indexed by the key's entry number: both in first-seen group
+    // order, so output order is the same on every run.
+    let mut keys = KeyTable::new(group.keys.len());
+    let mut states: Vec<States> = group.aggs.iter().map(States::new).collect();
+    let states_bytes = states.iter().map(States::bytes).sum::<u64>();
     let mut mem = 0u64;
     let mut writers: Option<Vec<SpillWriter>> = None;
     let cap = spill_cap(ctx);
 
-    let fresh = || group.aggs.iter().map(Accumulator::new);
-    let accs_bytes = fresh().map(|a| a.bytes()).sum::<u64>();
-
     if group.keys.is_empty() {
         // The one global group exists even over empty input; it is
         // reported but never charged.
-        groups.push(Some(hash_key::<Value>(&[])), [], fresh())?;
-        m.peak_mem = accs_bytes;
+        states.iter_mut().for_each(States::push);
+        keys.push(hash_key::<Value>(&[]), [])?;
+        m.peak_mem = states_bytes;
     }
 
     let mut runs = agg.run.map(|(col, _)| Runs::new(col));
@@ -2304,9 +2253,9 @@ fn aggregate_input(
     // A join's batch can hold far more than `BATCH_SIZE` tuples.
     let mut ticker = Ticker::new();
     // End the pass's run mode: index the groups, hash from here on.
-    let stop_runs = |runs: &mut Option<Runs>, groups: &mut Groups, m: &mut Metrics, at: u64| {
+    let stop_runs = |runs: &mut Option<Runs>, keys: &mut KeyTable, m: &mut Metrics, at: u64| {
         if runs.take().is_some() {
-            groups.keys.index();
+            keys.index();
             m.hashed_at.get_or_insert(at);
         }
     };
@@ -2324,26 +2273,26 @@ fn aggregate_input(
                 }
             }
             let mut hash = None;
-            let found = match runs.as_mut().map(|r| r.place(&groups.keys, &key, m)) {
+            let found = match runs.as_mut().map(|r| r.place(&keys, &key, m)) {
                 Some(RunSlot::Group(i)) => Some(i),
                 Some(RunSlot::New) => None,
                 Some(RunSlot::Broken) | None => {
-                    stop_runs(&mut runs, &mut groups, m, tuples);
+                    stop_runs(&mut runs, &mut keys, m, tuples);
                     let h = *hash.insert(hash_key(&key));
-                    groups.keys.find(h, &key)
+                    keys.find(h, &key)
                 }
             };
             let i = match found {
                 Some(i) => i,
                 None => {
-                    let bytes = key.iter().map(owned_value_bytes).sum::<u64>() + accs_bytes;
+                    let bytes = key.iter().map(owned_value_bytes).sum::<u64>() + states_bytes;
                     if writers.is_none() && mem + bytes <= cap && ctx.try_charge(bytes) {
                         mem += bytes;
                     } else if pass < MAX_SPILL_PASSES && ctx.limits().disk_bytes != Some(0) {
                         // Once one key has gone to disk, every new one
                         // does: a group made in memory now might already
                         // have tuples in a partition.
-                        stop_runs(&mut runs, &mut groups, m, tuples);
+                        stop_runs(&mut runs, &mut keys, m, tuples);
                         let ws = match &mut writers {
                             Some(ws) => ws,
                             None => {
@@ -2358,19 +2307,28 @@ fn aggregate_input(
                         ctx.charge(bytes)?;
                         mem += bytes;
                     }
+                    // Indexed under `hash`; unindexed in a run.
+                    states.iter_mut().for_each(States::push);
                     let cells = key.iter().map(|c| Value::clone(c));
-                    groups.push(hash, cells, fresh())?
+                    match hash {
+                        Some(hash) => keys.push(hash, cells)?,
+                        None => keys.push_unindexed(cells)?,
+                    }
                 }
             };
-            for (acc, call) in groups.accs_mut(i).iter_mut().zip(&group.aggs) {
+            for (states, call) in states.iter_mut().zip(&group.aggs) {
                 match &call.arg {
+                    // Only a non-`DISTINCT` `SUM` has factors: its term goes
+                    // into the `SUM` state as `update` would put it there.
                     _ if !call.factors.is_empty() => {
-                        if let Some(term) = product(t, &call.factors)? {
-                            acc.add_term(term);
+                        let term = product(t, &call.factors)?;
+                        if let (Some(term), Column::Sum(s)) = (term, &mut states.column) {
+                            s[i].add(term);
                         }
                     }
-                    None => acc.update(&Value::Null)?, // COUNT(*) ignores the value
-                    Some(e) => acc.update(&*e.eval_ref(t)?)?,
+                    // `COUNT(*)` counts each row as one non-NULL value.
+                    None => states.update(i, &Value::Bool(true), call)?,
+                    Some(e) => states.update(i, &*e.eval_ref(t)?, call)?,
                 }
             }
         }
@@ -2387,7 +2345,13 @@ fn aggregate_input(
                 .map(|f| (f, pass + 1)),
         );
     }
-    Ok((groups.finalize()?, mem))
+    // Every group's `[keys…, agg values…]` output row.
+    let mut rows: Vec<Row> = keys.drain_rows(group.aggs.len()).collect();
+    for (states, call) in states.into_iter().zip(&group.aggs) {
+        let values = states.finalize(call)?;
+        rows.iter_mut().zip(values).for_each(|(row, v)| row.push(v));
+    }
+    Ok((rows, mem))
 }
 
 /// A product-sum's term for one tuple: its `DOUBLE` factors read in place
@@ -2411,133 +2375,212 @@ fn product(t: Tuple<'_, '_>, factors: &[ColumnId]) -> Result<Option<f64>> {
     Ok(Some(term))
 }
 
-/// Accumulator for one aggregate call within one group.
+/// One aggregate call's state in every group, indexed by group number:
+/// a column typed by the call's function, so a group holds only what its
+/// functions need, and for `f(DISTINCT x)` each group's seen values in
+/// front of it.
 #[derive(Debug, Clone)]
-struct Accumulator {
-    func: AggFunc,
-    count_star: bool,
-    /// DISTINCT's seen values, boxed: most calls are not DISTINCT.
-    distinct: Option<Box<KeyTable>>,
-    count: i64,
-    sum_int: i64,
-    /// Every SUM/AVG term, integers included, rounded once at the end.
-    sum: ExactSum,
-    saw_float: bool,
-    overflowed: bool,
-    minmax: Option<Value>,
-    /// A `SUM` that finalizes to its exact text ([`AggCall::exact`]).
-    exact: bool,
+struct States {
+    seen: Option<Vec<KeyTable>>,
+    column: Column,
 }
 
-impl Accumulator {
-    fn new(call: &AggCall) -> Self {
-        Accumulator {
-            func: call.func,
-            count_star: call.arg.is_none(),
-            distinct: call.distinct.then(|| Box::new(KeyTable::new(1))),
-            count: 0,
-            sum_int: 0,
-            sum: ExactSum::new(),
-            saw_float: false,
-            overflowed: false,
-            minmax: None,
-            exact: call.exact,
+#[derive(Debug, Clone)]
+enum Column {
+    Count(Vec<Count>),
+    /// `SUM` and `AVG`.
+    Sum(Vec<Sum>),
+    /// `MIN` and `MAX`: the extreme value so far.
+    Extreme(Vec<Option<Value>>),
+}
+
+impl States {
+    fn new(call: &AggCall) -> States {
+        let column = match call.func {
+            AggFunc::Count => Column::Count(Vec::new()),
+            AggFunc::Sum | AggFunc::Avg => Column::Sum(Vec::new()),
+            AggFunc::Min | AggFunc::Max => Column::Extreme(Vec::new()),
+        };
+        let seen = call.distinct.then(Vec::new);
+        States { seen, column }
+    }
+
+    /// Bytes one group's new state holds. A group is charged this when it
+    /// is made, not as a DISTINCT set or a sum wider than its inline limbs
+    /// grows.
+    fn bytes(&self) -> u64 {
+        use std::mem::size_of;
+        let seen = self.seen.as_ref().map_or(0, |_| size_of::<KeyTable>());
+        let state = match self.column {
+            Column::Count(_) => size_of::<Count>(),
+            Column::Sum(_) => size_of::<Sum>(),
+            Column::Extreme(_) => size_of::<Option<Value>>(),
+        };
+        (seen + state) as u64
+    }
+
+    /// Add a new group's state.
+    fn push(&mut self) {
+        if let Some(seen) = &mut self.seen {
+            seen.push(KeyTable::new(1));
+        }
+        match &mut self.column {
+            Column::Count(c) => c.push(Count::default()),
+            Column::Sum(s) => s.push(Sum::default()),
+            Column::Extreme(e) => e.push(None),
         }
     }
 
-    /// Bytes this accumulator holds: itself (its sum's first four limbs
-    /// included), its sum's heap limbs and its DISTINCT set. A group is
-    /// charged this when it is created, not as a DISTINCT set or a sum
-    /// wider than its inline limbs grows.
-    fn bytes(&self) -> u64 {
-        let seen = self.distinct.as_ref().map_or(0, |s| {
-            std::mem::size_of::<KeyTable>() as u64
-                + s.cells().iter().map(approx_value_bytes).sum::<u64>()
-        });
-        std::mem::size_of::<Accumulator>() as u64 + self.sum.heap_bytes() + seen
-    }
-
-    /// Fold one input value in, cloning it only where it is kept (a
-    /// DISTINCT set's new member, a new MIN/MAX).
-    fn update(&mut self, v: &Value) -> Result<()> {
-        if self.count_star {
-            self.count += 1;
+    /// Fold one value of `call` into group `i`. NULLs are ignored; a value
+    /// is cloned only where it is kept (a DISTINCT set's new member, a new
+    /// MIN/MAX).
+    fn update(&mut self, i: usize, v: &Value, call: &AggCall) -> Result<()> {
+        if v.is_null() {
             return Ok(());
         }
-        if v.is_null() {
-            return Ok(()); // aggregates ignore NULLs
-        }
-        if let Some(seen) = &mut self.distinct {
+        if let Some(seen) = &mut self.seen {
             let key = std::slice::from_ref(v);
             let hash = hash_key(key);
-            if seen.find(hash, key).is_some() {
+            if seen[i].find(hash, key).is_some() {
                 return Ok(());
             }
-            seen.push(hash, [v.clone()])?;
+            seen[i].push(hash, [v.clone()])?;
         }
-        self.count += 1;
-        match self.func {
-            AggFunc::Count => {}
-            AggFunc::Sum | AggFunc::Avg => match *v {
-                Value::Int(i) => {
-                    self.sum.add(i as f64);
-                    if !self.saw_float {
-                        match self.sum_int.checked_add(i) {
-                            Some(s) => self.sum_int = s,
-                            None => self.overflowed = true,
-                        }
-                    }
-                }
-                Value::Float(f) => {
-                    self.saw_float = true;
-                    self.sum.add(f);
-                }
-                ref other => {
-                    return Err(EngineError::exec(format!(
-                        "{} over non-numeric value {other}",
-                        self.func.name()
-                    )))
-                }
-            },
-            AggFunc::Min => {
-                if self.minmax.as_ref().is_none_or(|m| v < m) {
-                    self.minmax = Some(v.clone());
-                }
-            }
-            AggFunc::Max => {
-                if self.minmax.as_ref().is_none_or(|m| v > m) {
-                    self.minmax = Some(v.clone());
+        match &mut self.column {
+            Column::Count(c) => c[i].0 += 1,
+            Column::Sum(s) => s[i].update(v, call.func)?,
+            Column::Extreme(e) => {
+                let better = |m: &Value| match call.func {
+                    AggFunc::Min => v < m,
+                    _ => v > m,
+                };
+                if e[i].as_ref().is_none_or(better) {
+                    e[i] = Some(v.clone());
                 }
             }
         }
         Ok(())
     }
 
-    /// Fold in one product-sum term: what [`Accumulator::update`] does
-    /// with `Value::Float(term)` for a non-`DISTINCT` `SUM`.
-    fn add_term(&mut self, term: f64) {
-        self.count += 1;
-        self.saw_float = true;
-        self.sum.add(term);
+    /// Every group's value of `call`, in group order.
+    fn finalize(self, call: &AggCall) -> Result<Vec<Value>> {
+        match self.column {
+            Column::Count(c) => Ok(c.into_iter().map(|c| Value::Int(c.0)).collect()),
+            Column::Sum(s) => s
+                .iter()
+                .map(|s| s.finalize(call.func, call.exact))
+                .collect(),
+            Column::Extreme(e) => Ok(e.into_iter().map(|m| m.unwrap_or(Value::Null)).collect()),
+        }
+    }
+}
+
+/// `COUNT`'s state in one group: the values (rows, for `COUNT(*)`) it
+/// counted. A view's fold merges and retracts one group's counts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Count(pub i64);
+
+impl Count {
+    /// Add `other`'s count.
+    pub fn merge(&mut self, other: &Count) {
+        self.0 += other.0;
     }
 
-    fn finalize(self) -> Result<Value> {
-        Ok(match self.func {
-            AggFunc::Count => Value::Int(self.count),
-            AggFunc::Sum if self.exact => Value::Text(self.sum.encode()),
-            AggFunc::Sum => match self.sum.value() {
-                None => Value::Null,
-                Some(sum) if self.saw_float => Value::Float(sum),
-                Some(_) if self.overflowed => {
-                    return Err(EngineError::exec("integer overflow in SUM"))
-                }
-                Some(_) => Value::Int(self.sum_int),
-            },
-            AggFunc::Avg => match self.sum.value() {
-                None => Value::Null,
-                Some(sum) => Value::Float(sum / self.count as f64),
-            },
-            AggFunc::Min | AggFunc::Max => self.minmax.unwrap_or(Value::Null),
+    /// Remove `other`'s count, counted here before.
+    pub fn retract(&mut self, other: &Count) {
+        self.0 -= other.0;
+    }
+}
+
+/// `SUM`'s and `AVG`'s state in one group: every term exactly, in an
+/// [`ExactSum`] rounded once; beside it the `INTEGER` terms' `i64` sum,
+/// which a `SUM` returns while no `DOUBLE` term has arrived. A view's
+/// fold merges and retracts one group's sums.
+#[derive(Debug, Clone, Default)]
+pub struct Sum {
+    exact: ExactSum,
+    int: i64,
+    /// `int` left the `i64` range: an error unless a `DOUBLE` arrives.
+    overflowed: bool,
+    /// A `DOUBLE` term arrived: the sum is a `DOUBLE`.
+    float: bool,
+}
+
+impl Sum {
+    /// Fold in one non-NULL term of a `func` call.
+    fn update(&mut self, v: &Value, func: AggFunc) -> Result<()> {
+        match *v {
+            Value::Int(i) => {
+                self.exact.add(i as f64);
+                let (int, overflowed) = self.int.overflowing_add(i);
+                (self.int, self.overflowed) = (int, self.overflowed || overflowed);
+            }
+            Value::Float(f) => self.add(f),
+            ref other => {
+                return Err(EngineError::exec(format!(
+                    "{} over non-numeric value {other}",
+                    func.name()
+                )))
+            }
+        }
+        Ok(())
+    }
+
+    /// Fold in one `DOUBLE` term.
+    fn add(&mut self, f: f64) {
+        self.float = true;
+        self.exact.add(f);
+    }
+
+    /// Fold in every term of `other`. Exact.
+    pub fn merge(&mut self, other: &Sum) {
+        self.exact.merge(&other.exact, 1);
+        self.combine(other, i64::overflowing_add);
+    }
+
+    /// Remove every term of `other`, each of which was folded in before.
+    /// Exact.
+    pub fn retract(&mut self, other: &Sum) {
+        self.exact.merge(&other.exact, -1);
+        self.combine(other, i64::overflowing_sub);
+    }
+
+    /// Combine the integer sums of `self` and `other` by `op`.
+    fn combine(&mut self, other: &Sum, op: fn(i64, i64) -> (i64, bool)) {
+        let (int, overflowed) = op(self.int, other.int);
+        self.int = int;
+        self.overflowed |= overflowed || other.overflowed;
+        self.float |= other.float;
+    }
+
+    /// The terms, exactly.
+    pub fn exact(&self) -> &ExactSum {
+        &self.exact
+    }
+
+    /// A `DOUBLE` sum from the text [`Sum::finalize`] gives with `exact`
+    /// set; `None` unless it is [`ExactSum::encode`]'s canonical text.
+    pub fn decode(text: &str) -> Option<Sum> {
+        let exact = ExactSum::decode(text)?;
+        Some(Sum {
+            exact,
+            float: true,
+            ..Sum::default()
+        })
+    }
+
+    /// The `func` (`SUM` or `AVG`) of the terms: NULL over none; with
+    /// `exact`, a `SUM` is its exact sum's [`ExactSum::encode`] text.
+    pub fn finalize(&self, func: AggFunc, exact: bool) -> Result<Value> {
+        if exact && func == AggFunc::Sum {
+            return Ok(Value::Text(self.exact.encode()));
+        }
+        Ok(match self.exact.value() {
+            None => Value::Null,
+            Some(sum) if func == AggFunc::Avg => Value::Float(sum / self.exact.count() as f64),
+            Some(sum) if self.float => Value::Float(sum),
+            Some(_) if self.overflowed => return Err(EngineError::exec("integer overflow in SUM")),
+            Some(_) => Value::Int(self.int),
         })
     }
 }
@@ -2547,14 +2590,31 @@ mod tests {
     use super::*;
     use crate::binder::AggCall;
 
-    fn acc(func: AggFunc, distinct: bool) -> Accumulator {
-        Accumulator::new(&AggCall {
+    /// One group's state of one `func` call.
+    #[derive(Clone)]
+    struct Acc(States, AggCall);
+
+    impl Acc {
+        fn update(&mut self, v: &Value) -> Result<()> {
+            self.0.update(0, v, &self.1)
+        }
+
+        fn finalize(self) -> Result<Value> {
+            Ok(self.0.finalize(&self.1)?.remove(0))
+        }
+    }
+
+    fn acc(func: AggFunc, distinct: bool) -> Acc {
+        let call = AggCall {
             func,
             arg: Some(BoundExpr::Literal(Value::Null)),
             distinct,
             factors: Vec::new(),
             exact: false,
-        })
+        };
+        let mut states = States::new(&call);
+        states.push();
+        Acc(states, call)
     }
 
     /// `a` (40 rows) and `b` (10 rows): `a.k = b.k` matches every `a` row.
@@ -2601,7 +2661,8 @@ mod tests {
         ] {
             t.insert(row).unwrap();
         }
-        // The key is Int(1) on one row and a float (or NULL) on the rest.
+        // The key's arms are Int(1) on one row and a float (or NULL) on the
+        // rest; the CASE is typed DOUBLE, so its Int(1) is Float(1.0).
         let plan = plan_of(
             &cat,
             "select case when tag = 1 then i else f end, count(*) from g \
@@ -2611,13 +2672,11 @@ mod tests {
             .unwrap()
             .rows;
         // Grouping is value identity, not numeric equality: 0.0 and -0.0
-        // are two groups, as are Int(1) and Float(1.0); NaN meets NaN and
-        // NULL meets NULL.
+        // are two groups; NaN meets NaN and NULL meets NULL.
         let expected = [
             (Value::Float(0.0), 1),
             (Value::Float(-0.0), 1),
-            (Value::Int(1), 1),
-            (Value::Float(1.0), 1),
+            (Value::Float(1.0), 2),
             (Value::Float(f64::NAN), 2),
             (Value::Null, 2),
         ]

@@ -135,6 +135,9 @@ pub enum BoundExpr {
         branches: Vec<(BoundExpr, BoundExpr)>,
         /// `ELSE` (NULL when absent).
         else_expr: Option<Box<BoundExpr>>,
+        /// The arms unify to `DOUBLE`: an `INTEGER` result is conformed
+        /// to it, so the expression evaluates to its static type.
+        float: bool,
     },
 }
 
@@ -206,6 +209,7 @@ impl BoundExpr {
                 operand,
                 branches,
                 else_expr,
+                ..
             } => {
                 if let Some(o) = operand {
                     o.visit(f);
@@ -315,8 +319,10 @@ impl BoundExpr {
                 operand,
                 branches,
                 else_expr,
+                float,
             } => {
                 let operand = operand.as_ref().map(|o| o.eval_ref(cells)).transpose()?;
+                let mut arm = else_expr.as_deref();
                 for (when, then) in branches {
                     let fire = match &operand {
                         // Simple case: operand = WHEN value (NULL never
@@ -326,12 +332,13 @@ impl BoundExpr {
                         None => when.eval_predicate(cells)?,
                     };
                     if fire {
-                        return then.eval(cells);
+                        arm = Some(then);
+                        break;
                     }
                 }
-                match else_expr {
-                    Some(e) => return e.eval(cells),
-                    None => Value::Null,
+                match arm.map(|e| e.eval(cells)).transpose()? {
+                    Some(Value::Int(i)) if *float => Value::Float(i as f64),
+                    v => v.unwrap_or(Value::Null),
                 }
             }
         })

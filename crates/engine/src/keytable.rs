@@ -70,11 +70,6 @@ impl KeyTable {
         &self.keys[i * self.width..(i + 1) * self.width]
     }
 
-    /// Every entry's cells, flat, in first-seen order.
-    pub(crate) fn cells(&self) -> &[Value] {
-        &self.keys
-    }
-
     /// The entry holding `key`, whose [`hash_key`] is `hash`.
     #[inline]
     pub(crate) fn find<K: Borrow<Value>>(&self, hash: u64, key: &[K]) -> Option<usize> {

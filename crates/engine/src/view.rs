@@ -22,9 +22,9 @@
 //!   binder/planner/executor (result cache included) and therefore
 //!   *never* re-executes the base query;
 //! * the **state table** `__conquer_view_state_<name>` — one row per
-//!   group, in the same key order: the key, the contribution count (a group
-//!   is dropped at 0) and the [`ExactSum`] accumulator as one TEXT cell.
-//!   Its `view` table property holds the defining SQL.
+//!   group, in the same key order: the key, the `COUNT(*)` state (a group
+//!   is dropped at 0) and the exact `SUM` state as one TEXT cell. Its
+//!   `view` table property holds the defining SQL.
 //!
 //! Because both are plain tables they ride the existing WAL and checkpoint
 //! machinery unchanged, the definition with the state table's image. A
@@ -39,16 +39,17 @@
 //! ## Bit-exactness
 //!
 //! A view never folds in floating point: a group's terms go into an
-//! [`ExactSum`], which holds their sum exactly and rounds once, so equal
-//! term multisets give byte-identical contents *and* state in any order.
-//! The executor's `SUM` adds the terms; the view's plans set one internal
-//! mode on it ([`AggCall::exact`](crate::binder::AggCall)) that hands over
-//! the exact sum as its [`ExactSum::encode`] text, the state table's own
-//! cell, instead of the rounded value. `CREATE`/`REFRESH` (every group
+//! exact sum ([`crate::exact`]), which holds their sum exactly and rounds
+//! once, so equal term multisets give byte-identical contents *and* state
+//! in any order. The executor's `SUM` adds the terms; the view's plans set
+//! one internal mode on it ([`AggCall::exact`](crate::binder::AggCall))
+//! that hands over the exact sum as its canonical text, the state table's
+//! own cell, instead of the rounded value. `CREATE`/`REFRESH` (every group
 //! into an empty state) and maintenance (a delta's signed groups into the
-//! stored ones) are the one `fold`, which merges each exact partial into
-//! its group limb by limb ([`ExactSum::add_sum`],
-//! [`ExactSum::retract_sum`]). An exact sum does not depend on how its
+//! stored ones) are the one `fold`, which decodes a stored group and each
+//! partial into the executor's own [`Count`] and [`Sum`] states and merges
+//! or retracts each partial through them: it does no count or sum
+//! arithmetic of its own. An exact sum does not depend on how its
 //! multiset was split, so a view reads what the query over its bases
 //! reads.
 //!
@@ -111,8 +112,7 @@ use conquer_storage::{Catalog, Column, DataType, Edit, Row, Schema, SharedRow, T
 use crate::binder::bind;
 use crate::database::Database;
 use crate::error::EngineError;
-use crate::exact::ExactSum;
-use crate::exec::run_plan;
+use crate::exec::{run_plan, Count, Sum};
 use crate::planner::plan_query;
 use crate::stats::{approx_row_bytes, ExecStats};
 use crate::Result;
@@ -137,10 +137,10 @@ const SIGN_COLUMN: &str = "__conquer_added";
 const OLD_TABLE: &str = "__conquer_old";
 
 /// State-table column holding a group's contribution count.
-pub(crate) const COUNT_COLUMN: &str = "__conquer_count";
+const COUNT_COLUMN: &str = "__conquer_count";
 
-/// State-table column holding a group's encoded [`ExactSum`].
-pub(crate) const SUM_COLUMN: &str = "__conquer_sum";
+/// State-table column holding a group's encoded exact sum.
+const SUM_COLUMN: &str = "__conquer_sum";
 
 /// Name of the per-group state table of view `name`.
 pub fn state_table_name(name: &str) -> String {
@@ -185,15 +185,23 @@ pub struct ViewStats {
 }
 
 /// One row of a view query: a group's key, the sign of the delta rows its
-/// tuples read (`true` in a recompute), how many tuples it counts and the
-/// exact sum of their terms. NULL terms count but add nothing.
+/// tuples read (`true` in a recompute), and its `COUNT(*)` and `SUM`
+/// states. NULL terms count but add nothing.
 pub(crate) struct Partial {
     key: Vec<Value>,
     added: bool,
-    count: i64,
-    sum: ExactSum,
-    /// `sum` as the query handed it over: its canonical encoding.
-    text: String,
+    count: Count,
+    sum: Sum,
+}
+
+/// A group's `COUNT(*)` and `SUM` states from the cells a view query and
+/// the state table hold them in; `None` unless the count is positive and
+/// the sum's text canonical.
+fn decode(cells: &[Value]) -> Option<(Count, Sum)> {
+    match cells {
+        [Value::Int(n), Value::Text(text)] if *n > 0 => Some((Count(*n), Sum::decode(text)?)),
+        _ => None,
+    }
 }
 
 /// The signed delta of `edit` on `old`: every row the edit removes or
@@ -483,7 +491,7 @@ impl ViewDef {
     }
 
     /// Schema of the state table: the keys, then the contribution count and
-    /// the encoded accumulator.
+    /// the encoded exact sum.
     pub(crate) fn state_schema(&self) -> Result<Schema> {
         let mut columns = self.key_columns();
         columns.push((COUNT_COLUMN.to_string(), DataType::Int));
@@ -523,25 +531,19 @@ impl ViewDef {
 
     /// One output row of a [`ViewDef::grouped_query`], signed when the
     /// query selects a sign.
-    fn partial(&self, mut row: Row, signed: bool) -> Result<Partial> {
-        let (sum, text) = match row.pop() {
-            Some(Value::Text(text)) => (ExactSum::decode(&text), text),
-            _ => (None, String::new()),
-        };
-        let count = row.pop().and_then(|c| c.as_i64());
-        let added = !signed || row.pop() == Some(Value::Bool(true));
-        match (sum, count) {
-            (Some(sum), Some(count)) if count > 0 && row.len() == self.key_types.len() => {
-                Ok(Partial {
-                    key: row,
-                    added,
-                    count,
-                    sum,
-                    text,
-                })
-            }
-            _ => Err(diverged(self, "a view query returned a malformed group")),
-        }
+    fn partial(&self, mut key: Row, signed: bool) -> Result<Partial> {
+        let width = self.key_types.len();
+        let states = key.get(width + usize::from(signed)..).and_then(decode);
+        let (count, sum) =
+            states.ok_or_else(|| diverged(self, "a view query returned a malformed group"))?;
+        let added = !signed || key[width] == Value::Bool(true);
+        key.truncate(width);
+        Ok(Partial {
+            key,
+            added,
+            count,
+            sum,
+        })
     }
 }
 
@@ -578,9 +580,9 @@ fn diverged(view: &ViewDef, what: &str) -> EngineError {
 /// and one of the state table at the same positions. The partials are
 /// kept until the splice, which orders them by key (a group's partials
 /// in arrival order) and walks each touched group once:
-/// its state row is found by binary search and decoded, its count moves
-/// by each partial's ± count and its accumulator merges or retracts each
-/// partial's exact sum. Its rows are then replaced, removed at count 0,
+/// its state row is found by binary search and decoded into `COUNT` and
+/// `SUM` states, which merge or retract each partial's states. Its rows
+/// are then replaced, removed at count 0,
 /// or inserted at the key's position when the group is new. Untouched
 /// groups are not read. A count below 0 means the state diverged from
 /// the bases, an internal error that aborts the commit.
@@ -634,34 +636,28 @@ impl<'a> Fold<'a> {
         while let Some(first) = order.next() {
             let key = std::mem::take(&mut partials[first].key);
             let found = prior_state.binary_search_by(|row| row[..width].cmp(&key));
-            let (mut count, mut sum) = match found.map(|i| &prior_state[i][width..]) {
-                Err(_) => (0, ExactSum::new()),
-                Ok([Value::Int(count), Value::Text(sum)]) if *count > 0 => {
-                    let sum = ExactSum::decode(sum)
-                        .ok_or_else(|| diverged(view, "unreadable accumulator"))?;
-                    (*count, sum)
-                }
-                Ok(_) => return Err(diverged(view, "malformed state row")),
+            let (mut count, mut sum) = match found {
+                Err(_) => Default::default(),
+                Ok(i) => decode(&prior_state[i][width..])
+                    .ok_or_else(|| diverged(view, "malformed state row"))?,
             };
             let mut next = Some(first);
-            let mut merged = 0;
             while let Some(i) = next {
-                merged += 1;
                 let partial = &partials[i];
                 if partial.added {
-                    count += partial.count;
-                    sum.add_sum(&partial.sum);
+                    count.merge(&partial.count);
+                    sum.merge(&partial.sum);
                 } else {
-                    count -= partial.count;
-                    sum.retract_sum(&partial.sum);
+                    count.retract(&partial.count);
+                    sum.retract(&partial.sum);
                 }
-                if count < 0 {
+                if count.0 < 0 {
                     return Err(diverged(view, "a retraction drove a group's count below 0"));
                 }
                 next = order.next_if(|&j| partials[j].key == key);
             }
-            if count == 0 {
-                if !sum.is_empty() {
+            if count.0 == 0 {
+                if !sum.exact().is_empty() {
                     return Err(diverged(view, "a group with no contributions kept a sum"));
                 }
                 if let Ok(pos) = found {
@@ -670,7 +666,7 @@ impl<'a> Fold<'a> {
                 }
                 continue;
             }
-            let value = sum.value().map_or(Value::Null, Value::Float);
+            let value = sum.finalize(AggFunc::Sum, false)?;
             let (before, after) = key.split_at(view.term_index);
             let contents_row: SharedRow = before
                 .iter()
@@ -678,17 +674,8 @@ impl<'a> Fold<'a> {
                 .chain(after)
                 .cloned()
                 .collect();
-            // A new group made by one added partial holds exactly that
-            // partial's sum, so its cell is the text the query handed over.
-            let text = match (found, merged, partials[first].added) {
-                (Err(_), 1, true) => std::mem::take(&mut partials[first].text),
-                _ => sum.encode(),
-            };
-            debug_assert_eq!(text, sum.encode());
-            let state_row: SharedRow = key
-                .into_iter()
-                .chain([Value::Int(count), Value::Text(text)])
-                .collect();
+            let cells = [Value::Int(count.0), sum.finalize(AggFunc::Sum, true)?];
+            let state_row: SharedRow = key.into_iter().chain(cells).collect();
             match found {
                 Ok(pos) => {
                     contents.changed.push((pos, Some(contents_row)));
@@ -855,16 +842,15 @@ mod tests {
 
     /// The partial of one tuple of group `key` with term `term`.
     fn one(key: Vec<Value>, term: Value, added: bool) -> Partial {
-        let mut sum = ExactSum::new();
+        let mut sum = crate::exact::ExactSum::new();
         if let Some(x) = term.as_f64() {
             sum.add(x);
         }
         Partial {
             key,
             added,
-            count: 1,
-            text: sum.encode(),
-            sum,
+            count: Count(1),
+            sum: Sum::decode(&sum.encode()).unwrap(),
         }
     }
 
@@ -1120,11 +1106,11 @@ mod tests {
         }
         // The pairs retract the old weights and add the new ones.
         let pairs = pairs_of(&db, &local, "q12", "orders");
-        let tuples = pairs.iter().map(|p| p.count).sum::<i64>();
+        let tuples = pairs.iter().map(|p| p.count.0).sum::<i64>();
         let added = pairs
             .iter()
             .filter(|p| p.added)
-            .map(|p| p.count)
+            .map(|p| p.count.0)
             .sum::<i64>();
         assert_eq!((tuples, added), (2 * cluster_lines as i64, 5));
 
@@ -1158,20 +1144,16 @@ mod tests {
             |tag: i64, f: f64| vec![Value::Int(tag), Value::Int(1), Value::Float(f), 0.5.into()];
         let rows = [(1, 0.0), (0, 1.0), (0, 0.0), (0, -0.0)].map(|(tag, f)| row(tag, f));
         let local = inserted(&db, "g", [rows.clone(), rows].concat());
-        // The integer 1 and the float 1.0, and 0.0 and -0.0, are four
-        // groups of the executor's aggregate, each of both rows.
+        // 0.0 and -0.0 are two groups of the executor's aggregate, each of
+        // both rows; the CASE is typed DOUBLE, so the integer 1 is the
+        // float 1.0, one group of four rows.
         let mut keys: Vec<(Vec<Value>, i64)> = pairs_of(&db, &local, "v", "g")
             .into_iter()
-            .map(|p| (p.key, p.count))
+            .map(|p| (p.key, p.count.0))
             .collect();
         keys.sort();
-        let want = [
-            Value::Float(-0.0),
-            Value::Float(0.0),
-            Value::Int(1),
-            Value::Float(1.0),
-        ];
-        assert_eq!(keys, want.map(|k| (vec![k], 2)));
+        let want = [(-0.0, 2), (0.0, 2), (1.0, 4)];
+        assert_eq!(keys, want.map(|(k, n)| (vec![Value::Float(k)], n)));
     }
 
     #[test]
@@ -1226,6 +1208,6 @@ mod tests {
         });
         assert_eq!(aggregated, [n]);
         assert_eq!(partials.len() as u64, 2 * g);
-        assert_eq!(partials.iter().map(|p| p.count).sum::<i64>(), n as i64);
+        assert_eq!(partials.iter().map(|p| p.count.0).sum::<i64>(), n as i64);
     }
 }

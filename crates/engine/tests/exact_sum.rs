@@ -16,10 +16,12 @@
 //! bits.
 //!
 //! A view's fold merges exact partial sums, one per (group, sign) of a
-//! delta query: signed multisets split into random partials must merge to
-//! the term-by-term sum and count, byte for byte.
+//! delta query, through the aggregate's `COUNT` and `SUM` states: signed
+//! multisets split into random partials must merge to the term-by-term
+//! sum and count, byte for byte.
 
 use conquer_engine::exact::ExactSum;
+use conquer_engine::exec::{Count, Sum};
 use conquer_engine::{Database, ExecLimits, QueryResult};
 use conquer_storage::Value;
 
@@ -440,9 +442,10 @@ fn partials_merge_to_the_term_by_term_sum() {
         let (whole, count) = term_by_term(&terms);
 
         // Random runs of the stream, each split by sign into two partials
-        // (the view's (group, sign) groups), merged in stream order.
-        let mut merged = ExactSum::new();
-        let mut merged_count = 0;
+        // (the view's (group, sign) groups), merged in stream order through
+        // the aggregate's `COUNT` and `SUM` states, as the fold merges them.
+        let mut merged = Sum::default();
+        let mut merged_count = Count::default();
         let mut rest = &terms[..];
         while !rest.is_empty() {
             let (run, tail) = rest.split_at(1 + rng.below(rest.len()));
@@ -454,29 +457,29 @@ fn partials_merge_to_the_term_by_term_sum() {
                     .map(|&(x, _)| (x, true))
                     .collect();
                 let (sum, n) = term_by_term(&part);
-                let decoded = ExactSum::decode(&sum.encode()).unwrap();
+                let decoded = Sum::decode(&sum.encode()).unwrap();
                 if sign {
-                    merged.add_sum(&decoded);
-                    merged_count += n;
+                    merged.merge(&decoded);
+                    merged_count.merge(&Count(n));
                 } else {
-                    merged.retract_sum(&decoded);
-                    merged_count -= n;
+                    merged.retract(&decoded);
+                    merged_count.retract(&Count(n));
                 }
             }
         }
         let ctx = format!("case {case}: {terms:?}");
-        assert_eq!(merged, whole, "{ctx}");
+        let merged = merged.exact();
+        assert_eq!(merged, &whole, "{ctx}");
         assert_eq!(merged.encode(), whole.encode(), "{ctx}");
         assert_eq!(bits(merged.value()), bits(whole.value()), "{ctx}");
-        assert_eq!(merged_count, count, "{ctx}");
+        assert_eq!(merged_count, Count(count), "{ctx}");
     }
 }
 
 /// `0.0` and `-0.0` are two groups of a maintained view, as they are of
 /// the executor's `GROUP BY`: the fold finds a stored group by `Value`'s
 /// order, which tells them apart just as the aggregate's key equality
-/// does. (That an integer and a float key stay apart is pinned on the
-/// delta query's partials, in the view module's tests.)
+/// does.
 #[test]
 fn a_view_keeps_signed_zeros_apart() {
     let mut db = Database::new();

@@ -31,7 +31,7 @@ fn open(dir: &Path) -> (SharedDatabase, RecoveryReport) {
 }
 
 /// `sql`'s rows, read without a budget (the budget test gives the
-/// database's own queries 800 bytes).
+/// database's own queries 714 bytes).
 fn rows(db: &SharedDatabase, sql: &str) -> Vec<Vec<Value>> {
     let s = db.session();
     s.set_limits(ExecLimits::none());
@@ -547,20 +547,20 @@ fn view_dml_failed_at_every_write_and_fsync_is_never_half_maintained() {
     }
 }
 
-/// A join view's delta query runs out of a 1 340-byte, no-disk budget
+/// A join view's delta query runs out of a 714-byte, no-disk budget
 /// after the single-table view `v` was already maintained: the statement
 /// fails whole, with nothing logged or published. Measured peaks of
 /// `VIEW_DML`'s maintenance, one grouped query per view over the 8 signed
-/// delta rows of its 4 updated rows: `v` alone needs 1 280 B, `vj`
-/// 1 396 B. Each query's aggregate charges every (key, sign) group it
-/// makes, its key cells and its `COUNT` and `SUM` accumulators; `vj`'s
+/// delta rows of its 4 updated rows: `v` alone needs 704 B, `vj` 724 B.
+/// Each query's aggregate charges every (key, sign) group it makes, its
+/// key cells and its 8-byte `COUNT` and 96-byte `SUM` states; `vj`'s
 /// build side adds a 4-byte position plus a key copy per tuple.
 #[test]
 fn view_maintenance_out_of_budget_publishes_nothing() {
     let (fs, _guard, dir) = mount("efwal_view_budget");
     let db = view_db(&dir);
     db.mutate(|d| {
-        d.set_limits(ExecLimits::none().with_mem_bytes(1340).with_disk_bytes(0));
+        d.set_limits(ExecLimits::none().with_mem_bytes(714).with_disk_bytes(0));
         Ok(())
     })
     .unwrap();

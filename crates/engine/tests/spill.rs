@@ -440,11 +440,12 @@ fn spilled_aggregate_output_order_and_counters_are_pinned() {
     // A spilled aggregate emits the groups it kept in memory in first-seen
     // order, then each partition's groups, and partitions with a fixed
     // hash, so its output *order* — not just its multiset — and its spill
-    // volume are a function of the input alone. Five accumulators make
-    // the group state (~715 KB) eleven times the projected output, so at
-    // 128 KiB the aggregate keeps what fits in half of it and spills the
-    // position tuples of every later group, and the whole (hard-charged)
-    // result still fits. A disk budget of 256 KiB holds those tuples.
+    // volume are a function of the input alone. Five aggregate states
+    // (8 + 96 + 32 + 32 + 96 B) and the 35-byte key make the group state
+    // (299 KB) more than four times the projected output, so at 128 KiB
+    // the aggregate keeps what fits in half of it and spills the position
+    // tuples of every later group, and the whole (hard-charged) result
+    // still fits. A disk budget of 256 KiB holds those tuples.
     let db = big_db(4000);
     let sql = "SELECT grp FROM big GROUP BY grp \
                HAVING COUNT(*) > 0 AND SUM(val) > 0 AND MIN(val) > 0 \
@@ -466,7 +467,7 @@ fn spilled_aggregate_output_order_and_counters_are_pinned() {
         );
         assert_eq!(
             counters,
-            [("HashAggregate".to_string(), 65_065, 90_900, 16, 1)],
+            [("HashAggregate".to_string(), 65_373, 76_900, 16, 1)],
             "spill counters moved"
         );
         let order: Vec<String> = governed.rows.iter().map(|r| r[0].to_string()).collect();
@@ -478,7 +479,7 @@ fn spilled_aggregate_output_order_and_counters_are_pinned() {
         );
         assert_eq!(
             fnv1a(&order.join(",")),
-            4_793_454_773_807_629_143,
+            4_107_933_797_425_390_195,
             "output order moved"
         );
     }
@@ -493,8 +494,8 @@ fn in_memory_state_is_charged_to_the_byte() {
     let db = big_db(4000);
     let run = |sql: &str| db.prepare(sql).unwrap().query(&db).unwrap();
     // Text join key and text group key; 1000 groups, each charging its
-    // 35-byte key and two accumulators, each with its sum's four limbs
-    // inline (35 + 2 · 136 B). The estimates tie
+    // 35-byte key, an 8-byte `COUNT(*)` state and a 96-byte `SUM` state
+    // with its sum's four limbs inline (35 + 8 + 96 B). The estimates tie
     // (both scans are of 4000-row `big`), so the planner builds on the
     // joined side, `a`: 4000 build tuples, each charging one 4-byte position
     // plus its own copy of an 11-character text key (24 + 11 B) — 39 B,
@@ -505,11 +506,17 @@ fn in_memory_state_is_charged_to_the_byte() {
     assert_eq!(
         state_counters(&joined),
         [
-            ("HashAggregate".to_string(), 307_000, 0, 0, 0),
+            ("HashAggregate".to_string(), 139_000, 0, 0, 0),
             ("HashJoin".to_string(), 156_000, 0, 0, 0)
         ]
     );
-    assert_eq!(joined.stats().unwrap().mem_charged, 463_000);
+    assert_eq!(joined.stats().unwrap().mem_charged, 295_000);
+    // A `COUNT(*)` group charges its key and its 8-byte count alone.
+    let counted = run("SELECT grp, COUNT(*) FROM big GROUP BY grp");
+    assert_eq!(
+        state_counters(&counted),
+        [("HashAggregate".to_string(), 43_000, 0, 0, 0)]
+    );
     let distinct = run("SELECT DISTINCT grp, id - id FROM big");
     assert_eq!(
         state_counters(&distinct),
@@ -520,6 +527,6 @@ fn in_memory_state_is_charged_to_the_byte() {
     let global = run("SELECT COUNT(*), SUM(val) FROM big");
     assert_eq!(
         state_counters(&global),
-        [("HashAggregate".to_string(), 272, 0, 0, 0)]
+        [("HashAggregate".to_string(), 104, 0, 0, 0)]
     );
 }
