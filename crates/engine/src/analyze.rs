@@ -288,8 +288,10 @@ pub fn analyze_select(catalog: &Catalog, stmt: &SelectStatement) -> Vec<Diagnost
         .chain(&stmt.group_by)
         .chain(&stmt.having)
         .chain(stmt.order_by.iter().map(|o| &o.expr));
+    let group = select.as_ref().and_then(|s| s.group.as_ref());
+    let type_of = |e: &Expr| scope.type_of(e, group.map_or(&[], |g| &g.keys));
     for e in exprs {
-        check_types(&scope, e, &mut diags);
+        check_types(&type_of, e, &mut diags);
     }
     if let Some(select) = &select {
         check_decided_conjuncts(stmt, select, &mut diags);
@@ -353,17 +355,20 @@ fn check_decided_conjuncts(
     }
 }
 
+/// An operand's static type, as [`Scope::type_of`] gives it.
+type TypeOf<'a> = dyn Fn(&Expr) -> Option<DataType> + 'a;
+
 /// CQ0005/CQ1003: walk an expression checking comparison, arithmetic and
 /// unary-minus operand types.
-fn check_types(scope: &Scope<'_>, e: &Expr, diags: &mut Vec<Diagnostic>) {
+fn check_types(type_of: &TypeOf<'_>, e: &Expr, diags: &mut Vec<Diagnostic>) {
     match e {
         Expr::Binary { left, op, right } if op.is_comparison() => {
-            check_comparison(scope, left, *op, right, diags)
+            check_comparison(type_of, left, *op, right, diags)
         }
         Expr::Binary { left, op, right } if !matches!(op, BinaryOp::And | BinaryOp::Or) => {
             for side in [left, right] {
                 check_numeric(
-                    scope,
+                    type_of,
                     format_args!("arithmetic `{}`", op.symbol()),
                     side,
                     diags,
@@ -373,19 +378,19 @@ fn check_types(scope: &Scope<'_>, e: &Expr, diags: &mut Vec<Diagnostic>) {
         Expr::Unary {
             op: UnaryOp::Neg,
             expr,
-        } => check_numeric(scope, format_args!("unary minus"), expr, diags),
+        } => check_numeric(type_of, format_args!("unary minus"), expr, diags),
         _ => {}
     }
-    e.for_each_child(&mut |child| check_types(scope, child, diags));
+    e.for_each_child(&mut |child| check_types(type_of, child, diags));
 }
 
 fn check_numeric(
-    scope: &Scope<'_>,
+    type_of: &TypeOf<'_>,
     operation: fmt::Arguments<'_>,
     operand: &Expr,
     diags: &mut Vec<Diagnostic>,
 ) {
-    match scope.infer_type(operand) {
+    match type_of(operand) {
         None | Some(DataType::Int | DataType::Float) => {}
         Some(ty) => diags.push(Diagnostic::new(
             Code::TypeMismatch,
@@ -399,13 +404,13 @@ fn check_numeric(
 }
 
 fn check_comparison(
-    scope: &Scope<'_>,
+    type_of: &TypeOf<'_>,
     left: &Expr,
     op: BinaryOp,
     right: &Expr,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let (Some(lt), Some(rt)) = (scope.infer_type(left), scope.infer_type(right)) else {
+    let (Some(lt), Some(rt)) = (type_of(left), type_of(right)) else {
         return;
     };
     let span = expr_span(left).union(expr_span(right));

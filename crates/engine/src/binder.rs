@@ -1,5 +1,5 @@
-//! Name resolution, `Expr` lowering and static typing — the only module
-//! that does any of the three.
+//! Name resolution and `Expr` lowering — the only module that does
+//! either. What it lowers it types by [`BoundExpr::data_type`].
 //!
 //! `bind` turns a parsed [`SelectStatement`] into a `Binding`: the FROM
 //! clause becomes a `Scope`, column references become [`ColumnId`]s,
@@ -64,6 +64,22 @@ pub struct AggCall {
     /// [`ExactSum::encode`](crate::exact::ExactSum::encode) text instead
     /// of the rounded value, so a view merges exact partial sums.
     pub(crate) exact: bool,
+}
+
+impl AggCall {
+    /// The call's result type, its argument's columns typed by `column`:
+    /// `COUNT` is `INTEGER`, `AVG` `DOUBLE`, and `SUM`, `MIN` and `MAX`
+    /// take their argument's type.
+    pub(crate) fn data_type(
+        &self,
+        column: &impl Fn(ColumnId) -> Option<DataType>,
+    ) -> Option<DataType> {
+        match self.func {
+            AggFunc::Count => Some(DataType::Int),
+            AggFunc::Avg => Some(DataType::Float),
+            _ => self.arg.as_ref()?.data_type(column),
+        }
+    }
 }
 
 /// The columns of a left-deep product `((c1 * c2) * …) * cm` of m ≥ 2
@@ -267,69 +283,46 @@ impl<'a> Scope<'a> {
             .flat_map(Schema::names)
     }
 
-    /// The static type of `e`, or `None` when it has none the engine can
-    /// rely on: an unresolvable column, a bare `NULL`, arithmetic or unary
-    /// minus over a non-numeric operand, a `CASE` whose arms have no common
-    /// type. Materialized views refuse key and term expressions
-    /// without a type; the CQ0005/CQ1003 lints stay silent about them.
-    pub(crate) fn infer_type(&self, e: &Expr) -> Option<DataType> {
-        let numeric = |t: DataType| matches!(t, DataType::Int | DataType::Float).then_some(t);
-        Some(match e {
-            Expr::Column(c) => {
-                let id = self.lookup(c).ok()?;
-                self.relations[id.rel]
-                    .schema?
-                    .column_at(id.col)?
-                    .data_type()
-            }
-            Expr::Literal(l) => literal_value(l).data_type()?,
-            Expr::Unary {
-                op: UnaryOp::Neg,
-                expr,
-            } => numeric(self.infer_type(expr)?)?,
-            Expr::Binary { left, op, right }
-                if !op.is_comparison() && !matches!(op, BinaryOp::And | BinaryOp::Or) =>
-            {
-                numeric(unify(self.infer_type(left)?, self.infer_type(right)?)?)?
-            }
-            Expr::Unary {
-                op: UnaryOp::Not, ..
-            }
-            | Expr::Binary { .. }
-            | Expr::Like { .. }
-            | Expr::InList { .. }
-            | Expr::Between { .. }
-            | Expr::IsNull { .. } => DataType::Bool,
-            Expr::Aggregate { func, arg, .. } => match func {
-                AggFunc::Count => DataType::Int,
-                AggFunc::Avg => DataType::Float,
-                _ => self.infer_type(arg.as_deref()?)?,
-            },
-            Expr::Case {
-                branches,
-                else_expr,
-                ..
-            } => {
-                // A NULL arm takes whatever type the others agree on.
-                let mut arms = branches
-                    .iter()
-                    .map(|(_, then)| then)
-                    .chain(else_expr.as_deref())
-                    .filter(|arm| !matches!(arm, Expr::Literal(Literal::Null)));
-                let first = self.infer_type(arms.next()?)?;
-                arms.try_fold(first, |t, arm| unify(t, self.infer_type(arm)?))?
-            }
-        })
+    /// A relation-space column's declared type.
+    fn column_type(&self, id: ColumnId) -> Option<DataType> {
+        let schema = self.relations.get(id.rel)?.schema?;
+        Some(schema.column_at(id.col)?.data_type())
+    }
+
+    /// The static type of `e` lowered quietly in this scope, into slot space
+    /// over the group `keys` when it holds an aggregate; `None` when it
+    /// does not lower. The CQ0005/CQ1003 lints type their operands so.
+    pub(crate) fn type_of(&self, e: &Expr, keys: &[BoundExpr]) -> Option<DataType> {
+        let mut binder = Binder {
+            scope: self.clone(),
+            keys: keys.to_vec(),
+            ..Binder::default()
+        };
+        let space = match e.contains_aggregate() {
+            true => Space::Slots { clause: "" },
+            false => SCALAR,
+        };
+        let bound = binder.lower(e, space)?;
+        binder.type_in(&bound, space)
     }
 }
 
-/// The common type of two operands or `CASE` arms: equal types unify to
-/// themselves, INTEGER with DOUBLE to DOUBLE, nothing else.
-fn unify(a: DataType, b: DataType) -> Option<DataType> {
-    match (a, b) {
-        _ if a == b => Some(a),
-        (DataType::Int | DataType::Float, DataType::Int | DataType::Float) => Some(DataType::Float),
-        _ => None,
+/// A relation-space column's declared type in `relations`.
+pub(crate) fn column_type(relations: &[BoundRelation], id: ColumnId) -> Option<DataType> {
+    Some(relations.get(id.rel)?.schema.column_at(id.col)?.data_type())
+}
+
+/// The slot types of an aggregate query with group `keys` and calls
+/// `aggs`, whose relation-space columns `column` types: a slot takes its
+/// key's type or its call's result type.
+pub(crate) fn slot_types<'a>(
+    keys: &'a [BoundExpr],
+    aggs: &'a [AggCall],
+    column: &'a impl Fn(ColumnId) -> Option<DataType>,
+) -> impl Fn(ColumnId) -> Option<DataType> + 'a {
+    move |slot| match keys.get(slot.col) {
+        Some(key) => key.data_type(column),
+        None => aggs.get(slot.col - keys.len())?.data_type(column),
     }
 }
 
@@ -672,15 +665,19 @@ impl<'a> Binder<'a> {
     /// [`product_columns`] of `e` when every one is a `DOUBLE` column, so
     /// each cell is `Value::Float` or NULL; empty otherwise.
     fn double_product(&self, e: &BoundExpr) -> Vec<ColumnId> {
-        let double = |id: &ColumnId| {
-            let relation = self.scope.relations.get(id.rel);
-            relation
-                .and_then(|r| r.schema?.column_at(id.col))
-                .is_some_and(|c| c.data_type() == DataType::Float)
-        };
+        let double = |id: &ColumnId| self.scope.column_type(*id) == Some(DataType::Float);
         product_columns(e)
             .filter(|columns| columns.iter().all(double))
             .unwrap_or_default()
+    }
+
+    /// The static type of `e`, lowered into `space`.
+    fn type_in(&self, e: &BoundExpr, space: Space) -> Option<DataType> {
+        let column = |id| self.scope.column_type(id);
+        match space {
+            Space::Slots { .. } => e.data_type(&slot_types(&self.keys, &self.aggs, &column)),
+            _ => e.data_type(&column),
+        }
     }
 
     /// Resolve a column reference, recording why not when it does not.
@@ -873,15 +870,21 @@ impl<'a> Binder<'a> {
                     .map(|(w, t)| (self.lower(w, space), self.lower(t, space)))
                     .collect();
                 let else_expr = self.lower_opt(else_expr.as_deref(), space);
-                Some(BoundExpr::Case {
+                let mut case = BoundExpr::Case {
                     operand: operand?.map(Box::new),
                     branches: branches
                         .into_iter()
                         .map(|(w, t)| Some((w?, t?)))
                         .collect::<Option<_>>()?,
                     else_expr: else_expr?.map(Box::new),
-                    float: self.scope.infer_type(e) == Some(DataType::Float),
-                })
+                    float: false,
+                };
+                if let (Some(DataType::Float), BoundExpr::Case { float, .. }) =
+                    (self.type_in(&case, space), &mut case)
+                {
+                    *float = true;
+                }
+                Some(case)
             }
         }
     }

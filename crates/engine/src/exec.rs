@@ -76,11 +76,11 @@ use std::cmp::Ordering;
 use std::hash::Hash;
 use std::time::{Duration, Instant};
 
-use conquer_sql::{AggFunc, BinaryOp};
+use conquer_sql::AggFunc;
 use conquer_storage::spill::{SpillFile, SpillReader, SpillWriter};
 use conquer_storage::{Catalog, DataType, Row, SharedRow, Value};
 
-use crate::binder::{AggCall, BoundOrderBy, GroupSpec, OrderKey, OutputItem};
+use crate::binder::{column_type, AggCall, BoundOrderBy, GroupSpec, OrderKey, OutputItem};
 use crate::context::ExecContext;
 use crate::error::EngineError;
 use crate::exact::ExactSum;
@@ -359,7 +359,7 @@ fn finish_pipeline<'a>(join: TupleOp<'a>, layout: Layout<'a>, plan: &'a Plan) ->
     let width = plan.output.len() + appended.len();
     let input = match &plan.group {
         Some(group) => {
-            let agg = AggSpec::new(group, layout, plan.join.spine());
+            let agg = AggSpec::new(plan, group, layout, plan.join.spine());
             let run = agg.run.map(|(_, id)| plan.column_name(id));
             let mut node = OpNode::new(
                 aggregate_label(group, run),
@@ -493,10 +493,11 @@ fn build_join<'a>(
                 )
             } else {
                 let (probe_exprs, build_exprs) = equi.iter().map(|(l, r)| (l, r)).unzip();
+                let column = |id| column_type(&plan.relations, id);
                 let lossy = equi
                     .iter()
                     .map(|(l, r)| {
-                        let types = (key_type(catalog, plan, l), key_type(catalog, plan, r));
+                        let types = (l.data_type(&column), r.data_type(&column));
                         let (int, float) = (Some(DataType::Int), Some(DataType::Float));
                         types == (int, float) || types == (float, int)
                     })
@@ -792,18 +793,17 @@ pub(crate) struct KeyRange {
     /// The first key pair compares an `INTEGER` with a `DOUBLE`, so an
     /// integer cell is read as the nearest float, as the key normalizes.
     lossy: bool,
-    /// `min` and `max` when both are non-NaN floats, as numeric keys
-    /// normalize: then a numeric cell is checked with two float
-    /// comparisons instead of two walks of `Value`'s order.
+    /// `min` and `max` when both are floats, as numeric keys normalize
+    /// (a NaN key meets nothing, so none is built): then a numeric cell is
+    /// checked with two float comparisons instead of two walks of
+    /// `Value`'s order.
     floats: Option<(f64, f64)>,
 }
 
 impl KeyRange {
     fn new(col: usize, min: &Value, max: &Value, lossy: bool) -> KeyRange {
         let floats = match (min, max) {
-            (Value::Float(lo), Value::Float(hi)) if !lo.is_nan() && !hi.is_nan() => {
-                Some((*lo, *hi))
-            }
+            (Value::Float(lo), Value::Float(hi)) => Some((*lo, *hi)),
             _ => None,
         };
         KeyRange {
@@ -832,37 +832,6 @@ impl KeyRange {
         }
         let key = normalize_key(Cow::Borrowed(cell), self.lossy);
         !key.is_null() && self.min <= *key && *key <= self.max
-    }
-}
-
-/// The static type of a join key where the plan fixes it: a column's
-/// declared type, a literal's, and arithmetic over those (`INTEGER` when
-/// both operands are, `DOUBLE` when either is). `None` for anything else.
-fn key_type(catalog: &Catalog, plan: &Plan, e: &BoundExpr) -> Option<DataType> {
-    match e {
-        BoundExpr::Column(id) => {
-            let table = catalog.table(&plan.relations.get(id.rel)?.table).ok()?;
-            Some(table.schema().column_at(id.col)?.data_type())
-        }
-        BoundExpr::Literal(v) => v.data_type(),
-        BoundExpr::Neg(e) => key_type(catalog, plan, e),
-        BoundExpr::Binary { left, op, right } => {
-            use BinaryOp::*;
-            if !matches!(op, Add | Sub | Mul | Div | Mod) {
-                return None;
-            }
-            match (
-                key_type(catalog, plan, left)?,
-                key_type(catalog, plan, right)?,
-            ) {
-                (DataType::Int, DataType::Int) => Some(DataType::Int),
-                (DataType::Int | DataType::Float, DataType::Int | DataType::Float) => {
-                    Some(DataType::Float)
-                }
-                _ => None,
-            }
-        }
-        _ => None,
     }
 }
 
@@ -1635,7 +1604,7 @@ fn movable_cells(output: &[OutputItem], appended: &[&BoundExpr]) -> Vec<Option<u
 
 /// Evaluate and normalize the join key expressions over `cells` into
 /// `key` (cleared first), each as its pair's `lossy` flag says; `false`
-/// when any key is NULL (SQL equality never matches NULL).
+/// when any key is NULL or NaN, which SQL equality never matches.
 fn join_keys<'x>(
     cells: impl Cells<'x>,
     exprs: &[&'x BoundExpr],
@@ -1645,7 +1614,7 @@ fn join_keys<'x>(
     key.clear();
     for (e, lossy) in exprs.iter().zip(lossy) {
         let v = e.eval_ref(cells)?;
-        if v.is_null() {
+        if v.is_null() || matches!(*v, Value::Float(x) if x.is_nan()) {
             return Ok(false);
         }
         key.push(normalize_key(v, *lossy));
@@ -2099,6 +2068,8 @@ fn run_key(group: &GroupSpec, spine: usize) -> Option<(usize, ColumnId)> {
 pub(crate) struct AggSpec<'a> {
     layout: Layout<'a>,
     group: &'a GroupSpec,
+    /// Per call, its state with no groups, which each pass starts from.
+    states: Vec<States>,
     /// The tuple slot of the spine's row position.
     spine: usize,
     /// Per group key: it reads no relation but the spine, so it is
@@ -2110,7 +2081,7 @@ pub(crate) struct AggSpec<'a> {
 }
 
 impl<'a> AggSpec<'a> {
-    fn new(group: &'a GroupSpec, layout: Layout<'a>, spine: usize) -> AggSpec<'a> {
+    fn new(plan: &Plan, group: &'a GroupSpec, layout: Layout<'a>, spine: usize) -> AggSpec<'a> {
         // The root layout holds every relation; without a slot there is
         // nothing to follow.
         let slot = layout
@@ -2124,9 +2095,11 @@ impl<'a> AggSpec<'a> {
             .iter()
             .map(|k| slot.is_some() && k.columns().iter().all(|c| c.rel == spine))
             .collect();
+        let types = |id| column_type(&plan.relations, id);
         AggSpec {
             layout,
             group,
+            states: group.aggs.iter().map(|c| States::new(c, &types)).collect(),
             spine: slot.unwrap_or(0),
             spine_keys,
             run: slot.and_then(|_| run_key(group, spine)),
@@ -2230,7 +2203,7 @@ fn aggregate_input(
     // call, indexed by the key's entry number: both in first-seen group
     // order, so output order is the same on every run.
     let mut keys = KeyTable::new(group.keys.len());
-    let mut states: Vec<States> = group.aggs.iter().map(States::new).collect();
+    let mut states = agg.states.clone();
     let states_bytes = states.iter().map(States::bytes).sum::<u64>();
     let mut mem = 0u64;
     let mut writers: Option<Vec<SpillWriter>> = None;
@@ -2323,7 +2296,7 @@ fn aggregate_input(
                     _ if !call.factors.is_empty() => {
                         let term = product(t, &call.factors)?;
                         if let (Some(term), Column::Sum(s)) = (term, &mut states.column) {
-                            s[i].add(term);
+                            s[i].0.add(term);
                         }
                     }
                     // `COUNT(*)` counts each row as one non-NULL value.
@@ -2388,16 +2361,24 @@ struct States {
 #[derive(Debug, Clone)]
 enum Column {
     Count(Vec<Count>),
-    /// `SUM` and `AVG`.
+    /// `SUM` of an `INTEGER` argument.
+    IntSum(Vec<IntSum>),
+    /// Every other `SUM`, and `AVG`.
     Sum(Vec<Sum>),
     /// `MIN` and `MAX`: the extreme value so far.
     Extreme(Vec<Option<Value>>),
 }
 
 impl States {
-    fn new(call: &AggCall) -> States {
+    /// `call`'s state, chosen from its static type, its argument's columns
+    /// typed by `types`. An argument without one (a NULL literal, a `CASE`
+    /// whose arms do not unify) makes a `SUM` exact.
+    fn new(call: &AggCall, types: &impl Fn(ColumnId) -> Option<DataType>) -> States {
         let column = match call.func {
             AggFunc::Count => Column::Count(Vec::new()),
+            AggFunc::Sum if call.data_type(types) == Some(DataType::Int) => {
+                Column::IntSum(Vec::new())
+            }
             AggFunc::Sum | AggFunc::Avg => Column::Sum(Vec::new()),
             AggFunc::Min | AggFunc::Max => Column::Extreme(Vec::new()),
         };
@@ -2413,6 +2394,7 @@ impl States {
         let seen = self.seen.as_ref().map_or(0, |_| size_of::<KeyTable>());
         let state = match self.column {
             Column::Count(_) => size_of::<Count>(),
+            Column::IntSum(_) => size_of::<IntSum>(),
             Column::Sum(_) => size_of::<Sum>(),
             Column::Extreme(_) => size_of::<Option<Value>>(),
         };
@@ -2426,6 +2408,7 @@ impl States {
         }
         match &mut self.column {
             Column::Count(c) => c.push(Count::default()),
+            Column::IntSum(s) => s.push(IntSum::default()),
             Column::Sum(s) => s.push(Sum::default()),
             Column::Extreme(e) => e.push(None),
         }
@@ -2448,7 +2431,12 @@ impl States {
         }
         match &mut self.column {
             Column::Count(c) => c[i].0 += 1,
-            Column::Sum(s) => s[i].update(v, call.func)?,
+            Column::IntSum(s) => s[i].add(v)?,
+            // A number, read as the `DOUBLE` nearest it; an untyped
+            // argument can yield anything else.
+            Column::Sum(s) => s[i].0.add(v.as_f64().ok_or_else(|| {
+                EngineError::exec(format!("{} over non-numeric value {v}", call.func.name()))
+            })?),
             Column::Extreme(e) => {
                 let better = |m: &Value| match call.func {
                     AggFunc::Min => v < m,
@@ -2466,6 +2454,7 @@ impl States {
     fn finalize(self, call: &AggCall) -> Result<Vec<Value>> {
         match self.column {
             Column::Count(c) => Ok(c.into_iter().map(|c| Value::Int(c.0)).collect()),
+            Column::IntSum(s) => s.into_iter().map(IntSum::finalize).collect(),
             Column::Sum(s) => s
                 .iter()
                 .map(|s| s.finalize(call.func, call.exact))
@@ -2492,95 +2481,83 @@ impl Count {
     }
 }
 
-/// `SUM`'s and `AVG`'s state in one group: every term exactly, in an
-/// [`ExactSum`] rounded once; beside it the `INTEGER` terms' `i64` sum,
-/// which a `SUM` returns while no `DOUBLE` term has arrived. A view's
-/// fold merges and retracts one group's sums.
-#[derive(Debug, Clone, Default)]
-pub struct Sum {
-    exact: ExactSum,
-    int: i64,
-    /// `int` left the `i64` range: an error unless a `DOUBLE` arrives.
-    overflowed: bool,
-    /// A `DOUBLE` term arrived: the sum is a `DOUBLE`.
-    float: bool,
+/// `SUM`'s state over an `INTEGER` argument in one group: no terms yet,
+/// their `i64` sum, or the flag that it left the `i64` range, which is the
+/// statement's error.
+#[derive(Debug, Clone, Copy, Default)]
+enum IntSum {
+    #[default]
+    Empty,
+    Sum(i64),
+    Overflowed,
 }
 
-impl Sum {
-    /// Fold in one non-NULL term of a `func` call.
-    fn update(&mut self, v: &Value, func: AggFunc) -> Result<()> {
-        match *v {
-            Value::Int(i) => {
-                self.exact.add(i as f64);
-                let (int, overflowed) = self.int.overflowing_add(i);
-                (self.int, self.overflowed) = (int, self.overflowed || overflowed);
-            }
-            Value::Float(f) => self.add(f),
-            ref other => {
-                return Err(EngineError::exec(format!(
-                    "{} over non-numeric value {other}",
-                    func.name()
-                )))
-            }
-        }
+impl IntSum {
+    /// Fold in one non-NULL term, an `INTEGER` by the argument's type.
+    fn add(&mut self, v: &Value) -> Result<()> {
+        let Value::Int(i) = *v else {
+            return Err(EngineError::internal(format!(
+                "SUM of an INTEGER argument met {v}"
+            )));
+        };
+        *self = match *self {
+            IntSum::Empty => IntSum::Sum(i),
+            IntSum::Sum(sum) => sum.checked_add(i).map_or(IntSum::Overflowed, IntSum::Sum),
+            IntSum::Overflowed => IntSum::Overflowed,
+        };
         Ok(())
     }
 
-    /// Fold in one `DOUBLE` term.
-    fn add(&mut self, f: f64) {
-        self.float = true;
-        self.exact.add(f);
+    /// The sum: NULL over no terms.
+    fn finalize(self) -> Result<Value> {
+        match self {
+            IntSum::Empty => Ok(Value::Null),
+            IntSum::Sum(sum) => Ok(Value::Int(sum)),
+            IntSum::Overflowed => Err(EngineError::exec("integer overflow in SUM")),
+        }
     }
+}
 
+/// `AVG`'s state, and `SUM`'s over any argument but an `INTEGER` one, in
+/// one group: every term exactly, in an [`ExactSum`] rounded once. A
+/// view's fold merges and retracts one group's sums.
+#[derive(Debug, Clone, Default)]
+pub struct Sum(ExactSum);
+
+impl Sum {
     /// Fold in every term of `other`. Exact.
     pub fn merge(&mut self, other: &Sum) {
-        self.exact.merge(&other.exact, 1);
-        self.combine(other, i64::overflowing_add);
+        self.0.merge(&other.0, 1);
     }
 
     /// Remove every term of `other`, each of which was folded in before.
     /// Exact.
     pub fn retract(&mut self, other: &Sum) {
-        self.exact.merge(&other.exact, -1);
-        self.combine(other, i64::overflowing_sub);
-    }
-
-    /// Combine the integer sums of `self` and `other` by `op`.
-    fn combine(&mut self, other: &Sum, op: fn(i64, i64) -> (i64, bool)) {
-        let (int, overflowed) = op(self.int, other.int);
-        self.int = int;
-        self.overflowed |= overflowed || other.overflowed;
-        self.float |= other.float;
+        self.0.merge(&other.0, -1);
     }
 
     /// The terms, exactly.
     pub fn exact(&self) -> &ExactSum {
-        &self.exact
+        &self.0
     }
 
-    /// A `DOUBLE` sum from the text [`Sum::finalize`] gives with `exact`
-    /// set; `None` unless it is [`ExactSum::encode`]'s canonical text.
+    /// The sum [`Sum::finalize`] writes as text with `exact` set; `None`
+    /// unless it is [`ExactSum::encode`]'s canonical text.
     pub fn decode(text: &str) -> Option<Sum> {
-        let exact = ExactSum::decode(text)?;
-        Some(Sum {
-            exact,
-            float: true,
-            ..Sum::default()
-        })
+        ExactSum::decode(text).map(Sum)
     }
 
-    /// The `func` (`SUM` or `AVG`) of the terms: NULL over none; with
-    /// `exact`, a `SUM` is its exact sum's [`ExactSum::encode`] text.
+    /// The `func` (`SUM` or `AVG`) of the terms, a `DOUBLE`: NULL over
+    /// none; with `exact`, a `SUM` is its exact sum's
+    /// [`ExactSum::encode`] text.
     pub fn finalize(&self, func: AggFunc, exact: bool) -> Result<Value> {
         if exact && func == AggFunc::Sum {
-            return Ok(Value::Text(self.exact.encode()));
+            return Ok(Value::Text(self.0.encode()));
         }
-        Ok(match self.exact.value() {
+        Ok(match self.0.value() {
             None => Value::Null,
-            Some(sum) if func == AggFunc::Avg => Value::Float(sum / self.exact.count() as f64),
-            Some(sum) if self.float => Value::Float(sum),
-            Some(_) if self.overflowed => return Err(EngineError::exec("integer overflow in SUM")),
-            Some(_) => Value::Int(self.int),
+            Some(sum) if func == AggFunc::Avg => Value::Float(sum / self.0.count() as f64),
+            Some(sum) => Value::Float(sum),
         })
     }
 }
@@ -2605,14 +2582,19 @@ mod tests {
     }
 
     fn acc(func: AggFunc, distinct: bool) -> Acc {
+        typed(func, distinct, Some(DataType::Int))
+    }
+
+    /// [`acc`] over an argument of static type `ty`.
+    fn typed(func: AggFunc, distinct: bool, ty: Option<DataType>) -> Acc {
         let call = AggCall {
             func,
-            arg: Some(BoundExpr::Literal(Value::Null)),
+            arg: Some(BoundExpr::Column(ColumnId { rel: 0, col: 0 })),
             distinct,
             factors: Vec::new(),
             exact: false,
         };
-        let mut states = States::new(&call);
+        let mut states = States::new(&call, &|_| ty);
         states.push();
         Acc(states, call)
     }
@@ -2713,13 +2695,39 @@ mod tests {
     }
 
     #[test]
-    fn sum_stays_int_until_float_appears() {
-        let mut a = acc(AggFunc::Sum, false);
+    fn an_integer_sum_is_an_integer() {
+        let mut a = typed(AggFunc::Sum, false, Some(DataType::Int));
         a.update(&Value::Int(3)).unwrap();
         a.update(&Value::Int(4)).unwrap();
         assert_eq!(a.clone().finalize().unwrap(), Value::Int(7));
-        a.update(&Value::Float(0.5)).unwrap();
+        // A value of another type is a plan fault, never converted.
+        let err = a.update(&Value::Float(0.5)).unwrap_err();
+        assert!(matches!(err, EngineError::Internal(_)), "{err:?}");
+    }
+
+    #[test]
+    fn a_double_sum_is_a_double() {
+        let mut a = typed(AggFunc::Sum, false, Some(DataType::Float));
+        for x in [3.0, 4.0, 0.5] {
+            a.update(&Value::Float(x)).unwrap();
+        }
         assert_eq!(a.finalize().unwrap(), Value::Float(7.5));
+    }
+
+    /// An argument without a static type (a NULL literal, a `CASE` whose
+    /// arms do not unify) gets the exact state: numbers sum to a `DOUBLE`,
+    /// anything else is the statement's error.
+    #[test]
+    fn an_untyped_sum_is_exact_and_refuses_non_numbers() {
+        let mut a = typed(AggFunc::Sum, false, None);
+        a.update(&Value::Int(3)).unwrap();
+        a.update(&Value::Float(0.5)).unwrap();
+        assert_eq!(a.clone().finalize().unwrap(), Value::Float(3.5));
+        let err = a.update(&Value::text("x")).unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Exec(m) if m.contains("non-numeric")),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
-use conquer_storage::{Row, Value};
+use conquer_storage::{DataType, Row, Value};
 
 use crate::error::EngineError;
 use crate::Result;
@@ -225,6 +225,45 @@ impl BoundExpr {
         }
     }
 
+    /// The static type of the expression, its columns typed by `column`:
+    /// every evaluation yields a value of this type or NULL. `None` when
+    /// it has none: a NULL literal, an untyped column, arithmetic or unary
+    /// minus over a non-numeric operand, a `CASE` whose arms do not unify.
+    /// The engine's one typing rule.
+    pub fn data_type(&self, column: &impl Fn(ColumnId) -> Option<DataType>) -> Option<DataType> {
+        let numeric = |t: DataType| matches!(t, DataType::Int | DataType::Float).then_some(t);
+        Some(match self {
+            BoundExpr::Column(id) => column(*id)?,
+            BoundExpr::Literal(v) => v.data_type()?,
+            BoundExpr::Neg(e) => numeric(e.data_type(column)?)?,
+            BoundExpr::Binary { left, op, right }
+                if !op.is_comparison() && !matches!(op, BinaryOp::And | BinaryOp::Or) =>
+            {
+                numeric(unify(left.data_type(column)?, right.data_type(column)?)?)?
+            }
+            BoundExpr::Not(_)
+            | BoundExpr::Binary { .. }
+            | BoundExpr::Like { .. }
+            | BoundExpr::InList { .. }
+            | BoundExpr::Between { .. }
+            | BoundExpr::IsNull { .. } => DataType::Bool,
+            BoundExpr::Case {
+                branches,
+                else_expr,
+                ..
+            } => {
+                // A NULL arm takes whatever type the others agree on.
+                let mut arms = branches
+                    .iter()
+                    .map(|(_, then)| then)
+                    .chain(else_expr.as_deref())
+                    .filter(|arm| !matches!(arm, BoundExpr::Literal(Value::Null)));
+                let first = arms.next()?.data_type(column)?;
+                arms.try_fold(first, |t, arm| unify(t, arm.data_type(column)?))?
+            }
+        })
+    }
+
     /// Evaluate against the cells `cells` reads.
     pub fn eval<'a, C: Cells<'a>>(&'a self, cells: C) -> Result<Value> {
         Ok(match self {
@@ -368,6 +407,16 @@ impl BoundExpr {
                 "predicate evaluated to non-boolean value {other}"
             ))),
         }
+    }
+}
+
+/// The common type of two operands or `CASE` arms: equal types unify to
+/// themselves, INTEGER with DOUBLE to DOUBLE, nothing else.
+fn unify(a: DataType, b: DataType) -> Option<DataType> {
+    match (a, b) {
+        _ if a == b => Some(a),
+        (DataType::Int | DataType::Float, DataType::Int | DataType::Float) => Some(DataType::Float),
+        _ => None,
     }
 }
 
@@ -731,5 +780,61 @@ mod tests {
         );
         assert_eq!(e.relations(), vec![0, 2]);
         assert_eq!(e.columns().len(), 2);
+    }
+
+    #[test]
+    fn every_form_has_the_one_static_type() {
+        use DataType::{Bool, Float, Int, Text};
+        // Column 0 is INTEGER, 1 DOUBLE, 2 TEXT; column 3 has no type.
+        let column = |id: ColumnId| [Some(Int), Some(Float), Some(Text), None][id.col];
+        let ty = |e: &BoundExpr| e.data_type(&column);
+        let null = || BoundExpr::Literal(Value::Null);
+        let neg = |e| BoundExpr::Neg(Box::new(e));
+        let case = |arms: Vec<BoundExpr>, else_expr: Option<BoundExpr>| BoundExpr::Case {
+            operand: None,
+            branches: arms.into_iter().map(|t| (lit(true), t)).collect(),
+            else_expr: else_expr.map(Box::new),
+            float: false,
+        };
+        assert_eq!(
+            (ty(&col(0)), ty(&col(1)), ty(&col(2))),
+            (Some(Int), Some(Float), Some(Text))
+        );
+        assert_eq!(ty(&col(3)), None);
+        assert_eq!(
+            (ty(&lit(1i64)), ty(&lit(0.5)), ty(&lit("x"))),
+            (Some(Int), Some(Float), Some(Text))
+        );
+        assert_eq!(ty(&null()), None);
+        assert_eq!(
+            (ty(&neg(col(0))), ty(&neg(col(1)))),
+            (Some(Int), Some(Float))
+        );
+        assert_eq!(ty(&neg(col(2))), None);
+        assert_eq!(ty(&bin(col(0), BinaryOp::Div, lit(2i64))), Some(Int));
+        assert_eq!(ty(&bin(col(0), BinaryOp::Mul, col(1))), Some(Float));
+        assert_eq!(ty(&bin(col(1), BinaryOp::Add, lit(1i64))), Some(Float));
+        assert_eq!(ty(&bin(col(2), BinaryOp::Add, col(2))), None);
+        assert_eq!(ty(&bin(col(0), BinaryOp::Add, null())), None);
+        // A NULL arm takes the others' type; INTEGER and DOUBLE unify.
+        assert_eq!(ty(&case(vec![col(0), null()], None)), Some(Int));
+        assert_eq!(ty(&case(vec![null()], Some(col(1)))), Some(Float));
+        assert_eq!(ty(&case(vec![col(0)], Some(col(1)))), Some(Float));
+        assert_eq!(ty(&case(vec![null()], None)), None);
+        // Arms that do not unify leave the CASE untyped.
+        assert_eq!(ty(&case(vec![col(0)], Some(col(2)))), None);
+        // Comparisons and predicates are BOOLEAN, whatever their operands.
+        for e in [
+            bin(col(0), BinaryOp::Eq, col(2)),
+            bin(null(), BinaryOp::Lt, col(1)),
+            bin(lit(true), BinaryOp::And, null()),
+            BoundExpr::Not(Box::new(col(3))),
+            BoundExpr::IsNull {
+                expr: Box::new(col(3)),
+                negated: false,
+            },
+        ] {
+            assert_eq!(ty(&e), Some(Bool), "{e:?}");
+        }
     }
 }

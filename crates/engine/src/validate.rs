@@ -20,7 +20,7 @@
 use conquer_storage::DataType;
 
 use crate::analyze::cmp_class;
-use crate::binder::{product_columns, AggCall, BoundRelation, BoundSelect, GroupSpec};
+use crate::binder::{column_type, product_columns, AggCall, BoundRelation, BoundSelect, GroupSpec};
 use crate::error::EngineError;
 use crate::expr::BoundExpr;
 use crate::planner::{JoinNode, Plan};
@@ -130,10 +130,7 @@ fn check_product_sum(
         ));
     }
     for id in &a.factors {
-        let column = relations
-            .get(id.rel)
-            .and_then(|r| r.schema.column_at(id.col));
-        if column.map(|c| c.data_type()) != Some(DataType::Float) {
+        if column_type(relations, *id) != Some(DataType::Float) {
             return fail(format!(
                 "has factor column {} of relation {}, which is not a DOUBLE column of the query",
                 id.col, id.rel
@@ -147,47 +144,6 @@ fn check_product_sum(
         ));
     }
     Ok(())
-}
-
-/// Static type of a bound expression given the relation schemas (`None`
-/// when it cannot be determined, e.g. a NULL literal).
-fn bound_type(e: &BoundExpr, relations: &[BoundRelation]) -> Option<DataType> {
-    use conquer_sql::BinaryOp;
-    match e {
-        BoundExpr::Column(id) => relations
-            .get(id.rel)?
-            .schema
-            .column_at(id.col)
-            .map(|c| c.data_type()),
-        BoundExpr::Literal(v) => v.data_type(),
-        BoundExpr::Not(_) => Some(DataType::Bool),
-        BoundExpr::Neg(e) => bound_type(e, relations),
-        BoundExpr::Binary { left, op, right } => {
-            if op.is_comparison() || matches!(op, BinaryOp::And | BinaryOp::Or) {
-                Some(DataType::Bool)
-            } else {
-                match (bound_type(left, relations)?, bound_type(right, relations)?) {
-                    (DataType::Int, DataType::Int) => Some(DataType::Int),
-                    (DataType::Int | DataType::Float, DataType::Int | DataType::Float) => {
-                        Some(DataType::Float)
-                    }
-                    _ => None,
-                }
-            }
-        }
-        BoundExpr::Like { .. }
-        | BoundExpr::InList { .. }
-        | BoundExpr::Between { .. }
-        | BoundExpr::IsNull { .. } => Some(DataType::Bool),
-        BoundExpr::Case {
-            branches,
-            else_expr,
-            ..
-        } => branches
-            .first()
-            .and_then(|(_, t)| bound_type(t, relations))
-            .or_else(|| else_expr.as_ref().and_then(|e| bound_type(e, relations))),
-    }
 }
 
 /// Stage hook: after the planner classifies WHERE conjuncts into
@@ -315,8 +271,8 @@ pub(crate) fn check_join_node(
                         ),
                     ));
                 }
-                if let (Some(lt), Some(rt)) = (bound_type(le, relations), bound_type(re, relations))
-                {
+                let column = |id| column_type(relations, id);
+                if let (Some(lt), Some(rt)) = (le.data_type(&column), re.data_type(&column)) {
                     if cmp_class(lt) != cmp_class(rt) {
                         return Err(violation(
                             "join-key-types",

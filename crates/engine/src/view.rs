@@ -109,7 +109,7 @@ use std::collections::BTreeMap;
 use conquer_sql::{AggFunc, Expr, SelectItem, SelectStatement, Statement, TableRef};
 use conquer_storage::{Catalog, Column, DataType, Edit, Row, Schema, SharedRow, Table, Value};
 
-use crate::binder::bind;
+use crate::binder::{bind, column_type, slot_types};
 use crate::database::Database;
 use crate::error::EngineError;
 use crate::exec::{run_plan, Count, Sum};
@@ -407,24 +407,26 @@ impl ViewDef {
             }
         }
 
-        // Static types for the contents/state table schemas. Conservative:
-        // an expression the binder cannot type makes the view
-        // non-maintainable.
+        // Static types for the contents/state table schemas, of the bound
+        // projection. Conservative: an expression without a type makes the
+        // view non-maintainable.
         let binding = bind(catalog, &query);
         if let Some(d) = binding.diagnostics.first() {
             return Err(d.message.clone());
         }
-        let type_of = |e: &Expr| {
-            binding
-                .scope
-                .infer_type(e)
-                .ok_or_else(|| format!("cannot infer a static type for {e}"))
+        let select = binding.select.as_ref();
+        let Some((select, group)) = select.and_then(|s| Some((s, s.group.as_ref()?))) else {
+            return Err("the view query did not bind to an aggregate".into());
         };
-        let key_types = key_exprs
-            .iter()
-            .map(|k| type_of(k))
-            .collect::<std::result::Result<Vec<_>, _>>()?;
-        let term_type = type_of(&items[term_index].1)?;
+        let column = |id| column_type(&select.relations, id);
+        let slots = slot_types(&group.keys, &group.aggs, &column);
+        let types = select.output.iter().zip(&items).map(|(out, (_, e))| {
+            out.expr
+                .data_type(&slots)
+                .ok_or_else(|| format!("cannot infer a static type for {e}"))
+        });
+        let mut key_types = types.collect::<std::result::Result<Vec<_>, _>>()?;
+        let term_type = key_types.remove(term_index);
         if term_type != DataType::Float {
             return Err(format!(
                 "the SUM argument must be FLOAT-typed (a probability product), got {}",

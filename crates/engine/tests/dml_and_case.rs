@@ -156,6 +156,20 @@ fn case_with_mixed_arms_has_no_static_type_and_still_runs() {
 }
 
 #[test]
+fn a_sum_takes_its_arguments_static_type() {
+    let db = db();
+    let r = q(&db, "SELECT SUM(salary), SUM(salary * 1.0) FROM emp");
+    assert_eq!(r.rows[0], vec![Value::Int(240), Value::Float(240.0)]);
+    // TEXT and INTEGER arms: the argument has no static type, so its SUM
+    // is exact and a DOUBLE, and a TEXT term is the statement's error.
+    let sql = "SELECT SUM(CASE WHEN salary > 1000 THEN 'a' ELSE 2 END) FROM emp";
+    assert_eq!(q(&db, sql).rows[0], vec![Value::Float(8.0)]);
+    let sql = "SELECT SUM(CASE WHEN salary > 90 THEN 'a' ELSE 2 END) FROM emp";
+    let err = db.prepare(sql).unwrap().query(&db).unwrap_err();
+    assert!(err.to_string().contains("non-numeric"), "{err}");
+}
+
+#[test]
 fn case_inside_aggregate_tpch_q12_style() {
     // The shape TPC-H Q12 actually uses: conditional counting.
     let db = db();

@@ -31,7 +31,7 @@ fn open(dir: &Path) -> (SharedDatabase, RecoveryReport) {
 }
 
 /// `sql`'s rows, read without a budget (the budget test gives the
-/// database's own queries 714 bytes).
+/// database's own queries 706 bytes).
 fn rows(db: &SharedDatabase, sql: &str) -> Vec<Vec<Value>> {
     let s = db.session();
     s.set_limits(ExecLimits::none());
@@ -547,20 +547,23 @@ fn view_dml_failed_at_every_write_and_fsync_is_never_half_maintained() {
     }
 }
 
-/// A join view's delta query runs out of a 714-byte, no-disk budget
+/// A join view's delta query runs out of a 706-byte, no-disk budget
 /// after the single-table view `v` was already maintained: the statement
 /// fails whole, with nothing logged or published. Measured peaks of
 /// `VIEW_DML`'s maintenance, one grouped query per view over the 8 signed
-/// delta rows of its 4 updated rows: `v` alone needs 704 B, `vj` 724 B.
-/// Each query's aggregate charges every (key, sign) group it makes, its
-/// key cells and its 8-byte `COUNT` and 96-byte `SUM` states; `vj`'s
-/// build side adds a 4-byte position plus a key copy per tuple.
+/// delta rows of its 4 updated rows: `v` alone needs 704 B, `vj` 708 B.
+/// Each peak is the query's output batch as the fold takes it: 4 (key,
+/// sign) groups, each a row of 176 B for `v` and 177 B for `vj`, whose key
+/// is a one-letter text. Below it stay each query's aggregate, which
+/// charges a group its key cells and its 8-byte `COUNT` and 80-byte `SUM`
+/// states, and `vj`'s build side, a 4-byte position plus a key copy per
+/// tuple.
 #[test]
 fn view_maintenance_out_of_budget_publishes_nothing() {
     let (fs, _guard, dir) = mount("efwal_view_budget");
     let db = view_db(&dir);
     db.mutate(|d| {
-        d.set_limits(ExecLimits::none().with_mem_bytes(714).with_disk_bytes(0));
+        d.set_limits(ExecLimits::none().with_mem_bytes(706).with_disk_bytes(0));
         Ok(())
     })
     .unwrap();

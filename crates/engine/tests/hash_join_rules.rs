@@ -11,9 +11,9 @@ use proptest::prelude::*;
 
 /// Key cells the random tables draw from, per column type. Against a
 /// `DOUBLE` key an integer meets the float nearest to it, as SQL equality
-/// compares them (so 2⁵³ + 1 meets 2⁵³), and a NaN meets nothing; two
-/// `INTEGER` keys beyond 2⁵³ (and `i64::MIN`) compare exactly; `-0.0`
-/// meets `0.0`, and `NULL` meets nothing.
+/// compares them (so 2⁵³ + 1 meets 2⁵³); two `INTEGER` keys beyond 2⁵³
+/// (and `i64::MIN`) compare exactly; `-0.0` meets `0.0`, and a NaN and
+/// `NULL` meet nothing, not even themselves.
 const EXACT: i64 = 1 << 53;
 
 fn int_pool() -> Vec<Value> {
@@ -54,7 +54,8 @@ fn key_types(case: usize) -> [(DataType, Vec<Value>); 2] {
         0 => [int(), float()],
         1 => [float(), int()],
         2 => [text(), text()],
-        _ => [int(), int()],
+        3 => [int(), int()],
+        _ => [float(), float()],
     }
 }
 
@@ -74,13 +75,12 @@ fn database(case: usize, picks: [&[usize]; 2]) -> Database {
     Database::from_catalog(catalog)
 }
 
-/// Join-key equality of a key pair of `case`'s types. A mixed
-/// `INTEGER = DOUBLE` pair meets exactly when the evaluator's SQL
-/// equality holds. Otherwise both cells are non-NULL and equal once an
-/// integer of magnitude at most 2⁵³ is read as the float it equals and
-/// `-0.0` as `0.0`.
+/// Join-key equality of a key pair of `case`'s types. A pair with a
+/// `DOUBLE` side meets exactly when the evaluator's SQL equality holds.
+/// Otherwise both cells are non-NULL and equal once an integer of
+/// magnitude at most 2⁵³ is read as the float it equals.
 fn keys_meet(case: usize, a: &Value, b: &Value) -> bool {
-    if case < 2 {
+    if case < 2 || case == 4 {
         return a.sql_eq(b) == Some(true);
     }
     let norm = |v: &Value| match *v {
@@ -113,7 +113,7 @@ proptest! {
 
     #[test]
     fn hash_joins_emit_what_a_nested_loop_emits_in_its_order(
-        case in 0usize..4,
+        case in 0usize..5,
         a in prop::collection::vec(0usize..16, 0..9),
         b in prop::collection::vec(0usize..16, 0..9),
         (min_a, min_b) in (0i64..4, 0i64..4),
@@ -266,4 +266,33 @@ fn an_integer_past_two_to_the_53_meets_the_double_it_rounds_to() {
     assert!(exact.rows.is_empty(), "{:?}", exact.rows);
     let looped = run(&db, "SELECT a.i, c.m FROM a, c WHERE a.k = c.k OR 1 = 0");
     assert_eq!(exact.rows, looped.rows);
+}
+
+/// A `CASE` key compares as its static type: with an `INTEGER` and a
+/// `DOUBLE` arm it is `DOUBLE`, so against an `INTEGER` key the pair is
+/// compared as SQL equality compares them, in the hash join as in the
+/// evaluator, whichever arm a row takes.
+#[test]
+fn a_case_key_is_compared_as_its_static_type() {
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE a (i INTEGER);
+         CREATE TABLE b (tag INTEGER, j INTEGER, f DOUBLE);
+         INSERT INTO a VALUES (9007199254740993);
+         INSERT INTO b VALUES (1, 9007199254740993, 0.5)",
+    )
+    .unwrap();
+    let one = [vec![Value::Int(9007199254740993)]];
+    for key in ["CASE WHEN b.tag = 1 THEN b.j ELSE b.f END", "b.j * 1.0"] {
+        let hashed = run(&db, &format!("SELECT a.i FROM a, b WHERE a.i = {key}"));
+        find(&hashed, "HashJoin");
+        assert_eq!(hashed.rows, one, "{key}");
+        let looped = format!("SELECT a.i FROM a, b WHERE a.i = {key} OR 1 = 0");
+        assert_eq!(run(&db, &looped).rows, one, "{key}");
+    }
+    let filtered = run(
+        &db,
+        "SELECT a.i FROM a WHERE a.i = CASE WHEN 1 = 1 THEN 9007199254740993 ELSE 0.5 END",
+    );
+    assert_eq!(filtered.rows, one);
 }

@@ -441,8 +441,9 @@ fn spilled_aggregate_output_order_and_counters_are_pinned() {
     // order, then each partition's groups, and partitions with a fixed
     // hash, so its output *order* — not just its multiset — and its spill
     // volume are a function of the input alone. Five aggregate states
-    // (8 + 96 + 32 + 32 + 96 B) and the 35-byte key make the group state
-    // (299 KB) more than four times the projected output, so at 128 KiB
+    // (8 + 80 + 32 + 32 + 80 B: `val` is `DOUBLE`, so its `SUM` and `AVG`
+    // are exact sums) and the 35-byte key make the group state (267 KB)
+    // several times the projected output, so at 128 KiB
     // the aggregate keeps what fits in half of it and spills the position
     // tuples of every later group, and the whole (hard-charged) result
     // still fits. A disk budget of 256 KiB holds those tuples.
@@ -467,7 +468,7 @@ fn spilled_aggregate_output_order_and_counters_are_pinned() {
         );
         assert_eq!(
             counters,
-            [("HashAggregate".to_string(), 65_373, 76_900, 16, 1)],
+            [("HashAggregate".to_string(), 65_511, 73_900, 16, 1)],
             "spill counters moved"
         );
         let order: Vec<String> = governed.rows.iter().map(|r| r[0].to_string()).collect();
@@ -479,7 +480,7 @@ fn spilled_aggregate_output_order_and_counters_are_pinned() {
         );
         assert_eq!(
             fnv1a(&order.join(",")),
-            4_107_933_797_425_390_195,
+            5_390_412_773_698_271_003,
             "output order moved"
         );
     }
@@ -494,8 +495,9 @@ fn in_memory_state_is_charged_to_the_byte() {
     let db = big_db(4000);
     let run = |sql: &str| db.prepare(sql).unwrap().query(&db).unwrap();
     // Text join key and text group key; 1000 groups, each charging its
-    // 35-byte key, an 8-byte `COUNT(*)` state and a 96-byte `SUM` state
-    // with its sum's four limbs inline (35 + 8 + 96 B). The estimates tie
+    // 35-byte key, an 8-byte `COUNT(*)` state and an 80-byte `SUM` state
+    // of a `DOUBLE` column, an exact sum with its four limbs inline
+    // (35 + 8 + 80 B). The estimates tie
     // (both scans are of 4000-row `big`), so the planner builds on the
     // joined side, `a`: 4000 build tuples, each charging one 4-byte position
     // plus its own copy of an 11-character text key (24 + 11 B) — 39 B,
@@ -506,16 +508,22 @@ fn in_memory_state_is_charged_to_the_byte() {
     assert_eq!(
         state_counters(&joined),
         [
-            ("HashAggregate".to_string(), 139_000, 0, 0, 0),
+            ("HashAggregate".to_string(), 123_000, 0, 0, 0),
             ("HashJoin".to_string(), 156_000, 0, 0, 0)
         ]
     );
-    assert_eq!(joined.stats().unwrap().mem_charged, 295_000);
+    assert_eq!(joined.stats().unwrap().mem_charged, 279_000);
     // A `COUNT(*)` group charges its key and its 8-byte count alone.
     let counted = run("SELECT grp, COUNT(*) FROM big GROUP BY grp");
     assert_eq!(
         state_counters(&counted),
         [("HashAggregate".to_string(), 43_000, 0, 0, 0)]
+    );
+    // A `SUM` of an `INTEGER` column is an `i64` and its flags: 16 B.
+    let summed = run("SELECT grp, SUM(id) FROM big GROUP BY grp");
+    assert_eq!(
+        state_counters(&summed),
+        [("HashAggregate".to_string(), 51_000, 0, 0, 0)]
     );
     let distinct = run("SELECT DISTINCT grp, id - id FROM big");
     assert_eq!(
@@ -527,6 +535,6 @@ fn in_memory_state_is_charged_to_the_byte() {
     let global = run("SELECT COUNT(*), SUM(val) FROM big");
     assert_eq!(
         state_counters(&global),
-        [("HashAggregate".to_string(), 104, 0, 0, 0)]
+        [("HashAggregate".to_string(), 88, 0, 0, 0)]
     );
 }

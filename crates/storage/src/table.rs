@@ -160,11 +160,6 @@ impl Table {
             .get_or_init(|| self.rows.iter().map(|r| r.to_vec()).collect())
     }
 
-    /// The row at `idx`.
-    pub fn row(&self, idx: usize) -> Option<&[Value]> {
-        self.rows.get(idx).map(|r| &r[..])
-    }
-
     /// Position of a column by (case-insensitive) name.
     pub fn column_index(&self, name: &str) -> Result<usize, StorageError> {
         self.schema
