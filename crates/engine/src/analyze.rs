@@ -22,7 +22,8 @@ use std::fmt;
 
 use conquer_sql::ast::{SelectItem, Statement};
 use conquer_sql::{
-    line_col, parse_statement, render_snippet, BinaryOp, Expr, SelectStatement, Span, UnaryOp,
+    line_col, parse_statement, render_snippet, AggFunc, BinaryOp, Expr, SelectStatement, Span,
+    UnaryOp,
 };
 use conquer_storage::{Catalog, DataType, Row, Value};
 
@@ -358,13 +359,40 @@ fn check_decided_conjuncts(
 /// An operand's static type, as [`Scope::type_of`] gives it.
 type TypeOf<'a> = dyn Fn(&Expr) -> Option<DataType> + 'a;
 
-/// CQ0005/CQ1003: walk an expression checking comparison, arithmetic and
-/// unary-minus operand types.
+/// CQ0005/CQ1003: walk an expression checking the operand types of
+/// comparisons (`IN` items, `BETWEEN` bounds and simple-`CASE` `WHEN`
+/// values against their operand), arithmetic, unary minus and `SUM`/`AVG`.
 fn check_types(type_of: &TypeOf<'_>, e: &Expr, diags: &mut Vec<Diagnostic>) {
     match e {
         Expr::Binary { left, op, right } if op.is_comparison() => {
-            check_comparison(type_of, left, *op, right, diags)
+            check_comparison(type_of, left, Some(*op), right, diags)
         }
+        Expr::InList { expr, list, .. } => {
+            for item in list {
+                check_comparison(type_of, expr, None, item, diags);
+            }
+        }
+        Expr::Between {
+            expr, low, high, ..
+        } => {
+            for bound in [low, high] {
+                check_comparison(type_of, expr, None, bound, diags);
+            }
+        }
+        Expr::Case {
+            operand: Some(operand),
+            branches,
+            ..
+        } => {
+            for (when, _) in branches {
+                check_comparison(type_of, operand, None, when, diags);
+            }
+        }
+        Expr::Aggregate {
+            func: func @ (AggFunc::Sum | AggFunc::Avg),
+            arg: Some(arg),
+            ..
+        } => check_numeric(type_of, format_args!("{}", func.name()), arg, diags),
         Expr::Binary { left, op, right } if !matches!(op, BinaryOp::And | BinaryOp::Or) => {
             for side in [left, right] {
                 check_numeric(
@@ -403,10 +431,12 @@ fn check_numeric(
     }
 }
 
+/// One compared pair: `left op right`, or with no `op` an `IN` item, a
+/// `BETWEEN` bound or a `WHEN` value `right` against its operand `left`.
 fn check_comparison(
     type_of: &TypeOf<'_>,
     left: &Expr,
-    op: BinaryOp,
+    op: Option<BinaryOp>,
     right: &Expr,
     diags: &mut Vec<Diagnostic>,
 ) {
@@ -414,16 +444,19 @@ fn check_comparison(
         return;
     };
     let span = expr_span(left).union(expr_span(right));
-    if cmp_class(lt) != cmp_class(rt) {
+    if lt.cmp_class() != rt.cmp_class() {
+        let pair = match op {
+            Some(op) => format!("`{left} {} {right}`", op.symbol()),
+            None => format!("`{left}` against `{right}`"),
+        };
         diags.push(
             Diagnostic::new(
                 Code::TypeMismatch,
                 span,
                 format!(
-                    "cannot compare {} with {}: `{left} {} {right}` always fails at runtime",
+                    "cannot compare {} with {}: {pair} always fails at runtime",
                     lt.name(),
                     rt.name(),
-                    op.symbol()
                 ),
             )
             .with_help("cast one side or compare columns of the same type"),
@@ -434,8 +467,7 @@ fn check_comparison(
         return;
     }
     // Same comparison class, different types: implicit cast.
-    let both_columns = matches!(left, Expr::Column(_)) && matches!(right, Expr::Column(_));
-    let text_vs_date = cmp_class(lt) == cmp_class(DataType::Text);
+    let text_vs_date = lt.cmp_class() == DataType::Text.cmp_class();
     if text_vs_date {
         diags.push(
             Diagnostic::new(
@@ -449,7 +481,7 @@ fn check_comparison(
             )
             .with_help("write the literal as DATE '...' to make the cast explicit"),
         );
-    } else if both_columns {
+    } else if let (Some(op), Expr::Column(_), Expr::Column(_)) = (op, left, right) {
         diags.push(Diagnostic::new(
             Code::ImplicitCast,
             span,
@@ -545,17 +577,6 @@ pub fn expr_span(e: &Expr) -> Span {
     let mut span = Span::NONE;
     e.visit_columns(&mut |c| span = span.union(c.span));
     span
-}
-
-/// Comparison-compatibility class; values in the same class compare at
-/// runtime (possibly via an implicit cast), values across classes are a
-/// guaranteed runtime error. Mirrors `Value::sql_cmp`.
-pub(crate) fn cmp_class(ty: DataType) -> u8 {
-    match ty {
-        DataType::Int | DataType::Float => 0,
-        DataType::Text | DataType::Date => 1, // text parses as date
-        DataType::Bool => 2,
-    }
 }
 
 /// Smallest-edit-distance candidate within a threshold, for "did you

@@ -4,7 +4,7 @@ use std::fmt;
 use std::time::Duration;
 
 use conquer_sql::ParseError;
-use conquer_storage::StorageError;
+use conquer_storage::{Incomparable, StorageError};
 
 /// Errors raised anywhere in the parse→bind→plan→execute pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,6 +125,14 @@ impl From<ParseError> for EngineError {
 impl From<StorageError> for EngineError {
     fn from(e: StorageError) -> Self {
         EngineError::Storage(e)
+    }
+}
+
+/// Comparing two values of different comparison classes fails the
+/// statement.
+impl From<Incomparable> for EngineError {
+    fn from(e: Incomparable) -> Self {
+        EngineError::Exec(e.to_string())
     }
 }
 

@@ -494,13 +494,9 @@ fn build_join<'a>(
             } else {
                 let (probe_exprs, build_exprs) = equi.iter().map(|(l, r)| (l, r)).unzip();
                 let column = |id| column_type(&plan.relations, id);
-                let lossy = equi
+                let conv = equi
                     .iter()
-                    .map(|(l, r)| {
-                        let types = (l.data_type(&column), r.data_type(&column));
-                        let (int, float) = (Some(DataType::Int), Some(DataType::Float));
-                        types == (int, float) || types == (float, int)
-                    })
+                    .map(|(l, r)| KeyConv::of(l.data_type(&column), r.data_type(&column)))
                     .collect();
                 TupleOp::new(
                     format!("HashJoin on {} key(s)", equi.len()),
@@ -510,7 +506,7 @@ fn build_join<'a>(
                         keys: JoinKeys {
                             probe_exprs,
                             build_exprs,
-                            lossy,
+                            conv,
                             probe_layout: llayout,
                             build_layout: rlayout,
                         },
@@ -783,55 +779,30 @@ impl BuildMap {
     }
 }
 
-/// The least and the greatest normalized first key of a hash join's
-/// build table, and the column of its probe scan that key reads.
+/// The least and the greatest first key of a hash join's build table,
+/// the probe scan's column that key reads, and the pair's conversion.
 #[derive(Debug)]
 pub(crate) struct KeyRange {
     col: usize,
     min: Value,
     max: Value,
-    /// The first key pair compares an `INTEGER` with a `DOUBLE`, so an
-    /// integer cell is read as the nearest float, as the key normalizes.
-    lossy: bool,
-    /// `min` and `max` when both are floats, as numeric keys normalize
-    /// (a NaN key meets nothing, so none is built): then a numeric cell is
-    /// checked with two float comparisons instead of two walks of
-    /// `Value`'s order.
-    floats: Option<(f64, f64)>,
+    conv: KeyConv,
 }
 
 impl KeyRange {
-    fn new(col: usize, min: &Value, max: &Value, lossy: bool) -> KeyRange {
-        let floats = match (min, max) {
-            (Value::Float(lo), Value::Float(hi)) => Some((*lo, *hi)),
-            _ => None,
-        };
-        KeyRange {
-            col,
-            min: min.clone(),
-            max: max.clone(),
-            lossy,
-            floats,
-        }
-    }
-
-    /// Can `cell`, normalized as a join key, equal a build key? Against
-    /// non-NaN bounds that are themselves normalized (never `-0.0`), IEEE
-    /// comparison orders a numeric key as `Value`'s order orders its
-    /// normalized form: `-0.0` falls where `0.0` does and a NaN outside.
+    /// Can `cell`, converted as a join key, equal a build key? Against
+    /// bounds of its own type a number takes two comparisons: IEEE orders
+    /// a float as `Value` orders its key (the bounds are never `-0.0` or
+    /// NaN), so `-0.0` falls where `0.0` does and a NaN outside.
     fn admits(&self, cell: &Value) -> bool {
-        if let Some((lo, hi)) = self.floats {
-            let x = match *cell {
-                Value::Float(x) => Some(x),
-                Value::Int(i) if self.lossy || i.unsigned_abs() <= EXACT_INT => Some(i as f64),
-                _ => None,
-            };
-            if let Some(x) = x {
-                return lo <= x && x <= hi;
-            }
+        match (cell, &self.min, &self.max) {
+            (Value::Int(x), Value::Int(lo), Value::Int(hi)) => lo <= x && x <= hi,
+            (Value::Float(x), Value::Float(lo), Value::Float(hi)) => lo <= x && x <= hi,
+            _ => self
+                .conv
+                .key(Cow::Borrowed(cell))
+                .is_some_and(|key| self.min <= *key && *key <= self.max),
         }
-        let key = normalize_key(Cow::Borrowed(cell), self.lossy);
-        !key.is_null() && self.min <= *key && *key <= self.max
     }
 }
 
@@ -840,10 +811,8 @@ impl KeyRange {
 pub(crate) struct JoinKeys<'a> {
     probe_exprs: Vec<&'a BoundExpr>,
     build_exprs: Vec<&'a BoundExpr>,
-    /// Per key pair: one side is `INTEGER` and the other `DOUBLE`, so both
-    /// normalize an integer as the float nearest to it, exactly as SQL
-    /// equality compares them; see [`normalize_key`].
-    lossy: Vec<bool>,
+    /// Per key pair, how both sides convert their keys.
+    conv: Vec<KeyConv>,
     probe_layout: Layout<'a>,
     build_layout: Layout<'a>,
 }
@@ -854,7 +823,7 @@ impl<'a> JoinKeys<'a> {
         join_keys(
             self.probe_layout.tuple(p),
             &self.probe_exprs,
-            &self.lossy,
+            &self.conv,
             key,
         )
     }
@@ -864,7 +833,7 @@ impl<'a> JoinKeys<'a> {
         join_keys(
             self.build_layout.tuple(b),
             &self.build_exprs,
-            &self.lossy,
+            &self.conv,
             key,
         )
     }
@@ -901,7 +870,12 @@ impl<'a> JoinKeys<'a> {
         let mut keys = (0..map.keys.len()).map(|i| &map.keys.key(i)[0]);
         if let Some(first) = keys.next() {
             let (min, max) = keys.fold((first, first), |(lo, hi), k| (lo.min(k), hi.max(k)));
-            *range = Some(KeyRange::new(id.col, min, max, self.lossy[0]));
+            *range = Some(KeyRange {
+                col: id.col,
+                min: min.clone(),
+                max: max.clone(),
+                conv: self.conv[0],
+            });
         }
     }
 
@@ -1602,43 +1576,60 @@ fn movable_cells(output: &[OutputItem], appended: &[&BoundExpr]) -> Vec<Option<u
         .collect()
 }
 
-/// Evaluate and normalize the join key expressions over `cells` into
-/// `key` (cleared first), each as its pair's `lossy` flag says; `false`
-/// when any key is NULL or NaN, which SQL equality never matches.
+/// Evaluate and convert the join key expressions over `cells` into `key`
+/// (cleared first), each by its pair's conversion; `false` when any key
+/// meets nothing.
 fn join_keys<'x>(
     cells: impl Cells<'x>,
     exprs: &[&'x BoundExpr],
-    lossy: &[bool],
+    conv: &[KeyConv],
     key: &mut Vec<Cow<'x, Value>>,
 ) -> Result<bool> {
     key.clear();
-    for (e, lossy) in exprs.iter().zip(lossy) {
-        let v = e.eval_ref(cells)?;
-        if v.is_null() || matches!(*v, Value::Float(x) if x.is_nan()) {
-            return Ok(false);
+    for (e, conv) in exprs.iter().zip(conv) {
+        match conv.key(e.eval_ref(cells)?) {
+            Some(k) => key.push(k),
+            None => return Ok(false),
         }
-        key.push(normalize_key(v, *lossy));
     }
     Ok(true)
 }
 
-/// The largest integer magnitude a join key compares as the float it
-/// equals: every integer up to 2⁵³ is exactly a float.
-const EXACT_INT: u64 = 1 << 53;
+/// How a hash join converts one key pair's cells, by the pair's static
+/// types (which share a comparison class): two converted keys are equal
+/// as `Value`s exactly when [`Value::sql_cmp`] finds the cells equal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum KeyConv {
+    /// `INTEGER` with `DOUBLE`: an integer is read as `i as f64`.
+    Float,
+    /// `TEXT` with `DATE`: a text is parsed as a date.
+    Date,
+    /// Any other pair: keys as stored.
+    Stored,
+}
 
-/// Normalize a join key so numerically equal Int/Float values collide and
-/// `-0.0` meets `0.0`. An integer is read as the float nearest to it when
-/// `lossy` (its pair compares an `INTEGER` with a `DOUBLE`, as SQL
-/// equality does: `i as f64`) or when that float is exact (|i| ≤ 2⁵³);
-/// past 2⁵³ an `INTEGER = INTEGER` key stays exact. Anything else — a
-/// text key above all — stays borrowed from the row.
-fn normalize_key(v: Cow<'_, Value>, lossy: bool) -> Cow<'_, Value> {
-    match *v {
-        Value::Int(i) if lossy || i.unsigned_abs() <= EXACT_INT => {
-            Cow::Owned(Value::Float(i as f64))
+impl KeyConv {
+    fn of(left: Option<DataType>, right: Option<DataType>) -> KeyConv {
+        use DataType::{Date, Float, Int, Text};
+        match (left, right) {
+            (Some(Int), Some(Float)) | (Some(Float), Some(Int)) => KeyConv::Float,
+            (Some(Text), Some(Date)) | (Some(Date), Some(Text)) => KeyConv::Date,
+            _ => KeyConv::Stored,
         }
-        Value::Float(0.0) => Cow::Owned(Value::Float(0.0)),
-        _ => v,
+    }
+
+    /// `v` as a key, or `None` when its comparison is unknown, so it
+    /// meets nothing: NULL, NaN, or a text that is no date against a
+    /// date. `-0.0` reads as `0.0`; an unconverted key stays borrowed.
+    fn key(self, v: Cow<'_, Value>) -> Option<Cow<'_, Value>> {
+        Some(match *v {
+            Value::Null => return None,
+            Value::Float(x) if x.is_nan() => return None,
+            Value::Float(0.0) => Cow::Owned(Value::Float(0.0)),
+            Value::Int(i) if self == KeyConv::Float => Cow::Owned(Value::Float(i as f64)),
+            Value::Text(ref s) if self == KeyConv::Date => Cow::Owned(Value::Date(s.parse().ok()?)),
+            _ => v,
+        })
     }
 }
 
@@ -2786,16 +2777,30 @@ mod tests {
     }
 
     #[test]
-    fn key_normalization() {
-        let norm = |v: Value| normalize_key(Cow::Owned(v), false).into_owned();
-        assert_eq!(norm(Value::Int(5)), Value::Float(5.0));
-        assert_eq!(norm(Value::Float(-0.0)), Value::Float(0.0));
-        assert_eq!(norm(Value::text("x")), Value::text("x"));
-        // huge ints stay exact against an integer key
-        assert_eq!(norm(Value::Int(i64::MAX)), Value::Int(i64::MAX));
-        // and meet the float they round to against a float key
-        let lossy = |v: Value| normalize_key(Cow::Owned(v), true).into_owned();
+    fn keys_convert_by_their_pairs_static_types() {
+        use DataType::{Date, Float, Int, Text};
+        let key = |conv: KeyConv, v: Value| conv.key(Cow::Owned(v)).map(Cow::into_owned);
+        let stored = KeyConv::of(Some(Int), Some(Int));
+        assert_eq!(
+            key(stored, Value::Int(i64::MAX)),
+            Some(Value::Int(i64::MAX))
+        );
+        assert_eq!(key(stored, Value::Float(-0.0)), Some(Value::Float(0.0)));
+        assert_eq!(key(stored, Value::text("x")), Some(Value::text("x")));
+        assert_eq!(key(stored, Value::Null), None);
+        assert_eq!(key(stored, Value::Float(f64::NAN)), None);
+        // Against a float key an integer meets the float it rounds to.
+        let float = KeyConv::of(Some(Float), Some(Int));
         let past = (1i64 << 53) + 1;
-        assert_eq!(lossy(Value::Int(past)), Value::Float((1u64 << 53) as f64));
+        assert_eq!(
+            key(float, Value::Int(past)),
+            Some(Value::Float((1u64 << 53) as f64))
+        );
+        // Against a date key a text meets the date it spells, or nothing.
+        let date = KeyConv::of(Some(Text), Some(Date));
+        let day = "1995-03-15".parse().unwrap();
+        assert_eq!(key(date, Value::text("1995-03-15")), Some(Value::Date(day)));
+        assert_eq!(key(date, Value::Date(day)), Some(Value::Date(day)));
+        assert_eq!(key(date, Value::text("x")), None);
     }
 }

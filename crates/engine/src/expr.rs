@@ -8,9 +8,11 @@
 //! aggregate's slot row, or a stored row a DML statement evaluates),
 //! regardless of join order.
 //!
-//! Evaluation implements SQL three-valued logic: comparisons with NULL yield
-//! NULL, `AND`/`OR`/`NOT` follow Kleene logic, and WHERE keeps a row only if
-//! the predicate is *true* (not NULL).
+//! Evaluation implements SQL three-valued logic: every comparison
+//! (`=`, `<`, …, `IN`, `BETWEEN`, a simple `CASE`) is [`Value::sql_cmp`],
+//! whose unknown outcome (a NULL, a NaN) is NULL and whose type error fails
+//! the statement; `AND`/`OR`/`NOT` follow Kleene logic, and WHERE keeps a
+//! row only if the predicate is *true* (not NULL).
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -318,14 +320,11 @@ impl BoundExpr {
                 negated,
             } => {
                 let v = expr.eval_ref(cells)?;
-                if v.is_null() {
-                    return Ok(Value::Null);
-                }
                 let mut saw_null = false;
                 for item in list {
-                    match v.sql_eq(&*item.eval_ref(cells)?) {
-                        Some(true) => return Ok(Value::Bool(!negated)),
-                        Some(false) => {}
+                    match v.sql_cmp(&*item.eval_ref(cells)?)? {
+                        Some(Ordering::Equal) => return Ok(Value::Bool(!negated)),
+                        Some(_) => {}
                         None => saw_null = true,
                     }
                 }
@@ -344,8 +343,8 @@ impl BoundExpr {
                 let v = expr.eval_ref(cells)?;
                 let lo = low.eval_ref(cells)?;
                 let hi = high.eval_ref(cells)?;
-                let ge = v.sql_cmp(&lo).map(|o| o != Ordering::Less);
-                let le = v.sql_cmp(&hi).map(|o| o != Ordering::Greater);
+                let ge = v.sql_cmp(&lo)?.map(|o| o != Ordering::Less);
+                let le = v.sql_cmp(&hi)?.map(|o| o != Ordering::Greater);
                 match kleene_and(ge, le) {
                     None => Value::Null,
                     Some(b) => Value::Bool(b != *negated),
@@ -364,9 +363,9 @@ impl BoundExpr {
                 let mut arm = else_expr.as_deref();
                 for (when, then) in branches {
                     let fire = match &operand {
-                        // Simple case: operand = WHEN value (NULL never
-                        // matches, per SQL equality semantics).
-                        Some(op) => op.sql_eq(&*when.eval_ref(cells)?) == Some(true),
+                        // Simple case: operand = WHEN value (an unknown
+                        // comparison never matches).
+                        Some(op) => op.sql_cmp(&*when.eval_ref(cells)?)? == Some(Ordering::Equal),
                         // Searched case: WHEN is a predicate.
                         None => when.eval_predicate(cells)?,
                     };
@@ -475,9 +474,9 @@ fn eval_binary<'a, C: Cells<'a>>(
         return Ok(Value::Null);
     }
     if op.is_comparison() {
-        let ord = left
-            .sql_cmp(&right)
-            .ok_or_else(|| EngineError::exec(format!("cannot compare {left} with {right}")))?;
+        let Some(ord) = left.sql_cmp(&right)? else {
+            return Ok(Value::Null);
+        };
         let b = match op {
             BinaryOp::Eq => ord == Ordering::Equal,
             BinaryOp::NotEq => ord != Ordering::Equal,
@@ -724,6 +723,103 @@ mod tests {
             negated: true,
         };
         assert_eq!(e.eval(&row).unwrap(), Value::Bool(true));
+    }
+
+    /// `=`, `<`, `IN`, `BETWEEN` and a simple `CASE` over every pair of
+    /// these values give the comparison rule's outcome: unknown (NULL, or
+    /// no match), a type error across comparison classes, or the order.
+    #[test]
+    fn every_comparison_form_follows_the_one_rule() {
+        use std::cmp::Ordering::{Equal, Less};
+        let day = "1995-03-15".parse::<conquer_storage::Date>().unwrap();
+        let values = [
+            Value::Null,
+            Value::Float(f64::NAN),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::text("1995-03-15"),
+            Value::text("x"),
+            Value::Date(day),
+            Value::Bool(true),
+        ];
+        // The rule, spelled out: `Err(())` is the type error.
+        let rule = |a: &Value, b: &Value| -> std::result::Result<Option<Ordering>, ()> {
+            let class = |v: &Value| v.data_type().map(DataType::cmp_class);
+            let date = |v: &Value| match v {
+                Value::Text(s) => s.parse().ok(),
+                v => v.as_date(),
+            };
+            Ok(match (a, b) {
+                (Value::Null, _) | (_, Value::Null) => None,
+                _ if class(a) != class(b) => return Err(()),
+                (Value::Text(x), Value::Text(y)) => Some(x.cmp(y)),
+                (Value::Bool(x), Value::Bool(y)) => Some(x.cmp(y)),
+                _ => match (a.as_f64(), b.as_f64()) {
+                    (Some(x), Some(y)) => x.partial_cmp(&y),
+                    _ => date(a).zip(date(b)).map(|(x, y)| x.cmp(&y)),
+                },
+            })
+        };
+        let row: Row = vec![];
+        for a in &values {
+            for b in &values {
+                let (l, r) = (lit(a.clone()), lit(b.clone()));
+                let forms = [
+                    ("=", bin(l.clone(), BinaryOp::Eq, r.clone())),
+                    ("<", bin(l.clone(), BinaryOp::Lt, r.clone())),
+                    (
+                        "IN",
+                        BoundExpr::InList {
+                            expr: Box::new(l.clone()),
+                            list: vec![r.clone()],
+                            negated: false,
+                        },
+                    ),
+                    (
+                        "BETWEEN",
+                        BoundExpr::Between {
+                            expr: Box::new(l.clone()),
+                            low: Box::new(r.clone()),
+                            high: Box::new(r.clone()),
+                            negated: false,
+                        },
+                    ),
+                    (
+                        "CASE",
+                        BoundExpr::Case {
+                            operand: Some(Box::new(l.clone())),
+                            branches: vec![(r.clone(), lit(true))],
+                            else_expr: Some(Box::new(lit(false))),
+                            float: false,
+                        },
+                    ),
+                ];
+                for (form, e) in forms {
+                    let got = e.eval(&row);
+                    let want = match rule(a, b) {
+                        Err(()) => {
+                            let ty = |v: &Value| v.data_type().map_or("", DataType::name);
+                            let (ta, tb) = (ty(a), ty(b));
+                            assert!(
+                                matches!(&got, Err(EngineError::Exec(m))
+                                    if m.starts_with(&format!("cannot compare {ta} "))
+                                        && m.contains(&format!(" with {tb} "))),
+                                "{a:?} {form} {b:?}: {got:?}"
+                            );
+                            continue;
+                        }
+                        Ok(None) if form == "CASE" => Value::Bool(false),
+                        Ok(None) => Value::Null,
+                        Ok(Some(o)) => {
+                            Value::Bool(if form == "<" { o == Less } else { o == Equal })
+                        }
+                    };
+                    assert_eq!(got, Ok(want), "{a:?} {form} {b:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //!
 //! 1. The WHERE predicate is split into conjuncts. Single-relation
 //!    conjuncts are pushed down into scans; two-sided equality conjuncts
-//!    whose sides each touch one relation become hash-join keys; everything
-//!    else is applied as a residual filter at the earliest join where all of
-//!    its relations are available.
+//!    whose sides each touch one relation and have comparable static types
+//!    become hash-join keys; everything else is applied as a residual
+//!    filter at the earliest join where all of its relations are available.
 //! 2. Relations are joined greedily starting from the first FROM entry,
 //!    always preferring a relation connected by an equi edge (smallest base
 //!    table first); unconnected relations fall back to nested-loop cross
@@ -161,13 +161,14 @@ pub fn plan_select(catalog: &Catalog, bound: BoundSelect) -> Result<Plan> {
                     let rel = rels.first().copied().unwrap_or(0);
                     scan_filters[rel].push(conjunct);
                 }
-                2 => {
-                    if let Some(edge) = as_equi_edge(&conjunct) {
-                        equi_edges.push(edge);
-                    } else {
-                        residuals.push(conjunct);
+                // An equality of keys that do not compare stays a residual
+                // filter: the nested loop raises its type error.
+                2 => match as_equi_edge(&conjunct) {
+                    Some(e) if validate::key_types_meet(&e.exprs.0, &e.exprs.1, &relations) => {
+                        equi_edges.push(e)
                     }
-                }
+                    _ => residuals.push(conjunct),
+                },
                 _ => residuals.push(conjunct),
             }
         }

@@ -19,7 +19,6 @@
 
 use conquer_storage::DataType;
 
-use crate::analyze::cmp_class;
 use crate::binder::{column_type, product_columns, AggCall, BoundRelation, BoundSelect, GroupSpec};
 use crate::error::EngineError;
 use crate::expr::BoundExpr;
@@ -196,6 +195,22 @@ pub(crate) fn check_classified(
     Ok(())
 }
 
+/// Invariant `join-key-types`: a hash join's key pair `left = right` has
+/// two static types of one comparison class. The planner makes any other
+/// equality a residual filter, which compares (and so fails on) every pair
+/// it meets.
+pub(crate) fn key_types_meet(
+    left: &BoundExpr,
+    right: &BoundExpr,
+    relations: &[BoundRelation],
+) -> bool {
+    let column = |id| column_type(relations, id);
+    matches!(
+        (left.data_type(&column), right.data_type(&column)),
+        (Some(l), Some(r)) if l.cmp_class() == r.cmp_class()
+    )
+}
+
 /// Validate a join (sub)tree: layouts partition their relations, scan
 /// filters are local, join keys resolve on their own side with agreeing
 /// types, residual filters stay inside the joined layout.
@@ -271,15 +286,14 @@ pub(crate) fn check_join_node(
                         ),
                     ));
                 }
-                let column = |id| column_type(relations, id);
-                if let (Some(lt), Some(rt)) = (le.data_type(&column), re.data_type(&column)) {
-                    if cmp_class(lt) != cmp_class(rt) {
-                        return Err(violation(
-                            "join-key-types",
-                            stage,
-                            format!("key {i} compares {} with {}", lt.name(), rt.name()),
-                        ));
-                    }
+                if !key_types_meet(le, re, relations) {
+                    let column = |id| column_type(relations, id);
+                    let ty = |e: &BoundExpr| e.data_type(&column).map_or("no type", DataType::name);
+                    return Err(violation(
+                        "join-key-types",
+                        stage,
+                        format!("key {i} compares {} with {}", ty(le), ty(re)),
+                    ));
                 }
             }
             if let Some(f) = filter {

@@ -1,18 +1,25 @@
-//! The hash join's two shortcuts, against a nested-loop reference: a
-//! build that finishes in memory empty ends the join without reading its
-//! probe input, and a probe scan that has not started skips the rows whose
-//! key lies outside the build keys' range before its filter sees them.
-//! Neither may drop a match or move one: the join's rows come out exactly
-//! as a nested loop over its probe and build inputs emits them.
+//! The hash join against a nested-loop reference. Two keys meet exactly
+//! when `Value::sql_cmp`, the one SQL comparison, finds them equal, for
+//! every pair of `INTEGER`, `DOUBLE`, `TEXT` and `DATE` keys; a key pair of
+//! different comparison classes is the same type error in both joins. And
+//! the hash join's two shortcuts: a build that finishes in memory empty
+//! ends the join without reading its probe input, and a probe scan that
+//! has not started skips the rows whose key lies outside the build keys'
+//! range before its filter sees them. Neither may drop a match or move
+//! one: the join's rows come out exactly as a nested loop over its probe
+//! and build inputs emits them.
 
-use conquer_engine::{Database, OpStats, QueryResult};
-use conquer_storage::{Catalog, DataType, Schema, Table, Value};
+use std::cmp::Ordering;
+
+use conquer_engine::{Database, ErrorKind, OpStats, QueryResult};
+use conquer_storage::{Catalog, DataType, Date, Schema, Table, Value};
 use proptest::prelude::*;
 
 /// Key cells the random tables draw from, per column type. Against a
 /// `DOUBLE` key an integer meets the float nearest to it, as SQL equality
 /// compares them (so 2⁵³ + 1 meets 2⁵³); two `INTEGER` keys beyond 2⁵³
-/// (and `i64::MIN`) compare exactly; `-0.0` meets `0.0`, and a NaN and
+/// (and `i64::MIN`) compare exactly; `-0.0` meets `0.0`; a text meets the
+/// date it spells, and one that spells none meets no date; a NaN and
 /// `NULL` meet nothing, not even themselves.
 const EXACT: i64 = 1 << 53;
 
@@ -45,17 +52,37 @@ fn text_pool() -> Vec<Value> {
     std::iter::once(Value::Null).chain(cells).collect()
 }
 
+fn date_pool() -> Vec<Value> {
+    let dates = ["1995-03-15", "1995-03-16", "1994-01-01", "2000-02-29"];
+    let cells = dates
+        .into_iter()
+        .map(|d| Value::Date(d.parse::<Date>().unwrap()));
+    std::iter::once(Value::Null).chain(cells).collect()
+}
+
+/// Texts to compare with dates: some spell one, some spell none.
+fn date_text_pool() -> Vec<Value> {
+    let texts = ["1995-03-15", "1995-03-16", "x", ""];
+    let cells = texts.into_iter().map(Value::text);
+    std::iter::once(Value::Null).chain(cells).collect()
+}
+
 /// The key column types of `a` and `b`, and the cells each draws from.
 fn key_types(case: usize) -> [(DataType, Vec<Value>); 2] {
     let int = || (DataType::Int, int_pool());
     let float = || (DataType::Float, float_pool());
     let text = || (DataType::Text, text_pool());
+    let date = || (DataType::Date, date_pool());
+    let date_text = || (DataType::Text, date_text_pool());
     match case {
         0 => [int(), float()],
         1 => [float(), int()],
         2 => [text(), text()],
         3 => [int(), int()],
-        _ => [float(), float()],
+        4 => [float(), float()],
+        5 => [date_text(), date()],
+        6 => [date(), date_text()],
+        _ => [date(), date()],
     }
 }
 
@@ -75,20 +102,9 @@ fn database(case: usize, picks: [&[usize]; 2]) -> Database {
     Database::from_catalog(catalog)
 }
 
-/// Join-key equality of a key pair of `case`'s types. A pair with a
-/// `DOUBLE` side meets exactly when the evaluator's SQL equality holds.
-/// Otherwise both cells are non-NULL and equal once an integer of
-/// magnitude at most 2⁵³ is read as the float it equals.
-fn keys_meet(case: usize, a: &Value, b: &Value) -> bool {
-    if case < 2 || case == 4 {
-        return a.sql_eq(b) == Some(true);
-    }
-    let norm = |v: &Value| match *v {
-        Value::Int(i) if i.unsigned_abs() <= EXACT as u64 => Value::Float(i as f64),
-        Value::Float(0.0) => Value::Float(0.0),
-        ref other => other.clone(),
-    };
-    !a.is_null() && !b.is_null() && norm(a) == norm(b)
+/// Two keys meet exactly when SQL comparison finds them equal.
+fn keys_meet(a: &Value, b: &Value) -> bool {
+    a.sql_cmp(b) == Ok(Some(Ordering::Equal))
 }
 
 fn run(db: &Database, sql: &str) -> QueryResult {
@@ -113,7 +129,7 @@ proptest! {
 
     #[test]
     fn hash_joins_emit_what_a_nested_loop_emits_in_its_order(
-        case in 0usize..5,
+        case in 0usize..8,
         a in prop::collection::vec(0usize..16, 0..9),
         b in prop::collection::vec(0usize..16, 0..9),
         (min_a, min_b) in (0i64..4, 0i64..4),
@@ -137,7 +153,7 @@ proptest! {
         let mut expected = Vec::new();
         for (p, pk) in probe {
             for (q, qk) in build {
-                if keys_meet(case, pk, qk) {
+                if keys_meet(pk, qk) {
                     let (ai, bi) = if probe_is_a { (*p, *q) } else { (*q, *p) };
                     expected.push(vec![Value::Int(ai), Value::Int(bi)]);
                 }
@@ -234,7 +250,7 @@ fn text_keys_prune_by_their_order() {
 }
 
 /// An `INTEGER` key past 2⁵³ meets the `DOUBLE` it rounds to, in the hash
-/// join as in the evaluator (and its nested loop): `sql_eq` reads the
+/// join as in the evaluator (and its nested loop): `sql_cmp` reads the
 /// integer as `i as f64`. The hash join's probe range reads it the same
 /// way, so it is not pruned either; two `INTEGER` keys stay exact.
 #[test]
@@ -295,4 +311,57 @@ fn a_case_key_is_compared_as_its_static_type() {
         "SELECT a.i FROM a WHERE a.i = CASE WHEN 1 = 1 THEN 9007199254740993 ELSE 0.5 END",
     );
     assert_eq!(filtered.rows, one);
+}
+
+/// Each comparison answers the same in a hash join's form (`WHERE x = y`)
+/// and in a nested loop's (`… OR 1 = 0`): a text meets the date it spells
+/// and one that spells none meets nothing, a NaN meets nothing, and a pair
+/// of different comparison classes is a type error (`ErrorKind::Exec`),
+/// never a violated plan invariant (`ErrorKind::Internal`).
+#[test]
+fn both_join_forms_compare_by_the_one_rule() {
+    let mut db = Database::new();
+    db.execute_script(
+        "CREATE TABLE a (i INTEGER, t TEXT, f DOUBLE);
+         CREATE TABLE b (j INTEGER, d DATE, s TEXT);
+         INSERT INTO a VALUES (1, '1995-03-15', 1e309 - 1e309), (2, '1996-02-02', 0.5),
+           (3, 'x', 2.0);
+         INSERT INTO b VALUES (1, DATE '1995-03-15', '1'), (2, DATE '1996-01-01', 'x')",
+    )
+    .unwrap();
+    let ints = |v: &[&[i64]]| -> Vec<Vec<Value>> {
+        v.iter()
+            .map(|r| r.iter().map(|&i| Value::Int(i)).collect())
+            .collect()
+    };
+    let hashed = run(&db, "SELECT a.i, b.j FROM a, b WHERE a.t = b.d");
+    find(&hashed, "HashJoin");
+    assert_eq!(hashed.rows, ints(&[&[1, 1]]));
+    let looped = run(&db, "SELECT a.i, b.j FROM a, b WHERE a.t = b.d OR 1 = 0");
+    assert_eq!(looped.rows, hashed.rows);
+
+    let type_error = "cannot compare INTEGER 1 with TEXT '1'";
+    for sql in [
+        "SELECT a.i, b.j FROM a, b WHERE a.i = b.s",
+        "SELECT a.i, b.j FROM a, b WHERE a.i = b.s OR 1 = 0",
+        "SELECT a.i FROM a WHERE a.i IN ('1', 'x')",
+    ] {
+        let err = db.prepare(sql).and_then(|s| s.query(&db)).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::Exec, "{sql}: {err}");
+        assert!(err.to_string().contains(type_error), "{sql}: {err}");
+    }
+    let sql = "SELECT a.i FROM a WHERE a.i BETWEEN 'a' AND 'z'";
+    let err = db.prepare(sql).and_then(|s| s.query(&db)).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::Exec, "{sql}: {err}");
+
+    for (predicate, want) in [
+        ("a.f = a.f", ints(&[&[2], &[3]])),
+        ("a.f < 1.0", ints(&[&[2]])),
+        ("a.f IN (0.5, a.f)", ints(&[&[2], &[3]])),
+        ("a.f BETWEEN 0.0 AND 1.0", ints(&[&[2]])),
+        ("a.t = DATE '1995-03-15'", ints(&[&[1]])),
+    ] {
+        let result = run(&db, &format!("SELECT a.i FROM a WHERE {predicate}"));
+        assert_eq!(result.rows, want, "{predicate}");
+    }
 }

@@ -51,7 +51,7 @@ pub use schema::{Column, Schema};
 pub use scrub::{scrub, ScrubReport};
 pub use spill::{SpillFile, SpillReader, SpillSession, SpillWriter};
 pub use table::{Edit, Row, SharedRow, Table};
-pub use value::{DataType, Value};
+pub use value::{DataType, Incomparable, Value};
 pub use wal::{Wal, WalOp};
 
 /// Convenience result alias for storage operations.

@@ -36,6 +36,17 @@ impl DataType {
             DataType::Date => "DATE",
         }
     }
+
+    /// The type's comparison class: numbers, `TEXT` with `DATE` (the text
+    /// parses as a date), or `BOOLEAN`. Comparing across classes is a type
+    /// error, in [`Value::sql_cmp`] and in every static check.
+    pub fn cmp_class(self) -> u8 {
+        match self {
+            DataType::Int | DataType::Float => 0,
+            DataType::Text | DataType::Date => 1,
+            DataType::Bool => 2,
+        }
+    }
 }
 
 impl fmt::Display for DataType {
@@ -50,7 +61,7 @@ impl fmt::Display for DataType {
 /// used directly as a key in hash joins, hash aggregation and sorts:
 ///
 /// * `Null` sorts before everything else and is equal to itself (grouping
-///   semantics; three-valued comparison logic is the engine's concern).
+///   semantics; SQL's three-valued comparison is [`Value::sql_cmp`]).
 /// * `Int` and `Float` are ordered numerically; when numerically equal, the
 ///   type tag breaks the tie so that `Ord` equality coincides with the
 ///   structural `Eq`.
@@ -154,14 +165,20 @@ impl Value {
         }
     }
 
-    /// SQL comparison: numeric types compare numerically, `Null` is
-    /// incomparable (returns `None`), mismatched types are incomparable.
-    ///
-    /// This is the comparison used by WHERE predicates; the total [`Ord`]
-    /// below is for sorting/grouping.
-    pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
-        match (self, other) {
-            (Value::Null, _) | (_, Value::Null) => None,
+    /// SQL comparison, the one rule `WHERE`, `IN`, `BETWEEN`, a simple
+    /// `CASE` and both joins read. `Err` across comparison classes;
+    /// `Ok(None)` (unknown) when a side is NULL or NaN or a `TEXT` that is
+    /// no date meets a `DATE`; otherwise the order: an `INTEGER` against a
+    /// `DOUBLE` as `i as f64`, a `TEXT` against a `DATE` as the date it
+    /// spells. The total [`Ord`] below is for sorting and grouping.
+    pub fn sql_cmp(&self, other: &Value) -> Result<Option<Ordering>, Incomparable> {
+        let (Some(a), Some(b)) = (self.data_type(), other.data_type()) else {
+            return Ok(None);
+        };
+        if a.cmp_class() != b.cmp_class() {
+            return Err(Incomparable(self.clone(), other.clone()));
+        }
+        Ok(match (self, other) {
             (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
             (Value::Float(a), Value::Float(b)) => a.partial_cmp(b),
             (Value::Int(a), Value::Float(b)) => (*a as f64).partial_cmp(b),
@@ -169,17 +186,12 @@ impl Value {
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
             (Value::Text(a), Value::Text(b)) => Some(a.cmp(b)),
             (Value::Date(a), Value::Date(b)) => Some(a.cmp(b)),
-            // A date and a text literal in date format compare chronologically,
-            // which lets queries write `o_orderdate < '1995-03-15'`.
+            // Lets queries write `o_orderdate < '1995-03-15'`.
             (Value::Date(a), Value::Text(b)) => b.parse::<Date>().ok().map(|b| a.cmp(&b)),
             (Value::Text(a), Value::Date(b)) => a.parse::<Date>().ok().map(|a| a.cmp(b)),
+            // One class, so one of the pairs above.
             _ => None,
-        }
-    }
-
-    /// SQL equality as three-valued logic: `None` when either side is NULL.
-    pub fn sql_eq(&self, other: &Value) -> Option<bool> {
-        self.sql_cmp(other).map(|o| o == Ordering::Equal)
+        })
     }
 
     /// Rank of the type tag for the cross-type total order.
@@ -219,45 +231,18 @@ impl PartialOrd for Value {
 
 impl Ord for Value {
     fn cmp(&self, other: &Self) -> Ordering {
-        let (ra, rb) = (self.type_rank(), other.type_rank());
-        if ra != rb {
-            return ra.cmp(&rb);
-        }
         match (self, other) {
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
+            (Value::Int(a), Value::Int(b)) => a.cmp(b),
+            (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
+            // A numeric tie is broken on the type tag (`Int` first), so
+            // Ord-equality implies structural `Eq`.
+            (Value::Int(a), Value::Float(b)) => (*a as f64).total_cmp(b).then(Ordering::Less),
+            (Value::Float(a), Value::Int(b)) => a.total_cmp(&(*b as f64)).then(Ordering::Greater),
             (Value::Text(a), Value::Text(b)) => a.cmp(b),
             (Value::Date(a), Value::Date(b)) => a.cmp(b),
-            // Numeric family: compare numerically; break numeric ties on the
-            // type tag (Int < Float) so Ord-equality implies structural Eq.
-            (a, b) => {
-                // Equal type_rank and none of the arms above matched, so both
-                // sides are numeric; a non-numeric pair cannot reach here.
-                let (Some(fa), Some(fb)) = (a.as_f64(), b.as_f64()) else {
-                    return Ordering::Equal;
-                };
-                // Use total_cmp on the float images except that an exact Int
-                // must compare equal to itself; i64→f64 can lose precision for
-                // |i| > 2^53, so compare Int/Int exactly first.
-                if let (Value::Int(x), Value::Int(y)) = (a, b) {
-                    return x.cmp(y);
-                }
-                match fa.total_cmp(&fb) {
-                    Ordering::Equal => {
-                        let ta = matches!(a, Value::Float(_)) as u8;
-                        let tb = matches!(b, Value::Float(_)) as u8;
-                        match ta.cmp(&tb) {
-                            Ordering::Equal => {
-                                // Same type & numerically equal: for floats,
-                                // total_cmp Equal means identical bits.
-                                Ordering::Equal
-                            }
-                            o => o,
-                        }
-                    }
-                    o => o,
-                }
-            }
+            _ => self.type_rank().cmp(&other.type_rank()),
         }
     }
 }
@@ -292,6 +277,30 @@ impl fmt::Display for Value {
             Value::Text(s) => f.write_str(s),
             Value::Date(d) => write!(f, "{d}"),
         }
+    }
+}
+
+/// The type error of [`Value::sql_cmp`]: two values whose types lie in
+/// different comparison classes, worded `cannot compare INTEGER 1 with
+/// TEXT '1'`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Incomparable(Value, Value);
+
+impl fmt::Display for Incomparable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let typed = |v: &Value| {
+            let ty = v.data_type().map_or("NULL", DataType::name);
+            match v {
+                Value::Text(s) => format!("{ty} '{}'", s.replace('\'', "''")),
+                v => format!("{ty} {v}"),
+            }
+        };
+        write!(
+            f,
+            "cannot compare {} with {}",
+            typed(&self.0),
+            typed(&self.1)
+        )
     }
 }
 
@@ -361,24 +370,34 @@ mod tests {
 
     #[test]
     fn sql_cmp_coerces_numerics() {
-        assert_eq!(Value::Int(1).sql_eq(&Value::Float(1.0)), Some(true));
+        let ord = |a: Value, b: Value| a.sql_cmp(&b);
         assert_eq!(
-            Value::Int(2).sql_cmp(&Value::Float(1.5)),
-            Some(Ordering::Greater)
+            ord(Value::Int(1), Value::Float(1.0)),
+            Ok(Some(Ordering::Equal))
         );
-        assert_eq!(Value::Null.sql_eq(&Value::Int(1)), None);
-        assert_eq!(Value::Text("a".into()).sql_eq(&Value::Int(1)), None);
+        assert_eq!(
+            ord(Value::Int(2), Value::Float(1.5)),
+            Ok(Some(Ordering::Greater))
+        );
+        assert_eq!(ord(Value::Null, Value::Int(1)), Ok(None));
+        assert_eq!(
+            ord(Value::Float(f64::NAN), Value::Float(f64::NAN)),
+            Ok(None)
+        );
+        let err = ord(Value::text("it's"), Value::Int(1)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "cannot compare TEXT 'it''s' with INTEGER 1"
+        );
     }
 
     #[test]
     fn date_text_comparison() {
         let d = Value::Date("1995-03-15".parse().unwrap());
-        assert_eq!(d.sql_cmp(&Value::text("1995-03-16")), Some(Ordering::Less));
-        assert_eq!(
-            Value::text("1995-03-16").sql_cmp(&d),
-            Some(Ordering::Greater)
-        );
-        assert_eq!(d.sql_cmp(&Value::text("not a date")), None);
+        let text = Value::text("1995-03-16");
+        assert_eq!(d.sql_cmp(&text), Ok(Some(Ordering::Less)));
+        assert_eq!(text.sql_cmp(&d), Ok(Some(Ordering::Greater)));
+        assert_eq!(d.sql_cmp(&Value::text("not a date")), Ok(None));
     }
 
     #[test]

@@ -40,6 +40,8 @@ fn projection_item() -> impl Strategy<Value = String> {
         Just("SUM(c.income)".to_string()),
         Just("SUM(c.income) AS total".to_string()),
         Just("MIN(o.quantity)".to_string()),
+        // SUM over TEXT: CQ0005, as it fails at runtime.
+        Just("SUM(c.name)".to_string()),
         Just("nmae".to_string()),
         Just("c.nonexistent".to_string()),
         Just("prob".to_string()),
@@ -63,6 +65,9 @@ fn predicate() -> impl Strategy<Value = String> {
         Just("c.income > 50000".to_string()),
         Just("c.income >= 100000".to_string()),
         Just("o.quantity IN (1, 2, 3)".to_string()),
+        // An IN item of another comparison class: CQ0005, as it fails at
+        // runtime.
+        Just("c.income IN (1, 'x')".to_string()),
         Just("c.name LIKE 'M%'".to_string()),
         Just("1 = 1".to_string()),
         Just("'a' = 'b'".to_string()),
